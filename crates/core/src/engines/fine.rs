@@ -33,14 +33,16 @@
 //! solves at any width.
 
 use crate::engines::{
-    output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, Simulator, IO_BYTES_PER_NS,
+    attempt_stats, output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, Simulator,
+    IO_BYTES_PER_NS,
 };
+use crate::lanes::solve_lane_groups;
 use crate::recovery::{continue_ladder, solve_member_recovered, RecoveryPolicy};
 use crate::{RbmBatchSystem, SimError, SimulationJob, WorkEstimate, STIFFNESS_THRESHOLD};
 use paraspace_exec::{CancelToken, Executor};
 use paraspace_solvers::{
-    Bdf, Dopri5, Dopri5Batch, LaneReport, Radau5, Radau5Batch, Rkf45, SolveFailure, SolverError,
-    SolverScratch, StepStats,
+    Bdf, Dopri5, Dopri5Batch, LaneReport, Radau5, Radau5Batch, Rkf45, SolverError, SolverScratch,
+    StepStats,
 };
 use paraspace_vgpu::{
     Device, DeviceConfig, DpModel, KernelLaunch, LaneGroupStats, MemorySpace, ThreadWork,
@@ -52,10 +54,6 @@ use std::time::Instant;
 const KERNELS_PER_STEP: u64 = 8;
 /// Host↔device transfer throughput in bytes/ns.
 const PCIE_BYTES_PER_NS: f64 = 8.0;
-/// Members queued per lane slot: a group of width `L` services up to
-/// `4·L` members via lane compaction, so early finishers hand their lane
-/// to a pending member instead of idling it.
-const MEMBERS_PER_LANE: usize = 4;
 
 /// The fine-grained engine.
 ///
@@ -233,24 +231,19 @@ impl FineEngine {
         // in group order, so the timeline (and every trajectory) is bitwise
         // identical at any worker count.
         let dp = DpModel::default();
-        let group_capacity = width * MEMBERS_PER_LANE;
-        let n_groups = batch.div_ceil(group_capacity);
-        let groups = self.executor.try_map_with_cancel(
-            n_groups,
+        let groups = solve_lane_groups(
+            &self.executor,
             &self.cancel,
-            SolverScratch::new,
-            |scratch, g| {
-                let lo = g * group_capacity;
-                let hi = ((g + 1) * group_capacity).min(batch);
-                self.solve_lane_group(job, g, lo, hi, width, scratch, &dp)
+            batch,
+            width,
+            |scratch, g, members| {
+                self.solve_lane_group(job, g, members.start, members.end, width, scratch, &dp)
             },
         )?;
 
         let mut outcomes = Vec::with_capacity(batch);
         let mut health = BatchHealth::default();
-        for group in groups {
-            let (group_outcomes, report, stiff_report, shard, group_health) =
-                group.unwrap_or_else(|fault| panic!("{fault}"));
+        for (group_outcomes, report, stiff_report, shard, group_health) in groups {
             device.record_lane_group(&LaneGroupStats {
                 width: report.width,
                 lockstep_iters: report.lockstep_iters,
@@ -372,10 +365,7 @@ impl FineEngine {
         if !lane_members.is_empty() {
             let mut lane_stats = StepStats::default();
             for r in &lane_results {
-                match r {
-                    Ok(s) => lane_stats.absorb(&s.stats),
-                    Err(f) => lane_stats.absorb(&f.stats),
-                }
+                lane_stats.absorb(attempt_stats(r));
             }
             let work = WorkEstimate::from_stats(odes, &lane_stats, job.time_points().len());
             let group_stats = LaneGroupStats {
@@ -421,10 +411,7 @@ impl FineEngine {
         if let Some(sr) = &stiff_report {
             let mut lane_stats = StepStats::default();
             for r in &stiff_results {
-                match r {
-                    Ok(s) => lane_stats.absorb(&s.stats),
-                    Err(f) => lane_stats.absorb(&f.stats),
-                }
+                lane_stats.absorb(attempt_stats(r));
             }
             let work = WorkEstimate::from_stats(odes, &lane_stats, job.time_points().len());
             let group_stats = LaneGroupStats {
@@ -509,15 +496,12 @@ impl FineEngine {
             if stiff[slot] {
                 let first = stiff_iter.next().expect("one lane result per stiff member");
                 // The lane attempt was billed in the group-wide RADAU5
-                // kernel; the ladder continues from a zero-stats copy.
-                let first = match first {
-                    Ok(sol) => Ok(sol),
-                    Err(f) => Err(SolveFailure { error: f.error, stats: StepStats::default() }),
-                };
+                // kernel; only genuine retries bill a scalar kernel.
                 let rs = continue_ladder(
                     job,
                     i,
                     first,
+                    true,
                     "radau5-lanes",
                     (&radau5, "radau5"),
                     None,
@@ -541,16 +525,12 @@ impl FineEngine {
             }
             let first = lane_iter.next().expect("one lane result per non-stiff member");
             // The lane attempt's work was already billed in the group-wide
-            // kernel above, so the ladder continues from a zero-stats copy
-            // of the failure; only genuine retries bill a scalar kernel.
-            let first = match first {
-                Ok(sol) => Ok(sol),
-                Err(f) => Err(SolveFailure { error: f.error, stats: StepStats::default() }),
-            };
+            // kernel above; only genuine retries bill a scalar kernel.
             let rs = continue_ladder(
                 job,
                 i,
                 first,
+                true,
                 "dopri5-lanes",
                 (&dopri5, "dopri5"),
                 Some((&bdf1, "bdf1")),
@@ -725,6 +705,28 @@ mod tests {
         let r = FineEngine::new().run(&job).unwrap();
         assert_eq!(r.outcomes[0].solver, "bdf1");
         assert!(r.outcomes[0].solution.is_ok());
+    }
+
+    #[test]
+    fn lane_attempts_discarded_by_a_reroute_are_accounted() {
+        // A 5-step cap fails every lockstep DOPRI5 lane at exactly 5 steps;
+        // the ladder re-routes each member to BDF1, and the lane attempts —
+        // billed in the group kernel, thrown away by the reroute — show up
+        // as discarded steps at any width.
+        let m = model();
+        let opts = paraspace_solvers::SolverOptions { max_steps: 5, ..Default::default() };
+        let mut b = SimulationJob::builder(&m).time_points(vec![0.5, 1.0]).options(opts);
+        for i in 0..6 {
+            b = b.parameterization(
+                Parameterization::new().with_rate_constants(vec![0.5 + 0.25 * i as f64, 0.4]),
+            );
+        }
+        let job = b.build().unwrap();
+        for width in [2, 8] {
+            let r = FineEngine::new().with_lane_width(width).run(&job).unwrap();
+            assert_eq!(r.health.reroutes, 6, "width {width}: {}", r.health);
+            assert_eq!(r.health.discarded_steps, 6 * 5, "width {width}: {}", r.health);
+        }
     }
 
     #[test]

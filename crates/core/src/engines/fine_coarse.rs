@@ -20,14 +20,16 @@
 //! useful batch sizes near 2048.
 
 use crate::engines::{
-    outcome_and_stats, output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, Simulator,
+    attempt_stats, output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, Simulator,
     IO_BYTES_PER_NS,
 };
+use crate::lanes::solve_lane_groups;
 use crate::recovery::{contained_attempt, continue_ladder, RecoveryLog, RecoveryPolicy};
 use crate::{classify_batch_with_threshold, RbmBatchSystem, SimError, SimulationJob, WorkEstimate};
 use paraspace_exec::{CancelToken, Cancelled, Executor};
 use paraspace_solvers::{
-    Dopri5, OdeSolver, Radau5, Radau5Batch, SolveFailure, SolverError, SolverScratch, StepStats,
+    Dopri5, OdeSolver, Radau5, Radau5Batch, Solution, SolveFailure, SolverError, SolverScratch,
+    StepStats,
 };
 use paraspace_vgpu::{
     ChildLaunch, Device, DeviceConfig, DpModel, KernelLaunch, LaneGroupStats, MemorySpace,
@@ -40,6 +42,11 @@ const PCIE_BYTES_PER_NS: f64 = 8.0;
 /// Parent-thread control-flow flops per solver step (loop bookkeeping,
 /// step-size control on the coarse thread).
 const PARENT_FLOPS_PER_STEP: u64 = 30;
+
+/// One member's latest attempt and the solver that ran it; the failure
+/// keeps its work counters until the outcomes are assembled, so a
+/// relaxation retry can account the attempt it discards.
+type MemberSlot = Option<(Result<Solution, SolveFailure>, &'static str)>;
 
 /// The fine+coarse engine.
 ///
@@ -158,7 +165,7 @@ impl FineCoarseEngine {
         phase_name: &str,
         solver: &dyn OdeSolver,
         members: &[usize],
-        slots: &mut [Option<(Result<paraspace_solvers::Solution, SolverError>, &'static str)>],
+        slots: &mut [MemberSlot],
         logs: &mut [RecoveryLog],
         reroutable: bool,
     ) -> Result<Vec<usize>, Cancelled> {
@@ -193,9 +200,9 @@ impl FineCoarseEngine {
             let result = result.unwrap_or_else(|fault| panic!("{fault}"));
             // Failed members are billed for the work they actually did
             // before failing (SolveFailure carries the partial counters).
-            let (solution, stats) = outcome_and_stats(result);
+            let stats = *attempt_stats(&result);
             logs[i].attempts += 1;
-            logs[i].panicked |= matches!(solution, Err(SolverError::Internal { .. }));
+            logs[i].panicked |= is_contained_panic(&result);
             let rounds = launch_rounds(&stats);
             total_rounds += rounds;
             total_steps_max = total_steps_max.max(stats.steps as u64);
@@ -210,10 +217,12 @@ impl FineCoarseEngine {
                 job.time_points().len(),
             ));
 
-            match solution {
-                Ok(s) => slots[i] = Some((Ok(s), solver.name())),
-                Err(e) if reroutable && is_reroutable(&e) => failed.push(i),
-                Err(e) => slots[i] = Some((Err(e), solver.name())),
+            match result {
+                Err(f) if reroutable && is_reroutable(&f.error) => {
+                    logs[i].discarded_steps += stats.steps;
+                    failed.push(i);
+                }
+                settled => slots[i] = Some((settled, solver.name())),
             }
         }
 
@@ -256,94 +265,110 @@ impl FineCoarseEngine {
         Ok(failed)
     }
 
-    /// The lane-batched P4: all of `members` integrate as lockstep RADAU5
+    /// The lane-batched P4: `members` integrate as lockstep RADAU5
     /// lane-groups ([`Radau5Batch`] over the SoA adapter) instead of one
-    /// scalar solve per stiff member. Each parent thread now carries a
-    /// whole lane-group, and one child round per lockstep tick serves all
-    /// `L` lanes — the per-tick dynamic-parallelism overhead is amortized
-    /// `L`-fold, which is exactly where the scalar P4 lost its budget on
-    /// stiff-heavy batches. Results are bitwise identical to scalar
-    /// [`Radau5`] per member.
-    #[allow(clippy::too_many_arguments)]
+    /// scalar solve per stiff member. The groups — the shared partition of
+    /// [`solve_lane_groups`], a function of `(members, width)` only — are
+    /// the executor's work items: each worker packs its group into its own
+    /// [`RbmBatchSystem`] and integrates it on its pooled scratch.
+    ///
+    /// Billing folds on this thread in group order, one launch per group:
+    /// a parent thread carries the whole lane-group, and one child round
+    /// per lockstep tick serves all `L` lanes — the per-tick
+    /// dynamic-parallelism overhead is amortized `L`-fold, which is exactly
+    /// where the scalar P4 lost its budget on stiff-heavy batches. Results
+    /// are bitwise identical to scalar [`Radau5`] per member, and the
+    /// modeled timeline is identical at any worker count.
     fn run_p4_lanes(
         &self,
         job: &SimulationJob,
         device: &Device,
         members: &[usize],
         width: usize,
-        slots: &mut [Option<(Result<paraspace_solvers::Solution, SolverError>, &'static str)>],
+        slots: &mut [MemberSlot],
         logs: &mut [RecoveryLog],
-    ) {
-        let n = job.odes().n_species();
-        let mut sys = RbmBatchSystem::new(job.odes(), width);
-        for &i in members {
-            let (x0, k) = job.member(i);
-            sys.push_member(x0, k);
-        }
-        let mut scratch = SolverScratch::new();
-        let (results, report) = Radau5Batch::new().solve_group(
-            &mut sys,
-            0.0,
-            job.time_points(),
-            job.options(),
-            &mut scratch,
-        );
+    ) -> Result<(), Cancelled> {
+        let groups = solve_lane_groups(
+            &self.executor,
+            &self.cancel,
+            members.len(),
+            width,
+            |scratch, _g, positions| {
+                let mut sys = RbmBatchSystem::new(job.odes(), width);
+                for &i in &members[positions] {
+                    let (x0, k) = job.member(i);
+                    sys.push_member(x0, k);
+                }
+                Radau5Batch::new().solve_group(
+                    &mut sys,
+                    0.0,
+                    job.time_points(),
+                    job.options(),
+                    scratch,
+                )
+            },
+        )?;
 
-        let mut lane_stats = StepStats::default();
-        for r in &results {
-            match r {
-                Ok(s) => lane_stats.absorb(&s.stats),
-                Err(f) => lane_stats.absorb(&f.stats),
-            }
-        }
-        let phase_work = WorkEstimate::from_stats(job.odes(), &lane_stats, job.time_points().len());
-        let group_stats = LaneGroupStats {
-            width: report.width,
-            lockstep_iters: report.lockstep_iters,
-            lane_steps: report.lane_steps,
-        };
-
-        // Parent grid: one thread per lane-group worth of members; child
-        // grid: species × lanes threads, one round per lockstep tick, flops
-        // inflated by the divergence factor (masked lanes burn issue slots).
+        // Parent grid: one thread for the lane-group; child grid: species ×
+        // lanes threads, one round per lockstep tick, flops inflated by the
+        // divergence factor (masked lanes burn issue slots).
         let tpb = self.threads_per_block;
-        let blocks = members.len().div_ceil(width).div_ceil(tpb).max(1);
-        let parent = ThreadWork::new()
-            .with_flops(report.lockstep_iters * PARENT_FLOPS_PER_STEP)
-            .with_syncs(report.lockstep_iters);
-        let child_threads = (n * width).max(1);
+        let child_threads = (job.odes().n_species() * width).max(1);
         let child_tpb = child_threads.clamp(1, 128);
         let child_blocks = child_threads.div_ceil(child_tpb).max(1);
         let child_threads_total = (child_tpb * child_blocks) as u64;
-        let rounds = report.lockstep_iters.max(1);
-        let flops = ((phase_work.flops as f64 * group_stats.divergence_factor()) as u64).max(1);
-        let launch = KernelLaunch::uniform("integrate::p4_radau_lanes", blocks, tpb, parent)
-            .with_registers(64)
-            .with_child(ChildLaunch {
-                blocks: child_blocks,
-                threads_per_block: child_tpb,
-                work: ThreadWork::new()
-                    .with_flops((flops / child_threads_total / rounds).max(1))
-                    .with_read(
-                        MemorySpace::CachedGlobal,
-                        ((phase_work.state_bytes + phase_work.structure_bytes)
-                            / child_threads_total
-                            / rounds)
-                            .max(1),
-                    )
-                    .with_global_write(phase_work.output_bytes / child_threads_total / rounds),
-                repeats: rounds,
-            });
-        device.launch(&launch);
 
-        for (idx, r) in results.into_iter().enumerate() {
-            let i = members[idx];
-            logs[i].attempts += 1;
-            let (solution, _stats) = outcome_and_stats(r);
-            logs[i].panicked |= matches!(solution, Err(SolverError::Internal { .. }));
-            slots[i] = Some((solution, "radau5-lanes"));
+        let mut next_member = members.iter();
+        for (results, report) in groups {
+            let mut lane_stats = StepStats::default();
+            for r in &results {
+                lane_stats.absorb(attempt_stats(r));
+            }
+            let phase_work =
+                WorkEstimate::from_stats(job.odes(), &lane_stats, job.time_points().len());
+            let group_stats = LaneGroupStats {
+                width: report.width,
+                lockstep_iters: report.lockstep_iters,
+                lane_steps: report.lane_steps,
+            };
+            let parent = ThreadWork::new()
+                .with_flops(report.lockstep_iters * PARENT_FLOPS_PER_STEP)
+                .with_syncs(report.lockstep_iters);
+            let rounds = report.lockstep_iters.max(1);
+            let flops = ((phase_work.flops as f64 * group_stats.divergence_factor()) as u64).max(1);
+            let launch = KernelLaunch::uniform("integrate::p4_radau_lanes", 1, tpb, parent)
+                .with_registers(64)
+                .with_child(ChildLaunch {
+                    blocks: child_blocks,
+                    threads_per_block: child_tpb,
+                    work: ThreadWork::new()
+                        .with_flops((flops / child_threads_total / rounds).max(1))
+                        .with_read(
+                            MemorySpace::CachedGlobal,
+                            ((phase_work.state_bytes + phase_work.structure_bytes)
+                                / child_threads_total
+                                / rounds)
+                                .max(1),
+                        )
+                        .with_global_write(phase_work.output_bytes / child_threads_total / rounds),
+                    repeats: rounds,
+                });
+            device.launch(&launch);
+
+            for r in results {
+                let i = *next_member.next().expect("one lane result per queued member");
+                logs[i].attempts += 1;
+                logs[i].panicked |= is_contained_panic(&r);
+                slots[i] = Some((r, "radau5-lanes"));
+            }
         }
+        Ok(())
     }
+}
+
+/// Whether an attempt ended in a contained panic.
+fn is_contained_panic(result: &Result<Solution, SolveFailure>) -> bool {
+    matches!(result, Err(SolveFailure { error: SolverError::Internal { .. }, .. }))
 }
 
 /// How many child-grid launch rounds one simulation's integration issued:
@@ -398,9 +423,7 @@ impl Simulator for FineCoarseEngine {
         );
 
         // P3: DOPRI5 over non-stiff members; collect re-routes.
-        let mut slots: Vec<
-            Option<(Result<paraspace_solvers::Solution, SolverError>, &'static str)>,
-        > = (0..batch).map(|_| None).collect();
+        let mut slots: Vec<MemberSlot> = (0..batch).map(|_| None).collect();
         let mut logs = vec![RecoveryLog::default(); batch];
         let nonstiff: Vec<usize> = (0..batch).filter(|&i| !classes[i].stiff).collect();
         let stiff: Vec<usize> = (0..batch).filter(|&i| classes[i].stiff).collect();
@@ -437,7 +460,7 @@ impl Simulator for FineCoarseEngine {
             p4_members.iter().copied().partition(|&i| job.fault_plan().faults_for(i).is_none());
         let p4_width = crate::lanes::resolve_lane_width(self.lane_width, job, "fine-coarse", true);
         if p4_width > 1 && p4_lane.len() >= 2 {
-            self.run_p4_lanes(job, &device, &p4_lane, p4_width, &mut slots, &mut logs);
+            self.run_p4_lanes(job, &device, &p4_lane, p4_width, &mut slots, &mut logs)?;
             self.run_phase(
                 job,
                 &device,
@@ -465,22 +488,20 @@ impl Simulator for FineCoarseEngine {
         // tolerance-relaxation rungs of the ladder on the solver that last
         // ran them (sequential, member order — the pass is rare and must
         // stay deterministic). Their P3/P4 work is already billed above, so
-        // the ladder starts from a zero-stats copy of the failure and only
-        // genuine retries bill launch rounds.
+        // only genuine retries bill launch rounds.
         if self.recovery.max_relaxations > 0 {
             let mut scratch = SolverScratch::new();
             for i in 0..batch {
                 let Some((Err(_), _)) = slots[i].as_ref() else { continue };
-                let (first_err, first_name) = slots[i].take().expect("slot checked above");
+                let (first, first_name) = slots[i].take().expect("slot checked above");
                 let on_radau = classes[i].stiff || rerouted_set[i];
                 let retry: (&dyn OdeSolver, &'static str) =
                     if on_radau { (&radau5, "radau5") } else { (&dopri5, "dopri5") };
-                let first =
-                    first_err.map_err(|e| SolveFailure { error: e, stats: StepStats::default() });
                 let rs = continue_ladder(
                     job,
                     i,
                     first,
+                    true,
                     first_name,
                     retry,
                     None,
@@ -498,7 +519,8 @@ impl Simulator for FineCoarseEngine {
                 logs[i].attempts += rs.log.attempts - 1;
                 logs[i].relaxations += rs.log.relaxations;
                 logs[i].panicked |= rs.log.panicked;
-                slots[i] = Some((rs.solution, rs.solver));
+                logs[i].discarded_steps += rs.log.discarded_steps;
+                slots[i] = Some((rs.solution.map_err(SolveFailure::from), rs.solver));
             }
         }
 
@@ -509,6 +531,7 @@ impl Simulator for FineCoarseEngine {
             .enumerate()
             .map(|(i, slot)| {
                 let (solution, solver) = slot.expect("every member handled by P3 or P4");
+                let solution = solution.map_err(|failure| failure.error);
                 logs[i].recovered = solution.is_ok() && logs[i].attempts > 1;
                 health.observe(&solution, &logs[i]);
                 SimOutcome {
@@ -673,10 +696,13 @@ mod tests {
             .build()
             .unwrap();
         let r = FineCoarseEngine::new().run(&job).unwrap();
-        // Either DOPRI5 made it in 8 steps, or the member was re-routed.
+        // DOPRI5 cannot reach t = 5 in 8 steps: the member is re-routed,
+        // and the 8 explicit steps it burned are accounted as discarded.
         let o = &r.outcomes[0];
-        if o.rerouted {
-            assert_eq!(o.solver, "radau5");
-        }
+        assert!(o.rerouted);
+        assert_eq!(o.solver, "radau5");
+        assert_eq!(o.log.discarded_steps, 8);
+        assert_eq!(r.health.discarded_steps, 8);
+        assert!(r.health.to_string().ends_with("; 8 steps discarded"), "{}", r.health);
     }
 }

@@ -194,6 +194,10 @@ pub struct BatchHealth {
     pub evicted_lanes: usize,
     /// Panics contained to a single member's outcome.
     pub panics_contained: usize,
+    /// Solver steps spent by attempts whose result was discarded by a
+    /// reroute or a relaxation retry: the host (and the modeled device)
+    /// paid for them, no trajectory came of them.
+    pub discarded_steps: usize,
 }
 
 impl BatchHealth {
@@ -215,6 +219,7 @@ impl BatchHealth {
         if log.panicked {
             self.panics_contained += 1;
         }
+        self.discarded_steps += log.discarded_steps;
     }
 
     /// Folds a partial tally (one lane-group's health) into this one.
@@ -228,6 +233,7 @@ impl BatchHealth {
         self.relaxations += other.relaxations;
         self.evicted_lanes += other.evicted_lanes;
         self.panics_contained += other.panics_contained;
+        self.discarded_steps += other.discarded_steps;
     }
 }
 
@@ -269,6 +275,9 @@ impl fmt::Display for BatchHealth {
         }
         if self.panics_contained > 0 {
             write!(f, "; {} panics contained", self.panics_contained)?;
+        }
+        if self.discarded_steps > 0 {
+            write!(f, "; {} steps discarded", self.discarded_steps)?;
         }
         Ok(())
     }
@@ -336,6 +345,14 @@ pub(crate) fn solve_member_pooled_opts(
             solver.solve_pooled(&sys, 0.0, x0, job.time_points(), options, scratch)
         }
         None => solver.solve_pooled(&sys, 0.0, x0, job.time_points(), options, scratch),
+    }
+}
+
+/// The work counters of one solve attempt, whichever way it ended.
+pub(crate) fn attempt_stats(result: &Result<Solution, SolveFailure>) -> &StepStats {
+    match result {
+        Ok(sol) => &sol.stats,
+        Err(failure) => &failure.stats,
     }
 }
 

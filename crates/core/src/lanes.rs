@@ -30,11 +30,51 @@
 //! override.
 
 use crate::cost::COMPLEX_LU_AVG_FACTOR;
+use paraspace_exec::{CancelToken, Cancelled, Executor};
 use paraspace_linalg::{LuFactor, SymbolicLu};
 use paraspace_rbm::{CompiledOdes, ReactionBasedModel};
+use paraspace_solvers::SolverScratch;
+use std::ops::Range;
 
 /// Widest lane-group the engines schedule.
 pub(crate) const MAX_LANE_WIDTH: usize = 8;
+
+/// Members queued per lane slot: a group of width `L` services up to
+/// `MEMBERS_PER_LANE·L` members via lane compaction, so early finishers
+/// hand their lane to a pending member instead of idling it. Deep enough
+/// to keep the lanes occupied, shallow enough that a stiff crowd of a few
+/// dozen members still splits into several executor items.
+const MEMBERS_PER_LANE: usize = 2;
+
+/// Solves `members` queued members as lockstep lane-groups of `width` on
+/// the executor's workers and returns the per-group results **in group
+/// order**, or `Err(Cancelled)` if `cancel` tripped first (in-flight groups
+/// drain; partial results are discarded).
+///
+/// Group `g` covers queue positions `g·c .. min((g+1)·c, members)` with
+/// `c = MEMBERS_PER_LANE·width` — a partition that depends only on
+/// `(members, width)`, never on the worker count, so callers that fold the
+/// returned groups on their own thread (device billing, health) stay
+/// bitwise identical at any `--threads`. `solve` gets the worker's pooled
+/// [`SolverScratch`], the group index and its queue range. A panic that
+/// escapes `solve` is a bug in the lane plumbing itself (member faults are
+/// evicted before packing) and is resumed on the calling thread.
+pub(crate) fn solve_lane_groups<T: Send>(
+    executor: &Executor,
+    cancel: &CancelToken,
+    members: usize,
+    width: usize,
+    solve: impl Fn(&mut SolverScratch, usize, Range<usize>) -> T + Sync,
+) -> Result<Vec<T>, Cancelled> {
+    let capacity = width * MEMBERS_PER_LANE;
+    let groups = executor.try_map_with_cancel(
+        members.div_ceil(capacity),
+        cancel,
+        SolverScratch::new,
+        |scratch, g| solve(scratch, g, g * capacity..((g + 1) * capacity).min(members)),
+    )?;
+    Ok(groups.into_iter().map(|group| group.unwrap_or_else(|fault| panic!("{fault}"))).collect())
+}
 
 /// Cache budget for one lane-group's live factor values (real + complex),
 /// sized to a conservative per-core L2 slice. Crossing it is where the
@@ -289,6 +329,55 @@ mod tests {
             }
         }
         m.compile().unwrap()
+    }
+
+    #[test]
+    fn lane_groups_partition_by_members_and_width_only() {
+        let ranges = |threads: usize, members: usize, width: usize| {
+            solve_lane_groups(
+                &Executor::new(threads),
+                &CancelToken::new(),
+                members,
+                width,
+                |_, g, queue| (g, queue),
+            )
+            .unwrap()
+        };
+        let capacity = 4 * MEMBERS_PER_LANE;
+        let groups = ranges(1, 2 * capacity + 1, 4);
+        assert_eq!(
+            groups,
+            vec![
+                (0, 0..capacity),
+                (1, capacity..2 * capacity),
+                (2, 2 * capacity..2 * capacity + 1)
+            ]
+        );
+        assert_eq!(groups, ranges(8, 2 * capacity + 1, 4), "worker count must not move a boundary");
+        assert!(ranges(2, 0, 4).is_empty());
+    }
+
+    #[test]
+    fn lane_groups_drain_and_cancel_mid_phase() {
+        // The token trips while group 0 is integrating: that group drains,
+        // no later group starts, and nothing is handed back.
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let cancel = CancelToken::new();
+        let started = AtomicUsize::new(0);
+        let outcome = solve_lane_groups(
+            &Executor::sequential(),
+            &cancel,
+            5 * 2 * MEMBERS_PER_LANE,
+            2,
+            |_, g, _| {
+                started.fetch_add(1, Ordering::SeqCst);
+                if g == 0 {
+                    cancel.cancel();
+                }
+            },
+        );
+        assert_eq!(outcome, Err(Cancelled));
+        assert_eq!(started.load(Ordering::SeqCst), 1);
     }
 
     #[test]

@@ -106,6 +106,9 @@ pub struct RecoveryLog {
     pub recovered: bool,
     /// Whether any attempt panicked and was contained.
     pub panicked: bool,
+    /// Solver steps spent by attempts whose result was then discarded by a
+    /// reroute or a relaxation retry — work the member paid for twice.
+    pub discarded_steps: usize,
 }
 
 /// A member's final result after containment and recovery.
@@ -165,22 +168,26 @@ pub(crate) fn solve_member_recovered(
 ) -> RecoveredSolve {
     let opts = policy.base_options(job);
     let first = contained_attempt(job, i, primary.0, &opts, scratch);
-    continue_ladder(job, i, first, primary.1, primary, fallback, reroutable, policy, opts, scratch)
+    continue_ladder(
+        job, i, first, false, primary.1, primary, fallback, reroutable, policy, opts, scratch,
+    )
 }
 
 /// Continues the ladder after an already-performed first attempt.
 ///
 /// Engines whose first attempt ran elsewhere (the lane-batched lockstep
 /// solver) enter here with that attempt's outcome; `retry` is the solver
-/// relaxation retries use when the member was not rerouted. The caller is
-/// responsible for having billed the first attempt's work — `first`'s
-/// stats are absorbed into the returned [`RecoveredSolve::stats`], so pass
-/// them zeroed if they were already billed.
+/// relaxation retries use when the member was not rerouted. `first_billed`
+/// says the caller already billed the first attempt's work (in a
+/// group-wide lane kernel, or in its phase launch): its stats are then
+/// left out of the returned [`RecoveredSolve::stats`], which carries only
+/// the genuine retries.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn continue_ladder(
     job: &SimulationJob,
     i: usize,
     first: Result<Solution, SolveFailure>,
+    first_billed: bool,
     first_name: &'static str,
     retry: (&dyn OdeSolver, &'static str),
     fallback: Option<(&dyn OdeSolver, &'static str)>,
@@ -194,8 +201,12 @@ pub(crate) fn continue_ladder(
     let mut solver_name = first_name;
 
     let (mut current, first_stats) = outcome_and_stats(first);
-    stats.absorb(&first_stats);
+    if !first_billed {
+        stats.absorb(&first_stats);
+    }
     log.panicked |= matches!(current, Err(SolverError::Internal { .. }));
+    // Steps of the attempt `current` came from: discarded if it is retried.
+    let mut current_steps = first_stats.steps;
 
     // Rung 1: the historical explicit → implicit reroute.
     if policy.reroute {
@@ -203,11 +214,13 @@ pub(crate) fn continue_ladder(
             if reroutable(e) {
                 log.attempts += 1;
                 log.rerouted = true;
+                log.discarded_steps += current_steps;
                 solver_name = fb_name;
                 let (r, s) = outcome_and_stats(contained_attempt(job, i, fb, &opts, scratch));
                 stats.absorb(&s);
                 log.panicked |= matches!(r, Err(SolverError::Internal { .. }));
                 current = r;
+                current_steps = s.steps;
             }
         }
     }
@@ -230,6 +243,7 @@ pub(crate) fn continue_ladder(
         opts.step_budget = budget;
         log.relaxations += 1;
         log.attempts += 1;
+        log.discarded_steps += current_steps;
         let (solver, name) =
             if log.rerouted { fallback.expect("rerouted implies fallback") } else { retry };
         solver_name = name;
@@ -237,6 +251,7 @@ pub(crate) fn continue_ladder(
         stats.absorb(&s);
         log.panicked |= matches!(r, Err(SolverError::Internal { .. }));
         current = r;
+        current_steps = s.steps;
     }
 
     log.recovered = current.is_ok() && log.attempts > 1;

@@ -7,7 +7,7 @@ use paraspace_core::{
     AutoEngine, CancelToken, CoarseEngine, CpuEngine, CpuSolverKind, FineCoarseEngine, FineEngine,
     SimError, SimulationJob, Simulator,
 };
-use paraspace_rbm::{perturbed_batch, Reaction, ReactionBasedModel};
+use paraspace_rbm::{perturbed_batch, Parameterization, Reaction, ReactionBasedModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -53,6 +53,34 @@ fn tripped_token_cancels_every_engine() {
         match engine.run(&job) {
             Err(SimError::Cancelled) => {}
             other => panic!("{name}: expected Cancelled, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn token_tripped_for_the_stiff_phase_cancels_fine_coarse() {
+    // Every member is stiff at P2, so P3 has nothing to run and the first
+    // executor items the token can stop are P4's lane groups. P4 used to
+    // ignore the token and integrate the whole crowd regardless.
+    let m = model();
+    let mut b = SimulationJob::builder(&m).time_points(vec![0.5, 1.0]);
+    for i in 0..12 {
+        b = b.parameterization(
+            Parameterization::new()
+                .with_rate_constants(vec![1e5 + 5e3 * i as f64, 2e5 + 1e4 * i as f64]),
+        );
+    }
+    let job = b.build().unwrap();
+    let clean = FineCoarseEngine::new().run(&job).unwrap();
+    assert!(clean.outcomes.iter().all(|o| o.stiff && o.solver == "radau5-lanes"));
+
+    let cancel = CancelToken::new();
+    cancel.cancel();
+    for threads in [1, 2] {
+        let engine = FineCoarseEngine::new().with_threads(threads).with_cancel(cancel.clone());
+        match engine.run(&job) {
+            Err(SimError::Cancelled) => {}
+            other => panic!("{threads} threads: expected Cancelled, got {other:?}"),
         }
     }
 }

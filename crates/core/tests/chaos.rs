@@ -336,6 +336,8 @@ fn relaxation_ladder_recovers_members_and_bills_the_retries() {
     let strict = CpuEngine::new(CpuSolverKind::Lsoda).run(&job).unwrap();
     assert_eq!(strict.success_count(), 0, "members must fail at default tolerances");
     assert_eq!(strict.health.failed.max_steps_exceeded, 4);
+    assert_eq!(strict.health.discarded_steps, 0, "a terminal failure is not a discarded retry");
+    assert!(!strict.health.to_string().contains("discarded"), "{}", strict.health);
 
     let relaxed_policy = RecoveryPolicy { max_relaxations: 3, ..RecoveryPolicy::default() };
     let relaxed =
@@ -344,6 +346,11 @@ fn relaxation_ladder_recovers_members_and_bills_the_retries() {
     assert_eq!(relaxed.health.retries_succeeded, 4);
     assert!(relaxed.health.retries_attempted >= 4);
     assert!(relaxed.health.relaxations >= 4);
+    assert!(
+        relaxed.health.discarded_steps >= 4 * 40,
+        "every member's capped first attempt was thrown away: {}",
+        relaxed.health
+    );
     assert!(
         relaxed.timing.simulated_integration_ns > strict.timing.simulated_integration_ns,
         "retries must be billed on the modeled timeline: {} vs {}",

@@ -9,10 +9,10 @@
 
 use paraspace_core::{
     AutoEngine, BatchResult, CoarseEngine, CpuEngine, CpuSolverKind, FineCoarseEngine, FineEngine,
-    RecoveryPolicy, SimulationJob, Simulator,
+    RbmOdeSystem, RecoveryPolicy, SimulationJob, Simulator,
 };
 use paraspace_rbm::{perturbed_batch, Parameterization, Reaction, ReactionBasedModel};
-use paraspace_solvers::SolverOptions;
+use paraspace_solvers::{OdeSolver, Radau5, Solution, SolverOptions, SolverScratch};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -51,6 +51,21 @@ fn stiff_job(m: &ReactionBasedModel) -> SimulationJob<'_> {
         );
     }
     b.build().unwrap()
+}
+
+/// Every member's direct scalar RADAU5 solve: what lockstep Radau lanes
+/// must reproduce bitwise.
+fn scalar_radau_reference(job: &SimulationJob) -> Vec<Solution> {
+    let mut scratch = SolverScratch::new();
+    (0..job.batch_size())
+        .map(|i| {
+            let (x0, k) = job.member(i);
+            let sys = RbmOdeSystem::new(job.odes(), k.to_vec());
+            Radau5::new()
+                .solve_pooled(&sys, 0.0, x0, job.time_points(), job.options(), &mut scratch)
+                .unwrap()
+        })
+        .collect()
 }
 
 /// Asserts two batch results are identical in every observable except host
@@ -172,21 +187,9 @@ fn stiff_batch_lockstep_radau_is_bitwise_identical_to_scalar_at_any_width() {
     // and every work counter. This is the stiff twin of the DOPRI5 lane
     // guarantee: lane packing, compaction order, and host parallelism must
     // never leak into the numerics.
-    use paraspace_core::RbmOdeSystem;
-    use paraspace_solvers::{OdeSolver, Radau5, SolverScratch};
-
     let m = reversible_model();
     let job = stiff_job(&m);
-    let mut scratch = SolverScratch::new();
-    let reference: Vec<_> = (0..job.batch_size())
-        .map(|i| {
-            let (x0, k) = job.member(i);
-            let sys = RbmOdeSystem::new(job.odes(), k.to_vec());
-            Radau5::new()
-                .solve_pooled(&sys, 0.0, x0, job.time_points(), job.options(), &mut scratch)
-                .unwrap()
-        })
-        .collect();
+    let reference = scalar_radau_reference(&job);
 
     for width in [2, 4, 8] {
         for threads in [1, 8] {
@@ -206,26 +209,57 @@ fn stiff_batch_lockstep_radau_is_bitwise_identical_to_scalar_at_any_width() {
 }
 
 #[test]
+fn fine_coarse_p4_lane_groups_are_independent_of_threads() {
+    // A stiff crowd large enough that P4 splits into at least three lane
+    // groups at every width (72 members; a group queues at most 4·L ≤ 32),
+    // so the groups really are concurrent executor items. Whatever the
+    // worker count, the fold must come out the same: outcomes, `StepStats`,
+    // `BatchHealth` and the modeled timeline compare `==` against the
+    // one-thread run at that width, and every lane member equals its
+    // direct scalar RADAU5 solve bitwise.
+    let m = reversible_model();
+    let mut b = SimulationJob::builder(&m).time_points(vec![0.25, 0.5, 1.0, 2.0]);
+    for i in 0..72 {
+        b = b.parameterization(
+            Parameterization::new()
+                .with_rate_constants(vec![1e5 + 7.5e3 * i as f64, 2e5 + 4.5e3 * i as f64]),
+        );
+    }
+    let job = b.build().unwrap();
+    let scalar = scalar_radau_reference(&job);
+
+    for width in [2, 4, 8] {
+        let reference = FineCoarseEngine::new().with_lane_width(width).run(&job).unwrap();
+        for (i, expected) in scalar.iter().enumerate() {
+            let label = format!("width {width}, member {i}");
+            assert!(reference.outcomes[i].stiff, "{label}: must classify stiff");
+            assert_eq!(reference.outcomes[i].solver, "radau5-lanes", "{label}");
+            assert_eq!(reference.outcomes[i].solution.as_ref().unwrap(), expected, "{label}");
+        }
+        for threads in [1, 2, 8] {
+            let parallel = FineCoarseEngine::new()
+                .with_lane_width(width)
+                .with_threads(threads)
+                .run(&job)
+                .unwrap();
+            assert_identical(
+                &reference,
+                &parallel,
+                &format!("fine-coarse P4 lanes, width {width}, {threads} threads"),
+            );
+        }
+    }
+}
+
+#[test]
 fn autotuned_lane_width_leaves_stiff_rows_unchanged() {
     // With no pinned width, both lockstep engines resolve the lane width
     // through the per-model autotuner. Whatever it picks, the stiff rows
     // must stay exactly what the direct scalar RADAU5 solve produces —
     // the autotuner is a throughput decision, never a numerics change.
-    use paraspace_core::RbmOdeSystem;
-    use paraspace_solvers::{OdeSolver, Radau5, SolverScratch};
-
     let m = reversible_model();
     let job = stiff_job(&m);
-    let mut scratch = SolverScratch::new();
-    let reference: Vec<_> = (0..job.batch_size())
-        .map(|i| {
-            let (x0, k) = job.member(i);
-            let sys = RbmOdeSystem::new(job.odes(), k.to_vec());
-            Radau5::new()
-                .solve_pooled(&sys, 0.0, x0, job.time_points(), job.options(), &mut scratch)
-                .unwrap()
-        })
-        .collect();
+    let reference = scalar_radau_reference(&job);
 
     for threads in [1, 8] {
         let fine = FineEngine::new().with_threads(threads).run(&job).unwrap();

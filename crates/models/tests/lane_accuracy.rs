@@ -14,7 +14,9 @@
 use paraspace_core::{RbmBatchSystem, RbmOdeSystem};
 use paraspace_models::{autophagy, classic, metabolic};
 use paraspace_rbm::ReactionBasedModel;
-use paraspace_solvers::{Dopri5, Dopri5Batch, OdeSolver, SolverOptions, SolverScratch};
+use paraspace_solvers::{
+    Dopri5, Dopri5Batch, OdeSolver, SolverError, SolverOptions, SolverScratch,
+};
 use proptest::prelude::*;
 
 /// Integrates `members` parameterizations of `m` both ways — lockstep at
@@ -59,11 +61,8 @@ fn assert_lockstep_matches_scalar(
                 }
             }
             (Err(b), Err(s)) => {
-                assert_eq!(
-                    b.error.to_string(),
-                    s.error.to_string(),
-                    "{label}: member {i} must fail identically"
-                );
+                // Same error at the same time after the same work.
+                assert_eq!(b, &s, "{label}: member {i} must fail identically");
             }
             (b, s) => panic!(
                 "{label}: member {i} diverged in outcome class: lockstep ok={}, scalar ok={}",
@@ -118,6 +117,37 @@ fn autophagy_lockstep_matches_scalar() {
     let m = autophagy::scaled_model(2.0, 1.0, 0.05);
     let times: Vec<f64> = (1..=5).map(|i| i as f64).collect();
     assert_lockstep_matches_scalar(&m, &perturbed_ks(&m, 5), &times, 4, "autophagy");
+}
+
+#[test]
+fn rerouted_autophagy_member_is_handed_over_early() {
+    // A PSA-2D grid point the fine-coarse engine re-routes P3 → P4 (46×1649
+    // analogue, the benchmark's sampling window): at default options the
+    // explicit attempt must give up with `StiffnessDetected` within its
+    // first 200 steps — it used to burn 1000+ before the detector armed —
+    // and the lane path must fail at the identical time with identical
+    // counters. The gentle grid point beside it stays explicit.
+    let stiff = autophagy::scaled_model(1e3, 1e-7, 0.25);
+    let gentle = autophagy::scaled_model(1e3, 1e-9, 0.25);
+    let odes = stiff.compile().unwrap();
+    let times: Vec<f64> = (1..=100).map(|i| 20.0 + i as f64 * 0.3).collect();
+    let opts = SolverOptions::default();
+    let x0 = stiff.initial_state();
+    assert_eq!(x0, gentle.initial_state());
+
+    let (k_stiff, k_gentle) = (stiff.rate_constants(), gentle.rate_constants());
+    let sys = RbmOdeSystem::new(&odes, k_stiff.clone());
+    let failure = Dopri5::new().solve(&sys, 0.0, &x0, &times, &opts).unwrap_err();
+    assert!(matches!(failure.error, SolverError::StiffnessDetected { .. }), "{:?}", failure.error);
+    assert!(failure.stats.steps < 200, "{} steps before the hand-over", failure.stats.steps);
+
+    let mut lanes = RbmBatchSystem::new(&odes, 2);
+    lanes.push_member(&x0, &k_stiff);
+    lanes.push_member(&x0, &k_gentle);
+    let (results, _) =
+        Dopri5Batch::new().solve_group(&mut lanes, 0.0, &times, &opts, &mut SolverScratch::new());
+    assert_eq!(results[0].as_ref().unwrap_err(), &failure);
+    assert!(results[1].is_ok());
 }
 
 #[test]

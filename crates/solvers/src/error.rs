@@ -134,8 +134,8 @@ impl Error for SolverError {}
 /// A solver failure together with the work performed *before* failing.
 ///
 /// The batch engines bill failed integrations for the steps they actually
-/// consumed (a DOPRI5 run that diagnoses stiffness after a thousand steps
-/// costs a thousand steps, not the whole step budget), so failures carry
+/// consumed (a DOPRI5 run that diagnoses stiffness after a hundred steps
+/// costs a hundred steps, not the whole step budget), so failures carry
 /// their partial counters.
 ///
 /// # Example
