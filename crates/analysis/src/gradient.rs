@@ -280,13 +280,15 @@ fn projected_gradient(bounds: &[(f64, f64)], x: &[f64], g: &[f64]) -> Vec<f64> {
     x.iter()
         .zip(g)
         .zip(bounds)
-        .map(|((&xi, &gi), &(lo, hi))| {
-            if (xi <= lo && gi > 0.0) || (xi >= hi && gi < 0.0) {
-                0.0
-            } else {
-                gi
-            }
-        })
+        .map(
+            |((&xi, &gi), &(lo, hi))| {
+                if (xi <= lo && gi > 0.0) || (xi >= hi && gi < 0.0) {
+                    0.0
+                } else {
+                    gi
+                }
+            },
+        )
         .collect()
 }
 
@@ -563,10 +565,7 @@ fn encode_eval(eval: &Option<GradientEval>) -> Vec<u8> {
             enc.put_u32(0);
         }
         Some(e) => {
-            enc.put_u32(1)
-                .put_f64(e.loss)
-                .put_f64_slice(&e.gradient)
-                .put_u32(u32::from(e.stiff));
+            enc.put_u32(1).put_f64(e.loss).put_f64_slice(&e.gradient).put_u32(u32::from(e.stiff));
         }
     }
     enc.finish()
@@ -934,8 +933,8 @@ mod tests {
         let problem = two_step_problem(&truth, target, times);
         let config = GradientConfig { starts: 2, ..Default::default() };
 
-        let dir = std::env::temp_dir()
-            .join(format!("paraspace_grad_durable_{}", std::process::id()));
+        let dir =
+            std::env::temp_dir().join(format!("paraspace_grad_durable_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
 
         // Uninterrupted reference.
@@ -970,8 +969,8 @@ mod tests {
         let times = vec![0.5, 1.0];
         let target = target_for(&truth, &times);
         let problem = two_step_problem(&truth, target, times);
-        let dir: PathBuf = std::env::temp_dir()
-            .join(format!("paraspace_grad_mismatch_{}", std::process::id()));
+        let dir: PathBuf =
+            std::env::temp_dir().join(format!("paraspace_grad_mismatch_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
 
         let config = GradientConfig { starts: 1, iterations: 5, ..Default::default() };

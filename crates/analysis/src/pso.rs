@@ -344,8 +344,11 @@ mod tests {
 
     #[test]
     fn history_is_monotone_nonincreasing() {
-        let r =
-            pso(&[(-5.0, 5.0); 3], &PsoConfig { iterations: 60, ..Default::default() }, &mut sphere);
+        let r = pso(
+            &[(-5.0, 5.0); 3],
+            &PsoConfig { iterations: 60, ..Default::default() },
+            &mut sphere,
+        );
         for w in r.history.windows(2) {
             assert!(w[1] <= w[0] + 1e-15);
         }
@@ -368,8 +371,7 @@ mod tests {
             assert!((-4.0..=-1.0).contains(&x[1]), "x1 = {}", x[1]);
             sphere(x)
         };
-        let _ =
-            fst_pso(&bounds, &PsoConfig { iterations: 40, ..Default::default() }, &mut tracker);
+        let _ = fst_pso(&bounds, &PsoConfig { iterations: 40, ..Default::default() }, &mut tracker);
     }
 
     #[test]

@@ -63,9 +63,7 @@ fn common_loss(
 fn mean_log10_err(truth: &[f64], estimate: &[f64], unknown: &[usize]) -> f64 {
     unknown
         .iter()
-        .map(|&i| {
-            (estimate[i].max(1e-300).log10() - truth[i].max(1e-300).log10()).abs()
-        })
+        .map(|&i| (estimate[i].max(1e-300).log10() - truth[i].max(1e-300).log10()).abs())
         .sum::<f64>()
         / unknown.len() as f64
 }
@@ -135,10 +133,7 @@ fn compare(c: &mut Criterion) {
     let mut rows = Vec::new();
     let mut push = |method, engine, r: &paraspace_analysis::pe::EstimationResult| {
         let final_l1 = common_loss(&model, &r.rate_constants, &times, &opts, &target, &observed);
-        println!(
-            "  {method:22} {engine:12} {:>6} solves  common L1 {final_l1:.4e}",
-            r.simulations
-        );
+        println!("  {method:22} {engine:12} {:>6} solves  common L1 {final_l1:.4e}", r.simulations);
         rows.push(Row {
             method,
             engine,
@@ -162,12 +157,7 @@ fn compare(c: &mut Criterion) {
         &problem,
         &FineCoarseEngine::new(),
         &Optimizer::Hybrid {
-            pso: PsoConfig {
-                swarm_size: Some(8),
-                iterations: 1,
-                seed: 17,
-                ..Default::default()
-            },
+            pso: PsoConfig { swarm_size: Some(8), iterations: 1, seed: 17, ..Default::default() },
             gradient: grad_cfg.clone(),
         },
     );
@@ -203,8 +193,7 @@ fn compare(c: &mut Criterion) {
 
     // Surface one gradient evaluation (the unit of L-BFGS cost: a full
     // augmented sensitivity solve) through the criterion reporter.
-    let mid: Vec<f64> =
-        problem.log_bounds.iter().map(|&(lo, hi)| 0.5 * (lo + hi)).collect();
+    let mid: Vec<f64> = problem.log_bounds.iter().map(|&(lo, hi)| 0.5 * (lo + hi)).collect();
     let mut objective = GradientObjective::new(&problem, SensSolverKind::Auto);
     let mut group = c.benchmark_group("pe_gradient");
     group.sample_size(10);

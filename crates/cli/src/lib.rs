@@ -26,7 +26,7 @@ use paraspace_analysis::pe::{estimate_durable_with, estimate_with, EstimationPro
 use paraspace_analysis::pso::PsoConfig;
 pub use paraspace_core::CancelToken;
 use paraspace_core::{
-    recommend_engine, taxonomy, CoarseEngine, CpuEngine, CpuSolverKind, FineCoarseEngine,
+    recommend_engine, taxonomy, CoarseEngine, CpuEngine, CpuSolverKind, Executor, FineCoarseEngine,
     FineEngine, RecoveryPolicy, SimOutcome, SimulationJob, Simulator,
 };
 use paraspace_journal::codec::{Dec, Enc};
@@ -718,7 +718,8 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                 return Err(CliError("--starts must be at least 1".into()));
             }
             Ok(Command::Pe {
-                model_dir: model_dir.ok_or_else(|| CliError("pe needs a model directory".into()))?,
+                model_dir: model_dir
+                    .ok_or_else(|| CliError("pe needs a model directory".into()))?,
                 optimizer,
                 engine,
                 unknown,
@@ -1266,22 +1267,22 @@ pub fn execute_with_cancel(
 
             let out_path = out_dir.clone().unwrap_or_else(|| model_dir.join("out"));
             std::fs::create_dir_all(&out_path)?;
-            for (i, o) in result.outcomes.iter().enumerate() {
+            // One file per member, named by its batch index: serialising
+            // and writing are independent per member.
+            let written = Executor::new(*threads).map(result.outcomes.len(), |i| {
+                let o = &result.outcomes[i];
                 match &o.solution {
-                    Ok(sol) => {
-                        std::fs::write(
-                            out_path.join(format!("dynamics_{i:05}.tsv")),
-                            job.serialize_dynamics(sol),
-                        )?;
-                    }
-                    Err(_) => {
-                        std::fs::write(
-                            out_path.join(format!("dynamics_{i:05}.err")),
-                            error_report(o),
-                        )?;
-                    }
+                    Ok(sol) => std::fs::write(
+                        out_path.join(format!("dynamics_{i:05}.tsv")),
+                        job.serialize_dynamics(sol),
+                    ),
+                    Err(_) => std::fs::write(
+                        out_path.join(format!("dynamics_{i:05}.err")),
+                        error_report(o),
+                    ),
                 }
-            }
+            });
+            written.into_iter().collect::<std::io::Result<()>>()?;
             writeln!(
                 out,
                 "{}: {}/{} simulations ok; simulated {:.3} ms (integration {:.3} ms, i/o {:.3} ms); host wall {:.1?}",
@@ -1687,9 +1688,7 @@ fn pe_cli_manifest(cmd: &Command) -> CampaignManifest {
     else {
         unreachable!("pe_cli_manifest is only called for pe commands")
     };
-    let join_indices = |v: &[usize]| {
-        v.iter().map(|i| i.to_string()).collect::<Vec<_>>().join(",")
-    };
+    let join_indices = |v: &[usize]| v.iter().map(|i| i.to_string()).collect::<Vec<_>>().join(",");
     CampaignManifest::new("cli-pe", 0)
         .with_field("model_dir", model_dir.display().to_string())
         .with_field("optimizer", optimizer.clone())
@@ -1820,8 +1819,12 @@ fn run_pe(
         options,
         failed_members: FailedMemberPolicy::default(),
     };
-    let pso_cfg =
-        PsoConfig { iterations: *iterations, swarm_size: *swarm, seed: *seed, ..PsoConfig::default() };
+    let pso_cfg = PsoConfig {
+        iterations: *iterations,
+        swarm_size: *swarm,
+        seed: *seed,
+        ..PsoConfig::default()
+    };
     let grad_cfg = GradientConfig {
         iterations: *grad_iterations,
         starts: *starts,
@@ -3008,10 +3011,8 @@ mod tests {
         assert!(text.contains("pe (lbfgs, 2 unknowns)"), "log: {text}");
 
         let estimate = std::fs::read_to_string(model_dir.join("pe/estimate.tsv")).unwrap();
-        let ks: Vec<f64> = estimate
-            .lines()
-            .map(|l| l.split('\t').nth(1).unwrap().parse().unwrap())
-            .collect();
+        let ks: Vec<f64> =
+            estimate.lines().map(|l| l.split('\t').nth(1).unwrap().parse().unwrap()).collect();
         assert!((ks[0] - 1.5).abs() < 1e-2, "k1 = {}", ks[0]);
         assert!((ks[1] - 0.4).abs() < 1e-2, "k2 = {}", ks[1]);
 

@@ -407,7 +407,7 @@ impl Simulator for FineCoarseEngine {
         device.record_host_phase("io::p1_h2d", h2d_bytes as f64 / PCIE_BYTES_PER_NS);
 
         // P2: stiffness triage on the device.
-        let classes = classify_batch_with_threshold(job, self.stiffness_threshold);
+        let classes = classify_batch_with_threshold(job, self.stiffness_threshold, &self.executor);
         let p2_work = ThreadWork::new()
             .with_flops(job.odes().jacobian_flops() + 50 * 2 * (n * n) as u64)
             .with_global_read((job.odes().n_terms() as u64 * 12) + (n * n) as u64 * 8);

@@ -3,6 +3,7 @@
 use crate::SimError;
 use paraspace_rbm::{CompiledOdes, Parameterization, ReactionBasedModel};
 use paraspace_solvers::{FaultPlan, Solution, SolverOptions};
+use std::fmt::Write as _;
 
 /// A batch simulation job: the unit of work every engine consumes.
 ///
@@ -87,11 +88,11 @@ impl<'a> SimulationJob<'a> {
     /// original tool writes (phase P5); engines charge its cost as I/O.
     pub fn serialize_dynamics(&self, solution: &Solution) -> String {
         let mut out = String::with_capacity(solution.len() * (self.odes.n_species() + 1) * 14);
+        let infallible = "formatting into a String cannot fail";
         for (t, state) in solution.times.iter().zip(&solution.states) {
-            out.push_str(&format!("{t:e}"));
+            write!(out, "{t:e}").expect(infallible);
             for v in state {
-                out.push('\t');
-                out.push_str(&format!("{v:e}"));
+                write!(out, "\t{v:e}").expect(infallible);
             }
             out.push('\n');
         }

@@ -71,7 +71,7 @@ pub use job::{JobBuilder, SimulationJob};
 pub use lanes::{auto_lane_width, auto_sens_lane_width, auto_stoch_lane_width};
 /// Cooperative cancellation vocabulary, re-exported so engine callers can
 /// wire a token without importing the executor crate directly.
-pub use paraspace_exec::{CancelToken, Cancelled};
+pub use paraspace_exec::{CancelToken, Cancelled, Executor};
 /// Deterministic fault-injection vocabulary, re-exported so batch callers
 /// can build a [`SimulationJob`] fault plan without importing the solver
 /// crate directly.

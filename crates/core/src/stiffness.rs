@@ -8,6 +8,7 @@
 //! not perfect.
 
 use crate::SimulationJob;
+use paraspace_exec::Executor;
 use paraspace_linalg::{dominant_eigenvalue_estimate, Matrix};
 
 /// The published spectral-radius threshold separating DOPRI5 from RADAU5.
@@ -43,22 +44,29 @@ pub struct StiffnessClass {
 /// # }
 /// ```
 pub fn classify_batch(job: &SimulationJob) -> Vec<StiffnessClass> {
-    classify_batch_with_threshold(job, STIFFNESS_THRESHOLD)
+    classify_batch_with_threshold(job, STIFFNESS_THRESHOLD, &Executor::sequential())
 }
 
 /// [`classify_batch`] with an explicit threshold (the stiffness-threshold
-/// ablation sweeps this knob).
-pub fn classify_batch_with_threshold(job: &SimulationJob, threshold: f64) -> Vec<StiffnessClass> {
+/// ablation sweeps this knob) on `executor`'s workers, each with a
+/// Jacobian matrix of its own. A member's class depends on that member
+/// alone, so the result is the same at any thread count.
+pub fn classify_batch_with_threshold(
+    job: &SimulationJob,
+    threshold: f64,
+    executor: &Executor,
+) -> Vec<StiffnessClass> {
     let n = job.odes().n_species();
-    let mut jac = Matrix::zeros(n, n);
-    (0..job.batch_size())
-        .map(|i| {
+    executor.map_with(
+        job.batch_size(),
+        || Matrix::zeros(n, n),
+        |jac, i| {
             let (x0, k) = job.member(i);
-            job.odes().jacobian_with(x0, k, &mut jac);
-            let lambda = dominant_eigenvalue_estimate(&jac);
+            job.odes().jacobian_with(x0, k, jac);
+            let lambda = dominant_eigenvalue_estimate(jac);
             StiffnessClass { dominant_eigenvalue: lambda, stiff: lambda >= threshold }
-        })
-        .collect()
+        },
+    )
 }
 
 #[cfg(test)]
@@ -97,6 +105,23 @@ mod tests {
         assert!(!classes[0].stiff);
         assert!(classes[1].stiff);
         assert!(classes[1].dominant_eigenvalue > classes[0].dominant_eigenvalue);
+    }
+
+    #[test]
+    fn classes_come_back_in_member_order_at_any_thread_count() {
+        let m = decay_model(1.0);
+        let mut builder = SimulationJob::builder(&m).time_points(vec![1.0]);
+        for i in 0..40 {
+            let k = vec![10f64.powi(i % 7 - 1)];
+            builder = builder.parameterization(Parameterization::new().with_rate_constants(k));
+        }
+        let job = builder.build().unwrap();
+        let sequential = classify_batch(&job);
+        assert!(sequential.iter().any(|c| c.stiff) && sequential.iter().any(|c| !c.stiff));
+        for threads in [2, 5] {
+            let exec = Executor::new(threads);
+            assert_eq!(classify_batch_with_threshold(&job, STIFFNESS_THRESHOLD, &exec), sequential);
+        }
     }
 
     #[test]

@@ -164,8 +164,8 @@ mod tests {
 /// species-major/lane-minor like every SoA buffer) and the shared flux
 /// workspace; [`bind_lane`](BatchOdeSystem::bind_lane) scatters one
 /// member's constants into a lane column, and the batched right-hand side
-/// delegates to [`CompiledOdes::rhs_batch`], which runs the CSR flux +
-/// accumulation passes across all lanes per decoded segment.
+/// delegates to [`CompiledOdes::rhs_batch`], which runs the flux and
+/// accumulation passes across all lanes per op and per term.
 ///
 /// Only mass-action networks are supported (the engine checks
 /// [`CompiledOdes::supports_lane_batch`] and falls back to the scalar path
@@ -347,8 +347,7 @@ mod batch_tests {
             let scalar_inner = RbmSensSystem::new(&odes, ks[i].clone(), which.clone());
             let scalar_aug = AugmentedSensSystem::new(&scalar_inner);
             let y0_aug = scalar_aug.augmented_initial_state(&x0);
-            let scalar_sol =
-                Dopri5::new().solve(&scalar_aug, 0.0, &y0_aug, &times, &opts).unwrap();
+            let scalar_sol = Dopri5::new().solve(&scalar_aug, 0.0, &y0_aug, &times, &opts).unwrap();
             // Lockstep sensitivity lanes must be bitwise the scalar
             // augmented trajectory — state rows and sensitivity rows.
             assert_eq!(batch_aug.states, scalar_sol.states, "member {i}");
@@ -532,11 +531,11 @@ pub struct RbmSensBatchSystem<'a> {
     which: Vec<usize>,
     members: Vec<(&'a [f64], &'a [f64])>, // (x0, k) per queued member
     lanes: usize,
-    k_lanes: Vec<f64>,  // M × L lane-bound rate constants
-    flux: Vec<f64>,     // M × L flux workspace
-    jac: Vec<f64>,      // n² × L batched Jacobian workspace
-    fk: Vec<f64>,       // p·n × L batched ∂f/∂k workspace
-    gflux: Vec<f64>,    // L unit-flux scratch
+    k_lanes: Vec<f64>, // M × L lane-bound rate constants
+    flux: Vec<f64>,    // M × L flux workspace
+    jac: Vec<f64>,     // n² × L batched Jacobian workspace
+    fk: Vec<f64>,      // p·n × L batched ∂f/∂k workspace
+    gflux: Vec<f64>,   // L unit-flux scratch
     sparsity: SparsityPattern,
 }
 

@@ -53,8 +53,13 @@ fn solve_lanes(
         sys.push_member(x0, k);
     }
     let mut scratch = SolverScratch::new();
-    let (results, _) =
-        Dopri5Batch::new().solve_group(&mut sys, 0.0, times, &SolverOptions::default(), &mut scratch);
+    let (results, _) = Dopri5Batch::new().solve_group(
+        &mut sys,
+        0.0,
+        times,
+        &SolverOptions::default(),
+        &mut scratch,
+    );
     results.into_iter().map(|r| r.expect("member must integrate")).collect()
 }
 

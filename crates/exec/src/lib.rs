@@ -439,7 +439,7 @@ impl Executor {
         let slots: Vec<Slot<Result<T, ItemPanic>>> = (0..n).map(|_| Slot::empty()).collect();
 
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            let spawn_worker = |_| {
                 scope.spawn(|| {
                     let mut state = init();
                     loop {
@@ -462,7 +462,18 @@ impl Executor {
                             unsafe { slot.fill(result) };
                         }
                     }
-                });
+                })
+            };
+            // Joined, not left to the scope's own wait: that one returns
+            // when the closures have finished, while the OS threads are
+            // still exiting and still hold their allocator arenas — the
+            // next batch's workers would then be given fresh ones, and a
+            // run of back-to-back batches grows the process.
+            let handles: Vec<_> = (0..workers).map(spawn_worker).collect();
+            for handle in handles {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
             }
         });
 

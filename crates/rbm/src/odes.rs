@@ -4,9 +4,26 @@
 //! The encoding mirrors what the published simulator uploads to device
 //! memory: CSR-like arrays describing, per reaction, which species enter the
 //! flux with which order, and, per species, which reaction fluxes contribute
-//! with which net coefficient. Evaluating the right-hand side is then two
-//! flat passes (flux pass, accumulation pass) with no pointer chasing —
-//! exactly the shape a fine-grained kernel parallelizes over threads.
+//! with which net coefficient. Evaluating the right-hand side is two flat
+//! passes — exactly the shape a fine-grained kernel parallelizes over
+//! threads:
+//!
+//! * the **flux pass** runs the model's *flux program*: the reactant side
+//!   of every mass-action reaction is decoded once, at compile time, into
+//!   one typed `FluxOp` (source, first order, dimerisation, bimolecular,
+//!   or a generic walk of the reactant list), so the hot loop reads one op
+//!   and one constant per reaction and gathers at most two concentrations —
+//!   no offsets, no order array, no integer-power loop;
+//! * the **accumulation pass** walks the per-species term lists as slices.
+//!
+//! The scalar kernels and the lane-batched ones (rows of constant length at
+//! widths 1, 2, 4 and 8, run-time length otherwise) run the same program.
+//! What is contractual is the arithmetic *inside* one flux (`k`, then the
+//! reactants in list order, `x·x` for an order-2 reactant) and inside one
+//! species sum (`0.0 + c₀f₀ + c₁f₁ + …` in term order): scalar and lanes
+//! agree bitwise at any width, with each other and with a naive evaluation
+//! of the model. The order reactions and species are *visited* in is free. Models mixing
+//! saturating [`Kinetics`] keep the per-reaction [`Kinetics::flux`] path.
 
 use crate::{Kinetics, ReactionBasedModel};
 use paraspace_linalg::Matrix;
@@ -44,6 +61,9 @@ pub struct CompiledOdes {
     kinetics: Vec<Kinetics>,
     rate_constants: Vec<f64>,
     all_mass_action: bool,
+    // One op per reaction, decoded from the reactant lists above; what the
+    // flux kernels read instead of them when `all_mass_action`.
+    flux_program: Vec<FluxOp>,
     // Per-species contribution lists (CSR): dX_s/dt = Σ coeff · flux_r.
     term_offsets: Vec<u32>,
     term_reactions: Vec<u32>,
@@ -54,6 +74,39 @@ pub struct CompiledOdes {
     stoich_offsets: Vec<u32>,
     stoich_species: Vec<u32>,
     stoich_coeffs: Vec<f64>,
+}
+
+/// The flux of one mass-action reaction, specialised by the shape of its
+/// reactant side. Every variant computes `k · Π int_pow(x, order)` left to
+/// right over the reactant list with exactly the products the generic walk
+/// would form, so which variant a reaction gets never shows in the bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum FluxOp {
+    /// `∅ → …`: `k`.
+    Source,
+    /// `A → …`: `k·x_a`.
+    FirstOrder(u32),
+    /// `2A → …`: `k·(x_a·x_a)`.
+    Dimerisation(u32),
+    /// `A + B → …`: `(k·x_a)·x_b`.
+    Bimolecular(u32, u32),
+    /// Anything else (order ≥ 3, three or more reactants, `2A + B`): walks
+    /// `reactant_species`/`reactant_orders` over `lo..hi`.
+    Generic { lo: u32, hi: u32 },
+}
+
+impl FluxOp {
+    /// The op for one reaction's reactant list, which starts at `lo` in the
+    /// reactant CSR.
+    fn for_reactants(reactants: &[(usize, u32)], lo: usize) -> Self {
+        match *reactants {
+            [] => FluxOp::Source,
+            [(a, 1)] => FluxOp::FirstOrder(a as u32),
+            [(a, 2)] => FluxOp::Dimerisation(a as u32),
+            [(a, 1), (b, 1)] => FluxOp::Bimolecular(a as u32, b as u32),
+            _ => FluxOp::Generic { lo: lo as u32, hi: (lo + reactants.len()) as u32 },
+        }
+    }
 }
 
 /// Reactant lists up to this length are gathered into a stack buffer inside
@@ -89,6 +142,93 @@ impl CompiledOdes {
         }
     }
 
+    /// The flux of one mass-action reaction at constant `k` (`1.0` gives
+    /// the unit flux): `k`, then the reactants in list order.
+    #[inline(always)]
+    fn mass_action_flux(&self, op: FluxOp, k: f64, x: &[f64]) -> f64 {
+        match op {
+            FluxOp::Source => k,
+            FluxOp::FirstOrder(a) => k * x[a as usize],
+            FluxOp::Dimerisation(a) => {
+                let xa = x[a as usize];
+                k * (xa * xa)
+            }
+            FluxOp::Bimolecular(a, b) => k * x[a as usize] * x[b as usize],
+            FluxOp::Generic { lo, hi } => {
+                let list = lo as usize..hi as usize;
+                let species = &self.reactant_species[list.clone()];
+                let mut f = k;
+                for (&s, &order) in species.iter().zip(&self.reactant_orders[list]) {
+                    f *= crate::kinetics::int_pow(x[s as usize], order);
+                }
+                f
+            }
+        }
+    }
+
+    /// [`mass_action_flux`](Self::mass_action_flux) for one row of lanes:
+    /// `k` and `f` are the reaction's rows, `x` the whole `N×L` block.
+    #[inline(always)]
+    fn mass_action_flux_row(&self, op: FluxOp, lanes: usize, k: &[f64], x: &[f64], f: &mut [f64]) {
+        let row = |s: u32| &x[s as usize * lanes..][..lanes];
+        match op {
+            FluxOp::Source => f.copy_from_slice(k),
+            FluxOp::FirstOrder(a) => {
+                for ((f, &k), &xa) in f.iter_mut().zip(k).zip(row(a)) {
+                    *f = k * xa;
+                }
+            }
+            FluxOp::Dimerisation(a) => {
+                for ((f, &k), &xa) in f.iter_mut().zip(k).zip(row(a)) {
+                    *f = k * (xa * xa);
+                }
+            }
+            FluxOp::Bimolecular(a, b) => {
+                for (((f, &k), &xa), &xb) in f.iter_mut().zip(k).zip(row(a)).zip(row(b)) {
+                    *f = k * xa * xb;
+                }
+            }
+            FluxOp::Generic { lo, hi } => {
+                let list = lo as usize..hi as usize;
+                let species = &self.reactant_species[list.clone()];
+                f.copy_from_slice(k);
+                for (&s, &order) in species.iter().zip(&self.reactant_orders[list]) {
+                    for (f, &xs) in f.iter_mut().zip(row(s)) {
+                        *f *= crate::kinetics::int_pow(xs, order);
+                    }
+                }
+            }
+        }
+    }
+
+    /// The lane-batched flux pass at width `lanes`. Always inlined into a
+    /// call site that fixes `lanes`, so each width the public kernels
+    /// dispatch to gets its own copy with constant-length rows.
+    #[inline(always)]
+    fn flux_rows(&self, lanes: usize, x: &[f64], k: &[f64], flux: &mut [f64]) {
+        let rows = flux.chunks_exact_mut(lanes).zip(k.chunks_exact(lanes));
+        for ((f, k), &op) in rows.zip(&self.flux_program) {
+            self.mass_action_flux_row(op, lanes, k, x, f);
+        }
+    }
+
+    /// The lane-batched accumulation pass at width `lanes`; inlined like
+    /// [`flux_rows`](Self::flux_rows).
+    #[inline(always)]
+    fn accumulate_rows(&self, lanes: usize, flux: &[f64], dxdt: &mut [f64]) {
+        for (out, span) in dxdt.chunks_exact_mut(lanes).zip(self.term_offsets.windows(2)) {
+            let terms = span[0] as usize..span[1] as usize;
+            out.fill(0.0);
+            for (&c, &r) in self.term_coeffs[terms.clone()].iter().zip(&self.term_reactions[terms])
+            {
+                let fr = &flux[r as usize * lanes..][..lanes];
+                for (o, &f) in out.iter_mut().zip(fr) {
+                    *o += c * f;
+                }
+            }
+        }
+    }
+
     pub(crate) fn from_model(model: &ReactionBasedModel) -> Self {
         let n_species = model.n_species();
         let n_reactions = model.n_reactions();
@@ -98,8 +238,10 @@ impl CompiledOdes {
         let mut reactant_orders = Vec::new();
         let mut kinetics = Vec::with_capacity(n_reactions);
         let mut rate_constants = Vec::with_capacity(n_reactions);
+        let mut flux_program = Vec::with_capacity(n_reactions);
         reactant_offsets.push(0u32);
         for r in model.reactions() {
+            flux_program.push(FluxOp::for_reactants(r.reactants(), reactant_species.len()));
             for &(s, a) in r.reactants() {
                 reactant_species.push(s as u32);
                 reactant_orders.push(a);
@@ -158,6 +300,7 @@ impl CompiledOdes {
             kinetics,
             rate_constants,
             all_mass_action,
+            flux_program,
             term_offsets,
             term_reactions,
             term_coeffs,
@@ -211,15 +354,8 @@ impl CompiledOdes {
         assert_eq!(k.len(), self.n_reactions, "rate constant vector length");
         assert_eq!(flux.len(), self.n_reactions, "flux buffer length");
         if self.all_mass_action {
-            for r in 0..self.n_reactions {
-                let lo = self.reactant_offsets[r] as usize;
-                let hi = self.reactant_offsets[r + 1] as usize;
-                let mut f = k[r];
-                for p in lo..hi {
-                    let xs = x[self.reactant_species[p] as usize];
-                    f *= crate::kinetics::int_pow(xs, self.reactant_orders[p]);
-                }
-                flux[r] = f;
+            for ((f, &k), &op) in flux.iter_mut().zip(k).zip(&self.flux_program) {
+                *f = self.mass_action_flux(op, k, x);
             }
         } else {
             let mut stack = [(0.0f64, 0u32); STACK_REACTANTS];
@@ -252,20 +388,20 @@ impl CompiledOdes {
     pub fn rhs_with_buffer(&self, x: &[f64], k: &[f64], flux: &mut [f64], dxdt: &mut [f64]) {
         assert_eq!(dxdt.len(), self.n_species, "derivative buffer length");
         self.fluxes_with(x, k, flux);
-        for s in 0..self.n_species {
-            let lo = self.term_offsets[s] as usize;
-            let hi = self.term_offsets[s + 1] as usize;
+        for (d, span) in dxdt.iter_mut().zip(self.term_offsets.windows(2)) {
+            let terms = span[0] as usize..span[1] as usize;
             let mut acc = 0.0;
-            for p in lo..hi {
-                acc += self.term_coeffs[p] * flux[self.term_reactions[p] as usize];
+            for (&c, &r) in self.term_coeffs[terms.clone()].iter().zip(&self.term_reactions[terms])
+            {
+                acc += c * flux[r as usize];
             }
-            dxdt[s] = acc;
+            *d = acc;
         }
     }
 
     /// Whether this model's flux pass has a lane-batched implementation.
     ///
-    /// The batched CSR kernels cover pure mass-action networks (the paper's
+    /// The batched kernels cover pure mass-action networks (the paper's
     /// workload); models mixing saturating [`Kinetics`] variants take the
     /// scalar path — engines must check this before calling
     /// [`rhs_batch`](Self::rhs_batch).
@@ -277,11 +413,11 @@ impl CompiledOdes {
     ///
     /// Every buffer is structure-of-arrays with lane-minor layout: entry
     /// `i` of lane `l` lives at `i·lanes + l` (`x`: `N×L` species block,
-    /// `k`/`flux`: `M×L` reaction blocks). The reaction loop decodes each
-    /// CSR segment **once** and applies it to all lanes in the innermost
-    /// loop over contiguous rows — no per-lane re-gather of reactant
-    /// indices — which is the autovectorizable shape that makes the pass
-    /// bandwidth-bound. Per lane the operation sequence is identical to
+    /// `k`/`flux`: `M×L` reaction blocks). Each op of the flux program is
+    /// applied to all lanes in the innermost loop over contiguous rows,
+    /// whose length is a compile-time constant at widths 1, 2, 4 and 8 —
+    /// the shape the compiler unrolls and vectorises. Per lane the
+    /// operation sequence is identical to
     /// [`fluxes_with`](Self::fluxes_with), so lane results are bitwise
     /// equal to scalar evaluation.
     ///
@@ -295,35 +431,12 @@ impl CompiledOdes {
         assert_eq!(x.len(), self.n_species * lanes, "state block length");
         assert_eq!(k.len(), self.n_reactions * lanes, "rate-constant block length");
         assert_eq!(flux.len(), self.n_reactions * lanes, "flux block length");
-        for r in 0..self.n_reactions {
-            let lo = self.reactant_offsets[r] as usize;
-            let hi = self.reactant_offsets[r + 1] as usize;
-            let f = &mut flux[r * lanes..(r + 1) * lanes];
-            f.copy_from_slice(&k[r * lanes..(r + 1) * lanes]);
-            for p in lo..hi {
-                let s = self.reactant_species[p] as usize;
-                let xs = &x[s * lanes..(s + 1) * lanes];
-                // Orders 1 and 2 cover real biochemical networks; int_pow
-                // is exact for them, so the specializations stay bitwise
-                // equal to the scalar path.
-                match self.reactant_orders[p] {
-                    1 => {
-                        for l in 0..lanes {
-                            f[l] *= xs[l];
-                        }
-                    }
-                    2 => {
-                        for l in 0..lanes {
-                            f[l] *= xs[l] * xs[l];
-                        }
-                    }
-                    o => {
-                        for l in 0..lanes {
-                            f[l] *= crate::kinetics::int_pow(xs[l], o);
-                        }
-                    }
-                }
-            }
+        match lanes {
+            1 => self.flux_rows(1, x, k, flux),
+            2 => self.flux_rows(2, x, k, flux),
+            4 => self.flux_rows(4, x, k, flux),
+            8 => self.flux_rows(8, x, k, flux),
+            _ => self.flux_rows(lanes, x, k, flux),
         }
     }
 
@@ -349,18 +462,12 @@ impl CompiledOdes {
     ) {
         assert_eq!(dxdt.len(), self.n_species * lanes, "derivative block length");
         self.fluxes_batch(lanes, x, k, flux);
-        for s in 0..self.n_species {
-            let lo = self.term_offsets[s] as usize;
-            let hi = self.term_offsets[s + 1] as usize;
-            let out = &mut dxdt[s * lanes..(s + 1) * lanes];
-            out.fill(0.0);
-            for p in lo..hi {
-                let c = self.term_coeffs[p];
-                let fr = &flux[self.term_reactions[p] as usize * lanes..][..lanes];
-                for l in 0..lanes {
-                    out[l] += c * fr[l];
-                }
-            }
+        match lanes {
+            1 => self.accumulate_rows(1, flux, dxdt),
+            2 => self.accumulate_rows(2, flux, dxdt),
+            4 => self.accumulate_rows(4, flux, dxdt),
+            8 => self.accumulate_rows(8, flux, dxdt),
+            _ => self.accumulate_rows(lanes, flux, dxdt),
         }
     }
 
@@ -547,14 +654,7 @@ impl CompiledOdes {
     /// would break at `k = 0`).
     pub fn unit_flux(&self, r: usize, x: &[f64]) -> f64 {
         if self.all_mass_action {
-            let lo = self.reactant_offsets[r] as usize;
-            let hi = self.reactant_offsets[r + 1] as usize;
-            let mut g = 1.0;
-            for p in lo..hi {
-                let xs = x[self.reactant_species[p] as usize];
-                g *= crate::kinetics::int_pow(xs, self.reactant_orders[p]);
-            }
-            g
+            self.mass_action_flux(self.flux_program[r], 1.0, x)
         } else {
             let mut stack = [(0.0f64, 0u32); STACK_REACTANTS];
             let mut spill: Vec<(f64, u32)> = Vec::new();
@@ -914,6 +1014,43 @@ mod tests {
         assert!(small.rhs_flops() > 0);
         assert!(small.jacobian_flops() > 0);
         assert!(small.n_terms() >= 4);
+    }
+
+    #[test]
+    fn each_reactant_shape_compiles_to_its_own_op() {
+        let mut m = ReactionBasedModel::new();
+        let a = m.add_species("A", 1.0);
+        let b = m.add_species("B", 0.5);
+        for reactants in [
+            &[][..],
+            &[(a, 1)],
+            &[(b, 2)],
+            &[(a, 1), (b, 1)],
+            &[(b, 1), (b, 1)], // merged to 2B by `Reaction`
+            &[(a, 2), (b, 1)],
+            &[(a, 3)],
+        ] {
+            m.add_reaction(Reaction::mass_action(reactants, &[(a, 1)], 1.0)).unwrap();
+        }
+        let odes = m.compile().unwrap();
+        assert_eq!(
+            odes.flux_program,
+            [
+                FluxOp::Source,
+                FluxOp::FirstOrder(0),
+                FluxOp::Dimerisation(1),
+                FluxOp::Bimolecular(0, 1),
+                FluxOp::Dimerisation(1),
+                FluxOp::Generic { lo: 5, hi: 7 },
+                FluxOp::Generic { lo: 7, hi: 8 },
+            ]
+        );
+        // Generated networks are at most bimolecular: none of their
+        // reactions may fall back to the generic walk.
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(7);
+        let generated = crate::sbgen::SbGen::new(32, 48).generate(&mut rng).compile().unwrap();
+        assert!(!generated.flux_program.iter().any(|op| matches!(op, FluxOp::Generic { .. })));
     }
 
     /// SoA blocks for `lanes` perturbed copies of a base vector.

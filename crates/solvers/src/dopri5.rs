@@ -110,37 +110,29 @@ impl Dopri5 {
 /// reallocation.
 #[derive(Debug, Default)]
 pub(crate) struct DopriScratch {
-    k: Vec<Vec<f64>>,
+    k: [Vec<f64>; 7],
     y: Vec<f64>,
     y_stage: Vec<f64>,
     y_new: Vec<f64>,
     y_sti: Vec<f64>,
     err_vec: Vec<f64>,
     scale: Vec<f64>,
-    r: Vec<Vec<f64>>,
+    r: [Vec<f64>; 5],
 }
 
 impl DopriScratch {
     /// Sizes every buffer for dimension `n` (stale contents are harmless:
     /// each buffer is fully written before it is read).
     fn ensure(&mut self, n: usize) {
-        if self.k.len() != 7 {
-            self.k = (0..7).map(|_| vec![0.0; n]).collect();
-        }
-        if self.r.len() != 5 {
-            self.r = (0..5).map(|_| vec![0.0; n]).collect();
-        }
-        for v in self.k.iter_mut().chain(self.r.iter_mut()) {
-            v.resize(n, 0.0);
-        }
-        for v in [
+        let singles = [
             &mut self.y,
             &mut self.y_stage,
             &mut self.y_new,
             &mut self.y_sti,
             &mut self.err_vec,
             &mut self.scale,
-        ] {
+        ];
+        for v in self.k.iter_mut().chain(self.r.iter_mut()).chain(singles) {
             v.resize(n, 0.0);
         }
     }
@@ -195,17 +187,16 @@ impl Dopri5 {
 
         let mut t = t0;
         ws.ensure(n);
-        let DopriScratch { k, y, y_stage, y_new, y_sti, err_vec, scale, r } = ws;
-        y.copy_from_slice(y0);
+        ws.y.copy_from_slice(y0);
 
-        system.rhs(t, y, &mut k[0]);
+        system.rhs(t, &ws.y, &mut ws.k[0]);
         sol.stats.rhs_evals += 1;
 
         // Deliver any samples at (or numerically at) t0.
         let mut next_sample = 0;
         while next_sample < sample_times.len() && sample_times[next_sample] <= t {
             sol.times.push(sample_times[next_sample]);
-            sol.states.push(y.clone());
+            sol.states.push(ws.y.clone());
             next_sample += 1;
         }
         if next_sample == sample_times.len() {
@@ -214,7 +205,7 @@ impl Dopri5 {
 
         let mut h = options
             .initial_step
-            .unwrap_or_else(|| initial_step_size(&system, t, y, &k[0], 1.0, 5, options));
+            .unwrap_or_else(|| initial_step_size(&system, t, &ws.y, &ws.k[0], 1.0, 5, options));
         sol.stats.rhs_evals += usize::from(options.initial_step.is_none());
         let mut fac_old = 1e-4f64;
         let mut steps_since_sample = 0usize;
@@ -248,43 +239,43 @@ impl Dopri5 {
                 });
             }
 
+            // Every vector of the step as a slice of length `n`, cut once:
+            // the loops below then index without per-element checks.
+            let DopriScratch { k, y, y_stage, y_new, y_sti, err_vec, scale, r } = &mut *ws;
+            let [k1, k2, k3, k4, k5, k6, k7] = k;
+            let (k1, k2, k3, k4) = (&k1[..n], &mut k2[..n], &mut k3[..n], &mut k4[..n]);
+            let (k5, k6, k7) = (&mut k5[..n], &mut k6[..n], &mut k7[..n]);
+            let (y, y_stage, y_new) = (&y[..n], &mut y_stage[..n], &mut y_new[..n]);
+            let (y_sti, err_vec, scale) = (&mut y_sti[..n], &mut err_vec[..n], &mut scale[..n]);
+
             // Stages 2..6.
             for i in 0..n {
-                y_stage[i] = y[i] + h * A21 * k[0][i];
+                y_stage[i] = y[i] + h * A21 * k1[i];
             }
-            system.rhs(t + C2 * h, y_stage, &mut k[1]);
+            system.rhs(t + C2 * h, y_stage, k2);
             for i in 0..n {
-                y_stage[i] = y[i] + h * (A31 * k[0][i] + A32 * k[1][i]);
+                y_stage[i] = y[i] + h * (A31 * k1[i] + A32 * k2[i]);
             }
-            system.rhs(t + C3 * h, y_stage, &mut k[2]);
+            system.rhs(t + C3 * h, y_stage, k3);
             for i in 0..n {
-                y_stage[i] = y[i] + h * (A41 * k[0][i] + A42 * k[1][i] + A43 * k[2][i]);
+                y_stage[i] = y[i] + h * (A41 * k1[i] + A42 * k2[i] + A43 * k3[i]);
             }
-            system.rhs(t + C4 * h, y_stage, &mut k[3]);
+            system.rhs(t + C4 * h, y_stage, k4);
             for i in 0..n {
-                y_stage[i] =
-                    y[i] + h * (A51 * k[0][i] + A52 * k[1][i] + A53 * k[2][i] + A54 * k[3][i]);
+                y_stage[i] = y[i] + h * (A51 * k1[i] + A52 * k2[i] + A53 * k3[i] + A54 * k4[i]);
             }
-            system.rhs(t + C5 * h, y_stage, &mut k[4]);
+            system.rhs(t + C5 * h, y_stage, k5);
             for i in 0..n {
                 y_sti[i] = y[i]
-                    + h * (A61 * k[0][i]
-                        + A62 * k[1][i]
-                        + A63 * k[2][i]
-                        + A64 * k[3][i]
-                        + A65 * k[4][i]);
+                    + h * (A61 * k1[i] + A62 * k2[i] + A63 * k3[i] + A64 * k4[i] + A65 * k5[i]);
             }
-            system.rhs(t + h, y_sti, &mut k[5]);
+            system.rhs(t + h, y_sti, k6);
             // 5th-order solution (stage 7 argument) and FSAL derivative.
             for i in 0..n {
                 y_new[i] = y[i]
-                    + h * (A71 * k[0][i]
-                        + A73 * k[2][i]
-                        + A74 * k[3][i]
-                        + A75 * k[4][i]
-                        + A76 * k[5][i]);
+                    + h * (A71 * k1[i] + A73 * k3[i] + A74 * k4[i] + A75 * k5[i] + A76 * k6[i]);
             }
-            system.rhs(t + h, y_new, &mut k[6]);
+            system.rhs(t + h, y_new, k7);
             sol.stats.rhs_evals += 6;
             sol.stats.steps += 1;
             steps_since_sample += 1;
@@ -292,12 +283,7 @@ impl Dopri5 {
             // Embedded error estimate.
             for i in 0..n {
                 err_vec[i] = h
-                    * (E1 * k[0][i]
-                        + E3 * k[2][i]
-                        + E4 * k[3][i]
-                        + E5 * k[4][i]
-                        + E6 * k[5][i]
-                        + E7 * k[6][i]);
+                    * (E1 * k1[i] + E3 * k3[i] + E4 * k4[i] + E5 * k5[i] + E6 * k6[i] + E7 * k7[i]);
             }
             options.error_scale_pair(y, y_new, scale);
             let err = weighted_rms_norm(err_vec, scale);
@@ -339,7 +325,7 @@ impl Dopri5 {
                     let mut st_num = 0.0;
                     let mut st_den = 0.0;
                     for i in 0..n {
-                        let dk = k[6][i] - k[5][i];
+                        let dk = k7[i] - k6[i];
                         let dy = y_new[i] - y_sti[i];
                         st_num += dk * dk;
                         st_den += dy * dy;
@@ -372,20 +358,23 @@ impl Dopri5 {
                 if next_sample < sample_times.len() && sample_times[next_sample] <= t_new {
                     // Dense-output coefficient vectors (lazy: only when a
                     // sample falls inside this step; pooled in the scratch).
+                    let [r0, r1, r2, r3, r4] = r;
+                    let (r0, r1, r2) = (&mut r0[..n], &mut r1[..n], &mut r2[..n]);
+                    let (r3, r4) = (&mut r3[..n], &mut r4[..n]);
                     for i in 0..n {
                         let ydiff = y_new[i] - y[i];
-                        let bspl = h * k[0][i] - ydiff;
-                        r[0][i] = y[i];
-                        r[1][i] = ydiff;
-                        r[2][i] = bspl;
-                        r[3][i] = ydiff - h * k[6][i] - bspl;
-                        r[4][i] = h
-                            * (D1 * k[0][i]
-                                + D3 * k[2][i]
-                                + D4 * k[3][i]
-                                + D5 * k[4][i]
-                                + D6 * k[5][i]
-                                + D7 * k[6][i]);
+                        let bspl = h * k1[i] - ydiff;
+                        r0[i] = y[i];
+                        r1[i] = ydiff;
+                        r2[i] = bspl;
+                        r3[i] = ydiff - h * k7[i] - bspl;
+                        r4[i] = h
+                            * (D1 * k1[i]
+                                + D3 * k3[i]
+                                + D4 * k4[i]
+                                + D5 * k5[i]
+                                + D6 * k6[i]
+                                + D7 * k7[i]);
                     }
                     while next_sample < sample_times.len() && sample_times[next_sample] <= t_new {
                         let ts = sample_times[next_sample];
@@ -393,12 +382,11 @@ impl Dopri5 {
                         let om_theta = 1.0 - theta;
                         let state: Vec<f64> = (0..n)
                             .map(|i| {
-                                r[0][i]
+                                r0[i]
                                     + theta
-                                        * (r[1][i]
+                                        * (r1[i]
                                             + om_theta
-                                                * (r[2][i]
-                                                    + theta * (r[3][i] + om_theta * r[4][i])))
+                                                * (r2[i] + theta * (r3[i] + om_theta * r4[i])))
                             })
                             .collect();
                         sol.times.push(ts);
@@ -409,8 +397,8 @@ impl Dopri5 {
                 }
 
                 t = t_new;
-                std::mem::swap(y, y_new);
-                k.swap(0, 6); // FSAL: k7 becomes k1 of the next step.
+                std::mem::swap(&mut ws.y, &mut ws.y_new);
+                ws.k.swap(0, 6); // FSAL: k7 becomes k1 of the next step.
 
                 if next_sample == sample_times.len() {
                     sol.stats.stiffness_detected |= stiff_strikes > 0;
@@ -572,6 +560,33 @@ mod tests {
         let f = Dopri5::new().solve(&sys, 0.0, &[0.0], &[10.0], &o).unwrap_err();
         assert!(matches!(f.error, SolverError::MaxStepsExceeded { .. }), "{:?}", f.error);
         assert!(!f.stats.stiffness_detected);
+    }
+
+    #[test]
+    fn scratch_last_used_at_a_larger_dimension_changes_nothing() {
+        // The step's slices are cut to this solve's `n`, not to whatever
+        // the pooled vectors held before.
+        let big = FnSystem::new(9, |_t, y, d| {
+            for i in 0..9 {
+                d[i] = -(1.0 + i as f64) * y[i];
+            }
+        });
+        let small = FnSystem::new(2, |t, y, d| {
+            d[0] = y[1];
+            d[1] = -y[0] * (1.0 + 0.5 * t.sin());
+        });
+        let mut scratch = SolverScratch::new();
+        Dopri5::new().solve_pooled(&big, 0.0, &[1.0; 9], &[2.0], &opts(), &mut scratch).unwrap();
+        let times = [0.1, 1.0, 7.5];
+        let fresh = Dopri5::new().solve(&small, 0.0, &[1.0, 0.0], &times, &opts()).unwrap();
+        let pooled = Dopri5::new()
+            .solve_pooled(&small, 0.0, &[1.0, 0.0], &times, &opts(), &mut scratch)
+            .unwrap();
+        assert_eq!(pooled.stats, fresh.stats);
+        for (p, f) in pooled.states.iter().zip(&fresh.states) {
+            let bits = |s: &[f64]| s.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(p), bits(f));
+        }
     }
 
     #[test]

@@ -201,7 +201,11 @@ impl<S: SensOdeSystem + ?Sized> OdeSystem for AugmentedSensSystem<'_, S> {
 /// Splits an augmented-system solution back into state + sensitivities.
 pub(crate) fn split_augmented(sol: Solution, n: usize, p: usize) -> SensSolution {
     let mut out = SensSolution {
-        solution: Solution { times: sol.times, states: Vec::with_capacity(sol.states.len()), stats: sol.stats },
+        solution: Solution {
+            times: sol.times,
+            states: Vec::with_capacity(sol.states.len()),
+            stats: sol.stats,
+        },
         sens: Vec::with_capacity(sol.states.len()),
     };
     for mut aug in sol.states {
@@ -456,8 +460,10 @@ impl Radau5Sens {
         check_inputs(n, y0, t0, sample_times, options)?;
         let sparsity = system.jacobian_sparsity();
         let mut ws = SensWorkspace::new(n, p);
-        let mut sol = SensSolution::default();
-        sol.solution = Solution::with_capacity(sample_times.len());
+        let mut sol = SensSolution {
+            solution: Solution::with_capacity(sample_times.len()),
+            ..SensSolution::default()
+        };
         let t_end = match sample_times.last() {
             Some(&t) => t,
             None => return Ok(sol),
@@ -1133,14 +1139,21 @@ mod tests {
     }
 
     /// Central finite-difference sensitivities from two full solves.
-    fn fd_sens_radau(k: [f64; 3], which: usize, times: &[f64], opts: &SolverOptions) -> Vec<Vec<f64>> {
+    fn fd_sens_radau(
+        k: [f64; 3],
+        which: usize,
+        times: &[f64],
+        opts: &SolverOptions,
+    ) -> Vec<Vec<f64>> {
         let h = 1e-6 * k[which].abs().max(1e-12);
         let mut kp = k;
         kp[which] += h;
         let mut km = k;
         km[which] -= h;
-        let up = Radau5::new().solve(&Robertson { k: kp }, 0.0, &[1.0, 0.0, 0.0], times, opts).unwrap();
-        let um = Radau5::new().solve(&Robertson { k: km }, 0.0, &[1.0, 0.0, 0.0], times, opts).unwrap();
+        let up =
+            Radau5::new().solve(&Robertson { k: kp }, 0.0, &[1.0, 0.0, 0.0], times, opts).unwrap();
+        let um =
+            Radau5::new().solve(&Robertson { k: km }, 0.0, &[1.0, 0.0, 0.0], times, opts).unwrap();
         up.states
             .iter()
             .zip(&um.states)
