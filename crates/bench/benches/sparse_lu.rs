@@ -1,6 +1,6 @@
 //! Sparse-vs-dense batched LU microbench on real model patterns.
 //!
-//! The stiff lockstep path picks between the dense SoA kernels
+//! The stiff lockstep path picks between the dense lane-major kernels
 //! (`BatchLuFactor` / `BatchCluFactor`) and the sparse symbolic-once
 //! kernels (`BatchSparseLuFactor` / `BatchSparseCluFactor`) per model,
 //! from the all-sequence fill closure of the stoichiometric Jacobian
@@ -111,16 +111,14 @@ fn rhs(n: usize, lanes: usize, rng: &mut StdRng) -> Vec<f64> {
 /// Fill + factor the dense real kernel from the shared value set.
 fn dense_refresh(f: &mut BatchLuFactor, case: &Case, vals: &[f64], lanes: usize, mask: &[bool]) {
     let n = case.n;
-    let m = f.matrix_mut();
-    m.fill(0.0);
-    for (e, &(i, j)) in case.entries.iter().enumerate() {
-        let base = (i * n + j) * lanes;
-        m[base..base + lanes].copy_from_slice(&vals[e * lanes..(e + 1) * lanes]);
-    }
-    let shift = n as f64;
-    for i in 0..n {
-        for l in 0..lanes {
-            m[(i * n + i) * lanes + l] += shift;
+    for l in 0..lanes {
+        let m = f.lane_mut(l);
+        m.fill(0.0);
+        for (e, &(i, j)) in case.entries.iter().enumerate() {
+            m[i * n + j] = vals[e * lanes + l];
+        }
+        for d in m.iter_mut().step_by(n + 1) {
+            *d += n as f64;
         }
     }
     f.factor(mask);
@@ -151,21 +149,18 @@ fn sparse_refresh(
 
 fn dense_refresh_c(f: &mut BatchCluFactor, case: &Case, vals: &[f64], lanes: usize, mask: &[bool]) {
     let n = case.n;
-    let m = f.matrix_mut();
-    m.fill(Complex64::new(0.0, 0.0));
-    for (e, &(i, j)) in case.entries.iter().enumerate() {
-        let base = (i * n + j) * lanes;
-        for l in 0..lanes {
+    let shift = Complex64::new(n as f64, 0.5 * n as f64);
+    for l in 0..lanes {
+        let m = f.lane_mut(l);
+        m.fill(Complex64::new(0.0, 0.0));
+        for (e, &(i, j)) in case.entries.iter().enumerate() {
             // Same real part as the real kernel; a structured imaginary
             // part keeps the complex pivot race nontrivial.
             let re = vals[e * lanes + l];
-            m[base + l] = Complex64::new(re, 0.25 * re);
+            m[i * n + j] = Complex64::new(re, 0.25 * re);
         }
-    }
-    let shift = Complex64::new(n as f64, 0.5 * n as f64);
-    for i in 0..n {
-        for l in 0..lanes {
-            m[(i * n + i) * lanes + l] += shift;
+        for d in m.iter_mut().step_by(n + 1) {
+            *d += shift;
         }
     }
     f.factor(mask);

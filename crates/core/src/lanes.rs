@@ -1,15 +1,18 @@
 //! Per-model lane-width autotuning for the lockstep engines.
 //!
 //! The lockstep lane path amortizes host-launch latency and structure
-//! decoding `L`-fold, so wider is better — **until** the per-lane working
-//! set of the stiff class's Newton machinery stops fitting cache. The
-//! dominant term there is the pair of iteration-matrix factorizations
-//! (one real + one complex LU per lane): a dense factorization streams
-//! `n²` reals and `n²` complex values per lane per refresh, which at
-//! `n = 114` and `L = 8` is ~2.3 MB of live factor state — far past L2 —
-//! and the measured lane benches show exactly that cliff (the lockstep
-//! path drops to ~0.6× scalar RADAU5 on the 114-species metabolic model
-//! at width 8 while winning 40–50× on flux-dominated models).
+//! decoding `L`-fold, so wider is better — **until** the stiff class's
+//! Newton machinery stops paying for the extra lanes. The dominant term
+//! there is the pair of iteration-matrix factorizations (one real + one
+//! complex LU per lane): `n²` reals and `n²` complex values per lane per
+//! refresh, ~2.3 MB of live factor state at `n = 114` and `L = 8`. The
+//! dense factors are lane-major now (a lane's elimination touches only its
+//! own contiguous block), which took most of the width penalty away but
+//! not its sign (the numbers are on [`FACTOR_CACHE_BUDGET_BYTES`]): on the
+//! LU-dominated models a wide group also spends more of its lane-wide
+//! sweeps on lanes that have already finished — 32 stiff members of the
+//! autophagy analogue in groups of `2·L` fill 72 % of the lane slots at
+//! width 4 and 61 % at width 8.
 //!
 //! [`auto_lane_width`] prices that trade per model instead of hardcoding
 //! one width for every network:
@@ -77,8 +80,29 @@ pub(crate) fn solve_lane_groups<T: Send>(
 }
 
 /// Cache budget for one lane-group's live factor values (real + complex),
-/// sized to a conservative per-core L2 slice. Crossing it is where the
-/// lane benches measured the dense-LU cliff.
+/// sized to a conservative per-core L2 slice: the widest group whose dense
+/// factors stay under it is the width LU-dominated models run at.
+///
+/// The rule was calibrated on the lane-minor dense kernels, where crossing
+/// the budget was a cliff, and re-measured when the dense factors became
+/// lane-major (one thread, fine+coarse engine, P3 + P4 wall, best of the
+/// repetitions of two interleaved runs per side):
+///
+/// | model (dense path) | width | lane-minor factors | lane-major factors |
+/// |---|---|---|---|
+/// | autophagy analogue, 46 × 1649, the 64-member PSA-2D (33 stiff) | 4 (the rule's choice) | 1.32–1.37 s | 0.87–0.91 s |
+/// | | 8 | 1.59–1.69 s | 0.98–1.01 s |
+/// | metabolic, 114 × 226, 32 stiff members | 1 (the rule's choice: scalar RADAU5 route) | 1.29–1.30 s | 0.95–1.15 s |
+/// | | 4 | 1.56–1.68 s | 1.17–1.21 s |
+/// | | 8 | 2.50–2.90 s | 1.37–1.38 s |
+///
+/// The penalty for crossing the budget shrank (width 8 over the rule's
+/// width: +21 % → +11 % on autophagy, +93–123 % → +20–44 % on metabolic)
+/// but did not change sign on either model, so the rule and the constant
+/// stay as they were. Neither bundled stiff model takes the sparse path
+/// ([`SymbolicLu::prefers_sparse`] is false for both: their closed fill
+/// patterns are 99.7 % and 81 % dense), whose pattern-sharing kernels this
+/// change did not touch.
 const FACTOR_CACHE_BUDGET_BYTES: usize = 256 * 1024;
 
 /// Bytes of factor state per structural entry per lane: one `f64` (real

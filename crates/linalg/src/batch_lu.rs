@@ -1,27 +1,45 @@
-//! Lane-batched LU factorization: the SoA "getrfBatched/getrsBatched"
+//! Lane-batched dense LU factorization: the "getrfBatched/getrsBatched"
 //! substrate the lockstep Radau IIA kernel hands its per-lane iteration
 //! matrices to.
 //!
-//! Storage is structure-of-arrays with lane-minor layout: element `(i, j)`
-//! of lane `l` lives at `(i·n + j)·L + l`, so the elimination inner loops
-//! sweep contiguous `f64` runs across lanes — one cache line serves a
-//! register-width of lanes, the same shape the batched RHS kernels use.
-//!
-//! Per lane, the factorization and substitution replicate [`LuFactor`] /
-//! [`CluFactor`] **branch for branch**: the strict-`>` partial-pivot search,
-//! the `max == 0.0` singularity test, the full-row swap, and the
-//! `m != 0.0` elimination guard (which matters bitwise when a row holds
-//! infinities: `0 × ∞ = NaN`). A lane factored here and solved with
-//! [`BatchLuFactor::solve_lanes`] therefore produces bit-identical results
-//! to routing that lane's matrix through the scalar path — the property the
-//! lockstep solver's determinism contract rests on.
+//! Storage is **lane-major**: lane `l`'s `n × n` matrix is one contiguous
+//! row-major block at `l·n²`, its pivot sequence at `l·n`. Factoring and
+//! solving are the lane-divergent half of the lockstep solver — every lane
+//! pivots on its own rows, is refreshed on its own schedule (the mask) and
+//! carries its own step size in the matrix — so nothing is shared across
+//! lanes that a lane-minor layout could sweep, and a lane-minor block makes
+//! every access of a lane's elimination a stride-`L` one. Each lane is
+//! therefore factored by the same [`eliminate`] call and solved by the same
+//! [`solve_factored`] call that [`LuFactor`](crate::LuFactor) /
+//! [`CluFactor`](crate::CluFactor) make (see the `lu` module for the
+//! arithmetic that is contractual), so a lane factored here and solved with
+//! [`solve_lanes`](BatchDenseLu::solve_lanes) is bit-identical to routing
+//! that lane's matrix through the scalar types — the property the lockstep
+//! solver's determinism contract rests on. Right-hand sides stay lane-minor
+//! (`i·L + l`, the layout of every stage vector): `solve_lanes` gathers a
+//! lane's column, substitutes, and scatters it back.
 //!
 //! Lanes are *masked*: `factor` touches only the lanes the caller selects,
 //! leaving every other lane's stored factorization (and pivot sequence)
 //! intact. That is how the Radau kernel reuses a lane's LU across steps
 //! while refactoring its neighbours.
 
-use crate::Complex64;
+use crate::lu::{eliminate, solve_factored, LuScalar};
+use crate::{Complex64, LinalgError};
+
+/// Lane-batched LU factorization of `n × n` systems; used through its two
+/// instantiations [`BatchLuFactor`] and [`BatchCluFactor`].
+#[derive(Debug, Clone, Default)]
+pub struct BatchDenseLu<T> {
+    n: usize,
+    lanes: usize,
+    /// Lane `l` at `l·n²`, row-major: matrix entries before `factor`, the
+    /// packed `L`/`U` factors after (unit diagonal of `L` implicit).
+    lu: Vec<T>,
+    /// Pivot swap sequence of lane `l` at `l·n` (LAPACK `ipiv` style).
+    pivots: Vec<usize>,
+    singular: Vec<bool>,
+}
 
 /// Lane-batched LU factorization of real `n × n` systems.
 ///
@@ -33,14 +51,8 @@ use crate::Complex64;
 /// # fn main() -> Result<(), paraspace_linalg::LinalgError> {
 /// // Two lanes: lane 0 holds [[2,1],[1,3]], lane 1 the identity.
 /// let mut lu = BatchLuFactor::new(2, 2, 2)?;
-/// let m = lu.matrix_mut();
-/// let idx = |i: usize, j: usize, l: usize| (i * 2 + j) * 2 + l;
-/// m[idx(0, 0, 0)] = 2.0;
-/// m[idx(0, 1, 0)] = 1.0;
-/// m[idx(1, 0, 0)] = 1.0;
-/// m[idx(1, 1, 0)] = 3.0;
-/// m[idx(0, 0, 1)] = 1.0;
-/// m[idx(1, 1, 1)] = 1.0;
+/// lu.lane_mut(0).copy_from_slice(&[2.0, 1.0, 1.0, 3.0]);
+/// lu.lane_mut(1).copy_from_slice(&[1.0, 0.0, 0.0, 1.0]);
 /// lu.factor(&[true, true]);
 /// assert!(!lu.is_singular(0) && !lu.is_singular(1));
 /// let mut b = vec![3.0, 7.0, 4.0, -2.0]; // n × L block: b = (3, 4) | (7, -2)
@@ -50,41 +62,34 @@ use crate::Complex64;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct BatchLuFactor {
-    n: usize,
-    lanes: usize,
-    /// `(i·n + j)·L + l`: matrix entries before `factor`, the packed `L`/`U`
-    /// factors after (unit diagonal of `L` implicit).
-    lu: Vec<f64>,
-    /// Pivot swap sequence per lane (LAPACK `ipiv` style): at step `k`, lane
-    /// `l` exchanged row `k` with row `pivots[k·L + l]`.
-    pivots: Vec<usize>,
-    singular: Vec<bool>,
-}
+pub type BatchLuFactor = BatchDenseLu<f64>;
 
-impl BatchLuFactor {
+/// Lane-batched LU factorization of complex `n × n` systems — the complex
+/// Newton system of the lockstep Radau IIA kernel. Pivoting uses `|·|²`
+/// exactly as [`CluFactor`](crate::CluFactor) does.
+pub type BatchCluFactor = BatchDenseLu<Complex64>;
+
+impl<T: LuScalar> BatchDenseLu<T> {
     /// Zeroed storage for `lanes` systems of `rows × cols` shape.
     ///
     /// # Errors
     ///
-    /// Returns [`LinalgError::NotSquare`](crate::LinalgError::NotSquare)
-    /// when `rows != cols` (LU factorization needs a square system, the same
-    /// contract as the scalar [`LuFactor::new`](crate::LuFactor::new)) and
-    /// [`LinalgError::EmptyBatch`](crate::LinalgError::EmptyBatch) when
-    /// `lanes == 0`.
-    pub fn new(rows: usize, cols: usize, lanes: usize) -> Result<Self, crate::LinalgError> {
+    /// Returns [`LinalgError::NotSquare`] when `rows != cols` (LU
+    /// factorization needs a square system, the same contract as the scalar
+    /// [`LuFactor::new`](crate::LuFactor::new)) and
+    /// [`LinalgError::EmptyBatch`] when `lanes == 0`.
+    pub fn new(rows: usize, cols: usize, lanes: usize) -> Result<Self, LinalgError> {
         if rows != cols {
-            return Err(crate::LinalgError::NotSquare { rows, cols });
+            return Err(LinalgError::NotSquare { rows, cols });
         }
         if lanes == 0 {
-            return Err(crate::LinalgError::EmptyBatch);
+            return Err(LinalgError::EmptyBatch);
         }
         let n = rows;
-        Ok(BatchLuFactor {
+        Ok(BatchDenseLu {
             n,
             lanes,
-            lu: vec![0.0; n * n * lanes],
+            lu: vec![T::ZERO; n * n * lanes],
             pivots: vec![0; n * lanes],
             singular: vec![false; lanes],
         })
@@ -105,7 +110,7 @@ impl BatchLuFactor {
         self.n = n;
         self.lanes = lanes;
         self.lu.clear();
-        self.lu.resize(n * n * lanes, 0.0);
+        self.lu.resize(n * n * lanes, T::ZERO);
         self.pivots.clear();
         self.pivots.resize(n * lanes, 0);
         self.singular.clear();
@@ -122,12 +127,12 @@ impl BatchLuFactor {
         self.lanes
     }
 
-    /// Mutable SoA matrix storage (`(i·n + j)·L + l`). Callers build the
-    /// next matrices **only in the lane columns they are about to
-    /// [`factor`](Self::factor)**; other lanes' columns hold live
-    /// factorizations that must not be disturbed.
-    pub fn matrix_mut(&mut self) -> &mut [f64] {
-        &mut self.lu
+    /// Lane `l`'s matrix storage, row-major `n × n`. Callers write the next
+    /// matrix here and then [`factor`](Self::factor) the lane; until then
+    /// the lane's previous factorization is gone. Other lanes are untouched.
+    pub fn lane_mut(&mut self, l: usize) -> &mut [T] {
+        let size = self.n * self.n;
+        &mut self.lu[l * size..][..size]
     }
 
     /// Whether lane `l`'s last factorization hit an exactly-zero pivot
@@ -136,271 +141,47 @@ impl BatchLuFactor {
         self.singular[l]
     }
 
-    /// Factors the masked lanes in place, replicating the scalar
-    /// [`LuFactor::new`](crate::LuFactor::new) operation sequence per lane.
-    /// Unmasked lanes are untouched. Singular lanes are flagged (check
+    /// Factors the masked lanes in place, each exactly as the scalar
+    /// [`LuFactor::new`](crate::LuFactor::new) /
+    /// [`CluFactor::new`](crate::CluFactor::new) would. Unmasked lanes are
+    /// untouched. Singular lanes are flagged (check
     /// [`is_singular`](Self::is_singular)) and their storage left partially
     /// eliminated; they must not be solved against.
     pub fn factor(&mut self, mask: &[bool]) {
         assert_eq!(mask.len(), self.lanes, "mask length");
-        let (n, lanes) = (self.n, self.lanes);
-        let a = &mut self.lu;
-        for (l, &m) in mask.iter().enumerate() {
-            if m {
-                self.singular[l] = false;
-            }
+        let n = self.n;
+        if n == 0 {
+            return;
         }
-        let idx = |i: usize, j: usize, l: usize| (i * n + j) * lanes + l;
-        for k in 0..n {
-            for l in 0..lanes {
-                if !mask[l] || self.singular[l] {
-                    continue;
-                }
-                // Partial pivoting: pick the largest |a[i][k]| for i >= k.
-                let mut piv = k;
-                let mut max = a[idx(k, k, l)].abs();
-                for i in (k + 1)..n {
-                    let v = a[idx(i, k, l)].abs();
-                    if v > max {
-                        max = v;
-                        piv = i;
-                    }
-                }
-                if max == 0.0 {
-                    self.singular[l] = true;
-                    continue;
-                }
-                self.pivots[k * lanes + l] = piv;
-                if piv != k {
-                    // Swap the full rows; the permutation acts on b at solve
-                    // time.
-                    for j in 0..n {
-                        a.swap(idx(k, j, l), idx(piv, j, l));
-                    }
-                }
-                let pivot = a[idx(k, k, l)];
-                for i in (k + 1)..n {
-                    let m = a[idx(i, k, l)] / pivot;
-                    a[idx(i, k, l)] = m;
-                    if m != 0.0 {
-                        for j in (k + 1)..n {
-                            let u = a[idx(k, j, l)];
-                            a[idx(i, j, l)] -= m * u;
-                        }
-                    }
-                }
+        let lanes = self.lu.chunks_exact_mut(n * n).zip(self.pivots.chunks_exact_mut(n));
+        for (l, (a, pivots)) in lanes.enumerate() {
+            if mask[l] {
+                self.singular[l] = eliminate(a, n, pivots).is_err();
             }
         }
     }
 
     /// Solves `A_l x_l = b_l` in place for every masked, non-singular lane.
-    /// `b` is an `n × L` SoA block (`component i`, lane `l` ⇒ `i·L + l`).
-    /// Per lane this replays the pivot swaps then substitutes, exactly as
-    /// [`LuFactor::solve_in_place`](crate::LuFactor::solve_in_place) does.
+    /// `b` is an `n × L` lane-minor block (`component i`, lane `l` ⇒
+    /// `i·L + l`); a lane's column is gathered, solved as
+    /// [`LuFactor::solve_in_place`](crate::LuFactor::solve_in_place) solves
+    /// it, and scattered back.
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != n·L` or `mask.len() != L`.
-    pub fn solve_lanes(&self, b: &mut [f64], mask: &[bool]) {
+    pub fn solve_lanes(&self, b: &mut [T], mask: &[bool]) {
         let (n, lanes) = (self.n, self.lanes);
         assert_eq!(b.len(), n * lanes, "right-hand-side block length");
         assert_eq!(mask.len(), lanes, "mask length");
-        let lu = &self.lu;
-        let idx = |i: usize, j: usize, l: usize| (i * n + j) * lanes + l;
-        for l in 0..lanes {
-            if !mask[l] || self.singular[l] {
-                continue;
+        let mut x = vec![T::ZERO; n];
+        for l in (0..lanes).filter(|&l| mask[l] && !self.singular[l]) {
+            for (x, &b) in x.iter_mut().zip(b.iter().skip(l).step_by(lanes)) {
+                *x = b;
             }
-            // Replay the factorization's row exchanges on b (P b).
-            for k in 0..n {
-                let p = self.pivots[k * lanes + l];
-                b.swap(k * lanes + l, p * lanes + l);
-            }
-            // Forward: L y = P b (unit diagonal).
-            for i in 1..n {
-                let mut acc = b[i * lanes + l];
-                for j in 0..i {
-                    acc -= lu[idx(i, j, l)] * b[j * lanes + l];
-                }
-                b[i * lanes + l] = acc;
-            }
-            // Backward: U x = y.
-            for i in (0..n).rev() {
-                let mut acc = b[i * lanes + l];
-                for j in (i + 1)..n {
-                    acc -= lu[idx(i, j, l)] * b[j * lanes + l];
-                }
-                b[i * lanes + l] = acc / lu[idx(i, i, l)];
-            }
-        }
-    }
-}
-
-/// Lane-batched LU factorization of complex `n × n` systems, mirroring
-/// [`BatchLuFactor`] over [`Complex64`] — the complex Newton system of the
-/// lockstep Radau IIA kernel. Pivoting uses `|·|²` exactly as
-/// [`CluFactor`](crate::CluFactor) does.
-#[derive(Debug, Clone, Default)]
-pub struct BatchCluFactor {
-    n: usize,
-    lanes: usize,
-    lu: Vec<Complex64>,
-    pivots: Vec<usize>,
-    singular: Vec<bool>,
-}
-
-impl BatchCluFactor {
-    /// Zeroed storage for `lanes` systems of `rows × cols` shape.
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`BatchLuFactor::new`]:
-    /// [`NotSquare`](crate::LinalgError::NotSquare) for `rows != cols`,
-    /// [`EmptyBatch`](crate::LinalgError::EmptyBatch) for `lanes == 0`.
-    pub fn new(rows: usize, cols: usize, lanes: usize) -> Result<Self, crate::LinalgError> {
-        if rows != cols {
-            return Err(crate::LinalgError::NotSquare { rows, cols });
-        }
-        if lanes == 0 {
-            return Err(crate::LinalgError::EmptyBatch);
-        }
-        let n = rows;
-        Ok(BatchCluFactor {
-            n,
-            lanes,
-            lu: vec![Complex64::ZERO; n * n * lanes],
-            pivots: vec![0; n * lanes],
-            singular: vec![false; lanes],
-        })
-    }
-
-    /// Re-targets the storage to `n × n × lanes`, zero-filling. A no-op when
-    /// the shape already matches.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `lanes == 0`.
-    pub fn ensure(&mut self, n: usize, lanes: usize) {
-        assert!(lanes > 0, "batched factor requires at least one lane");
-        if self.n == n && self.lanes == lanes {
-            return;
-        }
-        self.n = n;
-        self.lanes = lanes;
-        self.lu.clear();
-        self.lu.resize(n * n * lanes, Complex64::ZERO);
-        self.pivots.clear();
-        self.pivots.resize(n * lanes, 0);
-        self.singular.clear();
-        self.singular.resize(lanes, false);
-    }
-
-    /// System dimension `n`.
-    pub fn dim(&self) -> usize {
-        self.n
-    }
-
-    /// Lane width `L`.
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    /// Mutable SoA matrix storage (`(i·n + j)·L + l`); see
-    /// [`BatchLuFactor::matrix_mut`] for the masked-build contract.
-    pub fn matrix_mut(&mut self) -> &mut [Complex64] {
-        &mut self.lu
-    }
-
-    /// Whether lane `l`'s last factorization hit a vanished pivot column.
-    pub fn is_singular(&self, l: usize) -> bool {
-        self.singular[l]
-    }
-
-    /// Factors the masked lanes in place; see [`BatchLuFactor::factor`].
-    pub fn factor(&mut self, mask: &[bool]) {
-        assert_eq!(mask.len(), self.lanes, "mask length");
-        let (n, lanes) = (self.n, self.lanes);
-        let a = &mut self.lu;
-        for (l, &m) in mask.iter().enumerate() {
-            if m {
-                self.singular[l] = false;
-            }
-        }
-        let idx = |i: usize, j: usize, l: usize| (i * n + j) * lanes + l;
-        for k in 0..n {
-            for l in 0..lanes {
-                if !mask[l] || self.singular[l] {
-                    continue;
-                }
-                let mut piv = k;
-                let mut max = a[idx(k, k, l)].abs_sq();
-                for i in (k + 1)..n {
-                    let v = a[idx(i, k, l)].abs_sq();
-                    if v > max {
-                        max = v;
-                        piv = i;
-                    }
-                }
-                if max == 0.0 {
-                    self.singular[l] = true;
-                    continue;
-                }
-                self.pivots[k * lanes + l] = piv;
-                if piv != k {
-                    for j in 0..n {
-                        a.swap(idx(k, j, l), idx(piv, j, l));
-                    }
-                }
-                let pivot = a[idx(k, k, l)];
-                for i in (k + 1)..n {
-                    let m = a[idx(i, k, l)] / pivot;
-                    a[idx(i, k, l)] = m;
-                    if m != Complex64::ZERO {
-                        for j in (k + 1)..n {
-                            let u = a[idx(k, j, l)];
-                            let v = a[idx(i, j, l)] - m * u;
-                            a[idx(i, j, l)] = v;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Solves `A_l x_l = b_l` in place for every masked, non-singular lane;
-    /// `b` is an `n × L` SoA block of [`Complex64`]. See
-    /// [`BatchLuFactor::solve_lanes`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n·L` or `mask.len() != L`.
-    pub fn solve_lanes(&self, b: &mut [Complex64], mask: &[bool]) {
-        let (n, lanes) = (self.n, self.lanes);
-        assert_eq!(b.len(), n * lanes, "right-hand-side block length");
-        assert_eq!(mask.len(), lanes, "mask length");
-        let lu = &self.lu;
-        let idx = |i: usize, j: usize, l: usize| (i * n + j) * lanes + l;
-        for l in 0..lanes {
-            if !mask[l] || self.singular[l] {
-                continue;
-            }
-            for k in 0..n {
-                let p = self.pivots[k * lanes + l];
-                b.swap(k * lanes + l, p * lanes + l);
-            }
-            for i in 1..n {
-                let mut acc = b[i * lanes + l];
-                for j in 0..i {
-                    acc -= lu[idx(i, j, l)] * b[j * lanes + l];
-                }
-                b[i * lanes + l] = acc;
-            }
-            for i in (0..n).rev() {
-                let mut acc = b[i * lanes + l];
-                for j in (i + 1)..n {
-                    acc -= lu[idx(i, j, l)] * b[j * lanes + l];
-                }
-                b[i * lanes + l] = acc / lu[idx(i, i, l)];
+            solve_factored(&self.lu[l * n * n..][..n * n], &self.pivots[l * n..][..n], &mut x);
+            for (b, &x) in b.iter_mut().skip(l).step_by(lanes).zip(&x) {
+                *b = x;
             }
         }
     }
@@ -423,13 +204,158 @@ mod tests {
     }
 
     fn fill_lane(batch: &mut BatchLuFactor, l: usize, m: &Matrix) {
-        let (n, lanes) = (batch.dim(), batch.lanes());
-        let s = batch.matrix_mut();
-        for i in 0..n {
-            for j in 0..n {
-                s[(i * n + j) * lanes + l] = m[(i, j)];
+        batch.lane_mut(l).copy_from_slice(m.as_slice());
+    }
+
+    /// Lane `l` of an `n × L` lane-minor block.
+    fn lane_of<T: Copy>(block: &[T], lanes: usize, l: usize) -> Vec<T> {
+        block.iter().skip(l).step_by(lanes).copied().collect()
+    }
+
+    /// Member vectors to one `n × L` lane-minor block.
+    fn soa<T: LuScalar>(members: &[Vec<T>]) -> Vec<T> {
+        let lanes = members.len();
+        let mut block = vec![T::ZERO; members[0].len() * lanes];
+        for (l, member) in members.iter().enumerate() {
+            for (i, &v) in member.iter().enumerate() {
+                block[i * lanes + l] = v;
             }
         }
+        block
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn cbits(v: &[Complex64]) -> Vec<(u64, u64)> {
+        v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// The textbook elimination, one 2-D index per element: what every
+    /// dense kernel in this crate did before they shared [`eliminate`], and
+    /// the reference it is held to.
+    fn reference_eliminate<T: LuScalar>(a: &mut [T], n: usize) -> Result<(Vec<usize>, f64), usize> {
+        let at = |i: usize, j: usize| i * n + j;
+        let (mut pivots, mut sign) = (Vec::new(), 1.0);
+        for k in 0..n {
+            let mut piv = k;
+            let mut max = a[at(k, k)].pivot_size();
+            for i in (k + 1)..n {
+                let v = a[at(i, k)].pivot_size();
+                if v > max {
+                    max = v;
+                    piv = i;
+                }
+            }
+            if max == 0.0 {
+                return Err(k);
+            }
+            pivots.push(piv);
+            if piv != k {
+                for j in 0..n {
+                    a.swap(at(k, j), at(piv, j));
+                }
+                sign = -sign;
+            }
+            let pivot = a[at(k, k)];
+            for i in (k + 1)..n {
+                let m = a[at(i, k)] / pivot;
+                a[at(i, k)] = m;
+                if m != T::ZERO {
+                    for j in (k + 1)..n {
+                        a[at(i, j)] = a[at(i, j)] - m * a[at(k, j)];
+                    }
+                }
+            }
+        }
+        Ok((pivots, sign))
+    }
+
+    /// Random dense `n × n` values shaped to take every branch: a zeroed
+    /// diagonal forces row exchanges, zeroed sub-diagonal entries give
+    /// exact-zero multipliers, and (`with_inf`) an infinity in the first
+    /// pivot row sits over one of them, where `0 × ∞` would be a NaN.
+    fn branchy(n: usize, seed: u64, with_inf: bool) -> Vec<f64> {
+        let mut next = rng(seed);
+        let mut a: Vec<f64> = (0..n * n).map(|_| next()).collect();
+        for i in 0..n {
+            if i % 2 == 0 {
+                a[i * n + i] = 0.0;
+            }
+            for j in 0..i {
+                if (i + 2 * j + seed as usize).is_multiple_of(3) {
+                    a[i * n + j] = 0.0;
+                }
+            }
+        }
+        if with_inf {
+            a[0] = 7.0; // row 0 stays the first pivot row
+            a[1] = f64::INFINITY;
+            a[n] = 0.0; // row 1: multiplier exactly zero under the infinity
+        }
+        a
+    }
+
+    #[test]
+    fn shared_elimination_matches_the_index_based_reference() {
+        let mut exchanged = 0;
+        for n in [1usize, 2, 3, 7, 16] {
+            for seed in 1..=6u64 {
+                let real = branchy(n, seed.wrapping_mul(0x9e3779b97f4a7c15), n >= 3 && seed == 6);
+                let mut imag = rng(seed ^ 0xabcdef);
+                let cplx: Vec<Complex64> = real
+                    .iter()
+                    .map(|&re| Complex64::new(re, if re == 0.0 { 0.0 } else { imag() }))
+                    .collect();
+
+                let (mut want, mut got) = (real.clone(), real.clone());
+                let mut pivots = vec![usize::MAX; n];
+                match (reference_eliminate(&mut want, n), eliminate(&mut got, n, &mut pivots)) {
+                    (Ok((want_pivots, want_sign)), Ok(sign)) => {
+                        assert_eq!(pivots, want_pivots, "n={n} seed={seed}: pivots");
+                        assert_eq!(sign, want_sign, "n={n} seed={seed}: determinant sign");
+                        assert_eq!(bits(&got), bits(&want), "n={n} seed={seed}: factors");
+                        exchanged += pivots.iter().enumerate().filter(|&(k, &p)| p != k).count();
+                        // The scalar type reports what the routine does.
+                        let lu = LuFactor::new(Matrix::from_vec(n, n, real.clone())).unwrap();
+                        let det = got.iter().step_by(n + 1).fold(sign, |d, &u| d * u);
+                        assert_eq!(lu.det().to_bits(), det.to_bits(), "n={n} seed={seed}: det");
+                        assert_eq!(bits(lu.into_matrix().as_slice()), bits(&want));
+                    }
+                    (Err(want_k), Err(k)) => {
+                        assert_eq!(k, want_k, "n={n} seed={seed}: singular column");
+                        assert_eq!(bits(&got), bits(&want), "n={n} seed={seed}: partial factors");
+                    }
+                    (want, got) => panic!("n={n} seed={seed}: reference {want:?}, shared {got:?}"),
+                }
+
+                let (mut want, mut got) = (cplx.clone(), cplx);
+                let mut pivots = vec![usize::MAX; n];
+                match (reference_eliminate(&mut want, n), eliminate(&mut got, n, &mut pivots)) {
+                    (Ok((want_pivots, _)), Ok(_)) => {
+                        assert_eq!(pivots, want_pivots, "complex n={n} seed={seed}: pivots");
+                    }
+                    (Err(want_k), Err(k)) => assert_eq!(k, want_k, "complex n={n} seed={seed}"),
+                    (want, got) => {
+                        panic!("complex n={n} seed={seed}: reference {want:?}, shared {got:?}")
+                    }
+                }
+                assert_eq!(cbits(&got), cbits(&want), "complex n={n} seed={seed}: factors");
+            }
+        }
+        assert!(exchanged > 20, "the inputs must force row exchanges ({exchanged})");
+    }
+
+    #[test]
+    fn zero_multiplier_under_an_infinity_is_skipped() {
+        let mut a = vec![7.0, f64::INFINITY, 1.0, 0.0, 2.0, 3.0, 0.0, 1.0, 5.0];
+        let mut pivots = vec![0; 3];
+        eliminate(&mut a, 3, &mut pivots).unwrap();
+        assert_eq!(pivots, [0, 1, 2]);
+        // Rows 1 and 2 have multiplier 0 under the infinity: `0 × ∞` must
+        // not have been formed.
+        assert_eq!(a, [7.0, f64::INFINITY, 1.0, 0.0, 2.0, 3.0, 0.0, 0.5, 3.5]);
     }
 
     #[test]
@@ -448,25 +374,20 @@ mod tests {
             }
             let mask = vec![true; lanes];
             batch.factor(&mask);
-            let mut b = vec![0.0; n * lanes];
-            for (l, r) in rhs.iter().enumerate() {
-                for i in 0..n {
-                    b[i * lanes + l] = r[i];
-                }
-            }
+            let mut b = soa(&rhs);
             batch.solve_lanes(&mut b, &mask);
 
             for (l, m) in mats.iter().enumerate() {
                 let scalar = LuFactor::new(m.clone()).unwrap();
                 let mut x = rhs[l].clone();
                 scalar.solve_in_place(&mut x);
-                for i in 0..n {
-                    assert_eq!(
-                        b[i * lanes + l].to_bits(),
-                        x[i].to_bits(),
-                        "lanes={lanes} lane={l} i={i}"
-                    );
-                }
+                assert_eq!(bits(&lane_of(&b, lanes, l)), bits(&x), "lanes={lanes} lane={l}");
+                let factors = scalar.into_matrix();
+                assert_eq!(
+                    bits(batch.lane_mut(l)),
+                    bits(factors.as_slice()),
+                    "lanes={lanes} lane={l}"
+                );
             }
         }
     }
@@ -474,51 +395,44 @@ mod tests {
     #[test]
     fn complex_batched_factor_matches_scalar_bitwise() {
         let n = 5;
-        let lanes = 4;
-        let mut next = rng(0x51_7c_c1_b7_27_22_0a_95);
-        let mats: Vec<CMatrix> = (0..lanes)
-            .map(|_| {
-                let mut m = CMatrix::zeros(n, n);
-                for i in 0..n {
-                    for j in 0..n {
-                        m[(i, j)] = Complex64::new(next() + if i == j { 2.5 } else { 0.0 }, next());
+        for lanes in [1usize, 2, 4, 8] {
+            let mut next = rng(0x51_7c_c1_b7_27_22_0a_95 ^ lanes as u64);
+            let mats: Vec<CMatrix> = (0..lanes)
+                .map(|_| {
+                    let mut m = CMatrix::zeros(n, n);
+                    for i in 0..n {
+                        for j in 0..n {
+                            m[(i, j)] =
+                                Complex64::new(next() + if i == j { 2.5 } else { 0.0 }, next());
+                        }
                     }
-                }
-                m
-            })
-            .collect();
-        let rhs: Vec<Vec<Complex64>> =
-            (0..lanes).map(|_| (0..n).map(|_| Complex64::new(next(), next())).collect()).collect();
+                    m
+                })
+                .collect();
+            let rhs: Vec<Vec<Complex64>> = (0..lanes)
+                .map(|_| (0..n).map(|_| Complex64::new(next(), next())).collect())
+                .collect();
 
-        let mut batch = BatchCluFactor::new(n, n, lanes).unwrap();
-        {
-            let s = batch.matrix_mut();
+            let mut batch = BatchCluFactor::new(n, n, lanes).unwrap();
             for (l, m) in mats.iter().enumerate() {
-                for i in 0..n {
-                    for j in 0..n {
-                        s[(i * n + j) * lanes + l] = m[(i, j)];
-                    }
-                }
+                batch.lane_mut(l).copy_from_slice(m.as_slice());
             }
-        }
-        let mask = vec![true; lanes];
-        batch.factor(&mask);
-        let mut b = vec![Complex64::ZERO; n * lanes];
-        for (l, r) in rhs.iter().enumerate() {
-            for i in 0..n {
-                b[i * lanes + l] = r[i];
-            }
-        }
-        batch.solve_lanes(&mut b, &mask);
+            let mask = vec![true; lanes];
+            batch.factor(&mask);
+            let mut b = soa(&rhs);
+            batch.solve_lanes(&mut b, &mask);
 
-        for (l, m) in mats.iter().enumerate() {
-            let scalar = CluFactor::new(m.clone()).unwrap();
-            let mut x = rhs[l].clone();
-            scalar.solve_in_place(&mut x);
-            for i in 0..n {
-                let got = b[i * lanes + l];
-                assert_eq!(got.re.to_bits(), x[i].re.to_bits(), "lane={l} i={i} (re)");
-                assert_eq!(got.im.to_bits(), x[i].im.to_bits(), "lane={l} i={i} (im)");
+            for (l, m) in mats.iter().enumerate() {
+                let scalar = CluFactor::new(m.clone()).unwrap();
+                let mut x = rhs[l].clone();
+                scalar.solve_in_place(&mut x);
+                assert_eq!(cbits(&lane_of(&b, lanes, l)), cbits(&x), "lanes={lanes} lane={l}");
+                let factors = scalar.into_matrix();
+                assert_eq!(
+                    cbits(batch.lane_mut(l)),
+                    cbits(factors.as_slice()),
+                    "lanes={lanes} lane={l}"
+                );
             }
         }
     }
@@ -536,57 +450,68 @@ mod tests {
             fill_lane(&mut batch, l, m);
         }
         batch.factor(&[true, true, true]);
+        let live: Vec<Vec<u64>> = (0..lanes).map(|l| bits(batch.lane_mut(l))).collect();
+        let live_pivots = batch.pivots.clone();
 
         // Refactor lane 1 only against a new matrix; lanes 0 and 2 must
-        // still solve against their original systems, bit for bit.
+        // keep their factors and pivots, and still solve against their
+        // original systems, bit for bit.
         let fresh = Matrix::from_fn(n, n, |i, j| if i == j { 9.0 } else { 0.25 });
         fill_lane(&mut batch, 1, &fresh);
         batch.factor(&[false, true, false]);
+        for l in [0, 2] {
+            assert_eq!(bits(batch.lane_mut(l)), live[l], "lane {l}: factors");
+            assert_eq!(batch.pivots[l * n..][..n], live_pivots[l * n..][..n], "lane {l}: pivots");
+        }
 
         let rhs: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
-        let mut b = vec![0.0; n * lanes];
-        for l in 0..lanes {
-            for i in 0..n {
-                b[i * lanes + l] = rhs[i];
-            }
-        }
+        let mut b = soa(&vec![rhs.clone(); lanes]);
         batch.solve_lanes(&mut b, &[true, true, true]);
         for (l, m) in [(0usize, &mats[0]), (1, &fresh), (2, &mats[2])] {
             let scalar = LuFactor::new(m.clone()).unwrap();
             let mut x = rhs.clone();
             scalar.solve_in_place(&mut x);
-            for i in 0..n {
-                assert_eq!(b[i * lanes + l].to_bits(), x[i].to_bits(), "lane={l} i={i}");
-            }
+            assert_eq!(bits(&lane_of(&b, lanes, l)), bits(&x), "lane={l}");
         }
     }
 
     #[test]
     fn singular_lane_is_flagged_without_poisoning_neighbours() {
         let n = 3;
-        let lanes = 2;
+        let lanes = 3;
         let mut batch = BatchLuFactor::new(n, n, lanes).unwrap();
-        // Lane 0: singular (two identical rows). Lane 1: well conditioned.
+        // Lane 1: singular (two proportional rows), between two regular
+        // lanes.
         let singular = Matrix::from_rows(&[&[1.0, 2.0, 0.0], &[2.0, 4.0, 0.0], &[0.0, 0.0, 1.0]]);
-        let good = Matrix::from_fn(n, n, |i, j| if i == j { 2.0 } else { 0.5 });
-        fill_lane(&mut batch, 0, &singular);
-        fill_lane(&mut batch, 1, &good);
-        batch.factor(&[true, true]);
-        assert!(batch.is_singular(0));
-        assert!(!batch.is_singular(1));
-        assert!(matches!(LuFactor::new(singular), Err(crate::LinalgError::Singular { pivot: 1 })));
+        let good = [
+            Matrix::from_fn(n, n, |i, j| if i == j { 2.0 } else { 0.5 }),
+            Matrix::from_fn(n, n, |i, j| if i == j { -3.0 } else { 0.25 * (i + j) as f64 }),
+        ];
+        fill_lane(&mut batch, 0, &good[0]);
+        fill_lane(&mut batch, 1, &singular);
+        fill_lane(&mut batch, 2, &good[1]);
+        batch.factor(&[true, true, true]);
+        assert!(!batch.is_singular(0));
+        assert!(batch.is_singular(1));
+        assert!(!batch.is_singular(2));
+        assert!(matches!(LuFactor::new(singular), Err(LinalgError::Singular { pivot: 1 })));
 
-        let mut b = vec![1.0, 1.0, 2.0, 2.0, 3.0, 3.0];
-        batch.solve_lanes(&mut b, &[true, true]);
-        // Lane 0 untouched (singular lanes are skipped)...
-        assert_eq!(b[0], 1.0);
-        // ...lane 1 solved correctly.
-        let scalar = LuFactor::new(good).unwrap();
-        let mut x = vec![1.0, 2.0, 3.0];
-        scalar.solve_in_place(&mut x);
-        for i in 0..n {
-            assert_eq!(b[i * lanes + 1].to_bits(), x[i].to_bits());
+        let rhs = vec![1.0, 2.0, 3.0];
+        let mut b = soa(&vec![rhs.clone(); lanes]);
+        batch.solve_lanes(&mut b, &[true, true, true]);
+        // Lane 1 untouched (singular lanes are skipped)...
+        assert_eq!(lane_of(&b, lanes, 1), rhs);
+        // ...its neighbours solved as the scalar type solves them.
+        for (l, m) in [(0, &good[0]), (2, &good[1])] {
+            let mut x = rhs.clone();
+            LuFactor::new(m.clone()).unwrap().solve_in_place(&mut x);
+            assert_eq!(bits(&lane_of(&b, lanes, l)), bits(&x), "lane={l}");
         }
+
+        // A regular matrix refactored into the lane clears the flag.
+        fill_lane(&mut batch, 1, &good[0]);
+        batch.factor(&[false, true, false]);
+        assert!(!batch.is_singular(1));
     }
 
     #[test]
@@ -605,7 +530,6 @@ mod tests {
 
     #[test]
     fn non_square_and_zero_lane_batches_are_rejected() {
-        use crate::LinalgError;
         assert!(matches!(
             BatchLuFactor::new(3, 2, 4),
             Err(LinalgError::NotSquare { rows: 3, cols: 2 })
@@ -621,13 +545,13 @@ mod tests {
     #[test]
     fn ensure_is_idempotent_and_reshapes() {
         let mut batch = BatchLuFactor::new(2, 2, 2).unwrap();
-        batch.matrix_mut()[0] = 1.0;
+        batch.lane_mut(0)[0] = 1.0;
         batch.ensure(2, 2); // no-op: contents kept
-        assert_eq!(batch.matrix_mut()[0], 1.0);
+        assert_eq!(batch.lane_mut(0)[0], 1.0);
         batch.ensure(3, 4);
         assert_eq!(batch.dim(), 3);
         assert_eq!(batch.lanes(), 4);
-        assert!(batch.matrix_mut().iter().all(|&v| v == 0.0));
+        assert!((0..4).all(|l| batch.lane_mut(l).iter().all(|&v| v == 0.0)));
         let mut c = BatchCluFactor::new(2, 2, 2).unwrap();
         c.ensure(3, 4);
         assert_eq!(c.dim(), 3);

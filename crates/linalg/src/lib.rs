@@ -14,6 +14,9 @@
 //! * [`LuFactor`] / [`CluFactor`] — LU decomposition with partial pivoting
 //!   plus forward/backward substitution, and a batched driver used by the
 //!   virtual-GPU engines as the cuBLAS substitute,
+//! * [`BatchLuFactor`] / [`BatchCluFactor`] — the same factorizations for
+//!   the masked lanes of a lockstep lane group, lane-major, through the
+//!   same elimination and substitution routines,
 //! * [`SparsityPattern`] / [`SymbolicLu`] / [`BatchSparseLuFactor`] /
 //!   [`BatchSparseCluFactor`] — KLU-style symbolic-once / numeric-per-lane
 //!   sparse batched LU for structurally fixed Jacobians (mass-action

@@ -1,7 +1,132 @@
 //! LU factorization with partial pivoting, real and complex, plus a batched
 //! driver used as the cuBLAS substitute by the virtual-GPU engines.
+//!
+//! Every dense factorization in this crate — [`LuFactor`], [`CluFactor`] and
+//! each lane of [`BatchLuFactor`](crate::BatchLuFactor) /
+//! [`BatchCluFactor`](crate::BatchCluFactor) — is one call to
+//! [`eliminate`] on a contiguous row-major `n × n` slice, and every dense
+//! solve one call to [`solve_factored`]. The routines work on row slices
+//! (the pivot row and a target row as split borrows, zipped over
+//! `k+1..n`), so no element pays a 2-D index. What is contractual is the
+//! arithmetic, which the sparse kernels replicate over their fill pattern:
+//! the pivot is the first row attaining the strict maximum of `|a_ik|`
+//! (`|a_ik|²` for complex), a column whose maximum is exactly zero is
+//! singular, a row whose multiplier `m = a_ik / a_kk` is exactly zero is
+//! skipped (which matters bitwise when the pivot row holds infinities:
+//! `0 × ∞ = NaN`), and otherwise each `a_ij − m·u_kj` is formed once, for
+//! `j` ascending.
 
 use crate::{CMatrix, Complex64, LinalgError, Matrix};
+use std::ops::{Div, Mul, Sub};
+
+/// The two element types the dense LU kernels are instantiated at. Public
+/// only so the lane-batched factor can name it as a bound; it is not
+/// exported from the crate.
+pub trait LuScalar:
+    Copy + PartialEq + Sub<Output = Self> + Mul<Output = Self> + Div<Output = Self>
+{
+    /// The additive identity.
+    const ZERO: Self;
+    /// What partial pivoting compares: `|x|` for reals, `|z|²` for complex
+    /// numbers (no square root).
+    fn pivot_size(self) -> f64;
+}
+
+impl LuScalar for f64 {
+    const ZERO: Self = 0.0;
+    #[inline(always)]
+    fn pivot_size(self) -> f64 {
+        self.abs()
+    }
+}
+
+impl LuScalar for Complex64 {
+    const ZERO: Self = Complex64::ZERO;
+    #[inline(always)]
+    fn pivot_size(self) -> f64 {
+        self.abs_sq()
+    }
+}
+
+/// Factors the row-major `n × n` matrix in `a` in place (`P A = L U`, unit
+/// diagonal of `L` implicit) and records the row exchanges in `pivots`
+/// (LAPACK `ipiv` style: at step `k` row `k` was exchanged with row
+/// `pivots[k]`). Returns the sign of the permutation, or `Err(k)` when
+/// column `k` has no nonzero pivot candidate — `a` is then left partially
+/// eliminated.
+pub(crate) fn eliminate<T: LuScalar>(
+    a: &mut [T],
+    n: usize,
+    pivots: &mut [usize],
+) -> Result<f64, usize> {
+    assert_eq!(a.len(), n * n, "matrix storage length");
+    assert_eq!(pivots.len(), n, "pivot vector length");
+    let mut sign = 1.0;
+    for k in 0..n {
+        // Partial pivoting: pick the largest |a[i][k]| for i >= k.
+        let mut piv = k;
+        let mut max = a[k * n + k].pivot_size();
+        for (i, row) in (k + 1..n).zip(a[(k + 1) * n..].chunks_exact(n)) {
+            let v = row[k].pivot_size();
+            if v > max {
+                max = v;
+                piv = i;
+            }
+        }
+        if max == 0.0 {
+            return Err(k);
+        }
+        pivots[k] = piv;
+        let (upper, lower) = a.split_at_mut((k + 1) * n);
+        let pivot_row = &mut upper[k * n..];
+        if piv != k {
+            // Swap the full rows; the permutation acts on b at solve time.
+            pivot_row.swap_with_slice(&mut lower[(piv - k - 1) * n..][..n]);
+            sign = -sign;
+        }
+        let pivot = pivot_row[k];
+        let u = &pivot_row[k + 1..];
+        for row in lower.chunks_exact_mut(n) {
+            let m = row[k] / pivot;
+            row[k] = m;
+            if m != T::ZERO {
+                for (x, &u) in row[k + 1..].iter_mut().zip(u) {
+                    *x = *x - m * u;
+                }
+            }
+        }
+    }
+    Ok(sign)
+}
+
+/// Solves `A x = b` in place against the factors [`eliminate`] left in `lu`:
+/// replays the row exchanges on `b`, then substitutes forward (`L y = P b`,
+/// unit diagonal) and backward (`U x = y`), each sum taken left to right.
+pub(crate) fn solve_factored<T: LuScalar>(lu: &[T], pivots: &[usize], b: &mut [T]) {
+    let n = b.len();
+    assert_eq!(lu.len(), n * n, "factor storage length");
+    assert_eq!(pivots.len(), n, "pivot vector length");
+    if n == 0 {
+        return;
+    }
+    for (k, &p) in pivots.iter().enumerate() {
+        b.swap(k, p);
+    }
+    for (i, row) in lu.chunks_exact(n).enumerate().skip(1) {
+        let mut acc = b[i];
+        for (&l, &y) in row[..i].iter().zip(&b[..i]) {
+            acc = acc - l * y;
+        }
+        b[i] = acc;
+    }
+    for (i, row) in lu.chunks_exact(n).enumerate().rev() {
+        let mut acc = b[i];
+        for (&u, &x) in row[i + 1..].iter().zip(&b[i + 1..]) {
+            acc = acc - u * x;
+        }
+        b[i] = acc / row[i];
+    }
+}
 
 /// LU factorization (with partial pivoting) of a real square matrix.
 ///
@@ -46,45 +171,11 @@ impl LuFactor {
             return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
         }
         let n = a.rows();
-        let mut pivots: Vec<usize> = Vec::with_capacity(n);
-        let mut sign = 1.0;
-        for k in 0..n {
-            // Partial pivoting: pick the largest |a[i][k]| for i >= k.
-            let mut piv = k;
-            let mut max = a[(k, k)].abs();
-            for i in (k + 1)..n {
-                let v = a[(i, k)].abs();
-                if v > max {
-                    max = v;
-                    piv = i;
-                }
-            }
-            if max == 0.0 {
-                return Err(LinalgError::Singular { pivot: k });
-            }
-            pivots.push(piv);
-            if piv != k {
-                // Swap the full rows; the permutation acts on b at solve time.
-                for j in 0..n {
-                    let tmp = a[(k, j)];
-                    a[(k, j)] = a[(piv, j)];
-                    a[(piv, j)] = tmp;
-                }
-                sign = -sign;
-            }
-            let pivot = a[(k, k)];
-            for i in (k + 1)..n {
-                let m = a[(i, k)] / pivot;
-                a[(i, k)] = m;
-                if m != 0.0 {
-                    for j in (k + 1)..n {
-                        let u = a[(k, j)];
-                        a[(i, j)] -= m * u;
-                    }
-                }
-            }
+        let mut pivots = vec![0; n];
+        match eliminate(a.as_mut_slice(), n, &mut pivots) {
+            Ok(sign) => Ok(LuFactor { lu: a, pivots, sign }),
+            Err(pivot) => Err(LinalgError::Singular { pivot }),
         }
-        Ok(LuFactor { lu: a, pivots, sign })
     }
 
     /// The dimension of the factored matrix.
@@ -121,34 +212,7 @@ impl LuFactor {
     /// Panics if `b.len() != dim()`.
     pub fn solve_in_place(&self, b: &mut [f64]) {
         assert_eq!(b.len(), self.dim(), "right-hand side length must equal matrix dimension");
-        // Replay the factorization's row exchanges on b (P b), then
-        // substitute.
-        for (k, &p) in self.pivots.iter().enumerate() {
-            b.swap(k, p);
-        }
-        self.substitute(b);
-    }
-
-    fn substitute(&self, x: &mut [f64]) {
-        let n = self.dim();
-        // Forward: L y = P b (unit diagonal).
-        for i in 1..n {
-            let row = self.lu.row(i);
-            let mut acc = x[i];
-            for (j, item) in x.iter().enumerate().take(i) {
-                acc -= row[j] * item;
-            }
-            x[i] = acc;
-        }
-        // Backward: U x = y.
-        for i in (0..n).rev() {
-            let row = self.lu.row(i);
-            let mut acc = x[i];
-            for (j, item) in x.iter().enumerate().take(n).skip(i + 1) {
-                acc -= row[j] * item;
-            }
-            x[i] = acc / row[i];
-        }
+        solve_factored(self.lu.as_slice(), &self.pivots, b);
     }
 
     /// The determinant of the original matrix (product of pivots, signed by
@@ -217,42 +281,11 @@ impl CluFactor {
             return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
         }
         let n = a.rows();
-        let mut pivots: Vec<usize> = Vec::with_capacity(n);
-        for k in 0..n {
-            let mut piv = k;
-            let mut max = a[(k, k)].abs_sq();
-            for i in (k + 1)..n {
-                let v = a[(i, k)].abs_sq();
-                if v > max {
-                    max = v;
-                    piv = i;
-                }
-            }
-            if max == 0.0 {
-                return Err(LinalgError::Singular { pivot: k });
-            }
-            pivots.push(piv);
-            if piv != k {
-                for j in 0..n {
-                    let tmp = a[(k, j)];
-                    a[(k, j)] = a[(piv, j)];
-                    a[(piv, j)] = tmp;
-                }
-            }
-            let pivot = a[(k, k)];
-            for i in (k + 1)..n {
-                let m = a[(i, k)] / pivot;
-                a[(i, k)] = m;
-                if m != Complex64::ZERO {
-                    for j in (k + 1)..n {
-                        let u = a[(k, j)];
-                        let v = a[(i, j)] - m * u;
-                        a[(i, j)] = v;
-                    }
-                }
-            }
+        let mut pivots = vec![0; n];
+        match eliminate(a.as_mut_slice(), n, &mut pivots) {
+            Ok(_) => Ok(CluFactor { lu: a, pivots }),
+            Err(pivot) => Err(LinalgError::Singular { pivot }),
         }
-        Ok(CluFactor { lu: a, pivots })
     }
 
     /// The dimension of the factored matrix.
@@ -288,30 +321,7 @@ impl CluFactor {
     /// Panics if `b.len() != dim()`.
     pub fn solve_in_place(&self, b: &mut [Complex64]) {
         assert_eq!(b.len(), self.dim(), "right-hand side length must equal matrix dimension");
-        for (k, &p) in self.pivots.iter().enumerate() {
-            b.swap(k, p);
-        }
-        self.substitute(b);
-    }
-
-    fn substitute(&self, x: &mut [Complex64]) {
-        let n = self.dim();
-        for i in 1..n {
-            let row = self.lu.row(i);
-            let mut acc = x[i];
-            for (j, item) in x.iter().enumerate().take(i) {
-                acc -= row[j] * *item;
-            }
-            x[i] = acc;
-        }
-        for i in (0..n).rev() {
-            let row = self.lu.row(i);
-            let mut acc = x[i];
-            for (j, item) in x.iter().enumerate().take(n).skip(i + 1) {
-                acc -= row[j] * *item;
-            }
-            x[i] = acc / row[i];
-        }
+        solve_factored(self.lu.as_slice(), &self.pivots, b);
     }
 }
 

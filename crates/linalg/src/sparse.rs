@@ -8,7 +8,7 @@
 //! pattern, and the numeric kernels ([`BatchSparseLuFactor`] /
 //! [`BatchSparseCluFactor`]) then factor `L` lanes per Newton refresh while
 //! streaming only the pattern's entries — `nnz·L` doubles instead of the
-//! `n²·L` the dense SoA kernel reads and writes, which is the difference
+//! `n²·L` the dense kernel reads and writes, which is the difference
 //! between the factor working set fitting in cache and blowing it on
 //! 100-species metabolic networks.
 //!
@@ -367,7 +367,7 @@ impl SymbolicLu {
     }
 
     /// Whether the closed pattern is sparse enough for the indirection of
-    /// the sparse kernels to beat the dense SoA kernel's streaming: the
+    /// the sparse kernels to beat the dense kernel's streaming: the
     /// crossover sits where the factor's working set stops fitting in
     /// cache, which for the lane widths in play means "big enough and
     /// under a quarter dense".
@@ -551,9 +551,10 @@ impl BatchSparseLuFactor {
     }
 
     /// Mutable SoA value storage (`e·L + l`; entry coordinates come from
-    /// [`symbolic`](Self::symbolic)). The masked-build contract of
-    /// [`BatchLuFactor::matrix_mut`](crate::BatchLuFactor::matrix_mut)
-    /// applies: write only the lane columns about to be factored.
+    /// [`symbolic`](Self::symbolic)). Callers build the next matrices
+    /// **only in the lane columns they are about to
+    /// [`factor`](Self::factor)**; other lanes' columns hold live
+    /// factorizations that must not be disturbed.
     pub fn values_mut(&mut self) -> &mut [f64] {
         &mut self.vals
     }
@@ -986,13 +987,7 @@ mod tests {
     }
 
     fn fill_dense_lane(batch: &mut BatchLuFactor, l: usize, m: &Matrix) {
-        let (n, lanes) = (batch.dim(), batch.lanes());
-        let s = batch.matrix_mut();
-        for i in 0..n {
-            for j in 0..n {
-                s[(i * n + j) * lanes + l] = m[(i, j)];
-            }
-        }
+        batch.lane_mut(l).copy_from_slice(m.as_slice());
     }
 
     #[test]
@@ -1117,13 +1112,8 @@ mod tests {
                         sv[e * lanes + l] = m[(i, j)];
                     }
                 }
-                let dv = dense.matrix_mut();
                 for (l, m) in mats.iter().enumerate() {
-                    for i in 0..n {
-                        for j in 0..n {
-                            dv[(i * n + j) * lanes + l] = m[(i, j)];
-                        }
-                    }
+                    dense.lane_mut(l).copy_from_slice(m.as_slice());
                 }
             }
             let mask = vec![true; lanes];

@@ -16,14 +16,30 @@
 //!   no offsets, no order array, no integer-power loop;
 //! * the **accumulation pass** walks the per-species term lists as slices.
 //!
+//! The Jacobian is two flat passes of the same kind, over the model's
+//! *Jacobian program*: `∂flux_r/∂x_j` does not depend on which species the
+//! reaction feeds, so it is compiled to one typed `DerivOp` per *reactant
+//! slot* (decoded from the same reactant shapes as the flux ops) and
+//! evaluated once per slot —
+//!
+//! * the **derivative pass** fills the slot table;
+//! * the **scatter pass** zeroes each Jacobian row and adds its terms
+//!   `coeff · d[slot]` from one flat list, compiled in the (species, term,
+//!   reactant) order a walk of the term and reactant lists would visit.
+//!
 //! The scalar kernels and the lane-batched ones (rows of constant length at
-//! widths 1, 2, 4 and 8, run-time length otherwise) run the same program.
-//! What is contractual is the arithmetic *inside* one flux (`k`, then the
-//! reactants in list order, `x·x` for an order-2 reactant) and inside one
-//! species sum (`0.0 + c₀f₀ + c₁f₁ + …` in term order): scalar and lanes
-//! agree bitwise at any width, with each other and with a naive evaluation
-//! of the model. The order reactions and species are *visited* in is free. Models mixing
-//! saturating [`Kinetics`] keep the per-reaction [`Kinetics::flux`] path.
+//! widths 1, 2, 4 and 8, run-time length otherwise) run the same programs;
+//! the scalar Jacobian *is* the width-1 instantiation. What is contractual
+//! is the arithmetic *inside* one flux (`k`, then the reactants in list
+//! order, `x·x` for an order-2 reactant), inside one flux derivative
+//! (`k·a·x^(a−1)`, then the other reactants in list order), inside one
+//! species sum (`0.0 + c₀f₀ + c₁f₁ + …` in term order) and inside one
+//! Jacobian entry (`0.0 + c₀d₀ + …` in term, then reactant, order): scalar
+//! and lanes agree bitwise at any width, with each other and with a naive
+//! evaluation of the model. The order reactions, slots and species are
+//! *visited* in is free. Models mixing saturating [`Kinetics`] keep the
+//! per-reaction [`Kinetics::flux`] and per-slot
+//! [`Kinetics::flux_derivative`] paths.
 
 use crate::{Kinetics, ReactionBasedModel};
 use paraspace_linalg::Matrix;
@@ -64,6 +80,15 @@ pub struct CompiledOdes {
     // One op per reaction, decoded from the reactant lists above; what the
     // flux kernels read instead of them when `all_mass_action`.
     flux_program: Vec<FluxOp>,
+    // One derivative op per reactant slot (slot `q` is position `q` of the
+    // reactant lists above), with the reaction whose constant it scales.
+    jac_program: Vec<(u32, DerivOp)>,
+    // The Jacobian as a scatter of the slot derivatives, row `s` over
+    // `jac_row_offsets[s]..[s + 1]`, in (term, reactant) order.
+    jac_row_offsets: Vec<u32>,
+    jac_terms: Vec<JacTerm>,
+    // The terms above that land on the diagonal; `col` is the species.
+    jac_diag_terms: Vec<JacTerm>,
     // Per-species contribution lists (CSR): dX_s/dt = Σ coeff · flux_r.
     term_offsets: Vec<u32>,
     term_reactions: Vec<u32>,
@@ -106,6 +131,55 @@ impl FluxOp {
             [(a, 1), (b, 1)] => FluxOp::Bimolecular(a as u32, b as u32),
             _ => FluxOp::Generic { lo: lo as u32, hi: (lo + reactants.len()) as u32 },
         }
+    }
+}
+
+/// `∂flux_r/∂x_j` for one reactant slot of a mass-action reaction, decoded
+/// from the reaction's [`FluxOp`] shape. Every variant computes
+/// `k · a · int_pow(x_j, a − 1) · Π_{other} int_pow(x, order)` with exactly
+/// the products [`Kinetics::flux_derivative`] would form (`k·1·1` is `k`,
+/// `1·x` is `x`), so which variant a slot gets never shows in the bits.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum DerivOp {
+    /// The slot of `A → …`: `k`.
+    FirstOrder,
+    /// The slot of `2A → …`: `k·2·x_a`.
+    Dimerisation(u32),
+    /// A slot of `A + B → …`: `k` times the *other* reactant.
+    Bimolecular(u32),
+    /// The reactant at position `at` of a generic reaction's list `lo..hi`:
+    /// `k·a·x^(a−1)`, then the other reactants in list order.
+    Generic { lo: u32, hi: u32, at: u32 },
+}
+
+impl DerivOp {
+    /// The ops for one reaction's reactant slots, which start at `lo` in
+    /// the reactant CSR; one per reactant, in list order.
+    fn for_reactants(reactants: &[(usize, u32)], lo: usize) -> impl Iterator<Item = Self> + '_ {
+        let hi = lo + reactants.len();
+        reactants.iter().enumerate().map(move |(which, _)| match *reactants {
+            [(_, 1)] => DerivOp::FirstOrder,
+            [(a, 2)] => DerivOp::Dimerisation(a as u32),
+            [(a, 1), (b, 1)] => DerivOp::Bimolecular(if which == 0 { b } else { a } as u32),
+            _ => DerivOp::Generic { lo: lo as u32, hi: hi as u32, at: (lo + which) as u32 },
+        })
+    }
+}
+
+/// One term of the Jacobian scatter: `J[row][col] += coeff · d[slot]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct JacTerm {
+    col: u32,
+    slot: u32,
+    coeff: f64,
+}
+
+/// `out[col] += coeff · d[slot]` over one row of lanes.
+#[inline(always)]
+fn accumulate_term(lanes: usize, t: JacTerm, d: &[f64], out: &mut [f64]) {
+    let out = &mut out[t.col as usize * lanes..][..lanes];
+    for (o, &d) in out.iter_mut().zip(&d[t.slot as usize * lanes..][..lanes]) {
+        *o += t.coeff * d;
     }
 }
 
@@ -229,6 +303,97 @@ impl CompiledOdes {
         }
     }
 
+    /// The lane-batched derivative pass at width `lanes`: runs the Jacobian
+    /// program, writing `∂flux_r/∂x_j` of slot `q` to row `q` of `d`.
+    /// Inlined like [`flux_rows`](Self::flux_rows).
+    #[inline(always)]
+    fn derivative_rows(&self, lanes: usize, x: &[f64], k: &[f64], d: &mut [f64]) {
+        let row = |s: u32| &x[s as usize * lanes..][..lanes];
+        for (d, &(r, op)) in d.chunks_exact_mut(lanes).zip(&self.jac_program) {
+            let k = &k[r as usize * lanes..][..lanes];
+            match op {
+                DerivOp::FirstOrder => d.copy_from_slice(k),
+                DerivOp::Dimerisation(a) => {
+                    for ((d, &k), &xa) in d.iter_mut().zip(k).zip(row(a)) {
+                        *d = k * 2.0 * xa;
+                    }
+                }
+                DerivOp::Bimolecular(other) => {
+                    for ((d, &k), &xo) in d.iter_mut().zip(k).zip(row(other)) {
+                        *d = k * xo;
+                    }
+                }
+                DerivOp::Generic { lo, hi, at } => {
+                    let order = self.reactant_orders[at as usize];
+                    let own = row(self.reactant_species[at as usize]);
+                    for ((d, &k), &xj) in d.iter_mut().zip(k).zip(own) {
+                        *d = k * order as f64 * crate::kinetics::int_pow(xj, order - 1);
+                    }
+                    for q in (lo..hi).filter(|&q| q != at) {
+                        let order = self.reactant_orders[q as usize];
+                        for (d, &xs) in d.iter_mut().zip(row(self.reactant_species[q as usize])) {
+                            *d *= crate::kinetics::int_pow(xs, order);
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The slot derivatives of one state through each reaction's own rate
+    /// law — the path of models mixing saturating [`Kinetics`].
+    fn derivatives_by_law(&self, x: &[f64], k: &[f64], d: &mut [f64]) {
+        let mut stack = [(0.0f64, 0u32); STACK_REACTANTS];
+        let mut spill: Vec<(f64, u32)> = Vec::new();
+        let mut slots = d.iter_mut();
+        for (r, (law, &k)) in self.kinetics.iter().zip(k).enumerate() {
+            let pairs = self.gather_reactants(r, x, &mut stack, &mut spill);
+            for (which, d) in (0..pairs.len()).zip(&mut slots) {
+                *d = law.flux_derivative(k, pairs, which);
+            }
+        }
+    }
+
+    /// The lane-batched scatter pass at width `lanes`: every Jacobian entry
+    /// is `0.0` plus its terms `coeff · d[slot]` in list order. `jac` is
+    /// the `N×N×L` block, `d` the slot rows; inlined like
+    /// [`flux_rows`](Self::flux_rows).
+    #[inline(always)]
+    fn scatter_rows(&self, lanes: usize, d: &[f64], jac: &mut [f64]) {
+        let rows = jac.chunks_exact_mut(self.n_species * lanes);
+        for (row, span) in rows.zip(self.jac_row_offsets.windows(2)) {
+            row.fill(0.0);
+            for t in &self.jac_terms[span[0] as usize..span[1] as usize] {
+                accumulate_term(lanes, *t, d, row);
+            }
+        }
+    }
+
+    /// Derivative pass then scatter pass at width `lanes`; `d` is the
+    /// slot-row scratch. Inlined into a call site that fixes `lanes`.
+    #[inline(always)]
+    fn jacobian_rows(&self, lanes: usize, x: &[f64], k: &[f64], d: &mut [f64], jac: &mut [f64]) {
+        self.derivative_rows(lanes, x, k, d);
+        self.scatter_rows(lanes, d, jac);
+    }
+
+    /// Derivative pass then the diagonal's share of the scatter pass.
+    #[inline(always)]
+    fn jacobian_diag_rows(
+        &self,
+        lanes: usize,
+        x: &[f64],
+        k: &[f64],
+        d: &mut [f64],
+        diag: &mut [f64],
+    ) {
+        self.derivative_rows(lanes, x, k, d);
+        diag.fill(0.0);
+        for t in &self.jac_diag_terms {
+            accumulate_term(lanes, *t, d, diag);
+        }
+    }
+
     pub(crate) fn from_model(model: &ReactionBasedModel) -> Self {
         let n_species = model.n_species();
         let n_reactions = model.n_reactions();
@@ -239,9 +404,13 @@ impl CompiledOdes {
         let mut kinetics = Vec::with_capacity(n_reactions);
         let mut rate_constants = Vec::with_capacity(n_reactions);
         let mut flux_program = Vec::with_capacity(n_reactions);
+        let n_slots = model.reactions().iter().map(|r| r.reactants().len()).sum();
+        let mut jac_program = Vec::with_capacity(n_slots);
         reactant_offsets.push(0u32);
-        for r in model.reactions() {
-            flux_program.push(FluxOp::for_reactants(r.reactants(), reactant_species.len()));
+        for (i, r) in model.reactions().iter().enumerate() {
+            let lo = reactant_species.len();
+            flux_program.push(FluxOp::for_reactants(r.reactants(), lo));
+            jac_program.extend(DerivOp::for_reactants(r.reactants(), lo).map(|op| (i as u32, op)));
             for &(s, a) in r.reactants() {
                 reactant_species.push(s as u32);
                 reactant_orders.push(a);
@@ -291,6 +460,29 @@ impl CompiledOdes {
             term_offsets.push(term_reactions.len() as u32);
         }
 
+        // The Jacobian scatter: species `s` gets, for each of its terms
+        // `(r, coeff)` and each reactant slot `q` of `r`, the contribution
+        // `coeff · ∂flux_r/∂x_q` in column `species(q)`.
+        let slots_of = |r: u32| reactant_offsets[r as usize]..reactant_offsets[r as usize + 1];
+        let n_jac_terms = term_reactions.iter().map(|&r| slots_of(r).len()).sum();
+        let mut jac_row_offsets = Vec::with_capacity(n_species + 1);
+        let mut jac_terms = Vec::with_capacity(n_jac_terms);
+        let mut jac_diag_terms = Vec::new();
+        jac_row_offsets.push(0u32);
+        for (s, terms) in per_species.iter().enumerate() {
+            for &(r, coeff) in terms {
+                for slot in slots_of(r) {
+                    let term = JacTerm { col: reactant_species[slot as usize], slot, coeff };
+                    jac_terms.push(term);
+                    if term.col as usize == s {
+                        jac_diag_terms.push(term);
+                    }
+                }
+            }
+            jac_row_offsets.push(jac_terms.len() as u32);
+        }
+        jac_diag_terms.shrink_to_fit();
+
         CompiledOdes {
             n_species,
             n_reactions,
@@ -301,6 +493,10 @@ impl CompiledOdes {
             rate_constants,
             all_mass_action,
             flux_program,
+            jac_program,
+            jac_row_offsets,
+            jac_terms,
+            jac_diag_terms,
             term_offsets,
             term_reactions,
             term_coeffs,
@@ -473,11 +669,12 @@ impl CompiledOdes {
 
     /// Lane-batched Jacobian diagonal `∂(dX_s/dt)/∂X_s` for stiffness
     /// triage: the dominant-eigenvalue screen only needs the diagonal, so
-    /// lane-groups can be triaged with one cheap sweep instead of `L` full
-    /// `N×N` Jacobians.
+    /// lane-groups can be triaged with the derivative pass and the short
+    /// diagonal scatter instead of `L` full `N×N` Jacobians.
     ///
     /// Layouts as in [`fluxes_batch`](Self::fluxes_batch); `diag` is an
-    /// `N×L` species block.
+    /// `N×L` species block. Entries are bitwise those of
+    /// [`jacobian_batch`](Self::jacobian_batch)'s diagonal.
     ///
     /// # Panics
     ///
@@ -488,41 +685,13 @@ impl CompiledOdes {
         assert_eq!(x.len(), self.n_species * lanes, "state block length");
         assert_eq!(k.len(), self.n_reactions * lanes, "rate-constant block length");
         assert_eq!(diag.len(), self.n_species * lanes, "diagonal block length");
-        diag.fill(0.0);
-        for s in 0..self.n_species {
-            let lo = self.term_offsets[s] as usize;
-            let hi = self.term_offsets[s + 1] as usize;
-            let d = &mut diag[s * lanes..(s + 1) * lanes];
-            for p in lo..hi {
-                let r = self.term_reactions[p] as usize;
-                let coeff = self.term_coeffs[p];
-                let rlo = self.reactant_offsets[r] as usize;
-                let rhi = self.reactant_offsets[r + 1] as usize;
-                for q in rlo..rhi {
-                    if self.reactant_species[q] as usize != s {
-                        continue;
-                    }
-                    let o = self.reactant_orders[q];
-                    if o == 0 {
-                        continue;
-                    }
-                    for l in 0..lanes {
-                        let mut df = k[r * lanes + l]
-                            * o as f64
-                            * crate::kinetics::int_pow(x[s * lanes + l], o - 1);
-                        for q2 in rlo..rhi {
-                            if q2 != q {
-                                let j = self.reactant_species[q2] as usize;
-                                df *= crate::kinetics::int_pow(
-                                    x[j * lanes + l],
-                                    self.reactant_orders[q2],
-                                );
-                            }
-                        }
-                        d[l] += coeff * df;
-                    }
-                }
-            }
+        let mut d = vec![0.0; self.jac_program.len() * lanes];
+        match lanes {
+            1 => self.jacobian_diag_rows(1, x, k, &mut d, diag),
+            2 => self.jacobian_diag_rows(2, x, k, &mut d, diag),
+            4 => self.jacobian_diag_rows(4, x, k, &mut d, diag),
+            8 => self.jacobian_diag_rows(8, x, k, &mut d, diag),
+            _ => self.jacobian_diag_rows(lanes, x, k, &mut d, diag),
         }
     }
 
@@ -531,10 +700,10 @@ impl CompiledOdes {
     ///
     /// Layouts as in [`fluxes_batch`](Self::fluxes_batch) (`x` an `N×L`
     /// species block, `k` an `M×L` reaction block); `jac` is an `N×N×L`
-    /// SoA block, lane-minor like everything else. The term-CSR walk and
-    /// the mass-action flux-derivative arithmetic mirror
-    /// [`jacobian_with`](Self::jacobian_with) accumulation-for-accumulation
-    /// per lane, so each lane's Jacobian is bitwise identical to the scalar
+    /// SoA block, lane-minor like everything else. This is the same
+    /// Jacobian program [`jacobian_with`](Self::jacobian_with) runs at
+    /// width 1, over lane rows of constant length at widths 1, 2, 4 and 8,
+    /// so each lane's Jacobian is bitwise identical to the scalar
     /// evaluation with that lane's state and constants.
     ///
     /// # Panics
@@ -548,44 +717,13 @@ impl CompiledOdes {
         assert_eq!(x.len(), n * lanes, "state block length");
         assert_eq!(k.len(), self.n_reactions * lanes, "rate-constant block length");
         assert_eq!(jac.len(), n * n * lanes, "jacobian block length");
-        jac.fill(0.0);
-        for s in 0..n {
-            let lo = self.term_offsets[s] as usize;
-            let hi = self.term_offsets[s + 1] as usize;
-            for p in lo..hi {
-                let r = self.term_reactions[p] as usize;
-                let coeff = self.term_coeffs[p];
-                let rlo = self.reactant_offsets[r] as usize;
-                let rhi = self.reactant_offsets[r + 1] as usize;
-                for q in rlo..rhi {
-                    let j = self.reactant_species[q] as usize;
-                    let aw = self.reactant_orders[q];
-                    let out = &mut jac[(s * n + j) * lanes..][..lanes];
-                    // Mass-action ∂flux_r/∂x_j, inlined per lane exactly as
-                    // Kinetics::flux_derivative computes it (same factor
-                    // order over the reactant list).
-                    for l in 0..lanes {
-                        let d = if aw == 0 {
-                            0.0
-                        } else {
-                            let mut d = k[r * lanes + l]
-                                * aw as f64
-                                * crate::kinetics::int_pow(x[j * lanes + l], aw - 1);
-                            for q2 in rlo..rhi {
-                                if q2 != q {
-                                    let j2 = self.reactant_species[q2] as usize;
-                                    d *= crate::kinetics::int_pow(
-                                        x[j2 * lanes + l],
-                                        self.reactant_orders[q2],
-                                    );
-                                }
-                            }
-                            d
-                        };
-                        out[l] += coeff * d;
-                    }
-                }
-            }
+        let mut d = vec![0.0; self.jac_program.len() * lanes];
+        match lanes {
+            1 => self.jacobian_rows(1, x, k, &mut d, jac),
+            2 => self.jacobian_rows(2, x, k, &mut d, jac),
+            4 => self.jacobian_rows(4, x, k, &mut d, jac),
+            8 => self.jacobian_rows(8, x, k, &mut d, jac),
+            _ => self.jacobian_rows(lanes, x, k, &mut d, jac),
         }
     }
 
@@ -601,9 +739,13 @@ impl CompiledOdes {
 
     /// Analytic Jacobian with explicit rate constants.
     ///
-    /// For each reaction `r` and each of its reactants `j`, the flux
-    /// derivative `∂flux_r/∂x_j` is distributed over the species touched by
-    /// `r` with their net coefficients.
+    /// Two flat passes, like the right-hand side: the **derivative pass**
+    /// evaluates `∂flux_r/∂x_j` once per reactant slot (the model's
+    /// *Jacobian program* for mass-action networks,
+    /// [`Kinetics::flux_derivative`] per slot otherwise), and the **scatter
+    /// pass** adds `coeff · d[slot]` into `J[s][j]` for every species `s`
+    /// the reaction feeds — per entry in the species' term order, then the
+    /// reaction's reactant order.
     ///
     /// # Panics
     ///
@@ -613,27 +755,12 @@ impl CompiledOdes {
         assert_eq!(jac.cols(), self.n_species, "jacobian cols");
         assert_eq!(x.len(), self.n_species);
         assert_eq!(k.len(), self.n_reactions);
-        jac.fill_zero();
-        // dflux[r][j] for each reactant j of r, then scatter through the
-        // per-species term lists. We iterate species-major using the term
-        // CSR so each (s, r) pair is visited once.
-        let mut stack = [(0.0f64, 0u32); STACK_REACTANTS];
-        let mut spill: Vec<(f64, u32)> = Vec::new();
-        for s in 0..self.n_species {
-            let lo = self.term_offsets[s] as usize;
-            let hi = self.term_offsets[s + 1] as usize;
-            for p in lo..hi {
-                let r = self.term_reactions[p] as usize;
-                let coeff = self.term_coeffs[p];
-                let rlo = self.reactant_offsets[r] as usize;
-                let rhi = self.reactant_offsets[r + 1] as usize;
-                let pairs = self.gather_reactants(r, x, &mut stack, &mut spill);
-                for (which, q) in (rlo..rhi).enumerate() {
-                    let j = self.reactant_species[q] as usize;
-                    let d = self.kinetics[r].flux_derivative(k[r], pairs, which);
-                    jac[(s, j)] += coeff * d;
-                }
-            }
+        let mut d = vec![0.0; self.jac_program.len()];
+        if self.all_mass_action {
+            self.jacobian_rows(1, x, k, &mut d, jac.as_mut_slice());
+        } else {
+            self.derivatives_by_law(x, k, &mut d);
+            self.scatter_rows(1, &d, jac.as_mut_slice());
         }
     }
 
@@ -1045,12 +1172,41 @@ mod tests {
                 FluxOp::Generic { lo: 7, hi: 8 },
             ]
         );
+        // One derivative op per reactant slot, in the same order.
+        assert_eq!(
+            odes.jac_program,
+            [
+                (1, DerivOp::FirstOrder),
+                (2, DerivOp::Dimerisation(1)),
+                (3, DerivOp::Bimolecular(1)),
+                (3, DerivOp::Bimolecular(0)),
+                (4, DerivOp::Dimerisation(1)),
+                (5, DerivOp::Generic { lo: 5, hi: 7, at: 5 }),
+                (5, DerivOp::Generic { lo: 5, hi: 7, at: 6 }),
+                (6, DerivOp::Generic { lo: 7, hi: 8, at: 7 }),
+            ]
+        );
+        // The scatter rows of A and B as `(col, slot, coeff)`. A reaction
+        // whose net effect on a species is zero (`A → A` and `A + B → A`
+        // on A) has no term for it, so none of its slots reach that row.
+        let terms = |s: usize| {
+            let span = odes.jac_row_offsets[s] as usize..odes.jac_row_offsets[s + 1] as usize;
+            odes.jac_terms[span].iter().map(|t| (t.col, t.slot, t.coeff)).collect::<Vec<_>>()
+        };
+        assert_eq!(terms(0), [(1, 1, 1.0), (1, 4, 1.0), (0, 5, -1.0), (1, 6, -1.0), (0, 7, -2.0)]);
+        assert_eq!(
+            terms(1),
+            [(1, 1, -2.0), (0, 2, -1.0), (1, 3, -1.0), (1, 4, -2.0), (0, 5, -1.0), (1, 6, -1.0)]
+        );
+        let diagonal: Vec<_> = odes.jac_diag_terms.iter().map(|t| (t.col, t.slot)).collect();
+        assert_eq!(diagonal, [(0, 5), (0, 7), (1, 1), (1, 3), (1, 4), (1, 6)]);
         // Generated networks are at most bimolecular: none of their
         // reactions may fall back to the generic walk.
         use rand::SeedableRng;
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
         let generated = crate::sbgen::SbGen::new(32, 48).generate(&mut rng).compile().unwrap();
         assert!(!generated.flux_program.iter().any(|op| matches!(op, FluxOp::Generic { .. })));
+        assert!(!generated.jac_program.iter().any(|(_, op)| matches!(op, DerivOp::Generic { .. })));
     }
 
     /// SoA blocks for `lanes` perturbed copies of a base vector.

@@ -1,17 +1,21 @@
-//! The flux and RHS kernels against an oracle that shares no code with
-//! them.
+//! The flux, RHS and Jacobian kernels against an oracle that shares no code
+//! with them.
 //!
-//! Scalar and lane kernels run the same compiled flux program, so checking
-//! them against each other cannot see a mistake they share. The oracle here
-//! is written from `model.reactions()` alone: per flux `k · Π x^order` over
-//! the reactant list left to right, per species `Σ coeff·flux` over the
-//! reactions in order. The kernels must reproduce it bit for bit — scalar,
-//! and every lane of every width 1..=8 (the monomorphised widths and the
-//! run-time-width loop both).
+//! Scalar and lane kernels run the same compiled flux and Jacobian
+//! programs, so checking them against each other cannot see a mistake they
+//! share. The oracle here is written from `model.reactions()` alone: per
+//! flux `k · Π x^order` over the reactant list left to right, per species
+//! `Σ coeff·flux` over the reactions in order, per Jacobian entry
+//! `Σ coeff · ∂flux/∂x_j` over the reactions in order with
+//! `∂flux/∂x_j = k·a·x_j^(a−1)`, then the other reactants left to right.
+//! The kernels must reproduce it bit for bit — scalar, and every lane of
+//! every width 1..=8 (the monomorphised widths and the run-time-width loop
+//! both).
 
+use paraspace_linalg::Matrix;
 use paraspace_models::{autophagy, classic, metabolic};
 use paraspace_rbm::sbgen::SbGen;
-use paraspace_rbm::{Reaction, ReactionBasedModel};
+use paraspace_rbm::{Kinetics, Reaction, ReactionBasedModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -37,13 +41,15 @@ fn oracle_fluxes(model: &ReactionBasedModel, x: &[f64], k: &[f64]) -> Vec<f64> {
     model.reactions().iter().zip(k).map(flux).collect()
 }
 
-fn oracle_rhs(model: &ReactionBasedModel, flux: &[f64]) -> Vec<f64> {
-    let net = |r: &Reaction, s: usize| {
-        let side = |list: &[(usize, u32)]| {
-            list.iter().find(|&&(sp, _)| sp == s).map_or(0.0, |&(_, c)| c as f64)
-        };
-        side(r.products()) - side(r.reactants())
+/// Net stoichiometric coefficient of species `s` in reaction `r`.
+fn net(r: &Reaction, s: usize) -> f64 {
+    let side = |list: &[(usize, u32)]| {
+        list.iter().find(|&&(sp, _)| sp == s).map_or(0.0, |&(_, c)| c as f64)
     };
+    side(r.products()) - side(r.reactants())
+}
+
+fn oracle_rhs(model: &ReactionBasedModel, flux: &[f64]) -> Vec<f64> {
     (0..model.n_species())
         .map(|s| {
             model.reactions().iter().zip(flux).fold(0.0, |acc, (r, &f)| match net(r, s) {
@@ -52,6 +58,44 @@ fn oracle_rhs(model: &ReactionBasedModel, flux: &[f64]) -> Vec<f64> {
             })
         })
         .collect()
+}
+
+/// `∂flux_r/∂x` of reactant `which`: the law's own factor first, then the
+/// remaining mass-action reactants left to right.
+fn oracle_flux_derivative(r: &Reaction, k: f64, x: &[f64], which: usize) -> f64 {
+    let list = r.reactants();
+    let own = |scale: f64, (s, a): (usize, u32)| scale * a as f64 * power(x[s], a - 1);
+    let (head, skip) = match r.kinetics() {
+        Kinetics::MassAction => (own(k, list[which]), 0),
+        Kinetics::MichaelisMenten { km } => {
+            let x0 = x[list[0].0];
+            let head = match which {
+                0 => k * km / ((km + x0) * (km + x0)),
+                _ => own(k * (x0 / (km + x0)), list[which]),
+            };
+            (head, 1)
+        }
+        law => panic!("the oracle does not know {law:?}"),
+    };
+    let others = list.iter().enumerate().skip(skip).filter(|&(j, _)| j != which);
+    others.fold(head, |d, (_, &(s, a))| d * power(x[s], a))
+}
+
+/// The Jacobian, row-major `N × N`.
+fn oracle_jacobian(model: &ReactionBasedModel, x: &[f64], k: &[f64]) -> Vec<f64> {
+    let n = model.n_species();
+    let mut jac = vec![0.0; n * n];
+    for (s, row) in jac.chunks_exact_mut(n).enumerate() {
+        for (r, &k) in model.reactions().iter().zip(k) {
+            let coeff = net(r, s);
+            if coeff != 0.0 {
+                for (which, &(j, _)) in r.reactants().iter().enumerate() {
+                    row[j] += coeff * oracle_flux_derivative(r, k, x, which);
+                }
+            }
+        }
+    }
+    jac
 }
 
 fn bits(v: &[f64]) -> Vec<u64> {
@@ -133,6 +177,41 @@ fn assert_parity(model: &ReactionBasedModel, label: &str) {
             assert_eq!(&got, want_rhs, "{label}: rhs_batch, width {lanes}, lane {l}");
         }
     }
+
+    assert_jacobian_parity(model, label);
+}
+
+/// `jacobian_with`, `jacobian_batch` and `jacobian_diag_batch` against the
+/// oracle; the lane kernels only where the model is mass action.
+fn assert_jacobian_parity(model: &ReactionBasedModel, label: &str) {
+    let odes = model.compile().unwrap();
+    let n = odes.n_species();
+    let inputs: Vec<_> = (0..MAX_LANES).map(|l| lane_inputs(model, l)).collect();
+    let want: Vec<_> = inputs.iter().map(|(x, k)| bits(&oracle_jacobian(model, x, k))).collect();
+
+    for (l, ((x, k), want)) in inputs.iter().zip(&want).enumerate() {
+        let mut jac = Matrix::from_fn(n, n, |_, _| f64::NAN);
+        odes.jacobian_with(x, k, &mut jac);
+        assert_eq!(&bits(jac.as_slice()), want, "{label}: jacobian_with, inputs {l}");
+    }
+    if !odes.supports_lane_batch() {
+        return;
+    }
+    for lanes in 1..=MAX_LANES {
+        let xs: Vec<_> = inputs[..lanes].iter().map(|(x, _)| x.clone()).collect();
+        let ks: Vec<_> = inputs[..lanes].iter().map(|(_, k)| k.clone()).collect();
+        let (x, k) = (soa(&xs), soa(&ks));
+        let (mut jac, mut diag) = (vec![f64::NAN; n * n * lanes], vec![f64::NAN; n * lanes]);
+        odes.jacobian_batch(lanes, &x, &k, &mut jac);
+        odes.jacobian_diag_batch(lanes, &x, &k, &mut diag);
+        for (l, want) in want[..lanes].iter().enumerate() {
+            let got = bits(&lane_of(&jac, lanes, l));
+            assert_eq!(&got, want, "{label}: jacobian_batch, width {lanes}, lane {l}");
+            let got = bits(&lane_of(&diag, lanes, l));
+            let want: Vec<u64> = want.iter().step_by(n + 1).copied().collect();
+            assert_eq!(got, want, "{label}: jacobian_diag_batch, width {lanes}, lane {l}");
+        }
+    }
 }
 
 #[test]
@@ -186,4 +265,26 @@ fn shapes_outside_the_common_four_match_the_oracle() {
         model.add_reaction(r).unwrap();
     }
     assert_parity(&model, "hand-built shapes");
+}
+
+#[test]
+fn saturating_kinetics_take_the_per_slot_law_path() {
+    // S → P and S + 2E → P + 2E saturate in their first reactant (S; E
+    // multiplies in by mass action); P → S and P + E → 2S are mass action
+    // beside them, so the model as a whole takes the per-slot law path.
+    let mut model = ReactionBasedModel::new();
+    let s = model.add_species("S", 2.0);
+    let e = model.add_species("E", 0.3);
+    let p = model.add_species("P", 0.1);
+    let mm = |km| Kinetics::MichaelisMenten { km };
+    for r in [
+        Reaction::with_kinetics(&[(s, 1)], &[(p, 1)], 4.0, mm(0.5)),
+        Reaction::with_kinetics(&[(s, 1), (e, 2)], &[(p, 1), (e, 2)], 1.5, mm(1.25)),
+        Reaction::mass_action(&[(p, 1)], &[(s, 1)], 0.7),
+        Reaction::mass_action(&[(p, 1), (e, 1)], &[(s, 2)], 0.2),
+    ] {
+        model.add_reaction(r).unwrap();
+    }
+    assert!(!model.compile().unwrap().supports_lane_batch());
+    assert_jacobian_parity(&model, "michaelis-menten network");
 }

@@ -199,8 +199,8 @@ impl RadauBatchScratch {
 }
 
 /// The group's iteration-matrix factorization backend, selected once per
-/// group from the model's Jacobian sparsity: dense SoA LU for small or
-/// dense patterns, symbolic-pattern sparse LU when the structure pays
+/// group from the model's Jacobian sparsity: dense lane-major LU for small
+/// or dense patterns, symbolic-pattern sparse LU when the structure pays
 /// (`SymbolicLu::prefers_sparse`). Both backends produce bitwise-identical
 /// solves on the same inputs (the sparse kernels replicate the dense pivot
 /// and elimination branches over the closed fill pattern), so the choice
@@ -213,9 +213,9 @@ enum LaneLu<'a> {
 
 impl LaneLu<'_> {
     /// Builds both Radau iteration matrices — `E1 = U1/h·I − J` (real) and
-    /// `E2 = (α + iβ)/h·I − J` (complex) — in the masked lanes' columns
-    /// from the dense per-lane Jacobian block, then factors them batched.
-    /// The dense backend streams all `n²` entries per lane; the sparse
+    /// `E2 = (α + iβ)/h·I − J` (complex) — for the masked lanes from the
+    /// lane-minor `N×N×L` Jacobian block, then factors them batched. The
+    /// dense backend streams all `n²` entries per lane; the sparse
     /// backend streams only the symbolic pattern's `nnz` (every position
     /// outside it holds an exact zero in `jac_lanes`, which the dense
     /// elimination guards skip anyway).
@@ -229,40 +229,25 @@ impl LaneLu<'_> {
     ) {
         match self {
             LaneLu::Dense { real, cplx } => {
-                {
-                    let m1 = real.matrix_mut();
-                    for lane in 0..lanes {
-                        if !mask[lane] {
-                            continue;
-                        }
-                        let fac1 = U1 / h[lane];
-                        for i in 0..n {
-                            for j in 0..n {
-                                let e = (i * n + j) * lanes + lane;
-                                m1[e] = -jac_lanes[e];
-                            }
-                            m1[(i * n + i) * lanes + lane] += fac1;
-                        }
+                // Each masked lane's matrices are written straight into
+                // that lane's contiguous block: one strided read of the
+                // lane-minor Jacobian, row-major writes.
+                for lane in (0..lanes).filter(|&lane| mask[lane]) {
+                    let m1 = real.lane_mut(lane);
+                    let m2 = cplx.lane_mut(lane);
+                    let jac = jac_lanes.iter().skip(lane).step_by(lanes);
+                    for ((e1, e2), &j) in m1.iter_mut().zip(m2.iter_mut()).zip(jac) {
+                        *e1 = -j;
+                        *e2 = Complex64::new(-j, 0.0);
+                    }
+                    let fac1 = U1 / h[lane];
+                    let shift = Complex64::new(ALPH / h[lane], BETA / h[lane]);
+                    for (d1, d2) in m1.iter_mut().zip(m2).step_by(n + 1) {
+                        *d1 += fac1;
+                        *d2 += shift;
                     }
                 }
                 real.factor(mask);
-                {
-                    let m2 = cplx.matrix_mut();
-                    for lane in 0..lanes {
-                        if !mask[lane] {
-                            continue;
-                        }
-                        let alphn = ALPH / h[lane];
-                        let betan = BETA / h[lane];
-                        for i in 0..n {
-                            for j in 0..n {
-                                let e = (i * n + j) * lanes + lane;
-                                m2[e] = Complex64::new(-jac_lanes[e], 0.0);
-                            }
-                            m2[(i * n + i) * lanes + lane] += Complex64::new(alphn, betan);
-                        }
-                    }
-                }
                 cplx.factor(mask);
             }
             LaneLu::Sparse { real, cplx } => {
@@ -476,7 +461,7 @@ fn solve_group_impl(
     // Factorization-mode decision: one symbolic analysis per group. When the
     // system publishes a structurally fixed Jacobian pattern that is sparse
     // enough to pay (`prefers_sparse`), the Newton iteration matrices are
-    // factored by the pattern-sharing sparse kernels; otherwise the dense SoA
+    // factored by the pattern-sharing sparse kernels; otherwise the dense
     // kernels are used. Both produce bitwise-identical solves, so this choice
     // never changes trajectories or step statistics.
     let symbolic: Option<Arc<SymbolicLu>> = system
