@@ -1,5 +1,11 @@
-//! Durable campaign execution: crash-safe checkpoint/resume for the
-//! analysis drivers.
+//! Campaign execution: the one path every analysis driver runs on, and
+//! crash-safe checkpoint/resume for it.
+//!
+//! Every analysis is the same shape — a parameter space cut into batches
+//! of independent simulations, mapped through an engine, reduced and
+//! collected — and each is written once over [`ShardLog`], a shard log
+//! opened from an *optional* [`Checkpoint`]. Without a checkpoint its
+//! get-or-run step just runs; with one, what follows applies.
 //!
 //! A *campaign* is a long-running parameter-space analysis (a sweep, a
 //! Sobol evaluation, an estimation run) decomposed into deterministic,
@@ -19,16 +25,18 @@
 //! engine, thread count, lane width, shard size…) is a
 //! [`JournalError::ManifestMismatch`], not a silent wrong answer.
 //!
-//! Validation failures are *shard outcomes*, not campaign killers: a shard
-//! whose job is rejected before reaching a solver (non-finite member, bad
-//! grid) is journaled as an invalid shard and its grid cells take the
-//! configured failed-member value, while the rest of the campaign proceeds.
+//! Validation failures are *shard outcomes*, not campaign killers, with or
+//! without a journal: a shard whose job is rejected before reaching a
+//! solver (non-finite member, bad grid) is recorded as an invalid shard and
+//! its grid cells take the configured failed-member value, while the rest
+//! of the campaign proceeds.
 
 use paraspace_core::{CancelToken, SimError, SimulationJob, Simulator};
 use paraspace_journal::codec::{Dec, Enc};
 use paraspace_journal::{fnv64, CampaignManifest, Journal, JournalError};
 use paraspace_rbm::{sbml, Parameterization, ReactionBasedModel};
 use paraspace_solvers::{Solution, SolverOptions};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::path::{Path, PathBuf};
@@ -76,7 +84,7 @@ impl Checkpoint {
 
     /// Merges the world fields into `manifest` (as `world.<key>` entries).
     /// Drivers that manage their own journal call this before opening it;
-    /// [`run_journaled`] applies it automatically.
+    /// [`ShardLog::open`] applies it automatically.
     #[must_use]
     pub fn apply_world(&self, mut manifest: CampaignManifest) -> CampaignManifest {
         for (k, v) in &self.world {
@@ -165,18 +173,147 @@ pub struct ShardReport {
     pub truncated_bytes: u64,
 }
 
-/// Runs `shards` numbered shard executions under the write-ahead journal:
-/// committed shards are returned from the journal without re-executing,
-/// the rest run through `execute` and are committed as they finish. The
-/// returned payloads are in shard order, so callers reassemble results
-/// with a deterministic in-order fold.
+/// What a shard leaves in the journal: deterministic bytes out, the typed
+/// value back. Only a journaled campaign ever calls either side.
+pub trait ShardRecord: Sized {
+    /// The shard's journal payload (exact `f64` bits, no decimal round
+    /// trips — a resumed campaign must reproduce the uninterrupted bytes).
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::MalformedPayload`] for a value the layout cannot
+    /// hold.
+    fn to_payload(&self) -> Result<Cow<'_, [u8]>, JournalError>;
+
+    /// Rebuilds the value from a committed payload.
+    ///
+    /// # Errors
+    ///
+    /// [`JournalError::MalformedPayload`] on truncated or corrupt bytes.
+    fn from_payload(bytes: &[u8]) -> Result<Self, JournalError>;
+}
+
+/// Raw bytes journal as themselves (the [`run_journaled`] payloads).
+impl ShardRecord for Vec<u8> {
+    fn to_payload(&self) -> Result<Cow<'_, [u8]>, JournalError> {
+        Ok(Cow::Borrowed(self))
+    }
+
+    fn from_payload(bytes: &[u8]) -> Result<Self, JournalError> {
+        Ok(bytes.to_vec())
+    }
+}
+
+/// The memoised-shard primitive every campaign driver runs on: a shard log
+/// opened from an *optional* checkpoint, with one get-or-run
+/// [`step`](ShardLog::step). With a checkpoint, a committed shard comes
+/// back decoded from the journal and an uncommitted one runs, is encoded
+/// and is committed; without one every shard just runs — no manifest or
+/// digest is built and nothing is encoded, so a plain analysis *is* the
+/// durable one with no journal under it ([`ShardLog::default`]).
+#[derive(Debug, Default)]
+pub struct ShardLog {
+    journal: Option<(Journal, Checkpoint)>,
+    report: ShardReport,
+}
+
+impl ShardLog {
+    /// Opens (or resumes) the checkpoint's journal under `manifest()` plus
+    /// the checkpoint's world fields. Without a checkpoint `manifest` is
+    /// never called and the filesystem is never touched.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Journal`] on checkpoint I/O or manifest mismatch.
+    pub fn open(
+        checkpoint: Option<&Checkpoint>,
+        manifest: impl FnOnce() -> CampaignManifest,
+    ) -> Result<Self, CampaignError> {
+        let Some(checkpoint) = checkpoint else {
+            return Ok(ShardLog::default());
+        };
+        let (journal, open) =
+            Journal::open_or_create(&checkpoint.dir, &checkpoint.apply_world(manifest()))?;
+        let report = ShardReport {
+            resumed: open.resumed,
+            recovered: open.committed,
+            executed: 0,
+            truncated_bytes: open.truncated_bytes,
+        };
+        Ok(ShardLog { journal: Some((journal, checkpoint.clone())), report })
+    }
+
+    /// The committed record of `shard`, or the result of `run` — committed
+    /// before it is returned. Shards may be asked for in any order, each at
+    /// most once per campaign.
+    ///
+    /// # Errors
+    ///
+    /// With a checkpoint: [`CampaignError::Interrupted`] when the token has
+    /// tripped before an uncommitted shard runs, or `run` drained as
+    /// [`SimError::Cancelled`] (the partial shard is discarded, committed
+    /// shards are synced); [`CampaignError::Journal`] when a committed
+    /// record does not decode or the commit fails. Without one, and for
+    /// every other failure, whatever `run` returns — `Cancelled` included.
+    pub fn step<T: ShardRecord>(
+        &mut self,
+        shard: u64,
+        run: impl FnOnce() -> Result<T, CampaignError>,
+    ) -> Result<T, CampaignError> {
+        let Some((journal, checkpoint)) = &mut self.journal else {
+            let value = run()?;
+            self.report.executed += 1;
+            return Ok(value);
+        };
+        if let Some(bytes) = journal.get(shard) {
+            return Ok(T::from_payload(bytes)?);
+        }
+        let outcome = if checkpoint.cancel.is_cancelled() {
+            Err(CampaignError::Sim(SimError::Cancelled))
+        } else {
+            run()
+        };
+        match outcome {
+            Ok(value) => {
+                journal.commit(shard, &value.to_payload()?)?;
+                self.report.executed += 1;
+                Ok(value)
+            }
+            Err(CampaignError::Sim(SimError::Cancelled)) => {
+                journal.sync()?;
+                Err(CampaignError::Interrupted {
+                    completed: journal.committed(),
+                    shards: journal.shards(),
+                    checkpoint_dir: checkpoint.dir.clone(),
+                })
+            }
+            Err(e) => Err(e),
+        }
+    }
+
+    /// Forces the committed shards to stable storage and hands back the
+    /// campaign's accounting.
+    ///
+    /// # Errors
+    ///
+    /// [`CampaignError::Journal`] if the sync fails.
+    pub fn finish(self) -> Result<ShardReport, CampaignError> {
+        if let Some((mut journal, _)) = self.journal {
+            journal.sync()?;
+        }
+        Ok(self.report)
+    }
+}
+
+/// Runs the manifest's numbered shards as raw payloads under the
+/// write-ahead journal: committed shards are returned from the journal
+/// without re-executing, the rest run through `execute` and are committed
+/// as they finish. The returned payloads are in shard order, so callers
+/// reassemble results with a deterministic in-order fold.
 ///
 /// # Errors
 ///
-/// [`CampaignError::Journal`] on checkpoint I/O or manifest mismatch,
-/// [`CampaignError::Interrupted`] when the cancellation token trips at a
-/// shard boundary (completed shards remain committed), or whatever fatal
-/// error `execute` returns.
+/// As [`ShardLog::open`] and [`ShardLog::step`].
 pub fn run_journaled<F>(
     checkpoint: &Checkpoint,
     manifest: CampaignManifest,
@@ -185,49 +322,11 @@ pub fn run_journaled<F>(
 where
     F: FnMut(u64) -> Result<Vec<u8>, CampaignError>,
 {
-    let manifest = checkpoint.apply_world(manifest);
     let shards = manifest.shards();
-    let (mut journal, open) = Journal::open_or_create(&checkpoint.dir, &manifest)?;
-    let mut report = ShardReport {
-        resumed: open.resumed,
-        recovered: open.committed,
-        executed: 0,
-        truncated_bytes: open.truncated_bytes,
-    };
-    let mut payloads = Vec::with_capacity(shards as usize);
-    for shard in 0..shards {
-        if let Some(p) = journal.get(shard) {
-            payloads.push(p.to_vec());
-            continue;
-        }
-        if checkpoint.cancel.is_cancelled() {
-            journal.sync()?;
-            return Err(CampaignError::Interrupted {
-                completed: journal.committed(),
-                shards,
-                checkpoint_dir: checkpoint.dir.clone(),
-            });
-        }
-        let payload = match execute(shard) {
-            Ok(p) => p,
-            Err(CampaignError::Sim(SimError::Cancelled)) => {
-                // The engine drained in-flight members and discarded the
-                // partial batch; the shard is simply not committed.
-                journal.sync()?;
-                return Err(CampaignError::Interrupted {
-                    completed: journal.committed(),
-                    shards,
-                    checkpoint_dir: checkpoint.dir.clone(),
-                });
-            }
-            Err(e) => return Err(e),
-        };
-        journal.commit(shard, &payload)?;
-        report.executed += 1;
-        payloads.push(payload);
-    }
-    journal.sync()?;
-    Ok((payloads, report))
+    let mut log = ShardLog::open(Some(checkpoint), || manifest)?;
+    let payloads =
+        (0..shards).map(|shard| log.step(shard, || execute(shard))).collect::<Result<_, _>>()?;
+    Ok((payloads, log.finish()?))
 }
 
 /// A digest of a model's full dynamics (species, initial state, kinetics),
@@ -333,11 +432,21 @@ impl MetricShard {
     }
 }
 
-/// Output of a durable point-set evaluation (the Sobol driver's engine
-/// loop): per-point metric values plus the campaign accounting.
+impl ShardRecord for MetricShard {
+    fn to_payload(&self) -> Result<Cow<'_, [u8]>, JournalError> {
+        Ok(Cow::Owned(self.encode()))
+    }
+
+    fn from_payload(bytes: &[u8]) -> Result<Self, JournalError> {
+        Self::decode(bytes)
+    }
+}
+
+/// Output of a point-set evaluation: per-point metric values plus the
+/// campaign accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EvalOutputs {
-    /// One metric value per evaluation point, in plan order.
+    /// One metric value per evaluation point, in point order.
     pub outputs: Vec<f64>,
     /// Total simulated engine time (ns), folded in shard order.
     pub simulated_ns: f64,
@@ -347,20 +456,123 @@ pub struct EvalOutputs {
     pub report: ShardReport,
 }
 
-/// Durably evaluates a fixed point set (e.g. a Saltelli design) through an
-/// engine: points are chunked into `shard_size` batches, each batch is one
-/// journaled shard, and a restarted run skips committed shards. Failed
-/// members yield `NaN`; shards whose job fails validation are journaled as
-/// invalid outcomes (all their points `NaN`) instead of killing the
-/// campaign. Outputs, counts, and billed time are byte-identical to an
-/// uninterrupted run.
+/// What every point of a batched evaluation shares.
+pub(crate) struct PointEval<'a> {
+    pub model: &'a ReactionBasedModel,
+    pub time_points: &'a [f64],
+    pub options: &'a SolverOptions,
+    pub engine: &'a dyn Simulator,
+    /// Points per engine batch — one shard each.
+    pub batch: usize,
+    /// The value of a failed member, and of every point of a shard whose
+    /// job fails validation.
+    pub failed: f64,
+}
+
+/// The one body under every sweep and point-set driver: `points` are cut
+/// into `spec.batch` chunks, one engine batch and one step of the shard
+/// log `open` returns (given the shard count) each, and the per-point
+/// metric values fold back in point order.
+///
+/// On the executing path `parameterize` is called once per point in point
+/// order and `metric` once per *successful* member in member order; a
+/// replayed shard calls neither. A shard whose job fails validation
+/// ([`SimError::InvalidJob`]) is a shard outcome — every one of its points
+/// takes `spec.failed` — with or without a journal.
+pub(crate) fn evaluate_batched<T, P, M>(
+    spec: &PointEval<'_>,
+    points: &[T],
+    mut parameterize: P,
+    mut metric: M,
+    open: impl FnOnce(u64) -> Result<ShardLog, CampaignError>,
+) -> Result<EvalOutputs, CampaignError>
+where
+    P: FnMut(&T) -> Parameterization,
+    M: FnMut(&Solution) -> f64,
+{
+    let chunks: Vec<&[T]> = points.chunks(spec.batch.max(1)).collect();
+    let mut log = open(chunks.len() as u64)?;
+    let mut outputs = Vec::with_capacity(points.len());
+    let mut simulated_ns = 0.0;
+    let mut simulations = 0usize;
+    for (shard, chunk) in chunks.iter().enumerate() {
+        let record: MetricShard = log.step(shard as u64, || {
+            let batch: Vec<Parameterization> = chunk.iter().map(&mut parameterize).collect();
+            let job = match SimulationJob::builder(spec.model)
+                .time_points(spec.time_points.to_vec())
+                .parameterizations(batch)
+                .options(spec.options.clone())
+                .build()
+            {
+                Ok(job) => job,
+                Err(e @ SimError::InvalidJob { .. }) => {
+                    return Ok(MetricShard::invalid(e.to_string()));
+                }
+                Err(e) => return Err(e.into()),
+            };
+            let result = spec.engine.run(&job)?;
+            let values = result
+                .outcomes
+                .iter()
+                .map(|o| match &o.solution {
+                    Ok(sol) => metric(sol),
+                    Err(_) => spec.failed,
+                })
+                .collect();
+            Ok(MetricShard::ok(values, result.timing.simulated_total_ns, job.batch_size() as u64))
+        })?;
+        if record.invalid.is_some() {
+            outputs.extend(std::iter::repeat_n(spec.failed, chunk.len()));
+        } else {
+            outputs.extend_from_slice(&record.values);
+        }
+        simulated_ns += record.simulated_ns;
+        simulations += record.simulations as usize;
+    }
+    Ok(EvalOutputs { outputs, simulated_ns, simulations, report: log.finish()? })
+}
+
+/// Evaluates a fixed point set (e.g. a Saltelli design) through an engine
+/// in batches of `batch_size`: `to_param` maps each point to a
+/// parameterization of `model`, `metric` reduces each trajectory. Failed
+/// members — and every point of a batch whose job fails validation — yield
+/// `NaN`.
+///
+/// # Errors
+///
+/// [`CampaignError::Sim`] for a fatal engine error (`SimError::Cancelled`
+/// included: there is no checkpoint to interrupt into).
+#[allow(clippy::too_many_arguments)]
+pub fn evaluate_points<P, M>(
+    model: &ReactionBasedModel,
+    points: &[Vec<f64>],
+    mut to_param: P,
+    time_points: &[f64],
+    options: &SolverOptions,
+    engine: &dyn Simulator,
+    metric: M,
+    batch_size: usize,
+) -> Result<EvalOutputs, CampaignError>
+where
+    P: FnMut(&[f64]) -> Parameterization,
+    M: FnMut(&Solution) -> f64,
+{
+    let spec =
+        PointEval { model, time_points, options, engine, batch: batch_size, failed: f64::NAN };
+    evaluate_batched(&spec, points, |p| to_param(p), metric, |_| Ok(ShardLog::default()))
+}
+
+/// [`evaluate_points`], durably: each batch of `shard_size` points is one
+/// journaled shard, and a restarted run skips committed shards. Outputs,
+/// counts, and billed time are byte-identical to an uninterrupted run and
+/// to the plain evaluation.
 ///
 /// `kind` names the campaign in the manifest (e.g. `"sobol"`), keeping
 /// checkpoints from different drivers mutually exclusive.
 ///
 /// # Errors
 ///
-/// As [`run_journaled`]: checkpoint I/O/mismatch, interruption at a shard
+/// As [`ShardLog::step`]: checkpoint I/O/mismatch, interruption at a shard
 /// boundary, or a fatal engine error.
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_points_durable<P, M>(
@@ -371,7 +583,7 @@ pub fn evaluate_points_durable<P, M>(
     time_points: &[f64],
     options: &SolverOptions,
     engine: &dyn Simulator,
-    mut metric: M,
+    metric: M,
     shard_size: usize,
     checkpoint: &Checkpoint,
 ) -> Result<EvalOutputs, CampaignError>
@@ -380,60 +592,27 @@ where
     M: FnMut(&Solution) -> f64,
 {
     let shard_size = shard_size.max(1);
-    let chunks: Vec<&[Vec<f64>]> = points.chunks(shard_size).collect();
-    let mut points_enc = Enc::new();
-    for p in points {
-        points_enc.put_f64_slice(p);
-    }
-    let manifest = CampaignManifest::new(kind, chunks.len() as u64)
-        .with_digest("model", model_digest(model))
-        .with_digest("points", fnv64(&points_enc.finish()))
-        .with_digest("times", f64s_digest(time_points))
-        .with_digest("options", options_digest(options))
-        .with_field("shard_size", shard_size.to_string());
-
-    let (payloads, report) = run_journaled(checkpoint, manifest, |shard| {
-        let chunk = chunks[shard as usize];
-        let batch: Vec<Parameterization> = chunk.iter().map(|p| to_param(p)).collect();
-        let job = match SimulationJob::builder(model)
-            .time_points(time_points.to_vec())
-            .parameterizations(batch)
-            .options(options.clone())
-            .build()
-        {
-            Ok(job) => job,
-            Err(e @ SimError::InvalidJob { .. }) => {
-                return Ok(MetricShard::invalid(e.to_string()).encode());
-            }
-            Err(e) => return Err(e.into()),
-        };
-        let result = engine.run(&job)?;
-        let values: Vec<f64> = result
-            .outcomes
-            .iter()
-            .map(|o| match &o.solution {
-                Ok(sol) => metric(sol),
-                Err(_) => f64::NAN,
-            })
-            .collect();
-        Ok(MetricShard::ok(values, result.timing.simulated_total_ns, job.batch_size() as u64)
-            .encode())
-    })?;
-
-    let mut outputs = Vec::with_capacity(points.len());
-    let mut simulated_ns = 0.0;
-    let mut simulations = 0usize;
-    for (chunk, payload) in chunks.iter().zip(&payloads) {
-        let shard = MetricShard::decode(payload)?;
-        if shard.invalid.is_some() {
-            outputs.extend(std::iter::repeat_n(f64::NAN, chunk.len()));
-        } else {
-            outputs.extend_from_slice(&shard.values);
+    let manifest = |shards| {
+        let mut points_enc = Enc::new();
+        for p in points {
+            points_enc.put_f64_slice(p);
         }
-        simulated_ns += shard.simulated_ns;
-        simulations += shard.simulations as usize;
-    }
-    Ok(EvalOutputs { outputs, simulated_ns, simulations, report })
+        CampaignManifest::new(kind, shards)
+            .with_digest("model", model_digest(model))
+            .with_digest("points", fnv64(&points_enc.finish()))
+            .with_digest("times", f64s_digest(time_points))
+            .with_digest("options", options_digest(options))
+            .with_field("shard_size", shard_size.to_string())
+    };
+    let spec =
+        PointEval { model, time_points, options, engine, batch: shard_size, failed: f64::NAN };
+    evaluate_batched(
+        &spec,
+        points,
+        |p| to_param(p),
+        metric,
+        |shards| ShardLog::open(Some(checkpoint), || manifest(shards)),
+    )
 }
 
 #[cfg(test)]
@@ -527,6 +706,49 @@ mod tests {
         assert_eq!(report.recovered, 3);
         assert_eq!(report.executed, 2);
         assert_eq!(payloads, vec![vec![0], vec![1], vec![2], vec![3], vec![4]]);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn without_a_checkpoint_a_step_only_runs_the_closure() {
+        struct NeverJournaled(u32);
+        impl ShardRecord for NeverJournaled {
+            fn to_payload(&self) -> Result<Cow<'_, [u8]>, JournalError> {
+                panic!("a plain campaign encodes nothing")
+            }
+            fn from_payload(_: &[u8]) -> Result<Self, JournalError> {
+                panic!("a plain campaign decodes nothing")
+            }
+        }
+        // No checkpoint means no directory to touch, and the manifest (with
+        // its digests) is never even built.
+        let mut log =
+            ShardLog::open(None, || panic!("a plain campaign builds no manifest")).unwrap();
+        assert_eq!(log.step(0, || Ok(NeverJournaled(7))).unwrap().0, 7);
+        assert_eq!(log.step(1, || Ok(NeverJournaled(8))).unwrap().0, 8);
+        // Cancellation has no checkpoint to interrupt into: it propagates.
+        let cancelled =
+            log.step::<NeverJournaled>(2, || Err(CampaignError::Sim(SimError::Cancelled)));
+        assert!(matches!(cancelled, Err(CampaignError::Sim(SimError::Cancelled))));
+        let report = log.finish().unwrap();
+        assert_eq!(report, ShardReport { executed: 2, ..ShardReport::default() });
+    }
+
+    #[test]
+    fn undecodable_committed_record_is_a_typed_journal_error() {
+        let dir = temp_dir("undecodable");
+        let manifest = CampaignManifest::new("test", 1);
+        let cp = Checkpoint::new(&dir);
+        run_journaled(&cp, manifest.clone(), |_| Ok(b"not a metric shard".to_vec())).unwrap();
+
+        let mut log = ShardLog::open(Some(&cp), || manifest).unwrap();
+        let err = log
+            .step::<MetricShard>(0, || panic!("a committed shard must not re-execute"))
+            .unwrap_err();
+        assert!(
+            matches!(err, CampaignError::Journal(JournalError::MalformedPayload { .. })),
+            "expected a malformed-payload journal error, got {err}"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -432,6 +432,12 @@ where
     let stop = Arc::new(AtomicBool::new(false));
     let suppressed = Arc::new(AtomicBool::new(false));
     let beat_every = (config.lease.ttl_ms / 4).max(5);
+    // First beat before the heartbeat thread exists: both would write
+    // through the same `hb_<worker>.tmp`, and the loser's rename fails with
+    // a bare ENOENT. It also starts `last_alive` from a heartbeat even if
+    // the OS schedules the thread late.
+    leases.beat(worker, 0)?;
+    wtoken.extend_deadline_ms(now_ms() + config.lease.ttl_ms);
     let heartbeat = {
         let leases = leases.clone();
         let worker = worker.to_string();
@@ -464,10 +470,6 @@ where
         }
     }
     let _stop_guard = StopOnDrop(Arc::clone(&stop));
-    // First beat before any claim, so `last_alive` starts from a heartbeat
-    // even if the OS schedules the heartbeat thread late.
-    leases.beat(worker, 0)?;
-    wtoken.extend_deadline_ms(now_ms() + config.lease.ttl_ms);
 
     let mut ordinal = 0u64;
     let exit = 'outer: loop {
@@ -799,14 +801,16 @@ mod tests {
     fn killed_worker_is_reassigned_and_result_is_exact() {
         let dir = temp_dir("kill");
         let cp = Checkpoint::new(&dir);
-        let chaos = vec![
-            WorkerChaos { kill_at_ordinal: Some(1), ..WorkerChaos::default() },
-            WorkerChaos::default(),
-        ];
+        // One doomed worker and a respawn: with instant payloads a healthy
+        // second worker could drain every shard before the doomed one
+        // reaches the claim it dies on, and nobody would die. Alone, it
+        // must die holding its second shard whatever the interleaving, so
+        // the lease expiry and the reassignment always happen.
+        let chaos = vec![WorkerChaos { kill_at_ordinal: Some(1), ..WorkerChaos::default() }];
         let (payloads, report, workers) = run_dispatched(
             &cp,
             manifest(8),
-            2,
+            1,
             &fast_config(),
             &chaos,
             true,

@@ -15,14 +15,16 @@
 //! resume with a different thread count and still reassemble identically.
 
 use crate::campaign::{
-    f64s_digest, model_digest, run_journaled, CampaignError, Checkpoint, ShardReport,
+    f64s_digest, model_digest, CampaignError, Checkpoint, ShardLog, ShardRecord, ShardReport,
 };
 use paraspace_journal::codec::{Dec, Enc};
 use paraspace_journal::{CampaignManifest, JournalError};
 use paraspace_rbm::ReactionBasedModel;
 use paraspace_stochastic::{
-    EnsembleStats, StochasticBatch, StochasticError, StochasticSimulator, StochasticTrajectory,
+    EnsembleStats, LaneAccounting, StochasticBatch, StochasticError, StochasticSimulator,
+    StochasticTrajectory,
 };
+use std::borrow::Cow;
 
 /// One journaled ensemble shard: the outcomes of a consecutive replicate
 /// range, plus the simulated device time the shard billed.
@@ -124,7 +126,17 @@ impl EnsembleShard {
     }
 }
 
-/// Output of a durable ensemble campaign.
+impl ShardRecord for EnsembleShard {
+    fn to_payload(&self) -> Result<Cow<'_, [u8]>, JournalError> {
+        self.encode().map(Cow::Owned)
+    }
+
+    fn from_payload(bytes: &[u8]) -> Result<Self, JournalError> {
+        Self::decode(bytes)
+    }
+}
+
+/// Output of an ensemble campaign.
 #[derive(Debug)]
 pub struct EnsembleOutputs {
     /// Per-replicate outcomes, in replicate order (recovered shards and
@@ -136,13 +148,22 @@ pub struct EnsembleOutputs {
     pub simulated_ns: f64,
     /// What the journal recovered and executed.
     pub report: ShardReport,
+    /// The lane width the shards executed by this run resolved (1 = the
+    /// scalar path); `None` when every shard replayed from the journal,
+    /// which records outcomes and billed time only.
+    pub lane_width: Option<usize>,
+    /// Lane-group accounting summed over the shards executed by this run
+    /// (`None` when none of them ran lanes).
+    pub lanes: Option<LaneAccounting>,
 }
 
-/// Runs a replicate ensemble durably: replicates are chunked into
-/// `shard_size` journaled shards; a restarted run skips committed shards
-/// and produces byte-identical outcomes, statistics, and billed time.
-/// Per-replicate propensity failures are shard *outcomes* (journaled and
-/// reassembled), not campaign killers.
+/// Runs a replicate ensemble as a campaign. With a checkpoint, replicates
+/// are chunked into `shard_size` journaled shards; a restarted run skips
+/// committed shards and produces byte-identical outcomes, statistics, and
+/// billed time. Without one there is nothing to cut shards for: the whole
+/// ensemble is one batch, exactly [`StochasticBatch::run`]. Per-replicate
+/// propensity failures are shard *outcomes* (journaled and reassembled),
+/// not campaign killers.
 ///
 /// # Errors
 ///
@@ -156,46 +177,57 @@ pub fn run_ensemble_durable<S: StochasticSimulator + Sync>(
     replicates: usize,
     batch: &StochasticBatch<S>,
     shard_size: usize,
-    checkpoint: &Checkpoint,
+    checkpoint: Option<&Checkpoint>,
 ) -> Result<EnsembleOutputs, CampaignError> {
-    let shard_size = shard_size.max(1);
+    let shard_size = if checkpoint.is_some() { shard_size } else { replicates }.max(1);
     let shards = replicates.div_ceil(shard_size).max(1) as u64;
-    let manifest = CampaignManifest::new("ensemble", shards)
-        .with_digest("model", model_digest(model))
-        .with_digest("times", f64s_digest(times))
-        .with_field("simulator", batch.simulator().name().to_string())
-        .with_field("seed", batch.seed().to_string())
-        .with_field("member", batch.member().to_string())
-        .with_field(
-            "lane_width",
-            batch.lane_width().map_or_else(|| "auto".to_string(), |w| w.to_string()),
-        )
-        .with_field("replicates", replicates.to_string())
-        .with_field("shard_size", shard_size.to_string());
-
-    let (payloads, report) = run_journaled(checkpoint, manifest, |shard| {
-        let lo = shard as usize * shard_size;
-        let hi = (lo + shard_size).min(replicates);
-        let result = batch.run_range(model, times, lo..hi).map_err(CampaignError::Stochastic)?;
-        EnsembleShard { outcomes: result.outcomes, simulated_ns: result.simulated_ns }
-            .encode()
-            .map_err(CampaignError::Journal)
+    let mut log = ShardLog::open(checkpoint, || {
+        CampaignManifest::new("ensemble", shards)
+            .with_digest("model", model_digest(model))
+            .with_digest("times", f64s_digest(times))
+            .with_field("simulator", batch.simulator().name().to_string())
+            .with_field("seed", batch.seed().to_string())
+            .with_field("member", batch.member().to_string())
+            .with_field(
+                "lane_width",
+                batch.lane_width().map_or_else(|| "auto".to_string(), |w| w.to_string()),
+            )
+            .with_field("replicates", replicates.to_string())
+            .with_field("shard_size", shard_size.to_string())
     })?;
 
     let mut outcomes = Vec::with_capacity(replicates);
     let mut simulated_ns = 0.0;
-    for payload in &payloads {
-        let shard = EnsembleShard::decode(payload)?;
-        outcomes.extend(shard.outcomes);
-        simulated_ns += shard.simulated_ns;
+    let mut lane_width = None;
+    let mut lanes: Option<LaneAccounting> = None;
+    for shard in 0..shards {
+        let record: EnsembleShard = log.step(shard, || {
+            let lo = shard as usize * shard_size;
+            let hi = (lo + shard_size).min(replicates);
+            let result =
+                batch.run_range(model, times, lo..hi).map_err(CampaignError::Stochastic)?;
+            lane_width = Some(result.lane_width);
+            if let Some(ran) = result.lanes {
+                let total = lanes.get_or_insert_with(LaneAccounting::default);
+                total.groups += ran.groups;
+                total.slot_steps += ran.slot_steps;
+                total.lane_steps += ran.lane_steps;
+                total.max_width = total.max_width.max(ran.max_width);
+            }
+            Ok(EnsembleShard { outcomes: result.outcomes, simulated_ns: result.simulated_ns })
+        })?;
+        outcomes.extend(record.outcomes);
+        simulated_ns += record.simulated_ns;
     }
+    let report = log.finish()?;
     let stats = EnsembleStats::from_outcomes(times, model.n_species(), &outcomes);
-    Ok(EnsembleOutputs { outcomes, stats, simulated_ns, report })
+    Ok(EnsembleOutputs { outcomes, stats, simulated_ns, report, lane_width, lanes })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::campaign::run_journaled;
     use paraspace_core::CancelToken;
     use paraspace_rbm::Reaction;
     use paraspace_stochastic::TauLeaping;
@@ -289,7 +321,7 @@ mod tests {
         // of the world, and the bytes must still match the direct run.
         let cp = Checkpoint::new(&dir);
         let resumed =
-            run_ensemble_durable(&model, &times, 23, &batch.clone().with_threads(8), 8, &cp)
+            run_ensemble_durable(&model, &times, 23, &batch.clone().with_threads(8), 8, Some(&cp))
                 .unwrap();
         assert!(resumed.report.resumed);
         assert_eq!(resumed.report.recovered, 2);
@@ -305,14 +337,14 @@ mod tests {
         let model = isomerization();
         let times = [0.1];
         let batch = StochasticBatch::new(TauLeaping::new()).with_seed(1);
-        run_ensemble_durable(&model, &times, 6, &batch, 4, &Checkpoint::new(&dir)).unwrap();
+        run_ensemble_durable(&model, &times, 6, &batch, 4, Some(&Checkpoint::new(&dir))).unwrap();
         let err = run_ensemble_durable(
             &model,
             &times,
             6,
             &batch.clone().with_seed(2),
             4,
-            &Checkpoint::new(&dir),
+            Some(&Checkpoint::new(&dir)),
         )
         .unwrap_err();
         match err {
@@ -333,13 +365,14 @@ mod tests {
         let batch = StochasticBatch::new(TauLeaping::new())
             .with_seed(5)
             .with_faults(StochFaultPlan::new().poison(3, StochFault::nan(0, 1)));
-        let out =
-            run_ensemble_durable(&model, &times, 10, &batch, 4, &Checkpoint::new(&dir)).unwrap();
+        let out = run_ensemble_durable(&model, &times, 10, &batch, 4, Some(&Checkpoint::new(&dir)))
+            .unwrap();
         assert!(matches!(out.outcomes[3], Err(StochasticError::BadPropensity { reaction: 0, .. })));
         assert_eq!(out.outcomes.iter().filter(|o| o.is_ok()).count(), 9);
         // And the journaled failure reassembles identically on resume.
         let again =
-            run_ensemble_durable(&model, &times, 10, &batch, 4, &Checkpoint::new(&dir)).unwrap();
+            run_ensemble_durable(&model, &times, 10, &batch, 4, Some(&Checkpoint::new(&dir)))
+                .unwrap();
         assert!(again.report.resumed);
         assert_eq!(again.report.executed, 0);
         assert_eq!(again.outcomes, out.outcomes);

@@ -24,27 +24,30 @@
 //!
 //! * [`estimate_gradient`] — multi-start projected L-BFGS, the pure
 //!   gradient path;
-//! * [`estimate_gradient_durable`] — the same search under the campaign
-//!   write-ahead journal: every (loss, gradient) evaluation is one
-//!   committed shard, so a killed run replays them without touching a
-//!   solver and reproduces the uninterrupted trajectory bitwise;
+//! * [`estimate_gradient_durable`] — the same search, given a checkpoint:
+//!   every (loss, gradient) evaluation is one committed shard of the
+//!   campaign write-ahead journal, so a killed run replays them without
+//!   touching a solver and reproduces the uninterrupted trajectory
+//!   bitwise;
 //! * [`local_sensitivities`] — derivative-based local sensitivity
 //!   analysis (normalized, time-averaged sensitivity indices), the cheap
 //!   screening companion to the variance-based [`crate::sobol`] pipeline.
 
 use crate::campaign::{
-    f64s_digest, model_digest, options_digest, CampaignError, Checkpoint, ShardReport,
+    f64s_digest, model_digest, options_digest, CampaignError, Checkpoint, ShardLog, ShardRecord,
+    ShardReport,
 };
 use crate::pe::{EstimationProblem, EstimationResult};
 use crate::pso::PsoResult;
 use paraspace_core::{RbmSensSystem, STIFFNESS_THRESHOLD};
 use paraspace_journal::codec::{Dec, Enc};
-use paraspace_journal::{fnv64, CampaignManifest, Journal};
+use paraspace_journal::{fnv64, CampaignManifest, JournalError};
 use paraspace_linalg::{dominant_eigenvalue_estimate, Matrix};
 use paraspace_rbm::CompiledOdes;
 use paraspace_solvers::{Dopri5Sens, Radau5Sens, SensSolution};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::borrow::Cow;
 
 const LN_10: f64 = std::f64::consts::LN_10;
 
@@ -183,14 +186,6 @@ impl<'p, 'a> GradientObjective<'p, 'a> {
         }
     }
 
-    fn constants_for(&self, log_values: &[f64]) -> Vec<f64> {
-        let mut k = self.problem.model.rate_constants();
-        for (&idx, &lv) in self.problem.unknown.iter().zip(log_values) {
-            k[idx] = 10f64.powf(lv);
-        }
-        k
-    }
-
     fn route(&mut self, k: &[f64]) -> bool {
         match self.solver {
             SensSolverKind::Dopri5 => false,
@@ -207,7 +202,7 @@ impl<'p, 'a> GradientObjective<'p, 'a> {
     /// failed (diverged, budget exhausted) — the line search treats it as
     /// an infinite loss and backtracks.
     pub fn evaluate(&mut self, log_values: &[f64]) -> Option<GradientEval> {
-        let k = self.constants_for(log_values);
+        let k = fill_constants(self.problem, log_values);
         let stiff = self.route(&k);
         let sys = RbmSensSystem::new(&self.odes, k.clone(), self.problem.unknown.clone());
         let times = &self.problem.time_points;
@@ -432,7 +427,7 @@ where
 
 /// The deterministic start points of a multi-start search: the box
 /// midpoint first, then seeded uniform samples.
-fn start_points(bounds: &[(f64, f64)], config: &GradientConfig) -> Vec<Vec<f64>> {
+pub(crate) fn start_points(bounds: &[(f64, f64)], config: &GradientConfig) -> Vec<Vec<f64>> {
     let mut rng = StdRng::seed_from_u64(config.seed);
     (0..config.starts.max(1))
         .map(|s| {
@@ -445,22 +440,21 @@ fn start_points(bounds: &[(f64, f64)], config: &GradientConfig) -> Vec<Vec<f64>>
         .collect()
 }
 
-fn fill_constants(problem: &EstimationProblem<'_>, best: &[f64]) -> Vec<f64> {
+/// The model's full rate-constant vector with the unknowns filled in from
+/// their log₁₀ values.
+pub(crate) fn fill_constants(problem: &EstimationProblem<'_>, log_values: &[f64]) -> Vec<f64> {
     let mut k = problem.model.rate_constants();
-    for (&idx, &lv) in problem.unknown.iter().zip(best) {
+    for (&idx, &lv) in problem.unknown.iter().zip(log_values) {
         k[idx] = 10f64.powf(lv);
     }
     k
 }
 
+/// Folds the per-start traces in start order; a later start takes over
+/// only by strictly improving, so one start merges to itself.
 fn merge_traces(traces: Vec<GradientTrace>) -> GradientTrace {
-    let mut merged = GradientTrace {
-        best_position: Vec::new(),
-        best_fitness: f64::INFINITY,
-        history: Vec::new(),
-        evaluations: 0,
-        converged: false,
-    };
+    let mut traces = traces.into_iter();
+    let mut merged = traces.next().expect("a search has at least one start");
     for t in traces {
         if t.best_fitness < merged.best_fitness {
             merged.best_fitness = t.best_fitness;
@@ -516,13 +510,9 @@ pub fn estimate_gradient(
     problem: &EstimationProblem<'_>,
     config: &GradientConfig,
 ) -> EstimationResult {
-    let mut objective = GradientObjective::new(problem, config.solver);
-    let traces: Vec<GradientTrace> = start_points(&problem.log_bounds, config)
-        .iter()
-        .map(|start| lbfgs(&problem.log_bounds, config, start, |x| objective.evaluate(x)))
-        .collect();
-    let trace = merge_traces(traces);
-    finish_gradient(problem, objective.ode_solves, trace)
+    search(problem, config, &start_points(&problem.log_bounds, config), None)
+        .expect("a search without a checkpoint has nothing that can fail")
+        .0
 }
 
 /// Polishes a given start (e.g. a swarm's best) with one L-BFGS descent —
@@ -532,58 +522,44 @@ pub fn polish_gradient(
     config: &GradientConfig,
     start: &[f64],
 ) -> EstimationResult {
-    let mut objective = GradientObjective::new(problem, config.solver);
-    let trace = lbfgs(&problem.log_bounds, config, start, |x| objective.evaluate(x));
-    finish_gradient(problem, objective.ode_solves, trace)
-}
-
-fn finish_gradient(
-    problem: &EstimationProblem<'_>,
-    ode_solves: usize,
-    trace: GradientTrace,
-) -> EstimationResult {
-    let rate_constants = fill_constants(problem, &trace.best_position);
-    EstimationResult {
-        optimization: PsoResult {
-            best_position: trace.best_position,
-            best_fitness: trace.best_fitness,
-            history: trace.history,
-            evaluations: trace.evaluations,
-        },
-        rate_constants,
-        simulated_ns: 0.0,
-        simulations: ode_solves,
-    }
+    search(problem, config, &[start.to_vec()], None)
+        .expect("a search without a checkpoint has nothing that can fail")
+        .0
 }
 
 /// One journaled evaluation: the candidate's loss/gradient, or a tagged
 /// integration failure so a deterministic failure replays as a failure.
-fn encode_eval(eval: &Option<GradientEval>) -> Vec<u8> {
-    let mut enc = Enc::new();
-    match eval {
-        None => {
-            enc.put_u32(0);
+impl ShardRecord for Option<GradientEval> {
+    fn to_payload(&self) -> Result<Cow<'_, [u8]>, JournalError> {
+        let mut enc = Enc::new();
+        match self {
+            None => {
+                enc.put_u32(0);
+            }
+            Some(e) => {
+                enc.put_u32(1)
+                    .put_f64(e.loss)
+                    .put_f64_slice(&e.gradient)
+                    .put_u32(u32::from(e.stiff));
+            }
         }
-        Some(e) => {
-            enc.put_u32(1).put_f64(e.loss).put_f64_slice(&e.gradient).put_u32(u32::from(e.stiff));
-        }
+        Ok(Cow::Owned(enc.finish()))
     }
-    enc.finish()
-}
 
-fn decode_eval(payload: &[u8]) -> Result<Option<GradientEval>, CampaignError> {
-    let mut dec = Dec::new(payload);
-    let eval = match dec.u32()? {
-        0 => None,
-        _ => {
-            let loss = dec.f64()?;
-            let gradient = dec.f64_vec()?;
-            let stiff = dec.u32()? != 0;
-            Some(GradientEval { loss, gradient, stiff })
-        }
-    };
-    dec.expect_exhausted()?;
-    Ok(eval)
+    fn from_payload(bytes: &[u8]) -> Result<Self, JournalError> {
+        let mut dec = Dec::new(bytes);
+        let eval = match dec.u32()? {
+            0 => None,
+            _ => {
+                let loss = dec.f64()?;
+                let gradient = dec.f64_vec()?;
+                let stiff = dec.u32()? != 0;
+                Some(GradientEval { loss, gradient, stiff })
+            }
+        };
+        dec.expect_exhausted()?;
+        Ok(eval)
+    }
 }
 
 /// [`estimate_gradient`], durably: every (loss, gradient) evaluation is
@@ -611,7 +587,7 @@ pub fn estimate_gradient_durable(
     config: &GradientConfig,
     checkpoint: &Checkpoint,
 ) -> Result<(EstimationResult, ShardReport), CampaignError> {
-    durable_search(problem, config, &start_points(&problem.log_bounds, config), checkpoint)
+    search(problem, config, &start_points(&problem.log_bounds, config), Some(checkpoint))
 }
 
 /// [`polish_gradient`], durably: one journaled L-BFGS descent from an
@@ -628,84 +604,65 @@ pub fn polish_gradient_durable(
     start: &[f64],
     checkpoint: &Checkpoint,
 ) -> Result<(EstimationResult, ShardReport), CampaignError> {
-    durable_search(problem, config, std::slice::from_ref(&start.to_vec()), checkpoint)
+    search(problem, config, &[start.to_vec()], Some(checkpoint))
 }
 
-fn durable_search(
+/// The one L-BFGS search under every gradient entry point: a descent from
+/// each of `starts`, each evaluation one [`ShardLog`] step keyed by its
+/// position in the deterministic evaluation sequence. The evaluation
+/// closure cannot fail, so the first error — interruption included — parks
+/// in `stop` and the remaining evaluations read as failed integrations
+/// without touching a solver.
+pub(crate) fn search(
     problem: &EstimationProblem<'_>,
     config: &GradientConfig,
     starts: &[Vec<f64>],
-    checkpoint: &Checkpoint,
+    checkpoint: Option<&Checkpoint>,
 ) -> Result<(EstimationResult, ShardReport), CampaignError> {
-    // Upper bound on the evaluation sequence: per start, one seed
-    // evaluation plus one full line search per iteration.
-    let cap = (starts.len() * (1 + config.iterations * (config.max_backtracks + 1))) as u64;
-    let manifest = checkpoint.apply_world(
-        pe_manifest_base(problem, cap)
+    let mut log = ShardLog::open(checkpoint, || {
+        // Upper bound on the evaluation sequence: per start, one seed
+        // evaluation plus one full line search per iteration.
+        let cap = starts.len() * (1 + config.iterations * (config.max_backtracks + 1));
+        pe_manifest_base(problem, cap as u64)
             .with_field("optimizer", "lbfgs")
-            .with_digest("optimizer_config", gradient_config_digest(config)),
-    );
-    let (mut journal, open) = Journal::open_or_create(checkpoint.dir(), &manifest)?;
-
+            .with_digest("optimizer_config", gradient_config_digest(config))
+    })?;
     let mut objective = GradientObjective::new(problem, config.solver);
     let mut next = 0u64;
-    let mut executed = 0u64;
-    let mut interrupted = false;
-    let mut fatal: Option<CampaignError> = None;
+    let mut stop: Option<CampaignError> = None;
     let traces: Vec<GradientTrace> = starts
         .iter()
         .map(|start| {
             lbfgs(&problem.log_bounds, config, start, |x| {
                 let idx = next;
                 next += 1;
-                if interrupted || fatal.is_some() {
+                if stop.is_some() {
                     return None;
                 }
-                if let Some(payload) = journal.get(idx) {
-                    return match decode_eval(payload) {
-                        Ok(e) => e,
-                        Err(e) => {
-                            fatal = Some(e);
-                            None
-                        }
-                    };
-                }
-                if checkpoint.cancel_token().is_cancelled() {
-                    interrupted = true;
-                    return None;
-                }
-                let eval = objective.evaluate(x);
-                if let Err(e) = journal.commit(idx, &encode_eval(&eval)) {
-                    fatal = Some(e.into());
-                    return None;
-                }
-                executed += 1;
-                eval
+                log.step(idx, || Ok(objective.evaluate(x))).unwrap_or_else(|e| {
+                    stop = Some(e);
+                    None
+                })
             })
         })
         .collect();
-    if let Some(e) = fatal {
+    if let Some(e) = stop {
         return Err(e);
     }
-    journal.sync()?;
-    if interrupted {
-        return Err(CampaignError::Interrupted {
-            completed: journal.committed(),
-            shards: cap,
-            checkpoint_dir: checkpoint.dir().to_path_buf(),
-        });
-    }
+    let report = log.finish()?;
     let trace = merge_traces(traces);
-    let result = finish_gradient(problem, objective.ode_solves, trace);
-    Ok((
-        result,
-        ShardReport {
-            resumed: open.resumed,
-            recovered: open.committed,
-            executed,
-            truncated_bytes: open.truncated_bytes,
+    let result = EstimationResult {
+        rate_constants: fill_constants(problem, &trace.best_position),
+        optimization: PsoResult {
+            best_position: trace.best_position,
+            best_fitness: trace.best_fitness,
+            history: trace.history,
+            evaluations: trace.evaluations,
         },
-    ))
+        simulated_ns: 0.0,
+        simulations: objective.ode_solves,
+    };
+    Ok((result, report))
 }
 
 /// The problem-identity manifest shared by every durable PE optimizer:

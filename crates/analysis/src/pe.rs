@@ -7,18 +7,18 @@
 //! target time series. The experiment compares the same estimation run
 //! priced on different engines.
 
-use crate::campaign::{CampaignError, Checkpoint, ShardReport};
+use crate::campaign::{f64s_digest, CampaignError, Checkpoint, ShardLog, ShardRecord, ShardReport};
 use crate::fitness::{relative_distance, FailedMemberPolicy};
 use crate::gradient::{
-    estimate_gradient, estimate_gradient_durable, gradient_config_digest, pe_manifest_base,
-    polish_gradient, polish_gradient_durable, GradientConfig,
+    fill_constants, gradient_config_digest, pe_manifest_base, search, start_points, GradientConfig,
 };
 use crate::pso::{fst_pso, heuristic_swarm_size, Objective, PsoConfig, PsoResult};
-use paraspace_core::{SimError, SimulationJob, Simulator};
+use paraspace_core::{SimulationJob, Simulator};
 use paraspace_journal::codec::{Dec, Enc};
-use paraspace_journal::{fnv64, Journal};
+use paraspace_journal::{fnv64, JournalError};
 use paraspace_rbm::{Parameterization, ReactionBasedModel};
 use paraspace_solvers::{Solution, SolverOptions};
+use std::borrow::Cow;
 
 /// A parameter-estimation problem: which rate constants are unknown, their
 /// search bounds (log₁₀-space), and the target dynamics to match.
@@ -56,67 +56,101 @@ pub struct EstimationResult {
     pub simulations: usize,
 }
 
-struct EngineObjective<'p, 'a> {
-    problem: &'p EstimationProblem<'a>,
-    engine: &'p dyn Simulator,
-    simulated_ns: f64,
-    simulations: usize,
-}
-
-impl EngineObjective<'_, '_> {
-    fn constants_for(&self, log_values: &[f64]) -> Vec<f64> {
-        let mut k = self.problem.model.rate_constants();
-        for (&idx, &lv) in self.problem.unknown.iter().zip(log_values) {
-            k[idx] = 10f64.powf(lv);
-        }
-        k
-    }
-}
-
-/// One swarm generation's engine accounting, kept separate from the
-/// running totals so the durable path can journal the *per-generation*
-/// values exactly (a difference of accumulated sums would not round-trip).
+/// One swarm generation's fitness and engine accounting — the swarm
+/// campaign's shard. The accounting is captured per generation, never
+/// differenced from running totals (a difference of accumulated sums would
+/// not round-trip through the journal).
 struct GenerationEval {
     fitness: Vec<f64>,
     simulated_ns: f64,
     simulations: usize,
 }
 
-impl EngineObjective<'_, '_> {
-    /// Runs one generation through the engine, surfacing the error so the
-    /// durable path can checkpoint on cancellation instead of panicking.
-    fn run_generation(&mut self, xs: &[Vec<f64>]) -> Result<GenerationEval, SimError> {
-        let batch: Vec<Parameterization> = xs
-            .iter()
-            .map(|x| Parameterization::new().with_rate_constants(self.constants_for(x)))
-            .collect();
-        let job = SimulationJob::builder(self.problem.model)
-            .time_points(self.problem.time_points.clone())
-            .parameterizations(batch)
-            .options(self.problem.options.clone())
-            .build()?;
-        let result = self.engine.run(&job)?;
-        Ok(GenerationEval {
-            fitness: result
-                .outcomes
-                .iter()
-                .map(|o| match &o.solution {
-                    Ok(sol) => relative_distance(sol, &self.problem.target, &self.problem.observed),
-                    Err(_) => self.problem.failed_members.fitness(),
-                })
-                .collect(),
-            simulated_ns: result.timing.simulated_total_ns,
-            simulations: job.batch_size(),
-        })
+impl ShardRecord for GenerationEval {
+    fn to_payload(&self) -> Result<Cow<'_, [u8]>, JournalError> {
+        let mut enc = Enc::new();
+        enc.put_f64_slice(&self.fitness)
+            .put_f64(self.simulated_ns)
+            .put_u64(self.simulations as u64);
+        Ok(Cow::Owned(enc.finish()))
+    }
+
+    fn from_payload(bytes: &[u8]) -> Result<Self, JournalError> {
+        let mut dec = Dec::new(bytes);
+        let fitness = dec.f64_vec()?;
+        let simulated_ns = dec.f64()?;
+        let simulations = dec.u64()? as usize;
+        dec.expect_exhausted()?;
+        Ok(GenerationEval { fitness, simulated_ns, simulations })
     }
 }
 
-impl Objective for EngineObjective<'_, '_> {
+/// The swarm's objective: each generation is one engine batch and one
+/// [`ShardLog`] step, so a committed generation replays its journaled
+/// fitness bits without touching the engine (PSO is deterministic given
+/// the seed and the fitness history, so the swarm trajectory reproduces
+/// exactly). [`Objective`] cannot fail, so the first error — interruption
+/// included — parks in `stop`: the remaining generations score zeros
+/// without running anything and the discarded search is replaced by that
+/// error.
+struct SwarmObjective<'p, 'a> {
+    problem: &'p EstimationProblem<'a>,
+    engine: &'p dyn Simulator,
+    log: ShardLog,
+    generation: u64,
+    simulated_ns: f64,
+    simulations: usize,
+    stop: Option<CampaignError>,
+}
+
+/// Scores one generation: one engine batch, one member per particle.
+fn run_generation(
+    problem: &EstimationProblem<'_>,
+    engine: &dyn Simulator,
+    xs: &[Vec<f64>],
+) -> Result<GenerationEval, CampaignError> {
+    let batch: Vec<Parameterization> = xs
+        .iter()
+        .map(|x| Parameterization::new().with_rate_constants(fill_constants(problem, x)))
+        .collect();
+    let job = SimulationJob::builder(problem.model)
+        .time_points(problem.time_points.clone())
+        .parameterizations(batch)
+        .options(problem.options.clone())
+        .build()?;
+    let result = engine.run(&job)?;
+    Ok(GenerationEval {
+        fitness: result
+            .outcomes
+            .iter()
+            .map(|o| match &o.solution {
+                Ok(sol) => relative_distance(sol, &problem.target, &problem.observed),
+                Err(_) => problem.failed_members.fitness(),
+            })
+            .collect(),
+        simulated_ns: result.timing.simulated_total_ns,
+        simulations: job.batch_size(),
+    })
+}
+
+impl Objective for SwarmObjective<'_, '_> {
     fn evaluate_batch(&mut self, xs: &[Vec<f64>]) -> Vec<f64> {
-        let g = self.run_generation(xs).expect("engine failure is a configuration bug");
-        self.simulated_ns += g.simulated_ns;
-        self.simulations += g.simulations;
-        g.fitness
+        let generation = self.generation;
+        self.generation += 1;
+        if self.stop.is_some() {
+            return vec![0.0; xs.len()];
+        }
+        match self.log.step(generation, || run_generation(self.problem, self.engine, xs)) {
+            Ok(eval) => {
+                self.simulated_ns += eval.simulated_ns;
+                self.simulations += eval.simulations;
+                eval.fitness
+            }
+            Err(e) => {
+                self.stop = Some(e);
+                vec![0.0; xs.len()]
+            }
+        }
     }
 }
 
@@ -162,105 +196,7 @@ pub fn estimate(
     engine: &dyn Simulator,
     config: &PsoConfig,
 ) -> EstimationResult {
-    assert_eq!(
-        problem.unknown.len(),
-        problem.log_bounds.len(),
-        "one bound pair per unknown constant"
-    );
-    let mut objective = EngineObjective { problem, engine, simulated_ns: 0.0, simulations: 0 };
-    let optimization = fst_pso(&problem.log_bounds, config, &mut objective);
-    let mut k = problem.model.rate_constants();
-    for (&idx, &lv) in problem.unknown.iter().zip(&optimization.best_position) {
-        k[idx] = 10f64.powf(lv);
-    }
-    EstimationResult {
-        rate_constants: k,
-        simulated_ns: objective.simulated_ns,
-        simulations: objective.simulations,
-        optimization,
-    }
-}
-
-/// The generation-journaling wrapper: committed generations replay their
-/// journaled fitness bits without touching the engine (PSO is
-/// deterministic given the seed and the fitness history, so the swarm
-/// trajectory reproduces exactly); uncommitted generations run the engine
-/// and commit before returning. On cancellation the wrapper goes inert —
-/// remaining generations return zeros without running the engine, and the
-/// whole (discarded) result is replaced by
-/// [`CampaignError::Interrupted`].
-struct DurableObjective<'x, 'p, 'a> {
-    inner: EngineObjective<'p, 'a>,
-    journal: &'x mut Journal,
-    cancel: paraspace_core::CancelToken,
-    generation: u64,
-    simulated_ns: f64,
-    simulations: usize,
-    executed: u64,
-    interrupted: bool,
-    fatal: Option<CampaignError>,
-}
-
-impl DurableObjective<'_, '_, '_> {
-    fn encode_generation(g: &GenerationEval) -> Vec<u8> {
-        let mut enc = Enc::new();
-        enc.put_f64_slice(&g.fitness).put_f64(g.simulated_ns).put_u64(g.simulations as u64);
-        enc.finish()
-    }
-
-    fn decode_generation(payload: &[u8]) -> Result<GenerationEval, CampaignError> {
-        let mut dec = Dec::new(payload);
-        let fitness = dec.f64_vec()?;
-        let simulated_ns = dec.f64()?;
-        let simulations = dec.u64()? as usize;
-        dec.expect_exhausted()?;
-        Ok(GenerationEval { fitness, simulated_ns, simulations })
-    }
-}
-
-impl Objective for DurableObjective<'_, '_, '_> {
-    fn evaluate_batch(&mut self, xs: &[Vec<f64>]) -> Vec<f64> {
-        let gen = self.generation;
-        self.generation += 1;
-        if self.interrupted || self.fatal.is_some() {
-            return vec![0.0; xs.len()];
-        }
-        let eval = if let Some(payload) = self.journal.get(gen) {
-            match Self::decode_generation(payload) {
-                Ok(e) => e,
-                Err(e) => {
-                    self.fatal = Some(e);
-                    return vec![0.0; xs.len()];
-                }
-            }
-        } else {
-            if self.cancel.is_cancelled() {
-                self.interrupted = true;
-                return vec![0.0; xs.len()];
-            }
-            match self.inner.run_generation(xs) {
-                Ok(e) => {
-                    if let Err(err) = self.journal.commit(gen, &Self::encode_generation(&e)) {
-                        self.fatal = Some(err.into());
-                        return vec![0.0; xs.len()];
-                    }
-                    self.executed += 1;
-                    e
-                }
-                Err(SimError::Cancelled) => {
-                    self.interrupted = true;
-                    return vec![0.0; xs.len()];
-                }
-                Err(e) => {
-                    self.fatal = Some(e.into());
-                    return vec![0.0; xs.len()];
-                }
-            }
-        };
-        self.simulated_ns += eval.simulated_ns;
-        self.simulations += eval.simulations;
-        eval.fitness
-    }
+    swarm(problem, engine, config, None).expect("engine failure is a configuration bug").0
 }
 
 /// Calibrates like [`estimate`], durably: each swarm generation is one
@@ -290,61 +226,53 @@ pub fn estimate_durable(
     config: &PsoConfig,
     checkpoint: &Checkpoint,
 ) -> Result<(EstimationResult, ShardReport), CampaignError> {
+    swarm(problem, engine, config, Some(checkpoint))
+}
+
+/// The one FST-PSO calibration under [`estimate`] and
+/// [`estimate_durable`]: one shard per generation, journaled when there is
+/// a checkpoint.
+fn swarm(
+    problem: &EstimationProblem<'_>,
+    engine: &dyn Simulator,
+    config: &PsoConfig,
+    checkpoint: Option<&Checkpoint>,
+) -> Result<(EstimationResult, ShardReport), CampaignError> {
     assert_eq!(
         problem.unknown.len(),
         problem.log_bounds.len(),
         "one bound pair per unknown constant"
     );
-    let swarm = config.swarm_size.unwrap_or_else(|| heuristic_swarm_size(problem.log_bounds.len()));
-
-    let manifest = checkpoint.apply_world(
+    let log = ShardLog::open(checkpoint, || {
+        let swarm =
+            config.swarm_size.unwrap_or_else(|| heuristic_swarm_size(problem.log_bounds.len()));
         pe_manifest_base(problem, config.iterations as u64)
             .with_field("optimizer", "pso")
             .with_digest("optimizer_config", pso_config_digest(config))
             .with_field("seed", config.seed.to_string())
-            .with_field("swarm", swarm.to_string()),
-    );
-    let (mut journal, open) = Journal::open_or_create(checkpoint.dir(), &manifest)?;
-
-    let mut durable = DurableObjective {
-        inner: EngineObjective { problem, engine, simulated_ns: 0.0, simulations: 0 },
-        journal: &mut journal,
-        cancel: checkpoint.cancel_token().clone(),
+            .with_field("swarm", swarm.to_string())
+    })?;
+    let mut objective = SwarmObjective {
+        problem,
+        engine,
+        log,
         generation: 0,
         simulated_ns: 0.0,
         simulations: 0,
-        executed: 0,
-        interrupted: false,
-        fatal: None,
+        stop: None,
     };
-    let optimization = fst_pso(&problem.log_bounds, config, &mut durable);
-    let (simulated_ns, simulations, executed) =
-        (durable.simulated_ns, durable.simulations, durable.executed);
-    let (interrupted, fatal) = (durable.interrupted, durable.fatal);
-    if let Some(e) = fatal {
+    let optimization = fst_pso(&problem.log_bounds, config, &mut objective);
+    if let Some(e) = objective.stop {
         return Err(e);
     }
-    journal.sync()?;
-    if interrupted {
-        return Err(CampaignError::Interrupted {
-            completed: journal.committed(),
-            shards: config.iterations as u64,
-            checkpoint_dir: checkpoint.dir().to_path_buf(),
-        });
-    }
-    let mut k = problem.model.rate_constants();
-    for (&idx, &lv) in problem.unknown.iter().zip(&optimization.best_position) {
-        k[idx] = 10f64.powf(lv);
-    }
-    Ok((
-        EstimationResult { rate_constants: k, simulated_ns, simulations, optimization },
-        ShardReport {
-            resumed: open.resumed,
-            recovered: open.committed,
-            executed,
-            truncated_bytes: open.truncated_bytes,
-        },
-    ))
+    let report = objective.log.finish()?;
+    let result = EstimationResult {
+        rate_constants: fill_constants(problem, &optimization.best_position),
+        simulated_ns: objective.simulated_ns,
+        simulations: objective.simulations,
+        optimization,
+    };
+    Ok((result, report))
 }
 
 /// A digest of a [`PsoConfig`] for campaign manifests: any change to the
@@ -420,61 +348,56 @@ pub fn estimate_with(
     engine: &dyn Simulator,
     optimizer: &Optimizer,
 ) -> EstimationResult {
-    match optimizer {
-        Optimizer::Pso(config) => estimate(problem, engine, config),
-        Optimizer::Lbfgs(config) => estimate_gradient(problem, config),
-        Optimizer::Hybrid { pso, gradient } => {
-            let global = estimate(problem, engine, pso);
-            let polish = polish_gradient(problem, gradient, &global.optimization.best_position);
-            merge_stages(global, polish)
-        }
-    }
+    estimate_durable_with(problem, engine, optimizer, None)
+        .expect("engine failure is a configuration bug")
+        .0
 }
 
-/// Calibrates durably with the chosen [`Optimizer`]; the manifest pins the
-/// optimizer and its full configuration, so `resume` refuses a checkpoint
-/// taken under a different optimizer (same contract as the executor's
-/// lane width and thread count). The hybrid journals its two stages into
-/// `pso/` and `gradient/` subdirectories of the checkpoint, each with its
-/// own manifest.
+/// [`estimate_with`] under an optional checkpoint — the one optimizer
+/// dispatch. With a checkpoint the manifest pins the optimizer and its
+/// full configuration, so `resume` refuses a checkpoint taken under a
+/// different optimizer (same contract as the executor's lane width and
+/// thread count); the hybrid journals its two stages into `pso/` and
+/// `gradient/` subdirectories of the checkpoint, each with its own
+/// manifest.
 ///
 /// # Errors
 ///
 /// As [`estimate_durable`] for swarm stages and
-/// [`crate::gradient::estimate_gradient_durable`] for gradient stages.
+/// [`crate::gradient::estimate_gradient_durable`] for gradient stages;
+/// without a checkpoint, only [`CampaignError::Sim`].
 pub fn estimate_durable_with(
     problem: &EstimationProblem<'_>,
     engine: &dyn Simulator,
     optimizer: &Optimizer,
-    checkpoint: &Checkpoint,
+    checkpoint: Option<&Checkpoint>,
 ) -> Result<(EstimationResult, ShardReport), CampaignError> {
     match optimizer {
-        Optimizer::Pso(config) => estimate_durable(problem, engine, config, checkpoint),
-        Optimizer::Lbfgs(config) => estimate_gradient_durable(problem, config, checkpoint),
+        Optimizer::Pso(config) => swarm(problem, engine, config, checkpoint),
+        Optimizer::Lbfgs(config) => {
+            search(problem, config, &start_points(&problem.log_bounds, config), checkpoint)
+        }
         Optimizer::Hybrid { pso, gradient } => {
             let sub = |stage: &str| {
-                Checkpoint::new(checkpoint.dir().join(stage))
-                    .with_cancel(checkpoint.cancel_token().clone())
+                checkpoint.map(|cp| {
+                    Checkpoint::new(cp.dir().join(stage)).with_cancel(cp.cancel_token().clone())
+                })
             };
-            let (global, r1) = estimate_durable(problem, engine, pso, &sub("pso"))?;
+            let (global, r1) = swarm(problem, engine, pso, sub("pso").as_ref())?;
             // The polish starts from the swarm's best, so its checkpoint
             // is only valid against that exact stage-1 outcome — pin it.
             let start = global.optimization.best_position.clone();
-            let polish_cp = sub("gradient").with_world(
-                "hybrid_start",
-                format!("{:016x}", crate::campaign::f64s_digest(&start)),
-            );
-            let (polish, r2) = polish_gradient_durable(problem, gradient, &start, &polish_cp)?;
-            let merged = merge_stages(global, polish);
-            Ok((
-                merged,
-                ShardReport {
-                    resumed: r1.resumed || r2.resumed,
-                    recovered: r1.recovered + r2.recovered,
-                    executed: r1.executed + r2.executed,
-                    truncated_bytes: r1.truncated_bytes + r2.truncated_bytes,
-                },
-            ))
+            let polish_cp = sub("gradient")
+                .map(|cp| cp.with_world("hybrid_start", format!("{:016x}", f64s_digest(&start))));
+            let (polish, r2) =
+                search(problem, gradient, std::slice::from_ref(&start), polish_cp.as_ref())?;
+            let report = ShardReport {
+                resumed: r1.resumed || r2.resumed,
+                recovered: r1.recovered + r2.recovered,
+                executed: r1.executed + r2.executed,
+                truncated_bytes: r1.truncated_bytes + r2.truncated_bytes,
+            };
+            Ok((merge_stages(global, polish), report))
         }
     }
 }
@@ -615,11 +538,11 @@ mod tests {
 
         let pso_cfg = PsoConfig { iterations: 3, swarm_size: Some(6), ..Default::default() };
         let cp = Checkpoint::new(&dir);
-        estimate_durable_with(&problem, &engine, &Optimizer::Pso(pso_cfg), &cp).unwrap();
+        estimate_durable_with(&problem, &engine, &Optimizer::Pso(pso_cfg), Some(&cp)).unwrap();
 
         // Same checkpoint, different optimizer: the manifest must refuse.
         let lbfgs = Optimizer::Lbfgs(crate::gradient::GradientConfig::default());
-        let err = estimate_durable_with(&problem, &engine, &lbfgs, &cp).unwrap_err();
+        let err = estimate_durable_with(&problem, &engine, &lbfgs, Some(&cp)).unwrap_err();
         match err {
             CampaignError::Journal(paraspace_journal::JournalError::ManifestMismatch {
                 field,

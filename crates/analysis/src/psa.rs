@@ -8,11 +8,11 @@
 //! oscillation amplitude, …).
 
 use crate::campaign::{
-    f64s_digest, model_digest, options_digest, run_journaled, CampaignError, Checkpoint,
-    MetricShard, ShardReport,
+    evaluate_batched, f64s_digest, model_digest, options_digest, CampaignError, Checkpoint,
+    PointEval, ShardLog, ShardReport,
 };
 use crate::fitness::FailedMemberPolicy;
-use paraspace_core::{SimError, SimulationJob, Simulator};
+use paraspace_core::Simulator;
 use paraspace_journal::codec::Enc;
 use paraspace_journal::{fnv64, CampaignManifest};
 use paraspace_rbm::{Parameterization, ReactionBasedModel};
@@ -212,73 +212,36 @@ impl Psa2d {
     /// Runs the sweep.
     ///
     /// `parameterize(u, v)` maps a grid point to a parameterization of
-    /// `model`; `metric` reduces each trajectory; failed members yield
-    /// the configured [`FailedMemberPolicy`] value (`NaN` by default).
+    /// `model`, called once per grid point in row-major order; `metric`
+    /// reduces each successful trajectory, in the same order. Failed
+    /// members — and every cell of a batch whose job fails validation
+    /// ([`paraspace_core::SimError::InvalidJob`]) — take the configured
+    /// [`FailedMemberPolicy`] value (`NaN` by default).
     ///
     /// # Errors
     ///
-    /// Propagates job-construction failures from the engine.
+    /// [`CampaignError::Sim`] for a fatal engine failure (cancellation
+    /// included: there is no checkpoint to interrupt into).
     pub fn run<P, M>(
         &self,
         model: &ReactionBasedModel,
-        mut parameterize: P,
+        parameterize: P,
         time_points: Vec<f64>,
         engine: &dyn Simulator,
-        mut metric: M,
-    ) -> Result<Psa2dResult, SimError>
+        metric: M,
+    ) -> Result<Psa2dResult, CampaignError>
     where
         P: FnMut(f64, f64) -> Parameterization,
         M: FnMut(&Solution) -> f64,
     {
-        let start = std::time::Instant::now();
-        let grid: Vec<(usize, usize)> = (0..self.axis1.len())
-            .flat_map(|i| (0..self.axis2.len()).map(move |j| (i, j)))
-            .collect();
-        let mut values = vec![vec![f64::NAN; self.axis2.len()]; self.axis1.len()];
-        let mut simulated_ns = 0.0;
-        let mut simulations = 0;
-
-        for chunk in grid.chunks(self.batch_size) {
-            let batch: Vec<Parameterization> = chunk
-                .iter()
-                .map(|&(i, j)| parameterize(self.axis1.values()[i], self.axis2.values()[j]))
-                .collect();
-            let job = SimulationJob::builder(model)
-                .time_points(time_points.clone())
-                .parameterizations(batch)
-                .options(self.options.clone())
-                .build()?;
-            let result = engine.run(&job)?;
-            simulated_ns += result.timing.simulated_total_ns;
-            simulations += job.batch_size();
-            for (&(i, j), outcome) in chunk.iter().zip(&result.outcomes) {
-                values[i][j] = match &outcome.solution {
-                    Ok(sol) => metric(sol),
-                    Err(_) => self.failed.grid_value(),
-                };
-            }
-        }
-        Ok(Psa2dResult {
-            axis1: self.axis1.clone(),
-            axis2: self.axis2.clone(),
-            values,
-            simulations,
-            simulated_ns,
-            host_wall: start.elapsed(),
-        })
+        Ok(self.sweep(model, parameterize, &time_points, engine, metric, None)?.0)
     }
 
-    /// Runs the sweep durably: the grid decomposes into numbered shards
-    /// (one batch each), every completed shard is committed to the
-    /// checkpoint's write-ahead journal, and a restarted run skips the
-    /// committed shards. The final grid, simulation counts, and billed
-    /// simulated time are byte-identical to an uninterrupted [`Psa2d::run`]
-    /// at the same batch size.
-    ///
-    /// Shards whose job fails validation ([`SimError::InvalidJob`]) are
-    /// journaled as invalid shard outcomes — their grid cells take the
-    /// configured [`FailedMemberPolicy`] value — rather than killing the
-    /// campaign.
+    /// [`Psa2d::run`], durably: every batch is one numbered shard
+    /// committed to the checkpoint's write-ahead journal, and a restarted
+    /// run skips the committed shards. The final grid, simulation counts,
+    /// and billed simulated time are byte-identical to an uninterrupted
+    /// run and to [`Psa2d::run`] at the same batch size.
     ///
     /// # Errors
     ///
@@ -289,126 +252,110 @@ impl Psa2d {
     pub fn run_durable<P, M>(
         &self,
         model: &ReactionBasedModel,
-        mut parameterize: P,
+        parameterize: P,
         time_points: Vec<f64>,
         engine: &dyn Simulator,
-        mut metric: M,
+        metric: M,
         checkpoint: &Checkpoint,
     ) -> Result<(Psa2dResult, ShardReport), CampaignError>
     where
         P: FnMut(f64, f64) -> Parameterization,
         M: FnMut(&Solution) -> f64,
     {
+        self.sweep(model, parameterize, &time_points, engine, metric, Some(checkpoint))
+    }
+
+    /// The grid is a point set plus a reshape: row-major `(u, v)` points
+    /// through the batched evaluator, outputs cut back into rows.
+    fn sweep<P, M>(
+        &self,
+        model: &ReactionBasedModel,
+        mut parameterize: P,
+        time_points: &[f64],
+        engine: &dyn Simulator,
+        metric: M,
+        checkpoint: Option<&Checkpoint>,
+    ) -> Result<(Psa2dResult, ShardReport), CampaignError>
+    where
+        P: FnMut(f64, f64) -> Parameterization,
+        M: FnMut(&Solution) -> f64,
+    {
         let start = std::time::Instant::now();
-        let grid: Vec<(usize, usize)> = (0..self.axis1.len())
-            .flat_map(|i| (0..self.axis2.len()).map(move |j| (i, j)))
+        let grid: Vec<(f64, f64)> = (self.axis1.values().iter())
+            .flat_map(|&u| self.axis2.values().iter().map(move |&v| (u, v)))
             .collect();
-        let chunks: Vec<&[(usize, usize)]> = grid.chunks(self.batch_size).collect();
-        let manifest = CampaignManifest::new("psa2d", chunks.len() as u64)
-            .with_digest("model", model_digest(model))
-            .with_digest("axis1", self.axis1.digest())
-            .with_digest("axis2", self.axis2.digest())
-            .with_digest("times", f64s_digest(&time_points))
-            .with_digest("options", options_digest(&self.options))
-            .with_field("batch", self.batch_size.to_string());
-
-        let (payloads, report) = run_journaled(checkpoint, manifest, |shard| {
-            let chunk = chunks[shard as usize];
-            let batch: Vec<Parameterization> = chunk
-                .iter()
-                .map(|&(i, j)| parameterize(self.axis1.values()[i], self.axis2.values()[j]))
-                .collect();
-            let job = match SimulationJob::builder(model)
-                .time_points(time_points.clone())
-                .parameterizations(batch)
-                .options(self.options.clone())
-                .build()
-            {
-                Ok(job) => job,
-                Err(e @ SimError::InvalidJob { .. }) => {
-                    return Ok(MetricShard::invalid(e.to_string()).encode());
-                }
-                Err(e) => return Err(e.into()),
-            };
-            let result = engine.run(&job)?;
-            let values: Vec<f64> = result
-                .outcomes
-                .iter()
-                .map(|o| match &o.solution {
-                    Ok(sol) => metric(sol),
-                    Err(_) => self.failed.grid_value(),
+        let spec = PointEval {
+            model,
+            time_points,
+            options: &self.options,
+            engine,
+            batch: self.batch_size,
+            failed: self.failed.grid_value(),
+        };
+        let eval = evaluate_batched(
+            &spec,
+            &grid,
+            |&(u, v)| parameterize(u, v),
+            metric,
+            |shards| {
+                ShardLog::open(checkpoint, || {
+                    CampaignManifest::new("psa2d", shards)
+                        .with_digest("model", model_digest(model))
+                        .with_digest("axis1", self.axis1.digest())
+                        .with_digest("axis2", self.axis2.digest())
+                        .with_digest("times", f64s_digest(time_points))
+                        .with_digest("options", options_digest(&self.options))
+                        .with_field("batch", self.batch_size.to_string())
                 })
-                .collect();
-            Ok(MetricShard::ok(values, result.timing.simulated_total_ns, job.batch_size() as u64)
-                .encode())
-        })?;
-
-        let mut values = vec![vec![f64::NAN; self.axis2.len()]; self.axis1.len()];
-        let mut simulated_ns = 0.0;
-        let mut simulations = 0usize;
-        for (chunk, payload) in chunks.iter().zip(&payloads) {
-            let shard = MetricShard::decode(payload)?;
-            if shard.invalid.is_some() {
-                for &(i, j) in *chunk {
-                    values[i][j] = self.failed.grid_value();
-                }
-            } else {
-                for (&(i, j), &v) in chunk.iter().zip(&shard.values) {
-                    values[i][j] = v;
-                }
-            }
-            simulated_ns += shard.simulated_ns;
-            simulations += shard.simulations as usize;
-        }
-        Ok((
-            Psa2dResult {
-                axis1: self.axis1.clone(),
-                axis2: self.axis2.clone(),
-                values,
-                simulations,
-                simulated_ns,
-                host_wall: start.elapsed(),
             },
-            report,
-        ))
+        )?;
+        let result = Psa2dResult {
+            axis1: self.axis1.clone(),
+            axis2: self.axis2.clone(),
+            values: eval.outputs.chunks(self.axis2.len()).map(<[f64]>::to_vec).collect(),
+            simulations: eval.simulations,
+            simulated_ns: eval.simulated_ns,
+            host_wall: start.elapsed(),
+        };
+        Ok((result, eval.report))
     }
 }
 
 /// A one-dimensional sweep: each axis value becomes one batch member,
-/// chunked at the default batch size.
+/// chunked at the default batch size. Failed members yield `NaN`.
 ///
 /// # Errors
 ///
-/// Propagates engine failures.
+/// As [`Psa2d::run`].
 pub fn psa_1d<P, M>(
     model: &ReactionBasedModel,
     axis: Axis,
     mut parameterize: P,
     time_points: Vec<f64>,
     engine: &dyn Simulator,
-    mut metric: M,
-) -> Result<Vec<(f64, f64)>, SimError>
+    metric: M,
+) -> Result<Vec<(f64, f64)>, CampaignError>
 where
     P: FnMut(f64) -> Parameterization,
     M: FnMut(&Solution) -> f64,
 {
-    let mut out = Vec::with_capacity(axis.len());
-    for chunk in axis.values().chunks(DEFAULT_BATCH) {
-        let batch: Vec<Parameterization> = chunk.iter().map(|&u| parameterize(u)).collect();
-        let job = SimulationJob::builder(model)
-            .time_points(time_points.clone())
-            .parameterizations(batch)
-            .build()?;
-        let result = engine.run(&job)?;
-        for (&u, outcome) in chunk.iter().zip(&result.outcomes) {
-            let v = match &outcome.solution {
-                Ok(sol) => metric(sol),
-                Err(_) => f64::NAN,
-            };
-            out.push((u, v));
-        }
-    }
-    Ok(out)
+    let options = SolverOptions::default();
+    let spec = PointEval {
+        model,
+        time_points: &time_points,
+        options: &options,
+        engine,
+        batch: DEFAULT_BATCH,
+        failed: f64::NAN,
+    };
+    let eval = evaluate_batched(
+        &spec,
+        axis.values(),
+        |&u| parameterize(u),
+        metric,
+        |_| Ok(ShardLog::default()),
+    )?;
+    Ok(axis.values().iter().copied().zip(eval.outputs).collect())
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! a torn journal tail must be detected, truncated, and re-executed.
 
 use paraspace_analysis::campaign::{
-    evaluate_points_durable, CampaignError, Checkpoint, MetricShard,
+    evaluate_points, evaluate_points_durable, CampaignError, Checkpoint, MetricShard,
 };
 use paraspace_analysis::fitness::FailedMemberPolicy;
 use paraspace_analysis::pe::{estimate, estimate_durable, EstimationProblem};
@@ -227,23 +227,60 @@ fn invalid_shard_is_journaled_not_fatal() {
     // affected cells take the failed-member value.
     let dir = temp_dir("invalid");
     let m = model();
-    let (result, report) =
-        Psa2d::new(Axis::linear("u", 0.5, 2.0, 2), Axis::linear("v", 0.5, 1.5, 2))
-            .batch_size(2)
-            .failed_members(FailedMemberPolicy::Penalize(-7.0))
-            .run_durable(
-                &m,
-                |u, v| {
-                    let k = if u > 1.9 && v > 1.4 { f64::NAN } else { u * v };
-                    Parameterization::new().with_rate_constants(vec![k, 0.3])
-                },
-                vec![1.0],
-                &CpuEngine::new(CpuSolverKind::Lsoda),
-                |sol| sol.state_at(0)[0],
-                &Checkpoint::new(&dir),
-            )
-            .unwrap();
+    let sweep = Psa2d::new(Axis::linear("u", 0.5, 2.0, 2), Axis::linear("v", 0.5, 1.5, 2))
+        .batch_size(2)
+        .failed_members(FailedMemberPolicy::Penalize(-7.0));
+    let poisoned = |u: f64, v: f64| {
+        let k = if u > 1.9 && v > 1.4 { f64::NAN } else { u * v };
+        Parameterization::new().with_rate_constants(vec![k, 0.3])
+    };
+    let engine = CpuEngine::new(CpuSolverKind::Lsoda);
+    let (result, report) = sweep
+        .run_durable(
+            &m,
+            poisoned,
+            vec![1.0],
+            &engine,
+            |sol| sol.state_at(0)[0],
+            &Checkpoint::new(&dir),
+        )
+        .unwrap();
     assert_eq!(report.executed, 2);
+
+    // The contract does not depend on the journal: the plain sweep gives
+    // the same grid, and so does a durable one interrupted after its first
+    // (valid) shard and resumed into the poisoned one.
+    let plain = sweep.run(&m, poisoned, vec![1.0], &engine, |sol| sol.state_at(0)[0]).unwrap();
+    assert_bitwise_equal(&result, &plain, "invalid shard, plain vs durable");
+    let kill_dir = temp_dir("invalid_kill");
+    let cancel = CancelToken::new();
+    let err = sweep
+        .run_durable(
+            &m,
+            poisoned,
+            vec![1.0],
+            &engine,
+            |sol| {
+                cancel.cancel(); // shard 0 still commits; the next boundary interrupts
+                sol.state_at(0)[0]
+            },
+            &Checkpoint::new(&kill_dir).with_cancel(cancel.clone()),
+        )
+        .unwrap_err();
+    assert!(matches!(err, CampaignError::Interrupted { completed: 1, shards: 2, .. }), "{err}");
+    let (resumed, report) = sweep
+        .run_durable(
+            &m,
+            poisoned,
+            vec![1.0],
+            &engine,
+            |sol| sol.state_at(0)[0],
+            &Checkpoint::new(&kill_dir),
+        )
+        .unwrap();
+    assert_eq!((report.recovered, report.executed), (1, 1));
+    assert_bitwise_equal(&result, &resumed, "invalid shard, resumed vs uninterrupted");
+    std::fs::remove_dir_all(&kill_dir).ok();
     // Shard 1 = grid points (1,0), (1,1) — the poisoned shard.
     assert_eq!(result.value(1, 0), -7.0);
     assert_eq!(result.value(1, 1), -7.0);
@@ -272,17 +309,47 @@ fn sobol_evaluation_resumes_exactly() {
     let m = model();
     let points: Vec<Vec<f64>> = (0..10).map(|i| vec![0.5 + 0.1 * i as f64]).collect();
     let opts = SolverOptions::default();
-    let engine = CpuEngine::new(CpuSolverKind::Lsoda);
+    // The second member of every batch fails, so "successful member" and
+    // "member" are different sets below.
+    struct FailSecond(CpuEngine);
+    impl Simulator for FailSecond {
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn run(
+            &self,
+            job: &SimulationJob,
+        ) -> Result<paraspace_core::BatchResult, paraspace_core::SimError> {
+            let mut r = self.0.run(job)?;
+            r.outcomes[1].solution =
+                Err(paraspace_solvers::SolverError::StepSizeUnderflow { t: 0.0 });
+            Ok(r)
+        }
+    }
+    let engine = FailSecond(CpuEngine::new(CpuSolverKind::Lsoda));
+    // Every run records the points `to_param` saw and the values `metric`
+    // returned, in call order.
+    let parameterized = std::cell::RefCell::new(Vec::new());
+    let measured = std::cell::RefCell::new(Vec::new());
+    let to_param = |p: &[f64]| {
+        parameterized.borrow_mut().push(p[0]);
+        Parameterization::new().with_rate_constants(vec![p[0], 0.3])
+    };
+    let metric = |sol: &paraspace_solvers::Solution| {
+        measured.borrow_mut().push(sol.state_at(0)[0]);
+        sol.state_at(0)[0]
+    };
+    let calls = || (parameterized.take(), measured.take());
     let eval = |cp: &Checkpoint| {
         evaluate_points_durable(
             "sobol",
             &m,
             &points,
-            |p| Parameterization::new().with_rate_constants(vec![p[0], 0.3]),
+            to_param,
             &[1.0],
             &opts,
             &engine,
-            |sol| sol.state_at(0)[0],
+            metric,
             4,
             cp,
         )
@@ -291,6 +358,22 @@ fn sobol_evaluation_resumes_exactly() {
     let baseline = eval(&Checkpoint::new(&base_dir)).unwrap();
     assert_eq!(baseline.outputs.len(), 10);
     assert_eq!(baseline.simulations, 10);
+    // Executing path: `to_param` once per point in point order, `metric`
+    // once per successful member in member order.
+    let all_points: Vec<f64> = points.iter().map(|p| p[0]).collect();
+    let successes =
+        |outputs: &[f64]| outputs.iter().copied().filter(|v| !v.is_nan()).collect::<Vec<_>>();
+    assert_eq!(successes(&baseline.outputs).len(), 7, "members 1, 5 and 9 fail");
+    assert_eq!(calls(), (all_points.clone(), successes(&baseline.outputs)));
+
+    // The plain evaluation is the same campaign with no journal.
+    let plain = evaluate_points(&m, &points, to_param, &[1.0], &opts, &engine, metric, 4).unwrap();
+    assert_eq!(calls(), (all_points.clone(), successes(&plain.outputs)));
+    assert_eq!(plain.simulations, baseline.simulations);
+    assert_eq!(plain.simulated_ns.to_bits(), baseline.simulated_ns.to_bits());
+    for (a, b) in baseline.outputs.iter().zip(&plain.outputs) {
+        assert_eq!(a.to_bits(), b.to_bits());
+    }
 
     // Interrupt after the first shard commits.
     let dir = temp_dir("sobol_kill");
@@ -319,6 +402,10 @@ fn sobol_evaluation_resumes_exactly() {
     let resumed = eval(&Checkpoint::new(&dir)).unwrap();
     assert!(resumed.report.resumed);
     assert!(resumed.report.recovered >= 1);
+    // A replayed shard calls neither closure: only the points past the
+    // recovered shards were parameterized and measured.
+    let replayed = resumed.report.recovered as usize * 4;
+    assert_eq!(calls(), (all_points[replayed..].to_vec(), successes(&resumed.outputs[replayed..])));
     for (a, b) in baseline.outputs.iter().zip(&resumed.outputs) {
         assert_eq!(a.to_bits(), b.to_bits());
     }

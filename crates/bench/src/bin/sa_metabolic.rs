@@ -11,6 +11,7 @@
 //! `PARASPACE_FULL=1` runs the published N = 512 (12288 simulations);
 //! the default N = 64 finishes in a few minutes on one core.
 
+use paraspace_analysis::campaign::evaluate_points;
 use paraspace_analysis::sobol::SaltelliPlan;
 use paraspace_bench::{fmt_ns, full_scale};
 use paraspace_core::{CpuEngine, CpuSolverKind, FineCoarseEngine, SimulationJob, Simulator};
@@ -49,33 +50,21 @@ fn main() {
     println!("reference R5P(10 h) = {ref_r5p:.4e}");
 
     // Evaluate the whole design in 512-simulation batches.
-    let batch_size = 512usize;
-    let mut outputs = Vec::with_capacity(points.len());
-    let mut simulated_ns = 0.0;
     let started = std::time::Instant::now();
-    for chunk in points.chunks(batch_size) {
-        let batch: Vec<Parameterization> = chunk
-            .iter()
-            .map(|hk| {
-                Parameterization::new()
-                    .with_initial_state(metabolic::initial_state_with_hk(&model, hk))
-            })
-            .collect();
-        let job = SimulationJob::builder(&model)
-            .time_points(vec![metabolic::TIME_WINDOW_HOURS])
-            .parameterizations(batch)
-            .options(opts.clone())
-            .build()
-            .expect("SA batch job");
-        let result = engine.run(&job).expect("SA batch run");
-        simulated_ns += result.timing.simulated_total_ns;
-        for o in &result.outcomes {
-            outputs.push(match &o.solution {
-                Ok(sol) => sol.state_at(0)[r5p] - ref_r5p,
-                Err(_) => f64::NAN,
-            });
-        }
-    }
+    let eval = evaluate_points(
+        &model,
+        &points,
+        |hk| {
+            Parameterization::new().with_initial_state(metabolic::initial_state_with_hk(&model, hk))
+        },
+        &[metabolic::TIME_WINDOW_HOURS],
+        &opts,
+        &engine,
+        |sol| sol.state_at(0)[r5p] - ref_r5p,
+        512,
+    )
+    .expect("SA evaluation");
+    let (mut outputs, simulated_ns) = (eval.outputs, eval.simulated_ns);
     // Replace rare failures by the mean so the estimator stays defined.
     let finite_mean = {
         let fin: Vec<f64> = outputs.iter().cloned().filter(|v| v.is_finite()).collect();

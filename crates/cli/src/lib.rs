@@ -14,6 +14,7 @@
 
 use paraspace_analysis::campaign::{
     f64s_digest, model_digest, options_digest, run_journaled, CampaignError, Checkpoint,
+    ShardReport,
 };
 use paraspace_analysis::dispatch::{
     coordinate, pack_shards, uniform_shards, worker_loop, DispatchConfig, TickDirective,
@@ -22,7 +23,7 @@ use paraspace_analysis::dispatch::{
 use paraspace_analysis::ensemble::run_ensemble_durable;
 use paraspace_analysis::fitness::FailedMemberPolicy;
 use paraspace_analysis::gradient::GradientConfig;
-use paraspace_analysis::pe::{estimate_durable_with, estimate_with, EstimationProblem, Optimizer};
+use paraspace_analysis::pe::{estimate_durable_with, EstimationProblem, Optimizer};
 use paraspace_analysis::pso::PsoConfig;
 pub use paraspace_core::CancelToken;
 use paraspace_core::{
@@ -32,6 +33,7 @@ use paraspace_core::{
 use paraspace_journal::codec::{Dec, Enc};
 use paraspace_journal::lease::{LeaseConfig, RetryState};
 use paraspace_journal::{CampaignManifest, Journal, JournalError, MANIFEST_FILE};
+use paraspace_rbm::ReactionBasedModel;
 use paraspace_rbm::{biosimware, sbgen::SbGen, sbml, Parameterization};
 use paraspace_solvers::{Solution, SolverOptions};
 use paraspace_stochastic::{
@@ -124,8 +126,8 @@ pub enum Command {
         /// Replicates per journaled shard on the durable path.
         shard_size: usize,
     },
-    /// Resume an interrupted durable `simulate` or `ensemble` from its
-    /// checkpoint.
+    /// Resume an interrupted durable `simulate`, `ensemble` or `pe` from
+    /// its checkpoint.
     Resume {
         /// The `--checkpoint-dir` of the interrupted run.
         checkpoint_dir: PathBuf,
@@ -424,6 +426,18 @@ fn parse_flag<T: std::str::FromStr>(
     v.parse().map_err(|_| CliError(format!("invalid value for {name}: {v:?}")))
 }
 
+/// Parses `--lane-width auto|N`: `None` autotunes, `Some(n >= 1)` pins.
+fn parse_lane_width(args: &[String], i: &mut usize) -> Result<Option<usize>, CliError> {
+    match parse_flag::<String>(args, i, "--lane-width")?.as_str() {
+        "auto" => Ok(None),
+        v => v.parse().ok().filter(|w| *w >= 1).map(Some).ok_or_else(|| {
+            CliError(format!(
+                "invalid value for --lane-width: {v:?} (expected `auto` or a width >= 1)"
+            ))
+        }),
+    }
+}
+
 /// Parses a comma-separated index list (`0,3,5`) for flags that select
 /// reactions by position.
 fn parse_index_list(v: &str, name: &str) -> Result<Vec<usize>, CliError> {
@@ -470,45 +484,18 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             while i < args.len() {
                 match args[i].as_str() {
                     "--engine" => engine = parse_flag(args, &mut i, "--engine")?,
-                    "--out" => {
-                        out_dir = Some(PathBuf::from(
-                            args.get(i + 1)
-                                .cloned()
-                                .ok_or_else(|| CliError("--out needs a value".into()))?,
-                        ))
-                        .inspect(|_| i += 1)
-                    }
+                    "--out" => out_dir = Some(parse_flag(args, &mut i, "--out")?),
                     "--batch" => batch = parse_flag(args, &mut i, "--batch")?,
                     "--rtol" => rtol = parse_flag(args, &mut i, "--rtol")?,
                     "--atol" => atol = parse_flag(args, &mut i, "--atol")?,
                     "--threads" => threads = parse_flag(args, &mut i, "--threads")?,
-                    "--lane-width" => {
-                        i += 1;
-                        let v = args
-                            .get(i)
-                            .ok_or_else(|| CliError("--lane-width needs a value".into()))?;
-                        lane_width = match v.as_str() {
-                            "auto" => None,
-                            v => Some(v.parse::<usize>().ok().filter(|w| *w >= 1).ok_or_else(
-                                || {
-                                    CliError(format!(
-                                        "invalid value for --lane-width: {v:?} \
-                                         (expected `auto` or a width >= 1)"
-                                    ))
-                                },
-                            )?),
-                        };
-                    }
+                    "--lane-width" => lane_width = parse_lane_width(args, &mut i)?,
                     "--max-retries" => max_retries = parse_flag(args, &mut i, "--max-retries")?,
                     "--member-budget" => {
                         member_budget = Some(parse_flag(args, &mut i, "--member-budget")?)
                     }
                     "--checkpoint-dir" => {
-                        checkpoint_dir =
-                            Some(PathBuf::from(args.get(i + 1).cloned().ok_or_else(|| {
-                                CliError("--checkpoint-dir needs a value".into())
-                            })?))
-                            .inspect(|_| i += 1)
+                        checkpoint_dir = Some(parse_flag(args, &mut i, "--checkpoint-dir")?)
                     }
                     "--shard-size" => shard_size = parse_flag(args, &mut i, "--shard-size")?,
                     "--workers" => workers = parse_flag(args, &mut i, "--workers")?,
@@ -569,41 +556,14 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
             while i < args.len() {
                 match args[i].as_str() {
                     "--simulator" => simulator = parse_flag(args, &mut i, "--simulator")?,
-                    "--out" => {
-                        out_dir = Some(PathBuf::from(
-                            args.get(i + 1)
-                                .cloned()
-                                .ok_or_else(|| CliError("--out needs a value".into()))?,
-                        ))
-                        .inspect(|_| i += 1)
-                    }
+                    "--out" => out_dir = Some(parse_flag(args, &mut i, "--out")?),
                     "--replicates" => replicates = parse_flag(args, &mut i, "--replicates")?,
                     "--seed" => seed = parse_flag(args, &mut i, "--seed")?,
                     "--member" => member = parse_flag(args, &mut i, "--member")?,
                     "--threads" => threads = parse_flag(args, &mut i, "--threads")?,
-                    "--lane-width" => {
-                        i += 1;
-                        let v = args
-                            .get(i)
-                            .ok_or_else(|| CliError("--lane-width needs a value".into()))?;
-                        lane_width = match v.as_str() {
-                            "auto" => None,
-                            v => Some(v.parse::<usize>().ok().filter(|w| *w >= 1).ok_or_else(
-                                || {
-                                    CliError(format!(
-                                        "invalid value for --lane-width: {v:?} \
-                                         (expected `auto` or a width >= 1)"
-                                    ))
-                                },
-                            )?),
-                        };
-                    }
+                    "--lane-width" => lane_width = parse_lane_width(args, &mut i)?,
                     "--checkpoint-dir" => {
-                        checkpoint_dir =
-                            Some(PathBuf::from(args.get(i + 1).cloned().ok_or_else(|| {
-                                CliError("--checkpoint-dir needs a value".into())
-                            })?))
-                            .inspect(|_| i += 1)
+                        checkpoint_dir = Some(parse_flag(args, &mut i, "--checkpoint-dir")?)
                     }
                     "--shard-size" => shard_size = parse_flag(args, &mut i, "--shard-size")?,
                     other if !other.starts_with("--") && model_dir.is_none() => {
@@ -651,29 +611,15 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     "--optimizer" => optimizer = parse_flag(args, &mut i, "--optimizer")?,
                     "--engine" => engine = parse_flag(args, &mut i, "--engine")?,
                     "--unknown" => {
-                        i += 1;
-                        let v = args
-                            .get(i)
-                            .ok_or_else(|| CliError("--unknown needs a value".into()))?;
-                        unknown = Some(parse_index_list(v, "--unknown")?);
+                        let v: String = parse_flag(args, &mut i, "--unknown")?;
+                        unknown = Some(parse_index_list(&v, "--unknown")?);
                     }
                     "--log-radius" => log_radius = parse_flag(args, &mut i, "--log-radius")?,
                     "--observed" => {
-                        i += 1;
-                        let v = args
-                            .get(i)
-                            .ok_or_else(|| CliError("--observed needs a value".into()))?;
-                        observed =
-                            Some(v.split(',').map(|s| s.trim().to_string()).collect::<Vec<_>>());
+                        let v: String = parse_flag(args, &mut i, "--observed")?;
+                        observed = Some(v.split(',').map(|s| s.trim().to_string()).collect());
                     }
-                    "--target" => {
-                        target = Some(PathBuf::from(
-                            args.get(i + 1)
-                                .cloned()
-                                .ok_or_else(|| CliError("--target needs a value".into()))?,
-                        ))
-                        .inspect(|_| i += 1)
-                    }
+                    "--target" => target = Some(parse_flag(args, &mut i, "--target")?),
                     "--rtol" => rtol = parse_flag(args, &mut i, "--rtol")?,
                     "--atol" => atol = parse_flag(args, &mut i, "--atol")?,
                     "--threads" => threads = parse_flag(args, &mut i, "--threads")?,
@@ -684,20 +630,9 @@ pub fn parse(args: &[String]) -> Result<Command, CliError> {
                     }
                     "--starts" => starts = parse_flag(args, &mut i, "--starts")?,
                     "--seed" => seed = parse_flag(args, &mut i, "--seed")?,
-                    "--out" => {
-                        out_dir = Some(PathBuf::from(
-                            args.get(i + 1)
-                                .cloned()
-                                .ok_or_else(|| CliError("--out needs a value".into()))?,
-                        ))
-                        .inspect(|_| i += 1)
-                    }
+                    "--out" => out_dir = Some(parse_flag(args, &mut i, "--out")?),
                     "--checkpoint-dir" => {
-                        checkpoint_dir =
-                            Some(PathBuf::from(args.get(i + 1).cloned().ok_or_else(|| {
-                                CliError("--checkpoint-dir needs a value".into())
-                            })?))
-                            .inspect(|_| i += 1)
+                        checkpoint_dir = Some(parse_flag(args, &mut i, "--checkpoint-dir")?)
                     }
                     other if !other.starts_with("--") && model_dir.is_none() => {
                         model_dir = Some(PathBuf::from(other));
@@ -1065,13 +1000,34 @@ fn error_report(o: &SimOutcome) -> String {
     )
 }
 
-/// One member's journaled artifact: the exact bytes its output file will
-/// hold (`body`), plus the taxonomy label for failed members (empty for
+/// One member's artifact: the exact bytes its output file will hold
+/// (`body`), plus the taxonomy label for failed members (empty for
 /// successes) so a resumed run reprints the same failure summary.
 struct MemberRecord {
     ok: bool,
     label: String,
     body: String,
+}
+
+impl MemberRecord {
+    /// The member → (file name, body, label) mapping every `simulate` path
+    /// shares.
+    fn of(job: &SimulationJob, o: &SimOutcome) -> Self {
+        match &o.solution {
+            Ok(sol) => {
+                MemberRecord { ok: true, label: String::new(), body: job.serialize_dynamics(sol) }
+            }
+            Err(e) => {
+                MemberRecord { ok: false, label: taxonomy(e).to_string(), body: error_report(o) }
+            }
+        }
+    }
+
+    /// Writes the member's output file, named by its batch index.
+    fn write(&self, out_path: &Path, index: usize) -> std::io::Result<()> {
+        let ext = if self.ok { "tsv" } else { "err" };
+        std::fs::write(out_path.join(format!("dynamics_{index:05}.{ext}")), &self.body)
+    }
 }
 
 /// Per-shard journal payload: the member artifacts plus the shard's billed
@@ -1084,6 +1040,18 @@ struct ShardOutcome {
 }
 
 impl ShardOutcome {
+    /// A shard in which every member fails the same way and nothing was
+    /// billed (a rejected job, a quarantined shard).
+    fn failed(members: usize, label: &str, body: &str) -> Self {
+        let record = || MemberRecord { ok: false, label: label.into(), body: body.into() };
+        ShardOutcome {
+            members: (0..members).map(|_| record()).collect(),
+            total_ns: 0.0,
+            integration_ns: 0.0,
+            io_ns: 0.0,
+        }
+    }
+
     fn encode(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         enc.put_u32(self.members.len() as u32);
@@ -1110,6 +1078,52 @@ impl ShardOutcome {
         dec.expect_exhausted()?;
         Ok(ShardOutcome { members, total_ns, integration_ns, io_ns })
     }
+}
+
+/// Writes the per-member output files of shard outcomes — each member
+/// under its *original* batch index — and prints the batch summary. A pure
+/// function of the outcomes, so every execution mode materializes
+/// byte-identical artifacts.
+fn materialize<'a>(
+    out_path: &Path,
+    label: &str,
+    n_sims: usize,
+    shards: impl IntoIterator<Item = Result<(ShardOutcome, &'a [usize]), CliError>>,
+    out: &mut dyn std::io::Write,
+) -> Result<(), CliError> {
+    std::fs::create_dir_all(out_path)?;
+    let mut ok_count = 0usize;
+    let mut total_ns = 0.0f64;
+    let mut integration_ns = 0.0f64;
+    let mut io_ns = 0.0f64;
+    let mut label_counts: std::collections::BTreeMap<String, usize> = Default::default();
+    for shard in shards {
+        let (shard, indices) = shard?;
+        for (m, &index) in shard.members.iter().zip(indices) {
+            m.write(out_path, index)?;
+            if m.ok {
+                ok_count += 1;
+            } else {
+                *label_counts.entry(m.label.clone()).or_default() += 1;
+            }
+        }
+        total_ns += shard.total_ns;
+        integration_ns += shard.integration_ns;
+        io_ns += shard.io_ns;
+    }
+    writeln!(
+        out,
+        "{label}: {ok_count}/{n_sims} simulations ok; simulated {:.3} ms (integration {:.3} ms, i/o {:.3} ms)",
+        total_ns / 1e6,
+        integration_ns / 1e6,
+        io_ns / 1e6,
+    )?;
+    if !label_counts.is_empty() {
+        let parts: Vec<String> =
+            label_counts.iter().map(|(label, n)| format!("{label} x{n}")).collect();
+        writeln!(out, "failures: {}", parts.join(", "))?;
+    }
+    Ok(())
 }
 
 /// Executes a parsed command, writing human-readable progress to `out`.
@@ -1193,13 +1207,15 @@ pub fn execute_with_cancel(
             }
             Ok(())
         }
-        Command::Simulate { checkpoint_dir: Some(dir), workers, listen, .. }
-            if *workers > 0 || listen.is_some() =>
-        {
-            simulate_dispatched(cmd, dir, *workers, listen.as_deref(), out, cancel)
-        }
-        Command::Simulate { checkpoint_dir: Some(dir), .. } => {
-            simulate_durable(cmd, dir, out, cancel)
+        Command::Simulate { checkpoint_dir: None, .. } => simulate_plain(cmd, out, cancel),
+        Command::Simulate { checkpoint_dir: Some(dir), workers, listen, .. } => {
+            let world = SimulateWorld::load(cmd)?;
+            let checkpoint = Checkpoint::new(dir).with_cancel(cancel.clone());
+            if *workers > 0 || listen.is_some() {
+                coordinate_processes(&world, &checkpoint, *workers, listen.as_deref(), out)
+            } else {
+                simulate_durable(&world, &checkpoint, out, cancel)
+            }
         }
         Command::Worker {
             checkpoint_dir,
@@ -1226,6 +1242,109 @@ pub fn execute_with_cancel(
         Command::Coordinate { checkpoint_dir, workers, listen } => {
             run_coordinator(checkpoint_dir, *workers, listen.as_deref(), out, cancel)
         }
+        Command::Ensemble { simulator, .. } => match simulator.as_str() {
+            "tau-leaping" => run_ensemble(TauLeaping::new(), cmd, out, cancel),
+            "ssa" => run_ensemble(DirectMethod::new(), cmd, out, cancel),
+            other => Err(CliError(format!(
+                "unknown simulator {other:?} (expected `tau-leaping` or `ssa`)"
+            ))),
+        },
+        Command::Pe { .. } => run_pe(cmd, out, cancel),
+        Command::Resume { checkpoint_dir, workers } => {
+            let manifest = CampaignManifest::read(&checkpoint_dir.join(MANIFEST_FILE))?;
+            let cmd = command_from_manifest(&manifest, checkpoint_dir, *workers)?;
+            execute_with_cancel(&cmd, out, cancel)
+        }
+    }
+}
+
+/// How one manifest field becomes arguments of `parse`, and back.
+#[derive(Clone, Copy)]
+enum ArgForm {
+    /// The positional operand.
+    Positional,
+    /// `FLAG VALUE`, always given.
+    Value,
+    /// `FLAG VALUE`, left out when the field holds this spelling of "flag
+    /// not given".
+    Unless(&'static str),
+    /// `FLAG VALUE`, left out when the checkpoint predates the field (so
+    /// `parse` supplies the default the old run had).
+    IfPresent,
+    /// A valueless switch: the row's flag when the field holds `on`, else
+    /// `off_flag` (which pins `off`).
+    Switch { on: &'static str, off: &'static str, off_flag: &'static str },
+}
+
+/// One table per campaign subcommand: `(manifest key, flag, form)`. The
+/// table writes a command's flags into its manifest ([`pin_flags`]) and
+/// turns a manifest back into the argv `parse` reads
+/// ([`command_from_manifest`]) — `parse` stays the one place that knows
+/// defaults and value syntax.
+type ArgTable = &'static [(&'static str, &'static str, ArgForm)];
+
+const SIMULATE_ARGS: ArgTable = &[
+    ("model_dir", "", ArgForm::Positional),
+    ("world.engine", "--engine", ArgForm::Value),
+    ("out_dir", "--out", ArgForm::Unless("")),
+    ("batch", "--batch", ArgForm::Value),
+    ("rtol", "--rtol", ArgForm::Value),
+    ("atol", "--atol", ArgForm::Value),
+    ("world.threads", "--threads", ArgForm::Value),
+    ("world.lane_width", "--lane-width", ArgForm::Value),
+    ("max_retries", "--max-retries", ArgForm::Value),
+    ("member_budget", "--member-budget", ArgForm::Unless("none")),
+    ("shard_size", "--shard-size", ArgForm::Value),
+    // The plan is pinned resolved, so a resume keeps the original packing
+    // whatever worker count it runs with.
+    (
+        "shard_plan",
+        "--pack-shards",
+        ArgForm::Switch { on: "packed", off: "uniform", off_flag: "--no-pack-shards" },
+    ),
+    ("lease_ttl", "--lease-ttl", ArgForm::IfPresent),
+    ("retry_base", "--retry-base", ArgForm::IfPresent),
+];
+
+/// `run_ensemble_durable` pins the ensemble's own fields; the CLI adds the
+/// `world.*` ones.
+const ENSEMBLE_ARGS: ArgTable = &[
+    ("world.model_dir", "", ArgForm::Positional),
+    ("simulator", "--simulator", ArgForm::Value),
+    ("world.out_dir", "--out", ArgForm::Unless("")),
+    ("replicates", "--replicates", ArgForm::Value),
+    ("seed", "--seed", ArgForm::Value),
+    ("member", "--member", ArgForm::Value),
+    ("world.threads", "--threads", ArgForm::Value),
+    ("lane_width", "--lane-width", ArgForm::Value),
+    ("shard_size", "--shard-size", ArgForm::Value),
+];
+
+const PE_ARGS: ArgTable = &[
+    ("model_dir", "", ArgForm::Positional),
+    ("optimizer", "--optimizer", ArgForm::Value),
+    ("engine", "--engine", ArgForm::Value),
+    ("unknown", "--unknown", ArgForm::Unless("all")),
+    ("log_radius", "--log-radius", ArgForm::Value),
+    ("observed", "--observed", ArgForm::Unless("all")),
+    ("target", "--target", ArgForm::Unless("self")),
+    ("rtol", "--rtol", ArgForm::Value),
+    ("atol", "--atol", ArgForm::Value),
+    ("threads", "--threads", ArgForm::Value),
+    ("iterations", "--iterations", ArgForm::Value),
+    ("swarm", "--swarm", ArgForm::Unless("auto")),
+    ("grad_iterations", "--grad-iterations", ArgForm::Value),
+    ("starts", "--starts", ArgForm::Value),
+    ("seed", "--seed", ArgForm::Value),
+    ("out_dir", "--out", ArgForm::Unless("")),
+];
+
+/// The flags of a `simulate` or `pe` command as `parse` reads them —
+/// `(flag, value)`, `None` for a flag not given, `""` naming the
+/// positional operand.
+fn campaign_flags(cmd: &Command) -> Vec<(&'static str, Option<String>)> {
+    let path = |p: &PathBuf| p.display().to_string();
+    match cmd {
         Command::Simulate {
             model_dir,
             engine,
@@ -1237,193 +1356,174 @@ pub fn execute_with_cancel(
             lane_width,
             max_retries,
             member_budget,
-            ..
-        } => {
-            let model = biosimware::read_dir(model_dir)?;
-            let time_points = biosimware::read_time_points(model_dir)
-                .unwrap_or_else(|_| vec![1.0, 2.0, 5.0, 10.0]);
-            let mut parameterizations = biosimware::read_parameterizations(&model, model_dir)?;
-            if parameterizations.is_empty() {
-                parameterizations = (0..*batch).map(|_| Parameterization::new()).collect();
-            }
-            let n_sims = parameterizations.len();
-            let job = SimulationJob::builder(&model)
-                .time_points(time_points)
-                .parameterizations(parameterizations)
-                .options(SolverOptions {
-                    rel_tol: *rtol,
-                    abs_tol: *atol,
-                    max_steps: 100_000,
-                    ..SolverOptions::default()
-                })
-                .build()?;
-            let recovery = RecoveryPolicy {
-                max_relaxations: *max_retries,
-                step_budget: *member_budget,
-                ..RecoveryPolicy::default()
-            };
-            let engine = engine_by_name(engine, *threads, *lane_width, recovery, cancel)?;
-            let result = engine.run(&job)?;
-
-            let out_path = out_dir.clone().unwrap_or_else(|| model_dir.join("out"));
-            std::fs::create_dir_all(&out_path)?;
-            // One file per member, named by its batch index: serialising
-            // and writing are independent per member.
-            let written = Executor::new(*threads).map(result.outcomes.len(), |i| {
-                let o = &result.outcomes[i];
-                match &o.solution {
-                    Ok(sol) => std::fs::write(
-                        out_path.join(format!("dynamics_{i:05}.tsv")),
-                        job.serialize_dynamics(sol),
-                    ),
-                    Err(_) => std::fs::write(
-                        out_path.join(format!("dynamics_{i:05}.err")),
-                        error_report(o),
-                    ),
-                }
-            });
-            written.into_iter().collect::<std::io::Result<()>>()?;
-            writeln!(
-                out,
-                "{}: {}/{} simulations ok; simulated {:.3} ms (integration {:.3} ms, i/o {:.3} ms); host wall {:.1?}",
-                result.engine,
-                result.success_count(),
-                n_sims,
-                result.timing.simulated_total_ns / 1e6,
-                result.timing.simulated_integration_ns / 1e6,
-                result.timing.simulated_io_ns / 1e6,
-                result.timing.host_wall,
-            )?;
-            writeln!(out, "health: {}", result.health)?;
-            writeln!(out, "dynamics written to {}", out_path.display())?;
-            Ok(())
-        }
-        Command::Ensemble {
-            model_dir,
-            simulator,
-            out_dir,
-            replicates,
-            seed,
-            member,
-            threads,
-            lane_width,
-            checkpoint_dir,
             shard_size,
-        } => {
-            let cfg = EnsembleConfig {
-                model_dir,
-                out_dir: out_dir.as_ref(),
-                replicates: *replicates,
-                seed: *seed,
-                member: *member,
-                threads: *threads,
-                lane_width: *lane_width,
-                checkpoint_dir: checkpoint_dir.as_ref(),
-                shard_size: *shard_size,
-            };
-            match simulator.as_str() {
-                "tau-leaping" => run_ensemble(TauLeaping::new(), &cfg, out, cancel),
-                "ssa" => run_ensemble(DirectMethod::new(), &cfg, out, cancel),
-                other => Err(CliError(format!(
-                    "unknown simulator {other:?} (expected `tau-leaping` or `ssa`)"
-                ))),
-            }
-        }
-        Command::Pe { .. } => run_pe(cmd, out, cancel),
-        Command::Resume { checkpoint_dir, workers } => {
-            let manifest = CampaignManifest::read(&checkpoint_dir.join(MANIFEST_FILE))?;
-            if manifest.kind() == "ensemble" {
-                return resume_ensemble(checkpoint_dir, &manifest, out, cancel);
-            }
-            if manifest.kind() == "cli-pe" {
-                return resume_pe(checkpoint_dir, &manifest, out, cancel);
-            }
-            if manifest.kind() != "cli-simulate" {
-                return Err(CliError(format!(
-                    "checkpoint at {} is a {:?} campaign, not a CLI simulate, ensemble, or pe run",
-                    checkpoint_dir.display(),
-                    manifest.kind()
-                )));
-            }
-            let cmd = simulate_cmd_from_manifest(checkpoint_dir, &manifest, *workers)?;
-            execute_with_cancel(&cmd, out, cancel)
-        }
+            pack,
+            lease_ttl,
+            retry_base,
+            ..
+        } => vec![
+            ("", Some(path(model_dir))),
+            ("--engine", Some(engine.clone())),
+            ("--out", out_dir.as_ref().map(path)),
+            ("--batch", Some(batch.to_string())),
+            ("--rtol", Some(rtol.to_string())),
+            ("--atol", Some(atol.to_string())),
+            ("--threads", Some(threads.to_string())),
+            ("--lane-width", Some(lane_width.map_or("auto".to_string(), |w| w.to_string()))),
+            ("--max-retries", Some(max_retries.to_string())),
+            ("--member-budget", member_budget.map(|b| b.to_string())),
+            ("--shard-size", Some(shard_size.to_string())),
+            ("--pack-shards", (*pack == Some(true)).then(String::new)),
+            ("--lease-ttl", Some(lease_ttl.to_string())),
+            ("--retry-base", Some(retry_base.to_string())),
+        ],
+        Command::Pe {
+            model_dir,
+            optimizer,
+            engine,
+            unknown,
+            log_radius,
+            observed,
+            target,
+            rtol,
+            atol,
+            threads,
+            iterations,
+            swarm,
+            grad_iterations,
+            starts,
+            seed,
+            out_dir,
+            ..
+        } => vec![
+            ("", Some(path(model_dir))),
+            ("--optimizer", Some(optimizer.clone())),
+            ("--engine", Some(engine.clone())),
+            (
+                "--unknown",
+                unknown
+                    .as_ref()
+                    .map(|v| v.iter().map(|i| i.to_string()).collect::<Vec<_>>().join(",")),
+            ),
+            ("--log-radius", Some(format!("{log_radius:e}"))),
+            ("--observed", observed.as_ref().map(|v| v.join(","))),
+            ("--target", target.as_ref().map(path)),
+            ("--rtol", Some(format!("{rtol:e}"))),
+            ("--atol", Some(format!("{atol:e}"))),
+            ("--threads", Some(threads.to_string())),
+            ("--iterations", Some(iterations.to_string())),
+            ("--swarm", swarm.map(|s| s.to_string())),
+            ("--grad-iterations", Some(grad_iterations.to_string())),
+            ("--starts", Some(starts.to_string())),
+            ("--seed", Some(seed.to_string())),
+            ("--out", out_dir.as_ref().map(path)),
+        ],
+        _ => unreachable!("only simulate and pe pin their own flags"),
     }
 }
 
-/// Reconstructs the `simulate` command a `cli-simulate` checkpoint was
-/// created with, from its manifest fields — the single source of truth
-/// shared by `resume`, `worker`, and `coordinate`, so every attached
-/// process resolves the exact same world. `workers` is not world-defining
-/// and may differ between the original run and any resume.
-fn simulate_cmd_from_manifest(
-    checkpoint_dir: &Path,
+/// Pins a command's flags in `manifest` under the table's keys.
+fn pin_flags(mut manifest: CampaignManifest, table: ArgTable, cmd: &Command) -> CampaignManifest {
+    let flags = campaign_flags(cmd);
+    for &(key, flag, form) in table {
+        let given = flags.iter().find(|(f, _)| *f == flag).and_then(|(_, v)| v.as_deref());
+        let value = match form {
+            ArgForm::Switch { on, off, .. } => given.map_or(off, |_| on),
+            ArgForm::Unless(not_given) => given.unwrap_or(not_given),
+            _ => given.expect("every flag without a not-given spelling has a value"),
+        };
+        manifest = manifest.with_field(key, value);
+    }
+    manifest
+}
+
+/// Rebuilds the command a CLI checkpoint was created with — what `resume`,
+/// `worker`, `worker --connect` and `coordinate` all run, so every
+/// attached process resolves the exact same world. The manifest's fields
+/// map through the subcommand's [`ArgTable`] onto an argv for `parse`;
+/// `checkpoint_dir` and `workers` are not world-defining and come from
+/// this invocation.
+fn command_from_manifest(
     manifest: &CampaignManifest,
+    checkpoint_dir: &Path,
     workers: usize,
 ) -> Result<Command, CliError> {
-    let field = |key: &str| {
-        manifest
-            .field(key)
-            .map(str::to_string)
-            .ok_or_else(|| CliError(format!("checkpoint manifest is missing {key:?}")))
+    let (subcommand, table) = match manifest.kind() {
+        "cli-simulate" => ("simulate", SIMULATE_ARGS),
+        "ensemble" => ("ensemble", ENSEMBLE_ARGS),
+        "cli-pe" => ("pe", PE_ARGS),
+        other => {
+            return Err(CliError(format!(
+                "checkpoint at {} is a {other:?} campaign, not a CLI simulate, ensemble, or pe run",
+                checkpoint_dir.display(),
+            )))
+        }
     };
-    fn parse_field<T: std::str::FromStr>(key: &str, v: String) -> Result<T, CliError> {
-        v.parse().map_err(|_| CliError(format!("malformed manifest field {key:?}: {v:?}")))
+    let mut argv = vec![subcommand.to_string()];
+    let mut cmd = None;
+    for &(key, flag, form) in table {
+        match (form, manifest.field(key)) {
+            (ArgForm::Switch { on, off_flag, .. }, value) => {
+                argv.push(if value == Some(on) { flag } else { off_flag }.to_string());
+            }
+            (ArgForm::IfPresent, None) => {}
+            (_, None) => {
+                return Err(CliError(format!("checkpoint manifest is missing {key:?}")));
+            }
+            (ArgForm::Unless(not_given), Some(value)) if value == not_given => {}
+            (ArgForm::Positional, Some(value)) => argv.push(value.to_string()),
+            (_, Some(value)) => argv.extend([flag.to_string(), value.to_string()]),
+        }
+        // `parse` names the flag it rejects; parsing as the argv grows
+        // names the manifest key.
+        let parsed = parse(&argv);
+        cmd = Some(parsed.map_err(|e| CliError(format!("malformed manifest field {key:?}: {e}")))?);
     }
-    let out_dir = field("out_dir")?;
-    let member_budget = match field("member_budget")?.as_str() {
-        "none" => None,
-        v => Some(parse_field("member_budget", v.to_string())?),
-    };
-    let lane_width = match field("world.lane_width")?.as_str() {
-        "auto" => None,
-        v => Some(parse_field("world.lane_width", v.to_string())?),
-    };
-    // Timing and packing are pinned in the manifest (checkpoints predating
-    // those fields read as the old defaults); the explicit `pack` keeps
-    // the original plan whatever worker count this invocation uses.
-    let lease_ttl = match manifest.field("lease_ttl") {
-        Some(v) => parse_field("lease_ttl", v.to_string())?,
-        None => DEFAULT_LEASE_TTL_MS,
-    };
-    let retry_base = match manifest.field("retry_base") {
-        Some(v) => parse_field("retry_base", v.to_string())?,
-        None => DEFAULT_RETRY_BASE_MS,
-    };
-    let pack = Some(manifest.field("shard_plan") == Some("packed"));
-    Ok(Command::Simulate {
-        model_dir: PathBuf::from(field("model_dir")?),
-        engine: field("world.engine")?,
-        out_dir: if out_dir.is_empty() { None } else { Some(PathBuf::from(out_dir)) },
-        batch: parse_field("batch", field("batch")?)?,
-        rtol: parse_field("rtol", field("rtol")?)?,
-        atol: parse_field("atol", field("atol")?)?,
-        threads: parse_field("world.threads", field("world.threads")?)?,
-        lane_width,
-        max_retries: parse_field("max_retries", field("max_retries")?)?,
-        member_budget,
-        checkpoint_dir: Some(checkpoint_dir.to_path_buf()),
-        shard_size: parse_field("shard_size", field("shard_size")?)?,
-        workers,
-        pack,
-        lease_ttl,
-        retry_base,
-        listen: None,
-    })
+    let mut cmd = cmd.expect("no table is empty");
+    match &mut cmd {
+        Command::Simulate { checkpoint_dir: dir, workers: w, .. } => {
+            *dir = Some(checkpoint_dir.to_path_buf());
+            *w = workers;
+        }
+        Command::Ensemble { checkpoint_dir: dir, .. } | Command::Pe { checkpoint_dir: dir, .. } => {
+            *dir = Some(checkpoint_dir.to_path_buf());
+        }
+        _ => unreachable!("the tables name campaign subcommands"),
+    }
+    Ok(cmd)
 }
 
-/// The `ensemble` command's resolved configuration (shared by the fresh
-/// and resumed paths).
-struct EnsembleConfig<'a> {
-    model_dir: &'a Path,
-    out_dir: Option<&'a PathBuf>,
-    replicates: usize,
-    seed: u64,
-    member: u64,
-    threads: usize,
-    lane_width: Option<usize>,
-    checkpoint_dir: Option<&'a PathBuf>,
-    shard_size: usize,
+/// Prints what an interrupted campaign committed and turns the error into
+/// the resume hint; every other campaign error passes through.
+fn campaign_error(e: CampaignError, dir: Option<&Path>, out: &mut dyn std::io::Write) -> CliError {
+    match (&e, dir) {
+        (CampaignError::Interrupted { completed, shards, .. }, Some(dir)) => {
+            let dir = dir.display();
+            match writeln!(out, "interrupted: {completed}/{shards} shards committed to {dir}") {
+                Ok(()) => {
+                    CliError(format!("interrupted — resume with `paraspace-cli resume {dir}`"))
+                }
+                Err(io) => io.into(),
+            }
+        }
+        _ => e.into(),
+    }
+}
+
+/// Prints what a finished campaign's journal replayed and executed.
+fn report_checkpoint(out: &mut dyn std::io::Write, report: &ShardReport) -> std::io::Result<()> {
+    writeln!(
+        out,
+        "checkpoint: {} shards ({} replayed, {} executed{})",
+        report.recovered + report.executed,
+        report.recovered,
+        report.executed,
+        if report.truncated_bytes > 0 {
+            format!(", {} torn bytes truncated", report.truncated_bytes)
+        } else {
+            String::new()
+        },
+    )
 }
 
 /// Writes the per-replicate trajectory/error files and the ensemble
@@ -1481,141 +1581,84 @@ fn write_ensemble_outputs(
     Ok(())
 }
 
-/// Runs the `ensemble` command for a concrete simulator, on the plain or
-/// durable path.
+/// Runs the `ensemble` command for a concrete simulator — journaled when
+/// there is a checkpoint directory, the same campaign either way.
 fn run_ensemble<S: StochasticSimulator + Sync>(
     simulator: S,
-    cfg: &EnsembleConfig<'_>,
+    cmd: &Command,
     out: &mut dyn std::io::Write,
     cancel: &CancelToken,
 ) -> Result<(), CliError> {
+    let Command::Ensemble {
+        model_dir,
+        out_dir,
+        replicates,
+        seed,
+        member,
+        threads,
+        lane_width,
+        checkpoint_dir,
+        shard_size,
+        ..
+    } = cmd
+    else {
+        unreachable!("run_ensemble is only called for ensemble commands")
+    };
     let name = simulator.name();
-    let model = biosimware::read_dir(cfg.model_dir)?;
+    let model = biosimware::read_dir(model_dir)?;
     let times =
-        biosimware::read_time_points(cfg.model_dir).unwrap_or_else(|_| vec![1.0, 2.0, 5.0, 10.0]);
-    let out_path = cfg.out_dir.cloned().unwrap_or_else(|| cfg.model_dir.join("ensemble"));
+        biosimware::read_time_points(model_dir).unwrap_or_else(|_| vec![1.0, 2.0, 5.0, 10.0]);
+    let out_path = out_dir.clone().unwrap_or_else(|| model_dir.join("ensemble"));
     let batch = StochasticBatch::new(simulator)
-        .with_seed(cfg.seed)
-        .with_member(cfg.member)
-        .with_threads(cfg.threads)
-        .with_lane_width(cfg.lane_width);
+        .with_seed(*seed)
+        .with_member(*member)
+        .with_threads(*threads)
+        .with_lane_width(*lane_width);
 
-    match cfg.checkpoint_dir {
-        None => {
-            let start = std::time::Instant::now();
-            let result = batch.run(&model, &times, cfg.replicates)?;
-            write_ensemble_outputs(&out_path, &model, &result.outcomes, &result.stats)?;
-            let ok = result.outcomes.iter().filter(|o| o.is_ok()).count();
-            writeln!(
-                out,
-                "{name} ensemble: {ok}/{} replicates ok; lane width {}; simulated {:.3} ms; host wall {:.1?}",
-                cfg.replicates,
-                result.lane_width,
-                result.simulated_ns / 1e6,
-                start.elapsed(),
-            )?;
-            if let Some(lanes) = &result.lanes {
-                writeln!(
-                    out,
-                    "lanes: {} groups, occupancy {:.1}%, divergence {:.2}x",
-                    lanes.groups,
-                    lanes.occupancy() * 100.0,
-                    lanes.divergence_factor(),
-                )?;
-            }
-        }
-        Some(dir) => {
-            let checkpoint = Checkpoint::new(dir)
-                .with_cancel(cancel.clone())
-                .with_world("model_dir", cfg.model_dir.display().to_string())
-                .with_world(
-                    "out_dir",
-                    cfg.out_dir.map(|p| p.display().to_string()).unwrap_or_default(),
-                )
-                .with_world("threads", cfg.threads.to_string());
-            let result = match run_ensemble_durable(
-                &model,
-                &times,
-                cfg.replicates,
-                &batch,
-                cfg.shard_size,
-                &checkpoint,
-            ) {
-                Ok(r) => r,
-                Err(CampaignError::Interrupted { completed, shards, checkpoint_dir }) => {
-                    writeln!(
-                        out,
-                        "interrupted: {completed}/{shards} shards committed to {}",
-                        checkpoint_dir.display()
-                    )?;
-                    return Err(CliError(format!(
-                        "interrupted — resume with `paraspace-cli resume {}`",
-                        dir.display()
-                    )));
-                }
-                Err(e) => return Err(e.into()),
-            };
-            write_ensemble_outputs(&out_path, &model, &result.outcomes, &result.stats)?;
-            let ok = result.outcomes.iter().filter(|o| o.is_ok()).count();
-            writeln!(
-                out,
-                "{name} ensemble (durable): {ok}/{} replicates ok; simulated {:.3} ms",
-                cfg.replicates,
-                result.simulated_ns / 1e6,
-            )?;
-            writeln!(
-                out,
-                "checkpoint: {} shards ({} replayed, {} executed{})",
-                result.report.recovered + result.report.executed,
-                result.report.recovered,
-                result.report.executed,
-                if result.report.truncated_bytes > 0 {
-                    format!(", {} torn bytes truncated", result.report.truncated_bytes)
-                } else {
-                    String::new()
-                },
-            )?;
-        }
+    let checkpoint = checkpoint_dir.as_ref().map(|dir| {
+        Checkpoint::new(dir)
+            .with_cancel(cancel.clone())
+            .with_world("model_dir", model_dir.display().to_string())
+            .with_world(
+                "out_dir",
+                out_dir.as_ref().map(|p| p.display().to_string()).unwrap_or_default(),
+            )
+            .with_world("threads", threads.to_string())
+    });
+    let start = std::time::Instant::now();
+    let result =
+        run_ensemble_durable(&model, &times, *replicates, &batch, *shard_size, checkpoint.as_ref())
+            .map_err(|e| campaign_error(e, checkpoint_dir.as_deref(), out))?;
+    write_ensemble_outputs(&out_path, &model, &result.outcomes, &result.stats)?;
+    let ok = result.outcomes.iter().filter(|o| o.is_ok()).count();
+    write!(
+        out,
+        "{name} ensemble{}: {ok}/{replicates} replicates ok; ",
+        if checkpoint.is_some() { " (durable)" } else { "" },
+    )?;
+    if let Some(width) = result.lane_width {
+        write!(out, "lane width {width}; ")?;
+    }
+    writeln!(
+        out,
+        "simulated {:.3} ms; host wall {:.1?}",
+        result.simulated_ns / 1e6,
+        start.elapsed(),
+    )?;
+    if let Some(lanes) = &result.lanes {
+        writeln!(
+            out,
+            "lanes: {} groups, occupancy {:.1}%, divergence {:.2}x",
+            lanes.groups,
+            lanes.occupancy() * 100.0,
+            lanes.divergence_factor(),
+        )?;
+    }
+    if checkpoint.is_some() {
+        report_checkpoint(out, &result.report)?;
     }
     writeln!(out, "ensemble written to {}", out_path.display())?;
     Ok(())
-}
-
-/// Reconstructs and re-executes an `ensemble` command from its checkpoint
-/// manifest.
-fn resume_ensemble(
-    checkpoint_dir: &Path,
-    manifest: &CampaignManifest,
-    out: &mut dyn std::io::Write,
-    cancel: &CancelToken,
-) -> Result<(), CliError> {
-    let field = |key: &str| {
-        manifest
-            .field(key)
-            .map(str::to_string)
-            .ok_or_else(|| CliError(format!("checkpoint manifest is missing {key:?}")))
-    };
-    fn parse_field<T: std::str::FromStr>(key: &str, v: String) -> Result<T, CliError> {
-        v.parse().map_err(|_| CliError(format!("malformed manifest field {key:?}: {v:?}")))
-    }
-    let out_dir = field("world.out_dir")?;
-    let lane_width = match field("lane_width")?.as_str() {
-        "auto" => None,
-        v => Some(parse_field("lane_width", v.to_string())?),
-    };
-    let cmd = Command::Ensemble {
-        model_dir: PathBuf::from(field("world.model_dir")?),
-        simulator: field("simulator")?,
-        out_dir: if out_dir.is_empty() { None } else { Some(PathBuf::from(out_dir)) },
-        replicates: parse_field("replicates", field("replicates")?)?,
-        seed: parse_field("seed", field("seed")?)?,
-        member: parse_field("member", field("member")?)?,
-        threads: parse_field("world.threads", field("world.threads")?)?,
-        lane_width,
-        checkpoint_dir: Some(checkpoint_dir.to_path_buf()),
-        shard_size: parse_field("shard_size", field("shard_size")?)?,
-    };
-    execute_with_cancel(&cmd, out, cancel)
 }
 
 /// Parses a target dynamics file in the `simulate` output format: one row
@@ -1659,60 +1702,8 @@ fn read_target_dynamics(path: &Path, n_species: usize) -> Result<(Vec<f64>, Solu
     Ok((times, solution))
 }
 
-/// The top-level manifest a durable `pe` run pins its invocation in (the
-/// optimizer checkpoint itself lives under `search/`). Every field is
-/// world-defining: the unknowns, bounds, target, optimizer, and search
-/// hyperparameters all change the journaled evaluation bytes, so `resume`
-/// and re-invocation refuse any difference — the same contract the
-/// executor applies to `--lane-width` and `--lease-ttl`.
-fn pe_cli_manifest(cmd: &Command) -> CampaignManifest {
-    let Command::Pe {
-        model_dir,
-        optimizer,
-        engine,
-        unknown,
-        log_radius,
-        observed,
-        target,
-        rtol,
-        atol,
-        threads,
-        iterations,
-        swarm,
-        grad_iterations,
-        starts,
-        seed,
-        out_dir,
-        ..
-    } = cmd
-    else {
-        unreachable!("pe_cli_manifest is only called for pe commands")
-    };
-    let join_indices = |v: &[usize]| v.iter().map(|i| i.to_string()).collect::<Vec<_>>().join(",");
-    CampaignManifest::new("cli-pe", 0)
-        .with_field("model_dir", model_dir.display().to_string())
-        .with_field("optimizer", optimizer.clone())
-        .with_field("engine", engine.clone())
-        .with_field("unknown", unknown.as_deref().map_or("all".to_string(), join_indices))
-        .with_field("log_radius", format!("{log_radius:e}"))
-        .with_field("observed", observed.as_ref().map_or("all".to_string(), |v| v.join(",")))
-        .with_field(
-            "target",
-            target.as_ref().map_or("self".to_string(), |p| p.display().to_string()),
-        )
-        .with_field("rtol", format!("{rtol:e}"))
-        .with_field("atol", format!("{atol:e}"))
-        .with_field("threads", threads.to_string())
-        .with_field("iterations", iterations.to_string())
-        .with_field("swarm", swarm.map_or("auto".to_string(), |s| s.to_string()))
-        .with_field("grad_iterations", grad_iterations.to_string())
-        .with_field("starts", starts.to_string())
-        .with_field("seed", seed.to_string())
-        .with_field("out_dir", out_dir.as_ref().map_or(String::new(), |p| p.display().to_string()))
-}
-
 /// Runs the `pe` command: resolve the estimation problem from the model
-/// directory and flags, dispatch to the chosen optimizer (durably when a
+/// directory and flags, dispatch to the chosen optimizer (journaled when a
 /// checkpoint directory is given), and write the estimate.
 fn run_pe(
     cmd: &Command,
@@ -1837,10 +1828,16 @@ fn run_pe(
         _ => Optimizer::Hybrid { pso: pso_cfg, gradient: grad_cfg },
     };
 
-    let (result, report) = match checkpoint_dir {
-        None => (estimate_with(&problem, engine.as_ref(), &chosen), None),
+    // The top-level manifest pins the invocation (the optimizer's own
+    // journal lives under `search/`). Every field is world-defining: the
+    // unknowns, bounds, target, optimizer, and search hyperparameters all
+    // change the journaled evaluation bytes, so `resume` and re-invocation
+    // refuse any difference — the same contract the executor applies to
+    // `--lane-width` and `--lease-ttl`.
+    let checkpoint = match checkpoint_dir {
+        None => None,
         Some(dir) => {
-            let expected = pe_cli_manifest(cmd);
+            let expected = pin_flags(CampaignManifest::new("cli-pe", 0), PE_ARGS, cmd);
             let manifest_path = dir.join(MANIFEST_FILE);
             if manifest_path.exists() {
                 CampaignManifest::read(&manifest_path)?.verify_matches(&expected)?;
@@ -1848,24 +1845,12 @@ fn run_pe(
                 std::fs::create_dir_all(dir)?;
                 expected.write_atomic(&manifest_path)?;
             }
-            let checkpoint = Checkpoint::new(dir.join("search")).with_cancel(cancel.clone());
-            match estimate_durable_with(&problem, engine.as_ref(), &chosen, &checkpoint) {
-                Ok((r, rep)) => (r, Some(rep)),
-                Err(CampaignError::Interrupted { completed, shards, .. }) => {
-                    writeln!(
-                        out,
-                        "interrupted: {completed}/{shards} shards committed to {}",
-                        dir.display()
-                    )?;
-                    return Err(CliError(format!(
-                        "interrupted — resume with `paraspace-cli resume {}`",
-                        dir.display()
-                    )));
-                }
-                Err(e) => return Err(e.into()),
-            }
+            Some(Checkpoint::new(dir.join("search")).with_cancel(cancel.clone()))
         }
     };
+    let (result, report) =
+        estimate_durable_with(&problem, engine.as_ref(), &chosen, checkpoint.as_ref())
+            .map_err(|e| campaign_error(e, checkpoint_dir.as_deref(), out))?;
 
     let out_path = out_dir.clone().unwrap_or_else(|| model_dir.join("pe"));
     std::fs::create_dir_all(&out_path)?;
@@ -1886,89 +1871,17 @@ fn run_pe(
     for &idx in &unknown {
         writeln!(out, "  k[{idx}] = {:e}", result.rate_constants[idx])?;
     }
-    if let Some(rep) = report {
-        writeln!(
-            out,
-            "checkpoint: {} shards ({} replayed, {} executed{})",
-            rep.recovered + rep.executed,
-            rep.recovered,
-            rep.executed,
-            if rep.truncated_bytes > 0 {
-                format!(", {} torn bytes truncated", rep.truncated_bytes)
-            } else {
-                String::new()
-            },
-        )?;
+    if checkpoint.is_some() {
+        report_checkpoint(out, &report)?;
     }
     writeln!(out, "estimate written to {}", out_path.join("estimate.tsv").display())?;
     Ok(())
 }
 
-/// Reconstructs and re-executes a `pe` command from its checkpoint
-/// manifest. The reconstructed command re-verifies the manifest and
-/// resumes the `search/` journal, so a resume under a mutated checkpoint
-/// is refused exactly as a mismatched re-invocation would be.
-fn resume_pe(
-    checkpoint_dir: &Path,
-    manifest: &CampaignManifest,
-    out: &mut dyn std::io::Write,
-    cancel: &CancelToken,
-) -> Result<(), CliError> {
-    let field = |key: &str| {
-        manifest
-            .field(key)
-            .map(str::to_string)
-            .ok_or_else(|| CliError(format!("checkpoint manifest is missing {key:?}")))
-    };
-    fn parse_field<T: std::str::FromStr>(key: &str, v: String) -> Result<T, CliError> {
-        v.parse().map_err(|_| CliError(format!("malformed manifest field {key:?}: {v:?}")))
-    }
-    let unknown = match field("unknown")?.as_str() {
-        "all" => None,
-        v => Some(parse_index_list(v, "unknown")?),
-    };
-    let observed = match field("observed")?.as_str() {
-        "all" => None,
-        v => Some(v.split(',').map(str::to_string).collect()),
-    };
-    let target = match field("target")?.as_str() {
-        "self" => None,
-        v => Some(PathBuf::from(v)),
-    };
-    let swarm = match field("swarm")?.as_str() {
-        "auto" => None,
-        v => Some(parse_field("swarm", v.to_string())?),
-    };
-    let out_dir = field("out_dir")?;
-    let cmd = Command::Pe {
-        model_dir: PathBuf::from(field("model_dir")?),
-        optimizer: field("optimizer")?,
-        engine: field("engine")?,
-        unknown,
-        log_radius: parse_field("log_radius", field("log_radius")?)?,
-        observed,
-        target,
-        rtol: parse_field("rtol", field("rtol")?)?,
-        atol: parse_field("atol", field("atol")?)?,
-        threads: parse_field("threads", field("threads")?)?,
-        iterations: parse_field("iterations", field("iterations")?)?,
-        swarm,
-        grad_iterations: parse_field("grad_iterations", field("grad_iterations")?)?,
-        starts: parse_field("starts", field("starts")?)?,
-        seed: parse_field("seed", field("seed")?)?,
-        out_dir: if out_dir.is_empty() { None } else { Some(PathBuf::from(out_dir)) },
-        checkpoint_dir: Some(checkpoint_dir.to_path_buf()),
-    };
-    execute_with_cancel(&cmd, out, cancel)
-}
-
-/// Everything a durable `simulate` shard executor needs, resolved once.
-/// Shard payload bytes are a pure function of (world, shard id): the
-/// original process, the coordinator, and `worker` processes rebuilt from
-/// the manifest all execute shards through the same world, which is what
-/// makes multi-process artifacts byte-identical to single-process runs.
-struct SimulateWorld {
-    model: paraspace_rbm::ReactionBasedModel,
+/// What every `simulate` path resolves from the command and the model
+/// directory: the model, its batch, and the engine configuration.
+struct SimulateInputs {
+    model: ReactionBasedModel,
     time_points: Vec<f64>,
     parameterizations: Vec<Parameterization>,
     options: SolverOptions,
@@ -1976,20 +1889,12 @@ struct SimulateWorld {
     engine_name: String,
     threads: usize,
     lane_width: Option<usize>,
-    /// Which original member indices each shard holds. Uniform ascending
-    /// chunks, or the cost-model packing of `pack_shards` — either way a
-    /// pure function of the world, pinned as the manifest's `shard_plan`.
-    plan: Vec<Vec<usize>>,
-    lease_ttl: u64,
-    retry_base: u64,
     model_dir: PathBuf,
     out_dir: Option<PathBuf>,
-    manifest: CampaignManifest,
 }
 
-impl SimulateWorld {
-    /// Resolves a `Simulate` command: reads the model, expands the batch,
-    /// and pins the campaign manifest (digests plus resume fields).
+impl SimulateInputs {
+    /// Reads the model directory and expands the batch.
     fn load(cmd: &Command) -> Result<Self, CliError> {
         let Command::Simulate {
             model_dir,
@@ -2002,19 +1907,14 @@ impl SimulateWorld {
             lane_width,
             max_retries,
             member_budget,
-            shard_size,
-            workers,
-            pack,
-            lease_ttl,
-            retry_base,
             ..
         } = cmd
         else {
-            unreachable!("SimulateWorld::load is only called for Simulate commands");
+            unreachable!("SimulateInputs::load is only called for Simulate commands");
         };
-        // Surface an unknown engine name before any checkpoint exists.
+        // Surface an unknown engine name before anything runs or any
+        // checkpoint exists.
         engine_by_name(engine_name, 1, None, RecoveryPolicy::default(), &CancelToken::new())?;
-        let shard_size = (*shard_size).max(1);
         let model = biosimware::read_dir(model_dir)?;
         let time_points =
             biosimware::read_time_points(model_dir).unwrap_or_else(|_| vec![1.0, 2.0, 5.0, 10.0]);
@@ -2022,98 +1922,168 @@ impl SimulateWorld {
         if parameterizations.is_empty() {
             parameterizations = (0..*batch).map(|_| Parameterization::new()).collect();
         }
-        let options = SolverOptions {
-            rel_tol: *rtol,
-            abs_tol: *atol,
-            max_steps: 100_000,
-            ..SolverOptions::default()
-        };
-        let recovery = RecoveryPolicy {
-            max_relaxations: *max_retries,
-            step_budget: *member_budget,
-            ..RecoveryPolicy::default()
-        };
-        // The shard plan is world-defining (it decides which member's
-        // bytes land in which shard record), so it is resolved here and
-        // pinned in the manifest. Auto (`None`) packs only multi-worker
-        // runs, where evening out shard cost keeps N workers busy.
-        let packed = pack.unwrap_or(*workers > 1);
-        let plan = if packed {
-            let job = SimulationJob::builder(&model)
-                .time_points(time_points.clone())
-                .parameterizations(parameterizations.clone())
-                .options(options.clone())
-                .build()?;
-            pack_shards(&job, (shard_size / 4).max(1), shard_size)
-        } else {
-            uniform_shards(parameterizations.len(), shard_size)
-        };
-        let shards = plan.len() as u64;
-        let manifest = CampaignManifest::new("cli-simulate", shards)
-            .with_digest("model", model_digest(&model))
-            .with_digest("times", f64s_digest(&time_points))
-            .with_digest("options", options_digest(&options))
-            .with_field("model_dir", model_dir.display().to_string())
-            .with_field(
-                "out_dir",
-                out_dir.as_ref().map(|p| p.display().to_string()).unwrap_or_default(),
-            )
-            .with_field("batch", batch.to_string())
-            .with_field("rtol", rtol.to_string())
-            .with_field("atol", atol.to_string())
-            .with_field("max_retries", max_retries.to_string())
-            .with_field(
-                "member_budget",
-                member_budget.map_or("none".to_string(), |b| b.to_string()),
-            )
-            .with_field("shard_size", shard_size.to_string())
-            .with_field("shard_plan", if packed { "packed" } else { "uniform" })
-            .with_field("lease_ttl", lease_ttl.to_string())
-            .with_field("retry_base", retry_base.to_string());
-        Ok(SimulateWorld {
+        Ok(SimulateInputs {
             model,
             time_points,
             parameterizations,
-            options,
-            recovery,
+            options: SolverOptions {
+                rel_tol: *rtol,
+                abs_tol: *atol,
+                max_steps: 100_000,
+                ..SolverOptions::default()
+            },
+            recovery: RecoveryPolicy {
+                max_relaxations: *max_retries,
+                step_budget: *member_budget,
+                ..RecoveryPolicy::default()
+            },
             engine_name: engine_name.clone(),
             threads: *threads,
             lane_width: *lane_width,
-            plan,
-            lease_ttl: *lease_ttl,
-            retry_base: *retry_base,
             model_dir: model_dir.clone(),
             out_dir: out_dir.clone(),
-            manifest,
         })
-    }
-
-    /// The checkpoint with this world's manifest-defining fields attached.
-    fn checkpoint(&self, dir: &Path, cancel: &CancelToken) -> Checkpoint {
-        Checkpoint::new(dir)
-            .with_cancel(cancel.clone())
-            .with_world("engine", self.engine_name.clone())
-            .with_world("threads", self.threads.to_string())
-            .with_world(
-                "lane_width",
-                self.lane_width.map_or_else(|| "auto".to_string(), |w| w.to_string()),
-            )
     }
 
     /// An engine wired to `cancel` (validated at [`load`](Self::load)).
     fn engine(&self, cancel: &CancelToken) -> Box<dyn Simulator> {
         engine_by_name(&self.engine_name, self.threads, self.lane_width, self.recovery, cancel)
-            .expect("engine name was validated when the world was loaded")
+            .expect("engine name was validated when the inputs were loaded")
+    }
+
+    fn out_path(&self) -> PathBuf {
+        self.out_dir.clone().unwrap_or_else(|| self.model_dir.join("out"))
+    }
+
+    /// The job over `members`. A job that fails validation is an outcome,
+    /// not an error (the inner `Err`): every member fails as `invalid`, in
+    /// the ordinary `.err` artifacts, with or without a journal.
+    fn job(
+        &self,
+        members: Vec<Parameterization>,
+    ) -> Result<Result<SimulationJob<'_>, ShardOutcome>, paraspace_core::SimError> {
+        let n = members.len();
+        match SimulationJob::builder(&self.model)
+            .time_points(self.time_points.clone())
+            .parameterizations(members)
+            .options(self.options.clone())
+            .build()
+        {
+            Ok(job) => Ok(Ok(job)),
+            Err(e @ paraspace_core::SimError::InvalidJob { .. }) => {
+                let body = format!(
+                    "error: {e}\ntaxonomy: invalid\nsolver: -\nattempts: 0\nrelaxations: 0\nrerouted: false\nrecovered: false\npanicked: false\n"
+                );
+                Ok(Err(ShardOutcome::failed(n, "invalid", &body)))
+            }
+            Err(e) => Err(e),
+        }
+    }
+}
+
+/// Plain `simulate`: the campaign with no journal, and a different shape —
+/// one engine batch over all members, then serialise-and-write per member
+/// on the executor, so at most `--threads` member bodies exist at a time
+/// (a journaled shard buffers every member body it holds).
+fn simulate_plain(
+    cmd: &Command,
+    out: &mut dyn std::io::Write,
+    cancel: &CancelToken,
+) -> Result<(), CliError> {
+    let mut inputs = SimulateInputs::load(cmd)?;
+    let members = std::mem::take(&mut inputs.parameterizations);
+    let n_sims = members.len();
+    let out_path = inputs.out_path();
+    let job = match inputs.job(members)? {
+        Ok(job) => job,
+        Err(invalid) => {
+            let all: Vec<usize> = (0..n_sims).collect();
+            let shards = [Ok((invalid, all.as_slice()))];
+            materialize(&out_path, &inputs.engine_name, n_sims, shards, out)?;
+            writeln!(out, "dynamics written to {}", out_path.display())?;
+            return Ok(());
+        }
+    };
+    let result = inputs.engine(cancel).run(&job)?;
+    std::fs::create_dir_all(&out_path)?;
+    let written = Executor::new(inputs.threads).map(result.outcomes.len(), |i| {
+        MemberRecord::of(&job, &result.outcomes[i]).write(&out_path, i)
+    });
+    written.into_iter().collect::<std::io::Result<()>>()?;
+    writeln!(
+        out,
+        "{}: {}/{} simulations ok; simulated {:.3} ms (integration {:.3} ms, i/o {:.3} ms); host wall {:.1?}",
+        result.engine,
+        result.success_count(),
+        n_sims,
+        result.timing.simulated_total_ns / 1e6,
+        result.timing.simulated_integration_ns / 1e6,
+        result.timing.simulated_io_ns / 1e6,
+        result.timing.host_wall,
+    )?;
+    writeln!(out, "health: {}", result.health)?;
+    writeln!(out, "dynamics written to {}", out_path.display())?;
+    Ok(())
+}
+
+/// Everything a journaled `simulate` shard executor needs, resolved once.
+/// Shard payload bytes are a pure function of (world, shard id): the
+/// original process, the coordinator, and `worker` processes rebuilt from
+/// the manifest all execute shards through the same world, which is what
+/// makes multi-process artifacts byte-identical to single-process runs.
+struct SimulateWorld {
+    inputs: SimulateInputs,
+    /// Which original member indices each shard holds. Uniform ascending
+    /// chunks, or the cost-model packing of `pack_shards` — either way a
+    /// pure function of the world, pinned as the manifest's `shard_plan`.
+    plan: Vec<Vec<usize>>,
+    lease_ttl: u64,
+    retry_base: u64,
+    /// The whole campaign manifest: digests plus every flag `resume` needs.
+    manifest: CampaignManifest,
+}
+
+impl SimulateWorld {
+    /// Resolves a `Simulate` command: loads the inputs, decides the shard
+    /// plan, and pins the campaign manifest (digests plus resume fields).
+    fn load(cmd: &Command) -> Result<Self, CliError> {
+        // The shard plan is world-defining (it decides which member's
+        // bytes land in which shard record), so it is resolved here —
+        // auto (`None`) packs only multi-worker runs, where evening out
+        // shard cost keeps N workers busy — and pinned as resolved.
+        let mut cmd = cmd.clone();
+        let Command::Simulate { shard_size, workers, pack, lease_ttl, retry_base, .. } = &mut cmd
+        else {
+            unreachable!("SimulateWorld::load is only called for Simulate commands");
+        };
+        *shard_size = (*shard_size).max(1);
+        let packed = *pack.get_or_insert(*workers > 1);
+        let (shard_size, lease_ttl, retry_base) = (*shard_size, *lease_ttl, *retry_base);
+        let inputs = SimulateInputs::load(&cmd)?;
+        let plan = if packed {
+            let job = SimulationJob::builder(&inputs.model)
+                .time_points(inputs.time_points.clone())
+                .parameterizations(inputs.parameterizations.clone())
+                .options(inputs.options.clone())
+                .build()?;
+            pack_shards(&job, (shard_size / 4).max(1), shard_size)
+        } else {
+            uniform_shards(inputs.parameterizations.len(), shard_size)
+        };
+        let manifest = pin_flags(
+            CampaignManifest::new("cli-simulate", plan.len() as u64)
+                .with_digest("model", model_digest(&inputs.model))
+                .with_digest("times", f64s_digest(&inputs.time_points))
+                .with_digest("options", options_digest(&inputs.options)),
+            SIMULATE_ARGS,
+            &cmd,
+        );
+        Ok(SimulateWorld { inputs, plan, lease_ttl, retry_base, manifest })
     }
 
     /// The original member indices of one shard, per the pinned plan.
     fn members(&self, shard: u64) -> &[usize] {
         self.plan.get(shard as usize).map_or(&[], Vec::as_slice)
-    }
-
-    /// The parameterizations of one shard, gathered by the plan.
-    fn chunk(&self, shard: u64) -> Vec<Parameterization> {
-        self.members(shard).iter().map(|&i| self.parameterizations[i].clone()).collect()
     }
 
     /// The dispatch runtime configured with this world's journaled
@@ -2134,53 +2104,15 @@ impl SimulateWorld {
     /// executor behind `run_journaled`, the coordinator, and every
     /// attached worker.
     fn shard_payload(&self, engine: &dyn Simulator, shard: u64) -> Result<Vec<u8>, CampaignError> {
-        let chunk = self.chunk(shard);
-        let job = match SimulationJob::builder(&self.model)
-            .time_points(self.time_points.clone())
-            .parameterizations(chunk.clone())
-            .options(self.options.clone())
-            .build()
-        {
+        let members =
+            self.members(shard).iter().map(|&i| self.inputs.parameterizations[i].clone()).collect();
+        let job = match self.inputs.job(members)? {
             Ok(job) => job,
-            Err(e @ paraspace_core::SimError::InvalidJob { .. }) => {
-                // A shard that fails validation is journaled as a shard of
-                // failed members instead of killing the campaign.
-                let msg = format!(
-                    "error: {e}\ntaxonomy: invalid\nsolver: -\nattempts: 0\nrelaxations: 0\nrerouted: false\nrecovered: false\npanicked: false\n"
-                );
-                let members = chunk
-                    .iter()
-                    .map(|_| MemberRecord { ok: false, label: "invalid".into(), body: msg.clone() })
-                    .collect();
-                return Ok(ShardOutcome {
-                    members,
-                    total_ns: 0.0,
-                    integration_ns: 0.0,
-                    io_ns: 0.0,
-                }
-                .encode());
-            }
-            Err(e) => return Err(e.into()),
+            Err(invalid) => return Ok(invalid.encode()),
         };
         let result = engine.run(&job)?;
-        let members = result
-            .outcomes
-            .iter()
-            .map(|o| match &o.solution {
-                Ok(sol) => MemberRecord {
-                    ok: true,
-                    label: String::new(),
-                    body: job.serialize_dynamics(sol),
-                },
-                Err(e) => MemberRecord {
-                    ok: false,
-                    label: taxonomy(e).to_string(),
-                    body: error_report(o),
-                },
-            })
-            .collect();
         Ok(ShardOutcome {
-            members,
+            members: result.outcomes.iter().map(|o| MemberRecord::of(&job, o)).collect(),
             total_ns: result.timing.simulated_total_ns,
             integration_ns: result.timing.simulated_integration_ns,
             io_ns: result.timing.simulated_io_ns,
@@ -2202,32 +2134,19 @@ impl SimulateWorld {
             workers.join(", "),
             state.reasons.join(", "),
         );
-        let members = self
-            .members(shard)
-            .iter()
-            .map(|_| MemberRecord { ok: false, label: "quarantined".into(), body: body.clone() })
-            .collect();
-        ShardOutcome { members, total_ns: 0.0, integration_ns: 0.0, io_ns: 0.0 }.encode()
+        ShardOutcome::failed(self.members(shard).len(), "quarantined", &body).encode()
     }
 
-    /// Writes the per-member output files from committed shard payloads
-    /// and prints the batch summary. Pure function of the payloads, so
-    /// every execution mode materializes byte-identical artifacts.
+    /// Materializes the artifacts of committed shard payloads. Under a
+    /// packed plan shards hold non-contiguous members; each lands where a
+    /// uniform (or plain) run would put it.
     fn materialize(
         &self,
         payloads: &[Vec<u8>],
         label: &str,
         out: &mut dyn std::io::Write,
     ) -> Result<PathBuf, CliError> {
-        let out_path = self.out_dir.clone().unwrap_or_else(|| self.model_dir.join("out"));
-        std::fs::create_dir_all(&out_path)?;
-        let n_sims = self.parameterizations.len();
-        let mut ok_count = 0usize;
-        let mut total_ns = 0.0f64;
-        let mut integration_ns = 0.0f64;
-        let mut io_ns = 0.0f64;
-        let mut label_counts: std::collections::BTreeMap<String, usize> = Default::default();
-        for (shard_id, payload) in payloads.iter().enumerate() {
+        let shards = payloads.iter().enumerate().map(|(shard_id, payload)| {
             let shard = ShardOutcome::decode(payload)?;
             let members = self.members(shard_id as u64);
             if shard.members.len() != members.len() {
@@ -2237,106 +2156,60 @@ impl SimulateWorld {
                     members.len(),
                 )));
             }
-            // Each member's file is named by its *original* batch index —
-            // under a packed plan shards hold non-contiguous members, and
-            // the artifacts must land exactly where a uniform (or plain,
-            // non-durable) run would put them.
-            for (m, &index) in shard.members.iter().zip(members) {
-                let ext = if m.ok { "tsv" } else { "err" };
-                std::fs::write(out_path.join(format!("dynamics_{index:05}.{ext}")), &m.body)?;
-                if m.ok {
-                    ok_count += 1;
-                } else {
-                    *label_counts.entry(m.label.clone()).or_default() += 1;
-                }
-            }
-            total_ns += shard.total_ns;
-            integration_ns += shard.integration_ns;
-            io_ns += shard.io_ns;
-        }
-        writeln!(
-            out,
-            "{label}: {ok_count}/{n_sims} simulations ok; simulated {:.3} ms (integration {:.3} ms, i/o {:.3} ms)",
-            total_ns / 1e6,
-            integration_ns / 1e6,
-            io_ns / 1e6,
-        )?;
-        if !label_counts.is_empty() {
-            let parts: Vec<String> =
-                label_counts.iter().map(|(label, n)| format!("{label} x{n}")).collect();
-            writeln!(out, "failures: {}", parts.join(", "))?;
-        }
+            Ok((shard, members))
+        });
+        let out_path = self.inputs.out_path();
+        materialize(&out_path, label, self.inputs.parameterizations.len(), shards, out)?;
         Ok(out_path)
     }
 }
 
-/// The durable `simulate` path: decompose the batch into numbered shards,
-/// journal each completed shard's artifacts (output-file bytes and billed
-/// time) in the checkpoint directory, and write the output files only once
-/// every shard has committed — so a killed run resumes from the last
-/// committed shard and produces byte-identical artifacts.
+/// The journaled single-process `simulate`: decompose the batch into
+/// numbered shards, journal each completed shard's artifacts (output-file
+/// bytes and billed time) in the checkpoint directory, and write the
+/// output files only once every shard has committed — so a killed run
+/// resumes from the last committed shard and produces byte-identical
+/// artifacts.
 fn simulate_durable(
-    cmd: &Command,
-    dir: &Path,
+    world: &SimulateWorld,
+    checkpoint: &Checkpoint,
     out: &mut dyn std::io::Write,
     cancel: &CancelToken,
 ) -> Result<(), CliError> {
-    let world = SimulateWorld::load(cmd)?;
-    let checkpoint = world.checkpoint(dir, cancel);
-    let engine = world.engine(cancel);
-
-    let journaled = run_journaled(&checkpoint, world.manifest.clone(), |shard| {
+    let engine = world.inputs.engine(cancel);
+    let (payloads, report) = run_journaled(checkpoint, world.manifest.clone(), |shard| {
         world.shard_payload(engine.as_ref(), shard)
-    });
-    let (payloads, report) = match journaled {
-        Ok(r) => r,
-        Err(CampaignError::Interrupted { completed, shards, checkpoint_dir }) => {
-            writeln!(
-                out,
-                "interrupted: {completed}/{shards} shards committed to {}",
-                checkpoint_dir.display()
-            )?;
-            return Err(CliError(format!(
-                "interrupted — resume with `paraspace-cli resume {}`",
-                dir.display()
-            )));
-        }
-        Err(e) => return Err(e.into()),
-    };
+    })
+    .map_err(|e| campaign_error(e, Some(checkpoint.dir()), out))?;
 
     // Every shard is committed: materialize the artifacts.
-    let label = format!("{} (durable)", world.engine_name);
+    let label = format!("{} (durable)", world.inputs.engine_name);
     let out_path = world.materialize(&payloads, &label, out)?;
-    writeln!(
-        out,
-        "checkpoint: {} shards ({} replayed, {} executed{})",
-        report.recovered + report.executed,
-        report.recovered,
-        report.executed,
-        if report.truncated_bytes > 0 {
-            format!(", {} torn bytes truncated", report.truncated_bytes)
-        } else {
-            String::new()
-        },
-    )?;
+    report_checkpoint(out, &report)?;
     writeln!(out, "dynamics written to {}", out_path.display())?;
     Ok(())
 }
 
-/// The multi-process durable `simulate` path: this process becomes the
-/// coordinator and spawns `workers` child `worker` processes against the
-/// checkpoint directory.
-fn simulate_dispatched(
-    cmd: &Command,
-    dir: &Path,
+/// Rebuilds the world of a dispatched `simulate` campaign from the
+/// manifest its coordinator pinned — what `coordinate`, `worker` and
+/// `worker --connect` all start from — and holds it to that manifest, so a
+/// world that drifted since (model files edited under the checkpoint,
+/// tolerances changed, ...) is refused before any shard runs.
+fn world_from_manifest(
+    manifest: &CampaignManifest,
+    served_from: &str,
+    checkpoint_dir: &Path,
     workers: usize,
-    listen: Option<&str>,
-    out: &mut dyn std::io::Write,
-    cancel: &CancelToken,
-) -> Result<(), CliError> {
-    let world = SimulateWorld::load(cmd)?;
-    let checkpoint = world.checkpoint(dir, cancel);
-    coordinate_processes(&world, &checkpoint, workers, listen, out)
+) -> Result<SimulateWorld, CliError> {
+    if manifest.kind() != "cli-simulate" {
+        return Err(CliError(format!(
+            "{served_from} holds a {:?} campaign; only `simulate` campaigns dispatch to workers",
+            manifest.kind()
+        )));
+    }
+    let world = SimulateWorld::load(&command_from_manifest(manifest, checkpoint_dir, workers)?)?;
+    manifest.verify_matches(&world.manifest)?;
+    Ok(world)
 }
 
 /// The `coordinate` subcommand: rebuild the world from an existing
@@ -2350,16 +2223,9 @@ fn run_coordinator(
     cancel: &CancelToken,
 ) -> Result<(), CliError> {
     let manifest = CampaignManifest::read(&dir.join(MANIFEST_FILE))?;
-    if manifest.kind() != "cli-simulate" {
-        return Err(CliError(format!(
-            "checkpoint at {} is a {:?} campaign; only `simulate` campaigns dispatch to workers",
-            dir.display(),
-            manifest.kind()
-        )));
-    }
-    let cmd = simulate_cmd_from_manifest(dir, &manifest, workers)?;
-    let world = SimulateWorld::load(&cmd)?;
-    let checkpoint = world.checkpoint(dir, cancel);
+    let served_from = format!("checkpoint at {}", dir.display());
+    let world = world_from_manifest(&manifest, &served_from, dir, workers)?;
+    let checkpoint = Checkpoint::new(dir).with_cancel(cancel.clone());
     coordinate_processes(&world, &checkpoint, workers, listen, out)
 }
 
@@ -2378,8 +2244,7 @@ fn coordinate_processes(
 ) -> Result<(), CliError> {
     // The manifest must be on disk before the first child starts: workers
     // rebuild their world from it.
-    let full_manifest = checkpoint.apply_world(world.manifest.clone());
-    drop(Journal::open_or_create(checkpoint.dir(), &full_manifest)?);
+    drop(Journal::open_or_create(checkpoint.dir(), &world.manifest)?);
     let config = world.dispatch_config();
 
     // With --listen, bind the transport server *before* any child spawns
@@ -2389,7 +2254,7 @@ fn coordinate_processes(
             let server = CoordinatorServer::start(
                 addr,
                 checkpoint.dir(),
-                &full_manifest,
+                &world.manifest,
                 ServerConfig {
                     lease: config.lease.clone(),
                     poll_ms: config.poll_ms,
@@ -2465,7 +2330,7 @@ fn coordinate_processes(
             if let Some(server) = &mut server {
                 server.shutdown();
             }
-            let label = format!("{} (dispatched)", world.engine_name);
+            let label = format!("{} (dispatched)", world.inputs.engine_name);
             let out_path = world.materialize(&payloads, &label, out)?;
             writeln!(
                 out,
@@ -2483,19 +2348,8 @@ fn coordinate_processes(
             writeln!(out, "dynamics written to {}", out_path.display())?;
             Ok(())
         }
-        Err(CampaignError::Interrupted { completed, shards, checkpoint_dir }) => {
-            // `children` drops here: kill + reap every spawned worker.
-            writeln!(
-                out,
-                "interrupted: {completed}/{shards} shards committed to {}",
-                checkpoint_dir.display()
-            )?;
-            Err(CliError(format!(
-                "interrupted — resume with `paraspace-cli resume {}`",
-                checkpoint.dir().display()
-            )))
-        }
-        Err(e) => Err(e.into()),
+        // `children` drops here: kill + reap every spawned worker.
+        Err(e) => Err(campaign_error(e, Some(checkpoint.dir()), out)),
     }
 }
 
@@ -2511,25 +2365,13 @@ fn run_worker(
     cancel: &CancelToken,
 ) -> Result<(), CliError> {
     let on_disk = CampaignManifest::read(&dir.join(MANIFEST_FILE))?;
-    if on_disk.kind() != "cli-simulate" {
-        return Err(CliError(format!(
-            "checkpoint at {} is a {:?} campaign; only `simulate` campaigns dispatch to workers",
-            dir.display(),
-            on_disk.kind()
-        )));
-    }
-    let cmd = simulate_cmd_from_manifest(dir, &on_disk, 0)?;
-    let world = SimulateWorld::load(&cmd)?;
-    // Guard against a world that drifted since the manifest was written
-    // (model files edited under the checkpoint, tolerances changed, ...).
-    let expected = world.checkpoint(dir, cancel).apply_world(world.manifest.clone());
-    on_disk.verify_matches(&expected)?;
+    let world = world_from_manifest(&on_disk, &format!("checkpoint at {}", dir.display()), dir, 0)?;
 
     let id = worker_id.map_or_else(|| format!("pid{}", std::process::id()), str::to_string);
     let config = world.dispatch_config();
     let report =
         worker_loop(dir, &id, world.manifest.shards(), &config, cancel, chaos, |shard, token| {
-            let engine = world.engine(token);
+            let engine = world.inputs.engine(token);
             world.shard_payload(engine.as_ref(), shard)
         })?;
     writeln!(
@@ -2562,21 +2404,12 @@ fn run_net_worker(
     let id = worker_id.map_or_else(|| format!("pid{}", std::process::id()), str::to_string);
     let (client, info) = WorkerClient::connect(addr, &id, ClientOptions::default())
         .map_err(|e| CliError(format!("cannot reach coordinator at {addr}: {e}")))?;
-    let on_wire = CampaignManifest::from_text(&info.manifest_text)?;
-    if on_wire.kind() != "cli-simulate" {
-        return Err(CliError(format!(
-            "coordinator at {addr} serves a {:?} campaign; only `simulate` campaigns dispatch to workers",
-            on_wire.kind()
-        )));
-    }
     // Rebuild the world from the streamed manifest exactly as a
-    // filesystem worker rebuilds it from the on-disk one, and hold it to
-    // the same drift check. The checkpoint path in the reconstructed
-    // command is never touched on this side of the wire.
-    let cmd = simulate_cmd_from_manifest(Path::new(""), &on_wire, 0)?;
-    let world = SimulateWorld::load(&cmd)?;
-    let expected = world.checkpoint(Path::new(""), cancel).apply_world(world.manifest.clone());
-    on_wire.verify_matches(&expected)?;
+    // filesystem worker rebuilds it from the on-disk one. The checkpoint
+    // path in the reconstructed command is never touched on this side of
+    // the wire.
+    let on_wire = CampaignManifest::from_text(&info.manifest_text)?;
+    let world = world_from_manifest(&on_wire, &format!("coordinator at {addr}"), Path::new(""), 0)?;
 
     writeln!(
         out,
@@ -2586,7 +2419,7 @@ fn run_net_worker(
     )?;
     let report = client
         .run(cancel, |shard, token| {
-            let engine = world.engine(token);
+            let engine = world.inputs.engine(token);
             world.shard_payload(engine.as_ref(), shard).map_err(|e| e.to_string())
         })
         .map_err(|e| match e {
@@ -3134,6 +2967,203 @@ mod tests {
         assert_eq!(plain, read_outputs(&model_c.join("out")));
         let text = String::from_utf8(log).unwrap();
         assert!(text.contains("interrupted: 0/3 shards committed"), "log: {text}");
+
+        // A batch (one shard) holding a non-finite member is rejected before
+        // it reaches a solver. That is an outcome, not an error, with or
+        // without a journal: both runs succeed and leave the same `.err`
+        // artifacts.
+        let mut log = Vec::new();
+        let (model_d, model_e) = (base.join("model_d"), base.join("model_e"));
+        for m in [&model_d, &model_e] {
+            execute(
+                &Command::Generate { species: 6, reactions: 8, seed: 3, out_dir: m.clone() },
+                &mut log,
+            )
+            .unwrap();
+            std::fs::write(m.join("c_matrix"), "1 1 1 1 1 1 1 1\n1 NaN 1 1 1 1 1 1\n").unwrap();
+        }
+        execute(&simulate_cmd(&model_d, None, 1), &mut log).unwrap();
+        execute(&simulate_cmd(&model_e, Some(base.join("ckpt_e")), 1), &mut log).unwrap();
+        let plain = read_outputs(&model_d.join("out"));
+        assert_eq!(plain, read_outputs(&model_e.join("out")));
+        assert_eq!(
+            plain.keys().collect::<Vec<_>>(),
+            ["dynamics_00000.err", "dynamics_00001.err"],
+            "every member of the rejected batch fails"
+        );
+        let report = String::from_utf8_lossy(&plain["dynamics_00001.err"]).into_owned();
+        assert!(report.contains("taxonomy: invalid"), "{report}");
+        assert!(report.contains("non-finite rate constant"), "{report}");
+        let text = String::from_utf8(log).unwrap();
+        assert_eq!(text.matches("0/2 simulations ok").count(), 2, "log: {text}");
+        assert_eq!(text.matches("failures: invalid x2").count(), 2, "log: {text}");
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    /// What `resume` must rebuild from a checkpoint of `cmd`: the command
+    /// itself, attached to the checkpoint directory it is resumed from.
+    fn resumed(cmd: &Command, dir: &Path, resumed_workers: usize) -> Command {
+        let mut cmd = cmd.clone();
+        match &mut cmd {
+            Command::Simulate { checkpoint_dir, workers, listen, .. } => {
+                *checkpoint_dir = Some(dir.to_path_buf());
+                *workers = resumed_workers;
+                *listen = None;
+            }
+            Command::Ensemble { checkpoint_dir, .. } | Command::Pe { checkpoint_dir, .. } => {
+                *checkpoint_dir = Some(dir.to_path_buf());
+            }
+            other => panic!("not a campaign command: {other:?}"),
+        }
+        cmd
+    }
+
+    /// A manifest with some `field.<key>` lines rewritten (`None` drops the
+    /// line), via its text form.
+    fn edit_manifest(
+        manifest: &CampaignManifest,
+        edits: &[(&str, Option<&str>)],
+    ) -> CampaignManifest {
+        let mut text = String::new();
+        for line in manifest.to_text().lines() {
+            let edit = edits.iter().find(|(key, _)| line.starts_with(&format!("field.{key}=")));
+            match edit {
+                None => text.push_str(&format!("{line}\n")),
+                Some((key, Some(value))) => text.push_str(&format!("field.{key}={value}\n")),
+                Some((_, None)) => {}
+            }
+        }
+        CampaignManifest::from_text(&text).unwrap()
+    }
+
+    #[test]
+    fn resume_rebuilds_simulate_from_its_manifest() {
+        let base =
+            std::env::temp_dir().join(format!("paraspace_cli_rt_sim_{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let model = base.join("model");
+        execute(
+            &Command::Generate { species: 5, reactions: 6, seed: 2, out_dir: model.clone() },
+            &mut Vec::new(),
+        )
+        .unwrap();
+        let m = model.display();
+        let ckpt = Path::new("/resumed/from/here");
+        for flags in [
+            "--checkpoint-dir /c --no-pack-shards",
+            "--checkpoint-dir /c --pack-shards --lane-width auto --workers 3 --listen 127.0.0.1:0",
+            "--checkpoint-dir /c --no-pack-shards --engine lsoda --out /tmp/o --batch 7 --rtol 1e-4 \
+             --atol 1e-9 --threads 4 --lane-width 4 --max-retries 2 --member-budget 5000 \
+             --shard-size 3 --lease-ttl 750 --retry-base 40",
+        ] {
+            let cmd = parse(&argv(&format!("simulate {m} {flags}"))).unwrap();
+            let manifest = SimulateWorld::load(&cmd).unwrap().manifest;
+            let rebuilt = command_from_manifest(&manifest, ckpt, 2).unwrap();
+            assert_eq!(rebuilt, resumed(&cmd, ckpt, 2), "flags: {flags}");
+        }
+
+        // An automatic plan is pinned as resolved: uniform for one process.
+        let auto = parse(&argv(&format!("simulate {m} --checkpoint-dir /c"))).unwrap();
+        let manifest = SimulateWorld::load(&auto).unwrap().manifest;
+        match command_from_manifest(&manifest, ckpt, 4).unwrap() {
+            Command::Simulate { pack, workers, .. } => {
+                assert_eq!(pack, Some(false), "the resume keeps the original plan");
+                assert_eq!(workers, 4);
+            }
+            other => panic!("wrong command: {other:?}"),
+        }
+
+        // A checkpoint that predates the timing fields resumes at the
+        // defaults it ran with.
+        let old = edit_manifest(&manifest, &[("lease_ttl", None), ("retry_base", None)]);
+        match command_from_manifest(&old, ckpt, 0).unwrap() {
+            Command::Simulate { lease_ttl, retry_base, .. } => {
+                assert_eq!(lease_ttl, DEFAULT_LEASE_TTL_MS);
+                assert_eq!(retry_base, DEFAULT_RETRY_BASE_MS);
+            }
+            other => panic!("wrong command: {other:?}"),
+        }
+
+        // A missing or malformed field names its manifest key.
+        for (edit, expect) in [
+            (("batch", None), "missing \"batch\""),
+            (("world.engine", None), "missing \"world.engine\""),
+            (("batch", Some("many")), "field \"batch\""),
+            (("world.lane_width", Some("0")), "field \"world.lane_width\""),
+            (("member_budget", Some("lots")), "field \"member_budget\""),
+            (("lease_ttl", Some("0")), "field \"lease_ttl\""),
+        ] {
+            let err =
+                command_from_manifest(&edit_manifest(&manifest, &[edit]), ckpt, 0).unwrap_err();
+            assert!(err.0.contains(expect), "{edit:?}: {}", err.0);
+        }
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn resume_rebuilds_pe_from_its_manifest() {
+        let ckpt = Path::new("/resumed/from/here");
+        for flags in [
+            "",
+            "--optimizer lbfgs --engine fine-coarse --unknown 0,3 --log-radius 2.0 \
+             --observed A,B --target /tmp/target.tsv --rtol 1e-8 --atol 1e-10 --threads 4 \
+             --iterations 12 --swarm 24 --grad-iterations 30 --starts 2 --seed 9 --out /tmp/pe",
+            "--optimizer pso --unknown 5 --observed C",
+        ] {
+            let cmd = parse(&argv(&format!("pe /tmp/model --checkpoint-dir /c {flags}"))).unwrap();
+            let manifest = pin_flags(CampaignManifest::new("cli-pe", 0), PE_ARGS, &cmd);
+            let rebuilt = command_from_manifest(&manifest, ckpt, 0).unwrap();
+            assert_eq!(rebuilt, resumed(&cmd, ckpt, 0), "flags: {flags}");
+
+            let missing = edit_manifest(&manifest, &[("swarm", None)]);
+            let err = command_from_manifest(&missing, ckpt, 0).unwrap_err();
+            assert!(err.0.contains("missing \"swarm\""), "{}", err.0);
+            let malformed = edit_manifest(&manifest, &[("unknown", Some("0,x"))]);
+            let err = command_from_manifest(&malformed, ckpt, 0).unwrap_err();
+            assert!(err.0.contains("field \"unknown\""), "{}", err.0);
+        }
+    }
+
+    #[test]
+    fn resume_rebuilds_ensemble_from_its_manifest() {
+        let base =
+            std::env::temp_dir().join(format!("paraspace_cli_rt_ens_{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let model = base.join("model");
+        execute(
+            &Command::Generate { species: 5, reactions: 6, seed: 8, out_dir: model.clone() },
+            &mut Vec::new(),
+        )
+        .unwrap();
+        // The library pins most of an ensemble's manifest, so take it from a
+        // real run, interrupted before its first shard.
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        for (i, flags) in [
+            "",
+            "--simulator ssa --replicates 9 --seed 5 --member 2 --threads 3 --lane-width 8 \
+             --out /tmp/ens --shard-size 4",
+        ]
+        .iter()
+        .enumerate()
+        {
+            let ckpt = base.join(format!("ckpt{i}"));
+            let cmd = parse(&argv(&format!(
+                "ensemble {} --checkpoint-dir {} {flags}",
+                model.display(),
+                ckpt.display()
+            )))
+            .unwrap();
+            execute_with_cancel(&cmd, &mut Vec::new(), &tripped).unwrap_err();
+            let manifest = CampaignManifest::read(&ckpt.join(MANIFEST_FILE)).unwrap();
+            let elsewhere = Path::new("/resumed/from/here");
+            let rebuilt = command_from_manifest(&manifest, elsewhere, 0).unwrap();
+            assert_eq!(rebuilt, resumed(&cmd, elsewhere, 0), "flags: {flags}");
+
+            let missing = edit_manifest(&manifest, &[("replicates", None)]);
+            let err = command_from_manifest(&missing, elsewhere, 0).unwrap_err();
+            assert!(err.0.contains("missing \"replicates\""), "{}", err.0);
+        }
         std::fs::remove_dir_all(&base).ok();
     }
 

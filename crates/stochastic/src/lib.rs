@@ -71,6 +71,8 @@ mod tau_batch;
 pub use batch::{EnsembleStats, StochasticBatch, StochasticBatchResult};
 pub use chaos::{StochFault, StochFaultPlan};
 pub use error::StochasticError;
+/// The type of [`StochasticBatchResult::lanes`], nameable from here.
+pub use paraspace_vgpu::LaneAccounting;
 pub use propensity::{propensities, PropensityTable};
 pub use rng::CounterRng;
 pub use sampling::poisson;

@@ -6,8 +6,9 @@
 //! cargo run --release --example sensitivity_hk
 //! ```
 
+use paraspace_analysis::campaign::evaluate_points;
 use paraspace_analysis::sobol::SaltelliPlan;
-use paraspace_core::{FineCoarseEngine, SimulationJob, Simulator};
+use paraspace_core::FineCoarseEngine;
 use paraspace_models::metabolic;
 use paraspace_rbm::Parameterization;
 use paraspace_solvers::SolverOptions;
@@ -30,27 +31,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = SolverOptions { max_steps: 200_000, ..SolverOptions::default() };
     let engine = FineCoarseEngine::new();
 
-    let mut outputs = Vec::with_capacity(points.len());
-    for chunk in points.chunks(256) {
-        let batch: Vec<Parameterization> = chunk
-            .iter()
-            .map(|hk| {
-                Parameterization::new()
-                    .with_initial_state(metabolic::initial_state_with_hk(&model, hk))
-            })
-            .collect();
-        let job = SimulationJob::builder(&model)
-            .time_points(vec![metabolic::TIME_WINDOW_HOURS])
-            .parameterizations(batch)
-            .options(opts.clone())
-            .build()?;
-        for o in engine.run(&job)?.outcomes {
-            outputs.push(match o.solution {
-                Ok(sol) => sol.state_at(0)[r5p],
-                Err(_) => f64::NAN,
-            });
-        }
-    }
+    let mut outputs = evaluate_points(
+        &model,
+        &points,
+        |hk| {
+            Parameterization::new().with_initial_state(metabolic::initial_state_with_hk(&model, hk))
+        },
+        &[metabolic::TIME_WINDOW_HOURS],
+        &opts,
+        &engine,
+        |sol| sol.state_at(0)[r5p],
+        256,
+    )?
+    .outputs;
     let mean = {
         let fin: Vec<f64> = outputs.iter().cloned().filter(|v| v.is_finite()).collect();
         fin.iter().sum::<f64>() / fin.len().max(1) as f64

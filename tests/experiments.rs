@@ -6,6 +6,7 @@
 //! to optimized builds: run them with `cargo test --release --test
 //! experiments` (plain debug `cargo test` marks them ignored).
 
+use paraspace::analysis::campaign::evaluate_points;
 use paraspace::analysis::oscillation;
 use paraspace::analysis::psa::{Axis, Psa2d};
 use paraspace::analysis::sobol::SaltelliPlan;
@@ -138,25 +139,20 @@ fn sobol_dead_end_dominance() {
     let r5p = model.species_by_name(metabolic::OUTPUT_SPECIES).unwrap().index();
     let opts = SolverOptions { max_steps: 200_000, ..SolverOptions::default() };
     let engine = FineCoarseEngine::new();
-    let mut outputs = Vec::with_capacity(points.len());
-    for chunk in points.chunks(192) {
-        let batch: Vec<Parameterization> = chunk
-            .iter()
-            .map(|hk| {
-                Parameterization::new()
-                    .with_initial_state(metabolic::initial_state_with_hk(&model, hk))
-            })
-            .collect();
-        let job = SimulationJob::builder(&model)
-            .time_points(vec![metabolic::TIME_WINDOW_HOURS])
-            .parameterizations(batch)
-            .options(opts.clone())
-            .build()
-            .expect("job");
-        for o in engine.run(&job).expect("run").outcomes {
-            outputs.push(o.solution.map(|s| s.state_at(0)[r5p]).unwrap_or(f64::NAN));
-        }
-    }
+    let mut outputs = evaluate_points(
+        &model,
+        &points,
+        |hk| {
+            Parameterization::new().with_initial_state(metabolic::initial_state_with_hk(&model, hk))
+        },
+        &[metabolic::TIME_WINDOW_HOURS],
+        &opts,
+        &engine,
+        |sol| sol.state_at(0)[r5p],
+        192,
+    )
+    .expect("evaluation")
+    .outputs;
     let mean = outputs.iter().cloned().filter(|v| v.is_finite()).sum::<f64>()
         / outputs.iter().filter(|v| v.is_finite()).count().max(1) as f64;
     for v in &mut outputs {
