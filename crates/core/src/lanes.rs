@@ -21,10 +21,8 @@
 //!    keep the full width: the LU working set is small where flux work
 //!    dominates, and width amortizes both.
 //! 2. **LU-dominated models** are width-limited so the *factor storage*
-//!    of one lane-group — real + complex values over however many entries
-//!    the selected factorization path actually stores (the symbolic
-//!    sparse fill pattern when [`SymbolicLu::prefers_sparse`] holds,
-//!    dense `n²` otherwise) — stays inside a fixed cache budget.
+//!    of one lane-group — real + complex values over the dense `n²`
+//!    entries of each lane's factors — stays inside a fixed cache budget.
 //!
 //! The returned width only ever *narrows* the schedule; it never changes
 //! any trajectory (per-member results are bitwise independent of lane
@@ -34,7 +32,7 @@
 
 use crate::cost::COMPLEX_LU_AVG_FACTOR;
 use paraspace_exec::{CancelToken, Cancelled, Executor};
-use paraspace_linalg::{LuFactor, SymbolicLu};
+use paraspace_linalg::LuFactor;
 use paraspace_rbm::{CompiledOdes, ReactionBasedModel};
 use paraspace_solvers::SolverScratch;
 use std::ops::Range;
@@ -88,7 +86,7 @@ pub(crate) fn solve_lane_groups<T: Send>(
 /// lane-major (one thread, fine+coarse engine, P3 + P4 wall, best of the
 /// repetitions of two interleaved runs per side):
 ///
-/// | model (dense path) | width | lane-minor factors | lane-major factors |
+/// | model | width | lane-minor factors | lane-major factors |
 /// |---|---|---|---|
 /// | autophagy analogue, 46 × 1649, the 64-member PSA-2D (33 stiff) | 4 (the rule's choice) | 1.32–1.37 s | 0.87–0.91 s |
 /// | | 8 | 1.59–1.69 s | 0.98–1.01 s |
@@ -99,14 +97,11 @@ pub(crate) fn solve_lane_groups<T: Send>(
 /// The penalty for crossing the budget shrank (width 8 over the rule's
 /// width: +21 % → +11 % on autophagy, +93–123 % → +20–44 % on metabolic)
 /// but did not change sign on either model, so the rule and the constant
-/// stay as they were. Neither bundled stiff model takes the sparse path
-/// ([`SymbolicLu::prefers_sparse`] is false for both: their closed fill
-/// patterns are 99.7 % and 81 % dense), whose pattern-sharing kernels this
-/// change did not touch.
+/// stay as they were.
 const FACTOR_CACHE_BUDGET_BYTES: usize = 256 * 1024;
 
-/// Bytes of factor state per structural entry per lane: one `f64` (real
-/// E1 factor) + one `Complex64` (complex E2 factor).
+/// Bytes of factor state per matrix entry per lane: one `f64` (real E1
+/// factor) + one `Complex64` (complex E2 factor).
 const FACTOR_BYTES_PER_ENTRY: usize = 8 + 16;
 
 /// The lane width the lockstep engines should run `odes` at, from the
@@ -151,11 +146,9 @@ pub fn auto_lane_width(odes: &CompiledOdes) -> usize {
     if lu_flops <= flux_flops {
         return MAX_LANE_WIDTH;
     }
-    // LU-dominated: bound the lane-group's factor working set by the cache
-    // budget, counting the entries the stiff path will actually store.
-    let sym = SymbolicLu::analyze(&odes.jacobian_sparsity());
-    let entries = if sym.prefers_sparse() { sym.nnz() } else { n * n };
-    let bytes_per_lane = entries * FACTOR_BYTES_PER_ENTRY;
+    // LU-dominated: bound the lane-group's dense factor working set by the
+    // cache budget.
+    let bytes_per_lane = n * n * FACTOR_BYTES_PER_ENTRY;
     let mut width = MAX_LANE_WIDTH;
     while width > 1 && bytes_per_lane * width > FACTOR_CACHE_BUDGET_BYTES {
         width /= 2;
@@ -418,8 +411,8 @@ mod tests {
 
     #[test]
     fn large_sparse_chains_narrow() {
-        // One reaction per species at n = 114: LU-dominated, and even the
-        // sparse working set cannot justify width 8's cache pressure...
+        // One reaction per species at n = 114: LU-dominated, and the factor
+        // working set cannot justify width 8's cache pressure...
         let w = auto_lane_width(&chain_model(114, 1));
         assert!(w < MAX_LANE_WIDTH, "got {w}");
         assert!(w >= 1);

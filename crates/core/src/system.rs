@@ -263,14 +263,6 @@ impl BatchOdeSystem for RbmBatchSystem<'_> {
     fn jacobian_batch(&mut self, _t: &[f64], y: &BatchState, jac: &mut [f64]) {
         self.odes.jacobian_batch(self.lanes, y.as_slice(), &self.k_lanes, jac);
     }
-
-    fn jacobian_sparsity(&self) -> Option<paraspace_linalg::SparsityPattern> {
-        // Stoichiometry fixes the pattern for every member in the queue
-        // (members share the network; only constants differ), and
-        // `CompiledOdes::jacobian_batch` zero-fills before accumulating, so
-        // the off-pattern-entries-are-exact-zeros contract holds.
-        Some(self.odes.jacobian_sparsity())
-    }
 }
 
 #[cfg(test)]

@@ -17,10 +17,8 @@
 //! * [`BatchLuFactor`] / [`BatchCluFactor`] — the same factorizations for
 //!   the masked lanes of a lockstep lane group, lane-major, through the
 //!   same elimination and substitution routines,
-//! * [`SparsityPattern`] / [`SymbolicLu`] / [`BatchSparseLuFactor`] /
-//!   [`BatchSparseCluFactor`] — KLU-style symbolic-once / numeric-per-lane
-//!   sparse batched LU for structurally fixed Jacobians (mass-action
-//!   networks), bitwise-compatible with the dense lane kernels,
+//! * [`SparsityPattern`] — the structural nonzero pattern of a Jacobian,
+//!   read by the sensitivity `J·S` passes (every factorization is dense),
 //! * norms (including the weighted RMS norm used for local error control),
 //! * dominant-eigenvalue estimation (Gershgorin bound and power iteration)
 //!   used by the stiffness-detection phase of the batch simulator,
@@ -49,7 +47,7 @@ mod jacobian;
 mod lu;
 mod matrix;
 mod norms;
-mod sparse;
+mod pattern;
 
 pub use batch_lu::{BatchCluFactor, BatchLuFactor};
 pub use complex::Complex64;
@@ -61,6 +59,4 @@ pub use jacobian::{finite_difference_jacobian, finite_difference_jacobian_into};
 pub use lu::{batched_lu, CluFactor, LuFactor};
 pub use matrix::{CMatrix, Matrix};
 pub use norms::{inf_norm, l1_norm, l2_norm, rms_norm, weighted_rms_norm};
-pub use sparse::{
-    min_degree_ordering, BatchSparseCluFactor, BatchSparseLuFactor, SparsityPattern, SymbolicLu,
-};
+pub use pattern::SparsityPattern;

@@ -8,7 +8,7 @@
 //! solve one call to [`solve_factored`]. The routines work on row slices
 //! (the pivot row and a target row as split borrows, zipped over
 //! `k+1..n`), so no element pays a 2-D index. What is contractual is the
-//! arithmetic, which the sparse kernels replicate over their fill pattern:
+//! arithmetic, because recorded trajectories depend on it bit for bit:
 //! the pivot is the first row attaining the strict maximum of `|a_ik|`
 //! (`|a_ik|²` for complex), a column whose maximum is exactly zero is
 //! singular, a row whose multiplier `m = a_ik / a_kk` is exactly zero is

@@ -1,31 +1,22 @@
-//! Structural-sparsity contracts of the bundled evaluation models.
+//! Structural-sparsity contract of the bundled evaluation models, and the
+//! lockstep stiff path on the two LU-heavy shapes.
 //!
-//! The sparse batched-LU path in `Radau5Batch` rests on two structural
-//! promises, checked here for **every** bundled network:
+//! The sensitivity `J·S` passes (`AugmentedSensSystem`, `Radau5Sens`'s
+//! corrector, `RbmSensBatchSystem`) walk only the advertised
+//! [`jacobian_sparsity`](paraspace_rbm::CompiledOdes::jacobian_sparsity)
+//! entries of each Jacobian row, so the numeric Jacobian must be **exactly
+//! zero** off that pattern at any state and parameterization — checked
+//! here for every bundled network.
 //!
-//! 1. the symbolic fill pattern ([`SymbolicLu::analyze`]) is a superset of
-//!    the stoichiometric Jacobian pattern plus the diagonal — the numeric
-//!    kernels scatter Jacobian entries through `SymbolicLu::pos` and add
-//!    `1/h`-scaled identity terms on `diag_entry`, so a missing position
-//!    would be a hole the factorization writes into thin air;
-//! 2. the numeric Jacobian is **exactly zero** off the advertised pattern
-//!    at any state and parameterization — the sparse factorization never
-//!    reads those positions, so a nonzero there would silently change
-//!    results versus the dense path.
-//!
-//! On top of the structural contracts, the metabolic network (the
-//! LU-dominated shape the sparse path exists for) is integrated end to end
-//! through `Radau5Batch` three ways — sparse-auto, dense-forced, and
-//! scalar RADAU5 — and the trajectories are asserted bitwise identical.
+//! On top of that, a block-structured compartment network and the
+//! 114-species metabolic network (the LU-dominated shape) are integrated
+//! through `Radau5Batch` and asserted bitwise identical to scalar RADAU5.
 
 use paraspace_core::{RbmBatchSystem, RbmOdeSystem};
-use paraspace_linalg::{Matrix, SymbolicLu};
+use paraspace_linalg::Matrix;
 use paraspace_models::{autophagy, classic, metabolic};
 use paraspace_rbm::ReactionBasedModel;
-use paraspace_solvers::{
-    BatchOdeSystem, BatchState, OdeSolver, OdeSystem, Radau5, Radau5Batch, SolverOptions,
-    SolverScratch,
-};
+use paraspace_solvers::{OdeSolver, OdeSystem, Radau5, Radau5Batch, SolverOptions, SolverScratch};
 
 /// Every bundled network, spanning all three model families and both
 /// kinetics mixes (pure mass action and Hill/Michaelis-Menten blends).
@@ -42,36 +33,6 @@ fn bundled() -> Vec<(&'static str, ReactionBasedModel)> {
         ("autophagy-full", autophagy::model(2.0, 1.0)),
         ("metabolic", metabolic::model()),
     ]
-}
-
-#[test]
-fn symbolic_fill_is_a_superset_of_the_stoichiometric_pattern() {
-    for (name, m) in bundled() {
-        let odes = m.compile().unwrap();
-        let pattern = odes.jacobian_sparsity();
-        assert_eq!(pattern.dim(), odes.n_species(), "{name}: pattern dim");
-        let sym = SymbolicLu::analyze(&pattern);
-        for i in 0..pattern.dim() {
-            assert!(
-                sym.pos(i, i).is_some(),
-                "{name}: diagonal ({i},{i}) missing from the symbolic pattern"
-            );
-            for &j in pattern.row(i) {
-                assert!(
-                    sym.pos(i, j as usize).is_some(),
-                    "{name}: stoichiometric entry ({i},{j}) missing from the symbolic pattern"
-                );
-            }
-        }
-        println!(
-            "{name}: n={} stoich_nnz={} closed_nnz={} fill_density={:.3} prefers_sparse={}",
-            pattern.dim(),
-            pattern.nnz(),
-            sym.nnz(),
-            sym.fill_density(),
-            sym.prefers_sparse()
-        );
-    }
 }
 
 #[test]
@@ -108,52 +69,19 @@ fn jacobian_is_exactly_zero_off_the_advertised_pattern() {
     }
 }
 
-/// Delegates every `BatchOdeSystem` method to the wrapped
-/// [`RbmBatchSystem`] but hides the sparsity pattern, pinning
-/// `Radau5Batch` to its dense factorization path.
-struct DenseForced<'a>(RbmBatchSystem<'a>);
-
-impl BatchOdeSystem for DenseForced<'_> {
-    fn dim(&self) -> usize {
-        self.0.dim()
-    }
-    fn lanes(&self) -> usize {
-        self.0.lanes()
-    }
-    fn members(&self) -> usize {
-        self.0.members()
-    }
-    fn initial_state(&self, member: usize, y0: &mut [f64]) {
-        self.0.initial_state(member, y0)
-    }
-    fn bind_lane(&mut self, lane: usize, member: usize) {
-        self.0.bind_lane(lane, member)
-    }
-    fn rhs_batch(&mut self, t: &[f64], y: &BatchState, dydt: &mut BatchState) {
-        self.0.rhs_batch(t, y, dydt)
-    }
-    fn supports_jacobian_batch(&self) -> bool {
-        self.0.supports_jacobian_batch()
-    }
-    fn jacobian_batch(&mut self, t: &[f64], y: &BatchState, jac: &mut [f64]) {
-        self.0.jacobian_batch(t, y, jac)
-    }
-    fn jacobian_sparsity(&self) -> Option<paraspace_linalg::SparsityPattern> {
-        None
-    }
-}
-
-/// Integrates `members` parameterizations of `odes` through `Radau5Batch`
-/// twice — pattern-advertised (the solver picks sparse or dense from the
-/// closure density) and dense-forced — plus scalar RADAU5 as the anchor,
-/// and asserts all three trajectories bitwise identical per member.
-fn assert_lockstep_modes_match_scalar(
-    odes: &paraspace_rbm::CompiledOdes,
-    x0: &[f64],
-    members: &[Vec<f64>],
-    times: &[f64],
-    label: &str,
-) {
+/// Integrates `members` rate-constant variations of `m` (each constant
+/// scaled by 0.9–1.1, differently per member) through `Radau5Batch` at two
+/// lane widths and asserts each member's trajectory and step statistics
+/// bitwise identical to its scalar RADAU5 solve.
+fn assert_lockstep_matches_scalar(m: &ReactionBasedModel, members: usize, times: &[f64]) {
+    let odes = &m.compile().unwrap();
+    let x0 = &m.initial_state();
+    let base = m.rate_constants();
+    let members: Vec<Vec<f64>> = (0..members)
+        .map(|i| {
+            base.iter().enumerate().map(|(r, &k)| k * (0.9 + 0.05 * ((i + r) % 5) as f64)).collect()
+        })
+        .collect();
     let opts = SolverOptions { max_steps: 200_000, ..SolverOptions::default() };
     let scalar: Vec<_> = members
         .iter()
@@ -161,50 +89,31 @@ fn assert_lockstep_modes_match_scalar(
             let sys = RbmOdeSystem::new(odes, k.clone());
             Radau5::new()
                 .solve(&sys, 0.0, x0, times, &opts)
-                .unwrap_or_else(|e| panic!("{label}: scalar member must integrate: {}", e.error))
+                .unwrap_or_else(|e| panic!("scalar member must integrate: {}", e.error))
         })
         .collect();
 
     for lanes in [2, 4] {
-        let mut scratch = SolverScratch::new();
         let mut sys = RbmBatchSystem::new(odes, lanes);
-        for k in members {
+        for k in &members {
             sys.push_member(x0, k);
         }
-        let (auto, _) = Radau5Batch::new().solve_group(&mut sys, 0.0, times, &opts, &mut scratch);
-
-        let mut dense_sys = DenseForced(RbmBatchSystem::new(odes, lanes));
-        for k in members {
-            dense_sys.0.push_member(x0, k);
-        }
-        let mut dense_scratch = SolverScratch::new();
-        let (dense, _) =
-            Radau5Batch::new().solve_group(&mut dense_sys, 0.0, times, &opts, &mut dense_scratch);
-
-        for (i, ((s, d), anchor)) in auto.iter().zip(&dense).zip(&scalar).enumerate() {
-            let s = s.as_ref().expect("pattern-advertised member integrates");
-            let d = d.as_ref().expect("dense-forced member integrates");
-            assert_eq!(s.times, d.times, "{label} lanes {lanes} member {i}: times auto vs dense");
-            assert_eq!(
-                s.states, d.states,
-                "{label} lanes {lanes} member {i}: states auto vs dense"
-            );
-            assert_eq!(s.stats.steps, d.stats.steps, "{label} lanes {lanes} member {i}: steps");
-            assert_eq!(s.times, anchor.times, "{label} lanes {lanes} member {i}: times vs scalar");
-            assert_eq!(
-                s.states, anchor.states,
-                "{label} lanes {lanes} member {i}: states vs scalar"
-            );
+        let (batch, _) =
+            Radau5Batch::new().solve_group(&mut sys, 0.0, times, &opts, &mut SolverScratch::new());
+        for (i, (b, anchor)) in batch.iter().zip(&scalar).enumerate() {
+            let b = b.as_ref().expect("lockstep member integrates");
+            assert_eq!(b.times, anchor.times, "lanes {lanes} member {i}: times");
+            assert_eq!(b.states, anchor.states, "lanes {lanes} member {i}: states");
+            assert_eq!(b.stats, anchor.stats, "lanes {lanes} member {i}: stats");
         }
     }
 }
 
 /// A compartmentalized stiff network: `compartments` independent four-step
 /// decay cascades `S0 → S1 → S2 → S3 → ∅` with rates spanning three
-/// decades. No reaction crosses compartments, so partial-pivoting fill
-/// cannot cascade past a 4×4 block and the all-sequence closure stays far
-/// under the quarter-dense crossover — the shape the sparse batched-LU
-/// kernels exist for.
+/// decades. No reaction crosses compartments, so the iteration matrices
+/// are block-diagonal: most multipliers of a lane's elimination are exact
+/// zeros, the case the LU kernels' `m != 0` guard skips.
 fn compartment_chains(compartments: usize) -> ReactionBasedModel {
     use paraspace_rbm::Reaction;
     let mut m = ReactionBasedModel::new();
@@ -222,57 +131,12 @@ fn compartment_chains(compartments: usize) -> ReactionBasedModel {
 }
 
 #[test]
-fn compartment_network_takes_the_sparse_path_bitwise() {
-    let m = compartment_chains(28); // 112 species, 112 reactions
-    let odes = m.compile().unwrap();
-    // The gate must actually engage the sparse kernels on this shape.
-    let sym = SymbolicLu::analyze(&odes.jacobian_sparsity());
-    assert!(
-        sym.prefers_sparse(),
-        "compartment closure must prefer sparse (closed nnz {} of {})",
-        sym.nnz(),
-        odes.n_species() * odes.n_species()
-    );
-
-    let x0 = m.initial_state();
-    let base = m.rate_constants();
-    let members: Vec<Vec<f64>> = (0..4)
-        .map(|i| {
-            base.iter().enumerate().map(|(r, &k)| k * (0.9 + 0.05 * ((i + r) % 5) as f64)).collect()
-        })
-        .collect();
-    assert_lockstep_modes_match_scalar(&odes, &x0, &members, &[0.5, 1.0, 2.0], "compartment");
+fn compartment_network_lanes_match_scalar_bitwise() {
+    // 112 species, 112 reactions.
+    assert_lockstep_matches_scalar(&compartment_chains(28), 4, &[0.5, 1.0, 2.0]);
 }
 
 #[test]
-fn metabolic_selection_declines_sparse_and_stays_bitwise_identical() {
-    // The 114-species metabolic network's *stoichiometric* pattern is
-    // genuinely sparse (~4% dense), but covering **every** partial-pivoting
-    // sequence — the price of bitwise parity with the dense and scalar
-    // factorizations — closes it to ~81% dense: one storage row that keeps
-    // losing the pivot race legitimately accumulates fill across the whole
-    // glycolysis backbone. The selection gate must therefore *decline* the
-    // sparse kernels here (indirection over a near-dense pattern only adds
-    // overhead), and the pattern-advertised run must still be bitwise
-    // identical to dense-forced and scalar — i.e. advertising a pattern is
-    // always safe, never a behavior change.
-    let m = metabolic::model();
-    let odes = m.compile().unwrap();
-    let sym = SymbolicLu::analyze(&odes.jacobian_sparsity());
-    assert!(
-        !sym.prefers_sparse(),
-        "metabolic all-sequence closure is near-dense (closed nnz {} of {}); \
-         the gate must route it to the dense kernels",
-        sym.nnz(),
-        odes.n_species() * odes.n_species()
-    );
-
-    let x0 = m.initial_state();
-    let base = m.rate_constants();
-    let members: Vec<Vec<f64>> = (0..3)
-        .map(|i| {
-            base.iter().enumerate().map(|(r, &k)| k * (0.9 + 0.05 * ((i + r) % 5) as f64)).collect()
-        })
-        .collect();
-    assert_lockstep_modes_match_scalar(&odes, &x0, &members, &[0.5, 1.0], "metabolic");
+fn metabolic_lanes_match_scalar_bitwise() {
+    assert_lockstep_matches_scalar(&metabolic::model(), 3, &[0.5, 1.0]);
 }

@@ -880,9 +880,8 @@ impl CompiledOdes {
     /// some reaction contributing to species `s` has species `j` among its
     /// reactants. The pattern holds for **every** state, parameterization,
     /// and kinetic law (saturating fluxes also depend only on their
-    /// reactant species), which is what lets a symbolic factorization be
-    /// computed once per model and reused across all lanes and Newton
-    /// refreshes.
+    /// reactant species), which is what lets the sensitivity `J·S` passes
+    /// skip every entry off it.
     pub fn jacobian_sparsity(&self) -> paraspace_linalg::SparsityPattern {
         let entries = (0..self.n_species).flat_map(|s| {
             let lo = self.term_offsets[s] as usize;

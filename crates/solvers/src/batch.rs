@@ -177,23 +177,6 @@ pub trait BatchOdeSystem {
         let _ = (t, y, jac);
         panic!("this BatchOdeSystem does not implement jacobian_batch");
     }
-
-    /// The structural sparsity pattern of the Jacobian, when it is fixed
-    /// for every state and parameterization (true for reaction networks,
-    /// where stoichiometry pins it at compile time).
-    ///
-    /// Returning `Some` lets the implicit lockstep solver run a symbolic
-    /// sparse-LU analysis once per model and factor its Newton iteration
-    /// matrices over the shared pattern — streaming `nnz·L` instead of
-    /// `n²·L` values per refresh — whenever the pattern is sparse enough to
-    /// pay (see `paraspace_linalg::SymbolicLu::prefers_sparse`). Entries
-    /// written by [`jacobian_batch`](Self::jacobian_batch) outside the
-    /// returned pattern MUST be exact zeros in every lane; the diagonal
-    /// need not be included (the solver adds it). The default `None` keeps
-    /// the dense factorization path.
-    fn jacobian_sparsity(&self) -> Option<paraspace_linalg::SparsityPattern> {
-        None
-    }
 }
 
 #[cfg(test)]

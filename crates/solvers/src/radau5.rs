@@ -20,7 +20,7 @@
 use crate::system::check_inputs;
 use crate::{
     initial_step_size, OdeSolver, OdeSystem, Solution, SolveFailure, SolverError, SolverOptions,
-    SolverScratch,
+    SolverScratch, StepStats,
 };
 use paraspace_linalg::{weighted_rms_norm, CMatrix, CluFactor, Complex64, LuFactor, Matrix};
 
@@ -188,21 +188,84 @@ impl RadauWorkspace {
             self.e2_store = Some(lu.into_matrix());
         }
     }
+}
 
-    /// Evaluates the collocation polynomial at `s = (t − t_accepted)/h_used`
-    /// (`s ∈ [−1, 0]` interpolates, `s > 0` extrapolates) into `out`.
-    fn eval_cont(&self, s: f64, out: &mut [f64]) {
-        let c1 = (4.0 - SQ6) / 10.0;
-        let c2 = (4.0 + SQ6) / 10.0;
-        let c1m1 = c1 - 1.0;
-        let c2m1 = c2 - 1.0;
-        for i in 0..self.n {
-            out[i] = self.cont[0][i]
-                + s * (self.cont[1][i]
-                    + (s - c2m1) * (self.cont[2][i] + (s - c1m1) * self.cont[3][i]));
-        }
+/// Dense-output coefficients of an accepted step from its collocation
+/// increments: `cont[0] = y + z3` (the new value) and the three divided
+/// differences of `(z1, z2, z3)` over the nodes `c1, c2, 1`. Elementwise, so
+/// the sensitivity corrector builds its polynomial from `(s, V1, V2, V3)`
+/// with the same call.
+pub(crate) fn set_cont(cont: &mut [Vec<f64>; 4], y: &[f64], z1: &[f64], z2: &[f64], z3: &[f64]) {
+    let c1 = (4.0 - SQ6) / 10.0;
+    let c2 = (4.0 + SQ6) / 10.0;
+    let c1mc2 = c1 - c2;
+    let c1m1 = c1 - 1.0;
+    let c2m1 = c2 - 1.0;
+    for i in 0..y.len() {
+        cont[0][i] = y[i] + z3[i];
+        let c1_term = (z2[i] - z3[i]) / c2m1;
+        let ak = (z1[i] - z2[i]) / c1mc2;
+        let mut acont3 = z1[i] / c1;
+        acont3 = (ak - acont3) / c2;
+        let c2_term = (ak - c1_term) / c1m1;
+        cont[1][i] = c1_term;
+        cont[2][i] = c2_term;
+        cont[3][i] = c2_term - acont3;
     }
 }
+
+/// Evaluates the collocation polynomial [`set_cont`] stored at
+/// `s = (t − t_accepted)/h_used` (`s ∈ [−1, 0]` interpolates, `s > 0`
+/// extrapolates) into `out`.
+pub(crate) fn eval_cont(cont: &[Vec<f64>; 4], s: f64, out: &mut [f64]) {
+    let c1 = (4.0 - SQ6) / 10.0;
+    let c2 = (4.0 + SQ6) / 10.0;
+    let c1m1 = c1 - 1.0;
+    let c2m1 = c2 - 1.0;
+    for i in 0..out.len() {
+        out[i] =
+            cont[0][i] + s * (cont[1][i] + (s - c2m1) * (cont[2][i] + (s - c1m1) * cont[3][i]));
+    }
+}
+
+/// A converged, accepted step as a [`StepHook`] sees it, before the state
+/// advances: `y` is still the value at `t`, `z1..z3` the collocation
+/// increments at `t + c1·h`, `t + c2·h`, `t + h`, and the LU pair factors
+/// the step's iteration matrices `γ/h·I − J` and `(α+iβ)/h·I − J`.
+pub(crate) struct AcceptedStep<'a> {
+    pub(crate) t: f64,
+    pub(crate) h: f64,
+    pub(crate) y: &'a [f64],
+    pub(crate) z1: &'a [f64],
+    pub(crate) z2: &'a [f64],
+    pub(crate) z3: &'a [f64],
+    pub(crate) lu_real: &'a LuFactor,
+    pub(crate) lu_cplx: &'a CluFactor,
+    /// The Newton stopping tolerance of this solve.
+    pub(crate) fnewt: f64,
+}
+
+/// Extra per-step state carried through the RADAU5 step loop without
+/// touching it: the loop calls the hook at the four points where carried
+/// state must move with the trajectory, and the hook can read the step but
+/// never write it, so the state path is the plain solver's by construction.
+/// `()` is the plain solver (every call compiles away);
+/// [`Radau5Sens`](crate::Radau5Sens) hangs its sensitivity columns here.
+pub(crate) trait StepHook {
+    /// A sample at or before `t0` was delivered from the initial state.
+    fn initial_sample(&mut self) {}
+    /// A step was accepted; `stats` takes whatever work the hook spends.
+    fn accepted(&mut self, _step: &AcceptedStep<'_>, _stats: &mut StepStats) {}
+    /// A sample inside the accepted step was delivered at `s ∈ [−1, 0]`.
+    fn sample(&mut self, _s: f64) {}
+    /// The state advanced to the end of the accepted step. Returning
+    /// `false` fails the solve as a non-finite state.
+    fn advance(&mut self) -> bool {
+        true
+    }
+}
+
+impl StepHook for () {}
 
 impl OdeSolver for Radau5 {
     fn name(&self) -> &'static str {
@@ -224,6 +287,7 @@ impl OdeSolver for Radau5 {
             sample_times,
             options,
             &mut RadauWorkspace::new(system.dim()),
+            &mut (),
         )
     }
 
@@ -236,13 +300,13 @@ impl OdeSolver for Radau5 {
         options: &SolverOptions,
         scratch: &mut SolverScratch,
     ) -> Result<Solution, SolveFailure> {
-        self.solve_impl(system, t0, y0, sample_times, options, scratch.radau(system.dim()))
+        self.solve_impl(system, t0, y0, sample_times, options, scratch.radau(system.dim()), &mut ())
     }
 }
 
 impl Radau5 {
-    #[allow(clippy::too_many_lines)]
-    fn solve_impl(
+    #[allow(clippy::too_many_arguments, clippy::too_many_lines)]
+    pub(crate) fn solve_impl<H: StepHook>(
         &self,
         system: &dyn OdeSystem,
         t0: f64,
@@ -250,6 +314,7 @@ impl Radau5 {
         sample_times: &[f64],
         options: &SolverOptions,
         ws: &mut RadauWorkspace,
+        hook: &mut H,
     ) -> Result<Solution, SolveFailure> {
         let n = system.dim();
         check_inputs(n, y0, t0, sample_times, options)?;
@@ -261,7 +326,6 @@ impl Radau5 {
 
         let c1 = (4.0 - SQ6) / 10.0;
         let c2 = (4.0 + SQ6) / 10.0;
-        let c1mc2 = c1 - c2;
         let dd1 = -(13.0 + 7.0 * SQ6) / 3.0;
         let dd2 = (-13.0 + 7.0 * SQ6) / 3.0;
         let dd3 = -1.0 / 3.0;
@@ -276,6 +340,7 @@ impl Radau5 {
         while next_sample < sample_times.len() && sample_times[next_sample] <= t {
             sol.times.push(sample_times[next_sample]);
             sol.states.push(ws.y.clone());
+            hook.initial_sample();
             next_sample += 1;
         }
         if next_sample == sample_times.len() {
@@ -408,7 +473,7 @@ impl Radau5 {
                 let ratio = h / ws.cont_h;
                 let mut q = std::mem::take(&mut ws.extrap);
                 for (ci, zi) in [(c1, 0usize), (c2, 1), (1.0, 2)] {
-                    ws.eval_cont(ci * ratio, &mut q);
+                    eval_cont(&ws.cont, ci * ratio, &mut q);
                     let z = match zi {
                         0 => &mut ws.z1,
                         1 => &mut ws.z2,
@@ -592,21 +657,21 @@ impl Radau5 {
                 hacc = h;
                 erracc = err.max(1e-2);
 
+                let step = AcceptedStep {
+                    t,
+                    h,
+                    y: &ws.y,
+                    z1: &ws.z1,
+                    z2: &ws.z2,
+                    z3: &ws.z3,
+                    lu_real,
+                    lu_cplx: ws.lu_complex.as_ref().expect("factorization exists"),
+                    fnewt,
+                };
+                hook.accepted(&step, &mut sol.stats);
+
                 // Dense-output coefficients from the collocation polynomial.
-                let c2m1 = c2 - 1.0;
-                let c1m1 = c1 - 1.0;
-                for i in 0..n {
-                    let y_new = ws.y[i] + ws.z3[i];
-                    ws.cont[0][i] = y_new;
-                    let c1_term = (ws.z2[i] - ws.z3[i]) / c2m1;
-                    let ak = (ws.z1[i] - ws.z2[i]) / c1mc2;
-                    let mut acont3 = ws.z1[i] / c1;
-                    acont3 = (ak - acont3) / c2;
-                    let c2_term = (ak - c1_term) / c1m1;
-                    ws.cont[1][i] = c1_term;
-                    ws.cont[2][i] = c2_term;
-                    ws.cont[3][i] = c2_term - acont3;
-                }
+                set_cont(&mut ws.cont, &ws.y, &ws.z1, &ws.z2, &ws.z3);
                 ws.cont_h = h;
                 ws.have_cont = true;
 
@@ -616,9 +681,10 @@ impl Radau5 {
                 while next_sample < sample_times.len() && sample_times[next_sample] <= t_new {
                     let ts = sample_times[next_sample];
                     let s = ((ts - t_new) / h).clamp(-1.0, 0.0);
-                    ws.eval_cont(s, &mut sample_buf);
+                    eval_cont(&ws.cont, s, &mut sample_buf);
                     sol.times.push(ts);
                     sol.states.push(sample_buf.clone());
+                    hook.sample(s);
                     next_sample += 1;
                     steps_since_sample = 0;
                 }
@@ -628,7 +694,7 @@ impl Radau5 {
                 for i in 0..n {
                     ws.y[i] += ws.z3[i];
                 }
-                if !ws.y.iter().all(|v| v.is_finite()) {
+                if !ws.y.iter().all(|v| v.is_finite()) || !hook.advance() {
                     return Err(SolveFailure {
                         error: SolverError::NonFiniteState { t: t_new },
                         stats: sol.stats,

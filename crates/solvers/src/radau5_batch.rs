@@ -50,10 +50,7 @@ use crate::radau5::{
 };
 use crate::system::check_inputs;
 use crate::{Solution, SolveFailure, SolverError, SolverOptions, SolverScratch, StepStats};
-use paraspace_linalg::{
-    BatchCluFactor, BatchLuFactor, BatchSparseCluFactor, BatchSparseLuFactor, Complex64, SymbolicLu,
-};
-use std::sync::Arc;
+use paraspace_linalg::{BatchCluFactor, BatchLuFactor, Complex64};
 
 /// Pooled working storage for one lockstep Radau lane-group integration:
 /// SoA blocks for the state, stage values, transformed Newton variables and
@@ -89,17 +86,8 @@ pub(crate) struct RadauBatchScratch {
     /// column out of `jac_probe` so untouched lanes keep their stored `J`.
     jac_lanes: Vec<f64>,
     jac_probe: Vec<f64>,
-    /// Dense iteration-matrix factorizations; allocated only when the
-    /// group runs in dense mode (see the sparse/dense selection in
-    /// `solve_group_impl`).
     lu_real: BatchLuFactor,
     lu_cplx: BatchCluFactor,
-    /// Sparse iteration-matrix factorizations over the model's symbolic
-    /// analysis; populated only when the group runs in sparse mode, and
-    /// reused across groups of the same model (pattern equality is checked
-    /// by `ensure`).
-    sparse_real: Option<BatchSparseLuFactor>,
-    sparse_cplx: Option<BatchSparseCluFactor>,
     member_buf: Vec<f64>,
     aux_y: Vec<f64>,
     aux_f: Vec<f64>,
@@ -159,9 +147,8 @@ impl RadauBatchScratch {
         self.rhs_cplx.resize(n * lanes, Complex64::ZERO);
         self.jac_lanes.resize(n * n * lanes, 0.0);
         self.jac_probe.resize(n * n * lanes, 0.0);
-        // The LU factors (dense or sparse) are sized by the mode decision
-        // in `solve_group_impl`, so a sparse-mode group never allocates the
-        // n²·L dense blocks.
+        self.lu_real.ensure(n, lanes);
+        self.lu_cplx.ensure(n, lanes);
         for v in [
             &mut self.member_buf,
             &mut self.aux_y,
@@ -198,122 +185,37 @@ impl RadauBatchScratch {
     }
 }
 
-/// The group's iteration-matrix factorization backend, selected once per
-/// group from the model's Jacobian sparsity: dense lane-major LU for small
-/// or dense patterns, symbolic-pattern sparse LU when the structure pays
-/// (`SymbolicLu::prefers_sparse`). Both backends produce bitwise-identical
-/// solves on the same inputs (the sparse kernels replicate the dense pivot
-/// and elimination branches over the closed fill pattern), so the choice
-/// is invisible to trajectories, step statistics, and the determinism
-/// contract — it only changes how many values each Newton refresh streams.
-enum LaneLu<'a> {
-    Dense { real: &'a mut BatchLuFactor, cplx: &'a mut BatchCluFactor },
-    Sparse { real: &'a mut BatchSparseLuFactor, cplx: &'a mut BatchSparseCluFactor },
-}
-
-impl LaneLu<'_> {
-    /// Builds both Radau iteration matrices — `E1 = U1/h·I − J` (real) and
-    /// `E2 = (α + iβ)/h·I − J` (complex) — for the masked lanes from the
-    /// lane-minor `N×N×L` Jacobian block, then factors them batched. The
-    /// dense backend streams all `n²` entries per lane; the sparse
-    /// backend streams only the symbolic pattern's `nnz` (every position
-    /// outside it holds an exact zero in `jac_lanes`, which the dense
-    /// elimination guards skip anyway).
-    fn build_and_factor(
-        &mut self,
-        n: usize,
-        lanes: usize,
-        jac_lanes: &[f64],
-        h: &[f64],
-        mask: &[bool],
-    ) {
-        match self {
-            LaneLu::Dense { real, cplx } => {
-                // Each masked lane's matrices are written straight into
-                // that lane's contiguous block: one strided read of the
-                // lane-minor Jacobian, row-major writes.
-                for lane in (0..lanes).filter(|&lane| mask[lane]) {
-                    let m1 = real.lane_mut(lane);
-                    let m2 = cplx.lane_mut(lane);
-                    let jac = jac_lanes.iter().skip(lane).step_by(lanes);
-                    for ((e1, e2), &j) in m1.iter_mut().zip(m2.iter_mut()).zip(jac) {
-                        *e1 = -j;
-                        *e2 = Complex64::new(-j, 0.0);
-                    }
-                    let fac1 = U1 / h[lane];
-                    let shift = Complex64::new(ALPH / h[lane], BETA / h[lane]);
-                    for (d1, d2) in m1.iter_mut().zip(m2).step_by(n + 1) {
-                        *d1 += fac1;
-                        *d2 += shift;
-                    }
-                }
-                real.factor(mask);
-                cplx.factor(mask);
-            }
-            LaneLu::Sparse { real, cplx } => {
-                {
-                    let (sym, vals) = real.parts_mut();
-                    for lane in 0..lanes {
-                        if !mask[lane] {
-                            continue;
-                        }
-                        let fac1 = U1 / h[lane];
-                        for i in 0..n {
-                            for e in sym.row_range(i) {
-                                let j = sym.col_of(e);
-                                vals[e * lanes + lane] = -jac_lanes[(i * n + j) * lanes + lane];
-                            }
-                            vals[sym.diag_entry(i) * lanes + lane] += fac1;
-                        }
-                    }
-                }
-                real.factor(mask);
-                {
-                    let (sym, vals) = cplx.parts_mut();
-                    for lane in 0..lanes {
-                        if !mask[lane] {
-                            continue;
-                        }
-                        let alphn = ALPH / h[lane];
-                        let betan = BETA / h[lane];
-                        for i in 0..n {
-                            for e in sym.row_range(i) {
-                                let j = sym.col_of(e);
-                                vals[e * lanes + lane] =
-                                    Complex64::new(-jac_lanes[(i * n + j) * lanes + lane], 0.0);
-                            }
-                            vals[sym.diag_entry(i) * lanes + lane] += Complex64::new(alphn, betan);
-                        }
-                    }
-                }
-                cplx.factor(mask);
-            }
+/// Builds both Radau iteration matrices — `E1 = U1/h·I − J` (real) and
+/// `E2 = (α + iβ)/h·I − J` (complex) — for the masked lanes from the
+/// lane-minor `N×N×L` Jacobian block, then factors them batched. Each
+/// masked lane's matrices are written straight into that lane's contiguous
+/// block: one strided read of the lane-minor Jacobian, row-major writes.
+fn build_and_factor(
+    real: &mut BatchLuFactor,
+    cplx: &mut BatchCluFactor,
+    n: usize,
+    jac_lanes: &[f64],
+    h: &[f64],
+    mask: &[bool],
+) {
+    let lanes = mask.len();
+    for lane in (0..lanes).filter(|&lane| mask[lane]) {
+        let m1 = real.lane_mut(lane);
+        let m2 = cplx.lane_mut(lane);
+        let jac = jac_lanes.iter().skip(lane).step_by(lanes);
+        for ((e1, e2), &j) in m1.iter_mut().zip(m2.iter_mut()).zip(jac) {
+            *e1 = -j;
+            *e2 = Complex64::new(-j, 0.0);
+        }
+        let fac1 = U1 / h[lane];
+        let shift = Complex64::new(ALPH / h[lane], BETA / h[lane]);
+        for (d1, d2) in m1.iter_mut().zip(m2).step_by(n + 1) {
+            *d1 += fac1;
+            *d2 += shift;
         }
     }
-
-    /// Whether either of lane `lane`'s factorizations came out singular.
-    fn is_singular(&self, lane: usize) -> bool {
-        match self {
-            LaneLu::Dense { real, cplx } => real.is_singular(lane) || cplx.is_singular(lane),
-            LaneLu::Sparse { real, cplx } => real.is_singular(lane) || cplx.is_singular(lane),
-        }
-    }
-
-    /// Masked batched solve against the real factorization.
-    fn solve_real(&self, b: &mut [f64], mask: &[bool]) {
-        match self {
-            LaneLu::Dense { real, .. } => real.solve_lanes(b, mask),
-            LaneLu::Sparse { real, .. } => real.solve_lanes(b, mask),
-        }
-    }
-
-    /// Masked batched solve against the complex factorization.
-    fn solve_cplx(&self, b: &mut [Complex64], mask: &[bool]) {
-        match self {
-            LaneLu::Dense { cplx, .. } => cplx.solve_lanes(b, mask),
-            LaneLu::Sparse { cplx, .. } => cplx.solve_lanes(b, mask),
-        }
-    }
+    real.factor(mask);
+    cplx.factor(mask);
 }
 
 /// Per-lane control state: everything the scalar RADAU5 keeps in local
@@ -458,37 +360,6 @@ fn solve_group_impl(
 
     ws.ensure(n, lanes);
 
-    // Factorization-mode decision: one symbolic analysis per group. When the
-    // system publishes a structurally fixed Jacobian pattern that is sparse
-    // enough to pay (`prefers_sparse`), the Newton iteration matrices are
-    // factored by the pattern-sharing sparse kernels; otherwise the dense
-    // kernels are used. Both produce bitwise-identical solves, so this choice
-    // never changes trajectories or step statistics.
-    let symbolic: Option<Arc<SymbolicLu>> = system
-        .jacobian_sparsity()
-        .map(|p| {
-            assert_eq!(p.dim(), n, "jacobian_sparsity dimension must match system dim");
-            Arc::new(SymbolicLu::analyze(&p))
-        })
-        .filter(|sym| sym.prefers_sparse());
-    if let Some(sym) = &symbolic {
-        match &mut ws.sparse_real {
-            Some(f) => f.ensure(sym, lanes),
-            slot => {
-                *slot = Some(BatchSparseLuFactor::new(sym.clone(), lanes).expect("lanes >= 1"));
-            }
-        }
-        match &mut ws.sparse_cplx {
-            Some(f) => f.ensure(sym, lanes),
-            slot => {
-                *slot = Some(BatchSparseCluFactor::new(sym.clone(), lanes).expect("lanes >= 1"));
-            }
-        }
-    } else {
-        ws.lu_real.ensure(n, lanes);
-        ws.lu_cplx.ensure(n, lanes);
-    }
-
     let RadauBatchScratch {
         y,
         f0,
@@ -518,8 +389,6 @@ fn solve_group_impl(
         jac_probe,
         lu_real,
         lu_cplx,
-        sparse_real,
-        sparse_cplx,
         member_buf,
         aux_y,
         aux_f,
@@ -541,15 +410,6 @@ fn solve_group_impl(
         refine_mask,
         refresh_mask,
     } = ws;
-
-    let mut lane_lu = if symbolic.is_some() {
-        LaneLu::Sparse {
-            real: sparse_real.as_mut().expect("sparse real factor ensured above"),
-            cplx: sparse_cplx.as_mut().expect("sparse complex factor ensured above"),
-        }
-    } else {
-        LaneLu::Dense { real: lu_real, cplx: lu_cplx }
-    };
 
     // Method constants derived exactly as the scalar preamble derives them.
     let c1 = (4.0 - SQ6) / 10.0;
@@ -790,7 +650,7 @@ fn solve_group_impl(
             any_factor |= factor_mask[lane];
         }
         if any_factor {
-            lane_lu.build_and_factor(n, lanes, jac_lanes, h, factor_mask);
+            build_and_factor(lu_real, lu_cplx, n, jac_lanes, h, factor_mask);
             for lane in 0..lanes {
                 if !factor_mask[lane] {
                     continue;
@@ -798,7 +658,7 @@ fn solve_group_impl(
                 let mut park: Option<SolverError> = None;
                 {
                     let c = ctl[lane].as_mut().expect("factor lane is live");
-                    if lane_lu.is_singular(lane) {
+                    if lu_real.is_singular(lane) || lu_cplx.is_singular(lane) {
                         c.singular_retries += 1;
                         if c.singular_retries > 8 {
                             park = Some(SolverError::SingularIterationMatrix { t: t[lane] });
@@ -973,8 +833,8 @@ fn solve_group_impl(
                 }
             }
         }
-        lane_lu.solve_real(rhs_real.as_mut_slice(), newton_mask);
-        lane_lu.solve_cplx(rhs_cplx, newton_mask);
+        lu_real.solve_lanes(rhs_real.as_mut_slice(), newton_mask);
+        lu_cplx.solve_lanes(rhs_cplx, newton_mask);
 
         // Update w and accumulate the displacement norm, lane-wide.
         {
@@ -1117,7 +977,7 @@ fn solve_group_impl(
                     }
                 }
             }
-            lane_lu.solve_real(err_v.as_mut_slice(), conv_mask);
+            lu_real.solve_lanes(err_v.as_mut_slice(), conv_mask);
             let mut any_refine = false;
             for lane in 0..lanes {
                 refine_mask[lane] = false;
@@ -1161,7 +1021,7 @@ fn solve_group_impl(
                         }
                     }
                 }
-                lane_lu.solve_real(err_v.as_mut_slice(), refine_mask);
+                lu_real.solve_lanes(err_v.as_mut_slice(), refine_mask);
                 for lane in 0..lanes {
                     if !refine_mask[lane] {
                         continue;
@@ -1692,27 +1552,17 @@ mod tests {
     ///   dy_s/dt = −c_s·k·y_s + c_{s−1}·k·y_{s−1}   (within each block)
     ///
     /// with per-species coefficients `c_s = n − s` (decreasing, so the
-    /// subdiagonal entry of the iteration matrix can win partial pivoting
-    /// at large `h` and the sparse/dense pivot agreement is actually
-    /// exercised). The block structure matters: the symbolic analysis
-    /// closes fill over *every* pivot sequence, and on one unbroken chain a
-    /// row that keeps losing the pivot race cascades fill across the whole
-    /// matrix — the closed pattern goes dense and `prefers_sparse`
-    /// (correctly) declines. Independent 4×4 blocks confine the cascade, so
-    /// the closure tops out at 13 entries per block (91 of 784 total) and
-    /// the sparse kernels are actually selected. Member `m` scales the
-    /// rate `k`.
+    /// subdiagonal entry of the iteration matrix can win partial pivoting at
+    /// large `h` and the lanes' row exchanges — different per lane, since
+    /// member `m` scales the rate `k` — are actually exercised).
     struct ChainFamily {
         ks: Vec<f64>,
         bound: Vec<f64>,
-        /// When false, `jacobian_sparsity` returns `None`, forcing the
-        /// dense factorization path for the comparison run.
-        sparse: bool,
     }
 
     impl ChainFamily {
-        fn new(ks: Vec<f64>, lanes: usize, sparse: bool) -> Self {
-            ChainFamily { ks, bound: vec![0.0; lanes], sparse }
+        fn new(ks: Vec<f64>, lanes: usize) -> Self {
+            ChainFamily { ks, bound: vec![0.0; lanes] }
         }
 
         fn y0() -> Vec<f64> {
@@ -1810,77 +1660,33 @@ mod tests {
                 }
             }
         }
-        fn jacobian_sparsity(&self) -> Option<paraspace_linalg::SparsityPattern> {
-            if !self.sparse {
-                return None;
-            }
-            let entries = (0..CHAIN_N)
-                .map(|s| (s, s))
-                .chain((1..CHAIN_N).filter(|s| s % CHAIN_BLOCK != 0).map(|s| (s, s - 1)));
-            Some(paraspace_linalg::SparsityPattern::from_entries(CHAIN_N, entries))
-        }
     }
 
     #[test]
-    fn sparse_factorization_path_is_bitwise_identical_to_dense_and_scalar() {
+    fn pivoting_lanes_are_bitwise_identical_to_scalar() {
         let ks = vec![0.5, 2.0, 8.0, 32.0, 128.0];
         let times = sample_grid();
-        // Sanity: the published pattern must actually select the sparse path.
-        let pattern = ChainFamily::new(ks.clone(), 1, true).jacobian_sparsity().unwrap();
-        let sym = paraspace_linalg::SymbolicLu::analyze(&pattern);
-        assert!(sym.prefers_sparse(), "chain pattern must choose the sparse kernels");
         let y0 = ChainFamily::y0();
         let reference: Vec<Solution> = ks
             .iter()
             .map(|&k| Radau5::new().solve(&ChainScalar { k }, 0.0, &y0, &times, &opts()).unwrap())
             .collect();
-        for width in [2, 4, 8] {
-            for sparse in [false, true] {
-                let mut family = ChainFamily::new(ks.clone(), width, sparse);
-                let (results, report) = Radau5Batch::new().solve_group(
-                    &mut family,
-                    0.0,
-                    &times,
-                    &opts(),
-                    &mut SolverScratch::new(),
-                );
-                assert_eq!(report.width, width);
-                for (m, r) in results.iter().enumerate() {
-                    let sol = r.as_ref().expect("member must succeed");
-                    assert_eq!(sol.times, reference[m].times, "sparse={sparse} w={width} m={m}");
-                    assert_eq!(sol.states, reference[m].states, "sparse={sparse} w={width} m={m}");
-                    assert_eq!(sol.stats, reference[m].stats, "sparse={sparse} w={width} m={m}");
-                }
+        for width in [1, 2, 4, 8] {
+            let mut family = ChainFamily::new(ks.clone(), width);
+            let (results, report) = Radau5Batch::new().solve_group(
+                &mut family,
+                0.0,
+                &times,
+                &opts(),
+                &mut SolverScratch::new(),
+            );
+            assert_eq!(report.width, width);
+            for (m, r) in results.iter().enumerate() {
+                let sol = r.as_ref().expect("member must succeed");
+                assert_eq!(sol.times, reference[m].times, "w={width} m={m}");
+                assert_eq!(sol.states, reference[m].states, "w={width} m={m}");
+                assert_eq!(sol.stats, reference[m].stats, "w={width} m={m}");
             }
         }
-    }
-
-    #[test]
-    fn sparse_scratch_reuse_across_modes_is_bitwise_stable() {
-        // One scratch alternating dense-mode and sparse-mode groups must
-        // match fresh-scratch runs exactly: the mode decision re-sizes
-        // whichever factor family the group uses.
-        let times = sample_grid();
-        let ks = vec![1.0, 50.0];
-        let run = |scratch: &mut SolverScratch, sparse: bool| {
-            let mut family = ChainFamily::new(ks.clone(), 2, sparse);
-            Radau5Batch::new().solve_group(&mut family, 0.0, &times, &opts(), scratch).0
-        };
-        let mut scratch = SolverScratch::new();
-        let a_dense = run(&mut scratch, false);
-        let a_sparse = run(&mut scratch, true);
-        let a_dense2 = run(&mut scratch, false);
-        let b_dense = run(&mut SolverScratch::new(), false);
-        let b_sparse = run(&mut SolverScratch::new(), true);
-        let unwrap_all = |v: Vec<Result<Solution, SolveFailure>>| -> Vec<Solution> {
-            v.into_iter().map(|r| r.unwrap()).collect()
-        };
-        let (a_dense, a_sparse, a_dense2) =
-            (unwrap_all(a_dense), unwrap_all(a_sparse), unwrap_all(a_dense2));
-        assert_eq!(a_dense, unwrap_all(b_dense));
-        assert_eq!(a_sparse, unwrap_all(b_sparse));
-        assert_eq!(a_dense, a_dense2);
-        // And both modes agree with each other (bitwise, stats included).
-        assert_eq!(a_dense, a_sparse);
     }
 }
