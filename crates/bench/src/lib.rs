@@ -23,17 +23,27 @@ pub fn full_scale() -> bool {
 }
 
 /// The git revision of the working tree, for provenance-stamping emitted
-/// result files; `"unknown"` outside a git checkout.
+/// result files — with `+dirty` appended when tracked files differ from it,
+/// so numbers taken on an uncommitted change do not pass for the commit's;
+/// `"unknown"` outside a git checkout.
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
+    let git = |args: &[&str]| std::process::Command::new("git").args(args).output().ok();
+    let rev = git(&["rev-parse", "--short", "HEAD"])
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".into())
+        .filter(|s| !s.is_empty());
+    match rev {
+        None => "unknown".into(),
+        Some(rev) => {
+            let clean = git(&["diff", "--quiet", "HEAD"]).is_some_and(|o| o.status.success());
+            if clean {
+                rev
+            } else {
+                rev + "+dirty"
+            }
+        }
+    }
 }
 
 /// The shared provenance header every `results/BENCH_*.json` emitter

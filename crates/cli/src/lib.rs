@@ -335,10 +335,11 @@ ENGINES: fine-coarse (default) | coarse | fine | lsoda | vode
 core). Results are bitwise identical at any thread count.
 
 --lane-width controls the lockstep lane grouping of the fine and fine-coarse
-engines: `auto` (default) prices each model's flux-vs-LU cost ratio and
-factor working set to pick a width per model, while an explicit N pins it
-(1 forces the scalar path). Other engines ignore the flag. Results are
-bitwise identical at any width.
+engines: `auto` (default) runs the explicit DOPRI5 lanes at width 8 and
+prices each model's flux-vs-LU cost ratio and factor working set to pick
+the stiff lanes' width, while an explicit N pins both (1 forces the
+all-scalar path). Other engines ignore the flag. Results are bitwise
+identical at any width.
 
 Failed members never abort a batch: each failure is contained, itemized in
 the health summary, and written as a .err file (with the member's full

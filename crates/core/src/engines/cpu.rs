@@ -145,7 +145,7 @@ impl Simulator for CpuEngine {
 
         let integration_ns = self.cost_model.time_ns(&work)
             + job.batch_size() as f64 * self.cost_model.per_sim_overhead_ns;
-        let io_ns = output_bytes(job, &outcomes) as f64 / IO_BYTES_PER_NS;
+        let io_ns = output_bytes(job, &outcomes, &self.executor) as f64 / IO_BYTES_PER_NS;
         Ok(BatchResult {
             engine: self.name(),
             outcomes,

@@ -601,7 +601,7 @@ impl FineEngine {
         lanes: Option<paraspace_vgpu::LaneAccounting>,
         health: BatchHealth,
     ) -> Result<BatchResult, SimError> {
-        let out_bytes = output_bytes(job, &outcomes);
+        let out_bytes = output_bytes(job, &outcomes, &self.executor);
         device.record_host_phase("io::d2h", out_bytes as f64 / PCIE_BYTES_PER_NS);
         device.record_host_phase("io::write", out_bytes as f64 / IO_BYTES_PER_NS);
 

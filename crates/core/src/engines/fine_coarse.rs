@@ -18,12 +18,21 @@
 //! on the device), child grids carry the per-round ODE work, and each child
 //! round pays the dynamic-parallelism launch overhead — which is what caps
 //! useful batch sizes near 2048.
+//!
+//! On the host, P3 is a batch kernel too: the fault-free non-stiff members
+//! integrate as lockstep [`Dopri5Batch`](paraspace_solvers::Dopri5Batch)
+//! lane groups, one group per executor worker, all pulling members from
+//! one shared queue (`lanes::solve_explicit_queue`; width 8 unless pinned,
+//! `lanes::explicit_lane_width`). A member's attempt is bitwise the scalar
+//! `dopri5` one whichever group and lane ran it, and the device model is
+//! fed per-member counters in member order, so outcomes, labels, billing
+//! and health do not depend on the width or the worker count.
 
 use crate::engines::{
     attempt_stats, output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, Simulator,
     IO_BYTES_PER_NS,
 };
-use crate::lanes::solve_lane_groups;
+use crate::lanes::{explicit_lane_width, solve_explicit_queue, solve_lane_groups};
 use crate::recovery::{contained_attempt, continue_ladder, RecoveryLog, RecoveryPolicy};
 use crate::{classify_batch_with_threshold, RbmBatchSystem, SimError, SimulationJob, WorkEstimate};
 use paraspace_exec::{CancelToken, Cancelled, Executor};
@@ -100,13 +109,16 @@ impl FineCoarseEngine {
         }
     }
 
-    /// Pins the P4 lockstep lane width (builder style): `1` forces the
-    /// scalar P4 path, larger values run lockstep RADAU5 lane-groups of
-    /// that width. Without this, the engine autotunes the width per model
-    /// ([`crate::auto_lane_width`]) through the same resolver as
-    /// [`crate::FineEngine`]. Per-member results are bitwise identical at
-    /// any width (it only shapes the modeled kernel and the LU working
-    /// set).
+    /// Pins the lockstep lane width of both solver phases (builder style):
+    /// `1` forces the all-scalar route — one `Dopri5` solve per P3 member,
+    /// one `Radau5` solve per P4 member — larger values run P3's DOPRI5
+    /// groups and P4's RADAU5 lane-groups at that width. Without this, P3
+    /// runs at width 8 (narrowed when a worker's share of the members is
+    /// smaller) and P4 autotunes per model ([`crate::auto_lane_width`])
+    /// through the same resolver as [`crate::FineEngine`]. Per-member
+    /// results are bitwise identical at any width; P3's modeled time is
+    /// too, while P4's width shapes its modeled kernel and the LU working
+    /// set.
     pub fn with_lane_width(mut self, width: usize) -> Self {
         self.lane_width = Some(width.max(1));
         self
@@ -154,8 +166,8 @@ impl FineCoarseEngine {
         self
     }
 
-    /// Runs one solver phase (P3 or P4) over `members`, filling `slots`,
-    /// and returns the members that failed with a re-routable error (or
+    /// Runs one scalar solver phase over `members`, filling `slots`, and
+    /// returns the members that failed with a re-routable error (or
     /// `Err(Cancelled)` if the token tripped before the phase completed).
     #[allow(clippy::too_many_arguments)]
     fn run_phase(
@@ -169,8 +181,107 @@ impl FineCoarseEngine {
         logs: &mut [RecoveryLog],
         reroutable: bool,
     ) -> Result<Vec<usize>, Cancelled> {
+        let attempts = self.solve_scalar(job, solver, members)?;
+        Ok(self.settle_phase(
+            job,
+            device,
+            phase_name,
+            solver.name(),
+            members,
+            attempts,
+            slots,
+            logs,
+            reroutable,
+        ))
+    }
+
+    /// One scalar attempt per member on the executor's workers, in
+    /// `members` order. Each attempt runs under panic containment: a
+    /// panicking member becomes an `Internal` failure (never re-routable —
+    /// it would panic again on the other solver too) instead of tearing
+    /// down the phase.
+    fn solve_scalar(
+        &self,
+        job: &SimulationJob,
+        solver: &dyn OdeSolver,
+        members: &[usize],
+    ) -> Result<Vec<Result<Solution, SolveFailure>>, Cancelled> {
+        let opts = self.recovery.base_options(job);
+        let attempts = self.executor.try_map_with_cancel(
+            members.len(),
+            &self.cancel,
+            SolverScratch::new,
+            |scratch, idx| contained_attempt(job, members[idx], solver, &opts, scratch),
+        )?;
+        // contained_attempt already catches member panics, so an
+        // executor-level fault is a bug in the attempt plumbing itself.
+        Ok(attempts.into_iter().map(|a| a.unwrap_or_else(|fault| panic!("{fault}"))).collect())
+    }
+
+    /// P3's attempts, in `members` order. Fault-free members integrate as
+    /// lockstep [`Dopri5Batch`](paraspace_solvers::Dopri5Batch) lane groups
+    /// on one shared queue ([`solve_explicit_queue`]) whenever
+    /// [`explicit_lane_width`] finds a width of 2 or more for them;
+    /// fault-planned members stay on the scalar path, so an injected panic
+    /// (and its per-call fault ordinals) cannot touch a group — and at width
+    /// 1 so does everybody else. Every attempt is bitwise the scalar
+    /// `dopri5` one either way, which is why the phase is billed, labelled
+    /// and re-routed exactly as if it had run scalar.
+    fn solve_p3(
+        &self,
+        job: &SimulationJob,
+        dopri5: &Dopri5,
+        members: &[usize],
+    ) -> Result<Vec<Result<Solution, SolveFailure>>, Cancelled> {
+        let planned = |i: &usize| job.fault_plan().faults_for(*i).is_some();
+        let (faulty, clean): (Vec<usize>, Vec<usize>) = members.iter().partition(|i| planned(i));
+        let width =
+            explicit_lane_width(self.lane_width, job.odes(), clean.len(), self.executor.threads());
+        if width < 2 {
+            return self.solve_scalar(job, dopri5, members);
+        }
+        let opts = self.recovery.base_options(job);
+        let mut lane_attempts = solve_explicit_queue(
+            &self.executor,
+            &self.cancel,
+            &clean,
+            width,
+            |width| job.lane_system(width),
+            job.time_points(),
+            &opts,
+        )?
+        .into_iter();
+        let mut scalar_attempts = self.solve_scalar(job, dopri5, &faulty)?.into_iter();
+        Ok(members
+            .iter()
+            .map(|i| if planned(i) { scalar_attempts.next() } else { lane_attempts.next() })
+            .map(|attempt| attempt.expect("one attempt per member"))
+            .collect())
+    }
+
+    /// Settles one phase's `attempts` (index-aligned with `members`): fills
+    /// `slots`, bills the device, and returns the members that failed with
+    /// a re-routable error.
+    ///
+    /// Everything here — timeline accounting, work accumulation, re-route
+    /// decisions — folds on the calling thread in member order over
+    /// per-member counters, so the batch result is bitwise identical at any
+    /// thread count and however the attempts were scheduled.
+    #[allow(clippy::too_many_arguments)]
+    fn settle_phase(
+        &self,
+        job: &SimulationJob,
+        device: &Device,
+        phase_name: &str,
+        solver_name: &'static str,
+        members: &[usize],
+        attempts: Vec<Result<Solution, SolveFailure>>,
+        slots: &mut [MemberSlot],
+        logs: &mut [RecoveryLog],
+        reroutable: bool,
+    ) -> Vec<usize> {
         if members.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let n = job.odes().n_species();
         let mut failed = Vec::new();
@@ -179,25 +290,7 @@ impl FineCoarseEngine {
         let mut total_rounds: u64 = 0;
         let mut total_steps_max: u64 = 0;
 
-        // Workers solve members into index-ordered slots; everything below
-        // the solve — timeline accounting, work accumulation, re-route
-        // decisions — folds on this thread in member order, so the batch
-        // result is bitwise identical at any thread count. Each attempt
-        // runs under panic containment: a panicking member becomes an
-        // `Internal` failure (never re-routable — it would panic again on
-        // the other solver too) instead of tearing down the phase.
-        let opts = self.recovery.base_options(job);
-        let results = self.executor.try_map_with_cancel(
-            members.len(),
-            &self.cancel,
-            SolverScratch::new,
-            |scratch, idx| contained_attempt(job, members[idx], solver, &opts, scratch),
-        )?;
-        for (idx, result) in results.into_iter().enumerate() {
-            let i = members[idx];
-            // contained_attempt already catches member panics, so an
-            // executor-level fault is a bug in the attempt plumbing itself.
-            let result = result.unwrap_or_else(|fault| panic!("{fault}"));
+        for (&i, result) in members.iter().zip(attempts) {
             // Failed members are billed for the work they actually did
             // before failing (SolveFailure carries the partial counters).
             let stats = *attempt_stats(&result);
@@ -222,7 +315,7 @@ impl FineCoarseEngine {
                     logs[i].discarded_steps += stats.steps;
                     failed.push(i);
                 }
-                settled => slots[i] = Some((settled, solver.name())),
+                settled => slots[i] = Some((settled, solver_name)),
             }
         }
 
@@ -262,7 +355,7 @@ impl FineCoarseEngine {
                     repeats: rounds_avg,
                 });
         device.launch(&launch);
-        Ok(failed)
+        failed
     }
 
     /// The lane-batched P4: `members` integrate as lockstep RADAU5
@@ -429,16 +522,18 @@ impl Simulator for FineCoarseEngine {
         let stiff: Vec<usize> = (0..batch).filter(|&i| classes[i].stiff).collect();
         let dopri5 = Dopri5::new();
         let radau5 = Radau5::new();
-        let rerouted = self.run_phase(
+        let p3_attempts = self.solve_p3(job, &dopri5, &nonstiff)?;
+        let rerouted = self.settle_phase(
             job,
             &device,
             "p3_dopri5",
-            &dopri5,
+            dopri5.name(),
             &nonstiff,
+            p3_attempts,
             &mut slots,
             &mut logs,
             self.recovery.reroute,
-        )?;
+        );
 
         // P4: RADAU5 over stiff + re-routed members.
         let mut p4_members = stiff;
@@ -545,7 +640,7 @@ impl Simulator for FineCoarseEngine {
             .collect();
 
         // P5: device→host transfer plus output writing.
-        let out_bytes = output_bytes(job, &outcomes);
+        let out_bytes = output_bytes(job, &outcomes, &self.executor);
         device.record_host_phase("io::p5_d2h", out_bytes as f64 / PCIE_BYTES_PER_NS);
         device.record_host_phase("io::p5_write", out_bytes as f64 / IO_BYTES_PER_NS);
 

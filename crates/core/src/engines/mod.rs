@@ -371,12 +371,17 @@ pub(crate) fn outcome_and_stats(
     }
 }
 
-/// Serializes all successful outputs, returning total bytes (the P5 cost
-/// driver).
-pub(crate) fn output_bytes(job: &SimulationJob, outcomes: &[SimOutcome]) -> u64 {
-    outcomes
-        .iter()
-        .filter_map(|o| o.solution.as_ref().ok())
-        .map(|s| job.serialize_dynamics(s).len() as u64)
-        .sum()
+/// Total bytes of all successful outputs in the dynamics text format (the
+/// P5 cost driver), counted on the executor's workers without building any
+/// text; a `u64` sum does not depend on the order it is taken in.
+pub(crate) fn output_bytes(
+    job: &SimulationJob,
+    outcomes: &[SimOutcome],
+    executor: &paraspace_exec::Executor,
+) -> u64 {
+    let member_bytes = |i: usize| match &outcomes[i].solution {
+        Ok(solution) => job.serialized_len(solution) as u64,
+        Err(_) => 0,
+    };
+    executor.map(outcomes.len(), member_bytes).into_iter().sum()
 }

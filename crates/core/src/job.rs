@@ -1,9 +1,8 @@
 //! Simulation jobs: model + batch + sampling + tolerances.
 
-use crate::SimError;
+use crate::{RbmBatchSystem, SimError};
 use paraspace_rbm::{CompiledOdes, Parameterization, ReactionBasedModel};
 use paraspace_solvers::{FaultPlan, Solution, SolverOptions};
-use std::fmt::Write as _;
 
 /// A batch simulation job: the unit of work every engine consumes.
 ///
@@ -84,19 +83,56 @@ impl<'a> SimulationJob<'a> {
         &self.fault_plan
     }
 
+    /// The whole resolved batch as one lockstep member queue of width
+    /// `lanes`, borrowed rather than copied: queue member `i` is batch
+    /// member `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the network mixes kinetics the batched flux pass does not
+    /// cover, or if `lanes` is zero.
+    pub fn lane_system(&self, lanes: usize) -> RbmBatchSystem<'_> {
+        RbmBatchSystem::over_batch(&self.odes, &self.batch, lanes)
+    }
+
     /// Serializes one trajectory in the tab-separated dynamics format the
     /// original tool writes (phase P5); engines charge its cost as I/O.
     pub fn serialize_dynamics(&self, solution: &Solution) -> String {
         let mut out = String::with_capacity(solution.len() * (self.odes.n_species() + 1) * 14);
-        let infallible = "formatting into a String cannot fail";
-        for (t, state) in solution.times.iter().zip(&solution.states) {
-            write!(out, "{t:e}").expect(infallible);
-            for v in state {
-                write!(out, "\t{v:e}").expect(infallible);
-            }
-            out.push('\n');
-        }
+        write_dynamics(solution, &mut out).expect("formatting into a String cannot fail");
         out
+    }
+
+    /// `serialize_dynamics(solution).len()` without building the text: the
+    /// same format calls into a sink that only counts (what the engines
+    /// price phase P5 with).
+    pub fn serialized_len(&self, solution: &Solution) -> usize {
+        let mut bytes = ByteCount(0);
+        write_dynamics(solution, &mut bytes).expect("counting cannot fail");
+        bytes.0
+    }
+}
+
+/// One row per sample: the time, then every species, tab-separated, all in
+/// `{:e}`.
+fn write_dynamics(solution: &Solution, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+    for (t, state) in solution.times.iter().zip(&solution.states) {
+        write!(out, "{t:e}")?;
+        for v in state {
+            write!(out, "\t{v:e}")?;
+        }
+        out.write_char('\n')?;
+    }
+    Ok(())
+}
+
+/// A [`std::fmt::Write`] sink that keeps only the number of bytes written.
+struct ByteCount(usize);
+
+impl std::fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 
@@ -408,5 +444,20 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0].split('\t').count(), 3);
         assert!(lines[1].starts_with("1e0"));
+    }
+
+    #[test]
+    fn serialized_len_counts_what_serialize_dynamics_writes() {
+        let m = model();
+        let job = SimulationJob::builder(&m).time_points(vec![1.0]).replicate(1).build().unwrap();
+        let awkward = [0.0, -0.0, 1.0, -1.5e-300, 6.02214076e23, f64::MIN_POSITIVE, 1.0 / 3.0];
+        let sol = Solution {
+            times: vec![0.0, 0.1, 1e-9, 12345.678],
+            states: awkward.windows(2).take(4).map(|w| w.to_vec()).collect(),
+            stats: Default::default(),
+        };
+        assert_eq!(job.serialized_len(&sol), job.serialize_dynamics(&sol).len());
+        let empty = Solution { times: vec![], states: vec![], stats: Default::default() };
+        assert_eq!(job.serialized_len(&empty), 0);
     }
 }

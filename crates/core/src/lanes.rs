@@ -24,6 +24,13 @@
 //!    of one lane-group — real + complex values over the dense `n²`
 //!    entries of each lane's factors — stays inside a fixed cache budget.
 //!
+//! The *explicit* lockstep phase has no factorization, hence nothing for
+//! that rule to price: the fine-coarse engine's P3 runs at the full width
+//! wherever the lane flux pass covers the model (`explicit_lane_width`),
+//! on lane groups that share one member queue (`solve_explicit_queue`) —
+//! where the stiff phase's groups are a fixed partition
+//! (`solve_lane_groups`), because its device billing is per group.
+//!
 //! The returned width only ever *narrows* the schedule; it never changes
 //! any trajectory (per-member results are bitwise independent of lane
 //! width by the lockstep solvers' contract), so tuning is purely a
@@ -31,11 +38,15 @@
 //! override.
 
 use crate::cost::COMPLEX_LU_AVG_FACTOR;
+use crate::SimulationJob;
 use paraspace_exec::{CancelToken, Cancelled, Executor};
 use paraspace_linalg::LuFactor;
 use paraspace_rbm::{CompiledOdes, ReactionBasedModel};
-use paraspace_solvers::SolverScratch;
+use paraspace_solvers::{
+    BatchOdeSystem, Dopri5Batch, Solution, SolveFailure, SolverOptions, SolverScratch,
+};
 use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Widest lane-group the engines schedule.
 pub(crate) const MAX_LANE_WIDTH: usize = 8;
@@ -75,6 +86,94 @@ pub(crate) fn solve_lane_groups<T: Send>(
         |scratch, g| solve(scratch, g, g * capacity..((g + 1) * capacity).min(members)),
     )?;
     Ok(groups.into_iter().map(|group| group.unwrap_or_else(|fault| panic!("{fault}"))).collect())
+}
+
+/// The lane width the fine-coarse engine's explicit phase (P3) integrates
+/// `members` fault-free non-stiff members at, on `workers` executor
+/// workers; `1` means the scalar DOPRI5 path.
+///
+/// The explicit lockstep kernel holds no factorization, so the LU rule of
+/// [`auto_lane_width`] has nothing to price here (it answers 1 for a sparse
+/// 128-species network whose P3 runs fastest at 8): the width is
+/// [`MAX_LANE_WIDTH`] unless pinned, narrowed to a power of two when each
+/// worker's share of the members would not fill it. Single members and
+/// models the lane flux pass does not cover stay scalar, and a pinned `1`
+/// is the all-scalar route.
+pub(crate) fn explicit_lane_width(
+    pinned: Option<usize>,
+    odes: &CompiledOdes,
+    members: usize,
+    workers: usize,
+) -> usize {
+    if members < 2 || !odes.supports_lane_batch() {
+        return 1;
+    }
+    let width = pinned.unwrap_or(MAX_LANE_WIDTH).max(1);
+    let share = members / workers.clamp(1, members);
+    if share < width {
+        1 << share.ilog2()
+    } else {
+        width
+    }
+}
+
+/// Integrates the queue members listed in `members` with lockstep DOPRI5 at
+/// `width`: one lane group per executor worker, each on its own
+/// `make_system(width)` (every one knowing every listed member), all
+/// pulling the next member of the list from one shared cursor, so no group
+/// idles while another still has a queue. Returns the attempts **in
+/// `members` order**,
+/// or `Err(Cancelled)` if `cancel` tripped first — the cursor stops handing
+/// out members, the lanes in flight drain, and the partial results are
+/// discarded.
+///
+/// Which group integrates a member, and beside which others, depends on
+/// timing; the member's attempt does not (the lockstep contract), so the
+/// returned vector is bitwise identical at any worker count and width. A
+/// panic that escapes a group is a bug in the lane plumbing and is resumed
+/// on the calling thread.
+pub(crate) fn solve_explicit_queue<S: BatchOdeSystem>(
+    executor: &Executor,
+    cancel: &CancelToken,
+    members: &[usize],
+    width: usize,
+    make_system: impl Fn(usize) -> S + Sync,
+    sample_times: &[f64],
+    options: &SolverOptions,
+) -> Result<Vec<Result<Solution, SolveFailure>>, Cancelled> {
+    // The cursor publishes nothing but itself (the member list and what the
+    // systems borrow are shared before any worker starts): relaxed is enough.
+    let cursor = AtomicUsize::new(0);
+    let groups = executor.threads().min(members.len().div_ceil(width));
+    let settled =
+        executor.try_map_with_cancel(groups, cancel, SolverScratch::new, |scratch, _group| {
+            let mut system = make_system(width);
+            let mut next_member = || {
+                if cancel.is_cancelled() {
+                    return None;
+                }
+                members.get(cursor.fetch_add(1, Ordering::Relaxed)).copied()
+            };
+            let (settled, _report) = Dopri5Batch::new().solve_queue(
+                &mut system,
+                &mut next_member,
+                0.0,
+                sample_times,
+                options,
+                scratch,
+            );
+            settled
+        })?;
+    let slots = members.iter().max().map_or(0, |&last| last + 1);
+    let mut by_member: Vec<Option<Result<Solution, SolveFailure>>> =
+        (0..slots).map(|_| None).collect();
+    for group in settled {
+        for (i, attempt) in group.unwrap_or_else(|fault| panic!("{fault}")) {
+            by_member[i] = Some(attempt);
+        }
+    }
+    // A member nobody integrated means the cursor refused it: cancelled.
+    members.iter().map(|&i| by_member[i].take().ok_or(Cancelled)).collect()
 }
 
 /// Cache budget for one lane-group's live factor values (real + complex),
@@ -300,7 +399,7 @@ pub fn auto_stoch_lane_width(model: &ReactionBasedModel) -> usize {
 /// honored as the documented baseline semantics either way.
 pub(crate) fn resolve_lane_width(
     pinned: Option<usize>,
-    job: &crate::SimulationJob,
+    job: &SimulationJob,
     engine: &str,
     scalar_stiff_radau: bool,
 ) -> usize {
@@ -395,6 +494,143 @@ mod tests {
         );
         assert_eq!(outcome, Err(Cancelled));
         assert_eq!(started.load(Ordering::SeqCst), 1);
+    }
+
+    #[test]
+    fn explicit_width_is_eight_unless_pinned_or_starved() {
+        let odes = chain_model(4, 1);
+        // Auto: the full width once every worker's share fills it...
+        assert_eq!(explicit_lane_width(None, &odes, 192, 2), 8);
+        assert_eq!(explicit_lane_width(None, &odes, 16, 2), 8);
+        // ...narrowed to a power of two when it does not...
+        assert_eq!(explicit_lane_width(None, &odes, 15, 2), 4);
+        assert_eq!(explicit_lane_width(None, &odes, 20, 4), 4);
+        assert_eq!(explicit_lane_width(None, &odes, 7, 2), 2);
+        assert_eq!(explicit_lane_width(None, &odes, 3, 2), 1);
+        assert_eq!(explicit_lane_width(None, &odes, 5, 64), 1);
+        // ...and scalar for a single member.
+        assert_eq!(explicit_lane_width(None, &odes, 1, 1), 1);
+        // A pin is honored (1 = the all-scalar route), and starved alike.
+        assert_eq!(explicit_lane_width(Some(1), &odes, 192, 2), 1);
+        assert_eq!(explicit_lane_width(Some(3), &odes, 192, 2), 3);
+        assert_eq!(explicit_lane_width(Some(8), &odes, 6, 1), 4);
+        // The LU rule is not asked: a chain it narrows to 1 still runs P3
+        // at full width.
+        let lu_bound = chain_model(114, 1);
+        assert_eq!(auto_lane_width(&lu_bound), 1);
+        assert_eq!(explicit_lane_width(None, &lu_bound, 192, 2), 8);
+    }
+
+    #[test]
+    fn explicit_width_is_scalar_for_non_mass_action_kinetics() {
+        use paraspace_rbm::Kinetics;
+        let mut m = ReactionBasedModel::new();
+        let s = m.add_species("S", 1.0);
+        let p = m.add_species("P", 0.0);
+        m.add_reaction(Reaction::with_kinetics(
+            &[(s, 1)],
+            &[(p, 1)],
+            1.0,
+            Kinetics::MichaelisMenten { km: 0.5 },
+        ))
+        .unwrap();
+        assert_eq!(explicit_lane_width(Some(8), &m.compile().unwrap(), 64, 1), 1);
+    }
+
+    /// A lane system that trips `cancel` from its `trip_at`-th RHS sweep
+    /// (counted over all groups) and counts the lanes bound by a group
+    /// whose own sweeps had already seen the token tripped.
+    struct Tripwire<'a> {
+        inner: crate::RbmBatchSystem<'a>,
+        cancel: &'a CancelToken,
+        sweeps: &'a AtomicUsize,
+        trip_at: usize,
+        saw_trip: bool,
+        late_binds: &'a AtomicUsize,
+    }
+
+    impl BatchOdeSystem for Tripwire<'_> {
+        fn dim(&self) -> usize {
+            self.inner.dim()
+        }
+        fn lanes(&self) -> usize {
+            self.inner.lanes()
+        }
+        fn members(&self) -> usize {
+            self.inner.members()
+        }
+        fn initial_state(&self, member: usize, y0: &mut [f64]) {
+            self.inner.initial_state(member, y0);
+        }
+        fn bind_lane(&mut self, lane: usize, member: usize) {
+            if self.saw_trip {
+                self.late_binds.fetch_add(1, Ordering::SeqCst);
+            }
+            self.inner.bind_lane(lane, member);
+        }
+        fn rhs_batch(
+            &mut self,
+            t: &[f64],
+            y: &paraspace_solvers::BatchState,
+            dydt: &mut paraspace_solvers::BatchState,
+        ) {
+            if self.sweeps.fetch_add(1, Ordering::SeqCst) + 1 >= self.trip_at {
+                self.cancel.cancel();
+            }
+            self.saw_trip = self.cancel.is_cancelled();
+            self.inner.rhs_batch(t, y, dydt);
+        }
+    }
+
+    #[test]
+    fn explicit_queue_cancels_mid_phase_without_refilling() {
+        // 40 members through 4-wide groups; the token trips from the RHS
+        // while the first members are still integrating. The lanes in
+        // flight drain, no group that has seen the trip binds another
+        // member, and the phase reports Cancelled — at one worker and at
+        // two sharing the cursor.
+        let mut m = ReactionBasedModel::new();
+        let a = m.add_species("A", 1.0);
+        let b = m.add_species("B", 0.2);
+        m.add_reaction(Reaction::mass_action(&[(a, 1)], &[(b, 1)], 0.9)).unwrap();
+        m.add_reaction(Reaction::mass_action(&[(b, 1)], &[(a, 1)], 0.4)).unwrap();
+        let job = SimulationJob::builder(&m)
+            .time_points(vec![0.5, 1.0, 2.0])
+            .replicate(40)
+            .build()
+            .unwrap();
+        let members: Vec<usize> = (0..job.batch_size()).collect();
+        let run = |threads: usize, cancel: &CancelToken, trip_at: usize| {
+            let (sweeps, late_binds) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let outcome = solve_explicit_queue(
+                &Executor::new(threads),
+                cancel,
+                &members,
+                4,
+                |width| Tripwire {
+                    inner: job.lane_system(width),
+                    cancel,
+                    sweeps: &sweeps,
+                    trip_at,
+                    saw_trip: false,
+                    late_binds: &late_binds,
+                },
+                job.time_points(),
+                job.options(),
+            );
+            (outcome, late_binds.into_inner())
+        };
+        let (uninterrupted, _) = run(1, &CancelToken::new(), usize::MAX);
+        let uninterrupted = uninterrupted.expect("an untripped token cancels nothing");
+        assert!(uninterrupted.iter().all(|attempt| attempt.is_ok()));
+        for threads in [1, 2] {
+            let (outcome, late_binds) = run(threads, &CancelToken::new(), 12);
+            assert_eq!(outcome, Err(Cancelled), "{threads} threads");
+            assert_eq!(late_binds, 0, "{threads} threads: refilled after the trip");
+            // Nothing of the cancelled attempt survives into the next one.
+            let (rerun, _) = run(threads, &CancelToken::new(), usize::MAX);
+            assert_eq!(rerun.as_ref(), Ok(&uninterrupted), "{threads} threads");
+        }
     }
 
     #[test]

@@ -172,10 +172,37 @@ mod tests {
 /// otherwise).
 pub struct RbmBatchSystem<'a> {
     odes: &'a CompiledOdes,
-    members: Vec<(&'a [f64], &'a [f64])>, // (x0, k) per queued member
+    members: MemberTable<'a>,
     lanes: usize,
     k_lanes: Vec<f64>, // M × L lane-bound rate constants
     flux: Vec<f64>,    // M × L flux workspace
+}
+
+/// Where a queue's `(x0, k)` pairs live.
+enum MemberTable<'a> {
+    /// Appended one by one through [`RbmBatchSystem::push_member`].
+    Pushed(Vec<(&'a [f64], &'a [f64])>),
+    /// A job's whole resolved batch, borrowed in place.
+    Batch(&'a [(Vec<f64>, Vec<f64>)]),
+}
+
+impl<'a> MemberTable<'a> {
+    fn len(&self) -> usize {
+        match self {
+            MemberTable::Pushed(members) => members.len(),
+            MemberTable::Batch(batch) => batch.len(),
+        }
+    }
+
+    fn get(&self, member: usize) -> (&'a [f64], &'a [f64]) {
+        match self {
+            MemberTable::Pushed(members) => members[member],
+            MemberTable::Batch(batch) => {
+                let (x0, k) = &batch[member];
+                (x0, k)
+            }
+        }
+    }
 }
 
 impl<'a> RbmBatchSystem<'a> {
@@ -186,12 +213,26 @@ impl<'a> RbmBatchSystem<'a> {
     /// Panics if the network mixes kinetics the batched flux pass does not
     /// cover, or if `lanes` is zero.
     pub fn new(odes: &'a CompiledOdes, lanes: usize) -> Self {
+        Self::with_members(odes, MemberTable::Pushed(Vec::new()), lanes)
+    }
+
+    /// The queue behind [`SimulationJob::lane_system`](crate::SimulationJob::lane_system):
+    /// every `(x0, k)` of a resolved batch, borrowed where it lies.
+    pub(crate) fn over_batch(
+        odes: &'a CompiledOdes,
+        batch: &'a [(Vec<f64>, Vec<f64>)],
+        lanes: usize,
+    ) -> Self {
+        Self::with_members(odes, MemberTable::Batch(batch), lanes)
+    }
+
+    fn with_members(odes: &'a CompiledOdes, members: MemberTable<'a>, lanes: usize) -> Self {
         assert!(odes.supports_lane_batch(), "lane batching requires mass-action kinetics");
         assert!(lanes > 0, "lane width must be positive");
         let m = odes.n_reactions();
         RbmBatchSystem {
             odes,
-            members: Vec::new(),
+            members,
             lanes,
             k_lanes: vec![0.0; m * lanes],
             flux: vec![0.0; m * lanes],
@@ -202,11 +243,15 @@ impl<'a> RbmBatchSystem<'a> {
     ///
     /// # Panics
     ///
-    /// Panics on a dimension mismatch with the compiled network.
+    /// Panics on a dimension mismatch with the compiled network, or if the
+    /// queue borrows a job's batch (it is complete as built).
     pub fn push_member(&mut self, x0: &'a [f64], k: &'a [f64]) {
         assert_eq!(x0.len(), self.odes.n_species(), "initial-state length");
         assert_eq!(k.len(), self.odes.n_reactions(), "rate-constant length");
-        self.members.push((x0, k));
+        match &mut self.members {
+            MemberTable::Pushed(members) => members.push((x0, k)),
+            MemberTable::Batch(_) => panic!("a queue over a job's batch takes no further members"),
+        }
     }
 }
 
@@ -233,11 +278,11 @@ impl BatchOdeSystem for RbmBatchSystem<'_> {
     }
 
     fn initial_state(&self, member: usize, y0: &mut [f64]) {
-        y0.copy_from_slice(self.members[member].0);
+        y0.copy_from_slice(self.members.get(member).0);
     }
 
     fn bind_lane(&mut self, lane: usize, member: usize) {
-        let k = self.members[member].1;
+        let k = self.members.get(member).1;
         for (r, &kr) in k.iter().enumerate() {
             self.k_lanes[r * self.lanes + lane] = kr;
         }

@@ -86,6 +86,42 @@ fn token_tripped_for_the_stiff_phase_cancels_fine_coarse() {
 }
 
 #[test]
+fn token_tripping_during_the_explicit_phase_cancels_fine_coarse() {
+    // Nobody is stiff, so the run is P3: lockstep DOPRI5 groups pulling
+    // members off one shared queue, polling the token at every refill. The
+    // token's deadline passes a moment into a batch that takes far longer:
+    // wherever exactly that lands, the groups stop refilling, drain and the
+    // run reports Cancelled with nothing kept. (`lanes.rs` trips the token
+    // at a chosen RHS sweep and checks that no lane is bound afterwards.)
+    let m = model();
+    let job = job(&m, 16_000);
+    let baseline = FineCoarseEngine::new().run(&job).unwrap();
+    assert!(baseline.outcomes.iter().all(|o| !o.stiff && o.solver == "dopri5"));
+
+    for threads in [1, 2] {
+        let cancel = CancelToken::new();
+        cancel.set_deadline_ms(paraspace_exec::unix_now_ms() + 1);
+        let engine = FineCoarseEngine::new().with_threads(threads).with_cancel(cancel);
+        match engine.run(&job) {
+            Err(SimError::Cancelled) => {}
+            other => panic!("{threads} threads: expected Cancelled, got {:?}", other.map(|_| ())),
+        }
+
+        // A fresh token reproduces the uninterrupted run bitwise.
+        let rerun = FineCoarseEngine::new()
+            .with_threads(threads)
+            .with_cancel(CancelToken::new())
+            .run(&job)
+            .unwrap();
+        assert_eq!(baseline.timing.simulated_total_ns, rerun.timing.simulated_total_ns);
+        assert_eq!(baseline.health, rerun.health);
+        for (a, b) in baseline.outcomes.iter().zip(&rerun.outcomes) {
+            assert_eq!(a.solution.as_ref().unwrap(), b.solution.as_ref().unwrap());
+        }
+    }
+}
+
+#[test]
 fn fresh_token_is_inert_and_rerun_is_bitwise_identical() {
     let m = model();
     let job = job(&m, 6);

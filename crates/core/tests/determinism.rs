@@ -8,11 +8,13 @@
 //! into the timeline fails these tests.
 
 use paraspace_core::{
-    AutoEngine, BatchResult, CoarseEngine, CpuEngine, CpuSolverKind, FineCoarseEngine, FineEngine,
-    RbmOdeSystem, RecoveryPolicy, SimulationJob, Simulator,
+    AutoEngine, BatchResult, CoarseEngine, CpuEngine, CpuSolverKind, FaultPlan, FaultSpec,
+    FineCoarseEngine, FineEngine, RbmOdeSystem, RecoveryPolicy, SimulationJob, Simulator,
 };
 use paraspace_rbm::{perturbed_batch, Parameterization, Reaction, ReactionBasedModel};
-use paraspace_solvers::{OdeSolver, Radau5, Solution, SolverOptions, SolverScratch};
+use paraspace_solvers::{
+    Dopri5, OdeSolver, Radau5, Solution, SolverError, SolverOptions, SolverScratch,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -77,6 +79,7 @@ fn assert_identical(reference: &BatchResult, parallel: &BatchResult, label: &str
         assert_eq!(r.stiff, p.stiff, "{label}: member {i} stiffness class");
         assert_eq!(r.rerouted, p.rerouted, "{label}: member {i} reroute flag");
         assert_eq!(r.solver, p.solver, "{label}: member {i} solver");
+        assert_eq!(r.log, p.log, "{label}: member {i} recovery log");
         match (&r.solution, &p.solution) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.times, b.times, "{label}: member {i} sample times");
@@ -247,6 +250,75 @@ fn fine_coarse_p4_lane_groups_are_independent_of_threads() {
                 &parallel,
                 &format!("fine-coarse P4 lanes, width {width}, {threads} threads"),
             );
+        }
+    }
+}
+
+#[test]
+fn fine_coarse_p3_lanes_match_the_scalar_route_at_any_width_and_thread_count() {
+    // P3 on lockstep lanes off one shared queue: which group integrates a
+    // member, beside whom, depends on the width and on thread timing; the
+    // batch result must not. The crowd: 18 gentle members; two that DOPRI5
+    // hands over mid-run (|λ| = 400 is under P2's threshold, and 50 time
+    // units at the stability bound are thousands of steps) — one of them
+    // fault-planned with a fault that never fires, so it keeps the scalar
+    // P3 path and P4 sees a single clean member, i.e. runs scalar RADAU5
+    // at every width; and one whose 600-odd stability-bound steps outlast
+    // the step budget, a terminal P3 failure.
+    let m = reversible_model();
+    let mut rng = StdRng::seed_from_u64(20);
+    let mut params = perturbed_batch(&m, 18, &mut rng);
+    let (handed_over, planned, out_of_budget) = (4, 11, 15);
+    params.insert(handed_over, Parameterization::new().with_rate_constants(vec![300.0, 100.0]));
+    params.insert(planned, Parameterization::new().with_rate_constants(vec![250.0, 150.0]));
+    params.insert(out_of_budget, Parameterization::new().with_rate_constants(vec![30.0, 10.0]));
+    let options = SolverOptions { step_budget: Some(400), ..SolverOptions::default() };
+    let job = SimulationJob::builder(&m)
+        .time_points(vec![1.0, 10.0, 50.0])
+        .parameterizations(params)
+        .options(options)
+        .fault_plan(FaultPlan::new().with_fault(planned, FaultSpec::nan_at_time(1e9)))
+        .build()
+        .unwrap();
+
+    let reference = FineCoarseEngine::new().with_lane_width(1).run(&job).unwrap();
+    let mut scratch = SolverScratch::new();
+    for (i, outcome) in reference.outcomes.iter().enumerate() {
+        assert!(!outcome.stiff, "member {i}: P2 must leave the whole crowd to P3");
+        let (x0, k) = job.member(i);
+        let sys = RbmOdeSystem::new(job.odes(), k.to_vec());
+        let scalar = Dopri5::new().solve_pooled(
+            &sys,
+            0.0,
+            x0,
+            job.time_points(),
+            job.options(),
+            &mut scratch,
+        );
+        if i == handed_over || i == planned {
+            let error = scalar.unwrap_err().error;
+            assert!(matches!(error, SolverError::StiffnessDetected { .. }), "member {i}: {error}");
+            assert!(outcome.rerouted && outcome.solver == "radau5", "member {i}");
+            assert!(outcome.solution.is_ok(), "member {i}");
+        } else if i == out_of_budget {
+            let error = scalar.unwrap_err().error;
+            assert!(matches!(error, SolverError::StepBudgetExhausted { .. }), "member {i}");
+            assert_eq!(outcome.solution.as_ref().unwrap_err(), &error, "member {i}");
+            assert!(!outcome.rerouted && outcome.solver == "dopri5", "member {i}");
+        } else {
+            assert_eq!(outcome.solution.as_ref().unwrap(), &scalar.unwrap(), "member {i}");
+            assert_eq!(outcome.solver, "dopri5", "member {i}");
+        }
+    }
+
+    for threads in [1, 2, 4] {
+        for width in [Some(1), Some(2), Some(4), Some(8), None] {
+            let mut engine = FineCoarseEngine::new().with_threads(threads);
+            if let Some(width) = width {
+                engine = engine.with_lane_width(width);
+            }
+            let run = engine.run(&job).unwrap();
+            assert_identical(&reference, &run, &format!("width {width:?}, {threads} threads"));
         }
     }
 }

@@ -10,16 +10,35 @@
 //! their own smaller `h` in the next lockstep iteration; lanes that finish
 //! (or fail) park — their mask slot empties — and a lane-compaction pass
 //! rebinds the freed lane to the next pending member of the group's queue,
-//! so a long-running member never serializes the group behind it.
+//! so a long-running member never serializes the group behind it. The
+//! queue is the system's own `0..members()` ([`Dopri5Batch::solve_group`])
+//! or a caller-supplied source ([`Dopri5Batch::solve_queue`]) that several
+//! groups on several threads can share.
+//!
+//! # One tick
+//!
+//! A lockstep tick is a handful of passes over species-major/lane-minor
+//! rows (`lockstep_stages`): one per stage argument (the scalar solver's
+//! expression, per lane), then one that forms the embedded error, its
+//! scale, `Σ(e/w)²` and "`y_new` is finite" for every lane at once, and one
+//! for the stiffness detector's two sums. The per-lane controller then
+//! reads those reductions, and a last masked pass applies `y ← y_new`,
+//! `k1 ← k7` to the lanes whose step was accepted. Every pass is one
+//! `#[inline(always)]` body called with the lane width as a literal
+//! (1/2/4/8; any other width at run time), so rows have constant length
+//! where it matters and the compiler unrolls and vectorises them — the
+//! same construction as the `rbm` flux and Jacobian kernels.
 //!
 //! # Numerical contract
 //!
 //! Per-member results are **bitwise identical** to the scalar `Dopri5`
 //! solve of the same member, at any lane width. This falls out of two
 //! invariants: every per-lane arithmetic expression in this file mirrors
-//! the scalar implementation operation-for-operation, and no expression
-//! mixes values from two lanes, so a member's dependency chain is the same
-//! IEEE-754 sequence whether it runs in lane 3 of 8 or alone. The
+//! the scalar implementation operation-for-operation (sums over species
+//! run in species order per lane, as the scalar norms do), and no
+//! expression mixes values from two lanes, so a member's dependency chain
+//! is the same IEEE-754 sequence whether it runs in lane 3 of 8 or alone,
+//! in this group or another. The
 //! determinism suite asserts `==` across lane widths and against the
 //! scalar path.
 //!
@@ -71,77 +90,71 @@ impl LaneReport {
 }
 
 /// Pooled working storage for one lockstep lane-group integration: the 7
-/// stage blocks, state/error blocks, probe buffers for lane (re)binding,
-/// per-lane control vectors, and scalar gather buffers for the
-/// lane-initialization arithmetic.
+/// stage blocks, the state, stage-argument and new-state blocks, per-lane
+/// control and reduction vectors, and scalar gather buffers for the
+/// lane-initialization arithmetic. Lane (re)binding probes through
+/// `y_stage` and `k[1]`, which hold nothing between two ticks.
 #[derive(Debug, Default)]
 pub(crate) struct DopriBatchScratch {
-    k: Vec<BatchState>,
+    k: [BatchState; 7],
     y: BatchState,
     y_stage: BatchState,
     y_new: BatchState,
-    y_sti: BatchState,
-    err_vec: BatchState,
-    scale: BatchState,
-    probe_y: BatchState,
-    probe_f: BatchState,
     member_buf: Vec<f64>,
     aux_y: Vec<f64>,
     aux_f: Vec<f64>,
     aux_sc: Vec<f64>,
     aux_d: Vec<f64>,
-    r: Vec<Vec<f64>>,
+    r: [Vec<f64>; 5],
     t: Vec<f64>,
     h: Vec<f64>,
     t_stage: Vec<f64>,
+    // One tick's per-lane reductions: Σ(e/w)² over species, the stiffness
+    // detector's two sums, "y_new is finite", and "advance this lane".
+    err_sq: Vec<f64>,
+    st_num: Vec<f64>,
+    st_den: Vec<f64>,
+    finite: Vec<bool>,
+    advance: Vec<bool>,
 }
 
 impl DopriBatchScratch {
     /// Sizes every buffer for dimension `n` × `lanes` lanes (stale contents
     /// are harmless: live lanes fully rewrite their columns before reads).
     fn ensure(&mut self, n: usize, lanes: usize) {
-        if self.k.len() != 7 {
-            self.k = (0..7).map(|_| BatchState::zeros(n, lanes)).collect();
-        }
-        if self.r.len() != 5 {
-            self.r = (0..5).map(|_| vec![0.0; n]).collect();
-        }
-        for b in self.k.iter_mut() {
+        let blocks = [&mut self.y, &mut self.y_stage, &mut self.y_new];
+        for b in self.k.iter_mut().chain(blocks) {
             if b.dim() != n || b.lanes() != lanes {
                 b.resize(n, lanes);
             }
         }
-        for b in [
-            &mut self.y,
-            &mut self.y_stage,
-            &mut self.y_new,
-            &mut self.y_sti,
-            &mut self.err_vec,
-            &mut self.scale,
-            &mut self.probe_y,
-            &mut self.probe_f,
-        ] {
-            if b.dim() != n || b.lanes() != lanes {
-                b.resize(n, lanes);
-            }
-        }
-        for v in self.r.iter_mut() {
-            v.resize(n, 0.0);
-        }
-        for v in [
+        let members = [
             &mut self.member_buf,
             &mut self.aux_y,
             &mut self.aux_f,
             &mut self.aux_sc,
             &mut self.aux_d,
-        ] {
+        ];
+        for v in self.r.iter_mut().chain(members) {
             v.resize(n, 0.0);
         }
-        for v in [&mut self.t, &mut self.h, &mut self.t_stage] {
+        for v in [
+            &mut self.t,
+            &mut self.h,
+            &mut self.t_stage,
+            &mut self.err_sq,
+            &mut self.st_num,
+            &mut self.st_den,
+        ] {
             v.resize(lanes, 0.0);
         }
+        self.finite.resize(lanes, true);
+        self.advance.resize(lanes, false);
     }
 }
+
+/// How one member's integration ended.
+type Attempt = Result<Solution, SolveFailure>;
 
 /// Per-lane control state: everything the scalar DOPRI5 keeps in local
 /// variables for its single trajectory.
@@ -230,102 +243,107 @@ impl Dopri5Batch {
         sample_times: &[f64],
         options: &SolverOptions,
         scratch: &mut SolverScratch,
-    ) -> (Vec<Result<Solution, SolveFailure>>, LaneReport) {
-        solve_group_impl(system, t0, sample_times, options, &mut scratch.dopri_batch)
+    ) -> (Vec<Attempt>, LaneReport) {
+        let mut pending = 0..system.members();
+        let (settled, report) =
+            self.solve_queue(system, &mut || pending.next(), t0, sample_times, options, scratch);
+        let mut results: Vec<_> = (0..system.members()).map(|_| None).collect();
+        for (m, result) in settled {
+            results[m] = Some(result);
+        }
+        let results = results
+            .into_iter()
+            .enumerate()
+            .map(|(m, r)| r.unwrap_or_else(|| panic!("member {m} never scheduled")))
+            .collect();
+        (results, report)
+    }
+
+    /// Like [`solve_group`](Self::solve_group), but the members come from
+    /// `next_member` instead of `0..system.members()`: whenever a lane is
+    /// free the group asks it for the next member index (any index
+    /// `system` knows), and stops asking at the first `None` — the live
+    /// lanes then drain and the call returns. Several groups, each with its
+    /// own `system` and scratch, can therefore serve one shared queue, and
+    /// a source that starts answering `None` early (a cancellation) ends
+    /// the group at its members in flight.
+    ///
+    /// Returns `(member, result)` pairs in the order the members settled.
+    /// A member's result does not depend on which group integrated it, nor
+    /// beside which other members.
+    pub fn solve_queue(
+        &self,
+        system: &mut dyn BatchOdeSystem,
+        next_member: &mut dyn FnMut() -> Option<usize>,
+        t0: f64,
+        sample_times: &[f64],
+        options: &SolverOptions,
+        scratch: &mut SolverScratch,
+    ) -> (Vec<(usize, Attempt)>, LaneReport) {
+        solve_queue_impl(system, next_member, t0, sample_times, options, &mut scratch.dopri_batch)
     }
 }
 
-fn solve_group_impl(
+fn solve_queue_impl(
     system: &mut dyn BatchOdeSystem,
+    next_member: &mut dyn FnMut() -> Option<usize>,
     t0: f64,
     sample_times: &[f64],
     options: &SolverOptions,
     ws: &mut DopriBatchScratch,
-) -> (Vec<Result<Solution, SolveFailure>>, LaneReport) {
+) -> (Vec<(usize, Attempt)>, LaneReport) {
     let n = system.dim();
     let lanes = system.lanes();
-    let members = system.members();
     assert!(lanes >= 1, "lane width must be at least 1");
     let mut report = LaneReport { width: lanes, ..LaneReport::default() };
-    let mut results: Vec<Option<Result<Solution, SolveFailure>>> =
-        (0..members).map(|_| None).collect();
-
+    let mut results: Vec<(usize, Attempt)> = Vec::new();
     ws.ensure(n, lanes);
-    let DopriBatchScratch {
-        k,
-        y,
-        y_stage,
-        y_new,
-        y_sti,
-        err_vec,
-        scale,
-        probe_y,
-        probe_f,
-        member_buf,
-        aux_y,
-        aux_f,
-        aux_sc,
-        aux_d,
-        r,
-        t,
-        h,
-        t_stage,
-    } = ws;
 
-    // Up-front validation, one member at a time (mirrors the scalar
-    // preamble; invalid members never occupy a lane).
-    for (m, slot) in results.iter_mut().enumerate() {
-        system.initial_state(m, member_buf);
-        if let Err(error) = check_inputs(n, member_buf, t0, sample_times, options) {
-            *slot = Some(Err(SolveFailure { error, stats: StepStats::default() }));
-        }
-    }
-
-    let t_end = match sample_times.last() {
-        Some(&te) => te,
-        None => {
-            // No samples requested: every valid member is an empty success.
-            let out = results
-                .into_iter()
-                .map(|r| r.unwrap_or_else(|| Ok(Solution::with_capacity(0))))
-                .collect();
-            return (out, report);
-        }
-    };
+    // Without samples every valid member is an empty success before it is
+    // bound to a lane (as in the scalar preamble), and `t_end` is not read.
+    let t_end = sample_times.last().copied().unwrap_or(t0);
 
     let mut ctl: Vec<Option<LaneCtl>> = (0..lanes).map(|_| None).collect();
-    let mut next_member = 0usize;
+    let mut fresh: Vec<usize> = Vec::with_capacity(lanes);
+    let mut exhausted = false;
 
     loop {
         // --- Lane compaction: bind pending members into free lanes. ---
-        let mut fresh: Vec<usize> = Vec::new();
+        fresh.clear();
         for lane in 0..lanes {
             if ctl[lane].is_some() {
                 continue;
             }
-            while next_member < members {
-                let m = next_member;
-                next_member += 1;
-                if results[m].is_some() {
-                    continue; // failed validation
+            while !exhausted {
+                let Some(m) = next_member() else {
+                    exhausted = true;
+                    break;
+                };
+                // Validation mirrors the scalar preamble; an invalid
+                // member never occupies a lane.
+                system.initial_state(m, &mut ws.member_buf);
+                if let Err(error) = check_inputs(n, &ws.member_buf, t0, sample_times, options) {
+                    results.push((m, Err(SolveFailure { error, stats: StepStats::default() })));
+                    continue;
                 }
-                system.initial_state(m, member_buf);
                 let mut sol = Solution::with_capacity(sample_times.len());
-                sol.stats.rhs_evals += 1; // f(t0, y0), evaluated lane-wide below
+                // f(t0, y0), evaluated lane-wide below (the scalar solver
+                // returns before it when no sample is requested).
+                sol.stats.rhs_evals += usize::from(!sample_times.is_empty());
                 let mut next_sample = 0;
                 while next_sample < sample_times.len() && sample_times[next_sample] <= t0 {
                     sol.times.push(sample_times[next_sample]);
-                    sol.states.push(member_buf.clone());
+                    sol.states.push(ws.member_buf.clone());
                     next_sample += 1;
                 }
                 if next_sample == sample_times.len() {
-                    results[m] = Some(Ok(sol)); // every sample was at/before t0
+                    results.push((m, Ok(sol))); // every sample was at/before t0
                     continue;
                 }
                 system.bind_lane(lane, m);
-                y.scatter_lane(lane, member_buf);
-                t[lane] = t0;
-                h[lane] = 0.0;
+                ws.y.scatter_lane(lane, &ws.member_buf);
+                ws.t[lane] = t0;
+                ws.h[lane] = 0.0;
                 ctl[lane] = Some(LaneCtl {
                     member: m,
                     sol,
@@ -344,67 +362,7 @@ fn solve_group_impl(
 
         // --- Initialize fresh lanes: FSAL seed + Hairer hinit, lane-wide. ---
         if !fresh.is_empty() {
-            // One sweep computes f(t0, y0) for every fresh lane; live lanes'
-            // FSAL derivatives stay untouched in k[0] (the sweep output goes
-            // to a temporary block).
-            system.rhs_batch(t, y, probe_f);
-            report.refill_sweeps += 1;
-            for &lane in &fresh {
-                k[0].copy_lane_from(probe_f, lane);
-            }
-            if let Some(h0) = options.initial_step {
-                for &lane in &fresh {
-                    h[lane] = h0;
-                }
-            } else {
-                // Lane-wise `initial_step_size`: same arithmetic, with the
-                // Euler probe batched into a single sweep for all fresh
-                // lanes (live lanes pass through with their current state).
-                probe_y.as_mut_slice().copy_from_slice(y.as_slice());
-                t_stage.copy_from_slice(t);
-                for &lane in &fresh {
-                    y.gather_lane(lane, aux_y);
-                    k[0].gather_lane(lane, aux_f);
-                    for i in 0..n {
-                        aux_sc[i] = options.abs_tol + options.rel_tol * aux_y[i].abs();
-                    }
-                    let d0 = weighted_rms_norm(aux_y, aux_sc);
-                    let d1 = weighted_rms_norm(aux_f, aux_sc);
-                    let h0 = if d0 < 1e-5 || d1 < 1e-5 { 1e-6 } else { 0.01 * (d0 / d1) };
-                    let h0 = h0.min(options.max_step);
-                    for i in 0..n {
-                        aux_d[i] = aux_y[i] + h0 * aux_f[i];
-                    }
-                    probe_y.scatter_lane(lane, aux_d);
-                    t_stage[lane] = t[lane] + h0;
-                    h[lane] = h0; // provisional; finalized after the probe
-                }
-                system.rhs_batch(t_stage, probe_y, probe_f);
-                report.refill_sweeps += 1;
-                for &lane in &fresh {
-                    let h0 = h[lane];
-                    y.gather_lane(lane, aux_y);
-                    k[0].gather_lane(lane, aux_f);
-                    for i in 0..n {
-                        aux_sc[i] = options.abs_tol + options.rel_tol * aux_y[i].abs();
-                    }
-                    probe_f.gather_lane(lane, aux_d);
-                    for i in 0..n {
-                        aux_d[i] -= aux_f[i];
-                    }
-                    let d1 = weighted_rms_norm(aux_f, aux_sc);
-                    let d2 = weighted_rms_norm(aux_d, aux_sc) / h0;
-                    let dmax = d1.max(d2);
-                    let h1 = if dmax <= 1e-15 {
-                        (h0 * 1e-3).max(1e-6)
-                    } else {
-                        (0.01 / dmax).powf(1.0 / 6.0)
-                    };
-                    h[lane] = (100.0 * h0).min(h1).min(options.max_step);
-                    let c = ctl[lane].as_mut().expect("fresh lane is bound");
-                    c.sol.stats.rhs_evals += 1;
-                }
-            }
+            init_fresh_lanes(system, ws, &fresh, &mut ctl, options, &mut report);
         }
 
         if ctl.iter().all(|c| c.is_none()) {
@@ -412,6 +370,7 @@ fn solve_group_impl(
         }
 
         // --- Per-lane pre-step control (mirrors the scalar loop head). ---
+        let (t, h) = (&ws.t, &mut ws.h);
         for lane in 0..lanes {
             let mut park: Option<SolverError> = None;
             if let Some(c) = ctl[lane].as_mut() {
@@ -434,7 +393,7 @@ fn solve_group_impl(
             }
             if let Some(error) = park {
                 let c = ctl[lane].take().expect("parked lane was live");
-                results[c.member] = Some(Err(SolveFailure { error, stats: c.sol.stats }));
+                results.push((c.member, Err(SolveFailure { error, stats: c.sol.stats })));
                 h[lane] = 0.0;
             }
         }
@@ -445,186 +404,37 @@ fn solve_group_impl(
         report.lockstep_iters += 1;
         report.lane_steps += live as u64;
 
-        // --- Lockstep stages 2..7: lane-wide sweeps, per-lane h. ---
-        {
-            let (yv, k0) = (y.as_slice(), k[0].as_slice());
-            let ys = y_stage.as_mut_slice();
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    ys[b + l] = yv[b + l] + h[l] * A21 * k0[b + l];
-                }
-            }
-            for l in 0..lanes {
-                t_stage[l] = t[l] + C2 * h[l];
-            }
-        }
-        system.rhs_batch(t_stage, y_stage, &mut k[1]);
-        {
-            let (yv, k0, k1) = (y.as_slice(), k[0].as_slice(), k[1].as_slice());
-            let ys = y_stage.as_mut_slice();
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    ys[b + l] = yv[b + l] + h[l] * (A31 * k0[b + l] + A32 * k1[b + l]);
-                }
-            }
-            for l in 0..lanes {
-                t_stage[l] = t[l] + C3 * h[l];
-            }
-        }
-        system.rhs_batch(t_stage, y_stage, &mut k[2]);
-        {
-            let (yv, k0, k1, k2) =
-                (y.as_slice(), k[0].as_slice(), k[1].as_slice(), k[2].as_slice());
-            let ys = y_stage.as_mut_slice();
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    ys[b + l] =
-                        yv[b + l] + h[l] * (A41 * k0[b + l] + A42 * k1[b + l] + A43 * k2[b + l]);
-                }
-            }
-            for l in 0..lanes {
-                t_stage[l] = t[l] + C4 * h[l];
-            }
-        }
-        system.rhs_batch(t_stage, y_stage, &mut k[3]);
-        {
-            let (yv, k0, k1, k2, k3) =
-                (y.as_slice(), k[0].as_slice(), k[1].as_slice(), k[2].as_slice(), k[3].as_slice());
-            let ys = y_stage.as_mut_slice();
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    ys[b + l] = yv[b + l]
-                        + h[l]
-                            * (A51 * k0[b + l]
-                                + A52 * k1[b + l]
-                                + A53 * k2[b + l]
-                                + A54 * k3[b + l]);
-                }
-            }
-            for l in 0..lanes {
-                t_stage[l] = t[l] + C5 * h[l];
-            }
-        }
-        system.rhs_batch(t_stage, y_stage, &mut k[4]);
-        {
-            let (yv, k0, k1, k2, k3, k4) = (
-                y.as_slice(),
-                k[0].as_slice(),
-                k[1].as_slice(),
-                k[2].as_slice(),
-                k[3].as_slice(),
-                k[4].as_slice(),
-            );
-            let ys = y_sti.as_mut_slice();
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    ys[b + l] = yv[b + l]
-                        + h[l]
-                            * (A61 * k0[b + l]
-                                + A62 * k1[b + l]
-                                + A63 * k2[b + l]
-                                + A64 * k3[b + l]
-                                + A65 * k4[b + l]);
-                }
-            }
-            for l in 0..lanes {
-                t_stage[l] = t[l] + h[l];
-            }
-        }
-        system.rhs_batch(t_stage, y_sti, &mut k[5]);
-        {
-            let (yv, k0, k2, k3, k4, k5) = (
-                y.as_slice(),
-                k[0].as_slice(),
-                k[2].as_slice(),
-                k[3].as_slice(),
-                k[4].as_slice(),
-                k[5].as_slice(),
-            );
-            let ys = y_new.as_mut_slice();
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    ys[b + l] = yv[b + l]
-                        + h[l]
-                            * (A71 * k0[b + l]
-                                + A73 * k2[b + l]
-                                + A74 * k3[b + l]
-                                + A75 * k4[b + l]
-                                + A76 * k5[b + l]);
-                }
-            }
-        }
-        system.rhs_batch(t_stage, y_new, &mut k[6]);
-
-        // --- Embedded error estimate and scale, lane-wide. ---
-        {
-            let (k0, k2, k3, k4, k5, k6) = (
-                k[0].as_slice(),
-                k[2].as_slice(),
-                k[3].as_slice(),
-                k[4].as_slice(),
-                k[5].as_slice(),
-                k[6].as_slice(),
-            );
-            let ev = err_vec.as_mut_slice();
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    ev[b + l] = h[l]
-                        * (E1 * k0[b + l]
-                            + E3 * k2[b + l]
-                            + E4 * k3[b + l]
-                            + E5 * k4[b + l]
-                            + E6 * k5[b + l]
-                            + E7 * k6[b + l]);
-                }
-            }
-            let (yv, ynv) = (y.as_slice(), y_new.as_slice());
-            let sc = scale.as_mut_slice();
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    sc[b + l] =
-                        options.abs_tol + options.rel_tol * yv[b + l].abs().max(ynv[b + l].abs());
-                }
-            }
+        // --- Lockstep stages 2..7 and the tick's per-lane reductions. ---
+        match lanes {
+            1 => lockstep_stages(1, system, ws, options),
+            2 => lockstep_stages(2, system, ws, options),
+            4 => lockstep_stages(4, system, ws, options),
+            8 => lockstep_stages(8, system, ws, options),
+            w => lockstep_stages(w, system, ws, options),
         }
 
-        // --- Per-lane acceptance, controller, sampling, FSAL. ---
-        let (k_head, k_tail) = k.split_at_mut(1);
-        let k0m = k_head[0].as_mut_slice();
-        let (k2s, k3s, k4s, k5s, k6s) = (
-            k_tail[1].as_slice(),
-            k_tail[2].as_slice(),
-            k_tail[3].as_slice(),
-            k_tail[4].as_slice(),
-            k_tail[5].as_slice(),
-        );
-        let ys = y.as_mut_slice();
-        let yns = y_new.as_slice();
-        let ystis = y_sti.as_slice();
-        let evs = err_vec.as_slice();
-        let scs = scale.as_slice();
+        // --- Per-lane acceptance, controller, sampling. ---
+        let DopriBatchScratch {
+            k, y, y_new, r, t, h, err_sq, st_num, st_den, finite, advance, ..
+        } = &mut *ws;
+        let [k1, _, k3, k4, k5, k6, k7] = &*k;
+        let (k1, k3, k4) = (k1.as_slice(), k3.as_slice(), k4.as_slice());
+        let (k5, k6, k7) = (k5.as_slice(), k6.as_slice(), k7.as_slice());
+        let (ys, yns) = (y.as_slice(), y_new.as_slice());
         for lane in 0..lanes {
             enum Park {
                 Done,
                 Fail(SolverError),
             }
+            advance[lane] = false;
             let mut park: Option<Park> = None;
             if let Some(c) = ctl[lane].as_mut() {
                 c.sol.stats.rhs_evals += 6;
                 c.sol.stats.steps += 1;
                 c.steps_since_sample += 1;
 
-                let err = lane_wrms(evs, scs, n, lanes, lane);
-                let finite = err.is_finite() && (0..n).all(|s| yns[s * lanes + lane].is_finite());
-                if !finite {
+                let err = if n == 0 { 0.0 } else { (err_sq[lane] / n as f64).sqrt() };
+                if !err.is_finite() || !finite[lane] {
                     // Hard rejection with aggressive shrink.
                     c.sol.stats.rejected += 1;
                     h[lane] *= 0.1;
@@ -650,35 +460,24 @@ fn solve_group_impl(
 
                         // Every accepted step, cost-aware hand-over: the
                         // scalar detector's rule, per lane.
-                        if options.stiffness_check_interval > 0 {
-                            let mut st_num = 0.0;
-                            let mut st_den = 0.0;
-                            for s in 0..n {
-                                let i = s * lanes + lane;
-                                let dk = k6s[i] - k5s[i];
-                                let dy = yns[i] - ystis[i];
-                                st_num += dk * dk;
-                                st_den += dy * dy;
-                            }
-                            if st_den > 0.0 {
-                                let h_lambda = h[lane] * (st_num / st_den).sqrt();
-                                if h_lambda > STIFF_THRESHOLD {
-                                    c.nonstiff_strikes = 0;
-                                    c.stiff_strikes += 1;
-                                    if c.stiff_strikes >= STIFF_STRIKES
-                                        && (t_end - (t[lane] + h[lane])) / h[lane]
-                                            > options.stiffness_check_interval as f64
-                                    {
-                                        c.sol.stats.stiffness_detected = true;
-                                        park = Some(Park::Fail(SolverError::StiffnessDetected {
-                                            t: t[lane],
-                                        }));
-                                    }
-                                } else {
-                                    c.nonstiff_strikes += 1;
-                                    if c.nonstiff_strikes >= 6 {
-                                        c.stiff_strikes = 0;
-                                    }
+                        if options.stiffness_check_interval > 0 && st_den[lane] > 0.0 {
+                            let h_lambda = h[lane] * (st_num[lane] / st_den[lane]).sqrt();
+                            if h_lambda > STIFF_THRESHOLD {
+                                c.nonstiff_strikes = 0;
+                                c.stiff_strikes += 1;
+                                if c.stiff_strikes >= STIFF_STRIKES
+                                    && (t_end - (t[lane] + h[lane])) / h[lane]
+                                        > options.stiffness_check_interval as f64
+                                {
+                                    c.sol.stats.stiffness_detected = true;
+                                    park = Some(Park::Fail(SolverError::StiffnessDetected {
+                                        t: t[lane],
+                                    }));
+                                }
+                            } else {
+                                c.nonstiff_strikes += 1;
+                                if c.nonstiff_strikes >= 6 {
+                                    c.stiff_strikes = 0;
                                 }
                             }
                         }
@@ -692,18 +491,18 @@ fn solve_group_impl(
                                 for s in 0..n {
                                     let i = s * lanes + lane;
                                     let ydiff = yns[i] - ys[i];
-                                    let bspl = h[lane] * k0m[i] - ydiff;
+                                    let bspl = h[lane] * k1[i] - ydiff;
                                     r[0][s] = ys[i];
                                     r[1][s] = ydiff;
                                     r[2][s] = bspl;
-                                    r[3][s] = ydiff - h[lane] * k6s[i] - bspl;
+                                    r[3][s] = ydiff - h[lane] * k7[i] - bspl;
                                     r[4][s] = h[lane]
-                                        * (D1 * k0m[i]
-                                            + D3 * k2s[i]
-                                            + D4 * k3s[i]
-                                            + D5 * k4s[i]
-                                            + D6 * k5s[i]
-                                            + D7 * k6s[i]);
+                                        * (D1 * k1[i]
+                                            + D3 * k3[i]
+                                            + D4 * k4[i]
+                                            + D5 * k5[i]
+                                            + D6 * k6[i]
+                                            + D7 * k7[i]);
                                 }
                                 while c.next_sample < sample_times.len()
                                     && sample_times[c.next_sample] <= t_new
@@ -731,16 +530,13 @@ fn solve_group_impl(
                             }
 
                             t[lane] = t_new;
-                            for s in 0..n {
-                                let i = s * lanes + lane;
-                                ys[i] = yns[i]; // y ← y_new
-                                k0m[i] = k6s[i]; // FSAL: k7 becomes k1
-                            }
-
                             if c.next_sample == sample_times.len() {
                                 c.sol.stats.stiffness_detected |= c.stiff_strikes > 0;
                                 park = Some(Park::Done);
                             } else {
+                                // y ← y_new and the FSAL k1 ← k7 happen for
+                                // all advancing lanes at once, below.
+                                advance[lane] = true;
                                 if c.last_rejected {
                                     h_new = h_new.min(h[lane]);
                                     c.last_rejected = false;
@@ -759,37 +555,326 @@ fn solve_group_impl(
             }
             if let Some(p) = park {
                 let c = ctl[lane].take().expect("parked lane was live");
-                results[c.member] = Some(match p {
+                let result = match p {
                     Park::Done => Ok(c.sol),
                     Park::Fail(error) => Err(SolveFailure { error, stats: c.sol.stats }),
-                });
+                };
+                results.push((c.member, result));
                 h[lane] = 0.0;
             }
         }
+
+        // --- Masked advance of every accepted lane. ---
+        let [k1, .., k7] = k;
+        let (y, k1) = (y.as_mut_slice(), k1.as_mut_slice());
+        match lanes {
+            1 => advance_rows(1, advance, yns, k7.as_slice(), y, k1),
+            2 => advance_rows(2, advance, yns, k7.as_slice(), y, k1),
+            4 => advance_rows(4, advance, yns, k7.as_slice(), y, k1),
+            8 => advance_rows(8, advance, yns, k7.as_slice(), y, k1),
+            w => advance_rows(w, advance, yns, k7.as_slice(), y, k1),
+        }
     }
 
-    let out = results
-        .into_iter()
-        .enumerate()
-        .map(|(m, r)| r.unwrap_or_else(|| panic!("member {m} never scheduled")))
-        .collect();
-    (out, report)
+    (results, report)
 }
 
-/// The per-lane strided equivalent of
-/// [`weighted_rms_norm`]: identical summation order over components.
-/// Shared with the lockstep Radau kernel.
-#[inline]
-pub(crate) fn lane_wrms(x: &[f64], w: &[f64], n: usize, lanes: usize, lane: usize) -> f64 {
-    if n == 0 {
-        return 0.0;
+/// Seeds the freshly bound `fresh` lanes: the FSAL derivative `f(t0, y0)`
+/// into `k1` and, unless the caller fixed it, Hairer's `hinit` step — the
+/// arithmetic of [`initial_step_size`](crate::initial_step_size) per lane,
+/// with its Euler probe batched into one sweep for all fresh lanes (live
+/// lanes pass through both sweeps with their current state).
+fn init_fresh_lanes(
+    system: &mut dyn BatchOdeSystem,
+    ws: &mut DopriBatchScratch,
+    fresh: &[usize],
+    ctl: &mut [Option<LaneCtl>],
+    options: &SolverOptions,
+    report: &mut LaneReport,
+) {
+    let DopriBatchScratch {
+        k,
+        y,
+        y_stage: probe_y,
+        aux_y,
+        aux_f,
+        aux_sc,
+        aux_d,
+        t,
+        h,
+        t_stage,
+        ..
+    } = ws;
+    let [k1, probe_f, ..] = k;
+    let n = y.dim();
+    // Live lanes' FSAL derivatives stay untouched in k1: the sweep output
+    // goes to a block that is dead until the next tick's second stage.
+    system.rhs_batch(t, y, probe_f);
+    report.refill_sweeps += 1;
+    for &lane in fresh {
+        k1.copy_lane_from(probe_f, lane);
     }
-    let mut sum = 0.0;
-    for s in 0..n {
-        let rr = x[s * lanes + lane] / w[s * lanes + lane];
-        sum += rr * rr;
+    if let Some(h0) = options.initial_step {
+        for &lane in fresh {
+            h[lane] = h0;
+        }
+        return;
     }
-    (sum / n as f64).sqrt()
+    probe_y.as_mut_slice().copy_from_slice(y.as_slice());
+    t_stage.copy_from_slice(t);
+    for &lane in fresh {
+        y.gather_lane(lane, aux_y);
+        k1.gather_lane(lane, aux_f);
+        for i in 0..n {
+            aux_sc[i] = options.abs_tol + options.rel_tol * aux_y[i].abs();
+        }
+        let d0 = weighted_rms_norm(aux_y, aux_sc);
+        let d1 = weighted_rms_norm(aux_f, aux_sc);
+        let h0 = if d0 < 1e-5 || d1 < 1e-5 { 1e-6 } else { 0.01 * (d0 / d1) };
+        let h0 = h0.min(options.max_step);
+        for i in 0..n {
+            aux_d[i] = aux_y[i] + h0 * aux_f[i];
+        }
+        probe_y.scatter_lane(lane, aux_d);
+        t_stage[lane] = t[lane] + h0;
+        h[lane] = h0; // provisional; finalized after the probe
+    }
+    system.rhs_batch(t_stage, probe_y, probe_f);
+    report.refill_sweeps += 1;
+    for &lane in fresh {
+        let h0 = h[lane];
+        y.gather_lane(lane, aux_y);
+        k1.gather_lane(lane, aux_f);
+        for i in 0..n {
+            aux_sc[i] = options.abs_tol + options.rel_tol * aux_y[i].abs();
+        }
+        probe_f.gather_lane(lane, aux_d);
+        for i in 0..n {
+            aux_d[i] -= aux_f[i];
+        }
+        let d1 = weighted_rms_norm(aux_f, aux_sc);
+        let d2 = weighted_rms_norm(aux_d, aux_sc) / h0;
+        let dmax = d1.max(d2);
+        let h1 = if dmax <= 1e-15 { (h0 * 1e-3).max(1e-6) } else { (0.01 / dmax).powf(1.0 / 6.0) };
+        h[lane] = (100.0 * h0).min(h1).min(options.max_step);
+        let c = ctl[lane].as_mut().expect("fresh lane is bound");
+        c.sol.stats.rhs_evals += 1;
+    }
+}
+
+/// One lockstep tick up to the controller: stages 2..7 — a lane-wide
+/// [`rhs_batch`](BatchOdeSystem::rhs_batch) sweep each, per-lane `h` — then
+/// the per-lane reductions the controller reads (`err_sq`, `finite`,
+/// `st_num`, `st_den`). Every formula is the scalar solver's, term for
+/// term.
+///
+/// Always inlined into a call site that fixes `lanes`, so each width the
+/// engines schedule gets its own copy of the row passes below with
+/// constant-length rows — the shape the compiler unrolls and vectorises —
+/// and any other width runs the same body with a run-time row length.
+#[inline(always)]
+fn lockstep_stages(
+    lanes: usize,
+    system: &mut dyn BatchOdeSystem,
+    ws: &mut DopriBatchScratch,
+    options: &SolverOptions,
+) {
+    let DopriBatchScratch {
+        k,
+        y,
+        y_stage,
+        y_new,
+        t,
+        h,
+        t_stage,
+        err_sq,
+        st_num,
+        st_den,
+        finite,
+        ..
+    } = ws;
+    let [k1, k2, k3, k4, k5, k6, k7] = k;
+    let (t, h, y) = (&t[..lanes], &h[..lanes], y.as_slice());
+
+    let k1 = k1.as_slice();
+    stage_rows(lanes, h, y, [k1], y_stage.as_mut_slice(), |h, [k1]| h * A21 * k1);
+    stage_times(C2, t, h, t_stage);
+    system.rhs_batch(t_stage, y_stage, k2);
+    let k2 = k2.as_slice();
+    stage_rows(lanes, h, y, [k1, k2], y_stage.as_mut_slice(), |h, [k1, k2]| {
+        h * (A31 * k1 + A32 * k2)
+    });
+    stage_times(C3, t, h, t_stage);
+    system.rhs_batch(t_stage, y_stage, k3);
+    let k3 = k3.as_slice();
+    stage_rows(lanes, h, y, [k1, k2, k3], y_stage.as_mut_slice(), |h, [k1, k2, k3]| {
+        h * (A41 * k1 + A42 * k2 + A43 * k3)
+    });
+    stage_times(C4, t, h, t_stage);
+    system.rhs_batch(t_stage, y_stage, k4);
+    let k4 = k4.as_slice();
+    stage_rows(lanes, h, y, [k1, k2, k3, k4], y_stage.as_mut_slice(), |h, [k1, k2, k3, k4]| {
+        h * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4)
+    });
+    stage_times(C5, t, h, t_stage);
+    system.rhs_batch(t_stage, y_stage, k5);
+    let k5 = k5.as_slice();
+    stage_rows(
+        lanes,
+        h,
+        y,
+        [k1, k2, k3, k4, k5],
+        y_stage.as_mut_slice(),
+        |h, [k1, k2, k3, k4, k5]| h * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5),
+    );
+    stage_times(1.0, t, h, t_stage); // t + h: 1·h is exact
+    system.rhs_batch(t_stage, y_stage, k6);
+    let k6 = k6.as_slice();
+    // 5th-order solution (stage 7 argument) and FSAL derivative.
+    stage_rows(
+        lanes,
+        h,
+        y,
+        [k1, k3, k4, k5, k6],
+        y_new.as_mut_slice(),
+        |h, [k1, k3, k4, k5, k6]| h * (A71 * k1 + A73 * k3 + A74 * k4 + A75 * k5 + A76 * k6),
+    );
+    system.rhs_batch(t_stage, y_new, k7);
+    let (k7, y_new) = (k7.as_slice(), y_new.as_slice());
+
+    error_rows(lanes, h, y, y_new, [k1, k3, k4, k5, k6, k7], options, err_sq, finite);
+    if options.stiffness_check_interval > 0 {
+        // `y_stage` still holds stage 6's argument, the detector's `y_sti`.
+        stiffness_rows(lanes, k6, k7, y_new, y_stage.as_slice(), st_num, st_den);
+    }
+}
+
+/// `out_l ← t_l + c·h_l`: each lane's time at the stage with node `c`.
+#[inline(always)]
+fn stage_times(c: f64, t: &[f64], h: &[f64], out: &mut [f64]) {
+    for ((out, &t), &h) in out.iter_mut().zip(t).zip(h) {
+        *out = t + c * h;
+    }
+}
+
+/// Row `s` of `N` SoA blocks.
+#[inline(always)]
+fn rows_at<const N: usize>(blocks: [&[f64]; N], s: usize, lanes: usize) -> [&[f64]; N] {
+    // A plain loop: `array::map` is not reliably inlined into a body this
+    // size, and a call per row would undo the pass.
+    let mut rows = blocks;
+    for row in &mut rows {
+        *row = &row[s * lanes..][..lanes];
+    }
+    rows
+}
+
+/// One stage argument for all lanes: `out ← y + step(h_l, [k_1, …, k_N])`
+/// row by row, `step` being the scalar solver's expression for the stage
+/// increment.
+#[inline(always)]
+fn stage_rows<const N: usize>(
+    lanes: usize,
+    h: &[f64],
+    y: &[f64],
+    k: [&[f64]; N],
+    out: &mut [f64],
+    step: impl Fn(f64, [f64; N]) -> f64,
+) {
+    let h = &h[..lanes];
+    for (s, (out, y)) in out.chunks_exact_mut(lanes).zip(y.chunks_exact(lanes)).enumerate() {
+        let k = rows_at(k, s, lanes);
+        for l in 0..lanes {
+            let mut kl = [0.0; N];
+            for (kl, row) in kl.iter_mut().zip(k) {
+                *kl = row[l];
+            }
+            out[l] = y[l] + step(h[l], kl);
+        }
+    }
+}
+
+/// The embedded error estimate, its scale and both acceptance reductions
+/// in one pass: `err_sq[l] ← Σ_s (e/w)²` in species order — what
+/// [`weighted_rms_norm`] sums for lane `l` alone — and `finite[l]` ← every
+/// component of lane `l`'s `y_new` is finite.
+#[allow(clippy::too_many_arguments)]
+#[inline(always)]
+fn error_rows(
+    lanes: usize,
+    h: &[f64],
+    y: &[f64],
+    y_new: &[f64],
+    k: [&[f64]; 6],
+    options: &SolverOptions,
+    err_sq: &mut [f64],
+    finite: &mut [bool],
+) {
+    let (abs_tol, rel_tol) = (options.abs_tol, options.rel_tol);
+    let (h, err_sq, finite) = (&h[..lanes], &mut err_sq[..lanes], &mut finite[..lanes]);
+    err_sq.fill(0.0);
+    finite.fill(true);
+    for (s, (y, y_new)) in y.chunks_exact(lanes).zip(y_new.chunks_exact(lanes)).enumerate() {
+        let [k1, k3, k4, k5, k6, k7] = rows_at(k, s, lanes);
+        for l in 0..lanes {
+            let e = h[l]
+                * (E1 * k1[l] + E3 * k3[l] + E4 * k4[l] + E5 * k5[l] + E6 * k6[l] + E7 * k7[l]);
+            let w = abs_tol + rel_tol * y[l].abs().max(y_new[l].abs());
+            let r = e / w;
+            err_sq[l] += r * r;
+            finite[l] &= y_new[l].is_finite();
+        }
+    }
+}
+
+/// The stiffness detector's two sums for every lane: `‖k7 − k6‖²` and
+/// `‖y_new − y_sti‖²`, each in species order.
+#[inline(always)]
+fn stiffness_rows(
+    lanes: usize,
+    k6: &[f64],
+    k7: &[f64],
+    y_new: &[f64],
+    y_sti: &[f64],
+    st_num: &mut [f64],
+    st_den: &mut [f64],
+) {
+    let (st_num, st_den) = (&mut st_num[..lanes], &mut st_den[..lanes]);
+    st_num.fill(0.0);
+    st_den.fill(0.0);
+    for (s, (k6, k7)) in k6.chunks_exact(lanes).zip(k7.chunks_exact(lanes)).enumerate() {
+        let [y_new, y_sti] = rows_at([y_new, y_sti], s, lanes);
+        for l in 0..lanes {
+            let dk = k7[l] - k6[l];
+            let dy = y_new[l] - y_sti[l];
+            st_num[l] += dk * dk;
+            st_den[l] += dy * dy;
+        }
+    }
+}
+
+/// `y ← y_new` and the FSAL `k1 ← k7` in the lanes `advance` marks; the
+/// others (rejected, parked, never bound) keep their columns.
+#[inline(always)]
+fn advance_rows(
+    lanes: usize,
+    advance: &[bool],
+    y_new: &[f64],
+    k7: &[f64],
+    y: &mut [f64],
+    k1: &mut [f64],
+) {
+    let advance = &advance[..lanes];
+    let from = y_new.chunks_exact(lanes).zip(k7.chunks_exact(lanes));
+    let to = y.chunks_exact_mut(lanes).zip(k1.chunks_exact_mut(lanes));
+    for ((y, k1), (y_new, k7)) in to.zip(from) {
+        for l in 0..lanes {
+            if advance[l] {
+                y[l] = y_new[l];
+                k1[l] = k7[l];
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -874,7 +959,8 @@ mod tests {
                 Dopri5::new().solve(&sys, 0.0, &y0, &times, &opts()).unwrap()
             })
             .collect();
-        for width in [1, 2, 4, 8] {
+        // 3 and 5 take the run-time-width copy of the row passes.
+        for width in [1, 2, 3, 4, 5, 8] {
             let mut family = OscFamily::new(rates.clone(), width);
             let (results, report) = Dopri5Batch::new().solve_group(
                 &mut family,
@@ -891,6 +977,167 @@ mod tests {
                 assert_eq!(sol.stats, reference[m].stats, "width={width} member={m}");
             }
         }
+    }
+
+    /// Whether each step of a scalar solve was accepted, in step order:
+    /// the `accepted` counter of reruns cut short by a step budget, which
+    /// ends a solve early and changes nothing before that.
+    fn step_outcomes(family: &OscFamily, m: usize, times: &[f64], steps: usize) -> Vec<bool> {
+        let (sys, y0) = family.scalar(m);
+        let accepted_after = |budget: usize| {
+            let o = SolverOptions { step_budget: Some(budget), ..opts() };
+            match Dopri5::new().solve(&sys, 0.0, &y0, times, &o) {
+                Ok(sol) => sol.stats.accepted,
+                Err(f) => f.stats.accepted,
+            }
+        };
+        (1..=steps).map(|k| accepted_after(k) > accepted_after(k - 1)).collect()
+    }
+
+    #[test]
+    fn one_tick_can_reject_accept_and_park_lanes_side_by_side() {
+        // One member per lane, so tick k is every live lane's k-th step and
+        // the scalar step histories say what each lane did in it. The tick
+        // the masked advance has to get right: a lane parks (its last
+        // step), a lane is rejected, and a lane is accepted and goes on.
+        // Member 0 is the early finisher; its rate is searched for one that
+        // ends on a tick where the slower lanes disagree.
+        let times = sample_grid();
+        let scalar = |proto: &OscFamily| -> Vec<Result<Solution, SolveFailure>> {
+            (0..proto.rates.len())
+                .map(|m| {
+                    let (sys, y0) = proto.scalar(m);
+                    Dopri5::new().solve(&sys, 0.0, &y0, &times, &opts())
+                })
+                .collect()
+        };
+        let mixed_tick = |proto: &OscFamily| {
+            let steps: Vec<usize> =
+                scalar(proto).iter().map(|r| r.as_ref().unwrap().stats.steps).collect();
+            let history: Vec<Vec<bool>> =
+                (0..steps.len()).map(|m| step_outcomes(proto, m, &times, steps[m])).collect();
+            (1..=steps[0]).find(|&k| {
+                let going_on = |accepted: bool| {
+                    (0..steps.len()).any(|m| steps[m] > k && history[m][k - 1] == accepted)
+                };
+                steps.contains(&k) && going_on(false) && going_on(true)
+            })
+        };
+        let rates = (2..=20)
+            .map(|i| vec![0.05 * i as f64, 2.0, 9.0, 40.0])
+            .find(|rates| mixed_tick(&OscFamily::new(rates.clone(), 1)).is_some())
+            .expect("some early finisher parks while one lane rejects and one accepts");
+
+        let reference = scalar(&OscFamily::new(rates.clone(), 1));
+        // Width 4 is that tick; narrower groups refill, which moves the
+        // ticks apart — nothing a member computes may notice either.
+        for width in [4, 3, 1] {
+            let mut family = OscFamily::new(rates.clone(), width);
+            let (results, _) = Dopri5Batch::new().solve_group(
+                &mut family,
+                0.0,
+                &times,
+                &opts(),
+                &mut SolverScratch::new(),
+            );
+            assert_eq!(results, reference, "width={width}");
+        }
+    }
+
+    #[test]
+    fn advance_moves_only_the_marked_lanes() {
+        let (n, lanes) = (3, 5);
+        let block = |base: f64| (0..n * lanes).map(|i| base + i as f64).collect::<Vec<f64>>();
+        let (y_new, k7) = (block(100.0), block(200.0));
+        let advance = [true, false, false, true, false];
+        let (mut y, mut k1) = (block(0.0), block(50.0));
+        advance_rows(lanes, &advance, &y_new, &k7, &mut y, &mut k1);
+        for s in 0..n {
+            for l in 0..lanes {
+                let i = s * lanes + l;
+                let (want_y, want_k1) =
+                    if advance[l] { (y_new[i], k7[i]) } else { (i as f64, 50.0 + i as f64) };
+                assert_eq!((y[i], k1[i]), (want_y, want_k1), "species {s}, lane {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_groups_drain_one_shared_queue() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        let rates: Vec<f64> = (0..23).map(|i| 0.3 + 0.41 * i as f64).collect();
+        let times = sample_grid();
+        let proto = OscFamily::new(rates.clone(), 1);
+        let reference: Vec<Solution> = (0..rates.len())
+            .map(|m| {
+                let (sys, y0) = proto.scalar(m);
+                Dopri5::new().solve(&sys, 0.0, &y0, &times, &opts()).unwrap()
+            })
+            .collect();
+        let cursor = AtomicUsize::new(0);
+        // A group holds on to its first member until the other group has
+        // one too, so neither can empty the queue before both integrate.
+        let both_pulling = Barrier::new(2);
+        let group = || {
+            let mut family = OscFamily::new(rates.clone(), 4);
+            let mut first = true;
+            let mut next_member = || {
+                let m = cursor.fetch_add(1, Ordering::Relaxed);
+                if std::mem::take(&mut first) {
+                    both_pulling.wait();
+                }
+                (m < rates.len()).then_some(m)
+            };
+            let (settled, _) = Dopri5Batch::new().solve_queue(
+                &mut family,
+                &mut next_member,
+                0.0,
+                &times,
+                &opts(),
+                &mut SolverScratch::new(),
+            );
+            settled
+        };
+        let (a, b) = std::thread::scope(|scope| {
+            let other = scope.spawn(group);
+            (group(), other.join().expect("group thread panicked"))
+        });
+        assert!(!a.is_empty() && !b.is_empty(), "both groups must integrate members");
+        let mut seen = vec![0usize; rates.len()];
+        for (m, result) in a.into_iter().chain(b) {
+            seen[m] += 1;
+            assert_eq!(result.as_ref().unwrap(), &reference[m], "member {m}");
+        }
+        assert!(seen.iter().all(|&count| count == 1), "{seen:?}");
+    }
+
+    #[test]
+    fn a_dry_source_is_not_asked_again_and_lanes_in_flight_drain() {
+        // The cancellation shape: the source hands out one fill of the
+        // lanes, then refuses. The group must finish exactly those members
+        // and never come back for more.
+        let rates: Vec<f64> = (0..9).map(|i| 0.5 + 0.5 * i as f64).collect();
+        let times = sample_grid();
+        let mut family = OscFamily::new(rates, 4);
+        let mut asked = 0;
+        let mut next_member = || {
+            asked += 1;
+            (asked <= 4).then(|| asked - 1)
+        };
+        let (settled, _) = Dopri5Batch::new().solve_queue(
+            &mut family,
+            &mut next_member,
+            0.0,
+            &times,
+            &opts(),
+            &mut SolverScratch::new(),
+        );
+        assert_eq!(asked, 5, "four members, one refusal, no further pull");
+        let mut members: Vec<usize> = settled.iter().map(|(m, _)| *m).collect();
+        members.sort_unstable();
+        assert_eq!(members, [0, 1, 2, 3]);
+        assert!(settled.iter().all(|(_, r)| r.is_ok()));
     }
 
     #[test]
@@ -1006,7 +1253,7 @@ mod tests {
             assert!(matches!(f.error, SolverError::StiffnessDetected { .. }), "{:?}", f.error);
             assert!(f.stats.steps < 200, "member {m}: {} steps", f.stats.steps);
         }
-        for width in [1, 2, 4] {
+        for width in [1, 2, 3, 4, 5] {
             let mut family = DecayFamily { rates: rates.clone(), bound: vec![0.0; width] };
             let (results, _) = Dopri5Batch::new().solve_group(
                 &mut family,

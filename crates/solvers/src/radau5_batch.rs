@@ -43,7 +43,7 @@
 //! lane's garbage can never raise a spurious singularity.
 
 use crate::batch::{BatchOdeSystem, BatchState};
-use crate::dopri5_batch::{lane_wrms, LaneReport};
+use crate::dopri5_batch::LaneReport;
 use crate::radau5::{
     ALPH, BETA, FACL, FACR, NIT, QUOT1, QUOT2, SAFE, SQ6, T11, T12, T13, T21, T22, T23, T31, THET,
     TI11, TI12, TI13, TI21, TI22, TI23, TI31, TI32, TI33, U1,
@@ -1211,6 +1211,22 @@ fn solve_group_impl(
         .map(|(m, r)| r.unwrap_or_else(|| panic!("member {m} never scheduled")))
         .collect();
     (out, report)
+}
+
+/// The per-lane strided equivalent of
+/// [`weighted_rms_norm`](paraspace_linalg::weighted_rms_norm): identical
+/// summation order over components.
+#[inline]
+fn lane_wrms(x: &[f64], w: &[f64], n: usize, lanes: usize, lane: usize) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    let mut sum = 0.0;
+    for s in 0..n {
+        let rr = x[s * lanes + lane] / w[s * lanes + lane];
+        sum += rr * rr;
+    }
+    (sum / n as f64).sqrt()
 }
 
 #[cfg(test)]
