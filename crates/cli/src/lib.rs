@@ -28,7 +28,7 @@ use paraspace_analysis::pso::PsoConfig;
 pub use paraspace_core::CancelToken;
 use paraspace_core::{
     recommend_engine, taxonomy, CoarseEngine, CpuEngine, CpuSolverKind, Executor, FineCoarseEngine,
-    FineEngine, RecoveryPolicy, SimOutcome, SimulationJob, Simulator,
+    FineEngine, Host, RecoveryPolicy, SimOutcome, SimulationJob, Simulator,
 };
 use paraspace_journal::codec::{Dec, Enc};
 use paraspace_journal::lease::{LeaseConfig, RetryState};
@@ -943,44 +943,20 @@ fn engine_by_name(
     recovery: RecoveryPolicy,
     cancel: &CancelToken,
 ) -> Result<Box<dyn Simulator>, CliError> {
-    let cancel = cancel.clone();
+    let host = Host { executor: Executor::new(threads), recovery, cancel: cancel.clone() };
     // `--lane-width` only reaches the lockstep engines; the coarse and CPU
     // engines have no lane schedule to pin.
-    Ok(match name {
-        "fine-coarse" => {
-            let mut engine = FineCoarseEngine::new()
-                .with_threads(threads)
-                .with_recovery(recovery)
-                .with_cancel(cancel);
-            if let Some(w) = lane_width {
-                engine = engine.with_lane_width(w);
-            }
-            Box::new(engine)
+    Ok(match (name, lane_width) {
+        ("fine-coarse", None) => Box::new(FineCoarseEngine::new().with_host(host)),
+        ("fine-coarse", Some(w)) => {
+            Box::new(FineCoarseEngine::new().with_host(host).with_lane_width(w))
         }
-        "coarse" => Box::new(
-            CoarseEngine::new().with_threads(threads).with_recovery(recovery).with_cancel(cancel),
-        ),
-        "fine" => {
-            let mut engine =
-                FineEngine::new().with_threads(threads).with_recovery(recovery).with_cancel(cancel);
-            if let Some(w) = lane_width {
-                engine = engine.with_lane_width(w);
-            }
-            Box::new(engine)
-        }
-        "lsoda" => Box::new(
-            CpuEngine::new(CpuSolverKind::Lsoda)
-                .with_threads(threads)
-                .with_recovery(recovery)
-                .with_cancel(cancel),
-        ),
-        "vode" => Box::new(
-            CpuEngine::new(CpuSolverKind::Vode)
-                .with_threads(threads)
-                .with_recovery(recovery)
-                .with_cancel(cancel),
-        ),
-        other => return Err(CliError(format!("unknown engine {other:?}"))),
+        ("fine", None) => Box::new(FineEngine::new().with_host(host)),
+        ("fine", Some(w)) => Box::new(FineEngine::new().with_host(host).with_lane_width(w)),
+        ("coarse", _) => Box::new(CoarseEngine::new().with_host(host)),
+        ("lsoda", _) => Box::new(CpuEngine::new(CpuSolverKind::Lsoda).with_host(host)),
+        ("vode", _) => Box::new(CpuEngine::new(CpuSolverKind::Vode).with_host(host)),
+        (other, _) => return Err(CliError(format!("unknown engine {other:?}"))),
     })
 }
 

@@ -6,15 +6,20 @@
 //! [`crate::recommend_engine`] to the job's dimensions and dispatches to
 //! the winning engine, recording which one ran.
 
+use crate::engines::host::Engine;
 use crate::engines::{BatchResult, Simulator};
-use crate::recovery::RecoveryPolicy;
 use crate::{
     recommend_engine, CoarseEngine, CpuEngine, CpuSolverKind, EngineKind, FineCoarseEngine,
     FineEngine, SimError, SimulationJob,
 };
-use paraspace_exec::CancelToken;
 
-/// A simulator that picks the recommended engine per job.
+/// The selector: no cost model of its own, it borrows the winner's.
+#[derive(Debug, Clone, Default)]
+pub struct Auto;
+
+/// A simulator that picks the recommended engine per job and runs it on
+/// its own host (workers, recovery policy and cancellation token are
+/// forwarded to whichever engine the job dispatches to).
 ///
 /// # Example
 ///
@@ -37,80 +42,27 @@ use paraspace_exec::CancelToken;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct AutoEngine {
-    threads: usize,
-    recovery: RecoveryPolicy,
-    cancel: CancelToken,
-}
+pub type AutoEngine = Engine<Auto>;
 
-impl Default for AutoEngine {
-    fn default() -> Self {
-        AutoEngine::new()
-    }
-}
-
-impl AutoEngine {
-    /// Creates the auto-selecting engine with default sub-engines.
-    pub fn new() -> Self {
-        AutoEngine { threads: 1, recovery: RecoveryPolicy::default(), cancel: CancelToken::new() }
-    }
-
-    /// Sets the host worker-thread count forwarded to whichever engine the
-    /// job dispatches to (builder style): `1` is sequential, `0` means one
-    /// worker per available core.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
-    }
-
-    /// Sets the failed-member recovery policy forwarded to whichever engine
-    /// the job dispatches to (builder style).
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Installs a cooperative cancellation token forwarded to whichever
-    /// engine the job dispatches to (builder style).
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
+impl Engine<Auto> {
     /// The engine kind this job would dispatch to.
     pub fn selection(&self, job: &SimulationJob) -> EngineKind {
         recommend_engine(job.odes().n_species(), job.odes().n_reactions(), job.batch_size())
     }
 }
 
-impl Simulator for AutoEngine {
+impl Simulator for Engine<Auto> {
     fn name(&self) -> &'static str {
         "auto"
     }
 
     fn run(&self, job: &SimulationJob) -> Result<BatchResult, SimError> {
+        let host = self.host.clone();
         match self.selection(job) {
-            EngineKind::Cpu => CpuEngine::new(CpuSolverKind::Lsoda)
-                .with_threads(self.threads)
-                .with_recovery(self.recovery)
-                .with_cancel(self.cancel.clone())
-                .run(job),
-            EngineKind::Coarse => CoarseEngine::new()
-                .with_threads(self.threads)
-                .with_recovery(self.recovery)
-                .with_cancel(self.cancel.clone())
-                .run(job),
-            EngineKind::Fine => FineEngine::new()
-                .with_threads(self.threads)
-                .with_recovery(self.recovery)
-                .with_cancel(self.cancel.clone())
-                .run(job),
-            EngineKind::FineCoarse => FineCoarseEngine::new()
-                .with_threads(self.threads)
-                .with_recovery(self.recovery)
-                .with_cancel(self.cancel.clone())
-                .run(job),
+            EngineKind::Cpu => CpuEngine::new(CpuSolverKind::Lsoda).with_host(host).run(job),
+            EngineKind::Coarse => CoarseEngine::new().with_host(host).run(job),
+            EngineKind::Fine => FineEngine::new().with_host(host).run(job),
+            EngineKind::FineCoarse => FineCoarseEngine::new().with_host(host).run(job),
         }
     }
 }

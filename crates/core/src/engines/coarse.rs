@@ -9,12 +9,12 @@
 //! to global memory (and eventually do not fit at all), which is why it
 //! disappears from the large-model cells.
 
-use crate::engines::{
-    output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, Simulator, IO_BYTES_PER_NS,
+use crate::engines::host::{
+    device_clocks, encoding_bytes, h2d_bytes, DeviceModel, Engine, Settled, PCIE_BYTES_PER_NS,
 };
-use crate::recovery::{solve_members_recovered, RecoveryPolicy};
+use crate::engines::{BatchResult, Simulator};
+use crate::recovery::solve_members_recovered;
 use crate::{SimError, SimulationJob, WorkEstimate};
-use paraspace_exec::{CancelToken, Executor};
 use paraspace_solvers::{Lsoda, OdeSolver};
 use paraspace_vgpu::{Device, DeviceConfig, KernelLaunch, MemorySpace, ThreadWork};
 use std::time::Instant;
@@ -23,8 +23,33 @@ use std::time::Instant;
 const CONSTANT_MEM_BYTES: u64 = 64 * 1024;
 /// Per-state-variable shared-memory footprint (the current state vector).
 const SHARED_BYTES_PER_SPECIES: usize = 8;
-/// Host↔device transfer throughput in bytes/ns.
-const PCIE_BYTES_PER_NS: f64 = 8.0;
+
+/// The coarse-grained cost model: one device thread per simulation, with
+/// the encoding in constant and the state in shared memory where they fit.
+#[derive(Debug, Clone)]
+pub struct Coarse {
+    device_config: DeviceConfig,
+    threads_per_block: usize,
+    /// When `false`, forces all traffic to global memory (ablation A4).
+    use_memory_hierarchy: bool,
+}
+
+impl Default for Coarse {
+    /// The published GPU, memory hierarchy on.
+    fn default() -> Self {
+        Coarse {
+            device_config: DeviceConfig::titan_x(),
+            threads_per_block: 32,
+            use_memory_hierarchy: true,
+        }
+    }
+}
+
+impl DeviceModel for Coarse {
+    fn device_config_mut(&mut self) -> &mut DeviceConfig {
+        &mut self.device_config
+    }
+}
 
 /// The coarse-only engine.
 ///
@@ -44,127 +69,59 @@ const PCIE_BYTES_PER_NS: f64 = 8.0;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct CoarseEngine {
-    device_config: DeviceConfig,
-    threads_per_block: usize,
-    /// When `false`, forces all traffic to global memory (ablation A4).
-    use_memory_hierarchy: bool,
-    executor: Executor,
-    recovery: RecoveryPolicy,
-    cancel: CancelToken,
-}
+pub type CoarseEngine = Engine<Coarse>;
 
-impl Default for CoarseEngine {
-    fn default() -> Self {
-        CoarseEngine::new()
-    }
-}
-
-impl CoarseEngine {
-    /// An engine on the published GPU.
-    pub fn new() -> Self {
-        CoarseEngine {
-            device_config: DeviceConfig::titan_x(),
-            threads_per_block: 32,
-            use_memory_hierarchy: true,
-            executor: Executor::sequential(),
-            recovery: RecoveryPolicy::default(),
-            cancel: CancelToken::new(),
-        }
-    }
-
-    /// Sets the host worker-thread count used to run the batch numerics
-    /// (builder style): `1` is the sequential path, `0` means one worker
-    /// per available core. The result is bitwise identical at any setting.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.executor = Executor::new(threads);
-        self
-    }
-
-    /// Overrides the device (builder style).
-    pub fn with_device(mut self, config: DeviceConfig) -> Self {
-        self.device_config = config;
-        self
-    }
-
-    /// Overrides the failed-member recovery policy (builder style).
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Installs a cooperative cancellation token (builder style). When the
-    /// token trips mid-batch, in-flight members drain, [`Simulator::run`]
-    /// returns [`SimError::Cancelled`], and partial results are discarded.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
+impl Engine<Coarse> {
     /// Disables constant/shared-memory placement (everything global) —
     /// the memory-hierarchy ablation.
     pub fn without_memory_hierarchy(mut self) -> Self {
-        self.use_memory_hierarchy = false;
+        self.model.use_memory_hierarchy = false;
         self
     }
 
     /// Whether the model's encoding fits the constant-memory budget.
     pub fn constants_fit(&self, job: &SimulationJob) -> bool {
-        let encoding_bytes = job.odes().n_terms() as u64 * 12 + job.odes().n_reactions() as u64 * 8;
-        encoding_bytes <= CONSTANT_MEM_BYTES
+        encoding_bytes(job) <= CONSTANT_MEM_BYTES
     }
 
     /// Whether per-simulation state fits the shared-memory budget at the
     /// configured block size.
     pub fn shared_fits(&self, job: &SimulationJob) -> bool {
-        let per_block = self.threads_per_block * job.odes().n_species() * SHARED_BYTES_PER_SPECIES;
-        per_block <= self.device_config.shared_mem_per_sm / 2
+        let per_block =
+            self.model.threads_per_block * job.odes().n_species() * SHARED_BYTES_PER_SPECIES;
+        per_block <= self.model.device_config.shared_mem_per_sm / 2
     }
 }
 
-impl Simulator for CoarseEngine {
+impl Simulator for Engine<Coarse> {
     fn name(&self) -> &'static str {
         "coarse"
     }
 
     fn run(&self, job: &SimulationJob) -> Result<BatchResult, SimError> {
         let start = Instant::now();
-        let device = Device::new(self.device_config.clone());
+        let model = &self.model;
+        let device = Device::new(model.device_config.clone());
         let n = job.odes().n_species();
-        let m = job.odes().n_reactions();
         let batch = job.batch_size();
         let solver = Lsoda::new();
 
-        let h2d_bytes =
-            (job.odes().n_terms() as u64 * 12 + m as u64 * 8) + batch as u64 * (n + m) as u64 * 8;
-        device.record_host_phase("io::h2d", h2d_bytes as f64 / PCIE_BYTES_PER_NS);
+        device.record_host_phase("io::h2d", h2d_bytes(job, batch) as f64 / PCIE_BYTES_PER_NS);
 
-        let constants_in_cmem = self.use_memory_hierarchy && self.constants_fit(job);
-        let state_in_shared = self.use_memory_hierarchy && self.shared_fits(job);
+        let constants_in_cmem = model.use_memory_hierarchy && self.constants_fit(job);
+        let state_in_shared = model.use_memory_hierarchy && self.shared_fits(job);
 
-        let mut outcomes = Vec::with_capacity(batch);
+        let mut settled = Settled::default();
         let mut thread_work = Vec::with_capacity(batch);
-        let mut health = BatchHealth::default();
         // Solves run on the worker pool; the per-member memory placement and
         // work accounting below folds in member order on this thread. Each
         // member runs under panic containment and the recovery ladder; a
         // retry's steps land in the same device thread's work, so retries
         // are billed inside the coarse kernel.
         let members: Vec<usize> = (0..batch).collect();
-        let results = solve_members_recovered(
-            &self.executor,
-            job,
-            &members,
-            (&solver, solver.name()),
-            None,
-            |_| false,
-            &self.recovery,
-            &self.cancel,
-        )?;
-        for rs in results {
-            let (solution, stats) = (rs.solution, rs.stats);
-            health.observe(&solution, &rs.log);
+        let primary = (&solver as &dyn OdeSolver, solver.name());
+        for rs in solve_members_recovered(&self.host, job, &members, primary, None, |_| false)? {
+            let stats = rs.stats;
             let work = WorkEstimate::from_stats(job.odes(), &stats, job.time_points().len());
             // The state vector's share of state traffic can live in shared
             // memory; Nordsieck history and scratch stay global.
@@ -174,18 +131,13 @@ impl Simulator for CoarseEngine {
             let spill_state = work.state_bytes - shared_bytes;
             // With the hierarchy enabled, overflow traffic still enjoys the
             // L2; the ablation strips every on-chip level at once.
-            let structure_space = if constants_in_cmem {
-                MemorySpace::Constant
-            } else if self.use_memory_hierarchy {
+            let state_space = if model.use_memory_hierarchy {
                 MemorySpace::CachedGlobal
             } else {
                 MemorySpace::Global
             };
-            let state_space = if self.use_memory_hierarchy {
-                MemorySpace::CachedGlobal
-            } else {
-                MemorySpace::Global
-            };
+            let structure_space =
+                if constants_in_cmem { MemorySpace::Constant } else { state_space };
             thread_work.push(
                 ThreadWork::new()
                     .with_flops(work.flops)
@@ -194,16 +146,10 @@ impl Simulator for CoarseEngine {
                     .with_read(state_space, spill_state)
                     .with_global_write(work.output_bytes),
             );
-            outcomes.push(SimOutcome {
-                solution,
-                stiff: false,
-                rerouted: false,
-                solver: rs.solver,
-                log: rs.log,
-            });
+            settled.settle(rs.solution, false, rs.solver, rs.log);
         }
 
-        let tpb = self.threads_per_block;
+        let tpb = model.threads_per_block;
         let blocks = batch.div_ceil(tpb);
         thread_work.resize(blocks * tpb, ThreadWork::new());
         let shared_per_block = if state_in_shared { tpb * n * SHARED_BYTES_PER_SPECIES } else { 0 };
@@ -216,26 +162,11 @@ impl Simulator for CoarseEngine {
         device.record_host_phase(
             "integrate::interval_launches",
             (job.time_points().len().saturating_sub(1)) as f64
-                * self.device_config.kernel_launch_ns,
+                * model.device_config.kernel_launch_ns,
         );
 
-        let out_bytes = output_bytes(job, &outcomes, &self.executor);
-        device.record_host_phase("io::d2h", out_bytes as f64 / PCIE_BYTES_PER_NS);
-        device.record_host_phase("io::write", out_bytes as f64 / IO_BYTES_PER_NS);
-
-        let timeline = device.timeline();
-        Ok(BatchResult {
-            engine: self.name(),
-            outcomes,
-            timing: BatchTiming {
-                host_wall: start.elapsed(),
-                simulated_total_ns: timeline.total_ns(),
-                simulated_integration_ns: timeline.time_tagged_ns("integrate"),
-                simulated_io_ns: timeline.time_tagged_ns("io"),
-            },
-            lanes: None,
-            health,
-        })
+        let clocks = device_clocks(&device, "io::d2h", "io::write");
+        Ok(self.host.finish(self.name(), job, start, settled, None, clocks))
     }
 }
 

@@ -1,11 +1,9 @@
 //! The sequential CPU baselines (LSODA / VODE).
 
-use crate::engines::{
-    output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, Simulator, IO_BYTES_PER_NS,
-};
-use crate::recovery::{solve_members_recovered, RecoveryPolicy};
+use crate::engines::host::{Engine, Host, Settled};
+use crate::engines::{BatchResult, Simulator, IO_BYTES_PER_NS};
+use crate::recovery::solve_members_recovered;
 use crate::{CpuCostModel, SimError, SimulationJob, WorkEstimate};
-use paraspace_exec::{CancelToken, Executor};
 use paraspace_solvers::{Lsoda, OdeSolver, Vode};
 use std::time::Instant;
 
@@ -16,6 +14,13 @@ pub enum CpuSolverKind {
     Lsoda,
     /// Up-front method selection (the "VODE" column).
     Vode,
+}
+
+/// The sequential-CPU cost model: a solver family priced on a roofline.
+#[derive(Debug, Clone)]
+pub struct Cpu {
+    kind: CpuSolverKind,
+    cost_model: CpuCostModel,
 }
 
 /// The CPU baseline engine: one simulation after another on a single core,
@@ -38,67 +43,29 @@ pub enum CpuSolverKind {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct CpuEngine {
-    kind: CpuSolverKind,
-    cost_model: CpuCostModel,
-    executor: Executor,
-    recovery: RecoveryPolicy,
-    cancel: CancelToken,
-}
+pub type CpuEngine = Engine<Cpu>;
 
-impl CpuEngine {
+impl Engine<Cpu> {
     /// An engine with the published workstation's cost model.
     pub fn new(kind: CpuSolverKind) -> Self {
-        CpuEngine {
-            kind,
-            cost_model: CpuCostModel::default(),
-            executor: Executor::sequential(),
-            recovery: RecoveryPolicy::default(),
-            cancel: CancelToken::new(),
-        }
-    }
-
-    /// Sets the host worker-thread count used to run the batch numerics
-    /// (builder style): `1` is the sequential path, `0` means one worker
-    /// per available core. The result is bitwise identical at any setting.
-    /// (The *modeled* CPU stays single-core — this only accelerates the
-    /// host-side reproduction of its numerics.)
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.executor = Executor::new(threads);
-        self
+        Engine { host: Host::default(), model: Cpu { kind, cost_model: CpuCostModel::default() } }
     }
 
     /// Overrides the CPU cost model (builder style).
     pub fn with_cost_model(mut self, cost_model: CpuCostModel) -> Self {
-        self.cost_model = cost_model;
-        self
-    }
-
-    /// Overrides the failed-member recovery policy (builder style).
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Installs a cooperative cancellation token (builder style). When the
-    /// token trips mid-batch, in-flight members drain, [`Simulator::run`]
-    /// returns [`SimError::Cancelled`], and partial results are discarded
-    /// — re-running the batch later reproduces it bitwise.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
+        self.model.cost_model = cost_model;
         self
     }
 
     /// The solver family in use.
     pub fn kind(&self) -> CpuSolverKind {
-        self.kind
+        self.model.kind
     }
 }
 
-impl Simulator for CpuEngine {
+impl Simulator for Engine<Cpu> {
     fn name(&self) -> &'static str {
-        match self.kind {
+        match self.model.kind {
             CpuSolverKind::Lsoda => "lsoda-cpu",
             CpuSolverKind::Vode => "vode-cpu",
         }
@@ -106,58 +73,33 @@ impl Simulator for CpuEngine {
 
     fn run(&self, job: &SimulationJob) -> Result<BatchResult, SimError> {
         let start = Instant::now();
-        let lsoda = Lsoda::new();
-        let vode = Vode::new();
-        let solver: &dyn OdeSolver = match self.kind {
+        let (lsoda, vode) = (Lsoda::new(), Vode::new());
+        let solver: &dyn OdeSolver = match self.model.kind {
             CpuSolverKind::Lsoda => &lsoda,
             CpuSolverKind::Vode => &vode,
         };
 
-        let mut outcomes = Vec::with_capacity(job.batch_size());
+        let mut settled = Settled::default();
         let mut work = WorkEstimate::default();
-        let mut health = BatchHealth::default();
         // Solves run on the worker pool; the f64 work accumulation folds in
         // member order on this thread, keeping totals bitwise stable. Each
         // member runs under panic containment and the recovery ladder (the
         // CPU baseline has no implicit fallback to reroute to, so only the
         // relaxation rungs apply).
         let members: Vec<usize> = (0..job.batch_size()).collect();
-        for rs in solve_members_recovered(
-            &self.executor,
-            job,
-            &members,
-            (solver, solver.name()),
-            None,
-            |_| false,
-            &self.recovery,
-            &self.cancel,
-        )? {
+        let primary = (solver, solver.name());
+        for rs in solve_members_recovered(&self.host, job, &members, primary, None, |_| false)? {
             work.absorb(&WorkEstimate::from_stats(job.odes(), &rs.stats, job.time_points().len()));
-            health.observe(&rs.solution, &rs.log);
-            outcomes.push(SimOutcome {
-                solution: rs.solution,
-                stiff: false,
-                rerouted: false,
-                solver: rs.solver,
-                log: rs.log,
-            });
+            settled.settle(rs.solution, false, rs.solver, rs.log);
         }
 
-        let integration_ns = self.cost_model.time_ns(&work)
-            + job.batch_size() as f64 * self.cost_model.per_sim_overhead_ns;
-        let io_ns = output_bytes(job, &outcomes, &self.executor) as f64 / IO_BYTES_PER_NS;
-        Ok(BatchResult {
-            engine: self.name(),
-            outcomes,
-            timing: BatchTiming {
-                host_wall: start.elapsed(),
-                simulated_total_ns: integration_ns + io_ns,
-                simulated_integration_ns: integration_ns,
-                simulated_io_ns: io_ns,
-            },
-            lanes: None,
-            health,
-        })
+        let cost_model = &self.model.cost_model;
+        let integration_ns =
+            cost_model.time_ns(&work) + job.batch_size() as f64 * cost_model.per_sim_overhead_ns;
+        Ok(self.host.finish(self.name(), job, start, settled, None, |out_bytes| {
+            let io_ns = out_bytes as f64 / IO_BYTES_PER_NS;
+            [integration_ns + io_ns, integration_ns, io_ns]
+        }))
     }
 }
 

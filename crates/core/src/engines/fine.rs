@@ -13,10 +13,11 @@
 //!
 //! **Lane path** (auto-selected for mass-action batches): members are
 //! packed into lane-groups and integrated `L` at a time by the lockstep
-//! [`Dopri5Batch`] solver over the SoA [`RbmBatchSystem`] adapter. One
-//! lockstep sweep evaluates the CSR flux/accumulation passes for all `L`
-//! lanes per decoded segment, so the per-step host-launch latency and the
-//! structure decoding are amortized `L`-fold. Step size, error control,
+//! [`Dopri5Batch`](paraspace_solvers::Dopri5Batch) solver over the SoA
+//! [`RbmBatchSystem`](crate::RbmBatchSystem) adapter. One lockstep sweep
+//! evaluates the CSR flux/accumulation passes for all `L` lanes per decoded
+//! segment, so the per-step host-launch latency and the structure decoding
+//! are amortized `L`-fold. Step size, error control,
 //! and acceptance stay **per lane** (masked divergence instead of a group
 //! barrier), and the vgpu device records the resulting lane occupancy.
 //! Per-member trajectories are bitwise independent of the lane width and
@@ -25,35 +26,57 @@
 //! Stiffness triage no longer demotes members to scalar solves: members
 //! whose Jacobian diagonal at `t = 0` crosses the published threshold form
 //! a **second lane-group class** integrated by the lockstep
-//! [`Radau5Batch`] kernel — batched simplified-Newton over one real and
-//! one complex lane-batched LU per lane, with the scalar RADAU5
-//! Jacobian-/factorization-reuse policy applied per lane. Stiff members
+//! [`Radau5Batch`](paraspace_solvers::Radau5Batch) kernel — batched
+//! simplified-Newton over one real and one complex lane-batched LU per
+//! lane, with the scalar RADAU5 Jacobian-/factorization-reuse policy
+//! applied per lane. Stiff members
 //! thus get the same `L`-fold host-launch amortization as non-stiff ones,
 //! and their trajectories are bitwise identical to scalar [`Radau5`]
 //! solves at any width.
 
-use crate::engines::{
-    attempt_stats, output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, Simulator,
-    IO_BYTES_PER_NS,
+use crate::engines::host::{
+    device_clocks, h2d_bytes, lane_group_stats, DeviceModel, Engine, Lockstep, Settled,
+    PCIE_BYTES_PER_NS,
 };
+use crate::engines::{group_stats, BatchResult, Simulator};
 use crate::lanes::solve_lane_groups;
-use crate::recovery::{continue_ladder, solve_member_recovered, RecoveryPolicy};
-use crate::{RbmBatchSystem, SimError, SimulationJob, WorkEstimate, STIFFNESS_THRESHOLD};
-use paraspace_exec::{CancelToken, Executor};
+use crate::recovery::{contained_attempt, continue_ladder, solve_members_recovered};
+use crate::{SimError, SimulationJob, WorkEstimate, STIFFNESS_THRESHOLD};
 use paraspace_solvers::{
-    Bdf, Dopri5, Dopri5Batch, LaneReport, Radau5, Radau5Batch, Rkf45, SolverError, SolverScratch,
-    StepStats,
+    Bdf, Dopri5, OdeSolver, Radau5, Rkf45, SolverError, SolverScratch, StepStats,
 };
 use paraspace_vgpu::{
     Device, DeviceConfig, DpModel, KernelLaunch, LaneGroupStats, MemorySpace, ThreadWork,
     TimelineShard,
 };
+use std::ops::Range;
 use std::time::Instant;
 
 /// Host-launched kernels per solver step (stage evaluations + reduction).
 const KERNELS_PER_STEP: u64 = 8;
-/// Host↔device transfer throughput in bytes/ns.
-const PCIE_BYTES_PER_NS: f64 = 8.0;
+/// Timeline tag of the host-side launch latency between a kernel's steps.
+const STEP_LAUNCHES: &str = "integrate::step_launches";
+
+/// The fine-grained cost model: species across device threads, every
+/// solver step launched from the host.
+#[derive(Debug, Clone)]
+pub struct Fine {
+    device_config: DeviceConfig,
+    lane_width: Option<usize>,
+}
+
+impl Default for Fine {
+    /// The published GPU, the lane width autotuned per model.
+    fn default() -> Self {
+        Fine { device_config: DeviceConfig::titan_x(), lane_width: None }
+    }
+}
+
+impl DeviceModel for Fine {
+    fn device_config_mut(&mut self) -> &mut DeviceConfig {
+        &mut self.device_config
+    }
+}
 
 /// The fine-grained engine.
 ///
@@ -73,202 +96,107 @@ const PCIE_BYTES_PER_NS: f64 = 8.0;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct FineEngine {
-    device_config: DeviceConfig,
-    executor: Executor,
-    lane_width: Option<usize>,
-    recovery: RecoveryPolicy,
-    cancel: CancelToken,
-}
+pub type FineEngine = Engine<Fine>;
 
-impl Default for FineEngine {
-    fn default() -> Self {
-        FineEngine::new()
-    }
-}
+/// What one lane group hands back to the calling thread: its members, the
+/// occupancy records of its lockstep classes, and its slice of timeline.
+type LaneGroup = (Settled, Vec<LaneGroupStats>, TimelineShard);
 
-impl FineEngine {
-    /// An engine on the published GPU, auto-selecting the lane width.
-    pub fn new() -> Self {
-        FineEngine {
-            device_config: DeviceConfig::titan_x(),
-            executor: Executor::sequential(),
-            lane_width: None,
-            recovery: RecoveryPolicy::default(),
-            cancel: CancelToken::new(),
-        }
-    }
-
-    /// Sets the host worker-thread count used to run the batch numerics
-    /// (builder style): `1` is the sequential path, `0` means one worker
-    /// per available core. The result is bitwise identical at any setting.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.executor = Executor::new(threads);
-        self
-    }
-
-    /// Overrides the device (builder style).
-    pub fn with_device(mut self, config: DeviceConfig) -> Self {
-        self.device_config = config;
-        self
-    }
-
-    /// Overrides the failed-member recovery policy (builder style).
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
-
-    /// Installs a cooperative cancellation token (builder style). When the
-    /// token trips mid-batch, in-flight members (or lane-groups) drain,
-    /// [`Simulator::run`] returns [`SimError::Cancelled`], and partial
-    /// results are discarded.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
+impl Engine<Fine> {
     /// Pins the lane width (builder style): `1` forces the scalar
     /// published-baseline path, larger values run lockstep lane-groups of
     /// that width. Without this, the engine autotunes the width per model
     /// from its flux-vs-LU cost split ([`crate::auto_lane_width`]) for
     /// mass-action batches of two or more members, scalar otherwise.
-    /// Per-member results are bitwise identical at any width.
+    /// Per-member results are bitwise identical at any width, and the
+    /// recovery policy's step budget binds a lane as it binds a scalar
+    /// solve.
     pub fn with_lane_width(mut self, width: usize) -> Self {
-        self.lane_width = Some(width.max(1));
+        self.model.lane_width = Some(width.max(1));
         self
     }
 
-    /// The lane width this job actually runs at (`1` = scalar path).
-    ///
-    /// Falls back to scalar — emitting a note when `PARASPACE_DEBUG=1` —
-    /// when the model mixes kinetics the batched flux pass does not cover,
-    /// rather than asserting deep inside the lane path.
-    fn resolved_lane_width(&self, job: &SimulationJob) -> usize {
-        crate::lanes::resolve_lane_width(self.lane_width, job, "fine", false)
+    /// A fresh device with the input staging on its timeline: the fine
+    /// engine uploads per simulation, encoding included.
+    fn upload(&self, job: &SimulationJob) -> Device {
+        let device = Device::new(self.model.device_config.clone());
+        device.record_host_phase(
+            "io::h2d",
+            h2d_bytes(job, 1) as f64 * job.batch_size() as f64 / PCIE_BYTES_PER_NS,
+        );
+        device
     }
 
     /// The published scalar baseline: one simulation at a time, species
     /// across threads, host launches at every step.
     fn run_scalar(&self, job: &SimulationJob) -> Result<BatchResult, SimError> {
         let start = Instant::now();
-        let device = Device::new(self.device_config.clone());
-        let n = job.odes().n_species();
-        let m = job.odes().n_reactions();
-        let rkf = Rkf45::new();
-        let bdf1 = Bdf::with_max_order(1);
+        let device = self.upload(job);
+        let (rkf, bdf1) = (Rkf45::new(), Bdf::with_max_order(1));
 
-        device.record_host_phase(
-            "io::h2d",
-            h2d_bytes(job) as f64 * job.batch_size() as f64 / PCIE_BYTES_PER_NS,
-        );
-        let _ = m;
-
-        // Each worker solves its simulations and prices them into a private
-        // per-member timeline shard; the device absorbs the shards in
-        // simulation-index order, reproducing the sequential timeline (and
-        // its serialize-everything weakness) bitwise at any thread count.
-        let dp = DpModel::default();
-        let results = self.executor.try_map_with_cancel(
-            job.batch_size(),
-            &self.cancel,
-            SolverScratch::new,
-            |scratch, i| {
-                // Non-stiff attempt first; the recovery ladder reroutes a
-                // stiffness-shaped failure to BDF1 (the published switching
-                // pair), then climbs any configured relaxation rungs. Every
-                // attempt's work lands in the member's stats, so retries are
-                // billed on the modeled timeline.
-                let rs = solve_member_recovered(
-                    job,
-                    i,
-                    (&rkf, "rkf45"),
-                    Some((&bdf1, "bdf1")),
-                    reroutable,
-                    &self.recovery,
-                    scratch,
-                );
-                let mut shard = TimelineShard::new();
-                self.bill_scalar_member(&mut shard, job, i, &rs.stats, &dp, n);
-                (rs, shard)
-            },
+        // Non-stiff attempt first; the recovery ladder reroutes a
+        // stiffness-shaped failure to BDF1 (the published switching pair),
+        // then climbs any configured relaxation rungs. Every attempt's work
+        // lands in the member's stats, so retries are billed on the modeled
+        // timeline — one kernel per member, in member order on this thread:
+        // the serialize-everything weakness, bitwise at any thread count.
+        let members: Vec<usize> = (0..job.batch_size()).collect();
+        let results = solve_members_recovered(
+            &self.host,
+            job,
+            &members,
+            (&rkf, "rkf45"),
+            Some((&bdf1, "bdf1")),
+            reroutable,
         )?;
-
-        let mut outcomes = Vec::with_capacity(job.batch_size());
-        let mut health = BatchHealth::default();
-        for result in results {
-            // The ladder contains member panics; an executor-level fault
-            // would be a bug in the ladder itself, so resume it like the
-            // historical map_with did.
-            let (rs, shard) = result.unwrap_or_else(|fault| panic!("{fault}"));
-            device.absorb_shard(shard);
-            health.observe(&rs.solution, &rs.log);
-            outcomes.push(SimOutcome {
-                solution: rs.solution,
-                stiff: false,
-                rerouted: rs.log.rerouted,
-                solver: rs.solver,
-                log: rs.log,
-            });
+        let mut settled = Settled::default();
+        for (i, rs) in results.into_iter().enumerate() {
+            let name = format!("integrate::fine_sim{i}");
+            let (kernel, launches_ns) =
+                self.price(job, name, 1, &rs.stats, 1.0, rs.stats.steps as u64);
+            device.launch(&kernel);
+            device.record_host_phase(STEP_LAUNCHES, launches_ns);
+            settled.settle(rs.solution, false, rs.solver, rs.log);
         }
-
-        self.finish(job, device, outcomes, start, None, health)
+        let clocks = device_clocks(&device, "io::d2h", "io::write");
+        Ok(self.host.finish(self.name(), job, start, settled, None, clocks))
     }
 
-    /// The lane-batched path: lockstep DOPRI5 over lane-groups, with
-    /// masked per-lane step control and lane compaction.
+    /// The lane-batched path: lockstep lane-groups, with masked per-lane
+    /// step control and lane compaction.
     fn run_lanes(&self, job: &SimulationJob, width: usize) -> Result<BatchResult, SimError> {
         let start = Instant::now();
-        let device = Device::new(self.device_config.clone());
-        let batch = job.batch_size();
-
-        device
-            .record_host_phase("io::h2d", h2d_bytes(job) as f64 * batch as f64 / PCIE_BYTES_PER_NS);
+        let device = self.upload(job);
 
         // Lane-groups — not single members — are the unit of work the
         // executor's workers self-schedule; each group's shard is absorbed
         // in group order, so the timeline (and every trajectory) is bitwise
         // identical at any worker count.
-        let dp = DpModel::default();
         let groups = solve_lane_groups(
-            &self.executor,
-            &self.cancel,
-            batch,
+            &self.host.executor,
+            &self.host.cancel,
+            job.batch_size(),
             width,
-            |scratch, g, members| {
-                self.solve_lane_group(job, g, members.start, members.end, width, scratch, &dp)
-            },
+            |scratch, g, members| self.solve_lane_group(job, g, members, width, scratch),
         )?;
 
-        let mut outcomes = Vec::with_capacity(batch);
-        let mut health = BatchHealth::default();
-        for (group_outcomes, report, stiff_report, shard, group_health) in groups {
-            device.record_lane_group(&LaneGroupStats {
-                width: report.width,
-                lockstep_iters: report.lockstep_iters,
-                lane_steps: report.lane_steps,
-            });
-            if let Some(sr) = stiff_report {
-                device.record_lane_group(&LaneGroupStats {
-                    width: sr.width,
-                    lockstep_iters: sr.lockstep_iters,
-                    lane_steps: sr.lane_steps,
-                });
+        let mut settled = Settled::default();
+        for (group, classes, shard) in groups {
+            for stats in &classes {
+                device.record_lane_group(stats);
             }
             device.absorb_shard(shard);
-            health.absorb(&group_health);
-            outcomes.extend(group_outcomes);
+            settled.absorb(group);
         }
-
         let lanes = Some(device.lane_accounting());
-        self.finish(job, device, outcomes, start, lanes, health)
+        let clocks = device_clocks(&device, "io::d2h", "io::write");
+        Ok(self.host.finish(self.name(), job, start, settled, lanes, clocks))
     }
 
-    /// Solves members `lo..hi` as one lane-group of width `width`:
+    /// Solves `members` as one lane-group of width `width`:
     /// Jacobian-diagonal triage into **two lockstep classes** — non-stiff
-    /// members integrate under [`Dopri5Batch`], stiff members under
-    /// [`Radau5Batch`] — plus the group's device billing, all on a
+    /// members integrate under [`Lockstep::Dopri5`], stiff members under
+    /// [`Lockstep::Radau5`] — plus the group's device billing, all on a
     /// worker-private shard.
     ///
     /// Fault-planned members are **evicted** from both lockstep classes at
@@ -277,24 +205,19 @@ impl FineEngine {
     /// faulted lane's injected call ordinals would shift with lane packing.
     /// Eviction keeps both the blast radius and the fault schedule
     /// per-member.
-    #[allow(clippy::too_many_arguments)]
     fn solve_lane_group(
         &self,
         job: &SimulationJob,
         g: usize,
-        lo: usize,
-        hi: usize,
+        members: Range<usize>,
         width: usize,
         scratch: &mut SolverScratch,
-        dp: &DpModel,
-    ) -> (Vec<SimOutcome>, LaneReport, Option<LaneReport>, TimelineShard, BatchHealth) {
+    ) -> LaneGroup {
         let odes = job.odes();
-        let n = odes.n_species();
-        let bdf1 = Bdf::with_max_order(1);
-        let dopri5 = Dopri5::new();
-        let radau5 = Radau5::new();
-        let count = hi - lo;
-        let mut health = BatchHealth::default();
+        let (dopri5, bdf1, radau5) = (Dopri5::new(), Bdf::with_max_order(1), Radau5::new());
+        let dp = DpModel::default();
+        let config = &self.model.device_config;
+        let lo = members.start;
 
         // P2-style triage on the analytic Jacobian diagonal at t = 0:
         // members whose fastest local decay already exceeds the published
@@ -302,333 +225,139 @@ impl FineEngine {
         // instead of the explicit one, so one stiff member cannot drag a
         // DOPRI5 group through tiny steps — and a crowd of stiff members no
         // longer serializes into scalar solves.
-        let mut stiff = vec![false; count];
-        let mut evicted = vec![false; count];
-        let mut diag = vec![0.0; n];
-        for (slot, i) in (lo..hi).enumerate() {
-            let (x0, k) = job.member(i);
-            odes.jacobian_diag_batch(1, x0, k, &mut diag);
-            let fastest = diag.iter().fold(0.0f64, |a, &d| a.max(d.abs()));
-            stiff[slot] = fastest >= STIFFNESS_THRESHOLD;
-            evicted[slot] = job.fault_plan().faults_for(i).is_some();
-        }
-
-        let lane_members: Vec<usize> =
-            (lo..hi).filter(|&i| !stiff[i - lo] && !evicted[i - lo]).collect();
-        let stiff_members: Vec<usize> =
-            (lo..hi).filter(|&i| stiff[i - lo] && !evicted[i - lo]).collect();
-        let mut report = LaneReport { width, ..LaneReport::default() };
-        let mut lane_results = Vec::new();
-        if !lane_members.is_empty() {
-            let mut sys = RbmBatchSystem::new(odes, width);
-            for &i in &lane_members {
+        let mut diag = vec![0.0; odes.n_species()];
+        let stiff: Vec<bool> = members
+            .clone()
+            .map(|i| {
                 let (x0, k) = job.member(i);
-                sys.push_member(x0, k);
-            }
-            let (res, rep) = Dopri5Batch::new().solve_group(
-                &mut sys,
-                0.0,
-                job.time_points(),
-                job.options(),
-                scratch,
-            );
-            lane_results = res;
-            report = rep;
-        }
+                odes.jacobian_diag_batch(1, x0, k, &mut diag);
+                diag.iter().fold(0.0f64, |a, &d| a.max(d.abs())) >= STIFFNESS_THRESHOLD
+            })
+            .collect();
+        let evicted = |i: usize| job.fault_plan().faults_for(i).is_some();
 
-        let mut stiff_report = None;
-        let mut stiff_results = Vec::new();
-        if !stiff_members.is_empty() {
-            let mut sys = RbmBatchSystem::new(odes, width);
-            for &i in &stiff_members {
-                let (x0, k) = job.member(i);
-                sys.push_member(x0, k);
-            }
-            let (res, rep) = Radau5Batch::new().solve_group(
-                &mut sys,
-                0.0,
-                job.time_points(),
-                job.options(),
-                scratch,
-            );
-            stiff_results = res;
-            stiff_report = Some(rep);
-        }
-
+        // Each class integrates as one lockstep group and is billed as one
+        // wide kernel: n species × L lanes across threads, flops inflated
+        // by the divergence factor (masked lanes burn issue slots), and
+        // host launch latency once per lockstep sweep — not once per member
+        // step, which is the whole point of the lane path. (RADAU5's Newton
+        // sweeps and batched LU solves all happen inside its one launch per
+        // tick.)
         let mut shard = TimelineShard::new();
-
-        // Bill the lockstep work as one wide kernel: n species × L lanes
-        // across threads, flops inflated by the divergence factor (masked
-        // lanes burn issue slots), and host launch latency once per
-        // lockstep sweep — not once per member step, which is the whole
-        // point of the lane path.
-        if !lane_members.is_empty() {
-            let mut lane_stats = StepStats::default();
-            for r in &lane_results {
-                lane_stats.absorb(attempt_stats(r));
-            }
-            let work = WorkEstimate::from_stats(odes, &lane_stats, job.time_points().len());
-            let group_stats = LaneGroupStats {
-                width: report.width,
-                lockstep_iters: report.lockstep_iters,
-                lane_steps: report.lane_steps,
-            };
-            let threads = (n * width).max(1);
-            let tpb = threads.clamp(1, 128);
-            let blocks = threads.div_ceil(tpb).max(1);
-            let threads_total = (tpb * blocks) as u64;
-            let flops = ((work.flops as f64 * group_stats.divergence_factor()) as u64).max(1);
-            let per_thread = ThreadWork::new()
-                .with_flops((flops / threads_total).max(1))
-                .with_read(
-                    MemorySpace::CachedGlobal,
-                    ((work.state_bytes + work.structure_bytes) / threads_total).max(1),
-                )
-                .with_global_write((work.output_bytes / threads_total).max(1));
-            shard.launch(
-                &self.device_config,
-                dp,
-                &KernelLaunch::uniform(
-                    format!("integrate::lane_group{g}"),
-                    blocks,
-                    tpb,
-                    per_thread,
-                )
-                .with_registers(48),
-            );
-            let launches = (report.lockstep_iters * KERNELS_PER_STEP).saturating_sub(1);
-            shard.record_host_phase(
-                "integrate::step_launches",
-                launches as f64 * self.device_config.kernel_launch_ns,
-            );
-        }
-
-        // The stiff class is billed the same way: one wide kernel for the
-        // whole lockstep RADAU5 group (its Newton sweeps and batched LU
-        // solves all happen inside one launch per lockstep tick), plus host
-        // launch latency once per tick — where the pre-lane design paid
-        // per-member, per-step launches for every stiff member.
-        if let Some(sr) = &stiff_report {
-            let mut lane_stats = StepStats::default();
-            for r in &stiff_results {
-                lane_stats.absorb(attempt_stats(r));
-            }
-            let work = WorkEstimate::from_stats(odes, &lane_stats, job.time_points().len());
-            let group_stats = LaneGroupStats {
-                width: sr.width,
-                lockstep_iters: sr.lockstep_iters,
-                lane_steps: sr.lane_steps,
-            };
-            let threads = (n * width).max(1);
-            let tpb = threads.clamp(1, 128);
-            let blocks = threads.div_ceil(tpb).max(1);
-            let threads_total = (tpb * blocks) as u64;
-            let flops = ((work.flops as f64 * group_stats.divergence_factor()) as u64).max(1);
-            let per_thread = ThreadWork::new()
-                .with_flops((flops / threads_total).max(1))
-                .with_read(
-                    MemorySpace::CachedGlobal,
-                    ((work.state_bytes + work.structure_bytes) / threads_total).max(1),
-                )
-                .with_global_write((work.output_bytes / threads_total).max(1));
-            shard.launch(
-                &self.device_config,
-                dp,
-                &KernelLaunch::uniform(
-                    format!("integrate::radau_lane_group{g}"),
-                    blocks,
-                    tpb,
-                    per_thread,
-                )
-                .with_registers(48),
-            );
-            let launches = (sr.lockstep_iters * KERNELS_PER_STEP).saturating_sub(1);
-            shard.record_host_phase(
-                "integrate::step_launches",
-                launches as f64 * self.device_config.kernel_launch_ns,
-            );
-        }
-
-        // Merge lane results with the scalar-solved members in member
-        // order; evicted and rerouted members are billed like the scalar
-        // baseline (their own per-member kernel + per-step launches).
-        let mut outcomes = Vec::with_capacity(count);
-        let mut lane_iter = lane_results.into_iter();
-        let mut stiff_iter = stiff_results.into_iter();
-        for (slot, i) in (lo..hi).enumerate() {
-            if evicted[slot] {
-                // Stiff evicted members go straight to scalar RADAU5 (the
-                // bitwise twin of their would-be lane), so a fault plan
-                // never changes which method a member runs under.
-                let rs = if stiff[slot] {
-                    solve_member_recovered(
-                        job,
-                        i,
-                        (&radau5, "radau5"),
-                        None,
-                        |_| false,
-                        &self.recovery,
-                        scratch,
-                    )
-                } else {
-                    solve_member_recovered(
-                        job,
-                        i,
-                        (&dopri5, "dopri5"),
-                        Some((&bdf1, "bdf1")),
-                        reroutable,
-                        &self.recovery,
-                        scratch,
-                    )
-                };
-                self.bill_scalar_member(&mut shard, job, i, &rs.stats, dp, n);
-                health.evicted_lanes += 1;
-                health.observe(&rs.solution, &rs.log);
-                outcomes.push(SimOutcome {
-                    solution: rs.solution,
-                    stiff: stiff[slot],
-                    rerouted: rs.log.rerouted,
-                    solver: rs.solver,
-                    log: rs.log,
-                });
-                continue;
-            }
-            if stiff[slot] {
-                let first = stiff_iter.next().expect("one lane result per stiff member");
-                // The lane attempt was billed in the group-wide RADAU5
-                // kernel; only genuine retries bill a scalar kernel.
-                let rs = continue_ladder(
-                    job,
-                    i,
-                    first,
-                    true,
-                    "radau5-lanes",
-                    (&radau5, "radau5"),
-                    None,
-                    |_| false,
-                    &self.recovery,
-                    self.recovery.base_options(job),
-                    scratch,
-                );
-                if rs.log.attempts > 1 {
-                    self.bill_scalar_member(&mut shard, job, i, &rs.stats, dp, n);
+        let mut classes = Vec::new();
+        let mut class = |kernel: Lockstep, label: &str, of_stiff: bool| {
+            let lanes: Vec<usize> =
+                members.clone().filter(|&i| stiff[i - lo] == of_stiff && !evicted(i)).collect();
+            if lanes.is_empty() {
+                // The explicit class is on the occupancy record even empty.
+                if !of_stiff {
+                    classes.push(LaneGroupStats { width, ..LaneGroupStats::default() });
                 }
-                health.observe(&rs.solution, &rs.log);
-                outcomes.push(SimOutcome {
-                    solution: rs.solution,
-                    stiff: true,
-                    rerouted: rs.log.rerouted,
-                    solver: rs.solver,
-                    log: rs.log,
-                });
-                continue;
+                return Vec::new();
             }
-            let first = lane_iter.next().expect("one lane result per non-stiff member");
-            // The lane attempt's work was already billed in the group-wide
-            // kernel above; only genuine retries bill a scalar kernel.
+            let (attempts, report) =
+                self.host.solve_lane_group(kernel, job, &lanes, width, scratch);
+            let (kernel, launches_ns) = self.price(
+                job,
+                format!("integrate::{label}{g}"),
+                width,
+                &group_stats(&attempts),
+                lane_group_stats(&report).divergence_factor(),
+                report.lockstep_iters,
+            );
+            shard.launch(config, &dp, &kernel);
+            shard.record_host_phase(STEP_LAUNCHES, launches_ns);
+            classes.push(lane_group_stats(&report));
+            attempts
+        };
+        let mut explicit = class(Lockstep::Dopri5, "lane_group", false).into_iter();
+        let mut implicit = class(Lockstep::Radau5, "radau_lane_group", true).into_iter();
+
+        // Merge the lane attempts with the evicted members in member order,
+        // each through the ladder of its class. A lane attempt was billed in
+        // its group-wide kernel, so only genuine retries bill a scalar
+        // kernel; an evicted member's first attempt is the scalar twin of
+        // its would-be lane (a fault plan never changes which method a
+        // member runs under) and is billed like the scalar baseline.
+        type Named<'s> = (&'s dyn OdeSolver, &'static str);
+        let explicit_ladder: (Named, Option<Named>) = ((&dopri5, "dopri5"), Some((&bdf1, "bdf1")));
+        let implicit_ladder: (Named, Option<Named>) = ((&radau5, "radau5"), None);
+        let options = self.host.recovery.base_options(job);
+        let mut group = Settled::default();
+        for i in members.clone() {
+            let stiff = stiff[i - lo];
+            let (lanes, lane_name, (retry, fallback)) = if stiff {
+                (&mut implicit, "radau5-lanes", implicit_ladder)
+            } else {
+                (&mut explicit, "dopri5-lanes", explicit_ladder)
+            };
+            let (first, first_name, billed) = if evicted(i) {
+                group.health.evicted_lanes += 1;
+                (contained_attempt(job, i, retry.0, &options, scratch), retry.1, false)
+            } else {
+                (lanes.next().expect("one lane attempt per clean member"), lane_name, true)
+            };
             let rs = continue_ladder(
                 job,
                 i,
                 first,
-                true,
-                "dopri5-lanes",
-                (&dopri5, "dopri5"),
-                Some((&bdf1, "bdf1")),
+                billed,
+                first_name,
+                retry,
+                fallback,
                 reroutable,
-                &self.recovery,
-                self.recovery.base_options(job),
+                &self.host.recovery,
+                options.clone(),
                 scratch,
             );
-            if rs.log.attempts > 1 {
-                self.bill_scalar_member(&mut shard, job, i, &rs.stats, dp, n);
+            if !billed || rs.log.attempts > 1 {
+                let name = format!("integrate::fine_sim{i}");
+                let (kernel, launches_ns) =
+                    self.price(job, name, 1, &rs.stats, 1.0, rs.stats.steps as u64);
+                shard.launch(config, &dp, &kernel);
+                shard.record_host_phase(STEP_LAUNCHES, launches_ns);
             }
-            health.observe(&rs.solution, &rs.log);
-            outcomes.push(SimOutcome {
-                solution: rs.solution,
-                stiff: false,
-                rerouted: rs.log.rerouted,
-                solver: rs.solver,
-                log: rs.log,
-            });
+            group.settle(rs.solution, stiff, rs.solver, rs.log);
         }
-        (outcomes, report, stiff_report, shard, health)
+        (group, classes, shard)
     }
 
-    /// Prices one scalar-solved member the published-baseline way: species
-    /// across threads in a per-member kernel, host launches at every step.
-    fn bill_scalar_member(
+    /// Prices one integration kernel the fine-grained way: species ×
+    /// `lanes` across threads, the measured work (inflated by `divergence`)
+    /// spread over them, and the host-side launch latency of every
+    /// remaining kernel of its `steps` solver steps (the launch itself
+    /// charges one). A scalar member is the `lanes = 1`, `divergence = 1`
+    /// case: its own kernel, host launches at every one of its steps.
+    fn price(
         &self,
-        shard: &mut TimelineShard,
         job: &SimulationJob,
-        i: usize,
+        name: String,
+        lanes: usize,
         stats: &StepStats,
-        dp: &DpModel,
-        n: usize,
-    ) {
+        divergence: f64,
+        steps: u64,
+    ) -> (KernelLaunch, f64) {
         let work = WorkEstimate::from_stats(job.odes(), stats, job.time_points().len());
-        let tpb = n.clamp(1, 128);
-        let blocks = n.div_ceil(tpb).max(1);
+        let threads = (job.odes().n_species() * lanes).max(1);
+        let tpb = threads.clamp(1, 128);
+        let blocks = threads.div_ceil(tpb).max(1);
         let threads_total = (tpb * blocks) as u64;
+        let flops = ((work.flops as f64 * divergence) as u64).max(1);
         let per_thread = ThreadWork::new()
-            .with_flops((work.flops / threads_total).max(1))
+            .with_flops((flops / threads_total).max(1))
             .with_read(
                 MemorySpace::CachedGlobal,
                 ((work.state_bytes + work.structure_bytes) / threads_total).max(1),
             )
             .with_global_write((work.output_bytes / threads_total).max(1));
-        shard.launch(
-            &self.device_config,
-            dp,
-            &KernelLaunch::uniform(format!("integrate::fine_sim{i}"), blocks, tpb, per_thread)
-                .with_registers(48),
-        );
-        // Host-side launch latency for every remaining kernel of every
-        // step (the single launch above already charged one).
-        let launches = (stats.steps as u64 * KERNELS_PER_STEP).saturating_sub(1);
-        shard.record_host_phase(
-            "integrate::step_launches",
-            launches as f64 * self.device_config.kernel_launch_ns,
-        );
-    }
-
-    /// Shared tail: output phases + result assembly.
-    fn finish(
-        &self,
-        job: &SimulationJob,
-        device: Device,
-        outcomes: Vec<SimOutcome>,
-        start: Instant,
-        lanes: Option<paraspace_vgpu::LaneAccounting>,
-        health: BatchHealth,
-    ) -> Result<BatchResult, SimError> {
-        let out_bytes = output_bytes(job, &outcomes, &self.executor);
-        device.record_host_phase("io::d2h", out_bytes as f64 / PCIE_BYTES_PER_NS);
-        device.record_host_phase("io::write", out_bytes as f64 / IO_BYTES_PER_NS);
-
-        let timeline = device.timeline();
-        Ok(BatchResult {
-            engine: self.name(),
-            outcomes,
-            timing: BatchTiming {
-                host_wall: start.elapsed(),
-                simulated_total_ns: timeline.total_ns(),
-                simulated_integration_ns: timeline.time_tagged_ns("integrate"),
-                simulated_io_ns: timeline.time_tagged_ns("io"),
-            },
-            lanes,
-            health,
-        })
+        let kernel = KernelLaunch::uniform(name, blocks, tpb, per_thread).with_registers(48);
+        let launches = (steps * KERNELS_PER_STEP).saturating_sub(1);
+        (kernel, launches as f64 * self.model.device_config.kernel_launch_ns)
     }
 }
 
-/// Input-staging bytes per batch member (structure + state + constants).
-fn h2d_bytes(job: &SimulationJob) -> u64 {
-    let n = job.odes().n_species();
-    let m = job.odes().n_reactions();
-    (job.odes().n_terms() as u64 * 12 + m as u64 * 8) + (n + m) as u64 * 8
-}
-
-/// Whether a solver failure is stiffness-shaped and worth a BDF1 retry.
+/// Whether a solver failure is stiffness-shaped and worth a BDF1 retry
+/// (the stiff class has no fallback, so nothing asks on its behalf).
 fn reroutable(e: &SolverError) -> bool {
     matches!(
         e,
@@ -638,13 +367,16 @@ fn reroutable(e: &SolverError) -> bool {
     )
 }
 
-impl Simulator for FineEngine {
+impl Simulator for Engine<Fine> {
     fn name(&self) -> &'static str {
         "fine"
     }
 
     fn run(&self, job: &SimulationJob) -> Result<BatchResult, SimError> {
-        let width = self.resolved_lane_width(job);
+        // Falls back to scalar — emitting a note when `PARASPACE_DEBUG=1` —
+        // when the model mixes kinetics the batched flux pass does not
+        // cover, rather than asserting deep inside the lane path.
+        let width = crate::lanes::resolve_lane_width(self.model.lane_width, job, "fine", false);
         if width <= 1 {
             self.run_scalar(job)
         } else {

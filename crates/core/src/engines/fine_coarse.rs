@@ -28,26 +28,23 @@
 //! fed per-member counters in member order, so outcomes, labels, billing
 //! and health do not depend on the width or the worker count.
 
-use crate::engines::{
-    attempt_stats, output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, Simulator,
-    IO_BYTES_PER_NS,
+use crate::engines::host::{
+    device_clocks, h2d_bytes, lane_group_stats, DeviceModel, Engine, Host, Lockstep, Settled,
+    PCIE_BYTES_PER_NS,
 };
+use crate::engines::{attempt_stats, group_stats, BatchResult, Simulator};
 use crate::lanes::{explicit_lane_width, solve_explicit_queue, solve_lane_groups};
-use crate::recovery::{contained_attempt, continue_ladder, RecoveryLog, RecoveryPolicy};
-use crate::{classify_batch_with_threshold, RbmBatchSystem, SimError, SimulationJob, WorkEstimate};
-use paraspace_exec::{CancelToken, Cancelled, Executor};
+use crate::recovery::{contained_attempt, continue_ladder, RecoveryLog};
+use crate::{classify_batch_with_threshold, SimError, SimulationJob, WorkEstimate};
+use paraspace_exec::Cancelled;
 use paraspace_solvers::{
-    Dopri5, OdeSolver, Radau5, Radau5Batch, Solution, SolveFailure, SolverError, SolverScratch,
-    StepStats,
+    Dopri5, OdeSolver, Radau5, Solution, SolveFailure, SolverError, SolverScratch, StepStats,
 };
 use paraspace_vgpu::{
-    ChildLaunch, Device, DeviceConfig, DpModel, KernelLaunch, LaneGroupStats, MemorySpace,
-    ThreadWork,
+    ChildLaunch, Device, DeviceConfig, DpModel, KernelLaunch, MemorySpace, ThreadWork,
 };
 use std::time::Instant;
 
-/// Host↔device transfer throughput in bytes/ns (PCIe 3.0-class ≈ 8 GB/s).
-const PCIE_BYTES_PER_NS: f64 = 8.0;
 /// Parent-thread control-flow flops per solver step (loop bookkeeping,
 /// step-size control on the coarse thread).
 const PARENT_FLOPS_PER_STEP: u64 = 30;
@@ -56,6 +53,37 @@ const PARENT_FLOPS_PER_STEP: u64 = 30;
 /// keeps its work counters until the outcomes are assembled, so a
 /// relaxation retry can account the attempt it discards.
 type MemberSlot = Option<(Result<Solution, SolveFailure>, &'static str)>;
+
+/// The fine+coarse cost model: one parent thread per simulation, child
+/// grids across species at every step, dynamic-parallelism overhead per
+/// child round.
+#[derive(Debug, Clone)]
+pub struct FineCoarse {
+    device_config: DeviceConfig,
+    dp_model: DpModel,
+    threads_per_block: usize,
+    stiffness_threshold: f64,
+    lane_width: Option<usize>,
+}
+
+impl Default for FineCoarse {
+    /// The published GPU and stiffness threshold, lane widths autotuned.
+    fn default() -> Self {
+        FineCoarse {
+            device_config: DeviceConfig::titan_x(),
+            dp_model: DpModel::default(),
+            threads_per_block: 32,
+            stiffness_threshold: crate::STIFFNESS_THRESHOLD,
+            lane_width: None,
+        }
+    }
+}
+
+impl DeviceModel for FineCoarse {
+    fn device_config_mut(&mut self) -> &mut DeviceConfig {
+        &mut self.device_config
+    }
+}
 
 /// The fine+coarse engine.
 ///
@@ -76,39 +104,9 @@ type MemberSlot = Option<(Result<Solution, SolveFailure>, &'static str)>;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
-pub struct FineCoarseEngine {
-    device_config: DeviceConfig,
-    dp_model: DpModel,
-    threads_per_block: usize,
-    stiffness_threshold: f64,
-    executor: Executor,
-    lane_width: Option<usize>,
-    recovery: RecoveryPolicy,
-    cancel: CancelToken,
-}
+pub type FineCoarseEngine = Engine<FineCoarse>;
 
-impl Default for FineCoarseEngine {
-    fn default() -> Self {
-        FineCoarseEngine::new()
-    }
-}
-
-impl FineCoarseEngine {
-    /// An engine on the published GPU (simulated Titan X).
-    pub fn new() -> Self {
-        FineCoarseEngine {
-            device_config: DeviceConfig::titan_x(),
-            dp_model: DpModel::default(),
-            threads_per_block: 32,
-            stiffness_threshold: crate::STIFFNESS_THRESHOLD,
-            executor: Executor::sequential(),
-            lane_width: None,
-            recovery: RecoveryPolicy::default(),
-            cancel: CancelToken::new(),
-        }
-    }
-
+impl Engine<FineCoarse> {
     /// Pins the lockstep lane width of both solver phases (builder style):
     /// `1` forces the all-scalar route — one `Dopri5` solve per P3 member,
     /// one `Radau5` solve per P4 member — larger values run P3's DOPRI5
@@ -116,85 +114,42 @@ impl FineCoarseEngine {
     /// runs at width 8 (narrowed when a worker's share of the members is
     /// smaller) and P4 autotunes per model ([`crate::auto_lane_width`])
     /// through the same resolver as [`crate::FineEngine`]. Per-member
-    /// results are bitwise identical at any width; P3's modeled time is
-    /// too, while P4's width shapes its modeled kernel and the LU working
-    /// set.
+    /// results are bitwise identical at any width — the recovery policy's
+    /// step budget binds a lane as it binds a scalar solve; P3's modeled
+    /// time is too, while P4's width shapes its modeled kernel and the LU
+    /// working set.
     pub fn with_lane_width(mut self, width: usize) -> Self {
-        self.lane_width = Some(width.max(1));
-        self
-    }
-
-    /// Sets the host worker-thread count used to run the batch numerics
-    /// (builder style): `1` is the sequential path, `0` means one worker
-    /// per available core. The result is bitwise identical at any setting.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.executor = Executor::new(threads);
+        self.model.lane_width = Some(width.max(1));
         self
     }
 
     /// Overrides the phase-P2 stiffness threshold (builder style; swept by
     /// the stiffness-threshold ablation).
     pub fn with_stiffness_threshold(mut self, threshold: f64) -> Self {
-        self.stiffness_threshold = threshold;
-        self
-    }
-
-    /// Overrides the device (builder style).
-    pub fn with_device(mut self, config: DeviceConfig) -> Self {
-        self.device_config = config;
+        self.model.stiffness_threshold = threshold;
         self
     }
 
     /// Overrides the dynamic-parallelism model (builder style; used by the
     /// DP ablation).
     pub fn with_dp_model(mut self, dp: DpModel) -> Self {
-        self.dp_model = dp;
+        self.model.dp_model = dp;
         self
     }
+}
 
-    /// Overrides the failed-member recovery policy (builder style).
-    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
-        self.recovery = recovery;
-        self
-    }
+/// One run on its way through P3 → P4 → relaxation: the device being
+/// billed, and every member's latest attempt and recovery log.
+struct Phases<'a> {
+    host: &'a Host,
+    model: &'a FineCoarse,
+    job: &'a SimulationJob<'a>,
+    device: Device,
+    slots: Vec<MemberSlot>,
+    logs: Vec<RecoveryLog>,
+}
 
-    /// Installs a cooperative cancellation token (builder style). When the
-    /// token trips mid-batch, in-flight members drain, [`Simulator::run`]
-    /// returns [`SimError::Cancelled`], and partial results are discarded.
-    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
-        self.cancel = cancel;
-        self
-    }
-
-    /// Runs one scalar solver phase over `members`, filling `slots`, and
-    /// returns the members that failed with a re-routable error (or
-    /// `Err(Cancelled)` if the token tripped before the phase completed).
-    #[allow(clippy::too_many_arguments)]
-    fn run_phase(
-        &self,
-        job: &SimulationJob,
-        device: &Device,
-        phase_name: &str,
-        solver: &dyn OdeSolver,
-        members: &[usize],
-        slots: &mut [MemberSlot],
-        logs: &mut [RecoveryLog],
-        reroutable: bool,
-    ) -> Result<Vec<usize>, Cancelled> {
-        let attempts = self.solve_scalar(job, solver, members)?;
-        Ok(self.settle_phase(
-            job,
-            device,
-            phase_name,
-            solver.name(),
-            members,
-            attempts,
-            slots,
-            logs,
-            reroutable,
-        ))
-    }
-
+impl Phases<'_> {
     /// One scalar attempt per member on the executor's workers, in
     /// `members` order. Each attempt runs under panic containment: a
     /// panicking member becomes an `Internal` failure (never re-routable —
@@ -202,14 +157,14 @@ impl FineCoarseEngine {
     /// down the phase.
     fn solve_scalar(
         &self,
-        job: &SimulationJob,
         solver: &dyn OdeSolver,
         members: &[usize],
     ) -> Result<Vec<Result<Solution, SolveFailure>>, Cancelled> {
-        let opts = self.recovery.base_options(job);
-        let attempts = self.executor.try_map_with_cancel(
+        let (host, job) = (self.host, self.job);
+        let opts = host.recovery.base_options(job);
+        let attempts = host.executor.try_map_with_cancel(
             members.len(),
-            &self.cancel,
+            &host.cancel,
             SolverScratch::new,
             |scratch, idx| contained_attempt(job, members[idx], solver, &opts, scratch),
         )?;
@@ -229,21 +184,21 @@ impl FineCoarseEngine {
     /// and re-routed exactly as if it had run scalar.
     fn solve_p3(
         &self,
-        job: &SimulationJob,
         dopri5: &Dopri5,
         members: &[usize],
     ) -> Result<Vec<Result<Solution, SolveFailure>>, Cancelled> {
+        let (host, job) = (self.host, self.job);
         let planned = |i: &usize| job.fault_plan().faults_for(*i).is_some();
         let (faulty, clean): (Vec<usize>, Vec<usize>) = members.iter().partition(|i| planned(i));
-        let width =
-            explicit_lane_width(self.lane_width, job.odes(), clean.len(), self.executor.threads());
+        let workers = host.executor.threads();
+        let width = explicit_lane_width(self.model.lane_width, job.odes(), clean.len(), workers);
         if width < 2 {
-            return self.solve_scalar(job, dopri5, members);
+            return self.solve_scalar(dopri5, members);
         }
-        let opts = self.recovery.base_options(job);
+        let opts = host.recovery.base_options(job);
         let mut lane_attempts = solve_explicit_queue(
-            &self.executor,
-            &self.cancel,
+            &host.executor,
+            &host.cancel,
             &clean,
             width,
             |width| job.lane_system(width),
@@ -251,7 +206,7 @@ impl FineCoarseEngine {
             &opts,
         )?
         .into_iter();
-        let mut scalar_attempts = self.solve_scalar(job, dopri5, &faulty)?.into_iter();
+        let mut scalar_attempts = self.solve_scalar(dopri5, &faulty)?.into_iter();
         Ok(members
             .iter()
             .map(|i| if planned(i) { scalar_attempts.next() } else { lane_attempts.next() })
@@ -267,28 +222,23 @@ impl FineCoarseEngine {
     /// decisions — folds on the calling thread in member order over
     /// per-member counters, so the batch result is bitwise identical at any
     /// thread count and however the attempts were scheduled.
-    #[allow(clippy::too_many_arguments)]
     fn settle_phase(
-        &self,
-        job: &SimulationJob,
-        device: &Device,
+        &mut self,
         phase_name: &str,
         solver_name: &'static str,
         members: &[usize],
         attempts: Vec<Result<Solution, SolveFailure>>,
-        slots: &mut [MemberSlot],
-        logs: &mut [RecoveryLog],
         reroutable: bool,
     ) -> Vec<usize> {
         if members.is_empty() {
             return Vec::new();
         }
+        let (job, logs) = (self.job, &mut self.logs);
         let n = job.odes().n_species();
         let mut failed = Vec::new();
         let mut parent_work: Vec<ThreadWork> = Vec::with_capacity(members.len());
         let mut phase_work = WorkEstimate::default();
         let mut total_rounds: u64 = 0;
-        let mut total_steps_max: u64 = 0;
 
         for (&i, result) in members.iter().zip(attempts) {
             // Failed members are billed for the work they actually did
@@ -298,7 +248,6 @@ impl FineCoarseEngine {
             logs[i].panicked |= is_contained_panic(&result);
             let rounds = launch_rounds(&stats);
             total_rounds += rounds;
-            total_steps_max = total_steps_max.max(stats.steps as u64);
             parent_work.push(
                 ThreadWork::new()
                     .with_flops(stats.steps as u64 * PARENT_FLOPS_PER_STEP)
@@ -315,12 +264,12 @@ impl FineCoarseEngine {
                     logs[i].discarded_steps += stats.steps;
                     failed.push(i);
                 }
-                settled => slots[i] = Some((settled, solver_name)),
+                settled => self.slots[i] = Some((settled, solver_name)),
             }
         }
 
         // Parent grid: one thread per member (padded to full blocks).
-        let tpb = self.threads_per_block;
+        let tpb = self.model.threads_per_block;
         let blocks = members.len().div_ceil(tpb);
         let mut padded = parent_work;
         padded.resize(blocks * tpb, ThreadWork::new());
@@ -354,16 +303,17 @@ impl FineCoarseEngine {
                         ),
                     repeats: rounds_avg,
                 });
-        device.launch(&launch);
+        self.device.launch(&launch);
         failed
     }
 
     /// The lane-batched P4: `members` integrate as lockstep RADAU5
-    /// lane-groups ([`Radau5Batch`] over the SoA adapter) instead of one
+    /// lane-groups ([`Lockstep::Radau5`] over the SoA adapter) instead of one
     /// scalar solve per stiff member. The groups — the shared partition of
     /// [`solve_lane_groups`], a function of `(members, width)` only — are
     /// the executor's work items: each worker packs its group into its own
-    /// [`RbmBatchSystem`] and integrates it on its pooled scratch.
+    /// lane system and integrates it on its pooled scratch
+    /// ([`Host::solve_lane_group`](crate::Host)).
     ///
     /// Billing folds on this thread in group order, one launch per group:
     /// a parent thread carries the whole lane-group, and one child round
@@ -372,40 +322,22 @@ impl FineCoarseEngine {
     /// where the scalar P4 lost its budget on stiff-heavy batches. Results
     /// are bitwise identical to scalar [`Radau5`] per member, and the
     /// modeled timeline is identical at any worker count.
-    fn run_p4_lanes(
-        &self,
-        job: &SimulationJob,
-        device: &Device,
-        members: &[usize],
-        width: usize,
-        slots: &mut [MemberSlot],
-        logs: &mut [RecoveryLog],
-    ) -> Result<(), Cancelled> {
+    fn run_p4_lanes(&mut self, members: &[usize], width: usize) -> Result<(), Cancelled> {
+        let (host, job) = (self.host, self.job);
         let groups = solve_lane_groups(
-            &self.executor,
-            &self.cancel,
+            &host.executor,
+            &host.cancel,
             members.len(),
             width,
             |scratch, _g, positions| {
-                let mut sys = RbmBatchSystem::new(job.odes(), width);
-                for &i in &members[positions] {
-                    let (x0, k) = job.member(i);
-                    sys.push_member(x0, k);
-                }
-                Radau5Batch::new().solve_group(
-                    &mut sys,
-                    0.0,
-                    job.time_points(),
-                    job.options(),
-                    scratch,
-                )
+                host.solve_lane_group(Lockstep::Radau5, job, &members[positions], width, scratch)
             },
         )?;
 
         // Parent grid: one thread for the lane-group; child grid: species ×
         // lanes threads, one round per lockstep tick, flops inflated by the
         // divergence factor (masked lanes burn issue slots).
-        let tpb = self.threads_per_block;
+        let tpb = self.model.threads_per_block;
         let child_threads = (job.odes().n_species() * width).max(1);
         let child_tpb = child_threads.clamp(1, 128);
         let child_blocks = child_threads.div_ceil(child_tpb).max(1);
@@ -413,22 +345,15 @@ impl FineCoarseEngine {
 
         let mut next_member = members.iter();
         for (results, report) in groups {
-            let mut lane_stats = StepStats::default();
-            for r in &results {
-                lane_stats.absorb(attempt_stats(r));
-            }
+            let lane_stats = group_stats(&results);
             let phase_work =
                 WorkEstimate::from_stats(job.odes(), &lane_stats, job.time_points().len());
-            let group_stats = LaneGroupStats {
-                width: report.width,
-                lockstep_iters: report.lockstep_iters,
-                lane_steps: report.lane_steps,
-            };
+            let divergence = lane_group_stats(&report).divergence_factor();
             let parent = ThreadWork::new()
                 .with_flops(report.lockstep_iters * PARENT_FLOPS_PER_STEP)
                 .with_syncs(report.lockstep_iters);
             let rounds = report.lockstep_iters.max(1);
-            let flops = ((phase_work.flops as f64 * group_stats.divergence_factor()) as u64).max(1);
+            let flops = ((phase_work.flops as f64 * divergence) as u64).max(1);
             let launch = KernelLaunch::uniform("integrate::p4_radau_lanes", 1, tpb, parent)
                 .with_registers(64)
                 .with_child(ChildLaunch {
@@ -446,13 +371,13 @@ impl FineCoarseEngine {
                         .with_global_write(phase_work.output_bytes / child_threads_total / rounds),
                     repeats: rounds,
                 });
-            device.launch(&launch);
+            self.device.launch(&launch);
 
             for r in results {
                 let i = *next_member.next().expect("one lane result per queued member");
-                logs[i].attempts += 1;
-                logs[i].panicked |= is_contained_panic(&r);
-                slots[i] = Some((r, "radau5-lanes"));
+                self.logs[i].attempts += 1;
+                self.logs[i].panicked |= is_contained_panic(&r);
+                self.slots[i] = Some((r, "radau5-lanes"));
             }
         }
         Ok(())
@@ -482,70 +407,51 @@ fn is_reroutable(e: &SolverError) -> bool {
     )
 }
 
-impl Simulator for FineCoarseEngine {
+impl Simulator for Engine<FineCoarse> {
     fn name(&self) -> &'static str {
         "fine-coarse"
     }
 
     fn run(&self, job: &SimulationJob) -> Result<BatchResult, SimError> {
         let start = Instant::now();
-        let device = Device::with_dp_model(self.device_config.clone(), self.dp_model.clone());
+        let (host, model) = (&self.host, &self.model);
+        let device = Device::with_dp_model(model.device_config.clone(), model.dp_model.clone());
         let n = job.odes().n_species();
-        let m = job.odes().n_reactions();
         let batch = job.batch_size();
 
         // P1: encoding upload (structures + per-member x0, k).
-        let h2d_bytes = (job.odes().n_terms() as u64 * 12 + m as u64 * 8) // encoding
-            + batch as u64 * (n + m) as u64 * 8;
-        device.record_host_phase("io::p1_h2d", h2d_bytes as f64 / PCIE_BYTES_PER_NS);
+        device.record_host_phase("io::p1_h2d", h2d_bytes(job, batch) as f64 / PCIE_BYTES_PER_NS);
 
         // P2: stiffness triage on the device.
-        let classes = classify_batch_with_threshold(job, self.stiffness_threshold, &self.executor);
+        let classes = classify_batch_with_threshold(job, model.stiffness_threshold, &host.executor);
         let p2_work = ThreadWork::new()
             .with_flops(job.odes().jacobian_flops() + 50 * 2 * (n * n) as u64)
             .with_global_read((job.odes().n_terms() as u64 * 12) + (n * n) as u64 * 8);
-        let p2_blocks = batch.div_ceil(self.threads_per_block);
+        let tpb = model.threads_per_block;
         device.launch(
-            &KernelLaunch::uniform(
-                "setup::p2_stiffness",
-                p2_blocks,
-                self.threads_per_block,
-                p2_work,
-            )
-            .with_registers(64),
+            &KernelLaunch::uniform("setup::p2_stiffness", batch.div_ceil(tpb), tpb, p2_work)
+                .with_registers(64),
         );
 
         // P3: DOPRI5 over non-stiff members; collect re-routes.
-        let mut slots: Vec<MemberSlot> = (0..batch).map(|_| None).collect();
-        let mut logs = vec![RecoveryLog::default(); batch];
+        let slots = (0..batch).map(|_| None).collect();
+        let logs = vec![RecoveryLog::default(); batch];
+        let mut run = Phases { host, model, job, device, slots, logs };
         let nonstiff: Vec<usize> = (0..batch).filter(|&i| !classes[i].stiff).collect();
         let stiff: Vec<usize> = (0..batch).filter(|&i| classes[i].stiff).collect();
         let dopri5 = Dopri5::new();
         let radau5 = Radau5::new();
-        let p3_attempts = self.solve_p3(job, &dopri5, &nonstiff)?;
-        let rerouted = self.settle_phase(
-            job,
-            &device,
-            "p3_dopri5",
-            dopri5.name(),
-            &nonstiff,
-            p3_attempts,
-            &mut slots,
-            &mut logs,
-            self.recovery.reroute,
-        );
+        let p3_attempts = run.solve_p3(&dopri5, &nonstiff)?;
+        let reroute = host.recovery.reroute;
+        let rerouted =
+            run.settle_phase("p3_dopri5", dopri5.name(), &nonstiff, p3_attempts, reroute);
 
         // P4: RADAU5 over stiff + re-routed members.
         let mut p4_members = stiff;
         p4_members.extend(rerouted.iter().copied());
-        let rerouted_set: Vec<bool> = {
-            let mut v = vec![false; batch];
-            for &i in &rerouted {
-                v[i] = true;
-                logs[i].rerouted = true;
-            }
-            v
-        };
+        for &i in &rerouted {
+            run.logs[i].rerouted = true;
+        }
         // Mass-action batches with two or more clean stiff members run P4
         // as lockstep RADAU5 lane-groups; fault-planned members stay on the
         // scalar path so an injected panic (and its per-call fault
@@ -553,43 +459,28 @@ impl Simulator for FineCoarseEngine {
         // same per-model resolver as the fine engine's lane path.
         let (p4_lane, p4_scalar): (Vec<usize>, Vec<usize>) =
             p4_members.iter().copied().partition(|&i| job.fault_plan().faults_for(i).is_none());
-        let p4_width = crate::lanes::resolve_lane_width(self.lane_width, job, "fine-coarse", true);
-        if p4_width > 1 && p4_lane.len() >= 2 {
-            self.run_p4_lanes(job, &device, &p4_lane, p4_width, &mut slots, &mut logs)?;
-            self.run_phase(
-                job,
-                &device,
-                "p4_radau5",
-                &radau5,
-                &p4_scalar,
-                &mut slots,
-                &mut logs,
-                false,
-            )?;
+        let p4_width = crate::lanes::resolve_lane_width(model.lane_width, job, "fine-coarse", true);
+        let p4_scalar = if p4_width > 1 && p4_lane.len() >= 2 {
+            run.run_p4_lanes(&p4_lane, p4_width)?;
+            p4_scalar
         } else {
-            self.run_phase(
-                job,
-                &device,
-                "p4_radau5",
-                &radau5,
-                &p4_members,
-                &mut slots,
-                &mut logs,
-                false,
-            )?;
-        }
+            p4_members
+        };
+        let p4_attempts = run.solve_scalar(&radau5, &p4_scalar)?;
+        run.settle_phase("p4_radau5", radau5.name(), &p4_scalar, p4_attempts, false);
+        let Phases { device, mut slots, mut logs, .. } = run;
 
         // Relaxation pass: members still failing after P4 climb the
         // tolerance-relaxation rungs of the ladder on the solver that last
         // ran them (sequential, member order — the pass is rare and must
         // stay deterministic). Their P3/P4 work is already billed above, so
         // only genuine retries bill launch rounds.
-        if self.recovery.max_relaxations > 0 {
+        if host.recovery.max_relaxations > 0 {
             let mut scratch = SolverScratch::new();
             for i in 0..batch {
                 let Some((Err(_), _)) = slots[i].as_ref() else { continue };
                 let (first, first_name) = slots[i].take().expect("slot checked above");
-                let on_radau = classes[i].stiff || rerouted_set[i];
+                let on_radau = classes[i].stiff || logs[i].rerouted;
                 let retry: (&dyn OdeSolver, &'static str) =
                     if on_radau { (&radau5, "radau5") } else { (&dopri5, "dopri5") };
                 let rs = continue_ladder(
@@ -601,14 +492,14 @@ impl Simulator for FineCoarseEngine {
                     retry,
                     None,
                     |_| false,
-                    &self.recovery,
-                    self.recovery.base_options(job),
+                    &host.recovery,
+                    host.recovery.base_options(job),
                     &mut scratch,
                 );
                 if rs.log.attempts > 1 {
                     device.record_host_phase(
                         "integrate::relax_retries",
-                        launch_rounds(&rs.stats) as f64 * self.device_config.kernel_launch_ns,
+                        launch_rounds(&rs.stats) as f64 * model.device_config.kernel_launch_ns,
                     );
                 }
                 logs[i].attempts += rs.log.attempts - 1;
@@ -620,43 +511,17 @@ impl Simulator for FineCoarseEngine {
         }
 
         // Assemble outcomes.
-        let mut health = BatchHealth::default();
-        let outcomes: Vec<SimOutcome> = slots
-            .into_iter()
-            .enumerate()
-            .map(|(i, slot)| {
-                let (solution, solver) = slot.expect("every member handled by P3 or P4");
-                let solution = solution.map_err(|failure| failure.error);
-                logs[i].recovered = solution.is_ok() && logs[i].attempts > 1;
-                health.observe(&solution, &logs[i]);
-                SimOutcome {
-                    solution,
-                    stiff: classes[i].stiff,
-                    rerouted: rerouted_set[i],
-                    solver,
-                    log: std::mem::take(&mut logs[i]),
-                }
-            })
-            .collect();
+        let mut settled = Settled::default();
+        for (i, slot) in slots.into_iter().enumerate() {
+            let (solution, solver) = slot.expect("every member handled by P3 or P4");
+            let solution = solution.map_err(|failure| failure.error);
+            logs[i].recovered = solution.is_ok() && logs[i].attempts > 1;
+            settled.settle(solution, classes[i].stiff, solver, logs[i]);
+        }
 
         // P5: device→host transfer plus output writing.
-        let out_bytes = output_bytes(job, &outcomes, &self.executor);
-        device.record_host_phase("io::p5_d2h", out_bytes as f64 / PCIE_BYTES_PER_NS);
-        device.record_host_phase("io::p5_write", out_bytes as f64 / IO_BYTES_PER_NS);
-
-        let timeline = device.timeline();
-        Ok(BatchResult {
-            engine: self.name(),
-            outcomes,
-            timing: BatchTiming {
-                host_wall: start.elapsed(),
-                simulated_total_ns: timeline.total_ns(),
-                simulated_integration_ns: timeline.time_tagged_ns("integrate"),
-                simulated_io_ns: timeline.time_tagged_ns("io"),
-            },
-            lanes: None,
-            health,
-        })
+        let clocks = device_clocks(&device, "io::p5_d2h", "io::p5_write");
+        Ok(host.finish(self.name(), job, start, settled, None, clocks))
     }
 }
 

@@ -1,0 +1,261 @@
+//! The one host pipeline under every engine.
+//!
+//! An engine is a [`Host`] — the worker pool the numerics run on, the
+//! failed-member recovery policy, the cancellation token — plus a cost
+//! model that says how the measured work is scheduled on its modeled
+//! hardware. Everything that is not cost model lives here once: the
+//! builders, the packing of a member list into a lockstep lane group, the
+//! folding of settled members into outcomes and health, the input-staging
+//! size, and the P5 tail that turns a finished batch into a
+//! [`BatchResult`].
+
+use crate::engines::{
+    output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, IO_BYTES_PER_NS,
+};
+use crate::recovery::{RecoveryLog, RecoveryPolicy};
+use crate::{RbmBatchSystem, SimulationJob};
+use paraspace_exec::{CancelToken, Executor};
+use paraspace_solvers::{
+    Dopri5Batch, LaneReport, Radau5Batch, Solution, SolveFailure, SolverError, SolverScratch,
+};
+use paraspace_vgpu::{Device, DeviceConfig, LaneAccounting, LaneGroupStats};
+use std::time::Instant;
+
+/// Host↔device transfer throughput in bytes/ns (PCIe 3.0-class ≈ 8 GB/s).
+pub(crate) const PCIE_BYTES_PER_NS: f64 = 8.0;
+
+/// The host side of an engine: what runs the numerics, whichever hardware
+/// the engine then prices them on.
+///
+/// # Example
+///
+/// ```
+/// use paraspace_core::{Executor, FineCoarseEngine, Host};
+///
+/// // Two workers, the default recovery policy, a fresh token.
+/// let host = Host { executor: Executor::new(2), ..Host::default() };
+/// let engine = FineCoarseEngine::new().with_host(host);
+/// # let _ = engine;
+/// ```
+#[derive(Debug, Clone)]
+pub struct Host {
+    /// The worker pool the batch numerics run on. Results are bitwise
+    /// identical at any worker count.
+    pub executor: Executor,
+    /// How failed members are retried.
+    pub recovery: RecoveryPolicy,
+    /// Cooperative cancellation: once tripped, in-flight members (or
+    /// lane-groups) drain, the run returns [`crate::SimError::Cancelled`]
+    /// and partial results are discarded.
+    pub cancel: CancelToken,
+}
+
+impl Default for Host {
+    /// One sequential worker, the default recovery policy, a fresh token.
+    fn default() -> Self {
+        Host {
+            executor: Executor::sequential(),
+            recovery: RecoveryPolicy::default(),
+            cancel: CancelToken::new(),
+        }
+    }
+}
+
+/// A batch engine: one [`Host`] under the cost model `M` of its modeled
+/// hardware. The five engines of the comparison are aliases of this type
+/// ([`crate::FineCoarseEngine`], [`crate::FineEngine`],
+/// [`crate::CoarseEngine`], [`crate::CpuEngine`], [`crate::AutoEngine`]).
+#[derive(Debug, Clone, Default)]
+pub struct Engine<M> {
+    pub(crate) host: Host,
+    pub(crate) model: M,
+}
+
+impl<M: Default> Engine<M> {
+    /// The engine with its published defaults (GPU engines: the simulated
+    /// Titan X) on a sequential host.
+    pub fn new() -> Self {
+        Engine::default()
+    }
+}
+
+impl<M> Engine<M> {
+    /// Sets the host worker-thread count used to run the batch numerics
+    /// (builder style): `1` is the sequential path, `0` means one worker
+    /// per available core. The result is bitwise identical at any setting
+    /// (the *modeled* hardware does not change — this only accelerates the
+    /// host-side reproduction of its numerics).
+    pub fn with_threads(mut self, threads: usize) -> Self {
+        self.host.executor = Executor::new(threads);
+        self
+    }
+
+    /// Overrides the failed-member recovery policy (builder style).
+    pub fn with_recovery(mut self, recovery: RecoveryPolicy) -> Self {
+        self.host.recovery = recovery;
+        self
+    }
+
+    /// Installs a cooperative cancellation token (builder style). When the
+    /// token trips mid-batch, in-flight members (or lane-groups) drain,
+    /// [`crate::Simulator::run`] returns [`crate::SimError::Cancelled`],
+    /// and partial results are discarded — re-running the batch later
+    /// reproduces it bitwise.
+    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
+        self.host.cancel = cancel;
+        self
+    }
+
+    /// Replaces the whole host — workers, recovery policy and token — in
+    /// one call (builder style).
+    pub fn with_host(mut self, host: Host) -> Self {
+        self.host = host;
+        self
+    }
+}
+
+/// Cost models that price their work on a modeled GPU.
+pub trait DeviceModel {
+    /// The device the model schedules on.
+    fn device_config_mut(&mut self) -> &mut DeviceConfig;
+}
+
+impl<M: DeviceModel> Engine<M> {
+    /// Overrides the device (builder style).
+    pub fn with_device(mut self, config: DeviceConfig) -> Self {
+        *self.model.device_config_mut() = config;
+        self
+    }
+}
+
+/// The two lockstep kernels a lane group can integrate under.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lockstep {
+    /// [`Dopri5Batch`]: the explicit class.
+    Dopri5,
+    /// [`Radau5Batch`]: the stiff class.
+    Radau5,
+}
+
+/// The members settled so far, in member order, and their tally.
+#[derive(Debug, Default)]
+pub(crate) struct Settled {
+    pub(crate) outcomes: Vec<SimOutcome>,
+    pub(crate) health: BatchHealth,
+}
+
+impl Settled {
+    /// Appends one member's final result: the outcome record plus its
+    /// contribution to the batch health.
+    pub(crate) fn settle(
+        &mut self,
+        solution: Result<Solution, SolverError>,
+        stiff: bool,
+        solver: &'static str,
+        log: RecoveryLog,
+    ) {
+        self.health.observe(&solution, &log);
+        self.outcomes.push(SimOutcome { solution, stiff, rerouted: log.rerouted, solver, log });
+    }
+
+    /// Appends a lane group's members after this batch's.
+    pub(crate) fn absorb(&mut self, group: Settled) {
+        self.health.absorb(&group.health);
+        self.outcomes.extend(group.outcomes);
+    }
+}
+
+impl Host {
+    /// Packs `members` into one lane group of `width` and integrates it in
+    /// lockstep — under the options every first attempt runs under
+    /// ([`RecoveryPolicy::base_options`]), so the policy's step budget
+    /// binds a lane exactly as it binds a scalar solve. Returns the
+    /// attempts in `members` order plus the group's occupancy report.
+    pub(crate) fn solve_lane_group(
+        &self,
+        kernel: Lockstep,
+        job: &SimulationJob,
+        members: &[usize],
+        width: usize,
+        scratch: &mut SolverScratch,
+    ) -> (Vec<Result<Solution, SolveFailure>>, LaneReport) {
+        let mut sys = RbmBatchSystem::new(job.odes(), width);
+        for &i in members {
+            let (x0, k) = job.member(i);
+            sys.push_member(x0, k);
+        }
+        let options = self.recovery.base_options(job);
+        match kernel {
+            Lockstep::Dopri5 => {
+                Dopri5Batch::new().solve_group(&mut sys, 0.0, job.time_points(), &options, scratch)
+            }
+            Lockstep::Radau5 => {
+                Radau5Batch::new().solve_group(&mut sys, 0.0, job.time_points(), &options, scratch)
+            }
+        }
+    }
+
+    /// The shared tail: prices P5 on the successful outputs' size and
+    /// assembles the result. `clocks` gets the output bytes and answers the
+    /// modeled `[total, integration, io]` times in ns.
+    pub(crate) fn finish(
+        &self,
+        engine: &'static str,
+        job: &SimulationJob,
+        start: Instant,
+        settled: Settled,
+        lanes: Option<LaneAccounting>,
+        clocks: impl FnOnce(u64) -> [f64; 3],
+    ) -> BatchResult {
+        let [total, integration, io] = clocks(output_bytes(job, &settled.outcomes, &self.executor));
+        BatchResult {
+            engine,
+            outcomes: settled.outcomes,
+            timing: BatchTiming {
+                host_wall: start.elapsed(),
+                simulated_total_ns: total,
+                simulated_integration_ns: integration,
+                simulated_io_ns: io,
+            },
+            lanes,
+            health: settled.health,
+        }
+    }
+}
+
+/// The clocks of an engine that bills on a modeled device: records the
+/// device→host transfer and the output write as the host phases named
+/// `d2h` and `write`, then reads the timeline.
+pub(crate) fn device_clocks<'d>(
+    device: &'d Device,
+    d2h: &'d str,
+    write: &'d str,
+) -> impl FnOnce(u64) -> [f64; 3] + 'd {
+    move |out_bytes| {
+        device.record_host_phase(d2h, out_bytes as f64 / PCIE_BYTES_PER_NS);
+        device.record_host_phase(write, out_bytes as f64 / IO_BYTES_PER_NS);
+        let timeline = device.timeline();
+        [timeline.total_ns(), timeline.time_tagged_ns("integrate"), timeline.time_tagged_ns("io")]
+    }
+}
+
+/// Bytes of the flat ODE encoding (the structure every member shares).
+pub(crate) fn encoding_bytes(job: &SimulationJob) -> u64 {
+    job.odes().n_terms() as u64 * 12 + job.odes().n_reactions() as u64 * 8
+}
+
+/// Input-staging bytes of one upload: the encoding plus the state and
+/// constants of `members` members.
+pub(crate) fn h2d_bytes(job: &SimulationJob, members: usize) -> u64 {
+    let per_member = (job.odes().n_species() + job.odes().n_reactions()) as u64 * 8;
+    encoding_bytes(job) + members as u64 * per_member
+}
+
+/// A lockstep solver's group report as the device's occupancy record.
+pub(crate) fn lane_group_stats(report: &LaneReport) -> LaneGroupStats {
+    LaneGroupStats {
+        width: report.width,
+        lockstep_iters: report.lockstep_iters,
+        lane_steps: report.lane_steps,
+    }
+}

@@ -1,16 +1,19 @@
-//! The simulation engines and their shared result types.
+//! The simulation engines — one host pipeline ([`Host`], [`Engine`]) under
+//! five cost models — and their shared result types.
 
 mod auto;
 mod coarse;
 mod cpu;
 mod fine;
 mod fine_coarse;
+mod host;
 
 pub use auto::AutoEngine;
 pub use coarse::CoarseEngine;
 pub use cpu::{CpuEngine, CpuSolverKind};
 pub use fine::FineEngine;
 pub use fine_coarse::FineCoarseEngine;
+pub use host::{Engine, Host};
 
 use crate::recovery::RecoveryLog;
 use crate::{SimError, SimulationJob};
@@ -354,6 +357,16 @@ pub(crate) fn attempt_stats(result: &Result<Solution, SolveFailure>) -> &StepSta
         Ok(sol) => &sol.stats,
         Err(failure) => &failure.stats,
     }
+}
+
+/// The work counters of a lane group's attempts, summed in member order:
+/// what its one group-wide kernel is billed for.
+pub(crate) fn group_stats(attempts: &[Result<Solution, SolveFailure>]) -> StepStats {
+    let mut total = StepStats::default();
+    for attempt in attempts {
+        total.absorb(attempt_stats(attempt));
+    }
+    total
 }
 
 /// Splits a member result into the caller-facing outcome and the work the

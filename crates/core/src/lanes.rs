@@ -33,8 +33,10 @@
 //!
 //! The returned width only ever *narrows* the schedule; it never changes
 //! any trajectory (per-member results are bitwise independent of lane
-//! width by the lockstep solvers' contract), so tuning is purely a
-//! throughput decision and `--lane-width N` remains a safe manual
+//! width by the lockstep solvers' contract, and every lockstep group
+//! integrates under the same options as a scalar first attempt — the
+//! recovery policy's step budget applies at every width), so tuning is
+//! purely a throughput decision and `--lane-width N` remains a safe manual
 //! override.
 
 use crate::cost::COMPLEX_LU_AVG_FACTOR;

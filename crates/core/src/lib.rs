@@ -64,7 +64,8 @@ mod system;
 pub use cost::{CpuCostModel, WorkEstimate};
 pub use engines::{
     taxonomy, AutoEngine, BatchHealth, BatchResult, BatchTiming, CoarseEngine, CpuEngine,
-    CpuSolverKind, FailureCounts, FineCoarseEngine, FineEngine, SimOutcome, Simulator,
+    CpuSolverKind, Engine, FailureCounts, FineCoarseEngine, FineEngine, Host, SimOutcome,
+    Simulator,
 };
 pub use error::SimError;
 pub use job::{JobBuilder, SimulationJob};

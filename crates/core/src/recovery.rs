@@ -19,9 +19,9 @@
 //! batch containing retried members stays bitwise identical at any worker
 //! count.
 
-use crate::engines::{outcome_and_stats, solve_member_pooled_opts};
+use crate::engines::{outcome_and_stats, solve_member_pooled_opts, Host};
 use crate::SimulationJob;
-use paraspace_exec::{payload_message, CancelToken, Cancelled, Executor};
+use paraspace_exec::{payload_message, Cancelled};
 use paraspace_solvers::{
     OdeSolver, Solution, SolveFailure, SolverError, SolverOptions, SolverScratch, StepStats,
 };
@@ -258,39 +258,31 @@ pub(crate) fn continue_ladder(
     RecoveredSolve { solution: current, stats, solver: solver_name, log }
 }
 
-/// Runs the recovery ladder for `members` on the executor's worker pool,
-/// returning results **in `members` order**, or `Err(Cancelled)` if
-/// `cancel` tripped before every member completed (in-flight members
-/// drain; partial results are discarded).
+/// Runs the recovery ladder for `members` on the host's worker pool, under
+/// its policy, returning results **in `members` order**, or
+/// `Err(Cancelled)` if its token tripped before every member completed
+/// (in-flight members drain; partial results are discarded).
 ///
 /// Member-level containment inside [`solve_member_recovered`] normally
 /// keeps panics from reaching the executor; `try_map_with_cancel`
 /// backstops the remainder (a panic in the ladder itself), converting an
 /// executor-level [`paraspace_exec::ItemPanic`] into an `Internal` outcome
 /// for that member instead of resuming the unwind.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_members_recovered(
-    executor: &Executor,
+    host: &Host,
     job: &SimulationJob,
     members: &[usize],
     primary: (&dyn OdeSolver, &'static str),
     fallback: Option<(&dyn OdeSolver, &'static str)>,
     reroutable: fn(&SolverError) -> bool,
-    policy: &RecoveryPolicy,
-    cancel: &CancelToken,
 ) -> Result<Vec<RecoveredSolve>, Cancelled> {
-    Ok(executor
-        .try_map_with_cancel(members.len(), cancel, SolverScratch::new, |scratch, idx| {
-            solve_member_recovered(
-                job,
-                members[idx],
-                primary,
-                fallback,
-                reroutable,
-                policy,
-                scratch,
-            )
-        })?
+    let solve = |scratch: &mut SolverScratch, idx: usize| {
+        let policy = &host.recovery;
+        solve_member_recovered(job, members[idx], primary, fallback, reroutable, policy, scratch)
+    };
+    Ok(host
+        .executor
+        .try_map_with_cancel(members.len(), &host.cancel, SolverScratch::new, solve)?
         .into_iter()
         .map(|r| {
             r.unwrap_or_else(|fault| RecoveredSolve {

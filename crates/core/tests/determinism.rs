@@ -350,6 +350,44 @@ fn autotuned_lane_width_leaves_stiff_rows_unchanged() {
 }
 
 #[test]
+fn policy_step_budget_binds_lockstep_lanes_at_every_width() {
+    // `RecoveryPolicy::step_budget` is filled into the options of every
+    // first attempt, lockstep or scalar: three attempted steps are far too
+    // few for any member of the stiff crowd, so all of them must end in
+    // `StepBudgetExhausted` whatever the width — a lane that integrated
+    // under the job's bare options would sail through instead.
+    let m = reversible_model();
+    let job = stiff_job(&m);
+    let policy = RecoveryPolicy { step_budget: Some(3), ..RecoveryPolicy::default() };
+    let exhausted = |r: &BatchResult, label: &str| {
+        for (i, o) in r.outcomes.iter().enumerate() {
+            assert!(
+                matches!(o.solution, Err(SolverError::StepBudgetExhausted { .. })),
+                "{label}, member {i}: {:?} via {}",
+                o.solution.as_ref().map(|s| s.stats.steps),
+                o.solver
+            );
+        }
+        assert_eq!(r.health.failed.step_budget_exhausted, job.batch_size(), "{label}");
+    };
+
+    let narrow = FineCoarseEngine::new().with_lane_width(1).with_recovery(policy);
+    let health = narrow.run(&job).unwrap().health;
+    for width in [1, 2, 4, 8] {
+        let engine = FineCoarseEngine::new().with_lane_width(width).with_recovery(policy);
+        let reference = engine.clone().run(&job).unwrap();
+        exhausted(&reference, &format!("fine-coarse, width {width}"));
+        assert_eq!(reference.health, health, "fine-coarse, width {width}: health across widths");
+        let parallel = engine.with_threads(4).run(&job).unwrap();
+        assert_identical(&reference, &parallel, &format!("fine-coarse, width {width}, 4 threads"));
+    }
+    for width in [2, 4, 8] {
+        let r = FineEngine::new().with_lane_width(width).with_recovery(policy).run(&job).unwrap();
+        exhausted(&r, &format!("fine, width {width}"));
+    }
+}
+
+#[test]
 fn cpu_engines_are_bitwise_deterministic_across_thread_counts() {
     let m = reversible_model();
     let job = mixed_job(&m);
@@ -444,5 +482,185 @@ fn repeated_parallel_runs_are_self_consistent() {
     for _ in 0..3 {
         let again = engine.run(&job).unwrap();
         assert_identical(&first, &again, "fine-coarse, repeated 4-thread runs");
+    }
+}
+
+/// One run's modelled clocks and routing, pinned to the bit: what a
+/// refactor of the host pipeline (or of a billing fold) must reproduce.
+#[derive(Debug, PartialEq)]
+struct Pinned {
+    run: &'static str,
+    engine: &'static str,
+    /// `simulated_total_ns`, `_integration_ns`, `_io_ns` as `to_bits()`.
+    clocks: [u64; 3],
+    /// `BatchHealth`'s `Display`.
+    health: String,
+    /// `groups`, `slot_steps`, `lane_steps`, `max_width`.
+    lanes: Option<[u64; 4]>,
+    /// Run-length list of each member's solver, `S`tiff / `r`erouted flags
+    /// and recovery log (`a`ttempts, rela`x`ations, `d`iscarded steps,
+    /// `R`ecovered, `P`anicked).
+    members: String,
+}
+
+fn pin(run: &'static str, r: &BatchResult) -> Pinned {
+    let mut runs: Vec<(usize, String)> = Vec::new();
+    for o in &r.outcomes {
+        let flag = |on: bool, c: &'static str| if on { c } else { "" };
+        let signature = format!(
+            "{}{}{} a{} x{} d{}{}{}{}",
+            o.solver,
+            flag(o.stiff, " S"),
+            flag(o.rerouted, " r"),
+            o.log.attempts,
+            o.log.relaxations,
+            o.log.discarded_steps,
+            flag(o.log.rerouted, " lr"),
+            flag(o.log.recovered, " R"),
+            flag(o.log.panicked, " P"),
+        );
+        match runs.last_mut() {
+            Some((count, last)) if *last == signature => *count += 1,
+            _ => runs.push((1, signature)),
+        }
+    }
+    let members: Vec<String> = runs.iter().map(|(count, s)| format!("{count}x {s}")).collect();
+    Pinned {
+        run,
+        engine: r.engine,
+        clocks: [
+            r.timing.simulated_total_ns.to_bits(),
+            r.timing.simulated_integration_ns.to_bits(),
+            r.timing.simulated_io_ns.to_bits(),
+        ],
+        health: r.health.to_string(),
+        lanes: r.lanes.map(|l| [l.groups, l.slot_steps, l.lane_steps, l.max_width as u64]),
+        members: members.join(", "),
+    }
+}
+
+/// The jobs × engines the pinned table covers: `mixed_job` and `stiff_job`
+/// through all five engines, a faulted and retried crowd through the two
+/// lockstep engines (evictions, reroutes, relaxation rungs), and
+/// [`AutoEngine`] at a size that picks each `EngineKind`.
+fn pinned_runs() -> Vec<Pinned> {
+    let m = reversible_model();
+    let (mixed, stiff) = (mixed_job(&m), stiff_job(&m));
+    let mut rows = Vec::new();
+    let mut row = |run: &'static str, engine: &dyn Simulator, job: &SimulationJob| {
+        rows.push(pin(run, &engine.run(job).unwrap()));
+    };
+
+    row("mixed, fine w1", &FineEngine::new().with_lane_width(1), &mixed);
+    row("mixed, fine w8", &FineEngine::new().with_lane_width(8), &mixed);
+    row("mixed, fine-coarse auto", &FineCoarseEngine::new(), &mixed);
+    row("mixed, fine-coarse w1", &FineCoarseEngine::new().with_lane_width(1), &mixed);
+    row("mixed, coarse", &CoarseEngine::new(), &mixed);
+    row("mixed, lsoda", &CpuEngine::new(CpuSolverKind::Lsoda), &mixed);
+    row("mixed, vode", &CpuEngine::new(CpuSolverKind::Vode), &mixed);
+    row("stiff, fine w1", &FineEngine::new().with_lane_width(1), &stiff);
+    row("stiff, fine w8", &FineEngine::new().with_lane_width(8), &stiff);
+    row("stiff, fine-coarse auto", &FineCoarseEngine::new(), &stiff);
+    row("stiff, fine-coarse w1", &FineCoarseEngine::new().with_lane_width(1), &stiff);
+    row("stiff, coarse", &CoarseEngine::new(), &stiff);
+    row("stiff, lsoda", &CpuEngine::new(CpuSolverKind::Lsoda), &stiff);
+    row("stiff, vode", &CpuEngine::new(CpuSolverKind::Vode), &stiff);
+
+    // The mixed crowd again, hostile: a step cap every explicit attempt
+    // hits, a NaN in a non-stiff member, a panic in the stiff one, and two
+    // relaxation rungs on the ladder.
+    let mut rng = StdRng::seed_from_u64(42);
+    let mut params = perturbed_batch(&m, 11, &mut rng);
+    params.push(Parameterization::new().with_rate_constants(vec![2e5, 2e5]));
+    let faulted = SimulationJob::builder(&m)
+        .time_points(vec![1.0, 4.0])
+        .parameterizations(params)
+        .options(SolverOptions { max_steps: 14, ..SolverOptions::default() })
+        .fault_plan(
+            FaultPlan::new()
+                .with_fault(2, FaultSpec::nan_at_time(0.1))
+                .with_fault(5, FaultSpec::panic_at_time(0.1))
+                .with_fault(11, FaultSpec::nan_at_time(1e9)),
+        )
+        .build()
+        .unwrap();
+    let policy = RecoveryPolicy { max_relaxations: 2, ..RecoveryPolicy::default() };
+    row("faulted, fine w1", &FineEngine::new().with_lane_width(1).with_recovery(policy), &faulted);
+    row("faulted, fine w4", &FineEngine::new().with_lane_width(4).with_recovery(policy), &faulted);
+    row("faulted, fine-coarse auto", &FineCoarseEngine::new().with_recovery(policy), &faulted);
+    row(
+        "faulted, fine-coarse w1",
+        &FineCoarseEngine::new().with_lane_width(1).with_recovery(policy),
+        &faulted,
+    );
+
+    // One job per `EngineKind` the selector can answer.
+    let single = SimulationJob::builder(&m).time_points(vec![1.0]).replicate(1).build().unwrap();
+    let mut rng = StdRng::seed_from_u64(7);
+    let crowd = SimulationJob::builder(&m)
+        .time_points(vec![0.5, 1.0])
+        .parameterizations(perturbed_batch(&m, 300, &mut rng))
+        .build()
+        .unwrap();
+    let mut chain = ReactionBasedModel::new();
+    let ids: Vec<_> = (0..512).map(|i| chain.add_species(format!("S{i}"), 1.0)).collect();
+    for pair in ids.windows(2) {
+        chain.add_reaction(Reaction::mass_action(&[(pair[0], 1)], &[(pair[1], 1)], 1.0)).unwrap();
+    }
+    let wide = SimulationJob::builder(&chain).time_points(vec![1.0]).replicate(1).build().unwrap();
+    row("auto → cpu", &AutoEngine::new(), &single);
+    row("auto → coarse", &AutoEngine::new(), &mixed);
+    row("auto → fine-coarse", &AutoEngine::new(), &crowd);
+    row("auto → fine", &AutoEngine::new(), &wide);
+    rows
+}
+
+#[test]
+fn modelled_clocks_and_routing_are_pinned() {
+    // Recorded at the commit before the engines were folded onto one host
+    // pipeline. A row that moves means a timeline event changed value or
+    // order, or a member changed route: re-record only for a change that
+    // means to move the model (the failure prints the row as source).
+    let row = |run, engine, clocks, health: &str, lanes, members: &str| Pinned {
+        run,
+        engine,
+        clocks,
+        health: health.into(),
+        lanes,
+        members: members.into(),
+    };
+    #[rustfmt::skip]
+    let expected: Vec<Pinned> = vec![
+        row("mixed, fine w1", "fine", [0x41c52a9978c2fa0c, 0x41c52a8fbe82fa0c, 0x40b3748000000000], "12/12 ok; retries 1/1 recovered; 1 rerouted; 10000 steps discarded", None, "11x rkf45 a1 x0 d0, 1x bdf1 r a2 x0 d10000 lr R"),
+        row("mixed, fine w8", "fine", [0x4159742f33594d65, 0x41596f5653594d65, 0x40b3638000000000], "12/12 ok", Some([2, 1296, 366, 8]), "11x dopri5-lanes a1 x0 d0, 1x radau5-lanes S a1 x0 d0"),
+        row("mixed, fine-coarse auto", "fine-coarse", [0x414af5f23711dc47, 0x414adb6400000000, 0x40b30b8000000000], "12/12 ok", None, "11x dopri5 a1 x0 d0, 1x radau5 S a1 x0 d0"),
+        row("mixed, fine-coarse w1", "fine-coarse", [0x414af5f23711dc47, 0x414adb6400000000, 0x40b30b8000000000], "12/12 ok", None, "11x dopri5 a1 x0 d0, 1x radau5 S a1 x0 d0"),
+        row("mixed, coarse", "coarse", [0x41117f195c47711e, 0x411132d1dc47711e, 0x40b311e000000000], "12/12 ok", None, "12x lsoda a1 x0 d0"),
+        row("mixed, lsoda", "lsoda-cpu", [0x411e2f4dd5d5d5d6, 0x411de855d5d5d5d6, 0x40b1be0000000000], "12/12 ok", None, "12x lsoda a1 x0 d0"),
+        row("mixed, vode", "vode-cpu", [0x411e31bd8b8b8b8c, 0x411decc58b8b8b8c, 0x40b13e0000000000], "12/12 ok", None, "12x vode a1 x0 d0"),
+        row("stiff, fine w1", "fine", [0x41f9ccc57334e23c, 0x41f9ccc4708ee23c, 0x40b02a6000000000], "10/10 ok; retries 10/10 recovered; 10 rerouted; 100000 steps discarded", None, "10x bdf1 r a2 x0 d10000 lr R"),
+        row("stiff, fine w8", "fine", [0x41627fa765653595, 0x41627da14d653595, 0x40b030c000000000], "10/10 ok", Some([2, 1848, 1157, 8]), "10x radau5-lanes S a1 x0 d0"),
+        row("stiff, fine-coarse auto", "fine-coarse", [0x413795257e82fa0b, 0x4137632bd05f417c, 0x40afd18000000000], "10/10 ok", None, "10x radau5-lanes S a1 x0 d0"),
+        row("stiff, fine-coarse w1", "fine-coarse", [0x4145e2dce2fa0be7, 0x4145c9e00be82fa0, 0x40afd18000000000], "10/10 ok", None, "10x radau5 S a1 x0 d0"),
+        row("stiff, coarse", "coarse", [0x4123945194d65359, 0x4123745594d65359, 0x40affc0000000000], "10/10 ok", None, "10x lsoda a1 x0 d0"),
+        row("stiff, lsoda", "lsoda-cpu", [0x411a6f0971717171, 0x411a338971717171, 0x40adc00000000000], "10/10 ok", None, "10x lsoda a1 x0 d0"),
+        row("stiff, vode", "vode-cpu", [0x411a16d6a6a6a6a7, 0x4119dbe6a6a6a6a7, 0x40ad780000000000], "10/10 ok", None, "10x vode a1 x0 d0"),
+        row("faulted, fine w1", "fine", [0x4178aa51afa0be83, 0x4178aa48afa0be83, 0x4062000000000000], "0/12 ok, 12 failed (10 max-steps, 1 non-finite, 1 internal); retries 0/32 recovered; 10 rerouted; 22 relaxations; 1 panics contained; 448 steps discarded", None, "2x bdf1 r a4 x2 d42 lr, 1x rkf45 a3 x2 d28, 2x bdf1 r a4 x2 d42 lr, 1x rkf45 a1 x0 d0 P, 6x bdf1 r a4 x2 d42 lr"),
+        row("faulted, fine w4", "fine", [0x417443f4d94d6535, 0x417443ebd94d6535, 0x4062000000000000], "0/12 ok, 12 failed (10 max-steps, 1 non-finite, 1 internal); retries 0/31 recovered; 9 rerouted; 22 relaxations; 3 lane evictions; 1 panics contained; 429 steps discarded", Some([2, 168, 126, 4]), "2x bdf1 r a4 x2 d42 lr, 1x dopri5 a3 x2 d23, 2x bdf1 r a4 x2 d42 lr, 1x dopri5 a1 x0 d0 P, 5x bdf1 r a4 x2 d42 lr, 1x radau5 S a3 x2 d28"),
+        row("faulted, fine-coarse auto", "fine-coarse", [0x41781f268453594e, 0x41781c9f47711dc4, 0x40998b8000000000], "8/12 ok, 4 failed (2 max-steps, 1 non-finite, 1 internal); retries 8/31 recovered; 9 rerouted; 22 relaxations; 1 panics contained; 429 steps discarded", None, "1x radau5 r a4 x2 d42 lr R, 1x radau5 r a4 x2 d42 lr, 1x dopri5 a3 x2 d23, 2x radau5 r a4 x2 d42 lr R, 1x dopri5 a1 x0 d0 P, 5x radau5 r a4 x2 d42 lr R, 1x radau5 S a3 x2 d28"),
+        row("faulted, fine-coarse w1", "fine-coarse", [0x4177cacce988ee24, 0x4177c845aca6b29b, 0x40998b8000000000], "8/12 ok, 4 failed (2 max-steps, 1 non-finite, 1 internal); retries 8/31 recovered; 9 rerouted; 22 relaxations; 1 panics contained; 429 steps discarded", None, "1x radau5 r a4 x2 d42 lr R, 1x radau5 r a4 x2 d42 lr, 1x dopri5 a3 x2 d23, 2x radau5 r a4 x2 d42 lr R, 1x dopri5 a1 x0 d0 P, 5x radau5 r a4 x2 d42 lr R, 1x radau5 S a3 x2 d28"),
+        row("auto → cpu", "lsoda-cpu", [0x40e3d64444444444, 0x40e3cac444444444, 0x4057000000000000], "1/1 ok", None, "1x lsoda a1 x0 d0"),
+        row("auto → coarse", "coarse", [0x41117f195c47711e, 0x411132d1dc47711e, 0x40b311e000000000], "12/12 ok", None, "12x lsoda a1 x0 d0"),
+        row("auto → fine-coarse", "fine-coarse", [0x413980581c47711e, 0x413870b8ee23b88f, 0x40edb1c800000000], "300/300 ok", None, "300x dopri5 a1 x0 d0"),
+        row("auto → fine", "fine", [0x411290e0594d6536, 0x41121353594d6536, 0x40bf634000000000], "1/1 ok", None, "1x rkf45 a1 x0 d0"),
+    ];
+    let actual = pinned_runs();
+    assert_eq!(actual.len(), expected.len(), "a run was added or dropped");
+    for (a, e) in actual.iter().zip(&expected) {
+        assert_eq!(
+            a, e,
+            "as source: row({:?}, {:?}, [{:#x}, {:#x}, {:#x}], {:?}, {:?}, {:?}),",
+            a.run, a.engine, a.clocks[0], a.clocks[1], a.clocks[2], a.health, a.lanes, a.members
+        );
     }
 }

@@ -14,7 +14,6 @@
 //! | [`Dopri5`] | explicit Runge–Kutta 5(4), PI control, dense output, stiffness detection | the engine's non-stiff method |
 //! | [`Radau5`] | implicit Radau IIA order 5, simplified Newton with one real and one complex LU per step | the engine's stiff method |
 //! | [`Rkf45`] | explicit Runge–Kutta–Fehlberg 4(5) | the fine-grained baseline's non-stiff method |
-//! | [`Rk4`] | classic fixed-step Runge–Kutta 4 | reference / teaching baseline |
 //! | [`Bdf`] | variable-order (1–5) BDF in Nordsieck form with modified Newton | stiff multistep core |
 //! | [`AdamsMoulton`] | variable-order (1–12) Adams–Moulton in Nordsieck form with functional iteration | non-stiff multistep core |
 //! | [`Lsoda`] | dynamic Adams ↔ BDF switching | the CPU baseline "LSODA" |
@@ -47,7 +46,6 @@ mod multistep;
 mod options;
 mod radau5;
 mod radau5_batch;
-mod rk4;
 mod rkf45;
 mod scratch;
 mod sens;
@@ -63,7 +61,6 @@ pub use multistep::{AdamsMoulton, Bdf, Lsoda, MethodFamily, Vode};
 pub use options::SolverOptions;
 pub use radau5::Radau5;
 pub use radau5_batch::Radau5Batch;
-pub use rk4::Rk4;
 pub use rkf45::Rkf45;
 pub use scratch::SolverScratch;
 pub use sens::{AugmentedSensSystem, Dopri5Sens, Radau5Sens, SensOdeSystem, SensSolution};

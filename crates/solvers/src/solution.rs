@@ -50,13 +50,13 @@ impl StepStats {
 /// # Example
 ///
 /// ```
-/// use paraspace_solvers::{FnSystem, OdeSolver, Rk4, SolverOptions};
+/// use paraspace_solvers::{Dopri5, FnSystem, OdeSolver, SolverOptions};
 ///
 /// # fn main() -> Result<(), paraspace_solvers::SolveFailure> {
 /// let sys = FnSystem::new(1, |_t, y, d| d[0] = y[0]);
-/// let sol = Rk4::with_step(1e-3).solve(&sys, 0.0, &[1.0], &[0.5, 1.0], &SolverOptions::default())?;
+/// let sol = Dopri5::new().solve(&sys, 0.0, &[1.0], &[0.5, 1.0], &SolverOptions::default())?;
 /// assert_eq!(sol.len(), 2);
-/// assert!((sol.state_at(1)[0] - 1.0f64.exp()).abs() < 1e-9);
+/// assert!((sol.state_at(1)[0] - 1.0f64.exp()).abs() < 1e-5);
 /// # Ok(())
 /// # }
 /// ```
