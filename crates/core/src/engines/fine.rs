@@ -35,11 +35,10 @@
 //! solves at any width.
 
 use crate::engines::host::{
-    device_clocks, h2d_bytes, lane_group_stats, DeviceModel, Engine, Lockstep, Settled,
-    PCIE_BYTES_PER_NS,
+    device_clocks, h2d_bytes, lane_group_stats, DeviceModel, Engine, Settled, PCIE_BYTES_PER_NS,
 };
-use crate::engines::{group_stats, BatchResult, Simulator};
-use crate::lanes::solve_lane_groups;
+use crate::engines::{attempt_stats, group_stats, BatchResult, Simulator};
+use crate::lanes::{solve_lane_groups, Lockstep};
 use crate::recovery::{contained_attempt, continue_ladder, solve_members_recovered};
 use crate::{SimError, SimulationJob, WorkEstimate, STIFFNESS_THRESHOLD};
 use paraspace_solvers::{
@@ -261,7 +260,7 @@ impl Engine<Fine> {
                 job,
                 format!("integrate::{label}{g}"),
                 width,
-                &group_stats(&attempts),
+                &group_stats(attempts.iter().map(attempt_stats)),
                 lane_group_stats(&report).divergence_factor(),
                 report.lockstep_iters,
             );

@@ -19,26 +19,31 @@
 //! round pays the dynamic-parallelism launch overhead — which is what caps
 //! useful batch sizes near 2048.
 //!
-//! On the host, P3 is a batch kernel too: the fault-free non-stiff members
-//! integrate as lockstep [`Dopri5Batch`](paraspace_solvers::Dopri5Batch)
-//! lane groups, one group per executor worker, all pulling members from
-//! one shared queue (`lanes::solve_explicit_queue`; width 8 unless pinned,
-//! `lanes::explicit_lane_width`). A member's attempt is bitwise the scalar
-//! `dopri5` one whichever group and lane ran it, and the device model is
-//! fed per-member counters in member order, so outcomes, labels, billing
-//! and health do not depend on the width or the worker count.
+//! On the host, P3 and P4 are batch kernels too, on one scheduler
+//! (`lanes::solve_queue`): the fault-free members of a phase integrate as
+//! lockstep lane groups — [`Dopri5Batch`](paraspace_solvers::Dopri5Batch)
+//! at width 8 unless pinned (`lanes::explicit_lane_width`),
+//! [`Radau5Batch`](paraspace_solvers::Radau5Batch) at the autotuned width
+//! (`lanes::resolve_lane_width`) — one group per executor worker, all
+//! pulling members from one shared queue, P4's ordered longest first by the
+//! triage eigenvalue. A member's attempt is bitwise the scalar solver's
+//! whichever group and lane ran it, and the device model is fed per-member
+//! counters in member order — P4's lane occupancy from a packing the
+//! billing computes for itself — so outcomes, labels, billing and health do
+//! not depend on the worker count (nor, for P3, on the width).
 
 use crate::engines::host::{
-    device_clocks, h2d_bytes, lane_group_stats, DeviceModel, Engine, Host, Lockstep, Settled,
+    device_clocks, h2d_bytes, lane_group_stats, DeviceModel, Engine, Host, Settled,
     PCIE_BYTES_PER_NS,
 };
 use crate::engines::{attempt_stats, group_stats, BatchResult, Simulator};
-use crate::lanes::{explicit_lane_width, solve_explicit_queue, solve_lane_groups};
+use crate::lanes::{explicit_lane_width, solve_queue, Lockstep, MEMBERS_PER_LANE};
 use crate::recovery::{contained_attempt, continue_ladder, RecoveryLog};
-use crate::{classify_batch_with_threshold, SimError, SimulationJob, WorkEstimate};
+use crate::{classify_batch_with_threshold, SimError, SimulationJob, StiffnessClass, WorkEstimate};
 use paraspace_exec::Cancelled;
 use paraspace_solvers::{
-    Dopri5, OdeSolver, Radau5, Solution, SolveFailure, SolverError, SolverScratch, StepStats,
+    Dopri5, LaneReport, OdeSolver, Radau5, Solution, SolveFailure, SolverError, SolverScratch,
+    StepStats,
 };
 use paraspace_vgpu::{
     ChildLaunch, Device, DeviceConfig, DpModel, KernelLaunch, MemorySpace, ThreadWork,
@@ -175,7 +180,7 @@ impl Phases<'_> {
 
     /// P3's attempts, in `members` order. Fault-free members integrate as
     /// lockstep [`Dopri5Batch`](paraspace_solvers::Dopri5Batch) lane groups
-    /// on one shared queue ([`solve_explicit_queue`]) whenever
+    /// on one shared queue ([`solve_queue`]) whenever
     /// [`explicit_lane_width`] finds a width of 2 or more for them;
     /// fault-planned members stay on the scalar path, so an injected panic
     /// (and its per-call fault ordinals) cannot touch a group — and at width
@@ -196,9 +201,10 @@ impl Phases<'_> {
             return self.solve_scalar(dopri5, members);
         }
         let opts = host.recovery.base_options(job);
-        let mut lane_attempts = solve_explicit_queue(
+        let mut lane_attempts = solve_queue(
             &host.executor,
             &host.cancel,
+            Lockstep::Dopri5,
             &clean,
             width,
             |width| job.lane_system(width),
@@ -307,32 +313,51 @@ impl Phases<'_> {
         failed
     }
 
-    /// The lane-batched P4: `members` integrate as lockstep RADAU5
-    /// lane-groups ([`Lockstep::Radau5`] over the SoA adapter) instead of one
-    /// scalar solve per stiff member. The groups — the shared partition of
-    /// [`solve_lane_groups`], a function of `(members, width)` only — are
-    /// the executor's work items: each worker packs its group into its own
-    /// lane system and integrates it on its pooled scratch
-    /// ([`Host::solve_lane_group`](crate::Host)).
+    /// The lane-batched P4: `members` integrate as lockstep RADAU5 lane
+    /// groups ([`Lockstep::Radau5`]) on one shared queue ([`solve_queue`])
+    /// instead of one scalar solve per stiff member. Stiff systems diverge
+    /// in step count, so the queue hands them out longest first — by the
+    /// triage's dominant eigenvalue, the cost proxy P2 already computed —
+    /// and the short ones fill in behind.
     ///
-    /// Billing folds on this thread in group order, one launch per group:
-    /// a parent thread carries the whole lane-group, and one child round
-    /// per lockstep tick serves all `L` lanes — the per-tick
+    /// Billing is a fold over the members in `members` order, one launch
+    /// per *modelled* group of `MEMBERS_PER_LANE·width` members: a parent
+    /// thread carries the whole lane group, and one child round per
+    /// lockstep tick serves all `L` lanes — the per-tick
     /// dynamic-parallelism overhead is amortized `L`-fold, which is exactly
-    /// where the scalar P4 lost its budget on stiff-heavy batches. Results
-    /// are bitwise identical to scalar [`Radau5`] per member, and the
-    /// modeled timeline is identical at any worker count.
-    fn run_p4_lanes(&mut self, members: &[usize], width: usize) -> Result<(), Cancelled> {
+    /// where the scalar P4 lost its budget on stiff-heavy batches. The
+    /// group's ticks and occupancy are what a lockstep group serving those
+    /// members in that order takes ([`LaneReport::packed`] over their
+    /// Newton iterations), not what the host's groups happened to take, so
+    /// the modeled timeline is a function of the job and the width alone.
+    /// Results are bitwise identical to scalar [`Radau5`] per member.
+    fn run_p4_lanes(
+        &mut self,
+        members: &[usize],
+        width: usize,
+        classes: &[StiffnessClass],
+    ) -> Result<(), Cancelled> {
         let (host, job) = (self.host, self.job);
-        let groups = solve_lane_groups(
+        let mut queue = members.to_vec();
+        queue.sort_by(|&a, &b| {
+            let (cost_a, cost_b) = (classes[a].dominant_eigenvalue, classes[b].dominant_eigenvalue);
+            cost_b.total_cmp(&cost_a).then(a.cmp(&b))
+        });
+        let attempts = solve_queue(
             &host.executor,
             &host.cancel,
-            members.len(),
+            Lockstep::Radau5,
+            &queue,
             width,
-            |scratch, _g, positions| {
-                host.solve_lane_group(Lockstep::Radau5, job, &members[positions], width, scratch)
-            },
+            |width| job.lane_system(width),
+            job.time_points(),
+            &host.recovery.base_options(job),
         )?;
+        for (&i, attempt) in queue.iter().zip(attempts) {
+            self.logs[i].attempts += 1;
+            self.logs[i].panicked |= is_contained_panic(&attempt);
+            self.slots[i] = Some((attempt, "radau5-lanes"));
+        }
 
         // Parent grid: one thread for the lane-group; child grid: species ×
         // lanes threads, one round per lockstep tick, flops inflated by the
@@ -343,11 +368,16 @@ impl Phases<'_> {
         let child_blocks = child_threads.div_ceil(child_tpb).max(1);
         let child_threads_total = (child_tpb * child_blocks) as u64;
 
-        let mut next_member = members.iter();
-        for (results, report) in groups {
-            let lane_stats = group_stats(&results);
+        let stats = |i: &usize| {
+            let (attempt, _) = self.slots[*i].as_ref().expect("settled above");
+            attempt_stats(attempt)
+        };
+        for group in members.chunks(MEMBERS_PER_LANE * width) {
+            let lane_stats = group_stats(group.iter().map(stats));
             let phase_work =
                 WorkEstimate::from_stats(job.odes(), &lane_stats, job.time_points().len());
+            let report =
+                LaneReport::packed(width, group.iter().map(|i| stats(i).nonlinear_iters as u64));
             let divergence = lane_group_stats(&report).divergence_factor();
             let parent = ThreadWork::new()
                 .with_flops(report.lockstep_iters * PARENT_FLOPS_PER_STEP)
@@ -372,13 +402,6 @@ impl Phases<'_> {
                     repeats: rounds,
                 });
             self.device.launch(&launch);
-
-            for r in results {
-                let i = *next_member.next().expect("one lane result per queued member");
-                self.logs[i].attempts += 1;
-                self.logs[i].panicked |= is_contained_panic(&r);
-                self.slots[i] = Some((r, "radau5-lanes"));
-            }
         }
         Ok(())
     }
@@ -461,7 +484,7 @@ impl Simulator for Engine<FineCoarse> {
             p4_members.iter().copied().partition(|&i| job.fault_plan().faults_for(i).is_none());
         let p4_width = crate::lanes::resolve_lane_width(model.lane_width, job, "fine-coarse", true);
         let p4_scalar = if p4_width > 1 && p4_lane.len() >= 2 {
-            run.run_p4_lanes(&p4_lane, p4_width)?;
+            run.run_p4_lanes(&p4_lane, p4_width, &classes)?;
             p4_scalar
         } else {
             p4_members

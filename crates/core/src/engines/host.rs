@@ -12,6 +12,7 @@
 use crate::engines::{
     output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, IO_BYTES_PER_NS,
 };
+use crate::lanes::Lockstep;
 use crate::recovery::{RecoveryLog, RecoveryPolicy};
 use crate::{RbmBatchSystem, SimulationJob};
 use paraspace_exec::{CancelToken, Executor};
@@ -126,15 +127,6 @@ impl<M: DeviceModel> Engine<M> {
         *self.model.device_config_mut() = config;
         self
     }
-}
-
-/// The two lockstep kernels a lane group can integrate under.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Lockstep {
-    /// [`Dopri5Batch`]: the explicit class.
-    Dopri5,
-    /// [`Radau5Batch`]: the stiff class.
-    Radau5,
 }
 
 /// The members settled so far, in member order, and their tally.

@@ -361,10 +361,10 @@ pub(crate) fn attempt_stats(result: &Result<Solution, SolveFailure>) -> &StepSta
 
 /// The work counters of a lane group's attempts, summed in member order:
 /// what its one group-wide kernel is billed for.
-pub(crate) fn group_stats(attempts: &[Result<Solution, SolveFailure>]) -> StepStats {
+pub(crate) fn group_stats<'a>(attempts: impl IntoIterator<Item = &'a StepStats>) -> StepStats {
     let mut total = StepStats::default();
-    for attempt in attempts {
-        total.absorb(attempt_stats(attempt));
+    for stats in attempts {
+        total.absorb(stats);
     }
     total
 }

@@ -1,4 +1,5 @@
-//! Per-model lane-width autotuning for the lockstep engines.
+//! Lane scheduling and per-model lane-width autotuning for the lockstep
+//! engines.
 //!
 //! The lockstep lane path amortizes host-launch latency and structure
 //! decoding `L`-fold, so wider is better — **until** the stiff class's
@@ -8,11 +9,7 @@
 //! refresh, ~2.3 MB of live factor state at `n = 114` and `L = 8`. The
 //! dense factors are lane-major now (a lane's elimination touches only its
 //! own contiguous block), which took most of the width penalty away but
-//! not its sign (the numbers are on [`FACTOR_CACHE_BUDGET_BYTES`]): on the
-//! LU-dominated models a wide group also spends more of its lane-wide
-//! sweeps on lanes that have already finished — 32 stiff members of the
-//! autophagy analogue in groups of `2·L` fill 72 % of the lane slots at
-//! width 4 and 61 % at width 8.
+//! not its sign (the numbers are on [`FACTOR_CACHE_BUDGET_BYTES`]).
 //!
 //! [`auto_lane_width`] prices that trade per model instead of hardcoding
 //! one width for every network:
@@ -26,10 +23,24 @@
 //!
 //! The *explicit* lockstep phase has no factorization, hence nothing for
 //! that rule to price: the fine-coarse engine's P3 runs at the full width
-//! wherever the lane flux pass covers the model (`explicit_lane_width`),
-//! on lane groups that share one member queue (`solve_explicit_queue`) —
-//! where the stiff phase's groups are a fixed partition
-//! (`solve_lane_groups`), because its device billing is per group.
+//! wherever the lane flux pass covers the model (`explicit_lane_width`).
+//!
+//! # Scheduling
+//!
+//! Both lockstep phases of the fine-coarse engine run on one scheduler,
+//! [`solve_queue`]: one lane group per executor worker, every group
+//! refilling its free lanes from one shared member cursor, so no worker
+//! idles while another still has members waiting. Independent stiff systems
+//! integrated side by side diverge in step count (on the autophagy PSA grid
+//! a fifth of the re-routed members need 3–5× the Radau steps of the
+//! rest), which is why the caller orders the stiff phase's queue longest
+//! first by the triage eigenvalue. That is legal because nothing the
+//! engine reports depends on which group ran a member: attempts are bitwise
+//! independent of packing, and the device is billed from per-member
+//! counters in member order, its lane occupancy from a packing it computes
+//! for itself ([`MEMBERS_PER_LANE`]). The fine engine is what is left on a
+//! fixed partition (`solve_lane_groups`): its groups mix two lockstep
+//! classes and bill host launches per group.
 //!
 //! The returned width only ever *narrows* the schedule; it never changes
 //! any trajectory (per-member results are bitwise independent of lane
@@ -45,7 +56,8 @@ use paraspace_exec::{CancelToken, Cancelled, Executor};
 use paraspace_linalg::LuFactor;
 use paraspace_rbm::{CompiledOdes, ReactionBasedModel};
 use paraspace_solvers::{
-    BatchOdeSystem, Dopri5Batch, Solution, SolveFailure, SolverOptions, SolverScratch,
+    BatchOdeSystem, Dopri5Batch, LaneReport, Radau5Batch, Solution, SolveFailure, SolverOptions,
+    SolverScratch,
 };
 use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -53,12 +65,62 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 /// Widest lane-group the engines schedule.
 pub(crate) const MAX_LANE_WIDTH: usize = 8;
 
-/// Members queued per lane slot: a group of width `L` services up to
-/// `MEMBERS_PER_LANE·L` members via lane compaction, so early finishers
-/// hand their lane to a pending member instead of idling it. Deep enough
-/// to keep the lanes occupied, shallow enough that a stiff crowd of a few
-/// dozen members still splits into several executor items.
-const MEMBERS_PER_LANE: usize = 2;
+/// How one member's integration ended.
+type Attempt = Result<Solution, SolveFailure>;
+
+/// The two lockstep kernels a lane group can integrate under.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Lockstep {
+    /// [`Dopri5Batch`]: the explicit class.
+    Dopri5,
+    /// [`Radau5Batch`]: the stiff class.
+    Radau5,
+}
+
+impl Lockstep {
+    /// One lane group of this kernel on `system`, from `t = 0`: integrates
+    /// the members `next_member` hands out until it runs dry and returns
+    /// them as they settled (`Dopri5Batch::solve_queue` /
+    /// `Radau5Batch::solve_queue`).
+    pub(crate) fn solve_queue(
+        self,
+        system: &mut dyn BatchOdeSystem,
+        next_member: &mut dyn FnMut() -> Option<usize>,
+        sample_times: &[f64],
+        options: &SolverOptions,
+        scratch: &mut SolverScratch,
+    ) -> (Vec<(usize, Attempt)>, LaneReport) {
+        match self {
+            Lockstep::Dopri5 => Dopri5Batch::new().solve_queue(
+                system,
+                next_member,
+                0.0,
+                sample_times,
+                options,
+                scratch,
+            ),
+            Lockstep::Radau5 => Radau5Batch::new().solve_queue(
+                system,
+                next_member,
+                0.0,
+                sample_times,
+                options,
+                scratch,
+            ),
+        }
+    }
+}
+
+/// Members per lane slot of a *modelled* lane group: the device serves
+/// `MEMBERS_PER_LANE·L` members per group of width `L`, in member order,
+/// early finishers handing their lane to the next member. The fine engine
+/// packs its host groups the same way ([`solve_lane_groups`]); the
+/// fine-coarse engine packs its host groups however the shared queue falls
+/// ([`solve_queue`]) and bills this packing regardless
+/// (`LaneReport::packed`). Deep enough to keep the lanes occupied, shallow
+/// enough that a stiff crowd of a few dozen members still splits into
+/// several groups.
+pub(crate) const MEMBERS_PER_LANE: usize = 2;
 
 /// Solves `members` queued members as lockstep lane-groups of `width` on
 /// the executor's workers and returns the per-group results **in group
@@ -119,34 +181,35 @@ pub(crate) fn explicit_lane_width(
     }
 }
 
-/// Integrates the queue members listed in `members` with lockstep DOPRI5 at
+/// Integrates the members listed in `queue` under the lockstep `kernel` at
 /// `width`: one lane group per executor worker, each on its own
 /// `make_system(width)` (every one knowing every listed member), all
 /// pulling the next member of the list from one shared cursor, so no group
-/// idles while another still has a queue. Returns the attempts **in
-/// `members` order**,
-/// or `Err(Cancelled)` if `cancel` tripped first — the cursor stops handing
-/// out members, the lanes in flight drain, and the partial results are
-/// discarded.
+/// idles while another still has a queue — list the expensive members
+/// first. Returns the attempts **in `queue` order**, or `Err(Cancelled)` if
+/// `cancel` tripped first — the cursor stops handing out members, the lanes
+/// in flight drain, and the partial results are discarded.
 ///
 /// Which group integrates a member, and beside which others, depends on
 /// timing; the member's attempt does not (the lockstep contract), so the
 /// returned vector is bitwise identical at any worker count and width. A
 /// panic that escapes a group is a bug in the lane plumbing and is resumed
 /// on the calling thread.
-pub(crate) fn solve_explicit_queue<S: BatchOdeSystem>(
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn solve_queue<S: BatchOdeSystem>(
     executor: &Executor,
     cancel: &CancelToken,
-    members: &[usize],
+    kernel: Lockstep,
+    queue: &[usize],
     width: usize,
     make_system: impl Fn(usize) -> S + Sync,
     sample_times: &[f64],
     options: &SolverOptions,
-) -> Result<Vec<Result<Solution, SolveFailure>>, Cancelled> {
+) -> Result<Vec<Attempt>, Cancelled> {
     // The cursor publishes nothing but itself (the member list and what the
     // systems borrow are shared before any worker starts): relaxed is enough.
     let cursor = AtomicUsize::new(0);
-    let groups = executor.threads().min(members.len().div_ceil(width));
+    let groups = executor.threads().min(queue.len().div_ceil(width));
     let settled =
         executor.try_map_with_cancel(groups, cancel, SolverScratch::new, |scratch, _group| {
             let mut system = make_system(width);
@@ -154,28 +217,21 @@ pub(crate) fn solve_explicit_queue<S: BatchOdeSystem>(
                 if cancel.is_cancelled() {
                     return None;
                 }
-                members.get(cursor.fetch_add(1, Ordering::Relaxed)).copied()
+                queue.get(cursor.fetch_add(1, Ordering::Relaxed)).copied()
             };
-            let (settled, _report) = Dopri5Batch::new().solve_queue(
-                &mut system,
-                &mut next_member,
-                0.0,
-                sample_times,
-                options,
-                scratch,
-            );
+            let (settled, _report) =
+                kernel.solve_queue(&mut system, &mut next_member, sample_times, options, scratch);
             settled
         })?;
-    let slots = members.iter().max().map_or(0, |&last| last + 1);
-    let mut by_member: Vec<Option<Result<Solution, SolveFailure>>> =
-        (0..slots).map(|_| None).collect();
+    let slots = queue.iter().max().map_or(0, |&last| last + 1);
+    let mut by_member: Vec<Option<Attempt>> = (0..slots).map(|_| None).collect();
     for group in settled {
         for (i, attempt) in group.unwrap_or_else(|fault| panic!("{fault}")) {
             by_member[i] = Some(attempt);
         }
     }
     // A member nobody integrated means the cursor refused it: cancelled.
-    members.iter().map(|&i| by_member[i].take().ok_or(Cancelled)).collect()
+    queue.iter().map(|&i| by_member[i].take().ok_or(Cancelled)).collect()
 }
 
 /// Cache budget for one lane-group's live factor values (real + complex),
@@ -183,22 +239,27 @@ pub(crate) fn solve_explicit_queue<S: BatchOdeSystem>(
 /// factors stay under it is the width LU-dominated models run at.
 ///
 /// The rule was calibrated on the lane-minor dense kernels, where crossing
-/// the budget was a cliff, and re-measured when the dense factors became
-/// lane-major (one thread, fine+coarse engine, P3 + P4 wall, best of the
-/// repetitions of two interleaved runs per side):
+/// the budget was a cliff, and has been re-measured at every change to what
+/// a wide group costs — lane-major factors, then the shared member queue
+/// with planar complex factors (fine+coarse engine, P3 + P4 wall, best of
+/// the repetitions of two or three interleaved runs per width):
 ///
-/// | model | width | lane-minor factors | lane-major factors |
+/// | model | width | one thread | two threads |
 /// |---|---|---|---|
-/// | autophagy analogue, 46 × 1649, the 64-member PSA-2D (33 stiff) | 4 (the rule's choice) | 1.32–1.37 s | 0.87–0.91 s |
-/// | | 8 | 1.59–1.69 s | 0.98–1.01 s |
-/// | metabolic, 114 × 226, 32 stiff members | 1 (the rule's choice: scalar RADAU5 route) | 1.29–1.30 s | 0.95–1.15 s |
-/// | | 4 | 1.56–1.68 s | 1.17–1.21 s |
-/// | | 8 | 2.50–2.90 s | 1.37–1.38 s |
+/// | autophagy analogue, 46 × 1649, the 64-member PSA-2D (32 on Radau lanes) | 4 (the rule's choice) | 0.73–0.76 s | 0.38–0.41 s |
+/// | | 8 | 0.67–0.73 s | 0.39–0.42 s |
+/// | metabolic, 114 × 226, 32 stiff members | 1 (the rule's choice: scalar RADAU5 route) | 1.04–1.08 s | |
+/// | | 4 | 1.07–1.10 s | |
+/// | | 8 | 1.14–1.16 s | |
 ///
-/// The penalty for crossing the budget shrank (width 8 over the rule's
-/// width: +21 % → +11 % on autophagy, +93–123 % → +20–44 % on metabolic)
-/// but did not change sign on either model, so the rule and the constant
-/// stay as they were.
+/// On the queue a wide group no longer idles its lanes behind a long
+/// member (on a fixed `2·L` partition width 8 filled 61 % of its lane slots
+/// on the autophagy grid and cost +11 %), so on that model width 8 is now
+/// level with width 4 — ahead on one thread, where one group serves all 32
+/// members, level on two, where each group's 8 lanes see two members each.
+/// On metabolic crossing the budget still costs +5–10 % over the rule's
+/// choice (+93–123 % lane-minor, +20–44 % lane-major), so the rule and the
+/// constant stay as they were: width 8 would have to win on both.
 const FACTOR_CACHE_BUDGET_BYTES: usize = 256 * 1024;
 
 /// Bytes of factor state per matrix entry per lane: one `f64` (real E1
@@ -582,15 +643,72 @@ mod tests {
             self.saw_trip = self.cancel.is_cancelled();
             self.inner.rhs_batch(t, y, dydt);
         }
+        fn supports_jacobian_batch(&self) -> bool {
+            self.inner.supports_jacobian_batch()
+        }
+        fn jacobian_batch(
+            &mut self,
+            t: &[f64],
+            y: &paraspace_solvers::BatchState,
+            jac: &mut [f64],
+        ) {
+            self.inner.jacobian_batch(t, y, jac);
+        }
+    }
+
+    /// `job`'s members through [`solve_queue`] on tripwired systems: the
+    /// outcome and how many lanes were bound by a group that had already
+    /// seen the token tripped.
+    fn run_tripwired(
+        job: &SimulationJob,
+        kernel: Lockstep,
+        threads: usize,
+        trip_at: usize,
+    ) -> (Result<Vec<Attempt>, Cancelled>, usize) {
+        let cancel = CancelToken::new();
+        let members: Vec<usize> = (0..job.batch_size()).collect();
+        let (sweeps, late_binds) = (AtomicUsize::new(0), AtomicUsize::new(0));
+        let outcome = solve_queue(
+            &Executor::new(threads),
+            &cancel,
+            kernel,
+            &members,
+            4,
+            |width| Tripwire {
+                inner: job.lane_system(width),
+                cancel: &cancel,
+                sweeps: &sweeps,
+                trip_at,
+                saw_trip: false,
+                late_binds: &late_binds,
+            },
+            job.time_points(),
+            job.options(),
+        );
+        (outcome, late_binds.into_inner())
+    }
+
+    /// The token trips from the RHS while the first members of `job` are
+    /// still integrating: the lanes in flight drain, no group that has seen
+    /// the trip binds another member, the phase reports Cancelled — at one
+    /// worker and at two sharing the cursor — and nothing of the cancelled
+    /// attempt survives into the next one.
+    fn assert_cancels_mid_phase_without_refilling(job: &SimulationJob, kernel: Lockstep) {
+        let (uninterrupted, _) = run_tripwired(job, kernel, 1, usize::MAX);
+        let uninterrupted = uninterrupted.expect("an untripped token cancels nothing");
+        assert!(uninterrupted.iter().all(|attempt| attempt.is_ok()));
+        for threads in [1, 2] {
+            let (outcome, late_binds) = run_tripwired(job, kernel, threads, 12);
+            assert_eq!(outcome, Err(Cancelled), "{threads} threads");
+            assert_eq!(late_binds, 0, "{threads} threads: refilled after the trip");
+            let (rerun, _) = run_tripwired(job, kernel, threads, usize::MAX);
+            assert_eq!(rerun.as_ref(), Ok(&uninterrupted), "{threads} threads");
+        }
     }
 
     #[test]
     fn explicit_queue_cancels_mid_phase_without_refilling() {
-        // 40 members through 4-wide groups; the token trips from the RHS
-        // while the first members are still integrating. The lanes in
-        // flight drain, no group that has seen the trip binds another
-        // member, and the phase reports Cancelled — at one worker and at
-        // two sharing the cursor.
+        // 40 members through 4-wide DOPRI5 groups.
         let mut m = ReactionBasedModel::new();
         let a = m.add_species("A", 1.0);
         let b = m.add_species("B", 0.2);
@@ -601,38 +719,28 @@ mod tests {
             .replicate(40)
             .build()
             .unwrap();
-        let members: Vec<usize> = (0..job.batch_size()).collect();
-        let run = |threads: usize, cancel: &CancelToken, trip_at: usize| {
-            let (sweeps, late_binds) = (AtomicUsize::new(0), AtomicUsize::new(0));
-            let outcome = solve_explicit_queue(
-                &Executor::new(threads),
-                cancel,
-                &members,
-                4,
-                |width| Tripwire {
-                    inner: job.lane_system(width),
-                    cancel,
-                    sweeps: &sweeps,
-                    trip_at,
-                    saw_trip: false,
-                    late_binds: &late_binds,
-                },
-                job.time_points(),
-                job.options(),
+        assert_cancels_mid_phase_without_refilling(&job, Lockstep::Dopri5);
+    }
+
+    #[test]
+    fn stiff_queue_cancels_mid_phase_without_refilling() {
+        // 24 stiff members, rates spread so their step counts differ,
+        // through 4-wide RADAU5 groups: the token trips mid-P4.
+        use paraspace_rbm::Parameterization;
+        let mut m = ReactionBasedModel::new();
+        let a = m.add_species("A", 1.0);
+        let b = m.add_species("B", 0.0);
+        m.add_reaction(Reaction::mass_action(&[(a, 1)], &[(b, 1)], 1.0)).unwrap();
+        m.add_reaction(Reaction::mass_action(&[(b, 1)], &[(a, 1)], 1.0)).unwrap();
+        let mut builder = SimulationJob::builder(&m).time_points(vec![0.5, 1.0, 2.0]);
+        for i in 0..24 {
+            let fast = 1e3 * 1.5f64.powi(i);
+            builder = builder.parameterization(
+                Parameterization::new().with_rate_constants(vec![fast, 2.0 * fast]),
             );
-            (outcome, late_binds.into_inner())
-        };
-        let (uninterrupted, _) = run(1, &CancelToken::new(), usize::MAX);
-        let uninterrupted = uninterrupted.expect("an untripped token cancels nothing");
-        assert!(uninterrupted.iter().all(|attempt| attempt.is_ok()));
-        for threads in [1, 2] {
-            let (outcome, late_binds) = run(threads, &CancelToken::new(), 12);
-            assert_eq!(outcome, Err(Cancelled), "{threads} threads");
-            assert_eq!(late_binds, 0, "{threads} threads: refilled after the trip");
-            // Nothing of the cancelled attempt survives into the next one.
-            let (rerun, _) = run(threads, &CancelToken::new(), usize::MAX);
-            assert_eq!(rerun.as_ref(), Ok(&uninterrupted), "{threads} threads");
         }
+        let job = builder.build().unwrap();
+        assert_cancels_mid_phase_without_refilling(&job, Lockstep::Radau5);
     }
 
     #[test]

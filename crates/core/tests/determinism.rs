@@ -211,25 +211,49 @@ fn stiff_batch_lockstep_radau_is_bitwise_identical_to_scalar_at_any_width() {
     }
 }
 
+/// A Brusselator (`∅ → X`, `X → Y`, `2X + Y → 3X`, `X → ∅`) beside a fast
+/// reversible pair that makes every member triage-stiff: members below the
+/// Hopf point `b = 2` settle in a few dozen Radau steps, members above it
+/// oscillate and need several times as many.
+fn stiff_brusselator() -> ReactionBasedModel {
+    let mut m = ReactionBasedModel::new();
+    let x = m.add_species("X", 1.0);
+    let y = m.add_species("Y", 1.0);
+    let f = m.add_species("F", 1.0);
+    let g = m.add_species("G", 0.0);
+    m.add_reaction(Reaction::mass_action(&[], &[(x, 1)], 1.0)).unwrap();
+    m.add_reaction(Reaction::mass_action(&[(x, 1)], &[(y, 1)], 1.0)).unwrap();
+    m.add_reaction(Reaction::mass_action(&[(x, 2), (y, 1)], &[(x, 3)], 1.0)).unwrap();
+    m.add_reaction(Reaction::mass_action(&[(x, 1)], &[], 1.0)).unwrap();
+    m.add_reaction(Reaction::mass_action(&[(f, 1)], &[(g, 1)], 1e4)).unwrap();
+    m.add_reaction(Reaction::mass_action(&[(g, 1)], &[(f, 1)], 2e4)).unwrap();
+    m
+}
+
 #[test]
 fn fine_coarse_p4_lane_groups_are_independent_of_threads() {
-    // A stiff crowd large enough that P4 splits into at least three lane
-    // groups at every width (72 members; a group queues at most 4·L ≤ 32),
-    // so the groups really are concurrent executor items. Whatever the
-    // worker count, the fold must come out the same: outcomes, `StepStats`,
-    // `BatchHealth` and the modeled timeline compare `==` against the
-    // one-thread run at that width, and every lane member equals its
-    // direct scalar RADAU5 solve bitwise.
-    let m = reversible_model();
-    let mut b = SimulationJob::builder(&m).time_points(vec![0.25, 0.5, 1.0, 2.0]);
-    for i in 0..72 {
+    // A stiff crowd on the shared P4 queue whose members differ several-fold
+    // in step count, so which group integrates whom — and when a lane is
+    // refilled — really varies with the width, the worker count and
+    // timing. Whatever they are, the fold must come out the same:
+    // outcomes, `StepStats`, `BatchHealth` and the modeled timeline compare
+    // `==` against the one-thread run at that width, and every lane member
+    // equals its direct scalar RADAU5 solve bitwise.
+    let m = stiff_brusselator();
+    let mut b = SimulationJob::builder(&m).time_points(vec![5.0, 10.0, 20.0, 40.0]);
+    for i in 0..40 {
+        // b from 0.4 to 4.3, interleaved so the expensive members are
+        // scattered through the member order.
+        let hopf = 0.4 + 0.1 * ((i * 17) % 40) as f64;
         b = b.parameterization(
-            Parameterization::new()
-                .with_rate_constants(vec![1e5 + 7.5e3 * i as f64, 2e5 + 4.5e3 * i as f64]),
+            Parameterization::new().with_rate_constants(vec![1.0, hopf, 1.0, 1.0, 1e4, 2e4]),
         );
     }
     let job = b.build().unwrap();
     let scalar = scalar_radau_reference(&job);
+    let steps = || scalar.iter().map(|s| s.stats.steps);
+    let (least, most) = (steps().min().unwrap(), steps().max().unwrap());
+    assert!(most >= 4 * least, "step counts must diverge: {least}..{most}");
 
     for width in [2, 4, 8] {
         let reference = FineCoarseEngine::new().with_lane_width(width).run(&job).unwrap();
@@ -239,7 +263,7 @@ fn fine_coarse_p4_lane_groups_are_independent_of_threads() {
             assert_eq!(reference.outcomes[i].solver, "radau5-lanes", "{label}");
             assert_eq!(reference.outcomes[i].solution.as_ref().unwrap(), expected, "{label}");
         }
-        for threads in [1, 2, 8] {
+        for threads in [1, 2, 4, 8] {
             let parallel = FineCoarseEngine::new()
                 .with_lane_width(width)
                 .with_threads(threads)

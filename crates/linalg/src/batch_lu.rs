@@ -3,29 +3,32 @@
 //! matrices to.
 //!
 //! Storage is **lane-major**: lane `l`'s `n × n` matrix is one contiguous
-//! row-major block at `l·n²`, its pivot sequence at `l·n`. Factoring and
-//! solving are the lane-divergent half of the lockstep solver — every lane
-//! pivots on its own rows, is refreshed on its own schedule (the mask) and
-//! carries its own step size in the matrix — so nothing is shared across
-//! lanes that a lane-minor layout could sweep, and a lane-minor block makes
-//! every access of a lane's elimination a stride-`L` one. Each lane is
-//! therefore factored by the same [`eliminate`] call and solved by the same
-//! [`solve_factored`] call that [`LuFactor`](crate::LuFactor) /
-//! [`CluFactor`](crate::CluFactor) make (see the `lu` module for the
-//! arithmetic that is contractual), so a lane factored here and solved with
-//! [`solve_lanes`](BatchDenseLu::solve_lanes) is bit-identical to routing
-//! that lane's matrix through the scalar types — the property the lockstep
-//! solver's determinism contract rests on. Right-hand sides stay lane-minor
-//! (`i·L + l`, the layout of every stage vector): `solve_lanes` gathers a
-//! lane's column, substitutes, and scatters it back.
+//! block (row-major; a complex lane is its real plane followed by its
+//! imaginary plane, as everywhere in this crate), its pivot sequence sits at
+//! `l·n`. Factoring and solving are the lane-divergent half of the lockstep
+//! solver — every lane pivots on its own rows, is refreshed on its own
+//! schedule (the mask) and carries its own step size in the matrix — so
+//! nothing is shared across lanes that a lane-minor layout could sweep, and
+//! a lane-minor block makes every access of a lane's elimination a
+//! stride-`L` one. Each lane is therefore factored by the same elimination
+//! call and solved by the same substitution call that
+//! [`LuFactor`](crate::LuFactor) / [`CluFactor`](crate::CluFactor) make
+//! (see the `lu` module for the arithmetic that is contractual), so a lane
+//! factored here and solved with [`solve_lanes`](BatchDenseLu::solve_lanes)
+//! is bit-identical to routing that lane's matrix through the scalar types
+//! — the property the lockstep solver's determinism contract rests on.
+//! Right-hand sides stay lane-minor (`i·L + l`, the layout of every stage
+//! vector): `solve_lanes` gathers a lane's column, substitutes, and
+//! scatters it back.
 //!
 //! Lanes are *masked*: `factor` touches only the lanes the caller selects,
 //! leaving every other lane's stored factorization (and pivot sequence)
 //! intact. That is how the Radau kernel reuses a lane's LU across steps
 //! while refactoring its neighbours.
 
-use crate::lu::{eliminate, solve_factored, LuScalar};
+use crate::lu::LuScalar;
 use crate::{Complex64, LinalgError};
+use std::marker::PhantomData;
 
 /// Lane-batched LU factorization of `n × n` systems; used through its two
 /// instantiations [`BatchLuFactor`] and [`BatchCluFactor`].
@@ -33,12 +36,13 @@ use crate::{Complex64, LinalgError};
 pub struct BatchDenseLu<T> {
     n: usize,
     lanes: usize,
-    /// Lane `l` at `l·n²`, row-major: matrix entries before `factor`, the
+    /// Lane `l` at `l·PLANES·n²`: matrix entries before `factor`, the
     /// packed `L`/`U` factors after (unit diagonal of `L` implicit).
-    lu: Vec<T>,
+    lu: Vec<f64>,
     /// Pivot swap sequence of lane `l` at `l·n` (LAPACK `ipiv` style).
     pivots: Vec<usize>,
     singular: Vec<bool>,
+    _element: PhantomData<T>,
 }
 
 /// Lane-batched LU factorization of real `n × n` systems.
@@ -65,8 +69,9 @@ pub struct BatchDenseLu<T> {
 pub type BatchLuFactor = BatchDenseLu<f64>;
 
 /// Lane-batched LU factorization of complex `n × n` systems — the complex
-/// Newton system of the lockstep Radau IIA kernel. Pivoting uses `|·|²`
-/// exactly as [`CluFactor`](crate::CluFactor) does.
+/// Newton system of the lockstep Radau IIA kernel, each lane held as two
+/// `f64` planes and factored exactly as [`CluFactor`](crate::CluFactor)
+/// factors them.
 pub type BatchCluFactor = BatchDenseLu<Complex64>;
 
 impl<T: LuScalar> BatchDenseLu<T> {
@@ -89,9 +94,10 @@ impl<T: LuScalar> BatchDenseLu<T> {
         Ok(BatchDenseLu {
             n,
             lanes,
-            lu: vec![T::ZERO; n * n * lanes],
+            lu: vec![0.0; T::PLANES * n * n * lanes],
             pivots: vec![0; n * lanes],
             singular: vec![false; lanes],
+            _element: PhantomData,
         })
     }
 
@@ -110,7 +116,7 @@ impl<T: LuScalar> BatchDenseLu<T> {
         self.n = n;
         self.lanes = lanes;
         self.lu.clear();
-        self.lu.resize(n * n * lanes, T::ZERO);
+        self.lu.resize(T::PLANES * n * n * lanes, 0.0);
         self.pivots.clear();
         self.pivots.resize(n * lanes, 0);
         self.singular.clear();
@@ -127,11 +133,9 @@ impl<T: LuScalar> BatchDenseLu<T> {
         self.lanes
     }
 
-    /// Lane `l`'s matrix storage, row-major `n × n`. Callers write the next
-    /// matrix here and then [`factor`](Self::factor) the lane; until then
-    /// the lane's previous factorization is gone. Other lanes are untouched.
-    pub fn lane_mut(&mut self, l: usize) -> &mut [T] {
-        let size = self.n * self.n;
+    /// Lane `l`'s matrix storage.
+    fn lane_storage_mut(&mut self, l: usize) -> &mut [f64] {
+        let size = T::PLANES * self.n * self.n;
         &mut self.lu[l * size..][..size]
     }
 
@@ -153,10 +157,11 @@ impl<T: LuScalar> BatchDenseLu<T> {
         if n == 0 {
             return;
         }
-        let lanes = self.lu.chunks_exact_mut(n * n).zip(self.pivots.chunks_exact_mut(n));
+        let lanes =
+            self.lu.chunks_exact_mut(T::PLANES * n * n).zip(self.pivots.chunks_exact_mut(n));
         for (l, (a, pivots)) in lanes.enumerate() {
             if mask[l] {
-                self.singular[l] = eliminate(a, n, pivots).is_err();
+                self.singular[l] = T::eliminate(a, n, pivots).is_err();
             }
         }
     }
@@ -174,12 +179,13 @@ impl<T: LuScalar> BatchDenseLu<T> {
         let (n, lanes) = (self.n, self.lanes);
         assert_eq!(b.len(), n * lanes, "right-hand-side block length");
         assert_eq!(mask.len(), lanes, "mask length");
+        let size = T::PLANES * n * n;
         let mut x = vec![T::ZERO; n];
         for l in (0..lanes).filter(|&l| mask[l] && !self.singular[l]) {
             for (x, &b) in x.iter_mut().zip(b.iter().skip(l).step_by(lanes)) {
                 *x = b;
             }
-            solve_factored(&self.lu[l * n * n..][..n * n], &self.pivots[l * n..][..n], &mut x);
+            T::solve_factored(&self.lu[l * size..][..size], &self.pivots[l * n..][..n], &mut x);
             for (b, &x) in b.iter_mut().skip(l).step_by(lanes).zip(&x) {
                 *b = x;
             }
@@ -187,10 +193,30 @@ impl<T: LuScalar> BatchDenseLu<T> {
     }
 }
 
+impl BatchDenseLu<f64> {
+    /// Lane `l`'s matrix storage, row-major `n × n`. Callers write the next
+    /// matrix here and then [`factor`](Self::factor) the lane; until then
+    /// the lane's previous factorization is gone. Other lanes are untouched.
+    pub fn lane_mut(&mut self, l: usize) -> &mut [f64] {
+        self.lane_storage_mut(l)
+    }
+}
+
+impl BatchDenseLu<Complex64> {
+    /// Lane `l`'s matrix storage as its real and imaginary planes, each
+    /// row-major `n × n`; see [`BatchLuFactor::lane_mut`].
+    pub fn lane_planes_mut(&mut self, l: usize) -> (&mut [f64], &mut [f64]) {
+        let entries = self.n * self.n;
+        self.lane_storage_mut(l).split_at_mut(entries)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lu::{eliminate, eliminate_planar};
     use crate::{CMatrix, CluFactor, LuFactor, Matrix};
+    use std::ops::{Div, Mul, Sub};
 
     /// Deterministic pseudo-random values (no rand dependency here).
     fn rng(seed: u64) -> impl FnMut() -> f64 {
@@ -232,10 +258,34 @@ mod tests {
         v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
     }
 
-    /// The textbook elimination, one 2-D index per element: what every
-    /// dense kernel in this crate did before they shared [`eliminate`], and
-    /// the reference it is held to.
-    fn reference_eliminate<T: LuScalar>(a: &mut [T], n: usize) -> Result<(Vec<usize>, f64), usize> {
+    /// What the reference elimination asks of an element type.
+    trait Elem:
+        Copy + PartialEq + Sub<Output = Self> + Mul<Output = Self> + Div<Output = Self>
+    {
+        const ZERO: Self;
+        fn pivot_size(self) -> f64;
+    }
+
+    impl Elem for f64 {
+        const ZERO: Self = 0.0;
+        fn pivot_size(self) -> f64 {
+            self.abs()
+        }
+    }
+
+    impl Elem for Complex64 {
+        const ZERO: Self = Complex64::ZERO;
+        fn pivot_size(self) -> f64 {
+            self.abs_sq()
+        }
+    }
+
+    /// The textbook elimination, one 2-D index per element, over values of
+    /// the element type (complex entries as interleaved [`Complex64`]s):
+    /// what every dense kernel in this crate did before they shared
+    /// [`eliminate`] / [`eliminate_planar`], and the reference both are
+    /// held to.
+    fn reference_eliminate<T: Elem>(a: &mut [T], n: usize) -> Result<(Vec<usize>, f64), usize> {
         let at = |i: usize, j: usize| i * n + j;
         let (mut pivots, mut sign) = (Vec::new(), 1.0);
         for k in 0..n {
@@ -272,6 +322,35 @@ mod tests {
         Ok((pivots, sign))
     }
 
+    /// The textbook substitution against [`reference_eliminate`]'s factors:
+    /// exchanges, then `L y = P b` and `U x = y`, sums left to right.
+    fn reference_solve<T: Elem>(lu: &[T], n: usize, pivots: &[usize], b: &mut [T]) {
+        for (k, &p) in pivots.iter().enumerate() {
+            b.swap(k, p);
+        }
+        for i in 0..n {
+            for j in 0..i {
+                b[i] = b[i] - lu[i * n + j] * b[j];
+            }
+        }
+        for i in (0..n).rev() {
+            for j in (i + 1)..n {
+                b[i] = b[i] - lu[i * n + j] * b[j];
+            }
+            b[i] = b[i] / lu[i * n + i];
+        }
+    }
+
+    /// A complex matrix as its real plane and its imaginary plane.
+    fn planes(a: &[Complex64]) -> (Vec<f64>, Vec<f64>) {
+        (a.iter().map(|z| z.re).collect(), a.iter().map(|z| z.im).collect())
+    }
+
+    /// The bits of two planes, entry by entry: comparable with [`cbits`].
+    fn plane_bits(re: &[f64], im: &[f64]) -> Vec<(u64, u64)> {
+        re.iter().zip(im).map(|(re, im)| (re.to_bits(), im.to_bits())).collect()
+    }
+
     /// Random dense `n × n` values shaped to take every branch: a zeroed
     /// diagonal forces row exchanges, zeroed sub-diagonal entries give
     /// exact-zero multipliers, and (`with_inf`) an infinity in the first
@@ -299,7 +378,7 @@ mod tests {
 
     #[test]
     fn shared_elimination_matches_the_index_based_reference() {
-        let mut exchanged = 0;
+        let (mut exchanged, mut complex_exchanged, mut complex_singular) = (0, 0, 0);
         for n in [1usize, 2, 3, 7, 16] {
             for seed in 1..=6u64 {
                 let real = branchy(n, seed.wrapping_mul(0x9e3779b97f4a7c15), n >= 3 && seed == 6);
@@ -330,21 +409,34 @@ mod tests {
                     (want, got) => panic!("n={n} seed={seed}: reference {want:?}, shared {got:?}"),
                 }
 
-                let (mut want, mut got) = (cplx.clone(), cplx);
+                // The planar routine against the same reference run over
+                // interleaved values: pivots, the singular column, and the
+                // (partial) factors, bit for bit.
+                let (mut want, (mut re, mut im)) = (cplx.clone(), planes(&cplx));
                 let mut pivots = vec![usize::MAX; n];
-                match (reference_eliminate(&mut want, n), eliminate(&mut got, n, &mut pivots)) {
-                    (Ok((want_pivots, _)), Ok(_)) => {
+                match (
+                    reference_eliminate(&mut want, n),
+                    eliminate_planar(&mut re, &mut im, n, &mut pivots),
+                ) {
+                    (Ok((want_pivots, _)), Ok(())) => {
                         assert_eq!(pivots, want_pivots, "complex n={n} seed={seed}: pivots");
+                        complex_exchanged +=
+                            pivots.iter().enumerate().filter(|&(k, &p)| p != k).count();
                     }
-                    (Err(want_k), Err(k)) => assert_eq!(k, want_k, "complex n={n} seed={seed}"),
+                    (Err(want_k), Err(k)) => {
+                        assert_eq!(k, want_k, "complex n={n} seed={seed}");
+                        complex_singular += 1;
+                    }
                     (want, got) => {
-                        panic!("complex n={n} seed={seed}: reference {want:?}, shared {got:?}")
+                        panic!("complex n={n} seed={seed}: reference {want:?}, planar {got:?}")
                     }
                 }
-                assert_eq!(cbits(&got), cbits(&want), "complex n={n} seed={seed}: factors");
+                assert_eq!(plane_bits(&re, &im), cbits(&want), "complex n={n} seed={seed}");
             }
         }
         assert!(exchanged > 20, "the inputs must force row exchanges ({exchanged})");
+        assert!(complex_exchanged > 20, "complex row exchanges ({complex_exchanged})");
+        assert!(complex_singular > 0, "the inputs must include a singular complex column");
     }
 
     #[test]
@@ -415,7 +507,10 @@ mod tests {
 
             let mut batch = BatchCluFactor::new(n, n, lanes).unwrap();
             for (l, m) in mats.iter().enumerate() {
-                batch.lane_mut(l).copy_from_slice(m.as_slice());
+                let (re, im) = planes(m.as_slice());
+                let (lane_re, lane_im) = batch.lane_planes_mut(l);
+                lane_re.copy_from_slice(&re);
+                lane_im.copy_from_slice(&im);
             }
             let mask = vec![true; lanes];
             batch.factor(&mask);
@@ -423,16 +518,22 @@ mod tests {
             batch.solve_lanes(&mut b, &mask);
 
             for (l, m) in mats.iter().enumerate() {
+                // The interleaved textbook factor-and-solve is the reference
+                // for the scalar type, and the scalar type for the lane.
+                let mut want = m.as_slice().to_vec();
+                let (pivots, _) = reference_eliminate(&mut want, n).unwrap();
+                let mut want_x = rhs[l].clone();
+                reference_solve(&want, n, &pivots, &mut want_x);
+
                 let scalar = CluFactor::new(m.clone()).unwrap();
                 let mut x = rhs[l].clone();
                 scalar.solve_in_place(&mut x);
+                assert_eq!(cbits(&x), cbits(&want_x), "lanes={lanes} lane={l}: scalar solve");
                 assert_eq!(cbits(&lane_of(&b, lanes, l)), cbits(&x), "lanes={lanes} lane={l}");
-                let factors = scalar.into_matrix();
-                assert_eq!(
-                    cbits(batch.lane_mut(l)),
-                    cbits(factors.as_slice()),
-                    "lanes={lanes} lane={l}"
-                );
+                let factors = scalar.into_planes();
+                assert_eq!(plane_bits(&factors[..n * n], &factors[n * n..]), cbits(&want));
+                let (lane_re, lane_im) = batch.lane_planes_mut(l);
+                assert_eq!(plane_bits(lane_re, lane_im), cbits(&want), "lanes={lanes} lane={l}");
             }
         }
     }

@@ -195,19 +195,48 @@ impl Mul<Complex64> for f64 {
     }
 }
 
+/// The half of Smith's quotient `z / divisor` that depends on the divisor
+/// alone: which component leads, their ratio `r` and the real denominator
+/// `d`. An elimination step divides a whole column by one pivot, so it
+/// builds this once and [`divide`](Self::divide)s every entry by it;
+/// `Complex64`'s `/` is the same two calls.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SmithDivisor {
+    re_leads: bool,
+    r: f64,
+    d: f64,
+}
+
+impl SmithDivisor {
+    #[inline]
+    pub(crate) fn new(divisor: Complex64) -> Self {
+        if divisor.re.abs() >= divisor.im.abs() {
+            let r = divisor.im / divisor.re;
+            SmithDivisor { re_leads: true, r, d: divisor.re + divisor.im * r }
+        } else {
+            let r = divisor.re / divisor.im;
+            SmithDivisor { re_leads: false, r, d: divisor.re * r + divisor.im }
+        }
+    }
+
+    /// `z / divisor`.
+    #[inline]
+    pub(crate) fn divide(&self, z: Complex64) -> Complex64 {
+        let (r, d) = (self.r, self.d);
+        if self.re_leads {
+            Complex64::new((z.re + z.im * r) / d, (z.im - z.re * r) / d)
+        } else {
+            Complex64::new((z.re * r + z.im) / d, (z.im * r - z.re) / d)
+        }
+    }
+}
+
 impl Div for Complex64 {
     type Output = Complex64;
     /// Complex division using Smith's algorithm for numerical robustness.
+    #[inline]
     fn div(self, rhs: Complex64) -> Complex64 {
-        if rhs.re.abs() >= rhs.im.abs() {
-            let r = rhs.im / rhs.re;
-            let d = rhs.re + rhs.im * r;
-            Complex64::new((self.re + self.im * r) / d, (self.im - self.re * r) / d)
-        } else {
-            let r = rhs.re / rhs.im;
-            let d = rhs.re * r + rhs.im;
-            Complex64::new((self.re * r + self.im) / d, (self.im * r - self.re) / d)
-        }
+        SmithDivisor::new(rhs).divide(self)
     }
 }
 

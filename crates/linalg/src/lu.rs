@@ -1,50 +1,74 @@
 //! LU factorization with partial pivoting, real and complex, plus a batched
 //! driver used as the cuBLAS substitute by the virtual-GPU engines.
 //!
-//! Every dense factorization in this crate — [`LuFactor`], [`CluFactor`] and
-//! each lane of [`BatchLuFactor`](crate::BatchLuFactor) /
-//! [`BatchCluFactor`](crate::BatchCluFactor) — is one call to
-//! [`eliminate`] on a contiguous row-major `n × n` slice, and every dense
-//! solve one call to [`solve_factored`]. The routines work on row slices
-//! (the pivot row and a target row as split borrows, zipped over
-//! `k+1..n`), so no element pays a 2-D index. What is contractual is the
-//! arithmetic, because recorded trajectories depend on it bit for bit:
-//! the pivot is the first row attaining the strict maximum of `|a_ik|`
-//! (`|a_ik|²` for complex), a column whose maximum is exactly zero is
-//! singular, a row whose multiplier `m = a_ik / a_kk` is exactly zero is
-//! skipped (which matters bitwise when the pivot row holds infinities:
+//! Every dense factorization in this crate is one call to one of two
+//! elimination routines on contiguous row-major storage — [`eliminate`] for
+//! real matrices ([`LuFactor`] and each lane of
+//! [`BatchLuFactor`](crate::BatchLuFactor)), [`eliminate_planar`] for
+//! complex ones ([`CluFactor`] and each lane of
+//! [`BatchCluFactor`](crate::BatchCluFactor)) — and every dense solve one
+//! call to [`solve_factored`] / [`solve_factored_planar`]. A complex matrix
+//! is stored as **two `f64` planes**, all real parts and then all imaginary
+//! parts: the row update `x − m·u` is then four multiplies and four
+//! additions over four plain `f64` slices, which the compiler vectorises,
+//! where the same update over interleaved `(re, im)` pairs stays scalar.
+//! The routines work on row slices (the pivot row and a target row as split
+//! borrows, zipped over `k+1..n`), so no element pays a 2-D index. What is
+//! contractual is the arithmetic, because recorded trajectories depend on
+//! it bit for bit: the pivot is the first row attaining the strict maximum
+//! of `|a_ik|` (`re² + im²` for complex), a column whose maximum is exactly
+//! zero is singular, the multiplier is `m = a_ik / a_kk` (Smith's quotient
+//! for complex, [`SmithDivisor`]), a row whose multiplier is exactly zero
+//! is skipped (which matters bitwise when the pivot row holds infinities:
 //! `0 × ∞ = NaN`), and otherwise each `a_ij − m·u_kj` is formed once, for
-//! `j` ascending.
+//! `j` ascending — for complex as `re − (m.re·u.re − m.im·u.im)` and
+//! `im − (m.re·u.im + m.im·u.re)`, the expansion of
+//! [`Complex64`]'s own `*` and `-`.
 
+use crate::complex::SmithDivisor;
 use crate::{CMatrix, Complex64, LinalgError, Matrix};
-use std::ops::{Div, Mul, Sub};
 
-/// The two element types the dense LU kernels are instantiated at. Public
-/// only so the lane-batched factor can name it as a bound; it is not
-/// exported from the crate.
-pub trait LuScalar:
-    Copy + PartialEq + Sub<Output = Self> + Mul<Output = Self> + Div<Output = Self>
-{
+/// The two element types the dense LU kernels serve, each with the storage
+/// its factors live in. Public only so the lane-batched factor can name it
+/// as a bound; it is not exported from the crate.
+pub trait LuScalar: Copy {
     /// The additive identity.
     const ZERO: Self;
-    /// What partial pivoting compares: `|x|` for reals, `|z|²` for complex
-    /// numbers (no square root).
-    fn pivot_size(self) -> f64;
+    /// `f64` planes per matrix: an `n × n` matrix of this type is stored as
+    /// `PLANES` consecutive row-major `n × n` blocks of `f64`.
+    const PLANES: usize;
+    /// Factors the matrix stored in `a` in place; `Err(k)` when column `k`
+    /// has no nonzero pivot candidate.
+    fn eliminate(a: &mut [f64], n: usize, pivots: &mut [usize]) -> Result<(), usize>;
+    /// Solves against the factors `eliminate` left in `lu`, in place.
+    fn solve_factored(lu: &[f64], pivots: &[usize], b: &mut [Self]);
 }
 
 impl LuScalar for f64 {
     const ZERO: Self = 0.0;
-    #[inline(always)]
-    fn pivot_size(self) -> f64 {
-        self.abs()
+    const PLANES: usize = 1;
+    #[inline]
+    fn eliminate(a: &mut [f64], n: usize, pivots: &mut [usize]) -> Result<(), usize> {
+        eliminate(a, n, pivots).map(drop)
+    }
+    #[inline]
+    fn solve_factored(lu: &[f64], pivots: &[usize], b: &mut [f64]) {
+        solve_factored(lu, pivots, b);
     }
 }
 
 impl LuScalar for Complex64 {
     const ZERO: Self = Complex64::ZERO;
-    #[inline(always)]
-    fn pivot_size(self) -> f64 {
-        self.abs_sq()
+    const PLANES: usize = 2;
+    #[inline]
+    fn eliminate(a: &mut [f64], n: usize, pivots: &mut [usize]) -> Result<(), usize> {
+        let (re, im) = a.split_at_mut(n * n);
+        eliminate_planar(re, im, n, pivots)
+    }
+    #[inline]
+    fn solve_factored(lu: &[f64], pivots: &[usize], b: &mut [Complex64]) {
+        let (re, im) = lu.split_at(b.len() * b.len());
+        solve_factored_planar(re, im, pivots, b);
     }
 }
 
@@ -54,20 +78,16 @@ impl LuScalar for Complex64 {
 /// `pivots[k]`). Returns the sign of the permutation, or `Err(k)` when
 /// column `k` has no nonzero pivot candidate — `a` is then left partially
 /// eliminated.
-pub(crate) fn eliminate<T: LuScalar>(
-    a: &mut [T],
-    n: usize,
-    pivots: &mut [usize],
-) -> Result<f64, usize> {
+pub(crate) fn eliminate(a: &mut [f64], n: usize, pivots: &mut [usize]) -> Result<f64, usize> {
     assert_eq!(a.len(), n * n, "matrix storage length");
     assert_eq!(pivots.len(), n, "pivot vector length");
     let mut sign = 1.0;
     for k in 0..n {
         // Partial pivoting: pick the largest |a[i][k]| for i >= k.
         let mut piv = k;
-        let mut max = a[k * n + k].pivot_size();
+        let mut max = a[k * n + k].abs();
         for (i, row) in (k + 1..n).zip(a[(k + 1) * n..].chunks_exact(n)) {
-            let v = row[k].pivot_size();
+            let v = row[k].abs();
             if v > max {
                 max = v;
                 piv = i;
@@ -89,9 +109,9 @@ pub(crate) fn eliminate<T: LuScalar>(
         for row in lower.chunks_exact_mut(n) {
             let m = row[k] / pivot;
             row[k] = m;
-            if m != T::ZERO {
+            if m != 0.0 {
                 for (x, &u) in row[k + 1..].iter_mut().zip(u) {
-                    *x = *x - m * u;
+                    *x -= m * u;
                 }
             }
         }
@@ -99,10 +119,65 @@ pub(crate) fn eliminate<T: LuScalar>(
     Ok(sign)
 }
 
+/// [`eliminate`] for a complex matrix held as its real plane `re` and its
+/// imaginary plane `im` (each row-major `n × n`): the same pivot search,
+/// exchanges, zero-multiplier skip and update order, entry for entry what
+/// the elimination over [`Complex64`] values computes.
+pub(crate) fn eliminate_planar(
+    re: &mut [f64],
+    im: &mut [f64],
+    n: usize,
+    pivots: &mut [usize],
+) -> Result<(), usize> {
+    assert_eq!(re.len(), n * n, "real plane length");
+    assert_eq!(im.len(), n * n, "imaginary plane length");
+    assert_eq!(pivots.len(), n, "pivot vector length");
+    for k in 0..n {
+        // Partial pivoting on |a[i][k]|² for i >= k.
+        let size = |i: usize| Complex64::new(re[i * n + k], im[i * n + k]).abs_sq();
+        let mut piv = k;
+        let mut max = size(k);
+        for i in k + 1..n {
+            let v = size(i);
+            if v > max {
+                max = v;
+                piv = i;
+            }
+        }
+        if max == 0.0 {
+            return Err(k);
+        }
+        pivots[k] = piv;
+        let (re_upper, re_lower) = re.split_at_mut((k + 1) * n);
+        let (im_upper, im_lower) = im.split_at_mut((k + 1) * n);
+        let (re_pivot, im_pivot) = (&mut re_upper[k * n..], &mut im_upper[k * n..]);
+        if piv != k {
+            re_pivot.swap_with_slice(&mut re_lower[(piv - k - 1) * n..][..n]);
+            im_pivot.swap_with_slice(&mut im_lower[(piv - k - 1) * n..][..n]);
+        }
+        // The divisor's half of Smith's quotient, once per column.
+        let pivot = SmithDivisor::new(Complex64::new(re_pivot[k], im_pivot[k]));
+        let (u_re, u_im) = (&re_pivot[k + 1..], &im_pivot[k + 1..]);
+        for (row_re, row_im) in re_lower.chunks_exact_mut(n).zip(im_lower.chunks_exact_mut(n)) {
+            let m = pivot.divide(Complex64::new(row_re[k], row_im[k]));
+            row_re[k] = m.re;
+            row_im[k] = m.im;
+            if m != Complex64::ZERO {
+                let x = row_re[k + 1..].iter_mut().zip(&mut row_im[k + 1..]);
+                for ((x_re, x_im), (&u_re, &u_im)) in x.zip(u_re.iter().zip(u_im)) {
+                    *x_re -= m.re * u_re - m.im * u_im;
+                    *x_im -= m.re * u_im + m.im * u_re;
+                }
+            }
+        }
+    }
+    Ok(())
+}
+
 /// Solves `A x = b` in place against the factors [`eliminate`] left in `lu`:
 /// replays the row exchanges on `b`, then substitutes forward (`L y = P b`,
 /// unit diagonal) and backward (`U x = y`), each sum taken left to right.
-pub(crate) fn solve_factored<T: LuScalar>(lu: &[T], pivots: &[usize], b: &mut [T]) {
+pub(crate) fn solve_factored(lu: &[f64], pivots: &[usize], b: &mut [f64]) {
     let n = b.len();
     assert_eq!(lu.len(), n * n, "factor storage length");
     assert_eq!(pivots.len(), n, "pivot vector length");
@@ -115,16 +190,47 @@ pub(crate) fn solve_factored<T: LuScalar>(lu: &[T], pivots: &[usize], b: &mut [T
     for (i, row) in lu.chunks_exact(n).enumerate().skip(1) {
         let mut acc = b[i];
         for (&l, &y) in row[..i].iter().zip(&b[..i]) {
-            acc = acc - l * y;
+            acc -= l * y;
         }
         b[i] = acc;
     }
     for (i, row) in lu.chunks_exact(n).enumerate().rev() {
         let mut acc = b[i];
         for (&u, &x) in row[i + 1..].iter().zip(&b[i + 1..]) {
-            acc = acc - u * x;
+            acc -= u * x;
         }
         b[i] = acc / row[i];
+    }
+}
+
+/// [`solve_factored`] against the planes [`eliminate_planar`] left in `re`
+/// and `im`: the same exchanges and the same left-to-right sums, in
+/// [`Complex64`] arithmetic.
+pub(crate) fn solve_factored_planar(re: &[f64], im: &[f64], pivots: &[usize], b: &mut [Complex64]) {
+    let n = b.len();
+    assert_eq!(re.len(), n * n, "real plane length");
+    assert_eq!(im.len(), n * n, "imaginary plane length");
+    assert_eq!(pivots.len(), n, "pivot vector length");
+    if n == 0 {
+        return;
+    }
+    for (k, &p) in pivots.iter().enumerate() {
+        b.swap(k, p);
+    }
+    let rows = || re.chunks_exact(n).zip(im.chunks_exact(n)).enumerate();
+    for (i, (row_re, row_im)) in rows().skip(1) {
+        let mut acc = b[i];
+        for ((&l_re, &l_im), &y) in row_re[..i].iter().zip(&row_im[..i]).zip(&b[..i]) {
+            acc -= Complex64::new(l_re, l_im) * y;
+        }
+        b[i] = acc;
+    }
+    for (i, (row_re, row_im)) in rows().rev() {
+        let mut acc = b[i];
+        for ((&u_re, &u_im), &x) in row_re[i + 1..].iter().zip(&row_im[i + 1..]).zip(&b[i + 1..]) {
+            acc -= Complex64::new(u_re, u_im) * x;
+        }
+        b[i] = acc / Complex64::new(row_re[i], row_im[i]);
     }
 }
 
@@ -242,7 +348,11 @@ impl LuFactor {
 /// LU factorization (partial pivoting) of a complex square matrix.
 ///
 /// Mirrors [`LuFactor`] over [`Complex64`]; used for the complex Newton
-/// system of the Radau IIA method.
+/// system of the Radau IIA method. The factors are held as two `f64` planes
+/// (see the module docs); [`new`](Self::new) splits a [`CMatrix`] into
+/// them, and a caller that refactors in a loop builds the planes itself and
+/// hands them back and forth through [`from_planes`](Self::from_planes) /
+/// [`into_planes`](Self::into_planes).
 ///
 /// # Example
 ///
@@ -264,7 +374,9 @@ impl LuFactor {
 /// ```
 #[derive(Debug, Clone)]
 pub struct CluFactor {
-    lu: CMatrix,
+    n: usize,
+    /// The packed factors: the row-major real plane, then the imaginary one.
+    planes: Vec<f64>,
     /// Pivot rows as a swap sequence; see [`LuFactor`].
     pivots: Vec<usize>,
 }
@@ -276,14 +388,34 @@ impl CluFactor {
     ///
     /// Returns [`LinalgError::NotSquare`] for non-square input and
     /// [`LinalgError::Singular`] when a pivot column vanishes.
-    pub fn new(mut a: CMatrix) -> Result<Self, LinalgError> {
+    pub fn new(a: CMatrix) -> Result<Self, LinalgError> {
         if a.rows() != a.cols() {
             return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
         }
-        let n = a.rows();
+        let entries = a.as_slice().iter();
+        let planes = entries.clone().map(|z| z.re).chain(entries.map(|z| z.im)).collect();
+        Self::from_planes(a.rows(), planes)
+    }
+
+    /// Factorizes the `n × n` matrix given as its row-major real plane
+    /// followed by its row-major imaginary plane (`2·n²` values), consuming
+    /// the storage.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`LinalgError::DimensionMismatch`] when `planes` does not
+    /// hold `2·n²` values and [`LinalgError::Singular`] when a pivot column
+    /// vanishes.
+    pub fn from_planes(n: usize, mut planes: Vec<f64>) -> Result<Self, LinalgError> {
+        if planes.len() != 2 * n * n {
+            return Err(LinalgError::DimensionMismatch {
+                expected: 2 * n * n,
+                actual: planes.len(),
+            });
+        }
         let mut pivots = vec![0; n];
-        match eliminate(a.as_mut_slice(), n, &mut pivots) {
-            Ok(_) => Ok(CluFactor { lu: a, pivots }),
+        match Complex64::eliminate(&mut planes, n, &mut pivots) {
+            Ok(()) => Ok(CluFactor { n, planes, pivots }),
             Err(pivot) => Err(LinalgError::Singular { pivot }),
         }
     }
@@ -291,13 +423,14 @@ impl CluFactor {
     /// The dimension of the factored matrix.
     #[inline]
     pub fn dim(&self) -> usize {
-        self.lu.rows()
+        self.n
     }
 
-    /// Consumes the factorization, returning the underlying matrix storage
-    /// so a caller can reuse the allocation for the next factorization.
-    pub fn into_matrix(self) -> CMatrix {
-        self.lu
+    /// Consumes the factorization, returning the plane storage (the packed
+    /// factors, real plane first) so a caller can reuse the allocation for
+    /// the next [`from_planes`](Self::from_planes).
+    pub fn into_planes(self) -> Vec<f64> {
+        self.planes
     }
 
     /// Solves `A x = b`, returning `x`.
@@ -321,7 +454,7 @@ impl CluFactor {
     /// Panics if `b.len() != dim()`.
     pub fn solve_in_place(&self, b: &mut [Complex64]) {
         assert_eq!(b.len(), self.dim(), "right-hand side length must equal matrix dimension");
-        solve_factored(self.lu.as_slice(), &self.pivots, b);
+        Complex64::solve_factored(&self.planes, &self.pivots, b);
     }
 }
 

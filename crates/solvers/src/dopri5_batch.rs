@@ -87,6 +87,29 @@ impl LaneReport {
             self.lane_steps as f64 / capacity as f64
         }
     }
+
+    /// The report of a group of `width` lanes that binds its members to
+    /// free lanes in the order given and keeps each for `ticks` consecutive
+    /// lockstep iterations — the schedule a lockstep kernel follows when no
+    /// lane ever waits (a member that never enters a tick costs nothing),
+    /// computed without integrating anything. `lockstep_iters` is the
+    /// schedule's length, `lane_steps` the ticks served;
+    /// `refill_sweeps` stays zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero.
+    pub fn packed(width: usize, ticks: impl IntoIterator<Item = u64>) -> LaneReport {
+        let mut free_at = vec![0u64; width];
+        let mut lane_steps = 0;
+        for ticks in ticks {
+            let lane = free_at.iter_mut().min().expect("at least one lane");
+            *lane += ticks;
+            lane_steps += ticks;
+        }
+        let lockstep_iters = free_at.into_iter().max().expect("at least one lane");
+        LaneReport { width, lockstep_iters, lane_steps, refill_sweeps: 0 }
+    }
 }
 
 /// Pooled working storage for one lockstep lane-group integration: the 7
@@ -154,7 +177,28 @@ impl DopriBatchScratch {
 }
 
 /// How one member's integration ended.
-type Attempt = Result<Solution, SolveFailure>;
+pub(crate) type Attempt = Result<Solution, SolveFailure>;
+
+/// `solve_group` over a lockstep kernel's `solve_queue`: feeds it the
+/// members `0..members` in order and returns the attempts index-aligned
+/// with them.
+pub(crate) fn group_from_queue(
+    members: usize,
+    solve_queue: impl FnOnce(&mut dyn FnMut() -> Option<usize>) -> (Vec<(usize, Attempt)>, LaneReport),
+) -> (Vec<Attempt>, LaneReport) {
+    let mut pending = 0..members;
+    let (settled, report) = solve_queue(&mut || pending.next());
+    let mut results: Vec<Option<Attempt>> = (0..members).map(|_| None).collect();
+    for (m, result) in settled {
+        results[m] = Some(result);
+    }
+    let results = results
+        .into_iter()
+        .enumerate()
+        .map(|(m, r)| r.unwrap_or_else(|| panic!("member {m} never scheduled")))
+        .collect();
+    (results, report)
+}
 
 /// Per-lane control state: everything the scalar DOPRI5 keeps in local
 /// variables for its single trajectory.
@@ -244,19 +288,9 @@ impl Dopri5Batch {
         options: &SolverOptions,
         scratch: &mut SolverScratch,
     ) -> (Vec<Attempt>, LaneReport) {
-        let mut pending = 0..system.members();
-        let (settled, report) =
-            self.solve_queue(system, &mut || pending.next(), t0, sample_times, options, scratch);
-        let mut results: Vec<_> = (0..system.members()).map(|_| None).collect();
-        for (m, result) in settled {
-            results[m] = Some(result);
-        }
-        let results = results
-            .into_iter()
-            .enumerate()
-            .map(|(m, r)| r.unwrap_or_else(|| panic!("member {m} never scheduled")))
-            .collect();
-        (results, report)
+        group_from_queue(system.members(), |pending| {
+            self.solve_queue(system, pending, t0, sample_times, options, scratch)
+        })
     }
 
     /// Like [`solve_group`](Self::solve_group), but the members come from

@@ -22,7 +22,7 @@ use crate::{
     initial_step_size, OdeSolver, OdeSystem, Solution, SolveFailure, SolverError, SolverOptions,
     SolverScratch, StepStats,
 };
-use paraspace_linalg::{weighted_rms_norm, CMatrix, CluFactor, Complex64, LuFactor, Matrix};
+use paraspace_linalg::{weighted_rms_norm, CluFactor, Complex64, LuFactor, Matrix};
 
 // Collocation-node radical √6 and the inverse eigenvalues of the Radau IIA
 // coefficient matrix A, hoisted to compile-time constants shared with the
@@ -132,7 +132,7 @@ pub(crate) struct RadauWorkspace {
     // Retired iteration-matrix storage, reclaimed so a re-factorization
     // reuses the allocation instead of making a new one.
     e1_store: Option<Matrix>,
-    e2_store: Option<CMatrix>,
+    e2_store: Option<Vec<f64>>,
 }
 
 impl RadauWorkspace {
@@ -185,7 +185,7 @@ impl RadauWorkspace {
             self.e1_store = Some(lu.into_matrix());
         }
         if let Some(lu) = self.lu_complex.take() {
-            self.e2_store = Some(lu.into_matrix());
+            self.e2_store = Some(lu.into_planes());
         }
     }
 }
@@ -422,20 +422,24 @@ impl Radau5 {
                 }
                 let alphn = alph / h;
                 let betan = beta / h;
+                // E2 = (α + iβ)/h·I − J as its real and imaginary planes.
                 let mut e2 = ws
                     .lu_complex
                     .take()
-                    .map(CluFactor::into_matrix)
+                    .map(CluFactor::into_planes)
                     .or_else(|| ws.e2_store.take())
-                    .filter(|m| m.rows() == n && m.cols() == n)
-                    .unwrap_or_else(|| CMatrix::zeros(n, n));
-                for i in 0..n {
-                    for j in 0..n {
-                        e2[(i, j)] = Complex64::new(-ws.jac[(i, j)], 0.0);
-                    }
-                    e2[(i, i)] += Complex64::new(alphn, betan);
+                    .filter(|planes| planes.len() == 2 * n * n)
+                    .unwrap_or_else(|| vec![0.0; 2 * n * n]);
+                let (e2_re, e2_im) = e2.split_at_mut(n * n);
+                for (dst, &src) in e2_re.iter_mut().zip(ws.jac.as_slice()) {
+                    *dst = -src;
                 }
-                match (LuFactor::new(e1), CluFactor::new(e2)) {
+                e2_im.fill(0.0);
+                for (re, im) in e2_re.iter_mut().zip(e2_im).step_by(n + 1) {
+                    *re += alphn;
+                    *im += betan;
+                }
+                match (LuFactor::new(e1), CluFactor::from_planes(n, e2)) {
                     (Ok(l1), Ok(l2)) => {
                         ws.lu_real = Some(l1);
                         ws.lu_complex = Some(l2);

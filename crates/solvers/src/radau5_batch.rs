@@ -43,7 +43,7 @@
 //! lane's garbage can never raise a spurious singularity.
 
 use crate::batch::{BatchOdeSystem, BatchState};
-use crate::dopri5_batch::LaneReport;
+use crate::dopri5_batch::{group_from_queue, Attempt, LaneReport};
 use crate::radau5::{
     ALPH, BETA, FACL, FACR, NIT, QUOT1, QUOT2, SAFE, SQ6, T11, T12, T13, T21, T22, T23, T31, THET,
     TI11, TI12, TI13, TI21, TI22, TI23, TI31, TI32, TI33, U1,
@@ -82,8 +82,9 @@ pub(crate) struct RadauBatchScratch {
     cont1: BatchState,
     cont2: BatchState,
     cont3: BatchState,
-    /// Per-lane Jacobians, `(i·n + j)·L + l`; refreshed lanes copy their
-    /// column out of `jac_probe` so untouched lanes keep their stored `J`.
+    /// Per-lane Jacobians, lane `l`'s row-major `n × n` block at `l·n²`
+    /// (the layout of its factors); refreshed lanes copy theirs out of the
+    /// lane-minor sweep output `jac_probe`, untouched lanes keep their `J`.
     jac_lanes: Vec<f64>,
     jac_probe: Vec<f64>,
     lu_real: BatchLuFactor,
@@ -186,10 +187,10 @@ impl RadauBatchScratch {
 }
 
 /// Builds both Radau iteration matrices — `E1 = U1/h·I − J` (real) and
-/// `E2 = (α + iβ)/h·I − J` (complex) — for the masked lanes from the
-/// lane-minor `N×N×L` Jacobian block, then factors them batched. Each
-/// masked lane's matrices are written straight into that lane's contiguous
-/// block: one strided read of the lane-minor Jacobian, row-major writes.
+/// `E2 = (α + iβ)/h·I − J` (complex, as its two planes) — for the masked
+/// lanes from their lane-major Jacobian blocks, then factors them batched.
+/// Each masked lane's matrices are written straight into that lane's
+/// contiguous factor storage.
 fn build_and_factor(
     real: &mut BatchLuFactor,
     cplx: &mut BatchCluFactor,
@@ -198,20 +199,21 @@ fn build_and_factor(
     h: &[f64],
     mask: &[bool],
 ) {
-    let lanes = mask.len();
-    for lane in (0..lanes).filter(|&lane| mask[lane]) {
+    for lane in (0..mask.len()).filter(|&lane| mask[lane]) {
+        let jac = &jac_lanes[lane * n * n..][..n * n];
         let m1 = real.lane_mut(lane);
-        let m2 = cplx.lane_mut(lane);
-        let jac = jac_lanes.iter().skip(lane).step_by(lanes);
-        for ((e1, e2), &j) in m1.iter_mut().zip(m2.iter_mut()).zip(jac) {
+        let (m2_re, m2_im) = cplx.lane_planes_mut(lane);
+        for ((e1, e2), &j) in m1.iter_mut().zip(m2_re.iter_mut()).zip(jac) {
             *e1 = -j;
-            *e2 = Complex64::new(-j, 0.0);
+            *e2 = -j;
         }
+        m2_im.fill(0.0);
         let fac1 = U1 / h[lane];
-        let shift = Complex64::new(ALPH / h[lane], BETA / h[lane]);
-        for (d1, d2) in m1.iter_mut().zip(m2).step_by(n + 1) {
+        let (alphn, betan) = (ALPH / h[lane], BETA / h[lane]);
+        for ((d1, re), im) in m1.iter_mut().zip(m2_re).zip(m2_im).step_by(n + 1) {
             *d1 += fac1;
-            *d2 += shift;
+            *re += alphn;
+            *im += betan;
         }
     }
     real.factor(mask);
@@ -333,30 +335,59 @@ impl Radau5Batch {
         sample_times: &[f64],
         options: &SolverOptions,
         scratch: &mut SolverScratch,
-    ) -> (Vec<Result<Solution, SolveFailure>>, LaneReport) {
+    ) -> (Vec<Attempt>, LaneReport) {
+        group_from_queue(system.members(), |pending| {
+            self.solve_queue(system, pending, t0, sample_times, options, scratch)
+        })
+    }
+
+    /// Like [`solve_group`](Self::solve_group), but the members come from
+    /// `next_member` instead of `0..system.members()` — the contract of
+    /// [`Dopri5Batch::solve_queue`](crate::Dopri5Batch::solve_queue):
+    /// a free lane asks for the next member index (any index `system`
+    /// knows), the group stops asking at the first `None` and drains its
+    /// lanes in flight, so several groups, each with its own `system` and
+    /// scratch, can serve one shared queue.
+    ///
+    /// Returns `(member, result)` pairs in the order the members settled.
+    /// A member's result does not depend on which group integrated it, nor
+    /// beside which other members.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `system` does not advertise
+    /// [`supports_jacobian_batch`](BatchOdeSystem::supports_jacobian_batch).
+    pub fn solve_queue(
+        &self,
+        system: &mut dyn BatchOdeSystem,
+        next_member: &mut dyn FnMut() -> Option<usize>,
+        t0: f64,
+        sample_times: &[f64],
+        options: &SolverOptions,
+        scratch: &mut SolverScratch,
+    ) -> (Vec<(usize, Attempt)>, LaneReport) {
         assert!(
             system.supports_jacobian_batch(),
             "Radau5Batch requires a BatchOdeSystem with an analytic jacobian_batch"
         );
-        solve_group_impl(system, t0, sample_times, options, &mut scratch.radau_batch)
+        solve_queue_impl(system, next_member, t0, sample_times, options, &mut scratch.radau_batch)
     }
 }
 
 #[allow(clippy::too_many_lines)]
-fn solve_group_impl(
+fn solve_queue_impl(
     system: &mut dyn BatchOdeSystem,
+    next_member: &mut dyn FnMut() -> Option<usize>,
     t0: f64,
     sample_times: &[f64],
     options: &SolverOptions,
     ws: &mut RadauBatchScratch,
-) -> (Vec<Result<Solution, SolveFailure>>, LaneReport) {
+) -> (Vec<(usize, Attempt)>, LaneReport) {
     let n = system.dim();
     let lanes = system.lanes();
-    let members = system.members();
     assert!(lanes >= 1, "lane width must be at least 1");
     let mut report = LaneReport { width: lanes, ..LaneReport::default() };
-    let mut results: Vec<Option<Result<Solution, SolveFailure>>> =
-        (0..members).map(|_| None).collect();
+    let mut results: Vec<(usize, Attempt)> = Vec::new();
 
     ws.ensure(n, lanes);
 
@@ -423,46 +454,37 @@ fn solve_group_impl(
     let uround = f64::EPSILON;
     let fnewt = (10.0 * uround / options.rel_tol).max(0.03f64.min(options.rel_tol.sqrt()));
 
-    // Up-front validation, one member at a time (mirrors the scalar
-    // preamble; invalid members never occupy a lane).
-    for (m, slot) in results.iter_mut().enumerate() {
-        system.initial_state(m, member_buf);
-        if let Err(error) = check_inputs(n, member_buf, t0, sample_times, options) {
-            *slot = Some(Err(SolveFailure { error, stats: StepStats::default() }));
-        }
-    }
-
-    let t_end = match sample_times.last() {
-        Some(&te) => te,
-        None => {
-            // No samples requested: every valid member is an empty success.
-            let out = results
-                .into_iter()
-                .map(|r| r.unwrap_or_else(|| Ok(Solution::with_capacity(0))))
-                .collect();
-            return (out, report);
-        }
-    };
+    // Without samples every valid member is an empty success before it is
+    // bound to a lane (as in the scalar preamble), and `t_end` is not read.
+    let t_end = sample_times.last().copied().unwrap_or(t0);
 
     let mut ctl: Vec<Option<LaneCtl>> = (0..lanes).map(|_| None).collect();
-    let mut next_member = 0usize;
+    let mut fresh: Vec<usize> = Vec::with_capacity(lanes);
+    let mut exhausted = false;
 
     loop {
         // --- Lane compaction: bind pending members into free lanes. ---
-        let mut fresh: Vec<usize> = Vec::new();
+        fresh.clear();
         for lane in 0..lanes {
             if ctl[lane].is_some() {
                 continue;
             }
-            while next_member < members {
-                let m = next_member;
-                next_member += 1;
-                if results[m].is_some() {
-                    continue; // failed validation
-                }
+            while !exhausted {
+                let Some(m) = next_member() else {
+                    exhausted = true;
+                    break;
+                };
+                // Validation mirrors the scalar preamble; an invalid
+                // member never occupies a lane.
                 system.initial_state(m, member_buf);
+                if let Err(error) = check_inputs(n, member_buf, t0, sample_times, options) {
+                    results.push((m, Err(SolveFailure { error, stats: StepStats::default() })));
+                    continue;
+                }
                 let mut sol = Solution::with_capacity(sample_times.len());
-                sol.stats.rhs_evals += 1; // f(t0, y0), evaluated lane-wide below
+                // f(t0, y0), evaluated lane-wide below (the scalar solver
+                // returns before it when no sample is requested).
+                sol.stats.rhs_evals += usize::from(!sample_times.is_empty());
                 let mut next_sample = 0;
                 while next_sample < sample_times.len() && sample_times[next_sample] <= t0 {
                     sol.times.push(sample_times[next_sample]);
@@ -470,7 +492,7 @@ fn solve_group_impl(
                     next_sample += 1;
                 }
                 if next_sample == sample_times.len() {
-                    results[m] = Some(Ok(sol)); // every sample was at/before t0
+                    results.push((m, Ok(sol))); // every sample was at/before t0
                     continue;
                 }
                 system.bind_lane(lane, m);
@@ -610,7 +632,7 @@ fn solve_group_impl(
             }
             if let Some(error) = park {
                 let c = ctl[lane].take().expect("parked lane was live");
-                results[c.member] = Some(Err(SolveFailure { error, stats: c.sol.stats }));
+                results.push((c.member, Err(SolveFailure { error, stats: c.sol.stats })));
                 h[lane] = 0.0;
             }
         }
@@ -618,8 +640,8 @@ fn solve_group_impl(
             continue; // refill (or terminate) at the loop head
         }
 
-        // --- Masked Jacobian refresh: one lane-wide sweep, columns copied
-        // out only for the lanes that asked. ---
+        // --- Masked Jacobian refresh: one lane-wide sweep, copied out into
+        // the lane-major blocks of the lanes that asked. ---
         let mut any_jac = false;
         for lane in 0..lanes {
             jac_mask[lane] = ctl[lane].as_ref().is_some_and(|c| !c.in_newton && c.need_jacobian);
@@ -631,8 +653,10 @@ fn solve_group_impl(
                 if !jac_mask[lane] {
                     continue;
                 }
-                for e in 0..n * n {
-                    jac_lanes[e * lanes + lane] = jac_probe[e * lanes + lane];
+                let block = &mut jac_lanes[lane * n * n..][..n * n];
+                for (dst, &src) in block.iter_mut().zip(jac_probe.iter().skip(lane).step_by(lanes))
+                {
+                    *dst = src;
                 }
                 let c = ctl[lane].as_mut().expect("jacobian lane is live");
                 c.sol.stats.jacobian_evals += 1;
@@ -676,7 +700,7 @@ fn solve_group_impl(
                 }
                 if let Some(error) = park {
                     let c = ctl[lane].take().expect("parked lane was live");
-                    results[c.member] = Some(Err(SolveFailure { error, stats: c.sol.stats }));
+                    results.push((c.member, Err(SolveFailure { error, stats: c.sol.stats })));
                     h[lane] = 0.0;
                 }
             }
@@ -950,7 +974,7 @@ fn solve_group_impl(
             }
             if let Some(error) = park {
                 let c = ctl[lane].take().expect("parked lane was live");
-                results[c.member] = Some(Err(SolveFailure { error, stats: c.sol.stats }));
+                results.push((c.member, Err(SolveFailure { error, stats: c.sol.stats })));
                 h[lane] = 0.0;
             }
         }
@@ -1177,10 +1201,11 @@ fn solve_group_impl(
             }
             if let Some(p) = park {
                 let c = ctl[lane].take().expect("parked lane was live");
-                results[c.member] = Some(match p {
+                let attempt = match p {
                     Park::Done => Ok(c.sol),
                     Park::Fail(error) => Err(SolveFailure { error, stats: c.sol.stats }),
-                });
+                };
+                results.push((c.member, attempt));
                 h[lane] = 0.0;
             }
         }
@@ -1205,12 +1230,7 @@ fn solve_group_impl(
         }
     }
 
-    let out = results
-        .into_iter()
-        .enumerate()
-        .map(|(m, r)| r.unwrap_or_else(|| panic!("member {m} never scheduled")))
-        .collect();
-    (out, report)
+    (results, report)
 }
 
 /// The per-lane strided equivalent of
@@ -1392,6 +1412,55 @@ mod tests {
         // Refill sweeps happened (initial fill plus at least one refill
         // round), each costing 2 sweeps under automatic hinit.
         assert!(report.refill_sweeps >= 4);
+    }
+
+    #[test]
+    fn packed_report_is_the_report_a_divergent_group_returns() {
+        // What the engines bill a modelled lane group from: the members'
+        // Newton-iteration counts, list-scheduled in member order, give the
+        // ticks and lane-steps the kernel itself counts for that group —
+        // with members several-fold apart, so lanes really are refilled at
+        // different ticks, and with a member that never enters a tick.
+        // Over 40 time units the mild members oscillate several times while
+        // the severe ones are still on their first slow branch.
+        let times = [5.0, 10.0, 20.0, 40.0];
+        for (count, width) in [(13, 4), (10, 2), (9, 8), (5, 1)] {
+            let mut family = VdpFamily::new(mu_spread(count), width);
+            family.y0s[2] = [f64::NAN, 0.0];
+            let (results, report) = Radau5Batch::new().solve_group(
+                &mut family,
+                0.0,
+                &times,
+                &opts(),
+                &mut SolverScratch::new(),
+            );
+            let ticks: Vec<u64> = results
+                .iter()
+                .map(|r| match r {
+                    Ok(sol) => sol.stats.nonlinear_iters as u64,
+                    Err(failure) => failure.stats.nonlinear_iters as u64,
+                })
+                .collect();
+            assert_eq!(ticks[2], 0, "the invalid member never occupies a lane");
+            let busiest = *ticks.iter().max().unwrap();
+            let idlest = *ticks.iter().filter(|&&t| t > 0).min().unwrap();
+            assert!(busiest >= 3 * idlest, "members must diverge: {idlest}..{busiest}");
+            let packed = LaneReport::packed(width, ticks);
+            assert_eq!(
+                (packed.width, packed.lockstep_iters, packed.lane_steps),
+                (report.width, report.lockstep_iters, report.lane_steps),
+                "{count} members at width {width}"
+            );
+        }
+        // The edges: no member, one member, a member without ticks.
+        let packed = |width, ticks: &[u64]| {
+            let report = LaneReport::packed(width, ticks.iter().copied());
+            (report.lockstep_iters, report.lane_steps)
+        };
+        assert_eq!(LaneReport::packed(4, []), LaneReport { width: 4, ..LaneReport::default() });
+        assert_eq!(packed(4, &[7]), (7, 7));
+        assert_eq!(packed(2, &[3, 0, 5]), (5, 8));
+        assert_eq!(packed(2, &[3, 0, 5, 4]), (7, 12));
     }
 
     #[test]

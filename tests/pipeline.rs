@@ -147,6 +147,61 @@ fn mixed_batch_routing() {
     assert!((eq - 1.0 / 3.0).abs() < 1e-3, "equilibrium {eq}");
 }
 
+/// How the two lockstep phases are scheduled — how many workers share the
+/// member queues, how wide the lane groups are — is not observable: a
+/// batch with gentle members, members DOPRI5 hands over mid-run and members
+/// P2 already calls stiff gives every member the same trajectory and
+/// `StepStats` at any thread count and lane width, and the same modelled
+/// time at any thread count.
+#[test]
+fn stiff_batch_is_identical_at_any_thread_count_and_lane_width() {
+    use paraspace::rbm::{Parameterization, Reaction, ReactionBasedModel};
+    let mut m = ReactionBasedModel::new();
+    let a = m.add_species("A", 1.0);
+    let b = m.add_species("B", 0.0);
+    m.add_reaction(Reaction::mass_action(&[(a, 1)], &[(b, 1)], 1.0)).expect("r");
+    m.add_reaction(Reaction::mass_action(&[(b, 1)], &[(a, 1)], 0.5)).expect("r");
+    // |λ| = 1.5·k from 0.75 to 2.5·10⁴, a factor of 2 apart.
+    let batch: Vec<Parameterization> = (0..16)
+        .map(|i| 0.5 * 2f64.powi(i))
+        .map(|k| Parameterization::new().with_rate_constants(vec![k, k * 0.5]))
+        .collect();
+    let job = SimulationJob::builder(&m)
+        .time_points(vec![1.0, 10.0, 50.0])
+        .parameterizations(batch)
+        .build()
+        .expect("job");
+
+    let run = |threads: usize, width: usize| {
+        FineCoarseEngine::new().with_threads(threads).with_lane_width(width).run(&job).expect("run")
+    };
+    let scalar = run(1, 1);
+    assert_eq!(scalar.success_count(), 16);
+    assert!(scalar.outcomes.iter().any(|o| o.solver == "dopri5"));
+    assert!(scalar.outcomes.iter().filter(|o| o.rerouted).count() >= 2, "hand-overs");
+    assert!(scalar.outcomes.iter().filter(|o| o.stiff).count() >= 2, "P2-stiff members");
+    for width in [1, 4, 8] {
+        let reference = run(1, width);
+        let on_lanes = reference.outcomes.iter().filter(|o| o.solver == "radau5-lanes").count();
+        assert_eq!(on_lanes > 0, width > 1, "width {width}: {on_lanes} members on Radau lanes");
+        for (i, (got, want)) in reference.outcomes.iter().zip(&scalar.outcomes).enumerate() {
+            assert_eq!(got.solution, want.solution, "width {width}: member {i}");
+        }
+        for threads in [2, 4] {
+            let parallel = run(threads, width);
+            for (i, (got, want)) in parallel.outcomes.iter().zip(&reference.outcomes).enumerate() {
+                let label = format!("width {width}, {threads} threads: member {i}");
+                assert_eq!(got.solution, want.solution, "{label}");
+                assert_eq!(got.solver, want.solver, "{label}");
+            }
+            assert_eq!(
+                parallel.timing.simulated_total_ns, reference.timing.simulated_total_ns,
+                "width {width}, {threads} threads"
+            );
+        }
+    }
+}
+
 /// Batch of perturbed parameterizations: per-member results differ but all
 /// stay within physical bounds.
 #[test]
