@@ -7,8 +7,8 @@
 //! `results/BENCH_lanes.json` (relative to the workspace root).
 //!
 //! The lane path's win on a host CPU comes from the SoA lockstep kernel:
-//! each op of the flux program and each species term is applied to all
-//! lanes over contiguous rows (autovectorizable), and the per-member
+//! each op of the flux program and each species term is applied to a
+//! contiguous row of lanes (packed arithmetic at widths 2, 4, 8), and the per-member
 //! device-pricing work collapses into one launch costing per lane-group.
 //! Bitwise determinism across widths ≥ 2 is asserted in-loop, so the sweep
 //! doubles as an end-to-end lockstep-correctness check.

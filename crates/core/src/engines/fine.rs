@@ -225,11 +225,12 @@ impl Engine<Fine> {
         // DOPRI5 group through tiny steps — and a crowd of stiff members no
         // longer serializes into scalar solves.
         let mut diag = vec![0.0; odes.n_species()];
+        let mut slots = vec![0.0; odes.n_reactant_slots()];
         let stiff: Vec<bool> = members
             .clone()
             .map(|i| {
                 let (x0, k) = job.member(i);
-                odes.jacobian_diag_batch(1, x0, k, &mut diag);
+                odes.jacobian_diag_batch(1, x0, k, &mut slots, &mut diag);
                 diag.iter().fold(0.0f64, |a, &d| a.max(d.abs())) >= STIFFNESS_THRESHOLD
             })
             .collect();

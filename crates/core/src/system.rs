@@ -176,6 +176,7 @@ pub struct RbmBatchSystem<'a> {
     lanes: usize,
     k_lanes: Vec<f64>, // M × L lane-bound rate constants
     flux: Vec<f64>,    // M × L flux workspace
+    slots: Vec<f64>,   // slots × L Jacobian derivative-pass workspace
 }
 
 /// Where a queue's `(x0, k)` pairs live.
@@ -236,6 +237,7 @@ impl<'a> RbmBatchSystem<'a> {
             lanes,
             k_lanes: vec![0.0; m * lanes],
             flux: vec![0.0; m * lanes],
+            slots: vec![0.0; odes.n_reactant_slots() * lanes],
         }
     }
 
@@ -306,7 +308,7 @@ impl BatchOdeSystem for RbmBatchSystem<'_> {
     }
 
     fn jacobian_batch(&mut self, _t: &[f64], y: &BatchState, jac: &mut [f64]) {
-        self.odes.jacobian_batch(self.lanes, y.as_slice(), &self.k_lanes, jac);
+        self.odes.jacobian_batch(self.lanes, y.as_slice(), &self.k_lanes, &mut self.slots, jac);
     }
 }
 
@@ -570,6 +572,7 @@ pub struct RbmSensBatchSystem<'a> {
     lanes: usize,
     k_lanes: Vec<f64>, // M × L lane-bound rate constants
     flux: Vec<f64>,    // M × L flux workspace
+    slots: Vec<f64>,   // slots × L Jacobian derivative-pass workspace
     jac: Vec<f64>,     // n² × L batched Jacobian workspace
     fk: Vec<f64>,      // p·n × L batched ∂f/∂k workspace
     gflux: Vec<f64>,   // L unit-flux scratch
@@ -601,6 +604,7 @@ impl<'a> RbmSensBatchSystem<'a> {
             lanes,
             k_lanes: vec![0.0; m * lanes],
             flux: vec![0.0; m * lanes],
+            slots: vec![0.0; odes.n_reactant_slots() * lanes],
             jac: vec![0.0; n * n * lanes],
             fk: vec![0.0; p * n * lanes],
             gflux: vec![0.0; lanes],
@@ -679,7 +683,7 @@ impl BatchOdeSystem for RbmSensBatchSystem<'_> {
         let (y_state, y_sens) = y_all.split_at(n * lanes);
         let (d_state, d_sens) = d_all.split_at_mut(n * lanes);
         self.odes.rhs_batch(lanes, y_state, &self.k_lanes, &mut self.flux, d_state);
-        self.odes.jacobian_batch(lanes, y_state, &self.k_lanes, &mut self.jac);
+        self.odes.jacobian_batch(lanes, y_state, &self.k_lanes, &mut self.slots, &mut self.jac);
         self.odes.dfdk_batch(lanes, y_state, &self.which, &mut self.gflux, &mut self.fk);
         // ṡⱼ = J·sⱼ + ∂f/∂kⱼ, contracted over the stoichiometry-fixed
         // pattern: per lane this is the same start value (the forcing) and

@@ -19,6 +19,8 @@
 //!   same elimination and substitution routines,
 //! * [`SparsityPattern`] — the structural nonzero pattern of a Jacobian,
 //!   read by the sensitivity `J·S` passes (every factorization is dense),
+//! * [`LaneWidth`] / [`with_lane_width!`] — the fixed-length row type every
+//!   lane-minor row pass of the lockstep kernels is written over,
 //! * norms (including the weighted RMS norm used for local error control),
 //! * dominant-eigenvalue estimation (Gershgorin bound and power iteration)
 //!   used by the stiffness-detection phase of the batch simulator,
@@ -48,6 +50,7 @@ mod lu;
 mod matrix;
 mod norms;
 mod pattern;
+mod rows;
 
 pub use batch_lu::{BatchCluFactor, BatchLuFactor};
 pub use complex::Complex64;
@@ -60,3 +63,4 @@ pub use lu::{batched_lu, CluFactor, LuFactor};
 pub use matrix::{CMatrix, Matrix};
 pub use norms::{inf_norm, l1_norm, l2_norm, rms_norm, weighted_rms_norm};
 pub use pattern::SparsityPattern;
+pub use rows::{AnyWidth, FixedWidth, LaneWidth};

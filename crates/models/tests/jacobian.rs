@@ -54,7 +54,8 @@ fn assert_jacobian_matches_fd(m: &ReactionBasedModel, label: &str) {
     // batched kernel — it must agree with the full analytic Jacobian.
     let mut diag = vec![0.0; n];
     if odes.supports_lane_batch() {
-        odes.jacobian_diag_batch(1, &x, &k, &mut diag);
+        let mut slots = vec![0.0; odes.n_reactant_slots()];
+        odes.jacobian_diag_batch(1, &x, &k, &mut slots, &mut diag);
         for i in 0..n {
             assert!(
                 (diag[i] - analytic[(i, i)]).abs() <= 1e-9 * analytic[(i, i)].abs().max(1.0),

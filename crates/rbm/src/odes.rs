@@ -27,9 +27,10 @@
 //!   `coeff · d[slot]` from one flat list, compiled in the (species, term,
 //!   reactant) order a walk of the term and reactant lists would visit.
 //!
-//! The scalar kernels and the lane-batched ones (rows of constant length at
-//! widths 1, 2, 4 and 8, run-time length otherwise) run the same programs;
-//! the scalar Jacobian *is* the width-1 instantiation. What is contractual
+//! The scalar kernels and the lane-batched ones run the same programs; the
+//! lane passes are written once over [`LaneWidth`] rows (`[f64; L]` at
+//! widths 1, 2, 4 and 8, slices otherwise) and the scalar Jacobian *is* the
+//! width-1 instantiation. What is contractual
 //! is the arithmetic *inside* one flux (`k`, then the reactants in list
 //! order, `x·x` for an order-2 reactant), inside one flux derivative
 //! (`k·a·x^(a−1)`, then the other reactants in list order), inside one
@@ -42,7 +43,7 @@
 //! [`Kinetics::flux_derivative`] paths.
 
 use crate::{Kinetics, ReactionBasedModel};
-use paraspace_linalg::Matrix;
+use paraspace_linalg::{with_lane_width, FixedWidth, LaneWidth, Matrix};
 
 /// A reaction-based model compiled to flat arrays for fast, parallelizable
 /// right-hand-side and Jacobian evaluation.
@@ -176,10 +177,10 @@ struct JacTerm {
 
 /// `out[col] += coeff · d[slot]` over one row of lanes.
 #[inline(always)]
-fn accumulate_term(lanes: usize, t: JacTerm, d: &[f64], out: &mut [f64]) {
-    let out = &mut out[t.col as usize * lanes..][..lanes];
-    for (o, &d) in out.iter_mut().zip(&d[t.slot as usize * lanes..][..lanes]) {
-        *o += t.coeff * d;
+fn accumulate_term<W: LaneWidth>(w: W, t: JacTerm, d: &[f64], out: &mut [f64]) {
+    let (d, out) = (w.row(d, t.slot as usize), w.row_mut(out, t.col as usize));
+    for l in 0..w.lanes() {
+        out[l] += t.coeff * d[l];
     }
 }
 
@@ -243,96 +244,120 @@ impl CompiledOdes {
     /// [`mass_action_flux`](Self::mass_action_flux) for one row of lanes:
     /// `k` and `f` are the reaction's rows, `x` the whole `N×L` block.
     #[inline(always)]
-    fn mass_action_flux_row(&self, op: FluxOp, lanes: usize, k: &[f64], x: &[f64], f: &mut [f64]) {
-        let row = |s: u32| &x[s as usize * lanes..][..lanes];
+    fn mass_action_flux_row<W: LaneWidth>(
+        &self,
+        w: W,
+        op: FluxOp,
+        k: &W::Row<f64>,
+        x: &[f64],
+        f: &mut W::Row<f64>,
+    ) {
         match op {
-            FluxOp::Source => f.copy_from_slice(k),
+            FluxOp::Source => {
+                for l in 0..w.lanes() {
+                    f[l] = k[l];
+                }
+            }
             FluxOp::FirstOrder(a) => {
-                for ((f, &k), &xa) in f.iter_mut().zip(k).zip(row(a)) {
-                    *f = k * xa;
+                let xa = w.row(x, a as usize);
+                for l in 0..w.lanes() {
+                    f[l] = k[l] * xa[l];
                 }
             }
             FluxOp::Dimerisation(a) => {
-                for ((f, &k), &xa) in f.iter_mut().zip(k).zip(row(a)) {
-                    *f = k * (xa * xa);
+                let xa = w.row(x, a as usize);
+                for l in 0..w.lanes() {
+                    f[l] = k[l] * (xa[l] * xa[l]);
                 }
             }
             FluxOp::Bimolecular(a, b) => {
-                for (((f, &k), &xa), &xb) in f.iter_mut().zip(k).zip(row(a)).zip(row(b)) {
-                    *f = k * xa * xb;
+                let (xa, xb) = (w.row(x, a as usize), w.row(x, b as usize));
+                for l in 0..w.lanes() {
+                    f[l] = k[l] * xa[l] * xb[l];
                 }
             }
             FluxOp::Generic { lo, hi } => {
                 let list = lo as usize..hi as usize;
                 let species = &self.reactant_species[list.clone()];
-                f.copy_from_slice(k);
+                for l in 0..w.lanes() {
+                    f[l] = k[l];
+                }
                 for (&s, &order) in species.iter().zip(&self.reactant_orders[list]) {
-                    for (f, &xs) in f.iter_mut().zip(row(s)) {
-                        *f *= crate::kinetics::int_pow(xs, order);
+                    let xs = w.row(x, s as usize);
+                    for l in 0..w.lanes() {
+                        f[l] *= crate::kinetics::int_pow(xs[l], order);
                     }
                 }
             }
         }
     }
 
-    /// The lane-batched flux pass at width `lanes`. Always inlined into a
-    /// call site that fixes `lanes`, so each width the public kernels
-    /// dispatch to gets its own copy with constant-length rows.
+    /// The lane-batched flux pass at width `w`. Always inlined into
+    /// [`with_lane_width!`]'s arm for `w`, so each width the engines
+    /// schedule gets its own copy over `[f64; L]` rows.
     #[inline(always)]
-    fn flux_rows(&self, lanes: usize, x: &[f64], k: &[f64], flux: &mut [f64]) {
-        let rows = flux.chunks_exact_mut(lanes).zip(k.chunks_exact(lanes));
-        for ((f, k), &op) in rows.zip(&self.flux_program) {
-            self.mass_action_flux_row(op, lanes, k, x, f);
+    fn flux_rows<W: LaneWidth>(&self, w: W, x: &[f64], k: &[f64], flux: &mut [f64]) {
+        for (r, &op) in self.flux_program.iter().enumerate() {
+            self.mass_action_flux_row(w, op, w.row(k, r), x, w.row_mut(flux, r));
         }
     }
 
-    /// The lane-batched accumulation pass at width `lanes`; inlined like
+    /// The lane-batched accumulation pass at width `w`: every species sum
+    /// is built in an accumulator row and stored once. Inlined like
     /// [`flux_rows`](Self::flux_rows).
     #[inline(always)]
-    fn accumulate_rows(&self, lanes: usize, flux: &[f64], dxdt: &mut [f64]) {
-        for (out, span) in dxdt.chunks_exact_mut(lanes).zip(self.term_offsets.windows(2)) {
+    fn accumulate_rows<W: LaneWidth>(&self, w: W, flux: &[f64], dxdt: &mut [f64]) {
+        for (s, span) in self.term_offsets.windows(2).enumerate() {
             let terms = span[0] as usize..span[1] as usize;
-            out.fill(0.0);
-            for (&c, &r) in self.term_coeffs[terms.clone()].iter().zip(&self.term_reactions[terms])
-            {
-                let fr = &flux[r as usize * lanes..][..lanes];
-                for (o, &f) in out.iter_mut().zip(fr) {
-                    *o += c * f;
+            let (coeffs, reactions) =
+                (&self.term_coeffs[terms.clone()], &self.term_reactions[terms]);
+            w.reduce(0.0, w.row_mut(dxdt, s), |acc| {
+                for (&c, &r) in coeffs.iter().zip(reactions) {
+                    let f = w.row(flux, r as usize);
+                    for l in 0..w.lanes() {
+                        acc[l] += c * f[l];
+                    }
                 }
-            }
+            });
         }
     }
 
-    /// The lane-batched derivative pass at width `lanes`: runs the Jacobian
+    /// The lane-batched derivative pass at width `w`: runs the Jacobian
     /// program, writing `∂flux_r/∂x_j` of slot `q` to row `q` of `d`.
     /// Inlined like [`flux_rows`](Self::flux_rows).
     #[inline(always)]
-    fn derivative_rows(&self, lanes: usize, x: &[f64], k: &[f64], d: &mut [f64]) {
-        let row = |s: u32| &x[s as usize * lanes..][..lanes];
-        for (d, &(r, op)) in d.chunks_exact_mut(lanes).zip(&self.jac_program) {
-            let k = &k[r as usize * lanes..][..lanes];
+    fn derivative_rows<W: LaneWidth>(&self, w: W, x: &[f64], k: &[f64], d: &mut [f64]) {
+        for (q, &(r, op)) in self.jac_program.iter().enumerate() {
+            let (k, d) = (w.row(k, r as usize), w.row_mut(d, q));
             match op {
-                DerivOp::FirstOrder => d.copy_from_slice(k),
+                DerivOp::FirstOrder => {
+                    for l in 0..w.lanes() {
+                        d[l] = k[l];
+                    }
+                }
                 DerivOp::Dimerisation(a) => {
-                    for ((d, &k), &xa) in d.iter_mut().zip(k).zip(row(a)) {
-                        *d = k * 2.0 * xa;
+                    let xa = w.row(x, a as usize);
+                    for l in 0..w.lanes() {
+                        d[l] = k[l] * 2.0 * xa[l];
                     }
                 }
                 DerivOp::Bimolecular(other) => {
-                    for ((d, &k), &xo) in d.iter_mut().zip(k).zip(row(other)) {
-                        *d = k * xo;
+                    let xo = w.row(x, other as usize);
+                    for l in 0..w.lanes() {
+                        d[l] = k[l] * xo[l];
                     }
                 }
                 DerivOp::Generic { lo, hi, at } => {
                     let order = self.reactant_orders[at as usize];
-                    let own = row(self.reactant_species[at as usize]);
-                    for ((d, &k), &xj) in d.iter_mut().zip(k).zip(own) {
-                        *d = k * order as f64 * crate::kinetics::int_pow(xj, order - 1);
+                    let own = w.row(x, self.reactant_species[at as usize] as usize);
+                    for l in 0..w.lanes() {
+                        d[l] = k[l] * order as f64 * crate::kinetics::int_pow(own[l], order - 1);
                     }
                     for q in (lo..hi).filter(|&q| q != at) {
                         let order = self.reactant_orders[q as usize];
-                        for (d, &xs) in d.iter_mut().zip(row(self.reactant_species[q as usize])) {
-                            *d *= crate::kinetics::int_pow(xs, order);
+                        let xs = w.row(x, self.reactant_species[q as usize] as usize);
+                        for l in 0..w.lanes() {
+                            d[l] *= crate::kinetics::int_pow(xs[l], order);
                         }
                     }
                 }
@@ -354,43 +379,50 @@ impl CompiledOdes {
         }
     }
 
-    /// The lane-batched scatter pass at width `lanes`: every Jacobian entry
-    /// is `0.0` plus its terms `coeff · d[slot]` in list order. `jac` is
-    /// the `N×N×L` block, `d` the slot rows; inlined like
+    /// The lane-batched scatter pass at width `w`: every Jacobian entry is
+    /// `0.0` plus its terms `coeff · d[slot]` in list order. `jac` is the
+    /// `N×N×L` block, `d` the slot rows; inlined like
     /// [`flux_rows`](Self::flux_rows).
     #[inline(always)]
-    fn scatter_rows(&self, lanes: usize, d: &[f64], jac: &mut [f64]) {
-        let rows = jac.chunks_exact_mut(self.n_species * lanes);
+    fn scatter_rows<W: LaneWidth>(&self, w: W, d: &[f64], jac: &mut [f64]) {
+        let rows = jac.chunks_exact_mut(self.n_species * w.lanes());
         for (row, span) in rows.zip(self.jac_row_offsets.windows(2)) {
             row.fill(0.0);
             for t in &self.jac_terms[span[0] as usize..span[1] as usize] {
-                accumulate_term(lanes, *t, d, row);
+                accumulate_term(w, *t, d, row);
             }
         }
     }
 
-    /// Derivative pass then scatter pass at width `lanes`; `d` is the
-    /// slot-row scratch. Inlined into a call site that fixes `lanes`.
+    /// Derivative pass then scatter pass at width `w`; `d` is the slot-row
+    /// scratch.
     #[inline(always)]
-    fn jacobian_rows(&self, lanes: usize, x: &[f64], k: &[f64], d: &mut [f64], jac: &mut [f64]) {
-        self.derivative_rows(lanes, x, k, d);
-        self.scatter_rows(lanes, d, jac);
+    fn jacobian_rows<W: LaneWidth>(
+        &self,
+        w: W,
+        x: &[f64],
+        k: &[f64],
+        d: &mut [f64],
+        jac: &mut [f64],
+    ) {
+        self.derivative_rows(w, x, k, d);
+        self.scatter_rows(w, d, jac);
     }
 
     /// Derivative pass then the diagonal's share of the scatter pass.
     #[inline(always)]
-    fn jacobian_diag_rows(
+    fn jacobian_diag_rows<W: LaneWidth>(
         &self,
-        lanes: usize,
+        w: W,
         x: &[f64],
         k: &[f64],
         d: &mut [f64],
         diag: &mut [f64],
     ) {
-        self.derivative_rows(lanes, x, k, d);
+        self.derivative_rows(w, x, k, d);
         diag.fill(0.0);
         for t in &self.jac_diag_terms {
-            accumulate_term(lanes, *t, d, diag);
+            accumulate_term(w, *t, d, diag);
         }
     }
 
@@ -516,6 +548,12 @@ impl CompiledOdes {
         self.n_reactions
     }
 
+    /// Number of reactant slots (one per reactant of every reaction): the
+    /// row count of the scratch the lane-batched Jacobian kernels take.
+    pub fn n_reactant_slots(&self) -> usize {
+        self.jac_program.len()
+    }
+
     /// The baked-in kinetic constants.
     pub fn rate_constants(&self) -> &[f64] {
         &self.rate_constants
@@ -610,9 +648,10 @@ impl CompiledOdes {
     /// Every buffer is structure-of-arrays with lane-minor layout: entry
     /// `i` of lane `l` lives at `i·lanes + l` (`x`: `N×L` species block,
     /// `k`/`flux`: `M×L` reaction blocks). Each op of the flux program is
-    /// applied to all lanes in the innermost loop over contiguous rows,
-    /// whose length is a compile-time constant at widths 1, 2, 4 and 8 —
-    /// the shape the compiler unrolls and vectorises. Per lane the
+    /// applied to one row of lanes — a `[f64; L]` at widths 1, 2, 4 and 8,
+    /// where the release build's width-8 first-order and bimolecular ops
+    /// are four `mulpd` (eight) over unchecked loads, one checked index per
+    /// gathered species; a slice at any other width. Per lane the
     /// operation sequence is identical to
     /// [`fluxes_with`](Self::fluxes_with), so lane results are bitwise
     /// equal to scalar evaluation.
@@ -627,13 +666,7 @@ impl CompiledOdes {
         assert_eq!(x.len(), self.n_species * lanes, "state block length");
         assert_eq!(k.len(), self.n_reactions * lanes, "rate-constant block length");
         assert_eq!(flux.len(), self.n_reactions * lanes, "flux block length");
-        match lanes {
-            1 => self.flux_rows(1, x, k, flux),
-            2 => self.flux_rows(2, x, k, flux),
-            4 => self.flux_rows(4, x, k, flux),
-            8 => self.flux_rows(8, x, k, flux),
-            _ => self.flux_rows(lanes, x, k, flux),
-        }
+        with_lane_width!(lanes, |w| self.flux_rows(w, x, k, flux));
     }
 
     /// Lane-batched right-hand side: the flux pass then the per-species
@@ -658,13 +691,7 @@ impl CompiledOdes {
     ) {
         assert_eq!(dxdt.len(), self.n_species * lanes, "derivative block length");
         self.fluxes_batch(lanes, x, k, flux);
-        match lanes {
-            1 => self.accumulate_rows(1, flux, dxdt),
-            2 => self.accumulate_rows(2, flux, dxdt),
-            4 => self.accumulate_rows(4, flux, dxdt),
-            8 => self.accumulate_rows(8, flux, dxdt),
-            _ => self.accumulate_rows(lanes, flux, dxdt),
-        }
+        with_lane_width!(lanes, |w| self.accumulate_rows(w, flux, dxdt));
     }
 
     /// Lane-batched Jacobian diagonal `∂(dX_s/dt)/∂X_s` for stiffness
@@ -673,26 +700,29 @@ impl CompiledOdes {
     /// diagonal scatter instead of `L` full `N×N` Jacobians.
     ///
     /// Layouts as in [`fluxes_batch`](Self::fluxes_batch); `diag` is an
-    /// `N×L` species block. Entries are bitwise those of
-    /// [`jacobian_batch`](Self::jacobian_batch)'s diagonal.
+    /// `N×L` species block and `slots` the caller's
+    /// [`n_reactant_slots`](Self::n_reactant_slots)`×L` scratch, as in
+    /// [`jacobian_batch`](Self::jacobian_batch), whose diagonal these
+    /// entries are, bitwise.
     ///
     /// # Panics
     ///
     /// Panics if the model is not pure mass-action or buffer lengths do not
     /// match.
-    pub fn jacobian_diag_batch(&self, lanes: usize, x: &[f64], k: &[f64], diag: &mut [f64]) {
+    pub fn jacobian_diag_batch(
+        &self,
+        lanes: usize,
+        x: &[f64],
+        k: &[f64],
+        slots: &mut [f64],
+        diag: &mut [f64],
+    ) {
         assert!(self.all_mass_action, "lane-batched Jacobian covers mass-action kinetics only");
         assert_eq!(x.len(), self.n_species * lanes, "state block length");
         assert_eq!(k.len(), self.n_reactions * lanes, "rate-constant block length");
         assert_eq!(diag.len(), self.n_species * lanes, "diagonal block length");
-        let mut d = vec![0.0; self.jac_program.len() * lanes];
-        match lanes {
-            1 => self.jacobian_diag_rows(1, x, k, &mut d, diag),
-            2 => self.jacobian_diag_rows(2, x, k, &mut d, diag),
-            4 => self.jacobian_diag_rows(4, x, k, &mut d, diag),
-            8 => self.jacobian_diag_rows(8, x, k, &mut d, diag),
-            _ => self.jacobian_diag_rows(lanes, x, k, &mut d, diag),
-        }
+        assert_eq!(slots.len(), self.jac_program.len() * lanes, "slot scratch length");
+        with_lane_width!(lanes, |w| self.jacobian_diag_rows(w, x, k, slots, diag));
     }
 
     /// Lane-batched full analytic Jacobian for the lockstep Radau kernel:
@@ -700,31 +730,36 @@ impl CompiledOdes {
     ///
     /// Layouts as in [`fluxes_batch`](Self::fluxes_batch) (`x` an `N×L`
     /// species block, `k` an `M×L` reaction block); `jac` is an `N×N×L`
-    /// SoA block, lane-minor like everything else. This is the same
-    /// Jacobian program [`jacobian_with`](Self::jacobian_with) runs at
-    /// width 1, over lane rows of constant length at widths 1, 2, 4 and 8,
-    /// so each lane's Jacobian is bitwise identical to the scalar
-    /// evaluation with that lane's state and constants.
+    /// SoA block, lane-minor like everything else. `slots` is the
+    /// derivative pass's output, one row per reactant slot
+    /// ([`n_reactant_slots`](Self::n_reactant_slots)`×L`): scratch the
+    /// caller keeps between calls (every row is overwritten, so its
+    /// contents on entry do not matter) — the kernel allocates nothing.
+    /// This is the same Jacobian program
+    /// [`jacobian_with`](Self::jacobian_with) runs at width 1, so each
+    /// lane's Jacobian is bitwise identical to the scalar evaluation with
+    /// that lane's state and constants.
     ///
     /// # Panics
     ///
     /// Panics if the model is not pure mass-action (check
     /// [`supports_lane_batch`](Self::supports_lane_batch)) or buffer
     /// lengths do not match.
-    pub fn jacobian_batch(&self, lanes: usize, x: &[f64], k: &[f64], jac: &mut [f64]) {
+    pub fn jacobian_batch(
+        &self,
+        lanes: usize,
+        x: &[f64],
+        k: &[f64],
+        slots: &mut [f64],
+        jac: &mut [f64],
+    ) {
         assert!(self.all_mass_action, "lane-batched Jacobian covers mass-action kinetics only");
         let n = self.n_species;
         assert_eq!(x.len(), n * lanes, "state block length");
         assert_eq!(k.len(), self.n_reactions * lanes, "rate-constant block length");
         assert_eq!(jac.len(), n * n * lanes, "jacobian block length");
-        let mut d = vec![0.0; self.jac_program.len() * lanes];
-        match lanes {
-            1 => self.jacobian_rows(1, x, k, &mut d, jac),
-            2 => self.jacobian_rows(2, x, k, &mut d, jac),
-            4 => self.jacobian_rows(4, x, k, &mut d, jac),
-            8 => self.jacobian_rows(8, x, k, &mut d, jac),
-            _ => self.jacobian_rows(lanes, x, k, &mut d, jac),
-        }
+        assert_eq!(slots.len(), self.jac_program.len() * lanes, "slot scratch length");
+        with_lane_width!(lanes, |w| self.jacobian_rows(w, x, k, slots, jac));
     }
 
     /// Analytic Jacobian `J[s][j] = ∂(dX_s/dt)/∂X_j` with the baked
@@ -757,10 +792,10 @@ impl CompiledOdes {
         assert_eq!(k.len(), self.n_reactions);
         let mut d = vec![0.0; self.jac_program.len()];
         if self.all_mass_action {
-            self.jacobian_rows(1, x, k, &mut d, jac.as_mut_slice());
+            self.jacobian_rows(FixedWidth::<1>, x, k, &mut d, jac.as_mut_slice());
         } else {
             self.derivatives_by_law(x, k, &mut d);
-            self.scatter_rows(1, &d, jac.as_mut_slice());
+            self.scatter_rows(FixedWidth::<1>, &d, jac.as_mut_slice());
         }
     }
 
@@ -1142,8 +1177,9 @@ mod tests {
         assert!(small.n_terms() >= 4);
     }
 
-    #[test]
-    fn each_reactant_shape_compiles_to_its_own_op() {
+    /// Two species and one reaction of every reactant shape, each feeding
+    /// A: every `FluxOp` and `DerivOp` variant, the generic walk twice.
+    fn every_shape() -> CompiledOdes {
         let mut m = ReactionBasedModel::new();
         let a = m.add_species("A", 1.0);
         let b = m.add_species("B", 0.5);
@@ -1158,7 +1194,12 @@ mod tests {
         ] {
             m.add_reaction(Reaction::mass_action(reactants, &[(a, 1)], 1.0)).unwrap();
         }
-        let odes = m.compile().unwrap();
+        m.compile().unwrap()
+    }
+
+    #[test]
+    fn each_reactant_shape_compiles_to_its_own_op() {
+        let odes = every_shape();
         assert_eq!(
             odes.flux_program,
             [
@@ -1224,6 +1265,113 @@ mod tests {
         block.iter().skip(l).step_by(lanes).copied().collect()
     }
 
+    /// The widths every row pass is pinned at: 1, 2, 4, 8 run on `[f64; L]`
+    /// rows, 3 and 5 on slices — one body, so the same bits.
+    const WIDTHS: [usize; 6] = [1, 2, 3, 4, 5, 8];
+
+    /// A `rows × lanes` block of sign-mixed values, no two alike, with a
+    /// `-0.0` in every lane.
+    fn mixed_block(rows: usize, lanes: usize, salt: f64) -> Vec<f64> {
+        (0..rows * lanes)
+            .map(|i| if i / lanes == 1 { -0.0 } else { ((i as f64 + salt) * 0.7311).sin() * 2.5 })
+            .collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn flux_rows_are_the_scalar_flux_of_every_op_in_every_lane() {
+        let odes = every_shape();
+        let m = odes.n_reactions();
+        for lanes in WIDTHS {
+            let (x, k) = (mixed_block(2, lanes, 1.0), mixed_block(m, lanes, 2.0));
+            let mut flux = vec![f64::NAN; m * lanes];
+            with_lane_width!(lanes, |w| odes.flux_rows(w, &x, &k, &mut flux));
+            for l in 0..lanes {
+                let (x, k) = (lane_of(&x, lanes, l), lane_of(&k, lanes, l));
+                let want: Vec<f64> =
+                    (0..m).map(|r| odes.mass_action_flux(odes.flux_program[r], k[r], &x)).collect();
+                assert_eq!(bits(&lane_of(&flux, lanes, l)), bits(&want), "width {lanes}, lane {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn accumulate_rows_are_the_scalar_species_sums_in_every_lane() {
+        // Three species over five fluxes: an empty sum, a one-term sum and
+        // a sum whose order shows in the last bit.
+        let mut m = ReactionBasedModel::new();
+        let a = m.add_species("A", 1.0);
+        let b = m.add_species("B", 1.0);
+        let _idle = m.add_species("C", 1.0);
+        for _ in 0..4 {
+            m.add_reaction(Reaction::mass_action(&[(a, 1)], &[(a, 3)], 1.0)).unwrap();
+        }
+        m.add_reaction(Reaction::mass_action(&[(a, 1)], &[(a, 1), (b, 1)], 1.0)).unwrap();
+        let odes = m.compile().unwrap();
+        for lanes in WIDTHS {
+            let flux = mixed_block(5, lanes, 3.0);
+            let mut dxdt = vec![f64::NAN; 3 * lanes];
+            with_lane_width!(lanes, |w| odes.accumulate_rows(w, &flux, &mut dxdt));
+            for l in 0..lanes {
+                let f = lane_of(&flux, lanes, l);
+                let a = 0.0 + 2.0 * f[0] + 2.0 * f[1] + 2.0 * f[2] + 2.0 * f[3];
+                let want = [a, 0.0 + 1.0 * f[4], 0.0];
+                assert_eq!(bits(&lane_of(&dxdt, lanes, l)), bits(&want), "width {lanes}, lane {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn derivative_rows_are_the_scalar_derivative_of_every_op_in_every_lane() {
+        let odes = every_shape();
+        let slots = odes.n_reactant_slots();
+        for lanes in WIDTHS {
+            let x = mixed_block(2, lanes, 4.0);
+            let k = mixed_block(odes.n_reactions(), lanes, 5.0);
+            let mut d = vec![f64::NAN; slots * lanes];
+            with_lane_width!(lanes, |w| odes.derivative_rows(w, &x, &k, &mut d));
+            for l in 0..lanes {
+                let (x, k) = (lane_of(&x, lanes, l), lane_of(&k, lanes, l));
+                let mut want = vec![f64::NAN; slots];
+                odes.derivatives_by_law(&x, &k, &mut want);
+                assert_eq!(bits(&lane_of(&d, lanes, l)), bits(&want), "width {lanes}, lane {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn scatter_rows_are_the_scalar_entry_sums_in_every_lane() {
+        let odes = every_shape();
+        let (n, slots) = (odes.n_species(), odes.n_reactant_slots());
+        for lanes in WIDTHS {
+            let d = mixed_block(slots, lanes, 6.0);
+            let (mut jac, mut diag) = (vec![f64::NAN; n * n * lanes], vec![f64::NAN; n * lanes]);
+            with_lane_width!(lanes, |w| {
+                odes.scatter_rows(w, &d, &mut jac);
+                // The diagonal's share, as `jacobian_diag_rows` scatters it.
+                diag.fill(0.0);
+                for t in &odes.jac_diag_terms {
+                    accumulate_term(w, *t, &d, &mut diag);
+                }
+            });
+            for l in 0..lanes {
+                let d = lane_of(&d, lanes, l);
+                let mut want = vec![0.0; n * n];
+                for (s, span) in odes.jac_row_offsets.windows(2).enumerate() {
+                    for t in &odes.jac_terms[span[0] as usize..span[1] as usize] {
+                        want[s * n + t.col as usize] += t.coeff * d[t.slot as usize];
+                    }
+                }
+                assert_eq!(bits(&lane_of(&jac, lanes, l)), bits(&want), "width {lanes}, lane {l}");
+                let want: Vec<f64> = want.iter().step_by(n + 1).copied().collect();
+                assert_eq!(bits(&lane_of(&diag, lanes, l)), bits(&want), "width {lanes}, lane {l}");
+            }
+        }
+    }
+
     #[test]
     fn rhs_batch_is_bitwise_equal_to_scalar_per_lane() {
         let (_, odes) = lotka_volterra();
@@ -1279,7 +1427,8 @@ mod tests {
         let x = soa_block(&[1.3, 0.4], lanes);
         let k = soa_block(&[2.0, 1.5, 0.8], lanes);
         let mut diag = vec![0.0; 2 * lanes];
-        odes.jacobian_diag_batch(lanes, &x, &k, &mut diag);
+        let mut slots = vec![0.0; odes.n_reactant_slots() * lanes];
+        odes.jacobian_diag_batch(lanes, &x, &k, &mut slots, &mut diag);
         for l in 0..lanes {
             let xl = lane_of(&x, lanes, l);
             let kl = lane_of(&k, lanes, l);
@@ -1314,7 +1463,8 @@ mod tests {
             let x = soa_block(&[1.2, 0.7, 0.3], lanes);
             let k = soa_block(&[2.0, 1.5, 0.7, 0.8], lanes);
             let mut jb = vec![0.0; n * n * lanes];
-            odes.jacobian_batch(lanes, &x, &k, &mut jb);
+            let mut slots = vec![0.0; odes.n_reactant_slots() * lanes];
+            odes.jacobian_batch(lanes, &x, &k, &mut slots, &mut jb);
             for l in 0..lanes {
                 let xl = lane_of(&x, lanes, l);
                 let kl = lane_of(&k, lanes, l);

@@ -9,8 +9,8 @@
 //! `Σ coeff · ∂flux/∂x_j` over the reactions in order with
 //! `∂flux/∂x_j = k·a·x_j^(a−1)`, then the other reactants left to right.
 //! The kernels must reproduce it bit for bit — scalar, and every lane of
-//! every width 1..=8 (the monomorphised widths and the run-time-width loop
-//! both).
+//! every width 1..=8 (`[f64; L]` rows at 1, 2, 4, 8 and slice rows at the
+//! others).
 
 use paraspace_linalg::Matrix;
 use paraspace_models::{autophagy, classic, metabolic};
@@ -202,8 +202,10 @@ fn assert_jacobian_parity(model: &ReactionBasedModel, label: &str) {
         let ks: Vec<_> = inputs[..lanes].iter().map(|(_, k)| k.clone()).collect();
         let (x, k) = (soa(&xs), soa(&ks));
         let (mut jac, mut diag) = (vec![f64::NAN; n * n * lanes], vec![f64::NAN; n * lanes]);
-        odes.jacobian_batch(lanes, &x, &k, &mut jac);
-        odes.jacobian_diag_batch(lanes, &x, &k, &mut diag);
+        // Stale slot scratch must not show: every row is overwritten.
+        let mut slots = vec![f64::NAN; odes.n_reactant_slots() * lanes];
+        odes.jacobian_batch(lanes, &x, &k, &mut slots, &mut jac);
+        odes.jacobian_diag_batch(lanes, &x, &k, &mut slots, &mut diag);
         for (l, want) in want[..lanes].iter().enumerate() {
             let got = bits(&lane_of(&jac, lanes, l));
             assert_eq!(&got, want, "{label}: jacobian_batch, width {lanes}, lane {l}");

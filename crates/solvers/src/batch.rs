@@ -3,12 +3,15 @@
 //! The lane-batched path integrates `L` independent parameterizations of
 //! the *same* network in lockstep: every state-sized buffer holds the
 //! states of all lanes interleaved **species-major, lane-minor** —
-//! component `s` of lane `l` lives at `data[s * L + l]`. The inner loops of
-//! the batched right-hand side and the lockstep stepper then iterate lanes
-//! innermost over contiguous `f64` runs, which is exactly the shape LLVM
-//! autovectorizes and the layout MPGOS-style batched integrators use on
-//! real SIMD/SIMT hardware (one global-memory transaction serves a whole
-//! warp; here, one cache line serves a whole SIMD register).
+//! component `s` of lane `l` lives at `data[s * L + l]`. The row passes of
+//! the batched right-hand side and the lockstep steppers then work on one
+//! contiguous row of `L` lanes at a time
+//! ([`LaneWidth`](paraspace_linalg::LaneWidth): a `[f64; L]` at the widths
+//! the engines schedule, which is what makes the release build's arithmetic
+//! packed — `scripts/lane-asm-check.sh` counts it) — the layout MPGOS-style
+//! batched integrators use on real SIMD/SIMT hardware (one global-memory
+//! transaction serves a whole warp; here, one cache line serves a row of
+//! eight lanes).
 //!
 //! Lane width `L` is chosen at runtime (engines auto-select it per model);
 //! per-lane results are bitwise independent of `L` because every lane's

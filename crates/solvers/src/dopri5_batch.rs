@@ -22,12 +22,18 @@
 //! expression, per lane), then one that forms the embedded error, its
 //! scale, `Σ(e/w)²` and "`y_new` is finite" for every lane at once, and one
 //! for the stiffness detector's two sums. The per-lane controller then
-//! reads those reductions, and a last masked pass applies `y ← y_new`,
-//! `k1 ← k7` to the lanes whose step was accepted. Every pass is one
-//! `#[inline(always)]` body called with the lane width as a literal
-//! (1/2/4/8; any other width at run time), so rows have constant length
-//! where it matters and the compiler unrolls and vectorises them — the
-//! same construction as the `rbm` flux and Jacobian kernels.
+//! reads those reductions, and the tick ends by applying `y ← y_new`,
+//! `k1 ← k7` to the lanes whose step was accepted (a per-lane select over
+//! whole rows; a swap of the blocks when that is every lane). Every pass is
+//! one body over [`LaneWidth`] rows — `[f64; L]` at widths 1, 2, 4 and 8,
+//! slices at any other — and the width is chosen once per tick
+//! ([`with_lane_width!`]), the same construction as the `rbm` flux and
+//! Jacobian kernels. Measured on the release CLI (x86-64 baseline, two
+//! lanes per SSE2 instruction): this kernel's arithmetic is 1 297 packed
+//! against 349 scalar instructions (140 / 1 485 while rows were slices of a
+//! run-time length), and a member-step of the 128-species sweep costs
+//! 2.5 µs at width 8 where it cost 3.3; `scripts/lane-asm-check.sh` keeps
+//! the first number honest in CI.
 //!
 //! # Numerical contract
 //!
@@ -56,7 +62,7 @@ use crate::dopri5::{
 };
 use crate::system::check_inputs;
 use crate::{Solution, SolveFailure, SolverError, SolverOptions, SolverScratch, StepStats};
-use paraspace_linalg::weighted_rms_norm;
+use paraspace_linalg::{weighted_rms_norm, with_lane_width, LaneWidth};
 
 /// Work accounting for one lane-group integration, consumed by the vgpu
 /// device model's occupancy/divergence bookkeeping.
@@ -115,8 +121,9 @@ impl LaneReport {
 /// Pooled working storage for one lockstep lane-group integration: the 7
 /// stage blocks, the state, stage-argument and new-state blocks, per-lane
 /// control and reduction vectors, and scalar gather buffers for the
-/// lane-initialization arithmetic. Lane (re)binding probes through
-/// `y_stage` and `k[1]`, which hold nothing between two ticks.
+/// lane-initialization arithmetic. Between two ticks only `y` and `k[0]`
+/// hold anything: lane (re)binding probes through `y_stage` and `k[1]`, and
+/// a tick that advances every lane swaps `y`/`y_new` and `k[0]`/`k[6]`.
 #[derive(Debug, Default)]
 pub(crate) struct DopriBatchScratch {
     k: [BatchState; 7],
@@ -438,176 +445,13 @@ fn solve_queue_impl(
         report.lockstep_iters += 1;
         report.lane_steps += live as u64;
 
-        // --- Lockstep stages 2..7 and the tick's per-lane reductions. ---
-        match lanes {
-            1 => lockstep_stages(1, system, ws, options),
-            2 => lockstep_stages(2, system, ws, options),
-            4 => lockstep_stages(4, system, ws, options),
-            8 => lockstep_stages(8, system, ws, options),
-            w => lockstep_stages(w, system, ws, options),
-        }
-
-        // --- Per-lane acceptance, controller, sampling. ---
-        let DopriBatchScratch {
-            k, y, y_new, r, t, h, err_sq, st_num, st_den, finite, advance, ..
-        } = &mut *ws;
-        let [k1, _, k3, k4, k5, k6, k7] = &*k;
-        let (k1, k3, k4) = (k1.as_slice(), k3.as_slice(), k4.as_slice());
-        let (k5, k6, k7) = (k5.as_slice(), k6.as_slice(), k7.as_slice());
-        let (ys, yns) = (y.as_slice(), y_new.as_slice());
-        for lane in 0..lanes {
-            enum Park {
-                Done,
-                Fail(SolverError),
-            }
-            advance[lane] = false;
-            let mut park: Option<Park> = None;
-            if let Some(c) = ctl[lane].as_mut() {
-                c.sol.stats.rhs_evals += 6;
-                c.sol.stats.steps += 1;
-                c.steps_since_sample += 1;
-
-                let err = if n == 0 { 0.0 } else { (err_sq[lane] / n as f64).sqrt() };
-                if !err.is_finite() || !finite[lane] {
-                    // Hard rejection with aggressive shrink.
-                    c.sol.stats.rejected += 1;
-                    h[lane] *= 0.1;
-                    c.last_rejected = true;
-                    c.nonfinite_strikes += 1;
-                    if c.nonfinite_strikes >= NONFINITE_STRIKES
-                        || h[lane] <= f64::MIN_POSITIVE * 1e4
-                    {
-                        park = Some(Park::Fail(SolverError::NonFiniteState { t: t[lane] }));
-                    }
-                } else {
-                    c.nonfinite_strikes = 0;
-                    // PI controller.
-                    let fac11 = err.powf(EXPO1);
-                    let fac =
-                        (fac11 / c.fac_old.powf(BETA) / SAFETY).clamp(FAC_MAX_INV, FAC_MIN_INV);
-                    let mut h_new = h[lane] / fac;
-
-                    if err <= 1.0 {
-                        // Accepted.
-                        c.fac_old = err.max(1e-4);
-                        c.sol.stats.accepted += 1;
-
-                        // Every accepted step, cost-aware hand-over: the
-                        // scalar detector's rule, per lane.
-                        if options.stiffness_check_interval > 0 && st_den[lane] > 0.0 {
-                            let h_lambda = h[lane] * (st_num[lane] / st_den[lane]).sqrt();
-                            if h_lambda > STIFF_THRESHOLD {
-                                c.nonstiff_strikes = 0;
-                                c.stiff_strikes += 1;
-                                if c.stiff_strikes >= STIFF_STRIKES
-                                    && (t_end - (t[lane] + h[lane])) / h[lane]
-                                        > options.stiffness_check_interval as f64
-                                {
-                                    c.sol.stats.stiffness_detected = true;
-                                    park = Some(Park::Fail(SolverError::StiffnessDetected {
-                                        t: t[lane],
-                                    }));
-                                }
-                            } else {
-                                c.nonstiff_strikes += 1;
-                                if c.nonstiff_strikes >= 6 {
-                                    c.stiff_strikes = 0;
-                                }
-                            }
-                        }
-
-                        if park.is_none() {
-                            let t_new = t[lane] + h[lane];
-                            if c.next_sample < sample_times.len()
-                                && sample_times[c.next_sample] <= t_new
-                            {
-                                // Dense-output coefficients for this lane.
-                                for s in 0..n {
-                                    let i = s * lanes + lane;
-                                    let ydiff = yns[i] - ys[i];
-                                    let bspl = h[lane] * k1[i] - ydiff;
-                                    r[0][s] = ys[i];
-                                    r[1][s] = ydiff;
-                                    r[2][s] = bspl;
-                                    r[3][s] = ydiff - h[lane] * k7[i] - bspl;
-                                    r[4][s] = h[lane]
-                                        * (D1 * k1[i]
-                                            + D3 * k3[i]
-                                            + D4 * k4[i]
-                                            + D5 * k5[i]
-                                            + D6 * k6[i]
-                                            + D7 * k7[i]);
-                                }
-                                while c.next_sample < sample_times.len()
-                                    && sample_times[c.next_sample] <= t_new
-                                {
-                                    let ts = sample_times[c.next_sample];
-                                    let theta = ((ts - t[lane]) / h[lane]).clamp(0.0, 1.0);
-                                    let om_theta = 1.0 - theta;
-                                    let state: Vec<f64> = (0..n)
-                                        .map(|s| {
-                                            r[0][s]
-                                                + theta
-                                                    * (r[1][s]
-                                                        + om_theta
-                                                            * (r[2][s]
-                                                                + theta
-                                                                    * (r[3][s]
-                                                                        + om_theta * r[4][s])))
-                                        })
-                                        .collect();
-                                    c.sol.times.push(ts);
-                                    c.sol.states.push(state);
-                                    c.next_sample += 1;
-                                    c.steps_since_sample = 0;
-                                }
-                            }
-
-                            t[lane] = t_new;
-                            if c.next_sample == sample_times.len() {
-                                c.sol.stats.stiffness_detected |= c.stiff_strikes > 0;
-                                park = Some(Park::Done);
-                            } else {
-                                // y ← y_new and the FSAL k1 ← k7 happen for
-                                // all advancing lanes at once, below.
-                                advance[lane] = true;
-                                if c.last_rejected {
-                                    h_new = h_new.min(h[lane]);
-                                    c.last_rejected = false;
-                                }
-                                h[lane] = h_new;
-                            }
-                        }
-                    } else {
-                        // Rejected: retry this lane at smaller h next sweep.
-                        c.sol.stats.rejected += 1;
-                        h_new = h[lane] / (fac11 / SAFETY).min(FAC_MIN_INV);
-                        c.last_rejected = true;
-                        h[lane] = h_new;
-                    }
-                }
-            }
-            if let Some(p) = park {
-                let c = ctl[lane].take().expect("parked lane was live");
-                let result = match p {
-                    Park::Done => Ok(c.sol),
-                    Park::Fail(error) => Err(SolveFailure { error, stats: c.sol.stats }),
-                };
-                results.push((c.member, result));
-                h[lane] = 0.0;
-            }
-        }
-
-        // --- Masked advance of every accepted lane. ---
-        let [k1, .., k7] = k;
-        let (y, k1) = (y.as_mut_slice(), k1.as_mut_slice());
-        match lanes {
-            1 => advance_rows(1, advance, yns, k7.as_slice(), y, k1),
-            2 => advance_rows(2, advance, yns, k7.as_slice(), y, k1),
-            4 => advance_rows(4, advance, yns, k7.as_slice(), y, k1),
-            8 => advance_rows(8, advance, yns, k7.as_slice(), y, k1),
-            w => advance_rows(w, advance, yns, k7.as_slice(), y, k1),
-        }
+        // --- One tick at the group's width: stages 2..7 with the per-lane
+        // reductions, the per-lane controller, the accepted lanes' advance. ---
+        with_lane_width!(lanes, |w| {
+            lockstep_stages(w, system, ws, options);
+            settle_lanes(&mut ctl, ws, sample_times, t_end, options, &mut results);
+            advance_accepted(w, ws);
+        });
     }
 
     (results, report)
@@ -696,19 +540,178 @@ fn init_fresh_lanes(
     }
 }
 
+/// The per-lane half of a tick: acceptance from the tick's reductions, the
+/// PI controller, the cost-aware stiffness hand-over, dense-output sampling
+/// — the scalar loop body, lane by lane. Marks in `advance` the lanes whose
+/// step was accepted and who go on; settles those that finished or failed.
+// One copy whatever the width: nothing in here is a row pass.
+#[inline(never)]
+fn settle_lanes(
+    ctl: &mut [Option<LaneCtl>],
+    ws: &mut DopriBatchScratch,
+    sample_times: &[f64],
+    t_end: f64,
+    options: &SolverOptions,
+    results: &mut Vec<(usize, Attempt)>,
+) {
+    let DopriBatchScratch { k, y, y_new, r, t, h, err_sq, st_num, st_den, finite, advance, .. } =
+        ws;
+    let (n, lanes) = (y.dim(), y.lanes());
+    let [k1, _, k3, k4, k5, k6, k7] = &*k;
+    let (k1, k3, k4) = (k1.as_slice(), k3.as_slice(), k4.as_slice());
+    let (k5, k6, k7) = (k5.as_slice(), k6.as_slice(), k7.as_slice());
+    let (ys, yns) = (y.as_slice(), y_new.as_slice());
+    for lane in 0..lanes {
+        enum Park {
+            Done,
+            Fail(SolverError),
+        }
+        advance[lane] = false;
+        let mut park: Option<Park> = None;
+        if let Some(c) = ctl[lane].as_mut() {
+            c.sol.stats.rhs_evals += 6;
+            c.sol.stats.steps += 1;
+            c.steps_since_sample += 1;
+
+            let err = if n == 0 { 0.0 } else { (err_sq[lane] / n as f64).sqrt() };
+            if !err.is_finite() || !finite[lane] {
+                // Hard rejection with aggressive shrink.
+                c.sol.stats.rejected += 1;
+                h[lane] *= 0.1;
+                c.last_rejected = true;
+                c.nonfinite_strikes += 1;
+                if c.nonfinite_strikes >= NONFINITE_STRIKES || h[lane] <= f64::MIN_POSITIVE * 1e4 {
+                    park = Some(Park::Fail(SolverError::NonFiniteState { t: t[lane] }));
+                }
+            } else {
+                c.nonfinite_strikes = 0;
+                // PI controller.
+                let fac11 = err.powf(EXPO1);
+                let fac = (fac11 / c.fac_old.powf(BETA) / SAFETY).clamp(FAC_MAX_INV, FAC_MIN_INV);
+                let mut h_new = h[lane] / fac;
+
+                if err <= 1.0 {
+                    // Accepted.
+                    c.fac_old = err.max(1e-4);
+                    c.sol.stats.accepted += 1;
+
+                    // Every accepted step, cost-aware hand-over: the
+                    // scalar detector's rule, per lane.
+                    if options.stiffness_check_interval > 0 && st_den[lane] > 0.0 {
+                        let h_lambda = h[lane] * (st_num[lane] / st_den[lane]).sqrt();
+                        if h_lambda > STIFF_THRESHOLD {
+                            c.nonstiff_strikes = 0;
+                            c.stiff_strikes += 1;
+                            if c.stiff_strikes >= STIFF_STRIKES
+                                && (t_end - (t[lane] + h[lane])) / h[lane]
+                                    > options.stiffness_check_interval as f64
+                            {
+                                c.sol.stats.stiffness_detected = true;
+                                park =
+                                    Some(Park::Fail(SolverError::StiffnessDetected { t: t[lane] }));
+                            }
+                        } else {
+                            c.nonstiff_strikes += 1;
+                            if c.nonstiff_strikes >= 6 {
+                                c.stiff_strikes = 0;
+                            }
+                        }
+                    }
+
+                    if park.is_none() {
+                        let t_new = t[lane] + h[lane];
+                        if c.next_sample < sample_times.len()
+                            && sample_times[c.next_sample] <= t_new
+                        {
+                            // Dense-output coefficients for this lane.
+                            for s in 0..n {
+                                let i = s * lanes + lane;
+                                let ydiff = yns[i] - ys[i];
+                                let bspl = h[lane] * k1[i] - ydiff;
+                                r[0][s] = ys[i];
+                                r[1][s] = ydiff;
+                                r[2][s] = bspl;
+                                r[3][s] = ydiff - h[lane] * k7[i] - bspl;
+                                r[4][s] = h[lane]
+                                    * (D1 * k1[i]
+                                        + D3 * k3[i]
+                                        + D4 * k4[i]
+                                        + D5 * k5[i]
+                                        + D6 * k6[i]
+                                        + D7 * k7[i]);
+                            }
+                            while c.next_sample < sample_times.len()
+                                && sample_times[c.next_sample] <= t_new
+                            {
+                                let ts = sample_times[c.next_sample];
+                                let theta = ((ts - t[lane]) / h[lane]).clamp(0.0, 1.0);
+                                let om_theta = 1.0 - theta;
+                                let state: Vec<f64> = (0..n)
+                                    .map(|s| {
+                                        r[0][s]
+                                            + theta
+                                                * (r[1][s]
+                                                    + om_theta
+                                                        * (r[2][s]
+                                                            + theta
+                                                                * (r[3][s] + om_theta * r[4][s])))
+                                    })
+                                    .collect();
+                                c.sol.times.push(ts);
+                                c.sol.states.push(state);
+                                c.next_sample += 1;
+                                c.steps_since_sample = 0;
+                            }
+                        }
+
+                        t[lane] = t_new;
+                        if c.next_sample == sample_times.len() {
+                            c.sol.stats.stiffness_detected |= c.stiff_strikes > 0;
+                            park = Some(Park::Done);
+                        } else {
+                            // y ← y_new and the FSAL k1 ← k7 happen for
+                            // all advancing lanes at once, below.
+                            advance[lane] = true;
+                            if c.last_rejected {
+                                h_new = h_new.min(h[lane]);
+                                c.last_rejected = false;
+                            }
+                            h[lane] = h_new;
+                        }
+                    }
+                } else {
+                    // Rejected: retry this lane at smaller h next sweep.
+                    c.sol.stats.rejected += 1;
+                    h_new = h[lane] / (fac11 / SAFETY).min(FAC_MIN_INV);
+                    c.last_rejected = true;
+                    h[lane] = h_new;
+                }
+            }
+        }
+        if let Some(p) = park {
+            let c = ctl[lane].take().expect("parked lane was live");
+            let result = match p {
+                Park::Done => Ok(c.sol),
+                Park::Fail(error) => Err(SolveFailure { error, stats: c.sol.stats }),
+            };
+            results.push((c.member, result));
+            h[lane] = 0.0;
+        }
+    }
+}
+
 /// One lockstep tick up to the controller: stages 2..7 — a lane-wide
 /// [`rhs_batch`](BatchOdeSystem::rhs_batch) sweep each, per-lane `h` — then
 /// the per-lane reductions the controller reads (`err_sq`, `finite`,
 /// `st_num`, `st_den`). Every formula is the scalar solver's, term for
 /// term.
 ///
-/// Always inlined into a call site that fixes `lanes`, so each width the
-/// engines schedule gets its own copy of the row passes below with
-/// constant-length rows — the shape the compiler unrolls and vectorises —
-/// and any other width runs the same body with a run-time row length.
+/// Always inlined into [`with_lane_width!`]'s arm for `w`, so each width the
+/// engines schedule gets its own copy of the row passes below over
+/// `[f64; L]` rows, and any other width the same body over slices.
 #[inline(always)]
-fn lockstep_stages(
-    lanes: usize,
+fn lockstep_stages<W: LaneWidth>(
+    w: W,
     system: &mut dyn BatchOdeSystem,
     ws: &mut DopriBatchScratch,
     options: &SolverOptions,
@@ -728,45 +731,48 @@ fn lockstep_stages(
         ..
     } = ws;
     let [k1, k2, k3, k4, k5, k6, k7] = k;
-    let (t, h, y) = (&t[..lanes], &h[..lanes], y.as_slice());
+    let n = y.dim();
+    let (t, hs, h, y) = (&t[..], &h[..], w.row(h, 0), y.as_slice());
 
     let k1 = k1.as_slice();
-    stage_rows(lanes, h, y, [k1], y_stage.as_mut_slice(), |h, [k1]| h * A21 * k1);
-    stage_times(C2, t, h, t_stage);
+    stage_rows(w, n, h, y, [k1], y_stage.as_mut_slice(), |h, [k1]| h * A21 * k1);
+    stage_times(C2, t, hs, t_stage);
     system.rhs_batch(t_stage, y_stage, k2);
     let k2 = k2.as_slice();
-    stage_rows(lanes, h, y, [k1, k2], y_stage.as_mut_slice(), |h, [k1, k2]| {
+    stage_rows(w, n, h, y, [k1, k2], y_stage.as_mut_slice(), |h, [k1, k2]| {
         h * (A31 * k1 + A32 * k2)
     });
-    stage_times(C3, t, h, t_stage);
+    stage_times(C3, t, hs, t_stage);
     system.rhs_batch(t_stage, y_stage, k3);
     let k3 = k3.as_slice();
-    stage_rows(lanes, h, y, [k1, k2, k3], y_stage.as_mut_slice(), |h, [k1, k2, k3]| {
+    stage_rows(w, n, h, y, [k1, k2, k3], y_stage.as_mut_slice(), |h, [k1, k2, k3]| {
         h * (A41 * k1 + A42 * k2 + A43 * k3)
     });
-    stage_times(C4, t, h, t_stage);
+    stage_times(C4, t, hs, t_stage);
     system.rhs_batch(t_stage, y_stage, k4);
     let k4 = k4.as_slice();
-    stage_rows(lanes, h, y, [k1, k2, k3, k4], y_stage.as_mut_slice(), |h, [k1, k2, k3, k4]| {
+    stage_rows(w, n, h, y, [k1, k2, k3, k4], y_stage.as_mut_slice(), |h, [k1, k2, k3, k4]| {
         h * (A51 * k1 + A52 * k2 + A53 * k3 + A54 * k4)
     });
-    stage_times(C5, t, h, t_stage);
+    stage_times(C5, t, hs, t_stage);
     system.rhs_batch(t_stage, y_stage, k5);
     let k5 = k5.as_slice();
     stage_rows(
-        lanes,
+        w,
+        n,
         h,
         y,
         [k1, k2, k3, k4, k5],
         y_stage.as_mut_slice(),
         |h, [k1, k2, k3, k4, k5]| h * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5),
     );
-    stage_times(1.0, t, h, t_stage); // t + h: 1·h is exact
+    stage_times(1.0, t, hs, t_stage); // t + h: 1·h is exact
     system.rhs_batch(t_stage, y_stage, k6);
     let k6 = k6.as_slice();
     // 5th-order solution (stage 7 argument) and FSAL derivative.
     stage_rows(
-        lanes,
+        w,
+        n,
         h,
         y,
         [k1, k3, k4, k5, k6],
@@ -776,11 +782,38 @@ fn lockstep_stages(
     system.rhs_batch(t_stage, y_new, k7);
     let (k7, y_new) = (k7.as_slice(), y_new.as_slice());
 
-    error_rows(lanes, h, y, y_new, [k1, k3, k4, k5, k6, k7], options, err_sq, finite);
+    let k = [k1, k3, k4, k5, k6, k7];
+    error_rows(w, n, h, y, y_new, k, options, w.row_mut(err_sq, 0), w.row_mut(finite, 0));
     if options.stiffness_check_interval > 0 {
         // `y_stage` still holds stage 6's argument, the detector's `y_sti`.
-        stiffness_rows(lanes, k6, k7, y_new, y_stage.as_slice(), st_num, st_den);
+        let (st_num, st_den) = (w.row_mut(st_num, 0), w.row_mut(st_den, 0));
+        stiffness_rows(w, n, k6, k7, y_new, y_stage.as_slice(), st_num, st_den);
     }
+}
+
+/// The end of a tick: `y ← y_new`, `k1 ← k7` in the lanes the controller
+/// marked. When that is every lane — each tick of a group whose members
+/// accept their steps — the blocks trade places instead, as the scalar
+/// loop's vectors do: `y_new` and `k7` hold nothing between two ticks.
+#[inline(always)]
+fn advance_accepted<W: LaneWidth>(w: W, ws: &mut DopriBatchScratch) {
+    let DopriBatchScratch { k, y, y_new, advance, .. } = ws;
+    if advance.iter().all(|&lane| lane) {
+        std::mem::swap(y, y_new);
+        k.swap(0, 6);
+        return;
+    }
+    let [k1, .., k7] = k;
+    let (n, advance) = (y.dim(), w.row(advance, 0));
+    advance_rows(
+        w,
+        n,
+        advance,
+        y_new.as_slice(),
+        k7.as_slice(),
+        y.as_mut_slice(),
+        k1.as_mut_slice(),
+    );
 }
 
 /// `out_l ← t_l + c·h_l`: each lane's time at the stage with node `c`.
@@ -791,14 +824,14 @@ fn stage_times(c: f64, t: &[f64], h: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Row `s` of `N` SoA blocks.
+/// Row `s` of `N` lane-minor blocks.
 #[inline(always)]
-fn rows_at<const N: usize>(blocks: [&[f64]; N], s: usize, lanes: usize) -> [&[f64]; N] {
+fn rows_at<W: LaneWidth, const N: usize>(w: W, blocks: [&[f64]; N], s: usize) -> [&W::Row<f64>; N] {
     // A plain loop: `array::map` is not reliably inlined into a body this
     // size, and a call per row would undo the pass.
-    let mut rows = blocks;
-    for row in &mut rows {
-        *row = &row[s * lanes..][..lanes];
+    let mut rows = [w.row(blocks[0], s); N];
+    for (row, block) in rows.iter_mut().zip(blocks) {
+        *row = w.row(block, s);
     }
     rows
 }
@@ -806,19 +839,25 @@ fn rows_at<const N: usize>(blocks: [&[f64]; N], s: usize, lanes: usize) -> [&[f6
 /// One stage argument for all lanes: `out ← y + step(h_l, [k_1, …, k_N])`
 /// row by row, `step` being the scalar solver's expression for the stage
 /// increment.
-#[inline(always)]
-fn stage_rows<const N: usize>(
-    lanes: usize,
-    h: &[f64],
+// This and the passes below are plain `#[inline]`, not `inline(always)`, on
+// purpose. An `inline(always)` body is spliced in before code generation and
+// loses what its signature says — that `out` overlaps none of the slices
+// read — and a row's loads can then not move past its stores: the lanes
+// stayed scalar. The code generator inlines these (one caller per
+// instantiation) and keeps it; `scripts/lane-asm-check.sh` holds it to that.
+#[inline]
+fn stage_rows<W: LaneWidth, const N: usize>(
+    w: W,
+    n: usize,
+    h: &W::Row<f64>,
     y: &[f64],
     k: [&[f64]; N],
     out: &mut [f64],
     step: impl Fn(f64, [f64; N]) -> f64,
 ) {
-    let h = &h[..lanes];
-    for (s, (out, y)) in out.chunks_exact_mut(lanes).zip(y.chunks_exact(lanes)).enumerate() {
-        let k = rows_at(k, s, lanes);
-        for l in 0..lanes {
+    for s in 0..n {
+        let (y, k, out) = (w.row(y, s), rows_at(w, k, s), w.row_mut(out, s));
+        for l in 0..w.lanes() {
             let mut kl = [0.0; N];
             for (kl, row) in kl.iter_mut().zip(k) {
                 *kl = row[l];
@@ -833,80 +872,90 @@ fn stage_rows<const N: usize>(
 /// [`weighted_rms_norm`] sums for lane `l` alone — and `finite[l]` ← every
 /// component of lane `l`'s `y_new` is finite.
 #[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn error_rows(
-    lanes: usize,
-    h: &[f64],
+#[inline]
+fn error_rows<W: LaneWidth>(
+    w: W,
+    n: usize,
+    h: &W::Row<f64>,
     y: &[f64],
     y_new: &[f64],
     k: [&[f64]; 6],
     options: &SolverOptions,
-    err_sq: &mut [f64],
-    finite: &mut [bool],
+    err_sq: &mut W::Row<f64>,
+    finite: &mut W::Row<bool>,
 ) {
     let (abs_tol, rel_tol) = (options.abs_tol, options.rel_tol);
-    let (h, err_sq, finite) = (&h[..lanes], &mut err_sq[..lanes], &mut finite[..lanes]);
-    err_sq.fill(0.0);
-    finite.fill(true);
-    for (s, (y, y_new)) in y.chunks_exact(lanes).zip(y_new.chunks_exact(lanes)).enumerate() {
-        let [k1, k3, k4, k5, k6, k7] = rows_at(k, s, lanes);
-        for l in 0..lanes {
-            let e = h[l]
-                * (E1 * k1[l] + E3 * k3[l] + E4 * k4[l] + E5 * k5[l] + E6 * k6[l] + E7 * k7[l]);
-            let w = abs_tol + rel_tol * y[l].abs().max(y_new[l].abs());
-            let r = e / w;
-            err_sq[l] += r * r;
-            finite[l] &= y_new[l].is_finite();
-        }
-    }
+    w.reduce(0.0, err_sq, |err_sq| {
+        w.reduce(true, finite, |finite| {
+            for s in 0..n {
+                let (y, y_new) = (w.row(y, s), w.row(y_new, s));
+                let [k1, k3, k4, k5, k6, k7] = rows_at(w, k, s);
+                for l in 0..w.lanes() {
+                    let e = h[l]
+                        * (E1 * k1[l]
+                            + E3 * k3[l]
+                            + E4 * k4[l]
+                            + E5 * k5[l]
+                            + E6 * k6[l]
+                            + E7 * k7[l]);
+                    let scale = abs_tol + rel_tol * y[l].abs().max(y_new[l].abs());
+                    let r = e / scale;
+                    err_sq[l] += r * r;
+                    finite[l] &= y_new[l].is_finite();
+                }
+            }
+        });
+    });
 }
 
 /// The stiffness detector's two sums for every lane: `‖k7 − k6‖²` and
 /// `‖y_new − y_sti‖²`, each in species order.
-#[inline(always)]
-fn stiffness_rows(
-    lanes: usize,
+#[allow(clippy::too_many_arguments)]
+#[inline]
+fn stiffness_rows<W: LaneWidth>(
+    w: W,
+    n: usize,
     k6: &[f64],
     k7: &[f64],
     y_new: &[f64],
     y_sti: &[f64],
-    st_num: &mut [f64],
-    st_den: &mut [f64],
+    st_num: &mut W::Row<f64>,
+    st_den: &mut W::Row<f64>,
 ) {
-    let (st_num, st_den) = (&mut st_num[..lanes], &mut st_den[..lanes]);
-    st_num.fill(0.0);
-    st_den.fill(0.0);
-    for (s, (k6, k7)) in k6.chunks_exact(lanes).zip(k7.chunks_exact(lanes)).enumerate() {
-        let [y_new, y_sti] = rows_at([y_new, y_sti], s, lanes);
-        for l in 0..lanes {
-            let dk = k7[l] - k6[l];
-            let dy = y_new[l] - y_sti[l];
-            st_num[l] += dk * dk;
-            st_den[l] += dy * dy;
-        }
-    }
+    w.reduce(0.0, st_num, |st_num| {
+        w.reduce(0.0, st_den, |st_den| {
+            for s in 0..n {
+                let [k6, k7, y_new, y_sti] = rows_at(w, [k6, k7, y_new, y_sti], s);
+                for l in 0..w.lanes() {
+                    let dk = k7[l] - k6[l];
+                    let dy = y_new[l] - y_sti[l];
+                    st_num[l] += dk * dk;
+                    st_den[l] += dy * dy;
+                }
+            }
+        });
+    });
 }
 
 /// `y ← y_new` and the FSAL `k1 ← k7` in the lanes `advance` marks; the
-/// others (rejected, parked, never bound) keep their columns.
-#[inline(always)]
-fn advance_rows(
-    lanes: usize,
-    advance: &[bool],
+/// others (rejected, parked, never bound) keep their columns. A per-lane
+/// select, so every row is loaded, blended and stored whole.
+#[inline]
+fn advance_rows<W: LaneWidth>(
+    w: W,
+    n: usize,
+    advance: &W::Row<bool>,
     y_new: &[f64],
     k7: &[f64],
     y: &mut [f64],
     k1: &mut [f64],
 ) {
-    let advance = &advance[..lanes];
-    let from = y_new.chunks_exact(lanes).zip(k7.chunks_exact(lanes));
-    let to = y.chunks_exact_mut(lanes).zip(k1.chunks_exact_mut(lanes));
-    for ((y, k1), (y_new, k7)) in to.zip(from) {
-        for l in 0..lanes {
-            if advance[l] {
-                y[l] = y_new[l];
-                k1[l] = k7[l];
-            }
+    for s in 0..n {
+        let [y_new, k7] = rows_at(w, [y_new, k7], s);
+        let (y, k1) = (w.row_mut(y, s), w.row_mut(k1, s));
+        for l in 0..w.lanes() {
+            y[l] = if advance[l] { y_new[l] } else { y[l] };
+            k1[l] = if advance[l] { k7[l] } else { k1[l] };
         }
     }
 }
@@ -993,7 +1042,7 @@ mod tests {
                 Dopri5::new().solve(&sys, 0.0, &y0, &times, &opts()).unwrap()
             })
             .collect();
-        // 3 and 5 take the run-time-width copy of the row passes.
+        // 3 and 5 run the row passes on slice rows.
         for width in [1, 2, 3, 4, 5, 8] {
             let mut family = OscFamily::new(rates.clone(), width);
             let (results, report) = Dopri5Batch::new().solve_group(
@@ -1078,20 +1127,149 @@ mod tests {
         }
     }
 
+    /// The widths every row pass is pinned at: 1, 2, 4, 8 run on `[f64; L]`
+    /// rows, 3 and 5 on slices — one body, so the same bits.
+    const WIDTHS: [usize; 6] = [1, 2, 3, 4, 5, 8];
+
+    /// An `n × lanes` block of sign-mixed values, no two alike, with a
+    /// `-0.0` in every lane.
+    fn block(n: usize, lanes: usize, salt: f64) -> Vec<f64> {
+        (0..n * lanes)
+            .map(|i| if i / lanes == 1 { -0.0 } else { ((i as f64 + salt) * 0.7311).sin() * 3.5 })
+            .collect()
+    }
+
+    fn lane_of(block: &[f64], lanes: usize, l: usize) -> Vec<f64> {
+        block.iter().skip(l).step_by(lanes).copied().collect()
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn stage_rows_are_the_scalar_stage_in_every_lane() {
+        let n = 7;
+        for lanes in WIDTHS {
+            let h: Vec<f64> = (0..lanes).map(|l| 0.01 * (l + 1) as f64).collect();
+            let y = block(n, lanes, 0.0);
+            let k: Vec<Vec<f64>> = (1..=5).map(|j| block(n, lanes, 10.0 * j as f64)).collect();
+            let (mut first, mut sixth) = (vec![f64::NAN; n * lanes], vec![f64::NAN; n * lanes]);
+            with_lane_width!(lanes, |w| {
+                let h = w.row(&h, 0);
+                stage_rows(w, n, h, &y, [&k[0]], &mut first, |h, [k1]| h * A21 * k1);
+                let blocks = [&k[0][..], &k[1], &k[2], &k[3], &k[4]];
+                stage_rows(w, n, h, &y, blocks, &mut sixth, |h, [k1, k2, k3, k4, k5]| {
+                    h * (A61 * k1 + A62 * k2 + A63 * k3 + A64 * k4 + A65 * k5)
+                });
+            });
+            for l in 0..lanes {
+                let (y, h) = (lane_of(&y, lanes, l), h[l]);
+                let k: Vec<Vec<f64>> = k.iter().map(|k| lane_of(k, lanes, l)).collect();
+                let want_first: Vec<f64> = (0..n).map(|s| y[s] + h * A21 * k[0][s]).collect();
+                let want_sixth: Vec<f64> = (0..n)
+                    .map(|s| {
+                        y[s] + h
+                            * (A61 * k[0][s]
+                                + A62 * k[1][s]
+                                + A63 * k[2][s]
+                                + A64 * k[3][s]
+                                + A65 * k[4][s])
+                    })
+                    .collect();
+                let got = (bits(&lane_of(&first, lanes, l)), bits(&lane_of(&sixth, lanes, l)));
+                assert_eq!(got, (bits(&want_first), bits(&want_sixth)), "width {lanes}, lane {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn error_rows_are_the_scalar_norm_and_finiteness_in_every_lane() {
+        let n = 6;
+        let options = opts();
+        for lanes in WIDTHS {
+            let h: Vec<f64> = (0..lanes).map(|l| 0.02 * (l + 1) as f64).collect();
+            let y = block(n, lanes, 1.0);
+            let mut y_new = block(n, lanes, 2.0);
+            // One lane steps to NaN, one to infinity; the rest stay finite.
+            y_new[3 * lanes + lanes / 2] = f64::NAN;
+            y_new[4 * lanes + lanes - 1] = f64::NEG_INFINITY;
+            let k: Vec<Vec<f64>> = (1..=6).map(|j| block(n, lanes, 7.0 * j as f64)).collect();
+            // Stale reductions must not survive the pass.
+            let (mut err_sq, mut finite) = (vec![f64::NAN; lanes], vec![false; lanes]);
+            with_lane_width!(lanes, |w| {
+                let blocks = [&k[0][..], &k[1], &k[2], &k[3], &k[4], &k[5]];
+                let (err_sq, finite) = (w.row_mut(&mut err_sq, 0), w.row_mut(&mut finite, 0));
+                error_rows(w, n, w.row(&h, 0), &y, &y_new, blocks, &options, err_sq, finite);
+            });
+            for l in 0..lanes {
+                let (y, y_new) = (lane_of(&y, lanes, l), lane_of(&y_new, lanes, l));
+                let k: Vec<Vec<f64>> = k.iter().map(|k| lane_of(k, lanes, l)).collect();
+                let mut want = 0.0;
+                for s in 0..n {
+                    let e = h[l]
+                        * (E1 * k[0][s]
+                            + E3 * k[1][s]
+                            + E4 * k[2][s]
+                            + E5 * k[3][s]
+                            + E6 * k[4][s]
+                            + E7 * k[5][s]);
+                    let scale = options.abs_tol + options.rel_tol * y[s].abs().max(y_new[s].abs());
+                    want += (e / scale) * (e / scale);
+                }
+                assert_eq!(err_sq[l].to_bits(), want.to_bits(), "width {lanes}, lane {l}");
+                let all_finite = y_new.iter().all(|v| v.is_finite());
+                assert_eq!(finite[l], all_finite, "width {lanes}, lane {l}");
+                assert_eq!(all_finite, l != lanes / 2 && l != lanes - 1);
+            }
+        }
+    }
+
+    #[test]
+    fn stiffness_rows_are_the_detector_sums_in_every_lane() {
+        let n = 5;
+        for lanes in WIDTHS {
+            let [k6, k7, y_new, y_sti] = [3.0, 4.0, 5.0, 6.0].map(|salt| block(n, lanes, salt));
+            let (mut st_num, mut st_den) = (vec![f64::NAN; lanes], vec![f64::NAN; lanes]);
+            with_lane_width!(lanes, |w| {
+                let (num, den) = (w.row_mut(&mut st_num, 0), w.row_mut(&mut st_den, 0));
+                stiffness_rows(w, n, &k6, &k7, &y_new, &y_sti, num, den);
+            });
+            for l in 0..lanes {
+                let [k6, k7, y_new, y_sti] =
+                    [&k6, &k7, &y_new, &y_sti].map(|b| lane_of(b, lanes, l));
+                let (mut num, mut den) = (0.0, 0.0);
+                for s in 0..n {
+                    num += (k7[s] - k6[s]) * (k7[s] - k6[s]);
+                    den += (y_new[s] - y_sti[s]) * (y_new[s] - y_sti[s]);
+                }
+                let got = (st_num[l].to_bits(), st_den[l].to_bits());
+                assert_eq!(got, (num.to_bits(), den.to_bits()), "width {lanes}, lane {l}");
+            }
+        }
+    }
+
     #[test]
     fn advance_moves_only_the_marked_lanes() {
-        let (n, lanes) = (3, 5);
-        let block = |base: f64| (0..n * lanes).map(|i| base + i as f64).collect::<Vec<f64>>();
-        let (y_new, k7) = (block(100.0), block(200.0));
-        let advance = [true, false, false, true, false];
-        let (mut y, mut k1) = (block(0.0), block(50.0));
-        advance_rows(lanes, &advance, &y_new, &k7, &mut y, &mut k1);
-        for s in 0..n {
-            for l in 0..lanes {
-                let i = s * lanes + l;
-                let (want_y, want_k1) =
-                    if advance[l] { (y_new[i], k7[i]) } else { (i as f64, 50.0 + i as f64) };
-                assert_eq!((y[i], k1[i]), (want_y, want_k1), "species {s}, lane {l}");
+        let n = 3;
+        for lanes in WIDTHS {
+            let (y_new, k7) = (block(n, lanes, 100.0), block(n, lanes, 200.0));
+            let (y_old, k1_old) = (block(n, lanes, 0.0), block(n, lanes, 50.0));
+            // All-false, all-true and mixed masks.
+            let masks: [fn(usize) -> bool; 4] =
+                [|_| false, |_| true, |l| l % 3 == 0, |l| l % 2 == 1];
+            for mask in masks {
+                let advance: Vec<bool> = (0..lanes).map(mask).collect();
+                let (mut y, mut k1) = (y_old.clone(), k1_old.clone());
+                with_lane_width!(lanes, |w| {
+                    advance_rows(w, n, w.row(&advance, 0), &y_new, &k7, &mut y, &mut k1);
+                });
+                for i in 0..n * lanes {
+                    let (want_y, want_k1) =
+                        if advance[i % lanes] { (y_new[i], k7[i]) } else { (y_old[i], k1_old[i]) };
+                    let got = (y[i].to_bits(), k1[i].to_bits());
+                    assert_eq!(got, (want_y.to_bits(), want_k1.to_bits()), "width {lanes}, {i}");
+                }
             }
         }
     }

@@ -50,7 +50,7 @@ use crate::radau5::{
 };
 use crate::system::check_inputs;
 use crate::{Solution, SolveFailure, SolverError, SolverOptions, SolverScratch, StepStats};
-use paraspace_linalg::{BatchCluFactor, BatchLuFactor, Complex64};
+use paraspace_linalg::{with_lane_width, BatchCluFactor, BatchLuFactor, Complex64, LaneWidth};
 
 /// Pooled working storage for one lockstep Radau lane-group integration:
 /// SoA blocks for the state, stage values, transformed Newton variables and
@@ -789,49 +789,15 @@ fn solve_queue_impl(
             c.sol.stats.linear_solves += 2;
         }
 
-        // Stage right-hand sides.
-        {
-            let (yv, zv) = (y.as_slice(), z1.as_slice());
-            let st = stage.as_mut_slice();
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    st[b + l] = yv[b + l] + zv[b + l];
-                }
-            }
+        // Stage right-hand sides (the last node is t + h: 1·h is exact).
+        for (c, z, f) in [(c1, &*z1, &mut *f1), (c2, &*z2, &mut *f2), (1.0, &*z3, &mut *f3)] {
+            let (y, z, out) = (y.as_slice(), z.as_slice(), stage.as_mut_slice());
+            with_lane_width!(lanes, |w| stage_argument_rows(w, n, y, z, out));
             for l in 0..lanes {
-                t_stage[l] = t[l] + c1 * h[l];
+                t_stage[l] = t[l] + c * h[l];
             }
+            system.rhs_batch(t_stage, stage, f);
         }
-        system.rhs_batch(t_stage, stage, f1);
-        {
-            let (yv, zv) = (y.as_slice(), z2.as_slice());
-            let st = stage.as_mut_slice();
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    st[b + l] = yv[b + l] + zv[b + l];
-                }
-            }
-            for l in 0..lanes {
-                t_stage[l] = t[l] + c2 * h[l];
-            }
-        }
-        system.rhs_batch(t_stage, stage, f2);
-        {
-            let (yv, zv) = (y.as_slice(), z3.as_slice());
-            let st = stage.as_mut_slice();
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    st[b + l] = yv[b + l] + zv[b + l];
-                }
-            }
-            for l in 0..lanes {
-                t_stage[l] = t[l] + h[l];
-            }
-        }
-        system.rhs_batch(t_stage, stage, f3);
 
         // Transformed residuals, lane-wide.
         for l in 0..lanes {
@@ -839,60 +805,36 @@ fn solve_queue_impl(
             alphnv[l] = ALPH / h[l];
             betanv[l] = BETA / h[l];
         }
-        {
-            let (f1v, f2v, f3v) = (f1.as_slice(), f2.as_slice(), f3.as_slice());
-            let (w1v, w2v, w3v) = (w1.as_slice(), w2.as_slice(), w3.as_slice());
-            let rr = rhs_real.as_mut_slice();
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    let fw1 = TI11 * f1v[b + l] + TI12 * f2v[b + l] + TI13 * f3v[b + l];
-                    let fw2 = TI21 * f1v[b + l] + TI22 * f2v[b + l] + TI23 * f3v[b + l];
-                    let fw3 = TI31 * f1v[b + l] + TI32 * f2v[b + l] + TI33 * f3v[b + l];
-                    rr[b + l] = fw1 - fac1v[l] * w1v[b + l];
-                    rhs_cplx[b + l] = Complex64::new(
-                        fw2 - (alphnv[l] * w2v[b + l] - betanv[l] * w3v[b + l]),
-                        fw3 - (alphnv[l] * w3v[b + l] + betanv[l] * w2v[b + l]),
-                    );
-                }
-            }
-        }
+        with_lane_width!(lanes, |w| residual_rows(
+            w,
+            n,
+            [w.row(fac1v, 0), w.row(alphnv, 0), w.row(betanv, 0)],
+            [f1.as_slice(), f2.as_slice(), f3.as_slice()],
+            [w1.as_slice(), w2.as_slice(), w3.as_slice()],
+            rhs_real.as_mut_slice(),
+            rhs_cplx,
+        ));
         lu_real.solve_lanes(rhs_real.as_mut_slice(), newton_mask);
         lu_cplx.solve_lanes(rhs_cplx, newton_mask);
 
-        // Update w and accumulate the displacement norm, lane-wide.
-        {
-            let rr = rhs_real.as_slice();
-            let (w1v, w2v, w3v) = (w1.as_mut_slice(), w2.as_mut_slice(), w3.as_mut_slice());
-            let sc = scale.as_slice();
-            dyno_acc.fill(0.0);
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    let d1 = rr[b + l];
-                    let d2 = rhs_cplx[b + l].re;
-                    let d3 = rhs_cplx[b + l].im;
-                    w1v[b + l] += d1;
-                    w2v[b + l] += d2;
-                    w3v[b + l] += d3;
-                    let sv = sc[b + l];
-                    dyno_acc[l] += (d1 / sv).powi(2) + (d2 / sv).powi(2) + (d3 / sv).powi(2);
-                }
-            }
-        }
-        // Back-transform to z, lane-wide.
-        {
-            let (w1v, w2v, w3v) = (w1.as_slice(), w2.as_slice(), w3.as_slice());
-            let (z1v, z2v, z3v) = (z1.as_mut_slice(), z2.as_mut_slice(), z3.as_mut_slice());
-            for s in 0..n {
-                let b = s * lanes;
-                for l in 0..lanes {
-                    z1v[b + l] = T11 * w1v[b + l] + T12 * w2v[b + l] + T13 * w3v[b + l];
-                    z2v[b + l] = T21 * w1v[b + l] + T22 * w2v[b + l] + T23 * w3v[b + l];
-                    z3v[b + l] = T31 * w1v[b + l] + w2v[b + l];
-                }
-            }
-        }
+        // Update w with the displacement norm's sums, back-transform to z.
+        with_lane_width!(lanes, |w| {
+            update_rows(
+                w,
+                n,
+                rhs_real.as_slice(),
+                rhs_cplx,
+                scale.as_slice(),
+                [w1.as_mut_slice(), w2.as_mut_slice(), w3.as_mut_slice()],
+                w.row_mut(dyno_acc, 0),
+            );
+            back_transform_rows(
+                w,
+                n,
+                [w1.as_slice(), w2.as_slice(), w3.as_slice()],
+                [z1.as_mut_slice(), z2.as_mut_slice(), z3.as_mut_slice()],
+            );
+        });
 
         // Per-lane convergence control (the scalar iteration's tail).
         for lane in 0..lanes {
@@ -1233,6 +1175,100 @@ fn solve_queue_impl(
     (results, report)
 }
 
+// The Newton iteration's row passes: every formula is the scalar solver's,
+// term for term, and lanes outside the Newton mask flow through with
+// whatever they hold. Plain `#[inline]`, not `inline(always)`, for the
+// reason given at `dopri5_batch::stage_rows`.
+
+/// A stage argument for all lanes: `out ← y + z`.
+#[inline]
+fn stage_argument_rows<W: LaneWidth>(w: W, n: usize, y: &[f64], z: &[f64], out: &mut [f64]) {
+    for s in 0..n {
+        let (y, z, out) = (w.row(y, s), w.row(z, s), w.row_mut(out, s));
+        for l in 0..w.lanes() {
+            out[l] = y[l] + z[l];
+        }
+    }
+}
+
+/// The Newton residuals in the transformed variables: `T⁻¹·f − Λ/h·w`, the
+/// real component into `rhs_real`, the complex pair into `rhs_cplx`.
+/// `[fac1, alphn, betan]` are the per-lane `U1/h`, `α/h`, `β/h` rows.
+#[inline]
+fn residual_rows<W: LaneWidth>(
+    w: W,
+    n: usize,
+    [fac1, alphn, betan]: [&W::Row<f64>; 3],
+    [f1, f2, f3]: [&[f64]; 3],
+    [w1, w2, w3]: [&[f64]; 3],
+    rhs_real: &mut [f64],
+    rhs_cplx: &mut [Complex64],
+) {
+    for s in 0..n {
+        let (f1, f2, f3) = (w.row(f1, s), w.row(f2, s), w.row(f3, s));
+        let (w1, w2, w3) = (w.row(w1, s), w.row(w2, s), w.row(w3, s));
+        let (rhs_real, rhs_cplx) = (w.row_mut(rhs_real, s), w.row_mut(rhs_cplx, s));
+        for l in 0..w.lanes() {
+            let fw1 = TI11 * f1[l] + TI12 * f2[l] + TI13 * f3[l];
+            let fw2 = TI21 * f1[l] + TI22 * f2[l] + TI23 * f3[l];
+            let fw3 = TI31 * f1[l] + TI32 * f2[l] + TI33 * f3[l];
+            rhs_real[l] = fw1 - fac1[l] * w1[l];
+            rhs_cplx[l] = Complex64::new(
+                fw2 - (alphn[l] * w2[l] - betan[l] * w3[l]),
+                fw3 - (alphn[l] * w3[l] + betan[l] * w2[l]),
+            );
+        }
+    }
+}
+
+/// `w ← w + Δw` from the solved right-hand sides, and `dyno[l] ←
+/// Σ_s (Δw₁/sc)² + (Δw₂/sc)² + (Δw₃/sc)²` in species order — the sum under
+/// the scalar solver's displacement norm.
+#[inline]
+fn update_rows<W: LaneWidth>(
+    w: W,
+    n: usize,
+    rhs_real: &[f64],
+    rhs_cplx: &[Complex64],
+    scale: &[f64],
+    [w1, w2, w3]: [&mut [f64]; 3],
+    dyno: &mut W::Row<f64>,
+) {
+    w.reduce(0.0, dyno, |dyno| {
+        for s in 0..n {
+            let (rr, rc, sc) = (w.row(rhs_real, s), w.row(rhs_cplx, s), w.row(scale, s));
+            let (w1, w2, w3) = (w.row_mut(w1, s), w.row_mut(w2, s), w.row_mut(w3, s));
+            for l in 0..w.lanes() {
+                let (d1, d2, d3) = (rr[l], rc[l].re, rc[l].im);
+                w1[l] += d1;
+                w2[l] += d2;
+                w3[l] += d3;
+                let sv = sc[l];
+                dyno[l] += (d1 / sv).powi(2) + (d2 / sv).powi(2) + (d3 / sv).powi(2);
+            }
+        }
+    });
+}
+
+/// `z ← T·w`: back from the transformed variables to the stage increments.
+#[inline]
+fn back_transform_rows<W: LaneWidth>(
+    w: W,
+    n: usize,
+    [w1, w2, w3]: [&[f64]; 3],
+    [z1, z2, z3]: [&mut [f64]; 3],
+) {
+    for s in 0..n {
+        let (w1, w2, w3) = (w.row(w1, s), w.row(w2, s), w.row(w3, s));
+        let (z1, z2, z3) = (w.row_mut(z1, s), w.row_mut(z2, s), w.row_mut(z3, s));
+        for l in 0..w.lanes() {
+            z1[l] = T11 * w1[l] + T12 * w2[l] + T13 * w3[l];
+            z2[l] = T21 * w1[l] + T22 * w2[l] + T23 * w3[l];
+            z3[l] = T31 * w1[l] + w2[l];
+        }
+    }
+}
+
 /// The per-lane strided equivalent of
 /// [`weighted_rms_norm`](paraspace_linalg::weighted_rms_norm): identical
 /// summation order over components.
@@ -1374,7 +1410,8 @@ mod tests {
         assert!(reference
             .iter()
             .any(|s| s.stats.lu_decompositions < 2 * (s.stats.accepted + s.stats.rejected)));
-        for width in [1, 2, 4, 8] {
+        // 3 and 5 run the Newton row passes on slice rows.
+        for width in [1, 2, 3, 4, 5, 8] {
             let mut family = VdpFamily::new(mus.clone(), width);
             let (results, report) = Radau5Batch::new().solve_group(
                 &mut family,
