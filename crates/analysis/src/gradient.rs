@@ -42,7 +42,7 @@ use crate::pso::PsoResult;
 use paraspace_core::{RbmSensSystem, STIFFNESS_THRESHOLD};
 use paraspace_journal::codec::{Dec, Enc};
 use paraspace_journal::{fnv64, CampaignManifest, JournalError};
-use paraspace_linalg::{dominant_eigenvalue_estimate, Matrix};
+use paraspace_linalg::{dominant_eigenvalue_estimate_on, Matrix};
 use paraspace_rbm::CompiledOdes;
 use paraspace_solvers::{Dopri5Sens, Radau5Sens, SensSolution};
 use rand::rngs::StdRng;
@@ -192,7 +192,8 @@ impl<'p, 'a> GradientObjective<'p, 'a> {
             SensSolverKind::Radau5 => true,
             SensSolverKind::Auto => {
                 self.odes.jacobian_with(&self.x0, k, &mut self.jac);
-                dominant_eigenvalue_estimate(&self.jac) >= STIFFNESS_THRESHOLD
+                dominant_eigenvalue_estimate_on(&self.jac, self.odes.jacobian_sparsity())
+                    >= STIFFNESS_THRESHOLD
             }
         }
     }
@@ -750,7 +751,7 @@ pub fn local_sensitivities(
         SensSolverKind::Auto => {
             let mut jac = Matrix::zeros(n, n);
             odes.jacobian_with(&x0, &k, &mut jac);
-            dominant_eigenvalue_estimate(&jac) >= STIFFNESS_THRESHOLD
+            dominant_eigenvalue_estimate_on(&jac, odes.jacobian_sparsity()) >= STIFFNESS_THRESHOLD
         }
     };
     let sys = RbmSensSystem::new(&odes, k.clone(), which.to_vec());

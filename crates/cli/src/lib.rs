@@ -28,7 +28,7 @@ use paraspace_analysis::pso::PsoConfig;
 pub use paraspace_core::CancelToken;
 use paraspace_core::{
     recommend_engine, taxonomy, CoarseEngine, CpuEngine, CpuSolverKind, Executor, FineCoarseEngine,
-    FineEngine, Host, RecoveryPolicy, SimOutcome, SimulationJob, Simulator,
+    FineEngine, Host, MemberSink, RecoveryPolicy, SimOutcome, SimulationJob, Simulator,
 };
 use paraspace_journal::codec::{Dec, Enc};
 use paraspace_journal::lease::{LeaseConfig, RetryState};
@@ -48,6 +48,7 @@ use rand::SeedableRng;
 use std::cell::RefCell;
 use std::fmt;
 use std::path::{Path, PathBuf};
+use std::sync::{Mutex, Once};
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -987,23 +988,94 @@ struct MemberRecord {
 }
 
 impl MemberRecord {
-    /// The member → (file name, body, label) mapping every `simulate` path
-    /// shares.
-    fn of(job: &SimulationJob, o: &SimOutcome) -> Self {
+    /// The record of a member as the engine's [`MemberSink`] delivers it:
+    /// the dynamics text of a success, the enriched report of a failure.
+    fn new(o: &SimOutcome, dynamics: Option<&str>) -> Self {
         match &o.solution {
-            Ok(sol) => {
-                MemberRecord { ok: true, label: String::new(), body: job.serialize_dynamics(sol) }
-            }
             Err(e) => {
                 MemberRecord { ok: false, label: taxonomy(e).to_string(), body: error_report(o) }
             }
+            Ok(_) => MemberRecord {
+                ok: true,
+                label: String::new(),
+                body: dynamics.expect("a successful member is delivered with its text").to_string(),
+            },
         }
     }
 
     /// Writes the member's output file, named by its batch index.
     fn write(&self, out_path: &Path, index: usize) -> std::io::Result<()> {
-        let ext = if self.ok { "tsv" } else { "err" };
-        std::fs::write(out_path.join(format!("dynamics_{index:05}.{ext}")), &self.body)
+        std::fs::write(artifact_path(out_path, index, self.ok), &self.body)
+    }
+}
+
+/// The file of batch member `index`: `dynamics_NNNNN.tsv` for a trajectory,
+/// `.err` for a failure report.
+fn artifact_path(out_path: &Path, index: usize, ok: bool) -> PathBuf {
+    let ext = if ok { "tsv" } else { "err" };
+    out_path.join(format!("dynamics_{index:05}.{ext}"))
+}
+
+/// Whether a file name is one [`artifact_path`] produces, for any member.
+fn is_member_artifact(name: &std::ffi::OsStr) -> bool {
+    name.to_str()
+        .and_then(|name| name.strip_prefix("dynamics_"))
+        .and_then(|rest| rest.strip_suffix(".tsv").or_else(|| rest.strip_suffix(".err")))
+        .is_some_and(|index| !index.is_empty() && index.bytes().all(|b| b.is_ascii_digit()))
+}
+
+/// Removes the member artifacts an earlier campaign left in `out_path`, so
+/// what the directory holds afterwards is this campaign's batch and nothing
+/// else (a smaller batch, or a member that now fails, would otherwise sit
+/// beside the old run's files). Other files are not touched.
+fn remove_stale_artifacts(out_path: &Path) -> std::io::Result<()> {
+    for entry in std::fs::read_dir(out_path)? {
+        let entry = entry?;
+        if is_member_artifact(&entry.file_name()) {
+            std::fs::remove_file(entry.path())?;
+        }
+    }
+    Ok(())
+}
+
+/// Creates the directory `flag` names, parents included, before anything
+/// is computed for it.
+fn create_dir_for(flag: &str, path: &Path) -> Result<(), CliError> {
+    std::fs::create_dir_all(path)
+        .map_err(|e| CliError(format!("cannot create {flag} directory {}: {e}", path.display())))
+}
+
+/// Plain `simulate`'s sink: each member's artifact is written by the worker
+/// that formatted it, as the engine delivers it, so no member's text
+/// outlives the call and at most `--threads` bodies exist at a time.
+struct ArtifactWriter<'a> {
+    out_path: &'a Path,
+    /// Clears the previous campaign's artifacts before the first write (a
+    /// run that fails or is cancelled delivers nobody and leaves them).
+    cleared: Once,
+    /// The first I/O failure, reported after the run.
+    error: Mutex<Option<std::io::Error>>,
+}
+
+impl MemberSink for ArtifactWriter<'_> {
+    fn member(&self, index: usize, outcome: &SimOutcome, dynamics: Option<&str>) {
+        let write = || {
+            let mut cleared = Ok(());
+            self.cleared.call_once(|| cleared = remove_stale_artifacts(self.out_path));
+            cleared?;
+            let report;
+            let body = match dynamics {
+                Some(text) => text,
+                None => {
+                    report = error_report(outcome);
+                    &report
+                }
+            };
+            std::fs::write(artifact_path(self.out_path, index, dynamics.is_some()), body)
+        };
+        if let Err(e) = write() {
+            self.error.lock().expect("no writer panics holding the lock").get_or_insert(e);
+        }
     }
 }
 
@@ -1068,7 +1140,8 @@ fn materialize<'a>(
     shards: impl IntoIterator<Item = Result<(ShardOutcome, &'a [usize]), CliError>>,
     out: &mut dyn std::io::Write,
 ) -> Result<(), CliError> {
-    std::fs::create_dir_all(out_path)?;
+    create_dir_for("--out", out_path)?;
+    remove_stale_artifacts(out_path)?;
     let mut ok_count = 0usize;
     let mut total_ns = 0.0f64;
     let mut integration_ns = 0.0f64;
@@ -1186,6 +1259,7 @@ pub fn execute_with_cancel(
         }
         Command::Simulate { checkpoint_dir: None, .. } => simulate_plain(cmd, out, cancel),
         Command::Simulate { checkpoint_dir: Some(dir), workers, listen, .. } => {
+            create_dir_for("--checkpoint-dir", dir)?;
             let world = SimulateWorld::load(cmd)?;
             let checkpoint = Checkpoint::new(dir).with_cancel(cancel.clone());
             if *workers > 0 || listen.is_some() {
@@ -1959,9 +2033,9 @@ impl SimulateInputs {
 }
 
 /// Plain `simulate`: the campaign with no journal, and a different shape —
-/// one engine batch over all members, then serialise-and-write per member
-/// on the executor, so at most `--threads` member bodies exist at a time
-/// (a journaled shard buffers every member body it holds).
+/// one engine batch over all members, each written by [`ArtifactWriter`] as
+/// the engine's P5 tail formats it (a journaled shard buffers every member
+/// body it holds).
 fn simulate_plain(
     cmd: &Command,
     out: &mut dyn std::io::Write,
@@ -1981,12 +2055,13 @@ fn simulate_plain(
             return Ok(());
         }
     };
-    let result = inputs.engine(cancel).run(&job)?;
-    std::fs::create_dir_all(&out_path)?;
-    let written = Executor::new(inputs.threads).map(result.outcomes.len(), |i| {
-        MemberRecord::of(&job, &result.outcomes[i]).write(&out_path, i)
-    });
-    written.into_iter().collect::<std::io::Result<()>>()?;
+    create_dir_for("--out", &out_path)?;
+    let writer =
+        ArtifactWriter { out_path: &out_path, cleared: Once::new(), error: Mutex::new(None) };
+    let result = inputs.engine(cancel).run_into(&job, &writer)?;
+    if let Some(e) = writer.error.into_inner().expect("no writer panics holding the lock") {
+        return Err(CliError(format!("cannot write artifacts to {}: {e}", out_path.display())));
+    }
     writeln!(
         out,
         "{}: {}/{} simulations ok; simulated {:.3} ms (integration {:.3} ms, i/o {:.3} ms); host wall {:.1?}",
@@ -2087,9 +2162,19 @@ impl SimulateWorld {
             Ok(job) => job,
             Err(invalid) => return Ok(invalid.encode()),
         };
-        let result = engine.run(&job)?;
+        let records: Mutex<Vec<Option<MemberRecord>>> =
+            Mutex::new((0..job.batch_size()).map(|_| None).collect());
+        let collect = |i: usize, o: &SimOutcome, text: Option<&str>| {
+            let record = MemberRecord::new(o, text);
+            records.lock().expect("no collector panics holding the lock")[i] = Some(record);
+        };
+        let result = engine.run_into(&job, &collect)?;
+        let records = records.into_inner().expect("no collector panics holding the lock");
         Ok(ShardOutcome {
-            members: result.outcomes.iter().map(|o| MemberRecord::of(&job, o)).collect(),
+            members: records
+                .into_iter()
+                .map(|r| r.expect("the engine delivers every member"))
+                .collect(),
             total_ns: result.timing.simulated_total_ns,
             integration_ns: result.timing.simulated_integration_ns,
             io_ns: result.timing.simulated_io_ns,

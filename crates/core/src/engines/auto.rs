@@ -7,7 +7,7 @@
 //! the winning engine, recording which one ran.
 
 use crate::engines::host::Engine;
-use crate::engines::{BatchResult, Simulator};
+use crate::engines::{discard, BatchResult, MemberSink, Simulator};
 use crate::{
     recommend_engine, CoarseEngine, CpuEngine, CpuSolverKind, EngineKind, FineCoarseEngine,
     FineEngine, SimError, SimulationJob,
@@ -57,12 +57,22 @@ impl Simulator for Engine<Auto> {
     }
 
     fn run(&self, job: &SimulationJob) -> Result<BatchResult, SimError> {
+        self.run_into(job, &discard)
+    }
+
+    fn run_into(
+        &self,
+        job: &SimulationJob,
+        sink: &dyn MemberSink,
+    ) -> Result<BatchResult, SimError> {
         let host = self.host.clone();
         match self.selection(job) {
-            EngineKind::Cpu => CpuEngine::new(CpuSolverKind::Lsoda).with_host(host).run(job),
-            EngineKind::Coarse => CoarseEngine::new().with_host(host).run(job),
-            EngineKind::Fine => FineEngine::new().with_host(host).run(job),
-            EngineKind::FineCoarse => FineCoarseEngine::new().with_host(host).run(job),
+            EngineKind::Cpu => {
+                CpuEngine::new(CpuSolverKind::Lsoda).with_host(host).run_into(job, sink)
+            }
+            EngineKind::Coarse => CoarseEngine::new().with_host(host).run_into(job, sink),
+            EngineKind::Fine => FineEngine::new().with_host(host).run_into(job, sink),
+            EngineKind::FineCoarse => FineCoarseEngine::new().with_host(host).run_into(job, sink),
         }
     }
 }

@@ -12,7 +12,7 @@
 use crate::engines::host::{
     device_clocks, encoding_bytes, h2d_bytes, DeviceModel, Engine, Settled, PCIE_BYTES_PER_NS,
 };
-use crate::engines::{BatchResult, Simulator};
+use crate::engines::{discard, BatchResult, MemberSink, Simulator};
 use crate::recovery::solve_members_recovered;
 use crate::{SimError, SimulationJob, WorkEstimate};
 use paraspace_solvers::{Lsoda, OdeSolver};
@@ -99,6 +99,14 @@ impl Simulator for Engine<Coarse> {
     }
 
     fn run(&self, job: &SimulationJob) -> Result<BatchResult, SimError> {
+        self.run_into(job, &discard)
+    }
+
+    fn run_into(
+        &self,
+        job: &SimulationJob,
+        sink: &dyn MemberSink,
+    ) -> Result<BatchResult, SimError> {
         let start = Instant::now();
         let model = &self.model;
         let device = Device::new(model.device_config.clone());
@@ -166,7 +174,7 @@ impl Simulator for Engine<Coarse> {
         );
 
         let clocks = device_clocks(&device, "io::d2h", "io::write");
-        Ok(self.host.finish(self.name(), job, start, settled, None, clocks))
+        Ok(self.host.finish(self.name(), start, settled, None, sink, clocks))
     }
 }
 

@@ -1,7 +1,7 @@
 //! The sequential CPU baselines (LSODA / VODE).
 
 use crate::engines::host::{Engine, Host, Settled};
-use crate::engines::{BatchResult, Simulator, IO_BYTES_PER_NS};
+use crate::engines::{discard, BatchResult, MemberSink, Simulator, IO_BYTES_PER_NS};
 use crate::recovery::solve_members_recovered;
 use crate::{CpuCostModel, SimError, SimulationJob, WorkEstimate};
 use paraspace_solvers::{Lsoda, OdeSolver, Vode};
@@ -72,6 +72,14 @@ impl Simulator for Engine<Cpu> {
     }
 
     fn run(&self, job: &SimulationJob) -> Result<BatchResult, SimError> {
+        self.run_into(job, &discard)
+    }
+
+    fn run_into(
+        &self,
+        job: &SimulationJob,
+        sink: &dyn MemberSink,
+    ) -> Result<BatchResult, SimError> {
         let start = Instant::now();
         let (lsoda, vode) = (Lsoda::new(), Vode::new());
         let solver: &dyn OdeSolver = match self.model.kind {
@@ -96,7 +104,7 @@ impl Simulator for Engine<Cpu> {
         let cost_model = &self.model.cost_model;
         let integration_ns =
             cost_model.time_ns(&work) + job.batch_size() as f64 * cost_model.per_sim_overhead_ns;
-        Ok(self.host.finish(self.name(), job, start, settled, None, |out_bytes| {
+        Ok(self.host.finish(self.name(), start, settled, None, sink, |out_bytes| {
             let io_ns = out_bytes as f64 / IO_BYTES_PER_NS;
             [integration_ns + io_ns, integration_ns, io_ns]
         }))

@@ -37,7 +37,7 @@
 use crate::engines::host::{
     device_clocks, h2d_bytes, lane_group_stats, DeviceModel, Engine, Settled, PCIE_BYTES_PER_NS,
 };
-use crate::engines::{attempt_stats, group_stats, BatchResult, Simulator};
+use crate::engines::{attempt_stats, discard, group_stats, BatchResult, MemberSink, Simulator};
 use crate::lanes::{solve_lane_groups, Lockstep};
 use crate::recovery::{contained_attempt, continue_ladder, solve_members_recovered};
 use crate::{SimError, SimulationJob, WorkEstimate, STIFFNESS_THRESHOLD};
@@ -128,7 +128,11 @@ impl Engine<Fine> {
 
     /// The published scalar baseline: one simulation at a time, species
     /// across threads, host launches at every step.
-    fn run_scalar(&self, job: &SimulationJob) -> Result<BatchResult, SimError> {
+    fn run_scalar(
+        &self,
+        job: &SimulationJob,
+        sink: &dyn MemberSink,
+    ) -> Result<BatchResult, SimError> {
         let start = Instant::now();
         let device = self.upload(job);
         let (rkf, bdf1) = (Rkf45::new(), Bdf::with_max_order(1));
@@ -158,12 +162,17 @@ impl Engine<Fine> {
             settled.settle(rs.solution, false, rs.solver, rs.log);
         }
         let clocks = device_clocks(&device, "io::d2h", "io::write");
-        Ok(self.host.finish(self.name(), job, start, settled, None, clocks))
+        Ok(self.host.finish(self.name(), start, settled, None, sink, clocks))
     }
 
     /// The lane-batched path: lockstep lane-groups, with masked per-lane
     /// step control and lane compaction.
-    fn run_lanes(&self, job: &SimulationJob, width: usize) -> Result<BatchResult, SimError> {
+    fn run_lanes(
+        &self,
+        job: &SimulationJob,
+        width: usize,
+        sink: &dyn MemberSink,
+    ) -> Result<BatchResult, SimError> {
         let start = Instant::now();
         let device = self.upload(job);
 
@@ -189,7 +198,7 @@ impl Engine<Fine> {
         }
         let lanes = Some(device.lane_accounting());
         let clocks = device_clocks(&device, "io::d2h", "io::write");
-        Ok(self.host.finish(self.name(), job, start, settled, lanes, clocks))
+        Ok(self.host.finish(self.name(), start, settled, lanes, sink, clocks))
     }
 
     /// Solves `members` as one lane-group of width `width`:
@@ -373,14 +382,22 @@ impl Simulator for Engine<Fine> {
     }
 
     fn run(&self, job: &SimulationJob) -> Result<BatchResult, SimError> {
+        self.run_into(job, &discard)
+    }
+
+    fn run_into(
+        &self,
+        job: &SimulationJob,
+        sink: &dyn MemberSink,
+    ) -> Result<BatchResult, SimError> {
         // Falls back to scalar — emitting a note when `PARASPACE_DEBUG=1` —
         // when the model mixes kinetics the batched flux pass does not
         // cover, rather than asserting deep inside the lane path.
         let width = crate::lanes::resolve_lane_width(self.model.lane_width, job, "fine", false);
         if width <= 1 {
-            self.run_scalar(job)
+            self.run_scalar(job, sink)
         } else {
-            self.run_lanes(job, width)
+            self.run_lanes(job, width, sink)
         }
     }
 }

@@ -36,7 +36,7 @@ use crate::engines::host::{
     device_clocks, h2d_bytes, lane_group_stats, DeviceModel, Engine, Host, Settled,
     PCIE_BYTES_PER_NS,
 };
-use crate::engines::{attempt_stats, group_stats, BatchResult, Simulator};
+use crate::engines::{attempt_stats, discard, group_stats, BatchResult, MemberSink, Simulator};
 use crate::lanes::{explicit_lane_width, solve_queue, Lockstep, MEMBERS_PER_LANE};
 use crate::recovery::{contained_attempt, continue_ladder, RecoveryLog};
 use crate::{classify_batch_with_threshold, SimError, SimulationJob, StiffnessClass, WorkEstimate};
@@ -436,6 +436,14 @@ impl Simulator for Engine<FineCoarse> {
     }
 
     fn run(&self, job: &SimulationJob) -> Result<BatchResult, SimError> {
+        self.run_into(job, &discard)
+    }
+
+    fn run_into(
+        &self,
+        job: &SimulationJob,
+        sink: &dyn MemberSink,
+    ) -> Result<BatchResult, SimError> {
         let start = Instant::now();
         let (host, model) = (&self.host, &self.model);
         let device = Device::with_dp_model(model.device_config.clone(), model.dp_model.clone());
@@ -544,7 +552,7 @@ impl Simulator for Engine<FineCoarse> {
 
         // P5: device→host transfer plus output writing.
         let clocks = device_clocks(&device, "io::p5_d2h", "io::p5_write");
-        Ok(host.finish(self.name(), job, start, settled, None, clocks))
+        Ok(host.finish(self.name(), start, settled, None, sink, clocks))
     }
 }
 

@@ -10,8 +10,9 @@
 //! [`BatchResult`].
 
 use crate::engines::{
-    output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, IO_BYTES_PER_NS,
+    BatchHealth, BatchResult, BatchTiming, MemberSink, SimOutcome, IO_BYTES_PER_NS,
 };
+use crate::job::write_dynamics;
 use crate::lanes::Lockstep;
 use crate::recovery::{RecoveryLog, RecoveryPolicy};
 use crate::{RbmBatchSystem, SimulationJob};
@@ -187,19 +188,20 @@ impl Host {
         }
     }
 
-    /// The shared tail: prices P5 on the successful outputs' size and
-    /// assembles the result. `clocks` gets the output bytes and answers the
-    /// modeled `[total, integration, io]` times in ns.
+    /// The shared tail: hands every member to `sink`, prices P5 on the
+    /// size of the texts the sink was given, and assembles the result.
+    /// `clocks` gets the output bytes and answers the modeled `[total,
+    /// integration, io]` times in ns.
     pub(crate) fn finish(
         &self,
         engine: &'static str,
-        job: &SimulationJob,
         start: Instant,
         settled: Settled,
         lanes: Option<LaneAccounting>,
+        sink: &dyn MemberSink,
         clocks: impl FnOnce(u64) -> [f64; 3],
     ) -> BatchResult {
-        let [total, integration, io] = clocks(output_bytes(job, &settled.outcomes, &self.executor));
+        let [total, integration, io] = clocks(deliver(&self.executor, &settled.outcomes, sink));
         BatchResult {
             engine,
             outcomes: settled.outcomes,
@@ -213,6 +215,30 @@ impl Host {
             health: settled.health,
         }
     }
+}
+
+/// Phase P5 on the host: each successful member's dynamics text is
+/// formatted once, on `executor`'s workers, into a buffer its worker
+/// reuses, and every member goes to `sink`. Returns the total bytes of
+/// those texts (the P5 cost driver; a `u64` sum does not depend on the
+/// order it is taken in).
+pub(crate) fn deliver(executor: &Executor, outcomes: &[SimOutcome], sink: &dyn MemberSink) -> u64 {
+    let member_bytes = |text: &mut String, i: usize| {
+        let outcome = &outcomes[i];
+        match &outcome.solution {
+            Ok(solution) => {
+                text.clear();
+                write_dynamics(solution, text);
+                sink.member(i, outcome, Some(text));
+                text.len() as u64
+            }
+            Err(_) => {
+                sink.member(i, outcome, None);
+                0
+            }
+        }
+    };
+    executor.map_with(outcomes.len(), String::new, member_bytes).into_iter().sum()
 }
 
 /// The clocks of an engine that bills on a modeled device: records the

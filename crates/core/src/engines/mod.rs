@@ -46,7 +46,77 @@ pub trait Simulator {
     /// Job-level failures only ([`SimError`]); per-simulation solver
     /// failures are recorded in the corresponding [`SimOutcome`].
     fn run(&self, job: &SimulationJob) -> Result<BatchResult, SimError>;
+
+    /// [`run`](Self::run), with every member also handed to `sink` (see
+    /// [`MemberSink`] for the contract). The five engines feed the sink
+    /// from their shared P5 tail, on their workers, and their `run` is
+    /// this with a sink that ignores what it is given. The provided body
+    /// serves a simulator that wraps another and implements only `run`: it
+    /// delivers after the fact, on the calling thread.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run); the sink is not called when the run fails.
+    fn run_into(
+        &self,
+        job: &SimulationJob,
+        sink: &dyn MemberSink,
+    ) -> Result<BatchResult, SimError> {
+        let result = self.run(job)?;
+        host::deliver(&paraspace_exec::Executor::sequential(), &result.outcomes, sink);
+        Ok(result)
+    }
 }
+
+/// Where a finished batch's members go (phase P5).
+///
+/// [`Simulator::run_into`] calls [`member`](Self::member) exactly once per
+/// batch member — in no particular order, concurrently from the engine's
+/// workers — and only for a batch that completes: a run that returns an
+/// error (a cancelled one included) has called it for nobody.
+///
+/// Any `Fn(usize, &SimOutcome, Option<&str>) + Sync` is a sink.
+///
+/// # Example
+///
+/// ```
+/// use paraspace_core::{CpuEngine, CpuSolverKind, SimOutcome, SimulationJob, Simulator};
+/// use paraspace_rbm::{Reaction, ReactionBasedModel};
+/// use std::sync::atomic::{AtomicUsize, Ordering};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut m = ReactionBasedModel::new();
+/// let a = m.add_species("A", 1.0);
+/// m.add_reaction(Reaction::mass_action(&[(a, 1)], &[], 1.0))?;
+/// let job = SimulationJob::builder(&m).time_points(vec![1.0]).replicate(4).build()?;
+/// let bytes = AtomicUsize::new(0);
+/// let count = |_: usize, _: &SimOutcome, text: Option<&str>| {
+///     bytes.fetch_add(text.map_or(0, str::len), Ordering::Relaxed);
+/// };
+/// let result = CpuEngine::new(CpuSolverKind::Lsoda).run_into(&job, &count)?;
+/// let written: usize = result.solutions().map(|s| job.serialize_dynamics(s).len()).sum();
+/// assert_eq!(bytes.into_inner(), written);
+/// # Ok(())
+/// # }
+/// ```
+pub trait MemberSink: Sync {
+    /// Member `index` ended as `outcome`. `dynamics` is its trajectory in
+    /// the dynamics text format — exactly
+    /// [`SimulationJob::serialize_dynamics`]' text, formatted once into a
+    /// buffer the worker reuses, so it is borrowed for this call only —
+    /// and `None` for a failed member. The sum of the texts' lengths is
+    /// what the engine prices P5 on.
+    fn member(&self, index: usize, outcome: &SimOutcome, dynamics: Option<&str>);
+}
+
+impl<F: Fn(usize, &SimOutcome, Option<&str>) + Sync> MemberSink for F {
+    fn member(&self, index: usize, outcome: &SimOutcome, dynamics: Option<&str>) {
+        self(index, outcome, dynamics)
+    }
+}
+
+/// The sink under every engine's [`Simulator::run`].
+pub(crate) fn discard(_: usize, _: &SimOutcome, _: Option<&str>) {}
 
 /// Outcome of one batch member.
 #[derive(Debug)]
@@ -382,19 +452,4 @@ pub(crate) fn outcome_and_stats(
         }
         Err(failure) => (Err(failure.error), failure.stats),
     }
-}
-
-/// Total bytes of all successful outputs in the dynamics text format (the
-/// P5 cost driver), counted on the executor's workers without building any
-/// text; a `u64` sum does not depend on the order it is taken in.
-pub(crate) fn output_bytes(
-    job: &SimulationJob,
-    outcomes: &[SimOutcome],
-    executor: &paraspace_exec::Executor,
-) -> u64 {
-    let member_bytes = |i: usize| match &outcomes[i].solution {
-        Ok(solution) => job.serialized_len(solution) as u64,
-        Err(_) => 0,
-    };
-    executor.map(outcomes.len(), member_bytes).into_iter().sum()
 }

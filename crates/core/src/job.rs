@@ -99,40 +99,21 @@ impl<'a> SimulationJob<'a> {
     /// original tool writes (phase P5); engines charge its cost as I/O.
     pub fn serialize_dynamics(&self, solution: &Solution) -> String {
         let mut out = String::with_capacity(solution.len() * (self.odes.n_species() + 1) * 14);
-        write_dynamics(solution, &mut out).expect("formatting into a String cannot fail");
+        write_dynamics(solution, &mut out);
         out
     }
-
-    /// `serialize_dynamics(solution).len()` without building the text: the
-    /// same format calls into a sink that only counts (what the engines
-    /// price phase P5 with).
-    pub fn serialized_len(&self, solution: &Solution) -> usize {
-        let mut bytes = ByteCount(0);
-        write_dynamics(solution, &mut bytes).expect("counting cannot fail");
-        bytes.0
-    }
 }
 
-/// One row per sample: the time, then every species, tab-separated, all in
-/// `{:e}`.
-fn write_dynamics(solution: &Solution, out: &mut impl std::fmt::Write) -> std::fmt::Result {
+/// Appends the dynamics text of `solution` to `out`: one row per sample —
+/// the time, then every species, tab-separated, all in `{:e}`.
+pub(crate) fn write_dynamics(solution: &Solution, out: &mut String) {
+    use std::fmt::Write;
     for (t, state) in solution.times.iter().zip(&solution.states) {
-        write!(out, "{t:e}")?;
+        write!(out, "{t:e}").expect("formatting into a String cannot fail");
         for v in state {
-            write!(out, "\t{v:e}")?;
+            write!(out, "\t{v:e}").expect("formatting into a String cannot fail");
         }
-        out.write_char('\n')?;
-    }
-    Ok(())
-}
-
-/// A [`std::fmt::Write`] sink that keeps only the number of bytes written.
-struct ByteCount(usize);
-
-impl std::fmt::Write for ByteCount {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        self.0 += s.len();
-        Ok(())
+        out.push('\n');
     }
 }
 
@@ -444,20 +425,5 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0].split('\t').count(), 3);
         assert!(lines[1].starts_with("1e0"));
-    }
-
-    #[test]
-    fn serialized_len_counts_what_serialize_dynamics_writes() {
-        let m = model();
-        let job = SimulationJob::builder(&m).time_points(vec![1.0]).replicate(1).build().unwrap();
-        let awkward = [0.0, -0.0, 1.0, -1.5e-300, 6.02214076e23, f64::MIN_POSITIVE, 1.0 / 3.0];
-        let sol = Solution {
-            times: vec![0.0, 0.1, 1e-9, 12345.678],
-            states: awkward.windows(2).take(4).map(|w| w.to_vec()).collect(),
-            stats: Default::default(),
-        };
-        assert_eq!(job.serialized_len(&sol), job.serialize_dynamics(&sol).len());
-        let empty = Solution { times: vec![], states: vec![], stats: Default::default() };
-        assert_eq!(job.serialized_len(&empty), 0);
     }
 }

@@ -64,8 +64,8 @@ mod system;
 pub use cost::{CpuCostModel, WorkEstimate};
 pub use engines::{
     taxonomy, AutoEngine, BatchHealth, BatchResult, BatchTiming, CoarseEngine, CpuEngine,
-    CpuSolverKind, Engine, FailureCounts, FineCoarseEngine, FineEngine, Host, SimOutcome,
-    Simulator,
+    CpuSolverKind, Engine, FailureCounts, FineCoarseEngine, FineEngine, Host, MemberSink,
+    SimOutcome, Simulator,
 };
 pub use error::SimError;
 pub use job::{JobBuilder, SimulationJob};

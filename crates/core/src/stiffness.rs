@@ -9,7 +9,7 @@
 
 use crate::SimulationJob;
 use paraspace_exec::Executor;
-use paraspace_linalg::{dominant_eigenvalue_estimate, Matrix};
+use paraspace_linalg::{dominant_eigenvalue_estimate_on, Matrix};
 
 /// The published spectral-radius threshold separating DOPRI5 from RADAU5.
 pub const STIFFNESS_THRESHOLD: f64 = 500.0;
@@ -50,20 +50,24 @@ pub fn classify_batch(job: &SimulationJob) -> Vec<StiffnessClass> {
 /// [`classify_batch`] with an explicit threshold (the stiffness-threshold
 /// ablation sweeps this knob) on `executor`'s workers, each with a
 /// Jacobian matrix of its own. A member's class depends on that member
-/// alone, so the result is the same at any thread count.
+/// alone, so the result is the same at any thread count. The power
+/// iteration walks the model's structural Jacobian pattern, which yields
+/// the dense iteration's bits (see
+/// [`paraspace_linalg::power_iteration_on`]).
 pub fn classify_batch_with_threshold(
     job: &SimulationJob,
     threshold: f64,
     executor: &Executor,
 ) -> Vec<StiffnessClass> {
     let n = job.odes().n_species();
+    let pattern = job.odes().jacobian_sparsity();
     executor.map_with(
         job.batch_size(),
         || Matrix::zeros(n, n),
         |jac, i| {
             let (x0, k) = job.member(i);
             job.odes().jacobian_with(x0, k, jac);
-            let lambda = dominant_eigenvalue_estimate(jac);
+            let lambda = dominant_eigenvalue_estimate_on(jac, pattern);
             StiffnessClass { dominant_eigenvalue: lambda, stiff: lambda >= threshold }
         },
     )
@@ -121,6 +125,30 @@ mod tests {
         for threads in [2, 5] {
             let exec = Executor::new(threads);
             assert_eq!(classify_batch_with_threshold(&job, STIFFNESS_THRESHOLD, &exec), sequential);
+        }
+    }
+
+    #[test]
+    fn pattern_walk_classes_are_the_dense_routine_classes_on_a_wide_sparse_network() {
+        // The benchmark's sweep network: 128 species, 192 reactions, a
+        // Jacobian under 4 % dense — the case the pattern walk is for.
+        use rand::{rngs::StdRng, SeedableRng};
+        let m = paraspace_rbm::sbgen::SbGen::new(128, 192).generate(&mut StdRng::seed_from_u64(7));
+        let members = paraspace_rbm::perturbed_batch(&m, 24, &mut StdRng::seed_from_u64(1));
+        let job = SimulationJob::builder(&m)
+            .time_points(vec![1.0])
+            .parameterizations(members)
+            .build()
+            .unwrap();
+        let n = job.odes().n_species();
+        assert!(job.odes().jacobian_sparsity().nnz() * 20 < n * n);
+        let mut jac = Matrix::zeros(n, n);
+        for (i, class) in classify_batch(&job).into_iter().enumerate() {
+            let (x0, k) = job.member(i);
+            job.odes().jacobian_with(x0, k, &mut jac);
+            let dense = paraspace_linalg::dominant_eigenvalue_estimate(&jac);
+            assert_eq!(class.dominant_eigenvalue.to_bits(), dense.to_bits(), "member {i}");
+            assert_eq!(class.stiff, dense >= STIFFNESS_THRESHOLD, "member {i}");
         }
     }
 

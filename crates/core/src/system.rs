@@ -545,7 +545,7 @@ impl SensOdeSystem for RbmSensSystem<'_> {
         self.odes.dfdk_with(y, &self.which, out);
     }
 
-    fn jacobian_sparsity(&self) -> Option<SparsityPattern> {
+    fn jacobian_sparsity(&self) -> Option<&SparsityPattern> {
         Some(self.odes.jacobian_sparsity())
     }
 }
@@ -576,7 +576,7 @@ pub struct RbmSensBatchSystem<'a> {
     jac: Vec<f64>,     // n² × L batched Jacobian workspace
     fk: Vec<f64>,      // p·n × L batched ∂f/∂k workspace
     gflux: Vec<f64>,   // L unit-flux scratch
-    sparsity: SparsityPattern,
+    sparsity: &'a SparsityPattern,
 }
 
 impl<'a> RbmSensBatchSystem<'a> {

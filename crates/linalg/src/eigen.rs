@@ -6,7 +6,7 @@
 //! implicit Radau IIA solver. Two estimators are provided: a cheap
 //! Gershgorin-disc bound and a power iteration for a sharper estimate.
 
-use crate::{LinalgError, Matrix};
+use crate::{LinalgError, Matrix, SparsityPattern};
 
 /// Result of a [`power_iteration`] run.
 #[derive(Debug, Clone, PartialEq)]
@@ -65,6 +65,40 @@ pub fn power_iteration(
     max_iter: usize,
     tol: f64,
 ) -> Result<PowerIterationResult, LinalgError> {
+    power_iteration_by(a, max_iter, tol, |x, y| a.mul_vec_into(x, y))
+}
+
+/// [`power_iteration`] for a matrix whose entries off `pattern` are all
+/// `+0.0` (an analytic Jacobian written over its structural sparsity): the
+/// products walk the pattern, `nnz` multiplies a sweep instead of `n²`, and
+/// every field of the result is the dense routine's to the bit — the
+/// iterate stays finite (the loop returns before it would normalise by a
+/// non-finite norm), which is all
+/// [`Matrix::mul_vec_on_pattern_into`] needs.
+///
+/// # Errors
+///
+/// Returns [`LinalgError::NotSquare`] for non-square input.
+///
+/// # Panics
+///
+/// Panics if `pattern` is not of `a`'s dimension.
+pub fn power_iteration_on(
+    a: &Matrix,
+    pattern: &SparsityPattern,
+    max_iter: usize,
+    tol: f64,
+) -> Result<PowerIterationResult, LinalgError> {
+    power_iteration_by(a, max_iter, tol, |x, y| a.mul_vec_on_pattern_into(pattern, x, y))
+}
+
+/// The iteration under both entry points; `mul_vec` is `y ← A x`.
+fn power_iteration_by(
+    a: &Matrix,
+    max_iter: usize,
+    tol: f64,
+    mul_vec: impl Fn(&[f64], &mut [f64]),
+) -> Result<PowerIterationResult, LinalgError> {
     if !a.is_square() {
         return Err(LinalgError::NotSquare { rows: a.rows(), cols: a.cols() });
     }
@@ -85,7 +119,7 @@ pub fn power_iteration(
     let mut y = vec![0.0; n];
     let mut prev = 0.0f64;
     for it in 1..=max_iter {
-        a.mul_vec_into(&x, &mut y);
+        mul_vec(&x, &mut y);
         let norm = crate::l2_norm(&y);
         if norm == 0.0 || !norm.is_finite() {
             return Ok(PowerIterationResult {
@@ -130,7 +164,22 @@ pub fn power_iteration(
 /// Panics if `a` is not square.
 pub fn dominant_eigenvalue_estimate(a: &Matrix) -> f64 {
     assert!(a.is_square(), "dominant eigenvalue requires a square matrix");
-    match power_iteration(a, 50, 1e-4) {
+    estimate_from(power_iteration(a, 50, 1e-4), a)
+}
+
+/// [`dominant_eigenvalue_estimate`] through [`power_iteration_on`]: the
+/// same estimate, bit for bit, for a matrix that is `+0.0` off `pattern`.
+///
+/// # Panics
+///
+/// Panics if `a` is not square or `pattern` is not of its dimension.
+pub fn dominant_eigenvalue_estimate_on(a: &Matrix, pattern: &SparsityPattern) -> f64 {
+    assert!(a.is_square(), "dominant eigenvalue requires a square matrix");
+    estimate_from(power_iteration_on(a, pattern, 50, 1e-4), a)
+}
+
+fn estimate_from(iteration: Result<PowerIterationResult, LinalgError>, a: &Matrix) -> f64 {
+    match iteration {
         Ok(r) if r.converged => r.eigenvalue_magnitude,
         _ => gershgorin_bound(a),
     }
@@ -198,6 +247,117 @@ mod tests {
         let a = Matrix::from_rows(&[&[0.0, -100.0], &[100.0, 0.0]]);
         let est = dominant_eigenvalue_estimate(&a);
         assert!(est >= 99.0);
+    }
+
+    /// A matrix of `n × n` with about `density` of its entries non-zero
+    /// (mixed signs and magnitudes, from a small LCG), and the pattern of
+    /// exactly those entries; everything else is `+0.0`.
+    fn sparse_case(n: usize, density: f64, seed: u64) -> (Matrix, SparsityPattern) {
+        let mut state = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut a = Matrix::zeros(n, n);
+        let mut entries = Vec::new();
+        for i in 0..n {
+            for j in 0..n {
+                if next() < density {
+                    a[(i, j)] = (next() - 0.5) * 10f64.powf(next() * 6.0 - 2.0);
+                    entries.push((i, j));
+                }
+            }
+        }
+        (a, SparsityPattern::from_entries(n, entries))
+    }
+
+    /// Both routines on one matrix; every field must agree to the bit, and
+    /// so must the estimate with its Gershgorin fallback.
+    fn assert_walk_is_dense(a: &Matrix, pattern: &SparsityPattern, max_iter: usize, what: &str) {
+        let dense = power_iteration(a, max_iter, 1e-4).unwrap();
+        let walked = power_iteration_on(a, pattern, max_iter, 1e-4).unwrap();
+        assert_eq!(
+            walked.eigenvalue_magnitude.to_bits(),
+            dense.eigenvalue_magnitude.to_bits(),
+            "{what}: {walked:?} vs {dense:?}"
+        );
+        assert_eq!(
+            (walked.iterations, walked.converged),
+            (dense.iterations, dense.converged),
+            "{what}"
+        );
+        assert_eq!(
+            dominant_eigenvalue_estimate_on(a, pattern).to_bits(),
+            dominant_eigenvalue_estimate(a).to_bits(),
+            "{what}"
+        );
+    }
+
+    #[test]
+    fn pattern_walk_is_the_dense_iteration_on_random_sparse_matrices() {
+        for (case, density) in [0.03, 0.1, 0.25, 0.6].into_iter().enumerate() {
+            for n in [1, 2, 7, 31, 64] {
+                for seed in 0..6 {
+                    let (a, pattern) = sparse_case(n, density, seed + 100 * case as u64);
+                    for max_iter in [1, 3, 50] {
+                        let what = format!("n {n}, density {density}, seed {seed}, {max_iter} it");
+                        assert_walk_is_dense(&a, &pattern, max_iter, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pattern_walk_is_the_dense_iteration_when_structural_entries_are_zero_or_negative_zero() {
+        // On-pattern zeros of either sign are multiplied, not skipped.
+        let (mut a, pattern) = sparse_case(9, 0.4, 5);
+        for (count, i) in (0..9).enumerate() {
+            for &j in pattern.row(i) {
+                match (count + j as usize) % 3 {
+                    0 => a[(i, j as usize)] = 0.0,
+                    1 => a[(i, j as usize)] = -0.0,
+                    _ => {}
+                }
+            }
+        }
+        assert_walk_is_dense(&a, &pattern, 50, "signed zeros on the pattern");
+        // The zero matrix under a full and under an empty pattern.
+        let zero = Matrix::zeros(4, 4);
+        let full = SparsityPattern::from_entries(4, (0..16).map(|e| (e / 4, e % 4)));
+        assert_walk_is_dense(&zero, &full, 10, "zero matrix, full pattern");
+        assert_walk_is_dense(&zero, &SparsityPattern::from_entries(4, []), 10, "empty pattern");
+        let walked = power_iteration_on(&zero, &full, 10, 1e-8).unwrap();
+        assert!(walked.converged && walked.eigenvalue_magnitude == 0.0 && walked.iterations == 1);
+    }
+
+    #[test]
+    fn pattern_walk_takes_the_gershgorin_fallback_the_dense_iteration_takes() {
+        // A scaled rotation inside a larger sparse matrix: the norm-growth
+        // factor oscillates and 50 sweeps do not settle.
+        let mut a = Matrix::zeros(5, 5);
+        a[(0, 1)] = -100.0;
+        a[(1, 0)] = 120.0;
+        a[(3, 3)] = 0.5;
+        let pattern = SparsityPattern::from_entries(5, [(0, 1), (1, 0), (3, 3)]);
+        let walked = power_iteration_on(&a, &pattern, 50, 1e-4).unwrap();
+        assert!(!walked.converged);
+        assert_eq!(dominant_eigenvalue_estimate_on(&a, &pattern), gershgorin_bound(&a));
+        assert_walk_is_dense(&a, &pattern, 50, "non-converging rotation");
+    }
+
+    #[test]
+    fn pattern_walk_is_the_dense_iteration_on_non_finite_structural_entries() {
+        for poison in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+            for (n, density) in [(6, 0.3), (20, 0.1)] {
+                let (mut a, pattern) = sparse_case(n, density, 11);
+                let i = (0..n).find(|&i| !pattern.row(i).is_empty()).unwrap();
+                a[(i, pattern.row(i)[0] as usize)] = poison;
+                let walked = power_iteration_on(&a, &pattern, 50, 1e-4).unwrap();
+                assert!(!walked.converged && !walked.eigenvalue_magnitude.is_finite());
+                assert_walk_is_dense(&a, &pattern, 50, &format!("{poison} on the pattern, n {n}"));
+            }
+        }
     }
 
     #[test]

@@ -55,7 +55,8 @@ mod rows;
 pub use batch_lu::{BatchCluFactor, BatchLuFactor};
 pub use complex::Complex64;
 pub use eigen::{
-    dominant_eigenvalue_estimate, gershgorin_bound, power_iteration, PowerIterationResult,
+    dominant_eigenvalue_estimate, dominant_eigenvalue_estimate_on, gershgorin_bound,
+    power_iteration, power_iteration_on, PowerIterationResult,
 };
 pub use error::LinalgError;
 pub use jacobian::{finite_difference_jacobian, finite_difference_jacobian_into};

@@ -1,6 +1,6 @@
 //! Dense row-major matrices over `f64` and [`Complex64`].
 
-use crate::Complex64;
+use crate::{Complex64, SparsityPattern};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
@@ -168,6 +168,31 @@ impl Matrix {
                 acc += a * b;
             }
             y[i] = acc;
+        }
+    }
+
+    /// [`mul_vec_into`](Self::mul_vec_into) visiting only the entries on
+    /// `pattern`, each row in ascending column order.
+    ///
+    /// When every entry off the pattern is `+0.0` and `x` is finite the
+    /// result is the dense product's to the bit: each skipped product is
+    /// `±0.0`, and an accumulator that starts at `+0.0` is never `−0.0`, so
+    /// adding it would have changed nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics if dimensions do not match.
+    pub fn mul_vec_on_pattern_into(&self, pattern: &SparsityPattern, x: &[f64], y: &mut [f64]) {
+        assert_eq!(pattern.dim(), self.rows);
+        assert_eq!(x.len(), self.cols);
+        assert_eq!(y.len(), self.rows);
+        for (i, yi) in y.iter_mut().enumerate() {
+            let row = self.row(i);
+            let mut acc = 0.0;
+            for &j in pattern.row(i) {
+                acc += row[j as usize] * x[j as usize];
+            }
+            *yi = acc;
         }
     }
 

@@ -35,20 +35,46 @@ impl SparsityPattern {
     ///
     /// Panics if an entry lies outside `n × n`.
     pub fn from_entries(n: usize, entries: impl IntoIterator<Item = (usize, usize)>) -> Self {
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); n];
         for (i, j) in entries {
             assert!(i < n && j < n, "pattern entry ({i}, {j}) outside {n}x{n}");
-            rows[i].push(j as u32);
+            rows[i].push(j);
         }
+        Self::from_rows(n, rows)
+    }
+
+    /// Builds a pattern row by row: `rows` yields, for rows `0..n` in
+    /// order, that row's column indices (any order, duplicates allowed).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rows` does not yield `n` rows or a column is `≥ n`.
+    pub fn from_rows<R>(n: usize, rows: impl IntoIterator<Item = R>) -> Self
+    where
+        R: IntoIterator<Item = usize>,
+    {
         let mut row_ptr = Vec::with_capacity(n + 1);
-        let mut cols = Vec::new();
+        let mut cols: Vec<u32> = Vec::new();
         row_ptr.push(0);
-        for r in &mut rows {
-            r.sort_unstable();
-            r.dedup();
-            cols.extend_from_slice(r);
-            row_ptr.push(cols.len());
+        for row in rows {
+            let start = cols.len();
+            for j in row {
+                assert!(j < n, "pattern column {j} outside {n}x{n}");
+                cols.push(j as u32);
+            }
+            cols[start..].sort_unstable();
+            // Dedup the row in place: `kept` is one past the last column kept.
+            let mut kept = start;
+            for at in start..cols.len() {
+                if kept == start || cols[kept - 1] != cols[at] {
+                    cols[kept] = cols[at];
+                    kept += 1;
+                }
+            }
+            cols.truncate(kept);
+            row_ptr.push(kept);
         }
+        assert_eq!(row_ptr.len(), n + 1, "pattern of dimension {n} needs {n} rows");
         SparsityPattern { n, row_ptr, cols }
     }
 

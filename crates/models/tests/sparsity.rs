@@ -8,12 +8,18 @@
 //! zero** off that pattern at any state and parameterization — checked
 //! here for every bundled network.
 //!
+//! The P2 triage walks the same pattern in its power iteration, which must
+//! reproduce the dense iteration to the bit on every bundled Jacobian.
+//!
 //! On top of that, a block-structured compartment network and the
 //! 114-species metabolic network (the LU-dominated shape) are integrated
 //! through `Radau5Batch` and asserted bitwise identical to scalar RADAU5.
 
 use paraspace_core::{RbmBatchSystem, RbmOdeSystem};
-use paraspace_linalg::Matrix;
+use paraspace_linalg::{
+    dominant_eigenvalue_estimate, dominant_eigenvalue_estimate_on, power_iteration,
+    power_iteration_on, Matrix,
+};
 use paraspace_models::{autophagy, classic, metabolic};
 use paraspace_rbm::ReactionBasedModel;
 use paraspace_solvers::{OdeSolver, OdeSystem, Radau5, Radau5Batch, SolverOptions, SolverScratch};
@@ -66,6 +72,32 @@ fn jacobian_is_exactly_zero_off_the_advertised_pattern() {
                 }
             }
         }
+    }
+}
+
+#[test]
+fn triage_power_iteration_on_the_pattern_is_the_dense_one_bitwise() {
+    // What P2 computes for a member: the Jacobian at the initial state,
+    // then the short power iteration — through the pattern walk and through
+    // the dense product it replaced.
+    for (name, m) in bundled() {
+        let odes = m.compile().unwrap();
+        let n = odes.n_species();
+        let mut jac = Matrix::zeros(n, n);
+        odes.jacobian_with(&m.initial_state(), &m.rate_constants(), &mut jac);
+        let dense = power_iteration(&jac, 50, 1e-4).unwrap();
+        let walked = power_iteration_on(&jac, odes.jacobian_sparsity(), 50, 1e-4).unwrap();
+        assert_eq!(
+            walked.eigenvalue_magnitude.to_bits(),
+            dense.eigenvalue_magnitude.to_bits(),
+            "{name}: {walked:?} vs {dense:?}"
+        );
+        assert_eq!((walked.iterations, walked.converged), (dense.iterations, dense.converged));
+        assert_eq!(
+            dominant_eigenvalue_estimate_on(&jac, odes.jacobian_sparsity()).to_bits(),
+            dominant_eigenvalue_estimate(&jac).to_bits(),
+            "{name}"
+        );
     }
 }
 

@@ -90,6 +90,8 @@ pub struct CompiledOdes {
     jac_terms: Vec<JacTerm>,
     // The terms above that land on the diagonal; `col` is the species.
     jac_diag_terms: Vec<JacTerm>,
+    // The positions `jac_terms` can write, row by row.
+    jac_sparsity: paraspace_linalg::SparsityPattern,
     // Per-species contribution lists (CSR): dX_s/dt = Σ coeff · flux_r.
     term_offsets: Vec<u32>,
     term_reactions: Vec<u32>,
@@ -514,6 +516,12 @@ impl CompiledOdes {
             jac_row_offsets.push(jac_terms.len() as u32);
         }
         jac_diag_terms.shrink_to_fit();
+        let jac_sparsity = paraspace_linalg::SparsityPattern::from_rows(
+            n_species,
+            jac_row_offsets.windows(2).map(|row| {
+                jac_terms[row[0] as usize..row[1] as usize].iter().map(|t| t.col as usize)
+            }),
+        );
 
         CompiledOdes {
             n_species,
@@ -529,6 +537,7 @@ impl CompiledOdes {
             jac_row_offsets,
             jac_terms,
             jac_diag_terms,
+            jac_sparsity,
             term_offsets,
             term_reactions,
             term_coeffs,
@@ -917,17 +926,8 @@ impl CompiledOdes {
     /// and kinetic law (saturating fluxes also depend only on their
     /// reactant species), which is what lets the sensitivity `J·S` passes
     /// skip every entry off it.
-    pub fn jacobian_sparsity(&self) -> paraspace_linalg::SparsityPattern {
-        let entries = (0..self.n_species).flat_map(|s| {
-            let lo = self.term_offsets[s] as usize;
-            let hi = self.term_offsets[s + 1] as usize;
-            self.term_reactions[lo..hi].iter().flat_map(move |&r| {
-                let rlo = self.reactant_offsets[r as usize] as usize;
-                let rhi = self.reactant_offsets[r as usize + 1] as usize;
-                self.reactant_species[rlo..rhi].iter().map(move |&j| (s, j as usize))
-            })
-        });
-        paraspace_linalg::SparsityPattern::from_entries(self.n_species, entries)
+    pub fn jacobian_sparsity(&self) -> &paraspace_linalg::SparsityPattern {
+        &self.jac_sparsity
     }
 
     /// Approximate floating-point operation count of one right-hand-side
@@ -1163,7 +1163,8 @@ mod tests {
         let e = m.add_species("E", 0.5);
         let b = m.add_species("B", 0.0);
         m.add_reaction(Reaction::mass_action(&[(a, 1), (e, 1)], &[(b, 1), (e, 1)], 2.0)).unwrap();
-        let cat = m.compile().unwrap().jacobian_sparsity();
+        let odes = m.compile().unwrap();
+        let cat = odes.jacobian_sparsity();
         assert!(cat.contains(0, 1), "∂(dA/dt)/∂E must be structural");
         assert!(cat.contains(2, 0) && cat.contains(2, 1));
         assert!(!cat.contains(1, 0), "catalyst has no net term, so row E is empty");

@@ -69,7 +69,7 @@ pub trait SensOdeSystem: OdeSystem {
     /// state (true for reaction networks). Lets the `J·s` contractions
     /// stream `nnz` instead of `n²` entries per column; entries outside
     /// the pattern MUST be exact zeros.
-    fn jacobian_sparsity(&self) -> Option<SparsityPattern> {
+    fn jacobian_sparsity(&self) -> Option<&SparsityPattern> {
         None
     }
 }
@@ -81,7 +81,7 @@ impl<S: SensOdeSystem + ?Sized> SensOdeSystem for &S {
     fn dfdk(&self, t: f64, y: &[f64], out: &mut [f64]) {
         (**self).dfdk(t, y, out)
     }
-    fn jacobian_sparsity(&self) -> Option<SparsityPattern> {
+    fn jacobian_sparsity(&self) -> Option<&SparsityPattern> {
         (**self).jacobian_sparsity()
     }
 }
@@ -125,7 +125,7 @@ pub struct AugmentedSensSystem<'a, S: SensOdeSystem + ?Sized> {
     inner: &'a S,
     n: usize,
     p: usize,
-    sparsity: Option<SparsityPattern>,
+    sparsity: Option<&'a SparsityPattern>,
     jac: RefCell<Matrix>,
     dfdk: RefCell<Vec<f64>>,
 }
@@ -173,7 +173,7 @@ impl<S: SensOdeSystem + ?Sized> OdeSystem for AugmentedSensSystem<'_, S> {
         for j in 0..self.p {
             let col = j * n..(j + 1) * n;
             let (s, out) = (&y_sens[col.clone()], &mut d_sens[col.clone()]);
-            jac_times_plus(self.sparsity.as_ref(), &jac, s, &fk[col], out);
+            jac_times_plus(self.sparsity, &jac, s, &fk[col], out);
         }
     }
 }
@@ -289,7 +289,7 @@ impl Dopri5Sens {
 struct StaggeredSens<'a, S: SensOdeSystem + ?Sized> {
     system: &'a S,
     options: &'a SolverOptions,
-    sparsity: Option<SparsityPattern>,
+    sparsity: Option<&'a SparsityPattern>,
     n: usize,
     p: usize,
     /// Current sensitivities, param-major (`sens[j·n + i] = ∂yᵢ/∂kⱼ`).
@@ -395,7 +395,7 @@ impl<S: SensOdeSystem + ?Sized> StepHook for StaggeredSens<'_, S> {
                         self.stage[i] = self.sens[j * n + i] + self.v[l][j * n + i];
                     }
                     jac_times_plus(
-                        self.sparsity.as_ref(),
+                        self.sparsity,
                         &self.jac[l],
                         &self.stage,
                         &self.fk[l][col.clone()],
