@@ -13,7 +13,7 @@ use crate::engines::host::{
     device_clocks, encoding_bytes, h2d_bytes, DeviceModel, Engine, Settled, PCIE_BYTES_PER_NS,
 };
 use crate::engines::{discard, BatchResult, MemberSink, Simulator};
-use crate::recovery::solve_members_recovered;
+use crate::recovery::{solve_members_recovered, Ladder};
 use crate::{SimError, SimulationJob, WorkEstimate};
 use paraspace_solvers::{Lsoda, OdeSolver};
 use paraspace_vgpu::{Device, DeviceConfig, KernelLaunch, MemorySpace, ThreadWork};
@@ -126,9 +126,10 @@ impl Simulator for Engine<Coarse> {
         // member runs under panic containment and the recovery ladder; a
         // retry's steps land in the same device thread's work, so retries
         // are billed inside the coarse kernel.
-        let members: Vec<usize> = (0..batch).collect();
-        let primary = (&solver as &dyn OdeSolver, solver.name());
-        for rs in solve_members_recovered(&self.host, job, &members, primary, None, |_| false)? {
+        let members = (0..batch).map(|i| (i, None)).collect();
+        let retry = (&solver as &dyn OdeSolver, solver.name());
+        let ladder = Ladder { retry, fallback: None, reroutable: |_| false };
+        for rs in solve_members_recovered(&self.host, job, members, |_| ladder)? {
             let stats = rs.stats;
             let work = WorkEstimate::from_stats(job.odes(), &stats, job.time_points().len());
             // The state vector's share of state traffic can live in shared

@@ -2,7 +2,7 @@
 
 use crate::engines::host::{Engine, Host, Settled};
 use crate::engines::{discard, BatchResult, MemberSink, Simulator, IO_BYTES_PER_NS};
-use crate::recovery::solve_members_recovered;
+use crate::recovery::{solve_members_recovered, Ladder};
 use crate::{CpuCostModel, SimError, SimulationJob, WorkEstimate};
 use paraspace_solvers::{Lsoda, OdeSolver, Vode};
 use std::time::Instant;
@@ -94,9 +94,10 @@ impl Simulator for Engine<Cpu> {
         // member runs under panic containment and the recovery ladder (the
         // CPU baseline has no implicit fallback to reroute to, so only the
         // relaxation rungs apply).
-        let members: Vec<usize> = (0..job.batch_size()).collect();
-        let primary = (solver, solver.name());
-        for rs in solve_members_recovered(&self.host, job, &members, primary, None, |_| false)? {
+        let members = (0..job.batch_size()).map(|i| (i, None)).collect();
+        let ladder =
+            Ladder { retry: (solver, solver.name()), fallback: None, reroutable: |_| false };
+        for rs in solve_members_recovered(&self.host, job, members, |_| ladder)? {
             work.absorb(&WorkEstimate::from_stats(job.odes(), &rs.stats, job.time_points().len()));
             settled.settle(rs.solution, false, rs.solver, rs.log);
         }

@@ -11,44 +11,43 @@
 //! every step pays host-launch latency: exactly the regions the
 //! comparison maps assign to it.
 //!
-//! **Lane path** (auto-selected for mass-action batches): members are
-//! packed into lane-groups and integrated `L` at a time by the lockstep
-//! [`Dopri5Batch`](paraspace_solvers::Dopri5Batch) solver over the SoA
-//! [`RbmBatchSystem`](crate::RbmBatchSystem) adapter. One lockstep sweep
-//! evaluates the CSR flux/accumulation passes for all `L` lanes per decoded
-//! segment, so the per-step host-launch latency and the structure decoding
-//! are amortized `L`-fold. Step size, error control,
-//! and acceptance stay **per lane** (masked divergence instead of a group
-//! barrier), and the vgpu device records the resulting lane occupancy.
-//! Per-member trajectories are bitwise independent of the lane width and
-//! the worker-thread count.
-//!
-//! Stiffness triage no longer demotes members to scalar solves: members
-//! whose Jacobian diagonal at `t = 0` crosses the published threshold form
-//! a **second lane-group class** integrated by the lockstep
-//! [`Radau5Batch`](paraspace_solvers::Radau5Batch) kernel — batched
+//! **Lane path** (auto-selected for mass-action batches): a Jacobian-
+//! diagonal triage at `t = 0` splits the members into **two lockstep
+//! classes** — non-stiff members integrate under the lockstep
+//! [`Dopri5Batch`](paraspace_solvers::Dopri5Batch), members whose diagonal
+//! crosses the published threshold under the lockstep
+//! [`Radau5Batch`](paraspace_solvers::Radau5Batch) (batched
 //! simplified-Newton over one real and one complex lane-batched LU per
-//! lane, with the scalar RADAU5 Jacobian-/factorization-reuse policy
-//! applied per lane. Stiff members
-//! thus get the same `L`-fold host-launch amortization as non-stiff ones,
-//! and their trajectories are bitwise identical to scalar [`Radau5`]
-//! solves at any width.
+//! lane, the scalar RADAU5 Jacobian-/factorization-reuse policy applied
+//! per lane) — each class on the scheduler every lockstep phase runs on
+//! (`lanes::solve_queue`: one group of width `L` per executor worker, all
+//! pulling from one shared member queue). One lockstep sweep evaluates the
+//! CSR flux/accumulation passes for all `L` lanes per decoded segment, so
+//! the per-step host-launch latency and the structure decoding are
+//! amortized `L`-fold; step size, error control and acceptance stay **per
+//! lane** (masked divergence instead of a group barrier). Every attempt is
+//! bitwise the scalar [`Dopri5`] / [`Radau5`] one whichever group ran it.
+//!
+//! The device is billed afterwards, on the calling thread in member order,
+//! per *modelled* group of `MEMBERS_PER_LANE·L` members: one wide kernel per
+//! lockstep class, whose ticks and lane occupancy are what a group serving
+//! those members in that order takes ([`LaneReport::packed`]), then the
+//! scalar kernel of every member no lane carried. Which host group ran a
+//! member therefore shows nowhere: trajectories, clocks, occupancy and
+//! health are bitwise identical at any worker count.
 
 use crate::engines::host::{
     device_clocks, h2d_bytes, lane_group_stats, DeviceModel, Engine, Settled, PCIE_BYTES_PER_NS,
 };
 use crate::engines::{attempt_stats, discard, group_stats, BatchResult, MemberSink, Simulator};
-use crate::lanes::{solve_lane_groups, Lockstep};
-use crate::recovery::{contained_attempt, continue_ladder, solve_members_recovered};
+use crate::lanes::{solve_queue, Lockstep, MEMBERS_PER_LANE};
+use crate::recovery::{solve_members_recovered, Billed, Ladder};
 use crate::{SimError, SimulationJob, WorkEstimate, STIFFNESS_THRESHOLD};
-use paraspace_solvers::{
-    Bdf, Dopri5, OdeSolver, Radau5, Rkf45, SolverError, SolverScratch, StepStats,
-};
+use paraspace_solvers::{Bdf, Dopri5, LaneReport, Radau5, Rkf45, SolverError, StepStats};
 use paraspace_vgpu::{
     Device, DeviceConfig, DpModel, KernelLaunch, LaneGroupStats, MemorySpace, ThreadWork,
     TimelineShard,
 };
-use std::ops::Range;
 use std::time::Instant;
 
 /// Host-launched kernels per solver step (stage evaluations + reduction).
@@ -97,10 +96,6 @@ impl DeviceModel for Fine {
 /// ```
 pub type FineEngine = Engine<Fine>;
 
-/// What one lane group hands back to the calling thread: its members, the
-/// occupancy records of its lockstep classes, and its slice of timeline.
-type LaneGroup = (Settled, Vec<LaneGroupStats>, TimelineShard);
-
 impl Engine<Fine> {
     /// Pins the lane width (builder style): `1` forces the scalar
     /// published-baseline path, larger values run lockstep lane-groups of
@@ -143,15 +138,9 @@ impl Engine<Fine> {
         // lands in the member's stats, so retries are billed on the modeled
         // timeline — one kernel per member, in member order on this thread:
         // the serialize-everything weakness, bitwise at any thread count.
-        let members: Vec<usize> = (0..job.batch_size()).collect();
-        let results = solve_members_recovered(
-            &self.host,
-            job,
-            &members,
-            (&rkf, "rkf45"),
-            Some((&bdf1, "bdf1")),
-            reroutable,
-        )?;
+        let members = (0..job.batch_size()).map(|i| (i, None)).collect();
+        let ladder = Ladder { retry: (&rkf, "rkf45"), fallback: Some((&bdf1, "bdf1")), reroutable };
+        let results = solve_members_recovered(&self.host, job, members, |_| ladder)?;
         let mut settled = Settled::default();
         for (i, rs) in results.into_iter().enumerate() {
             let name = format!("integrate::fine_sim{i}");
@@ -165,8 +154,9 @@ impl Engine<Fine> {
         Ok(self.host.finish(self.name(), start, settled, None, sink, clocks))
     }
 
-    /// The lane-batched path: lockstep lane-groups, with masked per-lane
-    /// step control and lane compaction.
+    /// The lane-batched path: triage, each lockstep class on the shared
+    /// member queue, the recovery ladder, then the device billed member by
+    /// member.
     fn run_lanes(
         &self,
         job: &SimulationJob,
@@ -175,57 +165,7 @@ impl Engine<Fine> {
     ) -> Result<BatchResult, SimError> {
         let start = Instant::now();
         let device = self.upload(job);
-
-        // Lane-groups — not single members — are the unit of work the
-        // executor's workers self-schedule; each group's shard is absorbed
-        // in group order, so the timeline (and every trajectory) is bitwise
-        // identical at any worker count.
-        let groups = solve_lane_groups(
-            &self.host.executor,
-            &self.host.cancel,
-            job.batch_size(),
-            width,
-            |scratch, g, members| self.solve_lane_group(job, g, members, width, scratch),
-        )?;
-
-        let mut settled = Settled::default();
-        for (group, classes, shard) in groups {
-            for stats in &classes {
-                device.record_lane_group(stats);
-            }
-            device.absorb_shard(shard);
-            settled.absorb(group);
-        }
-        let lanes = Some(device.lane_accounting());
-        let clocks = device_clocks(&device, "io::d2h", "io::write");
-        Ok(self.host.finish(self.name(), start, settled, lanes, sink, clocks))
-    }
-
-    /// Solves `members` as one lane-group of width `width`:
-    /// Jacobian-diagonal triage into **two lockstep classes** — non-stiff
-    /// members integrate under [`Lockstep::Dopri5`], stiff members under
-    /// [`Lockstep::Radau5`] — plus the group's device billing, all on a
-    /// worker-private shard.
-    ///
-    /// Fault-planned members are **evicted** from both lockstep classes at
-    /// assembly and solved scalar under panic containment: a lane that
-    /// panics mid-sweep would otherwise tear down its whole group, and a
-    /// faulted lane's injected call ordinals would shift with lane packing.
-    /// Eviction keeps both the blast radius and the fault schedule
-    /// per-member.
-    fn solve_lane_group(
-        &self,
-        job: &SimulationJob,
-        g: usize,
-        members: Range<usize>,
-        width: usize,
-        scratch: &mut SolverScratch,
-    ) -> LaneGroup {
-        let odes = job.odes();
-        let (dopri5, bdf1, radau5) = (Dopri5::new(), Bdf::with_max_order(1), Radau5::new());
-        let dp = DpModel::default();
-        let config = &self.model.device_config;
-        let lo = members.start;
+        let (host, odes, batch) = (&self.host, job.odes(), job.batch_size());
 
         // P2-style triage on the analytic Jacobian diagonal at t = 0:
         // members whose fastest local decay already exceeds the published
@@ -233,102 +173,132 @@ impl Engine<Fine> {
         // instead of the explicit one, so one stiff member cannot drag a
         // DOPRI5 group through tiny steps — and a crowd of stiff members no
         // longer serializes into scalar solves.
-        let mut diag = vec![0.0; odes.n_species()];
-        let mut slots = vec![0.0; odes.n_reactant_slots()];
-        let stiff: Vec<bool> = members
-            .clone()
-            .map(|i| {
-                let (x0, k) = job.member(i);
-                odes.jacobian_diag_batch(1, x0, k, &mut slots, &mut diag);
-                diag.iter().fold(0.0f64, |a, &d| a.max(d.abs())) >= STIFFNESS_THRESHOLD
-            })
-            .collect();
-        let evicted = |i: usize| job.fault_plan().faults_for(i).is_some();
+        let buffers = || (vec![0.0; odes.n_species()], vec![0.0; odes.n_reactant_slots()]);
+        let stiff = host.executor.map_with(batch, buffers, |(diag, slots), i| {
+            let (x0, k) = job.member(i);
+            odes.jacobian_diag_batch(1, x0, k, slots, diag);
+            diag.iter().fold(0.0f64, |a, &d| a.max(d.abs())) >= STIFFNESS_THRESHOLD
+        });
+        // Fault-planned members are evicted from both lockstep classes and
+        // make their first attempt scalar, under panic containment, in the
+        // ladder: a lane that panics mid-sweep would otherwise tear down
+        // its whole group, and a faulted lane's injected call ordinals
+        // would shift with lane packing. Eviction keeps both the blast
+        // radius and the fault schedule per-member.
+        let evicted: Vec<bool> =
+            (0..batch).map(|i| job.fault_plan().faults_for(i).is_some()).collect();
 
-        // Each class integrates as one lockstep group and is billed as one
-        // wide kernel: n species × L lanes across threads, flops inflated
-        // by the divergence factor (masked lanes burn issue slots), and
-        // host launch latency once per lockstep sweep — not once per member
-        // step, which is the whole point of the lane path. (RADAU5's Newton
-        // sweeps and batched LU solves all happen inside its one launch per
-        // tick.)
-        let mut shard = TimelineShard::new();
-        let mut classes = Vec::new();
-        let mut class = |kernel: Lockstep, label: &str, of_stiff: bool| {
-            let lanes: Vec<usize> =
-                members.clone().filter(|&i| stiff[i - lo] == of_stiff && !evicted(i)).collect();
-            if lanes.is_empty() {
-                // The explicit class is on the occupancy record even empty.
-                if !of_stiff {
-                    classes.push(LaneGroupStats { width, ..LaneGroupStats::default() });
-                }
-                return Vec::new();
-            }
-            let (attempts, report) =
-                self.host.solve_lane_group(kernel, job, &lanes, width, scratch);
-            let (kernel, launches_ns) = self.price(
-                job,
-                format!("integrate::{label}{g}"),
+        // Each class's clean members integrate on the shared queue, under
+        // the options every first attempt runs under, so the policy's step
+        // budget binds a lane as it binds a scalar solve.
+        let options = host.recovery.base_options(job);
+        let mut firsts: Vec<Option<Billed>> = (0..batch).map(|_| None).collect();
+        for (kernel, of_stiff, name) in
+            [(Lockstep::Dopri5, false, "dopri5-lanes"), (Lockstep::Radau5, true, "radau5-lanes")]
+        {
+            let queue: Vec<usize> =
+                (0..batch).filter(|&i| stiff[i] == of_stiff && !evicted[i]).collect();
+            let attempts = solve_queue(
+                &host.executor,
+                &host.cancel,
+                kernel,
+                &queue,
                 width,
-                &group_stats(attempts.iter().map(attempt_stats)),
-                lane_group_stats(&report).divergence_factor(),
-                report.lockstep_iters,
-            );
-            shard.launch(config, &dp, &kernel);
-            shard.record_host_phase(STEP_LAUNCHES, launches_ns);
-            classes.push(lane_group_stats(&report));
-            attempts
-        };
-        let mut explicit = class(Lockstep::Dopri5, "lane_group", false).into_iter();
-        let mut implicit = class(Lockstep::Radau5, "radau_lane_group", true).into_iter();
+                |width| job.lane_system(width),
+                job.time_points(),
+                &options,
+            )?;
+            for (i, attempt) in queue.into_iter().zip(attempts) {
+                firsts[i] = Some((attempt, name));
+            }
+        }
+        // What each lane attempt did, for its class's kernel: the ladder
+        // hands back only the work it adds.
+        let lane_stats: Vec<Option<StepStats>> =
+            firsts.iter().map(|first| first.as_ref().map(|(a, _)| *attempt_stats(a))).collect();
 
-        // Merge the lane attempts with the evicted members in member order,
-        // each through the ladder of its class. A lane attempt was billed in
-        // its group-wide kernel, so only genuine retries bill a scalar
-        // kernel; an evicted member's first attempt is the scalar twin of
-        // its would-be lane (a fault plan never changes which method a
-        // member runs under) and is billed like the scalar baseline.
-        type Named<'s> = (&'s dyn OdeSolver, &'static str);
-        let explicit_ladder: (Named, Option<Named>) = ((&dopri5, "dopri5"), Some((&bdf1, "bdf1")));
-        let implicit_ladder: (Named, Option<Named>) = ((&radau5, "radau5"), None);
-        let options = self.host.recovery.base_options(job);
-        let mut group = Settled::default();
-        for i in members.clone() {
-            let stiff = stiff[i - lo];
-            let (lanes, lane_name, (retry, fallback)) = if stiff {
-                (&mut implicit, "radau5-lanes", implicit_ladder)
-            } else {
-                (&mut explicit, "dopri5-lanes", explicit_ladder)
-            };
-            let (first, first_name, billed) = if evicted(i) {
-                group.health.evicted_lanes += 1;
-                (contained_attempt(job, i, retry.0, &options, scratch), retry.1, false)
-            } else {
-                (lanes.next().expect("one lane attempt per clean member"), lane_name, true)
-            };
-            let rs = continue_ladder(
-                job,
-                i,
-                first,
-                billed,
-                first_name,
-                retry,
-                fallback,
-                reroutable,
-                &self.host.recovery,
-                options.clone(),
-                scratch,
-            );
-            if !billed || rs.log.attempts > 1 {
-                let name = format!("integrate::fine_sim{i}");
-                let (kernel, launches_ns) =
-                    self.price(job, name, 1, &rs.stats, 1.0, rs.stats.steps as u64);
+        // Every member continues through the ladder of its class; a lane
+        // attempt that succeeded comes back as it went in. An evicted
+        // member's first attempt is the scalar twin of its would-be lane (a
+        // fault plan never changes which method a member runs under).
+        let (dopri5, bdf1, radau5) = (Dopri5::new(), Bdf::with_max_order(1), Radau5::new());
+        let explicit =
+            Ladder { retry: (&dopri5, "dopri5"), fallback: Some((&bdf1, "bdf1")), reroutable };
+        let implicit = Ladder { retry: (&radau5, "radau5"), fallback: None, reroutable };
+        let members = firsts.into_iter().enumerate().collect();
+        let ladder = |i: usize| if stiff[i] { implicit } else { explicit };
+        let mut results = solve_members_recovered(host, job, members, ladder)?.into_iter();
+
+        // The bill, on this thread in member order, per modelled group of
+        // `MEMBERS_PER_LANE·width` members. Each lockstep class of a group
+        // is one wide kernel: n species × L lanes across threads, flops
+        // inflated by the divergence factor (masked lanes burn issue
+        // slots), and host launch latency once per lockstep tick — not once
+        // per member step, which is the whole point of the lane path. Its
+        // ticks and occupancy are those of a group serving the class's
+        // members in member order (`LaneReport::packed` over DOPRI5 steps,
+        // or RADAU5's Newton iterations: one launch serves all of a tick's
+        // sweeps and batched LU solves), not what the host's groups took.
+        // Then every member whose work no lane kernel carried — an evicted
+        // member's whole ladder, a lane member's retries — bills a scalar
+        // kernel like the published baseline. Each group's slice of
+        // timeline is laid out on its own shard and absorbed in group order.
+        let config = &self.model.device_config;
+        let dp = DpModel::default();
+        let capacity = MEMBERS_PER_LANE * width;
+        let mut settled = Settled::default();
+        for g in 0..batch.div_ceil(capacity) {
+            let group = g * capacity..((g + 1) * capacity).min(batch);
+            let mut shard = TimelineShard::new();
+            for (label, of_stiff) in [("lane_group", false), ("radau_lane_group", true)] {
+                let lanes: Vec<&StepStats> = group
+                    .clone()
+                    .filter(|&i| stiff[i] == of_stiff)
+                    .filter_map(|i| lane_stats[i].as_ref())
+                    .collect();
+                if lanes.is_empty() {
+                    // The explicit class is on the occupancy record even empty.
+                    if !of_stiff {
+                        device.record_lane_group(&LaneGroupStats { width, ..Default::default() });
+                    }
+                    continue;
+                }
+                let ticks = lanes
+                    .iter()
+                    .map(|s| (if of_stiff { s.nonlinear_iters } else { s.steps }) as u64);
+                let report = LaneReport::packed(width, ticks);
+                let occupancy = lane_group_stats(&report);
+                let (kernel, launches_ns) = self.price(
+                    job,
+                    format!("integrate::{label}{g}"),
+                    width,
+                    &group_stats(lanes),
+                    occupancy.divergence_factor(),
+                    report.lockstep_iters,
+                );
                 shard.launch(config, &dp, &kernel);
                 shard.record_host_phase(STEP_LAUNCHES, launches_ns);
+                device.record_lane_group(&occupancy);
             }
-            group.settle(rs.solution, stiff, rs.solver, rs.log);
+            for i in group {
+                let rs = results.next().expect("one result per member");
+                if evicted[i] {
+                    settled.health.evicted_lanes += 1;
+                }
+                if evicted[i] || rs.log.attempts > 1 {
+                    let name = format!("integrate::fine_sim{i}");
+                    let (kernel, launches_ns) =
+                        self.price(job, name, 1, &rs.stats, 1.0, rs.stats.steps as u64);
+                    shard.launch(config, &dp, &kernel);
+                    shard.record_host_phase(STEP_LAUNCHES, launches_ns);
+                }
+                settled.settle(rs.solution, stiff[i], rs.solver, rs.log);
+            }
+            device.absorb_shard(shard);
         }
-        (group, classes, shard)
+        let lanes = Some(device.lane_accounting());
+        let clocks = device_clocks(&device, "io::d2h", "io::write");
+        Ok(host.finish(self.name(), start, settled, lanes, sink, clocks))
     }
 
     /// Prices one integration kernel the fine-grained way: species ×
@@ -407,6 +377,7 @@ mod tests {
     use super::*;
     use crate::FineCoarseEngine;
     use paraspace_rbm::{Kinetics, Parameterization, Reaction, ReactionBasedModel};
+    use paraspace_solvers::FaultPlan;
 
     fn model() -> ReactionBasedModel {
         let mut m = ReactionBasedModel::new();
@@ -528,6 +499,66 @@ mod tests {
         // The modeled timeline is also thread-count independent.
         assert_eq!(r8.timing.simulated_total_ns, r8t.timing.simulated_total_ns);
         assert_eq!(r8.lanes, r8t.lanes);
+    }
+
+    #[test]
+    fn the_bill_does_not_depend_on_which_host_group_ran_a_member() {
+        // Both lockstep classes, explicit members ≥ 4× apart in steps, one
+        // evicted member and one lane member DOPRI5 hands to BDF1: at every
+        // width, the clocks, occupancy, health and every outcome are the
+        // same at any worker count, however the shared queue fell.
+        use paraspace_solvers::FaultSpec;
+        let m = model();
+        let mut b = SimulationJob::builder(&m).time_points(vec![1.0, 5.0, 20.0]);
+        let rates = [[0.3, 0.2], [2.0, 1.0], [1e5, 2e5], [30.0, 20.0], [300.0, 150.0]];
+        for i in 0..14 {
+            let [k1, k2] = rates[i % rates.len()];
+            let spread = 1.0 + 0.05 * i as f64;
+            b = b.parameterization(
+                Parameterization::new().with_rate_constants(vec![k1 * spread, k2]),
+            );
+        }
+        let job = b.fault_plan(FaultPlan::new().with_fault(6, FaultSpec::nan_at_time(1e9)));
+        let job = job.build().unwrap();
+        let outcome = |o: &crate::SimOutcome| {
+            let solution = o.solution.as_ref().map(|s| (s.states.clone(), s.stats));
+            format!("{solution:?} {} {} {} {:?}", o.solver, o.stiff, o.rerouted, o.log)
+        };
+        for width in [2, 4, 8] {
+            let run = |threads| {
+                FineEngine::new().with_lane_width(width).with_threads(threads).run(&job).unwrap()
+            };
+            let one = run(1);
+            let steps: Vec<usize> = one
+                .outcomes
+                .iter()
+                .filter(|o| o.solver == "dopri5-lanes")
+                .map(|o| o.solution.as_ref().unwrap().stats.steps)
+                .collect();
+            let (fewest, most) = (steps.iter().min().unwrap(), steps.iter().max().unwrap());
+            assert!(most >= &(4 * fewest), "width {width}: steps {fewest}..{most}");
+            assert!(one.outcomes.iter().any(|o| o.solver == "radau5-lanes"), "width {width}");
+            assert_eq!(one.health.evicted_lanes, 1, "width {width}");
+            assert!(
+                one.outcomes.iter().any(|o| o.solver == "bdf1" && o.rerouted && !o.stiff),
+                "width {width}: {}",
+                one.health
+            );
+            for threads in [2, 4, 8] {
+                let other = run(threads);
+                let clocks = |r: &BatchResult| {
+                    let t = &r.timing;
+                    [t.simulated_total_ns, t.simulated_integration_ns, t.simulated_io_ns]
+                        .map(f64::to_bits)
+                };
+                let at = format!("width {width}, {threads} threads");
+                assert_eq!(clocks(&one), clocks(&other), "{at}");
+                assert_eq!(one.lanes, other.lanes, "{at}");
+                assert_eq!(one.health, other.health, "{at}");
+                let outcomes = |r: &BatchResult| r.outcomes.iter().map(outcome).collect::<Vec<_>>();
+                assert_eq!(outcomes(&one), outcomes(&other), "{at}");
+            }
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@ use crate::engines::host::{
 };
 use crate::engines::{attempt_stats, discard, group_stats, BatchResult, MemberSink, Simulator};
 use crate::lanes::{explicit_lane_width, solve_queue, Lockstep, MEMBERS_PER_LANE};
-use crate::recovery::{contained_attempt, continue_ladder, RecoveryLog};
+use crate::recovery::{contained_attempt, solve_members_recovered, Ladder, RecoveryLog};
 use crate::{classify_batch_with_threshold, SimError, SimulationJob, StiffnessClass, WorkEstimate};
 use paraspace_exec::Cancelled;
 use paraspace_solvers::{
@@ -503,30 +503,21 @@ impl Simulator for Engine<FineCoarse> {
 
         // Relaxation pass: members still failing after P4 climb the
         // tolerance-relaxation rungs of the ladder on the solver that last
-        // ran them (sequential, member order — the pass is rare and must
-        // stay deterministic). Their P3/P4 work is already billed above, so
-        // only genuine retries bill launch rounds.
+        // ran them, on the workers and under the token. Their P3/P4 work is
+        // already billed above, so only genuine retries bill launch rounds,
+        // in member order on this thread.
         if host.recovery.max_relaxations > 0 {
-            let mut scratch = SolverScratch::new();
-            for i in 0..batch {
-                let Some((Err(_), _)) = slots[i].as_ref() else { continue };
-                let (first, first_name) = slots[i].take().expect("slot checked above");
+            let failed: Vec<usize> =
+                (0..batch).filter(|&i| matches!(slots[i], Some((Err(_), _)))).collect();
+            let firsts = failed.iter().map(|&i| (i, slots[i].take())).collect();
+            let ladder = |i: usize| {
                 let on_radau = classes[i].stiff || logs[i].rerouted;
                 let retry: (&dyn OdeSolver, &'static str) =
                     if on_radau { (&radau5, "radau5") } else { (&dopri5, "dopri5") };
-                let rs = continue_ladder(
-                    job,
-                    i,
-                    first,
-                    true,
-                    first_name,
-                    retry,
-                    None,
-                    |_| false,
-                    &host.recovery,
-                    host.recovery.base_options(job),
-                    &mut scratch,
-                );
+                Ladder { retry, fallback: None, reroutable: |_| false }
+            };
+            let retried = solve_members_recovered(host, job, firsts, ladder)?;
+            for (&i, rs) in failed.iter().zip(retried) {
                 if rs.log.attempts > 1 {
                     device.record_host_phase(
                         "integrate::relax_retries",

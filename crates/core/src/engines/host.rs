@@ -3,23 +3,22 @@
 //! An engine is a [`Host`] — the worker pool the numerics run on, the
 //! failed-member recovery policy, the cancellation token — plus a cost
 //! model that says how the measured work is scheduled on its modeled
-//! hardware. Everything that is not cost model lives here once: the
-//! builders, the packing of a member list into a lockstep lane group, the
-//! folding of settled members into outcomes and health, the input-staging
-//! size, and the P5 tail that turns a finished batch into a
-//! [`BatchResult`].
+//! hardware. Everything that is not cost model lives here once — the
+//! builders, the folding of settled members into outcomes and health, the
+//! input-staging size, and the P5 tail that turns a finished batch into a
+//! [`BatchResult`] — or beside it: the lane scheduler
+//! (`lanes::solve_queue`) and the recovery ladder
+//! (`recovery::solve_members_recovered`), both run on the host's executor
+//! under its token.
 
 use crate::engines::{
     BatchHealth, BatchResult, BatchTiming, MemberSink, SimOutcome, IO_BYTES_PER_NS,
 };
 use crate::job::write_dynamics;
-use crate::lanes::Lockstep;
 use crate::recovery::{RecoveryLog, RecoveryPolicy};
-use crate::{RbmBatchSystem, SimulationJob};
+use crate::SimulationJob;
 use paraspace_exec::{CancelToken, Executor};
-use paraspace_solvers::{
-    Dopri5Batch, LaneReport, Radau5Batch, Solution, SolveFailure, SolverError, SolverScratch,
-};
+use paraspace_solvers::{LaneReport, Solution, SolverError};
 use paraspace_vgpu::{Device, DeviceConfig, LaneAccounting, LaneGroupStats};
 use std::time::Instant;
 
@@ -150,44 +149,9 @@ impl Settled {
         self.health.observe(&solution, &log);
         self.outcomes.push(SimOutcome { solution, stiff, rerouted: log.rerouted, solver, log });
     }
-
-    /// Appends a lane group's members after this batch's.
-    pub(crate) fn absorb(&mut self, group: Settled) {
-        self.health.absorb(&group.health);
-        self.outcomes.extend(group.outcomes);
-    }
 }
 
 impl Host {
-    /// Packs `members` into one lane group of `width` and integrates it in
-    /// lockstep — under the options every first attempt runs under
-    /// ([`RecoveryPolicy::base_options`]), so the policy's step budget
-    /// binds a lane exactly as it binds a scalar solve. Returns the
-    /// attempts in `members` order plus the group's occupancy report.
-    pub(crate) fn solve_lane_group(
-        &self,
-        kernel: Lockstep,
-        job: &SimulationJob,
-        members: &[usize],
-        width: usize,
-        scratch: &mut SolverScratch,
-    ) -> (Vec<Result<Solution, SolveFailure>>, LaneReport) {
-        let mut sys = RbmBatchSystem::new(job.odes(), width);
-        for &i in members {
-            let (x0, k) = job.member(i);
-            sys.push_member(x0, k);
-        }
-        let options = self.recovery.base_options(job);
-        match kernel {
-            Lockstep::Dopri5 => {
-                Dopri5Batch::new().solve_group(&mut sys, 0.0, job.time_points(), &options, scratch)
-            }
-            Lockstep::Radau5 => {
-                Radau5Batch::new().solve_group(&mut sys, 0.0, job.time_points(), &options, scratch)
-            }
-        }
-    }
-
     /// The shared tail: hands every member to `sink`, prices P5 on the
     /// size of the texts the sink was given, and assembles the result.
     /// `clocks` gets the output bytes and answers the modeled `[total,

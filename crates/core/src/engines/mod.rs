@@ -212,19 +212,6 @@ impl FailureCounts {
         }
     }
 
-    fn absorb(&mut self, other: &FailureCounts) {
-        self.max_steps_exceeded += other.max_steps_exceeded;
-        self.step_size_underflow += other.step_size_underflow;
-        self.nonlinear_solve_failed += other.nonlinear_solve_failed;
-        self.singular_iteration_matrix += other.singular_iteration_matrix;
-        self.non_finite_state += other.non_finite_state;
-        self.stiffness_detected += other.stiffness_detected;
-        self.step_budget_exhausted += other.step_budget_exhausted;
-        self.invalid_input += other.invalid_input;
-        self.internal += other.internal;
-        self.other += other.other;
-    }
-
     /// Total failed members.
     pub fn total(&self) -> usize {
         self.max_steps_exceeded
@@ -293,20 +280,6 @@ impl BatchHealth {
             self.panics_contained += 1;
         }
         self.discarded_steps += log.discarded_steps;
-    }
-
-    /// Folds a partial tally (one lane-group's health) into this one.
-    pub(crate) fn absorb(&mut self, other: &BatchHealth) {
-        self.members += other.members;
-        self.succeeded += other.succeeded;
-        self.failed.absorb(&other.failed);
-        self.retries_attempted += other.retries_attempted;
-        self.retries_succeeded += other.retries_succeeded;
-        self.reroutes += other.reroutes;
-        self.relaxations += other.relaxations;
-        self.evicted_lanes += other.evicted_lanes;
-        self.panics_contained += other.panics_contained;
-        self.discarded_steps += other.discarded_steps;
     }
 }
 

@@ -27,20 +27,19 @@
 //!
 //! # Scheduling
 //!
-//! Both lockstep phases of the fine-coarse engine run on one scheduler,
+//! Every lockstep phase in the crate — the fine-coarse engine's P3 and P4,
+//! the fine engine's explicit and stiff classes — runs on one scheduler,
 //! [`solve_queue`]: one lane group per executor worker, every group
 //! refilling its free lanes from one shared member cursor, so no worker
 //! idles while another still has members waiting. Independent stiff systems
 //! integrated side by side diverge in step count (on the autophagy PSA grid
 //! a fifth of the re-routed members need 3–5× the Radau steps of the
-//! rest), which is why the caller orders the stiff phase's queue longest
-//! first by the triage eigenvalue. That is legal because nothing the
-//! engine reports depends on which group ran a member: attempts are bitwise
-//! independent of packing, and the device is billed from per-member
-//! counters in member order, its lane occupancy from a packing it computes
-//! for itself ([`MEMBERS_PER_LANE`]). The fine engine is what is left on a
-//! fixed partition (`solve_lane_groups`): its groups mix two lockstep
-//! classes and bill host launches per group.
+//! rest), which is why the fine-coarse engine orders its stiff phase's
+//! queue longest first by the triage eigenvalue. That is legal because
+//! nothing an engine reports depends on which group ran a member: attempts
+//! are bitwise independent of packing, and the device is billed from
+//! per-member counters in member order, its lane occupancy from a packing
+//! the billing computes for itself ([`MEMBERS_PER_LANE`]).
 //!
 //! The returned width only ever *narrows* the schedule; it never changes
 //! any trajectory (per-member results are bitwise independent of lane
@@ -59,7 +58,6 @@ use paraspace_solvers::{
     BatchOdeSystem, Dopri5Batch, LaneReport, Radau5Batch, Solution, SolveFailure, SolverOptions,
     SolverScratch,
 };
-use std::ops::Range;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Widest lane-group the engines schedule.
@@ -113,44 +111,12 @@ impl Lockstep {
 
 /// Members per lane slot of a *modelled* lane group: the device serves
 /// `MEMBERS_PER_LANE·L` members per group of width `L`, in member order,
-/// early finishers handing their lane to the next member. The fine engine
-/// packs its host groups the same way ([`solve_lane_groups`]); the
-/// fine-coarse engine packs its host groups however the shared queue falls
-/// ([`solve_queue`]) and bills this packing regardless
-/// (`LaneReport::packed`). Deep enough to keep the lanes occupied, shallow
-/// enough that a stiff crowd of a few dozen members still splits into
-/// several groups.
+/// early finishers handing their lane to the next member. The host packs
+/// its groups however the shared queue falls ([`solve_queue`]); the
+/// engines bill this packing regardless (`LaneReport::packed`). Deep
+/// enough to keep the lanes occupied, shallow enough that a stiff crowd of
+/// a few dozen members still splits into several groups.
 pub(crate) const MEMBERS_PER_LANE: usize = 2;
-
-/// Solves `members` queued members as lockstep lane-groups of `width` on
-/// the executor's workers and returns the per-group results **in group
-/// order**, or `Err(Cancelled)` if `cancel` tripped first (in-flight groups
-/// drain; partial results are discarded).
-///
-/// Group `g` covers queue positions `g·c .. min((g+1)·c, members)` with
-/// `c = MEMBERS_PER_LANE·width` — a partition that depends only on
-/// `(members, width)`, never on the worker count, so callers that fold the
-/// returned groups on their own thread (device billing, health) stay
-/// bitwise identical at any `--threads`. `solve` gets the worker's pooled
-/// [`SolverScratch`], the group index and its queue range. A panic that
-/// escapes `solve` is a bug in the lane plumbing itself (member faults are
-/// evicted before packing) and is resumed on the calling thread.
-pub(crate) fn solve_lane_groups<T: Send>(
-    executor: &Executor,
-    cancel: &CancelToken,
-    members: usize,
-    width: usize,
-    solve: impl Fn(&mut SolverScratch, usize, Range<usize>) -> T + Sync,
-) -> Result<Vec<T>, Cancelled> {
-    let capacity = width * MEMBERS_PER_LANE;
-    let groups = executor.try_map_with_cancel(
-        members.div_ceil(capacity),
-        cancel,
-        SolverScratch::new,
-        |scratch, g| solve(scratch, g, g * capacity..((g + 1) * capacity).min(members)),
-    )?;
-    Ok(groups.into_iter().map(|group| group.unwrap_or_else(|fault| panic!("{fault}"))).collect())
-}
 
 /// The lane width the fine-coarse engine's explicit phase (P3) integrates
 /// `members` fault-free non-stiff members at, on `workers` executor
@@ -318,61 +284,6 @@ pub fn auto_lane_width(odes: &CompiledOdes) -> usize {
     width
 }
 
-/// Cache budget for one sensitivity lane-group's live augmented working
-/// set. The explicit augmented path has no LU cliff; its pressure is the
-/// DOPRI5 stage storage (7 k-stages + ~5 state-sized buffers) over the
-/// augmented dimension `n·(1+p)` plus the batched Jacobian / ∂f/∂k blocks
-/// re-streamed every sweep. Same conservative per-core L2 slice as the
-/// stiff tuner's factor budget.
-const SENS_CACHE_BUDGET_BYTES: usize = 256 * 1024;
-
-/// The lane width the lockstep *forward-sensitivity* path should run
-/// `odes` at when carrying `n_params` sensitivity columns.
-///
-/// Sensitivity columns widen every lane's working set `(1+p)`-fold: the
-/// augmented SoA state is `n·(1+p)` rows, and each right-hand-side sweep
-/// additionally streams the `nnz` Jacobian entries and the `p·n` forcing
-/// block per lane. This tuner prices that widened set against the same
-/// cache budget the stiff tuner uses, narrowing from
-/// [`auto_lane_width`]'s answer — never widening past it, and like every
-/// tuner in this module it only ever changes throughput, not results
-/// (per-member sensitivities are bitwise independent of lane width by the
-/// lockstep contract).
-///
-/// # Example
-///
-/// ```
-/// use paraspace_core::{auto_lane_width, auto_sens_lane_width};
-/// use paraspace_rbm::{Reaction, ReactionBasedModel};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut m = ReactionBasedModel::new();
-/// let a = m.add_species("A", 1.0);
-/// m.add_reaction(Reaction::mass_action(&[(a, 1)], &[], 1.0))?;
-/// let odes = m.compile()?;
-/// // Tiny model, few parameters: sensitivities don't narrow the lanes.
-/// assert_eq!(auto_sens_lane_width(&odes, 1), auto_lane_width(&odes));
-/// # Ok(())
-/// # }
-/// ```
-pub fn auto_sens_lane_width(odes: &CompiledOdes, n_params: usize) -> usize {
-    if !odes.supports_lane_batch() {
-        return 1;
-    }
-    let n = odes.n_species();
-    let aug = n * (1 + n_params);
-    let nnz = odes.jacobian_sparsity().nnz();
-    // Live doubles per lane per sweep: 12 augmented state-sized buffers
-    // (DOPRI5's 7 stages + y/y_stage/y_new/err/scale), the Jacobian block,
-    // and the forcing block.
-    let bytes_per_lane = (12 * aug + nnz + n_params * n) * 8;
-    let mut width = auto_lane_width(odes);
-    while width > 1 && bytes_per_lane * width > SENS_CACHE_BUDGET_BYTES {
-        width /= 2;
-    }
-    width
-}
-
 /// Tau-leaping's published relative-change tolerance, mirrored here so the
 /// stochastic tuner prices the leap/SSA mode split the same way the
 /// simulator decides it.
@@ -508,55 +419,6 @@ mod tests {
             }
         }
         m.compile().unwrap()
-    }
-
-    #[test]
-    fn lane_groups_partition_by_members_and_width_only() {
-        let ranges = |threads: usize, members: usize, width: usize| {
-            solve_lane_groups(
-                &Executor::new(threads),
-                &CancelToken::new(),
-                members,
-                width,
-                |_, g, queue| (g, queue),
-            )
-            .unwrap()
-        };
-        let capacity = 4 * MEMBERS_PER_LANE;
-        let groups = ranges(1, 2 * capacity + 1, 4);
-        assert_eq!(
-            groups,
-            vec![
-                (0, 0..capacity),
-                (1, capacity..2 * capacity),
-                (2, 2 * capacity..2 * capacity + 1)
-            ]
-        );
-        assert_eq!(groups, ranges(8, 2 * capacity + 1, 4), "worker count must not move a boundary");
-        assert!(ranges(2, 0, 4).is_empty());
-    }
-
-    #[test]
-    fn lane_groups_drain_and_cancel_mid_phase() {
-        // The token trips while group 0 is integrating: that group drains,
-        // no later group starts, and nothing is handed back.
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let cancel = CancelToken::new();
-        let started = AtomicUsize::new(0);
-        let outcome = solve_lane_groups(
-            &Executor::sequential(),
-            &cancel,
-            5 * 2 * MEMBERS_PER_LANE,
-            2,
-            |_, g, _| {
-                started.fetch_add(1, Ordering::SeqCst);
-                if g == 0 {
-                    cancel.cancel();
-                }
-            },
-        );
-        assert_eq!(outcome, Err(Cancelled));
-        assert_eq!(started.load(Ordering::SeqCst), 1);
     }
 
     #[test]
@@ -786,37 +648,6 @@ mod tests {
         // A pinned 1 always selects the engine's documented scalar path.
         assert_eq!(resolve_lane_width(Some(1), &job, "fine", false), 1);
         assert_eq!(resolve_lane_width(Some(1), &job, "fine-coarse", true), 1);
-    }
-
-    #[test]
-    fn sens_width_narrows_with_parameter_count() {
-        // A mid-size chain: full width unburdened, but carrying many
-        // sensitivity columns must narrow the lanes...
-        let odes = chain_model(40, 3);
-        let plain = auto_sens_lane_width(&odes, 0);
-        let heavy = auto_sens_lane_width(&odes, 64);
-        assert!(heavy < plain, "p=64 must narrow: {heavy} vs {plain}");
-        // ...never below 1, never above the plain tuner's answer.
-        assert!(heavy >= 1);
-        assert!(auto_sens_lane_width(&odes, 4) <= auto_lane_width(&odes));
-        // Deterministic.
-        assert_eq!(auto_sens_lane_width(&odes, 64), auto_sens_lane_width(&odes, 64));
-    }
-
-    #[test]
-    fn sens_width_is_scalar_for_non_mass_action_kinetics() {
-        use paraspace_rbm::Kinetics;
-        let mut m = ReactionBasedModel::new();
-        let s = m.add_species("S", 1.0);
-        let p = m.add_species("P", 0.0);
-        m.add_reaction(Reaction::with_kinetics(
-            &[(s, 1)],
-            &[(p, 1)],
-            1.0,
-            Kinetics::MichaelisMenten { km: 0.5 },
-        ))
-        .unwrap();
-        assert_eq!(auto_sens_lane_width(&m.compile().unwrap(), 1), 1);
     }
 
     #[test]

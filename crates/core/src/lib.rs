@@ -69,7 +69,7 @@ pub use engines::{
 };
 pub use error::SimError;
 pub use job::{JobBuilder, SimulationJob};
-pub use lanes::{auto_lane_width, auto_sens_lane_width, auto_stoch_lane_width};
+pub use lanes::{auto_lane_width, auto_stoch_lane_width};
 /// Cooperative cancellation vocabulary, re-exported so engine callers can
 /// wire a token without importing the executor crate directly.
 pub use paraspace_exec::{CancelToken, Cancelled, Executor};
@@ -82,6 +82,4 @@ pub use select::{recommend_engine, EngineKind};
 pub use stiffness::{
     classify_batch, classify_batch_with_threshold, StiffnessClass, STIFFNESS_THRESHOLD,
 };
-pub use system::{
-    CustomOdeSystem, RbmBatchSystem, RbmOdeSystem, RbmSensBatchSystem, RbmSensSystem,
-};
+pub use system::{CustomOdeSystem, RbmBatchSystem, RbmOdeSystem, RbmSensSystem};

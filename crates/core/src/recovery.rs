@@ -26,6 +26,7 @@ use paraspace_solvers::{
     OdeSolver, Solution, SolveFailure, SolverError, SolverOptions, SolverScratch, StepStats,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::Mutex;
 
 /// How engines respond to failed batch members.
 ///
@@ -154,51 +155,89 @@ pub(crate) fn contained_attempt(
         })
 }
 
-/// Runs the full recovery ladder for member `i`: primary attempt, then
-/// (per `policy`) one reroute to `fallback`, then tolerance-relaxation
-/// retries with step-budget escalation.
-pub(crate) fn solve_member_recovered(
-    job: &SimulationJob,
-    i: usize,
-    primary: (&dyn OdeSolver, &'static str),
-    fallback: Option<(&dyn OdeSolver, &'static str)>,
-    reroutable: fn(&SolverError) -> bool,
-    policy: &RecoveryPolicy,
-    scratch: &mut SolverScratch,
-) -> RecoveredSolve {
-    let opts = policy.base_options(job);
-    let first = contained_attempt(job, i, primary.0, &opts, scratch);
-    continue_ladder(
-        job, i, first, false, primary.1, primary, fallback, reroutable, policy, opts, scratch,
-    )
+/// The solvers one member's ladder climbs: `retry` makes the first attempt
+/// when the caller brings none and runs the relaxation rungs of a member
+/// that was not rerouted; `fallback` takes over a failure `reroutable`
+/// accepts (rung 1), and then the rungs after it.
+#[derive(Clone, Copy)]
+pub(crate) struct Ladder<'s> {
+    pub(crate) retry: (&'s dyn OdeSolver, &'static str),
+    pub(crate) fallback: Option<(&'s dyn OdeSolver, &'static str)>,
+    pub(crate) reroutable: fn(&SolverError) -> bool,
 }
 
-/// Continues the ladder after an already-performed first attempt.
+/// A first attempt the caller already ran — and billed, in a lane kernel
+/// or a phase launch — with the name of the solver that ran it.
+pub(crate) type Billed = (Result<Solution, SolveFailure>, &'static str);
+
+/// Runs the recovery ladder for `members` on the host's worker pool, under
+/// its policy, returning results **in `members` order**, or
+/// `Err(Cancelled)` if its token tripped before every member completed
+/// (in-flight members drain; partial results are discarded).
 ///
-/// Engines whose first attempt ran elsewhere (the lane-batched lockstep
-/// solver) enter here with that attempt's outcome; `retry` is the solver
-/// relaxation retries use when the member was not rerouted. `first_billed`
-/// says the caller already billed the first attempt's work (in a
-/// group-wide lane kernel, or in its phase launch): its stats are then
-/// left out of the returned [`RecoveredSolve::stats`], which carries only
-/// the genuine retries.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn continue_ladder(
+/// A member paired with a [`Billed`] attempt continues the ladder from it;
+/// the others first make a contained attempt on their ladder's `retry`
+/// solver. Member-level containment normally keeps panics from reaching
+/// the executor; `try_map_with_cancel` backstops the remainder (a panic in
+/// the ladder itself), converting an executor-level
+/// [`paraspace_exec::ItemPanic`] into an `Internal` outcome for that member
+/// instead of resuming the unwind.
+pub(crate) fn solve_members_recovered<'s>(
+    host: &Host,
+    job: &SimulationJob,
+    members: Vec<(usize, Option<Billed>)>,
+    ladder: impl Fn(usize) -> Ladder<'s> + Sync,
+) -> Result<Vec<RecoveredSolve>, Cancelled> {
+    // Each index is claimed by one worker, which takes its first attempt
+    // out of the slot exactly once.
+    let members: Vec<(usize, Mutex<Option<Billed>>)> =
+        members.into_iter().map(|(i, first)| (i, Mutex::new(first))).collect();
+    let solve = |scratch: &mut SolverScratch, idx: usize| {
+        let (i, first) = &members[idx];
+        let first = first.lock().expect("no lock holder panics").take();
+        continue_ladder(job, *i, first, ladder(*i), &host.recovery, scratch)
+    };
+    let results = host.executor.try_map_with_cancel(
+        members.len(),
+        &host.cancel,
+        SolverScratch::new,
+        solve,
+    )?;
+    Ok(results
+        .into_iter()
+        .zip(&members)
+        .map(|(r, (i, _))| {
+            r.unwrap_or_else(|fault| RecoveredSolve {
+                solution: Err(SolverError::Internal { message: fault.message }),
+                stats: StepStats::default(),
+                solver: ladder(*i).retry.1,
+                log: RecoveryLog { attempts: 1, panicked: true, ..RecoveryLog::default() },
+            })
+        })
+        .collect())
+}
+
+/// The ladder of member `i` from its first attempt — `first`, whose stats
+/// the caller billed and which are therefore left out of the returned
+/// [`RecoveredSolve::stats`], or a contained one on `ladder.retry` made
+/// here, under `policy.base_options(job)` — then (per `policy`) one
+/// reroute to `ladder.fallback`, then tolerance-relaxation retries with
+/// step-budget escalation.
+fn continue_ladder(
     job: &SimulationJob,
     i: usize,
-    first: Result<Solution, SolveFailure>,
-    first_billed: bool,
-    first_name: &'static str,
-    retry: (&dyn OdeSolver, &'static str),
-    fallback: Option<(&dyn OdeSolver, &'static str)>,
-    reroutable: fn(&SolverError) -> bool,
+    first: Option<Billed>,
+    ladder: Ladder,
     policy: &RecoveryPolicy,
-    mut opts: SolverOptions,
     scratch: &mut SolverScratch,
 ) -> RecoveredSolve {
+    let mut opts = policy.base_options(job);
     let mut log = RecoveryLog { attempts: 1, ..RecoveryLog::default() };
     let mut stats = StepStats::default();
-    let mut solver_name = first_name;
+    let (first, first_billed, mut solver_name) = match first {
+        Some((attempt, name)) => (attempt, true, name),
+        None => (contained_attempt(job, i, ladder.retry.0, &opts, scratch), false, ladder.retry.1),
+    };
 
     let (mut current, first_stats) = outcome_and_stats(first);
     if !first_billed {
@@ -210,8 +249,8 @@ pub(crate) fn continue_ladder(
 
     // Rung 1: the historical explicit → implicit reroute.
     if policy.reroute {
-        if let (Err(e), Some((fb, fb_name))) = (&current, fallback) {
-            if reroutable(e) {
+        if let (Err(e), Some((fb, fb_name))) = (&current, ladder.fallback) {
+            if (ladder.reroutable)(e) {
                 log.attempts += 1;
                 log.rerouted = true;
                 log.discarded_steps += current_steps;
@@ -244,8 +283,11 @@ pub(crate) fn continue_ladder(
         log.relaxations += 1;
         log.attempts += 1;
         log.discarded_steps += current_steps;
-        let (solver, name) =
-            if log.rerouted { fallback.expect("rerouted implies fallback") } else { retry };
+        let (solver, name) = if log.rerouted {
+            ladder.fallback.expect("rerouted implies fallback")
+        } else {
+            ladder.retry
+        };
         solver_name = name;
         let (r, s) = outcome_and_stats(contained_attempt(job, i, solver, &opts, scratch));
         stats.absorb(&s);
@@ -258,48 +300,14 @@ pub(crate) fn continue_ladder(
     RecoveredSolve { solution: current, stats, solver: solver_name, log }
 }
 
-/// Runs the recovery ladder for `members` on the host's worker pool, under
-/// its policy, returning results **in `members` order**, or
-/// `Err(Cancelled)` if its token tripped before every member completed
-/// (in-flight members drain; partial results are discarded).
-///
-/// Member-level containment inside [`solve_member_recovered`] normally
-/// keeps panics from reaching the executor; `try_map_with_cancel`
-/// backstops the remainder (a panic in the ladder itself), converting an
-/// executor-level [`paraspace_exec::ItemPanic`] into an `Internal` outcome
-/// for that member instead of resuming the unwind.
-pub(crate) fn solve_members_recovered(
-    host: &Host,
-    job: &SimulationJob,
-    members: &[usize],
-    primary: (&dyn OdeSolver, &'static str),
-    fallback: Option<(&dyn OdeSolver, &'static str)>,
-    reroutable: fn(&SolverError) -> bool,
-) -> Result<Vec<RecoveredSolve>, Cancelled> {
-    let solve = |scratch: &mut SolverScratch, idx: usize| {
-        let policy = &host.recovery;
-        solve_member_recovered(job, members[idx], primary, fallback, reroutable, policy, scratch)
-    };
-    Ok(host
-        .executor
-        .try_map_with_cancel(members.len(), &host.cancel, SolverScratch::new, solve)?
-        .into_iter()
-        .map(|r| {
-            r.unwrap_or_else(|fault| RecoveredSolve {
-                solution: Err(SolverError::Internal { message: fault.message }),
-                stats: StepStats::default(),
-                solver: primary.1,
-                log: RecoveryLog { attempts: 1, panicked: true, ..RecoveryLog::default() },
-            })
-        })
-        .collect())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engines::attempt_stats;
+    use paraspace_exec::{CancelToken, Executor};
     use paraspace_rbm::{Reaction, ReactionBasedModel};
-    use paraspace_solvers::{FaultPlan, FaultSpec, Lsoda, Rkf45};
+    use paraspace_solvers::{FaultPlan, FaultSpec, Lsoda, OdeSystem, Rkf45};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn model() -> ReactionBasedModel {
         let mut m = ReactionBasedModel::new();
@@ -308,6 +316,19 @@ mod tests {
         m.add_reaction(Reaction::mass_action(&[(a, 1)], &[(b, 1)], 1.0)).unwrap();
         m.add_reaction(Reaction::mass_action(&[(b, 1)], &[(a, 1)], 0.4)).unwrap();
         m
+    }
+
+    /// Every member of `job` through the ladder on `solver` alone, under
+    /// `policy`, on one worker.
+    fn recover(
+        job: &SimulationJob,
+        solver: (&dyn OdeSolver, &'static str),
+        policy: RecoveryPolicy,
+    ) -> Vec<RecoveredSolve> {
+        let host = Host { recovery: policy, ..Host::default() };
+        let members = (0..job.batch_size()).map(|i| (i, None)).collect();
+        let ladder = Ladder { retry: solver, fallback: None, reroutable: |_| false };
+        solve_members_recovered(&host, job, members, |_| ladder).unwrap()
     }
 
     #[test]
@@ -322,17 +343,7 @@ mod tests {
     fn clean_member_solves_in_one_attempt() {
         let m = model();
         let job = SimulationJob::builder(&m).time_points(vec![1.0]).replicate(1).build().unwrap();
-        let rkf = Rkf45::new();
-        let mut scratch = SolverScratch::new();
-        let rs = solve_member_recovered(
-            &job,
-            0,
-            (&rkf, "rkf45"),
-            None,
-            |_| false,
-            &RecoveryPolicy::default(),
-            &mut scratch,
-        );
+        let rs = recover(&job, (&Rkf45::new(), "rkf45"), RecoveryPolicy::default()).remove(0);
         assert!(rs.solution.is_ok());
         assert_eq!(rs.solver, "rkf45");
         assert_eq!(rs.log, RecoveryLog { attempts: 1, ..RecoveryLog::default() });
@@ -343,37 +354,17 @@ mod tests {
         let m = model();
         let job = SimulationJob::builder(&m)
             .time_points(vec![1.0])
-            .replicate(1)
+            .replicate(2)
             .fault_plan(FaultPlan::new().with_fault(0, FaultSpec::panic_at_time(0.5)))
             .build()
             .unwrap();
-        let lsoda = Lsoda::new();
-        let mut scratch = SolverScratch::new();
-        let rs = solve_member_recovered(
-            &job,
-            0,
-            (&lsoda, "lsoda"),
-            None,
-            |_| false,
-            &RecoveryPolicy::default(),
-            &mut scratch,
-        );
-        let err = rs.solution.unwrap_err();
-        assert!(matches!(&err, SolverError::Internal { message } if message.contains("chaos")));
-        assert!(rs.log.panicked);
-        // The scratch pool survives the contained panic and solves a clean
-        // member afterwards.
-        let clean = SimulationJob::builder(&m).time_points(vec![1.0]).replicate(1).build().unwrap();
-        let rs2 = solve_member_recovered(
-            &clean,
-            0,
-            (&lsoda, "lsoda"),
-            None,
-            |_| false,
-            &RecoveryPolicy::default(),
-            &mut scratch,
-        );
-        assert!(rs2.solution.is_ok());
+        let mut rs = recover(&job, (&Lsoda::new(), "lsoda"), RecoveryPolicy::default());
+        let err = rs[0].solution.as_ref().unwrap_err();
+        assert!(matches!(err, SolverError::Internal { message } if message.contains("chaos")));
+        assert!(rs[0].log.panicked);
+        // The worker's scratch pool survives the contained panic and solves
+        // the clean member after it.
+        assert!(rs.remove(1).solution.is_ok());
     }
 
     #[test]
@@ -388,30 +379,13 @@ mod tests {
             .options(opts)
             .build()
             .unwrap();
-        let lsoda = Lsoda::new();
-        let mut scratch = SolverScratch::new();
+        let lsoda = (&Lsoda::new() as &dyn OdeSolver, "lsoda");
 
-        let strict = solve_member_recovered(
-            &job,
-            0,
-            (&lsoda, "lsoda"),
-            None,
-            |_| false,
-            &RecoveryPolicy::default(),
-            &mut scratch,
-        );
+        let strict = recover(&job, lsoda, RecoveryPolicy::default()).remove(0);
         assert!(strict.solution.is_err(), "member must fail at default tolerances");
 
         let policy = RecoveryPolicy { max_relaxations: 3, ..RecoveryPolicy::default() };
-        let relaxed = solve_member_recovered(
-            &job,
-            0,
-            (&lsoda, "lsoda"),
-            None,
-            |_| false,
-            &policy,
-            &mut scratch,
-        );
+        let relaxed = recover(&job, lsoda, policy).remove(0);
         assert!(
             relaxed.solution.is_ok(),
             "relaxed tolerances must recover: {:?}",
@@ -434,18 +408,8 @@ mod tests {
             .fault_plan(FaultPlan::new().with_fault(0, FaultSpec::panic_at_time(0.1)))
             .build()
             .unwrap();
-        let lsoda = Lsoda::new();
-        let mut scratch = SolverScratch::new();
         let policy = RecoveryPolicy { max_relaxations: 5, ..RecoveryPolicy::default() };
-        let rs = solve_member_recovered(
-            &job,
-            0,
-            (&lsoda, "lsoda"),
-            None,
-            |_| false,
-            &policy,
-            &mut scratch,
-        );
+        let rs = recover(&job, (&Lsoda::new(), "lsoda"), policy).remove(0);
         assert!(matches!(rs.solution, Err(SolverError::Internal { .. })));
         assert_eq!(rs.log.attempts, 1, "a deterministic panic must not be retried");
         assert_eq!(rs.log.relaxations, 0);
@@ -461,16 +425,100 @@ mod tests {
             .options(opts)
             .build()
             .unwrap();
-        let lsoda = Lsoda::new();
+        let lsoda = (&Lsoda::new() as &dyn OdeSolver, "lsoda");
         let policy = RecoveryPolicy { max_relaxations: 2, ..RecoveryPolicy::default() };
-        let mut s1 = SolverScratch::new();
-        let mut s2 = SolverScratch::new();
-        let a =
-            solve_member_recovered(&job, 0, (&lsoda, "lsoda"), None, |_| false, &policy, &mut s1);
-        let b =
-            solve_member_recovered(&job, 0, (&lsoda, "lsoda"), None, |_| false, &policy, &mut s2);
+        let a = recover(&job, lsoda, policy).remove(0);
+        let b = recover(&job, lsoda, policy).remove(0);
         assert_eq!(a.log, b.log);
         assert_eq!(a.solution.as_ref().unwrap().states, b.solution.as_ref().unwrap().states);
         assert_eq!(a.stats, b.stats);
+    }
+
+    #[test]
+    fn billed_first_attempts_continue_without_being_billed_again() {
+        // A successful billed attempt comes back as it went in; a failed
+        // one climbs the rungs on `retry`, which bill only themselves.
+        let m = model();
+        let job = SimulationJob::builder(&m).time_points(vec![4.0]).replicate(2).build().unwrap();
+        let lsoda = Lsoda::new();
+        let mut scratch = SolverScratch::new();
+        let ok = contained_attempt(&job, 0, &lsoda, job.options(), &mut scratch);
+        let steps = attempt_stats(&ok).steps;
+        let failed = SolveFailure {
+            error: SolverError::MaxStepsExceeded { t: 1.0, max_steps: 9 },
+            stats: StepStats { steps: 9, ..StepStats::default() },
+        };
+        let host = Host {
+            recovery: RecoveryPolicy { max_relaxations: 1, ..RecoveryPolicy::default() },
+            ..Host::default()
+        };
+        let members = vec![(0, Some((ok, "lanes"))), (1, Some((Err(failed), "lanes")))];
+        let ladder = Ladder { retry: (&lsoda, "lsoda"), fallback: None, reroutable: |_| false };
+        let rs = solve_members_recovered(&host, &job, members, |_| ladder).unwrap();
+        assert_eq!((rs[0].solver, rs[0].stats), ("lanes", StepStats::default()));
+        assert_eq!(rs[0].solution.as_ref().unwrap().stats.steps, steps);
+        assert_eq!(rs[0].log, RecoveryLog { attempts: 1, ..RecoveryLog::default() });
+        assert_eq!(rs[1].solver, "lsoda");
+        assert!(rs[1].solution.is_ok() && rs[1].log.recovered);
+        assert_eq!((rs[1].log.attempts, rs[1].log.discarded_steps), (2, 9));
+        assert_eq!(rs[1].stats, rs[1].solution.as_ref().unwrap().stats);
+    }
+
+    /// An [`OdeSolver`] that trips `cancel` on its first call and counts
+    /// every call, delegating the solve to LSODA.
+    struct Tripwire<'a> {
+        cancel: &'a CancelToken,
+        calls: AtomicUsize,
+    }
+
+    impl OdeSolver for Tripwire<'_> {
+        fn name(&self) -> &'static str {
+            "tripwire"
+        }
+
+        fn solve(
+            &self,
+            system: &dyn OdeSystem,
+            t0: f64,
+            y0: &[f64],
+            sample_times: &[f64],
+            options: &SolverOptions,
+        ) -> Result<Solution, SolveFailure> {
+            if self.calls.fetch_add(1, Ordering::SeqCst) == 0 {
+                self.cancel.cancel();
+            }
+            Lsoda::new().solve(system, t0, y0, sample_times, options)
+        }
+    }
+
+    #[test]
+    fn a_token_tripped_during_the_rungs_cancels_the_pass() {
+        // Six members whose billed first attempts failed climb one
+        // relaxation rung each; the first rung trips the token. On one
+        // worker no other member's rung starts after it; on two the pass
+        // still ends Cancelled.
+        let m = model();
+        let job = SimulationJob::builder(&m).time_points(vec![1.0]).replicate(6).build().unwrap();
+        for workers in [1, 2] {
+            let cancel = CancelToken::new();
+            let retry = Tripwire { cancel: &cancel, calls: AtomicUsize::new(0) };
+            let host = Host {
+                executor: Executor::new(workers),
+                recovery: RecoveryPolicy { max_relaxations: 1, ..RecoveryPolicy::default() },
+                cancel: cancel.clone(),
+            };
+            let failed = || SolveFailure {
+                error: SolverError::MaxStepsExceeded { t: 0.5, max_steps: 3 },
+                stats: StepStats::default(),
+            };
+            let members = (0..6).map(|i| (i, Some((Err(failed()), "lanes")))).collect();
+            let ladder =
+                Ladder { retry: (&retry, "tripwire"), fallback: None, reroutable: |_| false };
+            let outcome = solve_members_recovered(&host, &job, members, |_| ladder);
+            assert!(matches!(outcome, Err(Cancelled)), "{workers} workers");
+            if workers == 1 {
+                assert_eq!(retry.calls.load(Ordering::SeqCst), 1, "a rung started after the trip");
+            }
+        }
     }
 }

@@ -355,74 +355,6 @@ mod batch_tests {
     }
 
     #[test]
-    fn sens_lane_group_matches_scalar_augmented_dopri5_bitwise() {
-        use paraspace_solvers::AugmentedSensSystem;
-        let mut m = ReactionBasedModel::new();
-        let a = m.add_species("A", 1.0);
-        let b = m.add_species("B", 0.0);
-        m.add_reaction(Reaction::mass_action(&[(a, 1)], &[(b, 1)], 1.0)).unwrap();
-        m.add_reaction(Reaction::mass_action(&[(b, 1)], &[(a, 1)], 0.4)).unwrap();
-        let odes = m.compile().unwrap();
-        let which = vec![0usize, 1];
-        let n = odes.n_species();
-        let p = which.len();
-
-        let ks: Vec<Vec<f64>> = (0..5).map(|i| vec![1.0 + 0.25 * i as f64, 0.4]).collect();
-        let x0 = [1.0, 0.0];
-        let times = [0.5, 1.0, 2.0];
-        let opts = SolverOptions::default();
-
-        let mut sys = RbmSensBatchSystem::new(&odes, which.clone(), 3);
-        for k in &ks {
-            sys.push_member(&x0, k);
-        }
-        let mut scratch = SolverScratch::new();
-        let (results, _report) =
-            Dopri5Batch::new().solve_group(&mut sys, 0.0, &times, &opts, &mut scratch);
-
-        assert_eq!(results.len(), 5);
-        for (i, res) in results.iter().enumerate() {
-            let batch_aug = res.as_ref().expect("member must integrate");
-            let scalar_inner = RbmSensSystem::new(&odes, ks[i].clone(), which.clone());
-            let scalar_aug = AugmentedSensSystem::new(&scalar_inner);
-            let y0_aug = scalar_aug.augmented_initial_state(&x0);
-            let scalar_sol = Dopri5::new().solve(&scalar_aug, 0.0, &y0_aug, &times, &opts).unwrap();
-            // Lockstep sensitivity lanes must be bitwise the scalar
-            // augmented trajectory — state rows and sensitivity rows.
-            assert_eq!(batch_aug.states, scalar_sol.states, "member {i}");
-            assert_eq!(batch_aug.stats, scalar_sol.stats, "member {i}");
-            // And the sensitivity block must be a real derivative: compare
-            // column 0 against central differences of the plain state solve.
-            let h = 1e-6;
-            let mut kp = ks[i].clone();
-            kp[0] += h;
-            let mut km = ks[i].clone();
-            km[0] -= h;
-            let up = Dopri5::new()
-                .solve(&RbmOdeSystem::new(&odes, kp), 0.0, &x0, &times, &opts)
-                .unwrap();
-            let um = Dopri5::new()
-                .solve(&RbmOdeSystem::new(&odes, km), 0.0, &x0, &times, &opts)
-                .unwrap();
-            for (s_idx, aug_state) in batch_aug.states.iter().enumerate() {
-                for sp in 0..n {
-                    let fd = (up.state_at(s_idx)[sp] - um.state_at(s_idx)[sp]) / (2.0 * h);
-                    let sens = aug_state[n + sp]; // column 0 of p columns
-                    assert!(
-                        (sens - fd).abs() < 1e-4,
-                        "member {i} sample {s_idx} species {sp}: sens {sens} vs FD {fd}"
-                    );
-                }
-            }
-            assert_eq!(aug_len(batch_aug), n * (1 + p));
-        }
-
-        fn aug_len(sol: &paraspace_solvers::Solution) -> usize {
-            sol.states[0].len()
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "mass-action")]
     fn non_mass_action_networks_are_rejected() {
         use paraspace_rbm::Kinetics;
@@ -550,164 +482,7 @@ impl SensOdeSystem for RbmSensSystem<'_> {
     }
 }
 
-/// A member queue of same-network parameterizations whose **augmented**
-/// systems `[y; s₀; …; s_{p−1}]` integrate through the lockstep SoA lanes:
-/// sensitivity columns ride as extra state rows, exactly as the tentpole
-/// GPU design (MPGOS-style) batches them.
-///
-/// The batched right-hand side evaluates, per sweep, the state RHS
-/// (`CompiledOdes::rhs_batch` over the first `n` rows, which are
-/// contiguous in the SoA layout), the batched analytic Jacobian, and the
-/// batched parameter Jacobian (`dfdk_batch`), then contracts
-/// `J·sⱼ + ∂f/∂kⱼ` lane-minor over the stoichiometry-fixed sparsity
-/// pattern. Per lane the arithmetic and accumulation order are identical
-/// to the scalar [`AugmentedSensSystem`](paraspace_solvers::AugmentedSensSystem)
-/// over an [`RbmSensSystem`], so lockstep sensitivities are **bitwise
-/// equal** to scalar ones and therefore bitwise independent of lane width
-/// and thread count.
-pub struct RbmSensBatchSystem<'a> {
-    odes: &'a CompiledOdes,
-    which: Vec<usize>,
-    members: Vec<(&'a [f64], &'a [f64])>, // (x0, k) per queued member
-    lanes: usize,
-    k_lanes: Vec<f64>, // M × L lane-bound rate constants
-    flux: Vec<f64>,    // M × L flux workspace
-    slots: Vec<f64>,   // slots × L Jacobian derivative-pass workspace
-    jac: Vec<f64>,     // n² × L batched Jacobian workspace
-    fk: Vec<f64>,      // p·n × L batched ∂f/∂k workspace
-    gflux: Vec<f64>,   // L unit-flux scratch
-    sparsity: &'a SparsityPattern,
-}
-
-impl<'a> RbmSensBatchSystem<'a> {
-    /// An empty queue carrying sensitivities for the reactions in `which`,
-    /// integrating `lanes` members at a time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network mixes kinetics the batched passes do not
-    /// cover, if `lanes` is zero, or on an out-of-range reaction index.
-    pub fn new(odes: &'a CompiledOdes, which: Vec<usize>, lanes: usize) -> Self {
-        assert!(odes.supports_lane_batch(), "lane batching requires mass-action kinetics");
-        assert!(lanes > 0, "lane width must be positive");
-        for &r in &which {
-            assert!(r < odes.n_reactions(), "sensitivity reaction index {r} out of range");
-        }
-        let n = odes.n_species();
-        let m = odes.n_reactions();
-        let p = which.len();
-        let sparsity = odes.jacobian_sparsity();
-        RbmSensBatchSystem {
-            odes,
-            which,
-            members: Vec::new(),
-            lanes,
-            k_lanes: vec![0.0; m * lanes],
-            flux: vec![0.0; m * lanes],
-            slots: vec![0.0; odes.n_reactant_slots() * lanes],
-            jac: vec![0.0; n * n * lanes],
-            fk: vec![0.0; p * n * lanes],
-            gflux: vec![0.0; lanes],
-            sparsity,
-        }
-    }
-
-    /// Appends one member's `(x0, k)` to the queue.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a dimension mismatch with the compiled network.
-    pub fn push_member(&mut self, x0: &'a [f64], k: &'a [f64]) {
-        assert_eq!(x0.len(), self.odes.n_species(), "initial-state length");
-        assert_eq!(k.len(), self.odes.n_reactions(), "rate-constant length");
-        self.members.push((x0, k));
-    }
-
-    /// The state dimension `n` (the augmented [`BatchOdeSystem::dim`] is
-    /// `n·(1+p)`).
-    pub fn state_dim(&self) -> usize {
-        self.odes.n_species()
-    }
-
-    /// Number of sensitivity parameters `p`.
-    pub fn n_params(&self) -> usize {
-        self.which.len()
-    }
-}
-
-impl std::fmt::Debug for RbmSensBatchSystem<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RbmSensBatchSystem")
-            .field("members", &self.members.len())
-            .field("lanes", &self.lanes)
-            .field("n_params", &self.which.len())
-            .finish()
-    }
-}
-
-impl BatchOdeSystem for RbmSensBatchSystem<'_> {
-    fn dim(&self) -> usize {
-        self.odes.n_species() * (1 + self.which.len())
-    }
-
-    fn lanes(&self) -> usize {
-        self.lanes
-    }
-
-    fn members(&self) -> usize {
-        self.members.len()
-    }
-
-    fn initial_state(&self, member: usize, y0: &mut [f64]) {
-        let n = self.odes.n_species();
-        y0[..n].copy_from_slice(self.members[member].0);
-        y0[n..].fill(0.0);
-    }
-
-    fn bind_lane(&mut self, lane: usize, member: usize) {
-        let k = self.members[member].1;
-        for (r, &kr) in k.iter().enumerate() {
-            self.k_lanes[r * self.lanes + lane] = kr;
-        }
-    }
-
-    fn rhs_batch(&mut self, _t: &[f64], y: &BatchState, dydt: &mut BatchState) {
-        let n = self.odes.n_species();
-        let p = self.which.len();
-        let lanes = self.lanes;
-        let y_all = y.as_slice();
-        let d_all = dydt.as_mut_slice();
-        // The state block occupies the first n rows — contiguous in the
-        // species-major SoA layout — so the plain batched kernels apply
-        // unchanged to the augmented buffers.
-        let (y_state, y_sens) = y_all.split_at(n * lanes);
-        let (d_state, d_sens) = d_all.split_at_mut(n * lanes);
-        self.odes.rhs_batch(lanes, y_state, &self.k_lanes, &mut self.flux, d_state);
-        self.odes.jacobian_batch(lanes, y_state, &self.k_lanes, &mut self.slots, &mut self.jac);
-        self.odes.dfdk_batch(lanes, y_state, &self.which, &mut self.gflux, &mut self.fk);
-        // ṡⱼ = J·sⱼ + ∂f/∂kⱼ, contracted over the stoichiometry-fixed
-        // pattern: per lane this is the same start value (the forcing) and
-        // the same in-order accumulation the scalar augmented system uses,
-        // so lane results match scalar bitwise.
-        for j in 0..p {
-            for i in 0..n {
-                let (out_row, fk_row) = (
-                    &mut d_sens[(j * n + i) * lanes..(j * n + i + 1) * lanes],
-                    &self.fk[(j * n + i) * lanes..(j * n + i + 1) * lanes],
-                );
-                out_row.copy_from_slice(fk_row);
-                for &m in self.sparsity.row(i) {
-                    let m = m as usize;
-                    let j_row = &self.jac[(i * n + m) * lanes..(i * n + m + 1) * lanes];
-                    let s_row = &y_sens[(j * n + m) * lanes..(j * n + m + 1) * lanes];
-                    for l in 0..lanes {
-                        out_row[l] += j_row[l] * s_row[l];
-                    }
-                }
-            }
-        }
-    }
-}
+/// Adapter presenting a compiled *custom-kinetics* model (arbitrary
 /// expression rate laws with symbolic Jacobians) as an [`OdeSystem`] —
 /// letting every solver and engine in the suite integrate the
 /// "general-purpose kinetics" models the original paper lists as future

@@ -2,7 +2,7 @@
 //! lockstep stiff path on the two LU-heavy shapes.
 //!
 //! The sensitivity `J·S` passes (`AugmentedSensSystem`, `Radau5Sens`'s
-//! corrector, `RbmSensBatchSystem`) walk only the advertised
+//! corrector) walk only the advertised
 //! [`jacobian_sparsity`](paraspace_rbm::CompiledOdes::jacobian_sparsity)
 //! entries of each Jacobian row, so the numeric Jacobian must be **exactly
 //! zero** off that pattern at any state and parameterization — checked

@@ -865,60 +865,6 @@ impl CompiledOdes {
         }
     }
 
-    /// Lane-batched parameter Jacobian: `out[(j·N + s)·L + l] =
-    /// ∂(dX_s/dt)/∂k_{which[j]}` for lane `l` — the batched companion of
-    /// [`dfdk_with`](Self::dfdk_with), SoA lane-minor like every other
-    /// batched kernel. `gflux` is an `L`-length unit-flux scratch buffer.
-    ///
-    /// Per lane the factor order matches the scalar path exactly, so each
-    /// lane's columns are bitwise identical to
-    /// [`dfdk_with`](Self::dfdk_with) on that lane's gathered state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the model is not pure mass-action (check
-    /// [`supports_lane_batch`](Self::supports_lane_batch)), on length
-    /// mismatches, or an out-of-range reaction index.
-    pub fn dfdk_batch(
-        &self,
-        lanes: usize,
-        x: &[f64],
-        which: &[usize],
-        gflux: &mut [f64],
-        out: &mut [f64],
-    ) {
-        assert!(self.all_mass_action, "lane-batched dfdk covers mass-action kinetics only");
-        let n = self.n_species;
-        assert_eq!(x.len(), n * lanes, "state block length");
-        assert_eq!(gflux.len(), lanes, "unit-flux scratch length");
-        assert_eq!(out.len(), which.len() * n * lanes, "dfdk block length");
-        out.fill(0.0);
-        for (j, &r) in which.iter().enumerate() {
-            assert!(r < self.n_reactions, "reaction index {r} out of range");
-            let lo = self.reactant_offsets[r] as usize;
-            let hi = self.reactant_offsets[r + 1] as usize;
-            gflux.fill(1.0);
-            for p in lo..hi {
-                let s = self.reactant_species[p] as usize;
-                let xs = &x[s * lanes..(s + 1) * lanes];
-                let o = self.reactant_orders[p];
-                for l in 0..lanes {
-                    gflux[l] *= crate::kinetics::int_pow(xs[l], o);
-                }
-            }
-            let slo = self.stoich_offsets[r] as usize;
-            let shi = self.stoich_offsets[r + 1] as usize;
-            for p in slo..shi {
-                let s = self.stoich_species[p] as usize;
-                let c = self.stoich_coeffs[p];
-                let col = &mut out[(j * n + s) * lanes..][..lanes];
-                for l in 0..lanes {
-                    col[l] = c * gflux[l];
-                }
-            }
-        }
-    }
-
     /// The structural sparsity pattern of the Jacobian, fixed by
     /// stoichiometry at compile time: `J[s][j]` can be nonzero only when
     /// some reaction contributing to species `s` has species `j` among its
@@ -1565,32 +1511,6 @@ mod tests {
                     (dfdk[r * 2 + s] * k[r] - c * flux[r]).abs() < 1e-12,
                     "reaction {r} species {s}"
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn dfdk_batch_is_bitwise_equal_to_scalar_per_lane() {
-        let (_, odes) = lotka_volterra();
-        let which = [0usize, 2];
-        for lanes in [1, 2, 4, 8] {
-            let x = soa_block(&[1.2, 0.7], lanes);
-            let mut gflux = vec![0.0; lanes];
-            let mut out = vec![0.0; which.len() * 2 * lanes];
-            odes.dfdk_batch(lanes, &x, &which, &mut gflux, &mut out);
-            for l in 0..lanes {
-                let xl = lane_of(&x, lanes, l);
-                let mut sout = vec![0.0; which.len() * 2];
-                odes.dfdk_with(&xl, &which, &mut sout);
-                for j in 0..which.len() {
-                    for s in 0..2 {
-                        assert_eq!(
-                            out[(j * 2 + s) * lanes + l].to_bits(),
-                            sout[j * 2 + s].to_bits(),
-                            "lanes={lanes} lane={l} col={j} s={s}"
-                        );
-                    }
-                }
             }
         }
     }

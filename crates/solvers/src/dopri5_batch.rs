@@ -53,6 +53,21 @@
 //! skipping them would require cross-lane branches in the hot loops. Their
 //! results are discarded; non-finite values they may produce cannot leak
 //! into live lanes (no cross-lane operations exist).
+//!
+//! # Occupancy
+//!
+//! A group's [`LaneReport`] counts the ticks it ran and the live lanes in
+//! each. The engines do not bill the modelled device from it: which host
+//! group integrates a member, and beside which others, depends on timing
+//! (several groups share one member queue), and the bill must be a
+//! function of the job alone. They bill [`LaneReport::packed`] over the
+//! members' step counts — the schedule of a group serving those members in
+//! member order — which is the report this kernel returns for such a
+//! group, with one exception: a member parked by *pre-step* control (step
+//! budget, `max_steps`, step-size underflow) at the head of a tick in
+//! which another lane is live leaves its lane idle for that tick, because
+//! refills wait for the next loop head, where the packing hands the lane
+//! over at once. The tests pin the agreement and that one tick.
 
 use crate::batch::{BatchOdeSystem, BatchState};
 use crate::dopri5::{
@@ -1373,6 +1388,86 @@ mod tests {
         // Refill sweeps happened (initial fill plus at least one refill
         // round), each costing 2 sweeps under automatic hinit.
         assert!(report.refill_sweeps >= 4);
+    }
+
+    /// Each member's lockstep ticks in a DOPRI5 group: its attempted steps.
+    fn steps_of(results: &[Attempt]) -> Vec<u64> {
+        let stats = |r: &Attempt| match r {
+            Ok(sol) => sol.stats,
+            Err(failure) => failure.stats,
+        };
+        results.iter().map(|r| stats(r).steps as u64).collect()
+    }
+
+    #[test]
+    fn packed_report_is_the_report_a_divergent_group_returns() {
+        // What the engines bill a modelled lane group from: the members'
+        // step counts, list-scheduled in member order, give the ticks and
+        // lane-steps the kernel itself counts for that group — with members
+        // ten-fold apart, so lanes really are refilled at different ticks,
+        // and with a member that never enters a tick.
+        let times = [1.0, 4.0];
+        for width in [1, 2, 3, 4, 8] {
+            let rates: Vec<f64> = (0..11).map(|i| 0.05 * 2.5f64.powi(i)).collect();
+            let mut family = OscFamily::new(rates, width);
+            family.y0s[2] = [f64::NAN, 0.0];
+            let (results, report) = Dopri5Batch::new().solve_group(
+                &mut family,
+                0.0,
+                &times,
+                &opts(),
+                &mut SolverScratch::new(),
+            );
+            let ticks = steps_of(&results);
+            assert_eq!(ticks[2], 0, "the invalid member never occupies a lane");
+            let busiest = *ticks.iter().max().unwrap();
+            let idlest = *ticks.iter().filter(|&&t| t > 0).min().unwrap();
+            assert!(busiest >= 10 * idlest, "members must diverge: {idlest}..{busiest}");
+            let packed = LaneReport::packed(width, ticks);
+            assert_eq!(
+                (packed.width, packed.lockstep_iters, packed.lane_steps),
+                (report.width, report.lockstep_iters, report.lane_steps),
+                "width {width}"
+            );
+        }
+        // Members whose every sample is at t0 never enter a tick either.
+        let mut family = OscFamily::new(vec![1.0, 2.0, 3.0], 2);
+        let (results, report) = Dopri5Batch::new().solve_group(
+            &mut family,
+            0.0,
+            &[0.0],
+            &opts(),
+            &mut SolverScratch::new(),
+        );
+        assert!(results.iter().all(|r| r.as_ref().is_ok_and(|s| s.len() == 1)));
+        let packed = LaneReport::packed(2, steps_of(&results));
+        assert_eq!((packed.lockstep_iters, packed.lane_steps), (0, 0));
+        assert_eq!((report.lockstep_iters, report.lane_steps), (0, 0));
+    }
+
+    #[test]
+    fn a_pre_step_park_idles_its_lane_for_one_tick_the_packing_does_not() {
+        // The one way the host report and the packing part: a member parked
+        // by pre-step control (here the step budget) at the head of a tick
+        // in which another lane is live leaves its lane idle for that tick —
+        // the refill waits for the next loop head — where a modelled group
+        // hands the lane to the next member at once. Two lanes: member 0 is
+        // short, so member 2 takes its lane and is still live when member 1
+        // exhausts the budget; member 3 then waits one tick for lane 1.
+        let budget = 60;
+        let o = SolverOptions { step_budget: Some(budget), ..opts() };
+        let mut family = OscFamily::new(vec![0.5, 400.0, 400.0, 400.0], 2);
+        let (results, report) =
+            Dopri5Batch::new().solve_group(&mut family, 0.0, &[4.0], &o, &mut SolverScratch::new());
+        let ticks = steps_of(&results);
+        assert!(results[0].is_ok() && ticks[0] < budget as u64, "{ticks:?}");
+        for r in &results[1..] {
+            let error = &r.as_ref().unwrap_err().error;
+            assert!(matches!(error, SolverError::StepBudgetExhausted { .. }), "{error:?}");
+        }
+        let packed = LaneReport::packed(2, ticks);
+        assert_eq!(report.lockstep_iters, packed.lockstep_iters + 1);
+        assert_eq!(report.lane_steps, packed.lane_steps);
     }
 
     #[test]

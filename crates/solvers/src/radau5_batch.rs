@@ -41,6 +41,18 @@
 //! arithmetic with whatever state they last held; their results are
 //! discarded, and the masked LU kernels skip them outright so a retired
 //! lane's garbage can never raise a spurious singularity.
+//!
+//! # Occupancy
+//!
+//! As for [`Dopri5Batch`](crate::Dopri5Batch), the engines bill
+//! [`LaneReport::packed`] over per-member tick counts — here each member's
+//! Newton iterations — rather than the report a host group returns, whose
+//! packing depends on timing. The two agree except where a live lane
+//! iterates beside one that holds no Newton iteration for a tick: a
+//! member parked by pre-step control (step budget, `max_steps`, step-size
+//! underflow), whose lane is refilled only at the next loop head, and the
+//! rare lane waiting out a singular iteration matrix. The tests pin the
+//! agreement and the pre-step tick.
 
 use crate::batch::{BatchOdeSystem, BatchState};
 use crate::dopri5_batch::{group_from_queue, Attempt, LaneReport};
@@ -1498,6 +1510,41 @@ mod tests {
         assert_eq!(packed(4, &[7]), (7, 7));
         assert_eq!(packed(2, &[3, 0, 5]), (5, 8));
         assert_eq!(packed(2, &[3, 0, 5, 4]), (7, 12));
+    }
+
+    #[test]
+    fn a_pre_step_park_idles_its_lane_for_one_tick_the_packing_does_not() {
+        // The one way the host report and the packing part, as in the DOPRI5
+        // kernel: a member parked by pre-step control (the step budget) at
+        // the head of a tick in which another lane iterates leaves its lane
+        // idle for that tick, where a modelled group hands the lane to the
+        // next member at once. Two lanes: member 0 starts at rest and is
+        // short, so member 2 takes its lane and is still iterating when
+        // member 1 exhausts the budget; member 3 then waits one tick for
+        // lane 1.
+        let o = SolverOptions { step_budget: Some(40), ..opts() };
+        let mut family = VdpFamily::new(vec![400.0; 4], 2);
+        family.y0s[0] = [0.0, 0.0]; // at rest: a few growing steps
+        let (results, report) = Radau5Batch::new().solve_group(
+            &mut family,
+            0.0,
+            &sample_grid(),
+            &o,
+            &mut SolverScratch::new(),
+        );
+        let stats = |r: &Attempt| match r {
+            Ok(sol) => sol.stats,
+            Err(failure) => failure.stats,
+        };
+        let ticks: Vec<u64> = results.iter().map(|r| stats(r).nonlinear_iters as u64).collect();
+        assert!(results[0].is_ok() && ticks[0] < ticks[1], "{ticks:?}");
+        for r in &results[1..] {
+            let error = &r.as_ref().unwrap_err().error;
+            assert!(matches!(error, SolverError::StepBudgetExhausted { .. }), "{error:?}");
+        }
+        let packed = LaneReport::packed(2, ticks);
+        assert_eq!(report.lockstep_iters, packed.lockstep_iters + 1);
+        assert_eq!(report.lane_steps, packed.lane_steps);
     }
 
     #[test]

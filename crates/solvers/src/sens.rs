@@ -7,11 +7,8 @@
 //!   `p` sensitivity columns as one augmented [`OdeSystem`] of dimension
 //!   `n·(1+p)` ([`AugmentedSensSystem`]) and hands it to the ordinary
 //!   [`Dopri5`]: the sensitivity columns ride through the solver as extra
-//!   state, with full error control over every augmented component. The
-//!   same augmented right-hand side batches through the lockstep SoA lanes
-//!   (see `paraspace_core`'s batch adapter), and because each lane's
-//!   arithmetic is an unshared dependency chain, per-member sensitivities
-//!   are bitwise independent of lane width and thread count.
+//!   state, with full error control over every augmented component. One
+//!   member per solve: there is no lane-batched sensitivity path.
 //!
 //! * **Implicit (stiff)** — [`Radau5Sens`] is not a second RADAU5: it is a
 //!   step hook on [`Radau5`]'s one step loop (`radau5::StepHook`, whose
@@ -103,9 +100,9 @@ impl SensSolution {
     }
 
     /// Splits a solution of the augmented system `[y; s₀; …; s_{p−1}]`
-    /// (dimension `n·(1+p)`) back into state samples + sensitivity blocks.
-    /// This is how lane-batched augmented trajectories (the SoA DOPRI5
-    /// path) are rehydrated per member.
+    /// (dimension `n·(1+p)`) back into state samples + sensitivity blocks —
+    /// what [`Dopri5Sens`] does with its augmented solve, for a caller that
+    /// integrates an [`AugmentedSensSystem`] with another explicit solver.
     pub fn from_augmented(sol: Solution, n: usize, p: usize) -> Self {
         split_augmented(sol, n, p)
     }
@@ -118,9 +115,7 @@ impl SensSolution {
 /// Feeding this to any explicit solver integrates sensitivities with full
 /// error control over the augmented vector. The `J·sⱼ` contraction walks
 /// the Jacobian sparsity pattern row by row in index order when the inner
-/// system exposes one — the same accumulation order the lane-batched
-/// adapter uses, so scalar and batched augmented trajectories agree
-/// bitwise per lane.
+/// system exposes one, skipping only entries that are exact zeros.
 pub struct AugmentedSensSystem<'a, S: SensOdeSystem + ?Sized> {
     inner: &'a S,
     n: usize,

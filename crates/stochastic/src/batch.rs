@@ -38,9 +38,11 @@ use paraspace_vgpu::{
 };
 use std::ops::Range;
 
-/// Lane-group capacity multiplier: each executor work item carries up to
-/// `CAPACITY_LANES · width` replicates, compacted through `width` lanes
-/// (the same 4·L grouping the deterministic fine engine schedules).
+/// Lane-group capacity multiplier: each of [`StochasticBatch`]'s executor
+/// work units carries up to `CAPACITY_LANES · width` replicates, compacted
+/// through `width` lanes. The units are this runner's own (nothing else
+/// partitions its members this way), and since each one is one recorded
+/// lane group, this constant fixes the ensemble's [`LaneAccounting`].
 const CAPACITY_LANES: usize = 4;
 
 /// Ensemble statistics at the sampled time points.

@@ -80,15 +80,19 @@ pub fn cost_launch(config: &DeviceConfig, dp: &DpModel, launch: &KernelLaunch) -
 
 /// A private, mergeable slice of simulated timeline.
 ///
-/// Worker threads record launches and host phases on their own shard
-/// (`TimelineShard` is `Send` and costs launches against the shared
-/// `&DeviceConfig`/`&DpModel`, which are `Sync`); the coordinating thread
-/// then merges shards back into the [`Device`] timeline **in
-/// simulation-index order** via [`Device::absorb_shard`], so the resulting
-/// timeline is bitwise identical to a sequential run at any worker count.
+/// Launches and host phases recorded on a shard are costed exactly as
+/// [`Device::launch`] costs them (`TimelineShard` is `Send` and costs
+/// launches against the shared `&DeviceConfig`/`&DpModel`, which are
+/// `Sync`, so a worker thread can fill one); [`Device::absorb_shard`] then
+/// appends it to the device timeline. Absorbing shards **in a fixed
+/// order** — the fine engine fills one per modelled lane group, on the
+/// calling thread, and absorbs them in group order — gives the same
+/// timeline whoever filled them.
 ///
 /// Entry start times inside a shard are shard-local (first entry starts at
-/// 0); merging rebases them onto the absorbing timeline's clock.
+/// 0); merging rebases them onto the absorbing timeline's clock, so an
+/// entry's start is `offset + local start` — not the running sum a direct
+/// [`Device::launch`] would take, which can differ in the last bit.
 ///
 /// # Example
 ///
