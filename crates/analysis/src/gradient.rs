@@ -29,9 +29,8 @@
 //!   campaign write-ahead journal, so a killed run replays them without
 //!   touching a solver and reproduces the uninterrupted trajectory
 //!   bitwise;
-//! * [`local_sensitivities`] — derivative-based local sensitivity
-//!   analysis (normalized, time-averaged sensitivity indices), the cheap
-//!   screening companion to the variance-based [`crate::sobol`] pipeline.
+//! * [`polish_gradient`] — one descent from a given start, the hybrid
+//!   optimizer's second stage.
 
 use crate::campaign::{
     f64s_digest, model_digest, options_digest, CampaignError, Checkpoint, ShardLog, ShardRecord,
@@ -118,8 +117,7 @@ impl Default for GradientConfig {
 /// A digest of a [`GradientConfig`] for campaign manifests: any change to
 /// the search hyperparameters changes the evaluation sequence, so resume
 /// must refuse it.
-#[must_use]
-pub fn gradient_config_digest(config: &GradientConfig) -> u64 {
+fn gradient_config_digest(config: &GradientConfig) -> u64 {
     let mut enc = Enc::new();
     enc.put_u64(config.iterations as u64)
         .put_u64(config.memory as u64)
@@ -591,23 +589,6 @@ pub fn estimate_gradient_durable(
     search(problem, config, &start_points(&problem.log_bounds, config), Some(checkpoint))
 }
 
-/// [`polish_gradient`], durably: one journaled L-BFGS descent from an
-/// explicit start (the hybrid optimizer's stage 2). The caller is
-/// responsible for pinning the start's identity into the checkpoint's
-/// world fields, since a different start changes every evaluation.
-///
-/// # Errors
-///
-/// As [`estimate_gradient_durable`].
-pub fn polish_gradient_durable(
-    problem: &EstimationProblem<'_>,
-    config: &GradientConfig,
-    start: &[f64],
-    checkpoint: &Checkpoint,
-) -> Result<(EstimationResult, ShardReport), CampaignError> {
-    search(problem, config, &[start.to_vec()], Some(checkpoint))
-}
-
 /// The one L-BFGS search under every gradient entry point: a descent from
 /// each of `starts`, each evaluation one [`ShardLog`] step keyed by its
 /// position in the deterministic evaluation sequence. The evaluation
@@ -693,97 +674,6 @@ pub(crate) fn pe_manifest_base(problem: &EstimationProblem<'_>, shards: u64) -> 
         .with_digest("target", fnv64(&target_enc.finish()))
         .with_digest("times", f64s_digest(&problem.time_points))
         .with_digest("options", options_digest(&problem.options))
-}
-
-/// Derivative-based local sensitivity analysis: the normalized,
-/// time-averaged sensitivity index
-///
-/// ```text
-/// S[j][s] = mean_t | k_j / (|x_s(t)| + ε) · ∂x_s(t)/∂k_j |
-/// ```
-///
-/// for every selected constant `j` and species `s`, from **one** augmented
-/// sensitivity solve — the cheap local screening companion to the
-/// variance-based Sobol pipeline (which needs `N·(2d+2)` solves), sharing
-/// its ranking conventions.
-#[derive(Debug, Clone, PartialEq)]
-pub struct LocalSensitivities {
-    /// `indices[j][s]`: time-averaged normalized sensitivity of species
-    /// `s` to constant `which[j]`.
-    pub indices: Vec<Vec<f64>>,
-    /// Per-constant total influence (sum of `indices[j]` over species).
-    pub total: Vec<f64>,
-    /// Constants ranked by descending total influence (indices into the
-    /// `which` argument).
-    pub ranking: Vec<usize>,
-    /// Whether the stiff path integrated the model.
-    pub stiff: bool,
-}
-
-/// Computes [`LocalSensitivities`] for `which` at the model's nominal
-/// constants over `time_points`.
-///
-/// # Errors
-///
-/// Returns the underlying [`paraspace_solvers::SolveFailure`] if the
-/// augmented integration fails.
-///
-/// # Panics
-///
-/// Panics if the model fails to compile, `which` is empty or out of
-/// range, or `time_points` is empty.
-pub fn local_sensitivities(
-    model: &paraspace_rbm::ReactionBasedModel,
-    which: &[usize],
-    time_points: &[f64],
-    options: &paraspace_solvers::SolverOptions,
-    solver: SensSolverKind,
-) -> Result<LocalSensitivities, paraspace_solvers::SolveFailure> {
-    assert!(!which.is_empty(), "at least one constant to analyze");
-    assert!(!time_points.is_empty(), "at least one sample time");
-    let odes = model.compile().expect("model must compile");
-    let x0 = model.initial_state();
-    let k = model.rate_constants();
-    let n = odes.n_species();
-    let stiff = match solver {
-        SensSolverKind::Dopri5 => false,
-        SensSolverKind::Radau5 => true,
-        SensSolverKind::Auto => {
-            let mut jac = Matrix::zeros(n, n);
-            odes.jacobian_with(&x0, &k, &mut jac);
-            dominant_eigenvalue_estimate_on(&jac, odes.jacobian_sparsity()) >= STIFFNESS_THRESHOLD
-        }
-    };
-    let sys = RbmSensSystem::new(&odes, k.clone(), which.to_vec());
-    let sol = if stiff {
-        Radau5Sens::new().solve(&sys, 0.0, &x0, time_points, options)?
-    } else {
-        Dopri5Sens::new().solve(&sys, 0.0, &x0, time_points, options)?
-    };
-
-    let eps = 1e-12;
-    let samples = sol.solution.states.len();
-    let indices: Vec<Vec<f64>> = which
-        .iter()
-        .enumerate()
-        .map(|(j, &r)| {
-            (0..n)
-                .map(|s| {
-                    let sum: f64 = (0..samples)
-                        .map(|t| {
-                            let x = sol.solution.states[t][s].abs() + eps;
-                            (k[r] / x * sol.sens_column(t, j, n)[s]).abs()
-                        })
-                        .sum();
-                    sum / samples as f64
-                })
-                .collect()
-        })
-        .collect();
-    let total: Vec<f64> = indices.iter().map(|row| row.iter().sum()).collect();
-    let mut ranking: Vec<usize> = (0..which.len()).collect();
-    ranking.sort_by(|&a, &b| total[b].partial_cmp(&total[a]).unwrap_or(std::cmp::Ordering::Equal));
-    Ok(LocalSensitivities { indices, total, ranking, stiff })
 }
 
 #[cfg(test)]
@@ -947,26 +837,5 @@ mod tests {
             other => panic!("expected ManifestMismatch, got {other}"),
         }
         std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn local_sensitivities_rank_the_dominant_constant_first() {
-        // B's entire dynamics hinge on k1; k2 only drains it. At early
-        // times species A depends only on k1 — k1 must dominate the
-        // ranking.
-        let m = two_step_model(1.5, 0.05);
-        let times: Vec<f64> = (1..=5).map(|i| i as f64 * 0.4).collect();
-        let sa = local_sensitivities(
-            &m,
-            &[0, 1],
-            &times,
-            &SolverOptions::default(),
-            SensSolverKind::Auto,
-        )
-        .unwrap();
-        assert_eq!(sa.ranking[0], 0, "k1 must outrank k2: totals {:?}", sa.total);
-        assert!(sa.total.iter().all(|t| t.is_finite() && *t >= 0.0));
-        assert_eq!(sa.indices.len(), 2);
-        assert_eq!(sa.indices[0].len(), 3);
     }
 }

@@ -9,9 +9,7 @@
 
 use crate::campaign::{f64s_digest, CampaignError, Checkpoint, ShardLog, ShardRecord, ShardReport};
 use crate::fitness::{relative_distance, FailedMemberPolicy};
-use crate::gradient::{
-    fill_constants, gradient_config_digest, pe_manifest_base, search, start_points, GradientConfig,
-};
+use crate::gradient::{fill_constants, pe_manifest_base, search, start_points, GradientConfig};
 use crate::pso::{fst_pso, heuristic_swarm_size, Objective, PsoConfig, PsoResult};
 use paraspace_core::{SimulationJob, Simulator};
 use paraspace_journal::codec::{Dec, Enc};
@@ -278,8 +276,7 @@ fn swarm(
 /// A digest of a [`PsoConfig`] for campaign manifests: any change to the
 /// swarm hyperparameters changes the shard bytes, so resume must refuse
 /// it.
-#[must_use]
-pub fn pso_config_digest(config: &PsoConfig) -> u64 {
+fn pso_config_digest(config: &PsoConfig) -> u64 {
     let mut enc = Enc::new();
     enc.put_u64(config.swarm_size.map_or(0, |s| s as u64 + 1))
         .put_u64(config.iterations as u64)
@@ -320,20 +317,6 @@ impl Optimizer {
             Optimizer::Pso(_) => "pso",
             Optimizer::Lbfgs(_) => "lbfgs",
             Optimizer::Hybrid { .. } => "hybrid",
-        }
-    }
-
-    /// Digest of the full optimizer configuration for manifest pinning.
-    #[must_use]
-    pub fn config_digest(&self) -> u64 {
-        match self {
-            Optimizer::Pso(c) => pso_config_digest(c),
-            Optimizer::Lbfgs(c) => gradient_config_digest(c),
-            Optimizer::Hybrid { pso, gradient } => {
-                let mut enc = Enc::new();
-                enc.put_u64(pso_config_digest(pso)).put_u64(gradient_config_digest(gradient));
-                fnv64(&enc.finish())
-            }
         }
     }
 }

@@ -526,7 +526,6 @@ fn cancel_mid_retry_ladder_drains_without_journaling() {
         max_relaxations: 4,
         step_budget: Some(1),
         budget_escalation: 4,
-        ..RecoveryPolicy::default()
     };
 
     // Positive control: with the rungs disabled the starved budget is

@@ -201,7 +201,7 @@ fn sweep_model(rows: &mut Vec<Row>, cfg: &ModelCfg, ensembles: &[usize], test_mo
         // The autotuned configuration. Where the resolved width was
         // already timed above the row reuses that measurement — it is the
         // identical code path.
-        let auto_w = paraspace_core::auto_stoch_lane_width(&cfg.model);
+        let auto_w = paraspace_stochastic::auto_stoch_lane_width(&cfg.model);
         let auto_src = if auto_w == 1 { ("tau-scalar", 1) } else { ("tau-lanes", auto_w) };
         let (n_reps, mean, best) = match timed.iter().find(|t| (t.0, t.1) == auto_src) {
             Some(&(_, _, n_reps, mean, best)) => (n_reps, mean, best),

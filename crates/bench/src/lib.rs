@@ -10,7 +10,7 @@ use paraspace_core::{
     CoarseEngine, CpuEngine, CpuSolverKind, FineCoarseEngine, FineEngine, SimError, SimulationJob,
     Simulator,
 };
-use paraspace_rbm::{perturbed_batch, Parameterization, ReactionBasedModel};
+use paraspace_rbm::perturbed_batch;
 use paraspace_solvers::SolverOptions;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -63,7 +63,7 @@ pub fn bench_header(bench: &str, threads_used: usize) -> String {
 }
 
 /// The simulator roster of the comparison study, in presentation order.
-pub fn engine_roster() -> Vec<Box<dyn Simulator>> {
+fn engine_roster() -> Vec<Box<dyn Simulator>> {
     vec![
         Box::new(CpuEngine::new(CpuSolverKind::Lsoda)),
         Box::new(CpuEngine::new(CpuSolverKind::Vode)),
@@ -102,23 +102,11 @@ pub fn comparison_cell(
     let mut rng = StdRng::seed_from_u64(seed);
     let model = paraspace_rbm::sbgen::SbGen::new(n_species, n_reactions).generate(&mut rng);
     let batch = perturbed_batch(&model, sims, &mut rng);
-    run_cell(&model, batch)
-}
-
-/// Runs all engines on an explicit model + batch.
-///
-/// # Errors
-///
-/// Propagates job-level failures.
-pub fn run_cell(
-    model: &ReactionBasedModel,
-    batch: Vec<Parameterization>,
-) -> Result<Vec<CellResult>, SimError> {
     let time_points: Vec<f64> = (1..=10).map(|i| i as f64 * 0.5).collect();
     let options = SolverOptions { max_steps: 100_000, ..SolverOptions::default() };
     let mut out = Vec::new();
     for engine in engine_roster() {
-        let job = SimulationJob::builder(model)
+        let job = SimulationJob::builder(&model)
             .time_points(time_points.clone())
             .parameterizations(batch.clone())
             .options(options.clone())
@@ -135,7 +123,7 @@ pub fn run_cell(
 }
 
 /// The winner (lowest simulated total time) of a cell.
-pub fn best_engine(cell: &[CellResult]) -> &'static str {
+fn best_engine(cell: &[CellResult]) -> &'static str {
     cell.iter()
         .min_by(|a, b| a.total_ns.partial_cmp(&b.total_ns).expect("finite times"))
         .map(|c| c.engine)
@@ -157,7 +145,7 @@ pub fn fmt_ns(ns: f64) -> String {
 
 /// Renders a comparison map (rows = model sizes, columns = batch sizes) as
 /// an aligned text table of winning engines.
-pub fn render_map(
+fn render_map(
     title: &str,
     row_labels: &[String],
     col_labels: &[String],

@@ -22,8 +22,9 @@ const F64: u64 = 8;
 /// ```
 /// use paraspace_core::WorkEstimate;
 ///
-/// let w = WorkEstimate { flops: 1_000, state_bytes: 64, structure_bytes: 128, output_bytes: 32 };
-/// assert_eq!(w.total_bytes(), 224);
+/// let mut w = WorkEstimate { flops: 1_000, state_bytes: 64, ..Default::default() };
+/// w.absorb(&WorkEstimate { flops: 500, output_bytes: 32, ..Default::default() });
+/// assert_eq!((w.flops, w.state_bytes, w.output_bytes), (1_500, 64, 32));
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct WorkEstimate {
@@ -40,11 +41,6 @@ pub struct WorkEstimate {
 }
 
 impl WorkEstimate {
-    /// All memory traffic combined.
-    pub fn total_bytes(&self) -> u64 {
-        self.state_bytes + self.structure_bytes + self.output_bytes
-    }
-
     /// Component-wise sum.
     pub fn absorb(&mut self, other: &WorkEstimate) {
         self.flops += other.flops;
@@ -104,7 +100,7 @@ impl WorkEstimate {
 /// ```
 /// use paraspace_core::{CpuCostModel, WorkEstimate};
 ///
-/// let cpu = CpuCostModel::i7_2600();
+/// let cpu = CpuCostModel::default();
 /// let w = WorkEstimate { flops: 4_000_000, state_bytes: 0, structure_bytes: 0, output_bytes: 0 };
 /// let t = cpu.time_ns(&w);
 /// assert!(t > 0.0 && t < 4_000_000.0);
@@ -127,17 +123,6 @@ pub struct CpuCostModel {
 }
 
 impl CpuCostModel {
-    /// The published workstation's CPU: Intel Core i7-2600 (Sandy Bridge,
-    /// 3.4 GHz). Sustained scalar FP throughput ≈ 2 ops/cycle.
-    pub fn i7_2600() -> Self {
-        CpuCostModel {
-            flops_per_ns: 6.8,
-            bytes_per_ns: 18.0,
-            cached_bytes_per_ns: 60.0,
-            per_sim_overhead_ns: 40_000.0,
-        }
-    }
-
     /// Prices a work estimate in nanoseconds (additive roofline).
     pub fn time_ns(&self, work: &WorkEstimate) -> f64 {
         work.flops as f64 / self.flops_per_ns
@@ -147,8 +132,15 @@ impl CpuCostModel {
 }
 
 impl Default for CpuCostModel {
+    /// The published workstation's CPU: Intel Core i7-2600 (Sandy Bridge,
+    /// 3.4 GHz). Sustained scalar FP throughput ≈ 2 ops/cycle.
     fn default() -> Self {
-        CpuCostModel::i7_2600()
+        CpuCostModel {
+            flops_per_ns: 6.8,
+            bytes_per_ns: 18.0,
+            cached_bytes_per_ns: 60.0,
+            per_sim_overhead_ns: 40_000.0,
+        }
     }
 }
 
@@ -210,7 +202,7 @@ mod tests {
 
     #[test]
     fn cpu_model_prices_flops_and_bytes() {
-        let cpu = CpuCostModel::i7_2600();
+        let cpu = CpuCostModel::default();
         let flops_only = WorkEstimate { flops: 6_800, ..Default::default() };
         assert!((cpu.time_ns(&flops_only) - 1000.0).abs() < 1e-9);
         let cached = WorkEstimate { state_bytes: 60_000, ..Default::default() };

@@ -10,13 +10,15 @@
 //! disappears from the large-model cells.
 
 use crate::engines::host::{
-    device_clocks, encoding_bytes, h2d_bytes, DeviceModel, Engine, Settled, PCIE_BYTES_PER_NS,
+    device_clocks, encoding_bytes, h2d_bytes, Engine, Settled, PCIE_BYTES_PER_NS,
 };
 use crate::engines::{discard, BatchResult, MemberSink, Simulator};
 use crate::recovery::{solve_members_recovered, Ladder};
 use crate::{SimError, SimulationJob, WorkEstimate};
 use paraspace_solvers::{Lsoda, OdeSolver};
-use paraspace_vgpu::{Device, DeviceConfig, KernelLaunch, MemorySpace, ThreadWork};
+use paraspace_vgpu::{
+    Device, DeviceConfig, KernelLaunch, MemorySpace, ThreadWork, THREADS_PER_BLOCK,
+};
 use std::time::Instant;
 
 /// Constant-memory capacity (bytes) — CUDA's fixed 64 KiB.
@@ -29,7 +31,6 @@ const SHARED_BYTES_PER_SPECIES: usize = 8;
 #[derive(Debug, Clone)]
 pub struct Coarse {
     device_config: DeviceConfig,
-    threads_per_block: usize,
     /// When `false`, forces all traffic to global memory (ablation A4).
     use_memory_hierarchy: bool,
 }
@@ -37,17 +38,7 @@ pub struct Coarse {
 impl Default for Coarse {
     /// The published GPU, memory hierarchy on.
     fn default() -> Self {
-        Coarse {
-            device_config: DeviceConfig::titan_x(),
-            threads_per_block: 32,
-            use_memory_hierarchy: true,
-        }
-    }
-}
-
-impl DeviceModel for Coarse {
-    fn device_config_mut(&mut self) -> &mut DeviceConfig {
-        &mut self.device_config
+        Coarse { device_config: DeviceConfig::titan_x(), use_memory_hierarchy: true }
     }
 }
 
@@ -85,10 +76,9 @@ impl Engine<Coarse> {
     }
 
     /// Whether per-simulation state fits the shared-memory budget at the
-    /// configured block size.
+    /// one-warp block size.
     pub fn shared_fits(&self, job: &SimulationJob) -> bool {
-        let per_block =
-            self.model.threads_per_block * job.odes().n_species() * SHARED_BYTES_PER_SPECIES;
+        let per_block = THREADS_PER_BLOCK * job.odes().n_species() * SHARED_BYTES_PER_SPECIES;
         per_block <= self.model.device_config.shared_mem_per_sm / 2
     }
 }
@@ -158,7 +148,7 @@ impl Simulator for Engine<Coarse> {
             settled.settle(rs.solution, false, rs.solver, rs.log);
         }
 
-        let tpb = model.threads_per_block;
+        let tpb = THREADS_PER_BLOCK;
         let blocks = batch.div_ceil(tpb);
         thread_work.resize(blocks * tpb, ThreadWork::new());
         let shared_per_block = if state_in_shared { tpb * n * SHARED_BYTES_PER_SPECIES } else { 0 };

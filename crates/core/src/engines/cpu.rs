@@ -16,11 +16,11 @@ pub enum CpuSolverKind {
     Vode,
 }
 
-/// The sequential-CPU cost model: a solver family priced on a roofline.
+/// The sequential-CPU cost model: a solver family priced on the published
+/// workstation's roofline ([`CpuCostModel::default`]).
 #[derive(Debug, Clone)]
 pub struct Cpu {
     kind: CpuSolverKind,
-    cost_model: CpuCostModel,
 }
 
 /// The CPU baseline engine: one simulation after another on a single core,
@@ -48,13 +48,7 @@ pub type CpuEngine = Engine<Cpu>;
 impl Engine<Cpu> {
     /// An engine with the published workstation's cost model.
     pub fn new(kind: CpuSolverKind) -> Self {
-        Engine { host: Host::default(), model: Cpu { kind, cost_model: CpuCostModel::default() } }
-    }
-
-    /// Overrides the CPU cost model (builder style).
-    pub fn with_cost_model(mut self, cost_model: CpuCostModel) -> Self {
-        self.model.cost_model = cost_model;
-        self
+        Engine { host: Host::default(), model: Cpu { kind } }
     }
 
     /// The solver family in use.
@@ -102,7 +96,7 @@ impl Simulator for Engine<Cpu> {
             settled.settle(rs.solution, false, rs.solver, rs.log);
         }
 
-        let cost_model = &self.model.cost_model;
+        let cost_model = CpuCostModel::default();
         let integration_ns =
             cost_model.time_ns(&work) + job.batch_size() as f64 * cost_model.per_sim_overhead_ns;
         Ok(self.host.finish(self.name(), start, settled, None, sink, |out_bytes| {

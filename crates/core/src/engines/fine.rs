@@ -37,7 +37,7 @@
 //! health are bitwise identical at any worker count.
 
 use crate::engines::host::{
-    device_clocks, h2d_bytes, lane_group_stats, DeviceModel, Engine, Settled, PCIE_BYTES_PER_NS,
+    device_clocks, h2d_bytes, lane_group_stats, Engine, Settled, PCIE_BYTES_PER_NS,
 };
 use crate::engines::{attempt_stats, discard, group_stats, BatchResult, MemberSink, Simulator};
 use crate::lanes::{solve_queue, Lockstep, MEMBERS_PER_LANE};
@@ -67,12 +67,6 @@ impl Default for Fine {
     /// The published GPU, the lane width autotuned per model.
     fn default() -> Self {
         Fine { device_config: DeviceConfig::titan_x(), lane_width: None }
-    }
-}
-
-impl DeviceModel for Fine {
-    fn device_config_mut(&mut self) -> &mut DeviceConfig {
-        &mut self.device_config
     }
 }
 
@@ -360,10 +354,10 @@ impl Simulator for Engine<Fine> {
         job: &SimulationJob,
         sink: &dyn MemberSink,
     ) -> Result<BatchResult, SimError> {
-        // Falls back to scalar — emitting a note when `PARASPACE_DEBUG=1` —
-        // when the model mixes kinetics the batched flux pass does not
-        // cover, rather than asserting deep inside the lane path.
-        let width = crate::lanes::resolve_lane_width(self.model.lane_width, job, "fine", false);
+        // Falls back to scalar when the model mixes kinetics the batched
+        // flux pass does not cover, rather than asserting deep inside the
+        // lane path.
+        let width = crate::lanes::resolve_lane_width(self.model.lane_width, job, false);
         if width <= 1 {
             self.run_scalar(job, sink)
         } else {

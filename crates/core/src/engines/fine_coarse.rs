@@ -33,8 +33,7 @@
 //! not depend on the worker count (nor, for P3, on the width).
 
 use crate::engines::host::{
-    device_clocks, h2d_bytes, lane_group_stats, DeviceModel, Engine, Host, Settled,
-    PCIE_BYTES_PER_NS,
+    device_clocks, h2d_bytes, lane_group_stats, Engine, Host, Settled, PCIE_BYTES_PER_NS,
 };
 use crate::engines::{attempt_stats, discard, group_stats, BatchResult, MemberSink, Simulator};
 use crate::lanes::{explicit_lane_width, solve_queue, Lockstep, MEMBERS_PER_LANE};
@@ -47,6 +46,7 @@ use paraspace_solvers::{
 };
 use paraspace_vgpu::{
     ChildLaunch, Device, DeviceConfig, DpModel, KernelLaunch, MemorySpace, ThreadWork,
+    THREADS_PER_BLOCK,
 };
 use std::time::Instant;
 
@@ -66,7 +66,6 @@ type MemberSlot = Option<(Result<Solution, SolveFailure>, &'static str)>;
 pub struct FineCoarse {
     device_config: DeviceConfig,
     dp_model: DpModel,
-    threads_per_block: usize,
     stiffness_threshold: f64,
     lane_width: Option<usize>,
 }
@@ -77,16 +76,9 @@ impl Default for FineCoarse {
         FineCoarse {
             device_config: DeviceConfig::titan_x(),
             dp_model: DpModel::default(),
-            threads_per_block: 32,
             stiffness_threshold: crate::STIFFNESS_THRESHOLD,
             lane_width: None,
         }
-    }
-}
-
-impl DeviceModel for FineCoarse {
-    fn device_config_mut(&mut self) -> &mut DeviceConfig {
-        &mut self.device_config
     }
 }
 
@@ -275,7 +267,7 @@ impl Phases<'_> {
         }
 
         // Parent grid: one thread per member (padded to full blocks).
-        let tpb = self.model.threads_per_block;
+        let tpb = THREADS_PER_BLOCK;
         let blocks = members.len().div_ceil(tpb);
         let mut padded = parent_work;
         padded.resize(blocks * tpb, ThreadWork::new());
@@ -362,7 +354,7 @@ impl Phases<'_> {
         // Parent grid: one thread for the lane-group; child grid: species ×
         // lanes threads, one round per lockstep tick, flops inflated by the
         // divergence factor (masked lanes burn issue slots).
-        let tpb = self.model.threads_per_block;
+        let tpb = THREADS_PER_BLOCK;
         let child_threads = (job.odes().n_species() * width).max(1);
         let child_tpb = child_threads.clamp(1, 128);
         let child_blocks = child_threads.div_ceil(child_tpb).max(1);
@@ -458,7 +450,7 @@ impl Simulator for Engine<FineCoarse> {
         let p2_work = ThreadWork::new()
             .with_flops(job.odes().jacobian_flops() + 50 * 2 * (n * n) as u64)
             .with_global_read((job.odes().n_terms() as u64 * 12) + (n * n) as u64 * 8);
-        let tpb = model.threads_per_block;
+        let tpb = THREADS_PER_BLOCK;
         device.launch(
             &KernelLaunch::uniform("setup::p2_stiffness", batch.div_ceil(tpb), tpb, p2_work)
                 .with_registers(64),
@@ -490,7 +482,7 @@ impl Simulator for Engine<FineCoarse> {
         // same per-model resolver as the fine engine's lane path.
         let (p4_lane, p4_scalar): (Vec<usize>, Vec<usize>) =
             p4_members.iter().copied().partition(|&i| job.fault_plan().faults_for(i).is_none());
-        let p4_width = crate::lanes::resolve_lane_width(model.lane_width, job, "fine-coarse", true);
+        let p4_width = crate::lanes::resolve_lane_width(model.lane_width, job, true);
         let p4_scalar = if p4_width > 1 && p4_lane.len() >= 2 {
             run.run_p4_lanes(&p4_lane, p4_width, &classes)?;
             p4_scalar

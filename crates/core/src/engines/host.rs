@@ -19,7 +19,7 @@ use crate::recovery::{RecoveryLog, RecoveryPolicy};
 use crate::SimulationJob;
 use paraspace_exec::{CancelToken, Executor};
 use paraspace_solvers::{LaneReport, Solution, SolverError};
-use paraspace_vgpu::{Device, DeviceConfig, LaneAccounting, LaneGroupStats};
+use paraspace_vgpu::{Device, LaneAccounting, LaneGroupStats};
 use std::time::Instant;
 
 /// Host↔device transfer throughput in bytes/ns (PCIe 3.0-class ≈ 8 GB/s).
@@ -111,20 +111,6 @@ impl<M> Engine<M> {
     /// one call (builder style).
     pub fn with_host(mut self, host: Host) -> Self {
         self.host = host;
-        self
-    }
-}
-
-/// Cost models that price their work on a modeled GPU.
-pub trait DeviceModel {
-    /// The device the model schedules on.
-    fn device_config_mut(&mut self) -> &mut DeviceConfig;
-}
-
-impl<M: DeviceModel> Engine<M> {
-    /// Overrides the device (builder style).
-    pub fn with_device(mut self, config: DeviceConfig) -> Self {
-        *self.model.device_config_mut() = config;
         self
     }
 }

@@ -24,6 +24,8 @@
 //! The *explicit* lockstep phase has no factorization, hence nothing for
 //! that rule to price: the fine-coarse engine's P3 runs at the full width
 //! wherever the lane flux pass covers the model (`explicit_lane_width`).
+//! The stochastic ensembles tune their own lanes, next to the tau-leaping
+//! constants they price (`paraspace_stochastic::auto_stoch_lane_width`).
 //!
 //! # Scheduling
 //!
@@ -53,7 +55,7 @@ use crate::cost::COMPLEX_LU_AVG_FACTOR;
 use crate::SimulationJob;
 use paraspace_exec::{CancelToken, Cancelled, Executor};
 use paraspace_linalg::LuFactor;
-use paraspace_rbm::{CompiledOdes, ReactionBasedModel};
+use paraspace_rbm::CompiledOdes;
 use paraspace_solvers::{
     BatchOdeSystem, Dopri5Batch, LaneReport, Radau5Batch, Solution, SolveFailure, SolverOptions,
     SolverScratch,
@@ -284,80 +286,6 @@ pub fn auto_lane_width(odes: &CompiledOdes) -> usize {
     width
 }
 
-/// Tau-leaping's published relative-change tolerance, mirrored here so the
-/// stochastic tuner prices the leap/SSA mode split the same way the
-/// simulator decides it.
-const TAU_EPSILON: f64 = 0.03;
-
-/// The Cao bound's SSA-fallback threshold (leaps covering fewer expected
-/// events than this run as exact events).
-const TAU_SSA_THRESHOLD: f64 = 10.0;
-
-/// The lane width the lockstep *stochastic* path should run `model` at,
-/// from a propensity-vs-sampling cost split.
-///
-/// A tau-leaping tick divides into a vectorizable half — the batched
-/// propensity evaluation and Cao tau-selection sweeps, which lanes
-/// amortize — and a per-lane sampling tail (Poisson draws, the τ-halving
-/// rejection loop, the exact-SSA fallback) that stays scalar no matter
-/// the width. Which half dominates is set by the *leap/SSA mode split*:
-/// the Cao bound admits leaps covering `≈ ε·x/2` expected events, so
-/// models with large populations run leap-dominated ticks (sweep-bound →
-/// wide lanes pay) while near-critical populations degenerate into
-/// per-event SSA fallbacks (sampling-bound, divergent → wide lanes only
-/// add swept-but-idle slots). Unlike the stiff ODE path there is no
-/// factor-cache cliff — the SoA count state is `n·L` words — so the tuner
-/// prices only that mode split, from the model's initial counts:
-///
-/// * `ε·x̄/2 ≥ 10` (the SSA threshold): leap-dominated, full width 8;
-/// * `ε·x̄/2 ≥ 1`: mixed mode, width 4;
-/// * below that: SSA-dominated, width 2;
-/// * non-mass-action kinetics: `1` — the falling-factorial propensities
-///   are only faithful for mass action, so the batch engine routes these
-///   to its scalar path.
-///
-/// `x̄` is the mean initial count over initially populated species.
-/// Deterministic per model, and like [`auto_lane_width`] it only ever
-/// narrows the schedule: per-replicate trajectories are bitwise
-/// independent of lane width by the lockstep kernel's contract, so
-/// `--lane-width N` stays a safe manual override.
-///
-/// # Example
-///
-/// ```
-/// use paraspace_core::auto_stoch_lane_width;
-/// use paraspace_rbm::{Reaction, ReactionBasedModel};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut m = ReactionBasedModel::new();
-/// let a = m.add_species("A", 100_000.0);
-/// m.add_reaction(Reaction::mass_action(&[(a, 1)], &[], 1.0))?;
-/// // Large population: leap-dominated, full width.
-/// assert_eq!(auto_stoch_lane_width(&m), 8);
-/// # Ok(())
-/// # }
-/// ```
-pub fn auto_stoch_lane_width(model: &ReactionBasedModel) -> usize {
-    if model.reactions().iter().any(|r| !r.kinetics().is_mass_action()) {
-        return 1;
-    }
-    let counts: Vec<f64> =
-        model.initial_state().iter().map(|&x| x.max(0.0).round()).filter(|&x| x > 0.0).collect();
-    if counts.is_empty() {
-        // Nothing populated: every tick is an SSA-or-source event.
-        return 2;
-    }
-    let mean = counts.iter().sum::<f64>() / counts.len() as f64;
-    let leap_events = TAU_EPSILON * mean / 2.0;
-    if leap_events >= TAU_SSA_THRESHOLD {
-        MAX_LANE_WIDTH
-    } else if leap_events >= 1.0 {
-        4
-    } else {
-        2
-    }
-}
-
 /// The width a lockstep engine actually runs `job` at: the pinned width if
 /// the caller set one, otherwise [`auto_lane_width`] — with the shared
 /// fallbacks to the scalar path (`1`) for sub-2 batches and for models the
@@ -374,21 +302,9 @@ pub fn auto_stoch_lane_width(model: &ReactionBasedModel) -> usize {
 pub(crate) fn resolve_lane_width(
     pinned: Option<usize>,
     job: &SimulationJob,
-    engine: &str,
     scalar_stiff_radau: bool,
 ) -> usize {
-    if job.batch_size() < 2 {
-        return 1;
-    }
-    if !job.odes().supports_lane_batch() {
-        if pinned.is_none_or(|w| w > 1)
-            && std::env::var("PARASPACE_DEBUG").map(|v| v == "1").unwrap_or(false)
-        {
-            eprintln!(
-                "{engine}: model mixes kinetics the lane-batched flux pass does not cover; \
-                 using the scalar path"
-            );
-        }
+    if job.batch_size() < 2 || !job.odes().supports_lane_batch() {
         return 1;
     }
     match pinned {
@@ -643,50 +559,11 @@ mod tests {
         // ...which fine-coarse honors (its width-1 stiff route is scalar
         // RADAU5) while the fine engine floors to 2 (its width-1 route is
         // the RKF45→BDF1 baseline, a different method).
-        assert_eq!(resolve_lane_width(None, &job, "fine-coarse", true), 1);
-        assert_eq!(resolve_lane_width(None, &job, "fine", false), 2);
+        assert_eq!(resolve_lane_width(None, &job, true), 1);
+        assert_eq!(resolve_lane_width(None, &job, false), 2);
         // A pinned 1 always selects the engine's documented scalar path.
-        assert_eq!(resolve_lane_width(Some(1), &job, "fine", false), 1);
-        assert_eq!(resolve_lane_width(Some(1), &job, "fine-coarse", true), 1);
-    }
-
-    #[test]
-    fn stoch_width_follows_the_leap_ssa_mode_split() {
-        let decay = |x0: f64| {
-            let mut m = ReactionBasedModel::new();
-            let a = m.add_species("A", x0);
-            m.add_reaction(Reaction::mass_action(&[(a, 1)], &[], 1.0)).unwrap();
-            m
-        };
-        // ε·x̄/2 = 1500: leap-dominated, sweeps amortize across full lanes.
-        assert_eq!(auto_stoch_lane_width(&decay(100_000.0)), MAX_LANE_WIDTH);
-        // ε·x̄/2 = 1.5: mixed leap/SSA ticks.
-        assert_eq!(auto_stoch_lane_width(&decay(100.0)), 4);
-        // ε·x̄/2 = 0.15: pure SSA fallback, per-lane sampling dominates.
-        assert_eq!(auto_stoch_lane_width(&decay(10.0)), 2);
-        // Deterministic.
-        assert_eq!(auto_stoch_lane_width(&decay(100.0)), auto_stoch_lane_width(&decay(100.0)));
-    }
-
-    #[test]
-    fn stoch_width_is_scalar_for_non_mass_action_kinetics() {
-        use paraspace_rbm::Kinetics;
-        let mut m = ReactionBasedModel::new();
-        let s = m.add_species("S", 100_000.0);
-        let p = m.add_species("P", 0.0);
-        m.add_reaction(Reaction::with_kinetics(
-            &[(s, 1)],
-            &[(p, 1)],
-            1.0,
-            Kinetics::MichaelisMenten { km: 0.5 },
-        ))
-        .unwrap();
-        assert_eq!(auto_stoch_lane_width(&m), 1);
-        // An unpopulated model still gets a (narrow) lane schedule.
-        let mut empty = ReactionBasedModel::new();
-        let a = empty.add_species("A", 0.0);
-        empty.add_reaction(Reaction::mass_action(&[], &[(a, 1)], 3.0)).unwrap();
-        assert_eq!(auto_stoch_lane_width(&empty), 2);
+        assert_eq!(resolve_lane_width(Some(1), &job, false), 1);
+        assert_eq!(resolve_lane_width(Some(1), &job, true), 1);
     }
 
     #[test]

@@ -69,14 +69,14 @@ pub use engines::{
 };
 pub use error::SimError;
 pub use job::{JobBuilder, SimulationJob};
-pub use lanes::{auto_lane_width, auto_stoch_lane_width};
+pub use lanes::auto_lane_width;
 /// Cooperative cancellation vocabulary, re-exported so engine callers can
 /// wire a token without importing the executor crate directly.
 pub use paraspace_exec::{CancelToken, Cancelled, Executor};
 /// Deterministic fault-injection vocabulary, re-exported so batch callers
 /// can build a [`SimulationJob`] fault plan without importing the solver
 /// crate directly.
-pub use paraspace_solvers::{ChaosSystem, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
+pub use paraspace_solvers::{ChaosSystem, FaultKind, FaultPlan, FaultSpec};
 pub use recovery::{RecoveryLog, RecoveryPolicy};
 pub use select::{recommend_engine, EngineKind};
 pub use stiffness::{

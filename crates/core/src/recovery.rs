@@ -28,6 +28,13 @@ use paraspace_solvers::{
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
+/// Factor both tolerances are multiplied by per relaxation retry.
+const RELAX_FACTOR: f64 = 10.0;
+/// Relative tolerance is never relaxed beyond this.
+const REL_TOL_CAP: f64 = 1e-2;
+/// Absolute tolerance is never relaxed beyond this.
+const ABS_TOL_CAP: f64 = 1e-6;
+
 /// How engines respond to failed batch members.
 ///
 /// The default reproduces the engines' historical behavior exactly — one
@@ -41,7 +48,7 @@ use std::sync::Mutex;
 ///
 /// let policy = RecoveryPolicy { max_relaxations: 2, ..RecoveryPolicy::default() };
 /// assert!(policy.reroute);
-/// assert_eq!(policy.relax_factor, 10.0);
+/// assert_eq!(policy.step_budget, None);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPolicy {
@@ -49,14 +56,9 @@ pub struct RecoveryPolicy {
     /// implicit fallback (the published P3 → P4 reroute).
     pub reroute: bool,
     /// Maximum tolerance-relaxation retries after the reroute (0 disables
-    /// the relaxation rungs of the ladder).
+    /// the relaxation rungs of the ladder). Each multiplies both
+    /// tolerances by 10, capped at `rel_tol` 1e-2 and `abs_tol` 1e-6.
     pub max_relaxations: usize,
-    /// Factor both tolerances are multiplied by per relaxation.
-    pub relax_factor: f64,
-    /// Relative tolerance is never relaxed beyond this.
-    pub rel_tol_cap: f64,
-    /// Absolute tolerance is never relaxed beyond this.
-    pub abs_tol_cap: f64,
     /// Per-member total-step budget applied when the job itself sets none
     /// (see [`SolverOptions::step_budget`]); `None` leaves members
     /// unbounded. A deterministic stand-in for a wall-clock deadline: no
@@ -72,9 +74,6 @@ impl Default for RecoveryPolicy {
         RecoveryPolicy {
             reroute: true,
             max_relaxations: 0,
-            relax_factor: 10.0,
-            rel_tol_cap: 1e-2,
-            abs_tol_cap: 1e-6,
             step_budget: None,
             budget_escalation: 2,
         }
@@ -271,8 +270,8 @@ fn continue_ladder(
         if !relax_eligible(e) {
             break;
         }
-        let rel = (opts.rel_tol * policy.relax_factor).min(policy.rel_tol_cap).max(opts.rel_tol);
-        let abs = (opts.abs_tol * policy.relax_factor).min(policy.abs_tol_cap).max(opts.abs_tol);
+        let rel = (opts.rel_tol * RELAX_FACTOR).min(REL_TOL_CAP).max(opts.rel_tol);
+        let abs = (opts.abs_tol * RELAX_FACTOR).min(ABS_TOL_CAP).max(opts.abs_tol);
         let budget = opts.step_budget.map(|b| b.saturating_mul(policy.budget_escalation.max(1)));
         if rel == opts.rel_tol && abs == opts.abs_tol && budget == opts.step_budget {
             break; // caps reached — a retry would repeat the same failure

@@ -30,8 +30,8 @@
 //!
 //! Batches at parameter-space scale contain hostile members — divergent
 //! parameterizations, panicking user systems — and one poisoned item must
-//! not sink the other thousand. [`Executor::try_map_with`] runs every item
-//! under [`std::panic::catch_unwind`] and returns a per-index
+//! not sink the other thousand. [`Executor::try_map_with_cancel`] runs every
+//! item under [`std::panic::catch_unwind`] and returns a per-index
 //! `Result<T, ItemPanic>`: panicking items yield a failed slot carrying the
 //! index and the panic payload, all other slots complete normally, and a
 //! worker whose private state may have been corrupted by the unwind
@@ -181,33 +181,17 @@ impl CancelToken {
     }
 
     /// Expire the deadline immediately: the token reads as cancelled from
-    /// now on (on every clone), but unlike [`cancel`](Self::cancel) a later
-    /// [`clear_deadline`](Self::clear_deadline) or
-    /// [`set_deadline_ms`](Self::set_deadline_ms) can re-arm it. This is
-    /// the transport's cancel-on-disconnect hook: a networked worker that
-    /// *affirmatively* learns its lease was reassigned expires the token so
-    /// in-flight work drains at once, then re-arms it for the next shard.
-    /// (Mere silence never triggers this — a partitioned worker keeps
-    /// computing and replays its records on reconnect.)
+    /// now on, on every clone. This is the transport's cancel-on-disconnect
+    /// hook: a networked worker that *affirmatively* learns its lease was
+    /// reassigned expires the shard's token so in-flight work drains at
+    /// once; the next claim gets a fresh token. (Mere silence never
+    /// triggers this — a partitioned worker keeps computing and replays its
+    /// records on reconnect.)
     pub fn expire_now(&self) {
         // 0 is trivially <= unix_now_ms(), so is_cancelled() is true
         // immediately; fetch_max in extend_deadline_ms cannot resurrect a
         // live deadline here because we store, not max.
         self.deadline_ms.store(0, Ordering::Relaxed);
-    }
-
-    /// Disarm the deadline, leaving explicit cancellation in effect.
-    pub fn clear_deadline(&self) {
-        self.deadline_ms.store(u64::MAX, Ordering::Relaxed);
-    }
-
-    /// The armed deadline (UNIX ms), if any.
-    #[must_use]
-    pub fn deadline_ms(&self) -> Option<u64> {
-        match self.deadline_ms.load(Ordering::Relaxed) {
-            u64::MAX => None,
-            d => Some(d),
-        }
     }
 
     /// True once cancellation has been requested or an armed deadline has
@@ -344,7 +328,8 @@ impl Executor {
     /// If any item panics, every other item still runs to completion and
     /// the lowest-index panic is then re-raised on the calling thread with
     /// the faulting index in the message. Callers that must survive
-    /// hostile items use [`try_map_with`](Executor::try_map_with).
+    /// hostile items use
+    /// [`try_map_with_cancel`](Executor::try_map_with_cancel).
     pub fn map_with<S, T, I, F>(&self, n: usize, init: I, f: F) -> Vec<T>
     where
         T: Send,
@@ -361,17 +346,9 @@ impl Executor {
         out
     }
 
-    /// The fault-contained variant of [`map_with`](Executor::map_with):
-    /// every item runs under [`catch_unwind`], and the slot of a panicking
-    /// item holds an [`ItemPanic`] (index + payload message) instead of
-    /// aborting the batch.
-    ///
-    /// A worker whose item panicked rebuilds its private state with `init`
-    /// before claiming the next index, since the unwind may have left the
-    /// state half-mutated. Slot order and values remain bitwise
-    /// deterministic across thread counts: which items fault and what they
-    /// return depends only on `f` and the index.
-    pub fn try_map_with<S, T, I, F>(&self, n: usize, init: I, f: F) -> Vec<Result<T, ItemPanic>>
+    /// [`try_map_with_cancel`](Executor::try_map_with_cancel) under a token
+    /// nothing trips.
+    fn try_map_with<S, T, I, F>(&self, n: usize, init: I, f: F) -> Vec<Result<T, ItemPanic>>
     where
         T: Send,
         I: Fn() -> S + Sync,
@@ -381,7 +358,16 @@ impl Executor {
             .expect("a fresh token is never cancelled")
     }
 
-    /// The cancellable variant of [`try_map_with`](Executor::try_map_with).
+    /// The fault-contained, cancellable variant of
+    /// [`map_with`](Executor::map_with).
+    ///
+    /// Every item runs under [`catch_unwind`], and the slot of a panicking
+    /// item holds an [`ItemPanic`] (index + payload message) instead of
+    /// aborting the batch. A worker whose item panicked rebuilds its private
+    /// state with `init` before claiming the next index, since the unwind
+    /// may have left the state half-mutated. Slot order and values remain
+    /// bitwise deterministic across thread counts: which items fault and
+    /// what they return depends only on `f` and the index.
     ///
     /// Workers consult `cancel` before claiming each index. Once the token
     /// trips, no further items start; items already in flight *drain* —
@@ -393,10 +379,9 @@ impl Executor {
     /// depends on claim timing).
     ///
     /// When the batch completes before the token trips, the result is
-    /// exactly that of `try_map_with` — bitwise deterministic across
-    /// thread counts. A token that is already tripped on entry yields
-    /// `Err(Cancelled)` without running anything (`n == 0` still succeeds
-    /// with an empty vector).
+    /// bitwise deterministic across thread counts. A token that is already
+    /// tripped on entry yields `Err(Cancelled)` without running anything
+    /// (`n == 0` still succeeds with an empty vector).
     pub fn try_map_with_cancel<S, T, I, F>(
         &self,
         n: usize,
@@ -754,14 +739,11 @@ mod tests {
 
     #[test]
     fn deadline_trips_and_extends_like_a_heartbeat() {
-        let token = CancelToken::new();
-        assert_eq!(token.deadline_ms(), None);
-
         // A deadline far in the future does not trip the token.
+        let token = CancelToken::new();
         let now = unix_now_ms();
         token.set_deadline_ms(now + 60_000);
         assert!(!token.is_cancelled());
-        assert_eq!(token.deadline_ms(), Some(now + 60_000));
 
         // A deadline in the past reads as cancelled — on every clone.
         let clone = token.clone();
@@ -771,21 +753,15 @@ mod tests {
 
         // Heartbeat extension only moves the deadline forward.
         token.set_deadline_ms(now + 60_000);
-        token.extend_deadline_ms(now + 30_000);
-        assert_eq!(token.deadline_ms(), Some(now + 60_000), "never backward");
-        token.extend_deadline_ms(now + 90_000);
-        assert_eq!(token.deadline_ms(), Some(now + 90_000));
-
-        // Disarming restores a plain cancellation token.
-        token.clear_deadline();
-        assert_eq!(token.deadline_ms(), None);
-        assert!(!token.is_cancelled());
-        token.cancel();
-        assert!(token.is_cancelled(), "explicit cancel survives clear_deadline");
+        token.extend_deadline_ms(now.saturating_sub(1));
+        assert!(!token.is_cancelled(), "never backward");
+        token.set_deadline_ms(now.saturating_sub(1));
+        token.extend_deadline_ms(now + 60_000);
+        assert!(!token.is_cancelled(), "forward");
     }
 
     #[test]
-    fn expire_now_trips_immediately_but_is_rearmable() {
+    fn expire_now_trips_immediately() {
         let token = CancelToken::new();
         let clone = token.clone();
         token.set_deadline_ms(unix_now_ms() + 60_000);
@@ -793,12 +769,6 @@ mod tests {
         token.expire_now();
         assert!(token.is_cancelled());
         assert!(clone.is_cancelled(), "visible on every clone");
-        // Unlike cancel(), the expiry is a deadline: the next shard's
-        // deadline re-arms the same token.
-        token.set_deadline_ms(unix_now_ms() + 60_000);
-        assert!(!token.is_cancelled());
-        token.clear_deadline();
-        assert!(!token.is_cancelled());
     }
 
     #[test]

@@ -161,16 +161,10 @@ impl<'a> Dec<'a> {
         Ok(out)
     }
 
-    /// True once every byte has been consumed.
-    #[must_use]
-    pub fn is_exhausted(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
-
     /// Error unless the payload was consumed exactly — catches layout skew
     /// between the writer and reader early.
     pub fn expect_exhausted(&self) -> Result<(), JournalError> {
-        if self.is_exhausted() {
+        if self.pos == self.bytes.len() {
             Ok(())
         } else {
             Err(JournalError::MalformedPayload {

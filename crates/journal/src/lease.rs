@@ -629,19 +629,6 @@ impl RetryLedger {
         self.state.get(&shard)
     }
 
-    /// Number of distinct workers that died holding `shard`.
-    #[must_use]
-    pub fn distinct_deaths(&self, shard: u64) -> u32 {
-        self.state.get(&shard).map_or(0, |s| s.workers.len() as u32)
-    }
-
-    /// True if `worker`'s death on `shard` is already recorded (keeps a
-    /// coordinator restart from double-counting a still-stale lease).
-    #[must_use]
-    pub fn has_death(&self, shard: u64, worker: &str) -> bool {
-        self.state.get(&shard).is_some_and(|s| s.workers.contains(worker))
-    }
-
     /// All shards with ledger state.
     pub fn states(&self) -> impl Iterator<Item = (u64, &RetryState)> {
         self.state.iter().map(|(&s, st)| (s, st))
@@ -848,9 +835,10 @@ mod tests {
                 .record_death(4, "w1", "heartbeat-expired", 2_000, 2_000 + cfg.backoff_ms(2))
                 .unwrap();
             ledger.record_death(4, "w1", "stalled", 3_000, 3_000 + cfg.backoff_ms(3)).unwrap();
-            assert_eq!(ledger.distinct_deaths(4), 2, "same worker twice counts once");
-            assert!(ledger.has_death(4, "w0"));
-            assert!(!ledger.has_death(4, "w7"));
+            let workers = &ledger.state(4).unwrap().workers;
+            assert_eq!(workers.len(), 2, "same worker twice counts once");
+            assert!(workers.contains("w0"));
+            assert!(!workers.contains("w7"));
         }
         let mut ledger = RetryLedger::open(&dir).unwrap();
         let st = ledger.state(4).unwrap().clone();

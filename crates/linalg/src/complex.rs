@@ -17,7 +17,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 ///
 /// let z = Complex64::new(3.0, 4.0);
 /// assert_eq!(z.abs(), 5.0);
-/// assert_eq!(z * z.conj(), Complex64::new(25.0, 0.0));
+/// assert_eq!(z * Complex64::new(3.0, -4.0), Complex64::new(25.0, 0.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Complex64 {
@@ -47,12 +47,6 @@ impl Complex64 {
         Complex64 { re, im: 0.0 }
     }
 
-    /// Returns the complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Complex64::new(self.re, -self.im)
-    }
-
     /// Returns the modulus |z|, computed robustly via `hypot`.
     #[inline]
     pub fn abs(self) -> f64 {
@@ -69,15 +63,6 @@ impl Complex64 {
     #[inline]
     pub fn arg(self) -> f64 {
         self.im.atan2(self.re)
-    }
-
-    /// Returns the multiplicative inverse 1/z.
-    ///
-    /// Uses Smith's algorithm to avoid intermediate overflow/underflow when
-    /// the components differ greatly in magnitude.
-    #[inline]
-    pub fn recip(self) -> Self {
-        Complex64::ONE / self
     }
 
     /// Returns the principal square root.
@@ -101,12 +86,6 @@ impl Complex64 {
     #[inline]
     pub fn is_finite(self) -> bool {
         self.re.is_finite() && self.im.is_finite()
-    }
-
-    /// Fused multiply-add: `self * b + c`.
-    #[inline]
-    pub fn mul_add(self, b: Complex64, c: Complex64) -> Self {
-        self * b + c
     }
 
     /// Scales by a real factor.
@@ -329,18 +308,11 @@ mod tests {
     }
 
     #[test]
-    fn conj_and_abs() {
+    fn abs_and_arg() {
         let z = Complex64::new(3.0, 4.0);
         assert_eq!(z.abs(), 5.0);
         assert_eq!(z.abs_sq(), 25.0);
-        assert_eq!(z.conj(), Complex64::new(3.0, -4.0));
         assert!((z.arg() - (4.0f64).atan2(3.0)).abs() < 1e-15);
-    }
-
-    #[test]
-    fn recip_is_inverse() {
-        let z = Complex64::new(0.3, -0.77);
-        assert!(close(z * z.recip(), Complex64::ONE, 1e-14));
     }
 
     #[test]

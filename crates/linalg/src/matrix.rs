@@ -196,30 +196,6 @@ impl Matrix {
         }
     }
 
-    /// Matrix–matrix product `A B`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self.cols != other.rows`.
-    pub fn mul_mat(&self, other: &Matrix) -> Matrix {
-        assert_eq!(self.cols, other.rows, "inner dimensions must agree");
-        let mut out = Matrix::zeros(self.rows, other.cols);
-        for i in 0..self.rows {
-            for k in 0..self.cols {
-                let aik = self[(i, k)];
-                if aik == 0.0 {
-                    continue;
-                }
-                let brow = other.row(k);
-                let orow = out.row_mut(i);
-                for j in 0..brow.len() {
-                    orow[j] += aik * brow[j];
-                }
-            }
-        }
-        out
-    }
-
     /// In-place scaled addition `self += k * other`.
     ///
     /// # Panics
@@ -411,21 +387,6 @@ mod tests {
     fn transpose_involution() {
         let m = Matrix::from_fn(3, 5, |i, j| (i * 7 + j) as f64);
         assert_eq!(m.transpose().transpose(), m);
-    }
-
-    #[test]
-    fn mat_mul_matches_known_product() {
-        let a = Matrix::from_rows(&[&[1.0, 2.0], &[3.0, 4.0]]);
-        let b = Matrix::from_rows(&[&[5.0, 6.0], &[7.0, 8.0]]);
-        let c = a.mul_mat(&b);
-        assert_eq!(c, Matrix::from_rows(&[&[19.0, 22.0], &[43.0, 50.0]]));
-    }
-
-    #[test]
-    fn mat_mul_identity_is_noop() {
-        let a = Matrix::from_fn(4, 4, |i, j| ((i + 1) * (j + 2)) as f64);
-        assert_eq!(a.mul_mat(&Matrix::identity(4)), a);
-        assert_eq!(Matrix::identity(4).mul_mat(&a), a);
     }
 
     #[test]

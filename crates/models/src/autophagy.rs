@@ -54,7 +54,7 @@ pub const AMBRA_SPECIES: &str = "AMBRA_P";
 
 /// Effective Hopf parameter of a sweep point; the analytic oscillation
 /// criterion is `effective_b(ampk0, p9) > 1 + CORE_A²  (= 2)`.
-pub fn effective_b(ampk0: f64, p9: f64) -> f64 {
+fn effective_b(ampk0: f64, p9: f64) -> f64 {
     P9_SCALE * p9 * ampk0
 }
 

@@ -256,7 +256,7 @@ pub fn model() -> ReactionBasedModel {
 
 /// The species indices of the 11 HK species in [`model`] order — the
 /// sensitivity-analysis input dimensions.
-pub fn hk_species_indices(m: &ReactionBasedModel) -> Vec<usize> {
+fn hk_species_indices(m: &ReactionBasedModel) -> Vec<usize> {
     HK_SPECIES
         .iter()
         .map(|name| m.species_by_name(name).expect("hk species present").index())

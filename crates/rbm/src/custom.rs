@@ -121,24 +121,6 @@ impl CustomModel {
         &self.param_values
     }
 
-    /// Replaces a parameter value by name.
-    ///
-    /// # Errors
-    ///
-    /// [`RbmError::NoSuchSpecies`]-style parse error for unknown names.
-    pub fn set_parameter(&mut self, name: &str, value: f64) -> Result<(), RbmError> {
-        match self.param_names.iter().position(|n| n == name) {
-            Some(i) => {
-                self.param_values[i] = value;
-                Ok(())
-            }
-            None => Err(RbmError::Parse {
-                context: "custom model".into(),
-                message: format!("no parameter named {name:?}"),
-            }),
-        }
-    }
-
     /// Compiles the model: symbolic flux derivatives are taken once, here,
     /// so the Jacobian at run time is pure evaluation.
     ///
@@ -294,14 +276,6 @@ mod tests {
         odes.rhs(&[4.0, 0.0], &mut d);
         assert!((d[0] + 2.0 * 4.0 / 4.5).abs() < 1e-12);
         assert_eq!(d[0], -d[1], "mass conserved between S and P");
-    }
-
-    #[test]
-    fn parameter_update_by_name() {
-        let mut m = brusselator();
-        m.set_parameter("b", 5.0).unwrap();
-        assert_eq!(m.parameters()[1], 5.0);
-        assert!(m.set_parameter("zeta", 1.0).is_err());
     }
 
     #[test]

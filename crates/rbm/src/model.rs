@@ -304,12 +304,13 @@ impl ReactionBasedModel {
 
     /// The reactant stoichiometric matrix `A` (`M × N`).
     pub fn stoichiometry_reactants(&self) -> Matrix {
-        self.side_matrix(true)
-    }
-
-    /// The product stoichiometric matrix `B` (`M × N`).
-    pub fn stoichiometry_products(&self) -> Matrix {
-        self.side_matrix(false)
+        let mut m = Matrix::zeros(self.n_reactions(), self.n_species());
+        for (i, r) in self.reactions.iter().enumerate() {
+            for &(s, c) in &r.reactants {
+                m[(i, s)] = c as f64;
+            }
+        }
+        m
     }
 
     /// The net stoichiometric matrix `(B − A)ᵀ` (`N × M`), the operator that
@@ -325,17 +326,6 @@ impl ReactionBasedModel {
             }
         }
         net
-    }
-
-    fn side_matrix(&self, reactant_side: bool) -> Matrix {
-        let mut m = Matrix::zeros(self.n_reactions(), self.n_species());
-        for (i, r) in self.reactions.iter().enumerate() {
-            let side = if reactant_side { &r.reactants } else { &r.products };
-            for &(s, c) in side {
-                m[(i, s)] = c as f64;
-            }
-        }
-        m
     }
 
     /// Validates the whole model: non-empty, unique names, finite
@@ -450,12 +440,9 @@ mod tests {
         m.add_reaction(Reaction::mass_action(&[(a, 1), (b, 1)], &[(b, 2)], 1.0)).unwrap();
         m.add_reaction(Reaction::mass_action(&[(b, 1)], &[], 0.1)).unwrap();
         let sa = m.stoichiometry_reactants();
-        let sb = m.stoichiometry_products();
         assert_eq!((sa.rows(), sa.cols()), (2, 2)); // M x N
         assert_eq!(sa[(0, 0)], 1.0);
         assert_eq!(sa[(0, 1)], 1.0);
-        assert_eq!(sb[(0, 1)], 2.0);
-        assert_eq!(sb[(1, 0)], 0.0);
         // Net (B-A)^T is N x M.
         let net = m.net_stoichiometry();
         assert_eq!((net.rows(), net.cols()), (2, 2));

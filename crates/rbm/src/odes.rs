@@ -568,13 +568,6 @@ impl CompiledOdes {
         &self.rate_constants
     }
 
-    /// The reactant `(species, order)` pairs of reaction `r`.
-    pub fn reaction_reactants(&self, r: usize) -> impl Iterator<Item = (usize, u32)> + '_ {
-        let lo = self.reactant_offsets[r] as usize;
-        let hi = self.reactant_offsets[r + 1] as usize;
-        (lo..hi).map(move |p| (self.reactant_species[p] as usize, self.reactant_orders[p]))
-    }
-
     /// Evaluates all reaction fluxes into `flux` using the baked rate
     /// constants.
     ///
@@ -806,15 +799,6 @@ impl CompiledOdes {
             self.derivatives_by_law(x, k, &mut d);
             self.scatter_rows(FixedWidth::<1>, &d, jac.as_mut_slice());
         }
-    }
-
-    /// The net-stoichiometry column of reaction `r`: the `(species,
-    /// coefficient)` pairs its flux feeds, in the fixed compile-time order
-    /// the parameter-Jacobian kernels scatter through.
-    pub fn reaction_stoichiometry(&self, r: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
-        let lo = self.stoich_offsets[r] as usize;
-        let hi = self.stoich_offsets[r + 1] as usize;
-        (lo..hi).map(move |p| (self.stoich_species[p] as usize, self.stoich_coeffs[p]))
     }
 
     /// The unit flux `g_r(x)` of reaction `r`: its flux evaluated with the
@@ -1498,7 +1482,8 @@ mod tests {
     #[test]
     fn dfdk_column_is_scaled_flux_column() {
         // ∂f/∂k_r · k_r must reproduce the reaction's flux contribution.
-        let (_, odes) = lotka_volterra();
+        let (model, odes) = lotka_volterra();
+        let net = model.net_stoichiometry();
         let x = [0.9, 1.4];
         let k = odes.rate_constants().to_vec();
         let mut dfdk = vec![0.0; 3 * 2];
@@ -1506,7 +1491,8 @@ mod tests {
         let mut flux = vec![0.0; 3];
         odes.fluxes_with(&x, &k, &mut flux);
         for r in 0..3 {
-            for (s, c) in odes.reaction_stoichiometry(r) {
+            for s in 0..2 {
+                let c = net[(s, r)];
                 assert!(
                     (dfdk[r * 2 + s] * k[r] - c * flux[r]).abs() < 1e-12,
                     "reaction {r} species {s}"

@@ -18,6 +18,11 @@
 use crate::{Reaction, ReactionBasedModel, SpeciesId};
 use rand::Rng;
 
+/// The published initial-concentration sampling range.
+const CONCENTRATION_RANGE: (f64, f64) = (1e-4, 1.0);
+/// The published kinetic-constant sampling range.
+const RATE_RANGE: (f64, f64) = (1e-6, 10.0);
+
 /// Samples from the log-uniform distribution on `[lo, hi)`: uniform in
 /// `ln x`, capturing the multi-order-of-magnitude dispersion of biochemical
 /// quantities.
@@ -25,18 +30,7 @@ use rand::Rng;
 /// # Panics
 ///
 /// Panics unless `0 < lo < hi`.
-///
-/// # Example
-///
-/// ```
-/// use paraspace_rbm::sbgen::log_uniform;
-/// use rand::SeedableRng;
-///
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-/// let x = log_uniform(1e-4, 1.0, &mut rng);
-/// assert!((1e-4..1.0).contains(&x));
-/// ```
-pub fn log_uniform<R: Rng + ?Sized>(lo: f64, hi: f64, rng: &mut R) -> f64 {
+fn log_uniform<R: Rng + ?Sized>(lo: f64, hi: f64, rng: &mut R) -> f64 {
     assert!(lo > 0.0 && hi > lo, "log-uniform bounds must satisfy 0 < lo < hi");
     let u: f64 = rng.gen();
     (lo.ln() + (hi.ln() - lo.ln()) * u).exp()
@@ -60,10 +54,6 @@ pub fn log_uniform<R: Rng + ?Sized>(lo: f64, hi: f64, rng: &mut R) -> f64 {
 pub struct SbGen {
     n_species: usize,
     n_reactions: usize,
-    conc_lo: f64,
-    conc_hi: f64,
-    k_lo: f64,
-    k_hi: f64,
     zero_order_fraction: f64,
     second_order_fraction: f64,
 }
@@ -77,30 +67,7 @@ impl SbGen {
     /// Panics if either dimension is zero.
     pub fn new(n_species: usize, n_reactions: usize) -> Self {
         assert!(n_species > 0 && n_reactions > 0, "model dimensions must be positive");
-        SbGen {
-            n_species,
-            n_reactions,
-            conc_lo: 1e-4,
-            conc_hi: 1.0,
-            k_lo: 1e-6,
-            k_hi: 10.0,
-            zero_order_fraction: 0.05,
-            second_order_fraction: 0.35,
-        }
-    }
-
-    /// Overrides the initial-concentration sampling range (builder style).
-    pub fn concentration_range(mut self, lo: f64, hi: f64) -> Self {
-        self.conc_lo = lo;
-        self.conc_hi = hi;
-        self
-    }
-
-    /// Overrides the kinetic-constant sampling range (builder style).
-    pub fn rate_range(mut self, lo: f64, hi: f64) -> Self {
-        self.k_lo = lo;
-        self.k_hi = hi;
-        self
+        SbGen { n_species, n_reactions, zero_order_fraction: 0.05, second_order_fraction: 0.35 }
     }
 
     /// Sets the fraction of zero-order (source) reactions.
@@ -126,10 +93,10 @@ impl SbGen {
     /// reaction.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> ReactionBasedModel {
         let mut model = ReactionBasedModel::new();
+        let (conc_lo, conc_hi) = CONCENTRATION_RANGE;
+        let (k_lo, k_hi) = RATE_RANGE;
         let ids: Vec<SpeciesId> = (0..self.n_species)
-            .map(|j| {
-                model.add_species(format!("S{j}"), log_uniform(self.conc_lo, self.conc_hi, rng))
-            })
+            .map(|j| model.add_species(format!("S{j}"), log_uniform(conc_lo, conc_hi, rng)))
             .collect();
 
         let mut touched = vec![false; self.n_species];
@@ -141,7 +108,7 @@ impl SbGen {
             for &(s, _) in &products {
                 touched[s.index()] = true;
             }
-            let k = log_uniform(self.k_lo, self.k_hi, rng);
+            let k = log_uniform(k_lo, k_hi, rng);
             let reaction = Reaction::mass_action(&reactants, &products, k);
             model
                 .add_reaction(reaction)
@@ -276,20 +243,6 @@ impl SbGen {
 
 /// One side of a reaction: `(species, stoichiometric coefficient)` pairs.
 type ReactionSide = Vec<(SpeciesId, u32)>;
-
-/// Generates the symmetric benchmark family member `N = M = size`.
-///
-/// # Example
-///
-/// ```
-/// use rand::SeedableRng;
-/// let mut rng = rand::rngs::StdRng::seed_from_u64(2);
-/// let m = paraspace_rbm::sbgen::symmetric_model(64, &mut rng);
-/// assert_eq!((m.n_species(), m.n_reactions()), (64, 64));
-/// ```
-pub fn symmetric_model<R: Rng + ?Sized>(size: usize, rng: &mut R) -> ReactionBasedModel {
-    SbGen::new(size, size).generate(rng)
-}
 
 #[cfg(test)]
 mod tests {

@@ -342,16 +342,6 @@ impl CompiledStoich {
         let range = self.species_offsets[s] as usize..self.species_offsets[s + 1] as usize;
         &self.species_delta[range]
     }
-
-    /// Total net-change entries (`Σ_r |ν_r|₀`) — the sweep cost driver.
-    pub fn net_entries(&self) -> usize {
-        self.net_species.len()
-    }
-
-    /// Total reactant entries (`Σ_r |reactants_r|`).
-    pub fn reactant_entries(&self) -> usize {
-        self.reactant_species.len()
-    }
 }
 
 #[cfg(test)]

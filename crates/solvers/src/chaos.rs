@@ -4,17 +4,15 @@
 //! states, panicking right-hand sides, members whose step size collapses —
 //! and the engines' containment and recovery machinery must be exercised
 //! under *reproducible* versions of those faults. [`ChaosSystem`] wraps any
-//! [`OdeSystem`] and injects a configured fault ([`FaultKind`]) when its
-//! trigger fires ([`FaultTrigger`]): at a fixed integration time or at a
-//! fixed RHS-call count. No RNG is involved anywhere, so an injected fault
+//! [`OdeSystem`] and injects a configured fault ([`FaultKind`]) from a fixed
+//! integration time on. No RNG is involved anywhere, so an injected fault
 //! fires at the identical point of the identical trajectory at any thread
 //! count or lane width, and a retried attempt deterministically re-faults.
 //!
-//! Time triggers are the cross-path-safe choice: the scalar DOPRI5 and the
+//! Time is the cross-path-safe trigger: the scalar DOPRI5 and the
 //! lane-batched lockstep solver evaluate bitwise-identical `(t, y)`
 //! sequences per member, so a `t`-triggered fault fires identically on
-//! both paths. Call-count triggers pin a fault to an exact evaluation
-//! ordinal, which is useful for unit tests of a single solver.
+//! both paths.
 //!
 //! # Example
 //!
@@ -59,64 +57,32 @@ pub enum FaultKind {
     Stall,
 }
 
-/// When an injected fault fires.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum FaultTrigger {
-    /// Fires on every RHS evaluation with `t >= t_trigger`. Identical
-    /// across the scalar and lane-batched paths (their per-member `(t, y)`
-    /// sequences are bitwise equal).
-    AtTime(f64),
-    /// Fires from the `k`-th RHS evaluation (1-based) onward.
-    AtRhsCall(u64),
-}
-
 /// One injected fault: what happens and when.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultSpec {
     /// The fault to inject.
     pub kind: FaultKind,
-    /// When it fires. Once triggered it stays triggered for every later
+    /// The integration time it fires from: every RHS evaluation with
+    /// `t >= at`. Once triggered it stays triggered for every later
     /// evaluation (and for retried attempts), so recovery retries of a
     /// chaos member deterministically re-fault.
-    pub trigger: FaultTrigger,
+    pub at: f64,
 }
 
 impl FaultSpec {
     /// NaN derivatives from integration time `t` onward.
     pub fn nan_at_time(t: f64) -> Self {
-        FaultSpec { kind: FaultKind::Nan, trigger: FaultTrigger::AtTime(t) }
+        FaultSpec { kind: FaultKind::Nan, at: t }
     }
 
     /// A panic on the first RHS evaluation with time `>= t`.
     pub fn panic_at_time(t: f64) -> Self {
-        FaultSpec { kind: FaultKind::Panic, trigger: FaultTrigger::AtTime(t) }
+        FaultSpec { kind: FaultKind::Panic, at: t }
     }
 
     /// A stalling RHS from integration time `t` onward.
     pub fn stall_at_time(t: f64) -> Self {
-        FaultSpec { kind: FaultKind::Stall, trigger: FaultTrigger::AtTime(t) }
-    }
-
-    /// NaN derivatives from the `k`-th RHS call (1-based) onward.
-    pub fn nan_at_call(k: u64) -> Self {
-        FaultSpec { kind: FaultKind::Nan, trigger: FaultTrigger::AtRhsCall(k) }
-    }
-
-    /// A panic on the `k`-th RHS call (1-based).
-    pub fn panic_at_call(k: u64) -> Self {
-        FaultSpec { kind: FaultKind::Panic, trigger: FaultTrigger::AtRhsCall(k) }
-    }
-
-    /// A stalling RHS from the `k`-th RHS call (1-based) onward.
-    pub fn stall_at_call(k: u64) -> Self {
-        FaultSpec { kind: FaultKind::Stall, trigger: FaultTrigger::AtRhsCall(k) }
-    }
-
-    fn fires(&self, t: f64, call: u64) -> bool {
-        match self.trigger {
-            FaultTrigger::AtTime(at) => t >= at,
-            FaultTrigger::AtRhsCall(k) => call >= k,
-        }
+        FaultSpec { kind: FaultKind::Stall, at: t }
     }
 }
 
@@ -161,18 +127,17 @@ impl FaultPlan {
 /// inner system's RHS.
 ///
 /// The Jacobian passes through untouched (stiffness triage sees the clean
-/// system; faults strike the integration itself). The RHS-call counter and
-/// the per-fault latch live in [`Cell`]s because [`OdeSystem::rhs`] takes
-/// `&self`. Fired faults latch: an adaptive solver rejects a faulted step
-/// and retries with smaller `h`, whose stage times fall *before* a time
-/// trigger — without the latch the member would creep toward the trigger
-/// forever instead of failing, and the failure taxonomy would depend on
-/// step-size history rather than on the injected fault.
+/// system; faults strike the integration itself). The per-fault latch lives
+/// in a [`Cell`] because [`OdeSystem::rhs`] takes `&self`. Fired faults
+/// latch: an adaptive solver rejects a faulted step and retries with
+/// smaller `h`, whose stage times fall *before* the trigger — without the
+/// latch the member would creep toward the trigger forever instead of
+/// failing, and the failure taxonomy would depend on step-size history
+/// rather than on the injected fault.
 #[derive(Debug)]
 pub struct ChaosSystem<S> {
     inner: S,
     faults: Vec<FaultSpec>,
-    calls: Cell<u64>,
     latched: Cell<u64>,
 }
 
@@ -184,12 +149,7 @@ impl<S: OdeSystem> ChaosSystem<S> {
     /// Panics if more than 64 faults are given (the latch is a bitmask).
     pub fn new(inner: S, faults: Vec<FaultSpec>) -> Self {
         assert!(faults.len() <= 64, "at most 64 faults per member");
-        ChaosSystem { inner, faults, calls: Cell::new(0), latched: Cell::new(0) }
-    }
-
-    /// RHS evaluations observed so far (diagnostic).
-    pub fn rhs_calls(&self) -> u64 {
-        self.calls.get()
+        ChaosSystem { inner, faults, latched: Cell::new(0) }
     }
 }
 
@@ -199,17 +159,15 @@ impl<S: OdeSystem> OdeSystem for ChaosSystem<S> {
     }
 
     fn rhs(&self, t: f64, y: &[f64], dydt: &mut [f64]) {
-        let call = self.calls.get() + 1;
-        self.calls.set(call);
         for (idx, fault) in self.faults.iter().enumerate() {
             let bit = 1u64 << idx;
-            if self.latched.get() & bit == 0 && !fault.fires(t, call) {
+            if self.latched.get() & bit == 0 && t < fault.at {
                 continue;
             }
             self.latched.set(self.latched.get() | bit);
             match fault.kind {
                 FaultKind::Panic => {
-                    panic!("chaos: injected panic at t = {t} (rhs call {call})")
+                    panic!("chaos: injected panic at t = {t}")
                 }
                 FaultKind::Nan => {
                     dydt.fill(f64::NAN);
@@ -252,7 +210,6 @@ mod tests {
         let wrapped =
             Dopri5::new().solve(&sys, 0.0, &[1.0], &[1.0], &SolverOptions::default()).unwrap();
         assert_eq!(reference, wrapped, "no faults ⇒ bitwise identical");
-        assert!(sys.rhs_calls() > 0);
     }
 
     #[test]
@@ -282,15 +239,6 @@ mod tests {
         let err = Dopri5::new().solve(&sys, 0.0, &[1.0], &[1.0], &opts).unwrap_err();
         assert!(matches!(err.error, SolverError::StepBudgetExhausted { budget: 500, .. }));
         assert_eq!(err.stats.steps, 500, "the budget is a hard deadline");
-    }
-
-    #[test]
-    fn call_count_trigger_fires_at_exact_ordinal() {
-        let sys = ChaosSystem::new(decay(), vec![FaultSpec::nan_at_call(10)]);
-        let err =
-            Dopri5::new().solve(&sys, 0.0, &[1.0], &[1.0], &SolverOptions::default()).unwrap_err();
-        assert!(matches!(err.error, SolverError::NonFiniteState { .. }));
-        assert!(sys.rhs_calls() >= 10);
     }
 
     #[test]

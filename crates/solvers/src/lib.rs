@@ -53,7 +53,7 @@ mod solution;
 mod system;
 
 pub use batch::{BatchOdeSystem, BatchState};
-pub use chaos::{ChaosSystem, FaultKind, FaultPlan, FaultSpec, FaultTrigger};
+pub use chaos::{ChaosSystem, FaultKind, FaultPlan, FaultSpec};
 pub use dopri5::Dopri5;
 pub use dopri5_batch::{Dopri5Batch, LaneReport};
 pub use error::{SolveFailure, SolverError};

@@ -41,10 +41,7 @@ impl Vode {
 
     /// The up-front classification VODE applies before integrating: `true`
     /// means the BDF family will be used for the whole run.
-    ///
-    /// Exposed because the batch engine's phase P2 performs the same
-    /// triage across whole simulation batches.
-    pub fn classify_stiff(system: &dyn OdeSystem, t0: f64, y0: &[f64], t_end: f64) -> bool {
+    fn classify_stiff(system: &dyn OdeSystem, t0: f64, y0: &[f64], t_end: f64) -> bool {
         let mut jac = Matrix::zeros(system.dim(), system.dim());
         system.jacobian(t0, y0, &mut jac);
         let lambda = dominant_eigenvalue_estimate(&jac);

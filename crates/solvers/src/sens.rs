@@ -98,14 +98,6 @@ impl SensSolution {
     pub fn sens_column(&self, sample: usize, param: usize, n: usize) -> &[f64] {
         &self.sens[sample][param * n..(param + 1) * n]
     }
-
-    /// Splits a solution of the augmented system `[y; s₀; …; s_{p−1}]`
-    /// (dimension `n·(1+p)`) back into state samples + sensitivity blocks —
-    /// what [`Dopri5Sens`] does with its augmented solve, for a caller that
-    /// integrates an [`AugmentedSensSystem`] with another explicit solver.
-    pub fn from_augmented(sol: Solution, n: usize, p: usize) -> Self {
-        split_augmented(sol, n, p)
-    }
 }
 
 /// The augmented system `[y; s₀; …; s_{p−1}]` of dimension `n·(1+p)`:
@@ -141,7 +133,7 @@ impl<'a, S: SensOdeSystem + ?Sized> AugmentedSensSystem<'a, S> {
     }
 
     /// Builds the augmented initial state `[y0; 0; …; 0]`.
-    pub fn augmented_initial_state(&self, y0: &[f64]) -> Vec<f64> {
+    fn augmented_initial_state(&self, y0: &[f64]) -> Vec<f64> {
         assert_eq!(y0.len(), self.n, "initial state length");
         let mut aug = vec![0.0; self.n * (1 + self.p)];
         aug[..self.n].copy_from_slice(y0);
@@ -202,7 +194,7 @@ fn jac_times_plus(
 }
 
 /// Splits an augmented-system solution back into state + sensitivities.
-pub(crate) fn split_augmented(sol: Solution, n: usize, p: usize) -> SensSolution {
+fn split_augmented(sol: Solution, n: usize, p: usize) -> SensSolution {
     let mut out = SensSolution {
         solution: Solution {
             times: sol.times,

@@ -9,7 +9,8 @@
 //! * the **lane-group path** — simulators exposing a lockstep kernel
 //!   ([`TauLeaping`](crate::TauLeaping) via [`TauLeapBatch`]) run
 //!   replicates in SoA lane groups with batched propensity/tau sweeps,
-//!   scheduled across the `exec` worker pool one group per item;
+//!   scheduled across the `exec` worker pool one group per item, at the
+//!   width [`auto_stoch_lane_width`] picks per model unless pinned;
 //! * the **scalar path** — everything else (the exact
 //!   [`DirectMethod`](crate::DirectMethod), non-mass-action models whose
 //!   falling-factorial propensities the batched kernel is gated off, and
@@ -28,6 +29,7 @@
 
 use crate::chaos::StochFaultPlan;
 use crate::rng::CounterRng;
+use crate::tau::{EPSILON, SSA_THRESHOLD};
 use crate::{
     initial_counts, PropensityTable, StochasticError, StochasticSimulator, StochasticTrajectory,
 };
@@ -35,8 +37,12 @@ use paraspace_exec::Executor;
 use paraspace_rbm::ReactionBasedModel;
 use paraspace_vgpu::{
     Device, DeviceConfig, KernelLaunch, LaneAccounting, LaneGroupStats, MemorySpace, ThreadWork,
+    THREADS_PER_BLOCK,
 };
 use std::ops::Range;
+
+/// Widest lane group the ensemble schedules.
+const MAX_LANE_WIDTH: usize = 8;
 
 /// Lane-group capacity multiplier: each of [`StochasticBatch`]'s executor
 /// work units carries up to `CAPACITY_LANES · width` replicates, compacted
@@ -148,13 +154,11 @@ impl StochasticBatchResult {
 #[derive(Debug, Clone)]
 pub struct StochasticBatch<S> {
     simulator: S,
-    device_config: DeviceConfig,
     seed: u64,
     member: u64,
     threads: usize,
     lane_width: Option<usize>,
     faults: StochFaultPlan,
-    threads_per_block: usize,
 }
 
 impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
@@ -162,13 +166,11 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
     pub fn new(simulator: S) -> Self {
         StochasticBatch {
             simulator,
-            device_config: DeviceConfig::titan_x(),
             seed: 0,
             member: 0,
             threads: 1,
             lane_width: None,
             faults: StochFaultPlan::new(),
-            threads_per_block: 32,
         }
     }
 
@@ -198,7 +200,7 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
     }
 
     /// Pins the lane width for the lockstep path (default: the
-    /// `auto_stoch_lane_width` propensity-vs-sampling tuner). `1` forces
+    /// [`auto_stoch_lane_width`] propensity-vs-sampling tuner). `1` forces
     /// the scalar path. Pure scheduling: per-replicate trajectories are
     /// bitwise independent of the width.
     pub fn with_lane_width(mut self, width: Option<usize>) -> Self {
@@ -213,12 +215,6 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
     /// a contained per-replicate error.
     pub fn with_faults(mut self, faults: StochFaultPlan) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Overrides the device (builder style).
-    pub fn with_device(mut self, config: DeviceConfig) -> Self {
-        self.device_config = config;
         self
     }
 
@@ -283,7 +279,7 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
         }
         model.validate()?;
         let start = std::time::Instant::now();
-        let device = Device::new(self.device_config.clone());
+        let device = Device::new(DeviceConfig::titan_x());
         let table = PropensityTable::new(model);
         let x0 = initial_counts(model);
         let replicates = range.len();
@@ -292,16 +288,8 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
         // and mass-action kinetics (the only kinetics the batched
         // falling-factorial pass is faithful for).
         let kernel = self.simulator.lane_kernel();
-        let width =
-            self.lane_width.unwrap_or_else(|| paraspace_core::auto_stoch_lane_width(model)).max(1);
+        let width = self.lane_width.unwrap_or_else(|| auto_stoch_lane_width(model)).max(1);
         let lane_path = kernel.is_some() && width >= 2 && table.stoich().all_mass_action();
-        if kernel.is_some() && !lane_path && self.lane_width.is_none_or(|w| w > 1) {
-            debug_log(&format!(
-                "stochastic batch: model outside the lane-batched propensity pass; \
-                 running {} scalar",
-                self.simulator.name()
-            ));
-        }
 
         // Partition the range into deterministic work units: lane groups
         // of up to 4·width replicates, with fault-planned replicates
@@ -403,7 +391,7 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
                 Err(_) => ThreadWork::new(),
             })
             .collect();
-        let tpb = self.threads_per_block;
+        let tpb = THREADS_PER_BLOCK;
         let blocks = replicates.div_ceil(tpb);
         work.resize(blocks * tpb, ThreadWork::new());
         device.launch(
@@ -430,9 +418,68 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
 /// Wrapper keeping the per-unit result tuple readable.
 struct TauLeapGroup(crate::tau_batch::TauLeapReport);
 
-fn debug_log(message: &str) {
-    if std::env::var("PARASPACE_DEBUG").map(|v| v == "1").unwrap_or(false) {
-        eprintln!("{message}");
+/// The lane width the lockstep *stochastic* path should run `model` at,
+/// from a propensity-vs-sampling cost split.
+///
+/// A tau-leaping tick divides into a vectorizable half — the batched
+/// propensity evaluation and Cao tau-selection sweeps, which lanes
+/// amortize — and a per-lane sampling tail (Poisson draws, the τ-halving
+/// rejection loop, the exact-SSA fallback) that stays scalar no matter
+/// the width. Which half dominates is set by the *leap/SSA mode split*:
+/// the Cao bound admits leaps covering `≈ ε·x/2` expected events, so
+/// models with large populations run leap-dominated ticks (sweep-bound →
+/// wide lanes pay) while near-critical populations degenerate into
+/// per-event SSA fallbacks (sampling-bound, divergent → wide lanes only
+/// add swept-but-idle slots). Unlike the stiff ODE path there is no
+/// factor-cache cliff — the SoA count state is `n·L` words — so the tuner
+/// prices only that mode split, from the model's initial counts:
+///
+/// * `ε·x̄/2 ≥ 10` (the SSA threshold): leap-dominated, full width 8;
+/// * `ε·x̄/2 ≥ 1`: mixed mode, width 4;
+/// * below that: SSA-dominated, width 2;
+/// * non-mass-action kinetics: `1` — the falling-factorial propensities
+///   are only faithful for mass action, so the batch engine routes these
+///   to its scalar path.
+///
+/// `x̄` is the mean initial count over initially populated species.
+/// Deterministic per model, and like the ODE engines' `auto_lane_width`
+/// it only ever narrows the schedule: per-replicate trajectories are bitwise
+/// independent of lane width by the lockstep kernel's contract, so
+/// `--lane-width N` stays a safe manual override.
+///
+/// # Example
+///
+/// ```
+/// use paraspace_stochastic::auto_stoch_lane_width;
+/// use paraspace_rbm::{Reaction, ReactionBasedModel};
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// let mut m = ReactionBasedModel::new();
+/// let a = m.add_species("A", 100_000.0);
+/// m.add_reaction(Reaction::mass_action(&[(a, 1)], &[], 1.0))?;
+/// // Large population: leap-dominated, full width.
+/// assert_eq!(auto_stoch_lane_width(&m), 8);
+/// # Ok(())
+/// # }
+/// ```
+pub fn auto_stoch_lane_width(model: &ReactionBasedModel) -> usize {
+    if model.reactions().iter().any(|r| !r.kinetics().is_mass_action()) {
+        return 1;
+    }
+    let counts: Vec<f64> =
+        model.initial_state().iter().map(|&x| x.max(0.0).round()).filter(|&x| x > 0.0).collect();
+    if counts.is_empty() {
+        // Nothing populated: every tick is an SSA-or-source event.
+        return 2;
+    }
+    let mean = counts.iter().sum::<f64>() / counts.len() as f64;
+    let leap_events = EPSILON * mean / 2.0;
+    if leap_events >= SSA_THRESHOLD {
+        MAX_LANE_WIDTH
+    } else if leap_events >= 1.0 {
+        4
+    } else {
+        2
     }
 }
 
@@ -625,5 +672,44 @@ mod tests {
         assert_eq!(r.lane_width, 1, "gated off the lane path");
         assert!(r.lanes.is_none());
         assert!(r.outcomes.iter().all(Result::is_ok));
+    }
+
+    #[test]
+    fn stoch_width_follows_the_leap_ssa_mode_split() {
+        let decay = |x0: f64| {
+            let mut m = ReactionBasedModel::new();
+            let a = m.add_species("A", x0);
+            m.add_reaction(Reaction::mass_action(&[(a, 1)], &[], 1.0)).unwrap();
+            m
+        };
+        // ε·x̄/2 = 1500: leap-dominated, sweeps amortize across full lanes.
+        assert_eq!(auto_stoch_lane_width(&decay(100_000.0)), MAX_LANE_WIDTH);
+        // ε·x̄/2 = 1.5: mixed leap/SSA ticks.
+        assert_eq!(auto_stoch_lane_width(&decay(100.0)), 4);
+        // ε·x̄/2 = 0.15: pure SSA fallback, per-lane sampling dominates.
+        assert_eq!(auto_stoch_lane_width(&decay(10.0)), 2);
+        // Deterministic.
+        assert_eq!(auto_stoch_lane_width(&decay(100.0)), auto_stoch_lane_width(&decay(100.0)));
+    }
+
+    #[test]
+    fn stoch_width_is_scalar_for_non_mass_action_kinetics() {
+        use paraspace_rbm::Kinetics;
+        let mut m = ReactionBasedModel::new();
+        let s = m.add_species("S", 100_000.0);
+        let p = m.add_species("P", 0.0);
+        m.add_reaction(Reaction::with_kinetics(
+            &[(s, 1)],
+            &[(p, 1)],
+            1.0,
+            Kinetics::MichaelisMenten { km: 0.5 },
+        ))
+        .unwrap();
+        assert_eq!(auto_stoch_lane_width(&m), 1);
+        // An unpopulated model still gets a (narrow) lane schedule.
+        let mut empty = ReactionBasedModel::new();
+        let a = empty.add_species("A", 0.0);
+        empty.add_reaction(Reaction::mass_action(&[], &[(a, 1)], 3.0)).unwrap();
+        assert_eq!(auto_stoch_lane_width(&empty), 2);
     }
 }

@@ -74,7 +74,7 @@ pub struct CounterRng {
 
 impl CounterRng {
     /// A stream from a raw key (counter starts at zero).
-    pub fn from_key(key: u64) -> Self {
+    fn from_key(key: u64) -> Self {
         CounterRng { key, counter: 0 }
     }
 

@@ -15,6 +15,14 @@ use crate::tau_batch::TauLeapBatch;
 use crate::{StochasticError, StochasticSimulator, StochasticTrajectory};
 use rand::Rng;
 
+/// Relative-change tolerance ε of the Cao tau selection (Cao et al.'s
+/// recommended 0.03).
+pub(crate) const EPSILON: f64 = 0.03;
+
+/// Fall back to SSA when a leap would cover fewer than this many expected
+/// events.
+pub(crate) const SSA_THRESHOLD: f64 = 10.0;
+
 /// The tau-leaping simulator.
 ///
 /// # Example
@@ -37,11 +45,7 @@ use rand::Rng;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TauLeaping {
-    /// Relative-change tolerance ε (published default 0.03).
-    epsilon: f64,
-    /// Fall back to SSA when the leap would cover fewer than this many
-    /// expected events.
-    ssa_threshold: f64,
+    _private: (),
 }
 
 impl Default for TauLeaping {
@@ -53,18 +57,7 @@ impl Default for TauLeaping {
 impl TauLeaping {
     /// A simulator with ε = 0.03 (Cao et al.'s recommendation).
     pub fn new() -> Self {
-        TauLeaping { epsilon: 0.03, ssa_threshold: 10.0 }
-    }
-
-    /// Overrides ε (builder style).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `0 < epsilon < 1`.
-    pub fn with_epsilon(mut self, epsilon: f64) -> Self {
-        assert!(epsilon > 0.0 && epsilon < 1.0, "epsilon must be in (0, 1)");
-        self.epsilon = epsilon;
-        self
+        TauLeaping { _private: () }
     }
 
     /// The Cao tau-selection bound at state `x` with propensities `a`.
@@ -88,7 +81,7 @@ impl TauLeaping {
             }
             // g_i ≈ highest reactant order touching s (2 is a safe bound
             // for the ≤2-order networks here).
-            let bound = (self.epsilon * x[s] as f64 / 2.0).max(1.0);
+            let bound = (EPSILON * x[s] as f64 / 2.0).max(1.0);
             if mu != 0.0 {
                 tau = tau.min(bound / mu.abs());
             }
@@ -136,7 +129,7 @@ impl StochasticSimulator for TauLeaping {
                 }
                 let tau = self.select_tau(table, &x, &a).min(ts - t);
 
-                if tau * a0 < self.ssa_threshold {
+                if tau * a0 < SSA_THRESHOLD {
                     // Exact fallback: a handful of SSA events.
                     let dt = -rng.gen::<f64>().max(f64::MIN_POSITIVE).ln() / a0;
                     if t + dt > ts {
@@ -194,7 +187,7 @@ impl StochasticSimulator for TauLeaping {
     }
 
     fn lane_kernel(&self) -> Option<TauLeapBatch> {
-        Some(TauLeapBatch::with_params(self.epsilon, self.ssa_threshold))
+        Some(TauLeapBatch::new())
     }
 }
 
@@ -284,16 +277,6 @@ mod tests {
         for s in &traj.states {
             assert_eq!(s[0] + s[1], 50_000);
         }
-    }
-
-    #[test]
-    fn epsilon_trades_steps_for_accuracy() {
-        let m = decay(100_000.0, 1.0);
-        let run = |eps: f64| {
-            let mut rng = StdRng::seed_from_u64(6);
-            TauLeaping::new().with_epsilon(eps).simulate(&m, &[1.0], &mut rng).unwrap().steps
-        };
-        assert!(run(0.1) < run(0.01), "looser epsilon must take fewer leaps");
     }
 
     #[test]

@@ -35,6 +35,7 @@ use crate::error::validate_propensities;
 use crate::propensity::PropensityTable;
 use crate::rng::CounterRng;
 use crate::sampling::poisson;
+use crate::tau::{EPSILON, SSA_THRESHOLD};
 use crate::{StochasticError, StochasticTrajectory};
 use rand::Rng;
 
@@ -64,15 +65,12 @@ struct Lane {
     steps: u64,
 }
 
-/// The lockstep tau-leaping lane kernel.
-///
-/// Construct via [`TauLeaping::lane_kernel`](crate::StochasticSimulator::lane_kernel)
-/// to inherit a simulator's ε; [`StochasticBatch`](crate::StochasticBatch)
-/// does this automatically.
+/// The lockstep tau-leaping lane kernel, with [`TauLeaping`](crate::TauLeaping)'s
+/// ε and SSA threshold; [`StochasticBatch`](crate::StochasticBatch) takes it
+/// from [`lane_kernel`](crate::StochasticSimulator::lane_kernel).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TauLeapBatch {
-    epsilon: f64,
-    ssa_threshold: f64,
+    _private: (),
 }
 
 impl Default for TauLeapBatch {
@@ -82,14 +80,9 @@ impl Default for TauLeapBatch {
 }
 
 impl TauLeapBatch {
-    /// A kernel with the scalar defaults (ε = 0.03, SSA threshold 10).
+    /// A kernel with the scalar simulator's ε = 0.03 and SSA threshold 10.
     pub fn new() -> Self {
-        TauLeapBatch { epsilon: 0.03, ssa_threshold: 10.0 }
-    }
-
-    /// A kernel mirroring explicit scalar parameters.
-    pub fn with_params(epsilon: f64, ssa_threshold: f64) -> Self {
-        TauLeapBatch { epsilon, ssa_threshold }
+        TauLeapBatch { _private: () }
     }
 
     /// Runs one replicate per stream through lockstep lanes of `width`,
@@ -211,7 +204,7 @@ impl TauLeapBatch {
                     if mu[l] == 0.0 && sigma2[l] == 0.0 {
                         continue;
                     }
-                    let bound = (self.epsilon * xrow[l] as f64 / 2.0).max(1.0);
+                    let bound = (EPSILON * xrow[l] as f64 / 2.0).max(1.0);
                     if mu[l] != 0.0 {
                         tau_sel[l] = tau_sel[l].min(bound / mu[l].abs());
                     }
@@ -247,7 +240,7 @@ impl TauLeapBatch {
                     lane.t = ts;
                 } else {
                     let tau = tau_sel[l].min(ts - lane.t);
-                    if tau * al0 < self.ssa_threshold {
+                    if tau * al0 < SSA_THRESHOLD {
                         // Exact fallback: one SSA event.
                         let dt = -lane.rng.gen::<f64>().max(f64::MIN_POSITIVE).ln() / al0;
                         if lane.t + dt > ts {

@@ -41,17 +41,6 @@ pub struct NetChaos {
 }
 
 impl NetChaos {
-    /// True if this plan injects no faults.
-    #[must_use]
-    pub fn is_quiet(&self) -> bool {
-        self.drop_at.is_empty()
-            && self.delay_at.is_empty()
-            && self.duplicate_at.is_empty()
-            && self.sever_at.is_empty()
-            && self.drop_replies_at.is_empty()
-            && self.partition_at.is_none()
-    }
-
     /// The delay in ms scheduled at `ordinal`, if any.
     #[must_use]
     pub fn delay_ms_at(&self, ordinal: u64) -> Option<u64> {

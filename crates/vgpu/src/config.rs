@@ -105,11 +105,6 @@ impl DeviceConfig {
         }
     }
 
-    /// Seconds per cycle.
-    pub fn cycle_time_s(&self) -> f64 {
-        1e-9 / self.clock_ghz
-    }
-
     /// Maximum resident warps per SM.
     pub fn max_warps_per_sm(&self) -> usize {
         self.max_threads_per_sm / self.warp_size
@@ -170,7 +165,6 @@ mod tests {
         let c = DeviceConfig::titan_x();
         assert_eq!(c.max_warps_per_sm(), 64);
         assert_eq!(c.warp_issue_width(), 4);
-        assert!((c.cycle_time_s() - 1e-9 / 1.075).abs() < 1e-24);
     }
 
     #[test]

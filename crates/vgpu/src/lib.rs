@@ -52,4 +52,4 @@ pub use dynamic::DpModel;
 pub use lanes::{LaneAccounting, LaneGroupStats};
 pub use memory::MemorySpace;
 pub use schedule::{LaunchStats, Occupancy};
-pub use workload::{ChildLaunch, KernelLaunch, ThreadWork};
+pub use workload::{ChildLaunch, KernelLaunch, ThreadWork, THREADS_PER_BLOCK};

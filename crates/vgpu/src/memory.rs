@@ -35,11 +35,6 @@ impl MemorySpace {
         MemorySpace::Constant,
         MemorySpace::Register,
     ];
-
-    /// Whether traffic to this space consumes device-wide DRAM bandwidth.
-    pub fn uses_dram_bandwidth(self) -> bool {
-        matches!(self, MemorySpace::Global)
-    }
 }
 
 impl std::fmt::Display for MemorySpace {
@@ -58,13 +53,6 @@ impl std::fmt::Display for MemorySpace {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn only_global_uses_dram() {
-        for s in MemorySpace::ALL {
-            assert_eq!(s.uses_dram_bandwidth(), s == MemorySpace::Global);
-        }
-    }
 
     #[test]
     fn display_names() {

@@ -5,6 +5,10 @@
 
 use crate::MemorySpace;
 
+/// The block size the batch engines launch their one-thread-per-simulation
+/// kernels with: one warp.
+pub const THREADS_PER_BLOCK: usize = 32;
+
 /// The work performed by one thread of a kernel.
 ///
 /// # Example
@@ -17,16 +21,14 @@ use crate::MemorySpace;
 ///     .with_read(MemorySpace::Constant, 64)
 ///     .with_global_write(8);
 /// assert_eq!(w.flops, 500);
-/// assert_eq!(w.bytes_read(MemorySpace::Constant), 64);
+/// assert_eq!(w.bytes_touched(MemorySpace::Constant), 64);
 /// ```
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ThreadWork {
     /// Floating-point operations executed by this thread.
     pub flops: u64,
-    /// Bytes read from each space (indexed by [`space_index`]).
-    read_bytes: [u64; 5],
-    /// Bytes written to each space.
-    write_bytes: [u64; 5],
+    /// Bytes read or written in each space (indexed by [`space_index`]).
+    bytes: [u64; 5],
     /// Block-level synchronizations this thread participates in.
     pub syncs: u64,
 }
@@ -55,13 +57,7 @@ impl ThreadWork {
 
     /// Adds bytes read from a space (builder style).
     pub fn with_read(mut self, space: MemorySpace, bytes: u64) -> Self {
-        self.read_bytes[space_index(space)] += bytes;
-        self
-    }
-
-    /// Adds bytes written to a space (builder style).
-    pub fn with_write(mut self, space: MemorySpace, bytes: u64) -> Self {
-        self.write_bytes[space_index(space)] += bytes;
+        self.bytes[space_index(space)] += bytes;
         self
     }
 
@@ -71,8 +67,9 @@ impl ThreadWork {
     }
 
     /// Shorthand for a global-memory write.
-    pub fn with_global_write(self, bytes: u64) -> Self {
-        self.with_write(MemorySpace::Global, bytes)
+    pub fn with_global_write(mut self, bytes: u64) -> Self {
+        self.bytes[space_index(MemorySpace::Global)] += bytes;
+        self
     }
 
     /// Adds synchronization points (builder style).
@@ -81,27 +78,16 @@ impl ThreadWork {
         self
     }
 
-    /// Bytes this thread reads from `space`.
-    pub fn bytes_read(&self, space: MemorySpace) -> u64 {
-        self.read_bytes[space_index(space)]
-    }
-
-    /// Bytes this thread writes to `space`.
-    pub fn bytes_written(&self, space: MemorySpace) -> u64 {
-        self.write_bytes[space_index(space)]
-    }
-
-    /// Total bytes touched in `space`.
+    /// Total bytes touched (read or written) in `space`.
     pub fn bytes_touched(&self, space: MemorySpace) -> u64 {
-        self.bytes_read(space) + self.bytes_written(space)
+        self.bytes[space_index(space)]
     }
 
     /// Merges another descriptor into this one (sequential composition).
     pub fn absorb(&mut self, other: &ThreadWork) {
         self.flops += other.flops;
         for i in 0..5 {
-            self.read_bytes[i] += other.read_bytes[i];
-            self.write_bytes[i] += other.write_bytes[i];
+            self.bytes[i] += other.bytes[i];
         }
         self.syncs += other.syncs;
     }
@@ -109,9 +95,8 @@ impl ThreadWork {
     /// Scales all counters (e.g. "this pattern repeats k times").
     pub fn repeated(mut self, k: u64) -> Self {
         self.flops *= k;
-        for i in 0..5 {
-            self.read_bytes[i] *= k;
-            self.write_bytes[i] *= k;
+        for b in &mut self.bytes {
+            *b *= k;
         }
         self.syncs *= k;
         self
@@ -273,10 +258,9 @@ mod tests {
             .with_flops(10)
             .with_read(MemorySpace::Global, 100)
             .with_read(MemorySpace::Global, 50)
-            .with_write(MemorySpace::Shared, 8);
-        assert_eq!(w.bytes_read(MemorySpace::Global), 150);
-        assert_eq!(w.bytes_written(MemorySpace::Shared), 8);
-        assert_eq!(w.bytes_touched(MemorySpace::Global), 150);
+            .with_global_write(8);
+        assert_eq!(w.bytes_touched(MemorySpace::Global), 158);
+        assert_eq!(w.bytes_touched(MemorySpace::Shared), 0);
     }
 
     #[test]

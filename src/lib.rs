@@ -7,8 +7,8 @@
 //!
 //! * [`rbm`] — reaction-based models, mass-action ODE derivation, model
 //!   I/O, synthetic model generation;
-//! * [`solvers`] — DOPRI5, Radau IIA, RKF45, RK4, and Nordsieck
-//!   Adams/BDF multistep (LSODA/VODE baselines);
+//! * [`solvers`] — DOPRI5, Radau IIA, RKF45, and Nordsieck Adams/BDF
+//!   multistep (LSODA/VODE baselines);
 //! * [`vgpu`] — the simulated SIMT device (the CUDA substitution);
 //! * [`engine`] — the batch simulation engines (fine+coarse and its
 //!   baselines) with the P1–P5 pipeline;
