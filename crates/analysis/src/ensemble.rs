@@ -17,6 +17,7 @@
 use crate::campaign::{
     f64s_digest, model_digest, CampaignError, Checkpoint, ShardLog, ShardRecord, ShardReport,
 };
+use paraspace_core::SimError;
 use paraspace_journal::codec::{Dec, Enc};
 use paraspace_journal::{CampaignManifest, JournalError};
 use paraspace_rbm::ReactionBasedModel;
@@ -169,8 +170,11 @@ pub struct EnsembleOutputs {
 ///
 /// [`CampaignError::Journal`] on checkpoint I/O or a mismatched world,
 /// [`CampaignError::Interrupted`] when the checkpoint's cancellation token
-/// trips at a shard boundary, or a fatal model/ensemble error from the
-/// batch engine.
+/// trips — at a shard boundary, or mid-shard when `batch` carries the same
+/// token ([`StochasticBatch::with_cancel`]; the partial shard is discarded)
+/// — or a fatal model/ensemble error from the batch engine. Without a
+/// checkpoint a tripped batch token surfaces as [`SimError::Cancelled`] in
+/// [`CampaignError::Sim`].
 pub fn run_ensemble_durable<S: StochasticSimulator + Sync>(
     model: &ReactionBasedModel,
     times: &[f64],
@@ -204,8 +208,12 @@ pub fn run_ensemble_durable<S: StochasticSimulator + Sync>(
         let record: EnsembleShard = log.step(shard, || {
             let lo = shard as usize * shard_size;
             let hi = (lo + shard_size).min(replicates);
-            let result =
-                batch.run_range(model, times, lo..hi).map_err(CampaignError::Stochastic)?;
+            let result = batch.run_range(model, times, lo..hi).map_err(|e| match e {
+                // The campaign layer's one cancellation signal, which a
+                // journaled run turns into `Interrupted`.
+                StochasticError::Cancelled => CampaignError::Sim(SimError::Cancelled),
+                e => CampaignError::Stochastic(e),
+            })?;
             lane_width = Some(result.lane_width);
             if let Some(ran) = result.lanes {
                 let total = lanes.get_or_insert_with(LaneAccounting::default);
@@ -329,6 +337,74 @@ mod tests {
         assert_eq!(resumed.outcomes, direct.outcomes, "resume must be byte-identical");
         assert_eq!(resumed.stats, direct.stats);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Tau-leaping on the scalar route that trips `cancel` as its
+    /// `trip_at`-th replicate starts.
+    struct TripAt<'a> {
+        cancel: &'a CancelToken,
+        trip_at: usize,
+        starts: std::sync::atomic::AtomicUsize,
+    }
+
+    impl StochasticSimulator for TripAt<'_> {
+        fn name(&self) -> &'static str {
+            "tau-leaping"
+        }
+
+        fn simulate_counts<R: rand::Rng + ?Sized>(
+            &self,
+            table: &paraspace_stochastic::PropensityTable,
+            x0: &[u64],
+            times: &[f64],
+            rng: &mut R,
+            faults: &[paraspace_stochastic::StochFault],
+        ) -> Result<StochasticTrajectory, StochasticError> {
+            if self.starts.fetch_add(1, std::sync::atomic::Ordering::SeqCst) + 1 == self.trip_at {
+                self.cancel.cancel();
+            }
+            TauLeaping::new().simulate_counts(table, x0, times, rng, faults)
+        }
+    }
+
+    #[test]
+    fn a_trip_mid_shard_interrupts_and_resumes_identically() {
+        let (dir, reference_dir) = (temp_dir("midshard"), temp_dir("midshard_ref"));
+        let model = isomerization();
+        let times = [0.2, 0.5];
+        let batch = StochasticBatch::new(TauLeaping::new()).with_seed(77);
+        let reference = run_ensemble_durable(
+            &model,
+            &times,
+            23,
+            &batch,
+            8,
+            Some(&Checkpoint::new(&reference_dir)),
+        )
+        .unwrap();
+
+        // The checkpoint's token is the batch's: it trips inside shard 1,
+        // whose partial replicates are discarded.
+        let cancel = CancelToken::new();
+        let starts = std::sync::atomic::AtomicUsize::new(0);
+        let tripping = StochasticBatch::new(TripAt { cancel: &cancel, trip_at: 12, starts })
+            .with_seed(77)
+            .with_cancel(cancel.clone());
+        let cp = Checkpoint::new(&dir).with_cancel(cancel.clone());
+        let err = run_ensemble_durable(&model, &times, 23, &tripping, 8, Some(&cp)).unwrap_err();
+        assert!(matches!(err, CampaignError::Interrupted { completed: 1, shards: 3, .. }), "{err}");
+        let plain = run_ensemble_durable(&model, &times, 23, &tripping, 8, None).unwrap_err();
+        assert!(matches!(plain, CampaignError::Sim(SimError::Cancelled)), "{plain}");
+
+        let resumed =
+            run_ensemble_durable(&model, &times, 23, &batch, 8, Some(&Checkpoint::new(&dir)))
+                .unwrap();
+        assert_eq!((resumed.report.recovered, resumed.report.executed), (1, 2));
+        assert_eq!(resumed.outcomes, reference.outcomes);
+        assert_eq!(resumed.stats, reference.stats);
+        assert_eq!(resumed.simulated_ns.to_bits(), reference.simulated_ns.to_bits());
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::remove_dir_all(&reference_dir).ok();
     }
 
     #[test]

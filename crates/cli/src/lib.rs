@@ -1016,22 +1016,25 @@ fn artifact_path(out_path: &Path, index: usize, ok: bool) -> PathBuf {
     out_path.join(format!("dynamics_{index:05}.{ext}"))
 }
 
-/// Whether a file name is one [`artifact_path`] produces, for any member.
-fn is_member_artifact(name: &std::ffi::OsStr) -> bool {
+/// Whether a file name is a per-member artifact under `prefix` — one
+/// [`artifact_path`] (`dynamics_`) or an ensemble (`replicate_`) produces,
+/// for any member.
+fn is_member_artifact(name: &std::ffi::OsStr, prefix: &str) -> bool {
     name.to_str()
-        .and_then(|name| name.strip_prefix("dynamics_"))
+        .and_then(|name| name.strip_prefix(prefix))
         .and_then(|rest| rest.strip_suffix(".tsv").or_else(|| rest.strip_suffix(".err")))
         .is_some_and(|index| !index.is_empty() && index.bytes().all(|b| b.is_ascii_digit()))
 }
 
-/// Removes the member artifacts an earlier campaign left in `out_path`, so
-/// what the directory holds afterwards is this campaign's batch and nothing
-/// else (a smaller batch, or a member that now fails, would otherwise sit
-/// beside the old run's files). Other files are not touched.
-fn remove_stale_artifacts(out_path: &Path) -> std::io::Result<()> {
+/// Removes the `prefix` member artifacts an earlier campaign left in
+/// `out_path`, so what the directory holds afterwards is this campaign's
+/// batch and nothing else (a smaller batch, or a member that now fails,
+/// would otherwise sit beside the old run's files). Other files are not
+/// touched.
+fn remove_stale_artifacts(out_path: &Path, prefix: &str) -> std::io::Result<()> {
     for entry in std::fs::read_dir(out_path)? {
         let entry = entry?;
-        if is_member_artifact(&entry.file_name()) {
+        if is_member_artifact(&entry.file_name(), prefix) {
             std::fs::remove_file(entry.path())?;
         }
     }
@@ -1061,7 +1064,7 @@ impl MemberSink for ArtifactWriter<'_> {
     fn member(&self, index: usize, outcome: &SimOutcome, dynamics: Option<&str>) {
         let write = || {
             let mut cleared = Ok(());
-            self.cleared.call_once(|| cleared = remove_stale_artifacts(self.out_path));
+            self.cleared.call_once(|| cleared = remove_stale_artifacts(self.out_path, "dynamics_"));
             cleared?;
             let report;
             let body = match dynamics {
@@ -1141,7 +1144,7 @@ fn materialize<'a>(
     out: &mut dyn std::io::Write,
 ) -> Result<(), CliError> {
     create_dir_for("--out", out_path)?;
-    remove_stale_artifacts(out_path)?;
+    remove_stale_artifacts(out_path, "dynamics_")?;
     let mut ok_count = 0usize;
     let mut total_ns = 0.0f64;
     let mut integration_ns = 0.0f64;
@@ -1578,7 +1581,8 @@ fn report_checkpoint(out: &mut dyn std::io::Write, report: &ShardReport) -> std:
 }
 
 /// Writes the per-replicate trajectory/error files and the ensemble
-/// mean/variance tables. Pure function of the outcomes, so durable and
+/// mean/variance tables, after removing the replicate files an earlier
+/// ensemble left there. Pure function of the outcomes, so durable and
 /// plain runs (and resumed runs) produce byte-identical artifacts.
 fn write_ensemble_outputs(
     out_path: &Path,
@@ -1587,6 +1591,7 @@ fn write_ensemble_outputs(
     stats: &EnsembleStats,
 ) -> Result<(), CliError> {
     std::fs::create_dir_all(out_path)?;
+    remove_stale_artifacts(out_path, "replicate_")?;
     let header: String = std::iter::once("t".to_string())
         .chain(model.species().iter().map(|s| s.name.clone()))
         .collect::<Vec<_>>()
@@ -1664,7 +1669,8 @@ fn run_ensemble<S: StochasticSimulator + Sync>(
         .with_seed(*seed)
         .with_member(*member)
         .with_threads(*threads)
-        .with_lane_width(*lane_width);
+        .with_lane_width(*lane_width)
+        .with_cancel(cancel.clone());
 
     let checkpoint = checkpoint_dir.as_ref().map(|dir| {
         Checkpoint::new(dir)
@@ -3375,6 +3381,67 @@ mod tests {
         let mut log = Vec::new();
         execute(&ssa, &mut log).unwrap();
         assert!(String::from_utf8(log).unwrap().contains("ssa ensemble: 7/7"));
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn ensemble_replaces_an_earlier_ensembles_replicates_only() {
+        let base = std::env::temp_dir().join(format!("paraspace_cli_ensre_{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let model = base.join("model");
+        let mut log = Vec::new();
+        execute(
+            &Command::Generate { species: 5, reactions: 6, seed: 8, out_dir: model.clone() },
+            &mut log,
+        )
+        .unwrap();
+        let sized = |replicates: usize| {
+            let mut cmd = ensemble_cmd(&model, None, 2);
+            if let Command::Ensemble { replicates: r, .. } = &mut cmd {
+                *r = replicates;
+            }
+            cmd
+        };
+        let out_dir = model.join("ensemble");
+        execute(&sized(16), &mut log).unwrap();
+        std::fs::write(out_dir.join("notes.txt"), "kept").unwrap();
+        execute(&sized(8), &mut log).unwrap();
+        let names: Vec<String> = read_outputs(&out_dir).into_keys().collect();
+        let replicates: Vec<&String> =
+            names.iter().filter(|n| n.starts_with("replicate_")).collect();
+        assert_eq!(replicates.len(), 8, "{names:?}");
+        assert!(replicates.iter().all(|n| n.as_str() < "replicate_00008"), "{names:?}");
+        for kept in ["notes.txt", "ensemble_mean.tsv", "ensemble_variance.tsv"] {
+            assert!(names.iter().any(|n| n == kept), "{kept} missing: {names:?}");
+        }
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn a_tripped_token_stops_an_ensemble_before_any_replicate_file() {
+        let base =
+            std::env::temp_dir().join(format!("paraspace_cli_enscancel_{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let model = base.join("model");
+        execute(
+            &Command::Generate { species: 5, reactions: 6, seed: 8, out_dir: model.clone() },
+            &mut Vec::new(),
+        )
+        .unwrap();
+        let tripped = CancelToken::new();
+        tripped.cancel();
+        // Plain: the batch itself sees the token and nothing is written.
+        let err = execute_with_cancel(&ensemble_cmd(&model, None, 2), &mut Vec::new(), &tripped)
+            .unwrap_err();
+        assert!(err.to_string().contains("cancelled"), "names the cancellation: {err}");
+        assert!(!model.join("ensemble").exists(), "no replicate file after a cancelled run");
+        // Durable: the checkpoint commits what it has and hints at resume.
+        let ckpt = base.join("ckpt");
+        let err =
+            execute_with_cancel(&ensemble_cmd(&model, Some(ckpt), 2), &mut Vec::new(), &tripped)
+                .unwrap_err();
+        assert!(err.to_string().contains("resume"), "{err}");
+        assert!(!model.join("ensemble").exists());
         std::fs::remove_dir_all(&base).ok();
     }
 

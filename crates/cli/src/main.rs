@@ -1,10 +1,11 @@
 //! The `paraspace` binary: parse arguments, dispatch, report errors.
 //!
 //! SIGINT (Ctrl-C) trips a process-global cancellation token instead of
-//! killing the process: in-flight batch members drain, a durable run
-//! commits its checkpoint and prints the resume command, and the process
-//! exits cleanly. A run without `--checkpoint-dir` simply stops at the
-//! next batch boundary.
+//! killing the process: every engine and ensemble reads it, so no new
+//! member or replicate starts and the ones in flight drain. A durable run
+//! then commits its checkpoint and prints the resume command; a run
+//! without `--checkpoint-dir` discards the unfinished batch, writes no
+//! artifacts, and exits with an error naming the cancellation.
 
 use paraspace_cli::CancelToken;
 use std::process::ExitCode;

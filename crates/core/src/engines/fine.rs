@@ -31,19 +31,17 @@
 //! The device is billed afterwards, on the calling thread in member order,
 //! per *modelled* group of `MEMBERS_PER_LANE·L` members: one wide kernel per
 //! lockstep class, whose ticks and lane occupancy are what a group serving
-//! those members in that order takes ([`LaneReport::packed`]), then the
+//! those members in that order takes ([`LaneGroupStats::packed`]), then the
 //! scalar kernel of every member no lane carried. Which host group ran a
 //! member therefore shows nowhere: trajectories, clocks, occupancy and
 //! health are bitwise identical at any worker count.
 
-use crate::engines::host::{
-    device_clocks, h2d_bytes, lane_group_stats, Engine, Settled, PCIE_BYTES_PER_NS,
-};
+use crate::engines::host::{device_clocks, h2d_bytes, Engine, Settled, PCIE_BYTES_PER_NS};
 use crate::engines::{attempt_stats, discard, group_stats, BatchResult, MemberSink, Simulator};
 use crate::lanes::{solve_queue, Lockstep, MEMBERS_PER_LANE};
 use crate::recovery::{solve_members_recovered, Billed, Ladder};
 use crate::{SimError, SimulationJob, WorkEstimate, STIFFNESS_THRESHOLD};
-use paraspace_solvers::{Bdf, Dopri5, LaneReport, Radau5, Rkf45, SolverError, StepStats};
+use paraspace_solvers::{Bdf, Dopri5, Radau5, Rkf45, SolverError, StepStats};
 use paraspace_vgpu::{
     Device, DeviceConfig, DpModel, KernelLaunch, LaneGroupStats, MemorySpace, ThreadWork,
     TimelineShard,
@@ -230,7 +228,7 @@ impl Engine<Fine> {
         // slots), and host launch latency once per lockstep tick — not once
         // per member step, which is the whole point of the lane path. Its
         // ticks and occupancy are those of a group serving the class's
-        // members in member order (`LaneReport::packed` over DOPRI5 steps,
+        // members in member order (`LaneGroupStats::packed` over DOPRI5 steps,
         // or RADAU5's Newton iterations: one launch serves all of a tick's
         // sweeps and batched LU solves), not what the host's groups took.
         // Then every member whose work no lane kernel carried — an evicted
@@ -260,15 +258,14 @@ impl Engine<Fine> {
                 let ticks = lanes
                     .iter()
                     .map(|s| (if of_stiff { s.nonlinear_iters } else { s.steps }) as u64);
-                let report = LaneReport::packed(width, ticks);
-                let occupancy = lane_group_stats(&report);
+                let occupancy = LaneGroupStats::packed(width, ticks);
                 let (kernel, launches_ns) = self.price(
                     job,
                     format!("integrate::{label}{g}"),
                     width,
                     &group_stats(lanes),
                     occupancy.divergence_factor(),
-                    report.lockstep_iters,
+                    occupancy.lockstep_iters,
                 );
                 shard.launch(config, &dp, &kernel);
                 shard.record_host_phase(STEP_LAUNCHES, launches_ns);

@@ -32,21 +32,18 @@
 //! billing computes for itself — so outcomes, labels, billing and health do
 //! not depend on the worker count (nor, for P3, on the width).
 
-use crate::engines::host::{
-    device_clocks, h2d_bytes, lane_group_stats, Engine, Host, Settled, PCIE_BYTES_PER_NS,
-};
+use crate::engines::host::{device_clocks, h2d_bytes, Engine, Host, Settled, PCIE_BYTES_PER_NS};
 use crate::engines::{attempt_stats, discard, group_stats, BatchResult, MemberSink, Simulator};
 use crate::lanes::{explicit_lane_width, solve_queue, Lockstep, MEMBERS_PER_LANE};
 use crate::recovery::{contained_attempt, solve_members_recovered, Ladder, RecoveryLog};
 use crate::{classify_batch_with_threshold, SimError, SimulationJob, StiffnessClass, WorkEstimate};
 use paraspace_exec::Cancelled;
 use paraspace_solvers::{
-    Dopri5, LaneReport, OdeSolver, Radau5, Solution, SolveFailure, SolverError, SolverScratch,
-    StepStats,
+    Dopri5, OdeSolver, Radau5, Solution, SolveFailure, SolverError, SolverScratch, StepStats,
 };
 use paraspace_vgpu::{
-    ChildLaunch, Device, DeviceConfig, DpModel, KernelLaunch, MemorySpace, ThreadWork,
-    THREADS_PER_BLOCK,
+    ChildLaunch, Device, DeviceConfig, DpModel, KernelLaunch, LaneGroupStats, MemorySpace,
+    ThreadWork, THREADS_PER_BLOCK,
 };
 use std::time::Instant;
 
@@ -319,7 +316,7 @@ impl Phases<'_> {
     /// dynamic-parallelism overhead is amortized `L`-fold, which is exactly
     /// where the scalar P4 lost its budget on stiff-heavy batches. The
     /// group's ticks and occupancy are what a lockstep group serving those
-    /// members in that order takes ([`LaneReport::packed`] over their
+    /// members in that order takes ([`LaneGroupStats::packed`] over their
     /// Newton iterations), not what the host's groups happened to take, so
     /// the modeled timeline is a function of the job and the width alone.
     /// Results are bitwise identical to scalar [`Radau5`] per member.
@@ -368,9 +365,11 @@ impl Phases<'_> {
             let lane_stats = group_stats(group.iter().map(stats));
             let phase_work =
                 WorkEstimate::from_stats(job.odes(), &lane_stats, job.time_points().len());
-            let report =
-                LaneReport::packed(width, group.iter().map(|i| stats(i).nonlinear_iters as u64));
-            let divergence = lane_group_stats(&report).divergence_factor();
+            let report = LaneGroupStats::packed(
+                width,
+                group.iter().map(|i| stats(i).nonlinear_iters as u64),
+            );
+            let divergence = report.divergence_factor();
             let parent = ThreadWork::new()
                 .with_flops(report.lockstep_iters * PARENT_FLOPS_PER_STEP)
                 .with_syncs(report.lockstep_iters);

@@ -7,7 +7,8 @@
 //! builders, the folding of settled members into outcomes and health, the
 //! input-staging size, and the P5 tail that turns a finished batch into a
 //! [`BatchResult`] — or beside it: the lane scheduler
-//! (`lanes::solve_queue`) and the recovery ladder
+//! (`lanes::solve_queue`, the ODE instance of
+//! [`Executor::drain_queue`]) and the recovery ladder
 //! (`recovery::solve_members_recovered`), both run on the host's executor
 //! under its token.
 
@@ -18,8 +19,8 @@ use crate::job::write_dynamics;
 use crate::recovery::{RecoveryLog, RecoveryPolicy};
 use crate::SimulationJob;
 use paraspace_exec::{CancelToken, Executor};
-use paraspace_solvers::{LaneReport, Solution, SolverError};
-use paraspace_vgpu::{Device, LaneAccounting, LaneGroupStats};
+use paraspace_solvers::{Solution, SolverError};
+use paraspace_vgpu::{Device, LaneAccounting};
 use std::time::Instant;
 
 /// Host↔device transfer throughput in bytes/ns (PCIe 3.0-class ≈ 8 GB/s).
@@ -217,13 +218,4 @@ pub(crate) fn encoding_bytes(job: &SimulationJob) -> u64 {
 pub(crate) fn h2d_bytes(job: &SimulationJob, members: usize) -> u64 {
     let per_member = (job.odes().n_species() + job.odes().n_reactions()) as u64 * 8;
     encoding_bytes(job) + members as u64 * per_member
-}
-
-/// A lockstep solver's group report as the device's occupancy record.
-pub(crate) fn lane_group_stats(report: &LaneReport) -> LaneGroupStats {
-    LaneGroupStats {
-        width: report.width,
-        lockstep_iters: report.lockstep_iters,
-        lane_steps: report.lane_steps,
-    }
 }

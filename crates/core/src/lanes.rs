@@ -30,18 +30,20 @@
 //! # Scheduling
 //!
 //! Every lockstep phase in the crate — the fine-coarse engine's P3 and P4,
-//! the fine engine's explicit and stiff classes — runs on one scheduler,
-//! [`solve_queue`]: one lane group per executor worker, every group
-//! refilling its free lanes from one shared member cursor, so no worker
-//! idles while another still has members waiting. Independent stiff systems
-//! integrated side by side diverge in step count (on the autophagy PSA grid
-//! a fifth of the re-routed members need 3–5× the Radau steps of the
-//! rest), which is why the fine-coarse engine orders its stiff phase's
-//! queue longest first by the triage eigenvalue. That is legal because
-//! nothing an engine reports depends on which group ran a member: attempts
-//! are bitwise independent of packing, and the device is billed from
-//! per-member counters in member order, its lane occupancy from a packing
-//! the billing computes for itself ([`MEMBERS_PER_LANE`]).
+//! the fine engine's explicit and stiff classes — runs on [`solve_queue`],
+//! the ODE instance of the workspace's one lane scheduler,
+//! [`Executor::drain_queue`] (the tau-leaping ensemble is the other): one
+//! lane group per executor worker, every group refilling its free lanes
+//! from one shared member cursor, so no worker idles while another still
+//! has members waiting. Independent stiff systems integrated side by side
+//! diverge in step count (on the autophagy PSA grid a fifth of the
+//! re-routed members need 3–5× the Radau steps of the rest), which is why
+//! the fine-coarse engine orders its stiff phase's queue longest first by
+//! the triage eigenvalue. That is legal because nothing an engine reports
+//! depends on which group ran a member: attempts are bitwise independent of
+//! packing, and the device is billed from per-member counters in member
+//! order, its lane occupancy from a packing the billing computes for itself
+//! ([`MEMBERS_PER_LANE`], `LaneGroupStats::packed`).
 //!
 //! The returned width only ever *narrows* the schedule; it never changes
 //! any trajectory (per-member results are bitwise independent of lane
@@ -57,10 +59,8 @@ use paraspace_exec::{CancelToken, Cancelled, Executor};
 use paraspace_linalg::LuFactor;
 use paraspace_rbm::CompiledOdes;
 use paraspace_solvers::{
-    BatchOdeSystem, Dopri5Batch, LaneReport, Radau5Batch, Solution, SolveFailure, SolverOptions,
-    SolverScratch,
+    BatchOdeSystem, Dopri5Batch, Radau5Batch, Solution, SolveFailure, SolverOptions, SolverScratch,
 };
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Widest lane-group the engines schedule.
 pub(crate) const MAX_LANE_WIDTH: usize = 8;
@@ -77,45 +77,11 @@ pub(crate) enum Lockstep {
     Radau5,
 }
 
-impl Lockstep {
-    /// One lane group of this kernel on `system`, from `t = 0`: integrates
-    /// the members `next_member` hands out until it runs dry and returns
-    /// them as they settled (`Dopri5Batch::solve_queue` /
-    /// `Radau5Batch::solve_queue`).
-    pub(crate) fn solve_queue(
-        self,
-        system: &mut dyn BatchOdeSystem,
-        next_member: &mut dyn FnMut() -> Option<usize>,
-        sample_times: &[f64],
-        options: &SolverOptions,
-        scratch: &mut SolverScratch,
-    ) -> (Vec<(usize, Attempt)>, LaneReport) {
-        match self {
-            Lockstep::Dopri5 => Dopri5Batch::new().solve_queue(
-                system,
-                next_member,
-                0.0,
-                sample_times,
-                options,
-                scratch,
-            ),
-            Lockstep::Radau5 => Radau5Batch::new().solve_queue(
-                system,
-                next_member,
-                0.0,
-                sample_times,
-                options,
-                scratch,
-            ),
-        }
-    }
-}
-
 /// Members per lane slot of a *modelled* lane group: the device serves
 /// `MEMBERS_PER_LANE·L` members per group of width `L`, in member order,
 /// early finishers handing their lane to the next member. The host packs
 /// its groups however the shared queue falls ([`solve_queue`]); the
-/// engines bill this packing regardless (`LaneReport::packed`). Deep
+/// engines bill this packing regardless (`LaneGroupStats::packed`). Deep
 /// enough to keep the lanes occupied, shallow enough that a stiff crowd of
 /// a few dozen members still splits into several groups.
 pub(crate) const MEMBERS_PER_LANE: usize = 2;
@@ -150,19 +116,14 @@ pub(crate) fn explicit_lane_width(
 }
 
 /// Integrates the members listed in `queue` under the lockstep `kernel` at
-/// `width`: one lane group per executor worker, each on its own
-/// `make_system(width)` (every one knowing every listed member), all
-/// pulling the next member of the list from one shared cursor, so no group
-/// idles while another still has a queue — list the expensive members
-/// first. Returns the attempts **in `queue` order**, or `Err(Cancelled)` if
-/// `cancel` tripped first — the cursor stops handing out members, the lanes
-/// in flight drain, and the partial results are discarded.
-///
-/// Which group integrates a member, and beside which others, depends on
-/// timing; the member's attempt does not (the lockstep contract), so the
-/// returned vector is bitwise identical at any worker count and width. A
-/// panic that escapes a group is a bug in the lane plumbing and is resumed
-/// on the calling thread.
+/// `width` — the ODE instance of [`Executor::drain_queue`]: one lane group
+/// per executor worker, each on its own `make_system(width)` (every one
+/// knowing every listed member), all pulling the next member of the list
+/// from one shared cursor — list the expensive members first. Returns the
+/// attempts **in `queue` order**, or `Err(Cancelled)` if `cancel` tripped
+/// first. A member's attempt does not depend on which group integrated it
+/// (the lockstep contract), so the vector is bitwise identical at any
+/// worker count and width.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn solve_queue<S: BatchOdeSystem>(
     executor: &Executor,
@@ -171,35 +132,21 @@ pub(crate) fn solve_queue<S: BatchOdeSystem>(
     queue: &[usize],
     width: usize,
     make_system: impl Fn(usize) -> S + Sync,
-    sample_times: &[f64],
+    times: &[f64],
     options: &SolverOptions,
 ) -> Result<Vec<Attempt>, Cancelled> {
-    // The cursor publishes nothing but itself (the member list and what the
-    // systems borrow are shared before any worker starts): relaxed is enough.
-    let cursor = AtomicUsize::new(0);
-    let groups = executor.threads().min(queue.len().div_ceil(width));
-    let settled =
-        executor.try_map_with_cancel(groups, cancel, SolverScratch::new, |scratch, _group| {
-            let mut system = make_system(width);
-            let mut next_member = || {
-                if cancel.is_cancelled() {
-                    return None;
-                }
-                queue.get(cursor.fetch_add(1, Ordering::Relaxed)).copied()
-            };
-            let (settled, _report) =
-                kernel.solve_queue(&mut system, &mut next_member, sample_times, options, scratch);
-            settled
-        })?;
-    let slots = queue.iter().max().map_or(0, |&last| last + 1);
-    let mut by_member: Vec<Option<Attempt>> = (0..slots).map(|_| None).collect();
-    for group in settled {
-        for (i, attempt) in group.unwrap_or_else(|fault| panic!("{fault}")) {
-            by_member[i] = Some(attempt);
-        }
-    }
-    // A member nobody integrated means the cursor refused it: cancelled.
-    queue.iter().map(|&i| by_member[i].take().ok_or(Cancelled)).collect()
+    executor.drain_queue(cancel, queue, width, |next| {
+        let (system, scratch) = (&mut make_system(width), &mut SolverScratch::new());
+        let (settled, _report) = match kernel {
+            Lockstep::Dopri5 => {
+                Dopri5Batch::new().solve_queue(system, next, 0.0, times, options, scratch)
+            }
+            Lockstep::Radau5 => {
+                Radau5Batch::new().solve_queue(system, next, 0.0, times, options, scratch)
+            }
+        };
+        settled
+    })
 }
 
 /// Cache budget for one lane-group's live factor values (real + complex),
@@ -324,6 +271,7 @@ pub(crate) fn resolve_lane_width(
 mod tests {
     use super::*;
     use paraspace_rbm::{Reaction, ReactionBasedModel};
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     fn chain_model(n_species: usize, reactions_per_species: usize) -> CompiledOdes {
         let mut m = ReactionBasedModel::new();

@@ -53,6 +53,13 @@
 //! idempotent, a discarded batch simply re-executes on resume — which is
 //! the property the journal layer's exact-resume guarantee is built on.
 //!
+//! # Lane queues
+//!
+//! [`Executor::drain_queue`] is the one lane scheduler of the workspace
+//! (the ODE engines' DOPRI5 and RADAU5 phases, the tau-leaping ensemble):
+//! one lockstep group per worker, all refilling their lanes from one shared
+//! cursor that the token closes.
+//!
 //! # Example
 //!
 //! ```
@@ -68,13 +75,6 @@ use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-/// Default chunk of indices claimed per counter fetch.
-///
-/// Simulation work items are heavyweight (one full ODE integration), so the
-/// finest granularity gives the best load balance and the counter is
-/// nowhere near contended.
-const CLAIM_CHUNK: usize = 1;
 
 /// A contained panic from one work item.
 ///
@@ -426,26 +426,20 @@ impl Executor {
         std::thread::scope(|scope| {
             let spawn_worker = |_| {
                 scope.spawn(|| {
+                    // One index per claim: items are heavyweight (a whole
+                    // integration), so the finest grain balances best.
                     let mut state = init();
-                    loop {
-                        if cancel.is_cancelled() {
-                            break;
-                        }
-                        let start = cursor.fetch_add(CLAIM_CHUNK, Ordering::Relaxed);
-                        if start >= n {
-                            break;
-                        }
-                        let end = (start + CLAIM_CHUNK).min(n);
-                        for (i, slot) in slots.iter().enumerate().take(end).skip(start) {
-                            let attempt = catch_unwind(AssertUnwindSafe(|| f(&mut state, i)));
-                            let result = attempt.map_err(|payload| {
-                                state = init();
-                                ItemPanic { index: i, message: payload_message(payload.as_ref()) }
-                            });
-                            // SAFETY: index `i` was claimed by this worker
-                            // alone; the slot is read only after scope join.
-                            unsafe { slot.fill(result) };
-                        }
+                    while !cancel.is_cancelled() {
+                        let i = cursor.fetch_add(1, Ordering::Relaxed);
+                        let Some(slot) = slots.get(i) else { break };
+                        let attempt = catch_unwind(AssertUnwindSafe(|| f(&mut state, i)));
+                        let result = attempt.map_err(|payload| {
+                            state = init();
+                            ItemPanic { index: i, message: payload_message(payload.as_ref()) }
+                        });
+                        // SAFETY: index `i` was claimed by this worker alone;
+                        // the slot is read only after scope join.
+                        unsafe { slot.fill(result) };
                     }
                 })
             };
@@ -473,6 +467,57 @@ impl Executor {
             }
         }
         Ok(out)
+    }
+
+    /// Drains the distinct items listed in `queue` through lane groups of
+    /// `width`: at most one group per worker and `queue.len().div_ceil(width)`
+    /// in all, each a call of `group` that pulls items from one shared cursor
+    /// until it answers `None` and returns `(item, value)` for each of them.
+    /// List the expensive items first. Returns the values **in `queue`
+    /// order**, or `Err(Cancelled)` once `cancel` trips: the cursor then
+    /// answers `None`, the groups drain what they hold, and the partial
+    /// values are discarded. A panic escaping a group is resumed here.
+    ///
+    /// ```
+    /// use paraspace_exec::{CancelToken, Executor};
+    ///
+    /// let squares = Executor::new(2).drain_queue(&CancelToken::new(), &[7, 3, 9], 2, |next| {
+    ///     std::iter::from_fn(next).map(|i| (i, i * i)).collect()
+    /// });
+    /// assert_eq!(squares, Ok(vec![49, 9, 81]));
+    /// ```
+    pub fn drain_queue<T, G>(
+        &self,
+        cancel: &CancelToken,
+        queue: &[usize],
+        width: usize,
+        group: G,
+    ) -> Result<Vec<T>, Cancelled>
+    where
+        T: Send,
+        G: Fn(&mut dyn FnMut() -> Option<usize>) -> Vec<(usize, T)> + Sync,
+    {
+        // The cursor publishes nothing but itself (the queue and whatever
+        // `group` borrows are shared before any worker starts): relaxed.
+        let cursor = AtomicUsize::new(0);
+        let next = || {
+            if cancel.is_cancelled() {
+                return None;
+            }
+            queue.get(cursor.fetch_add(1, Ordering::Relaxed)).copied()
+        };
+        let groups = self.threads.min(queue.len().div_ceil(width));
+        let settled = self.try_map_with_cancel(groups, cancel, || (), |(), _| group(&mut &next))?;
+        let first = queue.iter().min().copied().unwrap_or(0);
+        let span = queue.iter().max().map_or(0, |&last| last + 1 - first);
+        let mut by_item: Vec<Option<T>> = (0..span).map(|_| None).collect();
+        for values in settled {
+            for (item, value) in values.unwrap_or_else(|fault| panic!("{fault}")) {
+                by_item[item - first] = Some(value);
+            }
+        }
+        // An item nobody returned means the cursor refused it: cancelled.
+        queue.iter().map(|&item| by_item[item - first].take().ok_or(Cancelled)).collect()
     }
 }
 
@@ -777,6 +822,104 @@ mod tests {
         token.set_deadline_ms(unix_now_ms().saturating_sub(10));
         let result = Executor::new(4).try_map_with_cancel(64, &token, || (), |(), i: usize| i);
         assert_eq!(result, Err(Cancelled));
+    }
+
+    /// A lane group of `width` over `next`: each item holds its lane for
+    /// `item % 4` ticks, a freed lane pulls the next item at once, and the
+    /// items come back as they settle, each with its own value.
+    fn lane_group(width: usize, next: &mut dyn FnMut() -> Option<usize>) -> Vec<(usize, usize)> {
+        let mut lanes: Vec<Option<(usize, usize)>> = vec![None; width];
+        let mut settled = Vec::new();
+        let mut exhausted = false;
+        loop {
+            for lane in lanes.iter_mut().filter(|lane| lane.is_none()) {
+                if !exhausted {
+                    *lane = next().map(|item| (item, item % 4));
+                    exhausted = lane.is_none();
+                }
+            }
+            if lanes.iter().all(Option::is_none) {
+                return settled;
+            }
+            for lane in &mut lanes {
+                if let Some((item, left)) = lane {
+                    if *left == 0 {
+                        settled.push((*item, *item * 3));
+                        *lane = None;
+                    } else {
+                        *left -= 1;
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn drain_queue_returns_queue_order_at_any_width_and_worker_count() {
+        // A cost-ordered queue over items that do not start at zero.
+        let queue: Vec<usize> = (0..23).map(|k| 100 + (k * 7) % 23).collect();
+        let expected: Vec<usize> = queue.iter().map(|&item| item * 3).collect();
+        for threads in [1, 2, 4] {
+            for width in [1, 2, 3, 8] {
+                let got = Executor::new(threads).drain_queue(
+                    &CancelToken::new(),
+                    &queue,
+                    width,
+                    |next| lane_group(width, next),
+                );
+                assert_eq!(got, Ok(expected.clone()), "threads={threads} width={width}");
+            }
+        }
+        let none =
+            Executor::new(2).drain_queue(&CancelToken::new(), &[], 4, |next| lane_group(4, next));
+        assert_eq!(none, Ok(Vec::new()));
+    }
+
+    #[test]
+    fn drain_queue_refuses_every_item_after_the_trip() {
+        let queue: Vec<usize> = (0..40).collect();
+        for threads in [1, 2] {
+            let token = CancelToken::new();
+            let (pulled, after_trip) = (AtomicUsize::new(0), AtomicUsize::new(0));
+            let result = Executor::new(threads).drain_queue(&token, &queue, 2, |next| {
+                lane_group(2, &mut || {
+                    let seen = token.is_cancelled();
+                    let item = next();
+                    if item.is_some() && seen {
+                        after_trip.fetch_add(1, Ordering::Relaxed);
+                    }
+                    if item.is_some() && pulled.fetch_add(1, Ordering::Relaxed) + 1 == 5 {
+                        token.cancel();
+                    }
+                    item
+                })
+            });
+            assert_eq!(result, Err(Cancelled), "threads={threads}");
+            assert_eq!(after_trip.into_inner(), 0, "threads={threads}");
+        }
+        // A token tripped on entry runs no group at all.
+        let token = CancelToken::new();
+        token.cancel();
+        let ran = AtomicUsize::new(0);
+        let result = Executor::new(2).drain_queue(&token, &queue, 2, |next| {
+            ran.fetch_add(1, Ordering::Relaxed);
+            lane_group(2, next)
+        });
+        assert_eq!((result, ran.into_inner()), (Err(Cancelled), 0));
+    }
+
+    #[test]
+    fn drain_queue_resumes_a_group_panic() {
+        let result = std::panic::catch_unwind(|| {
+            Executor::new(2).drain_queue(&CancelToken::new(), &[0, 1, 2], 1, |next| {
+                if next() == Some(1) {
+                    panic!("lane plumbing");
+                }
+                Vec::<(usize, ())>::new()
+            })
+        });
+        let message = payload_message(result.expect_err("the panic must surface").as_ref());
+        assert!(message.contains("lane plumbing"), "{message}");
     }
 
     #[test]

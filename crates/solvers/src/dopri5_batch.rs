@@ -60,10 +60,10 @@
 //! each. The engines do not bill the modelled device from it: which host
 //! group integrates a member, and beside which others, depends on timing
 //! (several groups share one member queue), and the bill must be a
-//! function of the job alone. They bill [`LaneReport::packed`] over the
-//! members' step counts — the schedule of a group serving those members in
-//! member order — which is the report this kernel returns for such a
-//! group, with one exception: a member parked by *pre-step* control (step
+//! function of the job alone. They bill the vgpu's
+//! `LaneGroupStats::packed` over the members' step counts — the schedule of
+//! a group serving those members in member order — which is the report this
+//! kernel returns for such a group, with one exception: a member parked by *pre-step* control (step
 //! budget, `max_steps`, step-size underflow) at the head of a tick in
 //! which another lane is live leaves its lane idle for that tick, because
 //! refills wait for the next loop head, where the packing hands the lane
@@ -79,8 +79,8 @@ use crate::system::check_inputs;
 use crate::{Solution, SolveFailure, SolverError, SolverOptions, SolverScratch, StepStats};
 use paraspace_linalg::{weighted_rms_norm, with_lane_width, LaneWidth};
 
-/// Work accounting for one lane-group integration, consumed by the vgpu
-/// device model's occupancy/divergence bookkeeping.
+/// Work accounting for one host lane-group integration (the engines bill
+/// modelled groups instead; see the module docs).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneReport {
     /// Lane width `L` the group ran at.
@@ -95,42 +95,6 @@ pub struct LaneReport {
     /// Lane-wide RHS sweeps spent binding/initializing lanes (initial fill
     /// and compaction refills; 2 per refill round with automatic `hinit`).
     pub refill_sweeps: u64,
-}
-
-impl LaneReport {
-    /// Fraction of lane slots that did productive work, in `(0, 1]`; `1.0`
-    /// for an empty report.
-    pub fn occupancy(&self) -> f64 {
-        let capacity = self.width as u64 * self.lockstep_iters;
-        if capacity == 0 {
-            1.0
-        } else {
-            self.lane_steps as f64 / capacity as f64
-        }
-    }
-
-    /// The report of a group of `width` lanes that binds its members to
-    /// free lanes in the order given and keeps each for `ticks` consecutive
-    /// lockstep iterations — the schedule a lockstep kernel follows when no
-    /// lane ever waits (a member that never enters a tick costs nothing),
-    /// computed without integrating anything. `lockstep_iters` is the
-    /// schedule's length, `lane_steps` the ticks served;
-    /// `refill_sweeps` stays zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `width` is zero.
-    pub fn packed(width: usize, ticks: impl IntoIterator<Item = u64>) -> LaneReport {
-        let mut free_at = vec![0u64; width];
-        let mut lane_steps = 0;
-        for ticks in ticks {
-            let lane = free_at.iter_mut().min().expect("at least one lane");
-            *lane += ticks;
-            lane_steps += ticks;
-        }
-        let lockstep_iters = free_at.into_iter().max().expect("at least one lane");
-        LaneReport { width, lockstep_iters, lane_steps, refill_sweeps: 0 }
-    }
 }
 
 /// Pooled working storage for one lockstep lane-group integration: the 7
@@ -979,6 +943,7 @@ fn advance_rows<W: LaneWidth>(
 mod tests {
     use super::*;
     use crate::{Dopri5, FnSystem, OdeSolver};
+    use paraspace_vgpu::LaneGroupStats;
 
     /// A family of damped oscillators sharing one structure: member `m` has
     /// its own stiffness-free rate `k_m`.
@@ -1384,7 +1349,7 @@ mod tests {
         assert!(report.lockstep_iters > 0);
         // Occupancy accounting is consistent.
         assert!(report.lane_steps <= report.width as u64 * report.lockstep_iters);
-        assert!(report.occupancy() > 0.0 && report.occupancy() <= 1.0);
+        assert!(report.lane_steps > 0);
         // Refill sweeps happened (initial fill plus at least one refill
         // round), each costing 2 sweeps under automatic hinit.
         assert!(report.refill_sweeps >= 4);
@@ -1423,7 +1388,7 @@ mod tests {
             let busiest = *ticks.iter().max().unwrap();
             let idlest = *ticks.iter().filter(|&&t| t > 0).min().unwrap();
             assert!(busiest >= 10 * idlest, "members must diverge: {idlest}..{busiest}");
-            let packed = LaneReport::packed(width, ticks);
+            let packed = LaneGroupStats::packed(width, ticks);
             assert_eq!(
                 (packed.width, packed.lockstep_iters, packed.lane_steps),
                 (report.width, report.lockstep_iters, report.lane_steps),
@@ -1440,7 +1405,7 @@ mod tests {
             &mut SolverScratch::new(),
         );
         assert!(results.iter().all(|r| r.as_ref().is_ok_and(|s| s.len() == 1)));
-        let packed = LaneReport::packed(2, steps_of(&results));
+        let packed = LaneGroupStats::packed(2, steps_of(&results));
         assert_eq!((packed.lockstep_iters, packed.lane_steps), (0, 0));
         assert_eq!((report.lockstep_iters, report.lane_steps), (0, 0));
     }
@@ -1465,7 +1430,7 @@ mod tests {
             let error = &r.as_ref().unwrap_err().error;
             assert!(matches!(error, SolverError::StepBudgetExhausted { .. }), "{error:?}");
         }
-        let packed = LaneReport::packed(2, ticks);
+        let packed = LaneGroupStats::packed(2, ticks);
         assert_eq!(report.lockstep_iters, packed.lockstep_iters + 1);
         assert_eq!(report.lane_steps, packed.lane_steps);
     }

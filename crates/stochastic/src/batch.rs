@@ -8,14 +8,20 @@
 //!
 //! * the **lane-group path** — simulators exposing a lockstep kernel
 //!   ([`TauLeaping`](crate::TauLeaping) via [`TauLeapBatch`]) run
-//!   replicates in SoA lane groups with batched propensity/tau sweeps,
-//!   scheduled across the `exec` worker pool one group per item, at the
-//!   width [`auto_stoch_lane_width`] picks per model unless pinned;
+//!   replicates in SoA lane groups with batched propensity/tau sweeps, at
+//!   the width [`auto_stoch_lane_width`] picks per model unless pinned, one
+//!   group per worker on the ODE engines' shared queue
+//!   ([`Executor::drain_queue`]);
 //! * the **scalar path** — everything else (the exact
 //!   [`DirectMethod`](crate::DirectMethod), non-mass-action models whose
 //!   falling-factorial propensities the batched kernel is gated off, and
 //!   replicates evicted from lane groups by a chaos fault plan) runs one
-//!   replicate per item.
+//!   replicate per executor item.
+//!
+//! Which group ran a replicate shows nowhere: the device is billed on the
+//! calling thread, in replicate order, per *modelled* group of
+//! `CAPACITY_LANES·L` lane replicates ([`LaneGroupStats::packed`] over their
+//! ticks). Both routes stop at the batch's [`CancelToken`].
 //!
 //! Every replicate draws from its own counter-based [`CounterRng`] stream
 //! keyed by `(seed, member, replicate)` — see the [`rng`](crate::rng)
@@ -33,7 +39,7 @@ use crate::tau::{EPSILON, SSA_THRESHOLD};
 use crate::{
     initial_counts, PropensityTable, StochasticError, StochasticSimulator, StochasticTrajectory,
 };
-use paraspace_exec::Executor;
+use paraspace_exec::{CancelToken, Executor};
 use paraspace_rbm::ReactionBasedModel;
 use paraspace_vgpu::{
     Device, DeviceConfig, KernelLaunch, LaneAccounting, LaneGroupStats, MemorySpace, ThreadWork,
@@ -44,11 +50,10 @@ use std::ops::Range;
 /// Widest lane group the ensemble schedules.
 const MAX_LANE_WIDTH: usize = 8;
 
-/// Lane-group capacity multiplier: each of [`StochasticBatch`]'s executor
-/// work units carries up to `CAPACITY_LANES · width` replicates, compacted
-/// through `width` lanes. The units are this runner's own (nothing else
-/// partitions its members this way), and since each one is one recorded
-/// lane group, this constant fixes the ensemble's [`LaneAccounting`].
+/// Replicates per lane slot of a *modelled* lane group (the ODE engines'
+/// `MEMBERS_PER_LANE`): the device serves `CAPACITY_LANES·L` lane replicates
+/// per group of width `L` in replicate order, however the host's groups
+/// fell. This depth fixes the ensemble's [`LaneAccounting`].
 const CAPACITY_LANES: usize = 4;
 
 /// Ensemble statistics at the sampled time points.
@@ -156,7 +161,8 @@ pub struct StochasticBatch<S> {
     simulator: S,
     seed: u64,
     member: u64,
-    threads: usize,
+    executor: Executor,
+    cancel: CancelToken,
     lane_width: Option<usize>,
     faults: StochFaultPlan,
 }
@@ -168,7 +174,8 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
             simulator,
             seed: 0,
             member: 0,
-            threads: 1,
+            executor: Executor::sequential(),
+            cancel: CancelToken::new(),
             lane_width: None,
             faults: StochFaultPlan::new(),
         }
@@ -195,7 +202,16 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
     /// Sets the host worker-thread count (default 1; 0 = one per core).
     /// Pure scheduling: results are bitwise identical at any thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+        self.executor = Executor::new(threads);
+        self
+    }
+
+    /// Installs a cooperative cancellation token (builder style), as the
+    /// ODE engines' `with_cancel` does: once it trips no replicate starts
+    /// or binds a lane, those in flight drain, and the run returns
+    /// [`StochasticError::Cancelled`] (a rerun reproduces it bitwise).
+    pub fn with_cancel(mut self, cancel: CancelToken) -> Self {
+        self.cancel = cancel;
         self
     }
 
@@ -238,16 +254,12 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
         self.lane_width
     }
 
-    /// The host worker-thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// Runs `replicates` realizations and aggregates them.
     ///
     /// # Errors
     ///
-    /// Model-validation failures; an empty ensemble is rejected.
+    /// Model-validation failures; an empty ensemble is rejected;
+    /// [`StochasticError::Cancelled`] when the token trips first.
     /// Per-replicate failures are *contained* in
     /// [`StochasticBatchResult::outcomes`], not returned here.
     pub fn run(
@@ -267,7 +279,8 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
     ///
     /// # Errors
     ///
-    /// Model-validation failures; an empty range is rejected.
+    /// Model-validation failures; an empty range is rejected;
+    /// [`StochasticError::Cancelled`] when the token trips first.
     pub fn run_range(
         &self,
         model: &ReactionBasedModel,
@@ -291,89 +304,52 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
         let width = self.lane_width.unwrap_or_else(|| auto_stoch_lane_width(model)).max(1);
         let lane_path = kernel.is_some() && width >= 2 && table.stoich().all_mass_action();
 
-        // Partition the range into deterministic work units: lane groups
-        // of up to 4·width replicates, with fault-planned replicates
-        // evicted to scalar units (mirroring the ODE engines' eviction of
-        // chaos-planned members from lane groups).
-        enum Unit {
-            Lane(Vec<usize>),
-            Scalar(usize),
-        }
-        let mut units: Vec<Unit> = Vec::new();
-        if lane_path {
-            let capacity = CAPACITY_LANES * width;
-            let mut group: Vec<usize> = Vec::with_capacity(capacity);
-            for abs in range.clone() {
-                if self.faults.afflicts(abs) {
-                    units.push(Unit::Scalar(abs));
-                    continue;
-                }
-                group.push(abs);
-                if group.len() == capacity {
-                    units.push(Unit::Lane(std::mem::take(&mut group)));
-                }
-            }
-            if !group.is_empty() {
-                units.push(Unit::Lane(group));
-            }
-        } else {
-            units.extend(range.clone().map(Unit::Scalar));
-        }
+        // Lane replicates drain through lane groups on the shared queue; the
+        // rest (fault-planned ones evicted, as the ODE engines evict
+        // chaos-planned members) run the scalar simulator one per item.
+        let on_lanes = |abs: usize| lane_path && !self.faults.afflicts(abs);
+        let stream = |abs: usize| CounterRng::replicate_stream(self.seed, self.member, abs as u64);
+        let (queue, scalar): (Vec<usize>, Vec<usize>) =
+            range.clone().partition(|&abs| on_lanes(abs));
+        let laned = match &kernel {
+            Some(kernel) => self.executor.drain_queue(&self.cancel, &queue, width, |next| {
+                let mut next_replicate = || next().map(|abs| (abs, stream(abs)));
+                let lanes = width.min(queue.len());
+                let (settled, _report) =
+                    kernel.run_queue(&table, &x0, times, lanes, &mut next_replicate);
+                settled.into_iter().map(|(abs, outcome, ticks)| (abs, (outcome, ticks))).collect()
+            })?,
+            None => Vec::new(),
+        };
+        let singles = self.executor.try_map_with_cancel(
+            scalar.len(),
+            &self.cancel,
+            || (),
+            |(), k| {
+                let abs = scalar[k];
+                let faults = self.faults.faults_for(abs);
+                self.simulator.simulate_counts(&table, &x0, times, &mut stream(abs), faults)
+            },
+        )?;
 
-        // Execute: one unit per executor item; per-replicate streams make
-        // the unit decomposition invisible in the results.
-        type UnitResult =
-            Vec<(usize, Result<StochasticTrajectory, StochasticError>, Option<TauLeapGroup>)>;
-        let executor = Executor::new(self.threads);
-        let unit_results: Vec<UnitResult> = executor.map(units.len(), |u| match &units[u] {
-            Unit::Scalar(abs) => {
-                let mut rng = CounterRng::replicate_stream(self.seed, self.member, *abs as u64);
-                let out = self.simulator.simulate_counts(
-                    &table,
-                    &x0,
-                    times,
-                    &mut rng,
-                    self.faults.faults_for(*abs),
-                );
-                vec![(*abs, out, None)]
-            }
-            Unit::Lane(group) => {
-                let streams: Vec<CounterRng> = group
-                    .iter()
-                    .map(|&abs| CounterRng::replicate_stream(self.seed, self.member, abs as u64))
-                    .collect();
-                let kernel = kernel.as_ref().expect("lane path implies kernel");
-                let (outs, report) = kernel.run(&table, &x0, times, width, &streams);
-                group
-                    .iter()
-                    .zip(outs)
-                    .enumerate()
-                    .map(|(k, (&abs, out))| {
-                        // Attach the group report to its first member.
-                        let rep = (k == 0).then_some(TauLeapGroup(report));
-                        (abs, out, rep)
-                    })
-                    .collect()
-            }
-        });
-
-        // Collect outcomes in replicate order and bill lane groups.
-        let mut outcomes: Vec<Option<Result<StochasticTrajectory, StochasticError>>> =
-            (0..replicates).map(|_| None).collect();
-        let mut groups = 0u64;
-        for (abs, out, group) in unit_results.into_iter().flatten() {
-            if let Some(TauLeapGroup(report)) = group {
-                device.record_lane_group(&LaneGroupStats {
-                    width: report.width,
-                    lockstep_iters: report.lockstep_iters,
-                    lane_steps: report.lane_steps,
-                });
-                groups += 1;
-            }
-            outcomes[abs - range.start] = Some(out);
+        // The bill, on this thread in replicate order: one lane group per
+        // `CAPACITY_LANES·width` lane replicates, packed from their ticks.
+        let (laned, ticks): (Vec<_>, Vec<u64>) = laned.into_iter().unzip();
+        for group in ticks.chunks(CAPACITY_LANES * width) {
+            let occupancy = LaneGroupStats::packed(width.min(group.len()), group.iter().copied());
+            device.record_lane_group(&occupancy);
         }
-        let outcomes: Vec<Result<StochasticTrajectory, StochasticError>> =
-            outcomes.into_iter().map(|o| o.expect("every replicate resolved")).collect();
+        let (mut laned, mut singles) = (laned.into_iter(), singles.into_iter());
+        let outcomes: Vec<Result<StochasticTrajectory, StochasticError>> = range
+            .map(|abs| {
+                if on_lanes(abs) {
+                    laned.next().expect("one outcome per lane replicate")
+                } else {
+                    let single = singles.next().expect("one outcome per scalar replicate");
+                    single.unwrap_or_else(|fault| panic!("{fault}"))
+                }
+            })
+            .collect();
 
         // Device pass: one thread per replicate; per-thread work from the
         // replicate's own event count (divergence across the warp).
@@ -407,16 +383,13 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
         Ok(StochasticBatchResult {
             stats: EnsembleStats::from_outcomes(times, n, &outcomes),
             outcomes,
-            lanes: (groups > 0).then(|| device.lane_accounting()),
+            lanes: (!ticks.is_empty()).then(|| device.lane_accounting()),
             lane_width: if lane_path { width } else { 1 },
             simulated_ns: device.elapsed_ns(),
             host_wall: start.elapsed(),
         })
     }
 }
-
-/// Wrapper keeping the per-unit result tuple readable.
-struct TauLeapGroup(crate::tau_batch::TauLeapReport);
 
 /// The lane width the lockstep *stochastic* path should run `model` at,
 /// from a propensity-vs-sampling cost split.

@@ -23,6 +23,9 @@ pub enum StochasticError {
     },
     /// An ensemble run was asked for zero replicates.
     EmptyEnsemble,
+    /// The batch's cancellation token tripped before every replicate
+    /// settled; the partial ensemble was discarded (it reruns bitwise).
+    Cancelled,
 }
 
 // Manual equality: `BadPropensity` carries the offending value, which is
@@ -41,7 +44,8 @@ impl PartialEq for StochasticError {
                     && t.to_bits() == t2.to_bits()
                     && step == s2
             }
-            (StochasticError::EmptyEnsemble, StochasticError::EmptyEnsemble) => true,
+            (StochasticError::EmptyEnsemble, StochasticError::EmptyEnsemble)
+            | (StochasticError::Cancelled, StochasticError::Cancelled) => true,
             _ => false,
         }
     }
@@ -61,6 +65,7 @@ impl std::fmt::Display for StochasticError {
             StochasticError::EmptyEnsemble => {
                 write!(f, "stochastic batch: at least one replicate required")
             }
+            StochasticError::Cancelled => write!(f, "ensemble cancelled before completion"),
         }
     }
 }
@@ -77,6 +82,12 @@ impl std::error::Error for StochasticError {
 impl From<RbmError> for StochasticError {
     fn from(e: RbmError) -> Self {
         StochasticError::Model(e)
+    }
+}
+
+impl From<paraspace_exec::Cancelled> for StochasticError {
+    fn from(_: paraspace_exec::Cancelled) -> Self {
+        StochasticError::Cancelled
     }
 }
 

@@ -21,9 +21,9 @@
 //!   simulator;
 //! * [`StochasticBatch`] — the ensemble engine (one virtual device thread
 //!   per replicate, the cuTauLeaping design): counter-based per-replicate
-//!   RNG streams ([`CounterRng`]), a lane-group path with scalar fallback,
-//!   host-parallel execution, and ensemble statistics plus simulated
-//!   device time.
+//!   RNG streams ([`CounterRng`]), lane groups on the workspace's shared
+//!   lane queue with scalar fallback, cooperative cancellation, and
+//!   ensemble statistics plus simulated device time.
 //!
 //! Determinism is the load-bearing contract: every replicate's RNG stream
 //! is a pure function of `(seed, member, replicate)`, so trajectories are
@@ -78,7 +78,7 @@ pub use rng::CounterRng;
 pub use sampling::poisson;
 pub use ssa::DirectMethod;
 pub use tau::TauLeaping;
-pub use tau_batch::{TauLeapBatch, TauLeapReport};
+pub use tau_batch::TauLeapBatch;
 
 use paraspace_rbm::ReactionBasedModel;
 use rand::Rng;

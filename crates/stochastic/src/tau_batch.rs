@@ -28,6 +28,15 @@
 //! pure scheduling decisions: they change throughput and occupancy, never
 //! a trajectory. The tests assert the equality bit-for-bit.
 //!
+//! # Scheduling and occupancy
+//!
+//! [`TauLeapBatch::run_queue`] pulls replicates from a closure, as the ODE
+//! lane kernels pull members, so groups can share one queue
+//! (`paraspace_exec::Executor::drain_queue`). No lane ever waits, so a
+//! group's counters are [`LaneGroupStats::packed`] over its replicates'
+//! ticks in pull order — which is what the ensemble bills, in replicate
+//! order, whichever host group ran them.
+//!
 //! [`TauLeaping`]: crate::TauLeaping
 //! [`CompiledStoich::propensities_lanes`]: paraspace_rbm::CompiledStoich::propensities_lanes
 
@@ -37,20 +46,11 @@ use crate::rng::CounterRng;
 use crate::sampling::poisson;
 use crate::tau::{EPSILON, SSA_THRESHOLD};
 use crate::{StochasticError, StochasticTrajectory};
+use paraspace_vgpu::LaneGroupStats;
 use rand::Rng;
 
-/// Occupancy report of one lockstep ensemble run, in the same shape the
-/// deterministic lane kernels feed to the vgpu lane accounting.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct TauLeapReport {
-    /// Lane width the kernel ran at.
-    pub width: usize,
-    /// Lockstep ticks executed (each sweeps all `width` lane slots).
-    pub lockstep_iters: u64,
-    /// Productive lane-steps: lane slots holding a live replicate, summed
-    /// over ticks.
-    pub lane_steps: u64,
-}
+/// How one replicate ended.
+type Outcome = Result<StochasticTrajectory, StochasticError>;
 
 /// One lane's bookkeeping: which replicate it runs and where that
 /// replicate stands.
@@ -63,6 +63,21 @@ struct Lane {
     out_states: Vec<Vec<u64>>,
     firings: u64,
     steps: u64,
+    /// Lockstep ticks the replicate has been live for.
+    ticks: u64,
+}
+
+impl Lane {
+    /// The finished replicate: its index, its trajectory, its ticks.
+    fn finish(self) -> (usize, Outcome, u64) {
+        let trajectory = StochasticTrajectory {
+            times: self.out_times,
+            states: self.out_states,
+            firings: self.firings,
+            steps: self.steps,
+        };
+        (self.replicate, Ok(trajectory), self.ticks)
+    }
 }
 
 /// The lockstep tau-leaping lane kernel, with [`TauLeaping`](crate::TauLeaping)'s
@@ -85,11 +100,9 @@ impl TauLeapBatch {
         TauLeapBatch { _private: () }
     }
 
-    /// Runs one replicate per stream through lockstep lanes of `width`,
-    /// sampling at `times` (non-decreasing). Replicate `i` starts from
-    /// `x0` and draws from `streams[i]`; outcomes come back in stream
-    /// order. Lanes retire as replicates finish (or trip the propensity
-    /// hardening) and rebind the next pending replicate.
+    /// [`run_queue`](Self::run_queue) over `streams` in order, at most one
+    /// lane per stream: replicate `i` draws from `streams[i]`. Returns the
+    /// outcomes in stream order and the group's occupancy.
     ///
     /// # Panics
     ///
@@ -101,21 +114,44 @@ impl TauLeapBatch {
         times: &[f64],
         width: usize,
         streams: &[CounterRng],
-    ) -> (Vec<Result<StochasticTrajectory, StochasticError>>, TauLeapReport) {
+    ) -> (Vec<Outcome>, LaneGroupStats) {
+        let mut pending = streams.iter().cloned().enumerate();
+        let lanes = width.min(streams.len().max(1));
+        let (mut settled, report) = self.run_queue(table, x0, times, lanes, &mut || pending.next());
+        settled.sort_by_key(|&(replicate, ..)| replicate);
+        (settled.into_iter().map(|(_, outcome, _)| outcome).collect(), report)
+    }
+
+    /// One lane group of `width` over the replicates `next_replicate` hands
+    /// out, each as its index and its own stream, from `x0` and sampled at
+    /// `times` (non-decreasing). A lane freed by a finished (or hardening-
+    /// tripped) replicate asks for the next one at once; the group stops
+    /// asking at the first `None`, drains its live lanes and returns.
+    ///
+    /// Returns `(replicate, outcome, ticks)` as they settled — `ticks` the
+    /// lockstep iterations the replicate was live for, which like its
+    /// outcome does not depend on the group — and the group's occupancy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width == 0` or `x0.len() != table.n_species()`.
+    pub fn run_queue(
+        &self,
+        table: &PropensityTable,
+        x0: &[u64],
+        times: &[f64],
+        width: usize,
+        next_replicate: &mut dyn FnMut() -> Option<(usize, CounterRng)>,
+    ) -> (Vec<(usize, Outcome, u64)>, LaneGroupStats) {
         assert!(width > 0, "lane width must be positive");
         let stoich = table.stoich();
         let n = stoich.n_species();
         let m = stoich.n_reactions();
         assert_eq!(x0.len(), n, "initial counts must cover every species");
-        let n_rep = streams.len();
-        let lanes = width.min(n_rep.max(1));
-        let mut report = TauLeapReport { width: lanes, lockstep_iters: 0, lane_steps: 0 };
-        if n_rep == 0 {
-            return (Vec::new(), report);
-        }
+        let lanes = width;
+        let mut report = LaneGroupStats { width: lanes, lockstep_iters: 0, lane_steps: 0 };
+        let mut settled = Vec::new();
 
-        let mut outcomes: Vec<Option<Result<StochasticTrajectory, StochasticError>>> =
-            (0..n_rep).map(|_| None).collect();
         // Species-major, lane-minor count state.
         let mut counts = vec![0u64; n * lanes];
         let mut a = vec![0.0f64; m * lanes];
@@ -125,21 +161,22 @@ impl TauLeapBatch {
         let mut sigma2 = vec![0.0f64; lanes];
         let mut cand = vec![0u64; n];
         let mut slots: Vec<Option<Lane>> = (0..lanes).map(|_| None).collect();
-        let mut next_pending = 0usize;
+        let mut exhausted = false;
 
         // Binds pending replicates to lane `l`, delivering any samples due
         // at t = 0 immediately (mirroring the scalar `while t < ts` guard,
         // which never enters the loop for ts ≤ 0). Replicates whose entire
         // schedule is due at once complete here and the next one binds.
-        let bind = |l: usize,
-                    slots: &mut Vec<Option<Lane>>,
-                    counts: &mut Vec<u64>,
-                    next_pending: &mut usize,
-                    outcomes: &mut Vec<Option<Result<StochasticTrajectory, StochasticError>>>| {
+        let mut bind = |l: usize,
+                        slots: &mut Vec<Option<Lane>>,
+                        counts: &mut Vec<u64>,
+                        settled: &mut Vec<(usize, Outcome, u64)>| {
             slots[l] = None;
-            while *next_pending < n_rep {
-                let replicate = *next_pending;
-                *next_pending += 1;
+            while !exhausted {
+                let Some((replicate, rng)) = next_replicate() else {
+                    exhausted = true;
+                    break;
+                };
                 for s in 0..n {
                     counts[s * lanes + l] = x0[s];
                 }
@@ -147,11 +184,12 @@ impl TauLeapBatch {
                     replicate,
                     t: 0.0,
                     sample_idx: 0,
-                    rng: streams[replicate].clone(),
+                    rng,
                     out_times: Vec::with_capacity(times.len()),
                     out_states: Vec::with_capacity(times.len()),
                     firings: 0,
                     steps: 0,
+                    ticks: 0,
                 };
                 while lane.sample_idx < times.len() && lane.t >= times[lane.sample_idx] {
                     lane.out_times.push(times[lane.sample_idx]);
@@ -159,12 +197,7 @@ impl TauLeapBatch {
                     lane.sample_idx += 1;
                 }
                 if lane.sample_idx == times.len() {
-                    outcomes[lane.replicate] = Some(Ok(StochasticTrajectory {
-                        times: lane.out_times,
-                        states: lane.out_states,
-                        firings: lane.firings,
-                        steps: lane.steps,
-                    }));
+                    settled.push(lane.finish());
                     continue;
                 }
                 slots[l] = Some(lane);
@@ -172,7 +205,7 @@ impl TauLeapBatch {
             }
         };
         for l in 0..lanes {
-            bind(l, &mut slots, &mut counts, &mut next_pending, &mut outcomes);
+            bind(l, &mut slots, &mut counts, &mut settled);
         }
 
         while slots.iter().any(Option::is_some) {
@@ -217,6 +250,7 @@ impl TauLeapBatch {
             // Per-lane tails: one scalar tau-leaping iteration each.
             for l in 0..lanes {
                 let Some(lane) = slots[l].as_mut() else { continue };
+                lane.ticks += 1;
                 let ts = times[lane.sample_idx];
                 // Hardening: the same check the scalar path runs right
                 // after its propensity evaluation.
@@ -231,8 +265,8 @@ impl TauLeapBatch {
                     }
                     let err = validate_propensities(&row, lane.t, lane.steps)
                         .expect_err("offender found above");
-                    outcomes[lane.replicate] = Some(Err(err));
-                    bind(l, &mut slots, &mut counts, &mut next_pending, &mut outcomes);
+                    settled.push((lane.replicate, Err(err), lane.ticks));
+                    bind(l, &mut slots, &mut counts, &mut settled);
                     continue;
                 }
                 let al0 = a0[l];
@@ -309,20 +343,13 @@ impl TauLeapBatch {
                     lane.sample_idx += 1;
                 }
                 if lane.sample_idx == times.len() {
-                    let lane = slots[l].take().expect("lane present");
-                    outcomes[lane.replicate] = Some(Ok(StochasticTrajectory {
-                        times: lane.out_times,
-                        states: lane.out_states,
-                        firings: lane.firings,
-                        steps: lane.steps,
-                    }));
-                    bind(l, &mut slots, &mut counts, &mut next_pending, &mut outcomes);
+                    settled.push(slots[l].take().expect("lane present").finish());
+                    bind(l, &mut slots, &mut counts, &mut settled);
                 }
             }
         }
 
-        let outcomes = outcomes.into_iter().map(|o| o.expect("every replicate resolved")).collect();
-        (outcomes, report)
+        (settled, report)
     }
 }
 
@@ -446,5 +473,71 @@ mod tests {
         let x0 = initial_counts(&m);
         let (_, report) = TauLeapBatch::new().run(&table, &x0, &[0.05], 8, &streams(3));
         assert_eq!(report.width, 3, "no point sweeping empty lanes");
+    }
+
+    #[test]
+    fn packed_report_is_the_report_a_divergent_group_returns() {
+        // What the ensemble bills a modelled lane group from: the
+        // replicates' ticks, list-scheduled in the order they were pulled,
+        // give the ticks and lane-steps the kernel itself counts for that
+        // group — at every width, on replicates whose tick counts differ,
+        // and on the edges: every sample due at t = 0, no sample at all,
+        // and replicates the propensity hardening retires.
+        let m = two_species_model();
+        let mut overflow = ReactionBasedModel::new();
+        let a = overflow.add_species("A", 1000.0);
+        overflow.add_reaction(Reaction::mass_action(&[(a, 1)], &[], f64::MAX)).unwrap();
+        let cases: [(&ReactionBasedModel, &[f64]); 4] =
+            [(&m, &[0.05, 0.1, 0.3]), (&m, &[0.0, 0.0]), (&m, &[]), (&overflow, &[1.0])];
+        let n_rep = 13;
+        for (case, (model, times)) in cases.into_iter().enumerate() {
+            let table = PropensityTable::new(model);
+            let x0 = initial_counts(model);
+            for width in [1, 2, 3, 4, 8] {
+                let mut pending = streams(n_rep).into_iter().enumerate();
+                let (settled, report) =
+                    TauLeapBatch::new()
+                        .run_queue(&table, &x0, times, width, &mut || pending.next());
+                let mut ticks = vec![None; n_rep];
+                for (replicate, _, t) in settled {
+                    ticks[replicate] = Some(t);
+                }
+                let ticks: Vec<u64> = ticks.into_iter().map(|t| t.expect("settled")).collect();
+                assert_eq!(
+                    report,
+                    LaneGroupStats::packed(width, ticks.clone()),
+                    "case {case} width {width}"
+                );
+                let (idlest, busiest) = (ticks.iter().min().unwrap(), ticks.iter().max().unwrap());
+                match case {
+                    0 => assert!(busiest > idlest, "replicates must diverge: {ticks:?}"),
+                    1 | 2 => assert_eq!(*busiest, 0, "nothing is due after t = 0"),
+                    _ => assert_eq!((*idlest, *busiest), (1, 1), "retired at the first tick"),
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn run_queue_stops_asking_at_the_first_none() {
+        // A source that runs dry (a cancelled cursor answers `None` from
+        // then on): the group settles the replicates it holds and never
+        // asks again.
+        let m = two_species_model();
+        let table = PropensityTable::new(&m);
+        let x0 = initial_counts(&m);
+        let mut pending = streams(5).into_iter().enumerate();
+        let (mut dry, mut asked_when_dry) = (false, 0);
+        let (mut settled, _) = TauLeapBatch::new().run_queue(&table, &x0, &[0.1], 2, &mut || {
+            asked_when_dry += usize::from(dry);
+            let next = pending.next();
+            dry |= next.is_none();
+            next
+        });
+        assert_eq!(asked_when_dry, 0);
+        settled.sort_by_key(|(replicate, _, _)| *replicate);
+        let (whole, _) = TauLeapBatch::new().run(&table, &x0, &[0.1], 2, &streams(5));
+        let settled: Vec<_> = settled.into_iter().map(|(_, outcome, _)| outcome).collect();
+        assert_eq!(settled, whole);
     }
 }

@@ -10,8 +10,9 @@
 
 use paraspace_rbm::{Reaction, ReactionBasedModel};
 use paraspace_stochastic::{
-    initial_counts, CounterRng, DirectMethod, PropensityTable, StochFault, StochFaultPlan,
-    StochasticBatch, StochasticError, StochasticSimulator, TauLeapBatch, TauLeaping,
+    initial_counts, CounterRng, DirectMethod, LaneAccounting, PropensityTable, StochFault,
+    StochFaultPlan, StochasticBatch, StochasticError, StochasticSimulator, TauLeapBatch,
+    TauLeaping,
 };
 
 /// Reversible isomerization with populations large enough to leap.
@@ -42,7 +43,7 @@ fn ensembles_are_bitwise_identical_across_widths_and_threads() {
         let reference =
             base.clone().with_lane_width(Some(1)).with_threads(1).run(&model, &times, 21).unwrap();
         for width in [2usize, 4, 8] {
-            for threads in [1usize, 8] {
+            for threads in [1usize, 2, 8] {
                 let run = base
                     .clone()
                     .with_lane_width(Some(width))
@@ -56,6 +57,30 @@ fn ensembles_are_bitwise_identical_across_widths_and_threads() {
                 assert_eq!(run.stats, reference.stats);
             }
         }
+    }
+}
+
+#[test]
+fn lane_accounting_and_device_time_are_pinned() {
+    // The bill is a fold over per-replicate ticks in replicate order, one
+    // modelled group per `4·width` lane replicates, whichever host group
+    // ran them. Recorded before the ensemble moved onto the shared lane
+    // queue, when each fixed host unit billed its own report: a width that
+    // divides nothing, a range that starts off zero, and an evicted
+    // replicate, at one and two workers.
+    let model = dimerization();
+    for threads in [1, 2] {
+        let run = StochasticBatch::new(TauLeaping::new())
+            .with_seed(4242)
+            .with_lane_width(Some(3))
+            .with_threads(threads)
+            .with_faults(StochFaultPlan::new().poison(9, StochFault::nan(0, 1)))
+            .run_range(&model, &[0.1, 0.3, 0.7], 5..45)
+            .unwrap();
+        let pinned =
+            LaneAccounting { groups: 4, slot_steps: 33_063, lane_steps: 32_909, max_width: 3 };
+        assert_eq!(run.lanes, Some(pinned), "threads {threads}");
+        assert_eq!(run.simulated_ns.to_bits(), 0x4110_1102_3b88_ee24, "threads {threads}");
     }
 }
 

@@ -10,8 +10,9 @@
 
 /// Occupancy counters for one lane-group integration.
 ///
-/// Engines build this from the lockstep solver's report and register it
-/// with [`Device::record_lane_group`](crate::Device::record_lane_group).
+/// Engines build this with [`packed`](Self::packed) from per-member tick
+/// counts and register it with
+/// [`Device::record_lane_group`](crate::Device::record_lane_group).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct LaneGroupStats {
     /// Lane width `L` the group ran at.
@@ -25,15 +26,26 @@ pub struct LaneGroupStats {
 }
 
 impl LaneGroupStats {
-    /// Fraction of swept lane slots that did productive work, in `(0, 1]`;
-    /// `1.0` for an empty group.
-    pub fn occupancy(&self) -> f64 {
-        let capacity = self.width as u64 * self.lockstep_iters;
-        if capacity == 0 {
-            1.0
-        } else {
-            self.lane_steps as f64 / capacity as f64
+    /// The counters of a group of `width` lanes that binds its members to
+    /// free lanes in the order given and keeps each for `ticks` consecutive
+    /// lockstep iterations — the schedule a lockstep kernel follows when no
+    /// lane ever waits — computed without running anything. Engines bill
+    /// their *modelled* lane groups from it, whichever host group ran each
+    /// member.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width` is zero.
+    pub fn packed(width: usize, ticks: impl IntoIterator<Item = u64>) -> LaneGroupStats {
+        let mut free_at = vec![0u64; width];
+        let mut lane_steps = 0;
+        for ticks in ticks {
+            let lane = free_at.iter_mut().min().expect("at least one lane");
+            *lane += ticks;
+            lane_steps += ticks;
         }
+        let lockstep_iters = free_at.into_iter().max().expect("at least one lane");
+        LaneGroupStats { width, lockstep_iters, lane_steps }
     }
 
     /// Multiplier (`≥ 1.0`) by which divergence inflates the charged work
@@ -98,22 +110,36 @@ mod tests {
     #[test]
     fn full_lanes_have_unit_occupancy() {
         let s = LaneGroupStats { width: 4, lockstep_iters: 100, lane_steps: 400 };
-        assert_eq!(s.occupancy(), 1.0);
         assert_eq!(s.divergence_factor(), 1.0);
     }
 
     #[test]
     fn divergence_shows_up_as_sub_unit_occupancy() {
         let s = LaneGroupStats { width: 4, lockstep_iters: 100, lane_steps: 300 };
-        assert!((s.occupancy() - 0.75).abs() < 1e-12);
         assert!((s.divergence_factor() - 4.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn empty_group_is_neutral() {
         let s = LaneGroupStats::default();
-        assert_eq!(s.occupancy(), 1.0);
         assert_eq!(s.divergence_factor(), 1.0);
+    }
+
+    #[test]
+    fn packed_is_a_list_schedule_in_member_order() {
+        let packed = |width, ticks: &[u64]| {
+            let stats = LaneGroupStats::packed(width, ticks.iter().copied());
+            (stats.lockstep_iters, stats.lane_steps)
+        };
+        assert_eq!(
+            LaneGroupStats::packed(4, []),
+            LaneGroupStats { width: 4, ..Default::default() }
+        );
+        assert_eq!(packed(4, &[7]), (7, 7));
+        assert_eq!(packed(2, &[3, 0, 5]), (5, 8));
+        assert_eq!(packed(2, &[3, 0, 5, 4]), (7, 12));
+        // The earliest-free lane takes the next member, the lowest on a tie.
+        assert_eq!(packed(3, &[4, 1, 1, 1, 1]), (4, 8));
     }
 
     #[test]
