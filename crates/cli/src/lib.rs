@@ -28,7 +28,8 @@ use paraspace_analysis::pso::PsoConfig;
 pub use paraspace_core::CancelToken;
 use paraspace_core::{
     recommend_engine, taxonomy, CoarseEngine, CpuEngine, CpuSolverKind, Executor, FineCoarseEngine,
-    FineEngine, Host, MemberSink, RecoveryPolicy, SimOutcome, SimulationJob, Simulator,
+    FineEngine, Host, MemberSink, RecoveryLog, RecoveryPolicy, SimOutcome, SimulationJob,
+    Simulator,
 };
 use paraspace_journal::codec::{Dec, Enc};
 use paraspace_journal::lease::{LeaseConfig, RetryState};
@@ -966,15 +967,15 @@ fn engine_by_name(
 /// the failure-taxonomy label the batch health summary counts it under.
 fn error_report(o: &SimOutcome) -> String {
     let e = o.solution.as_ref().expect_err("error_report is only called for failed members");
+    err_body(e, taxonomy(e), o.solver, &o.log)
+}
+
+/// The `.err` layout: `error`, its taxonomy `label`, the `solver` that
+/// produced it and the member's recovery `log`.
+fn err_body(error: &dyn fmt::Display, label: &str, solver: &str, log: &RecoveryLog) -> String {
     format!(
-        "error: {e}\ntaxonomy: {}\nsolver: {}\nattempts: {}\nrelaxations: {}\nrerouted: {}\nrecovered: {}\npanicked: {}\n",
-        taxonomy(e),
-        o.solver,
-        o.log.attempts,
-        o.log.relaxations,
-        o.log.rerouted,
-        o.log.recovered,
-        o.log.panicked,
+        "error: {error}\ntaxonomy: {label}\nsolver: {solver}\nattempts: {}\nrelaxations: {}\nrerouted: {}\nrecovered: {}\npanicked: {}\n",
+        log.attempts, log.relaxations, log.rerouted, log.recovered, log.panicked,
     )
 }
 
@@ -2028,9 +2029,7 @@ impl SimulateInputs {
         {
             Ok(job) => Ok(Ok(job)),
             Err(e @ paraspace_core::SimError::InvalidJob { .. }) => {
-                let body = format!(
-                    "error: {e}\ntaxonomy: invalid\nsolver: -\nattempts: 0\nrelaxations: 0\nrerouted: false\nrecovered: false\npanicked: false\n"
-                );
+                let body = err_body(&e, "invalid", "-", &RecoveryLog::default());
                 Ok(Err(ShardOutcome::failed(n, "invalid", &body)))
             }
             Err(e) => Err(e),

@@ -118,7 +118,7 @@ impl Simulator for Engine<Coarse> {
         // are billed inside the coarse kernel.
         let members = (0..batch).map(|i| (i, None)).collect();
         let retry = (&solver as &dyn OdeSolver, solver.name());
-        let ladder = Ladder { retry, fallback: None, reroutable: |_| false };
+        let ladder = Ladder { retry, fallback: None };
         for rs in solve_members_recovered(&self.host, job, members, |_| ladder)? {
             let stats = rs.stats;
             let work = WorkEstimate::from_stats(job.odes(), &stats, job.time_points().len());

@@ -89,8 +89,7 @@ impl Simulator for Engine<Cpu> {
         // CPU baseline has no implicit fallback to reroute to, so only the
         // relaxation rungs apply).
         let members = (0..job.batch_size()).map(|i| (i, None)).collect();
-        let ladder =
-            Ladder { retry: (solver, solver.name()), fallback: None, reroutable: |_| false };
+        let ladder = Ladder { retry: (solver, solver.name()), fallback: None };
         for rs in solve_members_recovered(&self.host, job, members, |_| ladder)? {
             work.absorb(&WorkEstimate::from_stats(job.odes(), &rs.stats, job.time_points().len()));
             settled.settle(rs.solution, false, rs.solver, rs.log);

@@ -38,10 +38,10 @@
 
 use crate::engines::host::{device_clocks, h2d_bytes, Engine, Settled, PCIE_BYTES_PER_NS};
 use crate::engines::{attempt_stats, discard, group_stats, BatchResult, MemberSink, Simulator};
-use crate::lanes::{solve_queue, Lockstep, MEMBERS_PER_LANE};
+use crate::lanes::{first_attempts, Lockstep, MEMBERS_PER_LANE};
 use crate::recovery::{solve_members_recovered, Billed, Ladder};
 use crate::{SimError, SimulationJob, WorkEstimate, STIFFNESS_THRESHOLD};
-use paraspace_solvers::{Bdf, Dopri5, Radau5, Rkf45, SolverError, StepStats};
+use paraspace_solvers::{Bdf, Dopri5, Radau5, Rkf45, StepStats};
 use paraspace_vgpu::{
     Device, DeviceConfig, DpModel, KernelLaunch, LaneGroupStats, MemorySpace, ThreadWork,
     TimelineShard,
@@ -131,7 +131,7 @@ impl Engine<Fine> {
         // timeline — one kernel per member, in member order on this thread:
         // the serialize-everything weakness, bitwise at any thread count.
         let members = (0..job.batch_size()).map(|i| (i, None)).collect();
-        let ladder = Ladder { retry: (&rkf, "rkf45"), fallback: Some((&bdf1, "bdf1")), reroutable };
+        let ladder = Ladder { retry: (&rkf, "rkf45"), fallback: Some((&bdf1, "bdf1")) };
         let results = solve_members_recovered(&self.host, job, members, |_| ladder)?;
         let mut settled = Settled::default();
         for (i, rs) in results.into_iter().enumerate() {
@@ -172,51 +172,35 @@ impl Engine<Fine> {
             diag.iter().fold(0.0f64, |a, &d| a.max(d.abs())) >= STIFFNESS_THRESHOLD
         });
         // Fault-planned members are evicted from both lockstep classes and
-        // make their first attempt scalar, under panic containment, in the
-        // ladder: a lane that panics mid-sweep would otherwise tear down
-        // its whole group, and a faulted lane's injected call ordinals
-        // would shift with lane packing. Eviction keeps both the blast
-        // radius and the fault schedule per-member.
+        // make their first attempt scalar, under panic containment
+        // (`lanes::first_attempts`): a lane that panics mid-sweep would
+        // otherwise tear down its whole group, and a faulted lane's injected
+        // call ordinals would shift with lane packing. Eviction keeps both
+        // the blast radius and the fault schedule per-member. An evicted
+        // member's attempt is the scalar twin of its would-be lane (a fault
+        // plan never changes which method a member runs under).
         let evicted: Vec<bool> =
             (0..batch).map(|i| job.fault_plan().faults_for(i).is_some()).collect();
-
-        // Each class's clean members integrate on the shared queue, under
-        // the options every first attempt runs under, so the policy's step
-        // budget binds a lane as it binds a scalar solve.
-        let options = host.recovery.base_options(job);
         let mut firsts: Vec<Option<Billed>> = (0..batch).map(|_| None).collect();
-        for (kernel, of_stiff, name) in
-            [(Lockstep::Dopri5, false, "dopri5-lanes"), (Lockstep::Radau5, true, "radau5-lanes")]
-        {
-            let queue: Vec<usize> =
-                (0..batch).filter(|&i| stiff[i] == of_stiff && !evicted[i]).collect();
-            let attempts = solve_queue(
-                &host.executor,
-                &host.cancel,
-                kernel,
-                &queue,
-                width,
-                |width| job.lane_system(width),
-                job.time_points(),
-                &options,
-            )?;
-            for (i, attempt) in queue.into_iter().zip(attempts) {
-                firsts[i] = Some((attempt, name));
+        let mut first_stats = vec![StepStats::default(); batch];
+        for (kernel, of_stiff, lanes, scalar) in [
+            (Lockstep::Dopri5, false, "dopri5-lanes", "dopri5"),
+            (Lockstep::Radau5, true, "radau5-lanes", "radau5"),
+        ] {
+            let class: Vec<usize> = (0..batch).filter(|&i| stiff[i] == of_stiff).collect();
+            let attempts = first_attempts(host, job, kernel, &class, width)?;
+            for (&i, attempt) in class.iter().zip(attempts) {
+                first_stats[i] = *attempt_stats(&attempt);
+                let name = if evicted[i] { scalar } else { lanes };
+                firsts[i] = Some(Billed::first(attempt, name));
             }
         }
-        // What each lane attempt did, for its class's kernel: the ladder
-        // hands back only the work it adds.
-        let lane_stats: Vec<Option<StepStats>> =
-            firsts.iter().map(|first| first.as_ref().map(|(a, _)| *attempt_stats(a))).collect();
 
-        // Every member continues through the ladder of its class; a lane
-        // attempt that succeeded comes back as it went in. An evicted
-        // member's first attempt is the scalar twin of its would-be lane (a
-        // fault plan never changes which method a member runs under).
+        // Every member continues through the ladder of its class; a first
+        // attempt that succeeded comes back as it went in.
         let (dopri5, bdf1, radau5) = (Dopri5::new(), Bdf::with_max_order(1), Radau5::new());
-        let explicit =
-            Ladder { retry: (&dopri5, "dopri5"), fallback: Some((&bdf1, "bdf1")), reroutable };
-        let implicit = Ladder { retry: (&radau5, "radau5"), fallback: None, reroutable };
+        let explicit = Ladder { retry: (&dopri5, "dopri5"), fallback: Some((&bdf1, "bdf1")) };
+        let implicit = Ladder { retry: (&radau5, "radau5"), fallback: None };
         let members = firsts.into_iter().enumerate().collect();
         let ladder = |i: usize| if stiff[i] { implicit } else { explicit };
         let mut results = solve_members_recovered(host, job, members, ladder)?.into_iter();
@@ -245,8 +229,8 @@ impl Engine<Fine> {
             for (label, of_stiff) in [("lane_group", false), ("radau_lane_group", true)] {
                 let lanes: Vec<&StepStats> = group
                     .clone()
-                    .filter(|&i| stiff[i] == of_stiff)
-                    .filter_map(|i| lane_stats[i].as_ref())
+                    .filter(|&i| stiff[i] == of_stiff && !evicted[i])
+                    .map(|i| &first_stats[i])
                     .collect();
                 if lanes.is_empty() {
                     // The explicit class is on the occupancy record even empty.
@@ -277,9 +261,15 @@ impl Engine<Fine> {
                     settled.health.evicted_lanes += 1;
                 }
                 if evicted[i] || rs.log.attempts > 1 {
+                    // The ladder hands back only the work it adds.
+                    let stats = if evicted[i] {
+                        group_stats([&first_stats[i], &rs.stats])
+                    } else {
+                        rs.stats
+                    };
                     let name = format!("integrate::fine_sim{i}");
                     let (kernel, launches_ns) =
-                        self.price(job, name, 1, &rs.stats, 1.0, rs.stats.steps as u64);
+                        self.price(job, name, 1, &stats, 1.0, stats.steps as u64);
                     shard.launch(config, &dp, &kernel);
                     shard.record_host_phase(STEP_LAUNCHES, launches_ns);
                 }
@@ -324,17 +314,6 @@ impl Engine<Fine> {
         let launches = (steps * KERNELS_PER_STEP).saturating_sub(1);
         (kernel, launches as f64 * self.model.device_config.kernel_launch_ns)
     }
-}
-
-/// Whether a solver failure is stiffness-shaped and worth a BDF1 retry
-/// (the stiff class has no fallback, so nothing asks on its behalf).
-fn reroutable(e: &SolverError) -> bool {
-    matches!(
-        e,
-        SolverError::MaxStepsExceeded { .. }
-            | SolverError::StepSizeUnderflow { .. }
-            | SolverError::StiffnessDetected { .. }
-    )
 }
 
 impl Simulator for Engine<Fine> {

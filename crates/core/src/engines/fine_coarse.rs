@@ -19,28 +19,33 @@
 //! round pays the dynamic-parallelism launch overhead — which is what caps
 //! useful batch sizes near 2048.
 //!
-//! On the host, P3 and P4 are batch kernels too, on one scheduler
-//! (`lanes::solve_queue`): the fault-free members of a phase integrate as
-//! lockstep lane groups — [`Dopri5Batch`](paraspace_solvers::Dopri5Batch)
-//! at width 8 unless pinned (`lanes::explicit_lane_width`),
+//! On the host the engine is *route → bill → one ladder call*. P3 and P4
+//! are batch kernels ([`lanes::first_attempts`](crate::lanes) on the one
+//! scheduler, `lanes::solve_queue`): the fault-free members of a phase
+//! integrate as lockstep lane groups —
+//! [`Dopri5Batch`](paraspace_solvers::Dopri5Batch) at width 8 unless pinned
+//! (`lanes::explicit_lane_width`),
 //! [`Radau5Batch`](paraspace_solvers::Radau5Batch) at the autotuned width
 //! (`lanes::resolve_lane_width`) — one group per executor worker, all
 //! pulling members from one shared queue, P4's ordered longest first by the
-//! triage eigenvalue. A member's attempt is bitwise the scalar solver's
-//! whichever group and lane ran it, and the device model is fed per-member
-//! counters in member order — P4's lane occupancy from a packing the
-//! billing computes for itself — so outcomes, labels, billing and health do
-//! not depend on the worker count (nor, for P3, on the width).
+//! triage eigenvalue. A P3 failure the recovery policy
+//! [`reroutes`](crate::RecoveryPolicy) is handed over to P4. Each phase is
+//! billed as a fold over per-member counters in member order — P4's lane
+//! occupancy from a packing the billing computes for itself — and then one
+//! `recovery::solve_members_recovered` call continues every member's ladder
+//! from the rungs P3 and P4 ran (relaxation retries, billed after the
+//! phases). A member's attempt is bitwise the scalar solver's whichever
+//! group and lane ran it, so outcomes, labels, billing and health do not
+//! depend on the worker count (nor, for P3, on the width).
 
-use crate::engines::host::{device_clocks, h2d_bytes, Engine, Host, Settled, PCIE_BYTES_PER_NS};
+use crate::engines::host::{device_clocks, h2d_bytes, Engine, Settled, PCIE_BYTES_PER_NS};
 use crate::engines::{attempt_stats, discard, group_stats, BatchResult, MemberSink, Simulator};
-use crate::lanes::{explicit_lane_width, solve_queue, Lockstep, MEMBERS_PER_LANE};
-use crate::recovery::{contained_attempt, solve_members_recovered, Ladder, RecoveryLog};
-use crate::{classify_batch_with_threshold, SimError, SimulationJob, StiffnessClass, WorkEstimate};
-use paraspace_exec::Cancelled;
-use paraspace_solvers::{
-    Dopri5, OdeSolver, Radau5, Solution, SolveFailure, SolverError, SolverScratch, StepStats,
+use crate::lanes::{
+    explicit_lane_width, first_attempts, resolve_lane_width, Lockstep, MEMBERS_PER_LANE,
 };
+use crate::recovery::{solve_members_recovered, Billed, Ladder};
+use crate::{classify_batch_with_threshold, SimError, SimulationJob, WorkEstimate};
+use paraspace_solvers::{Dopri5, Radau5, StepStats};
 use paraspace_vgpu::{
     ChildLaunch, Device, DeviceConfig, DpModel, KernelLaunch, LaneGroupStats, MemorySpace,
     ThreadWork, THREADS_PER_BLOCK,
@@ -50,11 +55,6 @@ use std::time::Instant;
 /// Parent-thread control-flow flops per solver step (loop bookkeeping,
 /// step-size control on the coarse thread).
 const PARENT_FLOPS_PER_STEP: u64 = 30;
-
-/// One member's latest attempt and the solver that ran it; the failure
-/// keeps its work counters until the outcomes are assembled, so a
-/// relaxation retry can account the attempt it discards.
-type MemberSlot = Option<(Result<Solution, SolveFailure>, &'static str)>;
 
 /// The fine+coarse cost model: one parent thread per simulation, child
 /// grids across species at every step, dynamic-parallelism overhead per
@@ -132,275 +132,129 @@ impl Engine<FineCoarse> {
     }
 }
 
-/// One run on its way through P3 → P4 → relaxation: the device being
-/// billed, and every member's latest attempt and recovery log.
-struct Phases<'a> {
-    host: &'a Host,
-    model: &'a FineCoarse,
-    job: &'a SimulationJob<'a>,
-    device: Device,
-    slots: Vec<MemberSlot>,
-    logs: Vec<RecoveryLog>,
-}
+/// Bills one phase of scalar-grain attempts: a parent grid of one thread
+/// per listed member and child grids spreading the per-round ODE work
+/// across species threads, folded from `stats` (indexed by member) in
+/// `members` order on the calling thread — so the bill is bitwise
+/// identical at any thread count and however the attempts were scheduled.
+/// Failed members are billed for the work they did before failing.
+fn bill_phase(
+    device: &Device,
+    job: &SimulationJob,
+    phase_name: &str,
+    members: &[usize],
+    stats: &[StepStats],
+) {
+    if members.is_empty() {
+        return;
+    }
+    let n = job.odes().n_species();
+    let mut parent_work: Vec<ThreadWork> = Vec::with_capacity(members.len());
+    let mut phase_work = WorkEstimate::default();
+    let mut total_rounds: u64 = 0;
 
-impl Phases<'_> {
-    /// One scalar attempt per member on the executor's workers, in
-    /// `members` order. Each attempt runs under panic containment: a
-    /// panicking member becomes an `Internal` failure (never re-routable —
-    /// it would panic again on the other solver too) instead of tearing
-    /// down the phase.
-    fn solve_scalar(
-        &self,
-        solver: &dyn OdeSolver,
-        members: &[usize],
-    ) -> Result<Vec<Result<Solution, SolveFailure>>, Cancelled> {
-        let (host, job) = (self.host, self.job);
-        let opts = host.recovery.base_options(job);
-        let attempts = host.executor.try_map_with_cancel(
-            members.len(),
-            &host.cancel,
-            SolverScratch::new,
-            |scratch, idx| contained_attempt(job, members[idx], solver, &opts, scratch),
-        )?;
-        // contained_attempt already catches member panics, so an
-        // executor-level fault is a bug in the attempt plumbing itself.
-        Ok(attempts.into_iter().map(|a| a.unwrap_or_else(|fault| panic!("{fault}"))).collect())
+    for stats in members.iter().map(|&i| &stats[i]) {
+        total_rounds += launch_rounds(stats);
+        parent_work.push(
+            ThreadWork::new()
+                .with_flops(stats.steps as u64 * PARENT_FLOPS_PER_STEP)
+                .with_syncs(stats.steps as u64),
+        );
+        phase_work.absorb(&WorkEstimate::from_stats(job.odes(), stats, job.time_points().len()));
     }
 
-    /// P3's attempts, in `members` order. Fault-free members integrate as
-    /// lockstep [`Dopri5Batch`](paraspace_solvers::Dopri5Batch) lane groups
-    /// on one shared queue ([`solve_queue`]) whenever
-    /// [`explicit_lane_width`] finds a width of 2 or more for them;
-    /// fault-planned members stay on the scalar path, so an injected panic
-    /// (and its per-call fault ordinals) cannot touch a group — and at width
-    /// 1 so does everybody else. Every attempt is bitwise the scalar
-    /// `dopri5` one either way, which is why the phase is billed, labelled
-    /// and re-routed exactly as if it had run scalar.
-    fn solve_p3(
-        &self,
-        dopri5: &Dopri5,
-        members: &[usize],
-    ) -> Result<Vec<Result<Solution, SolveFailure>>, Cancelled> {
-        let (host, job) = (self.host, self.job);
-        let planned = |i: &usize| job.fault_plan().faults_for(*i).is_some();
-        let (faulty, clean): (Vec<usize>, Vec<usize>) = members.iter().partition(|i| planned(i));
-        let workers = host.executor.threads();
-        let width = explicit_lane_width(self.model.lane_width, job.odes(), clean.len(), workers);
-        if width < 2 {
-            return self.solve_scalar(dopri5, members);
-        }
-        let opts = host.recovery.base_options(job);
-        let mut lane_attempts = solve_queue(
-            &host.executor,
-            &host.cancel,
-            Lockstep::Dopri5,
-            &clean,
-            width,
-            |width| job.lane_system(width),
-            job.time_points(),
-            &opts,
-        )?
-        .into_iter();
-        let mut scalar_attempts = self.solve_scalar(dopri5, &faulty)?.into_iter();
-        Ok(members
-            .iter()
-            .map(|i| if planned(i) { scalar_attempts.next() } else { lane_attempts.next() })
-            .map(|attempt| attempt.expect("one attempt per member"))
-            .collect())
-    }
+    // Parent grid: one thread per member (padded to full blocks).
+    let tpb = THREADS_PER_BLOCK;
+    let blocks = members.len().div_ceil(tpb);
+    let mut padded = parent_work;
+    padded.resize(blocks * tpb, ThreadWork::new());
 
-    /// Settles one phase's `attempts` (index-aligned with `members`): fills
-    /// `slots`, bills the device, and returns the members that failed with
-    /// a re-routable error.
-    ///
-    /// Everything here — timeline accounting, work accumulation, re-route
-    /// decisions — folds on the calling thread in member order over
-    /// per-member counters, so the batch result is bitwise identical at any
-    /// thread count and however the attempts were scheduled.
-    fn settle_phase(
-        &mut self,
-        phase_name: &str,
-        solver_name: &'static str,
-        members: &[usize],
-        attempts: Vec<Result<Solution, SolveFailure>>,
-        reroutable: bool,
-    ) -> Vec<usize> {
-        if members.is_empty() {
-            return Vec::new();
-        }
-        let (job, logs) = (self.job, &mut self.logs);
-        let n = job.odes().n_species();
-        let mut failed = Vec::new();
-        let mut parent_work: Vec<ThreadWork> = Vec::with_capacity(members.len());
-        let mut phase_work = WorkEstimate::default();
-        let mut total_rounds: u64 = 0;
+    // Child grid: the per-round ODE work spread across species threads.
+    let child_tpb = n.clamp(1, 128);
+    let child_blocks = n.div_ceil(child_tpb).max(1);
+    let child_threads_total = (child_tpb * child_blocks * members.len()) as u64;
+    let rounds_avg = (total_rounds / members.len() as u64).max(1);
+    let per_thread_flops = phase_work.flops / child_threads_total.max(1) / rounds_avg.max(1);
+    let per_thread_bytes = (phase_work.state_bytes + phase_work.structure_bytes)
+        / child_threads_total.max(1)
+        / rounds_avg.max(1);
 
-        for (&i, result) in members.iter().zip(attempts) {
-            // Failed members are billed for the work they actually did
-            // before failing (SolveFailure carries the partial counters).
-            let stats = *attempt_stats(&result);
-            logs[i].attempts += 1;
-            logs[i].panicked |= is_contained_panic(&result);
-            let rounds = launch_rounds(&stats);
-            total_rounds += rounds;
-            parent_work.push(
-                ThreadWork::new()
-                    .with_flops(stats.steps as u64 * PARENT_FLOPS_PER_STEP)
-                    .with_syncs(stats.steps as u64),
-            );
-            phase_work.absorb(&WorkEstimate::from_stats(
-                job.odes(),
-                &stats,
-                job.time_points().len(),
-            ));
-
-            match result {
-                Err(f) if reroutable && is_reroutable(&f.error) => {
-                    logs[i].discarded_steps += stats.steps;
-                    failed.push(i);
-                }
-                settled => self.slots[i] = Some((settled, solver_name)),
-            }
-        }
-
-        // Parent grid: one thread per member (padded to full blocks).
-        let tpb = THREADS_PER_BLOCK;
-        let blocks = members.len().div_ceil(tpb);
-        let mut padded = parent_work;
-        padded.resize(blocks * tpb, ThreadWork::new());
-
-        // Child grid: the per-round ODE work spread across species threads.
-        let child_tpb = n.clamp(1, 128);
-        let child_blocks = n.div_ceil(child_tpb).max(1);
-        let child_threads_total = (child_tpb * child_blocks * members.len()) as u64;
-        let rounds_avg = (total_rounds / members.len() as u64).max(1);
-        let per_thread_flops = phase_work.flops / child_threads_total.max(1) / rounds_avg.max(1);
-        let per_thread_bytes = (phase_work.state_bytes + phase_work.structure_bytes)
-            / child_threads_total.max(1)
-            / rounds_avg.max(1);
-
-        let launch =
-            KernelLaunch::per_thread(format!("integrate::{phase_name}"), blocks, tpb, padded)
-                .with_registers(64)
-                .with_child(ChildLaunch {
-                    blocks: child_blocks,
-                    threads_per_block: child_tpb,
-                    // State and structure working sets are shared/reused across
-                    // the batch's concurrent child grids, so they live in the
-                    // L2-hot cached-global space; output writes stay DRAM-bound.
-                    work: ThreadWork::new()
-                        .with_flops(per_thread_flops.max(1))
-                        .with_read(MemorySpace::CachedGlobal, per_thread_bytes.max(1))
-                        .with_global_write(
-                            phase_work.output_bytes
-                                / child_threads_total.max(1)
-                                / rounds_avg.max(1),
-                        ),
-                    repeats: rounds_avg,
-                });
-        self.device.launch(&launch);
-        failed
-    }
-
-    /// The lane-batched P4: `members` integrate as lockstep RADAU5 lane
-    /// groups ([`Lockstep::Radau5`]) on one shared queue ([`solve_queue`])
-    /// instead of one scalar solve per stiff member. Stiff systems diverge
-    /// in step count, so the queue hands them out longest first — by the
-    /// triage's dominant eigenvalue, the cost proxy P2 already computed —
-    /// and the short ones fill in behind.
-    ///
-    /// Billing is a fold over the members in `members` order, one launch
-    /// per *modelled* group of `MEMBERS_PER_LANE·width` members: a parent
-    /// thread carries the whole lane group, and one child round per
-    /// lockstep tick serves all `L` lanes — the per-tick
-    /// dynamic-parallelism overhead is amortized `L`-fold, which is exactly
-    /// where the scalar P4 lost its budget on stiff-heavy batches. The
-    /// group's ticks and occupancy are what a lockstep group serving those
-    /// members in that order takes ([`LaneGroupStats::packed`] over their
-    /// Newton iterations), not what the host's groups happened to take, so
-    /// the modeled timeline is a function of the job and the width alone.
-    /// Results are bitwise identical to scalar [`Radau5`] per member.
-    fn run_p4_lanes(
-        &mut self,
-        members: &[usize],
-        width: usize,
-        classes: &[StiffnessClass],
-    ) -> Result<(), Cancelled> {
-        let (host, job) = (self.host, self.job);
-        let mut queue = members.to_vec();
-        queue.sort_by(|&a, &b| {
-            let (cost_a, cost_b) = (classes[a].dominant_eigenvalue, classes[b].dominant_eigenvalue);
-            cost_b.total_cmp(&cost_a).then(a.cmp(&b))
+    let launch = KernelLaunch::per_thread(format!("integrate::{phase_name}"), blocks, tpb, padded)
+        .with_registers(64)
+        .with_child(ChildLaunch {
+            blocks: child_blocks,
+            threads_per_block: child_tpb,
+            // State and structure working sets are shared/reused across
+            // the batch's concurrent child grids, so they live in the
+            // L2-hot cached-global space; output writes stay DRAM-bound.
+            work: ThreadWork::new()
+                .with_flops(per_thread_flops.max(1))
+                .with_read(MemorySpace::CachedGlobal, per_thread_bytes.max(1))
+                .with_global_write(
+                    phase_work.output_bytes / child_threads_total.max(1) / rounds_avg.max(1),
+                ),
+            repeats: rounds_avg,
         });
-        let attempts = solve_queue(
-            &host.executor,
-            &host.cancel,
-            Lockstep::Radau5,
-            &queue,
-            width,
-            |width| job.lane_system(width),
-            job.time_points(),
-            &host.recovery.base_options(job),
-        )?;
-        for (&i, attempt) in queue.iter().zip(attempts) {
-            self.logs[i].attempts += 1;
-            self.logs[i].panicked |= is_contained_panic(&attempt);
-            self.slots[i] = Some((attempt, "radau5-lanes"));
-        }
-
-        // Parent grid: one thread for the lane-group; child grid: species ×
-        // lanes threads, one round per lockstep tick, flops inflated by the
-        // divergence factor (masked lanes burn issue slots).
-        let tpb = THREADS_PER_BLOCK;
-        let child_threads = (job.odes().n_species() * width).max(1);
-        let child_tpb = child_threads.clamp(1, 128);
-        let child_blocks = child_threads.div_ceil(child_tpb).max(1);
-        let child_threads_total = (child_tpb * child_blocks) as u64;
-
-        let stats = |i: &usize| {
-            let (attempt, _) = self.slots[*i].as_ref().expect("settled above");
-            attempt_stats(attempt)
-        };
-        for group in members.chunks(MEMBERS_PER_LANE * width) {
-            let lane_stats = group_stats(group.iter().map(stats));
-            let phase_work =
-                WorkEstimate::from_stats(job.odes(), &lane_stats, job.time_points().len());
-            let report = LaneGroupStats::packed(
-                width,
-                group.iter().map(|i| stats(i).nonlinear_iters as u64),
-            );
-            let divergence = report.divergence_factor();
-            let parent = ThreadWork::new()
-                .with_flops(report.lockstep_iters * PARENT_FLOPS_PER_STEP)
-                .with_syncs(report.lockstep_iters);
-            let rounds = report.lockstep_iters.max(1);
-            let flops = ((phase_work.flops as f64 * divergence) as u64).max(1);
-            let launch = KernelLaunch::uniform("integrate::p4_radau_lanes", 1, tpb, parent)
-                .with_registers(64)
-                .with_child(ChildLaunch {
-                    blocks: child_blocks,
-                    threads_per_block: child_tpb,
-                    work: ThreadWork::new()
-                        .with_flops((flops / child_threads_total / rounds).max(1))
-                        .with_read(
-                            MemorySpace::CachedGlobal,
-                            ((phase_work.state_bytes + phase_work.structure_bytes)
-                                / child_threads_total
-                                / rounds)
-                                .max(1),
-                        )
-                        .with_global_write(phase_work.output_bytes / child_threads_total / rounds),
-                    repeats: rounds,
-                });
-            self.device.launch(&launch);
-        }
-        Ok(())
-    }
+    device.launch(&launch);
 }
 
-/// Whether an attempt ended in a contained panic.
-fn is_contained_panic(result: &Result<Solution, SolveFailure>) -> bool {
-    matches!(result, Err(SolveFailure { error: SolverError::Internal { .. }, .. }))
+/// Bills the lane-batched P4 over `members` (its lane-run members, in
+/// member-list order), one launch per *modelled* group of
+/// `MEMBERS_PER_LANE·width` members: a parent thread carries the whole lane
+/// group, and one child round per lockstep tick serves all `L` lanes — the
+/// per-tick dynamic-parallelism overhead is amortized `L`-fold, which is
+/// exactly where the scalar P4 lost its budget on stiff-heavy batches. The
+/// group's ticks and occupancy are what a lockstep group serving those
+/// members in that order takes ([`LaneGroupStats::packed`] over their
+/// Newton iterations, from `stats` indexed by member), not what the host's
+/// groups happened to take, so the modeled timeline is a function of the
+/// job and the width alone.
+fn bill_p4_lanes(
+    device: &Device,
+    job: &SimulationJob,
+    members: &[usize],
+    width: usize,
+    stats: &[StepStats],
+) {
+    // Parent grid: one thread for the lane-group; child grid: species ×
+    // lanes threads, one round per lockstep tick, flops inflated by the
+    // divergence factor (masked lanes burn issue slots).
+    let tpb = THREADS_PER_BLOCK;
+    let child_threads = (job.odes().n_species() * width).max(1);
+    let child_tpb = child_threads.clamp(1, 128);
+    let child_blocks = child_threads.div_ceil(child_tpb).max(1);
+    let child_threads_total = (child_tpb * child_blocks) as u64;
+
+    for group in members.chunks(MEMBERS_PER_LANE * width) {
+        let lane_stats = group_stats(group.iter().map(|&i| &stats[i]));
+        let phase_work = WorkEstimate::from_stats(job.odes(), &lane_stats, job.time_points().len());
+        let report =
+            LaneGroupStats::packed(width, group.iter().map(|&i| stats[i].nonlinear_iters as u64));
+        let divergence = report.divergence_factor();
+        let parent = ThreadWork::new()
+            .with_flops(report.lockstep_iters * PARENT_FLOPS_PER_STEP)
+            .with_syncs(report.lockstep_iters);
+        let rounds = report.lockstep_iters.max(1);
+        let flops = ((phase_work.flops as f64 * divergence) as u64).max(1);
+        let launch = KernelLaunch::uniform("integrate::p4_radau_lanes", 1, tpb, parent)
+            .with_registers(64)
+            .with_child(ChildLaunch {
+                blocks: child_blocks,
+                threads_per_block: child_tpb,
+                work: ThreadWork::new()
+                    .with_flops((flops / child_threads_total / rounds).max(1))
+                    .with_read(
+                        MemorySpace::CachedGlobal,
+                        ((phase_work.state_bytes + phase_work.structure_bytes)
+                            / child_threads_total
+                            / rounds)
+                            .max(1),
+                    )
+                    .with_global_write(phase_work.output_bytes / child_threads_total / rounds),
+                repeats: rounds,
+            });
+        device.launch(&launch);
+    }
 }
 
 /// How many child-grid launch rounds one simulation's integration issued:
@@ -408,17 +262,6 @@ fn is_contained_panic(result: &Result<Solution, SolveFailure>) -> bool {
 /// factorization, one per step-control round.
 fn launch_rounds(stats: &StepStats) -> u64 {
     (stats.rhs_evals + stats.linear_solves + stats.lu_decompositions + stats.steps).max(1) as u64
-}
-
-/// P3 failures that re-route to RADAU5 rather than being terminal.
-fn is_reroutable(e: &SolverError) -> bool {
-    matches!(
-        e,
-        SolverError::StiffnessDetected { .. }
-            | SolverError::MaxStepsExceeded { .. }
-            | SolverError::StepSizeUnderflow { .. }
-            | SolverError::NonlinearSolveFailed { .. }
-    )
 }
 
 impl Simulator for Engine<FineCoarse> {
@@ -455,81 +298,81 @@ impl Simulator for Engine<FineCoarse> {
                 .with_registers(64),
         );
 
-        // P3: DOPRI5 over non-stiff members; collect re-routes.
-        let slots = (0..batch).map(|_| None).collect();
-        let logs = vec![RecoveryLog::default(); batch];
-        let mut run = Phases { host, model, job, device, slots, logs };
-        let nonstiff: Vec<usize> = (0..batch).filter(|&i| !classes[i].stiff).collect();
-        let stiff: Vec<usize> = (0..batch).filter(|&i| classes[i].stiff).collect();
-        let dopri5 = Dopri5::new();
-        let radau5 = Radau5::new();
-        let p3_attempts = run.solve_p3(&dopri5, &nonstiff)?;
-        let reroute = host.recovery.reroute;
-        let rerouted =
-            run.settle_phase("p3_dopri5", dopri5.name(), &nonstiff, p3_attempts, reroute);
+        // Every member's latest attempt, as the ladder will continue from
+        // it, and that attempt's counters, for the phase bills.
+        let mut billed: Vec<Option<Billed>> = (0..batch).map(|_| None).collect();
+        let mut stats = vec![StepStats::default(); batch];
+        let clean = |i: usize| job.fault_plan().faults_for(i).is_none();
 
-        // P4: RADAU5 over stiff + re-routed members.
-        let mut p4_members = stiff;
-        p4_members.extend(rerouted.iter().copied());
-        for &i in &rerouted {
-            run.logs[i].rerouted = true;
-        }
-        // Mass-action batches with two or more clean stiff members run P4
-        // as lockstep RADAU5 lane-groups; fault-planned members stay on the
-        // scalar path so an injected panic (and its per-call fault
-        // ordinals) cannot touch a whole group. The width comes from the
-        // same per-model resolver as the fine engine's lane path.
-        let (p4_lane, p4_scalar): (Vec<usize>, Vec<usize>) =
-            p4_members.iter().copied().partition(|&i| job.fault_plan().faults_for(i).is_none());
-        let p4_width = crate::lanes::resolve_lane_width(model.lane_width, job, true);
-        let p4_scalar = if p4_width > 1 && p4_lane.len() >= 2 {
-            run.run_p4_lanes(&p4_lane, p4_width, &classes)?;
-            p4_scalar
-        } else {
-            p4_members
-        };
-        let p4_attempts = run.solve_scalar(&radau5, &p4_scalar)?;
-        run.settle_phase("p4_radau5", radau5.name(), &p4_scalar, p4_attempts, false);
-        let Phases { device, mut slots, mut logs, .. } = run;
-
-        // Relaxation pass: members still failing after P4 climb the
-        // tolerance-relaxation rungs of the ladder on the solver that last
-        // ran them, on the workers and under the token. Their P3/P4 work is
-        // already billed above, so only genuine retries bill launch rounds,
-        // in member order on this thread.
-        if host.recovery.max_relaxations > 0 {
-            let failed: Vec<usize> =
-                (0..batch).filter(|&i| matches!(slots[i], Some((Err(_), _)))).collect();
-            let firsts = failed.iter().map(|&i| (i, slots[i].take())).collect();
-            let ladder = |i: usize| {
-                let on_radau = classes[i].stiff || logs[i].rerouted;
-                let retry: (&dyn OdeSolver, &'static str) =
-                    if on_radau { (&radau5, "radau5") } else { (&dopri5, "dopri5") };
-                Ladder { retry, fallback: None, reroutable: |_| false }
-            };
-            let retried = solve_members_recovered(host, job, firsts, ladder)?;
-            for (&i, rs) in failed.iter().zip(retried) {
-                if rs.log.attempts > 1 {
-                    device.record_host_phase(
-                        "integrate::relax_retries",
-                        launch_rounds(&rs.stats) as f64 * model.device_config.kernel_launch_ns,
-                    );
-                }
-                logs[i].attempts += rs.log.attempts - 1;
-                logs[i].relaxations += rs.log.relaxations;
-                logs[i].panicked |= rs.log.panicked;
-                logs[i].discarded_steps += rs.log.discarded_steps;
-                slots[i] = Some((rs.solution.map_err(SolveFailure::from), rs.solver));
+        // P3: DOPRI5 over the non-stiff members; the failures the policy
+        // re-routes are handed over to P4.
+        let (stiff, nonstiff): (Vec<usize>, Vec<usize>) =
+            (0..batch).partition(|&i| classes[i].stiff);
+        let clean_nonstiff = nonstiff.iter().filter(|&&i| clean(i)).count();
+        let workers = host.executor.threads();
+        let p3_width = explicit_lane_width(model.lane_width, job.odes(), clean_nonstiff, workers);
+        let p3 = first_attempts(host, job, Lockstep::Dopri5, &nonstiff, p3_width)?;
+        let mut handed_over = Vec::new();
+        for (&i, attempt) in nonstiff.iter().zip(p3) {
+            stats[i] = *attempt_stats(&attempt);
+            if matches!(&attempt, Err(f) if host.recovery.reroutes(&f.error)) {
+                handed_over.push(i);
             }
+            billed[i] = Some(Billed::first(attempt, "dopri5"));
         }
+        bill_phase(&device, job, "p3_dopri5", &nonstiff, &stats);
 
-        // Assemble outcomes.
+        // P4: RADAU5 over stiff + handed-over members, longest first by the
+        // triage eigenvalue. With two or more clean members they run as
+        // lockstep lane groups at the width the fine engine's resolver
+        // picks; fault-planned members stay scalar either way.
+        let mut p4 = stiff;
+        p4.extend(handed_over);
+        let p4_width = if p4.iter().filter(|&&i| clean(i)).count() >= 2 {
+            resolve_lane_width(model.lane_width, job, true)
+        } else {
+            1
+        };
+        let on_lanes = |i: usize| p4_width >= 2 && clean(i);
+        let mut queue = p4.clone();
+        queue.sort_by(|&a, &b| {
+            let (cost_a, cost_b) = (classes[a].dominant_eigenvalue, classes[b].dominant_eigenvalue);
+            cost_b.total_cmp(&cost_a).then(a.cmp(&b))
+        });
+        let p4_attempts = first_attempts(host, job, Lockstep::Radau5, &queue, p4_width)?;
+        for (&i, attempt) in queue.iter().zip(p4_attempts) {
+            stats[i] = *attempt_stats(&attempt);
+            let solver = if on_lanes(i) { "radau5-lanes" } else { "radau5" };
+            billed[i] = Some(match billed[i].take() {
+                Some(p3) => p3.rerouted_to(attempt, solver),
+                None => Billed::first(attempt, solver),
+            });
+        }
+        let (lanes, scalar): (Vec<usize>, Vec<usize>) = p4.iter().partition(|&&i| on_lanes(i));
+        if p4_width >= 2 {
+            bill_p4_lanes(&device, job, &lanes, p4_width, &stats);
+        }
+        bill_phase(&device, job, "p4_radau5", &scalar, &stats);
+
+        // Every member continues its ladder from there: a member still
+        // failing climbs the relaxation rungs on the solver that last ran
+        // it. Its P3/P4 work is billed above, so only genuine retries bill
+        // launch rounds, in member order on this thread.
+        let (dopri5, radau5) = (Dopri5::new(), Radau5::new());
+        let implicit = Ladder { retry: (&radau5, "radau5"), fallback: None };
+        let explicit = Ladder { retry: (&dopri5, "dopri5"), fallback: Some((&radau5, "radau5")) };
+        let ladder = |i: usize| if classes[i].stiff { implicit } else { explicit };
+        let members = billed.into_iter().enumerate().collect();
+        let results = solve_members_recovered(host, job, members, ladder)?;
         let mut settled = Settled::default();
-        for (i, slot) in slots.into_iter().enumerate() {
-            let (solution, solver) = slot.expect("every member handled by P3 or P4");
-            let solution = solution.map_err(|failure| failure.error);
-            logs[i].recovered = solution.is_ok() && logs[i].attempts > 1;
-            settled.settle(solution, classes[i].stiff, solver, logs[i]);
+        for (rs, class) in results.into_iter().zip(&classes) {
+            if rs.log.relaxations > 0 {
+                device.record_host_phase(
+                    "integrate::relax_retries",
+                    launch_rounds(&rs.stats) as f64 * model.device_config.kernel_launch_ns,
+                );
+            }
+            settled.settle(rs.solution, class.stiff, rs.solver, rs.log);
         }
 
         // P5: device→host transfer plus output writing.
@@ -598,7 +441,7 @@ mod tests {
 
     #[test]
     fn stiff_crowds_run_p4_in_lockstep_lanes() {
-        use paraspace_solvers::SolverScratch;
+        use paraspace_solvers::{OdeSolver, SolverScratch};
         let m = reversible_model();
         let mut b = SimulationJob::builder(&m).time_points(vec![0.5, 1.0]);
         for i in 0..5 {

@@ -177,53 +177,70 @@ pub struct FailureCounts {
     pub other: usize,
 }
 
+/// The failure taxonomy's labels, in [`FailureCounts`] field order and
+/// indexed by [`taxonomy_index`].
+const TAXONOMY: [&str; 10] = [
+    "max-steps",
+    "underflow",
+    "nonlinear",
+    "singular",
+    "non-finite",
+    "stiff",
+    "budget",
+    "invalid",
+    "internal",
+    "other",
+];
+
+/// Where a [`SolverError`] sits in [`TAXONOMY`].
+fn taxonomy_index(e: &SolverError) -> usize {
+    match e {
+        SolverError::MaxStepsExceeded { .. } => 0,
+        SolverError::StepSizeUnderflow { .. } => 1,
+        SolverError::NonlinearSolveFailed { .. } => 2,
+        SolverError::SingularIterationMatrix { .. } => 3,
+        SolverError::NonFiniteState { .. } => 4,
+        SolverError::StiffnessDetected { .. } => 5,
+        SolverError::StepBudgetExhausted { .. } => 6,
+        SolverError::InvalidInput { .. } => 7,
+        SolverError::Internal { .. } => 8,
+        _ => 9,
+    }
+}
+
 /// The short taxonomy label used for a [`SolverError`] in health lines,
 /// failure tallies, and CLI `.err` post-mortems — the same vocabulary
 /// [`BatchHealth`]'s `Display` prints, so logs and aggregates correlate.
 #[must_use]
 pub fn taxonomy(e: &SolverError) -> &'static str {
-    match e {
-        SolverError::MaxStepsExceeded { .. } => "max-steps",
-        SolverError::StepSizeUnderflow { .. } => "underflow",
-        SolverError::NonlinearSolveFailed { .. } => "nonlinear",
-        SolverError::SingularIterationMatrix { .. } => "singular",
-        SolverError::NonFiniteState { .. } => "non-finite",
-        SolverError::StiffnessDetected { .. } => "stiff",
-        SolverError::StepBudgetExhausted { .. } => "budget",
-        SolverError::InvalidInput { .. } => "invalid",
-        SolverError::Internal { .. } => "internal",
-        _ => "other",
-    }
+    TAXONOMY[taxonomy_index(e)]
 }
 
 impl FailureCounts {
+    /// The counters, in [`TAXONOMY`] order.
+    fn counters(&mut self) -> [&mut usize; 10] {
+        [
+            &mut self.max_steps_exceeded,
+            &mut self.step_size_underflow,
+            &mut self.nonlinear_solve_failed,
+            &mut self.singular_iteration_matrix,
+            &mut self.non_finite_state,
+            &mut self.stiffness_detected,
+            &mut self.step_budget_exhausted,
+            &mut self.invalid_input,
+            &mut self.internal,
+            &mut self.other,
+        ]
+    }
+
     fn record(&mut self, e: &SolverError) {
-        match e {
-            SolverError::MaxStepsExceeded { .. } => self.max_steps_exceeded += 1,
-            SolverError::StepSizeUnderflow { .. } => self.step_size_underflow += 1,
-            SolverError::NonlinearSolveFailed { .. } => self.nonlinear_solve_failed += 1,
-            SolverError::SingularIterationMatrix { .. } => self.singular_iteration_matrix += 1,
-            SolverError::NonFiniteState { .. } => self.non_finite_state += 1,
-            SolverError::StiffnessDetected { .. } => self.stiffness_detected += 1,
-            SolverError::StepBudgetExhausted { .. } => self.step_budget_exhausted += 1,
-            SolverError::InvalidInput { .. } => self.invalid_input += 1,
-            SolverError::Internal { .. } => self.internal += 1,
-            _ => self.other += 1,
-        }
+        *self.counters()[taxonomy_index(e)] += 1;
     }
 
     /// Total failed members.
     pub fn total(&self) -> usize {
-        self.max_steps_exceeded
-            + self.step_size_underflow
-            + self.nonlinear_solve_failed
-            + self.singular_iteration_matrix
-            + self.non_finite_state
-            + self.stiffness_detected
-            + self.step_budget_exhausted
-            + self.invalid_input
-            + self.internal
-            + self.other
+        let mut counts = *self;
+        counts.counters().into_iter().map(|count| *count).sum()
     }
 }
 
@@ -286,26 +303,14 @@ impl BatchHealth {
 impl fmt::Display for BatchHealth {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}/{} ok", self.succeeded, self.members)?;
-        let fc = &self.failed;
-        if fc.total() > 0 {
-            let mut parts = Vec::new();
-            for (count, label) in [
-                (fc.max_steps_exceeded, "max-steps"),
-                (fc.step_size_underflow, "underflow"),
-                (fc.nonlinear_solve_failed, "nonlinear"),
-                (fc.singular_iteration_matrix, "singular"),
-                (fc.non_finite_state, "non-finite"),
-                (fc.stiffness_detected, "stiff"),
-                (fc.step_budget_exhausted, "budget"),
-                (fc.invalid_input, "invalid"),
-                (fc.internal, "internal"),
-                (fc.other, "other"),
-            ] {
-                if count > 0 {
-                    parts.push(format!("{count} {label}"));
-                }
-            }
-            write!(f, ", {} failed ({})", fc.total(), parts.join(", "))?;
+        let failed = self.failed.total();
+        if failed > 0 {
+            let mut counts = self.failed;
+            let parts: Vec<String> = (counts.counters().into_iter().zip(TAXONOMY))
+                .filter(|(count, _)| **count > 0)
+                .map(|(count, label)| format!("{count} {label}"))
+                .collect();
+            write!(f, ", {failed} failed ({})", parts.join(", "))?;
         }
         if self.retries_attempted > 0 {
             write!(f, "; retries {}/{} recovered", self.retries_succeeded, self.retries_attempted)?;

@@ -30,12 +30,16 @@
 //! # Scheduling
 //!
 //! Every lockstep phase in the crate — the fine-coarse engine's P3 and P4,
-//! the fine engine's explicit and stiff classes — runs on [`solve_queue`],
+//! the fine engine's explicit and stiff classes — is one
+//! [`first_attempts`] call: its fault-free members run on [`solve_queue`],
 //! the ODE instance of the workspace's one lane scheduler,
-//! [`Executor::drain_queue`] (the tau-leaping ensemble is the other): one
-//! lane group per executor worker, every group refilling its free lanes
-//! from one shared member cursor, so no worker idles while another still
-//! has members waiting. Independent stiff systems integrated side by side
+//! [`Executor::drain_queue`] (the tau-leaping ensemble is the other), and
+//! its fault-planned members as contained scalar attempts beside them. On
+//! the queue there is one lane group per executor worker, every group
+//! refilling its free lanes from one shared member cursor, so no worker
+//! idles while another still has members waiting. The engines bill those
+//! attempts and continue each member's recovery ladder from them
+//! (`recovery::Billed`). Independent stiff systems integrated side by side
 //! diverge in step count (on the autophagy PSA grid a fifth of the
 //! re-routed members need 3–5× the Radau steps of the rest), which is why
 //! the fine-coarse engine orders its stiff phase's queue longest first by
@@ -54,12 +58,14 @@
 //! override.
 
 use crate::cost::COMPLEX_LU_AVG_FACTOR;
-use crate::SimulationJob;
+use crate::recovery::contained_attempt;
+use crate::{Host, SimulationJob};
 use paraspace_exec::{CancelToken, Cancelled, Executor};
 use paraspace_linalg::LuFactor;
 use paraspace_rbm::CompiledOdes;
 use paraspace_solvers::{
-    BatchOdeSystem, Dopri5Batch, Radau5Batch, Solution, SolveFailure, SolverOptions, SolverScratch,
+    BatchOdeSystem, Dopri5, Dopri5Batch, OdeSolver, Radau5, Radau5Batch, Solution, SolveFailure,
+    SolverOptions, SolverScratch,
 };
 
 /// Widest lane-group the engines schedule.
@@ -147,6 +153,59 @@ pub(crate) fn solve_queue<S: BatchOdeSystem>(
         };
         settled
     })
+}
+
+/// The first attempts of one lockstep class's `members` at `width`,
+/// **in list order**, under the options every first attempt runs under
+/// (`RecoveryPolicy::base_options`). Fault-free members integrate on
+/// [`solve_queue`] — list the expensive ones first — when `width ≥ 2`;
+/// fault-planned members, and every member at width 1, make contained
+/// scalar attempts on `kernel`'s scalar twin ([`Dopri5`] / [`Radau5`]) on
+/// the host's workers, so an injected panic (and its per-call fault
+/// ordinals) never touches a group. Each attempt is bitwise the contained
+/// scalar one either way.
+pub(crate) fn first_attempts(
+    host: &Host,
+    job: &SimulationJob,
+    kernel: Lockstep,
+    members: &[usize],
+    width: usize,
+) -> Result<Vec<Attempt>, Cancelled> {
+    let on_lanes = |i: &usize| width >= 2 && job.fault_plan().faults_for(*i).is_none();
+    let (lanes, scalar): (Vec<usize>, Vec<usize>) = members.iter().partition(|i| on_lanes(i));
+    let options = host.recovery.base_options(job);
+    let (dopri5, radau5) = (Dopri5::new(), Radau5::new());
+    let twin: &dyn OdeSolver = match kernel {
+        Lockstep::Dopri5 => &dopri5,
+        Lockstep::Radau5 => &radau5,
+    };
+    let (executor, cancel) = (&host.executor, &host.cancel);
+    let mut lane_attempts = solve_queue(
+        executor,
+        cancel,
+        kernel,
+        &lanes,
+        width,
+        |width| job.lane_system(width),
+        job.time_points(),
+        &options,
+    )?
+    .into_iter();
+    let scalar_attempts = executor.try_map_with_cancel(
+        scalar.len(),
+        cancel,
+        SolverScratch::new,
+        |scratch, idx| contained_attempt(job, scalar[idx], twin, &options, scratch),
+    )?;
+    // contained_attempt already catches member panics, so an
+    // executor-level fault is a bug in the attempt plumbing itself.
+    let mut scalar_attempts =
+        scalar_attempts.into_iter().map(|a| a.unwrap_or_else(|fault| panic!("{fault}")));
+    Ok(members
+        .iter()
+        .map(|i| if on_lanes(i) { lane_attempts.next() } else { scalar_attempts.next() })
+        .map(|attempt| attempt.expect("one attempt per member"))
+        .collect())
 }
 
 /// Cache budget for one lane-group's live factor values (real + complex),
@@ -467,6 +526,49 @@ mod tests {
         }
         let job = builder.build().unwrap();
         assert_cancels_mid_phase_without_refilling(&job, Lockstep::Radau5);
+    }
+
+    #[test]
+    fn first_attempts_are_the_contained_scalar_ones_in_list_order() {
+        // Six members listed out of member order, member 2 fault-planned: a
+        // NaN its scalar attempt meets, and that a lane — which integrates
+        // the member's clean system — never could. At every width and
+        // worker count each attempt equals the contained scalar one.
+        use paraspace_rbm::Parameterization;
+        use paraspace_solvers::{FaultPlan, FaultSpec};
+        let mut m = ReactionBasedModel::new();
+        let a = m.add_species("A", 1.0);
+        let b = m.add_species("B", 0.2);
+        m.add_reaction(Reaction::mass_action(&[(a, 1)], &[(b, 1)], 0.9)).unwrap();
+        m.add_reaction(Reaction::mass_action(&[(b, 1)], &[(a, 1)], 0.4)).unwrap();
+        let mut builder = SimulationJob::builder(&m).time_points(vec![0.5, 1.0, 2.0]);
+        for i in 0..6 {
+            builder = builder.parameterization(
+                Parameterization::new().with_rate_constants(vec![0.5 + 0.3 * i as f64, 0.4]),
+            );
+        }
+        let plan = FaultPlan::new().with_fault(2, FaultSpec::nan_at_time(0.1));
+        let job = builder.fault_plan(plan).build().unwrap();
+        let members = [4, 2, 0, 5, 1, 3];
+        let (dopri5, radau5) = (Dopri5::new(), Radau5::new());
+        let mut scratch = SolverScratch::new();
+        for (kernel, twin) in
+            [(Lockstep::Dopri5, &dopri5 as &dyn OdeSolver), (Lockstep::Radau5, &radau5)]
+        {
+            let scalar: Vec<Attempt> = members
+                .iter()
+                .map(|&i| contained_attempt(&job, i, twin, job.options(), &mut scratch))
+                .collect();
+            assert!(scalar[1].is_err(), "{kernel:?}: the planned fault fires");
+            assert_eq!(scalar.iter().filter(|a| a.is_ok()).count(), 5, "{kernel:?}");
+            for width in [1, 2, 4] {
+                for threads in [1, 2] {
+                    let host = Host { executor: Executor::new(threads), ..Host::default() };
+                    let attempts = first_attempts(&host, &job, kernel, &members, width).unwrap();
+                    assert_eq!(attempts, scalar, "{kernel:?}, width {width}, {threads} threads");
+                }
+            }
+        }
     }
 
     #[test]

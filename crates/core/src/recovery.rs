@@ -9,8 +9,10 @@
 //!   per-member [`SolverError::Internal`] outcome instead of an abort;
 //! * failed members climb a configurable [`RecoveryPolicy`] ladder —
 //!   explicit→implicit reroute, then tolerance-relaxation retries with
-//!   step-budget escalation — generalizing the engines' historical
-//!   single stiffness reroute;
+//!   step-budget escalation — one ladder under all five engines; an engine
+//!   that runs the first rungs itself, as lockstep lanes or as the
+//!   fine+coarse P3 → P4 hand-over, bills them and hands the ladder that
+//!   billed history to continue from;
 //! * every attempt's work counters are absorbed into the member's stats,
 //!   so retries are billed on the engines' modeled timelines.
 //!
@@ -19,7 +21,7 @@
 //! batch containing retried members stays bitwise identical at any worker
 //! count.
 
-use crate::engines::{outcome_and_stats, solve_member_pooled_opts, Host};
+use crate::engines::{attempt_stats, outcome_and_stats, solve_member_pooled_opts, Host};
 use crate::SimulationJob;
 use paraspace_exec::{payload_message, Cancelled};
 use paraspace_solvers::{
@@ -91,6 +93,21 @@ impl RecoveryPolicy {
         }
         opts
     }
+
+    /// Whether a failed explicit attempt re-routes to the implicit
+    /// fallback: the policy reroutes and the failure is stiffness-shaped —
+    /// the detector fired, the step cap ran out or the step size
+    /// underflowed. The fine+coarse P3 → P4 hand-over and rung 1 of the
+    /// ladder both ask this.
+    pub(crate) fn reroutes(&self, e: &SolverError) -> bool {
+        self.reroute
+            && matches!(
+                e,
+                SolverError::StiffnessDetected { .. }
+                    | SolverError::MaxStepsExceeded { .. }
+                    | SolverError::StepSizeUnderflow { .. }
+            )
+    }
 }
 
 /// What the recovery ladder did for one member.
@@ -111,13 +128,26 @@ pub struct RecoveryLog {
     pub discarded_steps: usize,
 }
 
+impl RecoveryLog {
+    /// The log of a member's first attempt, before any rung.
+    const FIRST: RecoveryLog = RecoveryLog {
+        attempts: 1,
+        relaxations: 0,
+        rerouted: false,
+        recovered: false,
+        panicked: false,
+        discarded_steps: 0,
+    };
+}
+
 /// A member's final result after containment and recovery.
 #[derive(Debug)]
 pub struct RecoveredSolve {
     /// The final solution or error.
     pub solution: Result<Solution, SolverError>,
-    /// Work counters absorbed across **all** attempts, so engines bill
-    /// retries on their modeled timelines.
+    /// Work counters absorbed across **all** attempts the ladder made (a
+    /// [`Billed`] history is the caller's), so engines bill retries on
+    /// their modeled timelines.
     pub stats: StepStats,
     /// Name of the solver that produced the final result.
     pub solver: &'static str,
@@ -156,18 +186,49 @@ pub(crate) fn contained_attempt(
 
 /// The solvers one member's ladder climbs: `retry` makes the first attempt
 /// when the caller brings none and runs the relaxation rungs of a member
-/// that was not rerouted; `fallback` takes over a failure `reroutable`
-/// accepts (rung 1), and then the rungs after it.
+/// that was not rerouted; `fallback` takes over a failure the policy
+/// [`reroutes`](RecoveryPolicy::reroutes) (rung 1), and then the rungs
+/// after it.
 #[derive(Clone, Copy)]
 pub(crate) struct Ladder<'s> {
     pub(crate) retry: (&'s dyn OdeSolver, &'static str),
     pub(crate) fallback: Option<(&'s dyn OdeSolver, &'static str)>,
-    pub(crate) reroutable: fn(&SolverError) -> bool,
 }
 
-/// A first attempt the caller already ran — and billed, in a lane kernel
-/// or a phase launch — with the name of the solver that ran it.
-pub(crate) type Billed = (Result<Solution, SolveFailure>, &'static str);
+/// The latest attempt of a member whose first rungs the caller already ran
+/// — and billed, in a lane kernel or a phase launch — with the name of the
+/// solver that ran it and the log of those rungs.
+pub(crate) struct Billed {
+    attempt: Result<Solution, SolveFailure>,
+    solver: &'static str,
+    log: RecoveryLog,
+}
+
+impl Billed {
+    /// A member's first attempt, run by `solver`.
+    pub(crate) fn first(attempt: Result<Solution, SolveFailure>, solver: &'static str) -> Self {
+        Billed { attempt, solver, log: RecoveryLog::FIRST }
+    }
+
+    /// Rung 1, run by the caller: this attempt failed in a way the policy
+    /// [`reroutes`](RecoveryPolicy::reroutes) — never a contained panic —
+    /// and `attempt` is the member's re-routed one, on `solver`. This
+    /// attempt's steps are discarded.
+    pub(crate) fn rerouted_to(
+        self,
+        attempt: Result<Solution, SolveFailure>,
+        solver: &'static str,
+    ) -> Self {
+        let discarded = attempt_stats(&self.attempt).steps;
+        let log = RecoveryLog {
+            attempts: self.log.attempts + 1,
+            rerouted: true,
+            discarded_steps: self.log.discarded_steps + discarded,
+            ..self.log
+        };
+        Billed { attempt, solver, log }
+    }
+}
 
 /// Runs the recovery ladder for `members` on the host's worker pool, under
 /// its policy, returning results **in `members` order**, or
@@ -180,21 +241,26 @@ pub(crate) type Billed = (Result<Solution, SolveFailure>, &'static str);
 /// the executor; `try_map_with_cancel` backstops the remainder (a panic in
 /// the ladder itself), converting an executor-level
 /// [`paraspace_exec::ItemPanic`] into an `Internal` outcome for that member
-/// instead of resuming the unwind.
+/// — its billed log kept — instead of resuming the unwind.
 pub(crate) fn solve_members_recovered<'s>(
     host: &Host,
     job: &SimulationJob,
     members: Vec<(usize, Option<Billed>)>,
     ladder: impl Fn(usize) -> Ladder<'s> + Sync,
 ) -> Result<Vec<RecoveredSolve>, Cancelled> {
-    // Each index is claimed by one worker, which takes its first attempt
-    // out of the slot exactly once.
-    let members: Vec<(usize, Mutex<Option<Billed>>)> =
-        members.into_iter().map(|(i, first)| (i, Mutex::new(first))).collect();
+    // Each index is claimed by one worker, which takes its billed attempt
+    // out of the slot exactly once; the billed log stays behind.
+    let members: Vec<(usize, RecoveryLog, Mutex<Option<Billed>>)> = members
+        .into_iter()
+        .map(|(i, billed)| {
+            let log = billed.as_ref().map_or(RecoveryLog::FIRST, |b| b.log);
+            (i, log, Mutex::new(billed))
+        })
+        .collect();
     let solve = |scratch: &mut SolverScratch, idx: usize| {
-        let (i, first) = &members[idx];
-        let first = first.lock().expect("no lock holder panics").take();
-        continue_ladder(job, *i, first, ladder(*i), &host.recovery, scratch)
+        let (i, _, billed) = &members[idx];
+        let billed = billed.lock().expect("no lock holder panics").take();
+        continue_ladder(job, *i, billed, ladder(*i), &host.recovery, scratch)
     };
     let results = host.executor.try_map_with_cancel(
         members.len(),
@@ -205,61 +271,60 @@ pub(crate) fn solve_members_recovered<'s>(
     Ok(results
         .into_iter()
         .zip(&members)
-        .map(|(r, (i, _))| {
+        .map(|(r, (i, log, _))| {
             r.unwrap_or_else(|fault| RecoveredSolve {
                 solution: Err(SolverError::Internal { message: fault.message }),
                 stats: StepStats::default(),
                 solver: ladder(*i).retry.1,
-                log: RecoveryLog { attempts: 1, panicked: true, ..RecoveryLog::default() },
+                log: RecoveryLog { panicked: true, ..*log },
             })
         })
         .collect())
 }
 
-/// The ladder of member `i` from its first attempt — `first`, whose stats
-/// the caller billed and which are therefore left out of the returned
-/// [`RecoveredSolve::stats`], or a contained one on `ladder.retry` made
-/// here, under `policy.base_options(job)` — then (per `policy`) one
-/// reroute to `ladder.fallback`, then tolerance-relaxation retries with
-/// step-budget escalation.
+/// The ladder of member `i` from its latest attempt — `billed`, whose
+/// stats and rungs the caller billed and which are therefore left out of
+/// the returned [`RecoveredSolve::stats`], or a contained first attempt on
+/// `ladder.retry` made here, under `policy.base_options(job)` — then (per
+/// `policy`, unless the member was already rerouted) one reroute to
+/// `ladder.fallback`, then tolerance-relaxation retries with step-budget
+/// escalation.
 fn continue_ladder(
     job: &SimulationJob,
     i: usize,
-    first: Option<Billed>,
+    billed: Option<Billed>,
     ladder: Ladder,
     policy: &RecoveryPolicy,
     scratch: &mut SolverScratch,
 ) -> RecoveredSolve {
     let mut opts = policy.base_options(job);
-    let mut log = RecoveryLog { attempts: 1, ..RecoveryLog::default() };
     let mut stats = StepStats::default();
-    let (first, first_billed, mut solver_name) = match first {
-        Some((attempt, name)) => (attempt, true, name),
-        None => (contained_attempt(job, i, ladder.retry.0, &opts, scratch), false, ladder.retry.1),
+    let (latest, mut log, mut solver_name) = match billed {
+        Some(Billed { attempt, solver, log }) => (attempt, log, solver),
+        None => {
+            let attempt = contained_attempt(job, i, ladder.retry.0, &opts, scratch);
+            stats.absorb(attempt_stats(&attempt));
+            (attempt, RecoveryLog::FIRST, ladder.retry.1)
+        }
     };
 
-    let (mut current, first_stats) = outcome_and_stats(first);
-    if !first_billed {
-        stats.absorb(&first_stats);
-    }
+    let (mut current, latest_stats) = outcome_and_stats(latest);
     log.panicked |= matches!(current, Err(SolverError::Internal { .. }));
     // Steps of the attempt `current` came from: discarded if it is retried.
-    let mut current_steps = first_stats.steps;
+    let mut current_steps = latest_stats.steps;
 
-    // Rung 1: the historical explicit → implicit reroute.
-    if policy.reroute {
-        if let (Err(e), Some((fb, fb_name))) = (&current, ladder.fallback) {
-            if (ladder.reroutable)(e) {
-                log.attempts += 1;
-                log.rerouted = true;
-                log.discarded_steps += current_steps;
-                solver_name = fb_name;
-                let (r, s) = outcome_and_stats(contained_attempt(job, i, fb, &opts, scratch));
-                stats.absorb(&s);
-                log.panicked |= matches!(r, Err(SolverError::Internal { .. }));
-                current = r;
-                current_steps = s.steps;
-            }
+    // Rung 1: the explicit → implicit reroute.
+    if let (Err(e), Some((fb, fb_name)), false) = (&current, ladder.fallback, log.rerouted) {
+        if policy.reroutes(e) {
+            log.attempts += 1;
+            log.rerouted = true;
+            log.discarded_steps += current_steps;
+            solver_name = fb_name;
+            let (r, s) = outcome_and_stats(contained_attempt(job, i, fb, &opts, scratch));
+            stats.absorb(&s);
+            log.panicked |= matches!(r, Err(SolverError::Internal { .. }));
+            current = r;
+            current_steps = s.steps;
         }
     }
 
@@ -302,7 +367,6 @@ fn continue_ladder(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engines::attempt_stats;
     use paraspace_exec::{CancelToken, Executor};
     use paraspace_rbm::{Reaction, ReactionBasedModel};
     use paraspace_solvers::{FaultPlan, FaultSpec, Lsoda, OdeSystem, Rkf45};
@@ -326,7 +390,7 @@ mod tests {
     ) -> Vec<RecoveredSolve> {
         let host = Host { recovery: policy, ..Host::default() };
         let members = (0..job.batch_size()).map(|i| (i, None)).collect();
-        let ladder = Ladder { retry: solver, fallback: None, reroutable: |_| false };
+        let ladder = Ladder { retry: solver, fallback: None };
         solve_members_recovered(&host, job, members, |_| ladder).unwrap()
     }
 
@@ -451,8 +515,11 @@ mod tests {
             recovery: RecoveryPolicy { max_relaxations: 1, ..RecoveryPolicy::default() },
             ..Host::default()
         };
-        let members = vec![(0, Some((ok, "lanes"))), (1, Some((Err(failed), "lanes")))];
-        let ladder = Ladder { retry: (&lsoda, "lsoda"), fallback: None, reroutable: |_| false };
+        let members = vec![
+            (0, Some(Billed::first(ok, "lanes"))),
+            (1, Some(Billed::first(Err(failed), "lanes"))),
+        ];
+        let ladder = Ladder { retry: (&lsoda, "lsoda"), fallback: None };
         let rs = solve_members_recovered(&host, &job, members, |_| ladder).unwrap();
         assert_eq!((rs[0].solver, rs[0].stats), ("lanes", StepStats::default()));
         assert_eq!(rs[0].solution.as_ref().unwrap().stats.steps, steps);
@@ -461,6 +528,42 @@ mod tests {
         assert!(rs[1].solution.is_ok() && rs[1].log.recovered);
         assert_eq!((rs[1].log.attempts, rs[1].log.discarded_steps), (2, 9));
         assert_eq!(rs[1].stats, rs[1].solution.as_ref().unwrap().stats);
+    }
+
+    #[test]
+    fn a_billed_reroute_skips_rung_one_and_relaxes_on_the_fallback() {
+        // The caller billed an explicit attempt, re-routed it, and billed
+        // the implicit attempt, which failed too: the ladder keeps that
+        // history, does not reroute again, and relaxes on the fallback.
+        let m = model();
+        let opts = SolverOptions { max_steps: 40, ..SolverOptions::default() };
+        let job = SimulationJob::builder(&m)
+            .time_points(vec![4.0])
+            .replicate(1)
+            .options(opts)
+            .build()
+            .unwrap();
+        let failed = |t, steps| SolveFailure {
+            error: SolverError::MaxStepsExceeded { t, max_steps: steps },
+            stats: StepStats { steps, ..StepStats::default() },
+        };
+        let billed =
+            Billed::first(Err(failed(0.5, 9)), "rkf45").rerouted_to(Err(failed(2.0, 40)), "lsoda");
+        let (rkf45, lsoda) = (Rkf45::new(), Lsoda::new());
+        let ladder = Ladder { retry: (&rkf45, "rkf45"), fallback: Some((&lsoda, "lsoda")) };
+        let host = Host {
+            recovery: RecoveryPolicy { max_relaxations: 3, ..RecoveryPolicy::default() },
+            ..Host::default()
+        };
+        let rs = solve_members_recovered(&host, &job, vec![(0, Some(billed))], |_| ladder)
+            .unwrap()
+            .remove(0);
+        let solution = rs.solution.as_ref().expect("relaxed LSODA recovers the member");
+        assert_eq!(rs.solver, "lsoda");
+        assert!(rs.log.rerouted && rs.log.recovered && rs.log.relaxations >= 1);
+        assert_eq!(rs.log.attempts, 2 + rs.log.relaxations, "rung 1 ran again");
+        // The billed 9 + 40 steps are discarded, not billed again.
+        assert_eq!(rs.stats.steps + 49, rs.log.discarded_steps + solution.stats.steps);
     }
 
     /// An [`OdeSolver`] that trips `cancel` on its first call and counts
@@ -510,9 +613,9 @@ mod tests {
                 error: SolverError::MaxStepsExceeded { t: 0.5, max_steps: 3 },
                 stats: StepStats::default(),
             };
-            let members = (0..6).map(|i| (i, Some((Err(failed()), "lanes")))).collect();
-            let ladder =
-                Ladder { retry: (&retry, "tripwire"), fallback: None, reroutable: |_| false };
+            let members =
+                (0..6).map(|i| (i, Some(Billed::first(Err(failed()), "lanes")))).collect();
+            let ladder = Ladder { retry: (&retry, "tripwire"), fallback: None };
             let outcome = solve_members_recovered(&host, &job, members, |_| ladder);
             assert!(matches!(outcome, Err(Cancelled)), "{workers} workers");
             if workers == 1 {

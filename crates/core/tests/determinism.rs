@@ -617,6 +617,24 @@ fn pinned_runs() -> Vec<Pinned> {
         &FineCoarseEngine::new().with_lane_width(1).with_recovery(policy),
         &faulted,
     );
+    // The same crowd on two workers; and with the reroute off, so a P3
+    // failure relaxes on DOPRI5 where it would have been handed over.
+    row(
+        "faulted, fine-coarse auto, 2 threads",
+        &FineCoarseEngine::new().with_recovery(policy).with_threads(2),
+        &faulted,
+    );
+    let no_reroute = RecoveryPolicy { reroute: false, ..policy };
+    row(
+        "faulted, fine-coarse auto, no reroute",
+        &FineCoarseEngine::new().with_recovery(no_reroute),
+        &faulted,
+    );
+    row(
+        "faulted, fine-coarse w1, no reroute",
+        &FineCoarseEngine::new().with_lane_width(1).with_recovery(no_reroute),
+        &faulted,
+    );
 
     // One job per `EngineKind` the selector can answer.
     let single = SimulationJob::builder(&m).time_points(vec![1.0]).replicate(1).build().unwrap();
@@ -642,7 +660,9 @@ fn pinned_runs() -> Vec<Pinned> {
 #[test]
 fn modelled_clocks_and_routing_are_pinned() {
     // Recorded at the commit before the engines were folded onto one host
-    // pipeline. A row that moves means a timeline event changed value or
+    // pipeline; the faulted fine-coarse rows at two threads and without the
+    // reroute, before fine-coarse continued its P3/P4 attempts through the
+    // shared recovery ladder. A row that moves means a timeline event changed value or
     // order, or a member changed route: re-record only for a change that
     // means to move the model (the failure prints the row as source).
     let row = |run, engine, clocks, health: &str, lanes, members: &str| Pinned {
@@ -673,6 +693,9 @@ fn modelled_clocks_and_routing_are_pinned() {
         row("faulted, fine w4", "fine", [0x417443f4d94d6535, 0x417443ebd94d6535, 0x4062000000000000], "0/12 ok, 12 failed (10 max-steps, 1 non-finite, 1 internal); retries 0/31 recovered; 9 rerouted; 22 relaxations; 3 lane evictions; 1 panics contained; 429 steps discarded", Some([2, 168, 126, 4]), "2x bdf1 r a4 x2 d42 lr, 1x dopri5 a3 x2 d23, 2x bdf1 r a4 x2 d42 lr, 1x dopri5 a1 x0 d0 P, 5x bdf1 r a4 x2 d42 lr, 1x radau5 S a3 x2 d28"),
         row("faulted, fine-coarse auto", "fine-coarse", [0x41781f268453594e, 0x41781c9f47711dc4, 0x40998b8000000000], "8/12 ok, 4 failed (2 max-steps, 1 non-finite, 1 internal); retries 8/31 recovered; 9 rerouted; 22 relaxations; 1 panics contained; 429 steps discarded", None, "1x radau5 r a4 x2 d42 lr R, 1x radau5 r a4 x2 d42 lr, 1x dopri5 a3 x2 d23, 2x radau5 r a4 x2 d42 lr R, 1x dopri5 a1 x0 d0 P, 5x radau5 r a4 x2 d42 lr R, 1x radau5 S a3 x2 d28"),
         row("faulted, fine-coarse w1", "fine-coarse", [0x4177cacce988ee24, 0x4177c845aca6b29b, 0x40998b8000000000], "8/12 ok, 4 failed (2 max-steps, 1 non-finite, 1 internal); retries 8/31 recovered; 9 rerouted; 22 relaxations; 1 panics contained; 429 steps discarded", None, "1x radau5 r a4 x2 d42 lr R, 1x radau5 r a4 x2 d42 lr, 1x dopri5 a3 x2 d23, 2x radau5 r a4 x2 d42 lr R, 1x dopri5 a1 x0 d0 P, 5x radau5 r a4 x2 d42 lr R, 1x radau5 S a3 x2 d28"),
+        row("faulted, fine-coarse auto, 2 threads", "fine-coarse", [0x41781f268453594e, 0x41781c9f47711dc4, 0x40998b8000000000], "8/12 ok, 4 failed (2 max-steps, 1 non-finite, 1 internal); retries 8/31 recovered; 9 rerouted; 22 relaxations; 1 panics contained; 429 steps discarded", None, "1x radau5 r a4 x2 d42 lr R, 1x radau5 r a4 x2 d42 lr, 1x dopri5 a3 x2 d23, 2x radau5 r a4 x2 d42 lr R, 1x dopri5 a1 x0 d0 P, 5x radau5 r a4 x2 d42 lr R, 1x radau5 S a3 x2 d28"),
+        row("faulted, fine-coarse auto, no reroute", "fine-coarse", [0x4164f8d622ca6b2a, 0x4164f3af7d05f418, 0x409c910000000000], "9/12 ok, 3 failed (1 max-steps, 1 non-finite, 1 internal); retries 9/13 recovered; 13 relaxations; 1 panics contained; 177 steps discarded", None, "2x dopri5 a2 x1 d14 R, 1x dopri5 a3 x2 d23, 2x dopri5 a2 x1 d14 R, 1x dopri5 a1 x0 d0 P, 5x dopri5 a2 x1 d14 R, 1x radau5 S a3 x2 d28"),
+        row("faulted, fine-coarse w1, no reroute", "fine-coarse", [0x4164f8d622ca6b2a, 0x4164f3af7d05f418, 0x409c910000000000], "9/12 ok, 3 failed (1 max-steps, 1 non-finite, 1 internal); retries 9/13 recovered; 13 relaxations; 1 panics contained; 177 steps discarded", None, "2x dopri5 a2 x1 d14 R, 1x dopri5 a3 x2 d23, 2x dopri5 a2 x1 d14 R, 1x dopri5 a1 x0 d0 P, 5x dopri5 a2 x1 d14 R, 1x radau5 S a3 x2 d28"),
         row("auto → cpu", "lsoda-cpu", [0x40e3d64444444444, 0x40e3cac444444444, 0x4057000000000000], "1/1 ok", None, "1x lsoda a1 x0 d0"),
         row("auto → coarse", "coarse", [0x41117f195c47711e, 0x411132d1dc47711e, 0x40b311e000000000], "12/12 ok", None, "12x lsoda a1 x0 d0"),
         row("auto → fine-coarse", "fine-coarse", [0x413980581c47711e, 0x413870b8ee23b88f, 0x40edb1c800000000], "300/300 ok", None, "300x dopri5 a1 x0 d0"),
