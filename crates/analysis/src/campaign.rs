@@ -106,6 +106,10 @@ pub enum CampaignError {
     Stochastic(paraspace_stochastic::StochasticError),
     /// The checkpoint could not be read, written, or matched.
     Journal(JournalError),
+    /// A dispatch worker's lease store failed for a reason other than
+    /// checkpoint I/O — a networked worker lost its coordinator, or the
+    /// coordinator refused it.
+    Store(Box<dyn std::error::Error + Send + Sync>),
     /// The cancellation token tripped; completed shards are committed and
     /// a later run with the same checkpoint resumes exactly.
     Interrupted {
@@ -125,6 +129,7 @@ impl fmt::Display for CampaignError {
             CampaignError::Sim(e) => write!(f, "campaign failed: {e}"),
             CampaignError::Stochastic(e) => write!(f, "ensemble campaign failed: {e}"),
             CampaignError::Journal(e) => write!(f, "campaign checkpoint: {e}"),
+            CampaignError::Store(e) => write!(f, "lease store: {e}"),
             CampaignError::Interrupted { completed, shards, checkpoint_dir } => {
                 write!(
                     f,
@@ -143,6 +148,7 @@ impl std::error::Error for CampaignError {
             CampaignError::Sim(e) => Some(e),
             CampaignError::Stochastic(e) => Some(e),
             CampaignError::Journal(e) => Some(e),
+            CampaignError::Store(e) => Some(e.as_ref()),
             CampaignError::Interrupted { .. } => None,
         }
     }

@@ -37,29 +37,33 @@
 //! count, crashes, or reassignment order — the durability suite proves
 //! this across workers × threads with chaos injection.
 //!
-//! **Transport-generic.** The coordinator loop never asks *how* a worker
-//! reached the lease directory: local threads, `worker <ckpt>` processes
-//! on a shared filesystem, and networked `worker --connect ADDR` processes
-//! (whose RPCs the `paraspace-transport` server translates into the same
-//! file operations) all look identical to [`coordinate`]. When a transport
-//! knows *why* a worker vanished it records a `leases/blame_<worker>` note;
-//! the expiry scan ledgers that taxonomy as the death reason instead of
-//! the generic `heartbeat-expired`, so quarantine records distinguish
-//! "connection lost" from "solver diverged" without this crate depending
-//! on any transport.
+//! **Transport-generic.** [`worker_loop`] is the only claim → execute →
+//! append → complete loop, generic over a [`LeaseStore`]: a
+//! [`FileStore`] for threads and `worker <ckpt>` processes sharing the
+//! checkpoint directory, the transport crate's `WorkerClient` for
+//! `worker --connect ADDR` processes (whose RPCs the transport server
+//! translates into the same file operations). The coordinator loop never
+//! asks how a worker reached the lease directory: every store looks
+//! identical to [`coordinate`]. When a worker or a transport knows *why*
+//! a lease went silent — an execution error, a lost connection — it
+//! records a `leases/blame_<worker>` note; the expiry scan ledgers that
+//! taxonomy as the death reason instead of the generic
+//! `heartbeat-expired`, so quarantine records distinguish "connection
+//! lost" from "solver diverged" without this crate depending on any
+//! transport.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
-use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Mutex};
 use std::time::Duration;
 
-use paraspace_core::{classify_batch, CancelToken, SimError, SimulationJob};
+use paraspace_core::{classify_batch, CancelToken, SimulationJob};
 use paraspace_journal::lease::{
-    now_ms, Lease, LeaseConfig, LeaseDir, RetryLedger, RetryState, Segment, SegmentReader,
+    now_ms, Claim, FileStore, Lease, LeaseConfig, LeaseDir, LeaseStore, RetryLedger, RetryState,
+    SegmentReader,
 };
-use paraspace_journal::{CampaignManifest, Journal, LOG_FILE};
+use paraspace_journal::{record, CampaignManifest, Journal, JournalError};
 
 use crate::campaign::{CampaignError, Checkpoint};
 
@@ -112,14 +116,13 @@ pub struct WorkerChaos {
 /// What one worker loop did before exiting.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerReport {
-    /// The worker id.
-    pub worker: String,
     /// Shards this worker executed and appended to its segment.
     pub executed: u64,
-    /// Shards whose lease was lost before completion (expired under us —
-    /// the record still merges from our segment, first wins).
+    /// Shards whose lease was lost before completion: a heartbeat answer
+    /// drained the shard, or completion found the lease reassigned (the
+    /// appended record still merges, first wins).
     pub lost_leases: u64,
-    /// The worker died by chaos injection or lost its own heartbeat.
+    /// The worker died by chaos injection.
     pub died: bool,
     /// The external cancellation token tripped.
     pub cancelled: bool,
@@ -387,115 +390,95 @@ where
     }
 }
 
-/// One worker's claim-execute-commit loop against a shared checkpoint
-/// directory. Runs until the campaign completes, the external token
-/// cancels, chaos kills it, or it loses its own heartbeat.
+/// One worker's claim → execute → append → complete loop over `store`.
+/// Runs until the campaign completes, the external token cancels, or
+/// chaos kills the worker.
 ///
-/// The worker self-claims the lowest eligible uncommitted shard with an
-/// atomic lease, executes it through `execute` (which receives a
-/// [`CancelToken`] whose **deadline** tracks the worker's own heartbeat —
-/// if heartbeats stop, in-flight work drains as cancelled instead of
-/// racing a coordinator that already presumed the worker dead), appends
-/// the checksummed record to its private segment, and renames the lease to
-/// a done marker. A worker that loses a lease mid-execution still appends
-/// — determinism makes the duplicate byte-identical, and the coordinator's
-/// first-wins merge keeps exactly one copy.
+/// Each claimed shard executes through `execute` under a token of its
+/// own. One heartbeat thread beats every TTL/4 and applies the one rule
+/// for a lost lease: the shard's token is cancelled only when a beat's
+/// answer says the lease is no longer this worker's, or when `external`
+/// trips — silence (a failed beat) never cancels. A drained shard counts
+/// as a lost lease and the worker claims on. A completed shard's record
+/// is appended and its lease completed; a lease lost by then costs only
+/// the wasted work, since determinism makes the copies byte-identical and
+/// the coordinator's merge keeps the first.
 ///
 /// # Errors
 ///
-/// [`CampaignError::Journal`] on lease/segment I/O, or any fatal error
-/// from `execute` (its lease is released first so the shard reassigns
-/// immediately).
-#[allow(clippy::too_many_lines)]
-pub fn worker_loop<E>(
-    checkpoint_dir: &Path,
-    worker: &str,
-    shards: u64,
+/// [`CampaignError::Journal`] or [`CampaignError::Store`] when the store
+/// fails, or any fatal error from `execute`. A failed shard's lease stays
+/// behind with a blame note carrying the error, so the coordinator
+/// ledgers the death with that reason once the lease expires.
+pub fn worker_loop<S, E>(
+    store: &S,
     config: &DispatchConfig,
     external: &CancelToken,
     chaos: &WorkerChaos,
     mut execute: E,
 ) -> Result<WorkerReport, CampaignError>
 where
+    S: LeaseStore,
     E: FnMut(u64, &CancelToken) -> Result<Vec<u8>, CampaignError>,
 {
-    let leases = LeaseDir::new(checkpoint_dir);
-    leases.ensure()?;
-    let (mut segment, _torn) = Segment::open(&leases, worker)?;
-    let mut committed: BTreeSet<u64> = BTreeSet::new();
-    let mut main_log = SegmentReader::new(checkpoint_dir.join(LOG_FILE));
-    let mut report = WorkerReport { worker: worker.to_string(), ..WorkerReport::default() };
-
-    // The worker's own token: shared deadline armed per-lease, extended by
-    // the heartbeat thread, plus a bridge from the external token.
-    let wtoken = CancelToken::new();
-    let stop = Arc::new(AtomicBool::new(false));
-    let suppressed = Arc::new(AtomicBool::new(false));
-    let beat_every = (config.lease.ttl_ms / 4).max(5);
-    // First beat before the heartbeat thread exists: both would write
-    // through the same `hb_<worker>.tmp`, and the loser's rename fails with
-    // a bare ENOENT. It also starts `last_alive` from a heartbeat even if
-    // the OS schedules the thread late.
-    leases.beat(worker, 0)?;
-    wtoken.extend_deadline_ms(now_ms() + config.lease.ttl_ms);
-    let heartbeat = {
-        let leases = leases.clone();
-        let worker = worker.to_string();
-        let stop = Arc::clone(&stop);
-        let suppressed = Arc::clone(&suppressed);
-        let wtoken = wtoken.clone();
-        let external = external.clone();
-        let ttl = config.lease.ttl_ms;
-        std::thread::spawn(move || {
+    // The lease being executed and its shard's token, shared with the
+    // heartbeat thread.
+    let held: &Mutex<Option<(Lease, CancelToken)>> = &Mutex::new(None);
+    let suppressed = &AtomicBool::new(false);
+    let beat_every = Duration::from_millis((config.lease.ttl_ms / 4).max(5));
+    store.beat(0, None).map_err(store_error)?;
+    let (stop, stopped) = mpsc::channel::<()>();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
             let mut counter = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                if external.is_cancelled() {
-                    wtoken.cancel();
-                }
-                if !suppressed.load(Ordering::Relaxed) {
+            // Dropping `stop` ends the wait at once, whatever the interval.
+            while let Err(mpsc::RecvTimeoutError::Timeout) = stopped.recv_timeout(beat_every) {
+                let current = held.lock().unwrap().clone();
+                let lease = current.as_ref().map(|(lease, _)| lease);
+                let lost = !suppressed.load(Ordering::Relaxed) && {
                     counter += 1;
-                    if leases.beat(&worker, counter).is_ok() {
-                        wtoken.extend_deadline_ms(now_ms() + ttl);
+                    matches!(store.beat(counter, lease), Ok(false))
+                };
+                if let Some((_, token)) = &current {
+                    if lost || external.is_cancelled() {
+                        token.cancel();
                     }
                 }
-                std::thread::sleep(Duration::from_millis(beat_every));
             }
-        })
-    };
-    // Whatever happens below, the heartbeat thread must not outlive us.
-    struct StopOnDrop(Arc<AtomicBool>);
-    impl Drop for StopOnDrop {
-        fn drop(&mut self) {
-            self.0.store(true, Ordering::Relaxed);
-        }
-    }
-    let _stop_guard = StopOnDrop(Arc::clone(&stop));
+        });
+        let report = claim_loop(store, config, external, chaos, held, suppressed, &mut execute);
+        drop(stop);
+        report
+    })
+}
 
+/// The body of [`worker_loop`] on the worker's own thread.
+fn claim_loop<S, E>(
+    store: &S,
+    config: &DispatchConfig,
+    external: &CancelToken,
+    chaos: &WorkerChaos,
+    held: &Mutex<Option<(Lease, CancelToken)>>,
+    suppressed: &AtomicBool,
+    execute: &mut E,
+) -> Result<WorkerReport, CampaignError>
+where
+    S: LeaseStore,
+    E: FnMut(u64, &CancelToken) -> Result<Vec<u8>, CampaignError>,
+{
+    let mut report = WorkerReport::default();
     let mut ordinal = 0u64;
-    let exit = 'outer: loop {
+    let exit = loop {
         if external.is_cancelled() {
             break WorkerExit::Cancelled;
         }
-        for (shard, _) in main_log.poll()? {
-            committed.insert(shard);
-        }
-        if committed.len() as u64 >= shards {
-            break WorkerExit::CampaignComplete;
-        }
-        // Claim the lowest eligible shard.
-        let mut lease: Option<Lease> = None;
-        for shard in 0..shards {
-            if committed.contains(&shard) || leases.is_claimed(shard) {
+        let lease = match store.claim().map_err(store_error)? {
+            Claim::Granted(lease) => lease,
+            Claim::Wait => {
+                std::thread::sleep(Duration::from_millis(config.poll_ms));
                 continue;
             }
-            if let Some(granted) = leases.try_claim(shard, worker)? {
-                lease = Some(granted);
-                break;
-            }
-        }
-        let Some(lease) = lease else {
-            std::thread::sleep(Duration::from_millis(config.poll_ms));
-            continue;
+            Claim::Complete => break WorkerExit::CampaignComplete,
         };
 
         // Chaos triggers count this worker's claims.
@@ -515,42 +498,42 @@ where
             break WorkerExit::Died;
         }
 
-        // Execute under the heartbeat-deadline token.
-        wtoken.extend_deadline_ms(lease.granted_at_ms + config.lease.ttl_ms);
-        let payload = match execute(lease.shard, &wtoken) {
-            Ok(p) => p,
-            Err(CampaignError::Sim(SimError::Cancelled)) => {
-                if external.is_cancelled() {
-                    // Clean shutdown: hand the shard back immediately.
-                    leases.release_if_owner(&lease)?;
-                    break 'outer WorkerExit::Cancelled;
-                }
-                // Our own heartbeat deadline expired: the coordinator
-                // already presumes us dead. Leave the lease for the death
-                // record and exit — claiming again would dodge the backoff.
-                break 'outer WorkerExit::Died;
+        let token = CancelToken::new();
+        *held.lock().unwrap() = Some((lease.clone(), token.clone()));
+        let outcome = execute(lease.shard, &token);
+        *held.lock().unwrap() = None;
+        let payload = match outcome {
+            Ok(payload) => payload,
+            Err(_) if external.is_cancelled() => {
+                // Clean shutdown: hand the shard back.
+                store.release(&lease).map_err(store_error)?;
+                break WorkerExit::Cancelled;
+            }
+            Err(_) if token.is_cancelled() => {
+                // A beat said the lease is someone else's now.
+                report.lost_leases += 1;
+                ordinal += 1;
+                continue;
             }
             Err(e) => {
-                leases.release_if_owner(&lease)?;
+                // Best effort: the error surfaces either way.
+                let _ = store.blame(&lease, &e.to_string());
                 return Err(e);
             }
         };
 
+        let framed = record::frame(lease.shard, &payload)?;
         if kill_now {
             // Torn-write kill: die mid-append, leaving a torn record and
             // the lease behind.
-            segment.append_torn(lease.shard, &payload, 13)?;
+            let _ = store.append(&framed[..TORN_CUT.min(framed.len() - 1)]);
             break WorkerExit::Died;
         }
-
-        segment.append(lease.shard, &payload)?;
-        if leases.complete(&lease)? {
-            report.executed += 1;
-        } else {
-            report.executed += 1;
+        store.append(&framed).map_err(store_error)?;
+        report.executed += 1;
+        if !store.complete(&lease).map_err(store_error)? {
             report.lost_leases += 1;
         }
-        committed.insert(lease.shard);
         ordinal += 1;
 
         if suppress_now {
@@ -560,12 +543,23 @@ where
             break WorkerExit::Died;
         }
     };
-
-    stop.store(true, Ordering::Relaxed);
-    let _ = heartbeat.join();
     report.cancelled = exit == WorkerExit::Cancelled;
     report.died = exit == WorkerExit::Died;
     Ok(report)
+}
+
+/// Bytes of a framed record a torn-write kill leaves in the segment.
+const TORN_CUT: usize = 13;
+
+/// A store's failure as a campaign error: checkpoint I/O stays
+/// [`CampaignError::Journal`], anything else (a transport) is
+/// [`CampaignError::Store`].
+fn store_error<E: std::error::Error + Send + Sync + 'static>(e: E) -> CampaignError {
+    let boxed: Box<dyn std::error::Error + Send + Sync> = Box::new(e);
+    match boxed.downcast::<JournalError>() {
+        Ok(journal) => CampaignError::Journal(*journal),
+        Err(other) => CampaignError::Store(other),
+    }
 }
 
 /// Worker ids must be unique per *incarnation*, not just per slot: a
@@ -623,7 +617,9 @@ where
             let errors = &worker_errors;
             scope.spawn(move || {
                 let run =
-                    worker_loop(&dir, &name, shards, &cfg, &external, &chaos, |s, t| execute(s, t));
+                    FileStore::open(&dir, &name, shards).map_err(CampaignError::from).and_then(
+                        |store| worker_loop(&store, &cfg, &external, &chaos, |s, t| execute(s, t)),
+                    );
                 match run {
                     Ok(r) => reports.lock().unwrap().push(r),
                     Err(e) => errors.lock().unwrap().push(e),

@@ -22,16 +22,18 @@ use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
 use paraspace_analysis::campaign::{CampaignError, Checkpoint};
-use paraspace_analysis::dispatch::{coordinate, DispatchConfig, DispatchReport, TickDirective};
+use paraspace_analysis::dispatch::{
+    coordinate, worker_loop, DispatchConfig, DispatchReport, TickDirective, WorkerChaos,
+    WorkerReport,
+};
 use paraspace_core::{CancelToken, FineEngine, SimulationJob, Simulator};
 use paraspace_journal::codec::Enc;
 use paraspace_journal::lease::{LeaseConfig, LeaseDir, RetryLedger, RetryState};
 use paraspace_journal::CampaignManifest;
 use paraspace_rbm::{Parameterization, Reaction, ReactionBasedModel};
 use paraspace_transport::chaos::NetChaos;
-use paraspace_transport::client::{ClientOptions, NetWorkerReport, WorkerClient};
+use paraspace_transport::client::{ClientOptions, WorkerClient};
 use paraspace_transport::server::{CoordinatorServer, ServerConfig};
-use paraspace_transport::WorkerError;
 
 const SHARDS: u64 = 12;
 const MEMBERS_PER_SHARD: usize = 3;
@@ -132,7 +134,20 @@ fn reference(tag: &str) -> Vec<Vec<u8>> {
     payloads
 }
 
-type WorkerOutcome = Result<NetWorkerReport, WorkerError<String>>;
+type WorkerOutcome = Result<WorkerReport, CampaignError>;
+
+/// Connect as `worker` and run the dispatch worker loop over the
+/// connection, with the timing the handshake taught.
+fn net_worker(addr: &str, worker: &str, opts: ClientOptions) -> WorkerOutcome {
+    let (client, info) =
+        WorkerClient::connect(addr, worker, opts).map_err(|e| CampaignError::Store(Box::new(e)))?;
+    let config = DispatchConfig { lease: info.lease, poll_ms: info.poll_ms };
+    let eng = engine();
+    let external = CancelToken::new();
+    worker_loop(&client, &config, &external, &WorkerChaos::default(), |shard, _token| {
+        shard_payload(&eng, shard)
+    })
+}
 
 struct NetOutcome {
     payloads: Vec<Vec<u8>>,
@@ -191,13 +206,7 @@ fn net_campaign(
                     max_attempts,
                     chaos,
                 };
-                let (client, _info) = WorkerClient::connect(&addr, &format!("nw{i}"), opts)
-                    .map_err(WorkerError::Transport)?;
-                let eng = engine();
-                let external = CancelToken::new();
-                client.run(&external, |shard, _token| {
-                    shard_payload(&eng, shard).map_err(|e| e.to_string())
-                })
+                net_worker(&addr, &format!("nw{i}"), opts)
             })
         })
         .collect();
@@ -266,7 +275,7 @@ fn partitioned_workers_shard_is_reassigned_and_merged_first_wins() {
     assert!(out.report.quarantined.is_empty(), "one death of three allowed: no quarantine");
     assert!(out.report.reassignments >= 1, "shard 0's death must schedule a reassignment");
     assert!(
-        matches!(out.workers[0], Err(WorkerError::Transport(_))),
+        matches!(out.workers[0], Err(CampaignError::Store(_))),
         "the partitioned worker exits through the transport ladder, got {:?}",
         out.workers[0].as_ref().map(|r| r.executed)
     );
@@ -328,11 +337,7 @@ fn unreachable_worker_completes_degraded_with_transport_quarantine() {
             max_attempts: 8,
             chaos: plans.into_iter().next().unwrap(),
         };
-        let (client, _info) =
-            WorkerClient::connect(&addr, "nw0", opts).map_err(WorkerError::Transport)?;
-        let eng = engine();
-        let external = CancelToken::new();
-        client.run(&external, |shard, _token| shard_payload(&eng, shard).map_err(|e| e.to_string()))
+        net_worker(&addr, "nw0", opts)
     });
 
     let coord = {
@@ -355,7 +360,7 @@ fn unreachable_worker_completes_degraded_with_transport_quarantine() {
     server.shutdown();
 
     assert!(
-        matches!(worker_outcome, Err(WorkerError::Transport(_))),
+        matches!(worker_outcome, Err(CampaignError::Store(_))),
         "the unreachable worker exits through the transport ladder"
     );
     assert!(

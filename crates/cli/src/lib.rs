@@ -32,7 +32,7 @@ use paraspace_core::{
     Simulator,
 };
 use paraspace_journal::codec::{Dec, Enc};
-use paraspace_journal::lease::{LeaseConfig, RetryState};
+use paraspace_journal::lease::{FileStore, LeaseConfig, LeaseStore, RetryState};
 use paraspace_journal::{CampaignManifest, Journal, JournalError, MANIFEST_FILE};
 use paraspace_rbm::ReactionBasedModel;
 use paraspace_rbm::{biosimware, sbgen::SbGen, sbml, Parameterization};
@@ -43,7 +43,6 @@ use paraspace_stochastic::{
 };
 use paraspace_transport::client::{ClientOptions, WorkerClient};
 use paraspace_transport::server::{CoordinatorServer, ServerConfig};
-use paraspace_transport::{TransportError, WorkerError};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::cell::RefCell;
@@ -1280,19 +1279,14 @@ pub fn execute_with_cancel(
             chaos_torn_write,
             chaos_suppress_at,
         } => {
-            if let Some(addr) = connect {
-                return run_net_worker(addr, worker_id.as_deref(), out, cancel);
-            }
             let chaos = WorkerChaos {
                 kill_at_ordinal: *chaos_kill_at,
                 torn_write_on_kill: *chaos_torn_write,
                 suppress_heartbeat_at: *chaos_suppress_at,
                 ..WorkerChaos::default()
             };
-            let dir = checkpoint_dir
-                .as_ref()
-                .ok_or_else(|| CliError("worker needs a checkpoint directory".into()))?;
-            run_worker(dir, worker_id.as_deref(), &chaos, out, cancel)
+            let id = worker_id.as_deref();
+            run_worker(checkpoint_dir.as_deref(), connect.as_deref(), id, &chaos, out, cancel)
         }
         Command::Coordinate { checkpoint_dir, workers, listen } => {
             run_coordinator(checkpoint_dir, *workers, listen.as_deref(), out, cancel)
@@ -2420,27 +2414,67 @@ fn coordinate_processes(
     }
 }
 
-/// The `worker` subcommand: rebuild the world from the shared checkpoint's
-/// manifest, verify it matches what the coordinator pinned, and run the
-/// lease claim/execute/commit loop until the campaign completes (or this
-/// worker is cancelled, killed by chaos, or loses its heartbeat).
+/// The `worker` subcommand: attach through a lease store — the shared
+/// checkpoint directory, or with `--connect` the coordinator's transport
+/// server — rebuild the world from the campaign's manifest, verify it
+/// matches what the coordinator pinned, and run the dispatch worker loop
+/// until the campaign completes (or this worker is cancelled or killed by
+/// chaos).
 fn run_worker(
-    dir: &Path,
+    dir: Option<&Path>,
+    connect: Option<&str>,
     worker_id: Option<&str>,
     chaos: &WorkerChaos,
     out: &mut dyn std::io::Write,
     cancel: &CancelToken,
 ) -> Result<(), CliError> {
+    let id = worker_id.map_or_else(|| format!("pid{}", std::process::id()), str::to_string);
+    if let Some(addr) = connect {
+        let (client, info) = WorkerClient::connect(addr, &id, ClientOptions::default())
+            .map_err(|e| CliError(format!("cannot reach coordinator at {addr}: {e}")))?;
+        // The world comes from the streamed manifest exactly as a
+        // filesystem worker's comes from the on-disk one; the checkpoint
+        // path it names is never touched on this side of the wire (the
+        // model directory must be readable at the same path).
+        let on_wire = CampaignManifest::from_text(&info.manifest_text)?;
+        let world =
+            world_from_manifest(&on_wire, &format!("coordinator at {addr}"), Path::new(""), 0)?;
+        writeln!(
+            out,
+            "worker {id}: attached to {addr} ({} shards, lease ttl {} ms)",
+            world.manifest.shards(),
+            info.lease.ttl_ms,
+        )?;
+        let config = DispatchConfig { lease: info.lease, poll_ms: info.poll_ms };
+        return serve_shards(&client, &world, &config, &id, chaos, out, cancel);
+    }
+    let dir = dir.ok_or_else(|| CliError("worker needs a checkpoint directory".into()))?;
     let on_disk = CampaignManifest::read(&dir.join(MANIFEST_FILE))?;
     let world = world_from_manifest(&on_disk, &format!("checkpoint at {}", dir.display()), dir, 0)?;
+    let store = FileStore::open(dir, &id, world.manifest.shards())?;
+    serve_shards(&store, &world, &world.dispatch_config(), &id, chaos, out, cancel)
+}
 
-    let id = worker_id.map_or_else(|| format!("pid{}", std::process::id()), str::to_string);
-    let config = world.dispatch_config();
-    let report =
-        worker_loop(dir, &id, world.manifest.shards(), &config, cancel, chaos, |shard, token| {
-            let engine = world.inputs.engine(token);
-            world.shard_payload(engine.as_ref(), shard)
-        })?;
+/// [`run_worker`]'s loop over whichever store it picked, and its summary.
+fn serve_shards<S: LeaseStore>(
+    store: &S,
+    world: &SimulateWorld,
+    config: &DispatchConfig,
+    id: &str,
+    chaos: &WorkerChaos,
+    out: &mut dyn std::io::Write,
+    cancel: &CancelToken,
+) -> Result<(), CliError> {
+    let report = worker_loop(store, config, cancel, chaos, |shard, token| {
+        let engine = world.inputs.engine(token);
+        world.shard_payload(engine.as_ref(), shard)
+    })
+    .map_err(|e| match e {
+        CampaignError::Store(e) => CliError(format!(
+            "lost the coordinator ({e}); its lease will expire and the shard will be reassigned"
+        )),
+        e => e.into(),
+    })?;
     writeln!(
         out,
         "worker {id}: executed {} shards ({} leases lost to reassignment)",
@@ -2451,59 +2485,6 @@ fn run_worker(
             "worker {id} presumed dead (heartbeat lost) — its shard will be reassigned"
         )));
     }
-    if report.cancelled {
-        writeln!(out, "worker {id}: cancelled; released its lease")?;
-    }
-    Ok(())
-}
-
-/// The `worker --connect` path: attach to a coordinator's transport
-/// server over TCP, rebuild the world from the handshake's manifest text
-/// (the model directory it names must be readable at the same path on
-/// this machine), verify it matches what the coordinator pinned, and run
-/// the networked claim → execute → stream → commit loop.
-fn run_net_worker(
-    addr: &str,
-    worker_id: Option<&str>,
-    out: &mut dyn std::io::Write,
-    cancel: &CancelToken,
-) -> Result<(), CliError> {
-    let id = worker_id.map_or_else(|| format!("pid{}", std::process::id()), str::to_string);
-    let (client, info) = WorkerClient::connect(addr, &id, ClientOptions::default())
-        .map_err(|e| CliError(format!("cannot reach coordinator at {addr}: {e}")))?;
-    // Rebuild the world from the streamed manifest exactly as a
-    // filesystem worker rebuilds it from the on-disk one. The checkpoint
-    // path in the reconstructed command is never touched on this side of
-    // the wire.
-    let on_wire = CampaignManifest::from_text(&info.manifest_text)?;
-    let world = world_from_manifest(&on_wire, &format!("coordinator at {addr}"), Path::new(""), 0)?;
-
-    writeln!(
-        out,
-        "worker {id}: attached to {addr} ({} shards, lease ttl {} ms)",
-        world.manifest.shards(),
-        info.lease.ttl_ms,
-    )?;
-    let report = client
-        .run(cancel, |shard, token| {
-            let engine = world.inputs.engine(token);
-            world.shard_payload(engine.as_ref(), shard).map_err(|e| e.to_string())
-        })
-        .map_err(|e| match e {
-            WorkerError::Transport(t) => match t {
-                TransportError::Protocol(m) => CliError(format!("coordinator refused: {m}")),
-                t => CliError(format!(
-                    "lost the coordinator at {addr} ({t}); its lease will expire and the shard \
-                     will be reassigned"
-                )),
-            },
-            WorkerError::Execute(m) => CliError(format!("shard execution failed: {m}")),
-        })?;
-    writeln!(
-        out,
-        "worker {id}: executed {} shards ({} committed, {} leases lost, {} reconnects)",
-        report.executed, report.committed, report.lost_leases, report.reconnects,
-    )?;
     if report.cancelled {
         writeln!(out, "worker {id}: cancelled")?;
     }

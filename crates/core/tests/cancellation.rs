@@ -88,11 +88,12 @@ fn token_tripped_for_the_stiff_phase_cancels_fine_coarse() {
 #[test]
 fn token_tripping_during_the_explicit_phase_cancels_fine_coarse() {
     // Nobody is stiff, so the run is P3: lockstep DOPRI5 groups pulling
-    // members off one shared queue, polling the token at every refill. The
-    // token's deadline passes a moment into a batch that takes far longer:
-    // wherever exactly that lands, the groups stop refilling, drain and the
-    // run reports Cancelled with nothing kept. (`lanes.rs` trips the token
-    // at a chosen RHS sweep and checks that no lane is bound afterwards.)
+    // members off one shared queue, polling the token at every refill. A
+    // helper thread trips the token a moment into a batch that takes far
+    // longer: wherever exactly that lands, the groups stop refilling, drain
+    // and the run reports Cancelled with nothing kept. (`lanes.rs` trips the
+    // token at a chosen RHS sweep and checks that no lane is bound
+    // afterwards.)
     let m = model();
     let job = job(&m, 16_000);
     let baseline = FineCoarseEngine::new().run(&job).unwrap();
@@ -100,12 +101,19 @@ fn token_tripping_during_the_explicit_phase_cancels_fine_coarse() {
 
     for threads in [1, 2] {
         let cancel = CancelToken::new();
-        cancel.set_deadline_ms(paraspace_exec::unix_now_ms() + 1);
+        let tripper = {
+            let cancel = cancel.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+                cancel.cancel();
+            })
+        };
         let engine = FineCoarseEngine::new().with_threads(threads).with_cancel(cancel);
         match engine.run(&job) {
             Err(SimError::Cancelled) => {}
             other => panic!("{threads} threads: expected Cancelled, got {:?}", other.map(|_| ())),
         }
+        tripper.join().unwrap();
 
         // A fresh token reproduces the uninterrupted run bitwise.
         let rerun = FineCoarseEngine::new()

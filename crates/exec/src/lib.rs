@@ -73,7 +73,7 @@
 
 use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// A contained panic from one work item.
@@ -123,33 +123,17 @@ pub fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// already been claimed runs to completion, so no member is ever observed
 /// half-integrated.
 ///
-/// # Deadlines
-///
-/// A token can also carry a shared **deadline** (UNIX milliseconds): once
-/// the wall clock passes it, [`is_cancelled`](Self::is_cancelled) reports
-/// true exactly as if [`cancel`](Self::cancel) had been called. This is the
-/// lease-protocol hook — a dispatch worker arms the deadline at its lease's
-/// heartbeat horizon and its heartbeat thread keeps pushing it forward with
-/// [`extend_deadline_ms`](Self::extend_deadline_ms); if heartbeats stop
-/// (suppressed, stalled, or the thread died), in-flight work drains at the
-/// deadline instead of racing a coordinator that already presumed the
-/// worker dead. With no deadline armed the check stays a single relaxed
-/// atomic load (no clock read), so plain cancellation tokens pay nothing.
-#[derive(Debug, Clone)]
+/// A token carries no clock: it trips only when someone calls
+/// [`cancel`](Self::cancel). A dispatch worker that learns from a
+/// heartbeat answer that its lease was lost cancels that shard's token the
+/// same way.
+#[derive(Debug, Clone, Default)]
 pub struct CancelToken {
     flag: Arc<AtomicBool>,
-    /// Shared deadline in UNIX ms; `u64::MAX` means "no deadline".
-    deadline_ms: Arc<AtomicU64>,
-}
-
-impl Default for CancelToken {
-    fn default() -> Self {
-        CancelToken { flag: Arc::default(), deadline_ms: Arc::new(AtomicU64::new(u64::MAX)) }
-    }
 }
 
 impl CancelToken {
-    /// A fresh, untripped token with no deadline.
+    /// A fresh, untripped token.
     #[must_use]
     pub fn new() -> Self {
         CancelToken::default()
@@ -159,7 +143,7 @@ impl CancelToken {
     /// handler).
     #[must_use]
     pub fn from_flag(flag: Arc<AtomicBool>) -> Self {
-        CancelToken { flag, deadline_ms: Arc::new(AtomicU64::new(u64::MAX)) }
+        CancelToken { flag }
     }
 
     /// Request cancellation. Idempotent, async-signal-safe, and visible to
@@ -168,50 +152,11 @@ impl CancelToken {
         self.flag.store(true, Ordering::Relaxed);
     }
 
-    /// Arm (or move) the shared deadline: past `epoch_ms` the token reads
-    /// as cancelled. Visible to every clone.
-    pub fn set_deadline_ms(&self, epoch_ms: u64) {
-        self.deadline_ms.store(epoch_ms, Ordering::Relaxed);
-    }
-
-    /// Push the deadline forward, never backward — the heartbeat idiom: a
-    /// late extension must not resurrect an already-expired token.
-    pub fn extend_deadline_ms(&self, epoch_ms: u64) {
-        self.deadline_ms.fetch_max(epoch_ms, Ordering::Relaxed);
-    }
-
-    /// Expire the deadline immediately: the token reads as cancelled from
-    /// now on, on every clone. This is the transport's cancel-on-disconnect
-    /// hook: a networked worker that *affirmatively* learns its lease was
-    /// reassigned expires the shard's token so in-flight work drains at
-    /// once; the next claim gets a fresh token. (Mere silence never
-    /// triggers this — a partitioned worker keeps computing and replays its
-    /// records on reconnect.)
-    pub fn expire_now(&self) {
-        // 0 is trivially <= unix_now_ms(), so is_cancelled() is true
-        // immediately; fetch_max in extend_deadline_ms cannot resurrect a
-        // live deadline here because we store, not max.
-        self.deadline_ms.store(0, Ordering::Relaxed);
-    }
-
-    /// True once cancellation has been requested or an armed deadline has
-    /// passed.
+    /// True once cancellation has been requested.
     #[must_use]
     pub fn is_cancelled(&self) -> bool {
-        if self.flag.load(Ordering::Relaxed) {
-            return true;
-        }
-        let deadline = self.deadline_ms.load(Ordering::Relaxed);
-        deadline != u64::MAX && unix_now_ms() >= deadline
+        self.flag.load(Ordering::Relaxed)
     }
-}
-
-/// Milliseconds since the UNIX epoch — the clock deadlines are measured
-/// against (the same clock the journal's lease heartbeats use).
-#[must_use]
-pub fn unix_now_ms() -> u64 {
-    use std::time::{SystemTime, UNIX_EPOCH};
-    SystemTime::now().duration_since(UNIX_EPOCH).unwrap_or_default().as_millis() as u64
 }
 
 /// The batch was cancelled before every item completed; all partial
@@ -780,48 +725,6 @@ mod tests {
         a.cancel();
         assert!(b.is_cancelled());
         assert_eq!(Cancelled.to_string(), "batch cancelled before completion");
-    }
-
-    #[test]
-    fn deadline_trips_and_extends_like_a_heartbeat() {
-        // A deadline far in the future does not trip the token.
-        let token = CancelToken::new();
-        let now = unix_now_ms();
-        token.set_deadline_ms(now + 60_000);
-        assert!(!token.is_cancelled());
-
-        // A deadline in the past reads as cancelled — on every clone.
-        let clone = token.clone();
-        token.set_deadline_ms(now.saturating_sub(1));
-        assert!(token.is_cancelled());
-        assert!(clone.is_cancelled());
-
-        // Heartbeat extension only moves the deadline forward.
-        token.set_deadline_ms(now + 60_000);
-        token.extend_deadline_ms(now.saturating_sub(1));
-        assert!(!token.is_cancelled(), "never backward");
-        token.set_deadline_ms(now.saturating_sub(1));
-        token.extend_deadline_ms(now + 60_000);
-        assert!(!token.is_cancelled(), "forward");
-    }
-
-    #[test]
-    fn expire_now_trips_immediately() {
-        let token = CancelToken::new();
-        let clone = token.clone();
-        token.set_deadline_ms(unix_now_ms() + 60_000);
-        assert!(!token.is_cancelled());
-        token.expire_now();
-        assert!(token.is_cancelled());
-        assert!(clone.is_cancelled(), "visible on every clone");
-    }
-
-    #[test]
-    fn expired_deadline_drains_a_batch_as_cancelled() {
-        let token = CancelToken::new();
-        token.set_deadline_ms(unix_now_ms().saturating_sub(10));
-        let result = Executor::new(4).try_map_with_cancel(64, &token, || (), |(), i: usize| i);
-        assert_eq!(result, Err(Cancelled));
     }
 
     /// A lane group of `width` over `next`: each item holds its lane for

@@ -39,16 +39,22 @@
 //! and another worker re-runs it), but engines are bitwise deterministic,
 //! so every copy of the record is byte-identical and the first-wins merge
 //! into `shards.log` commits exactly one of them.
+//!
+//! A worker reaches these files through a [`LeaseStore`]: [`FileStore`]
+//! performs the file operations itself, while a networked worker's store
+//! sends them as RPCs to a transport server that performs the same
+//! [`LeaseDir`] calls on its behalf.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::codec::{Dec, Enc};
 use crate::record;
-use crate::JournalError;
+use crate::{JournalError, LOG_FILE};
 
 /// Subdirectory holding lease, done-marker, and heartbeat files.
 pub const LEASES_DIR: &str = "leases";
@@ -127,7 +133,7 @@ fn validate_worker_id(worker: &str) -> Result<(), JournalError> {
 }
 
 /// A granted, still-held lease on one shard.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lease {
     /// The claimed shard.
     pub shard: u64,
@@ -228,38 +234,12 @@ impl LeaseDir {
     /// already in its segment, and determinism makes duplicates
     /// byte-identical, so a lost lease costs nothing but the wasted work.
     pub fn complete(&self, lease: &Lease) -> Result<bool, JournalError> {
-        // Verify the lease on disk is still the one we were granted: after
-        // an expiry + reassignment the path may hold another worker's claim,
-        // which a blind rename would clobber.
-        let on_disk = match fs::read(self.lease_path(lease.shard)) {
-            Ok(bytes) => parse_lease(lease.shard, &bytes),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-            Err(e) => return Err(e.into()),
-        };
-        if on_disk.worker != lease.worker || on_disk.granted_at_ms != lease.granted_at_ms {
+        // After an expiry + reassignment the path may hold another worker's
+        // claim, which a blind rename would clobber.
+        if self.owns(lease)? != Some(true) {
             return Ok(false);
         }
         match fs::rename(self.lease_path(lease.shard), self.done_path(lease.shard)) {
-            Ok(()) => Ok(true),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
-            Err(e) => Err(e.into()),
-        }
-    }
-
-    /// Delete the lease for `lease.shard` only if it is still the exact
-    /// lease we were granted (worker: hand a shard back on clean
-    /// cancellation without clobbering a reassigned claim). Returns `true`
-    /// if this call removed our lease.
-    pub fn release_if_owner(&self, lease: &Lease) -> Result<bool, JournalError> {
-        let on_disk = match fs::read(self.lease_path(lease.shard)) {
-            Ok(bytes) => parse_lease(lease.shard, &bytes),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(false),
-            Err(e) => return Err(e.into()),
-        };
-        if on_disk.worker != lease.worker || on_disk.granted_at_ms != lease.granted_at_ms {
-            return Ok(false);
-        }
-        match fs::remove_file(self.lease_path(lease.shard)) {
             Ok(()) => Ok(true),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(false),
             Err(e) => Err(e.into()),
@@ -289,6 +269,8 @@ impl LeaseDir {
     /// All live lease files, ascending by shard id. A lease file that is
     /// unreadable or torn reports an empty worker and grant time 0 — it
     /// will look expired and be reassigned, which is the safe direction.
+    /// One that vanished since the listing (completed into a done marker,
+    /// or released) is not live and is skipped.
     pub fn list_leases(&self) -> Result<Vec<LeaseInfo>, JournalError> {
         let mut out = Vec::new();
         for entry in read_dir_tolerant(&self.root.join(LEASES_DIR))? {
@@ -297,6 +279,7 @@ impl LeaseDir {
             let Some(shard) = parse_marker(name, "shard_", ".lease") else { continue };
             let info = match fs::read(entry.path()) {
                 Ok(bytes) => parse_lease(shard, &bytes),
+                Err(e) if e.kind() == std::io::ErrorKind::NotFound => continue,
                 Err(_) => LeaseInfo { shard, worker: String::new(), granted_at_ms: 0 },
             };
             out.push(info);
@@ -333,12 +316,61 @@ impl LeaseDir {
 
     /// The live lease on `shard`, if any. A torn lease file reads as an
     /// empty worker with grant time 0, same as [`LeaseDir::list_leases`].
-    pub fn lease_info(&self, shard: u64) -> Result<Option<LeaseInfo>, JournalError> {
+    fn lease_info(&self, shard: u64) -> Result<Option<LeaseInfo>, JournalError> {
         match fs::read(self.lease_path(shard)) {
             Ok(bytes) => Ok(Some(parse_lease(shard, &bytes))),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(e.into()),
         }
+    }
+
+    /// The one ownership check: `Some(true)` while the lease file on
+    /// `lease.shard` names `lease`'s worker and grant time, `Some(false)`
+    /// once another claim (or a torn file) replaced it, `None` when there
+    /// is no lease file — released by the coordinator, or renamed to a
+    /// done marker.
+    fn owns(&self, lease: &Lease) -> Result<Option<bool>, JournalError> {
+        Ok(self.lease_info(lease.shard)?.map(|on_disk| {
+            on_disk.worker == lease.worker && on_disk.granted_at_ms == lease.granted_at_ms
+        }))
+    }
+
+    /// A heartbeat's answer for `lease`: true while it is still its
+    /// holder's, or once it turned into a done marker or a committed
+    /// record (`committed`) — completion is not loss. False once the
+    /// coordinator released it or another worker holds the shard.
+    pub fn still_held(&self, lease: &Lease, committed: bool) -> Result<bool, JournalError> {
+        Ok(self.owns(lease)?.unwrap_or_else(|| committed || self.is_done(lease.shard)))
+    }
+
+    /// Claim for `worker`: hand `held` back while it is still the worker's
+    /// own (a retried claim must not take a second shard), otherwise claim
+    /// the lowest shard below `shards` that is neither `committed` nor
+    /// claimed. `held` tracks the result; `Ok(None)` means nothing is
+    /// claimable right now.
+    pub fn claim(
+        &self,
+        worker: &str,
+        shards: u64,
+        held: &mut Option<Lease>,
+        committed: impl Fn(u64) -> bool,
+    ) -> Result<Option<Lease>, JournalError> {
+        if let Some(lease) = held.take() {
+            if self.owns(&lease)? == Some(true) {
+                *held = Some(lease.clone());
+                return Ok(Some(lease));
+            }
+        }
+        for shard in 0..shards {
+            if committed(shard) || self.is_claimed(shard) {
+                continue;
+            }
+            if let Some(lease) = self.try_claim(shard, worker)? {
+                *held = Some(lease.clone());
+                return Ok(Some(lease));
+            }
+        }
+        Ok(None)
     }
 
     /// Record *why* `worker` should be presumed dead (atomic
@@ -462,23 +494,14 @@ impl Segment {
 
     /// Append one shard record and flush it to the OS.
     pub fn append(&mut self, shard: u64, payload: &[u8]) -> Result<(), JournalError> {
-        let record = record::frame(shard, payload)?;
-        self.file.write_all(&record)?;
-        self.file.flush()?;
-        Ok(())
+        self.append_framed(&record::frame(shard, payload)?)
     }
 
-    /// Chaos hook: append only the first `cut` bytes of the framed record —
-    /// a deterministic torn write, as if the worker died mid-append.
-    pub fn append_torn(
-        &mut self,
-        shard: u64,
-        payload: &[u8],
-        cut: usize,
-    ) -> Result<(), JournalError> {
-        let record = record::frame(shard, payload)?;
-        let cut = cut.min(record.len().saturating_sub(1)).max(1);
-        self.file.write_all(&record[..cut])?;
+    /// Append bytes already framed by [`record::frame`], verbatim, and
+    /// flush them to the OS. A prefix of a frame is a torn write — what
+    /// chaos injection writes for a worker that dies mid-append.
+    pub fn append_framed(&mut self, framed: &[u8]) -> Result<(), JournalError> {
+        self.file.write_all(framed)?;
         self.file.flush()?;
         Ok(())
     }
@@ -521,6 +544,166 @@ impl SegmentReader {
         let (records, good) = record::scan_bytes(&bytes[self.offset as usize..]);
         self.offset += good;
         Ok(records)
+    }
+}
+
+/// The shards committed to the main journal, kept current by tailing
+/// `shards.log` read-only — how a worker (or the transport server on its
+/// behalf) learns which shards no longer need claiming.
+#[derive(Debug)]
+pub struct CommittedShards {
+    reader: SegmentReader,
+    set: BTreeSet<u64>,
+}
+
+impl CommittedShards {
+    /// A view of the journal under checkpoint directory `root`, empty
+    /// until the first [`refresh`](Self::refresh).
+    #[must_use]
+    pub fn new(root: &Path) -> Self {
+        CommittedShards { reader: SegmentReader::new(root.join(LOG_FILE)), set: BTreeSet::new() }
+    }
+
+    /// Fold in the records committed since the last call; returns how
+    /// many shards are committed.
+    pub fn refresh(&mut self) -> Result<u64, JournalError> {
+        for (shard, _) in self.reader.poll()? {
+            self.set.insert(shard);
+        }
+        Ok(self.set.len() as u64)
+    }
+
+    /// True if `shard` was committed as of the last refresh.
+    #[must_use]
+    pub fn contains(&self, shard: u64) -> bool {
+        self.set.contains(&shard)
+    }
+}
+
+/// What a [`LeaseStore::claim`] came back with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Claim {
+    /// A lease on a shard to execute (the held one again, if the caller
+    /// still holds it).
+    Granted(Lease),
+    /// Every uncommitted shard is leased or done; ask again later.
+    Wait,
+    /// Every shard is committed.
+    Complete,
+}
+
+/// The worker side of the lease protocol — everything a worker does to
+/// the shared lease state, whatever carries it there. `beat` runs on a
+/// heartbeat thread while the other calls run on the worker's own, so the
+/// store is shared between threads.
+pub trait LeaseStore: Sync {
+    /// What a failed call reports.
+    type Error: std::error::Error + Send + Sync + 'static;
+
+    /// Claim the lowest eligible shard, or the held one again.
+    fn claim(&self) -> Result<Claim, Self::Error>;
+
+    /// Write this worker's `counter`-th heartbeat and answer whether
+    /// `held` is still this worker's ([`LeaseDir::still_held`]); true when
+    /// nothing is held.
+    fn beat(&self, counter: u64, held: Option<&Lease>) -> Result<bool, Self::Error>;
+
+    /// Append one record framed by [`record::frame`] to this worker's
+    /// segment.
+    fn append(&self, framed: &[u8]) -> Result<(), Self::Error>;
+
+    /// Turn `lease` into a done marker; false when the lease is no longer
+    /// this worker's (its record still merges, first wins).
+    fn complete(&self, lease: &Lease) -> Result<bool, Self::Error>;
+
+    /// Hand `lease` back on clean cancellation so the shard reassigns at
+    /// once.
+    fn release(&self, lease: &Lease) -> Result<(), Self::Error>;
+
+    /// Record that executing `lease`'s shard failed with `reason`. The
+    /// lease stays: at expiry the coordinator ledgers the death with this
+    /// note as its reason.
+    fn blame(&self, lease: &Lease, reason: &str) -> Result<(), Self::Error>;
+}
+
+/// The [`LeaseStore`] of a worker that shares the checkpoint directory:
+/// every call is a [`LeaseDir`] file operation.
+#[derive(Debug)]
+pub struct FileStore {
+    dir: LeaseDir,
+    worker: String,
+    shards: u64,
+    segment: Mutex<Segment>,
+    committed: Mutex<CommittedShards>,
+    held: Mutex<Option<Lease>>,
+}
+
+impl FileStore {
+    /// Attach `worker` to the `shards`-shard campaign checkpointed under
+    /// `root`: create the lease layout and open the worker's segment,
+    /// truncating a torn tail left by an earlier incarnation.
+    pub fn open(root: &Path, worker: &str, shards: u64) -> Result<Self, JournalError> {
+        let dir = LeaseDir::new(root);
+        dir.ensure()?;
+        let (segment, _torn) = Segment::open(&dir, worker)?;
+        Ok(FileStore {
+            dir,
+            worker: worker.to_string(),
+            shards,
+            segment: Mutex::new(segment),
+            committed: Mutex::new(CommittedShards::new(root)),
+            held: Mutex::new(None),
+        })
+    }
+}
+
+impl LeaseStore for FileStore {
+    type Error = JournalError;
+
+    fn claim(&self) -> Result<Claim, JournalError> {
+        let mut committed = self.committed.lock().unwrap();
+        if committed.refresh()? >= self.shards {
+            return Ok(Claim::Complete);
+        }
+        let mut held = self.held.lock().unwrap();
+        Ok(
+            match self.dir.claim(&self.worker, self.shards, &mut held, |s| committed.contains(s))? {
+                Some(lease) => Claim::Granted(lease),
+                None => Claim::Wait,
+            },
+        )
+    }
+
+    fn beat(&self, counter: u64, held: Option<&Lease>) -> Result<bool, JournalError> {
+        self.dir.beat(&self.worker, counter)?;
+        match held {
+            None => Ok(true),
+            Some(lease) => {
+                let committed = self.committed.lock().unwrap().contains(lease.shard);
+                self.dir.still_held(lease, committed)
+            }
+        }
+    }
+
+    fn append(&self, framed: &[u8]) -> Result<(), JournalError> {
+        self.segment.lock().unwrap().append_framed(framed)
+    }
+
+    fn complete(&self, lease: &Lease) -> Result<bool, JournalError> {
+        self.held.lock().unwrap().take();
+        self.dir.complete(lease)
+    }
+
+    fn release(&self, lease: &Lease) -> Result<(), JournalError> {
+        self.held.lock().unwrap().take();
+        if self.dir.owns(lease)? == Some(true) {
+            self.dir.release(lease.shard)?;
+        }
+        Ok(())
+    }
+
+    fn blame(&self, lease: &Lease, reason: &str) -> Result<(), JournalError> {
+        self.dir.blame(&self.worker, &format!("shard {} failed on worker: {reason}", lease.shard))
     }
 }
 
@@ -788,7 +971,7 @@ mod tests {
         assert_eq!(torn, 0);
         seg.append(0, b"alpha").unwrap();
         seg.append(1, b"beta").unwrap();
-        seg.append_torn(2, b"gamma", 9).unwrap(); // deterministic torn write
+        seg.append_framed(&record::frame(2, b"gamma").unwrap()[..9]).unwrap(); // torn write
         let path = seg.path().to_path_buf();
         drop(seg);
 

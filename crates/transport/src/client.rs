@@ -1,4 +1,5 @@
-//! The worker-side transport client and the networked worker loop.
+//! The worker-side transport client: a [`LeaseStore`] whose calls are
+//! RPCs to the coordinator's transport server.
 //!
 //! Every RPC gets a deadline (socket read/write timeouts), an idempotency
 //! key (the per-client monotonic frame sequence number), and a
@@ -6,32 +7,32 @@
 //! campaign's lease config (learned in the `Hello` handshake, so every
 //! participant retries by the same rules the coordinator expires by).
 //!
-//! A worker that loses the coordinator **keeps computing its claimed
-//! shard**: heartbeat failures soft-fail (they drop the connection but
-//! never cancel work or reconnect themselves), and no TTL deadline is
-//! armed on the execute token — the only *affirmative* cancellation
-//! signals are external cancellation and a heartbeat ack reporting the
-//! lease reassigned, which triggers `CancelToken::expire_now` so in-flight
-//! work drains at once. On reconnect the client re-handshakes, learns how
-//! many of its segment records the server holds, and replays the
-//! unacknowledged tail before resuming — resumable segment offsets over
-//! the wire, exactly like a `SegmentReader` resuming a file scan.
+//! The claim → execute → append → complete loop is
+//! `paraspace_analysis::dispatch::worker_loop`, the same loop file workers
+//! run. A worker that loses the coordinator **keeps computing its claimed
+//! shard**: a heartbeat is one attempt over the current connection and
+//! soft-fails (it drops the connection but never retries or reconnects),
+//! and the loop cancels a shard only on external cancellation or a beat
+//! answering that the lease is gone. On reconnect the client
+//! re-handshakes, learns how many of its segment records the server
+//! holds, and replays the unacknowledged tail before resuming — resumable
+//! segment offsets over the wire, exactly like a `SegmentReader` resuming
+//! a file scan. The wire has no release RPC: a cancelled worker's lease is
+//! left to expire.
 
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use paraspace_exec::CancelToken;
-use paraspace_journal::lease::LeaseConfig;
-use paraspace_journal::record;
+use paraspace_journal::lease::{Claim, Lease, LeaseConfig, LeaseStore};
 
 use crate::chaos::NetChaos;
 use crate::wire::{
     decode_reply, encode_request, read_frame, write_frame, ClaimOutcome, Reply, Request, NO_SHARD,
     PROTOCOL_VERSION,
 };
-use crate::{TransportError, WorkerError};
+use crate::TransportError;
 
 /// Client-side knobs. Retry *backoff* comes from the campaign's lease
 /// config once the handshake completes; these are the local bounds.
@@ -73,34 +74,11 @@ pub struct HelloInfo {
     pub acked_records: u64,
 }
 
-/// Outcome counters for one networked worker session.
-#[derive(Debug, Clone, Default)]
-pub struct NetWorkerReport {
-    /// Shards executed to completion locally.
-    pub executed: u64,
-    /// Commits acknowledged `ok` by the coordinator.
-    pub committed: u64,
-    /// Leases that were reassigned from under us (work streamed anyway;
-    /// first-wins merge absorbs it).
-    pub lost_leases: u64,
-    /// Successful re-handshakes after the initial connect.
-    pub reconnects: u64,
-    /// True if the session ended by external cancellation.
-    pub cancelled: bool,
-}
-
-struct ShardCtx {
-    shard: u64,
-    granted_at_ms: u64,
-    token: CancelToken,
-}
-
 struct Conn {
     stream: Option<TcpStream>,
     /// Chaos-eligible send attempts so far (heartbeats excluded).
     ordinal: u64,
     ever_connected: bool,
-    reconnects: u64,
 }
 
 struct SentLog {
@@ -118,14 +96,11 @@ struct Inner {
     seq: AtomicU64,
     sent: Mutex<SentLog>,
     lease_cfg: Mutex<LeaseConfig>,
-    poll_ms: AtomicU64,
     partitioned: AtomicBool,
-    ctx: Mutex<Option<ShardCtx>>,
-    hb_counter: AtomicU64,
 }
 
 /// A connected worker client. Cheap to clone (shared state); the
-/// heartbeat thread and the main loop share one connection under a lock.
+/// heartbeat thread and the worker loop share one connection under a lock.
 #[derive(Clone)]
 pub struct WorkerClient {
     inner: Arc<Inner>,
@@ -146,19 +121,11 @@ impl WorkerClient {
                 addr: addr.to_string(),
                 worker: worker.to_string(),
                 opts,
-                conn: Mutex::new(Conn {
-                    stream: None,
-                    ordinal: 0,
-                    ever_connected: false,
-                    reconnects: 0,
-                }),
+                conn: Mutex::new(Conn { stream: None, ordinal: 0, ever_connected: false }),
                 seq: AtomicU64::new(0),
                 sent: Mutex::new(SentLog { base: 0, records: Vec::new() }),
                 lease_cfg: Mutex::new(LeaseConfig::default()),
-                poll_ms: AtomicU64::new(50),
                 partitioned: AtomicBool::new(false),
-                ctx: Mutex::new(None),
-                hb_counter: AtomicU64::new(0),
             }),
         };
         let mut last_err = TransportError::Closed;
@@ -181,119 +148,9 @@ impl WorkerClient {
         Err(last_err)
     }
 
-    /// The worker id this client handshakes as.
-    #[must_use]
-    pub fn worker(&self) -> &str {
-        &self.inner.worker
-    }
-
-    /// Run the claim → execute → stream → commit loop until the campaign
-    /// completes, external cancellation, or an unrecoverable failure.
-    ///
-    /// `execute` receives the shard id and a per-shard [`CancelToken`]
-    /// that trips only on external cancellation or affirmative lease loss
-    /// — never on mere coordinator silence.
-    pub fn run<E: std::fmt::Display>(
-        &self,
-        external: &CancelToken,
-        mut execute: impl FnMut(u64, &CancelToken) -> Result<Vec<u8>, E>,
-    ) -> Result<NetWorkerReport, WorkerError<E>> {
-        let mut report = NetWorkerReport::default();
-        let stop = Arc::new(AtomicBool::new(false));
-        let hb = {
-            let inner = Arc::clone(&self.inner);
-            let stop = Arc::clone(&stop);
-            let external = external.clone();
-            std::thread::Builder::new()
-                .name(format!("paraspace-hb-{}", self.inner.worker))
-                .spawn(move || heartbeat_loop(&inner, &stop, &external))
-                .expect("spawn heartbeat thread")
-        };
-        let result = self.run_loop(external, &mut execute, &mut report);
-        stop.store(true, Ordering::Relaxed);
-        let _ = hb.join();
-        report.reconnects = self.inner.conn.lock().unwrap().reconnects;
-        result.map(|()| report)
-    }
-
-    fn run_loop<E: std::fmt::Display>(
-        &self,
-        external: &CancelToken,
-        execute: &mut impl FnMut(u64, &CancelToken) -> Result<Vec<u8>, E>,
-        report: &mut NetWorkerReport,
-    ) -> Result<(), WorkerError<E>> {
-        loop {
-            if external.is_cancelled() {
-                report.cancelled = true;
-                return Ok(());
-            }
-            let claim = self
-                .rpc(&Request::Claim { worker: self.inner.worker.clone() })
-                .map_err(WorkerError::Transport)?;
-            match claim {
-                Reply::ClaimAck(ClaimOutcome::Granted { shard, granted_at_ms }) => {
-                    let token = CancelToken::new();
-                    *self.inner.ctx.lock().unwrap() =
-                        Some(ShardCtx { shard, granted_at_ms, token: token.clone() });
-                    let outcome = execute(shard, &token);
-                    *self.inner.ctx.lock().unwrap() = None;
-                    match outcome {
-                        Ok(payload) => {
-                            report.executed += 1;
-                            let framed = record::frame(shard, &payload)
-                                .map_err(|e| WorkerError::Transport(TransportError::Journal(e)))?;
-                            self.stream_record(framed).map_err(WorkerError::Transport)?;
-                            let ack = self
-                                .rpc(&Request::Commit {
-                                    worker: self.inner.worker.clone(),
-                                    shard,
-                                    granted_at_ms,
-                                })
-                                .map_err(WorkerError::Transport)?;
-                            match ack {
-                                Reply::CommitAck { ok: true } => report.committed += 1,
-                                Reply::CommitAck { ok: false } => report.lost_leases += 1,
-                                other => return Err(WorkerError::Transport(unexpected(&other))),
-                            }
-                        }
-                        Err(e) => {
-                            if external.is_cancelled() {
-                                report.cancelled = true;
-                                return Ok(());
-                            }
-                            if token.is_cancelled() {
-                                // Affirmative lease loss mid-execute: the
-                                // shard is someone else's now; keep going.
-                                report.lost_leases += 1;
-                                continue;
-                            }
-                            // Genuine execution failure: ship the taxonomy
-                            // upstream (best effort), then surface it.
-                            let _ = self.rpc(&Request::Quarantine {
-                                worker: self.inner.worker.clone(),
-                                shard,
-                                reason: e.to_string(),
-                            });
-                            return Err(WorkerError::Execute(e));
-                        }
-                    }
-                }
-                Reply::ClaimAck(ClaimOutcome::NoneEligible { committed, shards }) => {
-                    if committed >= shards {
-                        return Ok(());
-                    }
-                    std::thread::sleep(Duration::from_millis(
-                        self.inner.poll_ms.load(Ordering::Relaxed).max(1),
-                    ));
-                }
-                Reply::ClaimAck(ClaimOutcome::Complete) => return Ok(()),
-                other => return Err(WorkerError::Transport(unexpected(&other))),
-            }
-        }
-    }
-
     /// Stream one framed record, assigning it the next per-worker index.
-    fn stream_record(&self, framed: Vec<u8>) -> Result<(), TransportError> {
+    fn stream_record(&self, framed: &[u8]) -> Result<(), TransportError> {
+        let framed = framed.to_vec();
         let index = {
             let mut sent = self.inner.sent.lock().unwrap();
             let index = sent.base + sent.records.len() as u64;
@@ -435,7 +292,6 @@ impl Inner {
         };
         let lease = LeaseConfig { ttl_ms, backoff_base_ms, backoff_cap_ms, max_worker_deaths };
         *self.lease_cfg.lock().unwrap() = lease.clone();
-        self.poll_ms.store(poll_ms, Ordering::Relaxed);
 
         // Replay the unacknowledged tail: the server told us how many
         // records it holds; everything past that is resent, in order,
@@ -466,9 +322,6 @@ impl Inner {
                     }
                 }
             }
-        }
-        if conn.ever_connected {
-            conn.reconnects += 1;
         }
         conn.ever_connected = true;
         conn.stream = Some(stream);
@@ -505,60 +358,83 @@ fn read_reply_for(stream: &TcpStream, seq: u64) -> Result<Reply, TransportError>
     }
 }
 
-/// The heartbeat side-loop: bridge external cancellation into the current
-/// shard's token, beat at TTL/4, and treat a `lease_ok: false` ack as the
-/// affirmative lease-loss signal. Failures are soft — the connection is
-/// dropped for the main loop to re-establish, never retried here, so a
-/// partitioned worker's heartbeat thread cannot start a reconnect storm
-/// while the worker keeps computing.
-fn heartbeat_loop(inner: &Arc<Inner>, stop: &AtomicBool, external: &CancelToken) {
-    let beat_every = {
-        let ttl = inner.lease_cfg.lock().unwrap().ttl_ms;
-        Duration::from_millis((ttl / 4).max(5))
-    };
-    while !stop.load(Ordering::Relaxed) {
-        if external.is_cancelled() {
-            if let Some(ctx) = &*inner.ctx.lock().unwrap() {
-                ctx.token.cancel();
+impl LeaseStore for WorkerClient {
+    type Error = TransportError;
+
+    fn claim(&self) -> Result<Claim, TransportError> {
+        match self.rpc(&Request::Claim { worker: self.inner.worker.clone() })? {
+            Reply::ClaimAck(ClaimOutcome::Granted { shard, granted_at_ms }) => {
+                Ok(Claim::Granted(Lease {
+                    shard,
+                    worker: self.inner.worker.clone(),
+                    granted_at_ms,
+                }))
             }
-        }
-        if let Some(false) = heartbeat_once(inner) {
-            if let Some(ctx) = &*inner.ctx.lock().unwrap() {
-                ctx.token.expire_now();
+            Reply::ClaimAck(ClaimOutcome::NoneEligible { committed, shards })
+                if committed < shards =>
+            {
+                Ok(Claim::Wait)
             }
-        }
-        // Interruptible sleep: the main loop joins this thread when the
-        // campaign ends, so worker exit latency must be a tick, not a
-        // whole beat interval (TTL/4 can be seconds).
-        let deadline = Instant::now() + beat_every;
-        while !stop.load(Ordering::Relaxed) && Instant::now() < deadline {
-            std::thread::sleep(Duration::from_millis(5));
+            Reply::ClaimAck(_) => Ok(Claim::Complete),
+            other => Err(unexpected(&other)),
         }
     }
-}
 
-/// One heartbeat attempt over the shared connection. Returns the ack's
-/// `lease_ok`, or `None` if there is no connection or the beat failed.
-fn heartbeat_once(inner: &Arc<Inner>) -> Option<bool> {
-    let (shard, granted_at_ms) = match &*inner.ctx.lock().unwrap() {
-        Some(ctx) => (ctx.shard, ctx.granted_at_ms),
-        None => (NO_SHARD, 0),
-    };
-    let counter = inner.hb_counter.fetch_add(1, Ordering::Relaxed);
-    let mut conn = inner.conn.lock().unwrap();
-    let stream = conn.stream.take()?;
-    let seq = inner.next_seq();
-    let req = Request::Heartbeat { worker: inner.worker.clone(), counter, shard, granted_at_ms };
-    let result = write_frame(&mut (&stream), seq, &encode_request(&req))
-        .and_then(|()| read_reply_for(&stream, seq));
-    match result {
-        Ok(Reply::HeartbeatAck { lease_ok, .. }) => {
-            conn.stream = Some(stream);
-            Some(lease_ok)
+    /// One attempt over the current connection, outside the retry ladder
+    /// and the chaos ordinals: a failed beat drops the connection for the
+    /// next RPC to re-establish, so a partitioned worker's heartbeat
+    /// thread cannot start a reconnect storm while the worker computes.
+    fn beat(&self, counter: u64, held: Option<&Lease>) -> Result<bool, TransportError> {
+        let (shard, granted_at_ms) = held.map_or((NO_SHARD, 0), |l| (l.shard, l.granted_at_ms));
+        let mut conn = self.inner.conn.lock().unwrap();
+        let stream = conn.stream.take().ok_or(TransportError::Closed)?;
+        let seq = self.inner.next_seq();
+        let req =
+            Request::Heartbeat { worker: self.inner.worker.clone(), counter, shard, granted_at_ms };
+        let result = write_frame(&mut (&stream), seq, &encode_request(&req))
+            .and_then(|()| read_reply_for(&stream, seq));
+        match result {
+            Ok(Reply::HeartbeatAck { lease_ok, .. }) => {
+                conn.stream = Some(stream);
+                Ok(lease_ok)
+            }
+            other => {
+                let _ = stream.shutdown(Shutdown::Both);
+                Err(other.map_or_else(|e| e, |reply| unexpected(&reply)))
+            }
         }
-        _ => {
-            let _ = stream.shutdown(Shutdown::Both);
-            None
+    }
+
+    fn append(&self, framed: &[u8]) -> Result<(), TransportError> {
+        self.stream_record(framed)
+    }
+
+    fn complete(&self, lease: &Lease) -> Result<bool, TransportError> {
+        let commit = Request::Commit {
+            worker: self.inner.worker.clone(),
+            shard: lease.shard,
+            granted_at_ms: lease.granted_at_ms,
+        };
+        match self.rpc(&commit)? {
+            Reply::CommitAck { ok } => Ok(ok),
+            other => Err(unexpected(&other)),
+        }
+    }
+
+    /// The wire has no release RPC: the lease is left to expire.
+    fn release(&self, _lease: &Lease) -> Result<(), TransportError> {
+        Ok(())
+    }
+
+    fn blame(&self, lease: &Lease, reason: &str) -> Result<(), TransportError> {
+        let note = Request::Quarantine {
+            worker: self.inner.worker.clone(),
+            shard: lease.shard,
+            reason: reason.to_string(),
+        };
+        match self.rpc(&note)? {
+            Reply::QuarantineAck => Ok(()),
+            other => Err(unexpected(&other)),
         }
     }
 }

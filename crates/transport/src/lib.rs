@@ -10,6 +10,9 @@
 //! record), so the coordinator's merge/expiry/quarantine loop is unchanged
 //! and a streamed segment record is **byte-identical** to a file-journaled
 //! one: both are [`paraspace_journal::record`] frames, appended verbatim.
+//! On the worker side, [`client::WorkerClient`] is a
+//! [`LeaseStore`](paraspace_journal::lease::LeaseStore) sending those
+//! operations as RPCs; the loop that drives it is the one file workers run.
 //!
 //! # Delivery semantics
 //!
@@ -22,7 +25,8 @@
 //! * every retryable RPC is idempotent server-side — a re-claimed lease is
 //!   re-granted, an already-appended segment record is acknowledged
 //!   without a second append (records carry explicit per-worker indices),
-//!   an already-done commit acks `ok`;
+//!   a commit of the grant the server already completed for this worker
+//!   acks `ok` again;
 //! * duplicate, stale, and reordered deliveries are survived by
 //!   construction: duplicated requests hit the idempotent handlers, stale
 //!   replies (sequence number below the one awaited) are discarded, and a
@@ -125,28 +129,3 @@ impl From<JournalError> for TransportError {
         TransportError::Journal(e)
     }
 }
-
-/// What ended a networked worker session: the wire gave out, or the
-/// caller's execute closure failed. Generic over the executor's error so
-/// this crate stays independent of any campaign driver.
-#[derive(Debug)]
-pub enum WorkerError<E> {
-    /// The retry ladder was exhausted (or the server reported a protocol
-    /// violation) — the coordinator is unreachable or unusable.
-    Transport(TransportError),
-    /// The execute closure failed for a reason that was neither
-    /// cancellation nor lease loss; the failure was reported upstream as a
-    /// `Quarantine` RPC before surfacing here.
-    Execute(E),
-}
-
-impl<E: fmt::Display> fmt::Display for WorkerError<E> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            WorkerError::Transport(e) => write!(f, "{e}"),
-            WorkerError::Execute(e) => write!(f, "shard execution failed: {e}"),
-        }
-    }
-}
-
-impl<E: fmt::Debug + fmt::Display> std::error::Error for WorkerError<E> {}

@@ -15,7 +15,7 @@
 //! with the server's clock on RPC receipt, so worker clocks never enter
 //! the expiry arithmetic.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -23,8 +23,8 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use paraspace_journal::lease::{Lease, LeaseConfig, LeaseDir, Segment, SegmentReader};
-use paraspace_journal::{record, CampaignManifest, LOG_FILE};
+use paraspace_journal::lease::{CommittedShards, Lease, LeaseConfig, LeaseDir, Segment};
+use paraspace_journal::{record, CampaignManifest};
 
 use crate::wire::{
     decode_request, encode_reply, read_frame, write_frame, ClaimOutcome, Reply, Request, NO_SHARD,
@@ -58,18 +58,14 @@ struct WorkerState {
     seg: Segment,
     /// Intact records in the segment (the worker's replay resume offset).
     count: u64,
-    /// `(shard, granted_at_ms)` of the live lease granted to this worker.
-    lease: Option<(u64, u64)>,
+    /// The live lease granted to this worker.
+    lease: Option<Lease>,
+    /// `(shard, granted_at_ms)` of the last grant this server completed
+    /// for this worker — the one Commit a retry may see acked again.
+    completed: Option<(u64, u64)>,
     /// Bumped on every Hello so a superseded connection's teardown cannot
     /// blame a worker that already reconnected.
     generation: u64,
-}
-
-/// Incremental view of the main journal's committed set (the server tails
-/// `shards.log` exactly like a local worker does).
-struct CommittedTail {
-    reader: SegmentReader,
-    set: BTreeSet<u64>,
 }
 
 struct Shared {
@@ -77,24 +73,11 @@ struct Shared {
     manifest_text: String,
     shards: u64,
     config: ServerConfig,
-    committed: Mutex<CommittedTail>,
+    /// The main journal's committed set (the server tails `shards.log`
+    /// exactly like a local worker does).
+    committed: Mutex<CommittedShards>,
     workers: Mutex<HashMap<String, WorkerState>>,
     stop: AtomicBool,
-}
-
-impl Shared {
-    /// Refresh and return the committed count (merged shards).
-    fn committed_count(&self) -> Result<u64, TransportError> {
-        let mut tail = self.committed.lock().unwrap();
-        for (shard, _) in tail.reader.poll()? {
-            tail.set.insert(shard);
-        }
-        Ok(tail.set.len() as u64)
-    }
-
-    fn is_committed(&self, shard: u64) -> bool {
-        self.committed.lock().unwrap().set.contains(&shard)
-    }
 }
 
 /// A running transport server bound to one checkpoint directory.
@@ -128,10 +111,7 @@ impl CoordinatorServer {
             manifest_text: manifest.to_text(),
             shards: manifest.shards(),
             config,
-            committed: Mutex::new(CommittedTail {
-                reader: SegmentReader::new(checkpoint_dir.join(LOG_FILE)),
-                set: BTreeSet::new(),
-            }),
+            committed: Mutex::new(CommittedShards::new(checkpoint_dir)),
             workers: Mutex::new(HashMap::new()),
             stop: AtomicBool::new(false),
         });
@@ -178,9 +158,7 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                     handlers.push(handle);
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(20));
-            }
+            // Nobody waiting (`WouldBlock`), or a failed accept: retry.
             Err(_) => std::thread::sleep(Duration::from_millis(20)),
         }
         handlers.retain(|h| !h.is_finished());
@@ -276,10 +254,14 @@ fn try_handle(
             let (seg, _) = Segment::open(&shared.dir, &worker)?;
             shared.dir.clear_blame(&worker)?;
             let mut workers = shared.workers.lock().unwrap();
-            let generation = workers.get(&worker).map_or(0, |s| s.generation + 1);
-            // A reconnecting worker keeps the lease it already holds.
-            let lease = workers.get(&worker).and_then(|s| s.lease);
-            workers.insert(worker.clone(), WorkerState { seg, count, lease, generation });
+            // A reconnecting worker keeps the lease it holds and the grant
+            // it completed.
+            let (lease, completed, generation) = match workers.remove(&worker) {
+                Some(s) => (s.lease, s.completed, s.generation + 1),
+                None => (None, None, 0),
+            };
+            workers
+                .insert(worker.clone(), WorkerState { seg, count, lease, completed, generation });
             *ident = Some((worker, generation));
             let cfg = &shared.config.lease;
             Ok(Reply::HelloAck {
@@ -293,57 +275,39 @@ fn try_handle(
             })
         }
         Request::Claim { worker } => {
-            let committed = shared.committed_count()?;
             let mut workers = shared.workers.lock().unwrap();
             let Some(state) = workers.get_mut(&worker) else {
                 return Ok(hello_first(&worker));
             };
-            // Idempotent re-grant: if the worker's lease is still on disk
-            // and still its own, hand the same grant back (a retried Claim
-            // whose ack was lost must not claim a second shard).
-            if let Some((shard, granted_at_ms)) = state.lease {
-                match shared.dir.lease_info(shard)? {
-                    Some(info) if info.worker == worker && info.granted_at_ms == granted_at_ms => {
-                        return Ok(Reply::ClaimAck(ClaimOutcome::Granted { shard, granted_at_ms }));
-                    }
-                    _ => state.lease = None, // expired/reassigned/completed
+            let mut committed = shared.committed.lock().unwrap();
+            let count = committed.refresh()?;
+            // A held lease still the worker's own is handed back: a retried
+            // Claim whose ack was lost must not claim a second shard. The
+            // grant is stamped with the server's clock.
+            let shards = shared.shards;
+            let outcome = match shared
+                .dir
+                .claim(&worker, shards, &mut state.lease, |s| committed.contains(s))?
+            {
+                Some(lease) => {
+                    ClaimOutcome::Granted { shard: lease.shard, granted_at_ms: lease.granted_at_ms }
                 }
-            }
-            for shard in 0..shared.shards {
-                if shared.is_committed(shard) {
-                    continue;
-                }
-                // try_claim stamps the grant with the server's clock and
-                // loses gracefully to existing leases and done markers.
-                if let Some(lease) = shared.dir.try_claim(shard, &worker)? {
-                    state.lease = Some((shard, lease.granted_at_ms));
-                    return Ok(Reply::ClaimAck(ClaimOutcome::Granted {
-                        shard,
-                        granted_at_ms: lease.granted_at_ms,
-                    }));
-                }
-            }
-            if committed >= shared.shards {
-                Ok(Reply::ClaimAck(ClaimOutcome::Complete))
-            } else {
-                Ok(Reply::ClaimAck(ClaimOutcome::NoneEligible { committed, shards: shared.shards }))
-            }
+                None if count >= shards => ClaimOutcome::Complete,
+                None => ClaimOutcome::NoneEligible { committed: count, shards },
+            };
+            Ok(Reply::ClaimAck(outcome))
         }
         Request::Heartbeat { worker, counter, shard, granted_at_ms } => {
             // Server clock: the beat is stamped on receipt.
             shared.dir.beat(&worker, counter)?;
-            let committed = shared.committed_count()?;
-            let lease_ok = if shard == NO_SHARD {
-                true
-            } else {
-                match shared.dir.lease_info(shard)? {
-                    Some(info) => info.worker == worker && info.granted_at_ms == granted_at_ms,
-                    // Done/merged means the lease converted, not that it
-                    // was lost from under the worker.
-                    None => shared.dir.is_done(shard) || shared.is_committed(shard),
-                }
-            };
-            Ok(Reply::HeartbeatAck { committed, shards: shared.shards, lease_ok })
+            let mut committed = shared.committed.lock().unwrap();
+            let count = committed.refresh()?;
+            let lease_ok = shard == NO_SHARD
+                || shared.dir.still_held(
+                    &Lease { shard, worker, granted_at_ms },
+                    committed.contains(shard),
+                )?;
+            Ok(Reply::HeartbeatAck { committed: count, shards: shared.shards, lease_ok })
         }
         Request::SegmentRecord { worker, index, framed } => {
             let mut workers = shared.workers.lock().unwrap();
@@ -372,25 +336,25 @@ fn try_handle(
                     message: format!("record {index} from {worker} failed verification"),
                 });
             }
-            let (shard, payload) = &records[0];
-            state.seg.append(*shard, payload)?;
+            state.seg.append_framed(&framed)?;
             state.count += 1;
             Ok(Reply::RecordAck { total: state.count })
         }
         Request::Commit { worker, shard, granted_at_ms } => {
-            shared.committed_count()?;
             let mut workers = shared.workers.lock().unwrap();
             let Some(state) = workers.get_mut(&worker) else {
                 return Ok(hello_first(&worker));
             };
-            // Idempotent: if a previous attempt's rename already happened
-            // (ack lost in flight), report success again.
-            let ok = if shared.dir.is_done(shard) || shared.is_committed(shard) {
-                true
-            } else {
-                shared.dir.complete(&Lease { shard, worker: worker.clone(), granted_at_ms })?
-            };
-            if state.lease.is_some_and(|(s, _)| s == shard) {
+            // Idempotent for the grant this server completed for this
+            // worker (a retry whose ack was lost); a lease completed by
+            // anyone else is lost, as `LeaseDir::complete` says.
+            let grant = (shard, granted_at_ms);
+            let ok = state.completed == Some(grant)
+                || shared.dir.complete(&Lease { shard, worker, granted_at_ms })?;
+            if ok {
+                state.completed = Some(grant);
+            }
+            if state.lease.as_ref().is_some_and(|l| l.shard == shard) {
                 state.lease = None;
             }
             Ok(Reply::CommitAck { ok })

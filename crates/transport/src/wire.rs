@@ -165,8 +165,8 @@ pub enum Reply {
         /// Total shards.
         shards: u64,
         /// False once the worker's lease was expired and reassigned: the
-        /// affirmative lease-loss signal that triggers cancel-on-disconnect
-        /// (`CancelToken::expire_now`) so in-flight work drains at once.
+        /// affirmative lease-loss signal on which the worker cancels the
+        /// shard's token so in-flight work drains at once.
         lease_ok: bool,
     },
     /// Reply to `SegmentRecord`.
@@ -177,7 +177,8 @@ pub enum Reply {
     /// Reply to `Commit`.
     CommitAck {
         /// False if the lease was no longer this worker's — the shard was
-        /// reassigned; the streamed record still merges first-wins.
+        /// reassigned, even if another worker has completed it since; the
+        /// streamed record still merges first-wins.
         ok: bool,
     },
     /// Reply to `Quarantine`.

@@ -6,16 +6,22 @@
 //! crate's dispatch durability suite.
 
 use std::collections::HashMap;
+use std::net::TcpStream;
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
+use paraspace_analysis::campaign::CampaignError;
+use paraspace_analysis::dispatch::{worker_loop, DispatchConfig, WorkerChaos};
 use paraspace_exec::CancelToken;
 use paraspace_journal::lease::{LeaseConfig, LeaseDir, SegmentReader, SEGMENTS_DIR};
-use paraspace_journal::{record, CampaignManifest, Journal};
+use paraspace_journal::{record, CampaignManifest, Journal, JournalError};
 use paraspace_transport::chaos::NetChaos;
-use paraspace_transport::client::{ClientOptions, WorkerClient};
+use paraspace_transport::client::{ClientOptions, HelloInfo, WorkerClient};
 use paraspace_transport::server::{CoordinatorServer, ServerConfig};
-use paraspace_transport::WorkerError;
+use paraspace_transport::wire::{
+    decode_reply, encode_request, read_frame, write_frame, ClaimOutcome, Reply, Request,
+    PROTOCOL_VERSION,
+};
 
 const SHARDS: u64 = 6;
 
@@ -45,6 +51,11 @@ fn fast_server_config() -> ServerConfig {
 
 fn fast_client_options(chaos: NetChaos) -> ClientOptions {
     ClientOptions { connect_timeout_ms: 500, rpc_timeout_ms: 300, max_attempts: 6, chaos }
+}
+
+/// The worker loop's timing, as the handshake taught it.
+fn dispatch_config(info: &HelloInfo) -> DispatchConfig {
+    DispatchConfig { lease: info.lease.clone(), poll_ms: info.poll_ms }
 }
 
 fn payload_for(shard: u64) -> Vec<u8> {
@@ -98,9 +109,11 @@ fn run_campaign(tag: &str, chaos: NetChaos) -> (Vec<u8>, PathBuf) {
         assert!(info.manifest_text.contains("transport-loopback"));
         assert_eq!(info.lease.ttl_ms, 400, "handshake must carry the campaign's timing");
         let external = CancelToken::new();
-        client
-            .run(&external, |shard, _token| Ok::<_, std::convert::Infallible>(payload_for(shard)))
-            .unwrap()
+        let quiet = WorkerChaos::default();
+        worker_loop(&client, &dispatch_config(&info), &external, &quiet, |shard, _token| {
+            Ok(payload_for(shard))
+        })
+        .unwrap()
     });
 
     let journal = merge_until_complete(&dir);
@@ -177,13 +190,15 @@ fn fully_partitioned_worker_exits_and_is_blamed() {
     // Ordinal 0 is the first Claim, ordinal 1 the first SegmentRecord:
     // the worker finishes computing shard 0, then the route vanishes.
     let chaos = NetChaos { partition_at: Some(1), ..NetChaos::default() };
-    let (client, _info) = WorkerClient::connect(&addr, "w1", fast_client_options(chaos)).unwrap();
+    let (client, info) = WorkerClient::connect(&addr, "w1", fast_client_options(chaos)).unwrap();
     let external = CancelToken::new();
     let started = Instant::now();
-    let err = client
-        .run(&external, |shard, _token| Ok::<_, std::convert::Infallible>(payload_for(shard)))
-        .unwrap_err();
-    assert!(matches!(err, WorkerError::Transport(_)), "got: {err}");
+    let quiet = WorkerChaos::default();
+    let err = worker_loop(&client, &dispatch_config(&info), &external, &quiet, |shard, _token| {
+        Ok(payload_for(shard))
+    })
+    .unwrap_err();
+    assert!(matches!(err, CampaignError::Store(_)), "got: {err}");
     // The ladder is bounded: 6 attempts with 20ms-base/200ms-cap backoff.
     assert!(started.elapsed() < Duration::from_secs(10));
 
@@ -211,18 +226,21 @@ fn quarantine_rpc_records_the_workers_taxonomy_as_blame() {
         CoordinatorServer::start("127.0.0.1:0", &dir, &manifest(), fast_server_config()).unwrap();
     let addr = server.local_addr().to_string();
 
-    let (client, _info) =
+    let (client, info) =
         WorkerClient::connect(&addr, "w2", fast_client_options(NetChaos::default())).unwrap();
     let external = CancelToken::new();
-    #[derive(Debug)]
-    struct Diverged;
-    impl std::fmt::Display for Diverged {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "solver diverged")
-        }
-    }
-    let err = client.run(&external, |_shard, _token| Err::<Vec<u8>, _>(Diverged)).unwrap_err();
-    assert!(matches!(err, WorkerError::Execute(Diverged)));
+    // Any error from the executor stands for the solver diverging.
+    let diverged = || JournalError::MalformedPayload { message: "solver diverged".into() };
+    let quiet = WorkerChaos::default();
+    let err = worker_loop(&client, &dispatch_config(&info), &external, &quiet, |_shard, _token| {
+        Err(CampaignError::Journal(diverged()))
+    })
+    .unwrap_err();
+    assert!(
+        matches!(&err, CampaignError::Journal(JournalError::MalformedPayload { message })
+            if message == "solver diverged"),
+        "got: {err}"
+    );
 
     let leases = LeaseDir::new(&dir);
     let reason = leases.read_blame("w2").unwrap().expect("blame recorded");
@@ -233,5 +251,37 @@ fn quarantine_rpc_records_the_workers_taxonomy_as_blame() {
     // The lease is deliberately left to expire so the coordinator ledgers
     // a death carrying this taxonomy.
     assert!(leases.is_claimed(0));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn commit_of_a_lease_reassigned_and_completed_elsewhere_reports_lost() {
+    let dir = temp_dir("stolen");
+    drop(Journal::open_or_create(&dir, &manifest()).unwrap());
+    let server =
+        CoordinatorServer::start("127.0.0.1:0", &dir, &manifest(), fast_server_config()).unwrap();
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut seq = 0;
+    let mut ask = |req: Request| {
+        seq += 1;
+        write_frame(&mut (&stream), seq, &encode_request(&req)).unwrap();
+        decode_reply(&read_frame(&mut (&stream)).unwrap().1).unwrap()
+    };
+    ask(Request::Hello { worker: "w3".into(), version: PROTOCOL_VERSION });
+    let Reply::ClaimAck(ClaimOutcome::Granted { shard, granted_at_ms }) =
+        ask(Request::Claim { worker: "w3".into() })
+    else {
+        panic!("the first claim is granted");
+    };
+
+    // The coordinator expires w3's lease; w4 claims the shard and
+    // completes it before w3's commit arrives.
+    let leases = LeaseDir::new(&dir);
+    leases.release(shard).unwrap();
+    let other = leases.try_claim(shard, "w4").unwrap().expect("reassignment claim");
+    assert!(leases.complete(&other).unwrap());
+
+    let reply = ask(Request::Commit { worker: "w3".into(), shard, granted_at_ms });
+    assert!(matches!(reply, Reply::CommitAck { ok: false }), "w3 lost its lease, got {reply:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
