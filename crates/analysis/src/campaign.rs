@@ -4,7 +4,12 @@
 //! Every analysis is the same shape — a parameter space cut into batches
 //! of independent simulations, mapped through an engine, reduced and
 //! collected — and each is written once over [`ShardLog`], a shard log
-//! opened from an *optional* [`Checkpoint`]. Without a checkpoint its
+//! opened from an *optional* [`Checkpoint`]. So each has one public entry
+//! ([`evaluate_points`], [`crate::psa::Psa2d::run`],
+//! [`crate::gradient::estimate_gradient`], [`crate::pe::estimate_with`],
+//! [`crate::ensemble::run_ensemble`]) that takes the checkpoint as an
+//! argument (a builder for `Psa2d`) and returns its [`ShardReport`] inside
+//! the result (only `executed` counts without one). Without one the log's
 //! get-or-run step just runs; with one, what follows applies.
 //!
 //! A *campaign* is a long-running parameter-space analysis (a sweep, a
@@ -538,16 +543,26 @@ where
     Ok(EvalOutputs { outputs, simulated_ns, simulations, report: log.finish()? })
 }
 
-/// Evaluates a fixed point set (e.g. a Saltelli design) through an engine
-/// in batches of `batch_size`: `to_param` maps each point to a
-/// parameterization of `model`, `metric` reduces each trajectory. Failed
-/// members — and every point of a batch whose job fails validation — yield
-/// `NaN`.
+/// The manifest kind of a point-set evaluation. Two campaigns over one
+/// checkpoint directory are told apart by their digests and by
+/// [`Checkpoint::with_world`].
+const POINTS_KIND: &str = "points";
+
+/// Evaluates a fixed point set (e.g. a Saltelli design, or one PSA axis's
+/// values) through an engine in batches of `batch_size`: `to_param` maps
+/// each point to a parameterization of `model`, `metric` reduces each
+/// trajectory. Failed members — and every point of a batch whose job fails
+/// validation — yield `NaN`.
+///
+/// With a checkpoint every batch is one journaled shard and a restarted
+/// run skips the committed ones; outputs, counts and billed time are
+/// byte-identical to an uninterrupted run and to the run without one.
 ///
 /// # Errors
 ///
-/// [`CampaignError::Sim`] for a fatal engine error (`SimError::Cancelled`
-/// included: there is no checkpoint to interrupt into).
+/// As [`ShardLog::step`]: checkpoint I/O or mismatch, interruption at a
+/// shard boundary, or a fatal engine error (without a checkpoint,
+/// `SimError::Cancelled` included: there is nothing to interrupt into).
 #[allow(clippy::too_many_arguments)]
 pub fn evaluate_points<P, M>(
     model: &ReactionBasedModel,
@@ -558,66 +573,32 @@ pub fn evaluate_points<P, M>(
     engine: &dyn Simulator,
     metric: M,
     batch_size: usize,
+    checkpoint: Option<&Checkpoint>,
 ) -> Result<EvalOutputs, CampaignError>
 where
     P: FnMut(&[f64]) -> Parameterization,
     M: FnMut(&Solution) -> f64,
 {
-    let spec =
-        PointEval { model, time_points, options, engine, batch: batch_size, failed: f64::NAN };
-    evaluate_batched(&spec, points, |p| to_param(p), metric, |_| Ok(ShardLog::default()))
-}
-
-/// [`evaluate_points`], durably: each batch of `shard_size` points is one
-/// journaled shard, and a restarted run skips committed shards. Outputs,
-/// counts, and billed time are byte-identical to an uninterrupted run and
-/// to the plain evaluation.
-///
-/// `kind` names the campaign in the manifest (e.g. `"sobol"`), keeping
-/// checkpoints from different drivers mutually exclusive.
-///
-/// # Errors
-///
-/// As [`ShardLog::step`]: checkpoint I/O/mismatch, interruption at a shard
-/// boundary, or a fatal engine error.
-#[allow(clippy::too_many_arguments)]
-pub fn evaluate_points_durable<P, M>(
-    kind: &str,
-    model: &ReactionBasedModel,
-    points: &[Vec<f64>],
-    mut to_param: P,
-    time_points: &[f64],
-    options: &SolverOptions,
-    engine: &dyn Simulator,
-    metric: M,
-    shard_size: usize,
-    checkpoint: &Checkpoint,
-) -> Result<EvalOutputs, CampaignError>
-where
-    P: FnMut(&[f64]) -> Parameterization,
-    M: FnMut(&Solution) -> f64,
-{
-    let shard_size = shard_size.max(1);
+    let batch = batch_size.max(1);
     let manifest = |shards| {
         let mut points_enc = Enc::new();
         for p in points {
             points_enc.put_f64_slice(p);
         }
-        CampaignManifest::new(kind, shards)
+        CampaignManifest::new(POINTS_KIND, shards)
             .with_digest("model", model_digest(model))
             .with_digest("points", fnv64(&points_enc.finish()))
             .with_digest("times", f64s_digest(time_points))
             .with_digest("options", options_digest(options))
-            .with_field("shard_size", shard_size.to_string())
+            .with_field("shard_size", batch.to_string())
     };
-    let spec =
-        PointEval { model, time_points, options, engine, batch: shard_size, failed: f64::NAN };
+    let spec = PointEval { model, time_points, options, engine, batch, failed: f64::NAN };
     evaluate_batched(
         &spec,
         points,
         |p| to_param(p),
         metric,
-        |shards| ShardLog::open(Some(checkpoint), || manifest(shards)),
+        |shards| ShardLog::open(checkpoint, || manifest(shards)),
     )
 }
 

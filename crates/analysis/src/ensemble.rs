@@ -175,7 +175,7 @@ pub struct EnsembleOutputs {
 /// — or a fatal model/ensemble error from the batch engine. Without a
 /// checkpoint a tripped batch token surfaces as [`SimError::Cancelled`] in
 /// [`CampaignError::Sim`].
-pub fn run_ensemble_durable<S: StochasticSimulator + Sync>(
+pub fn run_ensemble<S: StochasticSimulator + Sync>(
     model: &ReactionBasedModel,
     times: &[f64],
     replicates: usize,
@@ -329,13 +329,18 @@ mod tests {
         // of the world, and the bytes must still match the direct run.
         let cp = Checkpoint::new(&dir);
         let resumed =
-            run_ensemble_durable(&model, &times, 23, &batch.clone().with_threads(8), 8, Some(&cp))
-                .unwrap();
+            run_ensemble(&model, &times, 23, &batch.clone().with_threads(8), 8, Some(&cp)).unwrap();
         assert!(resumed.report.resumed);
         assert_eq!(resumed.report.recovered, 2);
         assert_eq!(resumed.report.executed, 1);
         assert_eq!(resumed.outcomes, direct.outcomes, "resume must be byte-identical");
         assert_eq!(resumed.stats, direct.stats);
+
+        // The same call without a checkpoint runs one batch instead of
+        // three shards: the same replicates, billed as one batch.
+        let plain = run_ensemble(&model, &times, 23, &batch, 8, None).unwrap();
+        assert_eq!(plain.outcomes, resumed.outcomes);
+        assert_eq!(plain.stats, resumed.stats);
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -373,15 +378,9 @@ mod tests {
         let model = isomerization();
         let times = [0.2, 0.5];
         let batch = StochasticBatch::new(TauLeaping::new()).with_seed(77);
-        let reference = run_ensemble_durable(
-            &model,
-            &times,
-            23,
-            &batch,
-            8,
-            Some(&Checkpoint::new(&reference_dir)),
-        )
-        .unwrap();
+        let reference =
+            run_ensemble(&model, &times, 23, &batch, 8, Some(&Checkpoint::new(&reference_dir)))
+                .unwrap();
 
         // The checkpoint's token is the batch's: it trips inside shard 1,
         // whose partial replicates are discarded.
@@ -391,14 +390,13 @@ mod tests {
             .with_seed(77)
             .with_cancel(cancel.clone());
         let cp = Checkpoint::new(&dir).with_cancel(cancel.clone());
-        let err = run_ensemble_durable(&model, &times, 23, &tripping, 8, Some(&cp)).unwrap_err();
+        let err = run_ensemble(&model, &times, 23, &tripping, 8, Some(&cp)).unwrap_err();
         assert!(matches!(err, CampaignError::Interrupted { completed: 1, shards: 3, .. }), "{err}");
-        let plain = run_ensemble_durable(&model, &times, 23, &tripping, 8, None).unwrap_err();
+        let plain = run_ensemble(&model, &times, 23, &tripping, 8, None).unwrap_err();
         assert!(matches!(plain, CampaignError::Sim(SimError::Cancelled)), "{plain}");
 
         let resumed =
-            run_ensemble_durable(&model, &times, 23, &batch, 8, Some(&Checkpoint::new(&dir)))
-                .unwrap();
+            run_ensemble(&model, &times, 23, &batch, 8, Some(&Checkpoint::new(&dir))).unwrap();
         assert_eq!((resumed.report.recovered, resumed.report.executed), (1, 2));
         assert_eq!(resumed.outcomes, reference.outcomes);
         assert_eq!(resumed.stats, reference.stats);
@@ -413,8 +411,8 @@ mod tests {
         let model = isomerization();
         let times = [0.1];
         let batch = StochasticBatch::new(TauLeaping::new()).with_seed(1);
-        run_ensemble_durable(&model, &times, 6, &batch, 4, Some(&Checkpoint::new(&dir))).unwrap();
-        let err = run_ensemble_durable(
+        run_ensemble(&model, &times, 6, &batch, 4, Some(&Checkpoint::new(&dir))).unwrap();
+        let err = run_ensemble(
             &model,
             &times,
             6,
@@ -441,14 +439,13 @@ mod tests {
         let batch = StochasticBatch::new(TauLeaping::new())
             .with_seed(5)
             .with_faults(StochFaultPlan::new().poison(3, StochFault::nan(0, 1)));
-        let out = run_ensemble_durable(&model, &times, 10, &batch, 4, Some(&Checkpoint::new(&dir)))
-            .unwrap();
+        let out =
+            run_ensemble(&model, &times, 10, &batch, 4, Some(&Checkpoint::new(&dir))).unwrap();
         assert!(matches!(out.outcomes[3], Err(StochasticError::BadPropensity { reaction: 0, .. })));
         assert_eq!(out.outcomes.iter().filter(|o| o.is_ok()).count(), 9);
         // And the journaled failure reassembles identically on resume.
         let again =
-            run_ensemble_durable(&model, &times, 10, &batch, 4, Some(&Checkpoint::new(&dir)))
-                .unwrap();
+            run_ensemble(&model, &times, 10, &batch, 4, Some(&Checkpoint::new(&dir))).unwrap();
         assert!(again.report.resumed);
         assert_eq!(again.report.executed, 0);
         assert_eq!(again.outcomes, out.outcomes);

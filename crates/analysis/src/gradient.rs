@@ -20,21 +20,19 @@
 //! the same log₁₀ parameterization as the swarm, with the chain rule
 //! `∂F/∂(log₁₀ k) = ln 10 · k · ∂F/∂k` applied to the exact gradient.
 //!
-//! Three entry points:
+//! Two entry points:
 //!
 //! * [`estimate_gradient`] — multi-start projected L-BFGS, the pure
-//!   gradient path;
-//! * [`estimate_gradient_durable`] — the same search, given a checkpoint:
-//!   every (loss, gradient) evaluation is one committed shard of the
-//!   campaign write-ahead journal, so a killed run replays them without
-//!   touching a solver and reproduces the uninterrupted trajectory
-//!   bitwise;
-//! * [`polish_gradient`] — one descent from a given start, the hybrid
-//!   optimizer's second stage.
+//!   gradient path. Given a checkpoint, every (loss, gradient) evaluation
+//!   is one committed shard of the campaign write-ahead journal, so a
+//!   killed run replays them without touching a solver and reproduces the
+//!   uninterrupted trajectory bitwise;
+//! * [`polish_gradient`] — one descent from a given start, without a
+//!   checkpoint (the hybrid optimizer's second stage runs the same search
+//!   through [`crate::pe::estimate_with`]).
 
 use crate::campaign::{
     f64s_digest, model_digest, options_digest, CampaignError, Checkpoint, ShardLog, ShardRecord,
-    ShardReport,
 };
 use crate::pe::{EstimationProblem, EstimationResult};
 use crate::pso::PsoResult;
@@ -165,7 +163,7 @@ impl<'p, 'a> GradientObjective<'p, 'a> {
     ///
     /// Panics if the model fails to compile or the problem's `unknown` and
     /// `log_bounds` disagree in length (a configuration bug, matching
-    /// [`crate::pe::estimate`]).
+    /// [`crate::pe::estimate_with`]).
     pub fn new(problem: &'p EstimationProblem<'a>, solver: SensSolverKind) -> Self {
         assert_eq!(
             problem.unknown.len(),
@@ -329,7 +327,7 @@ fn two_loop(pairs: &[(Vec<f64>, Vec<f64>)], g: &[f64]) -> Vec<f64> {
 /// Projected L-BFGS with Armijo backtracking from one start, driven by any
 /// evaluation closure (`None` = failed integration = infinite loss). The
 /// trajectory is a pure function of the evaluation results, which is what
-/// makes the durable variant's journal replay exact.
+/// makes a checkpointed search's journal replay exact.
 pub fn lbfgs<F>(
     bounds: &[(f64, f64)],
     config: &GradientConfig,
@@ -471,6 +469,16 @@ fn merge_traces(traces: Vec<GradientTrace>) -> GradientTrace {
 /// [`EstimationResult::simulations`] counts *augmented ODE solves* — the
 /// number the swarm comparison in the benches is made against.
 ///
+/// With a checkpoint every (loss, gradient) evaluation is one journaled
+/// shard keyed by its position in the deterministic evaluation sequence.
+/// Because the L-BFGS trajectory is a pure function of the evaluation
+/// results, a killed run replays the committed evaluations without
+/// touching a solver and continues exactly where it stopped; the finished
+/// estimate is bitwise identical to an uninterrupted run and to a run
+/// without a checkpoint. The manifest pins the model, bounds, target,
+/// solver options, **and the optimizer with its full configuration** —
+/// resume refuses any mismatch.
+///
 /// # Example
 ///
 /// ```
@@ -500,30 +508,46 @@ fn merge_traces(traces: Vec<GradientTrace>) -> GradientTrace {
 ///     options: SolverOptions::default(),
 ///     failed_members: FailedMemberPolicy::Skip,
 /// };
-/// let r = estimate_gradient(&problem, &GradientConfig::default());
+/// let r = estimate_gradient(&problem, &GradientConfig::default(), None)?;
 /// assert!((r.rate_constants[0] - 2.0).abs() < 1e-3);
 /// # Ok(())
 /// # }
 /// ```
+///
+/// # Errors
+///
+/// Only with a checkpoint: [`CampaignError::Journal`] on checkpoint I/O or
+/// world mismatch, or [`CampaignError::Interrupted`] when the checkpoint's
+/// token trips between evaluations.
+///
+/// # Panics
+///
+/// Panics if `problem.unknown` and `problem.log_bounds` disagree in
+/// length.
 pub fn estimate_gradient(
     problem: &EstimationProblem<'_>,
     config: &GradientConfig,
-) -> EstimationResult {
-    search(problem, config, &start_points(&problem.log_bounds, config), None)
-        .expect("a search without a checkpoint has nothing that can fail")
-        .0
+    checkpoint: Option<&Checkpoint>,
+) -> Result<EstimationResult, CampaignError> {
+    search(problem, config, &start_points(&problem.log_bounds, config), checkpoint)
 }
 
-/// Polishes a given start (e.g. a swarm's best) with one L-BFGS descent —
-/// the gradient half of the hybrid optimizer.
+/// Polishes a given start (e.g. a swarm's best) with one L-BFGS descent,
+/// without a checkpoint.
+///
+/// # Panics
+///
+/// Exists only for the `benchmark/` harness's traced PE replay; everything
+/// else calls [`estimate_gradient`] or [`crate::pe::estimate_with`]. Panics
+/// where [`estimate_gradient`] does, and never on an evaluation: without a
+/// checkpoint the search has nothing else that can fail.
 pub fn polish_gradient(
     problem: &EstimationProblem<'_>,
     config: &GradientConfig,
     start: &[f64],
 ) -> EstimationResult {
     search(problem, config, &[start.to_vec()], None)
-        .expect("a search without a checkpoint has nothing that can fail")
-        .0
+        .expect("a search without a checkpoint cannot fail")
 }
 
 /// One journaled evaluation: the candidate's loss/gradient, or a tagged
@@ -561,34 +585,6 @@ impl ShardRecord for Option<GradientEval> {
     }
 }
 
-/// [`estimate_gradient`], durably: every (loss, gradient) evaluation is
-/// one journaled shard keyed by its position in the deterministic
-/// evaluation sequence. Because the L-BFGS trajectory is a pure function
-/// of the evaluation results, a killed run replays the committed
-/// evaluations without touching a solver and continues exactly where it
-/// stopped; the finished estimate is bitwise identical to an
-/// uninterrupted run. The manifest pins the model, bounds, target, solver
-/// options, **and the optimizer with its full configuration** — resume
-/// refuses any mismatch.
-///
-/// # Errors
-///
-/// [`CampaignError::Journal`] on checkpoint I/O or world mismatch, or
-/// [`CampaignError::Interrupted`] when the checkpoint's token trips
-/// between evaluations.
-///
-/// # Panics
-///
-/// Panics if `problem.unknown` and `problem.log_bounds` disagree in
-/// length.
-pub fn estimate_gradient_durable(
-    problem: &EstimationProblem<'_>,
-    config: &GradientConfig,
-    checkpoint: &Checkpoint,
-) -> Result<(EstimationResult, ShardReport), CampaignError> {
-    search(problem, config, &start_points(&problem.log_bounds, config), Some(checkpoint))
-}
-
 /// The one L-BFGS search under every gradient entry point: a descent from
 /// each of `starts`, each evaluation one [`ShardLog`] step keyed by its
 /// position in the deterministic evaluation sequence. The evaluation
@@ -600,7 +596,7 @@ pub(crate) fn search(
     config: &GradientConfig,
     starts: &[Vec<f64>],
     checkpoint: Option<&Checkpoint>,
-) -> Result<(EstimationResult, ShardReport), CampaignError> {
+) -> Result<EstimationResult, CampaignError> {
     let mut log = ShardLog::open(checkpoint, || {
         // Upper bound on the evaluation sequence: per start, one seed
         // evaluation plus one full line search per iteration.
@@ -633,7 +629,7 @@ pub(crate) fn search(
     }
     let report = log.finish()?;
     let trace = merge_traces(traces);
-    let result = EstimationResult {
+    Ok(EstimationResult {
         rate_constants: fill_constants(problem, &trace.best_position),
         optimization: PsoResult {
             best_position: trace.best_position,
@@ -643,8 +639,8 @@ pub(crate) fn search(
         },
         simulated_ns: 0.0,
         simulations: objective.ode_solves,
-    };
-    Ok((result, report))
+        report,
+    })
 }
 
 /// The problem-identity manifest shared by every durable PE optimizer:
@@ -751,7 +747,7 @@ mod tests {
         let times: Vec<f64> = (1..=8).map(|i| i as f64 * 0.5).collect();
         let target = target_for(&truth, &times);
         let problem = two_step_problem(&truth, target, times);
-        let r = estimate_gradient(&problem, &GradientConfig::default());
+        let r = estimate_gradient(&problem, &GradientConfig::default(), None).unwrap();
         assert!((r.rate_constants[0] - 1.5).abs() < 1e-3, "k1 = {}", r.rate_constants[0]);
         assert!((r.rate_constants[1] - 0.4).abs() < 1e-3, "k2 = {}", r.rate_constants[1]);
         // The whole multi-start search must undercut a single swarm
@@ -767,7 +763,7 @@ mod tests {
         let mut problem = two_step_problem(&truth, target, times);
         // Bounds that exclude the truth: the estimate must sit inside.
         problem.log_bounds = vec![(-1.0, 0.0), (-1.0, 0.0)];
-        let r = estimate_gradient(&problem, &GradientConfig::default());
+        let r = estimate_gradient(&problem, &GradientConfig::default(), None).unwrap();
         for (lv, &(lo, hi)) in r.optimization.best_position.iter().zip(&problem.log_bounds) {
             assert!(*lv >= lo - 1e-12 && *lv <= hi + 1e-12, "position {lv} outside [{lo}, {hi}]");
         }
@@ -785,27 +781,27 @@ mod tests {
             std::env::temp_dir().join(format!("paraspace_grad_durable_{}", std::process::id()));
         std::fs::remove_dir_all(&dir).ok();
 
-        // Uninterrupted reference.
-        let reference = estimate_gradient(&problem, &config);
+        // Uninterrupted reference, without a checkpoint.
+        let reference = estimate_gradient(&problem, &config, None).unwrap();
 
         // A pre-tripped token checkpoints nothing and reports Interrupted.
         let cancel = paraspace_core::CancelToken::new();
         let cp = Checkpoint::new(&dir).with_cancel(cancel.clone());
         cancel.cancel();
-        let err = estimate_gradient_durable(&problem, &config, &cp).unwrap_err();
+        let err = estimate_gradient(&problem, &config, Some(&cp)).unwrap_err();
         assert!(matches!(err, CampaignError::Interrupted { completed: 0, .. }));
 
         let cp = Checkpoint::new(&dir);
-        let (first, report) = estimate_gradient_durable(&problem, &config, &cp).unwrap();
-        assert!(report.executed > 0);
+        let first = estimate_gradient(&problem, &config, Some(&cp)).unwrap();
+        assert!(first.report.executed > 0);
         assert_eq!(first.rate_constants, reference.rate_constants);
         assert_eq!(first.optimization.history, reference.optimization.history);
 
         // A third run replays every evaluation from the journal: zero new
         // solves, bitwise-identical result.
-        let (second, report2) = estimate_gradient_durable(&problem, &config, &cp).unwrap();
-        assert_eq!(report2.executed, 0, "all evaluations must replay from the journal");
-        assert!(report2.resumed);
+        let second = estimate_gradient(&problem, &config, Some(&cp)).unwrap();
+        assert_eq!(second.report.executed, 0, "all evaluations must replay from the journal");
+        assert!(second.report.resumed);
         assert_eq!(second.rate_constants, first.rate_constants);
         assert_eq!(second.optimization.history, first.optimization.history);
         std::fs::remove_dir_all(&dir).ok();
@@ -823,10 +819,10 @@ mod tests {
 
         let config = GradientConfig { starts: 1, iterations: 5, ..Default::default() };
         let cp = Checkpoint::new(&dir);
-        estimate_gradient_durable(&problem, &config, &cp).unwrap();
+        estimate_gradient(&problem, &config, Some(&cp)).unwrap();
 
         let changed = GradientConfig { seed: 7, ..config };
-        let err = estimate_gradient_durable(&problem, &changed, &cp).unwrap_err();
+        let err = estimate_gradient(&problem, &changed, Some(&cp)).unwrap_err();
         match err {
             CampaignError::Journal(paraspace_journal::JournalError::ManifestMismatch {
                 field,

@@ -6,6 +6,12 @@
 //! once, and the relative-distance fitness scores each member against the
 //! target time series. The experiment compares the same estimation run
 //! priced on different engines.
+//!
+//! [`estimate_with`] is the one entry: it dispatches on the chosen
+//! [`Optimizer`] (swarm, L-BFGS on exact gradients, or the hybrid of the
+//! two) and takes an optional [`Checkpoint`] that journals every stage, so
+//! a killed estimation resumes bitwise. [`estimate`] remains only as the
+//! swarm-only call the `benchmark/` harness makes.
 
 use crate::campaign::{f64s_digest, CampaignError, Checkpoint, ShardLog, ShardRecord, ShardReport};
 use crate::fitness::{relative_distance, FailedMemberPolicy};
@@ -52,6 +58,9 @@ pub struct EstimationResult {
     pub simulated_ns: f64,
     /// Total simulations executed.
     pub simulations: usize,
+    /// What the journal recovered and executed (without a checkpoint,
+    /// only `executed` counts; the hybrid sums its two stages).
+    pub report: ShardReport,
 }
 
 /// One swarm generation's fitness and engine accounting — the swarm
@@ -152,90 +161,31 @@ impl Objective for SwarmObjective<'_, '_> {
     }
 }
 
-/// Calibrates the unknown constants with FST-PSO on the given engine.
+/// Calibrates the unknown constants with FST-PSO on the given engine,
+/// without a checkpoint: [`estimate_with`] with [`Optimizer::Pso`].
 ///
-/// # Example
+/// # Panics
 ///
-/// ```
-/// use paraspace_analysis::fitness::FailedMemberPolicy;
-/// use paraspace_analysis::pe::{estimate, EstimationProblem};
-/// use paraspace_analysis::pso::PsoConfig;
-/// use paraspace_core::{CpuEngine, CpuSolverKind, SimulationJob, Simulator};
-/// use paraspace_rbm::{Reaction, ReactionBasedModel};
-/// use paraspace_solvers::SolverOptions;
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // Ground truth: decay at rate 2. Start the search from a placeholder.
-/// let mut truth = ReactionBasedModel::new();
-/// let a = truth.add_species("A", 1.0);
-/// truth.add_reaction(Reaction::mass_action(&[(a, 1)], &[], 2.0))?;
-/// let times = vec![0.5, 1.0, 2.0];
-/// let engine = CpuEngine::new(CpuSolverKind::Lsoda);
-/// let target_job = SimulationJob::builder(&truth).time_points(times.clone()).replicate(1).build()?;
-/// let target = engine.run(&target_job)?.outcomes.remove(0).solution?;
-///
-/// let problem = EstimationProblem {
-///     model: &truth,
-///     unknown: vec![0],
-///     log_bounds: vec![(-2.0, 2.0)],
-///     observed: vec![0],
-///     target,
-///     time_points: times,
-///     options: SolverOptions::default(),
-///     failed_members: FailedMemberPolicy::Skip,
-/// };
-/// let r = estimate(&problem, &engine, &PsoConfig { iterations: 25, ..Default::default() });
-/// assert!((r.rate_constants[0] - 2.0).abs() < 0.2);
-/// # Ok(())
-/// # }
-/// ```
+/// Exists only for the `benchmark/` harness's traced PE replay; everything
+/// else calls [`estimate_with`], which returns what this panics on — a
+/// fatal engine failure, cancellation included — as a [`CampaignError`].
 pub fn estimate(
     problem: &EstimationProblem<'_>,
     engine: &dyn Simulator,
     config: &PsoConfig,
 ) -> EstimationResult {
-    swarm(problem, engine, config, None).expect("engine failure is a configuration bug").0
+    estimate_with(problem, engine, &Optimizer::Pso(config.clone()), None).expect("engine failure")
 }
 
-/// Calibrates like [`estimate`], durably: each swarm generation is one
-/// journaled shard (the per-member fitness bits plus the generation's
-/// billed time), so a killed estimation resumes mid-swarm and reproduces
-/// the uninterrupted trajectory, estimate, and billed time bitwise. The
-/// manifest pins the model, bounds, target, seed, swarm size, generation
-/// count, and the chosen optimizer with its full configuration — resume
-/// refuses a mismatched world (same contract as the executor's thread
-/// count and lane width).
-///
-/// # Errors
-///
-/// [`CampaignError::Journal`] on checkpoint I/O or world mismatch,
-/// [`CampaignError::Interrupted`] when the checkpoint's token trips at a
-/// generation boundary, or [`CampaignError::Sim`] for fatal engine/job
-/// failures (an estimation's jobs come from its own bounds, so a
-/// validation failure is a configuration error, not a shard outcome).
-///
-/// # Panics
-///
-/// Panics if `problem.unknown` and `problem.log_bounds` disagree in
-/// length.
-pub fn estimate_durable(
-    problem: &EstimationProblem<'_>,
-    engine: &dyn Simulator,
-    config: &PsoConfig,
-    checkpoint: &Checkpoint,
-) -> Result<(EstimationResult, ShardReport), CampaignError> {
-    swarm(problem, engine, config, Some(checkpoint))
-}
-
-/// The one FST-PSO calibration under [`estimate`] and
-/// [`estimate_durable`]: one shard per generation, journaled when there is
-/// a checkpoint.
+/// The one FST-PSO calibration under every swarm stage: one shard per
+/// generation (the per-member fitness bits plus the generation's billed
+/// time), journaled when there is a checkpoint.
 fn swarm(
     problem: &EstimationProblem<'_>,
     engine: &dyn Simulator,
     config: &PsoConfig,
     checkpoint: Option<&Checkpoint>,
-) -> Result<(EstimationResult, ShardReport), CampaignError> {
+) -> Result<EstimationResult, CampaignError> {
     assert_eq!(
         problem.unknown.len(),
         problem.log_bounds.len(),
@@ -263,14 +213,13 @@ fn swarm(
     if let Some(e) = objective.stop {
         return Err(e);
     }
-    let report = objective.log.finish()?;
-    let result = EstimationResult {
+    Ok(EstimationResult {
         rate_constants: fill_constants(problem, &optimization.best_position),
         simulated_ns: objective.simulated_ns,
         simulations: objective.simulations,
         optimization,
-    };
-    Ok((result, report))
+        report: objective.log.finish()?,
+    })
 }
 
 /// A digest of a [`PsoConfig`] for campaign manifests: any change to the
@@ -326,35 +275,74 @@ impl Optimizer {
 /// generation); gradient stages run the host sensitivity integrators
 /// directly and count augmented solves in
 /// [`EstimationResult::simulations`].
+///
+/// With a checkpoint every swarm generation and every gradient evaluation
+/// is one journaled shard, so a killed estimation resumes mid-search and
+/// reproduces the uninterrupted trajectory, estimate and billed time
+/// bitwise. The manifest pins the model, bounds, target, seed, and the
+/// optimizer with its full configuration, so `resume` refuses a
+/// checkpoint taken under a different optimizer (same contract as the
+/// executor's lane width and thread count); the hybrid journals its two
+/// stages into `pso/` and `gradient/` subdirectories of the checkpoint,
+/// each with its own manifest.
+///
+/// # Example
+///
+/// ```
+/// use paraspace_analysis::fitness::FailedMemberPolicy;
+/// use paraspace_analysis::pe::{estimate_with, EstimationProblem, Optimizer};
+/// use paraspace_analysis::pso::PsoConfig;
+/// use paraspace_core::{CpuEngine, CpuSolverKind, SimulationJob, Simulator};
+/// use paraspace_rbm::{Reaction, ReactionBasedModel};
+/// use paraspace_solvers::SolverOptions;
+///
+/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
+/// // Ground truth: decay at rate 2. Start the search from a placeholder.
+/// let mut truth = ReactionBasedModel::new();
+/// let a = truth.add_species("A", 1.0);
+/// truth.add_reaction(Reaction::mass_action(&[(a, 1)], &[], 2.0))?;
+/// let times = vec![0.5, 1.0, 2.0];
+/// let engine = CpuEngine::new(CpuSolverKind::Lsoda);
+/// let target_job = SimulationJob::builder(&truth).time_points(times.clone()).replicate(1).build()?;
+/// let target = engine.run(&target_job)?.outcomes.remove(0).solution?;
+///
+/// let problem = EstimationProblem {
+///     model: &truth,
+///     unknown: vec![0],
+///     log_bounds: vec![(-2.0, 2.0)],
+///     observed: vec![0],
+///     target,
+///     time_points: times,
+///     options: SolverOptions::default(),
+///     failed_members: FailedMemberPolicy::Skip,
+/// };
+/// let swarm = Optimizer::Pso(PsoConfig { iterations: 25, ..Default::default() });
+/// let r = estimate_with(&problem, &engine, &swarm, None)?;
+/// assert!((r.rate_constants[0] - 2.0).abs() < 0.2);
+/// # Ok(())
+/// # }
+/// ```
+///
+/// # Errors
+///
+/// [`CampaignError::Sim`] for a fatal engine or job failure (an
+/// estimation's jobs come from its own bounds, so a validation failure is
+/// a configuration error, not a shard outcome); without a checkpoint,
+/// cancellation included. With one, [`CampaignError::Journal`] on
+/// checkpoint I/O or world mismatch, and [`CampaignError::Interrupted`]
+/// when the checkpoint's token trips at a generation or evaluation
+/// boundary.
+///
+/// # Panics
+///
+/// Panics if `problem.unknown` and `problem.log_bounds` disagree in
+/// length.
 pub fn estimate_with(
     problem: &EstimationProblem<'_>,
     engine: &dyn Simulator,
     optimizer: &Optimizer,
-) -> EstimationResult {
-    estimate_durable_with(problem, engine, optimizer, None)
-        .expect("engine failure is a configuration bug")
-        .0
-}
-
-/// [`estimate_with`] under an optional checkpoint — the one optimizer
-/// dispatch. With a checkpoint the manifest pins the optimizer and its
-/// full configuration, so `resume` refuses a checkpoint taken under a
-/// different optimizer (same contract as the executor's lane width and
-/// thread count); the hybrid journals its two stages into `pso/` and
-/// `gradient/` subdirectories of the checkpoint, each with its own
-/// manifest.
-///
-/// # Errors
-///
-/// As [`estimate_durable`] for swarm stages and
-/// [`crate::gradient::estimate_gradient_durable`] for gradient stages;
-/// without a checkpoint, only [`CampaignError::Sim`].
-pub fn estimate_durable_with(
-    problem: &EstimationProblem<'_>,
-    engine: &dyn Simulator,
-    optimizer: &Optimizer,
     checkpoint: Option<&Checkpoint>,
-) -> Result<(EstimationResult, ShardReport), CampaignError> {
+) -> Result<EstimationResult, CampaignError> {
     match optimizer {
         Optimizer::Pso(config) => swarm(problem, engine, config, checkpoint),
         Optimizer::Lbfgs(config) => {
@@ -366,21 +354,15 @@ pub fn estimate_durable_with(
                     Checkpoint::new(cp.dir().join(stage)).with_cancel(cp.cancel_token().clone())
                 })
             };
-            let (global, r1) = swarm(problem, engine, pso, sub("pso").as_ref())?;
+            let global = swarm(problem, engine, pso, sub("pso").as_ref())?;
             // The polish starts from the swarm's best, so its checkpoint
             // is only valid against that exact stage-1 outcome — pin it.
             let start = global.optimization.best_position.clone();
             let polish_cp = sub("gradient")
                 .map(|cp| cp.with_world("hybrid_start", format!("{:016x}", f64s_digest(&start))));
-            let (polish, r2) =
+            let polish =
                 search(problem, gradient, std::slice::from_ref(&start), polish_cp.as_ref())?;
-            let report = ShardReport {
-                resumed: r1.resumed || r2.resumed,
-                recovered: r1.recovered + r2.recovered,
-                executed: r1.executed + r2.executed,
-                truncated_bytes: r1.truncated_bytes + r2.truncated_bytes,
-            };
-            Ok((merge_stages(global, polish), report))
+            Ok(merge_stages(global, polish))
         }
     }
 }
@@ -392,7 +374,7 @@ pub fn estimate_durable_with(
 /// own metric, so its optimum wins whenever it produced one (a
 /// non-finite polish — every start failed to integrate — falls back to
 /// the swarm's answer). Histories concatenate (mixed-metric, in stage
-/// order) and the solve accounting sums.
+/// order) and the solve and journal accounting sums.
 fn merge_stages(global: EstimationResult, polish: EstimationResult) -> EstimationResult {
     let (best_position, best_fitness, rate_constants) =
         if polish.optimization.best_fitness.is_finite() {
@@ -420,13 +402,19 @@ fn merge_stages(global: EstimationResult, polish: EstimationResult) -> Estimatio
         rate_constants,
         simulated_ns: global.simulated_ns + polish.simulated_ns,
         simulations: global.simulations + polish.simulations,
+        report: ShardReport {
+            resumed: global.report.resumed || polish.report.resumed,
+            recovered: global.report.recovered + polish.report.recovered,
+            executed: global.report.executed + polish.report.executed,
+            truncated_bytes: global.report.truncated_bytes + polish.report.truncated_bytes,
+        },
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use paraspace_core::{CpuEngine, CpuSolverKind, FineCoarseEngine};
+    use paraspace_core::{CancelToken, CpuEngine, CpuSolverKind, FineCoarseEngine, SimError};
     use paraspace_rbm::Reaction;
 
     fn two_step_model(k1: f64, k2: f64) -> ReactionBasedModel {
@@ -463,7 +451,7 @@ mod tests {
         };
         let engine = CpuEngine::new(CpuSolverKind::Lsoda);
         let cfg = PsoConfig { iterations: 40, seed: 3, ..Default::default() };
-        let r = estimate(&problem, &engine, &cfg);
+        let r = estimate_with(&problem, &engine, &Optimizer::Pso(cfg), None).unwrap();
         assert!(r.optimization.best_fitness < 0.02, "fitness {}", r.optimization.best_fitness);
         assert!((r.rate_constants[0] - 1.5).abs() < 0.15, "k1 = {}", r.rate_constants[0]);
         assert!((r.rate_constants[1] - 0.4).abs() < 0.08, "k2 = {}", r.rate_constants[1]);
@@ -491,7 +479,7 @@ mod tests {
             pso: PsoConfig { iterations: 5, swarm_size: Some(10), seed: 3, ..Default::default() },
             gradient: crate::gradient::GradientConfig { starts: 1, ..Default::default() },
         };
-        let r = estimate_with(&problem, &engine, &optimizer);
+        let r = estimate_with(&problem, &engine, &optimizer, None).unwrap();
         // The 5-generation swarm alone lands nowhere near 1e-3; the polish
         // must close the gap.
         assert!((r.rate_constants[0] - 1.5).abs() < 1e-3, "k1 = {}", r.rate_constants[0]);
@@ -521,11 +509,11 @@ mod tests {
 
         let pso_cfg = PsoConfig { iterations: 3, swarm_size: Some(6), ..Default::default() };
         let cp = Checkpoint::new(&dir);
-        estimate_durable_with(&problem, &engine, &Optimizer::Pso(pso_cfg), Some(&cp)).unwrap();
+        estimate_with(&problem, &engine, &Optimizer::Pso(pso_cfg), Some(&cp)).unwrap();
 
         // Same checkpoint, different optimizer: the manifest must refuse.
         let lbfgs = Optimizer::Lbfgs(crate::gradient::GradientConfig::default());
-        let err = estimate_durable_with(&problem, &engine, &lbfgs, Some(&cp)).unwrap_err();
+        let err = estimate_with(&problem, &engine, &lbfgs, Some(&cp)).unwrap_err();
         match err {
             CampaignError::Journal(paraspace_journal::JournalError::ManifestMismatch {
                 field,
@@ -557,8 +545,10 @@ mod tests {
             failed_members: FailedMemberPolicy::default(),
         };
         let cfg = PsoConfig { iterations: 8, swarm_size: Some(32), seed: 1, ..Default::default() };
-        let cpu = estimate(&problem, &CpuEngine::new(CpuSolverKind::Lsoda), &cfg);
-        let gpu = estimate(&problem, &FineCoarseEngine::new(), &cfg);
+        let swarm = Optimizer::Pso(cfg);
+        let cpu =
+            estimate_with(&problem, &CpuEngine::new(CpuSolverKind::Lsoda), &swarm, None).unwrap();
+        let gpu = estimate_with(&problem, &FineCoarseEngine::new(), &swarm, None).unwrap();
         assert!(
             gpu.simulated_ns < cpu.simulated_ns,
             "batched swarm must be cheaper on the GPU engine: {} vs {}",
@@ -567,5 +557,62 @@ mod tests {
         );
         // Same optimizer seed ⇒ same search trajectory quality ballpark.
         assert!(gpu.optimization.best_fitness < 0.1);
+    }
+
+    /// An engine that trips its own cancellation token as its third batch
+    /// starts, so that batch drains as `SimError::Cancelled`.
+    struct TripOnThirdRun {
+        inner: CpuEngine,
+        cancel: CancelToken,
+        runs: std::sync::atomic::AtomicUsize,
+    }
+
+    impl Simulator for TripOnThirdRun {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+
+        fn run(&self, job: &SimulationJob) -> Result<paraspace_core::BatchResult, SimError> {
+            if self.runs.fetch_add(1, std::sync::atomic::Ordering::SeqCst) == 2 {
+                self.cancel.cancel();
+            }
+            self.inner.run(job)
+        }
+    }
+
+    #[test]
+    fn a_cancelled_engine_is_an_error_not_a_panic_without_a_checkpoint() {
+        let truth = two_step_model(1.0, 0.5);
+        let times = vec![0.5, 1.0];
+        let target = target_for(&truth, &times);
+        let problem = EstimationProblem {
+            model: &truth,
+            unknown: vec![0],
+            log_bounds: vec![(-1.0, 1.0)],
+            observed: vec![0],
+            target,
+            time_points: times,
+            options: SolverOptions::default(),
+            failed_members: FailedMemberPolicy::default(),
+        };
+        let pso = PsoConfig { iterations: 5, swarm_size: Some(6), seed: 2, ..Default::default() };
+        let optimizers = [
+            Optimizer::Pso(pso.clone()),
+            Optimizer::Hybrid { pso, gradient: crate::gradient::GradientConfig::default() },
+        ];
+        for optimizer in &optimizers {
+            let cancel = CancelToken::new();
+            let engine = TripOnThirdRun {
+                inner: CpuEngine::new(CpuSolverKind::Lsoda).with_cancel(cancel.clone()),
+                cancel,
+                runs: std::sync::atomic::AtomicUsize::new(0),
+            };
+            let err = estimate_with(&problem, &engine, optimizer, None).unwrap_err();
+            assert!(
+                matches!(err, CampaignError::Sim(SimError::Cancelled)),
+                "{}: expected a cancelled engine, got {err}",
+                optimizer.name()
+            );
+        }
     }
 }

@@ -6,6 +6,9 @@
 //! default — the published throughput-optimal batch size), and a metric
 //! reduces each trajectory to the scalar the sweep reports (final value,
 //! oscillation amplitude, …).
+//!
+//! [`Psa2d`] is the two-dimensional sweep. A one-dimensional sweep is
+//! [`crate::campaign::evaluate_points`] over one [`Axis`]'s values.
 
 use crate::campaign::{
     evaluate_batched, f64s_digest, model_digest, options_digest, CampaignError, Checkpoint,
@@ -115,6 +118,9 @@ pub struct Psa2dResult {
     pub simulated_ns: f64,
     /// Host wall time.
     pub host_wall: std::time::Duration,
+    /// What the journal recovered and executed (without a checkpoint,
+    /// only `executed` counts).
+    pub report: ShardReport,
 }
 
 impl Psa2dResult {
@@ -176,6 +182,7 @@ pub struct Psa2d {
     batch_size: usize,
     options: SolverOptions,
     failed: FailedMemberPolicy,
+    checkpoint: Option<Checkpoint>,
 }
 
 impl Psa2d {
@@ -187,6 +194,7 @@ impl Psa2d {
             batch_size: DEFAULT_BATCH,
             options: SolverOptions::default(),
             failed: FailedMemberPolicy::default(),
+            checkpoint: None,
         }
     }
 
@@ -209,7 +217,19 @@ impl Psa2d {
         self
     }
 
-    /// Runs the sweep.
+    /// Journals the sweep into `checkpoint` (builder style): every batch is
+    /// one numbered shard committed to its write-ahead journal, and a
+    /// restarted run skips the committed shards. The grid, simulation
+    /// counts and billed simulated time are byte-identical to an
+    /// uninterrupted run and to a run without a checkpoint.
+    pub fn checkpoint(mut self, checkpoint: Checkpoint) -> Self {
+        self.checkpoint = Some(checkpoint);
+        self
+    }
+
+    /// Runs the sweep: the grid is a point set plus a reshape, row-major
+    /// `(u, v)` points through the batched evaluator, outputs cut back
+    /// into rows.
     ///
     /// `parameterize(u, v)` maps a grid point to a parameterization of
     /// `model`, called once per grid point in row-major order; `metric`
@@ -220,62 +240,20 @@ impl Psa2d {
     ///
     /// # Errors
     ///
-    /// [`CampaignError::Sim`] for a fatal engine failure (cancellation
-    /// included: there is no checkpoint to interrupt into).
+    /// [`CampaignError::Sim`] for a fatal engine failure (without a
+    /// checkpoint, cancellation included: there is nothing to interrupt
+    /// into); with one, [`CampaignError::Journal`] on checkpoint I/O or
+    /// world mismatch and [`CampaignError::Interrupted`] when its
+    /// cancellation token trips (re-run with the same checkpoint to
+    /// resume).
     pub fn run<P, M>(
         &self,
         model: &ReactionBasedModel,
-        parameterize: P,
+        mut parameterize: P,
         time_points: Vec<f64>,
         engine: &dyn Simulator,
         metric: M,
     ) -> Result<Psa2dResult, CampaignError>
-    where
-        P: FnMut(f64, f64) -> Parameterization,
-        M: FnMut(&Solution) -> f64,
-    {
-        Ok(self.sweep(model, parameterize, &time_points, engine, metric, None)?.0)
-    }
-
-    /// [`Psa2d::run`], durably: every batch is one numbered shard
-    /// committed to the checkpoint's write-ahead journal, and a restarted
-    /// run skips the committed shards. The final grid, simulation counts,
-    /// and billed simulated time are byte-identical to an uninterrupted
-    /// run and to [`Psa2d::run`] at the same batch size.
-    ///
-    /// # Errors
-    ///
-    /// [`CampaignError::Journal`] on checkpoint I/O or world mismatch,
-    /// [`CampaignError::Interrupted`] when the checkpoint's cancellation
-    /// token trips (re-run with the same checkpoint to resume), or
-    /// [`CampaignError::Sim`] for fatal engine failures.
-    pub fn run_durable<P, M>(
-        &self,
-        model: &ReactionBasedModel,
-        parameterize: P,
-        time_points: Vec<f64>,
-        engine: &dyn Simulator,
-        metric: M,
-        checkpoint: &Checkpoint,
-    ) -> Result<(Psa2dResult, ShardReport), CampaignError>
-    where
-        P: FnMut(f64, f64) -> Parameterization,
-        M: FnMut(&Solution) -> f64,
-    {
-        self.sweep(model, parameterize, &time_points, engine, metric, Some(checkpoint))
-    }
-
-    /// The grid is a point set plus a reshape: row-major `(u, v)` points
-    /// through the batched evaluator, outputs cut back into rows.
-    fn sweep<P, M>(
-        &self,
-        model: &ReactionBasedModel,
-        mut parameterize: P,
-        time_points: &[f64],
-        engine: &dyn Simulator,
-        metric: M,
-        checkpoint: Option<&Checkpoint>,
-    ) -> Result<(Psa2dResult, ShardReport), CampaignError>
     where
         P: FnMut(f64, f64) -> Parameterization,
         M: FnMut(&Solution) -> f64,
@@ -286,7 +264,7 @@ impl Psa2d {
             .collect();
         let spec = PointEval {
             model,
-            time_points,
+            time_points: &time_points,
             options: &self.options,
             engine,
             batch: self.batch_size,
@@ -298,64 +276,27 @@ impl Psa2d {
             |&(u, v)| parameterize(u, v),
             metric,
             |shards| {
-                ShardLog::open(checkpoint, || {
+                ShardLog::open(self.checkpoint.as_ref(), || {
                     CampaignManifest::new("psa2d", shards)
                         .with_digest("model", model_digest(model))
                         .with_digest("axis1", self.axis1.digest())
                         .with_digest("axis2", self.axis2.digest())
-                        .with_digest("times", f64s_digest(time_points))
+                        .with_digest("times", f64s_digest(&time_points))
                         .with_digest("options", options_digest(&self.options))
                         .with_field("batch", self.batch_size.to_string())
                 })
             },
         )?;
-        let result = Psa2dResult {
+        Ok(Psa2dResult {
             axis1: self.axis1.clone(),
             axis2: self.axis2.clone(),
             values: eval.outputs.chunks(self.axis2.len()).map(<[f64]>::to_vec).collect(),
             simulations: eval.simulations,
             simulated_ns: eval.simulated_ns,
             host_wall: start.elapsed(),
-        };
-        Ok((result, eval.report))
+            report: eval.report,
+        })
     }
-}
-
-/// A one-dimensional sweep: each axis value becomes one batch member,
-/// chunked at the default batch size. Failed members yield `NaN`.
-///
-/// # Errors
-///
-/// As [`Psa2d::run`].
-pub fn psa_1d<P, M>(
-    model: &ReactionBasedModel,
-    axis: Axis,
-    mut parameterize: P,
-    time_points: Vec<f64>,
-    engine: &dyn Simulator,
-    metric: M,
-) -> Result<Vec<(f64, f64)>, CampaignError>
-where
-    P: FnMut(f64) -> Parameterization,
-    M: FnMut(&Solution) -> f64,
-{
-    let options = SolverOptions::default();
-    let spec = PointEval {
-        model,
-        time_points: &time_points,
-        options: &options,
-        engine,
-        batch: DEFAULT_BATCH,
-        failed: f64::NAN,
-    };
-    let eval = evaluate_batched(
-        &spec,
-        axis.values(),
-        |&u| parameterize(u),
-        metric,
-        |_| Ok(ShardLog::default()),
-    )?;
-    Ok(axis.values().iter().copied().zip(eval.outputs).collect())
 }
 
 #[cfg(test)]
@@ -453,25 +394,32 @@ mod tests {
             simulations: 4,
             simulated_ns: 1.0,
             host_wall: std::time::Duration::ZERO,
+            report: ShardReport::default(),
         };
         assert!((r.fraction_above(1.0) - 0.5).abs() < 1e-12);
     }
 
     #[test]
-    fn psa_1d_sweeps_one_axis() {
+    fn a_one_axis_sweep_is_a_point_set_over_its_values() {
         let m = decay_model();
         let engine = CpuEngine::new(CpuSolverKind::Lsoda);
-        let out = psa_1d(
+        let axis = Axis::linear("k", 1.0, 3.0, 3);
+        let points: Vec<Vec<f64>> = axis.values().iter().map(|&k| vec![k]).collect();
+        let out = crate::campaign::evaluate_points(
             &m,
-            Axis::linear("k", 1.0, 3.0, 3),
-            |k| Parameterization::new().with_rate_constants(vec![k]),
-            vec![1.0],
+            &points,
+            |p| Parameterization::new().with_rate_constants(p.to_vec()),
+            &[1.0],
+            &SolverOptions::default(),
             &engine,
             |sol| sol.state_at(0)[0],
+            DEFAULT_BATCH,
+            None,
         )
         .unwrap();
-        assert_eq!(out.len(), 3);
-        for &(k, v) in &out {
+        assert_eq!(out.outputs.len(), 3);
+        assert_eq!(out.report, ShardReport { executed: 1, ..ShardReport::default() });
+        for (&k, &v) in axis.values().iter().zip(&out.outputs) {
             assert!((v - (-k).exp()).abs() < 1e-4);
         }
     }

@@ -134,7 +134,7 @@ fn dispatch_with_kills_is_byte_identical_across_workers_and_threads() {
                 };
                 workers
             ];
-            let (payloads, report, _) = run_dispatched(
+            let (payloads, report, worker_reports) = run_dispatched(
                 &Checkpoint::new(&dir),
                 CampaignManifest::new("dispatch-acceptance", SHARDS),
                 workers,
@@ -147,9 +147,15 @@ fn dispatch_with_kills_is_byte_identical_across_workers_and_threads() {
             .unwrap();
             assert_eq!(report.shards, SHARDS, "{tag}");
             assert!(report.quarantined.is_empty(), "{tag}: no shard is poisoned here");
+            // A worker dies at its second claim only if it gets one, so how
+            // many die depends on the schedule. That at least one does is
+            // pigeonhole: 12 shards cannot go one apiece to at most 4
+            // initial workers.
+            let died = worker_reports.iter().filter(|w| w.died).count() as u64;
+            assert!(died >= 1, "{tag}: some initial worker reached its second claim");
             assert!(
-                report.reassignments >= workers as u64,
-                "{tag}: every initial worker died once and its shard was reassigned"
+                report.reassignments >= died,
+                "{tag}: every dead worker's shard was reassigned ({died} died)"
             );
             assert_eq!(
                 payloads, expected,

@@ -4,11 +4,9 @@
 //! time byte for byte — across worker-thread counts and lane widths — and
 //! a torn journal tail must be detected, truncated, and re-executed.
 
-use paraspace_analysis::campaign::{
-    evaluate_points, evaluate_points_durable, CampaignError, Checkpoint, MetricShard,
-};
+use paraspace_analysis::campaign::{evaluate_points, CampaignError, Checkpoint, MetricShard};
 use paraspace_analysis::fitness::FailedMemberPolicy;
-use paraspace_analysis::pe::{estimate, estimate_durable, EstimationProblem};
+use paraspace_analysis::pe::{estimate_with, EstimationProblem, Optimizer};
 use paraspace_analysis::psa::{Axis, Psa2d, Psa2dResult};
 use paraspace_analysis::pso::PsoConfig;
 use paraspace_core::{CancelToken, CpuEngine, CpuSolverKind, FineEngine, SimulationJob, Simulator};
@@ -41,16 +39,13 @@ fn run_sweep_durable(
     checkpoint: &Checkpoint,
 ) -> Result<Psa2dResult, CampaignError> {
     let m = model();
-    sweep()
-        .run_durable(
-            &m,
-            |u, v| Parameterization::new().with_rate_constants(vec![u * v, 0.3]),
-            vec![0.5, 1.0],
-            engine,
-            |sol| sol.state_at(1)[0],
-            checkpoint,
-        )
-        .map(|(r, _)| r)
+    sweep().checkpoint(checkpoint.clone()).run(
+        &m,
+        |u, v| Parameterization::new().with_rate_constants(vec![u * v, 0.3]),
+        vec![0.5, 1.0],
+        engine,
+        |sol| sol.state_at(1)[0],
+    )
 }
 
 fn assert_bitwise_equal(a: &Psa2dResult, b: &Psa2dResult, tag: &str) {
@@ -99,7 +94,8 @@ fn kill_resume_case(
     let built = AtomicUsize::new(0);
     let measured = AtomicUsize::new(0);
     let err = sweep()
-        .run_durable(
+        .checkpoint(cp)
+        .run(
             &m,
             |u, v| {
                 if matches!(trip, Trip::MidShard) && built.fetch_add(1, Ordering::Relaxed) == 4 {
@@ -117,7 +113,6 @@ fn kill_resume_case(
                 }
                 sol.state_at(1)[0]
             },
-            &cp,
         )
         .unwrap_err();
     match err {
@@ -235,17 +230,12 @@ fn invalid_shard_is_journaled_not_fatal() {
         Parameterization::new().with_rate_constants(vec![k, 0.3])
     };
     let engine = CpuEngine::new(CpuSolverKind::Lsoda);
-    let (result, report) = sweep
-        .run_durable(
-            &m,
-            poisoned,
-            vec![1.0],
-            &engine,
-            |sol| sol.state_at(0)[0],
-            &Checkpoint::new(&dir),
-        )
+    let result = sweep
+        .clone()
+        .checkpoint(Checkpoint::new(&dir))
+        .run(&m, poisoned, vec![1.0], &engine, |sol| sol.state_at(0)[0])
         .unwrap();
-    assert_eq!(report.executed, 2);
+    assert_eq!(result.report.executed, 2);
 
     // The contract does not depend on the journal: the plain sweep gives
     // the same grid, and so does a durable one interrupted after its first
@@ -255,30 +245,20 @@ fn invalid_shard_is_journaled_not_fatal() {
     let kill_dir = temp_dir("invalid_kill");
     let cancel = CancelToken::new();
     let err = sweep
-        .run_durable(
-            &m,
-            poisoned,
-            vec![1.0],
-            &engine,
-            |sol| {
-                cancel.cancel(); // shard 0 still commits; the next boundary interrupts
-                sol.state_at(0)[0]
-            },
-            &Checkpoint::new(&kill_dir).with_cancel(cancel.clone()),
-        )
+        .clone()
+        .checkpoint(Checkpoint::new(&kill_dir).with_cancel(cancel.clone()))
+        .run(&m, poisoned, vec![1.0], &engine, |sol| {
+            cancel.cancel(); // shard 0 still commits; the next boundary interrupts
+            sol.state_at(0)[0]
+        })
         .unwrap_err();
     assert!(matches!(err, CampaignError::Interrupted { completed: 1, shards: 2, .. }), "{err}");
-    let (resumed, report) = sweep
-        .run_durable(
-            &m,
-            poisoned,
-            vec![1.0],
-            &engine,
-            |sol| sol.state_at(0)[0],
-            &Checkpoint::new(&kill_dir),
-        )
+    let resumed = sweep
+        .clone()
+        .checkpoint(Checkpoint::new(&kill_dir))
+        .run(&m, poisoned, vec![1.0], &engine, |sol| sol.state_at(0)[0])
         .unwrap();
-    assert_eq!((report.recovered, report.executed), (1, 1));
+    assert_eq!((resumed.report.recovered, resumed.report.executed), (1, 1));
     assert_bitwise_equal(&result, &resumed, "invalid shard, resumed vs uninterrupted");
     std::fs::remove_dir_all(&kill_dir).ok();
     // Shard 1 = grid points (1,0), (1,1) — the poisoned shard.
@@ -340,22 +320,11 @@ fn sobol_evaluation_resumes_exactly() {
         sol.state_at(0)[0]
     };
     let calls = || (parameterized.take(), measured.take());
-    let eval = |cp: &Checkpoint| {
-        evaluate_points_durable(
-            "sobol",
-            &m,
-            &points,
-            to_param,
-            &[1.0],
-            &opts,
-            &engine,
-            metric,
-            4,
-            cp,
-        )
+    let eval = |cp: Option<&Checkpoint>| {
+        evaluate_points(&m, &points, to_param, &[1.0], &opts, &engine, metric, 4, cp)
     };
     let base_dir = temp_dir("sobol_base");
-    let baseline = eval(&Checkpoint::new(&base_dir)).unwrap();
+    let baseline = eval(Some(&Checkpoint::new(&base_dir))).unwrap();
     assert_eq!(baseline.outputs.len(), 10);
     assert_eq!(baseline.simulations, 10);
     // Executing path: `to_param` once per point in point order, `metric`
@@ -367,7 +336,7 @@ fn sobol_evaluation_resumes_exactly() {
     assert_eq!(calls(), (all_points.clone(), successes(&baseline.outputs)));
 
     // The plain evaluation is the same campaign with no journal.
-    let plain = evaluate_points(&m, &points, to_param, &[1.0], &opts, &engine, metric, 4).unwrap();
+    let plain = eval(None).unwrap();
     assert_eq!(calls(), (all_points.clone(), successes(&plain.outputs)));
     assert_eq!(plain.simulations, baseline.simulations);
     assert_eq!(plain.simulated_ns.to_bits(), baseline.simulated_ns.to_bits());
@@ -379,8 +348,7 @@ fn sobol_evaluation_resumes_exactly() {
     let dir = temp_dir("sobol_kill");
     let cancel = CancelToken::new();
     let counted = AtomicUsize::new(0);
-    let err = evaluate_points_durable(
-        "sobol",
+    let err = evaluate_points(
         &m,
         &points,
         |p| {
@@ -394,12 +362,12 @@ fn sobol_evaluation_resumes_exactly() {
         &engine,
         |sol| sol.state_at(0)[0],
         4,
-        &Checkpoint::new(&dir).with_cancel(cancel.clone()),
+        Some(&Checkpoint::new(&dir).with_cancel(cancel.clone())),
     )
     .unwrap_err();
     assert!(matches!(err, CampaignError::Interrupted { .. }));
 
-    let resumed = eval(&Checkpoint::new(&dir)).unwrap();
+    let resumed = eval(Some(&Checkpoint::new(&dir))).unwrap();
     assert!(resumed.report.resumed);
     assert!(resumed.report.recovered >= 1);
     // A replayed shard calls neither closure: only the points past the
@@ -439,17 +407,22 @@ fn estimation_resumes_mid_swarm_exactly() {
         options: SolverOptions::default(),
         failed_members: FailedMemberPolicy::default(),
     };
-    let cfg = PsoConfig { iterations: 10, swarm_size: Some(8), seed: 9, ..Default::default() };
+    let cfg = Optimizer::Pso(PsoConfig {
+        iterations: 10,
+        swarm_size: Some(8),
+        seed: 9,
+        ..Default::default()
+    });
 
-    // Reference: the plain (non-durable) estimator.
-    let plain = estimate(&problem, &engine, &cfg);
+    // Reference: the same estimator without a checkpoint.
+    let plain = estimate_with(&problem, &engine, &cfg, None).unwrap();
 
     // Uninterrupted durable run matches the plain run bitwise.
     let base_dir = temp_dir("pe_base");
-    let (durable, report) =
-        estimate_durable(&problem, &engine, &cfg, &Checkpoint::new(&base_dir)).unwrap();
-    assert!(!report.resumed);
-    assert_eq!(report.executed, 10);
+    let durable =
+        estimate_with(&problem, &engine, &cfg, Some(&Checkpoint::new(&base_dir))).unwrap();
+    assert!(!durable.report.resumed);
+    assert_eq!(durable.report.executed, 10);
     assert_eq!(plain.optimization, durable.optimization, "identical swarm trajectory");
     assert_eq!(plain.simulated_ns.to_bits(), durable.simulated_ns.to_bits());
     assert_eq!(plain.rate_constants, durable.rate_constants);
@@ -482,11 +455,11 @@ fn estimation_resumes_mid_swarm_exactly() {
     let cancel = CancelToken::new();
     let tripping =
         TripAfter { inner: &engine, cancel: cancel.clone(), runs: AtomicUsize::new(0), after: 4 };
-    let err = estimate_durable(
+    let err = estimate_with(
         &problem,
         &tripping,
         &cfg,
-        &Checkpoint::new(&dir).with_cancel(cancel.clone()),
+        Some(&Checkpoint::new(&dir).with_cancel(cancel.clone())),
     )
     .unwrap_err();
     match err {
@@ -497,11 +470,10 @@ fn estimation_resumes_mid_swarm_exactly() {
         other => panic!("expected Interrupted, got {other}"),
     }
 
-    let (resumed, report) =
-        estimate_durable(&problem, &engine, &cfg, &Checkpoint::new(&dir)).unwrap();
-    assert!(report.resumed);
-    assert_eq!(report.recovered, 4);
-    assert_eq!(report.executed, 6);
+    let resumed = estimate_with(&problem, &engine, &cfg, Some(&Checkpoint::new(&dir))).unwrap();
+    assert!(resumed.report.resumed);
+    assert_eq!(resumed.report.recovered, 4);
+    assert_eq!(resumed.report.executed, 6);
     assert_eq!(plain.optimization, resumed.optimization, "resume must replay exactly");
     assert_eq!(plain.simulated_ns.to_bits(), resumed.simulated_ns.to_bits());
     assert_eq!(plain.rate_constants, resumed.rate_constants);
@@ -564,7 +536,8 @@ fn cancel_mid_retry_ladder_drains_without_journaling() {
     let engine =
         FineEngine::new().with_lane_width(1).with_recovery(ladder).with_cancel(cancel.clone());
     let err = sweep()
-        .run_durable(
+        .checkpoint(cp)
+        .run(
             &m,
             |u, v| {
                 if built.fetch_add(1, Ordering::Relaxed) == 4 {
@@ -575,7 +548,6 @@ fn cancel_mid_retry_ladder_drains_without_journaling() {
             vec![0.5, 1.0],
             &engine,
             |sol| sol.state_at(1)[0],
-            &cp,
         )
         .unwrap_err();
     let (completed, shards) = match err {

@@ -17,7 +17,7 @@ use paraspace_analysis::fitness::{relative_distance, FailedMemberPolicy};
 use paraspace_analysis::gradient::{
     estimate_gradient, GradientConfig, GradientObjective, SensSolverKind,
 };
-use paraspace_analysis::pe::{estimate, estimate_with, EstimationProblem, Optimizer};
+use paraspace_analysis::pe::{estimate_with, EstimationProblem, Optimizer};
 use paraspace_analysis::pso::PsoConfig;
 use paraspace_core::{CpuEngine, CpuSolverKind, FineCoarseEngine, SimulationJob, Simulator};
 use paraspace_models::metabolic;
@@ -148,7 +148,7 @@ fn compare(c: &mut Criterion) {
         "metabolic calibration: {} unknowns, {} swarm generations vs {} L-BFGS iterations",
         n_unknown, pso_iterations, grad_iterations
     );
-    let lbfgs = estimate_gradient(&problem, &grad_cfg);
+    let lbfgs = estimate_gradient(&problem, &grad_cfg, None).expect("lbfgs calibration");
     push("lbfgs-sensitivities", "host-sens", &lbfgs);
 
     // The hybrid's global stage only has to land the polish in the right
@@ -160,12 +160,16 @@ fn compare(c: &mut Criterion) {
             pso: PsoConfig { swarm_size: Some(8), iterations: 1, seed: 17, ..Default::default() },
             gradient: grad_cfg.clone(),
         },
-    );
+        None,
+    )
+    .expect("hybrid calibration");
     push("hybrid-pso-lbfgs", "fine-coarse", &hybrid);
 
-    let gpu = estimate(&problem, &FineCoarseEngine::new(), &pso_cfg);
+    let swarm = Optimizer::Pso(pso_cfg);
+    let gpu = estimate_with(&problem, &FineCoarseEngine::new(), &swarm, None).expect("swarm");
     push("fst-pso", "fine-coarse", &gpu);
-    let cpu = estimate(&problem, &CpuEngine::new(CpuSolverKind::Lsoda), &pso_cfg);
+    let cpu = estimate_with(&problem, &CpuEngine::new(CpuSolverKind::Lsoda), &swarm, None)
+        .expect("swarm");
     push("fst-pso", "lsoda-scalar", &cpu);
 
     // Headline: the cheapest gradient-family run that reaches (or beats)

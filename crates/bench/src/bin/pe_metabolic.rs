@@ -8,7 +8,7 @@
 //! calibration is run against both engines.
 
 use paraspace_analysis::fitness::FailedMemberPolicy;
-use paraspace_analysis::pe::{estimate, EstimationProblem};
+use paraspace_analysis::pe::{estimate_with, EstimationProblem, Optimizer};
 use paraspace_analysis::pso::PsoConfig;
 use paraspace_bench::{fmt_ns, full_scale};
 use paraspace_core::{CpuEngine, CpuSolverKind, FineCoarseEngine, SimulationJob, Simulator};
@@ -71,12 +71,13 @@ fn main() {
         options: opts,
         failed_members: FailedMemberPolicy::default(),
     };
-    let cfg = PsoConfig { iterations, seed: 17, ..Default::default() };
+    let cfg = Optimizer::Pso(PsoConfig { iterations, seed: 17, ..Default::default() });
 
     println!("\nrunning FST-PSO on the fine+coarse engine...");
-    let gpu = estimate(&problem, &engine_gpu, &cfg);
+    let gpu = estimate_with(&problem, &engine_gpu, &cfg, None).expect("fine-coarse calibration");
     println!("running the same calibration on the CPU baseline...");
-    let cpu = estimate(&problem, &CpuEngine::new(CpuSolverKind::Lsoda), &cfg);
+    let cpu = estimate_with(&problem, &CpuEngine::new(CpuSolverKind::Lsoda), &cfg, None)
+        .expect("cpu calibration");
 
     println!("\n-- E7: parameter-estimation cost (published: ~30x) --");
     println!(

@@ -62,6 +62,7 @@ fn main() {
         &engine,
         |sol| sol.state_at(0)[r5p] - ref_r5p,
         512,
+        None,
     )
     .expect("SA evaluation");
     let (mut outputs, simulated_ns) = (eval.outputs, eval.simulated_ns);

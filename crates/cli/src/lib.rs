@@ -20,10 +20,10 @@ use paraspace_analysis::dispatch::{
     coordinate, pack_shards, uniform_shards, worker_loop, DispatchConfig, TickDirective,
     WorkerChaos,
 };
-use paraspace_analysis::ensemble::run_ensemble_durable;
+use paraspace_analysis::ensemble;
 use paraspace_analysis::fitness::FailedMemberPolicy;
 use paraspace_analysis::gradient::GradientConfig;
-use paraspace_analysis::pe::{estimate_durable_with, EstimationProblem, Optimizer};
+use paraspace_analysis::pe::{estimate_with, EstimationProblem, Optimizer};
 use paraspace_analysis::pso::PsoConfig;
 pub use paraspace_core::CancelToken;
 use paraspace_core::{
@@ -1355,7 +1355,7 @@ const SIMULATE_ARGS: ArgTable = &[
     ("retry_base", "--retry-base", ArgForm::IfPresent),
 ];
 
-/// `run_ensemble_durable` pins the ensemble's own fields; the CLI adds the
+/// `ensemble::run_ensemble` pins the ensemble's own fields; the CLI adds the
 /// `world.*` ones.
 const ENSEMBLE_ARGS: ArgTable = &[
     ("world.model_dir", "", ArgForm::Positional),
@@ -1678,9 +1678,15 @@ fn run_ensemble<S: StochasticSimulator + Sync>(
             .with_world("threads", threads.to_string())
     });
     let start = std::time::Instant::now();
-    let result =
-        run_ensemble_durable(&model, &times, *replicates, &batch, *shard_size, checkpoint.as_ref())
-            .map_err(|e| campaign_error(e, checkpoint_dir.as_deref(), out))?;
+    let result = ensemble::run_ensemble(
+        &model,
+        &times,
+        *replicates,
+        &batch,
+        *shard_size,
+        checkpoint.as_ref(),
+    )
+    .map_err(|e| campaign_error(e, checkpoint_dir.as_deref(), out))?;
     write_ensemble_outputs(&out_path, &model, &result.outcomes, &result.stats)?;
     let ok = result.outcomes.iter().filter(|o| o.is_ok()).count();
     write!(
@@ -1900,9 +1906,8 @@ fn run_pe(
             Some(Checkpoint::new(dir.join("search")).with_cancel(cancel.clone()))
         }
     };
-    let (result, report) =
-        estimate_durable_with(&problem, engine.as_ref(), &chosen, checkpoint.as_ref())
-            .map_err(|e| campaign_error(e, checkpoint_dir.as_deref(), out))?;
+    let result = estimate_with(&problem, engine.as_ref(), &chosen, checkpoint.as_ref())
+        .map_err(|e| campaign_error(e, checkpoint_dir.as_deref(), out))?;
 
     let out_path = out_dir.clone().unwrap_or_else(|| model_dir.join("pe"));
     std::fs::create_dir_all(&out_path)?;
@@ -1924,7 +1929,7 @@ fn run_pe(
         writeln!(out, "  k[{idx}] = {:e}", result.rate_constants[idx])?;
     }
     if checkpoint.is_some() {
-        report_checkpoint(out, &report)?;
+        report_checkpoint(out, &result.report)?;
     }
     writeln!(out, "estimate written to {}", out_path.join("estimate.tsv").display())?;
     Ok(())

@@ -9,12 +9,12 @@
 //! shared memory — so a worker can be SIGKILLed at any instruction and
 //! leave nothing worse than a stale file behind:
 //!
-//! * `leases/shard_<id>.lease` — an exclusive claim created with
-//!   `O_CREAT|O_EXCL` (atomic on every platform the repo targets). The
-//!   file names the claiming worker and the grant time. A worker that
-//!   finishes a shard atomically renames its lease to
-//!   `leases/shard_<id>.done`, closing the window in which a completed
-//!   but unmerged shard could be claimed again.
+//! * `leases/shard_<id>.lease` — an exclusive claim, written in full to a
+//!   temp file and published with a hard link (which, like `O_CREAT|O_EXCL`,
+//!   fails if the lease exists). The file names the claiming worker and
+//!   the grant time. A worker that finishes a shard atomically renames its
+//!   lease to `leases/shard_<id>.done`, closing the window in which a
+//!   completed but unmerged shard could be claimed again.
 //! * `leases/hb_<worker>` — the worker's heartbeat, rewritten via
 //!   tempfile+rename on a cadence well under the lease TTL. A lease whose
 //!   worker's heartbeat is older than the TTL is **expired**: the worker
@@ -207,23 +207,38 @@ impl LeaseDir {
     /// Atomically claim `shard` for `worker`. Returns `Ok(None)` if some
     /// other claim (lease or done marker) already exists — losing the race
     /// is not an error.
+    ///
+    /// The record is written to a per-worker temp file first and published
+    /// with a hard link, which fails on an existing lease exactly as
+    /// `O_CREAT|O_EXCL` does; a lease file is therefore never seen
+    /// half-written, and a fresh claim never reads as a torn, expired one.
     pub fn try_claim(&self, shard: u64, worker: &str) -> Result<Option<Lease>, JournalError> {
         validate_worker_id(worker)?;
         if self.done_path(shard).exists() {
             return Ok(None);
         }
         let granted_at_ms = now_ms();
-        let mut f =
-            match OpenOptions::new().write(true).create_new(true).open(self.lease_path(shard)) {
-                Ok(f) => f,
-                Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => return Ok(None),
-                Err(e) => return Err(e.into()),
-            };
+        let tmp = self.root.join(LEASES_DIR).join(format!("claim_{worker}_{shard}.tmp"));
         let mut enc = Enc::new();
         enc.put_str(worker).put_u64(granted_at_ms);
+        let mut f = File::create(&tmp)?;
         f.write_all(&enc.finish())?;
         f.flush()?;
-        Ok(Some(Lease { shard, worker: worker.to_string(), granted_at_ms }))
+        drop(f);
+        let linked = fs::hard_link(&tmp, self.lease_path(shard));
+        fs::remove_file(&tmp)?;
+        match linked {
+            // Completing renames a lease to its done marker, which frees
+            // the lease path: a link that raced past the check above may
+            // have claimed a shard that is already done.
+            Ok(()) if self.is_done(shard) => {
+                self.release(shard)?;
+                Ok(None)
+            }
+            Ok(()) => Ok(Some(Lease { shard, worker: worker.to_string(), granted_at_ms })),
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => Ok(None),
+            Err(e) => Err(e.into()),
+        }
     }
 
     /// Mark a claimed shard complete: atomically rename the lease to a done
@@ -353,7 +368,7 @@ impl LeaseDir {
         worker: &str,
         shards: u64,
         held: &mut Option<Lease>,
-        committed: impl Fn(u64) -> bool,
+        committed: &mut CommittedShards,
     ) -> Result<Option<Lease>, JournalError> {
         if let Some(lease) = held.take() {
             if self.owns(&lease)? == Some(true) {
@@ -362,10 +377,19 @@ impl LeaseDir {
             }
         }
         for shard in 0..shards {
-            if committed(shard) || self.is_claimed(shard) {
+            if committed.contains(shard) || self.is_claimed(shard) {
                 continue;
             }
             if let Some(lease) = self.try_claim(shard, worker)? {
+                // The coordinator merges a shard before it clears the done
+                // marker, so a claim that raced past a marker cleared since
+                // the last refresh finds the shard in the journal now: hand
+                // it back rather than run a committed shard again.
+                committed.refresh()?;
+                if committed.contains(shard) {
+                    self.release(shard)?;
+                    continue;
+                }
                 *held = Some(lease.clone());
                 return Ok(Some(lease));
             }
@@ -666,12 +690,10 @@ impl LeaseStore for FileStore {
             return Ok(Claim::Complete);
         }
         let mut held = self.held.lock().unwrap();
-        Ok(
-            match self.dir.claim(&self.worker, self.shards, &mut held, |s| committed.contains(s))? {
-                Some(lease) => Claim::Granted(lease),
-                None => Claim::Wait,
-            },
-        )
+        Ok(match self.dir.claim(&self.worker, self.shards, &mut held, &mut committed)? {
+            Some(lease) => Claim::Granted(lease),
+            None => Claim::Wait,
+        })
     }
 
     fn beat(&self, counter: u64, held: Option<&Lease>) -> Result<bool, JournalError> {
@@ -947,6 +969,49 @@ mod tests {
         leases.complete(&lease).unwrap();
         assert!(leases.is_done(2));
         assert_eq!(leases.lease_info(2).unwrap(), None);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_fresh_claim_never_lists_as_torn() {
+        use std::sync::atomic::{AtomicBool, Ordering};
+        let dir = tmp_dir("fresh");
+        let leases = LeaseDir::new(&dir);
+        leases.ensure().unwrap();
+        let done = AtomicBool::new(false);
+        let torn = std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..5_000 {
+                    if let Some(lease) = leases.try_claim(0, "w0").unwrap() {
+                        leases.release(lease.shard).unwrap();
+                    }
+                }
+                done.store(true, Ordering::SeqCst);
+            });
+            let mut torn = 0usize;
+            while !done.load(Ordering::SeqCst) {
+                let listed = leases.list_leases().unwrap();
+                torn += listed.iter().filter(|l| l.worker.is_empty()).count();
+            }
+            torn
+        });
+        assert_eq!(torn, 0, "a lease listed between its creation and its write reads as expired");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_claim_on_a_stale_view_hands_a_committed_shard_back() {
+        let dir = tmp_dir("stale");
+        let leases = LeaseDir::new(&dir);
+        leases.ensure().unwrap();
+        // Shard 0 is merged, and its done marker cleared, after the
+        // claimer's view of the journal last refreshed.
+        let mut committed = CommittedShards::new(&dir);
+        committed.refresh().unwrap();
+        fs::write(dir.join(LOG_FILE), record::frame(0, b"merged").unwrap()).unwrap();
+        let lease = leases.claim("w0", 2, &mut None, &mut committed).unwrap().unwrap();
+        assert_eq!(lease.shard, 1, "shard 0 is committed");
+        assert_eq!(leases.lease_info(0).unwrap(), None, "its lease was handed back");
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -285,16 +285,15 @@ fn try_handle(
             // Claim whose ack was lost must not claim a second shard. The
             // grant is stamped with the server's clock.
             let shards = shared.shards;
-            let outcome = match shared
-                .dir
-                .claim(&worker, shards, &mut state.lease, |s| committed.contains(s))?
-            {
-                Some(lease) => {
-                    ClaimOutcome::Granted { shard: lease.shard, granted_at_ms: lease.granted_at_ms }
-                }
-                None if count >= shards => ClaimOutcome::Complete,
-                None => ClaimOutcome::NoneEligible { committed: count, shards },
-            };
+            let outcome =
+                match shared.dir.claim(&worker, shards, &mut state.lease, &mut committed)? {
+                    Some(lease) => ClaimOutcome::Granted {
+                        shard: lease.shard,
+                        granted_at_ms: lease.granted_at_ms,
+                    },
+                    None if count >= shards => ClaimOutcome::Complete,
+                    None => ClaimOutcome::NoneEligible { committed: count, shards },
+                };
             Ok(Reply::ClaimAck(outcome))
         }
         Request::Heartbeat { worker, counter, shard, granted_at_ms } => {

@@ -7,7 +7,7 @@
 //! ```
 
 use paraspace_analysis::fitness::FailedMemberPolicy;
-use paraspace_analysis::pe::{estimate, EstimationProblem};
+use paraspace_analysis::pe::{estimate_with, EstimationProblem, Optimizer};
 use paraspace_analysis::pso::PsoConfig;
 use paraspace_core::{FineCoarseEngine, SimulationJob, Simulator};
 use paraspace_rbm::{Reaction, ReactionBasedModel};
@@ -47,7 +47,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let cfg = PsoConfig { iterations: 60, seed: 5, ..Default::default() };
     println!("calibrating 3 hidden constants with FST-PSO ({} generations)...", cfg.iterations);
-    let result = estimate(&problem, &engine, &cfg);
+    let result = estimate_with(&problem, &engine, &Optimizer::Pso(cfg), None)?;
 
     println!("\n{:>10} {:>10} {:>10}", "constant", "true", "estimated");
     for (i, &t) in truth.iter().enumerate() {

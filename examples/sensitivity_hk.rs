@@ -42,6 +42,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         &engine,
         |sol| sol.state_at(0)[r5p],
         256,
+        None,
     )?
     .outputs;
     let mean = {

@@ -4,9 +4,8 @@
 #   1. every `pub fn` / `pub const fn` under `crates/*/src` and `src/` whose
 #      name no other `.rs` file of `crates src tests examples benchmark`
 #      names (a whole-word match, so a doc link or a `use` counts; a `fn`
-#      definition of the same name does not), minus the deliberate API in
-#      `scripts/pub-callers.allow` — and every allow-list entry that no
-#      longer names such a function;
+#      definition of the same name does not). There is no allow list: an
+#      uncalled `pub fn` is made private or deleted;
 #   2. every `[dependencies]` entry of a `crates/*` package whose crate name
 #      appears in none of that package's `.rs` files.
 #
@@ -17,7 +16,6 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-allow=scripts/pub-callers.allow
 files=$(find crates src tests examples benchmark -name '*.rs' -not -path '*/target/*' | sort)
 
 # "file<TAB>word" once per file and word that file names.
@@ -31,21 +29,12 @@ defs=$(grep -nHE '^[[:space:]]*pub (const )?fn [A-Za-z_][A-Za-z0-9_]*' \
     $(find crates/*/src src -name '*.rs' | sort) |
     sed -E 's/^([^:]+):([0-9]+):.*pub (const )?fn ([A-Za-z_][A-Za-z0-9_]*).*/\1:\2\t\4/')
 
-uncalled=$(awk -F '\t' -v allow="$allow" '
-    BEGIN {
-        while ((getline line < allow) > 0) {
-            sub(/#.*/, "", line)
-            if (split(line, w, " ") > 0) allowed[w[1]] = 1
-        }
-    }
+uncalled=$(awk -F '\t' '
     FNR == NR { count[$2]++; file[$2] = $1; next }
     {
         split($1, at, ":")
-        if (count[$2] == 0 || (count[$2] == 1 && file[$2] == at[1])) {
-            if ($2 in allowed) needed[$2] = 1; else print $1 "\t" $2
-        }
+        if (count[$2] == 0 || (count[$2] == 1 && file[$2] == at[1])) print $1 "\t" $2
     }
-    END { for (name in allowed) if (!(name in needed)) print allow "\t" name " (stale entry)" }
     ' <(printf '%s\n' "$index") <(printf '%s\n' "$defs"))
 
 unused=$(for toml in crates/*/Cargo.toml; do
@@ -59,7 +48,7 @@ done)
 
 status=0
 if [ -n "$uncalled" ]; then
-    echo "pub-callers: pub fns no other file names (make them private, delete them, or allow-list them in $allow):"
+    echo "pub-callers: pub fns no other file names (make them private or delete them):"
     sed 's/^/  /' <<<"$uncalled"
     status=1
 fi

@@ -150,6 +150,7 @@ fn sobol_dead_end_dominance() {
         &engine,
         |sol| sol.state_at(0)[r5p],
         192,
+        None,
     )
     .expect("evaluation")
     .outputs;
