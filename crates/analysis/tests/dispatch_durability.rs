@@ -7,7 +7,9 @@
 //! taxonomy while the rest of the campaign stays exact; and a campaign
 //! whose workers all die must interrupt, then resume to the exact result.
 
-use paraspace_analysis::campaign::{CampaignError, Checkpoint};
+mod watchdog;
+
+use paraspace_analysis::campaign::CampaignError;
 use paraspace_analysis::dispatch::{run_dispatched, DispatchConfig, WorkerChaos};
 use paraspace_core::{FineEngine, SimulationJob, Simulator};
 use paraspace_journal::codec::Enc;
@@ -15,6 +17,7 @@ use paraspace_journal::lease::{LeaseConfig, RetryState};
 use paraspace_journal::CampaignManifest;
 use paraspace_rbm::{Parameterization, Reaction, ReactionBasedModel};
 use std::path::PathBuf;
+use watchdog::watched;
 
 const SHARDS: u64 = 12;
 const MEMBERS_PER_SHARD: usize = 3;
@@ -104,8 +107,9 @@ fn poison(shard: u64, st: &RetryState) -> Vec<u8> {
 fn reference(threads: usize, tag: &str) -> Vec<Vec<u8>> {
     let dir = temp_dir(tag);
     let eng = engine(threads);
+    let (checkpoint, _watchdog) = watched(&dir);
     let (payloads, _) = paraspace_analysis::campaign::run_journaled(
-        &Checkpoint::new(&dir),
+        &checkpoint,
         CampaignManifest::new("dispatch-acceptance", SHARDS),
         |shard| shard_payload(&eng, shard),
     )
@@ -134,8 +138,9 @@ fn dispatch_with_kills_is_byte_identical_across_workers_and_threads() {
                 };
                 workers
             ];
+            let (checkpoint, _watchdog) = watched(&dir);
             let (payloads, report, worker_reports) = run_dispatched(
-                &Checkpoint::new(&dir),
+                &checkpoint,
                 CampaignManifest::new("dispatch-acceptance", SHARDS),
                 workers,
                 &fast_config(),
@@ -175,8 +180,9 @@ fn killed_campaign_resumes_to_exact_payloads() {
     let dir = temp_dir("resume");
     let eng = engine(1);
     let chaos = vec![WorkerChaos { kill_at_ordinal: Some(1), ..WorkerChaos::default() }; 2];
+    let (checkpoint, _watchdog) = watched(&dir);
     let err = run_dispatched(
-        &Checkpoint::new(&dir),
+        &checkpoint,
         CampaignManifest::new("dispatch-acceptance", SHARDS),
         2,
         &fast_config(),
@@ -196,8 +202,9 @@ fn killed_campaign_resumes_to_exact_payloads() {
         other => panic!("expected Interrupted, got {other}"),
     };
 
+    let (checkpoint, _watchdog) = watched(&dir);
     let (payloads, report, _) = run_dispatched(
-        &Checkpoint::new(&dir),
+        &checkpoint,
         CampaignManifest::new("dispatch-acceptance", SHARDS),
         2,
         &fast_config(),
@@ -230,8 +237,9 @@ fn poisoned_shard_quarantine_preserves_all_other_shards_exactly() {
         WorkerChaos { kill_on_shard: Some(5), ..WorkerChaos::default() },
         WorkerChaos { kill_on_shard: Some(5), ..WorkerChaos::default() },
     ];
+    let (checkpoint, _watchdog) = watched(&dir);
     let (payloads, report, _) = run_dispatched(
-        &Checkpoint::new(&dir),
+        &checkpoint,
         CampaignManifest::new("dispatch-acceptance", SHARDS),
         1,
         &config,

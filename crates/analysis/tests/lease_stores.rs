@@ -4,19 +4,22 @@
 //! get the same answers from both, because `dispatch::worker_loop` is one
 //! loop over either.
 
+mod watchdog;
+
 use std::path::{Path, PathBuf};
 
-use paraspace_analysis::campaign::{CampaignError, Checkpoint};
+use paraspace_analysis::campaign::CampaignError;
 use paraspace_analysis::dispatch::{
     coordinate, worker_loop, DispatchConfig, TickDirective, WorkerChaos,
 };
-use paraspace_core::{CancelToken, SimError};
+use paraspace_core::SimError;
 use paraspace_journal::lease::{
     Claim, FileStore, LeaseConfig, LeaseDir, LeaseStore, RetryLedger, RetryState,
 };
 use paraspace_journal::{record, CampaignManifest, Journal};
 use paraspace_transport::client::{ClientOptions, WorkerClient};
 use paraspace_transport::server::{CoordinatorServer, ServerConfig};
+use watchdog::watched;
 
 fn temp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("paraspace_stores_{tag}_{}", std::process::id()));
@@ -88,6 +91,12 @@ where
     let segment = std::fs::read(leases.segment_path("w0")).unwrap();
     answers.push(format!("segment holds the record verbatim: {}", segment == framed));
     answers.push(format!("complete while held: {}", store.complete(&next).unwrap()));
+
+    // A cancelled worker hands its lease back: the shard is free at once.
+    let Claim::Granted(released) = store.claim().unwrap() else { panic!("shard 2 is open") };
+    store.release(&released).unwrap();
+    let reclaimed = leases.try_claim(released.shard, "w1").unwrap();
+    answers.push(format!("another worker claims after release: {}", reclaimed.is_some()));
     answers
 }
 
@@ -102,6 +111,7 @@ fn file_and_tcp_stores_answer_lease_events_alike() {
         "next claim: shard 1",
         "segment holds the record verbatim: true",
         "complete while held: true",
+        "another worker claims after release: true",
     ];
 
     let dir = temp_dir("events_file");
@@ -117,11 +127,12 @@ fn file_and_tcp_stores_answer_lease_events_alike() {
 /// Run `store`'s worker over a one-shard campaign whose execution fails,
 /// then coordinate it; returns the reasons the retry ledger recorded.
 fn failed_execution<S: LeaseStore>(store: &S, dir: &Path, worker: &str) -> Vec<String> {
-    let err =
-        worker_loop(store, &config(), &CancelToken::new(), &WorkerChaos::default(), |_, _| {
-            Err(CampaignError::Sim(SimError::InvalidJob { message: "solver diverged".into() }))
-        })
-        .unwrap_err();
+    let (checkpoint, _watchdog) = watched(dir);
+    let external = checkpoint.cancel_token();
+    let err = worker_loop(store, &config(), external, &WorkerChaos::default(), |_, _| {
+        Err(CampaignError::Sim(SimError::InvalidJob { message: "solver diverged".into() }))
+    })
+    .unwrap_err();
     assert!(matches!(err, CampaignError::Sim(SimError::InvalidJob { .. })), "got {err}");
 
     let leases = LeaseDir::new(dir);
@@ -131,10 +142,8 @@ fn failed_execution<S: LeaseStore>(store: &S, dir: &Path, worker: &str) -> Vec<S
 
     let poison = |_: u64, st: &RetryState| st.reasons.join("; ").into_bytes();
     let (payloads, report) =
-        coordinate(&Checkpoint::new(dir), manifest(1), &config(), poison, |_| {
-            TickDirective::Continue
-        })
-        .unwrap();
+        coordinate(&checkpoint, manifest(1), &config(), poison, |_| TickDirective::Continue)
+            .unwrap();
     assert_eq!(report.quarantined, vec![0], "one death quarantines at max_worker_deaths 1");
     let reasons = RetryLedger::open(dir).unwrap().state(0).unwrap().reasons.clone();
     assert_eq!(payloads[0], reasons[0].as_bytes(), "the poison carries the death's reason");

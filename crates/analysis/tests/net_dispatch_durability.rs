@@ -18,10 +18,12 @@
 //! The model/payload/poison helpers mirror `dispatch_durability.rs`
 //! verbatim so both suites assert against the same reference bytes.
 
+mod watchdog;
+
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
 
-use paraspace_analysis::campaign::{CampaignError, Checkpoint};
+use paraspace_analysis::campaign::CampaignError;
 use paraspace_analysis::dispatch::{
     coordinate, worker_loop, DispatchConfig, DispatchReport, TickDirective, WorkerChaos,
     WorkerReport,
@@ -34,6 +36,7 @@ use paraspace_rbm::{Parameterization, Reaction, ReactionBasedModel};
 use paraspace_transport::chaos::NetChaos;
 use paraspace_transport::client::{ClientOptions, WorkerClient};
 use paraspace_transport::server::{CoordinatorServer, ServerConfig};
+use watchdog::watched;
 
 const SHARDS: u64 = 12;
 const MEMBERS_PER_SHARD: usize = 3;
@@ -125,8 +128,9 @@ fn poison(shard: u64, st: &RetryState) -> Vec<u8> {
 fn reference(tag: &str) -> Vec<Vec<u8>> {
     let dir = temp_dir(tag);
     let eng = engine();
+    let (checkpoint, _watchdog) = watched(&dir);
     let (payloads, _) =
-        paraspace_analysis::campaign::run_journaled(&Checkpoint::new(&dir), manifest(), |shard| {
+        paraspace_analysis::campaign::run_journaled(&checkpoint, manifest(), |shard| {
             shard_payload(&eng, shard)
         })
         .unwrap();
@@ -137,14 +141,19 @@ fn reference(tag: &str) -> Vec<Vec<u8>> {
 type WorkerOutcome = Result<WorkerReport, CampaignError>;
 
 /// Connect as `worker` and run the dispatch worker loop over the
-/// connection, with the timing the handshake taught.
-fn net_worker(addr: &str, worker: &str, opts: ClientOptions) -> WorkerOutcome {
+/// connection, with the timing the handshake taught, until the campaign
+/// completes or `external` trips.
+fn net_worker(
+    addr: &str,
+    worker: &str,
+    opts: ClientOptions,
+    external: &CancelToken,
+) -> WorkerOutcome {
     let (client, info) =
         WorkerClient::connect(addr, worker, opts).map_err(|e| CampaignError::Store(Box::new(e)))?;
     let config = DispatchConfig { lease: info.lease, poll_ms: info.poll_ms };
     let eng = engine();
-    let external = CancelToken::new();
-    worker_loop(&client, &config, &external, &WorkerChaos::default(), |shard, _token| {
+    worker_loop(&client, &config, external, &WorkerChaos::default(), |shard, _token| {
         shard_payload(&eng, shard)
     })
 }
@@ -183,6 +192,7 @@ fn net_campaign(
     )
     .unwrap();
     let addr = server.local_addr().to_string();
+    let (checkpoint, _watchdog) = watched(&dir);
 
     let handles: Vec<_> = chaos_plans
         .into_iter()
@@ -191,6 +201,7 @@ fn net_campaign(
             let addr = addr.clone();
             let gate_dir = dir.clone();
             let gated = stagger && i > 0;
+            let external = checkpoint.cancel_token().clone();
             std::thread::spawn(move || -> WorkerOutcome {
                 if gated {
                     let leases = LeaseDir::new(&gate_dir);
@@ -206,14 +217,13 @@ fn net_campaign(
                     max_attempts,
                     chaos,
                 };
-                net_worker(&addr, &format!("nw{i}"), opts)
+                net_worker(&addr, &format!("nw{i}"), opts, &external)
             })
         })
         .collect();
 
     let (payloads, report) =
-        coordinate(&Checkpoint::new(&dir), manifest(), config, poison, |_| TickDirective::Continue)
-            .unwrap();
+        coordinate(&checkpoint, manifest(), config, poison, |_| TickDirective::Continue).unwrap();
     let workers: Vec<WorkerOutcome> = handles.into_iter().map(|h| h.join().unwrap()).collect();
     server.shutdown();
     NetOutcome { payloads, report, workers, dir }
@@ -327,6 +337,8 @@ fn unreachable_worker_completes_degraded_with_transport_quarantine() {
     )
     .unwrap();
     let addr = server.local_addr().to_string();
+    let (checkpoint, _watchdog) = watched(&dir);
+    let external = checkpoint.cancel_token().clone();
     let worker = std::thread::spawn(move || -> WorkerOutcome {
         // A deep retry ladder: the worker keeps trying well past the
         // point the coordinator has already moved on, proving degraded
@@ -337,16 +349,14 @@ fn unreachable_worker_completes_degraded_with_transport_quarantine() {
             max_attempts: 8,
             chaos: plans.into_iter().next().unwrap(),
         };
-        net_worker(&addr, "nw0", opts)
+        net_worker(&addr, "nw0", opts, &external)
     });
 
     let coord = {
-        let dir = dir.clone();
+        let checkpoint = checkpoint.clone();
         let config = config.clone();
         std::thread::spawn(move || {
-            coordinate(&Checkpoint::new(&dir), manifest(), &config, poison, |_| {
-                TickDirective::Continue
-            })
+            coordinate(&checkpoint, manifest(), &config, poison, |_| TickDirective::Continue)
         })
     };
     // The partitioned worker exhausts its ladder strictly after the

@@ -6,14 +6,15 @@
 //! * `simulate <model_dir>` — read a BioSimWare model directory (with
 //!   optional `t_vector`, `c_matrix`, `MX_0` batch files), run it on a
 //!   chosen engine, write one dynamics file per simulation plus a timing
-//!   summary;
+//!   summary — one campaign whatever the flags: a plain run is its
+//!   one-shard case with no journal;
 //! * `convert` — BioSimWare directory ↔ SBML document;
 //! * `generate` — emit an SBGen-style synthetic model;
 //! * `recommend` — print the published engine recommendation for a
 //!   (species, reactions, simulations) triple.
 
 use paraspace_analysis::campaign::{
-    f64s_digest, model_digest, options_digest, run_journaled, CampaignError, Checkpoint,
+    f64s_digest, model_digest, options_digest, CampaignError, Checkpoint, ShardLog, ShardRecord,
     ShardReport,
 };
 use paraspace_analysis::dispatch::{
@@ -27,9 +28,9 @@ use paraspace_analysis::pe::{estimate_with, EstimationProblem, Optimizer};
 use paraspace_analysis::pso::PsoConfig;
 pub use paraspace_core::CancelToken;
 use paraspace_core::{
-    recommend_engine, taxonomy, CoarseEngine, CpuEngine, CpuSolverKind, Executor, FineCoarseEngine,
-    FineEngine, Host, MemberSink, RecoveryLog, RecoveryPolicy, SimOutcome, SimulationJob,
-    Simulator,
+    recommend_engine, taxonomy, BatchHealth, BatchTiming, CoarseEngine, CpuEngine, CpuSolverKind,
+    Executor, FineCoarseEngine, FineEngine, Host, RecoveryLog, RecoveryPolicy, SimOutcome,
+    SimulationJob, Simulator,
 };
 use paraspace_journal::codec::{Dec, Enc};
 use paraspace_journal::lease::{FileStore, LeaseConfig, LeaseStore, RetryState};
@@ -45,10 +46,11 @@ use paraspace_transport::client::{ClientOptions, WorkerClient};
 use paraspace_transport::server::{CoordinatorServer, ServerConfig};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::fmt;
 use std::path::{Path, PathBuf};
-use std::sync::{Mutex, Once};
+use std::sync::{Mutex, OnceLock};
 
 /// A parsed command line.
 #[derive(Debug, Clone, PartialEq)]
@@ -961,14 +963,6 @@ fn engine_by_name(
     })
 }
 
-/// The enriched `.err` report for a failed member: the error itself plus the
-/// full recovery log (attempt ladder, reroutes, tolerance relaxations) and
-/// the failure-taxonomy label the batch health summary counts it under.
-fn error_report(o: &SimOutcome) -> String {
-    let e = o.solution.as_ref().expect_err("error_report is only called for failed members");
-    err_body(e, taxonomy(e), o.solver, &o.log)
-}
-
 /// The `.err` layout: `error`, its taxonomy `label`, the `solver` that
 /// produced it and the member's recovery `log`.
 fn err_body(error: &dyn fmt::Display, label: &str, solver: &str, log: &RecoveryLog) -> String {
@@ -978,35 +972,14 @@ fn err_body(error: &dyn fmt::Display, label: &str, solver: &str, log: &RecoveryL
     )
 }
 
-/// One member's artifact: the exact bytes its output file will hold
-/// (`body`), plus the taxonomy label for failed members (empty for
-/// successes) so a resumed run reprints the same failure summary.
+/// One member's artifact as a journaled shard holds it: the exact bytes
+/// its output file will hold (`body`), plus the taxonomy label for failed
+/// members (empty for successes) so a resumed run reprints the same
+/// failure summary.
 struct MemberRecord {
     ok: bool,
     label: String,
     body: String,
-}
-
-impl MemberRecord {
-    /// The record of a member as the engine's [`MemberSink`] delivers it:
-    /// the dynamics text of a success, the enriched report of a failure.
-    fn new(o: &SimOutcome, dynamics: Option<&str>) -> Self {
-        match &o.solution {
-            Err(e) => {
-                MemberRecord { ok: false, label: taxonomy(e).to_string(), body: error_report(o) }
-            }
-            Ok(_) => MemberRecord {
-                ok: true,
-                label: String::new(),
-                body: dynamics.expect("a successful member is delivered with its text").to_string(),
-            },
-        }
-    }
-
-    /// Writes the member's output file, named by its batch index.
-    fn write(&self, out_path: &Path, index: usize) -> std::io::Result<()> {
-        std::fs::write(artifact_path(out_path, index, self.ok), &self.body)
-    }
 }
 
 /// The file of batch member `index`: `dynamics_NNNNN.tsv` for a trajectory,
@@ -1048,73 +1021,118 @@ fn create_dir_for(flag: &str, path: &Path) -> Result<(), CliError> {
         .map_err(|e| CliError(format!("cannot create {flag} directory {}: {e}", path.display())))
 }
 
-/// Plain `simulate`'s sink: each member's artifact is written by the worker
-/// that formatted it, as the engine delivers it, so no member's text
-/// outlives the call and at most `--threads` bodies exist at a time.
-struct ArtifactWriter<'a> {
-    out_path: &'a Path,
+/// Writes `simulate`'s member artifacts into `--out`, each as it arrives —
+/// from the engine's workers on a run with no journal, from the committed
+/// records on a journaled one — and tallies them for the summary.
+#[derive(Default)]
+struct ArtifactFiles {
+    out_path: PathBuf,
     /// Clears the previous campaign's artifacts before the first write (a
-    /// run that fails or is cancelled delivers nobody and leaves them).
-    cleared: Once,
-    /// The first I/O failure, reported after the run.
-    error: Mutex<Option<std::io::Error>>,
+    /// run that fails or is cancelled writes nobody and leaves them).
+    cleared: OnceLock<()>,
+    /// Members written per taxonomy label (`""` for successes), and the
+    /// first I/O failure, reported after the run.
+    tally: Mutex<(std::collections::BTreeMap<String, usize>, Option<std::io::Error>)>,
 }
 
-impl MemberSink for ArtifactWriter<'_> {
-    fn member(&self, index: usize, outcome: &SimOutcome, dynamics: Option<&str>) {
-        let write = || {
-            let mut cleared = Ok(());
-            self.cleared.call_once(|| cleared = remove_stale_artifacts(self.out_path, "dynamics_"));
-            cleared?;
-            let report;
-            let body = match dynamics {
-                Some(text) => text,
-                None => {
-                    report = error_report(outcome);
-                    &report
-                }
-            };
-            std::fs::write(artifact_path(self.out_path, index, dynamics.is_some()), body)
-        };
-        if let Err(e) = write() {
-            self.error.lock().expect("no writer panics holding the lock").get_or_insert(e);
+impl ArtifactFiles {
+    /// Writes the file of batch member `index`.
+    fn put(&self, index: usize, ok: bool, label: &str, body: &str) {
+        let written = self
+            .clear_stale()
+            .and_then(|()| std::fs::write(artifact_path(&self.out_path, index, ok), body));
+        let mut tally = self.tally.lock().expect("no writer panics holding the lock");
+        *tally.0.entry(label.to_string()).or_default() += 1;
+        if let Err(e) = written {
+            tally.1.get_or_insert(e);
         }
+    }
+
+    fn clear_stale(&self) -> std::io::Result<()> {
+        let mut cleared = Ok(());
+        self.cleared.get_or_init(|| cleared = remove_stale_artifacts(&self.out_path, "dynamics_"));
+        cleared
+    }
+
+    /// Prints the summary every `simulate` mode ends with: the billed
+    /// clocks summed in shard order and the tally, under `label`. A run
+    /// with no journal is one shard the engine reported on itself, so its
+    /// name, host wall and `health:` line stand in for `label` and the
+    /// failure tally.
+    fn summarize(
+        self,
+        label: &str,
+        shards: &[ShardOutcome],
+        out: &mut dyn std::io::Write,
+    ) -> Result<(), CliError> {
+        // An empty batch writes nobody, and still replaces the last campaign.
+        let cleared = self.clear_stale();
+        let (mut labels, error) =
+            self.tally.into_inner().expect("no writer panics holding the lock");
+        if let Some(e) = error.or(cleared.err()) {
+            let out_path = self.out_path.display();
+            return Err(CliError(format!("cannot write artifacts to {out_path}: {e}")));
+        }
+        let ms = |ns: fn(&BatchTiming) -> f64| {
+            shards.iter().fold(0.0, |sum, shard| sum + ns(&shard.timing)) / 1e6
+        };
+        let run = shards.iter().find_map(|shard| Some((shard.run?, shard.timing.host_wall)));
+        let ok = labels.remove("").unwrap_or(0);
+        write!(
+            out,
+            "{}: {}/{} simulations ok; simulated {:.3} ms (integration {:.3} ms, i/o {:.3} ms)",
+            run.map_or(label, |((engine, _), _)| engine),
+            ok,
+            ok + labels.values().sum::<usize>(),
+            ms(|t| t.simulated_total_ns),
+            ms(|t| t.simulated_integration_ns),
+            ms(|t| t.simulated_io_ns),
+        )?;
+        if let Some(((_, health), host_wall)) = run {
+            writeln!(out, "; host wall {host_wall:.1?}\nhealth: {health}")?;
+        } else {
+            writeln!(out)?;
+            let failures: Vec<String> = labels.iter().map(|(l, n)| format!("{l} x{n}")).collect();
+            if !failures.is_empty() {
+                writeln!(out, "failures: {}", failures.join(", "))?;
+            }
+        }
+        Ok(())
     }
 }
 
-/// Per-shard journal payload: the member artifacts plus the shard's billed
-/// simulated-time split, so replayed shards bill identically.
+/// A shard's outcome: its members' records and its billed simulated-time
+/// split — the journal payload, so replayed shards bill identically.
 struct ShardOutcome {
+    /// One record per member in shard order; none once the members are in
+    /// their files (a run with no journal writes each as it arrives).
     members: Vec<MemberRecord>,
-    total_ns: f64,
-    integration_ns: f64,
-    io_ns: f64,
+    timing: BatchTiming,
+    /// The engine's name and its health report of the whole batch, kept
+    /// only when the members went straight to their files (not journaled).
+    run: Option<(&'static str, BatchHealth)>,
 }
 
 impl ShardOutcome {
-    /// A shard in which every member fails the same way and nothing was
-    /// billed (a rejected job, a quarantined shard).
-    fn failed(members: usize, label: &str, body: &str) -> Self {
-        let record = || MemberRecord { ok: false, label: label.into(), body: body.into() };
-        ShardOutcome {
-            members: (0..members).map(|_| record()).collect(),
-            total_ns: 0.0,
-            integration_ns: 0.0,
-            io_ns: 0.0,
-        }
-    }
-
     fn encode(&self) -> Vec<u8> {
         let mut enc = Enc::new();
         enc.put_u32(self.members.len() as u32);
         for m in &self.members {
             enc.put_u32(u32::from(m.ok)).put_str(&m.label).put_str(&m.body);
         }
-        enc.put_f64(self.total_ns).put_f64(self.integration_ns).put_f64(self.io_ns);
+        let t = &self.timing;
+        enc.put_f64(t.simulated_total_ns).put_f64(t.simulated_integration_ns);
+        enc.put_f64(t.simulated_io_ns);
         enc.finish()
     }
+}
 
-    fn decode(bytes: &[u8]) -> Result<Self, JournalError> {
+impl ShardRecord for ShardOutcome {
+    fn to_payload(&self) -> Result<Cow<'_, [u8]>, JournalError> {
+        Ok(Cow::Owned(self.encode()))
+    }
+
+    fn from_payload(bytes: &[u8]) -> Result<Self, JournalError> {
         let mut dec = Dec::new(bytes);
         let n = dec.u32()?;
         let mut members = Vec::with_capacity(n as usize);
@@ -1124,59 +1142,15 @@ impl ShardOutcome {
             let body = dec.str()?.to_string();
             members.push(MemberRecord { ok, label, body });
         }
-        let total_ns = dec.f64()?;
-        let integration_ns = dec.f64()?;
-        let io_ns = dec.f64()?;
+        let timing = BatchTiming {
+            simulated_total_ns: dec.f64()?,
+            simulated_integration_ns: dec.f64()?,
+            simulated_io_ns: dec.f64()?,
+            ..BatchTiming::default()
+        };
         dec.expect_exhausted()?;
-        Ok(ShardOutcome { members, total_ns, integration_ns, io_ns })
+        Ok(ShardOutcome { members, timing, run: None })
     }
-}
-
-/// Writes the per-member output files of shard outcomes — each member
-/// under its *original* batch index — and prints the batch summary. A pure
-/// function of the outcomes, so every execution mode materializes
-/// byte-identical artifacts.
-fn materialize<'a>(
-    out_path: &Path,
-    label: &str,
-    n_sims: usize,
-    shards: impl IntoIterator<Item = Result<(ShardOutcome, &'a [usize]), CliError>>,
-    out: &mut dyn std::io::Write,
-) -> Result<(), CliError> {
-    create_dir_for("--out", out_path)?;
-    remove_stale_artifacts(out_path, "dynamics_")?;
-    let mut ok_count = 0usize;
-    let mut total_ns = 0.0f64;
-    let mut integration_ns = 0.0f64;
-    let mut io_ns = 0.0f64;
-    let mut label_counts: std::collections::BTreeMap<String, usize> = Default::default();
-    for shard in shards {
-        let (shard, indices) = shard?;
-        for (m, &index) in shard.members.iter().zip(indices) {
-            m.write(out_path, index)?;
-            if m.ok {
-                ok_count += 1;
-            } else {
-                *label_counts.entry(m.label.clone()).or_default() += 1;
-            }
-        }
-        total_ns += shard.total_ns;
-        integration_ns += shard.integration_ns;
-        io_ns += shard.io_ns;
-    }
-    writeln!(
-        out,
-        "{label}: {ok_count}/{n_sims} simulations ok; simulated {:.3} ms (integration {:.3} ms, i/o {:.3} ms)",
-        total_ns / 1e6,
-        integration_ns / 1e6,
-        io_ns / 1e6,
-    )?;
-    if !label_counts.is_empty() {
-        let parts: Vec<String> =
-            label_counts.iter().map(|(label, n)| format!("{label} x{n}")).collect();
-        writeln!(out, "failures: {}", parts.join(", "))?;
-    }
-    Ok(())
 }
 
 /// Executes a parsed command, writing human-readable progress to `out`.
@@ -1260,15 +1234,18 @@ pub fn execute_with_cancel(
             }
             Ok(())
         }
-        Command::Simulate { checkpoint_dir: None, .. } => simulate_plain(cmd, out, cancel),
-        Command::Simulate { checkpoint_dir: Some(dir), workers, listen, .. } => {
-            create_dir_for("--checkpoint-dir", dir)?;
+        Command::Simulate { checkpoint_dir, workers, listen, .. } => {
+            if let Some(dir) = checkpoint_dir {
+                create_dir_for("--checkpoint-dir", dir)?;
+            }
             let world = SimulateWorld::load(cmd)?;
-            let checkpoint = Checkpoint::new(dir).with_cancel(cancel.clone());
-            if *workers > 0 || listen.is_some() {
-                coordinate_processes(&world, &checkpoint, *workers, listen.as_deref(), out)
-            } else {
-                simulate_durable(&world, &checkpoint, out, cancel)
+            let checkpoint =
+                checkpoint_dir.as_ref().map(|dir| Checkpoint::new(dir).with_cancel(cancel.clone()));
+            match &checkpoint {
+                Some(checkpoint) if *workers > 0 || listen.is_some() => {
+                    coordinate_processes(&world, checkpoint, *workers, listen.as_deref(), out)
+                }
+                _ => simulate(world, checkpoint.as_ref(), out, cancel),
             }
         }
         Command::Worker {
@@ -1935,43 +1912,55 @@ fn run_pe(
     Ok(())
 }
 
-/// What every `simulate` path resolves from the command and the model
-/// directory: the model, its batch, and the engine configuration.
-struct SimulateInputs {
+/// Everything a `simulate` campaign resolves once from its command and the
+/// model directory, and the one shard executor every mode runs: a plain
+/// run, a durable one, the coordinator and every `worker` rebuilt from the
+/// manifest execute shards through the same world, which is what makes
+/// their artifacts byte-identical.
+struct SimulateWorld {
     model: ReactionBasedModel,
     time_points: Vec<f64>,
     parameterizations: Vec<Parameterization>,
     options: SolverOptions,
-    recovery: RecoveryPolicy,
     engine_name: String,
-    threads: usize,
-    lane_width: Option<usize>,
-    model_dir: PathBuf,
-    out_dir: Option<PathBuf>,
+    out_path: PathBuf,
+    /// The journaled lease timing every worker and the coordinator share.
+    dispatch: DispatchConfig,
+    /// Which batch indices each shard holds: one in-order shard of every
+    /// member without a checkpoint; with one, uniform ascending chunks or
+    /// `pack_shards`' cost-model packing, pinned as the `shard_plan`.
+    plan: Vec<Vec<usize>>,
+    /// The command with its shard size and plan resolved, as pinned.
+    cmd: Command,
 }
 
-impl SimulateInputs {
-    /// Reads the model directory and expands the batch.
+impl SimulateWorld {
+    /// Resolves a `Simulate` command: checks the engine name, reads the
+    /// model directory, expands the batch and decides the shard plan. A
+    /// command without a checkpoint builds no packing.
     fn load(cmd: &Command) -> Result<Self, CliError> {
+        let mut cmd = cmd.clone();
         let Command::Simulate {
             model_dir,
-            engine: engine_name,
+            engine,
             out_dir,
             batch,
             rtol,
             atol,
-            threads,
-            lane_width,
-            max_retries,
-            member_budget,
+            checkpoint_dir,
+            shard_size,
+            workers,
+            pack,
+            lease_ttl,
+            retry_base,
             ..
-        } = cmd
+        } = &mut cmd
         else {
-            unreachable!("SimulateInputs::load is only called for Simulate commands");
+            unreachable!("SimulateWorld::load is only called for Simulate commands");
         };
         // Surface an unknown engine name before anything runs or any
         // checkpoint exists.
-        engine_by_name(engine_name, 1, None, RecoveryPolicy::default(), &CancelToken::new())?;
+        engine_by_name(engine, 1, None, RecoveryPolicy::default(), &CancelToken::new())?;
         let model = biosimware::read_dir(model_dir)?;
         let time_points =
             biosimware::read_time_points(model_dir).unwrap_or_else(|_| vec![1.0, 2.0, 5.0, 10.0]);
@@ -1979,211 +1968,131 @@ impl SimulateInputs {
         if parameterizations.is_empty() {
             parameterizations = (0..*batch).map(|_| Parameterization::new()).collect();
         }
-        Ok(SimulateInputs {
+        let options = SolverOptions {
+            rel_tol: *rtol,
+            abs_tol: *atol,
+            max_steps: 100_000,
+            ..SolverOptions::default()
+        };
+        // The plan decides which member's bytes land in which shard record,
+        // so it is pinned as resolved: auto (`None`) packs only multi-worker
+        // runs, where evening out shard cost keeps N workers busy.
+        *shard_size = (*shard_size).max(1);
+        let packed = *pack.get_or_insert(*workers > 1);
+        let plan = if checkpoint_dir.is_none() {
+            vec![(0..parameterizations.len()).collect()]
+        } else if packed {
+            let job = SimulationJob::builder(&model)
+                .time_points(time_points.clone())
+                .parameterizations(parameterizations.clone())
+                .options(options.clone())
+                .build()?;
+            pack_shards(&job, (*shard_size / 4).max(1), *shard_size)
+        } else {
+            uniform_shards(parameterizations.len(), *shard_size)
+        };
+        Ok(SimulateWorld {
+            engine_name: engine.clone(),
+            out_path: out_dir.clone().unwrap_or_else(|| model_dir.join("out")),
+            dispatch: DispatchConfig {
+                lease: LeaseConfig {
+                    ttl_ms: *lease_ttl,
+                    backoff_base_ms: *retry_base,
+                    ..LeaseConfig::default()
+                },
+                ..DispatchConfig::default()
+            },
             model,
             time_points,
             parameterizations,
-            options: SolverOptions {
-                rel_tol: *rtol,
-                abs_tol: *atol,
-                max_steps: 100_000,
-                ..SolverOptions::default()
-            },
-            recovery: RecoveryPolicy {
-                max_relaxations: *max_retries,
-                step_budget: *member_budget,
-                ..RecoveryPolicy::default()
-            },
-            engine_name: engine_name.clone(),
-            threads: *threads,
-            lane_width: *lane_width,
-            model_dir: model_dir.clone(),
-            out_dir: out_dir.clone(),
+            options,
+            plan,
+            cmd,
         })
     }
 
-    /// An engine wired to `cancel` (validated at [`load`](Self::load)).
-    fn engine(&self, cancel: &CancelToken) -> Box<dyn Simulator> {
-        engine_by_name(&self.engine_name, self.threads, self.lane_width, self.recovery, cancel)
-            .expect("engine name was validated when the inputs were loaded")
-    }
-
-    fn out_path(&self) -> PathBuf {
-        self.out_dir.clone().unwrap_or_else(|| self.model_dir.join("out"))
-    }
-
-    /// The job over `members`. A job that fails validation is an outcome,
-    /// not an error (the inner `Err`): every member fails as `invalid`, in
-    /// the ordinary `.err` artifacts, with or without a journal.
-    fn job(
-        &self,
-        members: Vec<Parameterization>,
-    ) -> Result<Result<SimulationJob<'_>, ShardOutcome>, paraspace_core::SimError> {
-        let n = members.len();
-        match SimulationJob::builder(&self.model)
-            .time_points(self.time_points.clone())
-            .parameterizations(members)
-            .options(self.options.clone())
-            .build()
-        {
-            Ok(job) => Ok(Ok(job)),
-            Err(e @ paraspace_core::SimError::InvalidJob { .. }) => {
-                let body = err_body(&e, "invalid", "-", &RecoveryLog::default());
-                Ok(Err(ShardOutcome::failed(n, "invalid", &body)))
-            }
-            Err(e) => Err(e),
-        }
-    }
-}
-
-/// Plain `simulate`: the campaign with no journal, and a different shape —
-/// one engine batch over all members, each written by [`ArtifactWriter`] as
-/// the engine's P5 tail formats it (a journaled shard buffers every member
-/// body it holds).
-fn simulate_plain(
-    cmd: &Command,
-    out: &mut dyn std::io::Write,
-    cancel: &CancelToken,
-) -> Result<(), CliError> {
-    let mut inputs = SimulateInputs::load(cmd)?;
-    let members = std::mem::take(&mut inputs.parameterizations);
-    let n_sims = members.len();
-    let out_path = inputs.out_path();
-    let job = match inputs.job(members)? {
-        Ok(job) => job,
-        Err(invalid) => {
-            let all: Vec<usize> = (0..n_sims).collect();
-            let shards = [Ok((invalid, all.as_slice()))];
-            materialize(&out_path, &inputs.engine_name, n_sims, shards, out)?;
-            writeln!(out, "dynamics written to {}", out_path.display())?;
-            return Ok(());
-        }
-    };
-    create_dir_for("--out", &out_path)?;
-    let writer =
-        ArtifactWriter { out_path: &out_path, cleared: Once::new(), error: Mutex::new(None) };
-    let result = inputs.engine(cancel).run_into(&job, &writer)?;
-    if let Some(e) = writer.error.into_inner().expect("no writer panics holding the lock") {
-        return Err(CliError(format!("cannot write artifacts to {}: {e}", out_path.display())));
-    }
-    writeln!(
-        out,
-        "{}: {}/{} simulations ok; simulated {:.3} ms (integration {:.3} ms, i/o {:.3} ms); host wall {:.1?}",
-        result.engine,
-        result.success_count(),
-        n_sims,
-        result.timing.simulated_total_ns / 1e6,
-        result.timing.simulated_integration_ns / 1e6,
-        result.timing.simulated_io_ns / 1e6,
-        result.timing.host_wall,
-    )?;
-    writeln!(out, "health: {}", result.health)?;
-    writeln!(out, "dynamics written to {}", out_path.display())?;
-    Ok(())
-}
-
-/// Everything a journaled `simulate` shard executor needs, resolved once.
-/// Shard payload bytes are a pure function of (world, shard id): the
-/// original process, the coordinator, and `worker` processes rebuilt from
-/// the manifest all execute shards through the same world, which is what
-/// makes multi-process artifacts byte-identical to single-process runs.
-struct SimulateWorld {
-    inputs: SimulateInputs,
-    /// Which original member indices each shard holds. Uniform ascending
-    /// chunks, or the cost-model packing of `pack_shards` — either way a
-    /// pure function of the world, pinned as the manifest's `shard_plan`.
-    plan: Vec<Vec<usize>>,
-    lease_ttl: u64,
-    retry_base: u64,
-    /// The whole campaign manifest: digests plus every flag `resume` needs.
-    manifest: CampaignManifest,
-}
-
-impl SimulateWorld {
-    /// Resolves a `Simulate` command: loads the inputs, decides the shard
-    /// plan, and pins the campaign manifest (digests plus resume fields).
-    fn load(cmd: &Command) -> Result<Self, CliError> {
-        // The shard plan is world-defining (it decides which member's
-        // bytes land in which shard record), so it is resolved here —
-        // auto (`None`) packs only multi-worker runs, where evening out
-        // shard cost keeps N workers busy — and pinned as resolved.
-        let mut cmd = cmd.clone();
-        let Command::Simulate { shard_size, workers, pack, lease_ttl, retry_base, .. } = &mut cmd
-        else {
-            unreachable!("SimulateWorld::load is only called for Simulate commands");
-        };
-        *shard_size = (*shard_size).max(1);
-        let packed = *pack.get_or_insert(*workers > 1);
-        let (shard_size, lease_ttl, retry_base) = (*shard_size, *lease_ttl, *retry_base);
-        let inputs = SimulateInputs::load(&cmd)?;
-        let plan = if packed {
-            let job = SimulationJob::builder(&inputs.model)
-                .time_points(inputs.time_points.clone())
-                .parameterizations(inputs.parameterizations.clone())
-                .options(inputs.options.clone())
-                .build()?;
-            pack_shards(&job, (shard_size / 4).max(1), shard_size)
-        } else {
-            uniform_shards(inputs.parameterizations.len(), shard_size)
-        };
-        let manifest = pin_flags(
-            CampaignManifest::new("cli-simulate", plan.len() as u64)
-                .with_digest("model", model_digest(&inputs.model))
-                .with_digest("times", f64s_digest(&inputs.time_points))
-                .with_digest("options", options_digest(&inputs.options)),
-            SIMULATE_ARGS,
-            &cmd,
-        );
-        Ok(SimulateWorld { inputs, plan, lease_ttl, retry_base, manifest })
-    }
-
-    /// The original member indices of one shard, per the pinned plan.
+    /// The batch indices of one shard, per the plan.
     fn members(&self, shard: u64) -> &[usize] {
         self.plan.get(shard as usize).map_or(&[], Vec::as_slice)
     }
 
-    /// The dispatch runtime configured with this world's journaled
-    /// timing, so the coordinator and every worker (local or networked)
-    /// agree on heartbeat deadlines and backoff.
-    fn dispatch_config(&self) -> DispatchConfig {
-        DispatchConfig {
-            lease: LeaseConfig {
-                ttl_ms: self.lease_ttl,
-                backoff_base_ms: self.retry_base,
-                ..LeaseConfig::default()
-            },
-            ..DispatchConfig::default()
-        }
+    /// An engine wired to `cancel` (its name was checked at [`load`](Self::load)).
+    fn engine(&self, cancel: &CancelToken) -> Box<dyn Simulator> {
+        let Command::Simulate { threads, lane_width, max_retries, member_budget, .. } = self.cmd
+        else {
+            unreachable!("a world holds a Simulate command");
+        };
+        let recovery = RecoveryPolicy {
+            max_relaxations: max_retries,
+            step_budget: member_budget,
+            ..RecoveryPolicy::default()
+        };
+        engine_by_name(&self.engine_name, threads, lane_width, recovery, cancel)
+            .expect("the engine name was checked when the world was loaded")
     }
 
-    /// Executes one shard and encodes its journal payload — the shared
-    /// executor behind `run_journaled`, the coordinator, and every
-    /// attached worker.
-    fn shard_payload(&self, engine: &dyn Simulator, shard: u64) -> Result<Vec<u8>, CampaignError> {
-        let members =
-            self.members(shard).iter().map(|&i| self.inputs.parameterizations[i].clone()).collect();
-        let job = match self.inputs.job(members)? {
-            Ok(job) => job,
-            Err(invalid) => return Ok(invalid.encode()),
+    /// The campaign manifest a checkpoint pins: digests, shard count and
+    /// every flag `resume` needs. A run without a checkpoint never builds it.
+    fn manifest(&self) -> CampaignManifest {
+        pin_flags(
+            CampaignManifest::new("cli-simulate", self.plan.len() as u64)
+                .with_digest("model", model_digest(&self.model))
+                .with_digest("times", f64s_digest(&self.time_points))
+                .with_digest("options", options_digest(&self.options)),
+            SIMULATE_ARGS,
+            &self.cmd,
+        )
+    }
+
+    /// Executes one shard's `members`: the one executor behind plain and
+    /// durable runs and every worker. Its one sink hands each member, as the
+    /// engine delivers it, to `files` (a plain run's one in-order shard,
+    /// whose indices are batch indices) or else to the shard's record. A job
+    /// that fails validation is an outcome, every member `invalid`.
+    fn execute(
+        &self,
+        engine: &dyn Simulator,
+        members: Vec<Parameterization>,
+        files: Option<&ArtifactFiles>,
+    ) -> Result<ShardOutcome, CampaignError> {
+        let n = members.len();
+        let records = Mutex::new((0..n).map(|_| None).collect::<Vec<_>>());
+        let put = |i: usize, ok: bool, label: &str, body: &str| match files {
+            Some(files) => files.put(i, ok, label, body),
+            None => {
+                let record = MemberRecord { ok, label: label.into(), body: body.into() };
+                records.lock().expect("no sink panics holding the lock")[i] = Some(record);
+            }
         };
-        let records: Mutex<Vec<Option<MemberRecord>>> =
-            Mutex::new((0..job.batch_size()).map(|_| None).collect());
-        let collect = |i: usize, o: &SimOutcome, text: Option<&str>| {
-            let record = MemberRecord::new(o, text);
-            records.lock().expect("no collector panics holding the lock")[i] = Some(record);
+        let job = SimulationJob::builder(&self.model)
+            .time_points(self.time_points.clone())
+            .parameterizations(members)
+            .options(self.options.clone())
+            .build();
+        let result = match job {
+            Ok(job) => Some(engine.run_into(&job, &|i, o: &SimOutcome, text: Option<&str>| {
+                match &o.solution {
+                    Ok(_) => put(i, true, "", text.expect("a success is delivered with its text")),
+                    Err(e) => {
+                        put(i, false, taxonomy(e), &err_body(e, taxonomy(e), o.solver, &o.log))
+                    }
+                }
+            })?),
+            Err(e @ paraspace_core::SimError::InvalidJob { .. }) => {
+                let body = err_body(&e, "invalid", "-", &RecoveryLog::default());
+                (0..n).for_each(|i| put(i, false, "invalid", &body));
+                None
+            }
+            Err(e) => return Err(e.into()),
         };
-        let result = engine.run_into(&job, &collect)?;
-        let records = records.into_inner().expect("no collector panics holding the lock");
+        let records = records.into_inner().expect("no sink panics holding the lock");
         Ok(ShardOutcome {
-            members: records
-                .into_iter()
-                .map(|r| r.expect("the engine delivers every member"))
-                .collect(),
-            total_ns: result.timing.simulated_total_ns,
-            integration_ns: result.timing.simulated_integration_ns,
-            io_ns: result.timing.simulated_io_ns,
-        }
-        .encode())
+            // Every member was delivered (the sink contract); a streamed
+            // shard keeps none.
+            members: records.into_iter().flatten().collect(),
+            timing: result.as_ref().map_or_else(BatchTiming::default, |r| r.timing),
+            run: result.filter(|_| files.is_some()).map(|r| (r.engine, r.health)),
+        })
     }
 
     /// The journaled payload for a quarantined shard: every member fails
@@ -2200,20 +2109,23 @@ impl SimulateWorld {
             workers.join(", "),
             state.reasons.join(", "),
         );
-        ShardOutcome::failed(self.members(shard).len(), "quarantined", &body).encode()
+        let record = || MemberRecord { ok: false, label: "quarantined".into(), body: body.clone() };
+        let members = self.members(shard).iter().map(|_| record()).collect();
+        ShardOutcome { members, timing: BatchTiming::default(), run: None }.encode()
     }
 
-    /// Materializes the artifacts of committed shard payloads. Under a
-    /// packed plan shards hold non-contiguous members; each lands where a
-    /// uniform (or plain) run would put it.
+    /// The one writer of committed records, for the durable run and the
+    /// coordinator alike: once every shard has committed, creates `--out`
+    /// and writes each member under its batch index (a packed plan puts a
+    /// shard's members anywhere in the batch). The shards keep only their
+    /// billed clocks.
     fn materialize(
         &self,
-        payloads: &[Vec<u8>],
-        label: &str,
-        out: &mut dyn std::io::Write,
-    ) -> Result<PathBuf, CliError> {
-        let shards = payloads.iter().enumerate().map(|(shard_id, payload)| {
-            let shard = ShardOutcome::decode(payload)?;
+        shards: &mut [ShardOutcome],
+        files: &ArtifactFiles,
+    ) -> Result<(), CliError> {
+        create_dir_for("--out", &self.out_path)?;
+        for (shard_id, shard) in shards.iter_mut().enumerate() {
             let members = self.members(shard_id as u64);
             if shard.members.len() != members.len() {
                 return Err(CliError(format!(
@@ -2222,37 +2134,64 @@ impl SimulateWorld {
                     members.len(),
                 )));
             }
-            Ok((shard, members))
-        });
-        let out_path = self.inputs.out_path();
-        materialize(&out_path, label, self.inputs.parameterizations.len(), shards, out)?;
-        Ok(out_path)
+            for (m, &index) in shard.members.drain(..).zip(members) {
+                files.put(index, m.ok, &m.label, &m.body);
+            }
+        }
+        Ok(())
     }
 }
 
-/// The journaled single-process `simulate`: decompose the batch into
-/// numbered shards, journal each completed shard's artifacts (output-file
-/// bytes and billed time) in the checkpoint directory, and write the
-/// output files only once every shard has committed — so a killed run
-/// resumes from the last committed shard and produces byte-identical
-/// artifacts.
-fn simulate_durable(
-    world: &SimulateWorld,
-    checkpoint: &Checkpoint,
+/// Runs a `simulate` campaign in this process, plain or durable: every
+/// shard of the plan goes through [`SimulateWorld::execute`] as one
+/// get-or-run step of a [`ShardLog`]. With no checkpoint the plan is one
+/// in-order shard whose members stream to `--out` as the engine delivers
+/// them. With one, each shard's records are journaled and `--out` is
+/// written only once every shard has committed, so a killed run resumes to
+/// byte-identical artifacts.
+fn simulate(
+    mut world: SimulateWorld,
+    checkpoint: Option<&Checkpoint>,
     out: &mut dyn std::io::Write,
     cancel: &CancelToken,
 ) -> Result<(), CliError> {
-    let engine = world.inputs.engine(cancel);
-    let (payloads, report) = run_journaled(checkpoint, world.manifest.clone(), |shard| {
-        world.shard_payload(engine.as_ref(), shard)
-    })
-    .map_err(|e| campaign_error(e, Some(checkpoint.dir()), out))?;
-
-    // Every shard is committed: materialize the artifacts.
-    let label = format!("{} (durable)", world.inputs.engine_name);
-    let out_path = world.materialize(&payloads, &label, out)?;
-    report_checkpoint(out, &report)?;
-    writeln!(out, "dynamics written to {}", out_path.display())?;
+    let engine = world.engine(cancel);
+    let files = ArtifactFiles { out_path: world.out_path.clone(), ..Default::default() };
+    if checkpoint.is_none() {
+        create_dir_for("--out", &world.out_path)?;
+    }
+    // Each shard runs at most once here, so its members move into its job.
+    let mut pending = std::mem::take(&mut world.parameterizations);
+    let world = &world;
+    let mut run = || -> Result<_, CampaignError> {
+        let mut log = ShardLog::open(checkpoint, || world.manifest())?;
+        let mut shards = Vec::with_capacity(world.plan.len());
+        for shard in 0..world.plan.len() as u64 {
+            shards.push(log.step(shard, || {
+                let members = world.members(shard);
+                let batch = members.iter().map(|&i| std::mem::take(&mut pending[i])).collect();
+                world.execute(engine.as_ref(), batch, checkpoint.is_none().then_some(&files))
+            })?);
+        }
+        Ok((shards, log.finish()?))
+    };
+    let (mut shards, report) = run().map_err(|e| match (e, checkpoint) {
+        // With no journal a failed run is the engine's own error.
+        (CampaignError::Sim(e), None) => e.into(),
+        (e, _) => campaign_error(e, checkpoint.map(Checkpoint::dir), out),
+    })?;
+    let label = match checkpoint {
+        None => world.engine_name.clone(),
+        Some(_) => {
+            world.materialize(&mut shards, &files)?;
+            format!("{} (durable)", world.engine_name)
+        }
+    };
+    files.summarize(&label, &shards, out)?;
+    if checkpoint.is_some() {
+        report_checkpoint(out, &report)?;
+    }
+    writeln!(out, "dynamics written to {}", world.out_path.display())?;
     Ok(())
 }
 
@@ -2274,7 +2213,7 @@ fn world_from_manifest(
         )));
     }
     let world = SimulateWorld::load(&command_from_manifest(manifest, checkpoint_dir, workers)?)?;
-    manifest.verify_matches(&world.manifest)?;
+    manifest.verify_matches(&world.manifest())?;
     Ok(world)
 }
 
@@ -2310,8 +2249,9 @@ fn coordinate_processes(
 ) -> Result<(), CliError> {
     // The manifest must be on disk before the first child starts: workers
     // rebuild their world from it.
-    drop(Journal::open_or_create(checkpoint.dir(), &world.manifest)?);
-    let config = world.dispatch_config();
+    let manifest = world.manifest();
+    drop(Journal::open_or_create(checkpoint.dir(), &manifest)?);
+    let config = world.dispatch.clone();
 
     // With --listen, bind the transport server *before* any child spawns
     // so `--listen 127.0.0.1:0` can hand children the resolved port.
@@ -2320,7 +2260,7 @@ fn coordinate_processes(
             let server = CoordinatorServer::start(
                 addr,
                 checkpoint.dir(),
-                &world.manifest,
+                &manifest,
                 ServerConfig {
                     lease: config.lease.clone(),
                     poll_ms: config.poll_ms,
@@ -2369,7 +2309,7 @@ fn coordinate_processes(
 
     let result = coordinate(
         checkpoint,
-        world.manifest.clone(),
+        manifest,
         &config,
         |shard, state| world.poison_payload(shard, state),
         |status| {
@@ -2396,8 +2336,13 @@ fn coordinate_processes(
             if let Some(server) = &mut server {
                 server.shutdown();
             }
-            let label = format!("{} (dispatched)", world.inputs.engine_name);
-            let out_path = world.materialize(&payloads, &label, out)?;
+            let mut shards = payloads
+                .into_iter()
+                .map(|payload| ShardOutcome::from_payload(&payload))
+                .collect::<Result<Vec<_>, _>>()?;
+            let files = ArtifactFiles { out_path: world.out_path.clone(), ..Default::default() };
+            world.materialize(&mut shards, &files)?;
+            files.summarize(&format!("{} (dispatched)", world.engine_name), &shards, out)?;
             writeln!(
                 out,
                 "dispatch: {} shards ({} recovered, {} merged); {} reassignments; {} worker segments",
@@ -2411,7 +2356,7 @@ fn coordinate_processes(
                     report.quarantined,
                 )?;
             }
-            writeln!(out, "dynamics written to {}", out_path.display())?;
+            writeln!(out, "dynamics written to {}", world.out_path.display())?;
             Ok(())
         }
         // `children` drops here: kill + reap every spawned worker.
@@ -2447,7 +2392,7 @@ fn run_worker(
         writeln!(
             out,
             "worker {id}: attached to {addr} ({} shards, lease ttl {} ms)",
-            world.manifest.shards(),
+            world.plan.len(),
             info.lease.ttl_ms,
         )?;
         let config = DispatchConfig { lease: info.lease, poll_ms: info.poll_ms };
@@ -2456,8 +2401,8 @@ fn run_worker(
     let dir = dir.ok_or_else(|| CliError("worker needs a checkpoint directory".into()))?;
     let on_disk = CampaignManifest::read(&dir.join(MANIFEST_FILE))?;
     let world = world_from_manifest(&on_disk, &format!("checkpoint at {}", dir.display()), dir, 0)?;
-    let store = FileStore::open(dir, &id, world.manifest.shards())?;
-    serve_shards(&store, &world, &world.dispatch_config(), &id, chaos, out, cancel)
+    let store = FileStore::open(dir, &id, world.plan.len() as u64)?;
+    serve_shards(&store, &world, &world.dispatch, &id, chaos, out, cancel)
 }
 
 /// [`run_worker`]'s loop over whichever store it picked, and its summary.
@@ -2471,8 +2416,10 @@ fn serve_shards<S: LeaseStore>(
     cancel: &CancelToken,
 ) -> Result<(), CliError> {
     let report = worker_loop(store, config, cancel, chaos, |shard, token| {
-        let engine = world.inputs.engine(token);
-        world.shard_payload(engine.as_ref(), shard)
+        // A worker may run a shard again after losing its lease, so it
+        // copies the members.
+        let batch = world.members(shard).iter().map(|&i| world.parameterizations[i].clone());
+        Ok(world.execute(world.engine(token).as_ref(), batch.collect(), None)?.encode())
     })
     .map_err(|e| match e {
         CampaignError::Store(e) => CliError(format!(
@@ -3110,14 +3057,14 @@ mod tests {
              --shard-size 3 --lease-ttl 750 --retry-base 40",
         ] {
             let cmd = parse(&argv(&format!("simulate {m} {flags}"))).unwrap();
-            let manifest = SimulateWorld::load(&cmd).unwrap().manifest;
+            let manifest = SimulateWorld::load(&cmd).unwrap().manifest();
             let rebuilt = command_from_manifest(&manifest, ckpt, 2).unwrap();
             assert_eq!(rebuilt, resumed(&cmd, ckpt, 2), "flags: {flags}");
         }
 
         // An automatic plan is pinned as resolved: uniform for one process.
         let auto = parse(&argv(&format!("simulate {m} --checkpoint-dir /c"))).unwrap();
-        let manifest = SimulateWorld::load(&auto).unwrap().manifest;
+        let manifest = SimulateWorld::load(&auto).unwrap().manifest();
         match command_from_manifest(&manifest, ckpt, 4).unwrap() {
             Command::Simulate { pack, workers, .. } => {
                 assert_eq!(pack, Some(false), "the resume keeps the original plan");

@@ -271,6 +271,15 @@ impl LeaseDir {
         }
     }
 
+    /// Delete `lease` if it is still its holder's (a worker handing its
+    /// shard back on clean cancellation); another worker's claim stays.
+    pub fn release_owned(&self, lease: &Lease) -> Result<(), JournalError> {
+        if self.owns(lease)? == Some(true) {
+            self.release(lease.shard)?;
+        }
+        Ok(())
+    }
+
     /// Delete the done marker for `shard` (coordinator: after the shard is
     /// merged into the main journal). Missing file is fine.
     pub fn clear_done(&self, shard: u64) -> Result<(), JournalError> {
@@ -718,10 +727,7 @@ impl LeaseStore for FileStore {
 
     fn release(&self, lease: &Lease) -> Result<(), JournalError> {
         self.held.lock().unwrap().take();
-        if self.dir.owns(lease)? == Some(true) {
-            self.dir.release(lease.shard)?;
-        }
-        Ok(())
+        self.dir.release_owned(lease)
     }
 
     fn blame(&self, lease: &Lease, reason: &str) -> Result<(), JournalError> {

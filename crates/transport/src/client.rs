@@ -17,8 +17,8 @@
 //! re-handshakes, learns how many of its segment records the server
 //! holds, and replays the unacknowledged tail before resuming — resumable
 //! segment offsets over the wire, exactly like a `SegmentReader` resuming
-//! a file scan. The wire has no release RPC: a cancelled worker's lease is
-//! left to expire.
+//! a file scan. A worker cancelled mid-shard hands its lease back with a
+//! `Release` RPC, so the shard reassigns at once.
 
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -421,9 +421,13 @@ impl LeaseStore for WorkerClient {
         }
     }
 
-    /// The wire has no release RPC: the lease is left to expire.
-    fn release(&self, _lease: &Lease) -> Result<(), TransportError> {
-        Ok(())
+    fn release(&self, lease: &Lease) -> Result<(), TransportError> {
+        let (worker, shard, granted_at_ms) =
+            (self.inner.worker.clone(), lease.shard, lease.granted_at_ms);
+        match self.rpc(&Request::Release { worker, shard, granted_at_ms })? {
+            Reply::ReleaseAck => Ok(()),
+            other => Err(unexpected(&other)),
+        }
     }
 
     fn blame(&self, lease: &Lease, reason: &str) -> Result<(), TransportError> {

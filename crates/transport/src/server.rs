@@ -5,11 +5,12 @@
 //! behalf exactly the file operations a local worker would perform
 //! against the shared checkpoint directory — claim a lease file, rewrite
 //! a heartbeat, append a framed record to `segments/<worker>.log`, rename
-//! a lease to a done marker. The coordinator's merge/expiry/quarantine
-//! loop (`analysis::dispatch::coordinate`) therefore works unchanged: it
-//! cannot tell a networked worker from a local one, and a streamed
-//! segment record is byte-identical to a file-journaled one because the
-//! server appends the client's framed bytes verbatim.
+//! a lease to a done marker, delete a lease its worker hands back. The
+//! coordinator's merge/expiry/quarantine loop
+//! (`analysis::dispatch::coordinate`) therefore works unchanged: it cannot
+//! tell a networked worker from a local one, and a streamed segment record
+//! is byte-identical to a file-journaled one because the server appends
+//! the client's framed bytes verbatim.
 //!
 //! Every timestamp that matters — lease grants, heartbeats — is stamped
 //! with the server's clock on RPC receipt, so worker clocks never enter
@@ -366,6 +367,15 @@ fn try_handle(
                 .dir
                 .blame(&worker, &format!("transport: shard {shard} failed on worker: {reason}"))?;
             Ok(Reply::QuarantineAck)
+        }
+        Request::Release { worker, shard, granted_at_ms } => {
+            let mut workers = shared.workers.lock().unwrap();
+            let Some(state) = workers.get_mut(&worker) else {
+                return Ok(hello_first(&worker));
+            };
+            state.lease.take_if(|l| l.shard == shard);
+            shared.dir.release_owned(&Lease { shard, worker, granted_at_ms })?;
+            Ok(Reply::ReleaseAck)
         }
     }
 }

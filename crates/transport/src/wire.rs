@@ -21,7 +21,7 @@ use crate::TransportError;
 
 /// Bumped on any incompatible change to the message set; `Hello` carries
 /// it and the server refuses a mismatch.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 const REQ_HELLO: u32 = 0;
 const REQ_CLAIM: u32 = 1;
@@ -29,6 +29,7 @@ const REQ_HEARTBEAT: u32 = 2;
 const REQ_RECORD: u32 = 3;
 const REQ_COMMIT: u32 = 4;
 const REQ_QUARANTINE: u32 = 5;
+const REQ_RELEASE: u32 = 6;
 
 const REP_HELLO_ACK: u32 = 100;
 const REP_CLAIM_ACK: u32 = 101;
@@ -36,6 +37,7 @@ const REP_HEARTBEAT_ACK: u32 = 102;
 const REP_RECORD_ACK: u32 = 103;
 const REP_COMMIT_ACK: u32 = 104;
 const REP_QUARANTINE_ACK: u32 = 105;
+const REP_RELEASE_ACK: u32 = 106;
 const REP_ERROR: u32 = 199;
 
 const CLAIM_GRANTED: u32 = 0;
@@ -110,6 +112,16 @@ pub enum Request {
         /// Failure taxonomy, verbatim from the executor.
         reason: String,
     },
+    /// Hand the lease back on clean cancellation, so the shard reassigns at
+    /// once; a lease no longer this worker's is left alone. Idempotent.
+    Release {
+        /// Releasing worker.
+        worker: String,
+        /// Released shard.
+        shard: u64,
+        /// Grant time of the lease being released.
+        granted_at_ms: u64,
+    },
 }
 
 /// Outcome of a [`Request::Claim`].
@@ -183,6 +195,8 @@ pub enum Reply {
     },
     /// Reply to `Quarantine`.
     QuarantineAck,
+    /// Reply to `Release`.
+    ReleaseAck,
     /// Server-side rejection (protocol violation); not retryable.
     Error {
         /// What was wrong.
@@ -216,6 +230,9 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
         }
         Request::Quarantine { worker, shard, reason } => {
             enc.put_u32(REQ_QUARANTINE).put_str(worker).put_u64(*shard).put_str(reason);
+        }
+        Request::Release { worker, shard, granted_at_ms } => {
+            enc.put_u32(REQ_RELEASE).put_str(worker).put_u64(*shard).put_u64(*granted_at_ms);
         }
     }
     enc.finish()
@@ -251,6 +268,11 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, TransportError> {
             worker: dec.str().map_err(bad)?.to_string(),
             shard: dec.u64().map_err(bad)?,
             reason: dec.str().map_err(bad)?.to_string(),
+        },
+        REQ_RELEASE => Request::Release {
+            worker: dec.str().map_err(bad)?.to_string(),
+            shard: dec.u64().map_err(bad)?,
+            granted_at_ms: dec.u64().map_err(bad)?,
         },
         other => return Err(TransportError::Protocol(format!("unknown request kind {other}"))),
     };
@@ -310,6 +332,9 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
         Reply::QuarantineAck => {
             enc.put_u32(REP_QUARANTINE_ACK);
         }
+        Reply::ReleaseAck => {
+            enc.put_u32(REP_RELEASE_ACK);
+        }
         Reply::Error { message } => {
             enc.put_u32(REP_ERROR).put_str(message);
         }
@@ -356,6 +381,7 @@ pub fn decode_reply(payload: &[u8]) -> Result<Reply, TransportError> {
         REP_RECORD_ACK => Reply::RecordAck { total: dec.u64().map_err(bad)? },
         REP_COMMIT_ACK => Reply::CommitAck { ok: dec.u32().map_err(bad)? != 0 },
         REP_QUARANTINE_ACK => Reply::QuarantineAck,
+        REP_RELEASE_ACK => Reply::ReleaseAck,
         REP_ERROR => Reply::Error { message: dec.str().map_err(bad)?.to_string() },
         other => return Err(TransportError::Protocol(format!("unknown reply kind {other}"))),
     };
@@ -474,6 +500,7 @@ mod tests {
             shard: 5,
             reason: "solver diverged".into(),
         });
+        round_trip_request(Request::Release { worker: "w0".into(), shard: 5, granted_at_ms: 99 });
 
         round_trip_reply(Reply::HelloAck {
             manifest_text: "paraspace-campaign-manifest v1\nkind=x\n".into(),
@@ -491,6 +518,7 @@ mod tests {
         round_trip_reply(Reply::RecordAck { total: 8 });
         round_trip_reply(Reply::CommitAck { ok: true });
         round_trip_reply(Reply::QuarantineAck);
+        round_trip_reply(Reply::ReleaseAck);
         round_trip_reply(Reply::Error { message: "hello first".into() });
     }
 

@@ -1,13 +1,15 @@
 #!/usr/bin/env bash
-# Runs one small `simulate` campaign four ways through a release
+# Runs one small `simulate` campaign six ways through a release
 # `paraspace-cli` — plain at one worker, plain at two, journaled in shards
-# of four, and plain into an `--out` directory that already holds another
-# campaign's member files — and fails unless all four leave byte-identical
+# of four, dispatched to two file workers, dispatched to two TCP workers,
+# and plain into an `--out` directory that already holds another
+# campaign's member files — and fails unless all six leave byte-identical
 # directories. The plain runs must also print the same `simulated … ms`
 # clocks (a journaled campaign bills its launches per shard, so its total
-# is its own). Every path formats a member once, in the engine's P5 tail;
-# this is the check that they still agree on the bytes, and that a stale
-# `dynamics_*` file never survives next to a new batch.
+# is its own). Every mode runs the same shard executor and formats a
+# member once, in the engine's P5 tail; this is the check that they still
+# agree on the bytes, and that a stale `dynamics_*` file never survives
+# next to a new batch.
 #
 #   scripts/artifact-parity.sh [path/to/paraspace-cli]
 #
@@ -35,6 +37,8 @@ simulate() {
 simulate plain1 --threads 1
 simulate plain2 --threads 2
 simulate durable --threads 2 --checkpoint-dir ck --shard-size 4
+simulate workers --threads 1 --checkpoint-dir ck2 --shard-size 4 --workers 2
+simulate tcp --threads 1 --checkpoint-dir ck3 --shard-size 4 --workers 2 --listen 127.0.0.1:0
 # A larger batch and a failed member from some earlier campaign.
 mkdir polluted
 echo stale >polluted/dynamics_00003.err
@@ -42,7 +46,7 @@ echo stale >polluted/dynamics_00040.tsv
 simulate polluted --threads 2
 
 status=0
-for other in plain2 durable polluted; do
+for other in plain2 durable workers tcp polluted; do
     diff -r plain1 "$other" || status=1
 done
 for other in plain2 polluted; do
@@ -51,7 +55,7 @@ done
 [ "$(ls plain1 | wc -l)" -eq 12 ] || { echo "artifact-parity: expected 12 artifacts" >&2; status=1; }
 
 if [ "$status" -eq 0 ]; then
-    echo "artifact-parity: plain (1 and 2 workers), journaled and re-used --out agree: $(cat plain1.sim)"
+    echo "artifact-parity: plain (1 and 2 threads), journaled, file and TCP workers and re-used --out agree: $(cat plain1.sim)"
 else
     echo "artifact-parity: FAILED" >&2
 fi
