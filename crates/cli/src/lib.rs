@@ -13,6 +13,9 @@
 //! * `recommend` — print the published engine recommendation for a
 //!   (species, reactions, simulations) triple.
 
+#[cfg(test)]
+mod flag_pins;
+
 use paraspace_analysis::campaign::{
     f64s_digest, model_digest, options_digest, CampaignError, Checkpoint, ShardLog, ShardRecord,
     ShardReport,
