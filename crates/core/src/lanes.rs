@@ -234,6 +234,25 @@ pub(crate) fn first_attempts(
 /// On metabolic crossing the budget still costs +5–10 % over the rule's
 /// choice (+93–123 % lane-minor, +20–44 % lane-major), so the rule and the
 /// constant stay as they were: width 8 would have to win on both.
+///
+/// Re-measured again with the AVX2 twins of the eliminations and the lane
+/// RHS (engine wall of an in-process fine+coarse run, best of five per
+/// round, the range over three rounds; a noisier day of the same 2-CPU
+/// host, so the ranges are wider than above):
+///
+/// | model | width | one thread | two threads |
+/// |---|---|---|---|
+/// | autophagy analogue, the 64-member PSA-2D | 4 (the rule's choice) | 0.78–0.85 s | 0.40–0.53 s |
+/// | | 8 | 0.54–0.70 s | 0.42–0.48 s |
+/// | metabolic, 32 perturbed members | 1 (the rule's choice) | 1.16–1.47 s | |
+/// | | 4 | 1.17–1.43 s | |
+/// | | 8 | 1.34–1.65 s | |
+///
+/// Faster factors move every width, and the picture is the one above:
+/// autophagy at width 8 is ahead on one thread in every round and level on
+/// two, and on metabolic width 8 lost to the rule's choice in two rounds of
+/// three (+25 % and +39 %). Width 8 still does not win on both; the
+/// constant stays.
 const FACTOR_CACHE_BUDGET_BYTES: usize = 256 * 1024;
 
 /// Bytes of factor state per matrix entry per lane: one `f64` (real E1

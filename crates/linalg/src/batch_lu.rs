@@ -42,6 +42,8 @@ pub struct BatchDenseLu<T> {
     /// Pivot swap sequence of lane `l` at `l·n` (LAPACK `ipiv` style).
     pivots: Vec<usize>,
     singular: Vec<bool>,
+    /// One lane's right-hand side, gathered for the substitution.
+    column: Vec<T>,
     _element: PhantomData<T>,
 }
 
@@ -97,6 +99,7 @@ impl<T: LuScalar> BatchDenseLu<T> {
             lu: vec![0.0; T::PLANES * n * n * lanes],
             pivots: vec![0; n * lanes],
             singular: vec![false; lanes],
+            column: vec![T::ZERO; n],
             _element: PhantomData,
         })
     }
@@ -121,6 +124,7 @@ impl<T: LuScalar> BatchDenseLu<T> {
         self.pivots.resize(n * lanes, 0);
         self.singular.clear();
         self.singular.resize(lanes, false);
+        self.column.resize(n, T::ZERO);
     }
 
     /// System dimension `n`.
@@ -170,23 +174,24 @@ impl<T: LuScalar> BatchDenseLu<T> {
     /// `b` is an `n × L` lane-minor block (`component i`, lane `l` ⇒
     /// `i·L + l`); a lane's column is gathered, solved as
     /// [`LuFactor::solve_in_place`](crate::LuFactor::solve_in_place) solves
-    /// it, and scattered back.
+    /// it, and scattered back. The gathered column lives in the factor, so
+    /// a solve allocates nothing.
     ///
     /// # Panics
     ///
     /// Panics if `b.len() != n·L` or `mask.len() != L`.
-    pub fn solve_lanes(&self, b: &mut [T], mask: &[bool]) {
+    pub fn solve_lanes(&mut self, b: &mut [T], mask: &[bool]) {
         let (n, lanes) = (self.n, self.lanes);
         assert_eq!(b.len(), n * lanes, "right-hand-side block length");
         assert_eq!(mask.len(), lanes, "mask length");
         let size = T::PLANES * n * n;
-        let mut x = vec![T::ZERO; n];
+        let x = &mut self.column;
         for l in (0..lanes).filter(|&l| mask[l] && !self.singular[l]) {
             for (x, &b) in x.iter_mut().zip(b.iter().skip(l).step_by(lanes)) {
                 *x = b;
             }
-            T::solve_factored(&self.lu[l * size..][..size], &self.pivots[l * n..][..n], &mut x);
-            for (b, &x) in b.iter_mut().skip(l).step_by(lanes).zip(&x) {
+            T::solve_factored(&self.lu[l * size..][..size], &self.pivots[l * n..][..n], x);
+            for (b, &x) in b.iter_mut().skip(l).step_by(lanes).zip(x.iter()) {
                 *b = x;
             }
         }
@@ -283,7 +288,7 @@ mod tests {
     /// The textbook elimination, one 2-D index per element, over values of
     /// the element type (complex entries as interleaved [`Complex64`]s):
     /// what every dense kernel in this crate did before they shared
-    /// [`eliminate`] / [`eliminate_planar`], and the reference both are
+    /// [`eliminate()`] / [`eliminate_planar()`], and the reference both are
     /// held to.
     fn reference_eliminate<T: Elem>(a: &mut [T], n: usize) -> Result<(Vec<usize>, f64), usize> {
         let at = |i: usize, j: usize| i * n + j;

@@ -45,6 +45,7 @@ mod batch_lu;
 mod complex;
 mod eigen;
 mod error;
+mod isa;
 mod jacobian;
 mod lu;
 mod matrix;
@@ -59,6 +60,7 @@ pub use eigen::{
     power_iteration, power_iteration_on, PowerIterationResult,
 };
 pub use error::LinalgError;
+pub use isa::avx2_detected;
 pub use jacobian::{finite_difference_jacobian, finite_difference_jacobian_into};
 pub use lu::{batched_lu, CluFactor, LuFactor};
 pub use matrix::{CMatrix, Matrix};

@@ -2,9 +2,9 @@
 //! driver used as the cuBLAS substitute by the virtual-GPU engines.
 //!
 //! Every dense factorization in this crate is one call to one of two
-//! elimination routines on contiguous row-major storage — [`eliminate`] for
+//! elimination routines on contiguous row-major storage — [`eliminate()`] for
 //! real matrices ([`LuFactor`] and each lane of
-//! [`BatchLuFactor`](crate::BatchLuFactor)), [`eliminate_planar`] for
+//! [`BatchLuFactor`](crate::BatchLuFactor)), [`eliminate_planar()`] for
 //! complex ones ([`CluFactor`] and each lane of
 //! [`BatchCluFactor`](crate::BatchCluFactor)) — and every dense solve one
 //! call to [`solve_factored`] / [`solve_factored_planar`]. A complex matrix
@@ -24,9 +24,15 @@
 //! `j` ascending — for complex as `re − (m.re·u.re − m.im·u.im)` and
 //! `im − (m.re·u.im + m.im·u.re)`, the expansion of
 //! [`Complex64`]'s own `*` and `-`.
+//!
+//! Both elimination routines are ISA twins ([`isa_twins!`]): the binary
+//! holds a copy for x86-64 baseline, whose packed arithmetic is SSE2 (two
+//! `f64` per instruction), and one with AVX2 (four), and runs the AVX2 copy
+//! on a CPU that reports it. Neither enables FMA, so both form the same
+//! IEEE-754 expressions above and leave the same factors, bit for bit.
 
 use crate::complex::SmithDivisor;
-use crate::{CMatrix, Complex64, LinalgError, Matrix};
+use crate::{isa_twins, CMatrix, Complex64, LinalgError, Matrix};
 
 /// The two element types the dense LU kernels serve, each with the storage
 /// its factors live in. Public only so the lane-batched factor can name it
@@ -72,109 +78,113 @@ impl LuScalar for Complex64 {
     }
 }
 
-/// Factors the row-major `n × n` matrix in `a` in place (`P A = L U`, unit
-/// diagonal of `L` implicit) and records the row exchanges in `pivots`
-/// (LAPACK `ipiv` style: at step `k` row `k` was exchanged with row
-/// `pivots[k]`). Returns the sign of the permutation, or `Err(k)` when
-/// column `k` has no nonzero pivot candidate — `a` is then left partially
-/// eliminated.
-pub(crate) fn eliminate(a: &mut [f64], n: usize, pivots: &mut [usize]) -> Result<f64, usize> {
-    assert_eq!(a.len(), n * n, "matrix storage length");
-    assert_eq!(pivots.len(), n, "pivot vector length");
-    let mut sign = 1.0;
-    for k in 0..n {
-        // Partial pivoting: pick the largest |a[i][k]| for i >= k.
-        let mut piv = k;
-        let mut max = a[k * n + k].abs();
-        for (i, row) in (k + 1..n).zip(a[(k + 1) * n..].chunks_exact(n)) {
-            let v = row[k].abs();
-            if v > max {
-                max = v;
-                piv = i;
+isa_twins! {
+    /// Factors the row-major `n × n` matrix in `a` in place (`P A = L U`, unit
+    /// diagonal of `L` implicit) and records the row exchanges in `pivots`
+    /// (LAPACK `ipiv` style: at step `k` row `k` was exchanged with row
+    /// `pivots[k]`). Returns the sign of the permutation, or `Err(k)` when
+    /// column `k` has no nonzero pivot candidate — `a` is then left partially
+    /// eliminated.
+    pub(crate) fn eliminate(a: &mut [f64], n: usize, pivots: &mut [usize]) -> Result<f64, usize> {
+        assert_eq!(a.len(), n * n, "matrix storage length");
+        assert_eq!(pivots.len(), n, "pivot vector length");
+        let mut sign = 1.0;
+        for k in 0..n {
+            // Partial pivoting: pick the largest |a[i][k]| for i >= k.
+            let mut piv = k;
+            let mut max = a[k * n + k].abs();
+            for (i, row) in (k + 1..n).zip(a[(k + 1) * n..].chunks_exact(n)) {
+                let v = row[k].abs();
+                if v > max {
+                    max = v;
+                    piv = i;
+                }
             }
-        }
-        if max == 0.0 {
-            return Err(k);
-        }
-        pivots[k] = piv;
-        let (upper, lower) = a.split_at_mut((k + 1) * n);
-        let pivot_row = &mut upper[k * n..];
-        if piv != k {
-            // Swap the full rows; the permutation acts on b at solve time.
-            pivot_row.swap_with_slice(&mut lower[(piv - k - 1) * n..][..n]);
-            sign = -sign;
-        }
-        let pivot = pivot_row[k];
-        let u = &pivot_row[k + 1..];
-        for row in lower.chunks_exact_mut(n) {
-            let m = row[k] / pivot;
-            row[k] = m;
-            if m != 0.0 {
-                for (x, &u) in row[k + 1..].iter_mut().zip(u) {
-                    *x -= m * u;
+            if max == 0.0 {
+                return Err(k);
+            }
+            pivots[k] = piv;
+            let (upper, lower) = a.split_at_mut((k + 1) * n);
+            let pivot_row = &mut upper[k * n..];
+            if piv != k {
+                // Swap the full rows; the permutation acts on b at solve time.
+                pivot_row.swap_with_slice(&mut lower[(piv - k - 1) * n..][..n]);
+                sign = -sign;
+            }
+            let pivot = pivot_row[k];
+            let u = &pivot_row[k + 1..];
+            for row in lower.chunks_exact_mut(n) {
+                let m = row[k] / pivot;
+                row[k] = m;
+                if m != 0.0 {
+                    for (x, &u) in row[k + 1..].iter_mut().zip(u) {
+                        *x -= m * u;
+                    }
                 }
             }
         }
+        Ok(sign)
     }
-    Ok(sign)
 }
 
-/// [`eliminate`] for a complex matrix held as its real plane `re` and its
-/// imaginary plane `im` (each row-major `n × n`): the same pivot search,
-/// exchanges, zero-multiplier skip and update order, entry for entry what
-/// the elimination over [`Complex64`] values computes.
-pub(crate) fn eliminate_planar(
-    re: &mut [f64],
-    im: &mut [f64],
-    n: usize,
-    pivots: &mut [usize],
-) -> Result<(), usize> {
-    assert_eq!(re.len(), n * n, "real plane length");
-    assert_eq!(im.len(), n * n, "imaginary plane length");
-    assert_eq!(pivots.len(), n, "pivot vector length");
-    for k in 0..n {
-        // Partial pivoting on |a[i][k]|² for i >= k.
-        let size = |i: usize| Complex64::new(re[i * n + k], im[i * n + k]).abs_sq();
-        let mut piv = k;
-        let mut max = size(k);
-        for i in k + 1..n {
-            let v = size(i);
-            if v > max {
-                max = v;
-                piv = i;
+isa_twins! {
+    /// [`eliminate()`] for a complex matrix held as its real plane `re` and its
+    /// imaginary plane `im` (each row-major `n × n`): the same pivot search,
+    /// exchanges, zero-multiplier skip and update order, entry for entry what
+    /// the elimination over [`Complex64`] values computes.
+    pub(crate) fn eliminate_planar(
+        re: &mut [f64],
+        im: &mut [f64],
+        n: usize,
+        pivots: &mut [usize],
+    ) -> Result<(), usize> {
+        assert_eq!(re.len(), n * n, "real plane length");
+        assert_eq!(im.len(), n * n, "imaginary plane length");
+        assert_eq!(pivots.len(), n, "pivot vector length");
+        for k in 0..n {
+            // Partial pivoting on |a[i][k]|² for i >= k.
+            let size = |i: usize| Complex64::new(re[i * n + k], im[i * n + k]).abs_sq();
+            let mut piv = k;
+            let mut max = size(k);
+            for i in k + 1..n {
+                let v = size(i);
+                if v > max {
+                    max = v;
+                    piv = i;
+                }
             }
-        }
-        if max == 0.0 {
-            return Err(k);
-        }
-        pivots[k] = piv;
-        let (re_upper, re_lower) = re.split_at_mut((k + 1) * n);
-        let (im_upper, im_lower) = im.split_at_mut((k + 1) * n);
-        let (re_pivot, im_pivot) = (&mut re_upper[k * n..], &mut im_upper[k * n..]);
-        if piv != k {
-            re_pivot.swap_with_slice(&mut re_lower[(piv - k - 1) * n..][..n]);
-            im_pivot.swap_with_slice(&mut im_lower[(piv - k - 1) * n..][..n]);
-        }
-        // The divisor's half of Smith's quotient, once per column.
-        let pivot = SmithDivisor::new(Complex64::new(re_pivot[k], im_pivot[k]));
-        let (u_re, u_im) = (&re_pivot[k + 1..], &im_pivot[k + 1..]);
-        for (row_re, row_im) in re_lower.chunks_exact_mut(n).zip(im_lower.chunks_exact_mut(n)) {
-            let m = pivot.divide(Complex64::new(row_re[k], row_im[k]));
-            row_re[k] = m.re;
-            row_im[k] = m.im;
-            if m != Complex64::ZERO {
-                let x = row_re[k + 1..].iter_mut().zip(&mut row_im[k + 1..]);
-                for ((x_re, x_im), (&u_re, &u_im)) in x.zip(u_re.iter().zip(u_im)) {
-                    *x_re -= m.re * u_re - m.im * u_im;
-                    *x_im -= m.re * u_im + m.im * u_re;
+            if max == 0.0 {
+                return Err(k);
+            }
+            pivots[k] = piv;
+            let (re_upper, re_lower) = re.split_at_mut((k + 1) * n);
+            let (im_upper, im_lower) = im.split_at_mut((k + 1) * n);
+            let (re_pivot, im_pivot) = (&mut re_upper[k * n..], &mut im_upper[k * n..]);
+            if piv != k {
+                re_pivot.swap_with_slice(&mut re_lower[(piv - k - 1) * n..][..n]);
+                im_pivot.swap_with_slice(&mut im_lower[(piv - k - 1) * n..][..n]);
+            }
+            // The divisor's half of Smith's quotient, once per column.
+            let pivot = SmithDivisor::new(Complex64::new(re_pivot[k], im_pivot[k]));
+            let (u_re, u_im) = (&re_pivot[k + 1..], &im_pivot[k + 1..]);
+            for (row_re, row_im) in re_lower.chunks_exact_mut(n).zip(im_lower.chunks_exact_mut(n)) {
+                let m = pivot.divide(Complex64::new(row_re[k], row_im[k]));
+                row_re[k] = m.re;
+                row_im[k] = m.im;
+                if m != Complex64::ZERO {
+                    let x = row_re[k + 1..].iter_mut().zip(&mut row_im[k + 1..]);
+                    for ((x_re, x_im), (&u_re, &u_im)) in x.zip(u_re.iter().zip(u_im)) {
+                        *x_re -= m.re * u_re - m.im * u_im;
+                        *x_im -= m.re * u_im + m.im * u_re;
+                    }
                 }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
-/// Solves `A x = b` in place against the factors [`eliminate`] left in `lu`:
+/// Solves `A x = b` in place against the factors [`eliminate()`] left in `lu`:
 /// replays the row exchanges on `b`, then substitutes forward (`L y = P b`,
 /// unit diagonal) and backward (`U x = y`), each sum taken left to right.
 pub(crate) fn solve_factored(lu: &[f64], pivots: &[usize], b: &mut [f64]) {
@@ -203,7 +213,7 @@ pub(crate) fn solve_factored(lu: &[f64], pivots: &[usize], b: &mut [f64]) {
     }
 }
 
-/// [`solve_factored`] against the planes [`eliminate_planar`] left in `re`
+/// [`solve_factored`] against the planes [`eliminate_planar()`] left in `re`
 /// and `im`: the same exchanges and the same left-to-right sums, in
 /// [`Complex64`] arithmetic.
 pub(crate) fn solve_factored_planar(re: &[f64], im: &[f64], pivots: &[usize], b: &mut [Complex64]) {
@@ -613,6 +623,91 @@ mod tests {
         assert_eq!(LuFactor::flops(10), 2 * 1000 / 3);
         assert!(LuFactor::flops(20) > 7 * LuFactor::flops(10));
         assert_eq!(LuFactor::solve_flops(10), 200);
+    }
+
+    /// The bits of every value, with every NaN read as the one NaN: IEEE-754
+    /// leaves the sign and payload of a NaN an operation produces to the
+    /// hardware, and which operand of a `+` or `×` comes first — which x86
+    /// propagates — to the code generator, which may commute them.
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits()).collect()
+    }
+
+    /// An `n × n` matrix of deterministic pseudo-random values, bent by
+    /// `variant` toward one branch of the elimination: dense; mostly signed
+    /// zeros (exact-zero multipliers, which skip their row); sprinkled with
+    /// `±0`, `±∞` and NaN; zeros under an infinity in the first pivot row
+    /// (where `0 × ∞` must not be formed); an exactly singular column.
+    fn adversarial(n: usize, variant: usize, salt: u64) -> Vec<f64> {
+        let seed = salt ^ ((n as u64) << 8) ^ variant as u64;
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5
+        };
+        let mut a: Vec<f64> = (0..n * n).map(|_| next()).collect();
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for (i, x) in a.iter_mut().enumerate() {
+            match variant {
+                1 if !i.is_multiple_of(3) => *x = if i % 2 == 0 { 0.0 } else { -0.0 },
+                2 if (7 * i + salt as usize).is_multiple_of(13) => {
+                    *x = specials[i % specials.len()]
+                }
+                3 if i.is_multiple_of(n) && i > 0 => *x = if i % 2 == 0 { 0.0 } else { -0.0 },
+                4 if i % n == n / 2 => *x = 0.0,
+                _ => {}
+            }
+        }
+        if variant == 3 && n > 1 {
+            a[0] = 7.0; // row 0 stays the first pivot row
+            a[1] = f64::INFINITY;
+        }
+        a
+    }
+
+    /// Both twins of [`eliminate()`] and of [`eliminate_planar()`] leave the same
+    /// bits — factors, pivots, sign, singular column — on every input,
+    /// including the ones IEEE arithmetic is easiest to get wrong on.
+    #[test]
+    fn elimination_twins_agree_bit_for_bit() {
+        if !crate::avx2_detected() {
+            println!("skipped: this CPU has no AVX2, so only the baseline twins run");
+            return;
+        }
+        let (mut singular, mut nonfinite) = (0, 0);
+        for n in 1..=64 {
+            for variant in 0..5 {
+                let a = adversarial(n, variant, 1);
+                let (mut wide, mut base) = (a.clone(), a.clone());
+                let (mut wide_pivots, mut base_pivots) = (vec![usize::MAX; n], vec![usize::MAX; n]);
+                let got = eliminate(&mut wide, n, &mut wide_pivots);
+                let want = eliminate::baseline(&mut base, n, &mut base_pivots);
+                let case = format!("real n={n} variant={variant}");
+                assert_eq!(got.map(f64::to_bits), want.map(f64::to_bits), "{case}");
+                assert_eq!(wide_pivots, base_pivots, "{case}");
+                assert_eq!(bits(&wide), bits(&base), "{case}");
+                singular += usize::from(got.is_err());
+                nonfinite += usize::from(wide.iter().any(|x| !x.is_finite()));
+
+                let (re, im) = (a, adversarial(n, variant, 2));
+                let (mut wide_re, mut wide_im) = (re.clone(), im.clone());
+                let (mut base_re, mut base_im) = (re, im);
+                let (mut wide_pivots, mut base_pivots) = (vec![usize::MAX; n], vec![usize::MAX; n]);
+                let got = eliminate_planar(&mut wide_re, &mut wide_im, n, &mut wide_pivots);
+                let want =
+                    eliminate_planar::baseline(&mut base_re, &mut base_im, n, &mut base_pivots);
+                let case = format!("complex n={n} variant={variant}");
+                assert_eq!(got, want, "{case}");
+                assert_eq!(wide_pivots, base_pivots, "{case}");
+                assert_eq!(bits(&wide_re), bits(&base_re), "{case}: real plane");
+                assert_eq!(bits(&wide_im), bits(&base_im), "{case}: imaginary plane");
+                singular += usize::from(got.is_err());
+            }
+        }
+        assert!(singular >= 2 * 63, "every singular-column input must fail ({singular})");
+        assert!(nonfinite > 60, "the specials must reach the factors ({nonfinite})");
     }
 
     #[test]

@@ -43,7 +43,7 @@
 //! [`Kinetics::flux_derivative`] paths.
 
 use crate::{Kinetics, ReactionBasedModel};
-use paraspace_linalg::{with_lane_width, FixedWidth, LaneWidth, Matrix};
+use paraspace_linalg::{isa_twins, with_lane_width, FixedWidth, LaneWidth, Matrix};
 
 /// A reaction-based model compiled to flat arrays for fast, parallelizable
 /// right-hand-side and Jacobian evaluation.
@@ -191,6 +191,24 @@ fn accumulate_term<W: LaneWidth>(w: W, t: JacTerm, d: &[f64], out: &mut [f64]) {
 /// never produce — reactions are at most bimolecular) spill to a reused heap
 /// buffer. Keeps the non-mass-action evaluation path allocation-free.
 const STACK_REACTANTS: usize = 8;
+
+isa_twins! {
+    /// The flux pass then the accumulation pass of
+    /// [`CompiledOdes::rhs_batch`], at the width `lanes` picks.
+    fn rhs_batch(
+        odes: &CompiledOdes,
+        lanes: usize,
+        x: &[f64],
+        k: &[f64],
+        flux: &mut [f64],
+        dxdt: &mut [f64],
+    ) {
+        with_lane_width!(lanes, |w| {
+            odes.flux_rows(w, x, k, flux);
+            odes.accumulate_rows(w, flux, dxdt);
+        });
+    }
+}
 
 impl CompiledOdes {
     /// Gathers reaction `r`'s `(concentration, order)` pairs without
@@ -664,11 +682,16 @@ impl CompiledOdes {
     /// [`supports_lane_batch`](Self::supports_lane_batch)) or buffer
     /// lengths do not match.
     pub fn fluxes_batch(&self, lanes: usize, x: &[f64], k: &[f64], flux: &mut [f64]) {
+        self.check_flux_blocks(lanes, x, k, flux);
+        with_lane_width!(lanes, |w| self.flux_rows(w, x, k, flux));
+    }
+
+    /// The flux pass's preconditions, shared by the kernels that run it.
+    fn check_flux_blocks(&self, lanes: usize, x: &[f64], k: &[f64], flux: &[f64]) {
         assert!(self.all_mass_action, "lane-batched flux pass covers mass-action kinetics only");
         assert_eq!(x.len(), self.n_species * lanes, "state block length");
         assert_eq!(k.len(), self.n_reactions * lanes, "rate-constant block length");
         assert_eq!(flux.len(), self.n_reactions * lanes, "flux block length");
-        with_lane_width!(lanes, |w| self.flux_rows(w, x, k, flux));
     }
 
     /// Lane-batched right-hand side: the flux pass then the per-species
@@ -677,7 +700,12 @@ impl CompiledOdes {
     /// Layouts as in [`fluxes_batch`](Self::fluxes_batch); `dxdt` is an
     /// `N×L` species block. Per lane, results are bitwise identical to
     /// [`rhs_with_buffer`](Self::rhs_with_buffer) with that lane's state
-    /// and constants.
+    /// and constants. Both passes are compiled twice, for x86-64 baseline
+    /// and with AVX2 ([`isa_twins!`](paraspace_linalg::isa_twins)), and a
+    /// CPU with AVX2 runs the second — the same bits, four lanes per
+    /// instruction where the baseline packs two; the scalar kernels stay
+    /// baseline, so every scalar-against-lanes check is also one across the
+    /// two instruction sets.
     ///
     /// # Panics
     ///
@@ -691,9 +719,9 @@ impl CompiledOdes {
         flux: &mut [f64],
         dxdt: &mut [f64],
     ) {
+        self.check_flux_blocks(lanes, x, k, flux);
         assert_eq!(dxdt.len(), self.n_species * lanes, "derivative block length");
-        self.fluxes_batch(lanes, x, k, flux);
-        with_lane_width!(lanes, |w| self.accumulate_rows(w, flux, dxdt));
+        rhs_batch(self, lanes, x, k, flux, dxdt);
     }
 
     /// Lane-batched Jacobian diagonal `∂(dX_s/dt)/∂X_s` for stiffness
@@ -1349,6 +1377,56 @@ mod tests {
             odes.rhs_with_buffer(&xl, &kl, &mut sflux, &mut sd);
             assert_eq!(lane_of(&dxdt, lanes, l), sd, "lane={l}");
         }
+    }
+
+    /// The bits of every value, every NaN read as the one NaN (IEEE-754
+    /// leaves a produced NaN's sign and payload to the hardware and the
+    /// operand order of a `+` or `×` to the code generator).
+    fn value_bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits()).collect()
+    }
+
+    /// [`mixed_block`] with `±0`, `±∞` and NaN entries spread over its rows
+    /// and lanes as `variant` picks.
+    fn special_block(rows: usize, lanes: usize, salt: f64, variant: usize) -> Vec<f64> {
+        let specials = [0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        let mut block = mixed_block(rows, lanes, salt);
+        for (i, v) in block.iter_mut().enumerate() {
+            if (i + variant).is_multiple_of(variant + 2) {
+                *v = specials[(i + variant) % specials.len()];
+            }
+        }
+        block
+    }
+
+    /// Both twins of the lane-batched right-hand side leave the same bits
+    /// in every block, at every width, on every reactant shape.
+    #[test]
+    fn rhs_twins_agree_bit_for_bit() {
+        if !paraspace_linalg::avx2_detected() {
+            println!("skipped: this CPU has no AVX2, so only the baseline twin runs");
+            return;
+        }
+        use rand::SeedableRng;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+        let generated = crate::sbgen::SbGen::new(32, 48).generate(&mut rng).compile().unwrap();
+        let mut nonfinite = 0;
+        for (name, odes) in [("every shape", every_shape()), ("generated", generated)] {
+            let (n, m) = (odes.n_species(), odes.n_reactions());
+            for (lanes, variant) in WIDTHS.into_iter().flat_map(|w| (0..4).map(move |v| (w, v))) {
+                let x = special_block(n, lanes, 1.0, variant);
+                let k = special_block(m, lanes, 2.0, variant + 1);
+                let case = format!("{name}, width {lanes}, variant {variant}");
+                let (mut flux, mut dxdt) = (vec![f64::NAN; m * lanes], vec![f64::NAN; n * lanes]);
+                let (mut base_flux, mut base_dxdt) = (flux.clone(), dxdt.clone());
+                rhs_batch(&odes, lanes, &x, &k, &mut flux, &mut dxdt);
+                rhs_batch::baseline(&odes, lanes, &x, &k, &mut base_flux, &mut base_dxdt);
+                assert_eq!(value_bits(&flux), value_bits(&base_flux), "{case}: flux");
+                assert_eq!(value_bits(&dxdt), value_bits(&base_dxdt), "{case}: dx/dt");
+                nonfinite += dxdt.iter().filter(|v| !v.is_finite()).count();
+            }
+        }
+        assert!(nonfinite > 100, "the specials must reach the outputs ({nonfinite})");
     }
 
     #[test]

@@ -33,7 +33,10 @@
 //! against 349 scalar instructions (140 / 1 485 while rows were slices of a
 //! run-time length), and a member-step of the 128-species sweep costs
 //! 2.5 µs at width 8 where it cost 3.3; `scripts/lane-asm-check.sh` keeps
-//! the first number honest in CI.
+//! the first number honest in CI. The passes stay on that instruction set
+//! on every CPU: AVX2 copies of them gained nothing end to end, and at
+//! width 8 the stage pass ran slower (DESIGN.md "Two instruction sets"),
+//! whereas the RHS a tick calls runs its AVX2 twin on a CPU with AVX2.
 //!
 //! # Numerical contract
 //!

@@ -7,14 +7,17 @@
 //!    pooled DOPRI5/RADAU5 integration that takes ~an order of magnitude
 //!    more steps must not allocate more (DOPRI5: exactly equal; RADAU5: only
 //!    the pivot vectors of genuine re-factorization events, which the test
-//!    bounds by the measured LU count).
+//!    bounds by the measured LU count), and neither may a lockstep
+//!    `Radau5Batch` group that runs ~an order of magnitude more Newton
+//!    iterations (exactly equal: its factors, and the column each lane
+//!    solve gathers into, live in the pooled scratch).
 //!
 //! Tests share one process-global allocator counter, so every test that
 //! measures or mutates allocation state serializes on `TEST_LOCK`.
 
 use paraspace_solvers::{
-    AdamsMoulton, Bdf, Dopri5, FnSystem, Lsoda, OdeSolver, Radau5, SolverOptions, SolverScratch,
-    Vode,
+    AdamsMoulton, BatchOdeSystem, BatchState, Bdf, Dopri5, FnSystem, Lsoda, OdeSolver, Radau5,
+    Radau5Batch, SolverOptions, SolverScratch, Vode,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -228,5 +231,90 @@ fn radau5_steady_state_allocates_only_on_refactorization() {
         "radau5 allocations must scale with re-factorizations, not steps: \
          {allocs_long} allocs / {} steps (budget {budget}: {allocs_short} base + 4*{extra_lu} LU)",
         stats_long.steps
+    );
+}
+
+/// A lane family of forced stiff two-component systems, member `m` with its
+/// own stiffness `λ_m`:
+///
+///   dy0/dt = −λ·(y0 − cos t) + y1 / 2
+///   dy1/dt = y0 − y1
+///
+/// The forcing bounds the step size, so the Newton iteration count scales
+/// with the integration window; the coupling makes every iteration matrix
+/// a full 2 × 2.
+struct ForcedStiffFamily {
+    lambdas: Vec<f64>,
+    bound: Vec<f64>,
+}
+
+impl BatchOdeSystem for ForcedStiffFamily {
+    fn dim(&self) -> usize {
+        2
+    }
+    fn lanes(&self) -> usize {
+        self.bound.len()
+    }
+    fn members(&self) -> usize {
+        self.lambdas.len()
+    }
+    fn initial_state(&self, _member: usize, y0: &mut [f64]) {
+        y0.copy_from_slice(&[0.5, 0.0]);
+    }
+    fn bind_lane(&mut self, lane: usize, member: usize) {
+        self.bound[lane] = self.lambdas[member];
+    }
+    fn rhs_batch(&mut self, t: &[f64], y: &BatchState, dydt: &mut BatchState) {
+        for (l, &lambda) in self.bound.iter().enumerate() {
+            let (y0, y1) = (y.at(0, l), y.at(1, l));
+            dydt.set(0, l, -lambda * (y0 - t[l].cos()) + 0.5 * y1);
+            dydt.set(1, l, y0 - y1);
+        }
+    }
+    fn supports_jacobian_batch(&self) -> bool {
+        true
+    }
+    fn jacobian_batch(&mut self, _t: &[f64], _y: &BatchState, jac: &mut [f64]) {
+        let lanes = self.bound.len();
+        for (l, &lambda) in self.bound.iter().enumerate() {
+            for (entry, value) in [-lambda, 0.5, 1.0, -1.0].into_iter().enumerate() {
+                jac[entry * lanes + l] = value;
+            }
+        }
+    }
+}
+
+#[test]
+fn radau5_batch_steady_state_allocates_nothing_per_newton_iteration() {
+    let _guard = lock();
+    let opts = SolverOptions::default();
+    let short = sample_times(2.0, 4);
+    let long = sample_times(100.0, 4);
+    let mut family =
+        ForcedStiffFamily { lambdas: vec![1e3, 3e3, 1e4, 3e4, 1e5], bound: vec![0.0; 4] };
+    let mut scratch = SolverScratch::new();
+    let solver = Radau5Batch::new();
+    // Warm the scratch to steady state.
+    solver.solve_group(&mut family, 0.0, &long, &opts, &mut scratch);
+
+    let mut solve = |times: &[f64]| {
+        let mut newton_iters = 0;
+        let allocs = min_allocations(3, || {
+            let (results, _) = solver.solve_group(&mut family, 0.0, times, &opts, &mut scratch);
+            newton_iters = results.iter().map(|r| r.as_ref().unwrap().stats.nonlinear_iters).sum();
+        });
+        (allocs, newton_iters)
+    };
+    let (allocs_short, iters_short) = solve(&short);
+    let (allocs_long, iters_long) = solve(&long);
+    assert!(
+        iters_long >= 5 * iters_short,
+        "long run must take many more Newton iterations ({iters_long} vs {iters_short})"
+    );
+    assert_eq!(
+        allocs_long, allocs_short,
+        "radau5 lane-group allocations must not scale with Newton iterations \
+         ({allocs_short} allocs / {iters_short} iterations vs \
+         {allocs_long} allocs / {iters_long} iterations)"
     );
 }
