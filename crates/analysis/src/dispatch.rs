@@ -42,18 +42,19 @@
 //! [`FileStore`] for threads and `worker <ckpt>` processes sharing the
 //! checkpoint directory, the transport crate's `WorkerClient` for
 //! `worker --connect ADDR` processes (whose RPCs the transport server
-//! translates into the same file operations). The coordinator loop never
-//! asks how a worker reached the lease directory: every store looks
-//! identical to [`coordinate`]. When a worker or a transport knows *why*
-//! a lease went silent — an execution error, a lost connection — it
-//! records a `leases/blame_<worker>` note; the expiry scan ledgers that
-//! taxonomy as the death reason instead of the generic
+//! answers through a `FileStore` it holds for each of them). The
+//! coordinator loop never asks how a worker reached the lease directory:
+//! every store looks identical to [`coordinate`]. When a worker or a
+//! transport knows *why* a lease went silent — an execution error, a lost
+//! connection — it records a `leases/blame_<worker>` note; the expiry scan
+//! ledgers that taxonomy as the death reason instead of the generic
 //! `heartbeat-expired`, so quarantine records distinguish "connection
 //! lost" from "solver diverged" without this crate depending on any
 //! transport.
 
 use std::cell::RefCell;
 use std::collections::{BTreeSet, HashMap};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Mutex};
 use std::time::Duration;
@@ -241,24 +242,18 @@ where
         ..DispatchReport::default()
     };
     let quarantined_preexisting = report.quarantined.len();
-    let mut readers: HashMap<String, SegmentReader> = HashMap::new();
+    let mut readers: HashMap<PathBuf, SegmentReader> = HashMap::new();
     // Lease instances already condemned this run, keyed by
     // (shard, worker, granted_at) so a reassigned lease is judged afresh.
     let mut condemned: BTreeSet<(u64, String, u64)> = BTreeSet::new();
 
     loop {
         // 1. Discover worker segments (workers may attach at any time).
-        for entry in
-            std::fs::read_dir(checkpoint.dir().join(paraspace_journal::lease::SEGMENTS_DIR))
-                .map(|it| it.filter_map(Result::ok).collect::<Vec<_>>())
-                .unwrap_or_default()
-        {
-            if let Some(name) = entry.file_name().to_str() {
-                if name.ends_with(".log") && !readers.contains_key(name) {
-                    readers.insert(name.to_string(), SegmentReader::new(entry.path()));
-                    report.workers_seen += 1;
-                }
-            }
+        for path in leases.list_segments()? {
+            readers.entry(path).or_insert_with_key(|path| {
+                report.workers_seen += 1;
+                SegmentReader::new(path)
+            });
         }
 
         // 2. Merge: first-wins by shard id; duplicates are byte-compared.
@@ -616,10 +611,11 @@ where
             let reports = &worker_reports;
             let errors = &worker_errors;
             scope.spawn(move || {
-                let run =
-                    FileStore::open(&dir, &name, shards).map_err(CampaignError::from).and_then(
-                        |store| worker_loop(&store, &cfg, &external, &chaos, |s, t| execute(s, t)),
-                    );
+                let run = FileStore::open(&dir, &name, shards)
+                    .map_err(CampaignError::from)
+                    .and_then(|(store, _)| {
+                        worker_loop(&store, &cfg, &external, &chaos, |s, t| execute(s, t))
+                    });
                 match run {
                     Ok(r) => reports.lock().unwrap().push(r),
                     Err(e) => errors.lock().unwrap().push(e),

@@ -97,6 +97,14 @@ where
     store.release(&released).unwrap();
     let reclaimed = leases.try_claim(released.shard, "w1").unwrap();
     answers.push(format!("another worker claims after release: {}", reclaimed.is_some()));
+
+    // The coordinator merges the shard w1 completed and clears its done
+    // marker: completion is not loss, merged or not.
+    let (mut journal, _) = Journal::open_or_create(dir, &manifest(4)).unwrap();
+    journal.commit(first.shard, b"w1's record").unwrap();
+    leases.clear_done(first.shard).unwrap();
+    let merged = store.beat(3, Some(&first)).unwrap();
+    answers.push(format!("beat after another worker's completion merged: {merged}"));
     answers
 }
 
@@ -112,10 +120,11 @@ fn file_and_tcp_stores_answer_lease_events_alike() {
         "segment holds the record verbatim: true",
         "complete while held: true",
         "another worker claims after release: true",
+        "beat after another worker's completion merged: true",
     ];
 
     let dir = temp_dir("events_file");
-    assert_eq!(lease_events(&FileStore::open(&dir, "w0", 4).unwrap(), &dir), expected);
+    assert_eq!(lease_events(&FileStore::open(&dir, "w0", 4).unwrap().0, &dir), expected);
     std::fs::remove_dir_all(&dir).ok();
 
     let dir = temp_dir("events_net");
@@ -160,7 +169,7 @@ fn an_execution_failure_leaves_the_lease_and_a_blame_coordinate_ledgers() {
 
     let dir = temp_dir("blame_file");
     drop(Journal::open_or_create(&dir, &manifest(1)).unwrap());
-    let reasons = failed_execution(&FileStore::open(&dir, "fw", 1).unwrap(), &dir, "fw");
+    let reasons = failed_execution(&FileStore::open(&dir, "fw", 1).unwrap().0, &dir, "fw");
     assert!(ledgered(&reasons), "{reasons:?}");
     std::fs::remove_dir_all(&dir).ok();
 

@@ -330,7 +330,7 @@ pub(crate) fn run_worker(
     let dir = dir.ok_or_else(|| CliError("worker needs a checkpoint directory".into()))?;
     let on_disk = read_manifest(dir)?;
     let world = world_from_manifest(&on_disk, &format!("checkpoint at {}", dir.display()), dir, 0)?;
-    let store = FileStore::open(dir, &id, world.plan.len() as u64)?;
+    let (store, _) = FileStore::open(dir, &id, world.plan.len() as u64)?;
     serve_shards(&store, &world, &world.dispatch, &id, chaos, out, cancel)
 }
 

@@ -40,14 +40,16 @@
 //! so every copy of the record is byte-identical and the first-wins merge
 //! into `shards.log` commits exactly one of them.
 //!
-//! A worker reaches these files through a [`LeaseStore`]: [`FileStore`]
-//! performs the file operations itself, while a networked worker's store
-//! sends them as RPCs to a transport server that performs the same
-//! [`LeaseDir`] calls on its behalf.
+//! A worker reaches these files through a [`LeaseStore`]. [`FileStore`] is
+//! the one implementation that touches them: a worker sharing the
+//! checkpoint directory holds its own, and the transport server holds one
+//! per networked worker and answers that worker's RPCs through it. So the
+//! worker side of the protocol is written once, here; the coordinator
+//! reaches the same files through [`LeaseDir`].
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
-use std::io::Write;
+use std::io::{Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -176,12 +178,6 @@ impl LeaseDir {
         Ok(())
     }
 
-    /// The checkpoint directory this layout is rooted at.
-    #[must_use]
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn lease_path(&self, shard: u64) -> PathBuf {
         self.root.join(LEASES_DIR).join(format!("shard_{shard}.lease"))
     }
@@ -202,6 +198,16 @@ impl LeaseDir {
     #[must_use]
     pub fn segment_path(&self, worker: &str) -> PathBuf {
         self.root.join(SEGMENTS_DIR).join(format!("{worker}.log"))
+    }
+
+    /// Paths of every worker segment written so far (coordinator: workers
+    /// may attach at any time).
+    pub fn list_segments(&self) -> Result<Vec<PathBuf>, JournalError> {
+        Ok(read_dir_tolerant(&self.root.join(SEGMENTS_DIR))?
+            .into_iter()
+            .map(|entry| entry.path())
+            .filter(|path| path.extension().is_some_and(|ext| ext == "log"))
+            .collect())
     }
 
     /// Atomically claim `shard` for `worker`. Returns `Ok(None)` if some
@@ -269,15 +275,6 @@ impl LeaseDir {
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(()),
             Err(e) => Err(e.into()),
         }
-    }
-
-    /// Delete `lease` if it is still its holder's (a worker handing its
-    /// shard back on clean cancellation); another worker's claim stays.
-    pub fn release_owned(&self, lease: &Lease) -> Result<(), JournalError> {
-        if self.owns(lease)? == Some(true) {
-            self.release(lease.shard)?;
-        }
-        Ok(())
     }
 
     /// Delete the done marker for `shard` (coordinator: after the shard is
@@ -359,20 +356,12 @@ impl LeaseDir {
         }))
     }
 
-    /// A heartbeat's answer for `lease`: true while it is still its
-    /// holder's, or once it turned into a done marker or a committed
-    /// record (`committed`) — completion is not loss. False once the
-    /// coordinator released it or another worker holds the shard.
-    pub fn still_held(&self, lease: &Lease, committed: bool) -> Result<bool, JournalError> {
-        Ok(self.owns(lease)?.unwrap_or_else(|| committed || self.is_done(lease.shard)))
-    }
-
     /// Claim for `worker`: hand `held` back while it is still the worker's
     /// own (a retried claim must not take a second shard), otherwise claim
     /// the lowest shard below `shards` that is neither `committed` nor
     /// claimed. `held` tracks the result; `Ok(None)` means nothing is
     /// claimable right now.
-    pub fn claim(
+    fn claim(
         &self,
         worker: &str,
         shards: u64,
@@ -509,20 +498,19 @@ pub struct Segment {
 
 impl Segment {
     /// Open (or create) `worker`'s segment, truncating a torn tail.
-    /// Returns the segment and the number of torn bytes cut off.
+    /// Returns the segment and the number of intact records it holds.
     pub fn open(dir: &LeaseDir, worker: &str) -> Result<(Self, u64), JournalError> {
         validate_worker_id(worker)?;
         let path = dir.segment_path(worker);
         let bytes = record::read_log(&path)?;
-        let (_, good) = record::scan_bytes(&bytes);
-        let torn = bytes.len() as u64 - good;
-        if torn > 0 {
+        let (records, good) = record::scan_bytes(&bytes);
+        if (bytes.len() as u64) > good {
             let f = OpenOptions::new().write(true).open(&path)?;
             f.set_len(good)?;
             f.sync_all()?;
         }
         let file = OpenOptions::new().create(true).append(true).open(&path)?;
-        Ok((Segment { file, path }, torn))
+        Ok((Segment { file, path }, records.len() as u64))
     }
 
     /// Append one shard record and flush it to the OS.
@@ -533,7 +521,7 @@ impl Segment {
     /// Append bytes already framed by [`record::frame`], verbatim, and
     /// flush them to the OS. A prefix of a frame is a torn write — what
     /// chaos injection writes for a worker that dies mid-append.
-    pub fn append_framed(&mut self, framed: &[u8]) -> Result<(), JournalError> {
+    fn append_framed(&mut self, framed: &[u8]) -> Result<(), JournalError> {
         self.file.write_all(framed)?;
         self.file.flush()?;
         Ok(())
@@ -565,26 +553,33 @@ impl SegmentReader {
     }
 
     /// Verified records appended since the last poll, in append order.
-    /// Advances only past records that verified; a missing file or torn
-    /// tail yields what is intact and waits.
+    /// Reads only the bytes past the offset, and advances only past
+    /// records that verified; a missing file or torn tail yields what is
+    /// intact and waits.
     pub fn poll(&mut self) -> Result<Vec<(u64, Vec<u8>)>, JournalError> {
-        let bytes = record::read_log(&self.path)?;
-        if (bytes.len() as u64) < self.offset {
-            // The owner truncated a torn tail below our offset; that can
-            // only cut unverified bytes, so rewinding to the new end is safe.
-            self.offset = bytes.len() as u64;
+        let mut bytes = Vec::new();
+        match File::open(&self.path) {
+            Ok(mut file) => {
+                // The owner truncated a torn tail below our offset; that can
+                // only cut unverified bytes, so rewinding to the end is safe.
+                self.offset = self.offset.min(file.metadata()?.len());
+                file.seek(SeekFrom::Start(self.offset))?;
+                file.read_to_end(&mut bytes)?;
+            }
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => self.offset = 0,
+            Err(e) => return Err(e.into()),
         }
-        let (records, good) = record::scan_bytes(&bytes[self.offset as usize..]);
+        let (records, good) = record::scan_bytes(&bytes);
         self.offset += good;
         Ok(records)
     }
 }
 
 /// The shards committed to the main journal, kept current by tailing
-/// `shards.log` read-only — how a worker (or the transport server on its
-/// behalf) learns which shards no longer need claiming.
+/// `shards.log` read-only — how a [`FileStore`] learns which shards no
+/// longer need claiming.
 #[derive(Debug)]
-pub struct CommittedShards {
+struct CommittedShards {
     reader: SegmentReader,
     set: BTreeSet<u64>,
 }
@@ -592,14 +587,13 @@ pub struct CommittedShards {
 impl CommittedShards {
     /// A view of the journal under checkpoint directory `root`, empty
     /// until the first [`refresh`](Self::refresh).
-    #[must_use]
-    pub fn new(root: &Path) -> Self {
+    fn new(root: &Path) -> Self {
         CommittedShards { reader: SegmentReader::new(root.join(LOG_FILE)), set: BTreeSet::new() }
     }
 
     /// Fold in the records committed since the last call; returns how
     /// many shards are committed.
-    pub fn refresh(&mut self) -> Result<u64, JournalError> {
+    fn refresh(&mut self) -> Result<u64, JournalError> {
         for (shard, _) in self.reader.poll()? {
             self.set.insert(shard);
         }
@@ -607,8 +601,7 @@ impl CommittedShards {
     }
 
     /// True if `shard` was committed as of the last refresh.
-    #[must_use]
-    pub fn contains(&self, shard: u64) -> bool {
+    fn contains(&self, shard: u64) -> bool {
         self.set.contains(&shard)
     }
 }
@@ -637,8 +630,10 @@ pub trait LeaseStore: Sync {
     fn claim(&self) -> Result<Claim, Self::Error>;
 
     /// Write this worker's `counter`-th heartbeat and answer whether
-    /// `held` is still this worker's ([`LeaseDir::still_held`]); true when
-    /// nothing is held.
+    /// `held` is still this worker's; true when nothing is held. A lease
+    /// that turned into a done marker or a committed record still answers
+    /// true — completion is not loss. False once the coordinator released
+    /// it or another worker holds the shard.
     fn beat(&self, counter: u64, held: Option<&Lease>) -> Result<bool, Self::Error>;
 
     /// Append one record framed by [`record::frame`] to this worker's
@@ -650,7 +645,7 @@ pub trait LeaseStore: Sync {
     fn complete(&self, lease: &Lease) -> Result<bool, Self::Error>;
 
     /// Hand `lease` back on clean cancellation so the shard reassigns at
-    /// once.
+    /// once; a lease no longer this worker's is left alone.
     fn release(&self, lease: &Lease) -> Result<(), Self::Error>;
 
     /// Record that executing `lease`'s shard failed with `reason`. The
@@ -659,8 +654,9 @@ pub trait LeaseStore: Sync {
     fn blame(&self, lease: &Lease, reason: &str) -> Result<(), Self::Error>;
 }
 
-/// The [`LeaseStore`] of a worker that shares the checkpoint directory:
-/// every call is a [`LeaseDir`] file operation.
+/// The [`LeaseStore`] that performs every call as file operations on the
+/// checkpoint directory: a worker sharing that directory holds its own,
+/// and the transport server holds one per networked worker.
 #[derive(Debug)]
 pub struct FileStore {
     dir: LeaseDir,
@@ -673,20 +669,37 @@ pub struct FileStore {
 
 impl FileStore {
     /// Attach `worker` to the `shards`-shard campaign checkpointed under
-    /// `root`: create the lease layout and open the worker's segment,
-    /// truncating a torn tail left by an earlier incarnation.
-    pub fn open(root: &Path, worker: &str, shards: u64) -> Result<Self, JournalError> {
+    /// `root`: check the worker id before touching any file, create the
+    /// lease layout, and open the worker's segment, truncating a torn tail
+    /// left by an earlier incarnation. Returns the store and the number of
+    /// intact records the segment holds.
+    pub fn open(root: &Path, worker: &str, shards: u64) -> Result<(Self, u64), JournalError> {
+        validate_worker_id(worker)?;
         let dir = LeaseDir::new(root);
         dir.ensure()?;
-        let (segment, _torn) = Segment::open(&dir, worker)?;
-        Ok(FileStore {
+        let (segment, records) = Segment::open(&dir, worker)?;
+        let store = FileStore {
             dir,
             worker: worker.to_string(),
             shards,
             segment: Mutex::new(segment),
             committed: Mutex::new(CommittedShards::new(root)),
             held: Mutex::new(None),
-        })
+        };
+        Ok((store, records))
+    }
+
+    /// Shards committed to the main journal as of the last claim or beat.
+    #[must_use]
+    pub fn committed(&self) -> u64 {
+        self.committed.lock().unwrap().set.len() as u64
+    }
+
+    /// True while the worker holds a lease it has neither completed nor
+    /// released.
+    #[must_use]
+    pub fn holds_lease(&self) -> bool {
+        self.held.lock().unwrap().is_some()
     }
 }
 
@@ -707,13 +720,17 @@ impl LeaseStore for FileStore {
 
     fn beat(&self, counter: u64, held: Option<&Lease>) -> Result<bool, JournalError> {
         self.dir.beat(&self.worker, counter)?;
-        match held {
-            None => Ok(true),
-            Some(lease) => {
-                let committed = self.committed.lock().unwrap().contains(lease.shard);
-                self.dir.still_held(lease, committed)
-            }
-        }
+        let owned = match held {
+            Some(lease) => self.dir.owns(lease)?,
+            None => Some(true),
+        };
+        // The coordinator merges a shard before it clears the done marker,
+        // so the marker is read before the journal: a lease completed
+        // between the two reads is seen in one of them.
+        let done = held.is_some_and(|lease| self.dir.is_done(lease.shard));
+        let mut committed = self.committed.lock().unwrap();
+        committed.refresh()?;
+        Ok(owned.unwrap_or_else(|| done || held.is_some_and(|l| committed.contains(l.shard))))
     }
 
     fn append(&self, framed: &[u8]) -> Result<(), JournalError> {
@@ -721,28 +738,21 @@ impl LeaseStore for FileStore {
     }
 
     fn complete(&self, lease: &Lease) -> Result<bool, JournalError> {
-        self.held.lock().unwrap().take();
+        self.held.lock().unwrap().take_if(|held| held.shard == lease.shard);
         self.dir.complete(lease)
     }
 
     fn release(&self, lease: &Lease) -> Result<(), JournalError> {
-        self.held.lock().unwrap().take();
-        self.dir.release_owned(lease)
+        self.held.lock().unwrap().take_if(|held| held.shard == lease.shard);
+        if self.dir.owns(lease)? == Some(true) {
+            self.dir.release(lease.shard)?;
+        }
+        Ok(())
     }
 
     fn blame(&self, lease: &Lease, reason: &str) -> Result<(), JournalError> {
         self.dir.blame(&self.worker, &format!("shard {} failed on worker: {reason}", lease.shard))
     }
-}
-
-/// Reason a retry-ledger record was written.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RetryEvent {
-    /// A worker holding the shard's lease missed its heartbeat deadline.
-    WorkerDeath,
-    /// The shard exceeded [`LeaseConfig::max_worker_deaths`] and was
-    /// committed as a poisoned outcome.
-    Quarantine,
 }
 
 /// Accumulated ledger state for one shard.
@@ -1038,8 +1048,8 @@ mod tests {
         let dir = tmp_dir("segment");
         let leases = LeaseDir::new(&dir);
         leases.ensure().unwrap();
-        let (mut seg, torn) = Segment::open(&leases, "w0").unwrap();
-        assert_eq!(torn, 0);
+        let (mut seg, records) = Segment::open(&leases, "w0").unwrap();
+        assert_eq!(records, 0);
         seg.append(0, b"alpha").unwrap();
         seg.append(1, b"beta").unwrap();
         seg.append_framed(&record::frame(2, b"gamma").unwrap()[..9]).unwrap(); // torn write
@@ -1053,8 +1063,8 @@ mod tests {
         let len_with_torn = fs::metadata(&path).unwrap().len();
 
         // Owner re-opens (worker restart): torn tail is truncated.
-        let (mut seg, torn) = Segment::open(&leases, "w0").unwrap();
-        assert!(torn > 0);
+        let (mut seg, records) = Segment::open(&leases, "w0").unwrap();
+        assert_eq!(records, 2, "the two intact records are kept");
         assert!(fs::metadata(&path).unwrap().len() < len_with_torn);
         // The record completes for real this time; the reader picks it up
         // from its remembered offset.

@@ -1,18 +1,20 @@
 //! Networked shard transport: the lease lifecycle over TCP.
 //!
-//! PR 8 distributed a campaign across processes sharing a checkpoint
-//! directory; this crate ports the same lease/segment/ledger protocol off
-//! the shared filesystem onto a length-prefixed, checksummed wire protocol
-//! over `std::net` TCP — no new dependencies. A
-//! [`server::CoordinatorServer`] runs inside the coordinator process and
-//! services worker RPCs by performing exactly the file operations a local
-//! worker would (claim a lease, write a heartbeat, append a segment
-//! record), so the coordinator's merge/expiry/quarantine loop is unchanged
-//! and a streamed segment record is **byte-identical** to a file-journaled
-//! one: both are [`paraspace_journal::record`] frames, appended verbatim.
-//! On the worker side, [`client::WorkerClient`] is a
+//! Workers sharing a checkpoint directory coordinate through the lease
+//! files of [`paraspace_journal::lease`]; this crate carries the same
+//! lease lifecycle off the shared filesystem onto a length-prefixed,
+//! checksummed wire protocol over `std::net` TCP — no new dependencies.
+//! A [`server::CoordinatorServer`] runs inside the coordinator process and
+//! holds, for each worker that says `Hello`, the
+//! [`FileStore`](paraspace_journal::lease::FileStore) a local worker of
+//! that id would use; it answers the worker's RPCs through that store. So
+//! the coordinator's merge/expiry/quarantine loop is unchanged, the lease
+//! events map to files in one place, and a streamed segment record is
+//! **byte-identical** to a file-journaled one: both are
+//! [`paraspace_journal::record`] frames, appended verbatim. On the worker
+//! side, [`client::WorkerClient`] is a
 //! [`LeaseStore`](paraspace_journal::lease::LeaseStore) sending those
-//! operations as RPCs; the loop that drives it is the one file workers run.
+//! calls as RPCs; the loop that drives it is the one file workers run.
 //!
 //! # Delivery semantics
 //!
@@ -27,6 +29,8 @@
 //!   without a second append (records carry explicit per-worker indices),
 //!   a commit of the grant the server already completed for this worker
 //!   acks `ok` again;
+//! * a connection speaks only for the worker it said `Hello` as: any other
+//!   request before `Hello`, or naming another worker, is refused;
 //! * duplicate, stale, and reordered deliveries are survived by
 //!   construction: duplicated requests hit the idempotent handlers, stale
 //!   replies (sequence number below the one awaited) are discarded, and a

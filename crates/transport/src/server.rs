@@ -1,30 +1,35 @@
 //! The coordinator-side transport server.
 //!
-//! The server runs *inside* the coordinator process and is deliberately
-//! dumb: it holds no campaign logic, it just performs on a worker's
-//! behalf exactly the file operations a local worker would perform
-//! against the shared checkpoint directory — claim a lease file, rewrite
-//! a heartbeat, append a framed record to `segments/<worker>.log`, rename
-//! a lease to a done marker, delete a lease its worker hands back. The
+//! The server runs *inside* the coordinator process and holds no campaign
+//! logic: on `Hello` it opens the [`FileStore`] a local worker of that id
+//! would use (or keeps the one it opened before the worker reconnected),
+//! and answers that worker's `Claim`, `Heartbeat`, `SegmentRecord`,
+//! `Commit` and `Release` through the store's [`LeaseStore`] calls. Each
+//! request is served for the worker its connection said `Hello` as. The
 //! coordinator's merge/expiry/quarantine loop
 //! (`analysis::dispatch::coordinate`) therefore works unchanged: it cannot
 //! tell a networked worker from a local one, and a streamed segment record
-//! is byte-identical to a file-journaled one because the server appends
+//! is byte-identical to a file-journaled one because the store appends
 //! the client's framed bytes verbatim.
 //!
-//! Every timestamp that matters — lease grants, heartbeats — is stamped
-//! with the server's clock on RPC receipt, so worker clocks never enter
-//! the expiry arithmetic.
+//! What the server adds is only what the network needs: the per-worker
+//! record index that makes a replayed `SegmentRecord` exactly-once, the
+//! check that it carries one intact record, the grant a retried `Commit`
+//! is acked for again, and the `Hello` generation that keeps a superseded
+//! connection from blaming a worker that already reconnected. Every
+//! timestamp that matters — lease grants, heartbeats — is stamped with
+//! the server's clock on RPC receipt, so worker clocks never enter the
+//! expiry arithmetic.
 
-use std::collections::HashMap;
+use std::collections::hash_map::{Entry, HashMap};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use paraspace_journal::lease::{CommittedShards, Lease, LeaseConfig, LeaseDir, Segment};
+use paraspace_journal::lease::{Claim, FileStore, Lease, LeaseConfig, LeaseDir, LeaseStore};
 use paraspace_journal::{record, CampaignManifest};
 
 use crate::wire::{
@@ -53,14 +58,18 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-worker server-side state: the segment file the server appends to
-/// on the worker's behalf, and the lease the worker currently holds.
-struct WorkerState {
-    seg: Segment,
-    /// Intact records in the segment (the worker's replay resume offset).
-    count: u64,
-    /// The live lease granted to this worker.
-    lease: Option<Lease>,
+/// One worker that said `Hello`: the store a local worker of that id
+/// would use, and what only the network needs on top of it.
+struct Worker {
+    name: String,
+    store: FileStore,
+    net: Mutex<NetState>,
+}
+
+struct NetState {
+    /// Intact records in the segment — the index the next
+    /// `SegmentRecord` must carry.
+    records: u64,
     /// `(shard, granted_at_ms)` of the last grant this server completed
     /// for this worker — the one Commit a retry may see acked again.
     completed: Option<(u64, u64)>,
@@ -69,15 +78,17 @@ struct WorkerState {
     generation: u64,
 }
 
+/// The worker a connection said `Hello` as, and that Hello's generation.
+type Hello = (Arc<Worker>, u64);
+
 struct Shared {
+    root: PathBuf,
+    /// Blame notes only; every lease event goes through a worker's store.
     dir: LeaseDir,
     manifest_text: String,
     shards: u64,
     config: ServerConfig,
-    /// The main journal's committed set (the server tails `shards.log`
-    /// exactly like a local worker does).
-    committed: Mutex<CommittedShards>,
-    workers: Mutex<HashMap<String, WorkerState>>,
+    workers: Mutex<HashMap<String, Arc<Worker>>>,
     stop: AtomicBool,
 }
 
@@ -105,14 +116,12 @@ impl CoordinatorServer {
         let listener = TcpListener::bind(listen)?;
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
-        let dir = LeaseDir::new(checkpoint_dir);
-        dir.ensure()?;
         let shared = Arc::new(Shared {
-            dir,
+            root: checkpoint_dir.to_path_buf(),
+            dir: LeaseDir::new(checkpoint_dir),
             manifest_text: manifest.to_text(),
             shards: manifest.shards(),
             config,
-            committed: Mutex::new(CommittedShards::new(checkpoint_dir)),
             workers: Mutex::new(HashMap::new()),
             stop: AtomicBool::new(false),
         });
@@ -178,7 +187,7 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     let idle_limit = Duration::from_millis(
         shared.config.idle_disconnect_ms.unwrap_or(2 * shared.config.lease.ttl_ms),
     );
-    let mut ident: Option<(String, u64)> = None;
+    let mut hello: Option<Hello> = None;
     let mut last_frame = Instant::now();
     let mut shutting_down = false;
     let reason: String = loop {
@@ -190,7 +199,7 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
             Ok((seq, payload)) => {
                 last_frame = Instant::now();
                 let reply = match decode_request(&payload) {
-                    Ok(req) => handle_request(shared, &mut ident, req),
+                    Ok(req) => handle_request(shared, &mut hello, req),
                     Err(e) => break format!("undecodable request: {e}"),
                 };
                 if let Err(e) = write_frame(&mut stream, seq, &encode_reply(&reply)) {
@@ -213,173 +222,146 @@ fn serve_conn(shared: &Arc<Shared>, mut stream: TcpStream) {
     if shutting_down {
         return;
     }
-    let Some((worker, generation)) = ident else { return };
-    let workers = shared.workers.lock().unwrap();
-    let Some(state) = workers.get(&worker) else { return };
-    if state.generation != generation || state.lease.is_none() {
+    let Some((me, generation)) = hello else { return };
+    let net = me.net.lock().unwrap();
+    if net.generation != generation || !me.store.holds_lease() {
         return;
     }
-    if let Ok(None) = shared.dir.read_blame(&worker) {
-        let _ = shared.dir.blame(&worker, &format!("transport: connection lost ({reason})"));
+    if let Ok(None) = shared.dir.read_blame(&me.name) {
+        let _ = shared.dir.blame(&me.name, &format!("transport: connection lost ({reason})"));
     }
 }
 
-fn handle_request(shared: &Arc<Shared>, ident: &mut Option<(String, u64)>, req: Request) -> Reply {
-    match try_handle(shared, ident, req) {
-        Ok(reply) => reply,
-        Err(e) => Reply::Error { message: e.to_string() },
-    }
+fn handle_request(shared: &Shared, hello: &mut Option<Hello>, req: Request) -> Reply {
+    let served = match (req, hello.as_ref()) {
+        (Request::Hello { worker, version }, _) => say_hello(shared, hello, worker, version),
+        (req, Some((me, _))) if req.worker() == me.name => serve(shared, me, req),
+        (req, None) => Ok(Reply::Error {
+            message: format!("worker {} must Hello before other requests", req.worker()),
+        }),
+        (req, Some((me, _))) => Ok(Reply::Error {
+            message: format!(
+                "the connection of worker {} cannot speak for {}",
+                me.name,
+                req.worker()
+            ),
+        }),
+    };
+    served.unwrap_or_else(|e| Reply::Error { message: e.to_string() })
 }
 
-fn try_handle(
-    shared: &Arc<Shared>,
-    ident: &mut Option<(String, u64)>,
-    req: Request,
+fn say_hello(
+    shared: &Shared,
+    hello: &mut Option<Hello>,
+    worker: String,
+    version: u32,
 ) -> Result<Reply, TransportError> {
-    match req {
-        Request::Hello { worker, version } => {
-            if version != PROTOCOL_VERSION {
-                return Ok(Reply::Error {
-                    message: format!(
-                        "protocol version mismatch: worker speaks v{version}, \
-                         coordinator speaks v{PROTOCOL_VERSION}"
-                    ),
-                });
+    if version != PROTOCOL_VERSION {
+        return Ok(Reply::Error {
+            message: format!(
+                "protocol version mismatch: worker speaks v{version}, \
+                 coordinator speaks v{PROTOCOL_VERSION}"
+            ),
+        });
+    }
+    // A reconnecting worker keeps its store: the lease it holds, and the
+    // segment the server has been appending to.
+    let me = match shared.workers.lock().unwrap().entry(worker) {
+        Entry::Occupied(known) => Arc::clone(known.get()),
+        Entry::Vacant(new) => {
+            let (store, records) = FileStore::open(&shared.root, new.key(), shared.shards)?;
+            let net = Mutex::new(NetState { records, completed: None, generation: 0 });
+            let name = new.key().clone();
+            Arc::clone(new.insert(Arc::new(Worker { name, store, net })))
+        }
+    };
+    let mut net = me.net.lock().unwrap();
+    net.generation += 1;
+    shared.dir.clear_blame(&me.name)?;
+    *hello = Some((Arc::clone(&me), net.generation));
+    let cfg = &shared.config.lease;
+    Ok(Reply::HelloAck {
+        manifest_text: shared.manifest_text.clone(),
+        ttl_ms: cfg.ttl_ms,
+        backoff_base_ms: cfg.backoff_base_ms,
+        backoff_cap_ms: cfg.backoff_cap_ms,
+        max_worker_deaths: cfg.max_worker_deaths,
+        poll_ms: shared.config.poll_ms,
+        acked_records: net.records,
+    })
+}
+
+/// Answer a request of worker `me` through its store.
+fn serve(shared: &Shared, me: &Worker, req: Request) -> Result<Reply, TransportError> {
+    let lease = |shard, granted_at_ms| Lease { shard, worker: me.name.clone(), granted_at_ms };
+    Ok(match req {
+        Request::Hello { .. } => unreachable!("Hello is answered by say_hello"),
+        Request::Claim { .. } => Reply::ClaimAck(match me.store.claim()? {
+            Claim::Granted(lease) => {
+                ClaimOutcome::Granted { shard: lease.shard, granted_at_ms: lease.granted_at_ms }
             }
-            // Count the intact records already in the segment (the replay
-            // resume offset), then open it for appending — Segment::open
-            // truncates any torn tail below that count.
-            let bytes = record::read_log(&shared.dir.segment_path(&worker))?;
-            let (records, _) = record::scan_bytes(&bytes);
-            let count = records.len() as u64;
-            let (seg, _) = Segment::open(&shared.dir, &worker)?;
-            shared.dir.clear_blame(&worker)?;
-            let mut workers = shared.workers.lock().unwrap();
-            // A reconnecting worker keeps the lease it holds and the grant
-            // it completed.
-            let (lease, completed, generation) = match workers.remove(&worker) {
-                Some(s) => (s.lease, s.completed, s.generation + 1),
-                None => (None, None, 0),
-            };
-            workers
-                .insert(worker.clone(), WorkerState { seg, count, lease, completed, generation });
-            *ident = Some((worker, generation));
-            let cfg = &shared.config.lease;
-            Ok(Reply::HelloAck {
-                manifest_text: shared.manifest_text.clone(),
-                ttl_ms: cfg.ttl_ms,
-                backoff_base_ms: cfg.backoff_base_ms,
-                backoff_cap_ms: cfg.backoff_cap_ms,
-                max_worker_deaths: cfg.max_worker_deaths,
-                poll_ms: shared.config.poll_ms,
-                acked_records: count,
-            })
+            Claim::Wait => ClaimOutcome::NoneEligible {
+                committed: me.store.committed(),
+                shards: shared.shards,
+            },
+            Claim::Complete => ClaimOutcome::Complete,
+        }),
+        Request::Heartbeat { counter, shard, granted_at_ms, .. } => {
+            let held = (shard != NO_SHARD).then(|| lease(shard, granted_at_ms));
+            let lease_ok = me.store.beat(counter, held.as_ref())?;
+            Reply::HeartbeatAck { committed: me.store.committed(), shards: shared.shards, lease_ok }
         }
-        Request::Claim { worker } => {
-            let mut workers = shared.workers.lock().unwrap();
-            let Some(state) = workers.get_mut(&worker) else {
-                return Ok(hello_first(&worker));
-            };
-            let mut committed = shared.committed.lock().unwrap();
-            let count = committed.refresh()?;
-            // A held lease still the worker's own is handed back: a retried
-            // Claim whose ack was lost must not claim a second shard. The
-            // grant is stamped with the server's clock.
-            let shards = shared.shards;
-            let outcome =
-                match shared.dir.claim(&worker, shards, &mut state.lease, &mut committed)? {
-                    Some(lease) => ClaimOutcome::Granted {
-                        shard: lease.shard,
-                        granted_at_ms: lease.granted_at_ms,
-                    },
-                    None if count >= shards => ClaimOutcome::Complete,
-                    None => ClaimOutcome::NoneEligible { committed: count, shards },
-                };
-            Ok(Reply::ClaimAck(outcome))
-        }
-        Request::Heartbeat { worker, counter, shard, granted_at_ms } => {
-            // Server clock: the beat is stamped on receipt.
-            shared.dir.beat(&worker, counter)?;
-            let mut committed = shared.committed.lock().unwrap();
-            let count = committed.refresh()?;
-            let lease_ok = shard == NO_SHARD
-                || shared.dir.still_held(
-                    &Lease { shard, worker, granted_at_ms },
-                    committed.contains(shard),
-                )?;
-            Ok(Reply::HeartbeatAck { committed: count, shards: shared.shards, lease_ok })
-        }
-        Request::SegmentRecord { worker, index, framed } => {
-            let mut workers = shared.workers.lock().unwrap();
-            let Some(state) = workers.get_mut(&worker) else {
-                return Ok(hello_first(&worker));
-            };
-            if index < state.count {
+        Request::SegmentRecord { index, framed, .. } => {
+            let mut net = me.net.lock().unwrap();
+            if index < net.records {
                 // Duplicate of a record we already hold (half-open retry):
                 // ack without a second append.
-                return Ok(Reply::RecordAck { total: state.count });
+                return Ok(Reply::RecordAck { total: net.records });
             }
-            if index > state.count {
+            if index > net.records {
                 return Ok(Reply::Error {
                     message: format!(
-                        "record index {index} skips ahead of the {} records held for {worker}",
-                        state.count
+                        "record index {index} skips ahead of the {} records held for {}",
+                        net.records, me.name
                     ),
                 });
             }
-            // The framed bytes must be exactly one intact record; they are
-            // appended verbatim so the segment stays byte-identical to one
-            // a local worker would have written.
+            // The framed bytes must be exactly one intact record; the
+            // store appends them verbatim.
             let (records, good) = record::scan_bytes(&framed);
             if records.len() != 1 || good as usize != framed.len() {
                 return Ok(Reply::Error {
-                    message: format!("record {index} from {worker} failed verification"),
+                    message: format!("record {index} from {} failed verification", me.name),
                 });
             }
-            state.seg.append_framed(&framed)?;
-            state.count += 1;
-            Ok(Reply::RecordAck { total: state.count })
+            me.store.append(&framed)?;
+            net.records += 1;
+            Reply::RecordAck { total: net.records }
         }
-        Request::Commit { worker, shard, granted_at_ms } => {
-            let mut workers = shared.workers.lock().unwrap();
-            let Some(state) = workers.get_mut(&worker) else {
-                return Ok(hello_first(&worker));
-            };
+        Request::Commit { shard, granted_at_ms, .. } => {
             // Idempotent for the grant this server completed for this
             // worker (a retry whose ack was lost); a lease completed by
             // anyone else is lost, as `LeaseDir::complete` says.
+            let mut net = me.net.lock().unwrap();
             let grant = (shard, granted_at_ms);
-            let ok = state.completed == Some(grant)
-                || shared.dir.complete(&Lease { shard, worker, granted_at_ms })?;
+            let ok =
+                net.completed == Some(grant) || me.store.complete(&lease(shard, granted_at_ms))?;
             if ok {
-                state.completed = Some(grant);
+                net.completed = Some(grant);
             }
-            if state.lease.as_ref().is_some_and(|l| l.shard == shard) {
-                state.lease = None;
-            }
-            Ok(Reply::CommitAck { ok })
+            Reply::CommitAck { ok }
         }
-        Request::Quarantine { worker, shard, reason } => {
+        Request::Quarantine { shard, reason, .. } => {
             // Record the taxonomy but leave the lease in place: silence
             // past the TTL turns it into a ledgered death carrying this
             // blame, which is what feeds the quarantine threshold.
-            shared
-                .dir
-                .blame(&worker, &format!("transport: shard {shard} failed on worker: {reason}"))?;
-            Ok(Reply::QuarantineAck)
+            let note = format!("transport: shard {shard} failed on worker: {reason}");
+            shared.dir.blame(&me.name, &note)?;
+            Reply::QuarantineAck
         }
-        Request::Release { worker, shard, granted_at_ms } => {
-            let mut workers = shared.workers.lock().unwrap();
-            let Some(state) = workers.get_mut(&worker) else {
-                return Ok(hello_first(&worker));
-            };
-            state.lease.take_if(|l| l.shard == shard);
-            shared.dir.release_owned(&Lease { shard, worker, granted_at_ms })?;
-            Ok(Reply::ReleaseAck)
+        Request::Release { shard, granted_at_ms, .. } => {
+            me.store.release(&lease(shard, granted_at_ms))?;
+            Reply::ReleaseAck
         }
-    }
-}
-
-fn hello_first(worker: &str) -> Reply {
-    Reply::Error { message: format!("worker {worker} must Hello before other requests") }
+    })
 }

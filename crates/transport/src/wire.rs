@@ -91,8 +91,10 @@ pub enum Request {
         framed: Vec<u8>,
     },
     /// Rename the lease to a done marker (same semantics as
-    /// [`paraspace_journal::lease::LeaseDir::complete`]). Idempotent: an
-    /// already-done or already-merged shard acks `ok`.
+    /// [`paraspace_journal::lease::LeaseDir::complete`]). Idempotent for
+    /// this worker's own grant: a retry of a commit the server already
+    /// made acks `ok` again. A lease completed by anyone else answers
+    /// lost, even once its shard is done or merged.
     Commit {
         /// Committing worker.
         worker: String,
@@ -122,6 +124,21 @@ pub enum Request {
         /// Grant time of the lease being released.
         granted_at_ms: u64,
     },
+}
+
+impl Request {
+    /// The worker the request speaks for.
+    pub(crate) fn worker(&self) -> &str {
+        match self {
+            Request::Hello { worker, .. }
+            | Request::Claim { worker }
+            | Request::Heartbeat { worker, .. }
+            | Request::SegmentRecord { worker, .. }
+            | Request::Commit { worker, .. }
+            | Request::Quarantine { worker, .. }
+            | Request::Release { worker, .. } => worker,
+        }
+    }
 }
 
 /// Outcome of a [`Request::Claim`].

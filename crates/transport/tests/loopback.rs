@@ -19,7 +19,7 @@ use paraspace_transport::chaos::NetChaos;
 use paraspace_transport::client::{ClientOptions, HelloInfo, WorkerClient};
 use paraspace_transport::server::{CoordinatorServer, ServerConfig};
 use paraspace_transport::wire::{
-    decode_reply, encode_request, read_frame, write_frame, ClaimOutcome, Reply, Request,
+    decode_reply, encode_request, read_frame, write_frame, ClaimOutcome, Reply, Request, NO_SHARD,
     PROTOCOL_VERSION,
 };
 
@@ -260,13 +260,7 @@ fn commit_of_a_lease_reassigned_and_completed_elsewhere_reports_lost() {
     drop(Journal::open_or_create(&dir, &manifest()).unwrap());
     let server =
         CoordinatorServer::start("127.0.0.1:0", &dir, &manifest(), fast_server_config()).unwrap();
-    let stream = TcpStream::connect(server.local_addr()).unwrap();
-    let mut seq = 0;
-    let mut ask = |req: Request| {
-        seq += 1;
-        write_frame(&mut (&stream), seq, &encode_request(&req)).unwrap();
-        decode_reply(&read_frame(&mut (&stream)).unwrap().1).unwrap()
-    };
+    let mut ask = raw_connection(&server);
     ask(Request::Hello { worker: "w3".into(), version: PROTOCOL_VERSION });
     let Reply::ClaimAck(ClaimOutcome::Granted { shard, granted_at_ms }) =
         ask(Request::Claim { worker: "w3".into() })
@@ -283,5 +277,54 @@ fn commit_of_a_lease_reassigned_and_completed_elsewhere_reports_lost() {
 
     let reply = ask(Request::Commit { worker: "w3".into(), shard, granted_at_ms });
     assert!(matches!(reply, Reply::CommitAck { ok: false }), "w3 lost its lease, got {reply:?}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A raw connection to `server`: each call sends one request and returns
+/// its reply.
+fn raw_connection(server: &CoordinatorServer) -> impl FnMut(Request) -> Reply {
+    let stream = TcpStream::connect(server.local_addr()).unwrap();
+    let mut seq = 0;
+    move |req| {
+        seq += 1;
+        write_frame(&mut (&stream), seq, &encode_request(&req)).unwrap();
+        decode_reply(&read_frame(&mut (&stream)).unwrap().1).unwrap()
+    }
+}
+
+#[test]
+fn a_connection_speaks_only_for_the_worker_it_said_hello_as() {
+    let dir = temp_dir("identity");
+    drop(Journal::open_or_create(&dir, &manifest()).unwrap());
+    let server =
+        CoordinatorServer::start("127.0.0.1:0", &dir, &manifest(), fast_server_config()).unwrap();
+    let leases = LeaseDir::new(&dir);
+    let refused = |reply: &Reply, because: &str| matches!(reply, Reply::Error { message } if message.contains(because));
+    let hello = |worker: &str| Request::Hello { worker: worker.into(), version: PROTOCOL_VERSION };
+
+    // A Claim naming another connection's worker is refused, not granted
+    // on that worker's behalf.
+    let mut w5 = raw_connection(&server);
+    let mut w6 = raw_connection(&server);
+    assert!(matches!(w5(hello("w5")), Reply::HelloAck { .. }));
+    assert!(matches!(w6(hello("w6")), Reply::HelloAck { .. }));
+    let reply = w6(Request::Claim { worker: "w5".into() });
+    assert!(refused(&reply, "cannot speak for w5"), "got {reply:?}");
+    assert!(leases.list_leases().unwrap().is_empty(), "no lease was created");
+
+    // A Heartbeat before Hello keeps nobody's leases alive.
+    let mut anonymous = raw_connection(&server);
+    let beat =
+        Request::Heartbeat { worker: "w5".into(), counter: 1, shard: NO_SHARD, granted_at_ms: 0 };
+    let reply = anonymous(beat);
+    assert!(refused(&reply, "must Hello"), "got {reply:?}");
+    assert_eq!(leases.last_heartbeat_ms("w5").unwrap(), None, "no heartbeat was written");
+
+    // Hello checks the worker id before it opens a file named after it:
+    // `segments/../probe.log` is a directory here, and reading it would
+    // fail with an I/O error instead.
+    std::fs::create_dir(dir.join("probe.log")).unwrap();
+    let reply = anonymous(hello("../probe"));
+    assert!(refused(&reply, "invalid worker id"), "got {reply:?}");
     std::fs::remove_dir_all(&dir).ok();
 }
