@@ -48,32 +48,6 @@ use std::borrow::Cow;
 
 const LN_10: f64 = std::f64::consts::LN_10;
 
-/// Which sensitivity integrator evaluates the objective.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SensSolverKind {
-    /// Classify each candidate by the dominant Jacobian eigenvalue at the
-    /// initial state (the engine pipeline's P2 triage, threshold
-    /// [`STIFFNESS_THRESHOLD`]) and route stiff candidates to RADAU5.
-    #[default]
-    Auto,
-    /// Always the explicit augmented-system path ([`Dopri5Sens`]).
-    Dopri5,
-    /// Always the staggered implicit path ([`Radau5Sens`]).
-    Radau5,
-}
-
-impl SensSolverKind {
-    /// Stable name for manifests and result files.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            SensSolverKind::Auto => "auto",
-            SensSolverKind::Dopri5 => "dopri5",
-            SensSolverKind::Radau5 => "radau5",
-        }
-    }
-}
-
 /// Configuration of the projected L-BFGS search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradientConfig {
@@ -93,8 +67,6 @@ pub struct GradientConfig {
     pub starts: usize,
     /// RNG seed for the sampled starts.
     pub seed: u64,
-    /// Sensitivity integrator routing.
-    pub solver: SensSolverKind,
 }
 
 impl Default for GradientConfig {
@@ -107,7 +79,6 @@ impl Default for GradientConfig {
             max_backtracks: 25,
             starts: 3,
             seed: 42,
-            solver: SensSolverKind::Auto,
         }
     }
 }
@@ -124,7 +95,10 @@ fn gradient_config_digest(config: &GradientConfig) -> u64 {
         .put_u64(config.max_backtracks as u64)
         .put_u64(config.starts as u64)
         .put_u64(config.seed)
-        .put_str(config.solver.name());
+        // The digest once hashed the name of a sensitivity-integrator
+        // setting that every caller left at "auto". It still does, so pe
+        // checkpoints written before the setting was removed still resume.
+        .put_str("auto");
     fnv64(&enc.finish())
 }
 
@@ -147,7 +121,6 @@ pub struct GradientObjective<'p, 'a> {
     problem: &'p EstimationProblem<'a>,
     odes: CompiledOdes,
     x0: Vec<f64>,
-    solver: SensSolverKind,
     jac: Matrix,
     /// Augmented ODE solves performed (one per [`evaluate`] call that
     /// reached an integrator).
@@ -164,7 +137,7 @@ impl<'p, 'a> GradientObjective<'p, 'a> {
     /// Panics if the model fails to compile or the problem's `unknown` and
     /// `log_bounds` disagree in length (a configuration bug, matching
     /// [`crate::pe::estimate_with`]).
-    pub fn new(problem: &'p EstimationProblem<'a>, solver: SensSolverKind) -> Self {
+    pub fn new(problem: &'p EstimationProblem<'a>) -> Self {
         assert_eq!(
             problem.unknown.len(),
             problem.log_bounds.len(),
@@ -177,21 +150,17 @@ impl<'p, 'a> GradientObjective<'p, 'a> {
             jac: Matrix::zeros(n, n),
             problem,
             odes,
-            solver,
             ode_solves: 0,
         }
     }
 
+    /// Whether the candidate `k` goes to the stiff path: the engine
+    /// pipeline's P2 triage, the dominant Jacobian eigenvalue at the initial
+    /// state against [`STIFFNESS_THRESHOLD`].
     fn route(&mut self, k: &[f64]) -> bool {
-        match self.solver {
-            SensSolverKind::Dopri5 => false,
-            SensSolverKind::Radau5 => true,
-            SensSolverKind::Auto => {
-                self.odes.jacobian_with(&self.x0, k, &mut self.jac);
-                dominant_eigenvalue_estimate_on(&self.jac, self.odes.jacobian_sparsity())
-                    >= STIFFNESS_THRESHOLD
-            }
-        }
+        self.odes.jacobian_with(&self.x0, k, &mut self.jac);
+        dominant_eigenvalue_estimate_on(&self.jac, self.odes.jacobian_sparsity())
+            >= STIFFNESS_THRESHOLD
     }
 
     /// Evaluates the loss and its exact log-space gradient at `log_values`
@@ -605,7 +574,7 @@ pub(crate) fn search(
             .with_field("optimizer", "lbfgs")
             .with_digest("optimizer_config", gradient_config_digest(config))
     })?;
-    let mut objective = GradientObjective::new(problem, config.solver);
+    let mut objective = GradientObjective::new(problem);
     let mut next = 0u64;
     let mut stop: Option<CampaignError> = None;
     let traces: Vec<GradientTrace> = starts
@@ -721,7 +690,7 @@ mod tests {
         let times: Vec<f64> = (1..=6).map(|i| i as f64 * 0.5).collect();
         let target = target_for(&truth, &times);
         let problem = two_step_problem(&truth, target, times);
-        let mut obj = GradientObjective::new(&problem, SensSolverKind::Auto);
+        let mut obj = GradientObjective::new(&problem);
 
         let lv = [0.05, -0.55];
         let e = obj.evaluate(&lv).unwrap();

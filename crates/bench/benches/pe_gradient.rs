@@ -14,9 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use paraspace_analysis::fitness::{relative_distance, FailedMemberPolicy};
-use paraspace_analysis::gradient::{
-    estimate_gradient, GradientConfig, GradientObjective, SensSolverKind,
-};
+use paraspace_analysis::gradient::{estimate_gradient, GradientConfig, GradientObjective};
 use paraspace_analysis::pe::{estimate_with, EstimationProblem, Optimizer};
 use paraspace_analysis::pso::PsoConfig;
 use paraspace_core::{CpuEngine, CpuSolverKind, FineCoarseEngine, SimulationJob, Simulator};
@@ -198,7 +196,7 @@ fn compare(c: &mut Criterion) {
     // Surface one gradient evaluation (the unit of L-BFGS cost: a full
     // augmented sensitivity solve) through the criterion reporter.
     let mid: Vec<f64> = problem.log_bounds.iter().map(|&(lo, hi)| 0.5 * (lo + hi)).collect();
-    let mut objective = GradientObjective::new(&problem, SensSolverKind::Auto);
+    let mut objective = GradientObjective::new(&problem);
     let mut group = c.benchmark_group("pe_gradient");
     group.sample_size(10);
     group.bench_function("augmented_solve", |b| {

@@ -3,7 +3,7 @@
 
 use crate::args::ENSEMBLE;
 use crate::simulate::remove_stale_artifacts;
-use crate::{campaign_error, report_checkpoint, CancelToken, CliError, Command};
+use crate::{campaign_error, read_time_points, report_checkpoint, CancelToken, CliError, Command};
 use paraspace_analysis::campaign::Checkpoint;
 use paraspace_analysis::ensemble;
 use paraspace_rbm::biosimware;
@@ -94,8 +94,7 @@ pub(crate) fn run_ensemble<S: StochasticSimulator + Sync>(
     };
     let name = simulator.name();
     let model = biosimware::read_dir(model_dir)?;
-    let times =
-        biosimware::read_time_points(model_dir).unwrap_or_else(|_| vec![1.0, 2.0, 5.0, 10.0]);
+    let times = read_time_points(model_dir)?;
     let out_path = out_dir.clone().unwrap_or_else(|| model_dir.join("ensemble"));
     let batch = StochasticBatch::new(simulator)
         .with_seed(*seed)

@@ -457,6 +457,22 @@ fn engine_by_name(
 
 /// Creates the directory `flag` names, parents included, before anything
 /// is computed for it.
+/// The sample times of a model directory that has no `t_vector`.
+const DEFAULT_TIME_POINTS: [f64; 4] = [1.0, 2.0, 5.0, 10.0];
+
+/// The model directory's `t_vector`, or [`DEFAULT_TIME_POINTS`] when there
+/// is none. A `t_vector` that is there but cannot be read or parsed is an
+/// error naming it, as for `c_matrix` and `MX_0`: the campaign must not run
+/// at times nobody asked for.
+fn read_time_points(model_dir: &Path) -> Result<Vec<f64>, CliError> {
+    let path = model_dir.join("t_vector");
+    match std::fs::metadata(&path) {
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(DEFAULT_TIME_POINTS.to_vec()),
+        _ => biosimware::read_time_points(model_dir)
+            .map_err(|e| CliError(format!("{}: {e}", path.display()))),
+    }
+}
+
 fn create_dir_for(flag: &str, path: &Path) -> Result<(), CliError> {
     std::fs::create_dir_all(path)
         .map_err(|e| CliError(format!("cannot create {flag} directory {}: {e}", path.display())))
@@ -504,7 +520,7 @@ pub fn execute_with_cancel(
             let mut rng = StdRng::seed_from_u64(*seed);
             let model = SbGen::new(*species, *reactions).generate(&mut rng);
             biosimware::write_dir(&model, out_dir)?;
-            biosimware::write_time_points(&[1.0, 2.0, 5.0, 10.0], out_dir)?;
+            biosimware::write_time_points(&DEFAULT_TIME_POINTS, out_dir)?;
             writeln!(
                 out,
                 "wrote {}x{} model (seed {seed}) to {}",

@@ -2,7 +2,10 @@
 //! search journaled when there is a checkpoint directory.
 
 use crate::args::{pin_flags, PE};
-use crate::{campaign_error, engine_by_name, report_checkpoint, CancelToken, CliError, Command};
+use crate::{
+    campaign_error, engine_by_name, read_time_points, report_checkpoint, CancelToken, CliError,
+    Command,
+};
 use paraspace_analysis::campaign::Checkpoint;
 use paraspace_analysis::fitness::FailedMemberPolicy;
 use paraspace_analysis::gradient::GradientConfig;
@@ -136,8 +139,7 @@ pub(crate) fn run_pe(
         None => {
             // Self-calibration benchmark: the model's current constants
             // are the ground truth the search must recover.
-            let times = biosimware::read_time_points(model_dir)
-                .unwrap_or_else(|_| vec![1.0, 2.0, 5.0, 10.0]);
+            let times = read_time_points(model_dir)?;
             let job = SimulationJob::builder(&model)
                 .time_points(times.clone())
                 .replicate(1)

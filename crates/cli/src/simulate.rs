@@ -6,8 +6,8 @@
 
 use crate::args::{pin_flags, SIMULATE};
 use crate::{
-    campaign_error, create_dir_for, engine_by_name, report_checkpoint, CancelToken, CliError,
-    Command,
+    campaign_error, create_dir_for, engine_by_name, read_time_points, report_checkpoint,
+    CancelToken, CliError, Command,
 };
 use paraspace_analysis::campaign::{
     f64s_digest, model_digest, options_digest, CampaignError, Checkpoint, ShardLog, ShardRecord,
@@ -260,8 +260,7 @@ impl SimulateWorld {
         // checkpoint exists.
         engine_by_name(engine, 1, None, RecoveryPolicy::default(), &CancelToken::new())?;
         let model = biosimware::read_dir(model_dir)?;
-        let time_points =
-            biosimware::read_time_points(model_dir).unwrap_or_else(|_| vec![1.0, 2.0, 5.0, 10.0]);
+        let time_points = read_time_points(model_dir)?;
         let mut parameterizations = biosimware::read_parameterizations(&model, model_dir)?;
         if parameterizations.is_empty() {
             parameterizations = (0..*batch).map(|_| Parameterization::new()).collect();

@@ -9,6 +9,7 @@
 //! non-stiff workhorse; stiff simulations are re-routed to
 //! [`crate::Radau5`].
 
+use crate::step::{clamp_step, samples_at_start, step_limits};
 use crate::system::check_inputs;
 use crate::{
     initial_step_size, OdeSolver, OdeSystem, Solution, SolveFailure, SolverError, SolverOptions,
@@ -192,20 +193,14 @@ impl Dopri5 {
         system.rhs(t, &ws.y, &mut ws.k[0]);
         sol.stats.rhs_evals += 1;
 
-        // Deliver any samples at (or numerically at) t0.
-        let mut next_sample = 0;
-        while next_sample < sample_times.len() && sample_times[next_sample] <= t {
-            sol.times.push(sample_times[next_sample]);
-            sol.states.push(ws.y.clone());
-            next_sample += 1;
-        }
+        let mut next_sample = samples_at_start(&mut sol, sample_times, t, y0);
         if next_sample == sample_times.len() {
             return Ok(sol);
         }
 
         let mut h = options
             .initial_step
-            .unwrap_or_else(|| initial_step_size(&system, t, &ws.y, &ws.k[0], 1.0, 5, options));
+            .unwrap_or_else(|| initial_step_size(&system, t, &ws.y, &ws.k[0], 5, options));
         sol.stats.rhs_evals += usize::from(options.initial_step.is_none());
         let mut fac_old = 1e-4f64;
         let mut steps_since_sample = 0usize;
@@ -215,29 +210,12 @@ impl Dopri5 {
         let mut last_rejected = false;
 
         loop {
-            if let Some(budget) = options.step_budget {
-                if sol.stats.steps >= budget {
-                    sol.stats.stiffness_detected |= stiff_strikes > 0;
-                    return Err(SolveFailure {
-                        error: SolverError::StepBudgetExhausted { t, budget },
-                        stats: sol.stats,
-                    });
-                }
-            }
-            if steps_since_sample >= options.max_steps {
+            if let Some(error) = step_limits(sol.stats.steps, steps_since_sample, t, options) {
                 sol.stats.stiffness_detected |= stiff_strikes > 0;
-                return Err(SolveFailure {
-                    error: SolverError::MaxStepsExceeded { t, max_steps: options.max_steps },
-                    stats: sol.stats,
-                });
+                return Err(SolveFailure { error, stats: sol.stats });
             }
-            h = h.min(options.max_step).min(t_end - t);
-            if h <= f64::EPSILON * t.abs().max(1.0) {
-                return Err(SolveFailure {
-                    error: SolverError::StepSizeUnderflow { t },
-                    stats: sol.stats,
-                });
-            }
+            h = clamp_step(h, t, t_end, options)
+                .map_err(|error| SolveFailure { error, stats: sol.stats })?;
 
             // Every vector of the step as a slice of length `n`, cut once:
             // the loops below then index without per-element checks.

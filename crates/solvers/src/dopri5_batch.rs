@@ -38,6 +38,20 @@
 //! width 8 the stage pass ran slower (DESIGN.md "Two instruction sets"),
 //! whereas the RHS a tick calls runs its AVX2 twin on a CPU with AVX2.
 //!
+//! # Lane bookkeeping
+//!
+//! What a lane holds besides the method — its member, solution, sample
+//! cursor and step counters — and the rules around each step are the
+//! scalar drivers' own, written once in `step.rs` and shared with
+//! [`Radau5Batch`](crate::Radau5Batch). A refill validates a member with the
+//! scalar preamble's `check_inputs` and delivers its samples at `t0` with
+//! `samples_at_start`; a fresh lane's `hinit` is `hinit_probe` and
+//! `hinit_finish`, the two halves of the scalar `initial_step_size`, around
+//! one batched sweep of all fresh lanes' Euler probes; the pre-step pass asks
+//! `step_limits` and `clamp_step`, as the scalar loop head does; and one
+//! park settles a lane. This file keeps the method: the tableau, the PI
+//! controller, the stiffness detector and the dense output.
+//!
 //! # Numerical contract
 //!
 //! Per-member results are **bitwise identical** to the scalar `Dopri5`
@@ -78,9 +92,9 @@ use crate::dopri5::{
     A76, BETA, C2, C3, C4, C5, D1, D3, D4, D5, D6, D7, E1, E3, E4, E5, E6, E7, EXPO1, FAC_MAX_INV,
     FAC_MIN_INV, NONFINITE_STRIKES, SAFETY, STIFF_STRIKES, STIFF_THRESHOLD,
 };
-use crate::system::check_inputs;
-use crate::{Solution, SolveFailure, SolverError, SolverOptions, SolverScratch, StepStats};
-use paraspace_linalg::{weighted_rms_norm, with_lane_width, LaneWidth};
+use crate::step::{LaneGroup, LaneScratch};
+use crate::{Solution, SolveFailure, SolverError, SolverOptions, SolverScratch};
+use paraspace_linalg::{with_lane_width, LaneWidth};
 
 /// Work accounting for one host lane-group integration (the engines bill
 /// modelled groups instead; see the module docs).
@@ -101,26 +115,19 @@ pub struct LaneReport {
 }
 
 /// Pooled working storage for one lockstep lane-group integration: the 7
-/// stage blocks, the state, stage-argument and new-state blocks, per-lane
-/// control and reduction vectors, and scalar gather buffers for the
-/// lane-initialization arithmetic. Between two ticks only `y` and `k[0]`
-/// hold anything: lane (re)binding probes through `y_stage` and `k[1]`, and
-/// a tick that advances every lane swaps `y`/`y_new` and `k[0]`/`k[6]`.
+/// stage blocks, the state, stage-argument and new-state blocks, the lane
+/// clocks and start-up buffers, and per-lane reduction vectors. Between two
+/// ticks only `y` and `k[0]` hold anything: lane (re)binding probes through
+/// `y_stage` and `k[1]`, and a tick that advances every lane swaps
+/// `y`/`y_new` and `k[0]`/`k[6]`.
 #[derive(Debug, Default)]
 pub(crate) struct DopriBatchScratch {
     k: [BatchState; 7],
     y: BatchState,
     y_stage: BatchState,
     y_new: BatchState,
-    member_buf: Vec<f64>,
-    aux_y: Vec<f64>,
-    aux_f: Vec<f64>,
-    aux_sc: Vec<f64>,
-    aux_d: Vec<f64>,
+    lane: LaneScratch,
     r: [Vec<f64>; 5],
-    t: Vec<f64>,
-    h: Vec<f64>,
-    t_stage: Vec<f64>,
     // One tick's per-lane reductions: Σ(e/w)² over species, the stiffness
     // detector's two sums, "y_new is finite", and "advance this lane".
     err_sq: Vec<f64>,
@@ -140,24 +147,11 @@ impl DopriBatchScratch {
                 b.resize(n, lanes);
             }
         }
-        let members = [
-            &mut self.member_buf,
-            &mut self.aux_y,
-            &mut self.aux_f,
-            &mut self.aux_sc,
-            &mut self.aux_d,
-        ];
-        for v in self.r.iter_mut().chain(members) {
+        self.lane.ensure(n, lanes);
+        for v in &mut self.r {
             v.resize(n, 0.0);
         }
-        for v in [
-            &mut self.t,
-            &mut self.h,
-            &mut self.t_stage,
-            &mut self.err_sq,
-            &mut self.st_num,
-            &mut self.st_den,
-        ] {
+        for v in [&mut self.err_sq, &mut self.st_num, &mut self.st_den] {
             v.resize(lanes, 0.0);
         }
         self.finite.resize(lanes, true);
@@ -189,18 +183,26 @@ pub(crate) fn group_from_queue(
     (results, report)
 }
 
-/// Per-lane control state: everything the scalar DOPRI5 keeps in local
-/// variables for its single trajectory.
-struct LaneCtl {
-    member: usize,
-    sol: Solution,
-    next_sample: usize,
-    steps_since_sample: usize,
+/// Per-lane method state: what the scalar DOPRI5 keeps in local variables
+/// for its single trajectory beside the [`Lane`](crate::step::Lane) header.
+#[derive(Clone, Copy)]
+struct DopriLane {
     fac_old: f64,
     last_rejected: bool,
     stiff_strikes: usize,
     nonstiff_strikes: usize,
     nonfinite_strikes: usize,
+}
+
+impl DopriLane {
+    /// A freshly bound lane's state: the scalar solver's initial values.
+    const START: DopriLane = DopriLane {
+        fac_old: 1e-4,
+        last_rejected: false,
+        stiff_strikes: 0,
+        nonstiff_strikes: 0,
+        nonfinite_strikes: 0,
+    };
 }
 
 /// The lockstep lane-batched DOPRI5 solver.
@@ -315,211 +317,45 @@ fn solve_queue_impl(
     options: &SolverOptions,
     ws: &mut DopriBatchScratch,
 ) -> (Vec<(usize, Attempt)>, LaneReport) {
-    let n = system.dim();
-    let lanes = system.lanes();
-    assert!(lanes >= 1, "lane width must be at least 1");
-    let mut report = LaneReport { width: lanes, ..LaneReport::default() };
-    let mut results: Vec<(usize, Attempt)> = Vec::new();
+    let (n, lanes) = (system.dim(), system.lanes());
+    let mut group = LaneGroup::new(lanes, t0, sample_times, options, DopriLane::START);
     ws.ensure(n, lanes);
 
-    // Without samples every valid member is an empty success before it is
-    // bound to a lane (as in the scalar preamble), and `t_end` is not read.
-    let t_end = sample_times.last().copied().unwrap_or(t0);
-
-    let mut ctl: Vec<Option<LaneCtl>> = (0..lanes).map(|_| None).collect();
-    let mut fresh: Vec<usize> = Vec::with_capacity(lanes);
-    let mut exhausted = false;
-
     loop {
-        // --- Lane compaction: bind pending members into free lanes. ---
-        fresh.clear();
-        for lane in 0..lanes {
-            if ctl[lane].is_some() {
-                continue;
-            }
-            while !exhausted {
-                let Some(m) = next_member() else {
-                    exhausted = true;
-                    break;
-                };
-                // Validation mirrors the scalar preamble; an invalid
-                // member never occupies a lane.
-                system.initial_state(m, &mut ws.member_buf);
-                if let Err(error) = check_inputs(n, &ws.member_buf, t0, sample_times, options) {
-                    results.push((m, Err(SolveFailure { error, stats: StepStats::default() })));
-                    continue;
-                }
-                let mut sol = Solution::with_capacity(sample_times.len());
-                // f(t0, y0), evaluated lane-wide below (the scalar solver
-                // returns before it when no sample is requested).
-                sol.stats.rhs_evals += usize::from(!sample_times.is_empty());
-                let mut next_sample = 0;
-                while next_sample < sample_times.len() && sample_times[next_sample] <= t0 {
-                    sol.times.push(sample_times[next_sample]);
-                    sol.states.push(ws.member_buf.clone());
-                    next_sample += 1;
-                }
-                if next_sample == sample_times.len() {
-                    results.push((m, Ok(sol))); // every sample was at/before t0
-                    continue;
-                }
-                system.bind_lane(lane, m);
-                ws.y.scatter_lane(lane, &ws.member_buf);
-                ws.t[lane] = t0;
-                ws.h[lane] = 0.0;
-                ctl[lane] = Some(LaneCtl {
-                    member: m,
-                    sol,
-                    next_sample,
-                    steps_since_sample: 0,
-                    fac_old: 1e-4,
-                    last_rejected: false,
-                    stiff_strikes: 0,
-                    nonstiff_strikes: 0,
-                    nonfinite_strikes: 0,
-                });
-                fresh.push(lane);
-                break;
-            }
-        }
-
-        // --- Initialize fresh lanes: FSAL seed + Hairer hinit, lane-wide. ---
-        if !fresh.is_empty() {
-            init_fresh_lanes(system, ws, &fresh, &mut ctl, options, &mut report);
-        }
-
-        if ctl.iter().all(|c| c.is_none()) {
+        // --- Lane compaction: bind pending members into free lanes, then
+        // seed them: the FSAL derivative in `k1`, and `hinit`. ---
+        group.refill(system, next_member, &mut ws.y, &mut ws.lane);
+        let [k1, probe_f, ..] = &mut ws.k;
+        group.start_fresh(system, &mut ws.lane, &ws.y, k1, [&mut ws.y_stage, probe_f], 5);
+        if group.live() == 0 {
             break; // no live lanes and no pending members
         }
 
-        // --- Per-lane pre-step control (mirrors the scalar loop head). ---
-        let (t, h) = (&ws.t, &mut ws.h);
-        for lane in 0..lanes {
-            let mut park: Option<SolverError> = None;
-            if let Some(c) = ctl[lane].as_mut() {
-                if options.step_budget.is_some_and(|budget| c.sol.stats.steps >= budget) {
-                    let budget = options.step_budget.expect("checked above");
-                    c.sol.stats.stiffness_detected |= c.stiff_strikes > 0;
-                    park = Some(SolverError::StepBudgetExhausted { t: t[lane], budget });
-                } else if c.steps_since_sample >= options.max_steps {
-                    c.sol.stats.stiffness_detected |= c.stiff_strikes > 0;
-                    park = Some(SolverError::MaxStepsExceeded {
-                        t: t[lane],
-                        max_steps: options.max_steps,
-                    });
-                } else {
-                    h[lane] = h[lane].min(options.max_step).min(t_end - t[lane]);
-                    if h[lane] <= f64::EPSILON * t[lane].abs().max(1.0) {
-                        park = Some(SolverError::StepSizeUnderflow { t: t[lane] });
-                    }
-                }
-            }
-            if let Some(error) = park {
-                let c = ctl[lane].take().expect("parked lane was live");
-                results.push((c.member, Err(SolveFailure { error, stats: c.sol.stats })));
-                h[lane] = 0.0;
-            }
-        }
-        let live = ctl.iter().filter(|c| c.is_some()).count();
+        // --- Per-lane pre-step control (the scalar loop head). ---
+        group.pre_step(
+            &mut ws.lane,
+            |_| true,
+            |c| {
+                c.sol.stats.stiffness_detected |= c.stiff_strikes > 0;
+            },
+        );
+        let live = group.live();
         if live == 0 {
             continue; // refill (or terminate) at the loop head
         }
-        report.lockstep_iters += 1;
-        report.lane_steps += live as u64;
+        group.report.lockstep_iters += 1;
+        group.report.lane_steps += live as u64;
 
         // --- One tick at the group's width: stages 2..7 with the per-lane
         // reductions, the per-lane controller, the accepted lanes' advance. ---
         with_lane_width!(lanes, |w| {
             lockstep_stages(w, system, ws, options);
-            settle_lanes(&mut ctl, ws, sample_times, t_end, options, &mut results);
+            settle_lanes(&mut group, ws, sample_times, options);
             advance_accepted(w, ws);
         });
     }
 
-    (results, report)
-}
-
-/// Seeds the freshly bound `fresh` lanes: the FSAL derivative `f(t0, y0)`
-/// into `k1` and, unless the caller fixed it, Hairer's `hinit` step — the
-/// arithmetic of [`initial_step_size`](crate::initial_step_size) per lane,
-/// with its Euler probe batched into one sweep for all fresh lanes (live
-/// lanes pass through both sweeps with their current state).
-fn init_fresh_lanes(
-    system: &mut dyn BatchOdeSystem,
-    ws: &mut DopriBatchScratch,
-    fresh: &[usize],
-    ctl: &mut [Option<LaneCtl>],
-    options: &SolverOptions,
-    report: &mut LaneReport,
-) {
-    let DopriBatchScratch {
-        k,
-        y,
-        y_stage: probe_y,
-        aux_y,
-        aux_f,
-        aux_sc,
-        aux_d,
-        t,
-        h,
-        t_stage,
-        ..
-    } = ws;
-    let [k1, probe_f, ..] = k;
-    let n = y.dim();
-    // Live lanes' FSAL derivatives stay untouched in k1: the sweep output
-    // goes to a block that is dead until the next tick's second stage.
-    system.rhs_batch(t, y, probe_f);
-    report.refill_sweeps += 1;
-    for &lane in fresh {
-        k1.copy_lane_from(probe_f, lane);
-    }
-    if let Some(h0) = options.initial_step {
-        for &lane in fresh {
-            h[lane] = h0;
-        }
-        return;
-    }
-    probe_y.as_mut_slice().copy_from_slice(y.as_slice());
-    t_stage.copy_from_slice(t);
-    for &lane in fresh {
-        y.gather_lane(lane, aux_y);
-        k1.gather_lane(lane, aux_f);
-        for i in 0..n {
-            aux_sc[i] = options.abs_tol + options.rel_tol * aux_y[i].abs();
-        }
-        let d0 = weighted_rms_norm(aux_y, aux_sc);
-        let d1 = weighted_rms_norm(aux_f, aux_sc);
-        let h0 = if d0 < 1e-5 || d1 < 1e-5 { 1e-6 } else { 0.01 * (d0 / d1) };
-        let h0 = h0.min(options.max_step);
-        for i in 0..n {
-            aux_d[i] = aux_y[i] + h0 * aux_f[i];
-        }
-        probe_y.scatter_lane(lane, aux_d);
-        t_stage[lane] = t[lane] + h0;
-        h[lane] = h0; // provisional; finalized after the probe
-    }
-    system.rhs_batch(t_stage, probe_y, probe_f);
-    report.refill_sweeps += 1;
-    for &lane in fresh {
-        let h0 = h[lane];
-        y.gather_lane(lane, aux_y);
-        k1.gather_lane(lane, aux_f);
-        for i in 0..n {
-            aux_sc[i] = options.abs_tol + options.rel_tol * aux_y[i].abs();
-        }
-        probe_f.gather_lane(lane, aux_d);
-        for i in 0..n {
-            aux_d[i] -= aux_f[i];
-        }
-        let d1 = weighted_rms_norm(aux_f, aux_sc);
-        let d2 = weighted_rms_norm(aux_d, aux_sc) / h0;
-        let dmax = d1.max(d2);
-        let h1 = if dmax <= 1e-15 { (h0 * 1e-3).max(1e-6) } else { (0.01 / dmax).powf(1.0 / 6.0) };
-        h[lane] = (100.0 * h0).min(h1).min(options.max_step);
-        let c = ctl[lane].as_mut().expect("fresh lane is bound");
-        c.sol.stats.rhs_evals += 1;
-    }
+    group.finish()
 }
 
 /// The per-lane half of a tick: acceptance from the tick's reductions, the
@@ -529,28 +365,34 @@ fn init_fresh_lanes(
 // One copy whatever the width: nothing in here is a row pass.
 #[inline(never)]
 fn settle_lanes(
-    ctl: &mut [Option<LaneCtl>],
+    group: &mut LaneGroup<'_, DopriLane>,
     ws: &mut DopriBatchScratch,
     sample_times: &[f64],
-    t_end: f64,
     options: &SolverOptions,
-    results: &mut Vec<(usize, Attempt)>,
 ) {
-    let DopriBatchScratch { k, y, y_new, r, t, h, err_sq, st_num, st_den, finite, advance, .. } =
-        ws;
+    let DopriBatchScratch {
+        k,
+        y,
+        y_new,
+        r,
+        lane: LaneScratch { t, h, .. },
+        err_sq,
+        st_num,
+        st_den,
+        finite,
+        advance,
+        ..
+    } = ws;
     let (n, lanes) = (y.dim(), y.lanes());
     let [k1, _, k3, k4, k5, k6, k7] = &*k;
     let (k1, k3, k4) = (k1.as_slice(), k3.as_slice(), k4.as_slice());
     let (k5, k6, k7) = (k5.as_slice(), k6.as_slice(), k7.as_slice());
     let (ys, yns) = (y.as_slice(), y_new.as_slice());
     for lane in 0..lanes {
-        enum Park {
-            Done,
-            Fail(SolverError),
-        }
         advance[lane] = false;
-        let mut park: Option<Park> = None;
-        if let Some(c) = ctl[lane].as_mut() {
+        // `Ok` settles the member's solution, `Err` its failure.
+        let mut park: Option<Result<(), SolverError>> = None;
+        if let Some(c) = group.lanes[lane].as_mut() {
             c.sol.stats.rhs_evals += 6;
             c.sol.stats.steps += 1;
             c.steps_since_sample += 1;
@@ -563,7 +405,7 @@ fn settle_lanes(
                 c.last_rejected = true;
                 c.nonfinite_strikes += 1;
                 if c.nonfinite_strikes >= NONFINITE_STRIKES || h[lane] <= f64::MIN_POSITIVE * 1e4 {
-                    park = Some(Park::Fail(SolverError::NonFiniteState { t: t[lane] }));
+                    park = Some(Err(SolverError::NonFiniteState { t: t[lane] }));
                 }
             } else {
                 c.nonfinite_strikes = 0;
@@ -585,12 +427,11 @@ fn settle_lanes(
                             c.nonstiff_strikes = 0;
                             c.stiff_strikes += 1;
                             if c.stiff_strikes >= STIFF_STRIKES
-                                && (t_end - (t[lane] + h[lane])) / h[lane]
+                                && (group.t_end - (t[lane] + h[lane])) / h[lane]
                                     > options.stiffness_check_interval as f64
                             {
                                 c.sol.stats.stiffness_detected = true;
-                                park =
-                                    Some(Park::Fail(SolverError::StiffnessDetected { t: t[lane] }));
+                                park = Some(Err(SolverError::StiffnessDetected { t: t[lane] }));
                             }
                         } else {
                             c.nonstiff_strikes += 1;
@@ -649,7 +490,7 @@ fn settle_lanes(
                         t[lane] = t_new;
                         if c.next_sample == sample_times.len() {
                             c.sol.stats.stiffness_detected |= c.stiff_strikes > 0;
-                            park = Some(Park::Done);
+                            park = Some(Ok(()));
                         } else {
                             // y ← y_new and the FSAL k1 ← k7 happen for
                             // all advancing lanes at once, below.
@@ -670,14 +511,8 @@ fn settle_lanes(
                 }
             }
         }
-        if let Some(p) = park {
-            let c = ctl[lane].take().expect("parked lane was live");
-            let result = match p {
-                Park::Done => Ok(c.sol),
-                Park::Fail(error) => Err(SolveFailure { error, stats: c.sol.stats }),
-            };
-            results.push((c.member, result));
-            h[lane] = 0.0;
+        if let Some(outcome) = park {
+            group.park(lane, outcome, h);
         }
     }
 }
@@ -703,9 +538,7 @@ fn lockstep_stages<W: LaneWidth>(
         y,
         y_stage,
         y_new,
-        t,
-        h,
-        t_stage,
+        lane: LaneScratch { t, h, t_stage, .. },
         err_sq,
         st_num,
         st_den,

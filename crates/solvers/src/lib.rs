@@ -50,6 +50,7 @@ mod rkf45;
 mod scratch;
 mod sens;
 mod solution;
+mod step;
 mod system;
 
 pub use batch::{BatchOdeSystem, BatchState};
@@ -67,8 +68,10 @@ pub use sens::{AugmentedSensSystem, Dopri5Sens, Radau5Sens, SensOdeSystem, SensS
 pub use solution::{Solution, StepStats};
 pub use system::{FnSystem, OdeSolver, OdeSystem};
 
-/// Suggests an initial step size for an adaptive solver of the given order,
-/// following the classical Hairer–Nørsett–Wanner `hinit` algorithm.
+/// Suggests an initial step size for an adaptive solver whose error
+/// estimator has the given order, following the classical
+/// Hairer–Nørsett–Wanner `hinit` algorithm: [`step::hinit_probe`], one
+/// right-hand side at the Euler point, [`step::hinit_finish`].
 ///
 /// Both explicit and implicit solvers in this crate use this when the caller
 /// does not fix `h0` via [`SolverOptions::initial_step`].
@@ -77,40 +80,14 @@ pub(crate) fn initial_step_size<S: OdeSystem + ?Sized>(
     t0: f64,
     y0: &[f64],
     f0: &[f64],
-    direction: f64,
     order: usize,
     opts: &SolverOptions,
 ) -> f64 {
     let n = y0.len();
-    let mut sc = vec![0.0; n];
-    for i in 0..n {
-        sc[i] = opts.abs_tol + opts.rel_tol * y0[i].abs();
-    }
-    let d0 = paraspace_linalg::weighted_rms_norm(y0, &sc);
-    let d1 = paraspace_linalg::weighted_rms_norm(f0, &sc);
-    let h0 = if d0 < 1e-5 || d1 < 1e-5 { 1e-6 } else { 0.01 * (d0 / d1) };
-    let h0 = h0.min(opts.max_step);
-
-    // One explicit Euler probe to estimate the second derivative.
-    let mut y1 = vec![0.0; n];
-    for i in 0..n {
-        y1[i] = y0[i] + direction * h0 * f0[i];
-    }
-    let mut f1 = vec![0.0; n];
-    system.rhs(t0 + direction * h0, &y1, &mut f1);
-    let mut diff = vec![0.0; n];
-    for i in 0..n {
-        diff[i] = f1[i] - f0[i];
-    }
-    let d2 = paraspace_linalg::weighted_rms_norm(&diff, &sc) / h0;
-
-    let dmax = d1.max(d2);
-    let h1 = if dmax <= 1e-15 {
-        (h0 * 1e-3).max(1e-6)
-    } else {
-        (0.01 / dmax).powf(1.0 / (order as f64 + 1.0))
-    };
-    (100.0 * h0).min(h1).min(opts.max_step)
+    let (mut sc, mut y1, mut f1) = (vec![0.0; n], vec![0.0; n], vec![0.0; n]);
+    let h0 = step::hinit_probe(y0, f0, opts, &mut sc, &mut y1);
+    system.rhs(t0 + h0, &y1, &mut f1);
+    step::hinit_finish(y0, f0, &mut f1, &mut sc, h0, order, opts)
 }
 
 #[cfg(test)]
@@ -122,7 +99,7 @@ mod tests {
         let sys = FnSystem::new(1, |_t, y, d| d[0] = -1000.0 * y[0]);
         let opts = SolverOptions::default();
         let f0 = [-1000.0];
-        let h = initial_step_size(&sys, 0.0, &[1.0], &f0, 1.0, 5, &opts);
+        let h = initial_step_size(&sys, 0.0, &[1.0], &f0, 5, &opts);
         assert!(h > 0.0);
         assert!(h < 1e-2, "stiff system must start with a small step, got {h}");
     }
@@ -132,7 +109,7 @@ mod tests {
         let sys = FnSystem::new(1, |_t, _y, d| d[0] = 1e-9);
         let opts = SolverOptions { max_step: 0.5, ..SolverOptions::default() };
         let f0 = [1e-9];
-        let h = initial_step_size(&sys, 0.0, &[1.0], &f0, 1.0, 5, &opts);
+        let h = initial_step_size(&sys, 0.0, &[1.0], &f0, 5, &opts);
         assert!(h <= 0.5);
     }
 }

@@ -3,6 +3,7 @@
 
 use crate::multistep::core::NordsieckCore;
 use crate::multistep::MethodFamily;
+use crate::step::{samples_at_start, step_limits};
 use crate::system::check_inputs;
 use crate::{
     initial_step_size, OdeSolver, OdeSystem, Solution, SolveFailure, SolverError, SolverOptions,
@@ -39,38 +40,19 @@ where
     let mut f0 = vec![0.0; n];
     system.rhs(t0, y0, &mut f0);
     sol.stats.rhs_evals += 1;
-    let h0 = options
-        .initial_step
-        .unwrap_or_else(|| initial_step_size(&system, t0, y0, &f0, 1.0, 1, options));
+    let h0 =
+        options.initial_step.unwrap_or_else(|| initial_step_size(&system, t0, y0, &f0, 1, options));
     sol.stats.rhs_evals += usize::from(options.initial_step.is_none());
     core.initialize(system, t0, y0, h0, options, &mut sol.stats);
 
-    let mut next_sample = 0;
-    while next_sample < sample_times.len() && sample_times[next_sample] <= t0 {
-        sol.times.push(sample_times[next_sample]);
-        sol.states.push(y0.to_vec());
-        next_sample += 1;
-    }
+    let mut next_sample = samples_at_start(&mut sol, sample_times, t0, y0);
 
     let mut buf = vec![0.0; n];
     let mut steps_since_sample = 0usize;
     while next_sample < sample_times.len() {
-        if let Some(budget) = options.step_budget {
-            if sol.stats.steps >= budget {
-                return Err(SolveFailure {
-                    error: SolverError::StepBudgetExhausted { t: core.time(), budget },
-                    stats: sol.stats,
-                });
-            }
-        }
-        if steps_since_sample >= options.max_steps {
-            return Err(SolveFailure {
-                error: SolverError::MaxStepsExceeded {
-                    t: core.time(),
-                    max_steps: options.max_steps,
-                },
-                stats: sol.stats,
-            });
+        if let Some(error) = step_limits(sol.stats.steps, steps_since_sample, core.time(), options)
+        {
+            return Err(SolveFailure { error, stats: sol.stats });
         }
         if let Err(error) = core.step(system, options, &mut sol.stats) {
             return Err(SolveFailure { error, stats: sol.stats });

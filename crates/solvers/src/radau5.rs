@@ -17,6 +17,7 @@
 //! output, and Newton extrapolation from the previous collocation
 //! polynomial.
 
+use crate::step::{clamp_step, samples_at_start, step_limits};
 use crate::system::check_inputs;
 use crate::{
     initial_step_size, OdeSolver, OdeSystem, Solution, SolveFailure, SolverError, SolverOptions,
@@ -336,12 +337,9 @@ impl Radau5 {
         system.rhs(t, &ws.y, &mut ws.f0);
         sol.stats.rhs_evals += 1;
 
-        let mut next_sample = 0;
-        while next_sample < sample_times.len() && sample_times[next_sample] <= t {
-            sol.times.push(sample_times[next_sample]);
-            sol.states.push(ws.y.clone());
+        let mut next_sample = samples_at_start(&mut sol, sample_times, t, y0);
+        for _ in 0..next_sample {
             hook.initial_sample();
-            next_sample += 1;
         }
         if next_sample == sample_times.len() {
             return Ok(sol);
@@ -353,7 +351,7 @@ impl Radau5 {
 
         let mut h = options
             .initial_step
-            .unwrap_or_else(|| initial_step_size(&system, t, &ws.y, &ws.f0, 1.0, 3, options));
+            .unwrap_or_else(|| initial_step_size(&system, t, &ws.y, &ws.f0, 3, options));
         sol.stats.rhs_evals += usize::from(options.initial_step.is_none());
         h = h.min(options.max_step).min(t_end - t);
 
@@ -372,27 +370,11 @@ impl Radau5 {
         options.error_scale(&ws.y, &mut ws.scale);
 
         'steps: loop {
-            if let Some(budget) = options.step_budget {
-                if sol.stats.steps >= budget {
-                    return Err(SolveFailure {
-                        error: SolverError::StepBudgetExhausted { t, budget },
-                        stats: sol.stats,
-                    });
-                }
+            if let Some(error) = step_limits(sol.stats.steps, steps_since_sample, t, options) {
+                return Err(SolveFailure { error, stats: sol.stats });
             }
-            if steps_since_sample >= options.max_steps {
-                return Err(SolveFailure {
-                    error: SolverError::MaxStepsExceeded { t, max_steps: options.max_steps },
-                    stats: sol.stats,
-                });
-            }
-            h = h.min(options.max_step).min(t_end - t);
-            if h <= uround * t.abs().max(1.0) {
-                return Err(SolveFailure {
-                    error: SolverError::StepSizeUnderflow { t },
-                    stats: sol.stats,
-                });
-            }
+            h = clamp_step(h, t, t_end, options)
+                .map_err(|error| SolveFailure { error, stats: sol.stats })?;
 
             if need_jacobian {
                 system.jacobian(t, &ws.y, &mut ws.jac);

@@ -37,6 +37,12 @@
 //! work counters to agree — true for every mass-action network the engines
 //! route here.
 //!
+//! The lane bookkeeping — refill, `hinit`, the pre-step limits and the park
+//! — is the one `step.rs` holds for both kernels (see
+//! [`Dopri5Batch`](crate::Dopri5Batch)), at error-estimator order 3; the
+//! pre-step pass skips lanes that are mid-Newton, which are not at a step
+//! start.
+//!
 //! Masked (parked or never-bound) lanes still flow through the stage
 //! arithmetic with whatever state they last held; their results are
 //! discarded, and the masked LU kernels skip them outright so a retired
@@ -60,14 +66,15 @@ use crate::radau5::{
     ALPH, BETA, FACL, FACR, NIT, QUOT1, QUOT2, SAFE, SQ6, T11, T12, T13, T21, T22, T23, T31, THET,
     TI11, TI12, TI13, TI21, TI22, TI23, TI31, TI32, TI33, U1,
 };
-use crate::system::check_inputs;
-use crate::{Solution, SolveFailure, SolverError, SolverOptions, SolverScratch, StepStats};
+use crate::step::{LaneGroup, LaneScratch};
+use crate::{SolverError, SolverOptions, SolverScratch};
 use paraspace_linalg::{with_lane_width, BatchCluFactor, BatchLuFactor, Complex64, LaneWidth};
 
 /// Pooled working storage for one lockstep Radau lane-group integration:
 /// SoA blocks for the state, stage values, transformed Newton variables and
 /// residuals, the dense-output polynomial, per-lane Jacobian storage, the
-/// two batched LU factorizations, and per-lane control vectors.
+/// two batched LU factorizations, the lane clocks and start-up buffers, and
+/// per-lane control vectors.
 #[derive(Debug, Default)]
 pub(crate) struct RadauBatchScratch {
     y: BatchState,
@@ -101,15 +108,8 @@ pub(crate) struct RadauBatchScratch {
     jac_probe: Vec<f64>,
     lu_real: BatchLuFactor,
     lu_cplx: BatchCluFactor,
-    member_buf: Vec<f64>,
-    aux_y: Vec<f64>,
-    aux_f: Vec<f64>,
-    aux_sc: Vec<f64>,
-    aux_d: Vec<f64>,
+    lane: LaneScratch,
     sample_buf: Vec<f64>,
-    t: Vec<f64>,
-    h: Vec<f64>,
-    t_stage: Vec<f64>,
     fac1v: Vec<f64>,
     alphnv: Vec<f64>,
     betanv: Vec<f64>,
@@ -162,20 +162,9 @@ impl RadauBatchScratch {
         self.jac_probe.resize(n * n * lanes, 0.0);
         self.lu_real.ensure(n, lanes);
         self.lu_cplx.ensure(n, lanes);
+        self.lane.ensure(n, lanes);
+        self.sample_buf.resize(n, 0.0);
         for v in [
-            &mut self.member_buf,
-            &mut self.aux_y,
-            &mut self.aux_f,
-            &mut self.aux_sc,
-            &mut self.aux_d,
-            &mut self.sample_buf,
-        ] {
-            v.resize(n, 0.0);
-        }
-        for v in [
-            &mut self.t,
-            &mut self.h,
-            &mut self.t_stage,
             &mut self.fac1v,
             &mut self.alphnv,
             &mut self.betanv,
@@ -232,15 +221,12 @@ fn build_and_factor(
     cplx.factor(mask);
 }
 
-/// Per-lane control state: everything the scalar RADAU5 keeps in local
-/// variables for its single trajectory, plus the lane's position inside the
-/// step state machine (between ticks a lane is either at *step start* or
-/// mid-Newton).
-struct LaneCtl {
-    member: usize,
-    sol: Solution,
-    next_sample: usize,
-    steps_since_sample: usize,
+/// Per-lane method state: what the scalar RADAU5 keeps in local variables
+/// for its single trajectory beside the [`Lane`](crate::step::Lane)
+/// header, plus the lane's position inside the step state machine (between
+/// ticks a lane is either at *step start* or mid-Newton).
+#[derive(Clone, Copy)]
+struct RadauLane {
     need_jacobian: bool,
     need_factor: bool,
     first: bool,
@@ -258,6 +244,29 @@ struct LaneCtl {
     theta: f64,
     dyno_old: f64,
     thq_old: f64,
+}
+
+impl RadauLane {
+    /// A freshly bound lane's state: the scalar solver's initial values.
+    const START: RadauLane = RadauLane {
+        need_jacobian: true,
+        need_factor: true,
+        first: true,
+        last_rejected: false,
+        faccon: 1.0,
+        hacc: 0.0, // seeded after hinit
+        erracc: 1e-2,
+        singular_retries: 0,
+        newton_failures: 0,
+        have_cont: false,
+        cont_h: 0.0,
+        in_newton: false,
+        newt: 0,
+        newton_iters: 0,
+        theta: 2.0 * THET,
+        dyno_old: 0.0,
+        thq_old: 0.0,
+    };
 }
 
 /// The lockstep lane-batched RADAU5 solver.
@@ -395,12 +404,8 @@ fn solve_queue_impl(
     options: &SolverOptions,
     ws: &mut RadauBatchScratch,
 ) -> (Vec<(usize, Attempt)>, LaneReport) {
-    let n = system.dim();
-    let lanes = system.lanes();
-    assert!(lanes >= 1, "lane width must be at least 1");
-    let mut report = LaneReport { width: lanes, ..LaneReport::default() };
-    let mut results: Vec<(usize, Attempt)> = Vec::new();
-
+    let (n, lanes) = (system.dim(), system.lanes());
+    let mut group = LaneGroup::new(lanes, t0, sample_times, options, RadauLane::START);
     ws.ensure(n, lanes);
 
     let RadauBatchScratch {
@@ -432,15 +437,8 @@ fn solve_queue_impl(
         jac_probe,
         lu_real,
         lu_cplx,
-        member_buf,
-        aux_y,
-        aux_f,
-        aux_sc,
-        aux_d,
+        lane: ls,
         sample_buf,
-        t,
-        h,
-        t_stage,
         fac1v,
         alphnv,
         betanv,
@@ -466,197 +464,41 @@ fn solve_queue_impl(
     let uround = f64::EPSILON;
     let fnewt = (10.0 * uround / options.rel_tol).max(0.03f64.min(options.rel_tol.sqrt()));
 
-    // Without samples every valid member is an empty success before it is
-    // bound to a lane (as in the scalar preamble), and `t_end` is not read.
-    let t_end = sample_times.last().copied().unwrap_or(t0);
-
-    let mut ctl: Vec<Option<LaneCtl>> = (0..lanes).map(|_| None).collect();
-    let mut fresh: Vec<usize> = Vec::with_capacity(lanes);
-    let mut exhausted = false;
-
     loop {
-        // --- Lane compaction: bind pending members into free lanes. ---
-        fresh.clear();
-        for lane in 0..lanes {
-            if ctl[lane].is_some() {
-                continue;
-            }
-            while !exhausted {
-                let Some(m) = next_member() else {
-                    exhausted = true;
-                    break;
-                };
-                // Validation mirrors the scalar preamble; an invalid
-                // member never occupies a lane.
-                system.initial_state(m, member_buf);
-                if let Err(error) = check_inputs(n, member_buf, t0, sample_times, options) {
-                    results.push((m, Err(SolveFailure { error, stats: StepStats::default() })));
-                    continue;
-                }
-                let mut sol = Solution::with_capacity(sample_times.len());
-                // f(t0, y0), evaluated lane-wide below (the scalar solver
-                // returns before it when no sample is requested).
-                sol.stats.rhs_evals += usize::from(!sample_times.is_empty());
-                let mut next_sample = 0;
-                while next_sample < sample_times.len() && sample_times[next_sample] <= t0 {
-                    sol.times.push(sample_times[next_sample]);
-                    sol.states.push(member_buf.clone());
-                    next_sample += 1;
-                }
-                if next_sample == sample_times.len() {
-                    results.push((m, Ok(sol))); // every sample was at/before t0
-                    continue;
-                }
-                system.bind_lane(lane, m);
-                y.scatter_lane(lane, member_buf);
-                t[lane] = t0;
-                h[lane] = 0.0;
-                ctl[lane] = Some(LaneCtl {
-                    member: m,
-                    sol,
-                    next_sample,
-                    steps_since_sample: 0,
-                    need_jacobian: true,
-                    need_factor: true,
-                    first: true,
-                    last_rejected: false,
-                    faccon: 1.0,
-                    hacc: 0.0, // finalized after hinit
-                    erracc: 1e-2,
-                    singular_retries: 0,
-                    newton_failures: 0,
-                    have_cont: false,
-                    cont_h: 0.0,
-                    in_newton: false,
-                    newt: 0,
-                    newton_iters: 0,
-                    theta: 2.0 * THET,
-                    dyno_old: 0.0,
-                    thq_old: 0.0,
-                });
-                fresh.push(lane);
-                break;
+        // --- Lane compaction: bind pending members into free lanes, then
+        // seed them: `f0`, and `hinit` at error-estimator order 3. ---
+        group.refill(system, next_member, y, ls);
+        group.start_fresh(system, ls, y, f0, [&mut *probe_y, &mut *probe_f], 3);
+        // Post-hinit clamp, Gustafsson memory seed, and error scale (the
+        // scalar preamble's tail).
+        for &lane in &group.fresh {
+            ls.h[lane] = ls.h[lane].min(options.max_step).min(group.t_end - ls.t[lane]);
+            let c = group.lanes[lane].as_mut().expect("fresh lane is bound");
+            c.hacc = ls.h[lane];
+            let (yv, sc) = (y.as_slice(), scale.as_mut_slice());
+            for i in 0..n {
+                let il = i * lanes + lane;
+                sc[il] = options.abs_tol + options.rel_tol * yv[il].abs();
             }
         }
-
-        // --- Initialize fresh lanes: f0 seed + Hairer hinit (order 3). ---
-        if !fresh.is_empty() {
-            // One sweep computes f(t0, y0) for every fresh lane; live lanes'
-            // stored f0 stays untouched (the sweep output goes to a
-            // temporary block).
-            system.rhs_batch(t, y, probe_f);
-            report.refill_sweeps += 1;
-            for &lane in &fresh {
-                f0.copy_lane_from(probe_f, lane);
-            }
-            if let Some(h0) = options.initial_step {
-                for &lane in &fresh {
-                    h[lane] = h0;
-                }
-            } else {
-                // Lane-wise `initial_step_size` at error-estimator order 3:
-                // same arithmetic, with the Euler probe batched into a
-                // single sweep for all fresh lanes.
-                probe_y.as_mut_slice().copy_from_slice(y.as_slice());
-                t_stage.copy_from_slice(t);
-                for &lane in &fresh {
-                    y.gather_lane(lane, aux_y);
-                    f0.gather_lane(lane, aux_f);
-                    for i in 0..n {
-                        aux_sc[i] = options.abs_tol + options.rel_tol * aux_y[i].abs();
-                    }
-                    let d0 = paraspace_linalg::weighted_rms_norm(aux_y, aux_sc);
-                    let d1 = paraspace_linalg::weighted_rms_norm(aux_f, aux_sc);
-                    let h0 = if d0 < 1e-5 || d1 < 1e-5 { 1e-6 } else { 0.01 * (d0 / d1) };
-                    let h0 = h0.min(options.max_step);
-                    for i in 0..n {
-                        aux_d[i] = aux_y[i] + h0 * aux_f[i];
-                    }
-                    probe_y.scatter_lane(lane, aux_d);
-                    t_stage[lane] = t[lane] + h0;
-                    h[lane] = h0; // provisional; finalized after the probe
-                }
-                system.rhs_batch(t_stage, probe_y, probe_f);
-                report.refill_sweeps += 1;
-                for &lane in &fresh {
-                    let h0 = h[lane];
-                    y.gather_lane(lane, aux_y);
-                    f0.gather_lane(lane, aux_f);
-                    for i in 0..n {
-                        aux_sc[i] = options.abs_tol + options.rel_tol * aux_y[i].abs();
-                    }
-                    probe_f.gather_lane(lane, aux_d);
-                    for i in 0..n {
-                        aux_d[i] -= aux_f[i];
-                    }
-                    let d1 = paraspace_linalg::weighted_rms_norm(aux_f, aux_sc);
-                    let d2 = paraspace_linalg::weighted_rms_norm(aux_d, aux_sc) / h0;
-                    let dmax = d1.max(d2);
-                    let h1 = if dmax <= 1e-15 {
-                        (h0 * 1e-3).max(1e-6)
-                    } else {
-                        (0.01 / dmax).powf(1.0 / 4.0)
-                    };
-                    h[lane] = (100.0 * h0).min(h1).min(options.max_step);
-                    let c = ctl[lane].as_mut().expect("fresh lane is bound");
-                    c.sol.stats.rhs_evals += 1;
-                }
-            }
-            // Post-hinit clamp, Gustafsson memory seed, and error scale
-            // (the scalar preamble's tail).
-            for &lane in &fresh {
-                h[lane] = h[lane].min(options.max_step).min(t_end - t[lane]);
-                let c = ctl[lane].as_mut().expect("fresh lane is bound");
-                c.hacc = h[lane];
-                let (yv, sc) = (y.as_slice(), scale.as_mut_slice());
-                for i in 0..n {
-                    let il = i * lanes + lane;
-                    sc[il] = options.abs_tol + options.rel_tol * yv[il].abs();
-                }
-            }
-        }
-
-        if ctl.iter().all(|c| c.is_none()) {
+        if group.live() == 0 {
             break; // no live lanes and no pending members
         }
 
-        // --- Per-lane pre-step control for lanes at step start (mirrors
-        // the scalar loop head; mid-Newton lanes skip it). ---
-        for lane in 0..lanes {
-            let mut park: Option<SolverError> = None;
-            if let Some(c) = ctl[lane].as_mut() {
-                if !c.in_newton {
-                    if options.step_budget.is_some_and(|budget| c.sol.stats.steps >= budget) {
-                        let budget = options.step_budget.expect("checked above");
-                        park = Some(SolverError::StepBudgetExhausted { t: t[lane], budget });
-                    } else if c.steps_since_sample >= options.max_steps {
-                        park = Some(SolverError::MaxStepsExceeded {
-                            t: t[lane],
-                            max_steps: options.max_steps,
-                        });
-                    } else {
-                        h[lane] = h[lane].min(options.max_step).min(t_end - t[lane]);
-                        if h[lane] <= uround * t[lane].abs().max(1.0) {
-                            park = Some(SolverError::StepSizeUnderflow { t: t[lane] });
-                        }
-                    }
-                }
-            }
-            if let Some(error) = park {
-                let c = ctl[lane].take().expect("parked lane was live");
-                results.push((c.member, Err(SolveFailure { error, stats: c.sol.stats })));
-                h[lane] = 0.0;
-            }
-        }
-        if ctl.iter().all(|c| c.is_none()) {
+        // --- Per-lane pre-step control for lanes at step start (the scalar
+        // loop head; mid-Newton lanes skip it). ---
+        group.pre_step(ls, |c| !c.in_newton, |_| {});
+        if group.live() == 0 {
             continue; // refill (or terminate) at the loop head
         }
+        let LaneScratch { t, h, t_stage, .. } = &mut *ls;
 
         // --- Masked Jacobian refresh: one lane-wide sweep, copied out into
         // the lane-major blocks of the lanes that asked. ---
         let mut any_jac = false;
         for lane in 0..lanes {
-            jac_mask[lane] = ctl[lane].as_ref().is_some_and(|c| !c.in_newton && c.need_jacobian);
+            jac_mask[lane] =
+                group.lanes[lane].as_ref().is_some_and(|c| !c.in_newton && c.need_jacobian);
             any_jac |= jac_mask[lane];
         }
         if any_jac {
@@ -670,7 +512,7 @@ fn solve_queue_impl(
                 {
                     *dst = src;
                 }
-                let c = ctl[lane].as_mut().expect("jacobian lane is live");
+                let c = group.lanes[lane].as_mut().expect("jacobian lane is live");
                 c.sol.stats.jacobian_evals += 1;
                 c.need_jacobian = false;
                 c.need_factor = true;
@@ -682,7 +524,8 @@ fn solve_queue_impl(
         // factor them batched. ---
         let mut any_factor = false;
         for lane in 0..lanes {
-            factor_mask[lane] = ctl[lane].as_ref().is_some_and(|c| !c.in_newton && c.need_factor);
+            factor_mask[lane] =
+                group.lanes[lane].as_ref().is_some_and(|c| !c.in_newton && c.need_factor);
             any_factor |= factor_mask[lane];
         }
         if any_factor {
@@ -693,7 +536,7 @@ fn solve_queue_impl(
                 }
                 let mut park: Option<SolverError> = None;
                 {
-                    let c = ctl[lane].as_mut().expect("factor lane is live");
+                    let c = group.lanes[lane].as_mut().expect("factor lane is live");
                     if lu_real.is_singular(lane) || lu_cplx.is_singular(lane) {
                         c.singular_retries += 1;
                         if c.singular_retries > 8 {
@@ -711,9 +554,7 @@ fn solve_queue_impl(
                     }
                 }
                 if let Some(error) = park {
-                    let c = ctl[lane].take().expect("parked lane was live");
-                    results.push((c.member, Err(SolveFailure { error, stats: c.sol.stats })));
-                    h[lane] = 0.0;
+                    group.park(lane, Err(error), h);
                 }
             }
         }
@@ -721,7 +562,7 @@ fn solve_queue_impl(
         // --- Newton start: lanes at step start with a valid factorization
         // initialize z, w and the iteration bookkeeping. ---
         for lane in 0..lanes {
-            let Some(c) = ctl[lane].as_mut() else { continue };
+            let Some(c) = group.lanes[lane].as_mut() else { continue };
             if c.in_newton || c.need_factor {
                 continue; // mid-Newton, or waiting out a singular retry
             }
@@ -781,20 +622,20 @@ fn solve_queue_impl(
         // sit at different iteration counts; the arithmetic is identical. ---
         let mut n_newton = 0u64;
         for lane in 0..lanes {
-            newton_mask[lane] = ctl[lane].as_ref().is_some_and(|c| c.in_newton);
+            newton_mask[lane] = group.lanes[lane].as_ref().is_some_and(|c| c.in_newton);
             n_newton += u64::from(newton_mask[lane]);
         }
         if n_newton == 0 {
             continue; // every live lane is waiting out a singular retry
         }
-        report.lockstep_iters += 1;
-        report.lane_steps += n_newton;
+        group.report.lockstep_iters += 1;
+        group.report.lane_steps += n_newton;
 
         for lane in 0..lanes {
             if !newton_mask[lane] {
                 continue;
             }
-            let c = ctl[lane].as_mut().expect("newton lane is live");
+            let c = group.lanes[lane].as_mut().expect("newton lane is live");
             c.newton_iters = c.newt + 1;
             c.sol.stats.rhs_evals += 3;
             c.sol.stats.nonlinear_iters += 1;
@@ -856,7 +697,7 @@ fn solve_queue_impl(
             }
             let mut park: Option<SolverError> = None;
             {
-                let c = ctl[lane].as_mut().expect("newton lane is live");
+                let c = group.lanes[lane].as_mut().expect("newton lane is live");
                 let dyno = (dyno_acc[lane] / (3 * n) as f64).sqrt();
                 enum Outcome {
                     Continue,
@@ -927,9 +768,7 @@ fn solve_queue_impl(
                 }
             }
             if let Some(error) = park {
-                let c = ctl[lane].take().expect("parked lane was live");
-                results.push((c.member, Err(SolveFailure { error, stats: c.sol.stats })));
-                h[lane] = 0.0;
+                group.park(lane, Err(error), h);
             }
         }
 
@@ -962,7 +801,7 @@ fn solve_queue_impl(
                 if !conv_mask[lane] {
                     continue;
                 }
-                let c = ctl[lane].as_mut().expect("converged lane is live");
+                let c = group.lanes[lane].as_mut().expect("converged lane is live");
                 c.sol.stats.linear_solves += 1;
                 err_norm[lane] =
                     lane_wrms(err_v.as_slice(), scale.as_slice(), n, lanes, lane).max(1e-10);
@@ -1004,7 +843,7 @@ fn solve_queue_impl(
                     if !refine_mask[lane] {
                         continue;
                     }
-                    let c = ctl[lane].as_mut().expect("refining lane is live");
+                    let c = group.lanes[lane].as_mut().expect("refining lane is live");
                     c.sol.stats.rhs_evals += 1;
                     c.sol.stats.linear_solves += 1;
                     err_norm[lane] =
@@ -1020,13 +859,10 @@ fn solve_queue_impl(
             if !conv_mask[lane] {
                 continue;
             }
-            enum Park {
-                Done,
-                Fail(SolverError),
-            }
-            let mut park: Option<Park> = None;
+            // `Ok` settles the member's solution, `Err` its failure.
+            let mut park: Option<Result<(), SolverError>> = None;
             {
-                let c = ctl[lane].as_mut().expect("converged lane is live");
+                let c = group.lanes[lane].as_mut().expect("converged lane is live");
                 c.sol.stats.steps += 1;
                 c.steps_since_sample += 1;
                 let err = err_norm[lane];
@@ -1118,11 +954,11 @@ fn solve_queue_impl(
                     }
                     let finite = (0..n).all(|i| y.as_slice()[i * lanes + lane].is_finite());
                     if !finite {
-                        park = Some(Park::Fail(SolverError::NonFiniteState { t: t_new }));
+                        park = Some(Err(SolverError::NonFiniteState { t: t_new }));
                     } else {
                         t[lane] = t_new;
                         if c.next_sample == sample_times.len() {
-                            park = Some(Park::Done);
+                            park = Some(Ok(()));
                         } else {
                             // f0 refresh is deferred to one lane-wide sweep
                             // below; the reuse policy is pure control state.
@@ -1153,14 +989,8 @@ fn solve_queue_impl(
                     }
                 }
             }
-            if let Some(p) = park {
-                let c = ctl[lane].take().expect("parked lane was live");
-                let attempt = match p {
-                    Park::Done => Ok(c.sol),
-                    Park::Fail(error) => Err(SolveFailure { error, stats: c.sol.stats }),
-                };
-                results.push((c.member, attempt));
-                h[lane] = 0.0;
+            if let Some(outcome) = park {
+                group.park(lane, outcome, h);
             }
         }
 
@@ -1173,7 +1003,7 @@ fn solve_queue_impl(
                     continue;
                 }
                 f0.copy_lane_from(probe_f, lane);
-                let c = ctl[lane].as_mut().expect("refreshed lane is live");
+                let c = group.lanes[lane].as_mut().expect("refreshed lane is live");
                 c.sol.stats.rhs_evals += 1;
                 let (yv, sc) = (y.as_slice(), scale.as_mut_slice());
                 for i in 0..n {
@@ -1184,7 +1014,7 @@ fn solve_queue_impl(
         }
     }
 
-    (results, report)
+    group.finish()
 }
 
 // The Newton iteration's row passes: every formula is the scalar solver's,
@@ -1300,7 +1130,7 @@ fn lane_wrms(x: &[f64], w: &[f64], n: usize, lanes: usize, lane: usize) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OdeSolver, OdeSystem, Radau5};
+    use crate::{OdeSolver, OdeSystem, Radau5, Solution, SolveFailure};
     use paraspace_linalg::Matrix;
     use paraspace_vgpu::LaneGroupStats;
 

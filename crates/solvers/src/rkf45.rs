@@ -8,6 +8,7 @@
 //! [`crate::Dopri5`] the comparison experiments expose.
 
 use crate::dopri5::NONFINITE_STRIKES;
+use crate::step::{clamp_step, step_limits};
 use crate::system::check_inputs;
 use crate::{
     initial_step_size, OdeSolver, OdeSystem, Solution, SolveFailure, SolverError, SolverOptions,
@@ -104,7 +105,7 @@ impl OdeSolver for Rkf45 {
         sol.stats.rhs_evals += 1;
         let mut h = options
             .initial_step
-            .unwrap_or_else(|| initial_step_size(&system, t, &y, &k[0], 1.0, 4, options));
+            .unwrap_or_else(|| initial_step_size(&system, t, &y, &k[0], 4, options));
         sol.stats.rhs_evals += usize::from(options.initial_step.is_none());
         let mut nonfinite_strikes = 0usize;
 
@@ -116,27 +117,11 @@ impl OdeSolver for Rkf45 {
             }
             let mut steps_this_interval = 0usize;
             while t < ts {
-                if let Some(budget) = options.step_budget {
-                    if sol.stats.steps >= budget {
-                        return Err(SolveFailure {
-                            error: SolverError::StepBudgetExhausted { t, budget },
-                            stats: sol.stats,
-                        });
-                    }
+                if let Some(error) = step_limits(sol.stats.steps, steps_this_interval, t, options) {
+                    return Err(SolveFailure { error, stats: sol.stats });
                 }
-                if steps_this_interval >= options.max_steps {
-                    return Err(SolveFailure {
-                        error: SolverError::MaxStepsExceeded { t, max_steps: options.max_steps },
-                        stats: sol.stats,
-                    });
-                }
-                let h_try = h.min(options.max_step).min(ts - t);
-                if h_try <= f64::EPSILON * t.abs().max(1.0) {
-                    return Err(SolveFailure {
-                        error: SolverError::StepSizeUnderflow { t },
-                        stats: sol.stats,
-                    });
-                }
+                let h_try = clamp_step(h, t, ts, options)
+                    .map_err(|error| SolveFailure { error, stats: sol.stats })?;
 
                 system.rhs(t, &y, &mut k[0]);
                 for i in 0..n {

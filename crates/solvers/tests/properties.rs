@@ -1,8 +1,11 @@
 //! Property-based tests of the solver suite: accuracy against analytic
 //! solutions and cross-solver agreement over randomized problems.
 
+use paraspace_linalg::Matrix;
 use paraspace_solvers::{
-    AdamsMoulton, Bdf, Dopri5, FnSystem, Lsoda, OdeSolver, Radau5, Rkf45, SolverOptions, Vode,
+    AdamsMoulton, BatchOdeSystem, BatchState, Bdf, Dopri5, Dopri5Batch, FnSystem, Lsoda, OdeSolver,
+    OdeSystem, Radau5, Radau5Batch, Rkf45, SolveFailure, SolverError, SolverOptions, SolverScratch,
+    Vode,
 };
 use proptest::prelude::*;
 
@@ -99,6 +102,134 @@ proptest! {
             // strict global-error guarantee.
             prop_assert!(err <= last_err * 10.0 + 1e-15, "err {err} vs prior {last_err} at rtol {rtol}");
             last_err = err.max(1e-16);
+        }
+    }
+}
+
+/// A decay chain `y0 → y1 → ∅` with rates `(a, b)`, an analytic Jacobian
+/// for the implicit drivers.
+struct Chain {
+    a: f64,
+    b: f64,
+}
+
+impl OdeSystem for Chain {
+    fn dim(&self) -> usize {
+        2
+    }
+    fn rhs(&self, _t: f64, y: &[f64], d: &mut [f64]) {
+        d[0] = -self.a * y[0];
+        d[1] = self.a * y[0] - self.b * y[1];
+    }
+    fn jacobian(&self, _t: f64, _y: &[f64], jac: &mut Matrix) {
+        jac[(0, 0)] = -self.a;
+        jac[(0, 1)] = 0.0;
+        jac[(1, 0)] = self.a;
+        jac[(1, 1)] = -self.b;
+    }
+    fn has_analytic_jacobian(&self) -> bool {
+        true
+    }
+}
+
+/// The [`Chain`] members as one lane group: each lane runs its member's
+/// scalar arithmetic.
+struct ChainLanes {
+    members: Vec<Chain>,
+    bound: Vec<usize>,
+}
+
+impl BatchOdeSystem for ChainLanes {
+    fn dim(&self) -> usize {
+        2
+    }
+    fn lanes(&self) -> usize {
+        self.bound.len()
+    }
+    fn members(&self) -> usize {
+        self.members.len()
+    }
+    fn initial_state(&self, _member: usize, y0: &mut [f64]) {
+        y0.copy_from_slice(&[1.0, 0.0]);
+    }
+    fn bind_lane(&mut self, lane: usize, member: usize) {
+        self.bound[lane] = member;
+    }
+    fn rhs_batch(&mut self, t: &[f64], y: &BatchState, dydt: &mut BatchState) {
+        for (l, &m) in self.bound.iter().enumerate() {
+            let (mut yl, mut dl) = ([0.0; 2], [0.0; 2]);
+            y.gather_lane(l, &mut yl);
+            self.members[m].rhs(t[l], &yl, &mut dl);
+            dydt.scatter_lane(l, &dl);
+        }
+    }
+    fn supports_jacobian_batch(&self) -> bool {
+        true
+    }
+    fn jacobian_batch(&mut self, t: &[f64], y: &BatchState, jac: &mut [f64]) {
+        let lanes = self.bound.len();
+        for (l, &m) in self.bound.iter().enumerate() {
+            let (mut yl, mut jl) = ([0.0; 2], Matrix::zeros(2, 2));
+            y.gather_lane(l, &mut yl);
+            self.members[m].jacobian(t[l], &yl, &mut jl);
+            for (i, &v) in jl.as_slice().iter().enumerate() {
+                jac[i * lanes + l] = v;
+            }
+        }
+    }
+}
+
+/// Member `m` of the chain family the step-limit test runs.
+fn chain(m: usize) -> Chain {
+    Chain { a: 0.5 + 0.25 * m as f64, b: 2.0 }
+}
+
+/// Every driver checks the same limits at each step start, in the same
+/// order: the total `step_budget` first, then the per-interval
+/// `max_steps`. Whichever binds first stops the solve — both at once is
+/// the budget — and a lane of either lockstep kernel stops at the same
+/// `t` with the same counters as its scalar twin, at any width.
+#[test]
+fn every_driver_stops_on_the_step_limit_that_binds_first() {
+    let (y0, times) = ([1.0, 0.0], [40.0]);
+    // (step_budget, max_steps, whether the budget is what stops).
+    for (budget, max_steps, budget_binds) in [(4, 1000, true), (1000, 4, false), (4, 4, true)] {
+        let opts =
+            SolverOptions { step_budget: Some(budget), max_steps, ..SolverOptions::default() };
+        let stopped = |failure: &SolveFailure| match failure.error {
+            SolverError::StepBudgetExhausted { budget: b, .. } => budget_binds && b == budget,
+            SolverError::MaxStepsExceeded { max_steps: m, .. } => !budget_binds && m == max_steps,
+            _ => false,
+        };
+        let solvers: [&dyn OdeSolver; 7] = [
+            &Dopri5::new(),
+            &Rkf45::new(),
+            &AdamsMoulton::new(),
+            &Radau5::new(),
+            &Bdf::new(),
+            &Lsoda::new(),
+            &Vode::new(),
+        ];
+        for s in solvers {
+            let failure = s.solve(&chain(0), 0.0, &y0, &times, &opts).unwrap_err();
+            assert!(stopped(&failure), "{} at {opts:?}: {failure}", s.name());
+        }
+        for width in [1, 4] {
+            let group =
+                || ChainLanes { members: (0..4).map(chain).collect(), bound: vec![0; width] };
+            let scratch = &mut SolverScratch::new();
+            let dopri = Dopri5Batch::new().solve_group(&mut group(), 0.0, &times, &opts, scratch);
+            let radau = Radau5Batch::new().solve_group(&mut group(), 0.0, &times, &opts, scratch);
+            let twins: [(&dyn OdeSolver, _); 2] =
+                [(&Dopri5::new(), dopri.0), (&Radau5::new(), radau.0)];
+            for (scalar, attempts) in twins {
+                for (m, attempt) in attempts.into_iter().enumerate() {
+                    let at =
+                        format!("{} lanes, width {width}, member {m}, {opts:?}", scalar.name());
+                    assert!(attempt.as_ref().is_err_and(stopped), "{at}: {attempt:?}");
+                    assert_eq!(attempt, scalar.solve(&chain(m), 0.0, &y0, &times, &opts), "{at}");
+                }
+            }
         }
     }
 }
