@@ -8,14 +8,19 @@
 //! [`SolverOptions::stiffness_check_interval`]). This is the engine's
 //! non-stiff workhorse; stiff simulations are re-routed to
 //! [`crate::Radau5`].
+//!
+//! The step controller — [`settle`](Run::settle) on a member's
+//! [`DopriLane`] state — and the [`dense_output`] are written once, here:
+//! the scalar loop calls them on its vectors, and each lane of
+//! [`Dopri5Batch`](crate::Dopri5Batch) on its column of the lane-major
+//! blocks.
 
-use crate::step::{clamp_step, samples_at_start, step_limits};
+use crate::step::{clamp_step, reject_nonfinite, samples_at_start, wrms, Column, Run};
 use crate::system::check_inputs;
 use crate::{
     initial_step_size, OdeSolver, OdeSystem, Solution, SolveFailure, SolverError, SolverOptions,
     SolverScratch,
 };
-use paraspace_linalg::weighted_rms_norm;
 
 // Nodes.
 pub(crate) const C2: f64 = 1.0 / 5.0;
@@ -55,27 +60,172 @@ pub(crate) const E6: f64 = 22.0 / 525.0;
 pub(crate) const E7: f64 = -1.0 / 40.0;
 
 // Dense-output coefficients.
-pub(crate) const D1: f64 = -12715105075.0 / 11282082432.0;
-pub(crate) const D3: f64 = 87487479700.0 / 32700410799.0;
-pub(crate) const D4: f64 = -10690763975.0 / 1880347072.0;
-pub(crate) const D5: f64 = 701980252875.0 / 199316789632.0;
-pub(crate) const D6: f64 = -1453857185.0 / 822651844.0;
-pub(crate) const D7: f64 = 69997945.0 / 29380423.0;
+const D1: f64 = -12715105075.0 / 11282082432.0;
+const D3: f64 = 87487479700.0 / 32700410799.0;
+const D4: f64 = -10690763975.0 / 1880347072.0;
+const D5: f64 = 701980252875.0 / 199316789632.0;
+const D6: f64 = -1453857185.0 / 822651844.0;
+const D7: f64 = 69997945.0 / 29380423.0;
 
 // Controller constants (dopri5.f defaults).
-pub(crate) const SAFETY: f64 = 0.9;
-pub(crate) const BETA: f64 = 0.04;
-pub(crate) const EXPO1: f64 = 0.2 - BETA * 0.75;
-pub(crate) const FAC_MIN_INV: f64 = 5.0; // 1/0.2: max shrink factor denominator
-pub(crate) const FAC_MAX_INV: f64 = 0.1; // 1/10: max growth factor denominator
-pub(crate) const STIFF_THRESHOLD: f64 = 3.25;
-pub(crate) const STIFF_STRIKES: usize = 15;
-// Consecutive non-finite rejections before the step is declared
-// unsalvageable. Each rejection shrinks h by 10×; a state that is still
-// non-finite after this many shrinks is NaN/Inf independent of h, which
-// step reduction can never fix — fail fast as `NonFiniteState` instead of
-// grinding h down to the underflow threshold.
-pub(crate) const NONFINITE_STRIKES: usize = 5;
+const SAFETY: f64 = 0.9;
+const BETA: f64 = 0.04;
+const EXPO1: f64 = 0.2 - BETA * 0.75;
+const FAC_MIN_INV: f64 = 5.0; // 1/0.2: max shrink factor denominator
+const FAC_MAX_INV: f64 = 0.1; // 1/10: max growth factor denominator
+const STIFF_THRESHOLD: f64 = 3.25;
+const STIFF_STRIKES: usize = 15;
+
+/// One member's step-control state: what the controller carries from one
+/// step to the next, for a scalar solve and for a lane alike.
+#[derive(Clone, Copy)]
+pub(crate) struct DopriLane {
+    fac_old: f64,
+    last_rejected: bool,
+    stiff_strikes: usize,
+    nonstiff_strikes: usize,
+    nonfinite_strikes: usize,
+}
+
+impl DopriLane {
+    /// The state a solve starts from.
+    pub(crate) const START: DopriLane = DopriLane {
+        fac_old: 1e-4,
+        last_rejected: false,
+        stiff_strikes: 0,
+        nonstiff_strikes: 0,
+        nonfinite_strikes: 0,
+    };
+}
+
+/// What the controller made of a step.
+pub(crate) enum Settled {
+    /// Rejected: retry from the same `t` with this step.
+    Reject(f64),
+    /// The solve ends with this error.
+    Fail(SolverError),
+    /// Accepted: the step to try next, unless the solve is done.
+    Accept(f64),
+}
+
+impl Run<DopriLane> {
+    /// The controller on a step from `t` of size `h` towards `t_end`, from
+    /// its error norm `err`, whether the new state is `finite`, and the
+    /// stiffness detector's sums `‖k7 − k6‖²` and `‖y_new − y_sti‖²` (read
+    /// only when `options` enable detection): the non-finite rejection, the
+    /// PI controller, and on every accepted step the detector's cost-aware
+    /// hand-over — a diagnosed member aborts only while finishing
+    /// explicitly would still cost more than `stiffness_check_interval`
+    /// steps at the stability-bound step size.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    pub(crate) fn settle(
+        &mut self,
+        err: f64,
+        finite: bool,
+        [st_num, st_den]: [f64; 2],
+        t: f64,
+        h: f64,
+        t_end: f64,
+        options: &SolverOptions,
+    ) -> Settled {
+        let Run { sol, state: c, .. } = self;
+        let stats = &mut sol.stats;
+        if !err.is_finite() || !finite {
+            c.last_rejected = true;
+            return match reject_nonfinite(h, t, &mut c.nonfinite_strikes, stats) {
+                Ok(h) => Settled::Reject(h),
+                Err(error) => Settled::Fail(error),
+            };
+        }
+        c.nonfinite_strikes = 0;
+
+        let fac11 = err.powf(EXPO1);
+        if err > 1.0 {
+            stats.rejected += 1;
+            c.last_rejected = true;
+            return Settled::Reject(h / (fac11 / SAFETY).min(FAC_MIN_INV));
+        }
+        let fac = (fac11 / c.fac_old.powf(BETA) / SAFETY).clamp(FAC_MAX_INV, FAC_MIN_INV);
+        let mut h_new = h / fac;
+        c.fac_old = err.max(1e-4);
+        stats.accepted += 1;
+
+        if options.stiffness_check_interval > 0 && st_den > 0.0 {
+            let h_lambda = h * (st_num / st_den).sqrt();
+            if h_lambda > STIFF_THRESHOLD {
+                c.nonstiff_strikes = 0;
+                c.stiff_strikes += 1;
+                if c.stiff_strikes >= STIFF_STRIKES
+                    && (t_end - (t + h)) / h > options.stiffness_check_interval as f64
+                {
+                    stats.stiffness_detected = true;
+                    return Settled::Fail(SolverError::StiffnessDetected { t });
+                }
+            } else {
+                c.nonstiff_strikes += 1;
+                if c.nonstiff_strikes >= 6 {
+                    c.stiff_strikes = 0;
+                }
+            }
+        }
+        if c.last_rejected {
+            h_new = h_new.min(h);
+            c.last_rejected = false;
+        }
+        Settled::Accept(h_new)
+    }
+
+    /// Records a detector that struck without handing over: what a solve
+    /// reports when it finishes or a step limit stops it.
+    #[inline]
+    pub(crate) fn flag_stiffness(&mut self) {
+        self.sol.stats.stiffness_detected |= self.stiff_strikes > 0;
+    }
+}
+
+/// Serves the samples in `(t, t + h]` of an accepted step through the
+/// 4th-order dense output, whose coefficients `r0..r4` it builds into `r`
+/// from the step's `y`, `y_new` and stages over `col` — only when a sample
+/// is due.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn dense_output<S>(
+    run: &mut Run<S>,
+    sample_times: &[f64],
+    t: f64,
+    h: f64,
+    col: Column,
+    [y, y_new]: [&[f64]; 2],
+    [k1, k3, k4, k5, k6, k7]: [&[f64]; 6],
+    r: &mut [Vec<f64>; 5],
+) {
+    let t_new = t + h;
+    if !run.sample_due(sample_times, t_new) {
+        return;
+    }
+    let [r0, r1, r2, r3, r4] = r;
+    for (s, i) in col.indices().enumerate() {
+        let ydiff = y_new[i] - y[i];
+        let bspl = h * k1[i] - ydiff;
+        r0[s] = y[i];
+        r1[s] = ydiff;
+        r2[s] = bspl;
+        r3[s] = ydiff - h * k7[i] - bspl;
+        r4[s] = h * (D1 * k1[i] + D3 * k3[i] + D4 * k4[i] + D5 * k5[i] + D6 * k6[i] + D7 * k7[i]);
+    }
+    while run.sample_due(sample_times, t_new) {
+        let ts = sample_times[run.next_sample];
+        let theta = ((ts - t) / h).clamp(0.0, 1.0);
+        let om_theta = 1.0 - theta;
+        let state = (0..col.n)
+            .map(|s| {
+                r0[s] + theta * (r1[s] + om_theta * (r2[s] + theta * (r3[s] + om_theta * r4[s])))
+            })
+            .collect();
+        run.push_sample(ts, state);
+    }
+}
 
 /// The DOPRI5 solver.
 ///
@@ -193,7 +343,7 @@ impl Dopri5 {
         system.rhs(t, &ws.y, &mut ws.k[0]);
         sol.stats.rhs_evals += 1;
 
-        let mut next_sample = samples_at_start(&mut sol, sample_times, t, y0);
+        let next_sample = samples_at_start(&mut sol, sample_times, t, y0);
         if next_sample == sample_times.len() {
             return Ok(sol);
         }
@@ -202,20 +352,18 @@ impl Dopri5 {
             .initial_step
             .unwrap_or_else(|| initial_step_size(&system, t, &ws.y, &ws.k[0], 5, options));
         sol.stats.rhs_evals += usize::from(options.initial_step.is_none());
-        let mut fac_old = 1e-4f64;
-        let mut steps_since_sample = 0usize;
-        let mut stiff_strikes = 0usize;
-        let mut nonstiff_strikes = 0usize;
-        let mut nonfinite_strikes = 0usize;
-        let mut last_rejected = false;
+        let mut run = Run::new(sol, next_sample, DopriLane::START);
+        let whole = Column::whole(n);
 
         loop {
-            if let Some(error) = step_limits(sol.stats.steps, steps_since_sample, t, options) {
-                sol.stats.stiffness_detected |= stiff_strikes > 0;
-                return Err(SolveFailure { error, stats: sol.stats });
+            if let Some(error) = run.limit(t, options) {
+                run.flag_stiffness();
+                return run.end(Err(error));
             }
-            h = clamp_step(h, t, t_end, options)
-                .map_err(|error| SolveFailure { error, stats: sol.stats })?;
+            h = match clamp_step(h, t, t_end, options) {
+                Ok(h) => h,
+                Err(error) => return run.end(Err(error)),
+            };
 
             // Every vector of the step as a slice of length `n`, cut once:
             // the loops below then index without per-element checks.
@@ -254,145 +402,43 @@ impl Dopri5 {
                     + h * (A71 * k1[i] + A73 * k3[i] + A74 * k4[i] + A75 * k5[i] + A76 * k6[i]);
             }
             system.rhs(t + h, y_new, k7);
-            sol.stats.rhs_evals += 6;
-            sol.stats.steps += 1;
-            steps_since_sample += 1;
+            run.sol.stats.rhs_evals += 6;
+            run.count_step();
 
-            // Embedded error estimate.
+            // Embedded error estimate, and the stiffness detector's sums:
+            // f at the two distinct t+h arguments.
             for i in 0..n {
                 err_vec[i] = h
                     * (E1 * k1[i] + E3 * k3[i] + E4 * k4[i] + E5 * k5[i] + E6 * k6[i] + E7 * k7[i]);
             }
             options.error_scale_pair(y, y_new, scale);
-            let err = weighted_rms_norm(err_vec, scale);
-
-            if !err.is_finite() || !y_new.iter().all(|v| v.is_finite()) {
-                // Treat as a hard rejection with aggressive shrink.
-                sol.stats.rejected += 1;
-                h *= 0.1;
-                last_rejected = true;
-                nonfinite_strikes += 1;
-                if nonfinite_strikes >= NONFINITE_STRIKES || h <= f64::MIN_POSITIVE * 1e4 {
-                    return Err(SolveFailure {
-                        error: SolverError::NonFiniteState { t },
-                        stats: sol.stats,
-                    });
+            let err = wrms(err_vec, scale, whole);
+            let finite = y_new.iter().all(|v| v.is_finite());
+            let mut stiffness = [0.0; 2];
+            if options.stiffness_check_interval > 0 {
+                for i in 0..n {
+                    let dk = k7[i] - k6[i];
+                    let dy = y_new[i] - y_sti[i];
+                    stiffness[0] += dk * dk;
+                    stiffness[1] += dy * dy;
                 }
-                continue;
             }
-            nonfinite_strikes = 0;
 
-            // PI controller.
-            let fac11 = err.powf(EXPO1);
-            let fac = (fac11 / fac_old.powf(BETA) / SAFETY).clamp(FAC_MAX_INV, FAC_MIN_INV);
-            let mut h_new = h / fac;
-
-            if err <= 1.0 {
-                // Accepted.
-                fac_old = err.max(1e-4);
-                sol.stats.accepted += 1;
-
-                // Stiffness detection (Hairer): compare f at the two
-                // distinct t+h arguments. The test is O(n) on vectors
-                // already in hand, so it runs on every accepted step; the
-                // hand-over is cost-aware instead — a diagnosed member
-                // aborts only while finishing explicitly would still cost
-                // more than `stiffness_check_interval` steps at the
-                // stability-bound step size.
-                if options.stiffness_check_interval > 0 {
-                    let mut st_num = 0.0;
-                    let mut st_den = 0.0;
-                    for i in 0..n {
-                        let dk = k7[i] - k6[i];
-                        let dy = y_new[i] - y_sti[i];
-                        st_num += dk * dk;
-                        st_den += dy * dy;
+            match run.settle(err, finite, stiffness, t, h, t_end, options) {
+                Settled::Reject(h_new) => h = h_new,
+                Settled::Fail(error) => return run.end(Err(error)),
+                Settled::Accept(h_new) => {
+                    let k = [k1, &*k3, &*k4, &*k5, &*k6, &*k7];
+                    dense_output(&mut run, sample_times, t, h, whole, [y, y_new], k, r);
+                    t += h;
+                    if run.done(sample_times) {
+                        run.flag_stiffness();
+                        return run.end(Ok(()));
                     }
-                    if st_den > 0.0 {
-                        let h_lambda = h * (st_num / st_den).sqrt();
-                        if h_lambda > STIFF_THRESHOLD {
-                            nonstiff_strikes = 0;
-                            stiff_strikes += 1;
-                            if stiff_strikes >= STIFF_STRIKES
-                                && (t_end - (t + h)) / h > options.stiffness_check_interval as f64
-                            {
-                                sol.stats.stiffness_detected = true;
-                                return Err(SolveFailure {
-                                    error: SolverError::StiffnessDetected { t },
-                                    stats: sol.stats,
-                                });
-                            }
-                        } else {
-                            nonstiff_strikes += 1;
-                            if nonstiff_strikes >= 6 {
-                                stiff_strikes = 0;
-                            }
-                        }
-                    }
+                    std::mem::swap(&mut ws.y, &mut ws.y_new);
+                    ws.k.swap(0, 6); // FSAL: k7 becomes k1 of the next step.
+                    h = h_new;
                 }
-
-                // Serve sample times inside (t, t+h] through dense output.
-                let t_new = t + h;
-                if next_sample < sample_times.len() && sample_times[next_sample] <= t_new {
-                    // Dense-output coefficient vectors (lazy: only when a
-                    // sample falls inside this step; pooled in the scratch).
-                    let [r0, r1, r2, r3, r4] = r;
-                    let (r0, r1, r2) = (&mut r0[..n], &mut r1[..n], &mut r2[..n]);
-                    let (r3, r4) = (&mut r3[..n], &mut r4[..n]);
-                    for i in 0..n {
-                        let ydiff = y_new[i] - y[i];
-                        let bspl = h * k1[i] - ydiff;
-                        r0[i] = y[i];
-                        r1[i] = ydiff;
-                        r2[i] = bspl;
-                        r3[i] = ydiff - h * k7[i] - bspl;
-                        r4[i] = h
-                            * (D1 * k1[i]
-                                + D3 * k3[i]
-                                + D4 * k4[i]
-                                + D5 * k5[i]
-                                + D6 * k6[i]
-                                + D7 * k7[i]);
-                    }
-                    while next_sample < sample_times.len() && sample_times[next_sample] <= t_new {
-                        let ts = sample_times[next_sample];
-                        let theta = ((ts - t) / h).clamp(0.0, 1.0);
-                        let om_theta = 1.0 - theta;
-                        let state: Vec<f64> = (0..n)
-                            .map(|i| {
-                                r0[i]
-                                    + theta
-                                        * (r1[i]
-                                            + om_theta
-                                                * (r2[i] + theta * (r3[i] + om_theta * r4[i])))
-                            })
-                            .collect();
-                        sol.times.push(ts);
-                        sol.states.push(state);
-                        next_sample += 1;
-                        steps_since_sample = 0;
-                    }
-                }
-
-                t = t_new;
-                std::mem::swap(&mut ws.y, &mut ws.y_new);
-                ws.k.swap(0, 6); // FSAL: k7 becomes k1 of the next step.
-
-                if next_sample == sample_times.len() {
-                    sol.stats.stiffness_detected |= stiff_strikes > 0;
-                    return Ok(sol);
-                }
-                if last_rejected {
-                    h_new = h_new.min(h);
-                    last_rejected = false;
-                }
-                h = h_new;
-            } else {
-                // Rejected.
-                sol.stats.rejected += 1;
-                h_new = h / (fac11 / SAFETY).min(FAC_MIN_INV);
-                last_rejected = true;
-                h = h_new;
             }
         }
     }

@@ -21,8 +21,9 @@
 //! rows (`lockstep_stages`): one per stage argument (the scalar solver's
 //! expression, per lane), then one that forms the embedded error, its
 //! scale, `Σ(e/w)²` and "`y_new` is finite" for every lane at once, and one
-//! for the stiffness detector's two sums. The per-lane controller then
-//! reads those reductions, and the tick ends by applying `y ← y_new`,
+//! for the stiffness detector's two sums. Each lane's controller — the
+//! scalar solver's own `settle` and dense output, on the lane's column —
+//! then reads those reductions, and the tick ends by applying `y ← y_new`,
 //! `k1 ← k7` to the lanes whose step was accepted (a per-lane select over
 //! whole rows; a swap of the blocks when that is every lane). Every pass is
 //! one body over [`LaneWidth`] rows — `[f64; L]` at widths 1, 2, 4 and 8,
@@ -40,17 +41,19 @@
 //!
 //! # Lane bookkeeping
 //!
-//! What a lane holds besides the method — its member, solution, sample
-//! cursor and step counters — and the rules around each step are the
-//! scalar drivers' own, written once in `step.rs` and shared with
-//! [`Radau5Batch`](crate::Radau5Batch). A refill validates a member with the
-//! scalar preamble's `check_inputs` and delivers its samples at `t0` with
-//! `samples_at_start`; a fresh lane's `hinit` is `hinit_probe` and
-//! `hinit_finish`, the two halves of the scalar `initial_step_size`, around
-//! one batched sweep of all fresh lanes' Euler probes; the pre-step pass asks
-//! `step_limits` and `clamp_step`, as the scalar loop head does; and one
-//! park settles a lane. This file keeps the method: the tableau, the PI
-//! controller, the stiffness detector and the dense output.
+//! What a lane holds — its member's `Run`: solution, sample cursor, step
+//! counters and the controller's `DopriLane` state — and the rules around
+//! each step are the scalar drivers' own, written once in `step.rs` and
+//! shared with [`Radau5Batch`](crate::Radau5Batch). A refill validates a
+//! member with the scalar preamble's `check_inputs` and delivers its
+//! samples at `t0` with `samples_at_start`; a fresh lane's `hinit` is
+//! `hinit_probe` and `hinit_finish`, the two halves of the scalar
+//! `initial_step_size`, around one batched sweep of all fresh lanes' Euler
+//! probes; the pre-step pass asks `step_limits` and `clamp_step`, as the
+//! scalar loop head does; and one park settles a lane. The step controller
+//! — non-finite rejection, PI control, the stiffness hand-over — and the
+//! dense output are `dopri5.rs`'s, called on the lane's column of the
+//! blocks. This file keeps the tableau's row passes.
 //!
 //! # Numerical contract
 //!
@@ -88,12 +91,11 @@
 
 use crate::batch::{BatchOdeSystem, BatchState};
 use crate::dopri5::{
-    A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62, A63, A64, A65, A71, A73, A74, A75,
-    A76, BETA, C2, C3, C4, C5, D1, D3, D4, D5, D6, D7, E1, E3, E4, E5, E6, E7, EXPO1, FAC_MAX_INV,
-    FAC_MIN_INV, NONFINITE_STRIKES, SAFETY, STIFF_STRIKES, STIFF_THRESHOLD,
+    dense_output, DopriLane, Settled, A21, A31, A32, A41, A42, A43, A51, A52, A53, A54, A61, A62,
+    A63, A64, A65, A71, A73, A74, A75, A76, C2, C3, C4, C5, E1, E3, E4, E5, E6, E7,
 };
-use crate::step::{LaneGroup, LaneScratch};
-use crate::{Solution, SolveFailure, SolverError, SolverOptions, SolverScratch};
+use crate::step::{root_mean, Column, LaneGroup, LaneScratch};
+use crate::{Solution, SolveFailure, SolverOptions, SolverScratch};
 use paraspace_linalg::{with_lane_width, LaneWidth};
 
 /// Work accounting for one host lane-group integration (the engines bill
@@ -181,28 +183,6 @@ pub(crate) fn group_from_queue(
         .map(|(m, r)| r.unwrap_or_else(|| panic!("member {m} never scheduled")))
         .collect();
     (results, report)
-}
-
-/// Per-lane method state: what the scalar DOPRI5 keeps in local variables
-/// for its single trajectory beside the [`Lane`](crate::step::Lane) header.
-#[derive(Clone, Copy)]
-struct DopriLane {
-    fac_old: f64,
-    last_rejected: bool,
-    stiff_strikes: usize,
-    nonstiff_strikes: usize,
-    nonfinite_strikes: usize,
-}
-
-impl DopriLane {
-    /// A freshly bound lane's state: the scalar solver's initial values.
-    const START: DopriLane = DopriLane {
-        fac_old: 1e-4,
-        last_rejected: false,
-        stiff_strikes: 0,
-        nonstiff_strikes: 0,
-        nonfinite_strikes: 0,
-    };
 }
 
 /// The lockstep lane-batched DOPRI5 solver.
@@ -332,13 +312,7 @@ fn solve_queue_impl(
         }
 
         // --- Per-lane pre-step control (the scalar loop head). ---
-        group.pre_step(
-            &mut ws.lane,
-            |_| true,
-            |c| {
-                c.sol.stats.stiffness_detected |= c.stiff_strikes > 0;
-            },
-        );
+        group.pre_step(&mut ws.lane, |_| true, |c| c.flag_stiffness());
         let live = group.live();
         if live == 0 {
             continue; // refill (or terminate) at the loop head
@@ -358,10 +332,11 @@ fn solve_queue_impl(
     group.finish()
 }
 
-/// The per-lane half of a tick: acceptance from the tick's reductions, the
-/// PI controller, the cost-aware stiffness hand-over, dense-output sampling
-/// — the scalar loop body, lane by lane. Marks in `advance` the lanes whose
-/// step was accepted and who go on; settles those that finished or failed.
+/// The per-lane half of a tick: each live lane's controller
+/// ([`settle`](crate::step::Run::settle), the scalar solver's) on the
+/// tick's reductions, then its dense output. Marks in `advance` the lanes
+/// whose step was accepted and who go on; settles those that finished or
+/// failed.
 // One copy whatever the width: nothing in here is a row pass.
 #[inline(never)]
 fn settle_lanes(
@@ -385,135 +360,39 @@ fn settle_lanes(
     } = ws;
     let (n, lanes) = (y.dim(), y.lanes());
     let [k1, _, k3, k4, k5, k6, k7] = &*k;
-    let (k1, k3, k4) = (k1.as_slice(), k3.as_slice(), k4.as_slice());
-    let (k5, k6, k7) = (k5.as_slice(), k6.as_slice(), k7.as_slice());
-    let (ys, yns) = (y.as_slice(), y_new.as_slice());
+    let k = [k1, k3, k4, k5, k6, k7].map(BatchState::as_slice);
+    let y = [y.as_slice(), y_new.as_slice()];
+    let t_end = group.t_end;
     for lane in 0..lanes {
         advance[lane] = false;
-        // `Ok` settles the member's solution, `Err` its failure.
-        let mut park: Option<Result<(), SolverError>> = None;
-        if let Some(c) = group.lanes[lane].as_mut() {
-            c.sol.stats.rhs_evals += 6;
-            c.sol.stats.steps += 1;
-            c.steps_since_sample += 1;
+        let Some(c) = group.lanes[lane].as_mut() else { continue };
+        c.sol.stats.rhs_evals += 6;
+        c.count_step();
 
-            let err = if n == 0 { 0.0 } else { (err_sq[lane] / n as f64).sqrt() };
-            if !err.is_finite() || !finite[lane] {
-                // Hard rejection with aggressive shrink.
-                c.sol.stats.rejected += 1;
-                h[lane] *= 0.1;
-                c.last_rejected = true;
-                c.nonfinite_strikes += 1;
-                if c.nonfinite_strikes >= NONFINITE_STRIKES || h[lane] <= f64::MIN_POSITIVE * 1e4 {
-                    park = Some(Err(SolverError::NonFiniteState { t: t[lane] }));
-                }
-            } else {
-                c.nonfinite_strikes = 0;
-                // PI controller.
-                let fac11 = err.powf(EXPO1);
-                let fac = (fac11 / c.fac_old.powf(BETA) / SAFETY).clamp(FAC_MAX_INV, FAC_MIN_INV);
-                let mut h_new = h[lane] / fac;
-
-                if err <= 1.0 {
-                    // Accepted.
-                    c.fac_old = err.max(1e-4);
-                    c.sol.stats.accepted += 1;
-
-                    // Every accepted step, cost-aware hand-over: the
-                    // scalar detector's rule, per lane.
-                    if options.stiffness_check_interval > 0 && st_den[lane] > 0.0 {
-                        let h_lambda = h[lane] * (st_num[lane] / st_den[lane]).sqrt();
-                        if h_lambda > STIFF_THRESHOLD {
-                            c.nonstiff_strikes = 0;
-                            c.stiff_strikes += 1;
-                            if c.stiff_strikes >= STIFF_STRIKES
-                                && (group.t_end - (t[lane] + h[lane])) / h[lane]
-                                    > options.stiffness_check_interval as f64
-                            {
-                                c.sol.stats.stiffness_detected = true;
-                                park = Some(Err(SolverError::StiffnessDetected { t: t[lane] }));
-                            }
-                        } else {
-                            c.nonstiff_strikes += 1;
-                            if c.nonstiff_strikes >= 6 {
-                                c.stiff_strikes = 0;
-                            }
-                        }
-                    }
-
-                    if park.is_none() {
-                        let t_new = t[lane] + h[lane];
-                        if c.next_sample < sample_times.len()
-                            && sample_times[c.next_sample] <= t_new
-                        {
-                            // Dense-output coefficients for this lane.
-                            for s in 0..n {
-                                let i = s * lanes + lane;
-                                let ydiff = yns[i] - ys[i];
-                                let bspl = h[lane] * k1[i] - ydiff;
-                                r[0][s] = ys[i];
-                                r[1][s] = ydiff;
-                                r[2][s] = bspl;
-                                r[3][s] = ydiff - h[lane] * k7[i] - bspl;
-                                r[4][s] = h[lane]
-                                    * (D1 * k1[i]
-                                        + D3 * k3[i]
-                                        + D4 * k4[i]
-                                        + D5 * k5[i]
-                                        + D6 * k6[i]
-                                        + D7 * k7[i]);
-                            }
-                            while c.next_sample < sample_times.len()
-                                && sample_times[c.next_sample] <= t_new
-                            {
-                                let ts = sample_times[c.next_sample];
-                                let theta = ((ts - t[lane]) / h[lane]).clamp(0.0, 1.0);
-                                let om_theta = 1.0 - theta;
-                                let state: Vec<f64> = (0..n)
-                                    .map(|s| {
-                                        r[0][s]
-                                            + theta
-                                                * (r[1][s]
-                                                    + om_theta
-                                                        * (r[2][s]
-                                                            + theta
-                                                                * (r[3][s] + om_theta * r[4][s])))
-                                    })
-                                    .collect();
-                                c.sol.times.push(ts);
-                                c.sol.states.push(state);
-                                c.next_sample += 1;
-                                c.steps_since_sample = 0;
-                            }
-                        }
-
-                        t[lane] = t_new;
-                        if c.next_sample == sample_times.len() {
-                            c.sol.stats.stiffness_detected |= c.stiff_strikes > 0;
-                            park = Some(Ok(()));
-                        } else {
-                            // y ← y_new and the FSAL k1 ← k7 happen for
-                            // all advancing lanes at once, below.
-                            advance[lane] = true;
-                            if c.last_rejected {
-                                h_new = h_new.min(h[lane]);
-                                c.last_rejected = false;
-                            }
-                            h[lane] = h_new;
-                        }
-                    }
-                } else {
-                    // Rejected: retry this lane at smaller h next sweep.
-                    c.sol.stats.rejected += 1;
-                    h_new = h[lane] / (fac11 / SAFETY).min(FAC_MIN_INV);
-                    c.last_rejected = true;
-                    h[lane] = h_new;
-                }
+        let err = root_mean(err_sq[lane], n);
+        let stiffness = [st_num[lane], st_den[lane]];
+        let (t_l, h_l) = (t[lane], h[lane]);
+        let outcome = match c.settle(err, finite[lane], stiffness, t_l, h_l, t_end, options) {
+            Settled::Reject(h_new) => {
+                h[lane] = h_new;
+                continue;
             }
-        }
-        if let Some(outcome) = park {
-            group.park(lane, outcome, h);
-        }
+            Settled::Fail(error) => Err(error),
+            Settled::Accept(h_new) => {
+                dense_output(c, sample_times, t_l, h_l, Column::lane(n, lanes, lane), y, k, r);
+                t[lane] = t_l + h_l;
+                if !c.done(sample_times) {
+                    // y ← y_new and the FSAL k1 ← k7 happen for all
+                    // advancing lanes at once, after this pass.
+                    advance[lane] = true;
+                    h[lane] = h_new;
+                    continue;
+                }
+                c.flag_stiffness();
+                Ok(())
+            }
+        };
+        group.park(lane, outcome, h);
     }
 }
 
@@ -684,7 +563,7 @@ fn stage_rows<W: LaneWidth, const N: usize>(
 
 /// The embedded error estimate, its scale and both acceptance reductions
 /// in one pass: `err_sq[l] ← Σ_s (e/w)²` in species order — what
-/// [`weighted_rms_norm`] sums for lane `l` alone — and `finite[l]` ← every
+/// [`wrms`](crate::step::wrms) sums for lane `l` alone — and `finite[l]` ← every
 /// component of lane `l`'s `y_new` is finite.
 #[allow(clippy::too_many_arguments)]
 #[inline]
@@ -778,7 +657,7 @@ fn advance_rows<W: LaneWidth>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dopri5, FnSystem, OdeSolver};
+    use crate::{Dopri5, FnSystem, OdeSolver, SolverError};
     use paraspace_vgpu::LaneGroupStats;
 
     /// A family of damped oscillators sharing one structure: member `m` has

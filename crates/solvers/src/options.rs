@@ -1,5 +1,7 @@
 //! Shared solver configuration.
 
+use crate::step::Column;
+
 /// Tolerances and step-control options shared by every solver.
 ///
 /// The defaults mirror the published experimental setup: absolute tolerance
@@ -75,8 +77,15 @@ impl SolverOptions {
     /// Panics if lengths differ.
     pub fn error_scale(&self, y: &[f64], scale: &mut [f64]) {
         assert_eq!(y.len(), scale.len());
-        for (s, &v) in scale.iter_mut().zip(y.iter()) {
-            *s = self.abs_tol + self.rel_tol * v.abs();
+        self.error_scale_at(Column::whole(y.len()), y, scale);
+    }
+
+    /// [`error_scale`](Self::error_scale) over `col` of `y` into the same
+    /// column of `scale`: one lane's column of a lockstep kernel's blocks.
+    #[inline]
+    pub(crate) fn error_scale_at(&self, col: Column, y: &[f64], scale: &mut [f64]) {
+        for i in col.indices() {
+            scale[i] = self.abs_tol + self.rel_tol * y[i].abs();
         }
     }
 

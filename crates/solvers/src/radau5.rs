@@ -16,14 +16,20 @@
 //! re-evaluation on first/rejected steps, collocation-polynomial dense
 //! output, and Newton extrapolation from the previous collocation
 //! polynomial.
+//!
+//! That control is written once, here, on a member's [`RadauLane`] state:
+//! the scalar loop calls it on its vectors, and each lane of
+//! [`Radau5Batch`](crate::Radau5Batch) on its column of the lane-major
+//! blocks; only the Newton iteration's arithmetic and the factorizations
+//! are per path.
 
-use crate::step::{clamp_step, samples_at_start, step_limits};
+use crate::step::{clamp_step, samples_at_start, wrms, Column, Run};
 use crate::system::check_inputs;
 use crate::{
     initial_step_size, OdeSolver, OdeSystem, Solution, SolveFailure, SolverError, SolverOptions,
     SolverScratch, StepStats,
 };
-use paraspace_linalg::{weighted_rms_norm, CluFactor, Complex64, LuFactor, Matrix};
+use paraspace_linalg::{CluFactor, Complex64, LuFactor, Matrix};
 
 // Collocation-node radical √6 and the inverse eigenvalues of the Radau IIA
 // coefficient matrix A, hoisted to compile-time constants shared with the
@@ -60,15 +66,25 @@ pub(crate) const TI31: f64 = -0.502_872_634_945_786_9;
 pub(crate) const TI32: f64 = 2.571926949855605;
 pub(crate) const TI33: f64 = -0.596_039_204_828_224_9;
 
-// Controller constants (radau5.f defaults); shared with the lane-batched
-// kernel.
+/// The collocation nodes `c1`, `c2` (the third is 1).
+pub(crate) const C1: f64 = (4.0 - SQ6) / 10.0;
+pub(crate) const C2: f64 = (4.0 + SQ6) / 10.0;
+const C1M1: f64 = C1 - 1.0;
+const C2M1: f64 = C2 - 1.0;
+const C1MC2: f64 = C1 - C2;
+// The embedded error estimator's weights.
+const DD1: f64 = -(13.0 + 7.0 * SQ6) / 3.0;
+const DD2: f64 = (-13.0 + 7.0 * SQ6) / 3.0;
+const DD3: f64 = -1.0 / 3.0;
+
+// Controller constants (radau5.f defaults).
 pub(crate) const NIT: usize = 7;
-pub(crate) const SAFE: f64 = 0.9;
-pub(crate) const THET: f64 = 0.001;
-pub(crate) const FACL: f64 = 5.0; // max shrink: h/5
-pub(crate) const FACR: f64 = 0.125; // max growth: h/0.125 = 8h
-pub(crate) const QUOT1: f64 = 1.0;
-pub(crate) const QUOT2: f64 = 1.2;
+const SAFE: f64 = 0.9;
+const THET: f64 = 0.001;
+const FACL: f64 = 5.0; // max shrink: h/5
+const FACR: f64 = 0.125; // max growth: h/0.125 = 8h
+const QUOT1: f64 = 1.0;
+const QUOT2: f64 = 1.2;
 
 /// The RADAU5 solver.
 ///
@@ -120,8 +136,6 @@ pub(crate) struct RadauWorkspace {
     scale: Vec<f64>,
     // Dense output / extrapolation polynomial of the last accepted step.
     cont: [Vec<f64>; 4],
-    cont_h: f64,
-    have_cont: bool,
     // Pooled state / per-step buffers (all fully written before read).
     y: Vec<f64>,
     f0: Vec<f64>,
@@ -129,7 +143,6 @@ pub(crate) struct RadauWorkspace {
     tmp: Vec<f64>,
     err_v: Vec<f64>,
     f_ref: Vec<f64>,
-    sample_buf: Vec<f64>,
     // Retired iteration-matrix storage, reclaimed so a re-factorization
     // reuses the allocation instead of making a new one.
     e1_store: Option<Matrix>,
@@ -158,15 +171,12 @@ impl RadauWorkspace {
             rhs_cplx: vec![Complex64::ZERO; n],
             scale: zeros(),
             cont: [zeros(), zeros(), zeros(), zeros()],
-            cont_h: 0.0,
-            have_cont: false,
             y: zeros(),
             f0: zeros(),
             extrap: zeros(),
             tmp: zeros(),
             err_v: zeros(),
             f_ref: zeros(),
-            sample_buf: zeros(),
             e1_store: None,
             e2_store: None,
         }
@@ -177,11 +187,9 @@ impl RadauWorkspace {
         self.n
     }
 
-    /// Resets per-integration flags for a fresh solve, keeping every buffer
-    /// (and reclaiming the previous solve's LU storage for reuse).
+    /// Readies the workspace for a fresh solve, keeping every buffer (and
+    /// reclaiming the previous solve's LU storage for reuse).
     pub(crate) fn reset(&mut self) {
-        self.cont_h = 0.0;
-        self.have_cont = false;
         if let Some(lu) = self.lu_real.take() {
             self.e1_store = Some(lu.into_matrix());
         }
@@ -192,41 +200,387 @@ impl RadauWorkspace {
 }
 
 /// Dense-output coefficients of an accepted step from its collocation
-/// increments: `cont[0] = y + z3` (the new value) and the three divided
-/// differences of `(z1, z2, z3)` over the nodes `c1, c2, 1`. Elementwise, so
-/// the sensitivity corrector builds its polynomial from `(s, V1, V2, V3)`
-/// with the same call.
-pub(crate) fn set_cont(cont: &mut [Vec<f64>; 4], y: &[f64], z1: &[f64], z2: &[f64], z3: &[f64]) {
-    let c1 = (4.0 - SQ6) / 10.0;
-    let c2 = (4.0 + SQ6) / 10.0;
-    let c1mc2 = c1 - c2;
-    let c1m1 = c1 - 1.0;
-    let c2m1 = c2 - 1.0;
-    for i in 0..y.len() {
+/// increments over `col`: `cont[0] = y + z3` (the new value) and the three
+/// divided differences of `(z1, z2, z3)` over the nodes `c1, c2, 1`, each
+/// in the same column of `cont` as of `y`. Elementwise, so the sensitivity
+/// corrector builds its polynomial from `(s, V1, V2, V3)` with the same
+/// call.
+#[inline]
+pub(crate) fn set_cont(
+    cont: &mut [Vec<f64>; 4],
+    col: Column,
+    y: &[f64],
+    [z1, z2, z3]: [&[f64]; 3],
+) {
+    for i in col.indices() {
         cont[0][i] = y[i] + z3[i];
-        let c1_term = (z2[i] - z3[i]) / c2m1;
-        let ak = (z1[i] - z2[i]) / c1mc2;
-        let mut acont3 = z1[i] / c1;
-        acont3 = (ak - acont3) / c2;
-        let c2_term = (ak - c1_term) / c1m1;
+        let c1_term = (z2[i] - z3[i]) / C2M1;
+        let ak = (z1[i] - z2[i]) / C1MC2;
+        let mut acont3 = z1[i] / C1;
+        acont3 = (ak - acont3) / C2;
+        let c2_term = (ak - c1_term) / C1M1;
         cont[1][i] = c1_term;
         cont[2][i] = c2_term;
         cont[3][i] = c2_term - acont3;
     }
 }
 
-/// Evaluates the collocation polynomial [`set_cont`] stored at
+/// Evaluates the collocation polynomial [`set_cont`] stored over `col` at
 /// `s = (t − t_accepted)/h_used` (`s ∈ [−1, 0]` interpolates, `s > 0`
-/// extrapolates) into `out`.
-pub(crate) fn eval_cont(cont: &[Vec<f64>; 4], s: f64, out: &mut [f64]) {
-    let c1 = (4.0 - SQ6) / 10.0;
-    let c2 = (4.0 + SQ6) / 10.0;
-    let c1m1 = c1 - 1.0;
-    let c2m1 = c2 - 1.0;
-    for i in 0..out.len() {
-        out[i] =
-            cont[0][i] + s * (cont[1][i] + (s - c2m1) * (cont[2][i] + (s - c1m1) * cont[3][i]));
+/// extrapolates) into `out`, one entry per component.
+#[inline]
+pub(crate) fn eval_cont(cont: &[Vec<f64>; 4], col: Column, s: f64, out: &mut [f64]) {
+    for (out, i) in out.iter_mut().zip(col.indices()) {
+        *out = cont[0][i] + s * (cont[1][i] + (s - C2M1) * (cont[2][i] + (s - C1M1) * cont[3][i]));
     }
+}
+
+/// The Newton stopping tolerance of a solve (radau5's FNEWT).
+pub(crate) fn newton_tolerance(options: &SolverOptions) -> f64 {
+    (10.0 * f64::EPSILON / options.rel_tol).max(0.03f64.min(options.rel_tol.sqrt()))
+}
+
+/// `tmp ← Σ ddᵢ/h·zᵢ` and `err_v ← tmp + f0` over `col`: the right-hand
+/// side of the error estimate `‖(γ/h·I − J)⁻¹ (f0 + Σ ddᵢ zᵢ / h)‖`.
+#[inline]
+pub(crate) fn error_rhs(
+    col: Column,
+    h: f64,
+    [z1, z2, z3]: [&[f64]; 3],
+    f0: &[f64],
+    tmp: &mut [f64],
+    err_v: &mut [f64],
+) {
+    let (hee1, hee2, hee3) = (DD1 / h, DD2 / h, DD3 / h);
+    for i in col.indices() {
+        tmp[i] = hee1 * z1[i] + hee2 * z2[i] + hee3 * z3[i];
+        err_v[i] = tmp[i] + f0[i];
+    }
+}
+
+/// One member's step-control state: what the controller carries from one
+/// step to the next, for a scalar solve and for a lane alike — including
+/// where the member stands in the step (at its start, or mid-Newton, the
+/// state a lane holds between two ticks).
+#[derive(Clone, Copy)]
+pub(crate) struct RadauLane {
+    pub(crate) need_jacobian: bool,
+    pub(crate) need_factor: bool,
+    pub(crate) in_newton: bool,
+    first: bool,
+    last_rejected: bool,
+    faccon: f64,
+    hacc: f64,
+    erracc: f64,
+    singular_retries: usize,
+    newton_failures: usize,
+    /// Whether `cont` holds the last accepted step's polynomial, of step
+    /// `cont_h`.
+    have_cont: bool,
+    cont_h: f64,
+    /// The Newton iterate, from 0, and the convergence-rate bookkeeping.
+    newt: usize,
+    theta: f64,
+    dyno_old: f64,
+    thq_old: f64,
+}
+
+/// A Newton iteration's verdict.
+pub(crate) enum Newton {
+    Continue,
+    Converged,
+    Failed,
+}
+
+/// What the controller made of a converged step.
+pub(crate) enum Control {
+    /// Accepted: the proposed next step.
+    Accept(f64),
+    /// Rejected: retry from the same `t` with this step.
+    Reject(f64),
+}
+
+impl RadauLane {
+    /// The state a solve starts from.
+    pub(crate) const START: RadauLane = RadauLane {
+        need_jacobian: true,
+        need_factor: true,
+        in_newton: false,
+        first: true,
+        last_rejected: false,
+        faccon: 1.0,
+        hacc: 0.0,
+        erracc: 1e-2,
+        singular_retries: 0,
+        newton_failures: 0,
+        have_cont: false,
+        cont_h: 0.0,
+        newt: 0,
+        theta: 2.0 * THET,
+        dyno_old: 0.0,
+        thq_old: 0.0,
+    };
+
+    /// The first step from `t` towards `t_end`: the start-up step `h`
+    /// within `max_step` and the span, which also seeds the Gustafsson
+    /// controller's memory.
+    #[inline]
+    pub(crate) fn start(&mut self, h: f64, t: f64, t_end: f64, options: &SolverOptions) -> f64 {
+        self.hacc = h.min(options.max_step).min(t_end - t);
+        self.hacc
+    }
+
+    /// Newton's start on a step of size `h`: the starting increments `z`
+    /// and their transforms `w` over `col` — zero, or the last accepted
+    /// step's collocation polynomial `cont` extrapolated to the new nodes
+    /// (`q` is scratch, one entry per component) — and a fresh iteration
+    /// count, pessimistic `θ = 2·THET` until measured.
+    #[inline]
+    pub(crate) fn start_newton(
+        &mut self,
+        h: f64,
+        col: Column,
+        cont: &[Vec<f64>; 4],
+        q: &mut [f64],
+        [z1, z2, z3]: [&mut [f64]; 3],
+        [w1, w2, w3]: [&mut [f64]; 3],
+    ) {
+        if self.first || !self.have_cont {
+            for i in col.indices() {
+                z1[i] = 0.0;
+                z2[i] = 0.0;
+                z3[i] = 0.0;
+                w1[i] = 0.0;
+                w2[i] = 0.0;
+                w3[i] = 0.0;
+            }
+        } else {
+            let ratio = h / self.cont_h;
+            for (node, z) in [(C1, &mut *z1), (C2, &mut *z2), (1.0, &mut *z3)] {
+                eval_cont(cont, col, node * ratio, q);
+                for (&q, i) in q.iter().zip(col.indices()) {
+                    z[i] = q - cont[0][i];
+                }
+            }
+            for i in col.indices() {
+                w1[i] = TI11 * z1[i] + TI12 * z2[i] + TI13 * z3[i];
+                w2[i] = TI21 * z1[i] + TI22 * z2[i] + TI23 * z3[i];
+                w3[i] = TI31 * z1[i] + TI32 * z2[i] + TI33 * z3[i];
+            }
+        }
+        self.faccon = self.faccon.max(f64::EPSILON).powf(0.8);
+        self.theta = 2.0 * THET;
+        self.dyno_old = 0.0;
+        self.thq_old = 0.0;
+        self.newt = 0;
+        self.in_newton = true;
+    }
+
+    /// Whether a rejected error estimate `err` is re-estimated at the
+    /// corrected point first: on the first step and after a rejection.
+    #[inline]
+    pub(crate) fn refines(&self, err: f64) -> bool {
+        err >= 1.0 && (self.first || self.last_rejected)
+    }
+
+    /// The Jacobian / factorization reuse policy after an accepted step of
+    /// size `h` that goes on with the proposed step `h_new`: a fresh
+    /// Jacobian only when Newton converged slowly (`θ > THET`), and the
+    /// factorization kept — with `h` kept too — when the step barely
+    /// changes. Returns the next step.
+    #[inline]
+    pub(crate) fn reuse(&mut self, h_new: f64, h: f64, max_step: f64) -> f64 {
+        self.need_jacobian = self.theta > THET;
+        let h_new = if !self.need_jacobian && (QUOT1..=QUOT2).contains(&(h_new / h)) {
+            h
+        } else {
+            self.need_factor = true;
+            h_new
+        };
+        if h_new > max_step {
+            self.need_factor = true;
+        }
+        self.first = false;
+        self.last_rejected = false;
+        h_new
+    }
+}
+
+impl Run<RadauLane> {
+    /// A fresh Jacobian is in hand: the factorization must follow.
+    #[inline]
+    pub(crate) fn jacobian_refreshed(&mut self) {
+        self.sol.stats.jacobian_evals += 1;
+        self.need_jacobian = false;
+        self.need_factor = true;
+    }
+
+    /// The iteration matrices were factored at step `h` from `t`, or found
+    /// `singular`: then `h` halves for a retry from step start, and the
+    /// ninth singular pair in a row ends the solve.
+    #[inline]
+    pub(crate) fn factored(
+        &mut self,
+        singular: bool,
+        h: &mut f64,
+        t: f64,
+    ) -> Result<(), SolverError> {
+        let c = &mut self.state;
+        if singular {
+            c.singular_retries += 1;
+            if c.singular_retries > 8 {
+                return Err(SolverError::SingularIterationMatrix { t });
+            }
+            *h *= 0.5;
+            return Ok(());
+        }
+        self.sol.stats.lu_decompositions += 2;
+        c.singular_retries = 0;
+        c.need_factor = false;
+        Ok(())
+    }
+
+    /// Bills one simplified-Newton iteration — three stage right-hand
+    /// sides, the real and the complex solve — and judges it from `dyno`,
+    /// the sum `Σ (Δw/sc)²` over its `3·n` transformed increments: the
+    /// convergence rate `θ`, the contraction estimate `faccon`, and whether
+    /// the remaining iterations can still reach `fnewt`.
+    #[inline]
+    pub(crate) fn newton_verdict(&mut self, dyno: f64, n: usize, fnewt: f64) -> Newton {
+        let stats = &mut self.sol.stats;
+        stats.rhs_evals += 3;
+        stats.nonlinear_iters += 1;
+        stats.linear_solves += 2;
+        let c = &mut self.state;
+        let dyno = (dyno / (3 * n) as f64).sqrt();
+        if !dyno.is_finite() {
+            return Newton::Failed;
+        }
+        if c.newt > 0 {
+            let thq = dyno / c.dyno_old.max(f64::MIN_POSITIVE);
+            c.theta = if c.newt == 1 { thq } else { (thq * c.thq_old).sqrt() };
+            c.thq_old = thq;
+            if c.theta < 0.99 {
+                c.faccon = c.theta / (1.0 - c.theta);
+                let remaining = (NIT - 1 - c.newt) as i32;
+                if c.faccon * dyno * c.theta.powi(remaining) / fnewt >= 1.0 {
+                    return Newton::Failed; // predicted to miss the tolerance
+                }
+            } else {
+                return Newton::Failed; // diverging
+            }
+        }
+        c.dyno_old = dyno.max(f64::EPSILON);
+        // The first iterate can also converge outright.
+        if (c.newt > 0 && c.faccon * dyno <= fnewt) || (c.newt == 0 && dyno <= 1e-1 * fnewt) {
+            c.newton_failures = 0;
+            c.in_newton = false;
+            return Newton::Converged;
+        }
+        if c.newt + 1 >= NIT {
+            return Newton::Failed; // iteration budget spent
+        }
+        c.newt += 1;
+        Newton::Continue
+    }
+
+    /// A failed Newton iteration on the step `h` from `t`: the step counts
+    /// as rejected and is retried at `h/2` on a fresh Jacobian and
+    /// factorization, from zero — unless it is the 21st failure in a row.
+    #[inline]
+    pub(crate) fn newton_failed(&mut self, h: &mut f64, t: f64) -> Result<(), SolverError> {
+        self.newton_failures += 1;
+        if self.newton_failures > 20 {
+            let failures = self.newton_failures;
+            return Err(SolverError::NonlinearSolveFailed { t, failures });
+        }
+        self.sol.stats.rejected += 1;
+        self.count_step();
+        let c = &mut self.state;
+        c.need_jacobian = true; // conservative: rebuild at the current y
+        c.need_factor = true;
+        c.have_cont = false;
+        c.in_newton = false;
+        *h *= 0.5;
+        Ok(())
+    }
+
+    /// The error norm of the solved estimate `err_v` against `scale` over
+    /// `col`, billing the solve; floored at `1e-10`.
+    #[inline]
+    pub(crate) fn estimate(&mut self, err_v: &[f64], scale: &[f64], col: Column) -> f64 {
+        self.sol.stats.linear_solves += 1;
+        wrms(err_v, scale, col).max(1e-10)
+    }
+
+    /// radau5's controller on a converged step of size `h` with error
+    /// `err`: the step proposal from `err` and the Newton iterations it
+    /// took, the Gustafsson predictive branch once a step has been accepted
+    /// before, and accept or reject. An accepted step's collocation
+    /// polynomial becomes the dense output the caller builds next.
+    #[inline]
+    pub(crate) fn control(&mut self, err: f64, h: f64) -> Control {
+        self.count_step();
+        let (stats, c) = (&mut self.sol.stats, &mut self.state);
+        let iterations = (c.newt + 1) as f64;
+        let fac = SAFE.min(SAFE * (1.0 + 2.0 * NIT as f64) / (iterations + 2.0 * NIT as f64));
+        let mut quot = (err.powf(0.25) / fac).clamp(FACR, FACL);
+        if err < 1.0 {
+            stats.accepted += 1;
+            if !c.first {
+                let facgus = (c.hacc / h) * (err * err / c.erracc).powf(0.25) / SAFE;
+                quot = quot.max(facgus.clamp(FACR, FACL));
+            }
+            c.hacc = h;
+            c.erracc = err.max(1e-2);
+            c.cont_h = h;
+            c.have_cont = true;
+            return Control::Accept(h / quot);
+        }
+        stats.rejected += 1;
+        c.last_rejected = true;
+        c.need_factor = true;
+        if c.theta > THET {
+            c.need_jacobian = true;
+        }
+        Control::Reject(if c.first { 0.1 * h } else { h / quot })
+    }
+}
+
+/// An accepted step of size `h` from `t` over `col`: the collocation
+/// polynomial into `cont`, the samples in `(t, t + h]` from it, and the
+/// stiffly accurate `y ← y + z3` — or `NonFiniteState` at `t + h` when the
+/// new state is not finite or `hook` refuses it.
+#[allow(clippy::too_many_arguments)]
+#[inline]
+pub(crate) fn advance_accepted<H: StepHook>(
+    run: &mut Run<RadauLane>,
+    sample_times: &[f64],
+    t: f64,
+    h: f64,
+    col: Column,
+    y: &mut [f64],
+    z: [&[f64]; 3],
+    cont: &mut [Vec<f64>; 4],
+    hook: &mut H,
+) -> Result<(), SolverError> {
+    set_cont(cont, col, y, z);
+    let t_new = t + h;
+    while run.sample_due(sample_times, t_new) {
+        let ts = sample_times[run.next_sample];
+        let s = ((ts - t_new) / h).clamp(-1.0, 0.0);
+        let mut state = vec![0.0; col.n];
+        eval_cont(cont, col, s, &mut state);
+        run.push_sample(ts, state);
+        hook.sample(s);
+    }
+    for i in col.indices() {
+        y[i] += z[2][i];
+    }
+    if !col.indices().all(|i| y[i].is_finite()) || !hook.advance() {
+        return Err(SolverError::NonFiniteState { t: t_new });
+    }
+    Ok(())
 }
 
 /// A converged, accepted step as a [`StepHook`] sees it, before the state
@@ -325,19 +679,12 @@ impl Radau5 {
             None => return Ok(sol),
         };
 
-        let c1 = (4.0 - SQ6) / 10.0;
-        let c2 = (4.0 + SQ6) / 10.0;
-        let dd1 = -(13.0 + 7.0 * SQ6) / 3.0;
-        let dd2 = (-13.0 + 7.0 * SQ6) / 3.0;
-        let dd3 = -1.0 / 3.0;
-        let (u1, alph, beta) = (U1, ALPH, BETA);
-
         let mut t = t0;
         ws.y.copy_from_slice(y0);
         system.rhs(t, &ws.y, &mut ws.f0);
         sol.stats.rhs_evals += 1;
 
-        let mut next_sample = samples_at_start(&mut sol, sample_times, t, y0);
+        let next_sample = samples_at_start(&mut sol, sample_times, t, y0);
         for _ in 0..next_sample {
             hook.initial_sample();
         }
@@ -345,48 +692,34 @@ impl Radau5 {
             return Ok(sol);
         }
 
-        // Newton stopping tolerance (radau5's FNEWT).
-        let uround = f64::EPSILON;
-        let fnewt = (10.0 * uround / options.rel_tol).max(0.03f64.min(options.rel_tol.sqrt()));
-
-        let mut h = options
+        let fnewt = newton_tolerance(options);
+        let h = options
             .initial_step
             .unwrap_or_else(|| initial_step_size(&system, t, &ws.y, &ws.f0, 3, options));
         sol.stats.rhs_evals += usize::from(options.initial_step.is_none());
-        h = h.min(options.max_step).min(t_end - t);
-
-        let mut need_jacobian = true;
-        let mut need_factor = true;
-        let mut first = true;
-        let mut last_rejected = false;
-        let mut theta: f64;
-        let mut faccon = 1.0f64;
-        let mut hacc = h;
-        let mut erracc = 1e-2f64;
-        let mut steps_since_sample = 0usize;
-        let mut singular_retries = 0usize;
-        let mut newton_failures = 0usize;
-
+        let mut run = Run::new(sol, next_sample, RadauLane::START);
+        let mut h = run.start(h, t, t_end, options);
+        let whole = Column::whole(n);
         options.error_scale(&ws.y, &mut ws.scale);
 
         'steps: loop {
-            if let Some(error) = step_limits(sol.stats.steps, steps_since_sample, t, options) {
-                return Err(SolveFailure { error, stats: sol.stats });
+            if let Some(error) = run.limit(t, options) {
+                return run.end(Err(error));
             }
-            h = clamp_step(h, t, t_end, options)
-                .map_err(|error| SolveFailure { error, stats: sol.stats })?;
+            h = match clamp_step(h, t, t_end, options) {
+                Ok(h) => h,
+                Err(error) => return run.end(Err(error)),
+            };
 
-            if need_jacobian {
+            if run.need_jacobian {
                 system.jacobian(t, &ws.y, &mut ws.jac);
-                sol.stats.jacobian_evals += 1;
                 if !system.has_analytic_jacobian() {
-                    sol.stats.rhs_evals += n + 1;
+                    run.sol.stats.rhs_evals += n + 1;
                 }
-                need_jacobian = false;
-                need_factor = true;
+                run.jacobian_refreshed();
             }
-            if need_factor {
-                let fac1 = u1 / h;
+            if run.need_factor {
+                let fac1 = U1 / h;
                 // Build E1 = γ/h·I − J into reclaimed storage: the retired
                 // factorization (or the reclaim slot) donates its matrix.
                 let mut e1 = ws
@@ -402,8 +735,8 @@ impl Radau5 {
                 for i in 0..n {
                     e1[(i, i)] += fac1;
                 }
-                let alphn = alph / h;
-                let betan = beta / h;
+                let alphn = ALPH / h;
+                let betan = BETA / h;
                 // E2 = (α + iβ)/h·I − J as its real and imaginary planes.
                 let mut e2 = ws
                     .lu_complex
@@ -421,87 +754,44 @@ impl Radau5 {
                     *re += alphn;
                     *im += betan;
                 }
-                match (LuFactor::new(e1), CluFactor::from_planes(n, e2)) {
+                let singular = match (LuFactor::new(e1), CluFactor::from_planes(n, e2)) {
                     (Ok(l1), Ok(l2)) => {
                         ws.lu_real = Some(l1);
                         ws.lu_complex = Some(l2);
-                        sol.stats.lu_decompositions += 2;
-                        singular_retries = 0;
+                        false
                     }
-                    _ => {
-                        singular_retries += 1;
-                        if singular_retries > 8 {
-                            return Err(SolveFailure {
-                                error: SolverError::SingularIterationMatrix { t },
-                                stats: sol.stats,
-                            });
-                        }
-                        h *= 0.5;
-                        continue 'steps;
-                    }
+                    _ => true,
+                };
+                if let Err(error) = run.factored(singular, &mut h, t) {
+                    return run.end(Err(error));
                 }
-                need_factor = false;
+                if singular {
+                    continue 'steps;
+                }
             }
-            let fac1 = u1 / h;
-            let alphn = alph / h;
-            let betan = beta / h;
+            let fac1 = U1 / h;
+            let alphn = ALPH / h;
+            let betan = BETA / h;
 
-            // Newton starting values.
-            if first || !ws.have_cont {
-                ws.z1.fill(0.0);
-                ws.z2.fill(0.0);
-                ws.z3.fill(0.0);
-                ws.w1.fill(0.0);
-                ws.w2.fill(0.0);
-                ws.w3.fill(0.0);
-            } else {
-                // Extrapolate the previous collocation polynomial.
-                let ratio = h / ws.cont_h;
-                let mut q = std::mem::take(&mut ws.extrap);
-                for (ci, zi) in [(c1, 0usize), (c2, 1), (1.0, 2)] {
-                    eval_cont(&ws.cont, ci * ratio, &mut q);
-                    let z = match zi {
-                        0 => &mut ws.z1,
-                        1 => &mut ws.z2,
-                        _ => &mut ws.z3,
-                    };
-                    for i in 0..n {
-                        z[i] = q[i] - ws.cont[0][i];
-                    }
-                }
-                ws.extrap = q;
-                for i in 0..n {
-                    ws.w1[i] = TI11 * ws.z1[i] + TI12 * ws.z2[i] + TI13 * ws.z3[i];
-                    ws.w2[i] = TI21 * ws.z1[i] + TI22 * ws.z2[i] + TI23 * ws.z3[i];
-                    ws.w3[i] = TI31 * ws.z1[i] + TI32 * ws.z2[i] + TI33 * ws.z3[i];
-                }
-            }
+            let z = [&mut ws.z1[..], &mut ws.z2, &mut ws.z3];
+            let w = [&mut ws.w1[..], &mut ws.w2, &mut ws.w3];
+            run.start_newton(h, whole, &ws.cont, &mut ws.extrap, z, w);
 
             // Simplified Newton iteration.
-            faccon = faccon.max(uround).powf(0.8);
-            theta = 2.0 * THET; // pessimistic until measured
-            let mut dyno_old = 0.0f64;
-            let mut thq_old = 0.0f64;
-            let mut converged = false;
-            let mut newton_iters = 0usize;
-
-            for newt in 0..NIT {
-                newton_iters = newt + 1;
+            loop {
                 // Stage right-hand sides.
                 for i in 0..n {
                     ws.stage[i] = ws.y[i] + ws.z1[i];
                 }
-                system.rhs(t + c1 * h, &ws.stage, &mut ws.f1);
+                system.rhs(t + C1 * h, &ws.stage, &mut ws.f1);
                 for i in 0..n {
                     ws.stage[i] = ws.y[i] + ws.z2[i];
                 }
-                system.rhs(t + c2 * h, &ws.stage, &mut ws.f2);
+                system.rhs(t + C2 * h, &ws.stage, &mut ws.f2);
                 for i in 0..n {
                     ws.stage[i] = ws.y[i] + ws.z3[i];
                 }
                 system.rhs(t + h, &ws.stage, &mut ws.f3);
-                sol.stats.rhs_evals += 3;
-                sol.stats.nonlinear_iters += 1;
 
                 // Transformed residuals.
                 for i in 0..n {
@@ -518,9 +808,8 @@ impl Radau5 {
                 let lu_cplx = ws.lu_complex.as_ref().expect("factorization exists");
                 lu_real.solve_in_place(&mut ws.rhs_real);
                 lu_cplx.solve_in_place(&mut ws.rhs_cplx);
-                sol.stats.linear_solves += 2;
 
-                // Update w and compute the iteration displacement norm.
+                // Update w and sum the iteration displacement.
                 let mut dyno = 0.0f64;
                 for i in 0..n {
                     let d1 = ws.rhs_real[i];
@@ -532,7 +821,6 @@ impl Radau5 {
                     let s = ws.scale[i];
                     dyno += (d1 / s).powi(2) + (d2 / s).powi(2) + (d3 / s).powi(2);
                 }
-                let dyno = (dyno / (3 * n) as f64).sqrt();
 
                 // Back-transform to z.
                 for i in 0..n {
@@ -541,182 +829,68 @@ impl Radau5 {
                     ws.z3[i] = T31 * ws.w1[i] + ws.w2[i];
                 }
 
-                if !dyno.is_finite() {
-                    break; // divergence handled below
-                }
-
-                if newt > 0 {
-                    let thq = dyno / dyno_old.max(f64::MIN_POSITIVE);
-                    theta = if newt == 1 { thq } else { (thq * thq_old).sqrt() };
-                    thq_old = thq;
-                    if theta < 0.99 {
-                        faccon = theta / (1.0 - theta);
-                        let remaining = (NIT - 1 - newt) as i32;
-                        let dyth = faccon * dyno * theta.powi(remaining) / fnewt;
-                        if dyth >= 1.0 {
-                            break; // predicted to miss the tolerance
+                match run.newton_verdict(dyno, n, fnewt) {
+                    Newton::Continue => {}
+                    Newton::Converged => break,
+                    Newton::Failed => {
+                        if let Err(error) = run.newton_failed(&mut h, t) {
+                            return run.end(Err(error));
                         }
-                    } else {
-                        break; // diverging
+                        continue 'steps;
                     }
                 }
-                dyno_old = dyno.max(uround);
-
-                if faccon * dyno <= fnewt && newt > 0 {
-                    converged = true;
-                    break;
-                }
-                // First iteration can also converge immediately.
-                if newt == 0 && dyno <= 1e-1 * fnewt {
-                    converged = true;
-                    break;
-                }
             }
-
-            if !converged {
-                // Newton failed: fresh Jacobian if stale, halve the step.
-                newton_failures += 1;
-                if newton_failures > 20 {
-                    return Err(SolveFailure {
-                        error: SolverError::NonlinearSolveFailed { t, failures: newton_failures },
-                        stats: sol.stats,
-                    });
-                }
-                sol.stats.rejected += 1;
-                sol.stats.steps += 1;
-                steps_since_sample += 1;
-                need_jacobian = true; // conservative: rebuild at current y
-                need_factor = true;
-                h *= 0.5;
-                ws.have_cont = false;
-                continue 'steps;
-            }
-            newton_failures = 0;
 
             // Error estimate: err = || (γ/h I − J)⁻¹ (f0 + Σ ddᵢ zᵢ / h) ||.
             let lu_real = ws.lu_real.as_ref().expect("factorization exists");
-            let hee1 = dd1 / h;
-            let hee2 = dd2 / h;
-            let hee3 = dd3 / h;
-            for i in 0..n {
-                ws.tmp[i] = hee1 * ws.z1[i] + hee2 * ws.z2[i] + hee3 * ws.z3[i];
-                ws.err_v[i] = ws.tmp[i] + ws.f0[i];
-            }
+            let z = [&ws.z1[..], &ws.z2, &ws.z3];
+            error_rhs(whole, h, z, &ws.f0, &mut ws.tmp, &mut ws.err_v);
             lu_real.solve_in_place(&mut ws.err_v);
-            sol.stats.linear_solves += 1;
-            let mut err = weighted_rms_norm(&ws.err_v, &ws.scale).max(1e-10);
-
-            if err >= 1.0 && (first || last_rejected) {
+            let mut err = run.estimate(&ws.err_v, &ws.scale, whole);
+            if run.refines(err) {
                 // Refined estimate: evaluate f at the corrected point.
                 for i in 0..n {
                     ws.stage[i] = ws.y[i] + ws.err_v[i];
                 }
                 system.rhs(t, &ws.stage, &mut ws.f_ref);
-                sol.stats.rhs_evals += 1;
+                run.sol.stats.rhs_evals += 1;
                 for i in 0..n {
                     ws.err_v[i] = ws.f_ref[i] + ws.tmp[i];
                 }
                 lu_real.solve_in_place(&mut ws.err_v);
-                sol.stats.linear_solves += 1;
-                err = weighted_rms_norm(&ws.err_v, &ws.scale).max(1e-10);
+                err = run.estimate(&ws.err_v, &ws.scale, whole);
             }
 
-            sol.stats.steps += 1;
-            steps_since_sample += 1;
-
-            // Step-size proposal (radau5's controller).
-            let fac = SAFE
-                .min(SAFE * (1.0 + 2.0 * NIT as f64) / (newton_iters as f64 + 2.0 * NIT as f64));
-            let mut quot = (err.powf(0.25) / fac).clamp(FACR, FACL);
-            let mut h_new = h / quot;
-
-            if err < 1.0 {
-                // Accept.
-                sol.stats.accepted += 1;
-                if !first {
-                    // Gustafsson predictive controller.
-                    let facgus =
-                        ((hacc / h) * (err * err / erracc).powf(0.25) / SAFE).clamp(FACR, FACL);
-                    quot = quot.max(facgus);
-                    h_new = h / quot;
-                }
-                hacc = h;
-                erracc = err.max(1e-2);
-
-                let step = AcceptedStep {
-                    t,
-                    h,
-                    y: &ws.y,
-                    z1: &ws.z1,
-                    z2: &ws.z2,
-                    z3: &ws.z3,
-                    lu_real,
-                    lu_cplx: ws.lu_complex.as_ref().expect("factorization exists"),
-                    fnewt,
-                };
-                hook.accepted(&step, &mut sol.stats);
-
-                // Dense-output coefficients from the collocation polynomial.
-                set_cont(&mut ws.cont, &ws.y, &ws.z1, &ws.z2, &ws.z3);
-                ws.cont_h = h;
-                ws.have_cont = true;
-
-                let t_new = t + h;
-                // Serve samples inside (t, t_new].
-                let mut sample_buf = std::mem::take(&mut ws.sample_buf);
-                while next_sample < sample_times.len() && sample_times[next_sample] <= t_new {
-                    let ts = sample_times[next_sample];
-                    let s = ((ts - t_new) / h).clamp(-1.0, 0.0);
-                    eval_cont(&ws.cont, s, &mut sample_buf);
-                    sol.times.push(ts);
-                    sol.states.push(sample_buf.clone());
-                    hook.sample(s);
-                    next_sample += 1;
-                    steps_since_sample = 0;
-                }
-                ws.sample_buf = sample_buf;
-
-                // Advance the state (stiffly accurate: y_new = y + z3).
-                for i in 0..n {
-                    ws.y[i] += ws.z3[i];
-                }
-                if !ws.y.iter().all(|v| v.is_finite()) || !hook.advance() {
-                    return Err(SolveFailure {
-                        error: SolverError::NonFiniteState { t: t_new },
-                        stats: sol.stats,
-                    });
-                }
-                t = t_new;
-                if next_sample == sample_times.len() {
-                    return Ok(sol);
-                }
-
-                system.rhs(t, &ws.y, &mut ws.f0);
-                sol.stats.rhs_evals += 1;
-                options.error_scale(&ws.y, &mut ws.scale);
-
-                // Jacobian / factorization reuse policy.
-                need_jacobian = theta > THET;
-                let quot_ratio = h_new / h;
-                if !need_jacobian && (QUOT1..=QUOT2).contains(&quot_ratio) {
-                    h_new = h; // keep the factorization
-                } else {
-                    need_factor = true;
-                }
-                if h_new > options.max_step {
-                    need_factor = true;
-                }
-                h = h_new;
-                first = false;
-                last_rejected = false;
-            } else {
-                // Reject.
-                sol.stats.rejected += 1;
-                last_rejected = true;
-                h = if first { 0.1 * h } else { h_new };
-                need_factor = true;
-                if theta > THET {
-                    need_jacobian = true;
+            match run.control(err, h) {
+                Control::Reject(h_new) => h = h_new,
+                Control::Accept(h_new) => {
+                    let step = AcceptedStep {
+                        t,
+                        h,
+                        y: &ws.y,
+                        z1: &ws.z1,
+                        z2: &ws.z2,
+                        z3: &ws.z3,
+                        lu_real,
+                        lu_cplx: ws.lu_complex.as_ref().expect("factorization exists"),
+                        fnewt,
+                    };
+                    hook.accepted(&step, &mut run.sol.stats);
+                    let (y, cont) = (&mut ws.y, &mut ws.cont);
+                    let z = [&ws.z1[..], &ws.z2, &ws.z3];
+                    if let Err(error) =
+                        advance_accepted(&mut run, sample_times, t, h, whole, y, z, cont, hook)
+                    {
+                        return run.end(Err(error));
+                    }
+                    t += h;
+                    if run.done(sample_times) {
+                        return run.end(Ok(()));
+                    }
+                    system.rhs(t, &ws.y, &mut ws.f0);
+                    run.sol.stats.rhs_evals += 1;
+                    options.error_scale(&ws.y, &mut ws.scale);
+                    h = run.reuse(h_new, h, options.max_step);
                 }
             }
         }

@@ -41,7 +41,13 @@
 //! — is the one `step.rs` holds for both kernels (see
 //! [`Dopri5Batch`](crate::Dopri5Batch)), at error-estimator order 3; the
 //! pre-step pass skips lanes that are mid-Newton, which are not at a step
-//! start.
+//! start. The step controller is the scalar solver's, written once in
+//! `radau5.rs` on a lane's `RadauLane` state and called on its column of
+//! the blocks: the singular-matrix retry, the Newton start, verdict and
+//! failure rule, the refined-estimate test, the Gustafsson controller, the
+//! Jacobian/LU reuse policy, and the collocation polynomial for the Newton
+//! extrapolation, the dense output and the samples. This file keeps the
+//! Newton iteration's row passes and the batched Jacobian and LU calls.
 //!
 //! Masked (parked or never-bound) lanes still flow through the stage
 //! arithmetic with whatever state they last held; their results are
@@ -63,11 +69,11 @@
 use crate::batch::{BatchOdeSystem, BatchState};
 use crate::dopri5_batch::{group_from_queue, Attempt, LaneReport};
 use crate::radau5::{
-    ALPH, BETA, FACL, FACR, NIT, QUOT1, QUOT2, SAFE, SQ6, T11, T12, T13, T21, T22, T23, T31, THET,
-    TI11, TI12, TI13, TI21, TI22, TI23, TI31, TI32, TI33, U1,
+    advance_accepted, error_rhs, newton_tolerance, Control, Newton, RadauLane, ALPH, BETA, C1, C2,
+    T11, T12, T13, T21, T22, T23, T31, TI11, TI12, TI13, TI21, TI22, TI23, TI31, TI32, TI33, U1,
 };
-use crate::step::{LaneGroup, LaneScratch};
-use crate::{SolverError, SolverOptions, SolverScratch};
+use crate::step::{Column, LaneGroup, LaneScratch};
+use crate::{SolverOptions, SolverScratch};
 use paraspace_linalg::{with_lane_width, BatchCluFactor, BatchLuFactor, Complex64, LaneWidth};
 
 /// Pooled working storage for one lockstep Radau lane-group integration:
@@ -97,10 +103,8 @@ pub(crate) struct RadauBatchScratch {
     probe_f: BatchState,
     rhs_real: BatchState,
     rhs_cplx: Vec<Complex64>,
-    cont0: BatchState,
-    cont1: BatchState,
-    cont2: BatchState,
-    cont3: BatchState,
+    /// The collocation polynomials, lane-major like the blocks.
+    cont: [Vec<f64>; 4],
     /// Per-lane Jacobians, lane `l`'s row-major `n × n` block at `l·n²`
     /// (the layout of its factors); refreshed lanes copy theirs out of the
     /// lane-minor sweep output `jac_probe`, untouched lanes keep their `J`.
@@ -109,7 +113,7 @@ pub(crate) struct RadauBatchScratch {
     lu_real: BatchLuFactor,
     lu_cplx: BatchCluFactor,
     lane: LaneScratch,
-    sample_buf: Vec<f64>,
+    extrap: Vec<f64>,
     fac1v: Vec<f64>,
     alphnv: Vec<f64>,
     betanv: Vec<f64>,
@@ -147,10 +151,6 @@ impl RadauBatchScratch {
             &mut self.probe_y,
             &mut self.probe_f,
             &mut self.rhs_real,
-            &mut self.cont0,
-            &mut self.cont1,
-            &mut self.cont2,
-            &mut self.cont3,
         ] {
             if b.dim() != n || b.lanes() != lanes {
                 b.resize(n, lanes);
@@ -158,12 +158,15 @@ impl RadauBatchScratch {
         }
         self.rhs_cplx.clear();
         self.rhs_cplx.resize(n * lanes, Complex64::ZERO);
+        for v in &mut self.cont {
+            v.resize(n * lanes, 0.0);
+        }
         self.jac_lanes.resize(n * n * lanes, 0.0);
         self.jac_probe.resize(n * n * lanes, 0.0);
         self.lu_real.ensure(n, lanes);
         self.lu_cplx.ensure(n, lanes);
         self.lane.ensure(n, lanes);
-        self.sample_buf.resize(n, 0.0);
+        self.extrap.resize(n, 0.0);
         for v in [
             &mut self.fac1v,
             &mut self.alphnv,
@@ -219,54 +222,6 @@ fn build_and_factor(
     }
     real.factor(mask);
     cplx.factor(mask);
-}
-
-/// Per-lane method state: what the scalar RADAU5 keeps in local variables
-/// for its single trajectory beside the [`Lane`](crate::step::Lane)
-/// header, plus the lane's position inside the step state machine (between
-/// ticks a lane is either at *step start* or mid-Newton).
-#[derive(Clone, Copy)]
-struct RadauLane {
-    need_jacobian: bool,
-    need_factor: bool,
-    first: bool,
-    last_rejected: bool,
-    faccon: f64,
-    hacc: f64,
-    erracc: f64,
-    singular_retries: usize,
-    newton_failures: usize,
-    have_cont: bool,
-    cont_h: f64,
-    in_newton: bool,
-    newt: usize,
-    newton_iters: usize,
-    theta: f64,
-    dyno_old: f64,
-    thq_old: f64,
-}
-
-impl RadauLane {
-    /// A freshly bound lane's state: the scalar solver's initial values.
-    const START: RadauLane = RadauLane {
-        need_jacobian: true,
-        need_factor: true,
-        first: true,
-        last_rejected: false,
-        faccon: 1.0,
-        hacc: 0.0, // seeded after hinit
-        erracc: 1e-2,
-        singular_retries: 0,
-        newton_failures: 0,
-        have_cont: false,
-        cont_h: 0.0,
-        in_newton: false,
-        newt: 0,
-        newton_iters: 0,
-        theta: 2.0 * THET,
-        dyno_old: 0.0,
-        thq_old: 0.0,
-    };
 }
 
 /// The lockstep lane-batched RADAU5 solver.
@@ -429,16 +384,13 @@ fn solve_queue_impl(
         probe_f,
         rhs_real,
         rhs_cplx,
-        cont0,
-        cont1,
-        cont2,
-        cont3,
+        cont,
         jac_lanes,
         jac_probe,
         lu_real,
         lu_cplx,
         lane: ls,
-        sample_buf,
+        extrap,
         fac1v,
         alphnv,
         betanv,
@@ -451,35 +403,19 @@ fn solve_queue_impl(
         refine_mask,
         refresh_mask,
     } = ws;
-
-    // Method constants derived exactly as the scalar preamble derives them.
-    let c1 = (4.0 - SQ6) / 10.0;
-    let c2 = (4.0 + SQ6) / 10.0;
-    let c1mc2 = c1 - c2;
-    let dd1 = -(13.0 + 7.0 * SQ6) / 3.0;
-    let dd2 = (-13.0 + 7.0 * SQ6) / 3.0;
-    let dd3 = -1.0 / 3.0;
-    let c1m1 = c1 - 1.0;
-    let c2m1 = c2 - 1.0;
-    let uround = f64::EPSILON;
-    let fnewt = (10.0 * uround / options.rel_tol).max(0.03f64.min(options.rel_tol.sqrt()));
+    let fnewt = newton_tolerance(options);
+    let column = |lane| Column::lane(n, lanes, lane);
 
     loop {
         // --- Lane compaction: bind pending members into free lanes, then
-        // seed them: `f0`, and `hinit` at error-estimator order 3. ---
+        // seed them: `f0`, and `hinit` at error-estimator order 3, clamped
+        // as the scalar preamble's tail does, and the error scale. ---
         group.refill(system, next_member, y, ls);
         group.start_fresh(system, ls, y, f0, [&mut *probe_y, &mut *probe_f], 3);
-        // Post-hinit clamp, Gustafsson memory seed, and error scale (the
-        // scalar preamble's tail).
         for &lane in &group.fresh {
-            ls.h[lane] = ls.h[lane].min(options.max_step).min(group.t_end - ls.t[lane]);
             let c = group.lanes[lane].as_mut().expect("fresh lane is bound");
-            c.hacc = ls.h[lane];
-            let (yv, sc) = (y.as_slice(), scale.as_mut_slice());
-            for i in 0..n {
-                let il = i * lanes + lane;
-                sc[il] = options.abs_tol + options.rel_tol * yv[il].abs();
-            }
+            ls.h[lane] = c.start(ls.h[lane], ls.t[lane], group.t_end, options);
+            options.error_scale_at(column(lane), y.as_slice(), scale.as_mut_slice());
         }
         if group.live() == 0 {
             break; // no live lanes and no pending members
@@ -512,16 +448,14 @@ fn solve_queue_impl(
                 {
                     *dst = src;
                 }
-                let c = group.lanes[lane].as_mut().expect("jacobian lane is live");
-                c.sol.stats.jacobian_evals += 1;
-                c.need_jacobian = false;
-                c.need_factor = true;
+                group.lanes[lane].as_mut().expect("jacobian lane is live").jacobian_refreshed();
             }
         }
 
         // --- Masked factorization: build E1 = γ/h·I − J and
         // E2 = (α+iβ)/h·I − J in the requesting lanes' columns only, then
-        // factor them batched. ---
+        // factor them batched; a singular pair halves the lane's step for a
+        // retry from step start next tick. ---
         let mut any_factor = false;
         for lane in 0..lanes {
             factor_mask[lane] =
@@ -534,26 +468,9 @@ fn solve_queue_impl(
                 if !factor_mask[lane] {
                     continue;
                 }
-                let mut park: Option<SolverError> = None;
-                {
-                    let c = group.lanes[lane].as_mut().expect("factor lane is live");
-                    if lu_real.is_singular(lane) || lu_cplx.is_singular(lane) {
-                        c.singular_retries += 1;
-                        if c.singular_retries > 8 {
-                            park = Some(SolverError::SingularIterationMatrix { t: t[lane] });
-                        } else {
-                            // Halve h and retry from step start next tick
-                            // (the scalar path's `continue 'steps`, which
-                            // re-runs the pre-step checks first).
-                            h[lane] *= 0.5;
-                        }
-                    } else {
-                        c.sol.stats.lu_decompositions += 2;
-                        c.singular_retries = 0;
-                        c.need_factor = false;
-                    }
-                }
-                if let Some(error) = park {
+                let singular = lu_real.is_singular(lane) || lu_cplx.is_singular(lane);
+                let c = group.lanes[lane].as_mut().expect("factor lane is live");
+                if let Err(error) = c.factored(singular, &mut h[lane], t[lane]) {
                     group.park(lane, Err(error), h);
                 }
             }
@@ -566,55 +483,9 @@ fn solve_queue_impl(
             if c.in_newton || c.need_factor {
                 continue; // mid-Newton, or waiting out a singular retry
             }
-            if c.first || !c.have_cont {
-                let (z1v, z2v, z3v) = (z1.as_mut_slice(), z2.as_mut_slice(), z3.as_mut_slice());
-                let (w1v, w2v, w3v) = (w1.as_mut_slice(), w2.as_mut_slice(), w3.as_mut_slice());
-                for i in 0..n {
-                    let il = i * lanes + lane;
-                    z1v[il] = 0.0;
-                    z2v[il] = 0.0;
-                    z3v[il] = 0.0;
-                    w1v[il] = 0.0;
-                    w2v[il] = 0.0;
-                    w3v[il] = 0.0;
-                }
-            } else {
-                // Extrapolate the previous collocation polynomial.
-                let ratio = h[lane] / c.cont_h;
-                let (c0v, c1v, c2v, c3v) =
-                    (cont0.as_slice(), cont1.as_slice(), cont2.as_slice(), cont3.as_slice());
-                for (ci, which) in [(c1, 0usize), (c2, 1), (1.0, 2)] {
-                    let s_eval = ci * ratio;
-                    let zv = match which {
-                        0 => z1.as_mut_slice(),
-                        1 => z2.as_mut_slice(),
-                        _ => z3.as_mut_slice(),
-                    };
-                    for i in 0..n {
-                        let il = i * lanes + lane;
-                        let q = c0v[il]
-                            + s_eval
-                                * (c1v[il]
-                                    + (s_eval - c2m1) * (c2v[il] + (s_eval - c1m1) * c3v[il]));
-                        zv[il] = q - c0v[il];
-                    }
-                }
-                let (z1v, z2v, z3v) = (z1.as_slice(), z2.as_slice(), z3.as_slice());
-                let (w1v, w2v, w3v) = (w1.as_mut_slice(), w2.as_mut_slice(), w3.as_mut_slice());
-                for i in 0..n {
-                    let il = i * lanes + lane;
-                    w1v[il] = TI11 * z1v[il] + TI12 * z2v[il] + TI13 * z3v[il];
-                    w2v[il] = TI21 * z1v[il] + TI22 * z2v[il] + TI23 * z3v[il];
-                    w3v[il] = TI31 * z1v[il] + TI32 * z2v[il] + TI33 * z3v[il];
-                }
-            }
-            c.faccon = c.faccon.max(uround).powf(0.8);
-            c.theta = 2.0 * THET; // pessimistic until measured
-            c.dyno_old = 0.0;
-            c.thq_old = 0.0;
-            c.newt = 0;
-            c.newton_iters = 0;
-            c.in_newton = true;
+            let z = [&mut *z1, &mut *z2, &mut *z3].map(BatchState::as_mut_slice);
+            let w = [&mut *w1, &mut *w2, &mut *w3].map(BatchState::as_mut_slice);
+            c.start_newton(h[lane], column(lane), cont, extrap, z, w);
         }
 
         // --- The lockstep Newton iteration: three lane-wide stage sweeps,
@@ -631,19 +502,8 @@ fn solve_queue_impl(
         group.report.lockstep_iters += 1;
         group.report.lane_steps += n_newton;
 
-        for lane in 0..lanes {
-            if !newton_mask[lane] {
-                continue;
-            }
-            let c = group.lanes[lane].as_mut().expect("newton lane is live");
-            c.newton_iters = c.newt + 1;
-            c.sol.stats.rhs_evals += 3;
-            c.sol.stats.nonlinear_iters += 1;
-            c.sol.stats.linear_solves += 2;
-        }
-
         // Stage right-hand sides (the last node is t + h: 1·h is exact).
-        for (c, z, f) in [(c1, &*z1, &mut *f1), (c2, &*z2, &mut *f2), (1.0, &*z3, &mut *f3)] {
+        for (c, z, f) in [(C1, &*z1, &mut *f1), (C2, &*z2, &mut *f2), (1.0, &*z3, &mut *f3)] {
             let (y, z, out) = (y.as_slice(), z.as_slice(), stage.as_mut_slice());
             with_lane_width!(lanes, |w| stage_argument_rows(w, n, y, z, out));
             for l in 0..lanes {
@@ -695,104 +555,27 @@ fn solve_queue_impl(
             if !newton_mask[lane] {
                 continue;
             }
-            let mut park: Option<SolverError> = None;
-            {
-                let c = group.lanes[lane].as_mut().expect("newton lane is live");
-                let dyno = (dyno_acc[lane] / (3 * n) as f64).sqrt();
-                enum Outcome {
-                    Continue,
-                    Converged,
-                    Failed,
+            let c = group.lanes[lane].as_mut().expect("newton lane is live");
+            let failed = match c.newton_verdict(dyno_acc[lane], n, fnewt) {
+                Newton::Continue => continue,
+                Newton::Converged => {
+                    conv_mask[lane] = true;
+                    continue;
                 }
-                let mut outcome = Outcome::Continue;
-                if !dyno.is_finite() {
-                    outcome = Outcome::Failed; // divergence handled below
-                } else {
-                    let mut broke = false;
-                    if c.newt > 0 {
-                        let thq = dyno / c.dyno_old.max(f64::MIN_POSITIVE);
-                        c.theta = if c.newt == 1 { thq } else { (thq * c.thq_old).sqrt() };
-                        c.thq_old = thq;
-                        if c.theta < 0.99 {
-                            c.faccon = c.theta / (1.0 - c.theta);
-                            let remaining = (NIT - 1 - c.newt) as i32;
-                            let dyth = c.faccon * dyno * c.theta.powi(remaining) / fnewt;
-                            if dyth >= 1.0 {
-                                broke = true; // predicted to miss the tolerance
-                            }
-                        } else {
-                            broke = true; // diverging
-                        }
-                    }
-                    if broke {
-                        outcome = Outcome::Failed;
-                    } else {
-                        c.dyno_old = dyno.max(uround);
-                        if c.faccon * dyno <= fnewt && c.newt > 0 {
-                            outcome = Outcome::Converged;
-                        } else if c.newt == 0 && dyno <= 1e-1 * fnewt {
-                            // First iteration can also converge immediately.
-                            outcome = Outcome::Converged;
-                        } else if c.newt + 1 >= NIT {
-                            outcome = Outcome::Failed; // iteration budget spent
-                        }
-                    }
-                }
-                match outcome {
-                    Outcome::Continue => c.newt += 1,
-                    Outcome::Converged => {
-                        c.newton_failures = 0;
-                        c.in_newton = false;
-                        conv_mask[lane] = true;
-                    }
-                    Outcome::Failed => {
-                        // Newton failed: fresh Jacobian if stale, halve the
-                        // step, retry from step start.
-                        c.newton_failures += 1;
-                        if c.newton_failures > 20 {
-                            park = Some(SolverError::NonlinearSolveFailed {
-                                t: t[lane],
-                                failures: c.newton_failures,
-                            });
-                        } else {
-                            c.sol.stats.rejected += 1;
-                            c.sol.stats.steps += 1;
-                            c.steps_since_sample += 1;
-                            c.need_jacobian = true; // conservative: rebuild at current y
-                            c.need_factor = true;
-                            h[lane] *= 0.5;
-                            c.have_cont = false;
-                            c.in_newton = false;
-                        }
-                    }
-                }
-            }
-            if let Some(error) = park {
+                Newton::Failed => c.newton_failed(&mut h[lane], t[lane]),
+            };
+            if let Err(error) = failed {
                 group.park(lane, Err(error), h);
             }
         }
 
         // --- Error estimate for the lanes that converged this tick:
         // err = || E1⁻¹ (f0 + Σ ddᵢ zᵢ / h) ||, masked batched solve. ---
-        let any_conv = conv_mask.iter().any(|&m| m);
-        if any_conv {
-            {
-                let (z1v, z2v, z3v) = (z1.as_slice(), z2.as_slice(), z3.as_slice());
-                let f0v = f0.as_slice();
-                let (tv, ev) = (tmp.as_mut_slice(), err_v.as_mut_slice());
-                for lane in 0..lanes {
-                    if !conv_mask[lane] {
-                        continue;
-                    }
-                    let hee1 = dd1 / h[lane];
-                    let hee2 = dd2 / h[lane];
-                    let hee3 = dd3 / h[lane];
-                    for i in 0..n {
-                        let il = i * lanes + lane;
-                        tv[il] = hee1 * z1v[il] + hee2 * z2v[il] + hee3 * z3v[il];
-                        ev[il] = tv[il] + f0v[il];
-                    }
-                }
+        if conv_mask.iter().any(|&m| m) {
+            let z = [z1.as_slice(), z2.as_slice(), z3.as_slice()];
+            let (tv, ev) = (tmp.as_mut_slice(), err_v.as_mut_slice());
+            for lane in (0..lanes).filter(|&lane| conv_mask[lane]) {
+                error_rhs(column(lane), h[lane], z, f0.as_slice(), tv, ev);
             }
             lu_real.solve_lanes(err_v.as_mut_slice(), conv_mask);
             let mut any_refine = false;
@@ -802,10 +585,8 @@ fn solve_queue_impl(
                     continue;
                 }
                 let c = group.lanes[lane].as_mut().expect("converged lane is live");
-                c.sol.stats.linear_solves += 1;
-                err_norm[lane] =
-                    lane_wrms(err_v.as_slice(), scale.as_slice(), n, lanes, lane).max(1e-10);
-                refine_mask[lane] = err_norm[lane] >= 1.0 && (c.first || c.last_rejected);
+                err_norm[lane] = c.estimate(err_v.as_slice(), scale.as_slice(), column(lane));
+                refine_mask[lane] = c.refines(err_norm[lane]);
                 any_refine |= refine_mask[lane];
             }
             if any_refine {
@@ -817,9 +598,8 @@ fn solve_queue_impl(
                         if !refine_mask[lane] {
                             continue;
                         }
-                        for i in 0..n {
-                            let il = i * lanes + lane;
-                            st[il] = yv[il] + ev[il];
+                        for i in column(lane).indices() {
+                            st[i] = yv[i] + ev[i];
                         }
                     }
                     t_stage.copy_from_slice(t);
@@ -832,9 +612,8 @@ fn solve_queue_impl(
                         if !refine_mask[lane] {
                             continue;
                         }
-                        for i in 0..n {
-                            let il = i * lanes + lane;
-                            ev[il] = fv[il] + tv[il];
+                        for i in column(lane).indices() {
+                            ev[i] = fv[i] + tv[i];
                         }
                     }
                 }
@@ -845,153 +624,42 @@ fn solve_queue_impl(
                     }
                     let c = group.lanes[lane].as_mut().expect("refining lane is live");
                     c.sol.stats.rhs_evals += 1;
-                    c.sol.stats.linear_solves += 1;
-                    err_norm[lane] =
-                        lane_wrms(err_v.as_slice(), scale.as_slice(), n, lanes, lane).max(1e-10);
+                    err_norm[lane] = c.estimate(err_v.as_slice(), scale.as_slice(), column(lane));
                 }
             }
         }
 
-        // --- Per-lane acceptance, Gustafsson controller, dense output,
-        // sampling, and the Jacobian/LU reuse policy. ---
+        // --- Per-lane controller; an accepted step's dense output, samples
+        // and advance, and the Jacobian/LU reuse policy. ---
         for lane in 0..lanes {
             refresh_mask[lane] = false;
             if !conv_mask[lane] {
                 continue;
             }
-            // `Ok` settles the member's solution, `Err` its failure.
-            let mut park: Option<Result<(), SolverError>> = None;
-            {
-                let c = group.lanes[lane].as_mut().expect("converged lane is live");
-                c.sol.stats.steps += 1;
-                c.steps_since_sample += 1;
-                let err = err_norm[lane];
-
-                // Step-size proposal (radau5's controller).
-                let fac = SAFE.min(
-                    SAFE * (1.0 + 2.0 * NIT as f64) / (c.newton_iters as f64 + 2.0 * NIT as f64),
-                );
-                let mut quot = (err.powf(0.25) / fac).clamp(FACR, FACL);
-                let mut h_new = h[lane] / quot;
-
-                if err < 1.0 {
-                    // Accept.
-                    c.sol.stats.accepted += 1;
-                    if !c.first {
-                        // Gustafsson predictive controller.
-                        let facgus = ((c.hacc / h[lane]) * (err * err / c.erracc).powf(0.25)
-                            / SAFE)
-                            .clamp(FACR, FACL);
-                        quot = quot.max(facgus);
-                        h_new = h[lane] / quot;
-                    }
-                    c.hacc = h[lane];
-                    c.erracc = err.max(1e-2);
-
-                    // Dense-output coefficients from the collocation
-                    // polynomial, this lane's columns only.
-                    {
-                        let yv = y.as_slice();
-                        let (z1v, z2v, z3v) = (z1.as_slice(), z2.as_slice(), z3.as_slice());
-                        let (c0v, c1v, c2v, c3v) = (
-                            cont0.as_mut_slice(),
-                            cont1.as_mut_slice(),
-                            cont2.as_mut_slice(),
-                            cont3.as_mut_slice(),
-                        );
-                        for i in 0..n {
-                            let il = i * lanes + lane;
-                            let y_new = yv[il] + z3v[il];
-                            c0v[il] = y_new;
-                            let c1_term = (z2v[il] - z3v[il]) / c2m1;
-                            let ak = (z1v[il] - z2v[il]) / c1mc2;
-                            let mut acont3 = z1v[il] / c1;
-                            acont3 = (ak - acont3) / c2;
-                            let c2_term = (ak - c1_term) / c1m1;
-                            c1v[il] = c1_term;
-                            c2v[il] = c2_term;
-                            c3v[il] = c2_term - acont3;
-                        }
-                    }
-                    c.cont_h = h[lane];
-                    c.have_cont = true;
-
-                    let t_new = t[lane] + h[lane];
-                    // Serve samples inside (t, t_new].
-                    {
-                        let (c0v, c1v, c2v, c3v) = (
-                            cont0.as_slice(),
-                            cont1.as_slice(),
-                            cont2.as_slice(),
-                            cont3.as_slice(),
-                        );
-                        while c.next_sample < sample_times.len()
-                            && sample_times[c.next_sample] <= t_new
-                        {
-                            let ts = sample_times[c.next_sample];
-                            let sv = ((ts - t_new) / h[lane]).clamp(-1.0, 0.0);
-                            for i in 0..n {
-                                let il = i * lanes + lane;
-                                sample_buf[i] = c0v[il]
-                                    + sv * (c1v[il]
-                                        + (sv - c2m1) * (c2v[il] + (sv - c1m1) * c3v[il]));
-                            }
-                            c.sol.times.push(ts);
-                            c.sol.states.push(sample_buf.clone());
-                            c.next_sample += 1;
-                            c.steps_since_sample = 0;
-                        }
-                    }
-
-                    // Advance the state (stiffly accurate: y_new = y + z3).
-                    {
-                        let z3v = z3.as_slice();
-                        let yv = y.as_mut_slice();
-                        for i in 0..n {
-                            let il = i * lanes + lane;
-                            yv[il] += z3v[il];
-                        }
-                    }
-                    let finite = (0..n).all(|i| y.as_slice()[i * lanes + lane].is_finite());
-                    if !finite {
-                        park = Some(Err(SolverError::NonFiniteState { t: t_new }));
-                    } else {
-                        t[lane] = t_new;
-                        if c.next_sample == sample_times.len() {
-                            park = Some(Ok(()));
-                        } else {
-                            // f0 refresh is deferred to one lane-wide sweep
-                            // below; the reuse policy is pure control state.
-                            refresh_mask[lane] = true;
-                            c.need_jacobian = c.theta > THET;
-                            let quot_ratio = h_new / h[lane];
-                            if !c.need_jacobian && (QUOT1..=QUOT2).contains(&quot_ratio) {
-                                h_new = h[lane]; // keep the factorization
-                            } else {
-                                c.need_factor = true;
-                            }
-                            if h_new > options.max_step {
-                                c.need_factor = true;
-                            }
-                            h[lane] = h_new;
-                            c.first = false;
-                            c.last_rejected = false;
-                        }
-                    }
-                } else {
-                    // Reject.
-                    c.sol.stats.rejected += 1;
-                    c.last_rejected = true;
-                    h[lane] = if c.first { 0.1 * h[lane] } else { h_new };
-                    c.need_factor = true;
-                    if c.theta > THET {
-                        c.need_jacobian = true;
-                    }
+            let c = group.lanes[lane].as_mut().expect("converged lane is live");
+            let h_new = match c.control(err_norm[lane], h[lane]) {
+                Control::Reject(h_new) => {
+                    h[lane] = h_new;
+                    continue;
+                }
+                Control::Accept(h_new) => h_new,
+            };
+            let z = [z1.as_slice(), z2.as_slice(), z3.as_slice()];
+            let (t_l, h_l) = (t[lane], h[lane]);
+            let y = y.as_mut_slice();
+            let outcome =
+                advance_accepted(c, sample_times, t_l, h_l, column(lane), y, z, cont, &mut ());
+            if outcome.is_ok() {
+                t[lane] = t_l + h_l;
+                if !c.done(sample_times) {
+                    // f0 refresh is deferred to one lane-wide sweep below;
+                    // the reuse policy is pure control state.
+                    refresh_mask[lane] = true;
+                    h[lane] = c.reuse(h_new, h_l, options.max_step);
+                    continue;
                 }
             }
-            if let Some(outcome) = park {
-                group.park(lane, outcome, h);
-            }
+            group.park(lane, outcome, h);
         }
 
         // --- Deferred f0 refresh for accepted, still-running lanes: one
@@ -1005,11 +673,7 @@ fn solve_queue_impl(
                 f0.copy_lane_from(probe_f, lane);
                 let c = group.lanes[lane].as_mut().expect("refreshed lane is live");
                 c.sol.stats.rhs_evals += 1;
-                let (yv, sc) = (y.as_slice(), scale.as_mut_slice());
-                for i in 0..n {
-                    let il = i * lanes + lane;
-                    sc[il] = options.abs_tol + options.rel_tol * yv[il].abs();
-                }
+                options.error_scale_at(column(lane), y.as_slice(), scale.as_mut_slice());
             }
         }
     }
@@ -1111,26 +775,10 @@ fn back_transform_rows<W: LaneWidth>(
     }
 }
 
-/// The per-lane strided equivalent of
-/// [`weighted_rms_norm`](paraspace_linalg::weighted_rms_norm): identical
-/// summation order over components.
-#[inline]
-fn lane_wrms(x: &[f64], w: &[f64], n: usize, lanes: usize, lane: usize) -> f64 {
-    if n == 0 {
-        return 0.0;
-    }
-    let mut sum = 0.0;
-    for s in 0..n {
-        let rr = x[s * lanes + lane] / w[s * lanes + lane];
-        sum += rr * rr;
-    }
-    (sum / n as f64).sqrt()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OdeSolver, OdeSystem, Radau5, Solution, SolveFailure};
+    use crate::{OdeSolver, OdeSystem, Radau5, Solution, SolveFailure, SolverError};
     use paraspace_linalg::Matrix;
     use paraspace_vgpu::LaneGroupStats;
 

@@ -7,13 +7,9 @@
 //! by clamping the step, which is exactly the behavioural difference from
 //! [`crate::Dopri5`] the comparison experiments expose.
 
-use crate::dopri5::NONFINITE_STRIKES;
-use crate::step::{clamp_step, step_limits};
+use crate::step::{clamp_step, reject_nonfinite, step_limits, wrms, Column};
 use crate::system::check_inputs;
-use crate::{
-    initial_step_size, OdeSolver, OdeSystem, Solution, SolveFailure, SolverError, SolverOptions,
-};
-use paraspace_linalg::weighted_rms_norm;
+use crate::{initial_step_size, OdeSolver, OdeSystem, Solution, SolveFailure, SolverOptions};
 
 const C2: f64 = 1.0 / 4.0;
 const C3: f64 = 3.0 / 8.0;
@@ -166,18 +162,11 @@ impl OdeSolver for Rkf45 {
                             + E6 * k[5][i]);
                 }
                 options.error_scale_pair(&y, &y_new, &mut scale);
-                let err = weighted_rms_norm(&err_vec, &scale);
+                let err = wrms(&err_vec, &scale, Column::whole(n));
 
                 if !err.is_finite() || !y_new.iter().all(|v| v.is_finite()) {
-                    sol.stats.rejected += 1;
-                    h = h_try * 0.1;
-                    nonfinite_strikes += 1;
-                    if nonfinite_strikes >= NONFINITE_STRIKES || h <= f64::MIN_POSITIVE * 1e4 {
-                        return Err(SolveFailure {
-                            error: SolverError::NonFiniteState { t },
-                            stats: sol.stats,
-                        });
-                    }
+                    h = reject_nonfinite(h_try, t, &mut nonfinite_strikes, &mut sol.stats)
+                        .map_err(|error| SolveFailure { error, stats: sol.stats })?;
                     continue;
                 }
                 nonfinite_strikes = 0;
@@ -203,7 +192,7 @@ impl OdeSolver for Rkf45 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::FnSystem;
+    use crate::{FnSystem, SolverError};
 
     #[test]
     fn decay_accuracy_within_tolerance_band() {

@@ -32,9 +32,10 @@
 //! the rate constants).
 
 use crate::radau5::{
-    eval_cont, set_cont, AcceptedStep, RadauWorkspace, StepHook, ALPH, BETA, NIT, SQ6, T11, T12,
+    eval_cont, set_cont, AcceptedStep, RadauWorkspace, StepHook, ALPH, BETA, C1, C2, NIT, T11, T12,
     T13, T21, T22, T23, T31, TI11, TI12, TI13, TI21, TI22, TI23, TI31, TI32, TI33, U1,
 };
+use crate::step::Column;
 use crate::{
     Dopri5, OdeSolver, OdeSystem, Radau5, Solution, SolveFailure, SolverOptions, StepStats,
 };
@@ -342,14 +343,12 @@ impl<S: SensOdeSystem + ?Sized> StepHook for StaggeredSens<'_, S> {
     fn accepted(&mut self, step: &AcceptedStep<'_>, stats: &mut StepStats) {
         let (n, p) = (self.n, self.p);
         let &AcceptedStep { t, h, y, z1, z2, z3, lu_real, lu_cplx, fnewt } = step;
-        let c1 = (4.0 - SQ6) / 10.0;
-        let c2 = (4.0 + SQ6) / 10.0;
         let fac1 = U1 / h;
         let alphn = ALPH / h;
         let betan = BETA / h;
 
         for (l, (ts, z)) in
-            [(t + c1 * h, z1), (t + c2 * h, z2), (t + h, z3)].into_iter().enumerate()
+            [(t + C1 * h, z1), (t + C2 * h, z2), (t + h, z3)].into_iter().enumerate()
         {
             for i in 0..n {
                 self.stage[i] = y[i] + z[i];
@@ -434,12 +433,12 @@ impl<S: SensOdeSystem + ?Sized> StepHook for StaggeredSens<'_, S> {
             }
         }
         let [v1, v2, v3] = &self.v;
-        set_cont(&mut self.cont_s, &self.sens, v1, v2, v3);
+        set_cont(&mut self.cont_s, Column::whole(p * n), &self.sens, [v1, v2, v3]);
     }
 
     fn sample(&mut self, s: f64) {
         let mut block = vec![0.0; self.p * self.n];
-        eval_cont(&self.cont_s, s, &mut block);
+        eval_cont(&self.cont_s, Column::whole(block.len()), s, &mut block);
         self.samples.push(block);
     }
 

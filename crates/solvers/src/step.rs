@@ -1,25 +1,110 @@
 //! The step bookkeeping every driver shares, written once — the
 //! solver-independent layer MPGOS keeps per system (Hegedűs et al.). The
-//! stage arithmetic, Newton iteration, step controllers and dense output
-//! stay per method; this module decides which limit stops a solve, and in
-//! which order, for all of them, so a lane and a scalar solve stop at the
-//! same `t` with the same counters:
+//! stage arithmetic and the Newton iteration stay per path; each method's
+//! step controller and dense output are written once in its own file
+//! (`dopri5.rs`, `radau5.rs`), where a scalar solve and a lane call them
+//! alike. This module decides which limit stops a solve, and in which
+//! order, for all of them, so a lane and a scalar solve stop at the same
+//! `t` with the same counters:
 //!
+//! * **one member's solve** — a [`Run`]: the solution so far, the sample
+//!   cursor and the method's control state, whether the member runs alone
+//!   or in a lane; a [`Column`] says where its vectors lie in a block, and
+//!   [`wrms`] is the one weighted RMS norm over them;
 //! * **step start** — [`step_limits`] then [`clamp_step`], at the head of
 //!   every step of DOPRI5, RADAU5, RKF45, the multistep driver (limits
 //!   only) and both lockstep kernels;
+//! * **a non-finite step** — [`reject_nonfinite`], the explicit methods'
+//!   hard rejection;
 //! * **start-up** — [`samples_at_start`], and Hairer's `hinit` as
 //!   [`hinit_probe`] and [`hinit_finish`] around the one right-hand side
 //!   between them: once per scalar solve, one sweep per lane refill;
-//! * **lane lifecycle** — a [`LaneGroup`] of [`Lane`] headers around each
-//!   kernel's own per-lane state: one refill, one start-up, one pre-step
-//!   pass, one park.
+//! * **lane lifecycle** — a [`LaneGroup`] of [`Run`]s: one refill, one
+//!   start-up, one pre-step pass, one park.
 
 use crate::batch::{BatchOdeSystem, BatchState};
 use crate::dopri5_batch::{Attempt, LaneReport};
 use crate::system::check_inputs;
 use crate::{Solution, SolveFailure, SolverError, SolverOptions, StepStats};
-use paraspace_linalg::weighted_rms_norm;
+
+/// Consecutive non-finite rejections before a step is declared
+/// unsalvageable. Each rejection shrinks `h` tenfold; a state that is still
+/// non-finite after this many shrinks is NaN/Inf whatever `h`, which step
+/// reduction can never fix — fail fast as `NonFiniteState` instead of
+/// grinding `h` down to the underflow threshold.
+const NONFINITE_STRIKES: usize = 5;
+
+/// Where one member's vector lies in a block: component `s` at index
+/// `s·stride + at`. A scalar driver's vectors are [`Column::whole`]; lane
+/// `l` of a lane-major block of `L` lanes is [`Column::lane`]`(n, L, l)`.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Column {
+    pub(crate) n: usize,
+    stride: usize,
+    at: usize,
+}
+
+impl Column {
+    /// All of a vector of length `n`.
+    pub(crate) fn whole(n: usize) -> Self {
+        Column { n, stride: 1, at: 0 }
+    }
+
+    /// Lane `lane`'s `n` components in a block of `lanes` lanes.
+    pub(crate) fn lane(n: usize, lanes: usize, lane: usize) -> Self {
+        Column { n, stride: lanes, at: lane }
+    }
+
+    /// The block indices of the components, in component order.
+    #[inline]
+    pub(crate) fn indices(self) -> impl Iterator<Item = usize> {
+        (0..self.n).map(move |s| s * self.stride + self.at)
+    }
+}
+
+/// The weighted RMS norm `√(Σ (xᵢ/wᵢ)² / n)` over `col`, summed in
+/// component order — a lane's reduction pass sums its squares in the same
+/// order — and `0` without components.
+#[inline]
+pub(crate) fn wrms(x: &[f64], w: &[f64], col: Column) -> f64 {
+    let mut sum = 0.0;
+    for i in col.indices() {
+        let r = x[i] / w[i];
+        sum += r * r;
+    }
+    root_mean(sum, col.n)
+}
+
+/// `√(sum/n)`, and `0` without components: the tail of [`wrms`], for a
+/// sum of squares a lane's reduction pass formed.
+#[inline]
+pub(crate) fn root_mean(sum: f64, n: usize) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    (sum / n as f64).sqrt()
+}
+
+/// The explicit methods' hard rejection of a step from `t` of size `h`
+/// whose error or new state is not finite: it counts as rejected, and the
+/// step to retry is `h/10` — unless this is the `NONFINITE_STRIKES`-th
+/// such step in a row (`strikes` counts them) or the retry would be
+/// vanishingly small, which ends the solve as `NonFiniteState`.
+#[inline]
+pub(crate) fn reject_nonfinite(
+    h: f64,
+    t: f64,
+    strikes: &mut usize,
+    stats: &mut StepStats,
+) -> Result<f64, SolverError> {
+    stats.rejected += 1;
+    *strikes += 1;
+    let h = h * 0.1;
+    if *strikes >= NONFINITE_STRIKES || h <= f64::MIN_POSITIVE * 1e4 {
+        return Err(SolverError::NonFiniteState { t });
+    }
+    Ok(h)
+}
 
 /// The limits checked before every step, in the order every driver checks
 /// them: the solve's `step_budget` over its `steps` so far, then
@@ -74,16 +159,10 @@ pub(crate) fn samples_at_start(
     at_start
 }
 
-/// `sc ← atol + rtol·|y0|`: the weights of both `hinit` halves.
-fn hinit_scale(y0: &[f64], options: &SolverOptions, sc: &mut [f64]) {
-    for (sc, &y) in sc.iter_mut().zip(y0) {
-        *sc = options.abs_tol + options.rel_tol * y.abs();
-    }
-}
-
 /// The first half of Hairer–Nørsett–Wanner's `hinit`: from the norms of
 /// `y0` and `f0 = f(t0, y0)` the trial step `h0`, returned, and the
-/// explicit Euler point `y0 + h0·f0`, written to `y1`. `sc` is scratch.
+/// explicit Euler point `y0 + h0·f0`, written to `y1`. `sc` is scratch for
+/// the weights, `y0`'s error scale.
 /// The caller evaluates `f(t0 + h0, y1)` and hands it to [`hinit_finish`].
 pub(crate) fn hinit_probe(
     y0: &[f64],
@@ -92,9 +171,10 @@ pub(crate) fn hinit_probe(
     sc: &mut [f64],
     y1: &mut [f64],
 ) -> f64 {
-    hinit_scale(y0, options, sc);
-    let d0 = weighted_rms_norm(y0, sc);
-    let d1 = weighted_rms_norm(f0, sc);
+    options.error_scale(y0, sc);
+    let whole = Column::whole(y0.len());
+    let d0 = wrms(y0, sc, whole);
+    let d1 = wrms(f0, sc, whole);
     let h0 = if d0 < 1e-5 || d1 < 1e-5 { 1e-6 } else { 0.01 * (d0 / d1) };
     let h0 = h0.min(options.max_step);
     for ((y1, &y), &f) in y1.iter_mut().zip(y0).zip(f0) {
@@ -116,12 +196,13 @@ pub(crate) fn hinit_finish(
     order: usize,
     options: &SolverOptions,
 ) -> f64 {
-    hinit_scale(y0, options, sc);
+    options.error_scale(y0, sc);
     for (f1, &f) in f1.iter_mut().zip(f0) {
         *f1 -= f;
     }
-    let d1 = weighted_rms_norm(f0, sc);
-    let d2 = weighted_rms_norm(f1, sc) / h0;
+    let whole = Column::whole(y0.len());
+    let d1 = wrms(f0, sc, whole);
+    let d2 = wrms(f1, sc, whole) / h0;
     let dmax = d1.max(d2);
     let h1 = if dmax <= 1e-15 {
         (h0 * 1e-3).max(1e-6)
@@ -160,31 +241,84 @@ impl LaneScratch {
     }
 }
 
-/// A bound lane: the bookkeeping of the scalar drivers' loop around the
-/// method's own per-lane state `S`, which the lane dereferences to.
-pub(crate) struct Lane<S> {
-    pub(crate) member: usize,
+/// One member's solve in progress, alone or in a lane: the solution so
+/// far, the sample cursor, the steps since the last sample, and the
+/// method's own control state `S`, which the run dereferences to. Each
+/// method's controller is written on its `Run<S>`.
+pub(crate) struct Run<S> {
     pub(crate) sol: Solution,
     pub(crate) next_sample: usize,
     pub(crate) steps_since_sample: usize,
-    state: S,
+    pub(crate) state: S,
 }
 
-impl<S> std::ops::Deref for Lane<S> {
+impl<S> Run<S> {
+    /// A run whose samples before `next_sample` are delivered.
+    pub(crate) fn new(sol: Solution, next_sample: usize, state: S) -> Self {
+        Run { sol, next_sample, steps_since_sample: 0, state }
+    }
+
+    /// [`step_limits`] for this run standing at `t`.
+    #[inline]
+    pub(crate) fn limit(&self, t: f64, options: &SolverOptions) -> Option<SolverError> {
+        step_limits(self.sol.stats.steps, self.steps_since_sample, t, options)
+    }
+
+    /// Counts one attempted step.
+    #[inline]
+    pub(crate) fn count_step(&mut self) {
+        self.sol.stats.steps += 1;
+        self.steps_since_sample += 1;
+    }
+
+    /// Whether the next sample lies at or before `t`.
+    #[inline]
+    pub(crate) fn sample_due(&self, sample_times: &[f64], t: f64) -> bool {
+        sample_times.get(self.next_sample).is_some_and(|&ts| ts <= t)
+    }
+
+    /// Delivers the next sample, at time `ts`, with the member's `state`
+    /// there.
+    #[inline]
+    pub(crate) fn push_sample(&mut self, ts: f64, state: Vec<f64>) {
+        self.sol.times.push(ts);
+        self.sol.states.push(state);
+        self.next_sample += 1;
+        self.steps_since_sample = 0;
+    }
+
+    /// Whether every sample is delivered.
+    #[inline]
+    pub(crate) fn done(&self, sample_times: &[f64]) -> bool {
+        self.next_sample == sample_times.len()
+    }
+
+    /// The member's solution on `Ok`, its failure with its counters on
+    /// `Err`.
+    pub(crate) fn end(self, outcome: Result<(), SolverError>) -> Attempt {
+        match outcome {
+            Ok(()) => Ok(self.sol),
+            Err(error) => Err(SolveFailure { error, stats: self.sol.stats }),
+        }
+    }
+}
+
+impl<S> std::ops::Deref for Run<S> {
     type Target = S;
     fn deref(&self) -> &S {
         &self.state
     }
 }
 
-impl<S> std::ops::DerefMut for Lane<S> {
+impl<S> std::ops::DerefMut for Run<S> {
     fn deref_mut(&mut self) -> &mut S {
         &mut self.state
     }
 }
 
 /// The lanes of one lockstep group over a member queue: which member each
-/// lane holds, the members settled so far, and the group's report. `S` is
+/// lane holds and its run, the members settled so far, and the group's
+/// report. `S` is
 /// the method's per-lane state, `start` its value in a freshly bound lane.
 pub(crate) struct LaneGroup<'a, S> {
     t0: f64,
@@ -194,8 +328,10 @@ pub(crate) struct LaneGroup<'a, S> {
     sample_times: &'a [f64],
     options: &'a SolverOptions,
     start: S,
-    /// The lanes, `None` where free.
-    pub(crate) lanes: Vec<Option<Lane<S>>>,
+    /// Each lane's run, `None` where free.
+    pub(crate) lanes: Vec<Option<Run<S>>>,
+    /// Each lane's member, while bound.
+    members: Vec<usize>,
     /// The lanes the last [`refill`](Self::refill) bound.
     pub(crate) fresh: Vec<usize>,
     exhausted: bool,
@@ -219,6 +355,7 @@ impl<'a, S: Copy> LaneGroup<'a, S> {
             options,
             start,
             lanes: (0..width).map(|_| None).collect(),
+            members: vec![0; width],
             fresh: Vec::with_capacity(width),
             exhausted: false,
             results: Vec::new(),
@@ -279,9 +416,8 @@ impl<'a, S: Copy> LaneGroup<'a, S> {
                 y.scatter_lane(lane, &ls.y0);
                 ls.t[lane] = self.t0;
                 ls.h[lane] = 0.0;
-                let state = self.start;
-                self.lanes[lane] =
-                    Some(Lane { member, sol, next_sample, steps_since_sample: 0, state });
+                self.members[lane] = member;
+                self.lanes[lane] = Some(Run::new(sol, next_sample, self.start));
                 self.fresh.push(lane);
                 break;
             }
@@ -348,15 +484,14 @@ impl<'a, S: Copy> LaneGroup<'a, S> {
         &mut self,
         ls: &mut LaneScratch,
         at_step_start: impl Fn(&S) -> bool,
-        on_limit: impl Fn(&mut Lane<S>),
+        on_limit: impl Fn(&mut Run<S>),
     ) {
         for lane in 0..self.lanes.len() {
             let Some(c) = self.lanes[lane].as_mut().filter(|c| at_step_start(c)) else {
                 continue;
             };
             let (t, h) = (ls.t[lane], ls.h[lane]);
-            let error = match step_limits(c.sol.stats.steps, c.steps_since_sample, t, self.options)
-            {
+            let error = match c.limit(t, self.options) {
                 Some(error) => {
                     on_limit(c);
                     error
@@ -377,12 +512,8 @@ impl<'a, S: Copy> LaneGroup<'a, S> {
     /// its counters on `Err` — and frees the lane, whose `h` drops to `0`.
     #[inline]
     pub(crate) fn park(&mut self, lane: usize, outcome: Result<(), SolverError>, h: &mut [f64]) {
-        let c = self.lanes[lane].take().expect("parked lane was live");
-        let attempt = match outcome {
-            Ok(()) => Ok(c.sol),
-            Err(error) => Err(SolveFailure { error, stats: c.sol.stats }),
-        };
-        self.results.push((c.member, attempt));
+        let run = self.lanes[lane].take().expect("parked lane was live");
+        self.results.push((self.members[lane], run.end(outcome)));
         h[lane] = 0.0;
     }
 

@@ -175,15 +175,26 @@ pub(crate) fn check_inputs(
             message: "initial condition must be finite".into(),
         });
     }
-    if options.rel_tol <= 0.0 || options.abs_tol <= 0.0 {
-        return Err(SolverError::InvalidInput { message: "tolerances must be positive".into() });
+    // `!(x > 0)` rather than `x <= 0`: NaN fails every comparison, so only
+    // the negated form refuses it.
+    let positive = |x: f64| x > 0.0;
+    let positive_finite = |x: f64| positive(x) && x.is_finite();
+    if !(positive_finite(options.rel_tol) && positive_finite(options.abs_tol)) {
+        return Err(SolverError::InvalidInput {
+            message: "tolerances must be positive and finite".into(),
+        });
+    }
+    if !positive(options.max_step) || !options.initial_step.is_none_or(positive_finite) {
+        return Err(SolverError::InvalidInput {
+            message: "max_step must be positive and initial_step positive and finite".into(),
+        });
     }
     let mut prev = t0;
     for &t in sample_times {
-        if t < prev {
+        if !(t >= prev && t.is_finite()) {
             return Err(SolverError::InvalidInput {
                 message: format!(
-                    "sample times must be non-decreasing and ≥ t0 (saw {t} after {prev})"
+                    "sample times must be finite, non-decreasing and ≥ t0 (saw {t} after {prev})"
                 ),
             });
         }
@@ -231,5 +242,27 @@ mod tests {
         assert!(check_inputs(1, &[1.0], 0.0, &[0.5, 1.5], &opts).is_ok());
         let bad = SolverOptions { rel_tol: -1.0, ..SolverOptions::default() };
         assert!(check_inputs(1, &[1.0], 0.0, &[1.0], &bad).is_err());
+        // NaN and ∞ fail the comparisons above without being smaller.
+        for t in [f64::NAN, f64::INFINITY] {
+            assert!(check_inputs(1, &[1.0], 0.0, &[1.0, t], &opts).is_err(), "sample {t}");
+            assert!(check_inputs(1, &[1.0], 0.0, &[t, 1.0], &opts).is_err(), "sample {t}");
+        }
+        let invalid = [
+            SolverOptions { rel_tol: f64::NAN, ..opts.clone() },
+            SolverOptions { rel_tol: f64::INFINITY, ..opts.clone() },
+            SolverOptions { abs_tol: f64::NAN, ..opts.clone() },
+            SolverOptions { abs_tol: f64::INFINITY, ..opts.clone() },
+            SolverOptions { max_step: f64::NAN, ..opts.clone() },
+            SolverOptions { initial_step: Some(f64::NAN), ..opts.clone() },
+            SolverOptions { initial_step: Some(f64::INFINITY), ..opts.clone() },
+        ];
+        for bad in invalid {
+            let error = check_inputs(1, &[1.0], 0.0, &[1.0], &bad).unwrap_err();
+            assert!(matches!(error, SolverError::InvalidInput { .. }), "{bad:?}: {error}");
+        }
+        // The default `max_step` is +∞, and a fixed first step is allowed.
+        assert_eq!(opts.max_step, f64::INFINITY);
+        let fixed = SolverOptions { initial_step: Some(1e-3), ..opts.clone() };
+        assert!(check_inputs(1, &[1.0], 0.0, &[1.0], &fixed).is_ok());
     }
 }

@@ -5,7 +5,7 @@ use paraspace_linalg::Matrix;
 use paraspace_solvers::{
     AdamsMoulton, BatchOdeSystem, BatchState, Bdf, Dopri5, Dopri5Batch, FnSystem, Lsoda, OdeSolver,
     OdeSystem, Radau5, Radau5Batch, Rkf45, SolveFailure, SolverError, SolverOptions, SolverScratch,
-    Vode,
+    StepStats, Vode,
 };
 use proptest::prelude::*;
 
@@ -132,14 +132,38 @@ impl OdeSystem for Chain {
     }
 }
 
-/// The [`Chain`] members as one lane group: each lane runs its member's
-/// scalar arithmetic.
-struct ChainLanes {
-    members: Vec<Chain>,
+/// `y' = J·y` with a constant `2 × 2` matrix `J`: the members that drive a
+/// step controller into each of its failure branches.
+struct Linear([[f64; 2]; 2]);
+
+impl OdeSystem for Linear {
+    fn dim(&self) -> usize {
+        2
+    }
+    fn rhs(&self, _t: f64, y: &[f64], d: &mut [f64]) {
+        for (d, row) in d.iter_mut().zip(&self.0) {
+            *d = row[0] * y[0] + row[1] * y[1];
+        }
+    }
+    fn jacobian(&self, _t: f64, _y: &[f64], jac: &mut Matrix) {
+        for (i, row) in self.0.iter().enumerate() {
+            jac[(i, 0)] = row[0];
+            jac[(i, 1)] = row[1];
+        }
+    }
+    fn has_analytic_jacobian(&self) -> bool {
+        true
+    }
+}
+
+/// Two-species members, each with its initial state, as one lane group:
+/// each lane runs its member's scalar arithmetic.
+struct Lanes<S> {
+    members: Vec<(S, [f64; 2])>,
     bound: Vec<usize>,
 }
 
-impl BatchOdeSystem for ChainLanes {
+impl<S: OdeSystem> BatchOdeSystem for Lanes<S> {
     fn dim(&self) -> usize {
         2
     }
@@ -149,8 +173,8 @@ impl BatchOdeSystem for ChainLanes {
     fn members(&self) -> usize {
         self.members.len()
     }
-    fn initial_state(&self, _member: usize, y0: &mut [f64]) {
-        y0.copy_from_slice(&[1.0, 0.0]);
+    fn initial_state(&self, member: usize, y0: &mut [f64]) {
+        y0.copy_from_slice(&self.members[member].1);
     }
     fn bind_lane(&mut self, lane: usize, member: usize) {
         self.bound[lane] = member;
@@ -159,7 +183,7 @@ impl BatchOdeSystem for ChainLanes {
         for (l, &m) in self.bound.iter().enumerate() {
             let (mut yl, mut dl) = ([0.0; 2], [0.0; 2]);
             y.gather_lane(l, &mut yl);
-            self.members[m].rhs(t[l], &yl, &mut dl);
+            self.members[m].0.rhs(t[l], &yl, &mut dl);
             dydt.scatter_lane(l, &dl);
         }
     }
@@ -171,7 +195,7 @@ impl BatchOdeSystem for ChainLanes {
         for (l, &m) in self.bound.iter().enumerate() {
             let (mut yl, mut jl) = ([0.0; 2], Matrix::zeros(2, 2));
             y.gather_lane(l, &mut yl);
-            self.members[m].jacobian(t[l], &yl, &mut jl);
+            self.members[m].0.jacobian(t[l], &yl, &mut jl);
             for (i, &v) in jl.as_slice().iter().enumerate() {
                 jac[i * lanes + l] = v;
             }
@@ -215,8 +239,10 @@ fn every_driver_stops_on_the_step_limit_that_binds_first() {
             assert!(stopped(&failure), "{} at {opts:?}: {failure}", s.name());
         }
         for width in [1, 4] {
-            let group =
-                || ChainLanes { members: (0..4).map(chain).collect(), bound: vec![0; width] };
+            let group = || Lanes {
+                members: (0..4).map(|m| (chain(m), y0)).collect(),
+                bound: vec![0; width],
+            };
             let scratch = &mut SolverScratch::new();
             let dopri = Dopri5Batch::new().solve_group(&mut group(), 0.0, &times, &opts, scratch);
             let radau = Radau5Batch::new().solve_group(&mut group(), 0.0, &times, &opts, scratch);
@@ -230,6 +256,97 @@ fn every_driver_stops_on_the_step_limit_that_binds_first() {
                     assert_eq!(attempt, scalar.solve(&chain(m), 0.0, &y0, &times, &opts), "{at}");
                 }
             }
+        }
+    }
+}
+
+/// The solvers' own input check refuses a NaN sample time before any work:
+/// every scalar driver, and every member of either lockstep kernel at any
+/// width, fails with `InvalidInput` and zero counters.
+#[test]
+fn a_nan_sample_time_is_invalid_input_for_every_driver() {
+    let (y0, times, opts) = ([1.0, 0.0], [1.0, f64::NAN], SolverOptions::default());
+    let invalid = |attempt: &Result<_, SolveFailure>| {
+        matches!(attempt, Err(f) if matches!(f.error, SolverError::InvalidInput { .. })
+            && f.stats == StepStats::default())
+    };
+    let solvers: [&dyn OdeSolver; 7] = [
+        &Dopri5::new(),
+        &Rkf45::new(),
+        &AdamsMoulton::new(),
+        &Radau5::new(),
+        &Bdf::new(),
+        &Lsoda::new(),
+        &Vode::new(),
+    ];
+    for s in solvers {
+        let attempt = s.solve(&chain(0), 0.0, &y0, &times, &opts);
+        assert!(invalid(&attempt), "{}: {attempt:?}", s.name());
+    }
+    for width in [1, 4] {
+        let group =
+            || Lanes { members: (0..4).map(|m| (chain(m), y0)).collect(), bound: vec![0; width] };
+        let scratch = &mut SolverScratch::new();
+        let dopri = Dopri5Batch::new().solve_group(&mut group(), 0.0, &times, &opts, scratch);
+        let radau = Radau5Batch::new().solve_group(&mut group(), 0.0, &times, &opts, scratch);
+        for (m, attempt) in dopri.0.iter().chain(&radau.0).enumerate() {
+            assert!(invalid(attempt), "width {width}, attempt {m}: {attempt:?}");
+        }
+    }
+}
+
+/// Every failure branch of both step controllers, reached by one member of
+/// a lane group between two healthy ones: the lane fails with the error and
+/// the counters of its scalar twin, at width 1 and 4.
+///
+/// * NaN derivatives — DOPRI5 rejects five steps in a row and gives up
+///   (`NonFiniteState`); RADAU5's Newton iteration diverges 21 times in a
+///   row (`NonlinearSolveFailed`).
+/// * `J` with equal entries of `1e300` — `γ/h` vanishes beside them, so
+///   `γ/h·I − J` is singular at every halved step (`SingularIterationMatrix`).
+/// * growth from `f64::MAX` — RADAU5's Newton iteration converges at its
+///   first iterate, whose new state overflows (`NonFiniteState`).
+#[test]
+fn every_controller_failure_branch_fails_a_lane_as_its_scalar_twin() {
+    let nan = [[f64::NAN; 2]; 2];
+    let stiff_singular = [[1e300; 2]; 2];
+    let growth = [[1e-3, 0.0], [0.0, 1e-3]];
+    let fixed_start = SolverOptions { initial_step: Some(1e-7), ..SolverOptions::default() };
+    let nonfinite = |e: &SolverError| matches!(e, SolverError::NonFiniteState { .. });
+    let newton = |e: &SolverError| matches!(e, SolverError::NonlinearSolveFailed { .. });
+    let singular = |e: &SolverError| matches!(e, SolverError::SingularIterationMatrix { .. });
+    type Branch = (bool, [[f64; 2]; 2], [f64; 2], SolverOptions, fn(&SolverError) -> bool);
+    // (RADAU5?, the failing member's J and y0, options, the branch's error)
+    let branches: [Branch; 4] = [
+        (false, nan, [0.0, 0.0], SolverOptions::default(), nonfinite),
+        (true, nan, [0.0, 0.0], SolverOptions::default(), newton),
+        (true, stiff_singular, [0.0, 0.0], SolverOptions::default(), singular),
+        (true, growth, [f64::MAX, 0.0], fixed_start, nonfinite),
+    ];
+    let times = [0.5, 1.0];
+    for (radau, j, y0, opts, reached) in branches {
+        let members = || {
+            vec![
+                (Linear([[-1.0, 0.0], [1.0, -2.0]]), [1.0, 0.0]),
+                (Linear(j), y0),
+                (Linear([[-3.0, 0.5], [0.5, -1.0]]), [0.5, 2.0]),
+            ]
+        };
+        let scalar: &dyn OdeSolver = if radau { &Radau5::new() } else { &Dopri5::new() };
+        let twins: Vec<_> =
+            members().iter().map(|(s, y0)| scalar.solve(s, 0.0, y0, &times, &opts)).collect();
+        let failure = twins[1].as_ref().expect_err("the branch fails its member");
+        assert!(reached(&failure.error), "{}: {}", scalar.name(), failure.error);
+        assert!(twins[0].is_ok() && twins[2].is_ok(), "{}: {twins:?}", scalar.name());
+        for width in [1, 4] {
+            let mut group = Lanes { members: members(), bound: vec![0; width] };
+            let scratch = &mut SolverScratch::new();
+            let (attempts, _) = if radau {
+                Radau5Batch::new().solve_group(&mut group, 0.0, &times, &opts, scratch)
+            } else {
+                Dopri5Batch::new().solve_group(&mut group, 0.0, &times, &opts, scratch)
+            };
+            assert_eq!(attempts, twins, "{} lanes, width {width}", scalar.name());
         }
     }
 }
