@@ -82,4 +82,4 @@ pub use select::{recommend_engine, EngineKind};
 pub use stiffness::{
     classify_batch, classify_batch_with_threshold, StiffnessClass, STIFFNESS_THRESHOLD,
 };
-pub use system::{CustomOdeSystem, RbmBatchSystem, RbmOdeSystem, RbmSensSystem};
+pub use system::{RbmBatchSystem, RbmOdeSystem, RbmSensSystem};

@@ -481,121 +481,3 @@ impl SensOdeSystem for RbmSensSystem<'_> {
         Some(self.odes.jacobian_sparsity())
     }
 }
-
-/// Adapter presenting a compiled *custom-kinetics* model (arbitrary
-/// expression rate laws with symbolic Jacobians) as an [`OdeSystem`] —
-/// letting every solver and engine in the suite integrate the
-/// "general-purpose kinetics" models the original paper lists as future
-/// work.
-///
-/// # Example
-///
-/// ```
-/// use paraspace_core::CustomOdeSystem;
-/// use paraspace_rbm::custom::CustomModel;
-/// use paraspace_solvers::{OdeSolver, Radau5, SolverOptions};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// // A stiff saturating decay written as a free-form rate law.
-/// let mut m = CustomModel::new(&["vmax", "km"], &[1e4, 0.1]);
-/// let s = m.add_species("S", 1.0);
-/// m.add_reaction("vmax * X0 / (km + X0)", &[(s, -1.0)])?;
-/// let odes = m.compile()?;
-/// let sys = CustomOdeSystem::new(&odes);
-/// let sol = Radau5::new().solve(&sys, 0.0, &[1.0], &[1.0], &SolverOptions::default())?;
-/// assert!(sol.state_at(0)[0] >= 0.0);
-/// # Ok(())
-/// # }
-/// ```
-pub struct CustomOdeSystem<'a> {
-    odes: &'a paraspace_rbm::custom::CompiledCustomOdes,
-}
-
-impl<'a> CustomOdeSystem<'a> {
-    /// Wraps a compiled custom model.
-    pub fn new(odes: &'a paraspace_rbm::custom::CompiledCustomOdes) -> Self {
-        CustomOdeSystem { odes }
-    }
-}
-
-impl std::fmt::Debug for CustomOdeSystem<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("CustomOdeSystem").field("n_species", &self.odes.n_species()).finish()
-    }
-}
-
-impl OdeSystem for CustomOdeSystem<'_> {
-    fn dim(&self) -> usize {
-        self.odes.n_species()
-    }
-
-    fn rhs(&self, _t: f64, y: &[f64], dydt: &mut [f64]) {
-        self.odes.rhs(y, dydt);
-    }
-
-    fn jacobian(&self, _t: f64, y: &[f64], jac: &mut Matrix) {
-        self.odes.jacobian(y, jac);
-    }
-
-    fn has_analytic_jacobian(&self) -> bool {
-        true
-    }
-}
-
-#[cfg(test)]
-mod custom_tests {
-    use super::*;
-    use paraspace_rbm::custom::CustomModel;
-    use paraspace_solvers::{Dopri5, OdeSolver, Radau5, SolverOptions};
-
-    /// The expression-defined Brusselator must integrate identically to the
-    /// mass-action one.
-    #[test]
-    fn expression_brusselator_matches_mass_action() {
-        let mut cm = CustomModel::new(&["a", "b"], &[1.0, 3.0]);
-        let x = cm.add_species("X", 0.5);
-        let y = cm.add_species("Y", 3.5);
-        cm.add_reaction("a", &[(x, 1.0)]).unwrap();
-        cm.add_reaction("b * X0", &[(x, -1.0), (y, 1.0)]).unwrap();
-        cm.add_reaction("X0^2 * X1", &[(x, 1.0), (y, -1.0)]).unwrap();
-        cm.add_reaction("X0", &[(x, -1.0)]).unwrap();
-        let codes = cm.compile().unwrap();
-        let custom = CustomOdeSystem::new(&codes);
-
-        let mut mm = paraspace_rbm::ReactionBasedModel::new();
-        let xs = mm.add_species("X", 0.5);
-        let ys = mm.add_species("Y", 3.5);
-        use paraspace_rbm::Reaction;
-        mm.add_reaction(Reaction::mass_action(&[], &[(xs, 1)], 1.0)).unwrap();
-        mm.add_reaction(Reaction::mass_action(&[(xs, 1)], &[(ys, 1)], 3.0)).unwrap();
-        mm.add_reaction(Reaction::mass_action(&[(xs, 2), (ys, 1)], &[(xs, 3)], 1.0)).unwrap();
-        mm.add_reaction(Reaction::mass_action(&[(xs, 1)], &[], 1.0)).unwrap();
-        let modes = mm.compile().unwrap();
-        let mass = RbmOdeSystem::new(&modes, mm.rate_constants());
-
-        let times: Vec<f64> = (1..=10).map(|i| i as f64).collect();
-        let opts = SolverOptions::default();
-        let a = Dopri5::new().solve(&custom, 0.0, &[0.5, 3.5], &times, &opts).unwrap();
-        let b = Dopri5::new().solve(&mass, 0.0, &[0.5, 3.5], &times, &opts).unwrap();
-        for i in 0..times.len() {
-            for (p, q) in a.state_at(i).iter().zip(b.state_at(i)) {
-                assert!((p - q).abs() < 1e-4, "t index {i}: {p} vs {q}");
-            }
-        }
-    }
-
-    /// Radau exploits the symbolic Jacobian of a stiff custom model.
-    #[test]
-    fn radau_on_stiff_custom_model() {
-        let mut m = CustomModel::new(&["k"], &[1e5]);
-        let s = m.add_species("S", 0.0);
-        m.add_reaction("k * (1 - X0)", &[(s, 1.0)]).unwrap();
-        let odes = m.compile().unwrap();
-        let sys = CustomOdeSystem::new(&odes);
-        let sol =
-            Radau5::new().solve(&sys, 0.0, &[0.0], &[1.0], &SolverOptions::default()).unwrap();
-        assert!((sol.state_at(0)[0] - 1.0).abs() < 1e-6);
-        assert!(sol.stats.steps < 200, "stiffness must not force tiny steps");
-        assert!(sol.stats.jacobian_evals >= 1);
-    }
-}

@@ -59,9 +59,7 @@
 
 pub mod biosimware;
 mod conservation;
-pub mod custom;
 mod error;
-pub mod expr;
 mod kinetics;
 mod model;
 mod odes;
