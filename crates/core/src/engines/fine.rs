@@ -11,7 +11,7 @@
 //! every step pays host-launch latency: exactly the regions the
 //! comparison maps assign to it.
 //!
-//! **Lane path** (auto-selected for mass-action batches): a Jacobian-
+//! **Lane path** (auto-selected for batches of two or more): a Jacobian-
 //! diagonal triage at `t = 0` splits the members into **two lockstep
 //! classes** — non-stiff members integrate under the lockstep
 //! [`Dopri5Batch`](paraspace_solvers::Dopri5Batch), members whose diagonal
@@ -93,7 +93,7 @@ impl Engine<Fine> {
     /// published-baseline path, larger values run lockstep lane-groups of
     /// that width. Without this, the engine autotunes the width per model
     /// from its flux-vs-LU cost split ([`crate::auto_lane_width`]) for
-    /// mass-action batches of two or more members, scalar otherwise.
+    /// batches of two or more members, scalar for one.
     /// Per-member results are bitwise identical at any width, and the
     /// recovery policy's step budget binds a lane as it binds a scalar
     /// solve.
@@ -330,9 +330,6 @@ impl Simulator for Engine<Fine> {
         job: &SimulationJob,
         sink: &dyn MemberSink,
     ) -> Result<BatchResult, SimError> {
-        // Falls back to scalar when the model mixes kinetics the batched
-        // flux pass does not cover, rather than asserting deep inside the
-        // lane path.
         let width = crate::lanes::resolve_lane_width(self.model.lane_width, job, false);
         if width <= 1 {
             self.run_scalar(job, sink)
@@ -346,7 +343,7 @@ impl Simulator for Engine<Fine> {
 mod tests {
     use super::*;
     use crate::FineCoarseEngine;
-    use paraspace_rbm::{Kinetics, Parameterization, Reaction, ReactionBasedModel};
+    use paraspace_rbm::{Parameterization, Reaction, ReactionBasedModel};
     use paraspace_solvers::FaultPlan;
 
     fn model() -> ReactionBasedModel {
@@ -596,24 +593,5 @@ mod tests {
             assert_eq!(a.states, reference.states, "member {i}: width 4 vs scalar");
             assert_eq!(b.states, reference.states, "member {i}: width 8 vs scalar");
         }
-    }
-
-    #[test]
-    fn non_mass_action_models_fall_back_to_scalar_path() {
-        let mut m = ReactionBasedModel::new();
-        let s = m.add_species("S", 2.0);
-        let p = m.add_species("P", 0.0);
-        m.add_reaction(Reaction::with_kinetics(
-            &[(s, 1)],
-            &[(p, 1)],
-            1.0,
-            Kinetics::MichaelisMenten { km: 0.5 },
-        ))
-        .unwrap();
-        let job = SimulationJob::builder(&m).time_points(vec![1.0]).replicate(4).build().unwrap();
-        let r = FineEngine::new().run(&job).unwrap();
-        assert_eq!(r.success_count(), 4);
-        assert!(r.lanes.is_none(), "mixed-kinetics batch must take the scalar path");
-        assert!(r.outcomes.iter().all(|o| o.solver != "dopri5-lanes"));
     }
 }

@@ -310,7 +310,7 @@ impl Simulator for Engine<FineCoarse> {
             (0..batch).partition(|&i| classes[i].stiff);
         let clean_nonstiff = nonstiff.iter().filter(|&&i| clean(i)).count();
         let workers = host.executor.threads();
-        let p3_width = explicit_lane_width(model.lane_width, job.odes(), clean_nonstiff, workers);
+        let p3_width = explicit_lane_width(model.lane_width, clean_nonstiff, workers);
         let p3 = first_attempts(host, job, Lockstep::Dopri5, &nonstiff, p3_width)?;
         let mut handed_over = Vec::new();
         for (&i, attempt) in nonstiff.iter().zip(p3) {

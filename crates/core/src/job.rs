@@ -89,8 +89,7 @@ impl<'a> SimulationJob<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the network mixes kinetics the batched flux pass does not
-    /// cover, or if `lanes` is zero.
+    /// Panics if `lanes` is zero.
     pub fn lane_system(&self, lanes: usize) -> RbmBatchSystem<'_> {
         RbmBatchSystem::over_batch(&self.odes, &self.batch, lanes)
     }

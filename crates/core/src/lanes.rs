@@ -23,7 +23,7 @@
 //!
 //! The *explicit* lockstep phase has no factorization, hence nothing for
 //! that rule to price: the fine-coarse engine's P3 runs at the full width
-//! wherever the lane flux pass covers the model (`explicit_lane_width`).
+//! (`explicit_lane_width`).
 //! The stochastic ensembles tune their own lanes, next to the tau-leaping
 //! constants they price (`paraspace_stochastic::auto_stoch_lane_width`).
 //!
@@ -100,16 +100,10 @@ pub(crate) const MEMBERS_PER_LANE: usize = 2;
 /// [`auto_lane_width`] has nothing to price here (it answers 1 for a sparse
 /// 128-species network whose P3 runs fastest at 8): the width is
 /// [`MAX_LANE_WIDTH`] unless pinned, narrowed to a power of two when each
-/// worker's share of the members would not fill it. Single members and
-/// models the lane flux pass does not cover stay scalar, and a pinned `1`
-/// is the all-scalar route.
-pub(crate) fn explicit_lane_width(
-    pinned: Option<usize>,
-    odes: &CompiledOdes,
-    members: usize,
-    workers: usize,
-) -> usize {
-    if members < 2 || !odes.supports_lane_batch() {
+/// worker's share of the members would not fill it. Single members stay
+/// scalar, and a pinned `1` is the all-scalar route.
+pub(crate) fn explicit_lane_width(pinned: Option<usize>, members: usize, workers: usize) -> usize {
+    if members < 2 {
         return 1;
     }
     let width = pinned.unwrap_or(MAX_LANE_WIDTH).max(1);
@@ -263,8 +257,7 @@ const FACTOR_BYTES_PER_ENTRY: usize = 8 + 16;
 /// model's flux-cost-vs-LU-cost ratio and factorization working set.
 ///
 /// Returns a power of two in `1..=8`. `1` means lockstep lanes do not pay
-/// for this model — either the batched flux pass cannot cover it (mixed
-/// kinetics) or the LU working set swamps the cache at any width (the
+/// for this model — the LU working set swamps the cache at any width (the
 /// measured regime where even width-1 lanes trail scalar RADAU5). How `1`
 /// is honored is engine-specific: the fine-coarse engine routes stiff
 /// members to its scalar RADAU5 P4 path, while the fine engine — whose
@@ -289,9 +282,6 @@ const FACTOR_BYTES_PER_ENTRY: usize = 8 + 16;
 /// # }
 /// ```
 pub fn auto_lane_width(odes: &CompiledOdes) -> usize {
-    if !odes.supports_lane_batch() {
-        return 1;
-    }
     let n = odes.n_species();
     // Per-step work split: one RHS + one Jacobian evaluation against one
     // real + one complex factorization (the same averaging the cost model
@@ -313,8 +303,8 @@ pub fn auto_lane_width(odes: &CompiledOdes) -> usize {
 
 /// The width a lockstep engine actually runs `job` at: the pinned width if
 /// the caller set one, otherwise [`auto_lane_width`] — with the shared
-/// fallbacks to the scalar path (`1`) for sub-2 batches and for models the
-/// batched flux pass does not cover. Both lockstep engines route through
+/// fallback to the scalar path (`1`) for sub-2 batches. Both lockstep
+/// engines route through
 /// this resolver so `--lane-width auto|N` means the same thing everywhere.
 ///
 /// `scalar_stiff_radau` says whether the engine's width-1 route solves
@@ -329,7 +319,7 @@ pub(crate) fn resolve_lane_width(
     job: &SimulationJob,
     scalar_stiff_radau: bool,
 ) -> usize {
-    if job.batch_size() < 2 || !job.odes().supports_lane_batch() {
+    if job.batch_size() < 2 {
         return 1;
     }
     match pinned {
@@ -365,43 +355,21 @@ mod tests {
 
     #[test]
     fn explicit_width_is_eight_unless_pinned_or_starved() {
-        let odes = chain_model(4, 1);
         // Auto: the full width once every worker's share fills it...
-        assert_eq!(explicit_lane_width(None, &odes, 192, 2), 8);
-        assert_eq!(explicit_lane_width(None, &odes, 16, 2), 8);
+        assert_eq!(explicit_lane_width(None, 192, 2), 8);
+        assert_eq!(explicit_lane_width(None, 16, 2), 8);
         // ...narrowed to a power of two when it does not...
-        assert_eq!(explicit_lane_width(None, &odes, 15, 2), 4);
-        assert_eq!(explicit_lane_width(None, &odes, 20, 4), 4);
-        assert_eq!(explicit_lane_width(None, &odes, 7, 2), 2);
-        assert_eq!(explicit_lane_width(None, &odes, 3, 2), 1);
-        assert_eq!(explicit_lane_width(None, &odes, 5, 64), 1);
+        assert_eq!(explicit_lane_width(None, 15, 2), 4);
+        assert_eq!(explicit_lane_width(None, 20, 4), 4);
+        assert_eq!(explicit_lane_width(None, 7, 2), 2);
+        assert_eq!(explicit_lane_width(None, 3, 2), 1);
+        assert_eq!(explicit_lane_width(None, 5, 64), 1);
         // ...and scalar for a single member.
-        assert_eq!(explicit_lane_width(None, &odes, 1, 1), 1);
+        assert_eq!(explicit_lane_width(None, 1, 1), 1);
         // A pin is honored (1 = the all-scalar route), and starved alike.
-        assert_eq!(explicit_lane_width(Some(1), &odes, 192, 2), 1);
-        assert_eq!(explicit_lane_width(Some(3), &odes, 192, 2), 3);
-        assert_eq!(explicit_lane_width(Some(8), &odes, 6, 1), 4);
-        // The LU rule is not asked: a chain it narrows to 1 still runs P3
-        // at full width.
-        let lu_bound = chain_model(114, 1);
-        assert_eq!(auto_lane_width(&lu_bound), 1);
-        assert_eq!(explicit_lane_width(None, &lu_bound, 192, 2), 8);
-    }
-
-    #[test]
-    fn explicit_width_is_scalar_for_non_mass_action_kinetics() {
-        use paraspace_rbm::Kinetics;
-        let mut m = ReactionBasedModel::new();
-        let s = m.add_species("S", 1.0);
-        let p = m.add_species("P", 0.0);
-        m.add_reaction(Reaction::with_kinetics(
-            &[(s, 1)],
-            &[(p, 1)],
-            1.0,
-            Kinetics::MichaelisMenten { km: 0.5 },
-        ))
-        .unwrap();
-        assert_eq!(explicit_lane_width(Some(8), &m.compile().unwrap(), 64, 1), 1);
+        assert_eq!(explicit_lane_width(Some(1), 192, 2), 1);
+        assert_eq!(explicit_lane_width(Some(3), 192, 2), 3);
+        assert_eq!(explicit_lane_width(Some(8), 6, 1), 4);
     }
 
     /// A lane system that trips `cancel` from its `trip_at`-th RHS sweep
@@ -633,22 +601,6 @@ mod tests {
         // A pinned 1 always selects the engine's documented scalar path.
         assert_eq!(resolve_lane_width(Some(1), &job, false), 1);
         assert_eq!(resolve_lane_width(Some(1), &job, true), 1);
-    }
-
-    #[test]
-    fn non_mass_action_models_are_scalar() {
-        use paraspace_rbm::Kinetics;
-        let mut m = ReactionBasedModel::new();
-        let s = m.add_species("S", 1.0);
-        let p = m.add_species("P", 0.0);
-        m.add_reaction(Reaction::with_kinetics(
-            &[(s, 1)],
-            &[(p, 1)],
-            1.0,
-            Kinetics::MichaelisMenten { km: 0.5 },
-        ))
-        .unwrap();
-        assert_eq!(auto_lane_width(&m.compile().unwrap()), 1);
     }
 
     #[test]

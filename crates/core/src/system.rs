@@ -166,10 +166,6 @@ mod tests {
 /// member's constants into a lane column, and the batched right-hand side
 /// delegates to [`CompiledOdes::rhs_batch`], which runs the flux and
 /// accumulation passes across all lanes per op and per term.
-///
-/// Only mass-action networks are supported (the engine checks
-/// [`CompiledOdes::supports_lane_batch`] and falls back to the scalar path
-/// otherwise).
 pub struct RbmBatchSystem<'a> {
     odes: &'a CompiledOdes,
     members: MemberTable<'a>,
@@ -211,8 +207,7 @@ impl<'a> RbmBatchSystem<'a> {
     ///
     /// # Panics
     ///
-    /// Panics if the network mixes kinetics the batched flux pass does not
-    /// cover, or if `lanes` is zero.
+    /// Panics if `lanes` is zero.
     pub fn new(odes: &'a CompiledOdes, lanes: usize) -> Self {
         Self::with_members(odes, MemberTable::Pushed(Vec::new()), lanes)
     }
@@ -228,7 +223,6 @@ impl<'a> RbmBatchSystem<'a> {
     }
 
     fn with_members(odes: &'a CompiledOdes, members: MemberTable<'a>, lanes: usize) -> Self {
-        assert!(odes.supports_lane_batch(), "lane batching requires mass-action kinetics");
         assert!(lanes > 0, "lane width must be positive");
         let m = odes.n_reactions();
         RbmBatchSystem {
@@ -353,24 +347,6 @@ mod batch_tests {
             assert_eq!(batch_sol.stats, scalar_sol.stats, "member {i}");
         }
     }
-
-    #[test]
-    #[should_panic(expected = "mass-action")]
-    fn non_mass_action_networks_are_rejected() {
-        use paraspace_rbm::Kinetics;
-        let mut m = ReactionBasedModel::new();
-        let s = m.add_species("S", 1.0);
-        let p = m.add_species("P", 0.0);
-        m.add_reaction(Reaction::with_kinetics(
-            &[(s, 1)],
-            &[(p, 1)],
-            1.0,
-            Kinetics::MichaelisMenten { km: 0.5 },
-        ))
-        .unwrap();
-        let odes = m.compile().unwrap();
-        let _ = RbmBatchSystem::new(&odes, 2);
-    }
 }
 
 /// An [`RbmOdeSystem`] that additionally exposes the analytic parameter
@@ -378,7 +354,7 @@ mod batch_tests {
 /// [`SensOdeSystem`] both the augmented-DOPRI5 and the staggered-RADAU5
 /// forward-sensitivity integrators consume.
 ///
-/// Every bundled rate law evaluates `flux = k · g(x)`, so `∂fluxᵣ/∂kᵣ` is
+/// A mass-action flux is `flux = k · g(x)`, so `∂fluxᵣ/∂kᵣ` is
 /// the exact unit flux `g(x)` and `∂f/∂kⱼ` a single scaled stoichiometry
 /// column (`CompiledOdes::dfdk_with`) — no finite differences anywhere.
 ///

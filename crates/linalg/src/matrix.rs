@@ -131,11 +131,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// Sets every entry to zero, keeping the allocation.
-    pub fn fill_zero(&mut self) {
-        self.data.iter_mut().for_each(|x| *x = 0.0);
-    }
-
     /// Returns the transpose.
     pub fn transpose(&self) -> Matrix {
         Matrix::from_fn(self.cols, self.rows, |i, j| self[(j, i)])

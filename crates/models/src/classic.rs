@@ -147,46 +147,6 @@ pub fn oregonator() -> ReactionBasedModel {
     m
 }
 
-/// The Goodwin oscillator with an explicit Hill repression step — the
-/// canonical negative-feedback gene-circuit model, exercising the
-/// [`paraspace_rbm::Kinetics::Hill`] rate law through the whole engine
-/// pipeline.
-///
-/// ```text
-/// ∅ → M    (Hill-repressed by E: k₁·Kⁿ/(Kⁿ+Eⁿ) via Hill on a repressor proxy)
-/// M → M+P  k₂ (translation, catalytic)
-/// P → P+E  k₃ (activation, catalytic)
-/// M → ∅    k₄ ; P → ∅ k₅ ; E → ∅ k₆
-/// ```
-///
-/// Oscillates for Hill coefficients n ≳ 8 (the classical Goodwin bound).
-pub fn goodwin(n_hill: f64) -> ReactionBasedModel {
-    use paraspace_rbm::Kinetics;
-    let mut m = ReactionBasedModel::new();
-    let mrna = m.add_species("M", 0.2);
-    let prot = m.add_species("P", 0.2);
-    let end = m.add_species("E", 1.5);
-    // Textbook Goodwin: dM = a·Kⁿ/(Kⁿ+Eⁿ) − b·M; dP = c·M − d·P;
-    // dE = e·P − f·E. The end product E catalytically *represses* mRNA
-    // production (HillRepression), giving the three-stage negative
-    // feedback loop; equal degradation rates put the Hopf bound at n = 8.
-    m.add_reaction(Reaction::with_kinetics(
-        &[(end, 1)],
-        &[(end, 1), (mrna, 1)],
-        1.0,
-        Kinetics::HillRepression { ka: 1.0, n: n_hill },
-    ))
-    .expect("valid");
-    m.add_reaction(Reaction::mass_action(&[(mrna, 1)], &[(mrna, 1), (prot, 1)], 1.0))
-        .expect("valid");
-    m.add_reaction(Reaction::mass_action(&[(prot, 1)], &[(prot, 1), (end, 1)], 1.0))
-        .expect("valid");
-    m.add_reaction(Reaction::mass_action(&[(mrna, 1)], &[], 0.4)).expect("valid");
-    m.add_reaction(Reaction::mass_action(&[(prot, 1)], &[], 0.4)).expect("valid");
-    m.add_reaction(Reaction::mass_action(&[(end, 1)], &[], 0.4)).expect("valid");
-    m
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -324,25 +284,6 @@ mod tests {
         let max = z.iter().cloned().fold(f64::MIN, f64::max);
         let min = z.iter().cloned().fold(f64::MAX, f64::min);
         assert!(max / min.max(1e-300) > 10.0, "no relaxation swing: {min}..{max}");
-    }
-
-    #[test]
-    fn goodwin_oscillates_with_steep_hill_only() {
-        use paraspace_core::RbmOdeSystem;
-        use paraspace_solvers::{OdeSolver, Radau5};
-        let amplitude = |n: f64| {
-            let m = goodwin(n);
-            let odes = m.compile().unwrap();
-            let sys = RbmOdeSystem::new(&odes, m.rate_constants());
-            let times: Vec<f64> = (1..=200).map(|i| 40.0 + i as f64 * 0.35).collect();
-            let opts = SolverOptions { max_steps: 200_000, ..SolverOptions::default() };
-            let sol = Radau5::new().solve(&sys, 0.0, &m.initial_state(), &times, &opts).unwrap();
-            let e: Vec<f64> = sol.component(2);
-            e.iter().cloned().fold(f64::MIN, f64::max) - e.iter().cloned().fold(f64::MAX, f64::min)
-        };
-        let steep = amplitude(12.0);
-        let shallow = amplitude(2.0);
-        assert!(steep > 5.0 * shallow.max(1e-6), "steep {steep} vs shallow {shallow}");
     }
 
     #[test]

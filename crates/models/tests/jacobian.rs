@@ -53,17 +53,15 @@ fn assert_jacobian_matches_fd(m: &ReactionBasedModel, label: &str) {
     // The lane path's stiffness triage reads only the diagonal, through the
     // batched kernel — it must agree with the full analytic Jacobian.
     let mut diag = vec![0.0; n];
-    if odes.supports_lane_batch() {
-        let mut slots = vec![0.0; odes.n_reactant_slots()];
-        odes.jacobian_diag_batch(1, &x, &k, &mut slots, &mut diag);
-        for i in 0..n {
-            assert!(
-                (diag[i] - analytic[(i, i)]).abs() <= 1e-9 * analytic[(i, i)].abs().max(1.0),
-                "{label}: diagonal[{i}] {} vs full Jacobian {}",
-                diag[i],
-                analytic[(i, i)]
-            );
-        }
+    let mut slots = vec![0.0; odes.n_reactant_slots()];
+    odes.jacobian_diag_batch(1, &x, &k, &mut slots, &mut diag);
+    for i in 0..n {
+        assert!(
+            (diag[i] - analytic[(i, i)]).abs() <= 1e-9 * analytic[(i, i)].abs().max(1.0),
+            "{label}: diagonal[{i}] {} vs full Jacobian {}",
+            diag[i],
+            analytic[(i, i)]
+        );
     }
 }
 

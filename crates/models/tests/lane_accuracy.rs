@@ -6,10 +6,6 @@
 //! checked here is the numerical one (relative error within 10× the
 //! configured tolerance), so a future relaxation of the lockstep kernel
 //! (e.g. fused lane arithmetic) has a well-defined bar to clear.
-//!
-//! Models that mix kinetics the batched flux pass does not cover (Goodwin's
-//! Hill repression) are asserted to *report* themselves unsupported — the
-//! engine-level fallback test lives in `paraspace-core`.
 
 use paraspace_core::{RbmBatchSystem, RbmOdeSystem};
 use paraspace_models::{autophagy, classic, metabolic};
@@ -30,7 +26,6 @@ fn assert_lockstep_matches_scalar(
     label: &str,
 ) {
     let odes = m.compile().unwrap();
-    assert!(odes.supports_lane_batch(), "{label}: expected a mass-action network");
     let x0 = m.initial_state();
     let opts = SolverOptions::default();
 
@@ -154,15 +149,6 @@ fn rerouted_autophagy_member_is_handed_over_early() {
 fn metabolic_lockstep_matches_scalar() {
     let m = metabolic::model();
     assert_lockstep_matches_scalar(&m, &perturbed_ks(&m, 4), &[0.5, 1.0], 4, "metabolic");
-}
-
-#[test]
-fn goodwin_reports_itself_unsupported() {
-    // Hill repression is outside the batched mass-action flux pass: the
-    // compiled network must say so, which is what routes the engine to the
-    // scalar fallback instead of a deep assert.
-    let odes = classic::goodwin(8.0).compile().unwrap();
-    assert!(!odes.supports_lane_batch());
 }
 
 proptest! {

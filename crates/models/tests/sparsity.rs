@@ -24,8 +24,7 @@ use paraspace_models::{autophagy, classic, metabolic};
 use paraspace_rbm::ReactionBasedModel;
 use paraspace_solvers::{OdeSolver, OdeSystem, Radau5, Radau5Batch, SolverOptions, SolverScratch};
 
-/// Every bundled network, spanning all three model families and both
-/// kinetics mixes (pure mass action and Hill/Michaelis-Menten blends).
+/// Every bundled network, spanning all three model families.
 fn bundled() -> Vec<(&'static str, ReactionBasedModel)> {
     vec![
         ("robertson", classic::robertson()),
@@ -34,7 +33,6 @@ fn bundled() -> Vec<(&'static str, ReactionBasedModel)> {
         ("decay-chain-8", classic::decay_chain(8)),
         ("enzyme", classic::enzyme_mechanism(1.0, 0.5, 0.3)),
         ("oregonator", classic::oregonator()),
-        ("goodwin", classic::goodwin(8.0)),
         ("autophagy-0.05", autophagy::scaled_model(2.0, 1.0, 0.05)),
         ("autophagy-full", autophagy::model(2.0, 1.0)),
         ("metabolic", metabolic::model()),

@@ -27,8 +27,8 @@
 //! * model construction and validation ([`ReactionBasedModel`], [`Reaction`],
 //!   [`Species`]),
 //! * derivation of the ODE system in a flat, GPU-friendly encoding
-//!   ([`CompiledOdes`]) with analytic Jacobians for mass-action kinetics,
-//! * kinetics beyond mass action ([`Kinetics`]: Michaelis–Menten, Hill),
+//!   ([`CompiledOdes`]) with analytic Jacobians — mass action is the one
+//!   rate law, as in both input formats (one constant per reaction),
 //! * a BioSimWare-style on-disk format ([`biosimware`]) and an SBML-subset
 //!   importer ([`sbml`]),
 //! * the SBGen-style synthetic model generator ([`sbgen`]) used to produce
@@ -60,7 +60,6 @@
 pub mod biosimware;
 mod conservation;
 mod error;
-mod kinetics;
 mod model;
 mod odes;
 mod parameterization;
@@ -70,7 +69,6 @@ mod stoich;
 
 pub use conservation::{conservation_laws, conserved_quantities};
 pub use error::RbmError;
-pub use kinetics::Kinetics;
 pub use model::{Reaction, ReactionBasedModel, Species, SpeciesId};
 pub use odes::CompiledOdes;
 pub use parameterization::{perturb_constants, perturbed_batch, Parameterization};

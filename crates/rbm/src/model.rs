@@ -1,6 +1,6 @@
 //! The reaction-based model container: species, reactions, stoichiometry.
 
-use crate::{CompiledOdes, Kinetics, RbmError};
+use crate::{CompiledOdes, RbmError};
 use paraspace_linalg::Matrix;
 use std::collections::HashMap;
 use std::fmt;
@@ -52,8 +52,8 @@ pub struct Species {
     pub initial_concentration: f64,
 }
 
-/// A biochemical reaction `Σ a_j S_j → Σ b_j S_j` with rate constant `k`
-/// and a kinetic law.
+/// A biochemical reaction `Σ a_j S_j → Σ b_j S_j` with mass-action rate
+/// constant `k`.
 ///
 /// # Example
 ///
@@ -73,7 +73,6 @@ pub struct Reaction {
     reactants: Vec<(usize, u32)>,
     products: Vec<(usize, u32)>,
     rate_constant: f64,
-    kinetics: Kinetics,
 }
 
 impl Reaction {
@@ -85,21 +84,10 @@ impl Reaction {
         products: &[(SpeciesId, u32)],
         k: f64,
     ) -> Self {
-        Reaction::with_kinetics(reactants, products, k, Kinetics::MassAction)
-    }
-
-    /// Creates a reaction with an explicit kinetic law.
-    pub fn with_kinetics(
-        reactants: &[(SpeciesId, u32)],
-        products: &[(SpeciesId, u32)],
-        k: f64,
-        kinetics: Kinetics,
-    ) -> Self {
         Reaction {
             reactants: merge_side(reactants),
             products: merge_side(products),
             rate_constant: k,
-            kinetics,
         }
     }
 
@@ -121,11 +109,6 @@ impl Reaction {
     /// Replaces the kinetic constant.
     pub fn set_rate_constant(&mut self, k: f64) {
         self.rate_constant = k;
-    }
-
-    /// The kinetic law.
-    pub fn kinetics(&self) -> Kinetics {
-        self.kinetics
     }
 
     /// The reaction order: total stoichiometry of the reactant side

@@ -38,11 +38,9 @@
 //! Jacobian entry (`0.0 + c₀d₀ + …` in term, then reactant, order): scalar
 //! and lanes agree bitwise at any width, with each other and with a naive
 //! evaluation of the model. The order reactions, slots and species are
-//! *visited* in is free. Models mixing saturating [`Kinetics`] keep the
-//! per-reaction [`Kinetics::flux`] and per-slot
-//! [`Kinetics::flux_derivative`] paths.
+//! *visited* in is free.
 
-use crate::{Kinetics, ReactionBasedModel};
+use crate::ReactionBasedModel;
 use paraspace_linalg::{isa_twins, with_lane_width, FixedWidth, LaneWidth, Matrix};
 
 /// A reaction-based model compiled to flat arrays for fast, parallelizable
@@ -74,12 +72,9 @@ pub struct CompiledOdes {
     reactant_offsets: Vec<u32>,
     reactant_species: Vec<u32>,
     reactant_orders: Vec<u32>,
-    // Per-reaction law + constant.
-    kinetics: Vec<Kinetics>,
     rate_constants: Vec<f64>,
-    all_mass_action: bool,
     // One op per reaction, decoded from the reactant lists above; what the
-    // flux kernels read instead of them when `all_mass_action`.
+    // flux kernels read instead of them.
     flux_program: Vec<FluxOp>,
     // One derivative op per reactant slot (slot `q` is position `q` of the
     // reactant lists above), with the reaction whose constant it scales.
@@ -140,8 +135,8 @@ impl FluxOp {
 /// `∂flux_r/∂x_j` for one reactant slot of a mass-action reaction, decoded
 /// from the reaction's [`FluxOp`] shape. Every variant computes
 /// `k · a · int_pow(x_j, a − 1) · Π_{other} int_pow(x, order)` with exactly
-/// the products [`Kinetics::flux_derivative`] would form (`k·1·1` is `k`,
-/// `1·x` is `x`), so which variant a slot gets never shows in the bits.
+/// the products the generic walk would form (`k·1·1` is `k`, `1·x` is
+/// `x`), so which variant a slot gets never shows in the bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum DerivOp {
     /// The slot of `A → …`: `k`.
@@ -186,11 +181,21 @@ fn accumulate_term<W: LaneWidth>(w: W, t: JacTerm, d: &[f64], out: &mut [f64]) {
     }
 }
 
-/// Reactant lists up to this length are gathered into a stack buffer inside
-/// the RHS/Jacobian hot loops; longer lists (which real biochemical networks
-/// never produce — reactions are at most bimolecular) spill to a reused heap
-/// buffer. Keeps the non-mass-action evaluation path allocation-free.
-const STACK_REACTANTS: usize = 8;
+/// Integer power by repeated squaring; exact for the small orders (0–2)
+/// mass-action networks use, and correct for larger ones.
+#[inline]
+fn int_pow(x: f64, mut n: u32) -> f64 {
+    let mut base = x;
+    let mut acc = 1.0;
+    while n > 0 {
+        if n & 1 == 1 {
+            acc *= base;
+        }
+        base *= base;
+        n >>= 1;
+    }
+    acc
+}
 
 isa_twins! {
     /// The flux pass then the accumulation pass of
@@ -211,32 +216,6 @@ isa_twins! {
 }
 
 impl CompiledOdes {
-    /// Gathers reaction `r`'s `(concentration, order)` pairs without
-    /// allocating: into `stack` when they fit, else into the reused `spill`.
-    fn gather_reactants<'a>(
-        &self,
-        r: usize,
-        x: &[f64],
-        stack: &'a mut [(f64, u32); STACK_REACTANTS],
-        spill: &'a mut Vec<(f64, u32)>,
-    ) -> &'a [(f64, u32)] {
-        let lo = self.reactant_offsets[r] as usize;
-        let hi = self.reactant_offsets[r + 1] as usize;
-        let len = hi - lo;
-        if len <= STACK_REACTANTS {
-            for (slot, p) in stack[..len].iter_mut().zip(lo..hi) {
-                *slot = (x[self.reactant_species[p] as usize], self.reactant_orders[p]);
-            }
-            &stack[..len]
-        } else {
-            spill.clear();
-            spill.extend(
-                (lo..hi).map(|p| (x[self.reactant_species[p] as usize], self.reactant_orders[p])),
-            );
-            spill
-        }
-    }
-
     /// The flux of one mass-action reaction at constant `k` (`1.0` gives
     /// the unit flux): `k`, then the reactants in list order.
     #[inline(always)]
@@ -254,7 +233,7 @@ impl CompiledOdes {
                 let species = &self.reactant_species[list.clone()];
                 let mut f = k;
                 for (&s, &order) in species.iter().zip(&self.reactant_orders[list]) {
-                    f *= crate::kinetics::int_pow(x[s as usize], order);
+                    f *= int_pow(x[s as usize], order);
                 }
                 f
             }
@@ -305,7 +284,7 @@ impl CompiledOdes {
                 for (&s, &order) in species.iter().zip(&self.reactant_orders[list]) {
                     let xs = w.row(x, s as usize);
                     for l in 0..w.lanes() {
-                        f[l] *= crate::kinetics::int_pow(xs[l], order);
+                        f[l] *= int_pow(xs[l], order);
                     }
                 }
             }
@@ -371,30 +350,16 @@ impl CompiledOdes {
                     let order = self.reactant_orders[at as usize];
                     let own = w.row(x, self.reactant_species[at as usize] as usize);
                     for l in 0..w.lanes() {
-                        d[l] = k[l] * order as f64 * crate::kinetics::int_pow(own[l], order - 1);
+                        d[l] = k[l] * order as f64 * int_pow(own[l], order - 1);
                     }
                     for q in (lo..hi).filter(|&q| q != at) {
                         let order = self.reactant_orders[q as usize];
                         let xs = w.row(x, self.reactant_species[q as usize] as usize);
                         for l in 0..w.lanes() {
-                            d[l] *= crate::kinetics::int_pow(xs[l], order);
+                            d[l] *= int_pow(xs[l], order);
                         }
                     }
                 }
-            }
-        }
-    }
-
-    /// The slot derivatives of one state through each reaction's own rate
-    /// law — the path of models mixing saturating [`Kinetics`].
-    fn derivatives_by_law(&self, x: &[f64], k: &[f64], d: &mut [f64]) {
-        let mut stack = [(0.0f64, 0u32); STACK_REACTANTS];
-        let mut spill: Vec<(f64, u32)> = Vec::new();
-        let mut slots = d.iter_mut();
-        for (r, (law, &k)) in self.kinetics.iter().zip(k).enumerate() {
-            let pairs = self.gather_reactants(r, x, &mut stack, &mut spill);
-            for (which, d) in (0..pairs.len()).zip(&mut slots) {
-                *d = law.flux_derivative(k, pairs, which);
             }
         }
     }
@@ -453,7 +418,6 @@ impl CompiledOdes {
         let mut reactant_offsets = Vec::with_capacity(n_reactions + 1);
         let mut reactant_species = Vec::new();
         let mut reactant_orders = Vec::new();
-        let mut kinetics = Vec::with_capacity(n_reactions);
         let mut rate_constants = Vec::with_capacity(n_reactions);
         let mut flux_program = Vec::with_capacity(n_reactions);
         let n_slots = model.reactions().iter().map(|r| r.reactants().len()).sum();
@@ -468,10 +432,8 @@ impl CompiledOdes {
                 reactant_orders.push(a);
             }
             reactant_offsets.push(reactant_species.len() as u32);
-            kinetics.push(r.kinetics());
             rate_constants.push(r.rate_constant());
         }
-        let all_mass_action = kinetics.iter().all(|k| k.is_mass_action());
 
         // Build per-species terms from net stoichiometry, plus the
         // reaction-major transpose for the parameter-Jacobian kernels.
@@ -547,9 +509,7 @@ impl CompiledOdes {
             reactant_offsets,
             reactant_species,
             reactant_orders,
-            kinetics,
             rate_constants,
-            all_mass_action,
             flux_program,
             jac_program,
             jac_row_offsets,
@@ -607,17 +567,8 @@ impl CompiledOdes {
         assert_eq!(x.len(), self.n_species, "state vector length");
         assert_eq!(k.len(), self.n_reactions, "rate constant vector length");
         assert_eq!(flux.len(), self.n_reactions, "flux buffer length");
-        if self.all_mass_action {
-            for ((f, &k), &op) in flux.iter_mut().zip(k).zip(&self.flux_program) {
-                *f = self.mass_action_flux(op, k, x);
-            }
-        } else {
-            let mut stack = [(0.0f64, 0u32); STACK_REACTANTS];
-            let mut spill: Vec<(f64, u32)> = Vec::new();
-            for r in 0..self.n_reactions {
-                let pairs = self.gather_reactants(r, x, &mut stack, &mut spill);
-                flux[r] = self.kinetics[r].flux(k[r], pairs);
-            }
+        for ((f, &k), &op) in flux.iter_mut().zip(k).zip(&self.flux_program) {
+            *f = self.mass_action_flux(op, k, x);
         }
     }
 
@@ -653,14 +604,11 @@ impl CompiledOdes {
         }
     }
 
-    /// Whether this model's flux pass has a lane-batched implementation.
-    ///
-    /// The batched kernels cover pure mass-action networks (the paper's
-    /// workload); models mixing saturating [`Kinetics`] variants take the
-    /// scalar path — engines must check this before calling
-    /// [`rhs_batch`](Self::rhs_batch).
+    /// Whether this model's flux pass has a lane-batched implementation:
+    /// always `true`, since every model is mass action. Kept only for the
+    /// benchmark's trace probe, which still asks; no workspace code does.
     pub fn supports_lane_batch(&self) -> bool {
-        self.all_mass_action
+        true
     }
 
     /// Evaluates all reaction fluxes for `lanes` parameterizations at once.
@@ -678,9 +626,7 @@ impl CompiledOdes {
     ///
     /// # Panics
     ///
-    /// Panics if the model is not pure mass-action (check
-    /// [`supports_lane_batch`](Self::supports_lane_batch)) or buffer
-    /// lengths do not match.
+    /// Panics if buffer lengths do not match.
     pub fn fluxes_batch(&self, lanes: usize, x: &[f64], k: &[f64], flux: &mut [f64]) {
         self.check_flux_blocks(lanes, x, k, flux);
         with_lane_width!(lanes, |w| self.flux_rows(w, x, k, flux));
@@ -688,7 +634,6 @@ impl CompiledOdes {
 
     /// The flux pass's preconditions, shared by the kernels that run it.
     fn check_flux_blocks(&self, lanes: usize, x: &[f64], k: &[f64], flux: &[f64]) {
-        assert!(self.all_mass_action, "lane-batched flux pass covers mass-action kinetics only");
         assert_eq!(x.len(), self.n_species * lanes, "state block length");
         assert_eq!(k.len(), self.n_reactions * lanes, "rate-constant block length");
         assert_eq!(flux.len(), self.n_reactions * lanes, "flux block length");
@@ -709,8 +654,7 @@ impl CompiledOdes {
     ///
     /// # Panics
     ///
-    /// Panics if the model is not pure mass-action or buffer lengths do not
-    /// match.
+    /// Panics if buffer lengths do not match.
     pub fn rhs_batch(
         &self,
         lanes: usize,
@@ -737,8 +681,7 @@ impl CompiledOdes {
     ///
     /// # Panics
     ///
-    /// Panics if the model is not pure mass-action or buffer lengths do not
-    /// match.
+    /// Panics if buffer lengths do not match.
     pub fn jacobian_diag_batch(
         &self,
         lanes: usize,
@@ -747,7 +690,6 @@ impl CompiledOdes {
         slots: &mut [f64],
         diag: &mut [f64],
     ) {
-        assert!(self.all_mass_action, "lane-batched Jacobian covers mass-action kinetics only");
         assert_eq!(x.len(), self.n_species * lanes, "state block length");
         assert_eq!(k.len(), self.n_reactions * lanes, "rate-constant block length");
         assert_eq!(diag.len(), self.n_species * lanes, "diagonal block length");
@@ -772,9 +714,7 @@ impl CompiledOdes {
     ///
     /// # Panics
     ///
-    /// Panics if the model is not pure mass-action (check
-    /// [`supports_lane_batch`](Self::supports_lane_batch)) or buffer
-    /// lengths do not match.
+    /// Panics if buffer lengths do not match.
     pub fn jacobian_batch(
         &self,
         lanes: usize,
@@ -783,7 +723,6 @@ impl CompiledOdes {
         slots: &mut [f64],
         jac: &mut [f64],
     ) {
-        assert!(self.all_mass_action, "lane-batched Jacobian covers mass-action kinetics only");
         let n = self.n_species;
         assert_eq!(x.len(), n * lanes, "state block length");
         assert_eq!(k.len(), self.n_reactions * lanes, "rate-constant block length");
@@ -806,8 +745,7 @@ impl CompiledOdes {
     ///
     /// Two flat passes, like the right-hand side: the **derivative pass**
     /// evaluates `∂flux_r/∂x_j` once per reactant slot (the model's
-    /// *Jacobian program* for mass-action networks,
-    /// [`Kinetics::flux_derivative`] per slot otherwise), and the **scatter
+    /// *Jacobian program*), and the **scatter
     /// pass** adds `coeff · d[slot]` into `J[s][j]` for every species `s`
     /// the reaction feeds — per entry in the species' term order, then the
     /// reaction's reactant order.
@@ -821,29 +759,16 @@ impl CompiledOdes {
         assert_eq!(x.len(), self.n_species);
         assert_eq!(k.len(), self.n_reactions);
         let mut d = vec![0.0; self.jac_program.len()];
-        if self.all_mass_action {
-            self.jacobian_rows(FixedWidth::<1>, x, k, &mut d, jac.as_mut_slice());
-        } else {
-            self.derivatives_by_law(x, k, &mut d);
-            self.scatter_rows(FixedWidth::<1>, &d, jac.as_mut_slice());
-        }
+        self.jacobian_rows(FixedWidth::<1>, x, k, &mut d, jac.as_mut_slice());
     }
 
     /// The unit flux `g_r(x)` of reaction `r`: its flux evaluated with the
-    /// rate constant replaced by 1. Every rate law in this crate is linear
-    /// in its constant (`flux = k·g(x)` for mass action as well as the
-    /// saturating laws), so the unit flux **is** the exact analytic
-    /// `∂flux_r/∂k_r` — no finite differencing, no division by `k` (which
-    /// would break at `k = 0`).
+    /// rate constant replaced by 1. A mass-action flux is linear in its
+    /// constant (`flux = k·g(x)`), so the unit flux **is** the exact
+    /// analytic `∂flux_r/∂k_r` — no finite differencing, no division by `k`
+    /// (which would break at `k = 0`).
     pub fn unit_flux(&self, r: usize, x: &[f64]) -> f64 {
-        if self.all_mass_action {
-            self.mass_action_flux(self.flux_program[r], 1.0, x)
-        } else {
-            let mut stack = [(0.0f64, 0u32); STACK_REACTANTS];
-            let mut spill: Vec<(f64, u32)> = Vec::new();
-            let pairs = self.gather_reactants(r, x, &mut stack, &mut spill);
-            self.kinetics[r].flux(1.0, pairs)
-        }
+        self.mass_action_flux(self.flux_program[r], 1.0, x)
     }
 
     /// Analytic parameter Jacobian `∂f/∂k` for the selected rate constants:
@@ -880,9 +805,8 @@ impl CompiledOdes {
     /// The structural sparsity pattern of the Jacobian, fixed by
     /// stoichiometry at compile time: `J[s][j]` can be nonzero only when
     /// some reaction contributing to species `s` has species `j` among its
-    /// reactants. The pattern holds for **every** state, parameterization,
-    /// and kinetic law (saturating fluxes also depend only on their
-    /// reactant species), which is what lets the sensitivity `J·S` passes
+    /// reactants. The pattern holds for **every** state and
+    /// parameterization, which is what lets the sensitivity `J·S` passes
     /// skip every entry off it.
     pub fn jacobian_sparsity(&self) -> &paraspace_linalg::SparsityPattern {
         &self.jac_sparsity
@@ -1069,37 +993,6 @@ mod tests {
     }
 
     #[test]
-    fn michaelis_menten_network_jacobian_matches_fd() {
-        let mut m = ReactionBasedModel::new();
-        let s = m.add_species("S", 2.0);
-        let p = m.add_species("P", 0.1);
-        m.add_reaction(Reaction::with_kinetics(
-            &[(s, 1)],
-            &[(p, 1)],
-            4.0,
-            Kinetics::MichaelisMenten { km: 0.5 },
-        ))
-        .unwrap();
-        m.add_reaction(Reaction::with_kinetics(
-            &[(p, 1)],
-            &[(s, 1)],
-            1.0,
-            Kinetics::Hill { ka: 1.0, n: 2.0 },
-        ))
-        .unwrap();
-        let odes = m.compile().unwrap();
-        let x = [1.7, 0.6];
-        let mut jac = Matrix::zeros(2, 2);
-        odes.jacobian(0.0, &x, &mut jac);
-        let fd = finite_difference_jacobian(|t, y, d| odes.rhs(t, y, d), 0.0, &x);
-        for i in 0..2 {
-            for j in 0..2 {
-                assert!((jac[(i, j)] - fd[(i, j)]).abs() < 1e-5);
-            }
-        }
-    }
-
-    #[test]
     fn jacobian_sparsity_covers_every_analytic_nonzero() {
         let (_, odes) = lotka_volterra();
         let p = odes.jacobian_sparsity();
@@ -1283,6 +1176,23 @@ mod tests {
         }
     }
 
+    /// Every slot's `∂flux_r/∂x_j` by a walk of the reactant lists:
+    /// `k·a·x_j^(a−1)`, then the other reactants in list order.
+    fn naive_derivatives(odes: &CompiledOdes, x: &[f64], k: &[f64]) -> Vec<f64> {
+        let slot = |q: usize| (x[odes.reactant_species[q] as usize], odes.reactant_orders[q]);
+        let mut d = Vec::with_capacity(odes.n_reactant_slots());
+        for (r, span) in odes.reactant_offsets.windows(2).enumerate() {
+            let list = span[0] as usize..span[1] as usize;
+            for at in list.clone() {
+                let (own, order) = slot(at);
+                let head = k[r] * order as f64 * int_pow(own, order - 1);
+                let others = list.clone().filter(|&q| q != at).map(slot);
+                d.push(others.fold(head, |d, (x, order)| d * int_pow(x, order)));
+            }
+        }
+        d
+    }
+
     #[test]
     fn derivative_rows_are_the_scalar_derivative_of_every_op_in_every_lane() {
         let odes = every_shape();
@@ -1294,8 +1204,7 @@ mod tests {
             with_lane_width!(lanes, |w| odes.derivative_rows(w, &x, &k, &mut d));
             for l in 0..lanes {
                 let (x, k) = (lane_of(&x, lanes, l), lane_of(&k, lanes, l));
-                let mut want = vec![f64::NAN; slots];
-                odes.derivatives_by_law(&x, &k, &mut want);
+                let want = naive_derivatives(&odes, &x, &k);
                 assert_eq!(bits(&lane_of(&d, lanes, l)), bits(&want), "width {lanes}, lane {l}");
             }
         }
@@ -1522,42 +1431,6 @@ mod tests {
     }
 
     #[test]
-    fn dfdk_is_exact_for_saturating_kinetics() {
-        // Every rate law is linear in its constant, so ∂flux/∂k is the unit
-        // flux for MM and Hill reactions too.
-        let mut m = ReactionBasedModel::new();
-        let s = m.add_species("S", 2.0);
-        let p = m.add_species("P", 0.1);
-        m.add_reaction(Reaction::with_kinetics(
-            &[(s, 1)],
-            &[(p, 1)],
-            4.0,
-            Kinetics::MichaelisMenten { km: 0.5 },
-        ))
-        .unwrap();
-        m.add_reaction(Reaction::with_kinetics(
-            &[(p, 1)],
-            &[(s, 1)],
-            1.0,
-            Kinetics::Hill { ka: 1.0, n: 2.0 },
-        ))
-        .unwrap();
-        let odes = m.compile().unwrap();
-        let x = [1.7, 0.6];
-        let mut dfdk = vec![0.0; 2 * 2];
-        odes.dfdk_with(&x, &[0, 1], &mut dfdk);
-        // Reaction 0: flux = k·x/(km+x); unit flux = 1.7/2.2.
-        let g0 = 1.7 / (0.5 + 1.7);
-        assert!((dfdk[0] + g0).abs() < 1e-14, "dS/dk0 = -g0");
-        assert!((dfdk[1] - g0).abs() < 1e-14, "dP/dk0 = +g0");
-        // Reaction 1: Hill unit flux.
-        let x1n = 0.6f64.powf(2.0);
-        let g1 = x1n / (1.0 + x1n);
-        assert!((dfdk[2] - g1).abs() < 1e-14);
-        assert!((dfdk[3] + g1).abs() < 1e-14);
-    }
-
-    #[test]
     fn dfdk_column_is_scaled_flux_column() {
         // ∂f/∂k_r · k_r must reproduce the reaction's flux contribution.
         let (model, odes) = lotka_volterra();
@@ -1580,27 +1453,12 @@ mod tests {
     }
 
     #[test]
-    fn lane_batch_support_follows_kinetics() {
-        let (_, mass_action) = lotka_volterra();
-        assert!(mass_action.supports_lane_batch());
-        let mut m = ReactionBasedModel::new();
-        let s = m.add_species("S", 2.0);
-        let p = m.add_species("P", 0.1);
-        m.add_reaction(Reaction::with_kinetics(
-            &[(s, 1)],
-            &[(p, 1)],
-            4.0,
-            Kinetics::MichaelisMenten { km: 0.5 },
-        ))
-        .unwrap();
-        let mixed = m.compile().unwrap();
-        assert!(!mixed.supports_lane_batch());
-        let result = std::panic::catch_unwind(|| {
-            let mut flux = vec![0.0; 1];
-            let mut d = vec![0.0; 2];
-            mixed.rhs_batch(1, &[2.0, 0.1], &[4.0], &mut flux, &mut d);
-        });
-        assert!(result.is_err(), "rhs_batch must reject non-mass-action models");
+    fn int_pow_matches_powi() {
+        for n in 0..8u32 {
+            assert_eq!(int_pow(3.0, n), 3.0f64.powi(n as i32));
+        }
+        assert_eq!(int_pow(0.0, 0), 1.0);
+        assert_eq!(int_pow(0.0, 3), 0.0);
     }
 
     #[test]

@@ -32,7 +32,6 @@ use crate::model::ReactionBasedModel;
 pub struct CompiledStoich {
     n_species: usize,
     rates: Vec<f64>,
-    all_mass_action: bool,
     // Reaction-major reactant entries.
     reactant_offsets: Vec<u32>,
     reactant_species: Vec<u32>,
@@ -62,9 +61,7 @@ impl CompiledStoich {
         let mut net_delta = Vec::new();
         reactant_offsets.push(0u32);
         net_offsets.push(0u32);
-        let mut all_mass_action = true;
         for r in model.reactions() {
-            all_mass_action &= r.kinetics().is_mass_action();
             for &(s, order) in r.reactants() {
                 reactant_species.push(s as u32);
                 reactant_orders.push(order);
@@ -111,7 +108,6 @@ impl CompiledStoich {
         CompiledStoich {
             n_species: n,
             rates: model.rate_constants(),
-            all_mass_action,
             reactant_offsets,
             reactant_species,
             reactant_orders,
@@ -132,12 +128,6 @@ impl CompiledStoich {
     /// Number of reactions.
     pub fn n_reactions(&self) -> usize {
         self.rates.len()
-    }
-
-    /// Whether every reaction carries plain mass-action kinetics — the
-    /// only kinetics the falling-factorial propensity is faithful for.
-    pub fn all_mass_action(&self) -> bool {
-        self.all_mass_action
     }
 
     /// The stochastic rate constants.
@@ -450,22 +440,5 @@ mod tests {
         let src = CompiledStoich::new(&model());
         assert!(!src.consumes(0));
         assert!(src.consumes(1));
-    }
-
-    #[test]
-    fn mass_action_flag_tracks_kinetics() {
-        use crate::kinetics::Kinetics;
-        assert!(CompiledStoich::new(&model()).all_mass_action());
-        let mut m = ReactionBasedModel::new();
-        let s = m.add_species("S", 1.0);
-        let p = m.add_species("P", 0.0);
-        m.add_reaction(Reaction::with_kinetics(
-            &[(s, 1)],
-            &[(p, 1)],
-            1.0,
-            Kinetics::MichaelisMenten { km: 0.5 },
-        ))
-        .unwrap();
-        assert!(!CompiledStoich::new(&m).all_mass_action());
     }
 }

@@ -15,7 +15,7 @@
 use paraspace_linalg::Matrix;
 use paraspace_models::{autophagy, classic, metabolic};
 use paraspace_rbm::sbgen::SbGen;
-use paraspace_rbm::{Kinetics, Reaction, ReactionBasedModel};
+use paraspace_rbm::{Reaction, ReactionBasedModel};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -60,24 +60,13 @@ fn oracle_rhs(model: &ReactionBasedModel, flux: &[f64]) -> Vec<f64> {
         .collect()
 }
 
-/// `∂flux_r/∂x` of reactant `which`: the law's own factor first, then the
-/// remaining mass-action reactants left to right.
+/// `∂flux_r/∂x` of reactant `which`: `k·a·x^(a−1)` first, then the other
+/// reactants left to right.
 fn oracle_flux_derivative(r: &Reaction, k: f64, x: &[f64], which: usize) -> f64 {
     let list = r.reactants();
-    let own = |scale: f64, (s, a): (usize, u32)| scale * a as f64 * power(x[s], a - 1);
-    let (head, skip) = match r.kinetics() {
-        Kinetics::MassAction => (own(k, list[which]), 0),
-        Kinetics::MichaelisMenten { km } => {
-            let x0 = x[list[0].0];
-            let head = match which {
-                0 => k * km / ((km + x0) * (km + x0)),
-                _ => own(k * (x0 / (km + x0)), list[which]),
-            };
-            (head, 1)
-        }
-        law => panic!("the oracle does not know {law:?}"),
-    };
-    let others = list.iter().enumerate().skip(skip).filter(|&(j, _)| j != which);
+    let (s, a) = list[which];
+    let head = k * a as f64 * power(x[s], a - 1);
+    let others = list.iter().enumerate().filter(|&(j, _)| j != which);
     others.fold(head, |d, (_, &(s, a))| d * power(x[s], a))
 }
 
@@ -133,7 +122,6 @@ fn lane_of(block: &[f64], lanes: usize, l: usize) -> Vec<f64> {
 
 fn assert_parity(model: &ReactionBasedModel, label: &str) {
     let odes = model.compile().unwrap();
-    assert!(odes.supports_lane_batch(), "{label}: the oracle is mass action");
     let (n, m) = (odes.n_species(), odes.n_reactions());
     let inputs: Vec<_> = (0..MAX_LANES).map(|l| lane_inputs(model, l)).collect();
     let want: Vec<_> = inputs
@@ -182,7 +170,7 @@ fn assert_parity(model: &ReactionBasedModel, label: &str) {
 }
 
 /// `jacobian_with`, `jacobian_batch` and `jacobian_diag_batch` against the
-/// oracle; the lane kernels only where the model is mass action.
+/// oracle.
 fn assert_jacobian_parity(model: &ReactionBasedModel, label: &str) {
     let odes = model.compile().unwrap();
     let n = odes.n_species();
@@ -193,9 +181,6 @@ fn assert_jacobian_parity(model: &ReactionBasedModel, label: &str) {
         let mut jac = Matrix::from_fn(n, n, |_, _| f64::NAN);
         odes.jacobian_with(x, k, &mut jac);
         assert_eq!(&bits(jac.as_slice()), want, "{label}: jacobian_with, inputs {l}");
-    }
-    if !odes.supports_lane_batch() {
-        return;
     }
     for lanes in 1..=MAX_LANES {
         let xs: Vec<_> = inputs[..lanes].iter().map(|(x, _)| x.clone()).collect();
@@ -267,26 +252,4 @@ fn shapes_outside_the_common_four_match_the_oracle() {
         model.add_reaction(r).unwrap();
     }
     assert_parity(&model, "hand-built shapes");
-}
-
-#[test]
-fn saturating_kinetics_take_the_per_slot_law_path() {
-    // S → P and S + 2E → P + 2E saturate in their first reactant (S; E
-    // multiplies in by mass action); P → S and P + E → 2S are mass action
-    // beside them, so the model as a whole takes the per-slot law path.
-    let mut model = ReactionBasedModel::new();
-    let s = model.add_species("S", 2.0);
-    let e = model.add_species("E", 0.3);
-    let p = model.add_species("P", 0.1);
-    let mm = |km| Kinetics::MichaelisMenten { km };
-    for r in [
-        Reaction::with_kinetics(&[(s, 1)], &[(p, 1)], 4.0, mm(0.5)),
-        Reaction::with_kinetics(&[(s, 1), (e, 2)], &[(p, 1), (e, 2)], 1.5, mm(1.25)),
-        Reaction::mass_action(&[(p, 1)], &[(s, 1)], 0.7),
-        Reaction::mass_action(&[(p, 1), (e, 1)], &[(s, 2)], 0.2),
-    ] {
-        model.add_reaction(r).unwrap();
-    }
-    assert!(!model.compile().unwrap().supports_lane_batch());
-    assert_jacobian_parity(&model, "michaelis-menten network");
 }

@@ -297,12 +297,10 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
         let x0 = initial_counts(model);
         let replicates = range.len();
 
-        // Resolve the lane schedule: a lockstep kernel, a usable width,
-        // and mass-action kinetics (the only kinetics the batched
-        // falling-factorial pass is faithful for).
+        // Resolve the lane schedule: a lockstep kernel and a usable width.
         let kernel = self.simulator.lane_kernel();
         let width = self.lane_width.unwrap_or_else(|| auto_stoch_lane_width(model)).max(1);
-        let lane_path = kernel.is_some() && width >= 2 && table.stoich().all_mass_action();
+        let lane_path = kernel.is_some() && width >= 2;
 
         // Lane replicates drain through lane groups on the shared queue; the
         // rest (fault-planned ones evicted, as the ODE engines evict
@@ -409,10 +407,7 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
 ///
 /// * `ε·x̄/2 ≥ 10` (the SSA threshold): leap-dominated, full width 8;
 /// * `ε·x̄/2 ≥ 1`: mixed mode, width 4;
-/// * below that: SSA-dominated, width 2;
-/// * non-mass-action kinetics: `1` — the falling-factorial propensities
-///   are only faithful for mass action, so the batch engine routes these
-///   to its scalar path.
+/// * below that: SSA-dominated, width 2.
 ///
 /// `x̄` is the mean initial count over initially populated species.
 /// Deterministic per model, and like the ODE engines' `auto_lane_width`
@@ -436,9 +431,6 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
 /// # }
 /// ```
 pub fn auto_stoch_lane_width(model: &ReactionBasedModel) -> usize {
-    if model.reactions().iter().any(|r| !r.kinetics().is_mass_action()) {
-        return 1;
-    }
     let counts: Vec<f64> =
         model.initial_state().iter().map(|&x| x.max(0.0).round()).filter(|&x| x > 0.0).collect();
     if counts.is_empty() {
@@ -625,29 +617,6 @@ mod tests {
     }
 
     #[test]
-    fn non_mass_action_models_fall_back_to_scalar_lanes() {
-        use paraspace_rbm::Kinetics;
-        let mut m = ReactionBasedModel::new();
-        let s = m.add_species("S", 50_000.0);
-        let p = m.add_species("P", 0.0);
-        m.add_reaction(Reaction::with_kinetics(
-            &[(s, 1)],
-            &[(p, 1)],
-            1.0,
-            Kinetics::MichaelisMenten { km: 0.5 },
-        ))
-        .unwrap();
-        let r = StochasticBatch::new(TauLeaping::new())
-            .with_seed(29)
-            .with_lane_width(Some(8))
-            .run(&m, &[0.1], 6)
-            .unwrap();
-        assert_eq!(r.lane_width, 1, "gated off the lane path");
-        assert!(r.lanes.is_none());
-        assert!(r.outcomes.iter().all(Result::is_ok));
-    }
-
-    #[test]
     fn stoch_width_follows_the_leap_ssa_mode_split() {
         let decay = |x0: f64| {
             let mut m = ReactionBasedModel::new();
@@ -663,22 +632,6 @@ mod tests {
         assert_eq!(auto_stoch_lane_width(&decay(10.0)), 2);
         // Deterministic.
         assert_eq!(auto_stoch_lane_width(&decay(100.0)), auto_stoch_lane_width(&decay(100.0)));
-    }
-
-    #[test]
-    fn stoch_width_is_scalar_for_non_mass_action_kinetics() {
-        use paraspace_rbm::Kinetics;
-        let mut m = ReactionBasedModel::new();
-        let s = m.add_species("S", 100_000.0);
-        let p = m.add_species("P", 0.0);
-        m.add_reaction(Reaction::with_kinetics(
-            &[(s, 1)],
-            &[(p, 1)],
-            1.0,
-            Kinetics::MichaelisMenten { km: 0.5 },
-        ))
-        .unwrap();
-        assert_eq!(auto_stoch_lane_width(&m), 1);
         // An unpopulated model still gets a (narrow) lane schedule.
         let mut empty = ReactionBasedModel::new();
         let a = empty.add_species("A", 0.0);
