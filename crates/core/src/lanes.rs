@@ -304,8 +304,8 @@ pub fn auto_lane_width(odes: &CompiledOdes) -> usize {
 /// The width a lockstep engine actually runs `job` at: the pinned width if
 /// the caller set one, otherwise [`auto_lane_width`] — with the shared
 /// fallback to the scalar path (`1`) for sub-2 batches. Both lockstep
-/// engines route through
-/// this resolver so `--lane-width auto|N` means the same thing everywhere.
+/// engines route through this resolver so `--lane-width auto|N` means the
+/// same thing everywhere.
 ///
 /// `scalar_stiff_radau` says whether the engine's width-1 route solves
 /// stiff members with scalar RADAU5 (true for the fine-coarse P4 phase).
