@@ -17,7 +17,7 @@ pub struct ThroughputReport {
     /// Engine name.
     pub engine: &'static str,
     /// Simulations completed inside the budget (extrapolated from the
-    /// probe batch).
+    /// probe batch; a probe member that failed does not count).
     pub simulations_in_budget: u64,
     /// Simulated time per batch (ns).
     pub batch_time_ns: f64,
@@ -77,7 +77,7 @@ where
     let batches = (budget_ns / batch_time_ns).floor() as u64;
     Ok(ThroughputReport {
         engine: result.engine,
-        simulations_in_budget: batches * batch as u64,
+        simulations_in_budget: batches * result.success_count() as u64,
         batch_time_ns,
         batch_size: batch,
     })
@@ -144,6 +144,23 @@ mod tests {
             gpu.simulations_in_budget,
             cpu.simulations_in_budget
         );
+    }
+
+    #[test]
+    fn failed_probe_members_are_not_counted() {
+        // Member 0 grows as e^{30 t} and exhausts its step budget; member 1
+        // integrates.
+        let mut m = ReactionBasedModel::new();
+        let a = m.add_species("A", 1.0);
+        let b = m.add_species("B", 1.0);
+        m.add_reaction(Reaction::mass_action(&[(a, 1)], &[(a, 2)], 1.0)).unwrap();
+        m.add_reaction(Reaction::mass_action(&[(b, 1)], &[], 1.0)).unwrap();
+        let rates = |i| Parameterization::new().with_rate_constants(vec![[30.0, 0.1][i], 1.0]);
+        let engine = CpuEngine::new(CpuSolverKind::Lsoda);
+        let r = simulations_within_budget(&m, rates, vec![50.0], &engine, 2, 1e12).unwrap();
+        let batches = (1e12 / r.batch_time_ns).floor() as u64;
+        assert!(batches > 0);
+        assert_eq!(r.simulations_in_budget, batches, "one of the two probe members completes");
     }
 
     #[test]
