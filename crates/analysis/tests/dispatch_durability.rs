@@ -11,7 +11,7 @@ mod watchdog;
 
 use paraspace_analysis::campaign::CampaignError;
 use paraspace_analysis::dispatch::{run_dispatched, DispatchConfig, WorkerChaos};
-use paraspace_core::{FineEngine, SimulationJob, Simulator};
+use paraspace_core::{FineCoarseEngine, SimulationJob, Simulator};
 use paraspace_journal::codec::Enc;
 use paraspace_journal::lease::{LeaseConfig, RetryState};
 use paraspace_journal::CampaignManifest;
@@ -87,8 +87,8 @@ fn shard_payload(engine: &dyn Simulator, shard: u64) -> Result<Vec<u8>, Campaign
     Ok(enc.finish())
 }
 
-fn engine(threads: usize) -> FineEngine {
-    FineEngine::new().with_threads(threads).with_lane_width(4)
+fn engine(threads: usize) -> FineCoarseEngine {
+    FineCoarseEngine::new().with_threads(threads).with_lane_width(4)
 }
 
 fn poison(shard: u64, st: &RetryState) -> Vec<u8> {

@@ -9,7 +9,9 @@ use paraspace_analysis::fitness::FailedMemberPolicy;
 use paraspace_analysis::pe::{estimate_with, EstimationProblem, Optimizer};
 use paraspace_analysis::psa::{Axis, Psa2d, Psa2dResult};
 use paraspace_analysis::pso::PsoConfig;
-use paraspace_core::{CancelToken, CpuEngine, CpuSolverKind, FineEngine, SimulationJob, Simulator};
+use paraspace_core::{
+    CancelToken, CpuEngine, CpuSolverKind, FineCoarseEngine, FineEngine, SimulationJob, Simulator,
+};
 use paraspace_rbm::{Parameterization, Reaction, ReactionBasedModel};
 use paraspace_solvers::SolverOptions;
 use std::path::PathBuf;
@@ -150,9 +152,9 @@ fn kill_and_resume_is_exact_across_threads_and_widths() {
     }
     for &width in &[2usize, 8] {
         for (trip, trip_tag) in [(Trip::ShardBoundary, "edge"), (Trip::MidShard, "mid")] {
-            let tag = format!("fine_w{width}_{trip_tag}");
+            let tag = format!("fine_coarse_w{width}_{trip_tag}");
             kill_resume_case(
-                &move |c| Box::new(FineEngine::new().with_lane_width(width).with_cancel(c)),
+                &move |c| Box::new(FineCoarseEngine::new().with_lane_width(width).with_cancel(c)),
                 trip,
                 &tag,
             );
@@ -168,12 +170,12 @@ fn results_agree_across_host_thread_counts() {
     let dir1 = temp_dir("agree_t1");
     let dir8 = temp_dir("agree_t8");
     let r1 = run_sweep_durable(
-        &FineEngine::new().with_lane_width(4).with_threads(1),
+        &FineCoarseEngine::new().with_lane_width(4).with_threads(1),
         &Checkpoint::new(&dir1),
     )
     .unwrap();
     let r8 = run_sweep_durable(
-        &FineEngine::new().with_lane_width(4).with_threads(8),
+        &FineCoarseEngine::new().with_lane_width(4).with_threads(8),
         &Checkpoint::new(&dir8),
     )
     .unwrap();
@@ -502,9 +504,7 @@ fn cancel_mid_retry_ladder_drains_without_journaling() {
 
     // Positive control: with the rungs disabled the starved budget is
     // terminal, proving the ladder is genuinely engaged below.
-    let starved = FineEngine::new()
-        .with_lane_width(1)
-        .with_recovery(RecoveryPolicy { max_relaxations: 0, ..ladder });
+    let starved = FineEngine::new().with_recovery(RecoveryPolicy { max_relaxations: 0, ..ladder });
     let control_dir = temp_dir("ladder_control");
     let starved_result = run_sweep_durable(&starved, &Checkpoint::new(&control_dir)).unwrap();
     assert!(
@@ -515,11 +515,9 @@ fn cancel_mid_retry_ladder_drains_without_journaling() {
     // Ladder-heavy uninterrupted baseline: every member needs the rungs
     // (see control above) and every member is rescued by them.
     let base_dir = temp_dir("ladder_base");
-    let baseline = run_sweep_durable(
-        &FineEngine::new().with_lane_width(1).with_recovery(ladder),
-        &Checkpoint::new(&base_dir),
-    )
-    .unwrap();
+    let baseline =
+        run_sweep_durable(&FineEngine::new().with_recovery(ladder), &Checkpoint::new(&base_dir))
+            .unwrap();
     assert!(
         baseline.values.iter().flatten().all(|v| v.is_finite()),
         "the relaxation rungs must rescue every starved member"
@@ -533,8 +531,7 @@ fn cancel_mid_retry_ladder_drains_without_journaling() {
     let cp = Checkpoint::new(&dir).with_cancel(cancel.clone());
     let m = model();
     let built = AtomicUsize::new(0);
-    let engine =
-        FineEngine::new().with_lane_width(1).with_recovery(ladder).with_cancel(cancel.clone());
+    let engine = FineEngine::new().with_recovery(ladder).with_cancel(cancel.clone());
     let err = sweep()
         .checkpoint(cp)
         .run(
@@ -576,7 +573,7 @@ fn cancel_mid_retry_ladder_drains_without_journaling() {
             self.inner.run(job)
         }
     }
-    let fresh = FineEngine::new().with_lane_width(1).with_recovery(ladder);
+    let fresh = FineEngine::new().with_recovery(ladder);
     let counting = CountRuns { inner: &fresh, runs: AtomicUsize::new(0) };
     let resumed = run_sweep_durable(&counting, &Checkpoint::new(&dir)).unwrap();
     assert_eq!(

@@ -28,7 +28,7 @@ use paraspace_analysis::dispatch::{
     coordinate, worker_loop, DispatchConfig, DispatchReport, TickDirective, WorkerChaos,
     WorkerReport,
 };
-use paraspace_core::{CancelToken, FineEngine, SimulationJob, Simulator};
+use paraspace_core::{CancelToken, FineCoarseEngine, SimulationJob, Simulator};
 use paraspace_journal::codec::Enc;
 use paraspace_journal::lease::{LeaseConfig, LeaseDir, RetryLedger, RetryState};
 use paraspace_journal::CampaignManifest;
@@ -108,8 +108,8 @@ fn shard_payload(engine: &dyn Simulator, shard: u64) -> Result<Vec<u8>, Campaign
     Ok(enc.finish())
 }
 
-fn engine() -> FineEngine {
-    FineEngine::new().with_threads(1).with_lane_width(4)
+fn engine() -> FineCoarseEngine {
+    FineCoarseEngine::new().with_threads(1).with_lane_width(4)
 }
 
 fn poison(shard: u64, st: &RetryState) -> Vec<u8> {

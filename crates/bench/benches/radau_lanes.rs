@@ -30,7 +30,7 @@
 //! The width-4 warm-up run is asserted bitwise identical to the scalar
 //! Radau trajectories in-loop, so the sweep doubles as an end-to-end
 //! lockstep-correctness check, and every member is asserted to classify
-//! stiff under the fine engine's triage so the comparison really covers
+//! stiff under the fine-coarse engine's P2 triage so the comparison covers
 //! the stiff path. Results go to `results/BENCH_radau_lanes.json`
 //! (relative to the workspace root).
 

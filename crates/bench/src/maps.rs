@@ -12,14 +12,12 @@ use rand::{rngs::StdRng, SeedableRng};
 use std::fmt;
 
 /// The simulator roster of the comparison study, in presentation order.
-/// The fine engine runs the published LASSIE-class route, one member at a
-/// time through RKF45 → BDF1 (lane width 1), not the lane-batched extension.
 fn roster() -> [Box<dyn Simulator>; 5] {
     [
         Box::new(CpuEngine::new(CpuSolverKind::Lsoda)),
         Box::new(CpuEngine::new(CpuSolverKind::Vode)),
         Box::new(CoarseEngine::new()),
-        Box::new(FineEngine::new().with_lane_width(1)),
+        Box::new(FineEngine::new()),
         Box::new(FineCoarseEngine::new()),
     ]
 }

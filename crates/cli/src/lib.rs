@@ -339,12 +339,13 @@ ENGINES: fine-coarse (default) | coarse | fine | lsoda | vode
 --threads runs the batch numerics on N host workers (default 1; 0 = one per
 core). Results are bitwise identical at any thread count.
 
---lane-width controls the lockstep lane grouping of the fine and fine-coarse
-engines: `auto` (default) runs the explicit DOPRI5 lanes at width 8 and
-prices each model's flux-vs-LU cost ratio and factor working set to pick
-the stiff lanes' width, while an explicit N pins both (1 forces the
-all-scalar path). Other engines ignore the flag. Results are bitwise
-identical at any width.
+--lane-width controls the lockstep lane grouping of the fine-coarse engine:
+`auto` (default) runs the explicit DOPRI5 lanes at width 8 and prices each
+model's flux-vs-LU cost ratio and factor working set to pick the stiff
+lanes' width, while an explicit N pins both (1 forces the all-scalar path).
+Other engines ignore the flag; `fine` is the published one-simulation-at-a-
+time RKF45 -> BDF1 baseline at any width. Results are bitwise identical at
+any width.
 
 Failed members never abort a batch: each failure is contained, itemized in
 the health summary, and written as a .err file (with the member's full
@@ -439,15 +440,14 @@ fn engine_by_name(
     cancel: &CancelToken,
 ) -> Result<Box<dyn Simulator>, CliError> {
     let host = Host { executor: Executor::new(threads), recovery, cancel: cancel.clone() };
-    // `--lane-width` only reaches the lockstep engines; the coarse and CPU
-    // engines have no lane schedule to pin.
+    // `--lane-width` only reaches the lockstep engine; the fine, coarse and
+    // CPU engines have no lane schedule to pin.
     Ok(match (name, lane_width) {
         ("fine-coarse", None) => Box::new(FineCoarseEngine::new().with_host(host)),
         ("fine-coarse", Some(w)) => {
             Box::new(FineCoarseEngine::new().with_host(host).with_lane_width(w))
         }
-        ("fine", None) => Box::new(FineEngine::new().with_host(host)),
-        ("fine", Some(w)) => Box::new(FineEngine::new().with_host(host).with_lane_width(w)),
+        ("fine", _) => Box::new(FineEngine::new().with_host(host)),
         ("coarse", _) => Box::new(CoarseEngine::new().with_host(host)),
         ("lsoda", _) => Box::new(CpuEngine::new(CpuSolverKind::Lsoda).with_host(host)),
         ("vode", _) => Box::new(CpuEngine::new(CpuSolverKind::Vode).with_host(host)),

@@ -28,15 +28,18 @@
 //! [`Radau5Batch`](paraspace_solvers::Radau5Batch) at the autotuned width
 //! (`lanes::resolve_lane_width`) — one group per executor worker, all
 //! pulling members from one shared queue, P4's ordered longest first by the
-//! triage eigenvalue. A P3 failure the recovery policy
-//! [`reroutes`](crate::RecoveryPolicy) is handed over to P4. Each phase is
-//! billed as a fold over per-member counters in member order — P4's lane
-//! occupancy from a packing the billing computes for itself — and then one
-//! `recovery::solve_members_recovered` call continues every member's ladder
-//! from the rungs P3 and P4 ran (relaxation retries, billed after the
-//! phases). A member's attempt is bitwise the scalar solver's whichever
+//! triage eigenvalue. Fault-planned members make contained scalar attempts
+//! beside the lanes and count as lane evictions in the batch health. A P3
+//! failure the recovery policy [`reroutes`](crate::RecoveryPolicy) is
+//! handed over to P4. Each phase is billed as a fold over per-member
+//! counters in member order — P4's lane occupancy, which is the run's lane
+//! accounting, from a packing the billing computes for itself — and then
+//! one `recovery::solve_members_recovered` call continues every member's
+//! ladder from the rungs P3 and P4 ran (relaxation retries, billed after
+//! the phases). A member's attempt is bitwise the scalar solver's whichever
 //! group and lane ran it, so outcomes, labels, billing and health do not
-//! depend on the worker count (nor, for P3, on the width).
+//! depend on the worker count (nor, for P3, on the width, except that a
+//! pinned width 1 evicts no one).
 
 use crate::engines::host::{device_clocks, h2d_bytes, Engine, Settled, PCIE_BYTES_PER_NS};
 use crate::engines::{attempt_stats, discard, group_stats, BatchResult, MemberSink, Simulator};
@@ -106,12 +109,11 @@ impl Engine<FineCoarse> {
     /// one `Radau5` solve per P4 member — larger values run P3's DOPRI5
     /// groups and P4's RADAU5 lane-groups at that width. Without this, P3
     /// runs at width 8 (narrowed when a worker's share of the members is
-    /// smaller) and P4 autotunes per model ([`crate::auto_lane_width`])
-    /// through the same resolver as [`crate::FineEngine`]. Per-member
-    /// results are bitwise identical at any width — the recovery policy's
-    /// step budget binds a lane as it binds a scalar solve; P3's modeled
-    /// time is too, while P4's width shapes its modeled kernel and the LU
-    /// working set.
+    /// smaller) and P4 autotunes per model ([`crate::auto_lane_width`]).
+    /// Per-member results are bitwise identical at any width — the recovery
+    /// policy's step budget binds a lane as it binds a scalar solve; P3's
+    /// modeled time is too, while P4's width shapes its modeled kernel and
+    /// the LU working set.
     pub fn with_lane_width(mut self, width: usize) -> Self {
         self.model.lane_width = Some(width.max(1));
         self
@@ -199,7 +201,8 @@ fn bill_phase(
 }
 
 /// Bills the lane-batched P4 over `members` (its lane-run members, in
-/// member-list order), one launch per *modelled* group of
+/// member-list order) and records its occupancy, one launch and one
+/// [`Device::record_lane_group`] per *modelled* group of
 /// `MEMBERS_PER_LANE·width` members: a parent thread carries the whole lane
 /// group, and one child round per lockstep tick serves all `L` lanes — the
 /// per-tick dynamic-parallelism overhead is amortized `L`-fold, which is
@@ -254,6 +257,7 @@ fn bill_p4_lanes(
                 repeats: rounds,
             });
         device.launch(&launch);
+        device.record_lane_group(&report);
     }
 }
 
@@ -311,10 +315,17 @@ impl Simulator for Engine<FineCoarse> {
         let clean_nonstiff = nonstiff.iter().filter(|&&i| clean(i)).count();
         let workers = host.executor.threads();
         let p3_width = explicit_lane_width(model.lane_width, clean_nonstiff, workers);
+        // A fault-planned member is evicted when a phase that runs lanes
+        // makes its attempt scalar, and counted once. P3's width is judged
+        // for one worker, so the count does not depend on how many workers
+        // share the queue.
+        let p3_lanes = explicit_lane_width(model.lane_width, clean_nonstiff, 1) >= 2;
+        let mut evicted = vec![false; batch];
         let p3 = first_attempts(host, job, Lockstep::Dopri5, &nonstiff, p3_width)?;
         let mut handed_over = Vec::new();
         for (&i, attempt) in nonstiff.iter().zip(p3) {
             stats[i] = *attempt_stats(&attempt);
+            evicted[i] = p3_lanes && !clean(i);
             if matches!(&attempt, Err(f) if host.recovery.reroutes(&f.error)) {
                 handed_over.push(i);
             }
@@ -324,12 +335,12 @@ impl Simulator for Engine<FineCoarse> {
 
         // P4: RADAU5 over stiff + handed-over members, longest first by the
         // triage eigenvalue. With two or more clean members they run as
-        // lockstep lane groups at the width the fine engine's resolver
-        // picks; fault-planned members stay scalar either way.
+        // lockstep lane groups at the pinned or autotuned width;
+        // fault-planned members stay scalar either way.
         let mut p4 = stiff;
         p4.extend(handed_over);
         let p4_width = if p4.iter().filter(|&&i| clean(i)).count() >= 2 {
-            resolve_lane_width(model.lane_width, job, true)
+            resolve_lane_width(model.lane_width, job)
         } else {
             1
         };
@@ -342,6 +353,7 @@ impl Simulator for Engine<FineCoarse> {
         let p4_attempts = first_attempts(host, job, Lockstep::Radau5, &queue, p4_width)?;
         for (&i, attempt) in queue.iter().zip(p4_attempts) {
             stats[i] = *attempt_stats(&attempt);
+            evicted[i] |= p4_width >= 2 && !clean(i);
             let solver = if on_lanes(i) { "radau5-lanes" } else { "radau5" };
             billed[i] = Some(match billed[i].take() {
                 Some(p3) => p3.rerouted_to(attempt, solver),
@@ -374,10 +386,12 @@ impl Simulator for Engine<FineCoarse> {
             }
             settled.settle(rs.solution, class.stiff, rs.solver, rs.log);
         }
+        settled.health.evicted_lanes = evicted.iter().filter(|&&e| e).count();
+        let lanes = (p4_width >= 2).then(|| device.lane_accounting());
 
         // P5: device→host transfer plus output writing.
         let clocks = device_clocks(&device, "io::p5_d2h", "io::p5_write");
-        Ok(host.finish(self.name(), start, settled, None, sink, clocks))
+        Ok(host.finish(self.name(), start, settled, lanes, sink, clocks))
     }
 }
 
@@ -467,6 +481,28 @@ mod tests {
                 reference.states,
                 "member {i}"
             );
+        }
+    }
+
+    #[test]
+    fn lane_attempts_discarded_by_a_reroute_are_accounted() {
+        // A 5-step cap fails every lockstep DOPRI5 lane of P3 at exactly 5
+        // steps; each member is handed over to P4, and the lane attempts —
+        // billed in P3, thrown away by the reroute — show up as discarded
+        // steps at any width.
+        let m = reversible_model();
+        let opts = paraspace_solvers::SolverOptions { max_steps: 5, ..Default::default() };
+        let mut b = SimulationJob::builder(&m).time_points(vec![0.5, 1.0]).options(opts);
+        for i in 0..6 {
+            b = b.parameterization(
+                Parameterization::new().with_rate_constants(vec![0.5 + 0.25 * i as f64, 0.4]),
+            );
+        }
+        let job = b.build().unwrap();
+        for width in [2, 8] {
+            let r = FineCoarseEngine::new().with_lane_width(width).run(&job).unwrap();
+            assert_eq!(r.health.reroutes, 6, "width {width}: {}", r.health);
+            assert_eq!(r.health.discarded_steps, 6 * 5, "width {width}: {}", r.health);
         }
     }
 

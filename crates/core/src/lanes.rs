@@ -1,5 +1,5 @@
-//! Lane scheduling and per-model lane-width autotuning for the lockstep
-//! engines.
+//! Lane scheduling and per-model lane-width autotuning for the fine-coarse
+//! engine's lockstep phases.
 //!
 //! The lockstep lane path amortizes host-launch latency and structure
 //! decoding `L`-fold, so wider is better — **until** the stiff class's
@@ -29,10 +29,9 @@
 //!
 //! # Scheduling
 //!
-//! Every lockstep phase in the crate — the fine-coarse engine's P3 and P4,
-//! the fine engine's explicit and stiff classes — is one
-//! [`first_attempts`] call: its fault-free members run on [`solve_queue`],
-//! the ODE instance of the workspace's one lane scheduler,
+//! Every lockstep phase in the crate — the fine-coarse engine's P3 and P4 —
+//! is one [`first_attempts`] call: its fault-free members run on
+//! [`solve_queue`], the ODE instance of the workspace's one lane scheduler,
 //! [`Executor::drain_queue`] (the tau-leaping ensemble is the other), and
 //! its fault-planned members as contained scalar attempts beside them. On
 //! the queue there is one lane group per executor worker, every group
@@ -253,18 +252,15 @@ const FACTOR_CACHE_BUDGET_BYTES: usize = 256 * 1024;
 /// factor) + one `Complex64` (complex E2 factor).
 const FACTOR_BYTES_PER_ENTRY: usize = 8 + 16;
 
-/// The lane width the lockstep engines should run `odes` at, from the
+/// The lane width the stiff lockstep phase should run `odes` at, from the
 /// model's flux-cost-vs-LU-cost ratio and factorization working set.
 ///
 /// Returns a power of two in `1..=8`. `1` means lockstep lanes do not pay
 /// for this model — the LU working set swamps the cache at any width (the
-/// measured regime where even width-1 lanes trail scalar RADAU5). How `1`
-/// is honored is engine-specific: the fine-coarse engine routes stiff
-/// members to its scalar RADAU5 P4 path, while the fine engine — whose
-/// width-1 semantics is the published RKF45→BDF1 baseline, a different
-/// method — floors the *tuned* width at 2 (see
-/// `resolve_lane_width`). Deterministic per model — it reads only
-/// compiled-model structure, never timings.
+/// measured regime where even width-1 lanes trail scalar RADAU5), and the
+/// fine-coarse engine routes its stiff members to the scalar RADAU5 P4
+/// path. Deterministic per model — it reads only compiled-model structure,
+/// never timings.
 ///
 /// # Example
 ///
@@ -301,38 +297,14 @@ pub fn auto_lane_width(odes: &CompiledOdes) -> usize {
     width
 }
 
-/// The width a lockstep engine actually runs `job` at: the pinned width if
-/// the caller set one, otherwise [`auto_lane_width`] — with the shared
-/// fallback to the scalar path (`1`) for sub-2 batches. Both lockstep
-/// engines route through this resolver so `--lane-width auto|N` means the
-/// same thing everywhere.
-///
-/// `scalar_stiff_radau` says whether the engine's width-1 route solves
-/// stiff members with scalar RADAU5 (true for the fine-coarse P4 phase).
-/// When it does not (the fine engine's width 1 is the published
-/// RKF45→BDF1 baseline), an autotuned `1` is floored to `2` so an
-/// LU-dominated model narrows the lanes instead of silently switching
-/// stiff members to a first-order method. An explicitly pinned `1` is
-/// honored as the documented baseline semantics either way.
-pub(crate) fn resolve_lane_width(
-    pinned: Option<usize>,
-    job: &SimulationJob,
-    scalar_stiff_radau: bool,
-) -> usize {
+/// The width the fine-coarse engine's stiff phase (P4) runs `job` at: the
+/// pinned width if the caller set one, otherwise [`auto_lane_width`] — with
+/// the scalar route (`1`) for sub-2 batches.
+pub(crate) fn resolve_lane_width(pinned: Option<usize>, job: &SimulationJob) -> usize {
     if job.batch_size() < 2 {
         return 1;
     }
-    match pinned {
-        Some(w) => w.max(1),
-        None => {
-            let tuned = auto_lane_width(job.odes());
-            if tuned == 1 && !scalar_stiff_radau {
-                2
-            } else {
-                tuned
-            }
-        }
-    }
+    pinned.map_or_else(|| auto_lane_width(job.odes()), |w| w.max(1))
 }
 
 #[cfg(test)]
@@ -582,9 +554,10 @@ mod tests {
     }
 
     #[test]
-    fn autotuned_width_one_is_engine_aware() {
+    fn autotuned_width_one_is_honored() {
         // A 114-species single chain is LU-dominated past the cache budget
-        // at every width, so the tuner answers 1...
+        // at every width, so the tuner answers 1 — the scalar RADAU5 route —
+        // and a pin overrides it.
         let mut m = ReactionBasedModel::new();
         let ids: Vec<_> = (0..114).map(|i| m.add_species(format!("S{i}"), 1.0)).collect();
         for s in 0..113 {
@@ -593,14 +566,11 @@ mod tests {
         assert_eq!(auto_lane_width(&m.compile().unwrap()), 1);
         let job =
             crate::SimulationJob::builder(&m).time_points(vec![1.0]).replicate(8).build().unwrap();
-        // ...which fine-coarse honors (its width-1 stiff route is scalar
-        // RADAU5) while the fine engine floors to 2 (its width-1 route is
-        // the RKF45→BDF1 baseline, a different method).
-        assert_eq!(resolve_lane_width(None, &job, true), 1);
-        assert_eq!(resolve_lane_width(None, &job, false), 2);
-        // A pinned 1 always selects the engine's documented scalar path.
-        assert_eq!(resolve_lane_width(Some(1), &job, false), 1);
-        assert_eq!(resolve_lane_width(Some(1), &job, true), 1);
+        assert_eq!(resolve_lane_width(None, &job), 1);
+        assert_eq!(resolve_lane_width(Some(4), &job), 4);
+        let single =
+            crate::SimulationJob::builder(&m).time_points(vec![1.0]).replicate(1).build().unwrap();
+        assert_eq!(resolve_lane_width(Some(4), &single), 1);
     }
 
     #[test]

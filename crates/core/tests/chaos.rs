@@ -12,8 +12,9 @@
 //! * the whole result — trajectories, outcomes, modeled timeline, health —
 //!   is bitwise identical across worker-thread counts, and trajectories/
 //!   health across lane widths;
-//! * faulted members are evicted from lockstep lane groups and their
-//!   lane-path results match a direct scalar solve of the same member.
+//! * faulted members are evicted from the fine-coarse engine's lockstep
+//!   lane groups, and every member matches a direct scalar solve of the
+//!   same member.
 
 use paraspace_core::{
     BatchResult, CpuEngine, CpuSolverKind, FaultPlan, FaultSpec, FineCoarseEngine, FineEngine,
@@ -135,29 +136,13 @@ fn assert_outcomes_bitwise(a: &BatchResult, b: &BatchResult, label: &str) {
 }
 
 #[test]
-fn lane_path_contains_all_faults_and_is_bitwise_deterministic_across_threads() {
-    let m = model();
-    let job = chaos_job(&m);
-    let reference = FineEngine::new().with_lane_width(8).with_recovery(policy()).run(&job).unwrap();
-    assert_chaos_health(&reference, 8, "lanes w8");
-    for threads in [1, 2, 4, 8] {
-        let r = FineEngine::new()
-            .with_lane_width(8)
-            .with_recovery(policy())
-            .with_threads(threads)
-            .run(&job)
-            .unwrap();
-        assert_bitwise(&reference, &r, &format!("lanes w8, {threads} threads"));
-    }
-}
-
-#[test]
 fn lane_path_outcomes_and_health_are_identical_across_lane_widths() {
     let m = model();
     let job = chaos_job(&m);
-    let reference = FineEngine::new().with_lane_width(8).with_recovery(policy()).run(&job).unwrap();
+    let engine = |width| FineCoarseEngine::new().with_lane_width(width).with_recovery(policy());
+    let reference = engine(8).run(&job).unwrap();
     for width in [2, 4] {
-        let r = FineEngine::new().with_lane_width(width).with_recovery(policy()).run(&job).unwrap();
+        let r = engine(width).run(&job).unwrap();
         assert_chaos_health(&r, 8, &format!("lanes w{width}"));
         assert_outcomes_bitwise(&reference, &r, &format!("lanes w{width} vs w8"));
     }
@@ -165,33 +150,28 @@ fn lane_path_outcomes_and_health_are_identical_across_lane_widths() {
 
 #[test]
 fn scalar_path_reports_the_same_fault_taxonomy() {
-    // Width 1 selects the scalar RKF45 baseline — a different method, so
+    // The fine engine is the scalar RKF45 baseline — a different method, so
     // trajectories legitimately differ bitwise; the fault taxonomy, the
     // success count, and full thread-count determinism must not.
     let m = model();
     let job = chaos_job(&m);
-    let reference = FineEngine::new().with_lane_width(1).with_recovery(policy()).run(&job).unwrap();
+    let reference = FineEngine::new().with_recovery(policy()).run(&job).unwrap();
     assert_chaos_health(&reference, 0, "scalar");
     for threads in [1, 2, 4, 8] {
-        let r = FineEngine::new()
-            .with_lane_width(1)
-            .with_recovery(policy())
-            .with_threads(threads)
-            .run(&job)
-            .unwrap();
+        let r = FineEngine::new().with_recovery(policy()).with_threads(threads).run(&job).unwrap();
         assert_bitwise(&reference, &r, &format!("scalar, {threads} threads"));
     }
 }
 
 #[test]
 fn evicted_members_match_direct_scalar_solves() {
-    // A faulted member evicted from its lane group is solved by scalar
+    // A faulted member evicted from its P3 lane group is solved by scalar
     // DOPRI5; an un-faulted lane member must match a direct scalar DOPRI5
-    // solve of the same member (the PR-2 lockstep guarantee, preserved
-    // under eviction-induced repacking).
+    // solve of the same member (the lockstep guarantee, preserved under
+    // eviction-induced repacking).
     let m = model();
     let job = chaos_job(&m);
-    let r = FineEngine::new().with_lane_width(8).with_recovery(policy()).run(&job).unwrap();
+    let r = FineCoarseEngine::new().with_lane_width(8).with_recovery(policy()).run(&job).unwrap();
     let opts = SolverOptions { step_budget: Some(4000), ..job.options().clone() };
     for i in [0, 11, 34, 63, 65, 179, 202, 254] {
         let (x0, k) = job.member(i);
@@ -225,13 +205,14 @@ fn stiff_chaos_job(m: &ReactionBasedModel) -> SimulationJob<'_> {
 
 #[test]
 fn stiff_faults_fire_inside_radau_newton_and_are_evicted() {
-    // Faulted stiff members are evicted from their RADAU5 lane groups and
-    // re-experience their faults under scalar RADAU5; every member —
+    // Faulted stiff members are evicted from their P4 RADAU5 lane groups
+    // and re-experience their faults under scalar RADAU5; every member —
     // faulted or clean — must bitwise-match a direct scalar RADAU5 solve
     // of the same member, and the whole run must be thread-deterministic.
     let m = model();
     let job = stiff_chaos_job(&m);
-    let r = FineEngine::new().with_lane_width(8).with_recovery(policy()).run(&job).unwrap();
+    let engine = || FineCoarseEngine::new().with_lane_width(8).with_recovery(policy());
+    let r = engine().run(&job).unwrap();
     assert_eq!(r.outcomes.len(), 16);
     assert_eq!(r.health.evicted_lanes, 3, "all fault-planned stiff members are evicted");
     assert!(
@@ -274,12 +255,7 @@ fn stiff_faults_fire_inside_radau_newton_and_are_evicted() {
         }
     }
     for threads in [2, 8] {
-        let rt = FineEngine::new()
-            .with_lane_width(8)
-            .with_recovery(policy())
-            .with_threads(threads)
-            .run(&job)
-            .unwrap();
+        let rt = engine().with_threads(threads).run(&job).unwrap();
         assert_bitwise(&r, &rt, &format!("stiff chaos, {threads} threads"));
     }
 }
@@ -293,10 +269,11 @@ fn stiff_chaos_retries_refault_identically() {
     let m = model();
     let job = stiff_chaos_job(&m);
     let policy = RecoveryPolicy { max_relaxations: 2, ..policy() };
-    let a = FineEngine::new().with_lane_width(8).with_recovery(policy).run(&job).unwrap();
-    let b = FineEngine::new().with_lane_width(8).with_recovery(policy).run(&job).unwrap();
+    let engine = |width| FineCoarseEngine::new().with_lane_width(width).with_recovery(policy);
+    let a = engine(8).run(&job).unwrap();
+    let b = engine(8).run(&job).unwrap();
     assert_bitwise(&a, &b, "stiff chaos retries, repeated runs");
-    let c = FineEngine::new().with_lane_width(4).with_recovery(policy).run(&job).unwrap();
+    let c = engine(4).run(&job).unwrap();
     assert_outcomes_bitwise(&a, &c, "stiff chaos retries, w8 vs w4");
     assert!(
         a.health.retries_attempted > 0,
@@ -310,8 +287,8 @@ fn fine_coarse_engine_contains_the_same_faults() {
     let m = model();
     let job = chaos_job(&m);
     let reference = FineCoarseEngine::new().with_recovery(policy()).run(&job).unwrap();
-    assert_chaos_health(&reference, 0, "fine-coarse");
-    for threads in [1, 8] {
+    assert_chaos_health(&reference, 8, "fine-coarse");
+    for threads in [1, 2, 4, 8] {
         let r = FineCoarseEngine::new()
             .with_recovery(policy())
             .with_threads(threads)

@@ -28,7 +28,7 @@ fn reversible_model() -> ReactionBasedModel {
 }
 
 /// A batch that exercises every path: perturbed non-stiff members, one
-/// strongly stiff member (P2 → RADAU5 in fine-coarse, lockstep RADAU5 in
+/// strongly stiff member (P2 → RADAU5 in fine-coarse, RKF45 → BDF1 in
 /// fine), and enough members that 4 workers all get work.
 fn mixed_job(m: &ReactionBasedModel) -> SimulationJob<'_> {
     let mut rng = StdRng::seed_from_u64(42);
@@ -137,49 +137,17 @@ fn coarse_engine_is_bitwise_deterministic_across_thread_counts() {
 fn fine_engine_is_bitwise_deterministic_across_thread_counts() {
     let m = reversible_model();
     let job = mixed_job(&m);
+    // The published baseline at any batch size: RKF45, BDF1 once it fails.
     let reference = FineEngine::new().run(&job).unwrap();
     assert!(
-        reference.outcomes.iter().any(|o| o.solver == "radau5-lanes"),
-        "batch must exercise the stiff lockstep path"
+        reference.outcomes.iter().all(|o| o.solver == "rkf45" || o.solver == "bdf1"),
+        "{:?}",
+        reference.outcomes.iter().map(|o| o.solver).collect::<Vec<_>>()
     );
+    assert!(reference.outcomes.iter().any(|o| o.solver == "bdf1"), "the stiff member switches");
     for threads in [1, 2, 4] {
         let parallel = FineEngine::new().with_threads(threads).run(&job).unwrap();
         assert_identical(&reference, &parallel, &format!("fine, {threads} threads"));
-    }
-}
-
-#[test]
-fn fine_engine_lane_trajectories_are_bitwise_identical_across_lane_widths() {
-    // The lockstep lane path must give every member the exact trajectory it
-    // would get alone: lane width (and therefore group packing) must never
-    // leak into the numerics. Width 1 is excluded — it selects the scalar
-    // RKF45 baseline path, a different method by design.
-    let m = reversible_model();
-    let job = mixed_job(&m);
-    let reference = FineEngine::new().with_lane_width(2).run(&job).unwrap();
-    assert!(
-        reference.outcomes.iter().any(|o| o.solver == "dopri5-lanes"),
-        "batch must exercise the lockstep path"
-    );
-    assert!(
-        reference.outcomes.iter().any(|o| o.solver == "radau5-lanes"),
-        "mixed batch must also exercise the stiff lockstep path"
-    );
-    for width in [3, 4, 8] {
-        let other = FineEngine::new().with_lane_width(width).run(&job).unwrap();
-        for (i, (r, p)) in reference.outcomes.iter().zip(&other.outcomes).enumerate() {
-            assert_eq!(r.solver, p.solver, "width {width}: member {i} solver");
-            match (&r.solution, &p.solution) {
-                (Ok(a), Ok(b)) => {
-                    assert_eq!(a.states, b.states, "width {width}: member {i} trajectory");
-                    assert_eq!(a.stats, b.stats, "width {width}: member {i} stats");
-                }
-                (Err(a), Err(b)) => {
-                    assert_eq!(a.to_string(), b.to_string(), "width {width}: member {i}")
-                }
-                _ => panic!("width {width}: member {i} outcome class changed"),
-            }
-        }
     }
 }
 
@@ -196,8 +164,11 @@ fn stiff_batch_lockstep_radau_is_bitwise_identical_to_scalar_at_any_width() {
 
     for width in [2, 4, 8] {
         for threads in [1, 8] {
-            let r =
-                FineEngine::new().with_lane_width(width).with_threads(threads).run(&job).unwrap();
+            let r = FineCoarseEngine::new()
+                .with_lane_width(width)
+                .with_threads(threads)
+                .run(&job)
+                .unwrap();
             for (i, expected) in reference.iter().enumerate() {
                 let label = format!("width {width}, {threads} threads, member {i}");
                 assert!(r.outcomes[i].stiff, "{label}: must classify stiff");
@@ -341,34 +312,36 @@ fn fine_coarse_p3_lanes_match_the_scalar_route_at_any_width_and_thread_count() {
             if let Some(width) = width {
                 engine = engine.with_lane_width(width);
             }
-            let run = engine.run(&job).unwrap();
-            assert_identical(&reference, &run, &format!("width {width:?}, {threads} threads"));
+            let mut run = engine.run(&job).unwrap();
+            // The planned member counts as a lane eviction wherever P3 runs
+            // lanes; nothing else may differ from the scalar route.
+            let at = format!("width {width:?}, {threads} threads");
+            assert_eq!(run.health.evicted_lanes, usize::from(width != Some(1)), "{at}");
+            run.health.evicted_lanes = 0;
+            assert_identical(&reference, &run, &at);
         }
     }
 }
 
 #[test]
 fn autotuned_lane_width_leaves_stiff_rows_unchanged() {
-    // With no pinned width, both lockstep engines resolve the lane width
-    // through the per-model autotuner. Whatever it picks, the stiff rows
-    // must stay exactly what the direct scalar RADAU5 solve produces —
+    // With no pinned width, the fine-coarse engine resolves P4's lane
+    // width through the per-model autotuner. Whatever it picks, the stiff
+    // rows must stay exactly what the direct scalar RADAU5 solve produces —
     // the autotuner is a throughput decision, never a numerics change.
     let m = reversible_model();
     let job = stiff_job(&m);
     let reference = scalar_radau_reference(&job);
 
     for threads in [1, 8] {
-        let fine = FineEngine::new().with_threads(threads).run(&job).unwrap();
-        let fine_coarse = FineCoarseEngine::new().with_threads(threads).run(&job).unwrap();
+        let r = FineCoarseEngine::new().with_threads(threads).run(&job).unwrap();
         for (i, expected) in reference.iter().enumerate() {
-            for (engine, r) in [("fine", &fine), ("fine-coarse", &fine_coarse)] {
-                let label = format!("{engine} autotuned, {threads} threads, member {i}");
-                assert!(r.outcomes[i].stiff, "{label}: must classify stiff");
-                let sol = r.outcomes[i].solution.as_ref().unwrap();
-                assert_eq!(sol.times, expected.times, "{label}: sample times");
-                assert_eq!(sol.states, expected.states, "{label}: trajectory");
-                assert_eq!(sol.stats, expected.stats, "{label}: step statistics");
-            }
+            let label = format!("autotuned, {threads} threads, member {i}");
+            assert!(r.outcomes[i].stiff, "{label}: must classify stiff");
+            let sol = r.outcomes[i].solution.as_ref().unwrap();
+            assert_eq!(sol.times, expected.times, "{label}: sample times");
+            assert_eq!(sol.states, expected.states, "{label}: trajectory");
+            assert_eq!(sol.stats, expected.stats, "{label}: step statistics");
         }
     }
 }
@@ -405,10 +378,6 @@ fn policy_step_budget_binds_lockstep_lanes_at_every_width() {
         let parallel = engine.with_threads(4).run(&job).unwrap();
         assert_identical(&reference, &parallel, &format!("fine-coarse, width {width}, 4 threads"));
     }
-    for width in [2, 4, 8] {
-        let r = FineEngine::new().with_lane_width(width).with_recovery(policy).run(&job).unwrap();
-        exhausted(&r, &format!("fine, width {width}"));
-    }
 }
 
 #[test]
@@ -444,7 +413,7 @@ fn batches_with_failed_and_retried_members_stay_deterministic() {
     // A step cap tight enough that members fail at the default tolerances
     // and climb the relaxation ladder. The retry sequence is part of the
     // batch result, so it must also be bitwise identical at any thread
-    // count (and, for the fine engine, any lane width).
+    // count.
     let m = reversible_model();
     let mut rng = StdRng::seed_from_u64(11);
     let job = SimulationJob::builder(&m)
@@ -470,10 +439,9 @@ fn batches_with_failed_and_retried_members_stay_deterministic() {
         assert_identical(&reference, &parallel, &format!("cpu retries, {threads} threads"));
     }
 
-    // The scalar fine path exercises the reroute + relaxation rungs: RKF45
+    // The fine engine exercises the reroute + relaxation rungs: RKF45
     // needs ~33 steps to t = 4 at the default tolerances, so a 25-step cap
-    // forces the ladder (the lockstep DOPRI5 finishes under 40, hence the
-    // tighter cap and the pinned width).
+    // forces the ladder.
     let mut rng = StdRng::seed_from_u64(12);
     let fine_job = SimulationJob::builder(&m)
         .time_points(vec![4.0])
@@ -481,16 +449,11 @@ fn batches_with_failed_and_retried_members_stay_deterministic() {
         .options(SolverOptions { max_steps: 25, ..SolverOptions::default() })
         .build()
         .unwrap();
-    let fine_ref =
-        FineEngine::new().with_lane_width(1).with_recovery(policy).run(&fine_job).unwrap();
+    let fine_ref = FineEngine::new().with_recovery(policy).run(&fine_job).unwrap();
     assert!(fine_ref.health.retries_attempted > 0, "fine engine must also retry");
     for threads in [1, 2, 4, 8] {
-        let parallel = FineEngine::new()
-            .with_lane_width(1)
-            .with_recovery(policy)
-            .with_threads(threads)
-            .run(&fine_job)
-            .unwrap();
+        let parallel =
+            FineEngine::new().with_recovery(policy).with_threads(threads).run(&fine_job).unwrap();
         assert_identical(&fine_ref, &parallel, &format!("fine retries, {threads} threads"));
     }
 }
@@ -564,8 +527,8 @@ fn pin(run: &'static str, r: &BatchResult) -> Pinned {
 }
 
 /// The jobs × engines the pinned table covers: `mixed_job` and `stiff_job`
-/// through all five engines, a faulted and retried crowd through the two
-/// lockstep engines (evictions, reroutes, relaxation rungs), and
+/// through all five engines, a faulted and retried crowd through the fine
+/// and fine-coarse engines (evictions, reroutes, relaxation rungs), and
 /// [`AutoEngine`] at a size that picks each `EngineKind`.
 fn pinned_runs() -> Vec<Pinned> {
     let m = reversible_model();
@@ -575,15 +538,13 @@ fn pinned_runs() -> Vec<Pinned> {
         rows.push(pin(run, &engine.run(job).unwrap()));
     };
 
-    row("mixed, fine w1", &FineEngine::new().with_lane_width(1), &mixed);
-    row("mixed, fine w8", &FineEngine::new().with_lane_width(8), &mixed);
+    row("mixed, fine w1", &FineEngine::new(), &mixed);
     row("mixed, fine-coarse auto", &FineCoarseEngine::new(), &mixed);
     row("mixed, fine-coarse w1", &FineCoarseEngine::new().with_lane_width(1), &mixed);
     row("mixed, coarse", &CoarseEngine::new(), &mixed);
     row("mixed, lsoda", &CpuEngine::new(CpuSolverKind::Lsoda), &mixed);
     row("mixed, vode", &CpuEngine::new(CpuSolverKind::Vode), &mixed);
-    row("stiff, fine w1", &FineEngine::new().with_lane_width(1), &stiff);
-    row("stiff, fine w8", &FineEngine::new().with_lane_width(8), &stiff);
+    row("stiff, fine w1", &FineEngine::new(), &stiff);
     row("stiff, fine-coarse auto", &FineCoarseEngine::new(), &stiff);
     row("stiff, fine-coarse w1", &FineCoarseEngine::new().with_lane_width(1), &stiff);
     row("stiff, coarse", &CoarseEngine::new(), &stiff);
@@ -609,8 +570,7 @@ fn pinned_runs() -> Vec<Pinned> {
         .build()
         .unwrap();
     let policy = RecoveryPolicy { max_relaxations: 2, ..RecoveryPolicy::default() };
-    row("faulted, fine w1", &FineEngine::new().with_lane_width(1).with_recovery(policy), &faulted);
-    row("faulted, fine w4", &FineEngine::new().with_lane_width(4).with_recovery(policy), &faulted);
+    row("faulted, fine w1", &FineEngine::new().with_recovery(policy), &faulted);
     row("faulted, fine-coarse auto", &FineCoarseEngine::new().with_recovery(policy), &faulted);
     row(
         "faulted, fine-coarse w1",
@@ -662,7 +622,8 @@ fn modelled_clocks_and_routing_are_pinned() {
     // Recorded at the commit before the engines were folded onto one host
     // pipeline; the faulted fine-coarse rows at two threads and without the
     // reroute, before fine-coarse continued its P3/P4 attempts through the
-    // shared recovery ladder. A row that moves means a timeline event changed value or
+    // shared recovery ladder; the fine-coarse health and lanes columns, when
+    // it began reporting its lane evictions and P4 lane groups. A row that moves means a timeline event changed value or
     // order, or a member changed route: re-record only for a change that
     // means to move the model (the failure prints the row as source).
     let row = |run, engine, clocks, health: &str, lanes, members: &str| Pinned {
@@ -676,25 +637,22 @@ fn modelled_clocks_and_routing_are_pinned() {
     #[rustfmt::skip]
     let expected: Vec<Pinned> = vec![
         row("mixed, fine w1", "fine", [0x41c52a9978c2fa0c, 0x41c52a8fbe82fa0c, 0x40b3748000000000], "12/12 ok; retries 1/1 recovered; 1 rerouted; 10000 steps discarded", None, "11x rkf45 a1 x0 d0, 1x bdf1 r a2 x0 d10000 lr R"),
-        row("mixed, fine w8", "fine", [0x4159742f33594d65, 0x41596f5653594d65, 0x40b3638000000000], "12/12 ok", Some([2, 1296, 366, 8]), "11x dopri5-lanes a1 x0 d0, 1x radau5-lanes S a1 x0 d0"),
         row("mixed, fine-coarse auto", "fine-coarse", [0x414af5f23711dc47, 0x414adb6400000000, 0x40b30b8000000000], "12/12 ok", None, "11x dopri5 a1 x0 d0, 1x radau5 S a1 x0 d0"),
         row("mixed, fine-coarse w1", "fine-coarse", [0x414af5f23711dc47, 0x414adb6400000000, 0x40b30b8000000000], "12/12 ok", None, "11x dopri5 a1 x0 d0, 1x radau5 S a1 x0 d0"),
         row("mixed, coarse", "coarse", [0x41117f195c47711e, 0x411132d1dc47711e, 0x40b311e000000000], "12/12 ok", None, "12x lsoda a1 x0 d0"),
         row("mixed, lsoda", "lsoda-cpu", [0x411e2f4dd5d5d5d6, 0x411de855d5d5d5d6, 0x40b1be0000000000], "12/12 ok", None, "12x lsoda a1 x0 d0"),
         row("mixed, vode", "vode-cpu", [0x411e31bd8b8b8b8c, 0x411decc58b8b8b8c, 0x40b13e0000000000], "12/12 ok", None, "12x vode a1 x0 d0"),
         row("stiff, fine w1", "fine", [0x41f9ccc57334e23c, 0x41f9ccc4708ee23c, 0x40b02a6000000000], "10/10 ok; retries 10/10 recovered; 10 rerouted; 100000 steps discarded", None, "10x bdf1 r a2 x0 d10000 lr R"),
-        row("stiff, fine w8", "fine", [0x41627fa765653595, 0x41627da14d653595, 0x40b030c000000000], "10/10 ok", Some([2, 1848, 1157, 8]), "10x radau5-lanes S a1 x0 d0"),
-        row("stiff, fine-coarse auto", "fine-coarse", [0x413795257e82fa0b, 0x4137632bd05f417c, 0x40afd18000000000], "10/10 ok", None, "10x radau5-lanes S a1 x0 d0"),
+        row("stiff, fine-coarse auto", "fine-coarse", [0x413795257e82fa0b, 0x4137632bd05f417c, 0x40afd18000000000], "10/10 ok", Some([1, 1848, 1157, 8]), "10x radau5-lanes S a1 x0 d0"),
         row("stiff, fine-coarse w1", "fine-coarse", [0x4145e2dce2fa0be7, 0x4145c9e00be82fa0, 0x40afd18000000000], "10/10 ok", None, "10x radau5 S a1 x0 d0"),
         row("stiff, coarse", "coarse", [0x4123945194d65359, 0x4123745594d65359, 0x40affc0000000000], "10/10 ok", None, "10x lsoda a1 x0 d0"),
         row("stiff, lsoda", "lsoda-cpu", [0x411a6f0971717171, 0x411a338971717171, 0x40adc00000000000], "10/10 ok", None, "10x lsoda a1 x0 d0"),
         row("stiff, vode", "vode-cpu", [0x411a16d6a6a6a6a7, 0x4119dbe6a6a6a6a7, 0x40ad780000000000], "10/10 ok", None, "10x vode a1 x0 d0"),
         row("faulted, fine w1", "fine", [0x4178aa51afa0be83, 0x4178aa48afa0be83, 0x4062000000000000], "0/12 ok, 12 failed (10 max-steps, 1 non-finite, 1 internal); retries 0/32 recovered; 10 rerouted; 22 relaxations; 1 panics contained; 448 steps discarded", None, "2x bdf1 r a4 x2 d42 lr, 1x rkf45 a3 x2 d28, 2x bdf1 r a4 x2 d42 lr, 1x rkf45 a1 x0 d0 P, 6x bdf1 r a4 x2 d42 lr"),
-        row("faulted, fine w4", "fine", [0x417443f4d94d6535, 0x417443ebd94d6535, 0x4062000000000000], "0/12 ok, 12 failed (10 max-steps, 1 non-finite, 1 internal); retries 0/31 recovered; 9 rerouted; 22 relaxations; 3 lane evictions; 1 panics contained; 429 steps discarded", Some([2, 168, 126, 4]), "2x bdf1 r a4 x2 d42 lr, 1x dopri5 a3 x2 d23, 2x bdf1 r a4 x2 d42 lr, 1x dopri5 a1 x0 d0 P, 5x bdf1 r a4 x2 d42 lr, 1x radau5 S a3 x2 d28"),
-        row("faulted, fine-coarse auto", "fine-coarse", [0x41781f268453594e, 0x41781c9f47711dc4, 0x40998b8000000000], "8/12 ok, 4 failed (2 max-steps, 1 non-finite, 1 internal); retries 8/31 recovered; 9 rerouted; 22 relaxations; 1 panics contained; 429 steps discarded", None, "1x radau5 r a4 x2 d42 lr R, 1x radau5 r a4 x2 d42 lr, 1x dopri5 a3 x2 d23, 2x radau5 r a4 x2 d42 lr R, 1x dopri5 a1 x0 d0 P, 5x radau5 r a4 x2 d42 lr R, 1x radau5 S a3 x2 d28"),
+        row("faulted, fine-coarse auto", "fine-coarse", [0x41781f268453594e, 0x41781c9f47711dc4, 0x40998b8000000000], "8/12 ok, 4 failed (2 max-steps, 1 non-finite, 1 internal); retries 8/31 recovered; 9 rerouted; 22 relaxations; 3 lane evictions; 1 panics contained; 429 steps discarded", Some([1, 400, 225, 8]), "1x radau5 r a4 x2 d42 lr R, 1x radau5 r a4 x2 d42 lr, 1x dopri5 a3 x2 d23, 2x radau5 r a4 x2 d42 lr R, 1x dopri5 a1 x0 d0 P, 5x radau5 r a4 x2 d42 lr R, 1x radau5 S a3 x2 d28"),
         row("faulted, fine-coarse w1", "fine-coarse", [0x4177cacce988ee24, 0x4177c845aca6b29b, 0x40998b8000000000], "8/12 ok, 4 failed (2 max-steps, 1 non-finite, 1 internal); retries 8/31 recovered; 9 rerouted; 22 relaxations; 1 panics contained; 429 steps discarded", None, "1x radau5 r a4 x2 d42 lr R, 1x radau5 r a4 x2 d42 lr, 1x dopri5 a3 x2 d23, 2x radau5 r a4 x2 d42 lr R, 1x dopri5 a1 x0 d0 P, 5x radau5 r a4 x2 d42 lr R, 1x radau5 S a3 x2 d28"),
-        row("faulted, fine-coarse auto, 2 threads", "fine-coarse", [0x41781f268453594e, 0x41781c9f47711dc4, 0x40998b8000000000], "8/12 ok, 4 failed (2 max-steps, 1 non-finite, 1 internal); retries 8/31 recovered; 9 rerouted; 22 relaxations; 1 panics contained; 429 steps discarded", None, "1x radau5 r a4 x2 d42 lr R, 1x radau5 r a4 x2 d42 lr, 1x dopri5 a3 x2 d23, 2x radau5 r a4 x2 d42 lr R, 1x dopri5 a1 x0 d0 P, 5x radau5 r a4 x2 d42 lr R, 1x radau5 S a3 x2 d28"),
-        row("faulted, fine-coarse auto, no reroute", "fine-coarse", [0x4164f8d622ca6b2a, 0x4164f3af7d05f418, 0x409c910000000000], "9/12 ok, 3 failed (1 max-steps, 1 non-finite, 1 internal); retries 9/13 recovered; 13 relaxations; 1 panics contained; 177 steps discarded", None, "2x dopri5 a2 x1 d14 R, 1x dopri5 a3 x2 d23, 2x dopri5 a2 x1 d14 R, 1x dopri5 a1 x0 d0 P, 5x dopri5 a2 x1 d14 R, 1x radau5 S a3 x2 d28"),
+        row("faulted, fine-coarse auto, 2 threads", "fine-coarse", [0x41781f268453594e, 0x41781c9f47711dc4, 0x40998b8000000000], "8/12 ok, 4 failed (2 max-steps, 1 non-finite, 1 internal); retries 8/31 recovered; 9 rerouted; 22 relaxations; 3 lane evictions; 1 panics contained; 429 steps discarded", Some([1, 400, 225, 8]), "1x radau5 r a4 x2 d42 lr R, 1x radau5 r a4 x2 d42 lr, 1x dopri5 a3 x2 d23, 2x radau5 r a4 x2 d42 lr R, 1x dopri5 a1 x0 d0 P, 5x radau5 r a4 x2 d42 lr R, 1x radau5 S a3 x2 d28"),
+        row("faulted, fine-coarse auto, no reroute", "fine-coarse", [0x4164f8d622ca6b2a, 0x4164f3af7d05f418, 0x409c910000000000], "9/12 ok, 3 failed (1 max-steps, 1 non-finite, 1 internal); retries 9/13 recovered; 13 relaxations; 2 lane evictions; 1 panics contained; 177 steps discarded", None, "2x dopri5 a2 x1 d14 R, 1x dopri5 a3 x2 d23, 2x dopri5 a2 x1 d14 R, 1x dopri5 a1 x0 d0 P, 5x dopri5 a2 x1 d14 R, 1x radau5 S a3 x2 d28"),
         row("faulted, fine-coarse w1, no reroute", "fine-coarse", [0x4164f8d622ca6b2a, 0x4164f3af7d05f418, 0x409c910000000000], "9/12 ok, 3 failed (1 max-steps, 1 non-finite, 1 internal); retries 9/13 recovered; 13 relaxations; 1 panics contained; 177 steps discarded", None, "2x dopri5 a2 x1 d14 R, 1x dopri5 a3 x2 d23, 2x dopri5 a2 x1 d14 R, 1x dopri5 a1 x0 d0 P, 5x dopri5 a2 x1 d14 R, 1x radau5 S a3 x2 d28"),
         row("auto → cpu", "lsoda-cpu", [0x40e3d64444444444, 0x40e3cac444444444, 0x4057000000000000], "1/1 ok", None, "1x lsoda a1 x0 d0"),
         row("auto → coarse", "coarse", [0x41117f195c47711e, 0x411132d1dc47711e, 0x40b311e000000000], "12/12 ok", None, "12x lsoda a1 x0 d0"),

@@ -1,12 +1,11 @@
 //! Analytic-Jacobian validation on the bundled evaluation models.
 //!
 //! Every solver that exploits `CompiledOdes`'s analytic Jacobian (RADAU5's
-//! Newton iterations, the BDF cores, the lane path's diagonal triage)
-//! silently produces wrong step sizes if a single partial derivative is
-//! miscompiled. These tests check the full analytic Jacobian of each
-//! bundled network against `finite_difference_jacobian_into` at a generic
-//! (strictly positive, non-equilibrium) state, and the lane path's
-//! `jacobian_diag_batch` against the full Jacobian's diagonal.
+//! Newton iterations, the BDF cores) silently produces wrong step sizes if
+//! a single partial derivative is miscompiled. These tests check the full
+//! analytic Jacobian of each bundled network against
+//! `finite_difference_jacobian_into` at a generic (strictly positive,
+//! non-equilibrium) state.
 
 use paraspace_linalg::{finite_difference_jacobian_into, Matrix};
 use paraspace_models::{autophagy, classic, metabolic};
@@ -48,20 +47,6 @@ fn assert_jacobian_matches_fd(m: &ReactionBasedModel, label: &str) {
                 "{label}: J[({i},{j})] analytic {a} vs finite-difference {f} (tol {tol})"
             );
         }
-    }
-
-    // The lane path's stiffness triage reads only the diagonal, through the
-    // batched kernel — it must agree with the full analytic Jacobian.
-    let mut diag = vec![0.0; n];
-    let mut slots = vec![0.0; odes.n_reactant_slots()];
-    odes.jacobian_diag_batch(1, &x, &k, &mut slots, &mut diag);
-    for i in 0..n {
-        assert!(
-            (diag[i] - analytic[(i, i)]).abs() <= 1e-9 * analytic[(i, i)].abs().max(1.0),
-            "{label}: diagonal[{i}] {} vs full Jacobian {}",
-            diag[i],
-            analytic[(i, i)]
-        );
     }
 }
 

@@ -83,8 +83,6 @@ pub struct CompiledOdes {
     // `jac_row_offsets[s]..[s + 1]`, in (term, reactant) order.
     jac_row_offsets: Vec<u32>,
     jac_terms: Vec<JacTerm>,
-    // The terms above that land on the diagonal; `col` is the species.
-    jac_diag_terms: Vec<JacTerm>,
     // The positions `jac_terms` can write, row by row.
     jac_sparsity: paraspace_linalg::SparsityPattern,
     // Per-species contribution lists (CSR): dX_s/dt = Σ coeff · flux_r.
@@ -394,23 +392,6 @@ impl CompiledOdes {
         self.scatter_rows(w, d, jac);
     }
 
-    /// Derivative pass then the diagonal's share of the scatter pass.
-    #[inline(always)]
-    fn jacobian_diag_rows<W: LaneWidth>(
-        &self,
-        w: W,
-        x: &[f64],
-        k: &[f64],
-        d: &mut [f64],
-        diag: &mut [f64],
-    ) {
-        self.derivative_rows(w, x, k, d);
-        diag.fill(0.0);
-        for t in &self.jac_diag_terms {
-            accumulate_term(w, *t, d, diag);
-        }
-    }
-
     pub(crate) fn from_model(model: &ReactionBasedModel) -> Self {
         let n_species = model.n_species();
         let n_reactions = model.n_reactions();
@@ -481,21 +462,15 @@ impl CompiledOdes {
         let n_jac_terms = term_reactions.iter().map(|&r| slots_of(r).len()).sum();
         let mut jac_row_offsets = Vec::with_capacity(n_species + 1);
         let mut jac_terms = Vec::with_capacity(n_jac_terms);
-        let mut jac_diag_terms = Vec::new();
         jac_row_offsets.push(0u32);
-        for (s, terms) in per_species.iter().enumerate() {
+        for terms in &per_species {
             for &(r, coeff) in terms {
                 for slot in slots_of(r) {
-                    let term = JacTerm { col: reactant_species[slot as usize], slot, coeff };
-                    jac_terms.push(term);
-                    if term.col as usize == s {
-                        jac_diag_terms.push(term);
-                    }
+                    jac_terms.push(JacTerm { col: reactant_species[slot as usize], slot, coeff });
                 }
             }
             jac_row_offsets.push(jac_terms.len() as u32);
         }
-        jac_diag_terms.shrink_to_fit();
         let jac_sparsity = paraspace_linalg::SparsityPattern::from_rows(
             n_species,
             jac_row_offsets.windows(2).map(|row| {
@@ -514,7 +489,6 @@ impl CompiledOdes {
             jac_program,
             jac_row_offsets,
             jac_terms,
-            jac_diag_terms,
             jac_sparsity,
             term_offsets,
             term_reactions,
@@ -666,35 +640,6 @@ impl CompiledOdes {
         self.check_flux_blocks(lanes, x, k, flux);
         assert_eq!(dxdt.len(), self.n_species * lanes, "derivative block length");
         rhs_batch(self, lanes, x, k, flux, dxdt);
-    }
-
-    /// Lane-batched Jacobian diagonal `∂(dX_s/dt)/∂X_s` for stiffness
-    /// triage: the dominant-eigenvalue screen only needs the diagonal, so
-    /// lane-groups can be triaged with the derivative pass and the short
-    /// diagonal scatter instead of `L` full `N×N` Jacobians.
-    ///
-    /// Layouts as in [`fluxes_batch`](Self::fluxes_batch); `diag` is an
-    /// `N×L` species block and `slots` the caller's
-    /// [`n_reactant_slots`](Self::n_reactant_slots)`×L` scratch, as in
-    /// [`jacobian_batch`](Self::jacobian_batch), whose diagonal these
-    /// entries are, bitwise.
-    ///
-    /// # Panics
-    ///
-    /// Panics if buffer lengths do not match.
-    pub fn jacobian_diag_batch(
-        &self,
-        lanes: usize,
-        x: &[f64],
-        k: &[f64],
-        slots: &mut [f64],
-        diag: &mut [f64],
-    ) {
-        assert_eq!(x.len(), self.n_species * lanes, "state block length");
-        assert_eq!(k.len(), self.n_reactions * lanes, "rate-constant block length");
-        assert_eq!(diag.len(), self.n_species * lanes, "diagonal block length");
-        assert_eq!(slots.len(), self.jac_program.len() * lanes, "slot scratch length");
-        with_lane_width!(lanes, |w| self.jacobian_diag_rows(w, x, k, slots, diag));
     }
 
     /// Lane-batched full analytic Jacobian for the lockstep Radau kernel:
@@ -1090,8 +1035,6 @@ mod tests {
             terms(1),
             [(1, 1, -2.0), (0, 2, -1.0), (1, 3, -1.0), (1, 4, -2.0), (0, 5, -1.0), (1, 6, -1.0)]
         );
-        let diagonal: Vec<_> = odes.jac_diag_terms.iter().map(|t| (t.col, t.slot)).collect();
-        assert_eq!(diagonal, [(0, 5), (0, 7), (1, 1), (1, 3), (1, 4), (1, 6)]);
         // Generated networks are at most bimolecular: none of their
         // reactions may fall back to the generic walk.
         use rand::SeedableRng;
@@ -1216,15 +1159,8 @@ mod tests {
         let (n, slots) = (odes.n_species(), odes.n_reactant_slots());
         for lanes in WIDTHS {
             let d = mixed_block(slots, lanes, 6.0);
-            let (mut jac, mut diag) = (vec![f64::NAN; n * n * lanes], vec![f64::NAN; n * lanes]);
-            with_lane_width!(lanes, |w| {
-                odes.scatter_rows(w, &d, &mut jac);
-                // The diagonal's share, as `jacobian_diag_rows` scatters it.
-                diag.fill(0.0);
-                for t in &odes.jac_diag_terms {
-                    accumulate_term(w, *t, &d, &mut diag);
-                }
-            });
+            let mut jac = vec![f64::NAN; n * n * lanes];
+            with_lane_width!(lanes, |w| odes.scatter_rows(w, &d, &mut jac));
             for l in 0..lanes {
                 let d = lane_of(&d, lanes, l);
                 let mut want = vec![0.0; n * n];
@@ -1234,8 +1170,6 @@ mod tests {
                     }
                 }
                 assert_eq!(bits(&lane_of(&jac, lanes, l)), bits(&want), "width {lanes}, lane {l}");
-                let want: Vec<f64> = want.iter().step_by(n + 1).copied().collect();
-                assert_eq!(bits(&lane_of(&diag, lanes, l)), bits(&want), "width {lanes}, lane {l}");
             }
         }
     }
@@ -1336,31 +1270,6 @@ mod tests {
             }
         }
         assert!(nonfinite > 100, "the specials must reach the outputs ({nonfinite})");
-    }
-
-    #[test]
-    fn jacobian_diag_batch_matches_full_jacobian_diagonal() {
-        let (_, odes) = lotka_volterra();
-        let lanes = 3;
-        let x = soa_block(&[1.3, 0.4], lanes);
-        let k = soa_block(&[2.0, 1.5, 0.8], lanes);
-        let mut diag = vec![0.0; 2 * lanes];
-        let mut slots = vec![0.0; odes.n_reactant_slots() * lanes];
-        odes.jacobian_diag_batch(lanes, &x, &k, &mut slots, &mut diag);
-        for l in 0..lanes {
-            let xl = lane_of(&x, lanes, l);
-            let kl = lane_of(&k, lanes, l);
-            let mut jac = Matrix::zeros(2, 2);
-            odes.jacobian_with(&xl, &kl, &mut jac);
-            for s in 0..2 {
-                assert!(
-                    (diag[s * lanes + l] - jac[(s, s)]).abs() < 1e-12,
-                    "lane={l} s={s}: {} vs {}",
-                    diag[s * lanes + l],
-                    jac[(s, s)]
-                );
-            }
-        }
     }
 
     #[test]

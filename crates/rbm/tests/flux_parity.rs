@@ -169,8 +169,7 @@ fn assert_parity(model: &ReactionBasedModel, label: &str) {
     assert_jacobian_parity(model, label);
 }
 
-/// `jacobian_with`, `jacobian_batch` and `jacobian_diag_batch` against the
-/// oracle.
+/// `jacobian_with` and `jacobian_batch` against the oracle.
 fn assert_jacobian_parity(model: &ReactionBasedModel, label: &str) {
     let odes = model.compile().unwrap();
     let n = odes.n_species();
@@ -186,17 +185,13 @@ fn assert_jacobian_parity(model: &ReactionBasedModel, label: &str) {
         let xs: Vec<_> = inputs[..lanes].iter().map(|(x, _)| x.clone()).collect();
         let ks: Vec<_> = inputs[..lanes].iter().map(|(_, k)| k.clone()).collect();
         let (x, k) = (soa(&xs), soa(&ks));
-        let (mut jac, mut diag) = (vec![f64::NAN; n * n * lanes], vec![f64::NAN; n * lanes]);
+        let mut jac = vec![f64::NAN; n * n * lanes];
         // Stale slot scratch must not show: every row is overwritten.
         let mut slots = vec![f64::NAN; odes.n_reactant_slots() * lanes];
         odes.jacobian_batch(lanes, &x, &k, &mut slots, &mut jac);
-        odes.jacobian_diag_batch(lanes, &x, &k, &mut slots, &mut diag);
         for (l, want) in want[..lanes].iter().enumerate() {
             let got = bits(&lane_of(&jac, lanes, l));
             assert_eq!(&got, want, "{label}: jacobian_batch, width {lanes}, lane {l}");
-            let got = bits(&lane_of(&diag, lanes, l));
-            let want: Vec<u64> = want.iter().step_by(n + 1).copied().collect();
-            assert_eq!(got, want, "{label}: jacobian_diag_batch, width {lanes}, lane {l}");
         }
     }
 }

@@ -58,13 +58,11 @@ fn lane_kernels_allocate_nothing() {
         };
         let (x, k) = (block(&model.initial_state()), block(&model.rate_constants()));
         let (mut flux, mut dxdt) = (vec![0.0; m * lanes], vec![0.0; n * lanes]);
-        let (mut d, mut jac, mut diag) =
-            (vec![0.0; slots * lanes], vec![0.0; n * n * lanes], vec![0.0; n * lanes]);
+        let (mut d, mut jac) = (vec![0.0; slots * lanes], vec![0.0; n * n * lanes]);
         let allocations = min_allocations(|| {
             for _ in 0..8 {
                 odes.rhs_batch(lanes, &x, &k, &mut flux, &mut dxdt);
                 odes.jacobian_batch(lanes, &x, &k, &mut d, &mut jac);
-                odes.jacobian_diag_batch(lanes, &x, &k, &mut d, &mut diag);
             }
         });
         assert_eq!(allocations, 0, "width {lanes}");

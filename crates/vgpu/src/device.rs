@@ -48,9 +48,6 @@ impl Timeline {
 /// (b) the dynamic-parallelism launch overhead for the pending-launch
 /// population (= concurrent parent threads), repeated once per round.
 ///
-/// Both inputs are `Sync`, so worker threads can cost launches concurrently
-/// and record them on private [`TimelineShard`]s.
-///
 /// [`ChildLaunch`]: crate::ChildLaunch
 pub fn cost_launch(config: &DeviceConfig, dp: &DpModel, launch: &KernelLaunch) -> LaunchStats {
     let mut stats = schedule(config, launch);
@@ -78,102 +75,12 @@ pub fn cost_launch(config: &DeviceConfig, dp: &DpModel, launch: &KernelLaunch) -
     stats
 }
 
-/// A private, mergeable slice of simulated timeline.
-///
-/// Launches and host phases recorded on a shard are costed exactly as
-/// [`Device::launch`] costs them (`TimelineShard` is `Send` and costs
-/// launches against the shared `&DeviceConfig`/`&DpModel`, which are
-/// `Sync`, so a worker thread can fill one); [`Device::absorb_shard`] then
-/// appends it to the device timeline. Absorbing shards **in a fixed
-/// order** — the fine engine fills one per modelled lane group, on the
-/// calling thread, and absorbs them in group order — gives the same
-/// timeline whoever filled them.
-///
-/// Entry start times inside a shard are shard-local (first entry starts at
-/// 0); merging rebases them onto the absorbing timeline's clock, so an
-/// entry's start is `offset + local start` — not the running sum a direct
-/// [`Device::launch`] would take, which can differ in the last bit.
-///
-/// # Example
-///
-/// ```
-/// use paraspace_vgpu::{cost_launch, Device, DeviceConfig, DpModel, KernelLaunch};
-/// use paraspace_vgpu::{ThreadWork, TimelineShard};
-///
-/// let dev = Device::new(DeviceConfig::titan_x());
-/// let mut shard = TimelineShard::new();
-/// shard.launch(dev.config(), dev.dp_model(), &KernelLaunch::uniform(
-///     "k", 24, 128, ThreadWork::new().with_flops(1_000)));
-/// dev.absorb_shard(shard);
-/// assert_eq!(dev.timeline().entries().len(), 1);
-/// ```
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TimelineShard {
-    entries: Vec<TimelineEntry>,
-}
-
-impl TimelineShard {
-    /// An empty shard.
-    pub fn new() -> Self {
-        TimelineShard::default()
-    }
-
-    /// All recorded intervals, with shard-local start times.
-    pub fn entries(&self) -> &[TimelineEntry] {
-        &self.entries
-    }
-
-    /// Whether nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Total simulated time covered by this shard (ns).
-    pub fn total_ns(&self) -> f64 {
-        self.entries.last().map_or(0.0, |e| e.start_ns + e.duration_ns)
-    }
-
-    /// Costs `launch` and records it on this shard; the exact worker-side
-    /// analogue of [`Device::launch`].
-    pub fn launch(
-        &mut self,
-        config: &DeviceConfig,
-        dp: &DpModel,
-        launch: &KernelLaunch,
-    ) -> LaunchStats {
-        let stats = cost_launch(config, dp, launch);
-        self.push(launch.name.clone(), stats.time_ns);
-        stats
-    }
-
-    /// Records a host-side (CPU) phase on this shard.
-    pub fn record_host_phase(&mut self, name: impl Into<String>, duration_ns: f64) {
-        self.push(name.into(), duration_ns);
-    }
-
-    /// Appends `other`'s entries after this shard's, rebasing their start
-    /// times onto this shard's clock.
-    pub fn merge(&mut self, other: TimelineShard) {
-        let offset = self.total_ns();
-        self.entries.extend(other.entries.into_iter().map(|mut e| {
-            e.start_ns += offset;
-            e
-        }));
-    }
-
-    fn push(&mut self, name: String, duration_ns: f64) {
-        let start = self.total_ns();
-        self.entries.push(TimelineEntry { name, start_ns: start, duration_ns });
-    }
-}
-
 /// The simulated device: a [`DeviceConfig`] plus a running [`Timeline`].
 ///
 /// Launching is `&self` (interior mutability) so engines can share one
 /// device across batch phases without threading `&mut` everywhere; the
-/// device itself mirrors a single CUDA stream and is not `Sync` — parallel
-/// engines record on per-worker [`TimelineShard`]s and absorb them in
-/// simulation-index order.
+/// device itself mirrors a single CUDA stream and is not `Sync` — engines
+/// bill it on the calling thread, in member order.
 ///
 /// # Example
 ///
@@ -270,20 +177,6 @@ impl Device {
             duration_ns: stats.time_ns,
         });
         stats
-    }
-
-    /// Appends a worker shard's entries to the device timeline, rebasing
-    /// their start times onto the device clock.
-    ///
-    /// Callers must absorb shards in simulation-index order to preserve the
-    /// determinism guarantee.
-    pub fn absorb_shard(&self, shard: TimelineShard) {
-        let mut tl = self.timeline.borrow_mut();
-        let offset = tl.total_ns();
-        tl.entries.extend(shard.entries.into_iter().map(|mut e| {
-            e.start_ns += offset;
-            e
-        }));
     }
 
     /// Records a host-side (CPU) phase on the timeline, e.g. the I/O phases
@@ -414,61 +307,5 @@ mod tests {
         let pure = cost_launch(d.config(), d.dp_model(), &k);
         let recorded = d.launch(&k);
         assert_eq!(pure, recorded);
-    }
-
-    #[test]
-    fn shards_absorbed_in_order_reproduce_sequential_timeline() {
-        let launches: Vec<KernelLaunch> = (0..6)
-            .map(|i| {
-                KernelLaunch::uniform(
-                    format!("k{i}"),
-                    4 + i,
-                    64,
-                    ThreadWork::new().with_flops(1000 * (i as u64 + 1)),
-                )
-            })
-            .collect();
-
-        let sequential = dev();
-        for k in &launches {
-            sequential.launch(k);
-        }
-        sequential.record_host_phase("tail", 42.0);
-
-        // Same launches recorded on three shards, absorbed in index order.
-        let sharded = dev();
-        let mut shards = vec![TimelineShard::new(), TimelineShard::new(), TimelineShard::new()];
-        for (i, k) in launches.iter().enumerate() {
-            shards[i / 2].launch(sharded.config(), sharded.dp_model(), k);
-        }
-        // Shard order: entries 0-1, 2-3, 4-5 — index order across shards.
-        for s in shards {
-            sharded.absorb_shard(s);
-        }
-        sharded.record_host_phase("tail", 42.0);
-
-        assert_eq!(sequential.timeline(), sharded.timeline());
-    }
-
-    #[test]
-    fn shard_merge_rebases_start_times() {
-        let config = DeviceConfig::titan_x();
-        let dp = DpModel::default();
-        let k = KernelLaunch::uniform("k", 8, 64, ThreadWork::new().with_flops(500));
-
-        let mut merged = TimelineShard::new();
-        merged.launch(&config, &dp, &k);
-        let mut tail = TimelineShard::new();
-        tail.launch(&config, &dp, &k);
-        tail.record_host_phase("h", 10.0);
-        merged.merge(tail);
-
-        let mut flat = TimelineShard::new();
-        flat.launch(&config, &dp, &k);
-        flat.launch(&config, &dp, &k);
-        flat.record_host_phase("h", 10.0);
-
-        assert_eq!(merged, flat);
-        assert!(merged.entries()[1].start_ns > 0.0);
     }
 }

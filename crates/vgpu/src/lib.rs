@@ -47,7 +47,7 @@ mod schedule;
 mod workload;
 
 pub use config::DeviceConfig;
-pub use device::{cost_launch, Device, Timeline, TimelineShard};
+pub use device::{cost_launch, Device, Timeline};
 pub use dynamic::DpModel;
 pub use lanes::{LaneAccounting, LaneGroupStats};
 pub use memory::MemorySpace;
