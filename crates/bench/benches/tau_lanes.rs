@@ -27,9 +27,9 @@
 //!   the like-for-like baseline for the lockstep acceptance bar;
 //! * `tau-lanes` at widths 2 / 4 / 8 — the lockstep `TauLeapBatch`
 //!   kernel over species-major SoA counts;
-//! * `tau-lanes-auto` — the width the per-model stochastic autotuner
-//!   resolves. Where the resolved width was already timed above the row
-//!   reuses that measurement — it is the identical code path.
+//! * `tau-lanes-auto` — the width an unpinned ensemble runs at (the full
+//!   width). Where that width was already timed above the row reuses that
+//!   measurement — it is the identical code path.
 //!
 //! Every lane width is asserted bitwise identical to the scalar
 //! tau-leaping ensemble — straight off the timed runs, so the check is
@@ -198,10 +198,16 @@ fn sweep_model(rows: &mut Vec<Row>, cfg: &ModelCfg, ensembles: &[usize], test_mo
             timed.push(("tau-lanes", width, tau_reps, mean, best));
         }
 
-        // The autotuned configuration. Where the resolved width was
-        // already timed above the row reuses that measurement — it is the
-        // identical code path.
-        let auto_w = paraspace_stochastic::auto_stoch_lane_width(&cfg.model);
+        // The unpinned configuration. Where its width was already timed
+        // above the row reuses that measurement — it is the identical code
+        // path.
+        let unpinned = run_column(TauLeaping::new(), cfg, replicates, None);
+        assert_eq!(
+            reference.outcomes, unpinned.outcomes,
+            "{} x{}: the unpinned width not bitwise == scalar tau-leaping",
+            cfg.name, replicates
+        );
+        let auto_w = unpinned.lane_width;
         let auto_src = if auto_w == 1 { ("tau-scalar", 1) } else { ("tau-lanes", auto_w) };
         let (n_reps, mean, best) = match timed.iter().find(|t| (t.0, t.1) == auto_src) {
             Some(&(_, _, n_reps, mean, best)) => (n_reps, mean, best),
@@ -245,7 +251,7 @@ fn sweep(c: &mut Criterion) {
         write_json(&rows);
         // The acceptance bar for the lockstep stochastic path: on the
         // sweep-dominated model, width 8 beats scalar tau-leaping
-        // >= 1.5x at the 2048-replicate scale, and the autotuned width
+        // >= 1.5x at the 2048-replicate scale, and the unpinned width
         // never loses to the scalar loop it replaces. The decay-chain and
         // enzyme rows are context — they chart the regimes where
         // divergent per-lane tails cap the lockstep win.
@@ -263,7 +269,7 @@ fn sweep(c: &mut Criterion) {
             if r.column == "tau-lanes-auto" {
                 assert!(
                     r.speedup_vs_scalar_tau >= 1.0,
-                    "{} x{}: autotuned width {} is {:.3}x scalar tau-leaping, below 1.0x",
+                    "{} x{}: unpinned width {} is {:.3}x scalar tau-leaping, below 1.0x",
                     r.model,
                     r.replicates,
                     r.lane_width,
@@ -302,7 +308,7 @@ fn write_json(rows: &[Row]) {
          replicate make exact simulation infeasible — the reason leaping exists), tau-scalar \
          the scalar tau-leaping loop, tau-lanes the lockstep SoA TauLeapBatch kernel (bitwise \
          identical to tau-scalar by the counter-based per-replicate RNG), tau-lanes-auto the \
-         width the per-model stochastic autotuner resolves; speedups compare best wall times \
+         width an unpinned ensemble runs at; speedups compare best wall times \
          within the same model and ensemble size; decay-chain and enzyme chart the \
          SSA-fallback-heavy regimes where divergent per-lane tails cap the lockstep win\",\n",
     );

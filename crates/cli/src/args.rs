@@ -182,7 +182,7 @@ impl Codec<usize> for AtLeastOne {
     }
 }
 
-/// `--lane-width auto|N`: `None` autotunes, `Some(n >= 1)` pins.
+/// `--lane-width auto|N`: `None` takes each lane phase's own rule, `Some(n >= 1)` pins.
 struct Lanes;
 
 impl Codec<Option<usize>> for Lanes {

@@ -73,9 +73,9 @@ pub enum Command {
         atol: f64,
         /// Host worker threads (1 = sequential, 0 = all cores).
         threads: usize,
-        /// Lockstep lane width: `None` autotunes per model, `Some(n)` pins
-        /// it (`1` forces the scalar path). Results are bitwise identical
-        /// at any setting.
+        /// Lockstep lane width: `None` takes each phase's rule (P3 full
+        /// width, P4 autotuned per model), `Some(n)` pins it (`1` forces
+        /// the scalar path). Results are bitwise identical at any setting.
         lane_width: Option<usize>,
         /// Tolerance-relaxation retries for members that fail (0 = off).
         max_retries: usize,
@@ -122,9 +122,10 @@ pub enum Command {
         member: u64,
         /// Host worker threads (1 = sequential, 0 = all cores).
         threads: usize,
-        /// Lockstep lane width for tau-leaping: `None` autotunes per
-        /// model, `Some(n)` pins it (`1` forces the scalar path).
-        /// Replicate trajectories are bitwise identical at any setting.
+        /// Lockstep lane width for tau-leaping: `None` runs the full width
+        /// (8, narrowed only to the number of lane replicates), `Some(n)`
+        /// pins it (`1` forces the scalar path). Replicate trajectories and
+        /// the modelled clock are bitwise identical at any setting.
         lane_width: Option<usize>,
         /// Checkpoint directory for durable (killable/resumable) runs.
         checkpoint_dir: Option<PathBuf>,
@@ -361,6 +362,8 @@ draws from a counter-based RNG stream keyed by (--seed, --member,
 replicate index), so trajectories are bitwise identical at any lane width,
 thread count, or shard decomposition; per-replicate trajectories, failed
 replicates (.err), and ensemble mean/variance are written to --out.
+--lane-width auto (default) runs the tau-leaping lanes at the full width 8;
+an explicit N pins it (1 forces the scalar path).
 NOTE: seeds that predate the counter-based streams reproduce different
 ensembles (the old layout seeded replicate i with seed+i).
 

@@ -20,16 +20,16 @@
 //! useful batch sizes near 2048.
 //!
 //! On the host the engine is *route → bill → one ladder call*. P3 and P4
-//! are batch kernels ([`lanes::first_attempts`](crate::lanes) on the one
-//! scheduler, `lanes::solve_queue`): the fault-free members of a phase
-//! integrate as lockstep lane groups —
-//! [`Dopri5Batch`](paraspace_solvers::Dopri5Batch) at width 8 unless pinned
-//! (`lanes::explicit_lane_width`),
-//! [`Radau5Batch`](paraspace_solvers::Radau5Batch) at the autotuned width
-//! (`lanes::resolve_lane_width`) — one group per executor worker, all
-//! pulling members from one shared queue, P4's ordered longest first by the
-//! triage eigenvalue. Fault-planned members make contained scalar attempts
-//! beside the lanes and count as lane evictions in the batch health. A P3
+//! are batch kernels ([`lanes::first_attempts`](crate::lanes), one
+//! lockstep phase each): the members `lanes::admits` lets in — those that
+//! plan no fault — integrate as lockstep lane groups, one per executor
+//! worker, all pulling members from one shared queue (P4's ordered longest
+//! first by the triage eigenvalue). Both widths come from
+//! `lanes::phase_width`: [`Dopri5Batch`](paraspace_solvers::Dopri5Batch)
+//! at width 8 unless pinned, narrowed to each worker's share, and
+//! [`Radau5Batch`](paraspace_solvers::Radau5Batch) at the autotuned width.
+//! The other members make contained scalar attempts beside the lanes and
+//! count as lane evictions in the batch health. A P3
 //! failure the recovery policy [`reroutes`](crate::RecoveryPolicy) is
 //! handed over to P4. Each phase is billed as a fold over per-member
 //! counters in member order — P4's lane occupancy, which is the run's lane
@@ -44,10 +44,12 @@
 use crate::engines::host::{device_clocks, h2d_bytes, Engine, Settled, PCIE_BYTES_PER_NS};
 use crate::engines::{attempt_stats, discard, group_stats, BatchResult, MemberSink, Simulator};
 use crate::lanes::{
-    explicit_lane_width, first_attempts, resolve_lane_width, Lockstep, MEMBERS_PER_LANE,
+    admits, auto_lane_width, first_attempts, phase_width, share_narrowed, Lockstep,
+    MEMBERS_PER_LANE,
 };
 use crate::recovery::{solve_members_recovered, Billed, Ladder};
 use crate::{classify_batch_with_threshold, SimError, SimulationJob, WorkEstimate};
+use paraspace_exec::MAX_LANE_WIDTH;
 use paraspace_solvers::{Dopri5, Radau5, StepStats};
 use paraspace_vgpu::{
     ChildLaunch, Device, DeviceConfig, DpModel, KernelLaunch, LaneGroupStats, MemorySpace,
@@ -306,26 +308,27 @@ impl Simulator for Engine<FineCoarse> {
         // it, and that attempt's counters, for the phase bills.
         let mut billed: Vec<Option<Billed>> = (0..batch).map(|_| None).collect();
         let mut stats = vec![StepStats::default(); batch];
-        let clean = |i: usize| job.fault_plan().faults_for(i).is_none();
+        // The one admission predicate: a phase running lanes at `width`
+        // evicts every member it refuses to a scalar attempt, counted once.
+        let admitted: Vec<bool> = (0..batch).map(|i| admits(job, i)).collect();
+        let admitted_among = |members: &[usize]| members.iter().filter(|&&i| admitted[i]).count();
+        let evicts = |width: usize, i: usize| width >= 2 && !admitted[i];
+        let mut evicted = vec![false; batch];
 
         // P3: DOPRI5 over the non-stiff members; the failures the policy
-        // re-routes are handed over to P4.
+        // re-routes are handed over to P4. The host width narrows to each
+        // worker's share; evictions are judged at the full width, so their
+        // count does not depend on how many workers share the queue.
         let (stiff, nonstiff): (Vec<usize>, Vec<usize>) =
             (0..batch).partition(|&i| classes[i].stiff);
-        let clean_nonstiff = nonstiff.iter().filter(|&&i| clean(i)).count();
-        let workers = host.executor.threads();
-        let p3_width = explicit_lane_width(model.lane_width, clean_nonstiff, workers);
-        // A fault-planned member is evicted when a phase that runs lanes
-        // makes its attempt scalar, and counted once. P3's width is judged
-        // for one worker, so the count does not depend on how many workers
-        // share the queue.
-        let p3_lanes = explicit_lane_width(model.lane_width, clean_nonstiff, 1) >= 2;
-        let mut evicted = vec![false; batch];
-        let p3 = first_attempts(host, job, Lockstep::Dopri5, &nonstiff, p3_width)?;
+        let p3_admitted = admitted_among(&nonstiff);
+        let p3_full = phase_width(model.lane_width, p3_admitted, || MAX_LANE_WIDTH);
+        let p3_width = share_narrowed(p3_full, p3_admitted, host.executor.threads());
+        let p3 = first_attempts(host, job, Lockstep::Dopri5, &nonstiff, p3_width, &admitted)?;
         let mut handed_over = Vec::new();
         for (&i, attempt) in nonstiff.iter().zip(p3) {
             stats[i] = *attempt_stats(&attempt);
-            evicted[i] = p3_lanes && !clean(i);
+            evicted[i] = evicts(p3_full, i);
             if matches!(&attempt, Err(f) if host.recovery.reroutes(&f.error)) {
                 handed_over.push(i);
             }
@@ -334,26 +337,21 @@ impl Simulator for Engine<FineCoarse> {
         bill_phase(&device, job, "p3_dopri5", &nonstiff, &stats);
 
         // P4: RADAU5 over stiff + handed-over members, longest first by the
-        // triage eigenvalue. With two or more clean members they run as
-        // lockstep lane groups at the pinned or autotuned width;
-        // fault-planned members stay scalar either way.
+        // triage eigenvalue, at the pinned or autotuned width.
         let mut p4 = stiff;
         p4.extend(handed_over);
-        let p4_width = if p4.iter().filter(|&&i| clean(i)).count() >= 2 {
-            resolve_lane_width(model.lane_width, job)
-        } else {
-            1
-        };
-        let on_lanes = |i: usize| p4_width >= 2 && clean(i);
+        let p4_width =
+            phase_width(model.lane_width, admitted_among(&p4), || auto_lane_width(job.odes()));
+        let on_lanes = |i: usize| p4_width >= 2 && admitted[i];
         let mut queue = p4.clone();
         queue.sort_by(|&a, &b| {
             let (cost_a, cost_b) = (classes[a].dominant_eigenvalue, classes[b].dominant_eigenvalue);
             cost_b.total_cmp(&cost_a).then(a.cmp(&b))
         });
-        let p4_attempts = first_attempts(host, job, Lockstep::Radau5, &queue, p4_width)?;
+        let p4_attempts = first_attempts(host, job, Lockstep::Radau5, &queue, p4_width, &admitted)?;
         for (&i, attempt) in queue.iter().zip(p4_attempts) {
             stats[i] = *attempt_stats(&attempt);
-            evicted[i] |= p4_width >= 2 && !clean(i);
+            evicted[i] |= evicts(p4_width, i);
             let solver = if on_lanes(i) { "radau5-lanes" } else { "radau5" };
             billed[i] = Some(match billed[i].take() {
                 Some(p3) => p3.rerouted_to(attempt, solver),

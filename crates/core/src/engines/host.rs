@@ -6,9 +6,9 @@
 //! hardware. Everything that is not cost model lives here once — the
 //! builders, the folding of settled members into outcomes and health, the
 //! input-staging size, and the P5 tail that turns a finished batch into a
-//! [`BatchResult`] — or beside it: the lane scheduler
-//! (`lanes::solve_queue`, the ODE instance of
-//! [`Executor::drain_queue`]) and the recovery ladder
+//! [`BatchResult`] — or beside it: the lockstep phase
+//! (`lanes::first_attempts`, the ODE instance of
+//! [`Executor::lockstep_phase`]) and the recovery ladder
 //! (`recovery::solve_members_recovered`), both run on the host's executor
 //! under its token.
 

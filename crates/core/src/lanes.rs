@@ -23,30 +23,30 @@
 //!
 //! The *explicit* lockstep phase has no factorization, hence nothing for
 //! that rule to price: the fine-coarse engine's P3 runs at the full width
-//! (`explicit_lane_width`).
-//! The stochastic ensembles tune their own lanes, next to the tau-leaping
-//! constants they price (`paraspace_stochastic::auto_stoch_lane_width`).
+//! ([`share_narrowed`]). Both phases take their width from one resolver,
+//! [`phase_width`]: the pinned width, else the phase's rule, and the
+//! scalar route below two admitted members.
 //!
 //! # Scheduling
 //!
 //! Every lockstep phase in the crate — the fine-coarse engine's P3 and P4 —
-//! is one [`first_attempts`] call: its fault-free members run on
-//! [`solve_queue`], the ODE instance of the workspace's one lane scheduler,
-//! [`Executor::drain_queue`] (the tau-leaping ensemble is the other), and
-//! its fault-planned members as contained scalar attempts beside them. On
-//! the queue there is one lane group per executor worker, every group
-//! refilling its free lanes from one shared member cursor, so no worker
-//! idles while another still has members waiting. The engines bill those
-//! attempts and continue each member's recovery ladder from them
-//! (`recovery::Billed`). Independent stiff systems integrated side by side
-//! diverge in step count (on the autophagy PSA grid a fifth of the
-//! re-routed members need 3–5× the Radau steps of the rest), which is why
-//! the fine-coarse engine orders its stiff phase's queue longest first by
-//! the triage eigenvalue. That is legal because nothing an engine reports
-//! depends on which group ran a member: attempts are bitwise independent of
-//! packing, and the device is billed from per-member counters in member
-//! order, its lane occupancy from a packing the billing computes for itself
-//! ([`MEMBERS_PER_LANE`], `LaneGroupStats::packed`).
+//! is one [`first_attempts`] call, on the workspace's one lockstep phase,
+//! `Executor::lockstep_phase` (the tau-leaping ensemble runs on it too):
+//! the members [`admits`] lets in run as [`lane_group`]s, the rest as
+//! contained scalar attempts beside them. There is one lane group per
+//! executor worker, every group refilling its free lanes from one shared
+//! member cursor, so no worker idles while another still has members
+//! waiting. The engines bill those attempts and continue each member's
+//! recovery ladder from them (`recovery::Billed`). Independent stiff
+//! systems integrated side by side diverge in step count (on the autophagy
+//! PSA grid a fifth of the re-routed members need 3–5× the Radau steps of
+//! the rest), which is why the fine-coarse engine orders its stiff phase's
+//! queue longest first by the triage eigenvalue. That is legal because
+//! nothing an engine reports depends on which group ran a member: attempts
+//! are bitwise independent of packing, and the device is billed from
+//! per-member counters in member order, its lane occupancy from a packing
+//! the billing computes for itself ([`MEMBERS_PER_LANE`],
+//! `LaneGroupStats::packed`).
 //!
 //! The returned width only ever *narrows* the schedule; it never changes
 //! any trajectory (per-member results are bitwise independent of lane
@@ -59,16 +59,13 @@
 use crate::cost::COMPLEX_LU_AVG_FACTOR;
 use crate::recovery::contained_attempt;
 use crate::{Host, SimulationJob};
-use paraspace_exec::{CancelToken, Cancelled, Executor};
+use paraspace_exec::{Cancelled, MAX_LANE_WIDTH};
 use paraspace_linalg::LuFactor;
 use paraspace_rbm::CompiledOdes;
 use paraspace_solvers::{
     BatchOdeSystem, Dopri5, Dopri5Batch, OdeSolver, Radau5, Radau5Batch, Solution, SolveFailure,
     SolverOptions, SolverScratch,
 };
-
-/// Widest lane-group the engines schedule.
-pub(crate) const MAX_LANE_WIDTH: usize = 8;
 
 /// How one member's integration ended.
 type Attempt = Result<Solution, SolveFailure>;
@@ -85,28 +82,42 @@ pub(crate) enum Lockstep {
 /// Members per lane slot of a *modelled* lane group: the device serves
 /// `MEMBERS_PER_LANE·L` members per group of width `L`, in member order,
 /// early finishers handing their lane to the next member. The host packs
-/// its groups however the shared queue falls ([`solve_queue`]); the
+/// its groups however the shared queue falls ([`lane_group`]); the
 /// engines bill this packing regardless (`LaneGroupStats::packed`). Deep
 /// enough to keep the lanes occupied, shallow enough that a stiff crowd of
 /// a few dozen members still splits into several groups.
 pub(crate) const MEMBERS_PER_LANE: usize = 2;
 
-/// The lane width the fine-coarse engine's explicit phase (P3) integrates
-/// `members` fault-free non-stiff members at, on `workers` executor
-/// workers; `1` means the scalar DOPRI5 path.
-///
-/// The explicit lockstep kernel holds no factorization, so the LU rule of
-/// [`auto_lane_width`] has nothing to price here (it answers 1 for a sparse
-/// 128-species network whose P3 runs fastest at 8): the width is
-/// [`MAX_LANE_WIDTH`] unless pinned, narrowed to a power of two when each
-/// worker's share of the members would not fill it. Single members stay
-/// scalar, and a pinned `1` is the all-scalar route.
-pub(crate) fn explicit_lane_width(pinned: Option<usize>, members: usize, workers: usize) -> usize {
-    if members < 2 {
+/// Whether a lockstep phase admits `member` of `job` to its lanes: it plans
+/// no fault. A member it refuses makes a contained scalar attempt beside
+/// the lanes, so an injected panic (and its per-call fault ordinals) never
+/// touches a group, and counts as a lane eviction when the phase ran lanes.
+pub(crate) fn admits(job: &SimulationJob, member: usize) -> bool {
+    job.fault_plan().faults_for(member).is_none()
+}
+
+/// The width a lockstep phase with `admitted` lane members runs at: the
+/// pinned width, else the phase's `rule`, and the scalar route (`1`) below
+/// two admitted members. A pinned `1` is the all-scalar route.
+pub(crate) fn phase_width(
+    pinned: Option<usize>,
+    admitted: usize,
+    rule: impl FnOnce() -> usize,
+) -> usize {
+    if admitted < 2 {
         return 1;
     }
-    let width = pinned.unwrap_or(MAX_LANE_WIDTH).max(1);
-    let share = members / workers.clamp(1, members);
+    pinned.unwrap_or_else(rule).max(1)
+}
+
+/// `width` narrowed to a power of two when each of `workers` workers'
+/// share of `members` would not fill it: the explicit phase's (P3) host
+/// width. Its kernel holds no factorization, so the LU rule of
+/// [`auto_lane_width`] has nothing to price there (it answers 1 for a
+/// sparse 128-species network whose P3 runs fastest at 8): P3's rule is
+/// [`MAX_LANE_WIDTH`].
+pub(crate) fn share_narrowed(width: usize, members: usize, workers: usize) -> usize {
+    let share = (members / workers.max(1)).max(1);
     if share < width {
         1 << share.ilog2()
     } else {
@@ -114,48 +125,38 @@ pub(crate) fn explicit_lane_width(pinned: Option<usize>, members: usize, workers
     }
 }
 
-/// Integrates the members listed in `queue` under the lockstep `kernel` at
-/// `width` — the ODE instance of [`Executor::drain_queue`]: one lane group
-/// per executor worker, each on its own `make_system(width)` (every one
-/// knowing every listed member), all pulling the next member of the list
-/// from one shared cursor — list the expensive members first. Returns the
-/// attempts **in `queue` order**, or `Err(Cancelled)` if `cancel` tripped
-/// first. A member's attempt does not depend on which group integrated it
-/// (the lockstep contract), so the vector is bitwise identical at any
-/// worker count and width.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn solve_queue<S: BatchOdeSystem>(
-    executor: &Executor,
-    cancel: &CancelToken,
+/// One lane group of the lockstep `kernel` on `system`: binds members from
+/// `next` until it answers `None` and returns each member's attempt as it
+/// settles. A member's attempt does not depend on which group integrated it
+/// nor on the group's width (the lockstep contract).
+fn lane_group<S: BatchOdeSystem>(
     kernel: Lockstep,
-    queue: &[usize],
-    width: usize,
-    make_system: impl Fn(usize) -> S + Sync,
+    system: &mut S,
+    next: &mut dyn FnMut() -> Option<usize>,
     times: &[f64],
     options: &SolverOptions,
-) -> Result<Vec<Attempt>, Cancelled> {
-    executor.drain_queue(cancel, queue, width, |next| {
-        let (system, scratch) = (&mut make_system(width), &mut SolverScratch::new());
-        let (settled, _report) = match kernel {
-            Lockstep::Dopri5 => {
-                Dopri5Batch::new().solve_queue(system, next, 0.0, times, options, scratch)
-            }
-            Lockstep::Radau5 => {
-                Radau5Batch::new().solve_queue(system, next, 0.0, times, options, scratch)
-            }
-        };
-        settled
-    })
+) -> Vec<(usize, Attempt)> {
+    let scratch = &mut SolverScratch::new();
+    let (settled, _report) = match kernel {
+        Lockstep::Dopri5 => {
+            Dopri5Batch::new().solve_queue(system, next, 0.0, times, options, scratch)
+        }
+        Lockstep::Radau5 => {
+            Radau5Batch::new().solve_queue(system, next, 0.0, times, options, scratch)
+        }
+    };
+    settled
 }
 
 /// The first attempts of one lockstep class's `members` at `width`,
 /// **in list order**, under the options every first attempt runs under
-/// (`RecoveryPolicy::base_options`). Fault-free members integrate on
-/// [`solve_queue`] — list the expensive ones first — when `width ≥ 2`;
-/// fault-planned members, and every member at width 1, make contained
-/// scalar attempts on `kernel`'s scalar twin ([`Dopri5`] / [`Radau5`]) on
-/// the host's workers, so an injected panic (and its per-call fault
-/// ordinals) never touches a group. Each attempt is bitwise the contained
+/// (`RecoveryPolicy::base_options`): one
+/// [`Executor::lockstep_phase`](paraspace_exec::Executor::lockstep_phase)
+/// call. When `width ≥ 2` the members `admitted` (indexed by member, from
+/// [`admits`]) lets in integrate as [`lane_group`]s on `job.lane_system` —
+/// list the expensive ones first; the rest, and every member at width 1,
+/// make contained scalar attempts on `kernel`'s scalar twin ([`Dopri5`] /
+/// [`Radau5`]) on the host's workers. Each attempt is bitwise the contained
 /// scalar one either way.
 pub(crate) fn first_attempts(
     host: &Host,
@@ -163,42 +164,25 @@ pub(crate) fn first_attempts(
     kernel: Lockstep,
     members: &[usize],
     width: usize,
+    admitted: &[bool],
 ) -> Result<Vec<Attempt>, Cancelled> {
-    let on_lanes = |i: &usize| width >= 2 && job.fault_plan().faults_for(*i).is_none();
-    let (lanes, scalar): (Vec<usize>, Vec<usize>) = members.iter().partition(|i| on_lanes(i));
     let options = host.recovery.base_options(job);
     let (dopri5, radau5) = (Dopri5::new(), Radau5::new());
     let twin: &dyn OdeSolver = match kernel {
         Lockstep::Dopri5 => &dopri5,
         Lockstep::Radau5 => &radau5,
     };
-    let (executor, cancel) = (&host.executor, &host.cancel);
-    let mut lane_attempts = solve_queue(
-        executor,
-        cancel,
-        kernel,
-        &lanes,
+    host.executor.lockstep_phase(
+        &host.cancel,
+        members,
         width,
-        |width| job.lane_system(width),
-        job.time_points(),
-        &options,
-    )?
-    .into_iter();
-    let scalar_attempts = executor.try_map_with_cancel(
-        scalar.len(),
-        cancel,
+        |i| admitted[i],
+        |lanes, next| {
+            lane_group(kernel, &mut job.lane_system(lanes), next, job.time_points(), &options)
+        },
         SolverScratch::new,
-        |scratch, idx| contained_attempt(job, scalar[idx], twin, &options, scratch),
-    )?;
-    // contained_attempt already catches member panics, so an
-    // executor-level fault is a bug in the attempt plumbing itself.
-    let mut scalar_attempts =
-        scalar_attempts.into_iter().map(|a| a.unwrap_or_else(|fault| panic!("{fault}")));
-    Ok(members
-        .iter()
-        .map(|i| if on_lanes(i) { lane_attempts.next() } else { scalar_attempts.next() })
-        .map(|attempt| attempt.expect("one attempt per member"))
-        .collect())
+        |scratch, i| contained_attempt(job, i, twin, &options, scratch),
+    )
 }
 
 /// Cache budget for one lane-group's live factor values (real + complex),
@@ -297,19 +281,10 @@ pub fn auto_lane_width(odes: &CompiledOdes) -> usize {
     width
 }
 
-/// The width the fine-coarse engine's stiff phase (P4) runs `job` at: the
-/// pinned width if the caller set one, otherwise [`auto_lane_width`] — with
-/// the scalar route (`1`) for sub-2 batches.
-pub(crate) fn resolve_lane_width(pinned: Option<usize>, job: &SimulationJob) -> usize {
-    if job.batch_size() < 2 {
-        return 1;
-    }
-    pinned.map_or_else(|| auto_lane_width(job.odes()), |w| w.max(1))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use paraspace_exec::{CancelToken, Executor};
     use paraspace_rbm::{Reaction, ReactionBasedModel};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -327,6 +302,9 @@ mod tests {
 
     #[test]
     fn explicit_width_is_eight_unless_pinned_or_starved() {
+        let explicit_lane_width = |pinned, members, workers| {
+            share_narrowed(phase_width(pinned, members, || MAX_LANE_WIDTH), members, workers)
+        };
         // Auto: the full width once every worker's share fills it...
         assert_eq!(explicit_lane_width(None, 192, 2), 8);
         assert_eq!(explicit_lane_width(None, 16, 2), 8);
@@ -400,9 +378,9 @@ mod tests {
         }
     }
 
-    /// `job`'s members through [`solve_queue`] on tripwired systems: the
-    /// outcome and how many lanes were bound by a group that had already
-    /// seen the token tripped.
+    /// `job`'s members through 4-wide [`lane_group`]s on tripwired systems:
+    /// the outcome and how many lanes were bound by a group that had
+    /// already seen the token tripped.
     fn run_tripwired(
         job: &SimulationJob,
         kernel: Lockstep,
@@ -412,22 +390,24 @@ mod tests {
         let cancel = CancelToken::new();
         let members: Vec<usize> = (0..job.batch_size()).collect();
         let (sweeps, late_binds) = (AtomicUsize::new(0), AtomicUsize::new(0));
-        let outcome = solve_queue(
-            &Executor::new(threads),
+        let tripwire = |width| Tripwire {
+            inner: job.lane_system(width),
+            cancel: &cancel,
+            sweeps: &sweeps,
+            trip_at,
+            saw_trip: false,
+            late_binds: &late_binds,
+        };
+        let outcome = Executor::new(threads).lockstep_phase(
             &cancel,
-            kernel,
             &members,
             4,
-            |width| Tripwire {
-                inner: job.lane_system(width),
-                cancel: &cancel,
-                sweeps: &sweeps,
-                trip_at,
-                saw_trip: false,
-                late_binds: &late_binds,
+            |_| true,
+            |width, next| {
+                lane_group(kernel, &mut tripwire(width), next, job.time_points(), job.options())
             },
-            job.time_points(),
-            job.options(),
+            || (),
+            |(), _| unreachable!("every member is admitted"),
         );
         (outcome, late_binds.into_inner())
     }
@@ -509,6 +489,7 @@ mod tests {
         let plan = FaultPlan::new().with_fault(2, FaultSpec::nan_at_time(0.1));
         let job = builder.fault_plan(plan).build().unwrap();
         let members = [4, 2, 0, 5, 1, 3];
+        let admitted: Vec<bool> = (0..6).map(|i| admits(&job, i)).collect();
         let (dopri5, radau5) = (Dopri5::new(), Radau5::new());
         let mut scratch = SolverScratch::new();
         for (kernel, twin) in
@@ -523,7 +504,8 @@ mod tests {
             for width in [1, 2, 4] {
                 for threads in [1, 2] {
                     let host = Host { executor: Executor::new(threads), ..Host::default() };
-                    let attempts = first_attempts(&host, &job, kernel, &members, width).unwrap();
+                    let attempts =
+                        first_attempts(&host, &job, kernel, &members, width, &admitted).unwrap();
                     assert_eq!(attempts, scalar, "{kernel:?}, width {width}, {threads} threads");
                 }
             }
@@ -566,11 +548,11 @@ mod tests {
         assert_eq!(auto_lane_width(&m.compile().unwrap()), 1);
         let job =
             crate::SimulationJob::builder(&m).time_points(vec![1.0]).replicate(8).build().unwrap();
-        assert_eq!(resolve_lane_width(None, &job), 1);
-        assert_eq!(resolve_lane_width(Some(4), &job), 4);
-        let single =
-            crate::SimulationJob::builder(&m).time_points(vec![1.0]).replicate(1).build().unwrap();
-        assert_eq!(resolve_lane_width(Some(4), &single), 1);
+        let p4_width =
+            |pinned, admitted| phase_width(pinned, admitted, || auto_lane_width(job.odes()));
+        assert_eq!(p4_width(None, job.batch_size()), 1);
+        assert_eq!(p4_width(Some(4), job.batch_size()), 4);
+        assert_eq!(p4_width(Some(4), 1), 1);
     }
 
     #[test]

@@ -53,12 +53,15 @@
 //! idempotent, a discarded batch simply re-executes on resume — which is
 //! the property the journal layer's exact-resume guarantee is built on.
 //!
-//! # Lane queues
+//! # Lockstep phases
 //!
-//! [`Executor::drain_queue`] is the one lane scheduler of the workspace
-//! (the ODE engines' DOPRI5 and RADAU5 phases, the tau-leaping ensemble):
-//! one lockstep group per worker, all refilling their lanes from one shared
-//! cursor that the token closes.
+//! [`Executor::lockstep_phase`] is the one lockstep phase of the workspace
+//! (the fine-coarse engine's DOPRI5 and RADAU5 phases, the tau-leaping
+//! ensemble): the admitted members run as one lane group per worker, all
+//! refilling their lanes from one shared cursor that the token closes, the
+//! rest one at a time beside them, and the values come back in list order.
+//! Lane width is a scheduling choice only, never part of a result; the
+//! widest group is [`MAX_LANE_WIDTH`].
 //!
 //! # Example
 //!
@@ -75,6 +78,11 @@ use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+
+/// The widest lane group a lockstep phase runs: the width both lane
+/// families (the ODE kernels and tau-leaping) run at unless pinned or
+/// narrowed.
+pub const MAX_LANE_WIDTH: usize = 8;
 
 /// A contained panic from one work item.
 ///
@@ -414,34 +422,52 @@ impl Executor {
         Ok(out)
     }
 
-    /// Drains the distinct items listed in `queue` through lane groups of
-    /// `width`: at most one group per worker and `queue.len().div_ceil(width)`
-    /// in all, each a call of `group` that pulls items from one shared cursor
-    /// until it answers `None` and returns `(item, value)` for each of them.
-    /// List the expensive items first. Returns the values **in `queue`
-    /// order**, or `Err(Cancelled)` once `cancel` trips: the cursor then
-    /// answers `None`, the groups drain what they hold, and the partial
-    /// values are discarded. A panic escaping a group is resumed here.
+    /// Runs one lockstep phase over the distinct `members`, listed in the
+    /// order their values come back, expensive ones first. The members
+    /// `admit` lets in run as lane groups of `width`, narrowed to how many
+    /// it let in: at most one group per worker, each a call of
+    /// `group(lanes, next)` that pulls members from one shared cursor until
+    /// it answers `None` and returns `(member, value)` for each of them.
+    /// The rest, and every member below width 2, run one at a time as
+    /// `single(state, member)` on a per-worker `init` state, as in
+    /// [`try_map_with_cancel`](Self::try_map_with_cancel).
+    ///
+    /// Returns one value per member **in list order**, or `Err(Cancelled)`
+    /// once `cancel` trips: the cursor then answers `None`, the groups drain
+    /// what they hold, no single member starts, and the partial values are
+    /// discarded. A panic escaping either body is resumed here.
     ///
     /// ```
     /// use paraspace_exec::{CancelToken, Executor};
     ///
-    /// let squares = Executor::new(2).drain_queue(&CancelToken::new(), &[7, 3, 9], 2, |next| {
-    ///     std::iter::from_fn(next).map(|i| (i, i * i)).collect()
-    /// });
+    /// let squares = Executor::new(2).lockstep_phase(
+    ///     &CancelToken::new(),
+    ///     &[7, 3, 9],
+    ///     2,
+    ///     |member| member != 3,
+    ///     |_lanes, next| std::iter::from_fn(next).map(|i| (i, i * i)).collect(),
+    ///     || (),
+    ///     |(), member| member * member,
+    /// );
     /// assert_eq!(squares, Ok(vec![49, 9, 81]));
     /// ```
-    pub fn drain_queue<T, G>(
+    #[allow(clippy::too_many_arguments)]
+    pub fn lockstep_phase<T: Send, S>(
         &self,
         cancel: &CancelToken,
-        queue: &[usize],
+        members: &[usize],
         width: usize,
-        group: G,
-    ) -> Result<Vec<T>, Cancelled>
-    where
-        T: Send,
-        G: Fn(&mut dyn FnMut() -> Option<usize>) -> Vec<(usize, T)> + Sync,
-    {
+        admit: impl Fn(usize) -> bool,
+        group: impl Fn(usize, &mut dyn FnMut() -> Option<usize>) -> Vec<(usize, T)> + Sync,
+        init: impl Fn() -> S + Sync,
+        single: impl Fn(&mut S, usize) -> T + Sync,
+    ) -> Result<Vec<T>, Cancelled> {
+        let on_lanes: Vec<bool> = members.iter().map(|&i| width >= 2 && admit(i)).collect();
+        let listed = |lane: bool| -> Vec<usize> {
+            members.iter().zip(&on_lanes).filter(|&(_, &l)| l == lane).map(|(&i, _)| i).collect()
+        };
+        let (queue, singles) = (listed(true), listed(false));
+
         // The cursor publishes nothing but itself (the queue and whatever
         // `group` borrows are shared before any worker starts): relaxed.
         let cursor = AtomicUsize::new(0);
@@ -451,18 +477,29 @@ impl Executor {
             }
             queue.get(cursor.fetch_add(1, Ordering::Relaxed)).copied()
         };
-        let groups = self.threads.min(queue.len().div_ceil(width));
-        let settled = self.try_map_with_cancel(groups, cancel, || (), |(), _| group(&mut &next))?;
+        let lanes = width.min(queue.len()).max(1);
+        let groups = self.threads.min(queue.len().div_ceil(lanes));
+        let settled =
+            self.try_map_with_cancel(groups, cancel, || (), |(), _| group(lanes, &mut &next))?;
         let first = queue.iter().min().copied().unwrap_or(0);
         let span = queue.iter().max().map_or(0, |&last| last + 1 - first);
-        let mut by_item: Vec<Option<T>> = (0..span).map(|_| None).collect();
+        let mut by_member: Vec<Option<T>> = (0..span).map(|_| None).collect();
         for values in settled {
-            for (item, value) in values.unwrap_or_else(|fault| panic!("{fault}")) {
-                by_item[item - first] = Some(value);
+            for (member, value) in values.unwrap_or_else(|fault| panic!("{fault}")) {
+                by_member[member - first] = Some(value);
             }
         }
-        // An item nobody returned means the cursor refused it: cancelled.
-        queue.iter().map(|&item| by_item[item - first].take().ok_or(Cancelled)).collect()
+        let mut singled = self
+            .try_map_with_cancel(singles.len(), cancel, init, |state, k| single(state, singles[k]))?
+            .into_iter()
+            .map(|value| value.unwrap_or_else(|fault| panic!("{fault}")));
+        // A lane member nobody returned means the cursor refused it: cancelled.
+        members
+            .iter()
+            .zip(&on_lanes)
+            .map(|(&i, &lane)| if lane { by_member[i - first].take() } else { singled.next() })
+            .map(|value| value.ok_or(Cancelled))
+            .collect()
     }
 }
 
@@ -758,33 +795,73 @@ mod tests {
     }
 
     #[test]
-    fn drain_queue_returns_queue_order_at_any_width_and_worker_count() {
-        // A cost-ordered queue over items that do not start at zero.
-        let queue: Vec<usize> = (0..23).map(|k| 100 + (k * 7) % 23).collect();
-        let expected: Vec<usize> = queue.iter().map(|&item| item * 3).collect();
+    fn lockstep_phase_returns_list_order_at_any_width_and_worker_count() {
+        // A cost-ordered list of members that do not start at zero, every
+        // third one refused its lane; a group that ran below width 2 or
+        // served a refused member would have to show it.
+        let members: Vec<usize> = (0..23).map(|k| 100 + (k * 7) % 23).collect();
+        let expected: Vec<usize> = members.iter().map(|&i| i * 3).collect();
         for threads in [1, 2, 4] {
             for width in [1, 2, 3, 8] {
-                let got = Executor::new(threads).drain_queue(
-                    &CancelToken::new(),
-                    &queue,
-                    width,
-                    |next| lane_group(width, next),
-                );
-                assert_eq!(got, Ok(expected.clone()), "threads={threads} width={width}");
+                for admit_all in [true, false] {
+                    let admit = |i: usize| admit_all || !i.is_multiple_of(3);
+                    let got = Executor::new(threads).lockstep_phase(
+                        &CancelToken::new(),
+                        &members,
+                        width,
+                        admit,
+                        |lanes, next| {
+                            assert!(lanes >= 2 && lanes <= width);
+                            lane_group(lanes, &mut || next().inspect(|&i| assert!(admit(i))))
+                        },
+                        || (),
+                        |(), i| {
+                            assert!(width < 2 || !admit(i));
+                            i * 3
+                        },
+                    );
+                    assert_eq!(got, Ok(expected.clone()), "threads={threads} width={width}");
+                }
             }
         }
-        let none =
-            Executor::new(2).drain_queue(&CancelToken::new(), &[], 4, |next| lane_group(4, next));
+        let none = Executor::new(2).lockstep_phase(
+            &CancelToken::new(),
+            &[],
+            4,
+            |_| true,
+            |lanes, next| lane_group(lanes, next),
+            || (),
+            |(), i| i,
+        );
         assert_eq!(none, Ok(Vec::new()));
     }
 
+    /// A phase whose every member is admitted to lanes of `width`.
+    fn all_lanes<T: Send>(
+        exec: Executor,
+        cancel: &CancelToken,
+        members: &[usize],
+        width: usize,
+        group: impl Fn(&mut dyn FnMut() -> Option<usize>) -> Vec<(usize, T)> + Sync,
+    ) -> Result<Vec<T>, Cancelled> {
+        exec.lockstep_phase(
+            cancel,
+            members,
+            width,
+            |_| true,
+            |_, next| group(next),
+            || (),
+            |(), _| unreachable!("every member is admitted"),
+        )
+    }
+
     #[test]
-    fn drain_queue_refuses_every_item_after_the_trip() {
+    fn lockstep_phase_refuses_every_member_after_the_trip() {
         let queue: Vec<usize> = (0..40).collect();
         for threads in [1, 2] {
             let token = CancelToken::new();
             let (pulled, after_trip) = (AtomicUsize::new(0), AtomicUsize::new(0));
-            let result = Executor::new(threads).drain_queue(&token, &queue, 2, |next| {
+            let result = all_lanes(Executor::new(threads), &token, &queue, 2, |next| {
                 lane_group(2, &mut || {
                     let seen = token.is_cancelled();
                     let item = next();
@@ -804,7 +881,7 @@ mod tests {
         let token = CancelToken::new();
         token.cancel();
         let ran = AtomicUsize::new(0);
-        let result = Executor::new(2).drain_queue(&token, &queue, 2, |next| {
+        let result = all_lanes(Executor::new(2), &token, &queue, 2, |next| {
             ran.fetch_add(1, Ordering::Relaxed);
             lane_group(2, next)
         });
@@ -812,9 +889,9 @@ mod tests {
     }
 
     #[test]
-    fn drain_queue_resumes_a_group_panic() {
+    fn lockstep_phase_resumes_a_group_panic() {
         let result = std::panic::catch_unwind(|| {
-            Executor::new(2).drain_queue(&CancelToken::new(), &[0, 1, 2], 1, |next| {
+            all_lanes(Executor::new(2), &CancelToken::new(), &[0, 1, 2, 3], 2, |next| {
                 if next() == Some(1) {
                     panic!("lane plumbing");
                 }

@@ -9,9 +9,8 @@
 //! * the **lane-group path** — simulators exposing a lockstep kernel
 //!   ([`TauLeaping`](crate::TauLeaping) via [`TauLeapBatch`]) run
 //!   replicates in SoA lane groups with batched propensity/tau sweeps, at
-//!   the width [`auto_stoch_lane_width`] picks per model unless pinned, one
-//!   group per worker on the ODE engines' shared queue
-//!   ([`Executor::drain_queue`]);
+//!   [`MAX_LANE_WIDTH`] unless pinned, one group per worker on the ODE
+//!   engines' lockstep phase ([`Executor::lockstep_phase`]);
 //! * the **scalar path** — everything else (the exact
 //!   [`DirectMethod`](crate::DirectMethod), non-mass-action models whose
 //!   falling-factorial propensities the batched kernel is gated off, and
@@ -35,20 +34,16 @@
 
 use crate::chaos::StochFaultPlan;
 use crate::rng::CounterRng;
-use crate::tau::{EPSILON, SSA_THRESHOLD};
 use crate::{
     initial_counts, PropensityTable, StochasticError, StochasticSimulator, StochasticTrajectory,
 };
-use paraspace_exec::{CancelToken, Executor};
+use paraspace_exec::{CancelToken, Executor, MAX_LANE_WIDTH};
 use paraspace_rbm::ReactionBasedModel;
 use paraspace_vgpu::{
     Device, DeviceConfig, KernelLaunch, LaneAccounting, LaneGroupStats, MemorySpace, ThreadWork,
     THREADS_PER_BLOCK,
 };
 use std::ops::Range;
-
-/// Widest lane group the ensemble schedules.
-const MAX_LANE_WIDTH: usize = 8;
 
 /// Replicates per lane slot of a *modelled* lane group (the ODE engines'
 /// `MEMBERS_PER_LANE`): the device serves `CAPACITY_LANES·L` lane replicates
@@ -215,10 +210,11 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
         self
     }
 
-    /// Pins the lane width for the lockstep path (default: the
-    /// [`auto_stoch_lane_width`] propensity-vs-sampling tuner). `1` forces
-    /// the scalar path. Pure scheduling: per-replicate trajectories are
-    /// bitwise independent of the width.
+    /// Pins the lane width for the lockstep path (default: the full
+    /// [`MAX_LANE_WIDTH`], narrowed to the lane replicates when there are
+    /// fewer). `1` forces the scalar path. Pure scheduling: per-replicate
+    /// trajectories, and the modelled clock, are bitwise independent of the
+    /// width.
     pub fn with_lane_width(mut self, width: Option<usize>) -> Self {
         self.lane_width = width;
         self
@@ -249,7 +245,7 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
         self.member
     }
 
-    /// The pinned lane width, if any (`None` = autotuned per model).
+    /// The pinned lane width, if any (`None` = [`MAX_LANE_WIDTH`]).
     pub fn lane_width(&self) -> Option<usize> {
         self.lane_width
     }
@@ -295,59 +291,45 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
         let device = Device::new(DeviceConfig::titan_x());
         let table = PropensityTable::new(model);
         let x0 = initial_counts(model);
-        let replicates = range.len();
 
-        // Resolve the lane schedule: a lockstep kernel and a usable width.
+        // Lane replicates drain through tau-leaping lane groups; the rest
+        // (fault-planned ones evicted, as the ODE engines evict
+        // chaos-planned members, or all of them without a lockstep kernel)
+        // run the scalar simulator one per item. Lane values carry ticks.
         let kernel = self.simulator.lane_kernel();
-        let width = self.lane_width.unwrap_or_else(|| auto_stoch_lane_width(model)).max(1);
-        let lane_path = kernel.is_some() && width >= 2;
-
-        // Lane replicates drain through lane groups on the shared queue; the
-        // rest (fault-planned ones evicted, as the ODE engines evict
-        // chaos-planned members) run the scalar simulator one per item.
-        let on_lanes = |abs: usize| lane_path && !self.faults.afflicts(abs);
+        let width = kernel.as_ref().map_or(1, |_| self.lane_width.unwrap_or(MAX_LANE_WIDTH).max(1));
         let stream = |abs: usize| CounterRng::replicate_stream(self.seed, self.member, abs as u64);
-        let (queue, scalar): (Vec<usize>, Vec<usize>) =
-            range.clone().partition(|&abs| on_lanes(abs));
-        let laned = match &kernel {
-            Some(kernel) => self.executor.drain_queue(&self.cancel, &queue, width, |next| {
+        let replicates: Vec<usize> = range.collect();
+        let values = self.executor.lockstep_phase(
+            &self.cancel,
+            &replicates,
+            width,
+            |abs| !self.faults.afflicts(abs),
+            |lanes, next| {
+                let kernel = kernel.as_ref().expect("lanes run only with a lockstep kernel");
                 let mut next_replicate = || next().map(|abs| (abs, stream(abs)));
-                let lanes = width.min(queue.len());
                 let (settled, _report) =
                     kernel.run_queue(&table, &x0, times, lanes, &mut next_replicate);
-                settled.into_iter().map(|(abs, outcome, ticks)| (abs, (outcome, ticks))).collect()
-            })?,
-            None => Vec::new(),
-        };
-        let singles = self.executor.try_map_with_cancel(
-            scalar.len(),
-            &self.cancel,
+                settled
+                    .into_iter()
+                    .map(|(abs, outcome, ticks)| (abs, (outcome, Some(ticks))))
+                    .collect()
+            },
             || (),
-            |(), k| {
-                let abs = scalar[k];
+            |(), abs| {
                 let faults = self.faults.faults_for(abs);
-                self.simulator.simulate_counts(&table, &x0, times, &mut stream(abs), faults)
+                (self.simulator.simulate_counts(&table, &x0, times, &mut stream(abs), faults), None)
             },
         )?;
+        let (outcomes, ticks): (Vec<_>, Vec<Option<u64>>) = values.into_iter().unzip();
+        let ticks: Vec<u64> = ticks.into_iter().flatten().collect();
 
         // The bill, on this thread in replicate order: one lane group per
         // `CAPACITY_LANES·width` lane replicates, packed from their ticks.
-        let (laned, ticks): (Vec<_>, Vec<u64>) = laned.into_iter().unzip();
         for group in ticks.chunks(CAPACITY_LANES * width) {
             let occupancy = LaneGroupStats::packed(width.min(group.len()), group.iter().copied());
             device.record_lane_group(&occupancy);
         }
-        let (mut laned, mut singles) = (laned.into_iter(), singles.into_iter());
-        let outcomes: Vec<Result<StochasticTrajectory, StochasticError>> = range
-            .map(|abs| {
-                if on_lanes(abs) {
-                    laned.next().expect("one outcome per lane replicate")
-                } else {
-                    let single = singles.next().expect("one outcome per scalar replicate");
-                    single.unwrap_or_else(|fault| panic!("{fault}"))
-                }
-            })
-            .collect();
 
         // Device pass: one thread per replicate; per-thread work from the
         // replicate's own event count (divergence across the warp).
@@ -366,7 +348,7 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
             })
             .collect();
         let tpb = THREADS_PER_BLOCK;
-        let blocks = replicates.div_ceil(tpb);
+        let blocks = replicates.len().div_ceil(tpb);
         work.resize(blocks * tpb, ThreadWork::new());
         device.launch(
             &KernelLaunch::per_thread(
@@ -382,69 +364,10 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
             stats: EnsembleStats::from_outcomes(times, n, &outcomes),
             outcomes,
             lanes: (!ticks.is_empty()).then(|| device.lane_accounting()),
-            lane_width: if lane_path { width } else { 1 },
+            lane_width: width,
             simulated_ns: device.elapsed_ns(),
             host_wall: start.elapsed(),
         })
-    }
-}
-
-/// The lane width the lockstep *stochastic* path should run `model` at,
-/// from a propensity-vs-sampling cost split.
-///
-/// A tau-leaping tick divides into a vectorizable half — the batched
-/// propensity evaluation and Cao tau-selection sweeps, which lanes
-/// amortize — and a per-lane sampling tail (Poisson draws, the τ-halving
-/// rejection loop, the exact-SSA fallback) that stays scalar no matter
-/// the width. Which half dominates is set by the *leap/SSA mode split*:
-/// the Cao bound admits leaps covering `≈ ε·x/2` expected events, so
-/// models with large populations run leap-dominated ticks (sweep-bound →
-/// wide lanes pay) while near-critical populations degenerate into
-/// per-event SSA fallbacks (sampling-bound, divergent → wide lanes only
-/// add swept-but-idle slots). Unlike the stiff ODE path there is no
-/// factor-cache cliff — the SoA count state is `n·L` words — so the tuner
-/// prices only that mode split, from the model's initial counts:
-///
-/// * `ε·x̄/2 ≥ 10` (the SSA threshold): leap-dominated, full width 8;
-/// * `ε·x̄/2 ≥ 1`: mixed mode, width 4;
-/// * below that: SSA-dominated, width 2.
-///
-/// `x̄` is the mean initial count over initially populated species.
-/// Deterministic per model, and like the ODE engines' `auto_lane_width`
-/// it only ever narrows the schedule: per-replicate trajectories are bitwise
-/// independent of lane width by the lockstep kernel's contract, so
-/// `--lane-width N` stays a safe manual override.
-///
-/// # Example
-///
-/// ```
-/// use paraspace_stochastic::auto_stoch_lane_width;
-/// use paraspace_rbm::{Reaction, ReactionBasedModel};
-///
-/// # fn main() -> Result<(), Box<dyn std::error::Error>> {
-/// let mut m = ReactionBasedModel::new();
-/// let a = m.add_species("A", 100_000.0);
-/// m.add_reaction(Reaction::mass_action(&[(a, 1)], &[], 1.0))?;
-/// // Large population: leap-dominated, full width.
-/// assert_eq!(auto_stoch_lane_width(&m), 8);
-/// # Ok(())
-/// # }
-/// ```
-pub fn auto_stoch_lane_width(model: &ReactionBasedModel) -> usize {
-    let counts: Vec<f64> =
-        model.initial_state().iter().map(|&x| x.max(0.0).round()).filter(|&x| x > 0.0).collect();
-    if counts.is_empty() {
-        // Nothing populated: every tick is an SSA-or-source event.
-        return 2;
-    }
-    let mean = counts.iter().sum::<f64>() / counts.len() as f64;
-    let leap_events = EPSILON * mean / 2.0;
-    if leap_events >= SSA_THRESHOLD {
-        MAX_LANE_WIDTH
-    } else if leap_events >= 1.0 {
-        4
-    } else {
-        2
     }
 }
 
@@ -535,7 +458,7 @@ mod tests {
     fn lane_path_engages_for_tau_leaping_and_reports_occupancy() {
         let m = decay(100_000.0);
         let r = StochasticBatch::new(TauLeaping::new()).with_seed(5).run(&m, &[0.5], 32).unwrap();
-        assert!(r.lane_width >= 2, "large populations autotune wide lanes");
+        assert!(r.lane_width >= 2, "an unpinned ensemble runs wide lanes");
         let lanes = r.lanes.expect("lane path must record groups");
         assert!(lanes.groups > 0);
         assert!(lanes.occupancy() > 0.0 && lanes.occupancy() <= 1.0);
@@ -614,28 +537,5 @@ mod tests {
         let m0 = base.clone().with_member(0).run(&m, &[0.3], 8).unwrap();
         let m1 = base.clone().with_member(1).run(&m, &[0.3], 8).unwrap();
         assert_ne!(m0.outcomes, m1.outcomes, "members must decorrelate");
-    }
-
-    #[test]
-    fn stoch_width_follows_the_leap_ssa_mode_split() {
-        let decay = |x0: f64| {
-            let mut m = ReactionBasedModel::new();
-            let a = m.add_species("A", x0);
-            m.add_reaction(Reaction::mass_action(&[(a, 1)], &[], 1.0)).unwrap();
-            m
-        };
-        // ε·x̄/2 = 1500: leap-dominated, sweeps amortize across full lanes.
-        assert_eq!(auto_stoch_lane_width(&decay(100_000.0)), MAX_LANE_WIDTH);
-        // ε·x̄/2 = 1.5: mixed leap/SSA ticks.
-        assert_eq!(auto_stoch_lane_width(&decay(100.0)), 4);
-        // ε·x̄/2 = 0.15: pure SSA fallback, per-lane sampling dominates.
-        assert_eq!(auto_stoch_lane_width(&decay(10.0)), 2);
-        // Deterministic.
-        assert_eq!(auto_stoch_lane_width(&decay(100.0)), auto_stoch_lane_width(&decay(100.0)));
-        // An unpopulated model still gets a (narrow) lane schedule.
-        let mut empty = ReactionBasedModel::new();
-        let a = empty.add_species("A", 0.0);
-        empty.add_reaction(Reaction::mass_action(&[], &[(a, 1)], 3.0)).unwrap();
-        assert_eq!(auto_stoch_lane_width(&empty), 2);
     }
 }

@@ -68,7 +68,7 @@ mod ssa;
 mod tau;
 mod tau_batch;
 
-pub use batch::{auto_stoch_lane_width, EnsembleStats, StochasticBatch, StochasticBatchResult};
+pub use batch::{EnsembleStats, StochasticBatch, StochasticBatchResult};
 pub use chaos::{StochFault, StochFaultPlan};
 pub use error::StochasticError;
 /// The type of [`StochasticBatchResult::lanes`], nameable from here.

@@ -32,7 +32,7 @@
 //!
 //! [`TauLeapBatch::run_queue`] pulls replicates from a closure, as the ODE
 //! lane kernels pull members, so groups can share one queue
-//! (`paraspace_exec::Executor::drain_queue`). No lane ever waits, so a
+//! (`paraspace_exec::Executor::lockstep_phase`). No lane ever waits, so a
 //! group's counters are [`LaneGroupStats::packed`] over its replicates'
 //! ticks in pull order — which is what the ensemble bills, in replicate
 //! order, whichever host group ran them.

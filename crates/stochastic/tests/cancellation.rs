@@ -143,7 +143,7 @@ fn a_tripped_token_stops_the_lane_route() {
 }
 
 /// `replicates` of `model` through the lane route `StochasticBatch` takes —
-/// tau-leaping groups of 4 on [`Executor::drain_queue`] — with the
+/// tau-leaping groups of 4 on [`Executor::lockstep_phase`] — with the
 /// token tripped from inside a tick when the `trip_at`-th replicate binds.
 /// Returns the outcome and how many replicates were bound by a group that
 /// had already seen the trip.
@@ -157,7 +157,7 @@ fn run_lanes_tripwired(
     let cancel = CancelToken::new();
     let (binds, late_binds) = (AtomicUsize::new(0), AtomicUsize::new(0));
     let queue: Vec<usize> = (0..replicates).collect();
-    let outcome = Executor::new(threads).drain_queue(&cancel, &queue, 4, |next| {
+    let group = |lanes, next: &mut dyn FnMut() -> Option<usize>| {
         let mut next_replicate = || {
             let seen = cancel.is_cancelled();
             let replicate = next()?;
@@ -170,9 +170,12 @@ fn run_lanes_tripwired(
             Some((replicate, CounterRng::replicate_stream(5, 0, replicate as u64)))
         };
         let (settled, _) =
-            TauLeapBatch::new().run_queue(&table, &x0, &times, 4, &mut next_replicate);
+            TauLeapBatch::new().run_queue(&table, &x0, &times, lanes, &mut next_replicate);
         settled.into_iter().map(|(replicate, outcome, _ticks)| (replicate, outcome)).collect()
-    });
+    };
+    let single = |(): &mut (), _| unreachable!("every replicate is admitted");
+    let outcome =
+        Executor::new(threads).lockstep_phase(&cancel, &queue, 4, |_| true, group, || (), single);
     (outcome.map_err(StochasticError::from), late_binds.into_inner())
 }
 

@@ -60,6 +60,35 @@ fn ensembles_are_bitwise_identical_across_widths_and_threads() {
     }
 }
 
+/// The two-stage gene-expression network (mRNA birth and decay,
+/// translation, protein decay), starting empty.
+fn gene_expression() -> ReactionBasedModel {
+    let mut m = ReactionBasedModel::new();
+    let mrna = m.add_species("mRNA", 0.0);
+    let protein = m.add_species("protein", 0.0);
+    m.add_reaction(Reaction::mass_action(&[], &[(mrna, 1)], 1200.0)).unwrap();
+    m.add_reaction(Reaction::mass_action(&[(mrna, 1)], &[], 2.0)).unwrap();
+    m.add_reaction(Reaction::mass_action(&[(mrna, 1)], &[(mrna, 1), (protein, 1)], 10.0)).unwrap();
+    m.add_reaction(Reaction::mass_action(&[(protein, 1)], &[], 1.0)).unwrap();
+    m
+}
+
+#[test]
+fn unpinned_ensembles_run_the_full_width_even_from_empty_counts() {
+    // Nothing is populated at t = 0, yet an unpinned ensemble runs the tau
+    // kernel at the full width — and it is the scalar route, bit for bit.
+    let (model, times) = (gene_expression(), [0.5, 1.0, 2.0]);
+    let base = StochasticBatch::new(TauLeaping::new()).with_seed(31);
+    let scalar = base.clone().with_lane_width(Some(1)).run(&model, &times, 24).unwrap();
+    for threads in [1, 2] {
+        let run = base.clone().with_threads(threads).run(&model, &times, 24).unwrap();
+        assert_eq!(run.lane_width, 8, "threads {threads}");
+        assert_eq!(run.outcomes, scalar.outcomes, "threads {threads}");
+        assert_eq!(run.stats, scalar.stats, "threads {threads}");
+        assert_eq!(run.simulated_ns.to_bits(), scalar.simulated_ns.to_bits(), "threads {threads}");
+    }
+}
+
 #[test]
 fn lane_accounting_and_device_time_are_pinned() {
     // The bill is a fold over per-replicate ticks in replicate order, one
