@@ -2,7 +2,7 @@
 //! checkpoint directory — the same campaign either way.
 
 use crate::args::ENSEMBLE;
-use crate::simulate::remove_stale_artifacts;
+use crate::simulate::is_member_artifact;
 use crate::{campaign_error, read_time_points, report_checkpoint, CancelToken, CliError, Command};
 use paraspace_analysis::campaign::Checkpoint;
 use paraspace_analysis::ensemble;
@@ -12,10 +12,58 @@ use paraspace_stochastic::{
 };
 use std::path::Path;
 
+/// The file replicate `i` is written to: `.tsv` for a trajectory, `.err` for
+/// a failure report.
+fn replicate_file(i: usize, ok: bool) -> String {
+    format!("replicate_{i:05}.{}", if ok { "tsv" } else { "err" })
+}
+
+/// Removes the replicate files an earlier ensemble left in `out_path` that
+/// this one does not write — replicates past its count, and a replicate
+/// whose outcome flipped between `.tsv` and `.err` — so that afterwards the
+/// directory holds this ensemble's replicates and nothing else. The files
+/// this ensemble writes too are left for it to overwrite in place: deleting
+/// and recreating every one of them is what made a rerun into a used
+/// directory slower than a run into a fresh one. Other files are not
+/// touched.
+fn remove_stale_replicates(
+    out_path: &Path,
+    outcomes: &[Result<StochasticTrajectory, StochasticError>],
+) -> std::io::Result<()> {
+    let rewritten = |name: &str| {
+        let index = name.strip_prefix("replicate_").and_then(|rest| rest.split_once('.'));
+        let index = index.and_then(|(index, _)| index.parse::<usize>().ok());
+        index.is_some_and(|i| {
+            outcomes.get(i).is_some_and(|outcome| name == replicate_file(i, outcome.is_ok()))
+        })
+    };
+    for entry in std::fs::read_dir(out_path)? {
+        let entry = entry?;
+        let name = entry.file_name();
+        if is_member_artifact(&name, "replicate_") && !name.to_str().is_some_and(rewritten) {
+            std::fs::remove_file(entry.path())?;
+        }
+    }
+    Ok(())
+}
+
+/// Writes `body` as the contents of the file at `path`, over the bytes of a
+/// file already there: they are overwritten and the file is cut to length
+/// afterwards, so a rerun whose files come out the same size (most of them)
+/// never frees and reallocates their blocks, as truncating first would.
+fn overwrite(path: &Path, body: &[u8]) -> std::io::Result<()> {
+    use std::io::Write;
+    let mut file =
+        std::fs::OpenOptions::new().write(true).create(true).truncate(false).open(path)?;
+    file.write_all(body)?;
+    file.set_len(body.len() as u64)
+}
+
 /// Writes the per-replicate trajectory/error files and the ensemble
-/// mean/variance tables, after removing the replicate files an earlier
-/// ensemble left there. Pure function of the outcomes, so durable and
-/// plain runs (and resumed runs) produce byte-identical artifacts.
+/// mean/variance tables, after removing the replicate files of an earlier
+/// ensemble this one does not overwrite. Pure function of the outcomes, so
+/// durable and plain runs (and resumed runs) produce byte-identical
+/// artifacts.
 fn write_ensemble_outputs(
     out_path: &Path,
     model: &paraspace_rbm::ReactionBasedModel,
@@ -23,7 +71,7 @@ fn write_ensemble_outputs(
     stats: &EnsembleStats,
 ) -> Result<(), CliError> {
     std::fs::create_dir_all(out_path)?;
-    remove_stale_artifacts(out_path, "replicate_")?;
+    remove_stale_replicates(out_path, outcomes)?;
     let header: String = std::iter::once("t".to_string())
         .chain(model.species().iter().map(|s| s.name.clone()))
         .collect::<Vec<_>>()
@@ -41,12 +89,12 @@ fn write_ensemble_outputs(
                     }
                     body.push('\n');
                 }
-                std::fs::write(out_path.join(format!("replicate_{i:05}.tsv")), body)?;
+                overwrite(&out_path.join(replicate_file(i, true)), body.as_bytes())?;
             }
             Err(e) => {
-                std::fs::write(
-                    out_path.join(format!("replicate_{i:05}.err")),
-                    format!("error: {e}\n"),
+                overwrite(
+                    &out_path.join(replicate_file(i, false)),
+                    format!("error: {e}\n").as_bytes(),
                 )?;
             }
         }
@@ -64,7 +112,7 @@ fn write_ensemble_outputs(
             }
             body.push('\n');
         }
-        std::fs::write(out_path.join(name), body)?;
+        overwrite(&out_path.join(name), body.as_bytes())?;
     }
     Ok(())
 }
@@ -243,6 +291,71 @@ mod tests {
         assert!(replicates.iter().all(|n| n.as_str() < "replicate_00008"), "{names:?}");
         for kept in ["notes.txt", "ensemble_mean.tsv", "ensemble_variance.tsv"] {
             assert!(names.iter().any(|n| n == kept), "{kept} missing: {names:?}");
+        }
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn a_rerun_leaves_exactly_the_files_of_a_run_into_a_fresh_directory() {
+        let base =
+            std::env::temp_dir().join(format!("paraspace_cli_ensrerun_{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let model = base.join("model");
+        execute(
+            &Command::Generate { species: 5, reactions: 6, seed: 8, out_dir: model.clone() },
+            &mut Vec::new(),
+        )
+        .unwrap();
+        // Counts large enough that reactions fire, and a twin of the model
+        // whose rate constants trip the propensity hardening in every
+        // replicate: the same replicates, each `.err` instead of `.tsv`.
+        let scaled: String = std::fs::read_to_string(model.join("M_0"))
+            .unwrap()
+            .lines()
+            .map(|row| {
+                let row = row.split('\t').map(|x| (x.parse::<f64>().unwrap() * 1e4).to_string());
+                row.collect::<Vec<_>>().join("\t") + "\n"
+            })
+            .collect();
+        std::fs::write(model.join("M_0"), scaled).unwrap();
+        let failing = base.join("failing");
+        std::fs::create_dir_all(&failing).unwrap();
+        for entry in std::fs::read_dir(&model).unwrap() {
+            let path = entry.unwrap().path();
+            std::fs::copy(&path, failing.join(path.file_name().unwrap())).unwrap();
+        }
+        let rates = std::fs::read_to_string(model.join("c_vector")).unwrap();
+        std::fs::write(
+            failing.join("c_vector"),
+            rates.lines().map(|_| "1.7976931348623157e308\n").collect::<String>(),
+        )
+        .unwrap();
+
+        let run = |model: &Path, replicates: usize, seed: u64, out: &Path| {
+            let mut cmd = ensemble_cmd(model, None, 2);
+            if let Command::Ensemble { replicates: r, seed: s, out_dir, .. } = &mut cmd {
+                (*r, *s, *out_dir) = (replicates, seed, Some(out.to_path_buf()));
+            }
+            execute(&cmd, &mut Vec::new()).unwrap();
+            read_outputs(out)
+        };
+        let reused = base.join("reused");
+        run(&model, 16, 1, &reused);
+        // Fewer replicates; every outcome flipped to `.err` and back; other
+        // values (another seed) in files that exist, longer or shorter.
+        let steps = [
+            (&model, 8, 1, "fewer"),
+            (&failing, 8, 1, "to_err"),
+            (&model, 12, 1, "to_tsv"),
+            (&model, 10, 2, "reseeded"),
+        ];
+        for (model, replicates, seed, name) in steps {
+            let got = run(model, replicates, seed, &reused);
+            let want = run(model, replicates, seed, &base.join(name));
+            assert_eq!(got.keys().collect::<Vec<_>>(), want.keys().collect::<Vec<_>>(), "{name}");
+            assert!(got == want, "{name}: a file's bytes differ from a fresh run's");
+            let errs = want.keys().filter(|k| k.ends_with(".err")).count();
+            assert_eq!(errs, if name == "to_err" { replicates } else { 0 }, "{name}");
         }
         std::fs::remove_dir_all(&base).ok();
     }

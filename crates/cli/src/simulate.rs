@@ -56,7 +56,7 @@ fn artifact_path(out_path: &Path, index: usize, ok: bool) -> PathBuf {
 /// Whether a file name is a per-member artifact under `prefix` — one
 /// [`artifact_path`] (`dynamics_`) or an ensemble (`replicate_`) produces,
 /// for any member.
-fn is_member_artifact(name: &std::ffi::OsStr, prefix: &str) -> bool {
+pub(crate) fn is_member_artifact(name: &std::ffi::OsStr, prefix: &str) -> bool {
     name.to_str()
         .and_then(|name| name.strip_prefix(prefix))
         .and_then(|rest| rest.strip_suffix(".tsv").or_else(|| rest.strip_suffix(".err")))
@@ -68,7 +68,7 @@ fn is_member_artifact(name: &std::ffi::OsStr, prefix: &str) -> bool {
 /// batch and nothing else (a smaller batch, or a member that now fails,
 /// would otherwise sit beside the old run's files). Other files are not
 /// touched.
-pub(crate) fn remove_stale_artifacts(out_path: &Path, prefix: &str) -> std::io::Result<()> {
+fn remove_stale_artifacts(out_path: &Path, prefix: &str) -> std::io::Result<()> {
     for entry in std::fs::read_dir(out_path)? {
         let entry = entry?;
         if is_member_artifact(&entry.file_name(), prefix) {

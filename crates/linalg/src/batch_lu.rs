@@ -2,33 +2,55 @@
 //! substrate the lockstep Radau IIA kernel hands its per-lane iteration
 //! matrices to.
 //!
-//! Storage is **lane-major**: lane `l`'s `n × n` matrix is one contiguous
-//! block (row-major; a complex lane is its real plane followed by its
-//! imaginary plane, as everywhere in this crate), its pivot sequence sits at
-//! `l·n`. Factoring and solving are the lane-divergent half of the lockstep
-//! solver — every lane pivots on its own rows, is refreshed on its own
-//! schedule (the mask) and carries its own step size in the matrix — so
-//! nothing is shared across lanes that a lane-minor layout could sweep, and
-//! a lane-minor block makes every access of a lane's elimination a
-//! stride-`L` one. Each lane is therefore factored by the same elimination
-//! call and solved by the same substitution call that
-//! [`LuFactor`](crate::LuFactor) / [`CluFactor`](crate::CluFactor) make
-//! (see the `lu` module for the arithmetic that is contractual), so a lane
-//! factored here and solved with [`solve_lanes`](BatchDenseLu::solve_lanes)
-//! is bit-identical to routing that lane's matrix through the scalar types
-//! — the property the lockstep solver's determinism contract rests on.
-//! Right-hand sides stay lane-minor (`i·L + l`, the layout of every stage
-//! vector): `solve_lanes` gathers a lane's column, substitutes, and
-//! scatters it back.
+//! Factor storage is **lane-major**: lane `l`'s `n × n` matrix is one
+//! contiguous block (row-major; a complex lane is its real plane followed by
+//! its imaginary plane, as everywhere in this crate), its pivot sequence
+//! sits at `l·n`. Elimination stays per lane: every lane pivots on its own
+//! rows, carries its own step size in the matrix and is refreshed on its own
+//! schedule (the mask) — in the autophagy PSA campaign a factor call
+//! eliminates 1.87 of 4 lanes on average — so each masked lane is factored
+//! by the same elimination call [`LuFactor`](crate::LuFactor) /
+//! [`CluFactor`](crate::CluFactor) make, over its own contiguous block. A
+//! lane-interleaved elimination prototype ran 2–3× slower than that.
+//!
+//! The substitution is where lanes meet. Right-hand sides are lane-minor
+//! (`i·L + l`, the layout of every stage vector; a complex block as split
+//! rows, component `i`'s real parts at row `2i` and its imaginary parts at
+//! row `2i + 1`), and [`solve_lanes`](BatchDenseLu::solve_lanes) runs the
+//! exchanges, the forward and the back sweep of every lane at once: one
+//! accumulator row of `L` values per component, each lane's sum still formed
+//! left to right against its own lane-major factors. A lane's substitution
+//! is one chain of dependent subtractions; `L` lanes are `L` independent
+//! chains for the time of one. The sweep is one body for 1, 2, 4 and 8
+//! lanes (a call with one lane to solve, or at another width, solves each
+//! lane alone at width 1), and width 1 is the scalar types'
+//! `solve_in_place` (see the `lu` module
+//! for the arithmetic that is contractual), so a lane factored and solved
+//! here is bit-identical to routing that lane's matrix through the scalar
+//! types — the property the lockstep solver's determinism contract rests
+//! on.
 //!
 //! Lanes are *masked*: `factor` touches only the lanes the caller selects,
 //! leaving every other lane's stored factorization (and pivot sequence)
 //! intact. That is how the Radau kernel reuses a lane's LU across steps
-//! while refactoring its neighbours.
+//! while refactoring its neighbours. A solve leaves the right-hand side of
+//! every lane outside its mask — and of every singular or never-factored
+//! lane — bit for bit as it was.
 
 use crate::lu::LuScalar;
 use crate::{Complex64, LinalgError};
 use std::marker::PhantomData;
+
+/// What a lane's factor storage holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Factors {
+    /// Nothing was factored into the lane since its storage was sized.
+    None,
+    /// The factors of the lane's last matrix.
+    Ready,
+    /// A partial elimination: the last matrix had a zero pivot column.
+    Singular,
+}
 
 /// Lane-batched LU factorization of `n × n` systems; used through its two
 /// instantiations [`BatchLuFactor`] and [`BatchCluFactor`].
@@ -41,9 +63,11 @@ pub struct BatchDenseLu<T> {
     lu: Vec<f64>,
     /// Pivot swap sequence of lane `l` at `l·n` (LAPACK `ipiv` style).
     pivots: Vec<usize>,
-    singular: Vec<bool>,
-    /// One lane's right-hand side, gathered for the substitution.
-    column: Vec<T>,
+    factors: Vec<Factors>,
+    /// The lanes a sweep solves.
+    live: Vec<bool>,
+    /// One lane's column, gathered to be solved by itself.
+    column: Vec<f64>,
     _element: PhantomData<T>,
 }
 
@@ -73,7 +97,9 @@ pub type BatchLuFactor = BatchDenseLu<f64>;
 /// Lane-batched LU factorization of complex `n × n` systems — the complex
 /// Newton system of the lockstep Radau IIA kernel, each lane held as two
 /// `f64` planes and factored exactly as [`CluFactor`](crate::CluFactor)
-/// factors them.
+/// factors them. Its right-hand sides are `2n × L` blocks of split rows:
+/// component `i`'s real parts at row `2i`, its imaginary parts at row
+/// `2i + 1`.
 pub type BatchCluFactor = BatchDenseLu<Complex64>;
 
 impl<T: LuScalar> BatchDenseLu<T> {
@@ -92,16 +118,18 @@ impl<T: LuScalar> BatchDenseLu<T> {
         if lanes == 0 {
             return Err(LinalgError::EmptyBatch);
         }
-        let n = rows;
-        Ok(BatchDenseLu {
-            n,
-            lanes,
-            lu: vec![0.0; T::PLANES * n * n * lanes],
-            pivots: vec![0; n * lanes],
-            singular: vec![false; lanes],
-            column: vec![T::ZERO; n],
+        let mut batch = BatchDenseLu {
+            n: 0,
+            lanes: 0,
+            lu: Vec::new(),
+            pivots: Vec::new(),
+            factors: Vec::new(),
+            live: Vec::new(),
+            column: Vec::new(),
             _element: PhantomData,
-        })
+        };
+        batch.ensure(rows, lanes);
+        Ok(batch)
     }
 
     /// Re-targets the storage to `n × n × lanes`, zero-filling. A no-op when
@@ -122,9 +150,8 @@ impl<T: LuScalar> BatchDenseLu<T> {
         self.lu.resize(T::PLANES * n * n * lanes, 0.0);
         self.pivots.clear();
         self.pivots.resize(n * lanes, 0);
-        self.singular.clear();
-        self.singular.resize(lanes, false);
-        self.column.resize(n, T::ZERO);
+        self.factors.clear();
+        self.factors.resize(lanes, Factors::None);
     }
 
     /// System dimension `n`.
@@ -146,7 +173,7 @@ impl<T: LuScalar> BatchDenseLu<T> {
     /// Whether lane `l`'s last factorization hit an exactly-zero pivot
     /// column.
     pub fn is_singular(&self, l: usize) -> bool {
-        self.singular[l]
+        self.factors[l] == Factors::Singular
     }
 
     /// Factors the masked lanes in place, each exactly as the scalar
@@ -154,7 +181,7 @@ impl<T: LuScalar> BatchDenseLu<T> {
     /// [`CluFactor::new`](crate::CluFactor::new) would. Unmasked lanes are
     /// untouched. Singular lanes are flagged (check
     /// [`is_singular`](Self::is_singular)) and their storage left partially
-    /// eliminated; they must not be solved against.
+    /// eliminated; a solve skips them.
     pub fn factor(&mut self, mask: &[bool]) {
         assert_eq!(mask.len(), self.lanes, "mask length");
         let n = self.n;
@@ -163,37 +190,56 @@ impl<T: LuScalar> BatchDenseLu<T> {
         }
         let lanes =
             self.lu.chunks_exact_mut(T::PLANES * n * n).zip(self.pivots.chunks_exact_mut(n));
-        for (l, (a, pivots)) in lanes.enumerate() {
-            if mask[l] {
-                self.singular[l] = T::eliminate(a, n, pivots).is_err();
+        for (l, (a, pivots)) in lanes.enumerate().filter(|&(l, _)| mask[l]) {
+            self.factors[l] = match T::eliminate(a, n, pivots) {
+                Ok(()) => Factors::Ready,
+                Err(_) => Factors::Singular,
+            };
+        }
+    }
+
+    /// Solves `A_l x_l = b_l` in place for every masked lane whose last
+    /// factorization succeeded; every other lane's entries are left as they
+    /// were, bit for bit. `b` is a lane-minor block of `PLANES·n` rows of
+    /// `L` (real: component `i`, lane `l` ⇒ `i·L + l`; complex: split rows,
+    /// see [`BatchCluFactor`]). Each lane is solved as
+    /// [`LuFactor::solve_in_place`](crate::LuFactor::solve_in_place) /
+    /// [`CluFactor::solve_in_place`](crate::CluFactor::solve_in_place)
+    /// solve it — by the same substitution, which runs every lane at once
+    /// (one lane alone at width 1). A solve allocates nothing once the
+    /// factor has solved a block of this shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `b.len() != PLANES·n·L` or `mask.len() != L`.
+    pub fn solve_lanes(&mut self, b: &mut [f64], mask: &[bool]) {
+        let (n, lanes) = (self.n, self.lanes);
+        assert_eq!(b.len(), T::PLANES * n * lanes, "right-hand-side block length");
+        assert_eq!(mask.len(), lanes, "mask length");
+        self.live.clear();
+        self.live.extend(mask.iter().zip(&self.factors).map(|(&m, &f)| m && f == Factors::Ready));
+        if matches!(lanes, 2 | 4 | 8) && self.live.iter().filter(|&&live| live).count() >= 2 {
+            return T::substitute_lanes(n, &self.lu, &self.pivots, &self.live, b);
+        }
+        // One lane, or a width the sweep is not instantiated at: each lane
+        // by itself.
+        for l in 0..lanes {
+            if self.live[l] {
+                self.solve_alone(l, b);
             }
         }
     }
 
-    /// Solves `A_l x_l = b_l` in place for every masked, non-singular lane.
-    /// `b` is an `n × L` lane-minor block (`component i`, lane `l` ⇒
-    /// `i·L + l`); a lane's column is gathered, solved as
-    /// [`LuFactor::solve_in_place`](crate::LuFactor::solve_in_place) solves
-    /// it, and scattered back. The gathered column lives in the factor, so
-    /// a solve allocates nothing.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `b.len() != n·L` or `mask.len() != L`.
-    pub fn solve_lanes(&mut self, b: &mut [T], mask: &[bool]) {
-        let (n, lanes) = (self.n, self.lanes);
-        assert_eq!(b.len(), n * lanes, "right-hand-side block length");
-        assert_eq!(mask.len(), lanes, "mask length");
-        let size = T::PLANES * n * n;
-        let x = &mut self.column;
-        for l in (0..lanes).filter(|&l| mask[l] && !self.singular[l]) {
-            for (x, &b) in x.iter_mut().zip(b.iter().skip(l).step_by(lanes)) {
-                *x = b;
-            }
-            T::solve_factored(&self.lu[l * size..][..size], &self.pivots[l * n..][..n], x);
-            for (b, &x) in b.iter_mut().skip(l).step_by(lanes).zip(x.iter()) {
-                *b = x;
-            }
+    /// Solves lane `l` of a lane-minor block by itself, at width 1: its
+    /// column is gathered, substituted and scattered back.
+    fn solve_alone(&mut self, l: usize, b: &mut [f64]) {
+        let (n, lanes, size) = (self.n, self.lanes, T::PLANES * self.n * self.n);
+        let (lu, pivots) = (&self.lu[l * size..][..size], &self.pivots[l * n..][..n]);
+        self.column.clear();
+        self.column.extend(b.iter().skip(l).step_by(lanes));
+        T::substitute_lanes(n, lu, pivots, &[true], &mut self.column);
+        for (b, &x) in b.iter_mut().skip(l).step_by(lanes).zip(&self.column) {
+            *b = x;
         }
     }
 }
@@ -244,9 +290,9 @@ mod tests {
     }
 
     /// Member vectors to one `n × L` lane-minor block.
-    fn soa<T: LuScalar>(members: &[Vec<T>]) -> Vec<T> {
+    fn soa<T: Copy + Default>(members: &[Vec<T>]) -> Vec<T> {
         let lanes = members.len();
-        let mut block = vec![T::ZERO; members[0].len() * lanes];
+        let mut block = vec![T::default(); members[0].len() * lanes];
         for (l, member) in members.iter().enumerate() {
             for (i, &v) in member.iter().enumerate() {
                 block[i * lanes + l] = v;
@@ -261,6 +307,26 @@ mod tests {
 
     fn cbits(v: &[Complex64]) -> Vec<(u64, u64)> {
         v.iter().map(|z| (z.re.to_bits(), z.im.to_bits())).collect()
+    }
+
+    /// Complex member vectors to one `2n × L` block of split rows.
+    fn split_rows(members: &[Vec<Complex64>]) -> Vec<f64> {
+        let parts = |part: fn(&Complex64) -> f64| -> Vec<Vec<f64>> {
+            members.iter().map(|m| m.iter().map(part).collect()).collect()
+        };
+        let (re, im) = (soa(&parts(|z| z.re)), soa(&parts(|z| z.im)));
+        re.chunks(members.len())
+            .zip(im.chunks(members.len()))
+            .flat_map(|(r, i)| [r, i])
+            .flatten()
+            .copied()
+            .collect()
+    }
+
+    /// Lane `l` of a `2n × L` block of split rows.
+    fn split_lane_of(block: &[f64], lanes: usize, l: usize) -> Vec<Complex64> {
+        let column = lane_of(block, lanes, l);
+        column.chunks_exact(2).map(|z| Complex64::new(z[0], z[1])).collect()
     }
 
     /// What the reference elimination asks of an element type.
@@ -519,7 +585,7 @@ mod tests {
             }
             let mask = vec![true; lanes];
             batch.factor(&mask);
-            let mut b = soa(&rhs);
+            let mut b = split_rows(&rhs);
             batch.solve_lanes(&mut b, &mask);
 
             for (l, m) in mats.iter().enumerate() {
@@ -534,13 +600,166 @@ mod tests {
                 let mut x = rhs[l].clone();
                 scalar.solve_in_place(&mut x);
                 assert_eq!(cbits(&x), cbits(&want_x), "lanes={lanes} lane={l}: scalar solve");
-                assert_eq!(cbits(&lane_of(&b, lanes, l)), cbits(&x), "lanes={lanes} lane={l}");
+                assert_eq!(
+                    cbits(&split_lane_of(&b, lanes, l)),
+                    cbits(&x),
+                    "lanes={lanes} lane={l}"
+                );
                 let factors = scalar.into_planes();
                 assert_eq!(plane_bits(&factors[..n * n], &factors[n * n..]), cbits(&want));
                 let (lane_re, lane_im) = batch.lane_planes_mut(l);
                 assert_eq!(plane_bits(lane_re, lane_im), cbits(&want), "lanes={lanes} lane={l}");
             }
         }
+    }
+
+    /// What a lane of the lockstep tests is put through.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Role {
+        /// Factored, masked in: solved.
+        Solved,
+        /// Factored against a matrix with a zero column, masked in.
+        Singular,
+        /// Factored, then its storage overwritten with NaN, masked out.
+        Garbage,
+        /// Never factored, masked in.
+        Unfactored,
+    }
+
+    /// Lane `l`'s role under each mask pattern: every lane solved; the four
+    /// roles in turn (width 8 runs two solved lanes among the others, widths
+    /// 2–4 one, which is solved alone); solved and masked-out lanes in turn.
+    fn role(pattern: usize, l: usize) -> Role {
+        const ROLES: [Role; 4] = [Role::Solved, Role::Singular, Role::Garbage, Role::Unfactored];
+        match pattern {
+            0 => Role::Solved,
+            1 => ROLES[l % 4],
+            _ => ROLES[2 * (l % 2)],
+        }
+    }
+
+    /// A `branchy` matrix (row exchanges, zero multipliers) of its own per
+    /// lane, with a zero column for a singular lane.
+    fn lane_matrix(n: usize, seed: u64, role: Role) -> Vec<f64> {
+        let mut a = branchy(n, seed.wrapping_mul(0x9e3779b97f4a7c15), false);
+        if role == Role::Singular {
+            a.iter_mut().skip(1).step_by(n).for_each(|x| *x = 0.0);
+        }
+        a
+    }
+
+    /// Whether lane `l` of `batch` exchanged a row.
+    fn exchanges<T: LuScalar>(batch: &BatchDenseLu<T>, l: usize) -> bool {
+        let n = batch.dim();
+        batch.pivots[l * n..][..n].iter().enumerate().any(|(k, &p)| p != k)
+    }
+
+    #[test]
+    fn lockstep_solve_is_each_lanes_scalar_solve() {
+        let n = 5;
+        let mut exchanged = 0;
+        for lanes in [1usize, 2, 3, 4, 8] {
+            for pattern in 0..3 {
+                let role = |l| role(pattern, l);
+                let mut next = rng(lanes as u64 * 7 + pattern as u64);
+                let mats: Vec<Vec<f64>> =
+                    (0..lanes).map(|l| lane_matrix(n, (lanes * 8 + l) as u64, role(l))).collect();
+                let rhs: Vec<Vec<f64>> =
+                    (0..lanes).map(|_| (0..n).map(|_| next()).collect()).collect();
+
+                let mut batch = BatchLuFactor::new(n, n, lanes).unwrap();
+                for (l, m) in mats.iter().enumerate() {
+                    batch.lane_mut(l).copy_from_slice(m);
+                }
+                batch.factor(&(0..lanes).map(|l| role(l) != Role::Unfactored).collect::<Vec<_>>());
+                for l in (0..lanes).filter(|&l| role(l) == Role::Garbage) {
+                    batch.lane_mut(l).fill(f64::NAN);
+                }
+                let mut b = soa(&rhs);
+                batch.solve_lanes(
+                    &mut b,
+                    &(0..lanes).map(|l| role(l) != Role::Garbage).collect::<Vec<_>>(),
+                );
+
+                for l in 0..lanes {
+                    let case = format!("lanes={lanes} pattern={pattern} lane={l} {:?}", role(l));
+                    assert_eq!(batch.is_singular(l), role(l) == Role::Singular, "{case}");
+                    let mut want = rhs[l].clone();
+                    if role(l) == Role::Solved {
+                        let scalar =
+                            LuFactor::new(Matrix::from_vec(n, n, mats[l].clone())).unwrap();
+                        scalar.solve_in_place(&mut want);
+                        let (mut lu, mut textbook) = (mats[l].clone(), rhs[l].clone());
+                        let (pivots, _) = reference_eliminate(&mut lu, n).unwrap();
+                        reference_solve(&lu, n, &pivots, &mut textbook);
+                        assert_eq!(bits(&want), bits(&textbook), "{case}: scalar solve");
+                        exchanged += usize::from(exchanges(&batch, l));
+                    }
+                    assert_eq!(bits(&lane_of(&b, lanes, l)), bits(&want), "{case}");
+                }
+            }
+        }
+        assert!(exchanged > 10, "the lanes must exchange rows ({exchanged})");
+    }
+
+    #[test]
+    fn complex_lockstep_solve_is_each_lanes_scalar_solve() {
+        let n = 4;
+        let mut exchanged = 0;
+        for lanes in [1usize, 2, 3, 4, 8] {
+            for pattern in 0..3 {
+                let role = |l| role(pattern, l);
+                let mut next = rng(lanes as u64 * 11 + pattern as u64);
+                let mats: Vec<Vec<Complex64>> = (0..lanes)
+                    .map(|l| {
+                        let re = lane_matrix(n, (lanes * 8 + l) as u64, role(l));
+                        let mut im = |re: f64| if re == 0.0 { 0.0 } else { next() };
+                        re.iter().map(|&re| Complex64::new(re, im(re))).collect()
+                    })
+                    .collect();
+                let rhs: Vec<Vec<Complex64>> = (0..lanes)
+                    .map(|_| (0..n).map(|_| Complex64::new(next(), next())).collect())
+                    .collect();
+
+                let mut batch = BatchCluFactor::new(n, n, lanes).unwrap();
+                for (l, m) in mats.iter().enumerate() {
+                    let (re, im) = planes(m);
+                    let (lane_re, lane_im) = batch.lane_planes_mut(l);
+                    lane_re.copy_from_slice(&re);
+                    lane_im.copy_from_slice(&im);
+                }
+                batch.factor(&(0..lanes).map(|l| role(l) != Role::Unfactored).collect::<Vec<_>>());
+                for l in (0..lanes).filter(|&l| role(l) == Role::Garbage) {
+                    let (re, im) = batch.lane_planes_mut(l);
+                    re.fill(f64::NAN);
+                    im.fill(f64::NAN);
+                }
+                let mut b = split_rows(&rhs);
+                batch.solve_lanes(
+                    &mut b,
+                    &(0..lanes).map(|l| role(l) != Role::Garbage).collect::<Vec<_>>(),
+                );
+
+                for l in 0..lanes {
+                    let case = format!("lanes={lanes} pattern={pattern} lane={l} {:?}", role(l));
+                    assert_eq!(batch.is_singular(l), role(l) == Role::Singular, "{case}");
+                    let mut want = rhs[l].clone();
+                    if role(l) == Role::Solved {
+                        let (re, im) = planes(&mats[l]);
+                        CluFactor::from_planes(n, [re, im].concat())
+                            .unwrap()
+                            .solve_in_place(&mut want);
+                        let (mut lu, mut textbook) = (mats[l].clone(), rhs[l].clone());
+                        let (pivots, _) = reference_eliminate(&mut lu, n).unwrap();
+                        reference_solve(&lu, n, &pivots, &mut textbook);
+                        assert_eq!(cbits(&want), cbits(&textbook), "{case}: scalar solve");
+                        exchanged += usize::from(exchanges(&batch, l));
+                    }
+                    assert_eq!(cbits(&split_lane_of(&b, lanes, l)), cbits(&want), "{case}");
+                }
+            }
+        }
+        assert!(exchanged > 10, "the lanes must exchange rows ({exchanged})");
     }
 
     #[test]

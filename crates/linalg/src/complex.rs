@@ -20,6 +20,7 @@ use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssi
 /// assert_eq!(z * Complex64::new(3.0, -4.0), Complex64::new(25.0, 0.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+#[repr(C)]
 pub struct Complex64 {
     /// Real part.
     pub re: f64,
@@ -92,6 +93,16 @@ impl Complex64 {
     #[inline]
     pub fn scale(self, k: f64) -> Self {
         Complex64::new(self.re * k, self.im * k)
+    }
+
+    /// `k` values as the `2·k` `f64`s they are stored as, each value's real
+    /// part before its imaginary part.
+    #[inline]
+    pub(crate) fn as_f64s_mut(values: &mut [Complex64]) -> &mut [f64] {
+        // SAFETY: `Complex64` is `#[repr(C)]` over two `f64`s, so it has
+        // their alignment, no padding, and `re` at offset 0 and `im` at 8;
+        // the new slice covers exactly the old one's bytes and borrows it.
+        unsafe { std::slice::from_raw_parts_mut(values.as_mut_ptr().cast(), 2 * values.len()) }
     }
 }
 

@@ -7,11 +7,14 @@
 //! [`BatchLuFactor`](crate::BatchLuFactor)), [`eliminate_planar()`] for
 //! complex ones ([`CluFactor`] and each lane of
 //! [`BatchCluFactor`](crate::BatchCluFactor)) — and every dense solve one
-//! call to [`solve_factored`] / [`solve_factored_planar`]. A complex matrix
-//! is stored as **two `f64` planes**, all real parts and then all imaginary
-//! parts: the row update `x − m·u` is then four multiplies and four
-//! additions over four plain `f64` slices, which the compiler vectorises,
-//! where the same update over interleaved `(re, im)` pairs stays scalar.
+//! call to one of two lockstep substitutions, [`substitute`] /
+//! [`substitute_planar`], which solve the lanes of a lane-minor right-hand
+//! side together: at width 1 for [`LuFactor`] / [`CluFactor`], at the lane
+//! width for the batched factors. A complex matrix is stored as **two `f64`
+//! planes**, all real parts and then all imaginary parts: the row update
+//! `x − m·u` is then four multiplies and four additions over four plain
+//! `f64` slices, which the compiler vectorises, where the same update over
+//! interleaved `(re, im)` pairs stays scalar.
 //! The routines work on row slices (the pivot row and a target row as split
 //! borrows, zipped over `k+1..n`), so no element pays a 2-D index. What is
 //! contractual is the arithmetic, because recorded trajectories depend on
@@ -23,13 +26,19 @@
 //! `0 × ∞ = NaN`), and otherwise each `a_ij − m·u_kj` is formed once, for
 //! `j` ascending — for complex as `re − (m.re·u.re − m.im·u.im)` and
 //! `im − (m.re·u.im + m.im·u.re)`, the expansion of
-//! [`Complex64`]'s own `*` and `-`.
+//! [`Complex64`]'s own `*` and `-`. The substitution replays a lane's
+//! exchanges in order, then forms each component as `acc = b_i`,
+//! `acc −= l_ij·y_j` for `j` ascending (`u_ij·x_j` on the way back), and
+//! `x_i = acc / u_ii` — for complex in the same expansion, the division
+//! Smith's quotient — so a lane's result does not depend on how many lanes
+//! ran beside it.
 //!
-//! Both elimination routines are ISA twins ([`isa_twins!`]): the binary
-//! holds a copy for x86-64 baseline, whose packed arithmetic is SSE2 (two
-//! `f64` per instruction), and one with AVX2 (four), and runs the AVX2 copy
-//! on a CPU that reports it. Neither enables FMA, so both form the same
-//! IEEE-754 expressions above and leave the same factors, bit for bit.
+//! Both elimination routines and the complex lane substitution are ISA
+//! twins ([`isa_twins!`]): the binary holds a copy for x86-64 baseline,
+//! whose packed arithmetic is SSE2 (two `f64` per instruction), and one
+//! with AVX2 (four), and runs the AVX2 copy on a CPU that reports it.
+//! Neither enables FMA, so both form the same IEEE-754 expressions above
+//! and leave the same factors and solutions, bit for bit.
 
 use crate::complex::SmithDivisor;
 use crate::{isa_twins, CMatrix, Complex64, LinalgError, Matrix};
@@ -38,33 +47,33 @@ use crate::{isa_twins, CMatrix, Complex64, LinalgError, Matrix};
 /// its factors live in. Public only so the lane-batched factor can name it
 /// as a bound; it is not exported from the crate.
 pub trait LuScalar: Copy {
-    /// The additive identity.
-    const ZERO: Self;
-    /// `f64` planes per matrix: an `n × n` matrix of this type is stored as
-    /// `PLANES` consecutive row-major `n × n` blocks of `f64`.
+    /// `f64` planes per matrix and `f64` rows per component of a
+    /// right-hand side: an `n × n` matrix of this type is stored as
+    /// `PLANES` consecutive row-major `n × n` blocks of `f64`, and an
+    /// `n`-vector per lane as `PLANES·n` lane-minor rows.
     const PLANES: usize;
     /// Factors the matrix stored in `a` in place; `Err(k)` when column `k`
     /// has no nonzero pivot candidate.
     fn eliminate(a: &mut [f64], n: usize, pivots: &mut [usize]) -> Result<(), usize>;
-    /// Solves against the factors `eliminate` left in `lu`, in place.
-    fn solve_factored(lu: &[f64], pivots: &[usize], b: &mut [Self]);
+    /// Solves the `live` lanes of a lane-minor block in place against the
+    /// lane-major factors `eliminate` left, at the width of `live` (1, 2, 4
+    /// or 8: [`substitute_lanes()`] / [`substitute_planar_lanes()`]).
+    fn substitute_lanes(n: usize, lu: &[f64], pivots: &[usize], live: &[bool], b: &mut [f64]);
 }
 
 impl LuScalar for f64 {
-    const ZERO: Self = 0.0;
     const PLANES: usize = 1;
     #[inline]
     fn eliminate(a: &mut [f64], n: usize, pivots: &mut [usize]) -> Result<(), usize> {
         eliminate(a, n, pivots).map(drop)
     }
     #[inline]
-    fn solve_factored(lu: &[f64], pivots: &[usize], b: &mut [f64]) {
-        solve_factored(lu, pivots, b);
+    fn substitute_lanes(n: usize, lu: &[f64], pivots: &[usize], live: &[bool], b: &mut [f64]) {
+        substitute_lanes(n, lu, pivots, live, b);
     }
 }
 
 impl LuScalar for Complex64 {
-    const ZERO: Self = Complex64::ZERO;
     const PLANES: usize = 2;
     #[inline]
     fn eliminate(a: &mut [f64], n: usize, pivots: &mut [usize]) -> Result<(), usize> {
@@ -72,9 +81,8 @@ impl LuScalar for Complex64 {
         eliminate_planar(re, im, n, pivots)
     }
     #[inline]
-    fn solve_factored(lu: &[f64], pivots: &[usize], b: &mut [Complex64]) {
-        let (re, im) = lu.split_at(b.len() * b.len());
-        solve_factored_planar(re, im, pivots, b);
+    fn substitute_lanes(n: usize, lu: &[f64], pivots: &[usize], live: &[bool], b: &mut [f64]) {
+        substitute_planar_lanes(n, lu, pivots, live, b);
     }
 }
 
@@ -184,63 +192,186 @@ isa_twins! {
     }
 }
 
-/// Solves `A x = b` in place against the factors [`eliminate()`] left in `lu`:
-/// replays the row exchanges on `b`, then substitutes forward (`L y = P b`,
-/// unit diagonal) and backward (`U x = y`), each sum taken left to right.
-pub(crate) fn solve_factored(lu: &[f64], pivots: &[usize], b: &mut [f64]) {
-    let n = b.len();
-    assert_eq!(lu.len(), n * n, "factor storage length");
-    assert_eq!(pivots.len(), n, "pivot vector length");
+/// Solves `A_l x_l = b_l` in place for the `L` lanes of a lane-minor block
+/// at once, against the factors [`eliminate()`] left lane-major in `lu`: lane
+/// `l`'s `n × n` block at `l·n²`, its exchanges at `pivots[l·n..]`, entry `i`
+/// of `b_l` at `i·L + l`. Each lane in `live` replays its row exchanges,
+/// then substitutes forward (`L y = P b`, unit diagonal) and backward
+/// (`U x = y`) into one `[f64; L]` accumulator row per component, its own
+/// sum taken left to right; the other lanes' entries are left as they
+/// were. No expression mixes two lanes, so a lane's bits are the same at
+/// every width — width 1 is [`LuFactor::solve_in_place`] — while `L` lanes
+/// run `L` independent subtraction chains in the time of one.
+#[inline(always)]
+pub(crate) fn substitute<const L: usize>(
+    n: usize,
+    lu: &[f64],
+    pivots: &[usize],
+    live: [bool; L],
+    b: &mut [f64],
+) {
+    let size = n * n;
+    assert_eq!(lu.len(), size * L, "factor storage length");
+    assert_eq!(pivots.len(), n * L, "pivot vector length");
+    assert_eq!(b.len(), n * L, "right-hand-side block length");
     if n == 0 {
         return;
     }
-    for (k, &p) in pivots.iter().enumerate() {
-        b.swap(k, p);
-    }
-    for (i, row) in lu.chunks_exact(n).enumerate().skip(1) {
-        let mut acc = b[i];
-        for (&l, &y) in row[..i].iter().zip(&b[..i]) {
-            acc -= l * y;
+    for (l, pivots) in pivots.chunks_exact(n).enumerate().filter(|&(l, _)| live[l]) {
+        for (k, &p) in pivots.iter().enumerate() {
+            b.swap(k * L + l, p * L + l);
         }
-        b[i] = acc;
     }
-    for (i, row) in lu.chunks_exact(n).enumerate().rev() {
-        let mut acc = b[i];
-        for (&u, &x) in row[i + 1..].iter().zip(&b[i + 1..]) {
-            acc -= u * x;
+    let keep = |row: &mut [f64; L], acc: [f64; L]| {
+        for l in (0..L).filter(|&l| live[l]) {
+            row[l] = acc[l];
         }
-        b[i] = acc / row[i];
+    };
+    for i in 1..n {
+        let (done, rest) = b.split_at_mut(i * L);
+        let row = &mut rest.as_chunks_mut::<L>().0[0];
+        let factors: [&[f64]; L] = std::array::from_fn(|l| &lu[l * size + i * n..][..i]);
+        let mut acc = *row;
+        for (j, y) in (0..i).zip(done.as_chunks::<L>().0) {
+            for l in 0..L {
+                acc[l] -= factors[l][j] * y[l];
+            }
+        }
+        keep(row, acc);
+    }
+    for i in (0..n).rev() {
+        let (head, tail) = b.split_at_mut((i + 1) * L);
+        let row = &mut head.as_chunks_mut::<L>().0[i];
+        let factors: [&[f64]; L] = std::array::from_fn(|l| &lu[l * size + i * n + i..][..n - i]);
+        let mut acc = *row;
+        for (j, x) in (1..n - i).zip(tail.as_chunks::<L>().0) {
+            for l in 0..L {
+                acc[l] -= factors[l][j] * x[l];
+            }
+        }
+        for l in 0..L {
+            acc[l] /= factors[l][0];
+        }
+        keep(row, acc);
     }
 }
 
-/// [`solve_factored`] against the planes [`eliminate_planar()`] left in `re`
-/// and `im`: the same exchanges and the same left-to-right sums, in
-/// [`Complex64`] arithmetic.
-pub(crate) fn solve_factored_planar(re: &[f64], im: &[f64], pivots: &[usize], b: &mut [Complex64]) {
-    let n = b.len();
-    assert_eq!(re.len(), n * n, "real plane length");
-    assert_eq!(im.len(), n * n, "imaginary plane length");
-    assert_eq!(pivots.len(), n, "pivot vector length");
+/// [`substitute`] against the planes [`eliminate_planar()`] left in `lu` (lane
+/// `l`'s real plane at `2·l·n²`, its imaginary plane after it) for a
+/// complex lane-minor block held as split rows: component `i`'s real parts
+/// are row `2i` (at `2i·L + l`), its imaginary parts row `2i + 1`. The same
+/// exchanges and left-to-right sums in [`Complex64`] arithmetic, expanded:
+/// `acc − l·y` as `re − (l.re·y.re − l.im·y.im)` and
+/// `im − (l.re·y.im + l.im·y.re)`, the division Smith's quotient. At width
+/// 1 the split rows are a `Complex64` slice's own layout, and this is
+/// [`CluFactor::solve_in_place`].
+#[inline(always)]
+pub(crate) fn substitute_planar<const L: usize>(
+    n: usize,
+    lu: &[f64],
+    pivots: &[usize],
+    live: [bool; L],
+    b: &mut [f64],
+) {
+    let size = n * n;
+    assert_eq!(lu.len(), 2 * size * L, "factor storage length");
+    assert_eq!(pivots.len(), n * L, "pivot vector length");
+    assert_eq!(b.len(), 2 * n * L, "right-hand-side block length");
     if n == 0 {
         return;
     }
-    for (k, &p) in pivots.iter().enumerate() {
-        b.swap(k, p);
-    }
-    let rows = || re.chunks_exact(n).zip(im.chunks_exact(n)).enumerate();
-    for (i, (row_re, row_im)) in rows().skip(1) {
-        let mut acc = b[i];
-        for ((&l_re, &l_im), &y) in row_re[..i].iter().zip(&row_im[..i]).zip(&b[..i]) {
-            acc -= Complex64::new(l_re, l_im) * y;
+    for (l, pivots) in pivots.chunks_exact(n).enumerate().filter(|&(l, _)| live[l]) {
+        for (k, &p) in pivots.iter().enumerate() {
+            b.swap(2 * k * L + l, 2 * p * L + l);
+            b.swap((2 * k + 1) * L + l, (2 * p + 1) * L + l);
         }
-        b[i] = acc;
     }
-    for (i, (row_re, row_im)) in rows().rev() {
-        let mut acc = b[i];
-        for ((&u_re, &u_im), &x) in row_re[i + 1..].iter().zip(&row_im[i + 1..]).zip(&b[i + 1..]) {
-            acc -= Complex64::new(u_re, u_im) * x;
+    let keep = |pair: &mut [[f64; L]], acc: [[f64; L]; 2]| {
+        for l in (0..L).filter(|&l| live[l]) {
+            (pair[0][l], pair[1][l]) = (acc[0][l], acc[1][l]);
         }
-        b[i] = acc / Complex64::new(row_re[i], row_im[i]);
+    };
+    for i in 1..n {
+        let (done, rest) = b.split_at_mut(2 * i * L);
+        let pair = &mut rest.as_chunks_mut::<L>().0[..2];
+        let re: [&[f64]; L] = std::array::from_fn(|l| &lu[2 * l * size + i * n..][..i]);
+        let im: [&[f64]; L] = std::array::from_fn(|l| &lu[(2 * l + 1) * size + i * n..][..i]);
+        let [mut acc_re, mut acc_im] = [pair[0], pair[1]];
+        for (j, y) in (0..i).zip(done.as_chunks::<L>().0.chunks_exact(2)) {
+            for l in 0..L {
+                let (l_re, l_im) = (re[l][j], im[l][j]);
+                acc_re[l] -= l_re * y[0][l] - l_im * y[1][l];
+                acc_im[l] -= l_re * y[1][l] + l_im * y[0][l];
+            }
+        }
+        keep(pair, [acc_re, acc_im]);
+    }
+    for i in (0..n).rev() {
+        let (head, tail) = b.split_at_mut(2 * (i + 1) * L);
+        let pair = &mut head.as_chunks_mut::<L>().0[2 * i..];
+        let re: [&[f64]; L] = std::array::from_fn(|l| &lu[2 * l * size + i * n + i..][..n - i]);
+        let im: [&[f64]; L] =
+            std::array::from_fn(|l| &lu[(2 * l + 1) * size + i * n + i..][..n - i]);
+        let [mut acc_re, mut acc_im] = [pair[0], pair[1]];
+        for (j, x) in (1..n - i).zip(tail.as_chunks::<L>().0.chunks_exact(2)) {
+            for l in 0..L {
+                let (u_re, u_im) = (re[l][j], im[l][j]);
+                acc_re[l] -= u_re * x[0][l] - u_im * x[1][l];
+                acc_im[l] -= u_re * x[1][l] + u_im * x[0][l];
+            }
+        }
+        for l in 0..L {
+            let pivot = SmithDivisor::new(Complex64::new(re[l][0], im[l][0]));
+            let x = pivot.divide(Complex64::new(acc_re[l], acc_im[l]));
+            (acc_re[l], acc_im[l]) = (x.re, x.im);
+        }
+        keep(pair, [acc_re, acc_im]);
+    }
+}
+
+/// `live` as the lane row of a sweep `L` lanes wide.
+#[inline(always)]
+fn lane_row<const L: usize>(live: &[bool]) -> [bool; L] {
+    live.try_into().expect("one mask entry per lane")
+}
+
+/// [`substitute`] at the width of `live`, one of 1, 2, 4 and 8 lanes. One
+/// instruction set: the real sweep waits on its subtraction chains, not on
+/// arithmetic throughput, so an AVX2 twin measured no faster.
+pub(crate) fn substitute_lanes(
+    n: usize,
+    lu: &[f64],
+    pivots: &[usize],
+    live: &[bool],
+    b: &mut [f64],
+) {
+    match live.len() {
+        1 => substitute(n, lu, pivots, lane_row::<1>(live), b),
+        2 => substitute(n, lu, pivots, lane_row::<2>(live), b),
+        4 => substitute(n, lu, pivots, lane_row::<4>(live), b),
+        8 => substitute(n, lu, pivots, lane_row::<8>(live), b),
+        width => panic!("no lockstep substitution {width} lanes wide"),
+    }
+}
+
+isa_twins! {
+    /// [`substitute_planar`] at the width of `live`, one of 1, 2, 4 and 8 lanes:
+    /// four products per term keep two `f64` per instruction busy, and the
+    /// AVX2 twin runs four lanes' worth in one.
+    pub(crate) fn substitute_planar_lanes(
+        n: usize,
+        lu: &[f64],
+        pivots: &[usize],
+        live: &[bool],
+        b: &mut [f64],
+    ) {
+        match live.len() {
+            1 => substitute_planar(n, lu, pivots, lane_row::<1>(live), b),
+            2 => substitute_planar(n, lu, pivots, lane_row::<2>(live), b),
+            4 => substitute_planar(n, lu, pivots, lane_row::<4>(live), b),
+            8 => substitute_planar(n, lu, pivots, lane_row::<8>(live), b),
+            width => panic!("no lockstep substitution {width} lanes wide"),
+        }
     }
 }
 
@@ -328,7 +459,7 @@ impl LuFactor {
     /// Panics if `b.len() != dim()`.
     pub fn solve_in_place(&self, b: &mut [f64]) {
         assert_eq!(b.len(), self.dim(), "right-hand side length must equal matrix dimension");
-        solve_factored(self.lu.as_slice(), &self.pivots, b);
+        substitute(self.dim(), self.lu.as_slice(), &self.pivots, [true], b);
     }
 
     /// The determinant of the original matrix (product of pivots, signed by
@@ -464,7 +595,8 @@ impl CluFactor {
     /// Panics if `b.len() != dim()`.
     pub fn solve_in_place(&self, b: &mut [Complex64]) {
         assert_eq!(b.len(), self.dim(), "right-hand side length must equal matrix dimension");
-        Complex64::solve_factored(&self.planes, &self.pivots, b);
+        let b = Complex64::as_f64s_mut(b);
+        substitute_planar(self.n, &self.planes, &self.pivots, [true], b);
     }
 }
 
@@ -708,6 +840,33 @@ mod tests {
         }
         assert!(singular >= 2 * 63, "every singular-column input must fail ({singular})");
         assert!(nonfinite > 60, "the specials must reach the factors ({nonfinite})");
+    }
+
+    /// Both twins of [`substitute_planar_lanes()`] leave the same bits on
+    /// every input — factors with signed zeros, infinities and NaNs among
+    /// them — at each width they are instantiated at, with lanes masked out.
+    #[test]
+    fn substitution_twins_agree_bit_for_bit() {
+        if !crate::avx2_detected() {
+            println!("skipped: this CPU has no AVX2, so only the baseline twins run");
+            return;
+        }
+        for n in [1usize, 2, 5, 13] {
+            for (variant, lanes) in (0..5).zip([1usize, 2, 4, 8, 4]) {
+                let live: Vec<bool> = (0..lanes).map(|l| variant == 0 || l % 3 != 1).collect();
+                let pivots: Vec<usize> =
+                    (0..lanes * n).map(|i| ((i * 5 + variant) % n).max(i % n)).collect();
+                let lu: Vec<f64> = (0..2 * lanes as u64)
+                    .flat_map(|plane| adversarial(n, variant, 3 + 7 * plane))
+                    .collect();
+                let b: Vec<f64> =
+                    adversarial(n, 0, 8).into_iter().cycle().take(2 * n * lanes).collect();
+                let (mut wide, mut base) = (b.clone(), b);
+                substitute_planar_lanes(n, &lu, &pivots, &live, &mut wide);
+                substitute_planar_lanes::baseline(n, &lu, &pivots, &live, &mut base);
+                assert_eq!(bits(&wide), bits(&base), "n={n} variant={variant}");
+            }
+        }
     }
 
     #[test]

@@ -129,9 +129,11 @@ fn planar_complex_lu_is_the_interleaved_one_on_the_autophagy_iteration_matrix() 
         }
     }
     batch.factor(&vec![true; lanes]);
-    let mut block = vec![Complex64::ZERO; n * lanes];
+    // Split rows: component i's real parts at row 2i, imaginary parts at 2i + 1.
+    let mut block = vec![0.0; 2 * n * lanes];
     for (i, &b) in rhs.iter().enumerate() {
-        block[i * lanes..][..lanes].fill(b);
+        block[2 * i * lanes..][..lanes].fill(b.re);
+        block[(2 * i + 1) * lanes..][..lanes].fill(b.im);
     }
     batch.solve_lanes(&mut block, &vec![true; lanes]);
 
@@ -154,7 +156,9 @@ fn planar_complex_lu_is_the_interleaved_one_on_the_autophagy_iteration_matrix() 
         assert!(!batch.is_singular(l));
         let (re, im) = batch.lane_planes_mut(l);
         assert_eq!(plane_bits(re, im), bits(&want), "h = {}: BatchCluFactor factors", steps[l]);
-        let lane_x: Vec<Complex64> = block.iter().skip(l).step_by(lanes).copied().collect();
+        let lane_x: Vec<Complex64> = (0..n)
+            .map(|i| Complex64::new(block[2 * i * lanes + l], block[(2 * i + 1) * lanes + l]))
+            .collect();
         assert_eq!(bits(&lane_x), bits(&want_x), "h = {}: BatchCluFactor solve", steps[l]);
         pivot_orders.push(pivots);
     }

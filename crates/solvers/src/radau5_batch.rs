@@ -8,7 +8,11 @@
 //! [`rhs_batch`](BatchOdeSystem::rhs_batch) stage sweeps plus one masked
 //! real and one masked complex batched-LU substitution
 //! ([`BatchLuFactor`] / [`BatchCluFactor`], the getrs-style substrate the
-//! scalar [`Radau5`](crate::Radau5) docs promise) — while every piece of
+//! scalar [`Radau5`](crate::Radau5) docs promise, whose sweeps run every
+//! lane at once over the lane-minor residual blocks; the complex block is
+//! held as split rows, each species' real parts then its imaginary parts,
+//! so the residual pass writes and the update pass reads exactly what the
+//! solve sweeps) — while every piece of
 //! *control* state stays per-lane: step size, Newton convergence rate `θ`,
 //! Jacobian / factorization reuse decisions, the Gustafsson controller
 //! memory, error acceptance, and sample delivery each evolve independently
@@ -51,8 +55,9 @@
 //!
 //! Masked (parked or never-bound) lanes still flow through the stage
 //! arithmetic with whatever state they last held; their results are
-//! discarded, and the masked LU kernels skip them outright so a retired
-//! lane's garbage can never raise a spurious singularity.
+//! discarded. The masked factorization skips them outright, so a retired
+//! lane's garbage can never raise a spurious singularity, and the masked
+//! solves leave their entries bit for bit as they were.
 //!
 //! # Occupancy
 //!
@@ -74,7 +79,7 @@ use crate::radau5::{
 };
 use crate::step::{Column, LaneGroup, LaneScratch};
 use crate::{SolverOptions, SolverScratch};
-use paraspace_linalg::{with_lane_width, BatchCluFactor, BatchLuFactor, Complex64, LaneWidth};
+use paraspace_linalg::{with_lane_width, BatchCluFactor, BatchLuFactor, LaneWidth};
 
 /// Pooled working storage for one lockstep Radau lane-group integration:
 /// SoA blocks for the state, stage values, transformed Newton variables and
@@ -102,7 +107,10 @@ pub(crate) struct RadauBatchScratch {
     probe_y: BatchState,
     probe_f: BatchState,
     rhs_real: BatchState,
-    rhs_cplx: Vec<Complex64>,
+    /// The complex Newton residuals as split rows: species `s`'s real parts
+    /// at row `2s`, its imaginary parts at row `2s + 1` (the block
+    /// [`BatchCluFactor::solve_lanes`] solves).
+    rhs_cplx: Vec<f64>,
     /// The collocation polynomials, lane-major like the blocks.
     cont: [Vec<f64>; 4],
     /// Per-lane Jacobians, lane `l`'s row-major `n × n` block at `l·n²`
@@ -156,8 +164,7 @@ impl RadauBatchScratch {
                 b.resize(n, lanes);
             }
         }
-        self.rhs_cplx.clear();
-        self.rhs_cplx.resize(n * lanes, Complex64::ZERO);
+        self.rhs_cplx.resize(2 * n * lanes, 0.0);
         for v in &mut self.cont {
             v.resize(n * lanes, 0.0);
         }
@@ -698,7 +705,8 @@ fn stage_argument_rows<W: LaneWidth>(w: W, n: usize, y: &[f64], z: &[f64], out: 
 }
 
 /// The Newton residuals in the transformed variables: `T⁻¹·f − Λ/h·w`, the
-/// real component into `rhs_real`, the complex pair into `rhs_cplx`.
+/// real component into `rhs_real`, the complex pair into `rhs_cplx`'s split
+/// rows (real part at row `2s`, imaginary part at row `2s + 1`).
 /// `[fac1, alphn, betan]` are the per-lane `U1/h`, `α/h`, `β/h` rows.
 #[inline]
 fn residual_rows<W: LaneWidth>(
@@ -708,21 +716,21 @@ fn residual_rows<W: LaneWidth>(
     [f1, f2, f3]: [&[f64]; 3],
     [w1, w2, w3]: [&[f64]; 3],
     rhs_real: &mut [f64],
-    rhs_cplx: &mut [Complex64],
+    rhs_cplx: &mut [f64],
 ) {
-    for s in 0..n {
+    let pairs = rhs_cplx.chunks_exact_mut(2 * w.lanes());
+    for (s, pair) in (0..n).zip(pairs) {
         let (f1, f2, f3) = (w.row(f1, s), w.row(f2, s), w.row(f3, s));
         let (w1, w2, w3) = (w.row(w1, s), w.row(w2, s), w.row(w3, s));
-        let (rhs_real, rhs_cplx) = (w.row_mut(rhs_real, s), w.row_mut(rhs_cplx, s));
+        let (re, im) = pair.split_at_mut(w.lanes());
+        let (rhs_real, re, im) = (w.row_mut(rhs_real, s), w.row_mut(re, 0), w.row_mut(im, 0));
         for l in 0..w.lanes() {
             let fw1 = TI11 * f1[l] + TI12 * f2[l] + TI13 * f3[l];
             let fw2 = TI21 * f1[l] + TI22 * f2[l] + TI23 * f3[l];
             let fw3 = TI31 * f1[l] + TI32 * f2[l] + TI33 * f3[l];
             rhs_real[l] = fw1 - fac1[l] * w1[l];
-            rhs_cplx[l] = Complex64::new(
-                fw2 - (alphn[l] * w2[l] - betan[l] * w3[l]),
-                fw3 - (alphn[l] * w3[l] + betan[l] * w2[l]),
-            );
+            re[l] = fw2 - (alphn[l] * w2[l] - betan[l] * w3[l]);
+            im[l] = fw3 - (alphn[l] * w3[l] + betan[l] * w2[l]);
         }
     }
 }
@@ -735,17 +743,18 @@ fn update_rows<W: LaneWidth>(
     w: W,
     n: usize,
     rhs_real: &[f64],
-    rhs_cplx: &[Complex64],
+    rhs_cplx: &[f64],
     scale: &[f64],
     [w1, w2, w3]: [&mut [f64]; 3],
     dyno: &mut W::Row<f64>,
 ) {
     w.reduce(0.0, dyno, |dyno| {
         for s in 0..n {
-            let (rr, rc, sc) = (w.row(rhs_real, s), w.row(rhs_cplx, s), w.row(scale, s));
+            let (rr, sc) = (w.row(rhs_real, s), w.row(scale, s));
+            let (re, im) = (w.row(rhs_cplx, 2 * s), w.row(rhs_cplx, 2 * s + 1));
             let (w1, w2, w3) = (w.row_mut(w1, s), w.row_mut(w2, s), w.row_mut(w3, s));
             for l in 0..w.lanes() {
-                let (d1, d2, d3) = (rr[l], rc[l].re, rc[l].im);
+                let (d1, d2, d3) = (rr[l], re[l], im[l]);
                 w1[l] += d1;
                 w2[l] += d2;
                 w3[l] += d3;

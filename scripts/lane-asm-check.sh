@@ -30,6 +30,7 @@ BEGIN {
     n = split(gate " paraspace_solvers::radau5_batch::solve_queue_impl " \
               "paraspace_rbm::odes::CompiledOdes::jacobian_batch", kernels, " ")
     t = split("paraspace_linalg::lu::eliminate paraspace_linalg::lu::eliminate_planar " \
+              "paraspace_linalg::lu::substitute_planar_lanes " \
               "paraspace_rbm::odes::rhs_batch", twinned, " ")
     for (i = 1; i <= t; i++) {
         kernels[++n] = twinned[i] "::baseline"
