@@ -2,7 +2,7 @@
 //! checkpoint directory — the same campaign either way.
 
 use crate::args::ENSEMBLE;
-use crate::simulate::is_member_artifact;
+use crate::artifacts::{overwrite, MemberFiles};
 use crate::{campaign_error, read_time_points, report_checkpoint, CancelToken, CliError, Command};
 use paraspace_analysis::campaign::Checkpoint;
 use paraspace_analysis::ensemble;
@@ -12,58 +12,10 @@ use paraspace_stochastic::{
 };
 use std::path::Path;
 
-/// The file replicate `i` is written to: `.tsv` for a trajectory, `.err` for
-/// a failure report.
-fn replicate_file(i: usize, ok: bool) -> String {
-    format!("replicate_{i:05}.{}", if ok { "tsv" } else { "err" })
-}
-
-/// Removes the replicate files an earlier ensemble left in `out_path` that
-/// this one does not write — replicates past its count, and a replicate
-/// whose outcome flipped between `.tsv` and `.err` — so that afterwards the
-/// directory holds this ensemble's replicates and nothing else. The files
-/// this ensemble writes too are left for it to overwrite in place: deleting
-/// and recreating every one of them is what made a rerun into a used
-/// directory slower than a run into a fresh one. Other files are not
-/// touched.
-fn remove_stale_replicates(
-    out_path: &Path,
-    outcomes: &[Result<StochasticTrajectory, StochasticError>],
-) -> std::io::Result<()> {
-    let rewritten = |name: &str| {
-        let index = name.strip_prefix("replicate_").and_then(|rest| rest.split_once('.'));
-        let index = index.and_then(|(index, _)| index.parse::<usize>().ok());
-        index.is_some_and(|i| {
-            outcomes.get(i).is_some_and(|outcome| name == replicate_file(i, outcome.is_ok()))
-        })
-    };
-    for entry in std::fs::read_dir(out_path)? {
-        let entry = entry?;
-        let name = entry.file_name();
-        if is_member_artifact(&name, "replicate_") && !name.to_str().is_some_and(rewritten) {
-            std::fs::remove_file(entry.path())?;
-        }
-    }
-    Ok(())
-}
-
-/// Writes `body` as the contents of the file at `path`, over the bytes of a
-/// file already there: they are overwritten and the file is cut to length
-/// afterwards, so a rerun whose files come out the same size (most of them)
-/// never frees and reallocates their blocks, as truncating first would.
-fn overwrite(path: &Path, body: &[u8]) -> std::io::Result<()> {
-    use std::io::Write;
-    let mut file =
-        std::fs::OpenOptions::new().write(true).create(true).truncate(false).open(path)?;
-    file.write_all(body)?;
-    file.set_len(body.len() as u64)
-}
-
-/// Writes the per-replicate trajectory/error files and the ensemble
-/// mean/variance tables, after removing the replicate files of an earlier
-/// ensemble this one does not overwrite. Pure function of the outcomes, so
-/// durable and plain runs (and resumed runs) produce byte-identical
-/// artifacts.
+/// Writes the per-replicate trajectory/error files (`replicate_NNNNN.tsv` /
+/// `.err`, over an earlier ensemble's) and the ensemble mean/variance
+/// tables. Pure function of the outcomes, so durable and plain runs (and
+/// resumed runs) produce byte-identical artifacts.
 fn write_ensemble_outputs(
     out_path: &Path,
     model: &paraspace_rbm::ReactionBasedModel,
@@ -71,7 +23,7 @@ fn write_ensemble_outputs(
     stats: &EnsembleStats,
 ) -> Result<(), CliError> {
     std::fs::create_dir_all(out_path)?;
-    remove_stale_replicates(out_path, outcomes)?;
+    let files = MemberFiles::new(out_path.to_path_buf(), "replicate_", outcomes.len());
     let header: String = std::iter::once("t".to_string())
         .chain(model.species().iter().map(|s| s.name.clone()))
         .collect::<Vec<_>>()
@@ -89,14 +41,9 @@ fn write_ensemble_outputs(
                     }
                     body.push('\n');
                 }
-                overwrite(&out_path.join(replicate_file(i, true)), body.as_bytes())?;
+                files.put(i, true, body.as_bytes())?;
             }
-            Err(e) => {
-                overwrite(
-                    &out_path.join(replicate_file(i, false)),
-                    format!("error: {e}\n").as_bytes(),
-                )?;
-            }
+            Err(e) => files.put(i, false, format!("error: {e}\n").as_bytes())?,
         }
     }
     for (name, table) in

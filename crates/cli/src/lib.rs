@@ -25,6 +25,7 @@
 //! subcommand (`args`); each campaign subcommand runs in its own module.
 
 mod args;
+mod artifacts;
 mod dispatch;
 mod ensemble;
 #[cfg(test)]

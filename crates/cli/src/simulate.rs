@@ -5,6 +5,7 @@
 //! byte-identical.
 
 use crate::args::{pin_flags, SIMULATE};
+use crate::artifacts::MemberFiles;
 use crate::{
     campaign_error, create_dir_for, engine_by_name, read_time_points, report_checkpoint,
     CancelToken, CliError, Command,
@@ -24,8 +25,8 @@ use paraspace_rbm::{biosimware, Parameterization, ReactionBasedModel};
 use paraspace_solvers::SolverOptions;
 use std::borrow::Cow;
 use std::fmt;
-use std::path::{Path, PathBuf};
-use std::sync::{Mutex, OnceLock};
+use std::path::PathBuf;
+use std::sync::Mutex;
 
 /// The `.err` layout: `error`, its taxonomy `label`, the `solver` that
 /// produced it and the member's recovery `log`.
@@ -46,47 +47,12 @@ struct MemberRecord {
     body: String,
 }
 
-/// The file of batch member `index`: `dynamics_NNNNN.tsv` for a trajectory,
-/// `.err` for a failure report.
-fn artifact_path(out_path: &Path, index: usize, ok: bool) -> PathBuf {
-    let ext = if ok { "tsv" } else { "err" };
-    out_path.join(format!("dynamics_{index:05}.{ext}"))
-}
-
-/// Whether a file name is a per-member artifact under `prefix` — one
-/// [`artifact_path`] (`dynamics_`) or an ensemble (`replicate_`) produces,
-/// for any member.
-pub(crate) fn is_member_artifact(name: &std::ffi::OsStr, prefix: &str) -> bool {
-    name.to_str()
-        .and_then(|name| name.strip_prefix(prefix))
-        .and_then(|rest| rest.strip_suffix(".tsv").or_else(|| rest.strip_suffix(".err")))
-        .is_some_and(|index| !index.is_empty() && index.bytes().all(|b| b.is_ascii_digit()))
-}
-
-/// Removes the `prefix` member artifacts an earlier campaign left in
-/// `out_path`, so what the directory holds afterwards is this campaign's
-/// batch and nothing else (a smaller batch, or a member that now fails,
-/// would otherwise sit beside the old run's files). Other files are not
-/// touched.
-fn remove_stale_artifacts(out_path: &Path, prefix: &str) -> std::io::Result<()> {
-    for entry in std::fs::read_dir(out_path)? {
-        let entry = entry?;
-        if is_member_artifact(&entry.file_name(), prefix) {
-            std::fs::remove_file(entry.path())?;
-        }
-    }
-    Ok(())
-}
-
-/// Writes `simulate`'s member artifacts into `--out`, each as it arrives —
-/// from the engine's workers on a run with no journal, from the committed
-/// records on a journaled one — and tallies them for the summary.
-#[derive(Default)]
+/// Writes `simulate`'s member artifacts (`dynamics_NNNNN.tsv` for a
+/// trajectory, `.err` for a failure report) into `--out`, each as it
+/// arrives — from the engine's workers on a run with no journal, from the
+/// committed records on a journaled one — and tallies them for the summary.
 pub(crate) struct ArtifactFiles {
-    out_path: PathBuf,
-    /// Clears the previous campaign's artifacts before the first write (a
-    /// run that fails or is cancelled writes nobody and leaves them).
-    cleared: OnceLock<()>,
+    files: MemberFiles,
     /// Members written per taxonomy label (`""` for successes), and the
     /// first I/O failure, reported after the run.
     tally: Mutex<(std::collections::BTreeMap<String, usize>, Option<std::io::Error>)>,
@@ -95,20 +61,12 @@ pub(crate) struct ArtifactFiles {
 impl ArtifactFiles {
     /// Writes the file of batch member `index`.
     fn put(&self, index: usize, ok: bool, label: &str, body: &str) {
-        let written = self
-            .clear_stale()
-            .and_then(|()| std::fs::write(artifact_path(&self.out_path, index, ok), body));
+        let written = self.files.put(index, ok, body.as_bytes());
         let mut tally = self.tally.lock().expect("no writer panics holding the lock");
         *tally.0.entry(label.to_string()).or_default() += 1;
         if let Err(e) = written {
             tally.1.get_or_insert(e);
         }
-    }
-
-    fn clear_stale(&self) -> std::io::Result<()> {
-        let mut cleared = Ok(());
-        self.cleared.get_or_init(|| cleared = remove_stale_artifacts(&self.out_path, "dynamics_"));
-        cleared
     }
 
     /// Prints the summary every `simulate` mode ends with: the billed
@@ -123,11 +81,11 @@ impl ArtifactFiles {
         out: &mut dyn std::io::Write,
     ) -> Result<(), CliError> {
         // An empty batch writes nobody, and still replaces the last campaign.
-        let cleared = self.clear_stale();
+        let pruned = self.files.prune().map(|_| ());
         let (mut labels, error) =
             self.tally.into_inner().expect("no writer panics holding the lock");
-        if let Some(e) = error.or(cleared.err()) {
-            let out_path = self.out_path.display();
+        if let Some(e) = error.or(pruned.err()) {
+            let out_path = self.files.out_path().display();
             return Err(CliError(format!("cannot write artifacts to {out_path}: {e}")));
         }
         let ms = |ns: fn(&BatchTiming) -> f64| {
@@ -310,7 +268,11 @@ impl SimulateWorld {
 
     /// The writer of this world's member artifacts into `--out`.
     pub(crate) fn files(&self) -> ArtifactFiles {
-        ArtifactFiles { out_path: self.out_path.clone(), ..Default::default() }
+        let members = self.plan.iter().map(Vec::len).sum();
+        ArtifactFiles {
+            files: MemberFiles::new(self.out_path.clone(), "dynamics_", members),
+            tally: Mutex::default(),
+        }
     }
 
     /// The batch indices of one shard, per the plan.
@@ -506,6 +468,7 @@ mod tests {
         execute, execute_with_cancel, Command, DEFAULT_LEASE_TTL_MS, DEFAULT_RETRY_BASE_MS,
         DEFAULT_SHARD_SIZE,
     };
+    use std::path::Path;
 
     #[test]
     fn end_to_end_generate_then_simulate() {

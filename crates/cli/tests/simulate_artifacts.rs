@@ -168,6 +168,54 @@ fn a_reused_out_directory_holds_only_the_new_batch() {
 }
 
 #[test]
+fn a_rerun_leaves_exactly_the_files_of_a_run_into_a_fresh_directory() {
+    // The stiff two-species model again; every step reruns into one used
+    // directory and runs the same command into a fresh one: the names and
+    // the bytes must agree, whatever the earlier run left there.
+    let base = std::env::temp_dir().join(format!("paraspace_rerun_{}", std::process::id()));
+    std::fs::remove_dir_all(&base).ok();
+    let model_dir = base.join("model");
+    let mut model = ReactionBasedModel::new();
+    let a = model.add_species("A", 1.0);
+    let b = model.add_species("B", 0.0);
+    model.add_reaction(Reaction::mass_action(&[(a, 1)], &[(b, 1)], 1e5)).unwrap();
+    model.add_reaction(Reaction::mass_action(&[(b, 1)], &[(a, 1)], 2e5)).unwrap();
+    biosimware::write_dir(&model, &model_dir).unwrap();
+
+    let run = |out_dir: &Path, args: &[&str]| {
+        let output = Command::new(env!("CARGO_BIN_EXE_paraspace-cli"))
+            .arg("simulate")
+            .arg(&model_dir)
+            .arg("--out")
+            .arg(out_dir)
+            .args(args)
+            .output()
+            .expect("spawn paraspace-cli");
+        assert!(output.status.success(), "{}", String::from_utf8_lossy(&output.stderr));
+        read_outputs(out_dir)
+    };
+    let reused = base.join("reused");
+    run(&reused, &["--batch", "8"]);
+    // Fewer members; every outcome flipped to `.err` and back, with more
+    // members than the run before; other values in files that exist.
+    let steps: [(&str, &[&str]); 4] = [
+        ("fewer", &["--batch", "4"]),
+        ("to_err", &["--batch", "4", "--member-budget", "3"]),
+        ("to_tsv", &["--batch", "6"]),
+        ("loosened", &["--batch", "5", "--rtol", "1e-3"]),
+    ];
+    for (name, args) in steps {
+        let got = run(&reused, args);
+        let want = run(&base.join(name), args);
+        assert_eq!(got.keys().collect::<Vec<_>>(), want.keys().collect::<Vec<_>>(), "{name}");
+        assert!(got == want, "{name}: a file's bytes differ from a fresh run's");
+        let errs = want.keys().filter(|k| k.ends_with(".err")).count();
+        assert_eq!(errs, if name == "to_err" { 4 } else { 0 }, "{name}");
+    }
+    std::fs::remove_dir_all(&base).ok();
+}
+
+#[test]
 fn a_directory_that_cannot_exist_fails_by_name_and_before_a_plain_run() {
     let base = std::env::temp_dir().join(format!("paraspace_baddir_{}", std::process::id()));
     std::fs::remove_dir_all(&base).ok();

@@ -21,15 +21,15 @@
 //!
 //! On the host the engine is *route → bill → one ladder call*. P3 and P4
 //! are batch kernels ([`lanes::first_attempts`](crate::lanes), one
-//! lockstep phase each): the members `lanes::admits` lets in — those that
-//! plan no fault — integrate as lockstep lane groups, one per executor
-//! worker, all pulling members from one shared queue (P4's ordered longest
-//! first by the triage eigenvalue). Both widths come from
-//! `lanes::phase_width`: [`Dopri5Batch`](paraspace_solvers::Dopri5Batch)
-//! at width 8 unless pinned, narrowed to each worker's share, and
+//! lockstep phase each): every member, fault-planned ones included,
+//! integrates in lockstep lane groups, one per executor worker, all pulling
+//! members from one shared queue (P4's ordered longest first by the triage
+//! eigenvalue). Both widths come from `lanes::phase_width`:
+//! [`Dopri5Batch`](paraspace_solvers::Dopri5Batch) at width 8 unless
+//! pinned, narrowed to each worker's share, and
 //! [`Radau5Batch`](paraspace_solvers::Radau5Batch) at the autotuned width.
-//! The other members make contained scalar attempts beside the lanes and
-//! count as lane evictions in the batch health. A P3
+//! A panic inside a group is contained: the members it held make contained
+//! scalar attempts, bitwise what their lanes would have given. A P3
 //! failure the recovery policy [`reroutes`](crate::RecoveryPolicy) is
 //! handed over to P4. Each phase is billed as a fold over per-member
 //! counters in member order — P4's lane occupancy, which is the run's lane
@@ -37,15 +37,14 @@
 //! one `recovery::solve_members_recovered` call continues every member's
 //! ladder from the rungs P3 and P4 ran (relaxation retries, billed after
 //! the phases). A member's attempt is bitwise the scalar solver's whichever
-//! group and lane ran it, so outcomes, labels, billing and health do not
-//! depend on the worker count (nor, for P3, on the width, except that a
-//! pinned width 1 evicts no one).
+//! group and lane ran it, and whether a panic sent it to the scalar route,
+//! so outcomes, labels, billing and health do not depend on the worker
+//! count (nor, for P3, on the width).
 
 use crate::engines::host::{device_clocks, h2d_bytes, Engine, Settled, PCIE_BYTES_PER_NS};
 use crate::engines::{attempt_stats, discard, group_stats, BatchResult, MemberSink, Simulator};
 use crate::lanes::{
-    admits, auto_lane_width, first_attempts, phase_width, share_narrowed, Lockstep,
-    MEMBERS_PER_LANE,
+    auto_lane_width, first_attempts, phase_width, share_narrowed, Lockstep, MEMBERS_PER_LANE,
 };
 use crate::recovery::{solve_members_recovered, Billed, Ladder};
 use crate::{classify_batch_with_threshold, SimError, SimulationJob, WorkEstimate};
@@ -202,8 +201,8 @@ fn bill_phase(
     device.launch(&launch);
 }
 
-/// Bills the lane-batched P4 over `members` (its lane-run members, in
-/// member-list order) and records its occupancy, one launch and one
+/// Bills the lane-batched P4 over `members` (in member-list order) and
+/// records its occupancy, one launch and one
 /// [`Device::record_lane_group`] per *modelled* group of
 /// `MEMBERS_PER_LANE·width` members: a parent thread carries the whole lane
 /// group, and one child round per lockstep tick serves all `L` lanes — the
@@ -308,27 +307,21 @@ impl Simulator for Engine<FineCoarse> {
         // it, and that attempt's counters, for the phase bills.
         let mut billed: Vec<Option<Billed>> = (0..batch).map(|_| None).collect();
         let mut stats = vec![StepStats::default(); batch];
-        // The one admission predicate: a phase running lanes at `width`
-        // evicts every member it refuses to a scalar attempt, counted once.
-        let admitted: Vec<bool> = (0..batch).map(|i| admits(job, i)).collect();
-        let admitted_among = |members: &[usize]| members.iter().filter(|&&i| admitted[i]).count();
-        let evicts = |width: usize, i: usize| width >= 2 && !admitted[i];
-        let mut evicted = vec![false; batch];
 
         // P3: DOPRI5 over the non-stiff members; the failures the policy
         // re-routes are handed over to P4. The host width narrows to each
-        // worker's share; evictions are judged at the full width, so their
-        // count does not depend on how many workers share the queue.
+        // worker's share.
         let (stiff, nonstiff): (Vec<usize>, Vec<usize>) =
             (0..batch).partition(|&i| classes[i].stiff);
-        let p3_admitted = admitted_among(&nonstiff);
-        let p3_full = phase_width(model.lane_width, p3_admitted, || MAX_LANE_WIDTH);
-        let p3_width = share_narrowed(p3_full, p3_admitted, host.executor.threads());
-        let p3 = first_attempts(host, job, Lockstep::Dopri5, &nonstiff, p3_width, &admitted)?;
+        let p3_width = share_narrowed(
+            phase_width(model.lane_width, nonstiff.len(), || MAX_LANE_WIDTH),
+            nonstiff.len(),
+            host.executor.threads(),
+        );
+        let p3 = first_attempts(host, job, Lockstep::Dopri5, &nonstiff, p3_width)?;
         let mut handed_over = Vec::new();
         for (&i, attempt) in nonstiff.iter().zip(p3) {
             stats[i] = *attempt_stats(&attempt);
-            evicted[i] = evicts(p3_full, i);
             if matches!(&attempt, Err(f) if host.recovery.reroutes(&f.error)) {
                 handed_over.push(i);
             }
@@ -340,29 +333,26 @@ impl Simulator for Engine<FineCoarse> {
         // triage eigenvalue, at the pinned or autotuned width.
         let mut p4 = stiff;
         p4.extend(handed_over);
-        let p4_width =
-            phase_width(model.lane_width, admitted_among(&p4), || auto_lane_width(job.odes()));
-        let on_lanes = |i: usize| p4_width >= 2 && admitted[i];
+        let p4_width = phase_width(model.lane_width, p4.len(), || auto_lane_width(job.odes()));
+        let solver = if p4_width >= 2 { "radau5-lanes" } else { "radau5" };
         let mut queue = p4.clone();
         queue.sort_by(|&a, &b| {
             let (cost_a, cost_b) = (classes[a].dominant_eigenvalue, classes[b].dominant_eigenvalue);
             cost_b.total_cmp(&cost_a).then(a.cmp(&b))
         });
-        let p4_attempts = first_attempts(host, job, Lockstep::Radau5, &queue, p4_width, &admitted)?;
+        let p4_attempts = first_attempts(host, job, Lockstep::Radau5, &queue, p4_width)?;
         for (&i, attempt) in queue.iter().zip(p4_attempts) {
             stats[i] = *attempt_stats(&attempt);
-            evicted[i] |= evicts(p4_width, i);
-            let solver = if on_lanes(i) { "radau5-lanes" } else { "radau5" };
             billed[i] = Some(match billed[i].take() {
                 Some(p3) => p3.rerouted_to(attempt, solver),
                 None => Billed::first(attempt, solver),
             });
         }
-        let (lanes, scalar): (Vec<usize>, Vec<usize>) = p4.iter().partition(|&&i| on_lanes(i));
         if p4_width >= 2 {
-            bill_p4_lanes(&device, job, &lanes, p4_width, &stats);
+            bill_p4_lanes(&device, job, &p4, p4_width, &stats);
+        } else {
+            bill_phase(&device, job, "p4_radau5", &p4, &stats);
         }
-        bill_phase(&device, job, "p4_radau5", &scalar, &stats);
 
         // Every member continues its ladder from there: a member still
         // failing climbs the relaxation rungs on the solver that last ran
@@ -384,7 +374,6 @@ impl Simulator for Engine<FineCoarse> {
             }
             settled.settle(rs.solution, class.stiff, rs.solver, rs.log);
         }
-        settled.health.evicted_lanes = evicted.iter().filter(|&&e| e).count();
         let lanes = (p4_width >= 2).then(|| device.lane_accounting());
 
         // P5: device→host transfer plus output writing.

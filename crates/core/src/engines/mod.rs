@@ -266,8 +266,10 @@ pub struct BatchHealth {
     pub reroutes: usize,
     /// Tolerance-relaxation retries performed across the batch.
     pub relaxations: usize,
-    /// Fault-planned members evicted from lockstep lane groups and solved
-    /// scalar (lane path only).
+    /// Always 0: no engine evicts a member from its lane groups (every
+    /// member takes the lane route, and a panic inside a group is contained
+    /// by the scalar one). Kept because the benchmark's traces still read
+    /// it; it goes with their next change.
     pub evicted_lanes: usize,
     /// Panics contained to a single member's outcome.
     pub panics_contained: usize,
@@ -320,9 +322,6 @@ impl fmt::Display for BatchHealth {
         }
         if self.relaxations > 0 {
             write!(f, "; {} relaxations", self.relaxations)?;
-        }
-        if self.evicted_lanes > 0 {
-            write!(f, "; {} lane evictions", self.evicted_lanes)?;
         }
         if self.panics_contained > 0 {
             write!(f, "; {} panics contained", self.panics_contained)?;

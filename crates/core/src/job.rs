@@ -161,9 +161,10 @@ impl<'a> JobBuilder<'a> {
 
     /// Attaches a deterministic fault-injection plan: engines wrap each
     /// covered member's system in a
-    /// [`ChaosSystem`](paraspace_solvers::ChaosSystem) and evict covered
-    /// members from lockstep lane groups, so the containment and recovery
-    /// machinery can be exercised reproducibly (builder style).
+    /// [`ChaosSystem`](paraspace_solvers::ChaosSystem) and their lane groups
+    /// in a [`ChaosBatchSystem`](paraspace_solvers::ChaosBatchSystem), so
+    /// the containment and recovery machinery can be exercised
+    /// reproducibly on either route (builder style).
     pub fn fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = plan;
         self

@@ -25,18 +25,21 @@
 //! that rule to price: the fine-coarse engine's P3 runs at the full width
 //! ([`share_narrowed`]). Both phases take their width from one resolver,
 //! [`phase_width`]: the pinned width, else the phase's rule, and the
-//! scalar route below two admitted members.
+//! scalar route below two members.
 //!
 //! # Scheduling
 //!
 //! Every lockstep phase in the crate — the fine-coarse engine's P3 and P4 —
 //! is one [`first_attempts`] call, on the workspace's one lockstep phase,
 //! `Executor::lockstep_phase` (the tau-leaping ensemble runs on it too):
-//! the members [`admits`] lets in run as [`lane_group`]s, the rest as
-//! contained scalar attempts beside them. There is one lane group per
-//! executor worker, every group refilling its free lanes from one shared
-//! member cursor, so no worker idles while another still has members
-//! waiting. The engines bill those attempts and continue each member's
+//! every member runs in a [`lane_group`], fault-planned ones included —
+//! their faults strike inside the lane
+//! ([`ChaosBatchSystem`](paraspace_solvers::ChaosBatchSystem)), and a
+//! group a panic takes down is contained by running the members it held as
+//! contained scalar attempts. There is one lane group per executor worker,
+//! every group refilling its free lanes from one shared member cursor, so
+//! no worker idles while another still has members waiting. The engines
+//! bill those attempts and continue each member's
 //! recovery ladder from them (`recovery::Billed`). Independent stiff
 //! systems integrated side by side diverge in step count (on the autophagy
 //! PSA grid a fifth of the re-routed members need 3–5× the Radau steps of
@@ -63,8 +66,8 @@ use paraspace_exec::{Cancelled, MAX_LANE_WIDTH};
 use paraspace_linalg::LuFactor;
 use paraspace_rbm::CompiledOdes;
 use paraspace_solvers::{
-    BatchOdeSystem, Dopri5, Dopri5Batch, OdeSolver, Radau5, Radau5Batch, Solution, SolveFailure,
-    SolverOptions, SolverScratch,
+    BatchOdeSystem, ChaosBatchSystem, Dopri5, Dopri5Batch, OdeSolver, Radau5, Radau5Batch,
+    Solution, SolveFailure, SolverOptions, SolverScratch,
 };
 
 /// How one member's integration ended.
@@ -88,23 +91,15 @@ pub(crate) enum Lockstep {
 /// a few dozen members still splits into several groups.
 pub(crate) const MEMBERS_PER_LANE: usize = 2;
 
-/// Whether a lockstep phase admits `member` of `job` to its lanes: it plans
-/// no fault. A member it refuses makes a contained scalar attempt beside
-/// the lanes, so an injected panic (and its per-call fault ordinals) never
-/// touches a group, and counts as a lane eviction when the phase ran lanes.
-pub(crate) fn admits(job: &SimulationJob, member: usize) -> bool {
-    job.fault_plan().faults_for(member).is_none()
-}
-
-/// The width a lockstep phase with `admitted` lane members runs at: the
-/// pinned width, else the phase's `rule`, and the scalar route (`1`) below
-/// two admitted members. A pinned `1` is the all-scalar route.
+/// The width a lockstep phase over `members` members runs at: the pinned
+/// width, else the phase's `rule`, and the scalar route (`1`) below two
+/// members. A pinned `1` is the all-scalar route.
 pub(crate) fn phase_width(
     pinned: Option<usize>,
-    admitted: usize,
+    members: usize,
     rule: impl FnOnce() -> usize,
 ) -> usize {
-    if admitted < 2 {
+    if members < 2 {
         return 1;
     }
     pinned.unwrap_or_else(rule).max(1)
@@ -125,13 +120,31 @@ pub(crate) fn share_narrowed(width: usize, members: usize, workers: usize) -> us
     }
 }
 
-/// One lane group of the lockstep `kernel` on `system`: binds members from
+/// One lane group of the lockstep `kernel` over `lanes` lanes of `job`,
+/// its fault plan's faults injected when it has any: binds members from
 /// `next` until it answers `None` and returns each member's attempt as it
 /// settles. A member's attempt does not depend on which group integrated it
 /// nor on the group's width (the lockstep contract).
-fn lane_group<S: BatchOdeSystem>(
+fn lane_group(
     kernel: Lockstep,
-    system: &mut S,
+    job: &SimulationJob,
+    lanes: usize,
+    next: &mut dyn FnMut() -> Option<usize>,
+    options: &SolverOptions,
+) -> Vec<(usize, Attempt)> {
+    let mut system = job.lane_system(lanes);
+    if job.fault_plan().is_empty() {
+        kernel_group(kernel, &mut system, next, job.time_points(), options)
+    } else {
+        let system = &mut ChaosBatchSystem::new(system, job.fault_plan());
+        kernel_group(kernel, system, next, job.time_points(), options)
+    }
+}
+
+/// One group of the lockstep `kernel` on `system` (see [`lane_group`]).
+fn kernel_group(
+    kernel: Lockstep,
+    system: &mut dyn BatchOdeSystem,
     next: &mut dyn FnMut() -> Option<usize>,
     times: &[f64],
     options: &SolverOptions,
@@ -152,19 +165,17 @@ fn lane_group<S: BatchOdeSystem>(
 /// **in list order**, under the options every first attempt runs under
 /// (`RecoveryPolicy::base_options`): one
 /// [`Executor::lockstep_phase`](paraspace_exec::Executor::lockstep_phase)
-/// call. When `width ≥ 2` the members `admitted` (indexed by member, from
-/// [`admits`]) lets in integrate as [`lane_group`]s on `job.lane_system` —
-/// list the expensive ones first; the rest, and every member at width 1,
-/// make contained scalar attempts on `kernel`'s scalar twin ([`Dopri5`] /
-/// [`Radau5`]) on the host's workers. Each attempt is bitwise the contained
-/// scalar one either way.
+/// call. When `width ≥ 2` the members integrate as [`lane_group`]s — list
+/// the expensive ones first; at width 1, and for the members a panicking
+/// group held, they make contained scalar attempts on `kernel`'s scalar
+/// twin ([`Dopri5`] / [`Radau5`]) on the host's workers. Each attempt is
+/// bitwise the contained scalar one either way.
 pub(crate) fn first_attempts(
     host: &Host,
     job: &SimulationJob,
     kernel: Lockstep,
     members: &[usize],
     width: usize,
-    admitted: &[bool],
 ) -> Result<Vec<Attempt>, Cancelled> {
     let options = host.recovery.base_options(job);
     let (dopri5, radau5) = (Dopri5::new(), Radau5::new());
@@ -176,10 +187,7 @@ pub(crate) fn first_attempts(
         &host.cancel,
         members,
         width,
-        |i| admitted[i],
-        |lanes, next| {
-            lane_group(kernel, &mut job.lane_system(lanes), next, job.time_points(), &options)
-        },
+        |lanes, next| lane_group(kernel, job, lanes, next, &options),
         SolverScratch::new,
         |scratch, i| contained_attempt(job, i, twin, &options, scratch),
     )
@@ -378,7 +386,7 @@ mod tests {
         }
     }
 
-    /// `job`'s members through 4-wide [`lane_group`]s on tripwired systems:
+    /// `job`'s members through 4-wide [`kernel_group`]s on tripwired systems:
     /// the outcome and how many lanes were bound by a group that had
     /// already seen the token tripped.
     fn run_tripwired(
@@ -402,12 +410,11 @@ mod tests {
             &cancel,
             &members,
             4,
-            |_| true,
             |width, next| {
-                lane_group(kernel, &mut tripwire(width), next, job.time_points(), job.options())
+                kernel_group(kernel, &mut tripwire(width), next, job.time_points(), job.options())
             },
             || (),
-            |(), _| unreachable!("every member is admitted"),
+            |(), _| unreachable!("no group panics"),
         );
         (outcome, late_binds.into_inner())
     }
@@ -470,9 +477,9 @@ mod tests {
     #[test]
     fn first_attempts_are_the_contained_scalar_ones_in_list_order() {
         // Six members listed out of member order, member 2 fault-planned: a
-        // NaN its scalar attempt meets, and that a lane — which integrates
-        // the member's clean system — never could. At every width and
-        // worker count each attempt equals the contained scalar one.
+        // NaN its lane meets exactly where its scalar attempt does. At every
+        // width and worker count each attempt equals the contained scalar
+        // one.
         use paraspace_rbm::Parameterization;
         use paraspace_solvers::{FaultPlan, FaultSpec};
         let mut m = ReactionBasedModel::new();
@@ -489,7 +496,6 @@ mod tests {
         let plan = FaultPlan::new().with_fault(2, FaultSpec::nan_at_time(0.1));
         let job = builder.fault_plan(plan).build().unwrap();
         let members = [4, 2, 0, 5, 1, 3];
-        let admitted: Vec<bool> = (0..6).map(|i| admits(&job, i)).collect();
         let (dopri5, radau5) = (Dopri5::new(), Radau5::new());
         let mut scratch = SolverScratch::new();
         for (kernel, twin) in
@@ -504,8 +510,7 @@ mod tests {
             for width in [1, 2, 4] {
                 for threads in [1, 2] {
                     let host = Host { executor: Executor::new(threads), ..Host::default() };
-                    let attempts =
-                        first_attempts(&host, &job, kernel, &members, width, &admitted).unwrap();
+                    let attempts = first_attempts(&host, &job, kernel, &members, width).unwrap();
                     assert_eq!(attempts, scalar, "{kernel:?}, width {width}, {threads} threads");
                 }
             }
@@ -549,7 +554,7 @@ mod tests {
         let job =
             crate::SimulationJob::builder(&m).time_points(vec![1.0]).replicate(8).build().unwrap();
         let p4_width =
-            |pinned, admitted| phase_width(pinned, admitted, || auto_lane_width(job.odes()));
+            |pinned, members| phase_width(pinned, members, || auto_lane_width(job.odes()));
         assert_eq!(p4_width(None, job.batch_size()), 1);
         assert_eq!(p4_width(Some(4), job.batch_size()), 4);
         assert_eq!(p4_width(Some(4), 1), 1);

@@ -57,11 +57,12 @@
 //!
 //! [`Executor::lockstep_phase`] is the one lockstep phase of the workspace
 //! (the fine-coarse engine's DOPRI5 and RADAU5 phases, the tau-leaping
-//! ensemble): the admitted members run as one lane group per worker, all
-//! refilling their lanes from one shared cursor that the token closes, the
-//! rest one at a time beside them, and the values come back in list order.
-//! Lane width is a scheduling choice only, never part of a result; the
-//! widest group is [`MAX_LANE_WIDTH`].
+//! ensemble): every member runs in one lane group per worker, all refilling
+//! their lanes from one shared cursor that the token closes, and the values
+//! come back in list order. A panic inside a group is contained: the
+//! members that group held run one at a time, and a fresh group takes the
+//! rest of the queue. Lane width is a scheduling choice only, never part of
+//! a result; the widest group is [`MAX_LANE_WIDTH`].
 //!
 //! # Example
 //!
@@ -423,19 +424,24 @@ impl Executor {
     }
 
     /// Runs one lockstep phase over the distinct `members`, listed in the
-    /// order their values come back, expensive ones first. The members
-    /// `admit` lets in run as lane groups of `width`, narrowed to how many
-    /// it let in: at most one group per worker, each a call of
+    /// order their values come back, expensive ones first. At `width ≥ 2`
+    /// every member runs in a lane group of `width`, narrowed to the member
+    /// count: at most one group per worker, each a call of
     /// `group(lanes, next)` that pulls members from one shared cursor until
     /// it answers `None` and returns `(member, value)` for each of them.
-    /// The rest, and every member below width 2, run one at a time as
+    /// Below width 2 every member runs one at a time as
     /// `single(state, member)` on a per-worker `init` state, as in
     /// [`try_map_with_cancel`](Self::try_map_with_cancel).
+    ///
+    /// A panic inside a group is contained: the members that group pulled
+    /// run as `single`s on its worker, which then opens a fresh group on
+    /// what is left of the queue. `single` must give a member the value a
+    /// group gives it, so the values do not show which route ran a member.
     ///
     /// Returns one value per member **in list order**, or `Err(Cancelled)`
     /// once `cancel` trips: the cursor then answers `None`, the groups drain
     /// what they hold, no single member starts, and the partial values are
-    /// discarded. A panic escaping either body is resumed here.
+    /// discarded. A panic escaping `single` is resumed here.
     ///
     /// ```
     /// use paraspace_exec::{CancelToken, Executor};
@@ -444,62 +450,81 @@ impl Executor {
     ///     &CancelToken::new(),
     ///     &[7, 3, 9],
     ///     2,
-    ///     |member| member != 3,
     ///     |_lanes, next| std::iter::from_fn(next).map(|i| (i, i * i)).collect(),
     ///     || (),
     ///     |(), member| member * member,
     /// );
     /// assert_eq!(squares, Ok(vec![49, 9, 81]));
     /// ```
-    #[allow(clippy::too_many_arguments)]
     pub fn lockstep_phase<T: Send, S>(
         &self,
         cancel: &CancelToken,
         members: &[usize],
         width: usize,
-        admit: impl Fn(usize) -> bool,
         group: impl Fn(usize, &mut dyn FnMut() -> Option<usize>) -> Vec<(usize, T)> + Sync,
         init: impl Fn() -> S + Sync,
         single: impl Fn(&mut S, usize) -> T + Sync,
     ) -> Result<Vec<T>, Cancelled> {
-        let on_lanes: Vec<bool> = members.iter().map(|&i| width >= 2 && admit(i)).collect();
-        let listed = |lane: bool| -> Vec<usize> {
-            members.iter().zip(&on_lanes).filter(|&(_, &l)| l == lane).map(|(&i, _)| i).collect()
-        };
-        let (queue, singles) = (listed(true), listed(false));
+        if width < 2 {
+            let values = self.try_map_with_cancel(members.len(), cancel, init, |state, k| {
+                single(state, members[k])
+            })?;
+            return Ok(values
+                .into_iter()
+                .map(|value| value.unwrap_or_else(|fault| panic!("{fault}")))
+                .collect());
+        }
 
-        // The cursor publishes nothing but itself (the queue and whatever
+        // The cursor publishes nothing but itself (the members and whatever
         // `group` borrows are shared before any worker starts): relaxed.
         let cursor = AtomicUsize::new(0);
         let next = || {
             if cancel.is_cancelled() {
                 return None;
             }
-            queue.get(cursor.fetch_add(1, Ordering::Relaxed)).copied()
+            members.get(cursor.fetch_add(1, Ordering::Relaxed)).copied()
         };
-        let lanes = width.min(queue.len()).max(1);
-        let groups = self.threads.min(queue.len().div_ceil(lanes));
-        let settled =
-            self.try_map_with_cancel(groups, cancel, || (), |(), _| group(lanes, &mut &next))?;
-        let first = queue.iter().min().copied().unwrap_or(0);
-        let span = queue.iter().max().map_or(0, |&last| last + 1 - first);
+        let lanes = width.min(members.len()).max(1);
+        let groups = self.threads.min(members.len().div_ceil(lanes));
+        // One worker's groups, until one ends without a panic; the members
+        // a panicking group pulled are run as singles.
+        let worker = |(): &mut (), _| {
+            let (mut values, mut state) = (Vec::new(), None);
+            loop {
+                let mut pulled = Vec::new();
+                let settled = catch_unwind(AssertUnwindSafe(|| {
+                    group(lanes, &mut || next().inspect(|&i| pulled.push(i)))
+                }));
+                match settled {
+                    Ok(settled) => {
+                        values.extend(settled);
+                        return values;
+                    }
+                    // A group that fails before it holds a member would
+                    // fail again: nothing of it is a member's fault.
+                    Err(payload) if pulled.is_empty() => std::panic::resume_unwind(payload),
+                    Err(_) => {}
+                }
+                let state = state.get_or_insert_with(&init);
+                for i in pulled {
+                    if cancel.is_cancelled() {
+                        return values;
+                    }
+                    values.push((i, single(state, i)));
+                }
+            }
+        };
+        let settled = self.try_map_with_cancel(groups, cancel, || (), worker)?;
+        let first = members.iter().min().copied().unwrap_or(0);
+        let span = members.iter().max().map_or(0, |&last| last + 1 - first);
         let mut by_member: Vec<Option<T>> = (0..span).map(|_| None).collect();
         for values in settled {
             for (member, value) in values.unwrap_or_else(|fault| panic!("{fault}")) {
                 by_member[member - first] = Some(value);
             }
         }
-        let mut singled = self
-            .try_map_with_cancel(singles.len(), cancel, init, |state, k| single(state, singles[k]))?
-            .into_iter()
-            .map(|value| value.unwrap_or_else(|fault| panic!("{fault}")));
-        // A lane member nobody returned means the cursor refused it: cancelled.
-        members
-            .iter()
-            .zip(&on_lanes)
-            .map(|(&i, &lane)| if lane { by_member[i - first].take() } else { singled.next() })
-            .map(|value| value.ok_or(Cancelled))
-            .collect()
+        // A member nobody returned means the cursor refused it: cancelled.
+        members.iter().map(|&i| by_member[i - first].take().ok_or(Cancelled)).collect()
     }
 }
 
@@ -796,39 +821,34 @@ mod tests {
 
     #[test]
     fn lockstep_phase_returns_list_order_at_any_width_and_worker_count() {
-        // A cost-ordered list of members that do not start at zero, every
-        // third one refused its lane; a group that ran below width 2 or
-        // served a refused member would have to show it.
+        // A cost-ordered list of members that do not start at zero; a group
+        // that ran below width 2, or a single that ran at width 2, would
+        // have to show it.
         let members: Vec<usize> = (0..23).map(|k| 100 + (k * 7) % 23).collect();
         let expected: Vec<usize> = members.iter().map(|&i| i * 3).collect();
         for threads in [1, 2, 4] {
             for width in [1, 2, 3, 8] {
-                for admit_all in [true, false] {
-                    let admit = |i: usize| admit_all || !i.is_multiple_of(3);
-                    let got = Executor::new(threads).lockstep_phase(
-                        &CancelToken::new(),
-                        &members,
-                        width,
-                        admit,
-                        |lanes, next| {
-                            assert!(lanes >= 2 && lanes <= width);
-                            lane_group(lanes, &mut || next().inspect(|&i| assert!(admit(i))))
-                        },
-                        || (),
-                        |(), i| {
-                            assert!(width < 2 || !admit(i));
-                            i * 3
-                        },
-                    );
-                    assert_eq!(got, Ok(expected.clone()), "threads={threads} width={width}");
-                }
+                let got = Executor::new(threads).lockstep_phase(
+                    &CancelToken::new(),
+                    &members,
+                    width,
+                    |lanes, next| {
+                        assert!(lanes >= 2 && lanes <= width);
+                        lane_group(lanes, next)
+                    },
+                    || (),
+                    |(), i| {
+                        assert!(width < 2);
+                        i * 3
+                    },
+                );
+                assert_eq!(got, Ok(expected.clone()), "threads={threads} width={width}");
             }
         }
         let none = Executor::new(2).lockstep_phase(
             &CancelToken::new(),
             &[],
             4,
-            |_| true,
             |lanes, next| lane_group(lanes, next),
             || (),
             |(), i| i,
@@ -836,7 +856,7 @@ mod tests {
         assert_eq!(none, Ok(Vec::new()));
     }
 
-    /// A phase whose every member is admitted to lanes of `width`.
+    /// A phase at `width ≥ 2`, whose members all run in groups.
     fn all_lanes<T: Send>(
         exec: Executor,
         cancel: &CancelToken,
@@ -848,10 +868,9 @@ mod tests {
             cancel,
             members,
             width,
-            |_| true,
             |_, next| group(next),
             || (),
-            |(), _| unreachable!("every member is admitted"),
+            |(), _| unreachable!("no group panics"),
         )
     }
 
@@ -889,16 +908,84 @@ mod tests {
     }
 
     #[test]
-    fn lockstep_phase_resumes_a_group_panic() {
-        let result = std::panic::catch_unwind(|| {
-            all_lanes(Executor::new(2), &CancelToken::new(), &[0, 1, 2, 3], 2, |next| {
-                if next() == Some(1) {
-                    panic!("lane plumbing");
+    fn lockstep_phase_contains_a_group_panic() {
+        // The group that pulls member 113 panics after it has settled some
+        // of its members: every member it pulled comes back from `single`,
+        // every other one from a group — the rest of the queue from a fresh
+        // group on the same worker — and all of them in list order.
+        let members: Vec<usize> = (0..23).map(|k| 100 + (k * 7) % 23).collect();
+        for threads in [1, 2] {
+            for width in [2, 4] {
+                let opened = AtomicUsize::new(0);
+                let panicked = std::sync::Mutex::new(Vec::new());
+                let got = Executor::new(threads).lockstep_phase(
+                    &CancelToken::new(),
+                    &members,
+                    width,
+                    |lanes, next| {
+                        opened.fetch_add(1, Ordering::Relaxed);
+                        let mut pulled = Vec::new();
+                        let settled = lane_group(lanes, &mut || {
+                            let item = next();
+                            pulled.extend(item);
+                            if item == Some(113) {
+                                *panicked.lock().unwrap() = pulled.clone();
+                                panic!("lane plumbing");
+                            }
+                            item
+                        });
+                        settled.into_iter().map(|(i, value)| (i, (value, "group"))).collect()
+                    },
+                    || (),
+                    |(), i| (i * 3, "single"),
+                );
+                let at = format!("threads={threads} width={width}");
+                let got = got.unwrap();
+                let panicked = panicked.into_inner().unwrap();
+                assert!(panicked.len() > width, "{at}: the group settled members first");
+                for (&i, &(value, route)) in members.iter().zip(&got) {
+                    assert_eq!(value, i * 3, "{at}: member {i}");
+                    let expected = if panicked.contains(&i) { "single" } else { "group" };
+                    assert_eq!(route, expected, "{at}: member {i}");
                 }
-                Vec::<(usize, ())>::new()
+                let workers = threads.min(members.len().div_ceil(width));
+                assert_eq!(opened.into_inner(), workers + 1, "{at}: one fresh group");
+            }
+        }
+    }
+
+    #[test]
+    fn lockstep_phase_resumes_a_panic_in_single() {
+        let phase = |width: usize| {
+            std::panic::catch_unwind(|| {
+                Executor::new(2).lockstep_phase(
+                    &CancelToken::new(),
+                    &[0, 1, 2, 3],
+                    width,
+                    |lanes, next| {
+                        lane_group(lanes, &mut || next().inspect(|&i| assert_ne!(i, 1, "lanes")))
+                    },
+                    || (),
+                    |(), i| {
+                        assert_ne!(i, 1, "single plumbing");
+                        i
+                    },
+                )
             })
+        };
+        // Below width 2, and after the group that met member 1 panicked.
+        for width in [1, 2] {
+            let message = payload_message(phase(width).expect_err("the panic surfaces").as_ref());
+            assert!(message.contains("single plumbing"), "width {width}: {message}");
+        }
+        // A group that panics before it pulls a member is no member's fault.
+        let result = std::panic::catch_unwind(|| {
+            let group = |_: &mut dyn FnMut() -> Option<usize>| -> Vec<(usize, ())> {
+                panic!("lane plumbing")
+            };
+            all_lanes(Executor::new(2), &CancelToken::new(), &[0, 1, 2, 3], 2, group)
         });
-        let message = payload_message(result.expect_err("the panic must surface").as_ref());
+        let message = payload_message(result.expect_err("the panic surfaces").as_ref());
         assert!(message.contains("lane plumbing"), "{message}");
     }
 

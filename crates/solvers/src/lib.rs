@@ -54,7 +54,7 @@ mod step;
 mod system;
 
 pub use batch::{BatchOdeSystem, BatchState};
-pub use chaos::{ChaosSystem, FaultKind, FaultPlan, FaultSpec};
+pub use chaos::{ChaosBatchSystem, ChaosSystem, FaultKind, FaultPlan, FaultSpec};
 pub use dopri5::Dopri5;
 pub use dopri5_batch::{Dopri5Batch, LaneReport};
 pub use error::{SolveFailure, SolverError};

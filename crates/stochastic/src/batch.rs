@@ -13,9 +13,12 @@
 //!   engines' lockstep phase ([`Executor::lockstep_phase`]);
 //! * the **scalar path** — everything else (the exact
 //!   [`DirectMethod`](crate::DirectMethod), non-mass-action models whose
-//!   falling-factorial propensities the batched kernel is gated off, and
-//!   replicates evicted from lane groups by a chaos fault plan) runs one
-//!   replicate per executor item.
+//!   falling-factorial propensities the batched kernel is gated off) runs
+//!   one replicate per executor item.
+//!
+//! A chaos fault plan's replicates take the route every other replicate
+//! takes: the lane kernel poisons their propensities as the scalar path
+//! does.
 //!
 //! Which group ran a replicate shows nowhere: the device is billed on the
 //! calling thread, in replicate order, per *modelled* group of
@@ -221,10 +224,9 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
     }
 
     /// Installs a deterministic fault plan (replicate indices are
-    /// absolute, i.e. relative to replicate 0 of the full ensemble).
-    /// Afflicted replicates are evicted from lane groups and run the
-    /// scalar path, where the poison trips the propensity hardening into
-    /// a contained per-replicate error.
+    /// absolute, i.e. relative to replicate 0 of the full ensemble). On
+    /// either path the poison trips the propensity hardening into a
+    /// contained per-replicate error.
     pub fn with_faults(mut self, faults: StochFaultPlan) -> Self {
         self.faults = faults;
         self
@@ -292,10 +294,9 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
         let table = PropensityTable::new(model);
         let x0 = initial_counts(model);
 
-        // Lane replicates drain through tau-leaping lane groups; the rest
-        // (fault-planned ones evicted, as the ODE engines evict
-        // chaos-planned members, or all of them without a lockstep kernel)
-        // run the scalar simulator one per item. Lane values carry ticks.
+        // Replicates drain through tau-leaping lane groups, or without a
+        // lockstep kernel run the scalar simulator one per item. Lane
+        // values carry ticks.
         let kernel = self.simulator.lane_kernel();
         let width = kernel.as_ref().map_or(1, |_| self.lane_width.unwrap_or(MAX_LANE_WIDTH).max(1));
         let stream = |abs: usize| CounterRng::replicate_stream(self.seed, self.member, abs as u64);
@@ -304,12 +305,11 @@ impl<S: StochasticSimulator + Sync> StochasticBatch<S> {
             &self.cancel,
             &replicates,
             width,
-            |abs| !self.faults.afflicts(abs),
             |lanes, next| {
                 let kernel = kernel.as_ref().expect("lanes run only with a lockstep kernel");
                 let mut next_replicate = || next().map(|abs| (abs, stream(abs)));
                 let (settled, _report) =
-                    kernel.run_queue(&table, &x0, times, lanes, &mut next_replicate);
+                    kernel.run_queue(&table, &x0, times, lanes, &self.faults, &mut next_replicate);
                 settled
                     .into_iter()
                     .map(|(abs, outcome, ticks)| (abs, (outcome, Some(ticks))))
@@ -510,7 +510,7 @@ mod tests {
     }
 
     #[test]
-    fn fault_planned_replicates_are_evicted_and_contained() {
+    fn fault_planned_replicates_are_contained() {
         let m = decay(60_000.0);
         let clean = StochasticBatch::new(TauLeaping::new()).with_seed(19);
         let faulty =
@@ -528,6 +528,14 @@ mod tests {
         // Deterministic containment: the retry re-faults identically.
         let c = faulty.run(&m, &[0.2], 12).unwrap();
         assert_eq!(b.outcomes, c.outcomes);
+        // The poison strikes a lane where it strikes the scalar path: the
+        // lanes' error payload is the scalar one, bit for bit.
+        let scalar = faulty.clone().with_lane_width(Some(1)).run(&m, &[0.2], 12).unwrap();
+        for width in [2, 8] {
+            let lanes = faulty.clone().with_lane_width(Some(width)).run(&m, &[0.2], 12).unwrap();
+            assert_eq!(lanes.lane_width, width);
+            assert_eq!(lanes.outcomes, scalar.outcomes, "width {width}");
+        }
     }
 
     #[test]

@@ -13,11 +13,12 @@
 //! of the replicate's own loop, and the counter-based RNG gives the
 //! replicate the same draw sequence on every rerun — so a retried
 //! replicate re-faults identically, exactly like the latching
-//! `ChaosSystem` faults on the ODE side. The batch engine evicts
-//! fault-planned replicates from lane groups and runs them on the scalar
-//! path, mirroring the lockstep ODE engines' eviction discipline: one
-//! poisoned replicate becomes one contained per-replicate error while
-//! every other replicate's trajectory stays bitwise unchanged.
+//! `ChaosSystem` faults on the ODE side. A poison is a NaN, never a panic,
+//! so fault-planned replicates share the lane groups with the rest: the
+//! lane kernel poisons a lane's propensities at that lane's own ordinal,
+//! and the same hardening check retires it with the scalar path's exact
+//! error. One poisoned replicate becomes one contained per-replicate error
+//! while every other replicate's trajectory stays bitwise unchanged.
 
 use std::collections::BTreeMap;
 
@@ -62,12 +63,6 @@ impl StochFaultPlan {
         self.faults.get(&replicate).map_or(&[], Vec::as_slice)
     }
 
-    /// Whether `replicate` has any planned fault (lane-group eviction
-    /// predicate).
-    pub fn afflicts(&self, replicate: usize) -> bool {
-        self.faults.contains_key(&replicate)
-    }
-
     /// Whether the plan is empty.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
@@ -79,13 +74,16 @@ impl StochFaultPlan {
     }
 }
 
-/// Applies the faults due at evaluation ordinal `eval` to a freshly
-/// evaluated propensity vector. Returns `true` if anything was poisoned.
-pub(crate) fn apply_faults(faults: &[StochFault], eval: u64, a: &mut [f64]) -> bool {
+/// Applies the faults due at evaluation ordinal `eval` to freshly
+/// evaluated propensities, reaction `r`'s at `a[r * stride]`: `stride` 1
+/// for one replicate's vector, the lane width for one lane of a lane
+/// group's reaction-major block (`a` then starts at the lane). Returns
+/// `true` if anything was poisoned.
+pub(crate) fn apply_faults(faults: &[StochFault], eval: u64, a: &mut [f64], stride: usize) -> bool {
     let mut hit = false;
     for f in faults {
-        if f.at_eval == eval && f.reaction < a.len() {
-            a[f.reaction] = f64::NAN;
+        if f.at_eval == eval && f.reaction < a.len().div_ceil(stride) {
+            a[f.reaction * stride] = f64::NAN;
             hit = true;
         }
     }
@@ -102,7 +100,6 @@ mod tests {
             .poison(7, StochFault::nan(0, 3))
             .poison(2, StochFault::nan(1, 0))
             .poison(7, StochFault::nan(2, 5));
-        assert!(plan.afflicts(7) && plan.afflicts(2) && !plan.afflicts(3));
         assert_eq!(plan.faults_for(7).len(), 2);
         assert_eq!(plan.faults_for(3), &[]);
         assert_eq!(plan.replicates().collect::<Vec<_>>(), vec![2, 7]);
@@ -114,18 +111,29 @@ mod tests {
     fn faults_land_only_at_their_ordinal() {
         let faults = [StochFault::nan(1, 2)];
         let mut a = [1.0, 2.0, 3.0];
-        assert!(!apply_faults(&faults, 1, &mut a));
+        assert!(!apply_faults(&faults, 1, &mut a, 1));
         assert_eq!(a, [1.0, 2.0, 3.0]);
-        assert!(apply_faults(&faults, 2, &mut a));
+        assert!(apply_faults(&faults, 2, &mut a, 1));
         assert!(a[1].is_nan());
         assert_eq!((a[0], a[2]), (1.0, 3.0));
+    }
+
+    #[test]
+    fn lane_faults_land_in_their_lane_only() {
+        // Three reactions × two lanes, reaction-major: lane 1 of reaction 2
+        // sits at 2·2 + 1. Reaction 3 does not exist.
+        let faults = [StochFault::nan(2, 0), StochFault::nan(3, 0)];
+        let mut a = [1.0, 2.0, 3.0, 4.0, 5.0, 6.0];
+        assert!(apply_faults(&faults, 0, &mut a[1..], 2));
+        assert!(a[5].is_nan());
+        assert_eq!(a[..5], [1.0, 2.0, 3.0, 4.0, 5.0]);
     }
 
     #[test]
     fn out_of_range_reactions_are_ignored() {
         let faults = [StochFault::nan(9, 0)];
         let mut a = [1.0];
-        assert!(!apply_faults(&faults, 0, &mut a));
+        assert!(!apply_faults(&faults, 0, &mut a, 1));
         assert_eq!(a, [1.0]);
     }
 }

@@ -120,7 +120,7 @@ impl StochasticSimulator for TauLeaping {
         for &ts in times {
             while t < ts {
                 let a0 = table.propensities_into(&x, &mut a);
-                apply_faults(faults, evals, &mut a);
+                apply_faults(faults, evals, &mut a, 1);
                 evals += 1;
                 validate_propensities(&a, t, traj.steps)?;
                 if a0 <= 0.0 {

@@ -40,6 +40,7 @@
 //! [`TauLeaping`]: crate::TauLeaping
 //! [`CompiledStoich::propensities_lanes`]: paraspace_rbm::CompiledStoich::propensities_lanes
 
+use crate::chaos::{apply_faults, StochFault, StochFaultPlan};
 use crate::error::validate_propensities;
 use crate::propensity::PropensityTable;
 use crate::rng::CounterRng;
@@ -54,8 +55,10 @@ type Outcome = Result<StochasticTrajectory, StochasticError>;
 
 /// One lane's bookkeeping: which replicate it runs and where that
 /// replicate stands.
-struct Lane {
+struct Lane<'p> {
     replicate: usize,
+    /// The replicate's planned faults.
+    faults: &'p [StochFault],
     t: f64,
     sample_idx: usize,
     rng: CounterRng,
@@ -67,7 +70,7 @@ struct Lane {
     ticks: u64,
 }
 
-impl Lane {
+impl Lane<'_> {
     /// The finished replicate: its index, its trajectory, its ticks.
     fn finish(self) -> (usize, Outcome, u64) {
         let trajectory = StochasticTrajectory {
@@ -117,7 +120,8 @@ impl TauLeapBatch {
     ) -> (Vec<Outcome>, LaneGroupStats) {
         let mut pending = streams.iter().cloned().enumerate();
         let lanes = width.min(streams.len().max(1));
-        let (mut settled, report) = self.run_queue(table, x0, times, lanes, &mut || pending.next());
+        let (mut settled, report) =
+            self.run_queue(table, x0, times, lanes, &StochFaultPlan::new(), &mut || pending.next());
         settled.sort_by_key(|&(replicate, ..)| replicate);
         (settled.into_iter().map(|(_, outcome, _)| outcome).collect(), report)
     }
@@ -126,7 +130,9 @@ impl TauLeapBatch {
     /// out, each as its index and its own stream, from `x0` and sampled at
     /// `times` (non-decreasing). A lane freed by a finished (or hardening-
     /// tripped) replicate asks for the next one at once; the group stops
-    /// asking at the first `None`, drains its live lanes and returns.
+    /// asking at the first `None`, drains its live lanes and returns. The
+    /// faults `faults` plans for a replicate poison its lane's propensities
+    /// at the evaluation ordinals the scalar path poisons.
     ///
     /// Returns `(replicate, outcome, ticks)` as they settled — `ticks` the
     /// lockstep iterations the replicate was live for, which like its
@@ -135,12 +141,13 @@ impl TauLeapBatch {
     /// # Panics
     ///
     /// Panics if `width == 0` or `x0.len() != table.n_species()`.
-    pub fn run_queue(
+    pub fn run_queue<'p>(
         &self,
         table: &PropensityTable,
         x0: &[u64],
         times: &[f64],
         width: usize,
+        faults: &'p StochFaultPlan,
         next_replicate: &mut dyn FnMut() -> Option<(usize, CounterRng)>,
     ) -> (Vec<(usize, Outcome, u64)>, LaneGroupStats) {
         assert!(width > 0, "lane width must be positive");
@@ -160,7 +167,7 @@ impl TauLeapBatch {
         let mut mu = vec![0.0f64; lanes];
         let mut sigma2 = vec![0.0f64; lanes];
         let mut cand = vec![0u64; n];
-        let mut slots: Vec<Option<Lane>> = (0..lanes).map(|_| None).collect();
+        let mut slots: Vec<Option<Lane<'p>>> = (0..lanes).map(|_| None).collect();
         let mut exhausted = false;
 
         // Binds pending replicates to lane `l`, delivering any samples due
@@ -168,7 +175,7 @@ impl TauLeapBatch {
         // which never enters the loop for ts ≤ 0). Replicates whose entire
         // schedule is due at once complete here and the next one binds.
         let mut bind = |l: usize,
-                        slots: &mut Vec<Option<Lane>>,
+                        slots: &mut Vec<Option<Lane<'p>>>,
                         counts: &mut Vec<u64>,
                         settled: &mut Vec<(usize, Outcome, u64)>| {
             slots[l] = None;
@@ -182,6 +189,7 @@ impl TauLeapBatch {
                 }
                 let mut lane = Lane {
                     replicate,
+                    faults: faults.faults_for(replicate),
                     t: 0.0,
                     sample_idx: 0,
                     rng,
@@ -215,6 +223,13 @@ impl TauLeapBatch {
             // Batched sweeps over all lane slots (idle slots carry stale
             // counts; their results are never read).
             stoich.propensities_lanes(&counts, lanes, &mut a);
+            // Injected faults, each lane at its own evaluation ordinal: the
+            // ticks it has been live for.
+            for (l, lane) in slots.iter().enumerate() {
+                if let Some(lane) = lane.as_ref().filter(|lane| !lane.faults.is_empty()) {
+                    apply_faults(lane.faults, lane.ticks, &mut a[l..], lanes);
+                }
+            }
             stoich.propensity_sums_lanes(&a, lanes, &mut a0);
             // Cao tau selection, species outer / reactions inner / lanes
             // innermost: each lane accumulates μ/σ² in exactly the scalar
@@ -399,6 +414,47 @@ mod tests {
     }
 
     #[test]
+    fn planned_faults_strike_a_lane_where_they_strike_the_scalar_path() {
+        // Replicate 3 is poisoned at its third evaluation, 7 at its first,
+        // 8 twice; each lane retires with the scalar path's exact error
+        // after as many ticks as evaluations, and every other replicate is
+        // untouched.
+        let m = two_species_model();
+        let table = PropensityTable::new(&m);
+        let x0 = initial_counts(&m);
+        let times = [0.05, 0.1, 0.3];
+        let plan = StochFaultPlan::new()
+            .poison(3, StochFault::nan(0, 2))
+            .poison(7, StochFault::nan(2, 0))
+            .poison(8, StochFault::nan(1, 4))
+            .poison(8, StochFault::nan(2, 4));
+        let n_rep = 11;
+        let scalar: Vec<Outcome> = (0..n_rep)
+            .map(|i| {
+                let mut rng = CounterRng::replicate_stream(42, 0, i as u64);
+                TauLeaping::new().simulate_counts(&table, &x0, &times, &mut rng, plan.faults_for(i))
+            })
+            .collect();
+        assert_eq!(scalar.iter().filter(|o| o.is_err()).count(), 3);
+        for width in [1, 2, 4, 8] {
+            let mut pending = streams(n_rep).into_iter().enumerate();
+            let (settled, _) =
+                TauLeapBatch::new()
+                    .run_queue(&table, &x0, &times, width, &plan, &mut || pending.next());
+            assert_eq!(settled.len(), n_rep);
+            for (i, outcome, ticks) in settled {
+                assert_eq!(outcome, scalar[i], "width {width} replicate {i}");
+                match i {
+                    3 => assert_eq!(ticks, 3, "width {width}"),
+                    7 => assert_eq!(ticks, 1, "width {width}"),
+                    8 => assert_eq!(ticks, 5, "width {width}"),
+                    _ => {}
+                }
+            }
+        }
+    }
+
+    #[test]
     fn compaction_keeps_retired_lanes_productive() {
         let m = two_species_model();
         let table = PropensityTable::new(&m);
@@ -495,9 +551,10 @@ mod tests {
             let x0 = initial_counts(model);
             for width in [1, 2, 3, 4, 8] {
                 let mut pending = streams(n_rep).into_iter().enumerate();
+                let none = &StochFaultPlan::new();
                 let (settled, report) =
                     TauLeapBatch::new()
-                        .run_queue(&table, &x0, times, width, &mut || pending.next());
+                        .run_queue(&table, &x0, times, width, none, &mut || pending.next());
                 let mut ticks = vec![None; n_rep];
                 for (replicate, _, t) in settled {
                     ticks[replicate] = Some(t);
@@ -528,12 +585,14 @@ mod tests {
         let x0 = initial_counts(&m);
         let mut pending = streams(5).into_iter().enumerate();
         let (mut dry, mut asked_when_dry) = (false, 0);
-        let (mut settled, _) = TauLeapBatch::new().run_queue(&table, &x0, &[0.1], 2, &mut || {
-            asked_when_dry += usize::from(dry);
-            let next = pending.next();
-            dry |= next.is_none();
-            next
-        });
+        let none = &StochFaultPlan::new();
+        let (mut settled, _) =
+            TauLeapBatch::new().run_queue(&table, &x0, &[0.1], 2, none, &mut || {
+                asked_when_dry += usize::from(dry);
+                let next = pending.next();
+                dry |= next.is_none();
+                next
+            });
         assert_eq!(asked_when_dry, 0);
         settled.sort_by_key(|(replicate, _, _)| *replicate);
         let (whole, _) = TauLeapBatch::new().run(&table, &x0, &[0.1], 2, &streams(5));

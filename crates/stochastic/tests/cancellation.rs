@@ -11,8 +11,8 @@
 use paraspace_exec::{CancelToken, Executor};
 use paraspace_rbm::{Reaction, ReactionBasedModel};
 use paraspace_stochastic::{
-    initial_counts, CounterRng, PropensityTable, StochFault, StochasticBatch, StochasticError,
-    StochasticSimulator, StochasticTrajectory, TauLeapBatch, TauLeaping,
+    initial_counts, CounterRng, PropensityTable, StochFault, StochFaultPlan, StochasticBatch,
+    StochasticError, StochasticSimulator, StochasticTrajectory, TauLeapBatch, TauLeaping,
 };
 use rand::Rng;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -169,13 +169,18 @@ fn run_lanes_tripwired(
             }
             Some((replicate, CounterRng::replicate_stream(5, 0, replicate as u64)))
         };
-        let (settled, _) =
-            TauLeapBatch::new().run_queue(&table, &x0, &times, lanes, &mut next_replicate);
+        let (settled, _) = TauLeapBatch::new().run_queue(
+            &table,
+            &x0,
+            &times,
+            lanes,
+            &StochFaultPlan::new(),
+            &mut next_replicate,
+        );
         settled.into_iter().map(|(replicate, outcome, _ticks)| (replicate, outcome)).collect()
     };
-    let single = |(): &mut (), _| unreachable!("every replicate is admitted");
-    let outcome =
-        Executor::new(threads).lockstep_phase(&cancel, &queue, 4, |_| true, group, || (), single);
+    let single = |(): &mut (), _| unreachable!("no group panics");
+    let outcome = Executor::new(threads).lockstep_phase(&cancel, &queue, 4, group, || (), single);
     (outcome.map_err(StochasticError::from), late_binds.into_inner())
 }
 

@@ -95,8 +95,10 @@ fn lane_accounting_and_device_time_are_pinned() {
     // modelled group per `4·width` lane replicates, whichever host group
     // ran them. Recorded before the ensemble moved onto the shared lane
     // queue, when each fixed host unit billed its own report: a width that
-    // divides nothing, a range that starts off zero, and an evicted
-    // replicate, at one and two workers.
+    // divides nothing, a range that starts off zero, and a poisoned
+    // replicate, at one and two workers. The lane counts again when the
+    // poisoned replicate joined the lanes instead of the scalar path (its
+    // two ticks, and the packing of every modelled group after it).
     let model = dimerization();
     for threads in [1, 2] {
         let run = StochasticBatch::new(TauLeaping::new())
@@ -107,7 +109,7 @@ fn lane_accounting_and_device_time_are_pinned() {
             .run_range(&model, &[0.1, 0.3, 0.7], 5..45)
             .unwrap();
         let pinned =
-            LaneAccounting { groups: 4, slot_steps: 33_063, lane_steps: 32_909, max_width: 3 };
+            LaneAccounting { groups: 4, slot_steps: 35_508, lane_steps: 32_911, max_width: 3 };
         assert_eq!(run.lanes, Some(pinned), "threads {threads}");
         assert_eq!(run.simulated_ns.to_bits(), 0x4110_1102_3b88_ee24, "threads {threads}");
     }
