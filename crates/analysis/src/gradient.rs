@@ -436,7 +436,8 @@ fn merge_traces(traces: Vec<GradientTrace>) -> GradientTrace {
 /// Calibrates the unknown constants by multi-start projected L-BFGS on the
 /// exact sensitivity gradient. The returned
 /// [`EstimationResult::simulations`] counts *augmented ODE solves* — the
-/// number the swarm comparison in the benches is made against.
+/// number E7b's swarm comparison (`paraspace_bench::studies::pe_gradient`)
+/// is made against.
 ///
 /// With a checkpoint every (loss, gradient) evaluation is one journaled
 /// shard keyed by its position in the deterministic evaluation sequence.

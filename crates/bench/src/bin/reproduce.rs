@@ -4,7 +4,7 @@
 //! cargo run --release -p paraspace-bench --bin reproduce [-- TABLE...]
 //! ```
 //!
-//! Rewrites `results/<TABLE>.txt` for each named table, or for all 13 when
+//! Rewrites `results/<TABLE>.txt` for each named table, or for all 14 when
 //! none is named. With `PARASPACE_FULL=1` the tables are computed at
 //! publication scale and printed to stdout instead, so a full-scale run
 //! never overwrites a committed default-scale table. Each table's host wall

@@ -1,18 +1,15 @@
 //! The reconstructed evaluation, one function per table.
 //!
-//! Each table of EXPERIMENTS.md (E1–E8, V1, A1–A4, S1) is a function that
-//! computes the table's values — a parameter product mapped over cells and
-//! collected in order — and returns them as a value whose `Display` is the
-//! table text committed as `results/<name>.txt`. The `reproduce` binary
+//! Each table of EXPERIMENTS.md (E1–E8 with E7b, V1, A1–A4, S1) is a
+//! function that computes the table's values — a parameter product mapped
+//! over cells and collected in order — and returns them as a value whose
+//! `Display` is the table text committed as `results/<name>.txt`. The `reproduce` binary
 //! rewrites those files from [`TABLES`]; the release `experiments` suite
 //! calls the same functions, requires the committed text, and asserts the
 //! shape claims on the values. Every number in a table is modelled (the
 //! simulated device's clocks, the CPU roofline, solver counters), so cells
 //! run on an [`Executor`](paraspace_core::Executor) over all cores without
 //! moving a digit.
-//!
-//! The library also carries the provenance header of the criterion benches'
-//! `results/BENCH_*.json` files.
 
 pub mod ablations;
 pub mod maps;
@@ -38,13 +35,14 @@ pub struct Table {
 }
 
 /// Every table, in EXPERIMENTS.md order.
-pub const TABLES: [Table; 13] = [
+pub const TABLES: [Table; 14] = [
     Table { name: "map_symmetric", render: |full| maps::symmetric(full).to_string() },
     Table { name: "map_species_heavy", render: |full| maps::species_heavy(full).to_string() },
     Table { name: "map_reaction_heavy", render: |full| maps::reaction_heavy(full).to_string() },
     Table { name: "psa2d_autophagy", render: |full| studies::psa2d_autophagy(full).to_string() },
     Table { name: "sa_metabolic", render: |full| studies::sa_metabolic(full).to_string() },
     Table { name: "pe_metabolic", render: |full| studies::pe_metabolic(full).to_string() },
+    Table { name: "pe_gradient", render: |full| studies::pe_gradient(full).to_string() },
     Table { name: "speedup_table", render: |full| maps::speedup_table(full).to_string() },
     Table { name: "accuracy_table", render: |_| validation::accuracy_table().to_string() },
     Table { name: "ablation_batch", render: |full| ablations::batch(full).to_string() },
@@ -60,46 +58,6 @@ pub const TABLES: [Table; 13] = [
 /// The committed default-scale text of table `name`.
 pub fn results_file(name: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/../../results")).join(format!("{name}.txt"))
-}
-
-/// The git revision of the working tree, for provenance-stamping emitted
-/// result files — with `+dirty` appended when tracked files differ from it,
-/// so numbers taken on an uncommitted change do not pass for the commit's;
-/// `"unknown"` outside a git checkout.
-pub fn git_rev() -> String {
-    let git = |args: &[&str]| std::process::Command::new("git").args(args).output().ok();
-    let rev = git(&["rev-parse", "--short", "HEAD"])
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty());
-    match rev {
-        None => "unknown".into(),
-        Some(rev) => {
-            let clean = git(&["diff", "--quiet", "HEAD"]).is_some_and(|o| o.status.success());
-            if clean {
-                rev
-            } else {
-                rev + "+dirty"
-            }
-        }
-    }
-}
-
-/// The shared provenance header every `results/BENCH_*.json` emitter
-/// opens with: the bench name, what the host offers (`host_cpus`), the
-/// worker-thread count the measured configurations actually ran with
-/// (`threads_used` — the maximum, for benches that sweep thread counts),
-/// and the git revision the numbers were taken at. Returned as the
-/// leading JSON fragment (after `{`), so a result file can never be
-/// mistaken for a different machine's or revision's numbers.
-pub fn bench_header(bench: &str, threads_used: usize) -> String {
-    let host_cpus = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    format!(
-        "  \"bench\": \"{bench}\",\n  \"host_cpus\": {host_cpus},\n  \
-         \"threads_used\": {threads_used},\n  \"git_rev\": \"{}\",\n",
-        git_rev()
-    )
 }
 
 /// Formats nanoseconds with an adaptive unit.
@@ -125,12 +83,11 @@ mod tests {
         let mut files: Vec<String> = std::fs::read_dir(&dir)
             .expect("results directory")
             .map(|e| e.expect("entry").file_name().to_string_lossy().into_owned())
-            .filter_map(|f| f.strip_suffix(".txt").map(str::to_owned))
             .collect();
         files.sort();
-        let mut names: Vec<&str> = TABLES.iter().map(|t| t.name).collect();
+        let mut names: Vec<String> = TABLES.iter().map(|t| format!("{}.txt", t.name)).collect();
         names.sort();
-        assert_eq!(files, names, "results/*.txt and TABLES must match one-to-one");
+        assert_eq!(files, names, "results/ must hold exactly one <table>.txt per TABLES entry");
     }
 
     #[test]

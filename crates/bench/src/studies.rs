@@ -1,17 +1,22 @@
-//! E4–E7, the parameter-space studies: the PSA-2D of the autophagy
+//! E4–E7b, the parameter-space studies: the PSA-2D of the autophagy
 //! analogue with its 24-hour throughput probe, the Sobol analysis of the
-//! metabolic model with its batch-throughput probe, and the FST-PSO
-//! calibration priced on both engine classes.
+//! metabolic model with its batch-throughput probe, the FST-PSO
+//! calibration priced on both engine classes, and the gradient-based
+//! estimators against that swarm.
 
 use crate::fmt_ns;
 use paraspace_analysis::campaign::evaluate_points;
+use paraspace_analysis::fitness::relative_distance;
+use paraspace_analysis::gradient::GradientConfig;
 use paraspace_analysis::oscillation;
 use paraspace_analysis::pe::{estimate_with, EstimationProblem, EstimationResult, Optimizer};
 use paraspace_analysis::psa::{Axis, Psa2d, Psa2dResult};
 use paraspace_analysis::pso::PsoConfig;
 use paraspace_analysis::sobol::{SaltelliPlan, SobolIndices};
 use paraspace_analysis::throughput::{hours_ns, simulations_within_budget, ThroughputReport};
-use paraspace_core::{CpuEngine, CpuSolverKind, FineCoarseEngine, SimulationJob, Simulator};
+use paraspace_core::{
+    CpuEngine, CpuSolverKind, Executor, FineCoarseEngine, SimulationJob, Simulator,
+};
 use paraspace_models::{autophagy, metabolic};
 use paraspace_rbm::{Parameterization, ReactionBasedModel};
 use paraspace_solvers::{Solution, SolverOptions};
@@ -293,21 +298,24 @@ pub struct Calibration {
     mean_log_err: f64,
 }
 
-/// E7 with 8 unknown constants and 10 generations (all 78 and 30 at full
-/// scale).
-pub fn pe_metabolic(full: bool) -> Calibration {
-    let (n_unknown, iterations) = if full { (78, 30) } else { (8, 10) };
-    let model = metabolic::model();
-    // The unknowns are spread evenly over the network.
+/// The metabolic calibration of E7 and E7b: `n_unknown` constants spread
+/// evenly over the network, each searched over three decades centred
+/// `box_offset` log-units above its true value, against the fine+coarse
+/// trajectory of R5P, G6P, PYR and MgATP at t = 2, 4, …, 10.
+fn metabolic_calibration(
+    model: &ReactionBasedModel,
+    n_unknown: usize,
+    box_offset: f64,
+) -> EstimationProblem<'_> {
     let stride = model.n_reactions() / n_unknown;
     let unknown: Vec<usize> = (0..n_unknown).map(|i| i * stride).collect();
     let truth = model.rate_constants();
-    let log_bounds = (unknown.iter().map(|&i| truth[i].max(1e-12).log10()))
+    let log_bounds = (unknown.iter().map(|&i| truth[i].max(1e-12).log10() + box_offset))
         .map(|center| (center - 1.5, center + 1.5))
         .collect();
     let time_points: Vec<f64> = (1..=5).map(|i| i as f64 * 2.0).collect();
     let options = SolverOptions { max_steps: 200_000, ..SolverOptions::default() };
-    let target = SimulationJob::builder(&model)
+    let target = SimulationJob::builder(model)
         .time_points(time_points.clone())
         .replicate(1)
         .options(options.clone())
@@ -317,8 +325,8 @@ pub fn pe_metabolic(full: bool) -> Calibration {
     let observed = (["R5P", "G6P", "PYR", "MgATP"].iter())
         .map(|n| model.species_by_name(n).expect("observed species").index())
         .collect();
-    let problem = EstimationProblem {
-        model: &model,
+    EstimationProblem {
+        model,
         unknown,
         log_bounds,
         observed,
@@ -326,13 +334,26 @@ pub fn pe_metabolic(full: bool) -> Calibration {
         time_points,
         options,
         failed_members: Default::default(),
-    };
+    }
+}
+
+/// Mean |log₁₀ error| of `estimate`'s unknown constants against the truth.
+fn mean_log_err(problem: &EstimationProblem<'_>, estimate: &[f64]) -> f64 {
+    let (log10, truth) = (|k: f64| k.max(1e-300).log10(), problem.model.rate_constants());
+    let log_err = |&i: &usize| (log10(estimate[i]) - log10(truth[i])).abs();
+    problem.unknown.iter().map(log_err).sum::<f64>() / problem.unknown.len() as f64
+}
+
+/// E7 with 8 unknown constants and 10 generations (all 78 and 30 at full
+/// scale).
+pub fn pe_metabolic(full: bool) -> Calibration {
+    let (n_unknown, iterations) = if full { (78, 30) } else { (8, 10) };
+    let model = metabolic::model();
+    let problem = metabolic_calibration(&model, n_unknown, 0.0);
     let cfg = Optimizer::Pso(PsoConfig { iterations, seed: 17, ..Default::default() });
     let gpu = estimate_with(&problem, &fine_coarse(), &cfg, None).expect("fine-coarse calibration");
     let cpu = estimate_with(&problem, &lsoda(), &cfg, None).expect("lsoda calibration");
-    let log10 = |k: f64| k.max(1e-300).log10();
-    let log_err = |&i: &usize| (log10(gpu.rate_constants[i]) - log10(truth[i])).abs();
-    let mean_log_err = problem.unknown.iter().map(log_err).sum::<f64>() / n_unknown as f64;
+    let mean_log_err = mean_log_err(&problem, &gpu.rate_constants);
     let (n, m) = (model.n_species(), model.n_reactions());
     Calibration {
         header: format!(
@@ -357,5 +378,116 @@ impl fmt::Display for Calibration {
         writeln!(f, "  speedup: {:.0}x", self.cpu.simulated_ns / self.gpu.simulated_ns)?;
         let err = self.mean_log_err;
         writeln!(f, "  mean |log10 error| of recovered constants (gpu run): {err:.3}")
+    }
+}
+
+/// One estimator of E7b.
+#[derive(Debug, Clone)]
+pub struct Estimator {
+    method: &'static str,
+    engine: &'static str,
+    /// Full ODE or augmented sensitivity integrations.
+    pub solves: usize,
+    /// Modelled engine time of the swarm stages (0 for the host-side L-BFGS).
+    simulated_ns: f64,
+    /// The relative-L1 distance from the target of one scalar LSODA
+    /// simulation of the estimate: the swarm's fitness, applied to every
+    /// method, so the losses compare although the searches minimize
+    /// different objectives (relative L1 for the swarm, relative SSQ for
+    /// L-BFGS).
+    pub common_l1: f64,
+    mean_log_err: f64,
+}
+
+/// E7b: L-BFGS on exact forward sensitivities, and a one-generation swarm
+/// polished by it, against the FST-PSO of E7 on both engine classes.
+#[derive(Debug, Clone)]
+pub struct GradientCalibration {
+    header: String,
+    /// `lbfgs-sensitivities`, `hybrid-pso-lbfgs`, then `fst-pso` on
+    /// fine-coarse and on LSODA.
+    pub rows: Vec<Estimator>,
+}
+
+/// E7b on 8 unknown constants whose box sits +0.5 log-units off the truth,
+/// so the L-BFGS start (the box midpoint) is not the answer: at most 40
+/// L-BFGS iterations against 10 swarm generations (50 at full scale).
+pub fn pe_gradient(full: bool) -> GradientCalibration {
+    let (n_unknown, offset, generations, iterations) = (8, 0.5, if full { 50 } else { 10 }, 40);
+    let model = metabolic::model();
+    let problem = metabolic_calibration(&model, n_unknown, offset);
+    // The relative-SSQ misfit is ~1e-8 even far from the optimum, so the
+    // default tolerance would stop at the start point.
+    let gradient =
+        GradientConfig { iterations, starts: 1, seed: 17, grad_tol: 1e-14, ..Default::default() };
+    let swarm = PsoConfig { iterations: generations, seed: 17, ..Default::default() };
+    // The hybrid's swarm only has to land the polish in the right basin.
+    let basin = PsoConfig { swarm_size: Some(8), iterations: 1, seed: 17, ..Default::default() };
+    let (gpu, cpu) = (fine_coarse(), lsoda());
+    let methods: [(_, _, &(dyn Simulator + Sync), _); 4] = [
+        ("lbfgs-sensitivities", "host-sens", &gpu, Optimizer::Lbfgs(gradient.clone())),
+        ("hybrid-pso-lbfgs", "fine-coarse", &gpu, Optimizer::Hybrid { pso: basin, gradient }),
+        ("fst-pso", "fine-coarse", &gpu, Optimizer::Pso(swarm.clone())),
+        ("fst-pso", "lsoda-cpu", &cpu, Optimizer::Pso(swarm)),
+    ];
+    let rows = Executor::default().map(methods.len(), |i| {
+        let (method, engine, simulator, optimizer) = &methods[i];
+        let r = estimate_with(&problem, *simulator, optimizer, None).expect(method);
+        let k = Parameterization::new().with_rate_constants(r.rate_constants.clone());
+        let job = SimulationJob::builder(&model)
+            .time_points(problem.time_points.clone())
+            .parameterizations(vec![k])
+            .options(problem.options.clone())
+            .build()
+            .expect("scoring job");
+        let mut scored = cpu.run(&job).expect("scoring run");
+        let sol = scored.outcomes.remove(0).solution.expect("estimate integrates");
+        Estimator {
+            method,
+            engine,
+            solves: r.simulations,
+            simulated_ns: r.simulated_ns,
+            common_l1: relative_distance(&sol, &problem.target, &problem.observed),
+            mean_log_err: mean_log_err(&problem, &r.rate_constants),
+        }
+    });
+    let (n, m) = (model.n_species(), model.n_reactions());
+    GradientCalibration {
+        header: format!(
+            "model: {n} species, {m} reactions; estimating {n_unknown} unknown constants in a \
+             box\n{offset:+} log10 off the truth; {generations} FST-PSO generations vs at most \
+             {iterations} L-BFGS iterations"
+        ),
+        rows,
+    }
+}
+
+impl fmt::Display for GradientCalibration {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(f, "{}", self.header)?;
+        writeln!(f, "\n-- E7b: gradient-based estimation vs the swarm (common L1: LSODA) --")?;
+        let [m, e, s, t, l, g] =
+            ["method", "engine", "solves", "simulated", "common L1", "mean |log10 err|"];
+        writeln!(f, "{m:20} {e:12} {s:>7} {t:>12} {l:>11} {g:>17}")?;
+        for r in &self.rows {
+            let (m, e, s, t, l, g) =
+                (r.method, r.engine, r.solves, fmt_ns(r.simulated_ns), r.common_l1, r.mean_log_err);
+            writeln!(f, "{m:20} {e:12} {s:>7} {t:>12} {l:>11.4e} {g:>17.3}")?;
+        }
+        // The headline: the cheapest gradient-family run that reaches the
+        // fine-coarse swarm's loss (else the hybrid), against that swarm.
+        let swarm = &self.rows[2];
+        let gradient = (self.rows[..2].iter().filter(|r| r.common_l1 <= swarm.common_l1))
+            .min_by_key(|r| r.solves)
+            .unwrap_or(&self.rows[1]);
+        let matched =
+            if gradient.common_l1 <= swarm.common_l1 { "matched or better" } else { "NOT matched" };
+        let ratio = swarm.solves as f64 / gradient.solves.max(1) as f64;
+        writeln!(
+            f,
+            "\n{} vs fst-pso on fine-coarse: {ratio:.1}x fewer solves, common L1 {:.4e} vs \
+             {:.4e}: {matched}",
+            gradient.method, gradient.common_l1, swarm.common_l1
+        )
     }
 }

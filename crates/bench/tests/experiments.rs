@@ -82,6 +82,15 @@ table!(e7_pe_metabolic, "pe_metabolic", studies::pe_metabolic(false), |pe| {
     assert!(pe.gpu.simulated_ns < pe.cpu.simulated_ns);
 });
 
+// E7b: the hybrid reaches the fine-coarse swarm's common loss with fewer
+// solves, and the swarm costs the same solves on either engine.
+table!(e7b_pe_gradient, "pe_gradient", studies::pe_gradient(false), |pe| {
+    let [_, hybrid, swarm, lsoda_swarm] = &pe.rows[..] else { panic!("four estimators") };
+    assert!(hybrid.common_l1 <= swarm.common_l1, "{} vs {}", hybrid.common_l1, swarm.common_l1);
+    assert!(hybrid.solves < swarm.solves, "{} vs {} solves", hybrid.solves, swarm.solves);
+    assert_eq!(swarm.solves, lsoda_swarm.solves);
+});
+
 // E8: fine+coarse < coarse < CPU ≪ fine-only (the published fine-grained
 // route serializes a batch: over 5× fine+coarse), and every integration
 // speedup exceeds its simulation speedup.

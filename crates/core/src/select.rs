@@ -3,7 +3,7 @@
 //! The evaluation's comparison maps answer "which simulator should I use
 //! for an `N × M` model and `S` parallel simulations?". This module encodes
 //! the published decision surface so downstream tools can pick an engine
-//! without running all four; the map benches *measure* the surface instead
+//! without running all four; the map tables *measure* the surface instead
 //! and check it has the same shape.
 
 use std::fmt;

@@ -8,7 +8,8 @@
 //! and check the statistics side: batched tau-leaping must agree with the
 //! exact SSA distributionally.
 
-use paraspace_rbm::{Reaction, ReactionBasedModel};
+use paraspace_models::{autophagy, classic};
+use paraspace_rbm::{Reaction, ReactionBasedModel, SpeciesId};
 use paraspace_stochastic::{
     initial_counts, CounterRng, DirectMethod, LaneAccounting, PropensityTable, StochFault,
     StochFaultPlan, StochasticBatch, StochasticError, StochasticSimulator, TauLeapBatch,
@@ -35,28 +36,66 @@ fn dimerization() -> ReactionBasedModel {
     m
 }
 
+/// Concentration → molecule counts at volume factor `volume`: initial
+/// states scale by `volume`, an order-`o` mass-action rate constant by
+/// `volume^(1-o)`, so fluxes scale with system size.
+fn to_counts(mut m: ReactionBasedModel, volume: f64) -> ReactionBasedModel {
+    for s in 0..m.n_species() {
+        let c = m.initial_state()[s];
+        m.set_initial_concentration(SpeciesId::from_index(s), (c * volume).round());
+    }
+    for i in 0..m.n_reactions() {
+        let order: u32 = m.reactions()[i].reactants().iter().map(|&(_, c)| c).sum();
+        let k = m.reactions()[i].rate_constant();
+        m.reaction_mut(i).set_rate_constant(k * volume.powi(1 - order as i32));
+    }
+    m
+}
+
+/// Bundled models in counts, one per regime of the lane kernel: the
+/// autophagy analogue at scale 0.05 (333 reactions, sweep-dominated), a
+/// decay chain of 10 000 copies (its depleting tail falls back to single
+/// SSA events) and Michaelis–Menten with 200 enzymes and 5 000 substrates
+/// (tau pinned near the SSA threshold).
+fn count_models() -> [(ReactionBasedModel, Vec<f64>); 3] {
+    let mut decay = classic::decay_chain(4);
+    decay.set_initial_concentration(SpeciesId::from_index(0), 10_000.0);
+    let mut enzyme = classic::enzyme_mechanism(2.5e-4, 0.1, 0.1);
+    enzyme.set_initial_concentration(SpeciesId::from_index(0), 200.0);
+    enzyme.set_initial_concentration(SpeciesId::from_index(1), 5_000.0);
+    let autophagy = to_counts(autophagy::scaled_model(1e4, 1e-6, 0.05), 1000.0);
+    let times = vec![0.25, 0.5, 1.0, 2.0];
+    [(autophagy, vec![0.0005, 0.001, 0.002]), (decay, times.clone()), (enzyme, times)]
+}
+
 #[test]
 fn ensembles_are_bitwise_identical_across_widths_and_threads() {
-    let times = [0.1, 0.3, 0.7];
-    for model in [isomerization(), dimerization()] {
+    let times = vec![0.1, 0.3, 0.7];
+    let small = [(isomerization(), times.clone()), (dimerization(), times)];
+    // The count models run fewer replicates at one thread count to stay cheap.
+    let cases = (small.into_iter().map(|case| (case, 21, &[1usize, 2, 8][..])))
+        .chain(count_models().into_iter().map(|case| (case, 12, &[2usize][..])));
+    for ((model, times), replicates, thread_counts) in cases {
         let base = StochasticBatch::new(TauLeaping::new()).with_seed(4242);
-        let reference =
-            base.clone().with_lane_width(Some(1)).with_threads(1).run(&model, &times, 21).unwrap();
+        let run = |width: Option<usize>, threads: usize| {
+            let batch = base.clone().with_lane_width(width).with_threads(threads);
+            batch.run(&model, &times, replicates).unwrap()
+        };
+        let reference = run(Some(1), 1);
+        assert_eq!(reference.lane_width, 1, "a pinned width 1 runs scalar");
+        assert!(reference.failures().is_empty(), "no replicate may fail");
         for width in [2usize, 4, 8] {
-            for threads in [1usize, 2, 8] {
-                let run = base
-                    .clone()
-                    .with_lane_width(Some(width))
-                    .with_threads(threads)
-                    .run(&model, &times, 21)
-                    .unwrap();
+            for &threads in thread_counts {
+                let lanes = run(Some(width), threads);
+                assert_eq!(lanes.lane_width, width, "a pinned width {width} runs the lanes");
                 assert_eq!(
-                    run.outcomes, reference.outcomes,
+                    lanes.outcomes, reference.outcomes,
                     "width {width} × threads {threads} must be pure scheduling"
                 );
-                assert_eq!(run.stats, reference.stats);
+                assert_eq!(lanes.stats, reference.stats);
             }
         }
+        assert_eq!(run(None, 2).outcomes, reference.outcomes, "the unpinned width");
     }
 }
 

@@ -23,7 +23,7 @@
 //!   up near ~2000 — the effect that makes 512-simulation batches the
 //!   engine's sweet spot.
 //!
-//! Every architectural knob is explicit so the ablation benches (memory
+//! Every architectural knob is explicit so the ablation tables (memory
 //! placement, DP overhead, granularity) can toggle one effect at a time.
 //!
 //! # Example
