@@ -159,6 +159,9 @@ impl Psa2dResult {
 /// let result = sweep.run(
 ///     &template,
 ///     |ampk0, p9| {
+///         // Building a model is cheap (its reaction sides are stored
+///         // inline), but a `Parameterization` over the one template —
+///         // only the vectors that move — is cheaper still.
 ///         let m = autophagy::model(ampk0, p9);
 ///         Parameterization::new()
 ///             .with_initial_state(m.initial_state())

@@ -229,10 +229,11 @@ impl<'a> JobBuilder<'a> {
                 message: "tolerances must be positive and finite".into(),
             });
         }
+        let model = self.model;
         let batch = self
             .parameterizations
-            .iter()
-            .map(|p| p.resolve(self.model))
+            .into_iter()
+            .map(|p| p.into_resolved(model))
             .collect::<Result<Vec<_>, _>>()?;
         for (i, (x0, k)) in batch.iter().enumerate() {
             if let Some(v) = x0.iter().find(|v| !v.is_finite()) {
@@ -247,7 +248,7 @@ impl<'a> JobBuilder<'a> {
             }
         }
         Ok(SimulationJob {
-            model: self.model,
+            model,
             odes,
             batch,
             time_points: self.time_points,

@@ -82,7 +82,40 @@ pub fn oscillates(ampk0: f64, p9: f64) -> bool {
 /// assert!(m.species_by_name("AMPK_star").is_ok());
 /// ```
 pub fn model(ampk0: f64, p9: f64) -> ReactionBasedModel {
-    let mut m = ReactionBasedModel::new();
+    build_with_size(ampk0, p9, N_SPECIES, N_REACTIONS)
+}
+
+/// A reduced-scale variant (same core, fewer satellites) for fast tests
+/// and the example binaries; `scale ∈ (0, 1]` shrinks both paddings.
+///
+/// # Panics
+///
+/// Panics if `scale` is not in `(0, 1]`.
+pub fn scaled_model(ampk0: f64, p9: f64, scale: f64) -> ReactionBasedModel {
+    assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
+    if (scale - 1.0).abs() < f64::EPSILON {
+        return model(ampk0, p9);
+    }
+    // Truncating the full model is not possible (reactions reference late
+    // species), so the generator runs with shrunken targets.
+    build_with_size(
+        ampk0,
+        p9,
+        ((N_SPECIES - 4) as f64 * scale).max(4.0) as usize + 4,
+        ((N_REACTIONS - 5) as f64 * scale).max(8.0) as usize + 5,
+    )
+}
+
+/// The generator behind [`model`] and [`scaled_model`]: the oscillator
+/// core plus `n_species − 4` satellites and `n_reactions − 5` padding
+/// reactions, the same padding draws at every sweep point.
+fn build_with_size(
+    ampk0: f64,
+    p9: f64,
+    n_species: usize,
+    n_reactions: usize,
+) -> ReactionBasedModel {
+    let mut m = ReactionBasedModel::with_capacity(n_species, n_reactions);
 
     // --- Oscillator core (4 species, 5 reactions) -----------------------
     let x = m.add_species(AMBRA_SPECIES, CORE_A);
@@ -107,22 +140,21 @@ pub fn model(ampk0: f64, p9: f64) -> ReactionBasedModel {
     m.add_reaction(Reaction::mass_action(&[(sink, 1)], &[], 0.5)).expect("core");
 
     // --- Satellite padding ----------------------------------------------
-    let n_core_species = 4;
-    let n_core_reactions = 5;
-    let n_sat = N_SPECIES - n_core_species;
+    let n_sat = n_species - 4;
     let sats: Vec<SpeciesId> =
         (0..n_sat).map(|i| m.add_species(format!("C{i:03}"), 1e-3)).collect();
     let core = [x, y, ampk, sink];
 
     // Deterministic padding: the same network at every sweep point.
     let mut rng = StdRng::seed_from_u64(0xA07);
-    let n_pad = N_REACTIONS - n_core_reactions;
+    let n_pad = n_reactions - 5;
+    // A fixed prefix of the padding constants scales with P9, mirroring
+    // the 5476 rule-derived constants the original parameter touches.
+    let touched = n_pad.min(P9_TOUCHED_CONSTANTS);
     let p9_factor = p9 / 1e-7; // unit at the middle of the sweep range
     for r in 0..n_pad {
         let k_base = 10f64.powf(rng.gen_range(-3.0..0.0));
-        // A fixed prefix of the padding constants scales with P9, mirroring
-        // the 5476 rule-derived constants the original parameter touches.
-        let k = if r < P9_TOUCHED_CONSTANTS { k_base * p9_factor } else { k_base };
+        let k = if r < touched { k_base * p9_factor } else { k_base };
         let reaction = match r % 4 {
             // Catalytic injection from a core species: core → core + sat.
             0 => {
@@ -158,97 +190,8 @@ pub fn model(ampk0: f64, p9: f64) -> ReactionBasedModel {
         };
         m.add_reaction(reaction).expect("padding reactions reference valid species");
     }
-    debug_assert_eq!(m.n_species(), N_SPECIES);
-    debug_assert_eq!(m.n_reactions(), N_REACTIONS);
-    m
-}
-
-/// A reduced-scale variant (same core, fewer satellites) for fast tests
-/// and the example binaries; `scale ∈ (0, 1]` shrinks both paddings.
-///
-/// # Panics
-///
-/// Panics if `scale` is not in `(0, 1]`.
-pub fn scaled_model(ampk0: f64, p9: f64, scale: f64) -> ReactionBasedModel {
-    assert!(scale > 0.0 && scale <= 1.0, "scale must be in (0, 1]");
-    if (scale - 1.0).abs() < f64::EPSILON {
-        return model(ampk0, p9);
-    }
-    // Build the full model and truncate padding deterministically is not
-    // possible (reactions reference late species), so rebuild small: reuse
-    // the generator with shrunken targets via a private path.
-    build_with_size(
-        ampk0,
-        p9,
-        ((N_SPECIES - 4) as f64 * scale).max(4.0) as usize + 4,
-        ((N_REACTIONS - 5) as f64 * scale).max(8.0) as usize + 5,
-    )
-}
-
-fn build_with_size(
-    ampk0: f64,
-    p9: f64,
-    n_species: usize,
-    n_reactions: usize,
-) -> ReactionBasedModel {
-    // Same construction as `model`, parameterized by target sizes.
-    let mut m = ReactionBasedModel::new();
-    let x = m.add_species(AMBRA_SPECIES, CORE_A);
-    let y = m.add_species(EIF4EBP_SPECIES, 2.0);
-    let ampk = m.add_species("AMPK_star", ampk0);
-    let sink = m.add_species("MTORC1_load", 0.0);
-    m.add_reaction(Reaction::mass_action(&[], &[(x, 1)], CORE_A)).expect("core");
-    m.add_reaction(Reaction::mass_action(
-        &[(ampk, 1), (x, 1)],
-        &[(ampk, 1), (y, 1)],
-        P9_SCALE * p9,
-    ))
-    .expect("core");
-    m.add_reaction(Reaction::mass_action(&[(x, 2), (y, 1)], &[(x, 3)], 1.0)).expect("core");
-    m.add_reaction(Reaction::mass_action(&[(x, 1)], &[(sink, 1)], 1.0)).expect("core");
-    m.add_reaction(Reaction::mass_action(&[(sink, 1)], &[], 0.5)).expect("core");
-
-    let n_sat = n_species - 4;
-    let sats: Vec<SpeciesId> =
-        (0..n_sat).map(|i| m.add_species(format!("C{i:03}"), 1e-3)).collect();
-    let core = [x, y, ampk, sink];
-    let mut rng = StdRng::seed_from_u64(0xA07);
-    let touched = (n_reactions - 5).min(P9_TOUCHED_CONSTANTS);
-    let p9_factor = p9 / 1e-7;
-    for r in 0..(n_reactions - 5) {
-        let k_base = 10f64.powf(rng.gen_range(-3.0..0.0));
-        let k = if r < touched { k_base * p9_factor } else { k_base };
-        let reaction = match r % 4 {
-            0 => {
-                let c = core[rng.gen_range(0..core.len())];
-                let s = sats[rng.gen_range(0..n_sat)];
-                Reaction::mass_action(&[(c, 1)], &[(c, 1), (s, 1)], k)
-            }
-            1 => {
-                let a = sats[rng.gen_range(0..n_sat)];
-                let mut b = sats[rng.gen_range(0..n_sat)];
-                if a == b {
-                    b = sats[(rng.gen_range(0..n_sat) + 1) % n_sat];
-                }
-                Reaction::mass_action(&[(a, 1)], &[(b, 1)], k)
-            }
-            2 => {
-                let a = sats[rng.gen_range(0..n_sat)];
-                let b = sats[rng.gen_range(0..n_sat)];
-                let c = sats[rng.gen_range(0..n_sat)];
-                if a == b {
-                    Reaction::mass_action(&[(a, 2)], &[(c, 1)], k)
-                } else {
-                    Reaction::mass_action(&[(a, 1), (b, 1)], &[(c, 1)], k)
-                }
-            }
-            _ => {
-                let a = sats[rng.gen_range(0..n_sat)];
-                Reaction::mass_action(&[(a, 1)], &[], k)
-            }
-        };
-        m.add_reaction(reaction).expect("padding reactions reference valid species");
-    }
+    debug_assert_eq!(m.n_species(), n_species);
+    debug_assert_eq!(m.n_reactions(), n_reactions);
     m
 }
 

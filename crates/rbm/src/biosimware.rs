@@ -126,7 +126,8 @@ pub fn read_dir(dir: &Path) -> Result<ReactionBasedModel, RbmError> {
         return Err(parse_err("alphabet", "no species names found"));
     }
 
-    let m0 = parse_row(&fs::read_to_string(dir.join("M_0"))?, "M_0")?;
+    let m0 = fs::read_to_string(dir.join("M_0"))?;
+    let m0 = parse_row(&m0, ascii_separated(&m0), "M_0")?;
     if m0.len() != n {
         return Err(parse_err(
             "M_0",
@@ -150,7 +151,7 @@ pub fn read_dir(dir: &Path) -> Result<ReactionBasedModel, RbmError> {
         ));
     }
 
-    let mut model = ReactionBasedModel::new();
+    let mut model = ReactionBasedModel::with_capacity(n, left.len());
     for (name, &x0) in names.iter().zip(m0.iter()) {
         model.add_species_checked(*name, x0)?;
     }
@@ -234,12 +235,26 @@ fn parse_err(context: &str, message: &str) -> RbmError {
     RbmError::Parse { context: context.to_string(), message: message.to_string() }
 }
 
-fn parse_row(text: &str, context: &str) -> Result<Vec<f64>, RbmError> {
-    text.split_whitespace()
-        .map(|tok| {
-            tok.parse::<f64>().map_err(|_| parse_err(context, &format!("bad number {tok:?}")))
-        })
-        .collect()
+/// Whether `text` separates its tokens by ASCII whitespace only, so that
+/// `split_ascii_whitespace` yields exactly the tokens `split_whitespace`
+/// does: ASCII text without U+000B, the one ASCII character that is
+/// Unicode white space but not ASCII whitespace. Every file the writers
+/// produce qualifies.
+fn ascii_separated(text: &str) -> bool {
+    text.is_ascii() && !text.as_bytes().contains(&0x0B)
+}
+
+/// Parses the whitespace-separated numbers of `text`; `ascii` (from
+/// [`ascii_separated`] over the whole file) picks the faster ASCII split.
+fn parse_row(text: &str, ascii: bool, context: &str) -> Result<Vec<f64>, RbmError> {
+    let parse = |tok: &str| {
+        tok.parse::<f64>().map_err(|_| parse_err(context, &format!("bad number {tok:?}")))
+    };
+    if ascii {
+        text.split_ascii_whitespace().map(parse).collect()
+    } else {
+        text.split_whitespace().map(parse).collect()
+    }
 }
 
 fn parse_column(text: &str, context: &str) -> Result<Vec<f64>, RbmError> {
@@ -251,13 +266,14 @@ fn parse_column(text: &str, context: &str) -> Result<Vec<f64>, RbmError> {
 }
 
 fn parse_matrix(text: &str, cols: usize, context: &str) -> Result<Vec<Vec<f64>>, RbmError> {
+    let ascii = ascii_separated(text);
     let mut rows = Vec::new();
     for (i, line) in text.lines().enumerate() {
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let row = parse_row(line, context)?;
+        let row = parse_row(line, ascii, context)?;
         if row.len() != cols {
             return Err(parse_err(
                 context,
@@ -329,6 +345,23 @@ mod tests {
             assert_eq!(x0_a.len(), x0_b.len());
         }
         fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn unicode_separators_parse_as_their_ascii_twin() {
+        let ascii = "1.5\t0 2e-3\n\n  4 5\t6\n";
+        let twins =
+            ["1.5\u{a0}0\u{2003}2e-3\n\n\u{2003} 4 5\u{a0}6\n", "1.5\u{b}0 2e-3\n\n  4\u{b}5\t6\n"];
+        let want = parse_matrix(ascii, 3, "c_matrix").unwrap();
+        assert!(ascii_separated(ascii));
+        for twin in twins {
+            assert!(!ascii_separated(twin), "{twin:?}");
+            assert_eq!(parse_matrix(twin, 3, "c_matrix").unwrap(), want, "{twin:?}");
+        }
+        assert_eq!(
+            parse_row("7\u{a0}8", false, "M_0").unwrap(),
+            parse_row("7 8", true, "M_0").unwrap()
+        );
     }
 
     #[test]

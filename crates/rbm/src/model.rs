@@ -55,6 +55,14 @@ pub struct Species {
 /// A biochemical reaction `Σ a_j S_j → Σ b_j S_j` with mass-action rate
 /// constant `k`.
 ///
+/// Each side is stored merged (one entry per species, sorted by index,
+/// zero coefficients dropped) and inline when it has at most three
+/// entries — the longest side of every bundled model — so building,
+/// cloning and dropping a model makes no heap allocation per reaction.
+/// Longer sides, which SBML imports may carry, spill to the heap; which
+/// storage a side uses never shows in [`reactants`](Reaction::reactants),
+/// [`products`](Reaction::products) or equality.
+///
 /// # Example
 ///
 /// ```
@@ -70,8 +78,8 @@ pub struct Species {
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Reaction {
-    reactants: Vec<(usize, u32)>,
-    products: Vec<(usize, u32)>,
+    reactants: Side,
+    products: Side,
     rate_constant: f64,
 }
 
@@ -93,12 +101,12 @@ impl Reaction {
 
     /// The reactant side as `(species index, stoichiometric coefficient)`.
     pub fn reactants(&self) -> &[(usize, u32)] {
-        &self.reactants
+        self.reactants.entries()
     }
 
     /// The product side as `(species index, stoichiometric coefficient)`.
     pub fn products(&self) -> &[(usize, u32)] {
-        &self.products
+        self.products.entries()
     }
 
     /// The kinetic constant `k_i`.
@@ -114,27 +122,87 @@ impl Reaction {
     /// The reaction order: total stoichiometry of the reactant side
     /// (0 = source, 1 = unimolecular, 2 = bimolecular, …).
     pub fn order(&self) -> u32 {
-        self.reactants.iter().map(|&(_, a)| a).sum()
+        self.reactants().iter().map(|&(_, a)| a).sum()
     }
 
     fn max_species_index(&self) -> Option<usize> {
-        self.reactants.iter().chain(self.products.iter()).map(|&(s, _)| s).max()
+        self.reactants().iter().chain(self.products()).map(|&(s, _)| s).max()
     }
 }
 
-fn merge_side(side: &[(SpeciesId, u32)]) -> Vec<(usize, u32)> {
-    let mut merged: Vec<(usize, u32)> = Vec::with_capacity(side.len());
+/// Entries a reaction side holds without a heap allocation.
+const INLINE_SIDE: usize = 3;
+
+/// One merged reaction side: inline up to [`INLINE_SIDE`] entries, on the
+/// heap beyond.
+#[derive(Clone)]
+enum Side {
+    Inline { len: u8, entries: [(usize, u32); INLINE_SIDE] },
+    Heap(Box<[(usize, u32)]>),
+}
+
+impl Side {
+    fn inline(merged: &[(usize, u32)]) -> Self {
+        let mut entries = [(0, 0); INLINE_SIDE];
+        entries[..merged.len()].copy_from_slice(merged);
+        Side::Inline { len: merged.len() as u8, entries }
+    }
+
+    fn entries(&self) -> &[(usize, u32)] {
+        match self {
+            Side::Inline { len, entries } => &entries[..usize::from(*len)],
+            Side::Heap(entries) => entries,
+        }
+    }
+}
+
+impl PartialEq for Side {
+    fn eq(&self, other: &Self) -> bool {
+        self.entries() == other.entries()
+    }
+}
+
+impl fmt::Debug for Side {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.entries().fmt(f)
+    }
+}
+
+/// Merges duplicate species, drops zero coefficients and sorts by species
+/// index; the storage is chosen from the merged length.
+fn merge_side(side: &[(SpeciesId, u32)]) -> Side {
+    if side.len() <= INLINE_SIDE {
+        let mut merged = [(0, 0); INLINE_SIDE];
+        let len = merge_into(side, &mut merged);
+        return Side::inline(&merged[..len]);
+    }
+    let mut merged = vec![(0, 0); side.len()];
+    let len = merge_into(side, &mut merged);
+    if len <= INLINE_SIDE {
+        return Side::inline(&merged[..len]);
+    }
+    merged.truncate(len);
+    Side::Heap(merged.into_boxed_slice())
+}
+
+/// Writes the merged, sorted entries of `side` to the front of `out`
+/// (at least `side.len()` long) and returns how many there are.
+fn merge_into(side: &[(SpeciesId, u32)], out: &mut [(usize, u32)]) -> usize {
+    let mut len = 0;
     for &(id, coeff) in side {
         if coeff == 0 {
             continue;
         }
-        match merged.iter_mut().find(|(s, _)| *s == id.index()) {
+        match out[..len].iter_mut().find(|(s, _)| *s == id.index()) {
             Some((_, c)) => *c += coeff,
-            None => merged.push((id.index(), coeff)),
+            None => {
+                out[len] = (id.index(), coeff);
+                len += 1;
+            }
         }
     }
-    merged.sort_unstable_by_key(|&(s, _)| s);
-    merged
+    out[..len].sort_unstable_by_key(|&(s, _)| s);
+    len
 }
 
 /// A reaction-based model: the full network of species and reactions.
@@ -166,6 +234,17 @@ impl ReactionBasedModel {
     /// Creates an empty model.
     pub fn new() -> Self {
         ReactionBasedModel::default()
+    }
+
+    /// Creates an empty model with room for `species` species and
+    /// `reactions` reactions, so a builder that knows its sizes never
+    /// regrows the lists or the name index.
+    pub fn with_capacity(species: usize, reactions: usize) -> Self {
+        ReactionBasedModel {
+            species: Vec::with_capacity(species),
+            reactions: Vec::with_capacity(reactions),
+            name_index: HashMap::with_capacity(species),
+        }
     }
 
     /// Adds a species and returns its handle.
@@ -289,7 +368,7 @@ impl ReactionBasedModel {
     pub fn stoichiometry_reactants(&self) -> Matrix {
         let mut m = Matrix::zeros(self.n_reactions(), self.n_species());
         for (i, r) in self.reactions.iter().enumerate() {
-            for &(s, c) in &r.reactants {
+            for &(s, c) in r.reactants() {
                 m[(i, s)] = c as f64;
             }
         }
@@ -301,10 +380,10 @@ impl ReactionBasedModel {
     pub fn net_stoichiometry(&self) -> Matrix {
         let mut net = Matrix::zeros(self.n_species(), self.n_reactions());
         for (i, r) in self.reactions.iter().enumerate() {
-            for &(s, a) in &r.reactants {
+            for &(s, a) in r.reactants() {
                 net[(s, i)] -= a as f64;
             }
-            for &(s, b) in &r.products {
+            for &(s, b) in r.products() {
                 net[(s, i)] += b as f64;
             }
         }

@@ -63,31 +63,31 @@ impl Parameterization {
     /// [`RbmError::ParameterizationMismatch`] when an override has the wrong
     /// length.
     pub fn resolve(&self, model: &ReactionBasedModel) -> Result<(Vec<f64>, Vec<f64>), RbmError> {
-        let x0 = match &self.initial_state {
-            Some(v) => {
-                if v.len() != model.n_species() {
-                    return Err(RbmError::ParameterizationMismatch {
-                        expected: model.n_species(),
-                        actual: v.len(),
-                    });
-                }
-                v.clone()
+        self.clone().into_resolved(model)
+    }
+
+    /// [`resolve`](Parameterization::resolve) by value: the overrides move
+    /// into the result instead of being copied.
+    ///
+    /// # Errors
+    ///
+    /// As [`resolve`](Parameterization::resolve).
+    pub fn into_resolved(
+        self,
+        model: &ReactionBasedModel,
+    ) -> Result<(Vec<f64>, Vec<f64>), RbmError> {
+        // The initial state is checked first.
+        let sized =
+            [(&self.initial_state, model.n_species()), (&self.rate_constants, model.n_reactions())];
+        for (v, expected) in sized {
+            if let Some(v) = v.as_ref().filter(|v| v.len() != expected) {
+                return Err(RbmError::ParameterizationMismatch { expected, actual: v.len() });
             }
-            None => model.initial_state(),
-        };
-        let k = match &self.rate_constants {
-            Some(v) => {
-                if v.len() != model.n_reactions() {
-                    return Err(RbmError::ParameterizationMismatch {
-                        expected: model.n_reactions(),
-                        actual: v.len(),
-                    });
-                }
-                v.clone()
-            }
-            None => model.rate_constants(),
-        };
-        Ok((x0, k))
+        }
+        Ok((
+            self.initial_state.unwrap_or_else(|| model.initial_state()),
+            self.rate_constants.unwrap_or_else(|| model.rate_constants()),
+        ))
     }
 }
 

@@ -92,7 +92,7 @@ impl SbGen {
     /// rewires products so every species is touched by at least one
     /// reaction.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> ReactionBasedModel {
-        let mut model = ReactionBasedModel::new();
+        let mut model = ReactionBasedModel::with_capacity(self.n_species, self.n_reactions);
         let (conc_lo, conc_hi) = CONCENTRATION_RANGE;
         let (k_lo, k_hi) = RATE_RANGE;
         let ids: Vec<SpeciesId> = (0..self.n_species)

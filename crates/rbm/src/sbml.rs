@@ -149,7 +149,10 @@ struct PendingReaction {
 /// missing kinetic constants, or non-numeric values.
 pub fn from_str(doc: &str) -> Result<ReactionBasedModel, RbmError> {
     let events = scan(doc)?;
-    let mut model = ReactionBasedModel::new();
+    let opened = |element: &str| {
+        events.iter().filter(|e| matches!(e, Event::Open { name, .. } if name == element)).count()
+    };
+    let mut model = ReactionBasedModel::with_capacity(opened("species"), opened("reaction"));
     let mut species_ids: HashMap<String, SpeciesId> = HashMap::new();
 
     #[derive(PartialEq, Clone, Copy)]
