@@ -614,6 +614,16 @@ mod tests {
     }
 
     #[test]
+    fn default_options_digest_is_pinned() {
+        // Checkpoints written by earlier builds store this value in their
+        // manifests; a change here makes every one of them refuse to resume.
+        assert_eq!(
+            format!("{:016x}", options_digest(&SolverOptions::default())),
+            "4162eb70ab6042a2"
+        );
+    }
+
+    #[test]
     fn metric_shard_round_trips_exactly() {
         let s = MetricShard::ok(vec![1.5, f64::NAN, -0.0, 1e-300], 123.456, 4);
         let d = MetricShard::decode(&s.encode()).unwrap();

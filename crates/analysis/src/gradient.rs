@@ -48,20 +48,24 @@ use std::borrow::Cow;
 
 const LN_10: f64 = std::f64::consts::LN_10;
 
-/// Configuration of the projected L-BFGS search.
+/// L-BFGS memory (curvature pairs kept).
+const MEMORY: usize = 10;
+/// Armijo sufficient-decrease constant.
+const C1: f64 = 1e-4;
+/// Backtracking halvings before a line search gives up.
+const MAX_BACKTRACKS: usize = 25;
+
+/// Configuration of the projected L-BFGS search: the budget, the stopping
+/// tolerance and the starts. The search's own constants — 10 curvature
+/// pairs of memory, Armijo constant 1e-4, 25 backtracking halvings — are
+/// fixed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct GradientConfig {
     /// Maximum quasi-Newton iterations per start.
     pub iterations: usize,
-    /// L-BFGS memory (curvature pairs kept).
-    pub memory: usize,
     /// Convergence: infinity-norm of the *projected* gradient (components
     /// pushing into an active bound are zeroed) below this stops a start.
     pub grad_tol: f64,
-    /// Armijo sufficient-decrease constant.
-    pub c1: f64,
-    /// Backtracking halvings before a line search gives up.
-    pub max_backtracks: usize,
     /// Independent starts: the first is the box midpoint, the rest are
     /// seeded uniform samples — cheap insurance against local minima.
     pub starts: usize,
@@ -71,15 +75,7 @@ pub struct GradientConfig {
 
 impl Default for GradientConfig {
     fn default() -> Self {
-        GradientConfig {
-            iterations: 60,
-            memory: 10,
-            grad_tol: 1e-6,
-            c1: 1e-4,
-            max_backtracks: 25,
-            starts: 3,
-            seed: 42,
-        }
+        GradientConfig { iterations: 60, grad_tol: 1e-6, starts: 3, seed: 42 }
     }
 }
 
@@ -88,11 +84,14 @@ impl Default for GradientConfig {
 /// must refuse it.
 fn gradient_config_digest(config: &GradientConfig) -> u64 {
     let mut enc = Enc::new();
+    // The memory, Armijo constant and backtrack cap were settings once and
+    // keep their places, so pe checkpoints written before they became
+    // constants still resume.
     enc.put_u64(config.iterations as u64)
-        .put_u64(config.memory as u64)
+        .put_u64(MEMORY as u64)
         .put_f64(config.grad_tol)
-        .put_f64(config.c1)
-        .put_u64(config.max_backtracks as u64)
+        .put_f64(C1)
+        .put_u64(MAX_BACKTRACKS as u64)
         .put_u64(config.starts as u64)
         .put_u64(config.seed)
         // The digest once hashed the name of a sensitivity-integrator
@@ -349,7 +348,7 @@ where
 
         let mut accepted = None;
         let mut alpha = 1.0;
-        for _ in 0..=config.max_backtracks {
+        for _ in 0..=MAX_BACKTRACKS {
             let mut xn: Vec<f64> = x.iter().zip(&d).map(|(xi, di)| xi + alpha * di).collect();
             clamp_to(bounds, &mut xn);
             let step: Vec<f64> = xn.iter().zip(&x).map(|(a, b)| a - b).collect();
@@ -360,7 +359,7 @@ where
             if dd < 0.0 {
                 evaluations += 1;
                 if let Some(e) = eval(&xn) {
-                    if e.loss <= f + config.c1 * dd {
+                    if e.loss <= f + C1 * dd {
                         accepted = Some((xn, step, e));
                         break;
                     }
@@ -374,7 +373,7 @@ where
         let yv: Vec<f64> = e.gradient.iter().zip(&g).map(|(a, b)| a - b).collect();
         let sy = dot(&step, &yv);
         if sy > 1e-12 * dot(&step, &step).sqrt() * dot(&yv, &yv).sqrt() {
-            if pairs.len() == config.memory.max(1) {
+            if pairs.len() == MEMORY {
                 pairs.remove(0);
             }
             pairs.push((step, yv));
@@ -570,7 +569,7 @@ pub(crate) fn search(
     let mut log = ShardLog::open(checkpoint, || {
         // Upper bound on the evaluation sequence: per start, one seed
         // evaluation plus one full line search per iteration.
-        let cap = starts.len() * (1 + config.iterations * (config.max_backtracks + 1));
+        let cap = starts.len() * (1 + config.iterations * (MAX_BACKTRACKS + 1));
         pe_manifest_base(problem, cap as u64)
             .with_field("optimizer", "lbfgs")
             .with_digest("optimizer_config", gradient_config_digest(config))
@@ -650,6 +649,16 @@ mod tests {
     use paraspace_rbm::{Reaction, ReactionBasedModel};
     use paraspace_solvers::{Solution, SolverOptions};
     use std::path::PathBuf;
+
+    #[test]
+    fn default_gradient_config_digest_is_pinned() {
+        // Stored in every durable L-BFGS checkpoint's manifest: a change here
+        // makes each of them refuse to resume.
+        assert_eq!(
+            format!("{:016x}", gradient_config_digest(&GradientConfig::default())),
+            "03c69d9efc4a766e"
+        );
+    }
 
     fn two_step_model(k1: f64, k2: f64) -> ReactionBasedModel {
         let mut m = ReactionBasedModel::new();

@@ -14,9 +14,9 @@
 //!   Saltelli sampling scheme (the published `N·(2d+2)` design: 512 × 24 =
 //!   12288 model evaluations for the 11-dimensional metabolic case) and
 //!   bootstrap confidence intervals;
-//! * **PE** — [`pso`]: particle swarm optimization, both the classical
-//!   parameterization and an FST-PSO-style self-tuning variant, with the
-//!   relative-distance fitness of [`fitness`]; and [`gradient`]:
+//! * **PE** — [`pso`]: the settings-free FST-PSO self-tuning particle
+//!   swarm, with the relative-distance fitness of [`fitness`]; and
+//!   [`gradient`]:
 //!   exact-gradient calibration on batched forward sensitivities
 //!   (projected L-BFGS and a PSO→L-BFGS hybrid) that reaches the swarm's
 //!   final loss with orders of magnitude fewer ODE solves, plus

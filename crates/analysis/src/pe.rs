@@ -230,9 +230,12 @@ fn pso_config_digest(config: &PsoConfig) -> u64 {
     enc.put_u64(config.swarm_size.map_or(0, |s| s as u64 + 1))
         .put_u64(config.iterations as u64)
         .put_u64(config.seed)
-        .put_f64(config.inertia)
-        .put_f64(config.cognitive)
-        .put_f64(config.social);
+        // The digest once hashed the three fixed coefficients of a classical
+        // PSO that FST-PSO never read. It still hashes their values, so pe
+        // checkpoints written before they were removed still resume.
+        .put_f64(0.729)
+        .put_f64(1.494_45)
+        .put_f64(1.494_45);
     fnv64(&enc.finish())
 }
 
@@ -417,6 +420,16 @@ mod tests {
     use paraspace_core::{CancelToken, CpuEngine, CpuSolverKind, FineCoarseEngine, SimError};
     use paraspace_rbm::Reaction;
 
+    #[test]
+    fn default_pso_config_digest_is_pinned() {
+        // Stored in every durable swarm checkpoint's manifest: a change here
+        // makes each of them refuse to resume.
+        assert_eq!(
+            format!("{:016x}", pso_config_digest(&PsoConfig::default())),
+            "5068806f80ecaa3f"
+        );
+    }
+
     fn two_step_model(k1: f64, k2: f64) -> ReactionBasedModel {
         let mut m = ReactionBasedModel::new();
         let a = m.add_species("A", 1.0);
@@ -476,7 +489,7 @@ mod tests {
         };
         let engine = CpuEngine::new(CpuSolverKind::Lsoda);
         let optimizer = Optimizer::Hybrid {
-            pso: PsoConfig { iterations: 5, swarm_size: Some(10), seed: 3, ..Default::default() },
+            pso: PsoConfig { iterations: 5, swarm_size: Some(10), seed: 3 },
             gradient: crate::gradient::GradientConfig { starts: 1, ..Default::default() },
         };
         let r = estimate_with(&problem, &engine, &optimizer, None).unwrap();
@@ -544,7 +557,7 @@ mod tests {
             options: SolverOptions::default(),
             failed_members: FailedMemberPolicy::default(),
         };
-        let cfg = PsoConfig { iterations: 8, swarm_size: Some(32), seed: 1, ..Default::default() };
+        let cfg = PsoConfig { iterations: 8, swarm_size: Some(32), seed: 1 };
         let swarm = Optimizer::Pso(cfg);
         let cpu =
             estimate_with(&problem, &CpuEngine::new(CpuSolverKind::Lsoda), &swarm, None).unwrap();
@@ -595,7 +608,7 @@ mod tests {
             options: SolverOptions::default(),
             failed_members: FailedMemberPolicy::default(),
         };
-        let pso = PsoConfig { iterations: 5, swarm_size: Some(6), seed: 2, ..Default::default() };
+        let pso = PsoConfig { iterations: 5, swarm_size: Some(6), seed: 2 };
         let optimizers = [
             Optimizer::Pso(pso.clone()),
             Optimizer::Hybrid { pso, gradient: crate::gradient::GradientConfig::default() },

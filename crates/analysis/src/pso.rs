@@ -1,11 +1,11 @@
-//! Particle swarm optimization: the classical algorithm and an
-//! FST-PSO-style self-tuning variant.
+//! Particle swarm optimization: an FST-PSO-style self-tuning swarm.
 //!
 //! The published parameter-estimation pipeline couples a fuzzy self-tuning
 //! PSO (FST-PSO — a settings-free PSO whose per-particle inertia and
 //! acceleration coefficients are adapted by fuzzy rules on the particle's
 //! recent *improvement* and its *distance from the global best*) with the
-//! batch simulator: each generation's swarm is one simulation batch.
+//! batch simulator: each generation's swarm is one simulation batch. Only
+//! the budget (swarm size, generations) and the seed are settable.
 //!
 //! Objectives expose batch evaluation ([`Objective::evaluate_batch`]) so an
 //! engine can price a whole generation as one coarse-grained launch.
@@ -40,24 +40,11 @@ pub struct PsoConfig {
     pub iterations: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Constriction-style fixed coefficients (ignored by FST-PSO).
-    pub inertia: f64,
-    /// Cognitive acceleration (ignored by FST-PSO).
-    pub cognitive: f64,
-    /// Social acceleration (ignored by FST-PSO).
-    pub social: f64,
 }
 
 impl Default for PsoConfig {
     fn default() -> Self {
-        PsoConfig {
-            swarm_size: None,
-            iterations: 50,
-            seed: 42,
-            inertia: 0.729,
-            cognitive: 1.494_45,
-            social: 1.494_45,
-        }
+        PsoConfig { swarm_size: None, iterations: 50, seed: 42 }
     }
 }
 
@@ -131,35 +118,15 @@ impl Swarm {
     }
 }
 
-/// Runs classical global-best PSO over box `bounds`.
+/// Runs FST-PSO over box `bounds`: per-particle inertia and acceleration
+/// coefficients adapted each generation by fuzzy rules on the particle's
+/// fitness improvement and its normalized distance from the global best,
+/// following the published design (settings-free: only the budget is
+/// chosen by the user).
 ///
 /// # Panics
 ///
 /// Panics if `bounds` is empty or malformed.
-///
-/// # Example
-///
-/// ```
-/// use paraspace_analysis::pso::{pso, PsoConfig};
-///
-/// // Minimize the sphere function.
-/// let mut sphere = |x: &[f64]| x.iter().map(|v| v * v).sum::<f64>();
-/// let r = pso(&[(-5.0, 5.0); 3], &PsoConfig { iterations: 80, ..Default::default() }, &mut sphere);
-/// assert!(r.best_fitness < 1e-2);
-/// ```
-pub fn pso<O: Objective + ?Sized>(
-    bounds: &[(f64, f64)],
-    config: &PsoConfig,
-    objective: &mut O,
-) -> PsoResult {
-    run_swarm(bounds, config, objective, Tuning::Fixed)
-}
-
-/// Runs the FST-PSO-style self-tuning variant: per-particle inertia and
-/// acceleration coefficients adapted each generation by fuzzy rules on the
-/// particle's fitness improvement and its normalized distance from the
-/// global best, following the published design (settings-free: only the
-/// budget is chosen by the user).
 ///
 /// # Example
 ///
@@ -176,21 +143,6 @@ pub fn fst_pso<O: Objective + ?Sized>(
     bounds: &[(f64, f64)],
     config: &PsoConfig,
     objective: &mut O,
-) -> PsoResult {
-    run_swarm(bounds, config, objective, Tuning::Fuzzy)
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Tuning {
-    Fixed,
-    Fuzzy,
-}
-
-fn run_swarm<O: Objective + ?Sized>(
-    bounds: &[(f64, f64)],
-    config: &PsoConfig,
-    objective: &mut O,
-    tuning: Tuning,
 ) -> PsoResult {
     assert!(!bounds.is_empty(), "at least one dimension required");
     for &(lo, hi) in bounds {
@@ -214,26 +166,22 @@ fn run_swarm<O: Objective + ?Sized>(
         swarm.absorb_fitness(&fitness);
 
         for i in 0..size {
-            let (w, c_cog, c_soc, vmax_frac) = match tuning {
-                Tuning::Fixed => (config.inertia, config.cognitive, config.social, 0.25),
-                Tuning::Fuzzy => {
-                    let improvement = if swarm.prev_fitness[i].is_finite() {
-                        let prev = swarm.prev_fitness[i];
-                        let delta = fitness[i] - prev;
-                        (delta / (prev.abs() + 1e-12)).clamp(-1.0, 1.0)
-                    } else {
-                        0.0
-                    };
-                    let dist: f64 = swarm.positions[i]
-                        .iter()
-                        .zip(&swarm.global_best)
-                        .map(|(a, b)| (a - b).powi(2))
-                        .sum::<f64>()
-                        .sqrt()
-                        / diag.max(1e-300);
-                    fuzzy_coefficients(improvement, dist.clamp(0.0, 1.0))
-                }
+            let improvement = if swarm.prev_fitness[i].is_finite() {
+                let prev = swarm.prev_fitness[i];
+                let delta = fitness[i] - prev;
+                (delta / (prev.abs() + 1e-12)).clamp(-1.0, 1.0)
+            } else {
+                0.0
             };
+            let dist: f64 = swarm.positions[i]
+                .iter()
+                .zip(&swarm.global_best)
+                .map(|(a, b)| (a - b).powi(2))
+                .sum::<f64>()
+                .sqrt()
+                / diag.max(1e-300);
+            let (w, c_cog, c_soc, vmax_frac) =
+                fuzzy_coefficients(improvement, dist.clamp(0.0, 1.0));
             let vmax: Vec<f64> = bounds.iter().map(|&(lo, hi)| (hi - lo) * vmax_frac).collect();
             for j in 0..d {
                 let r1: f64 = rng.gen();
@@ -321,8 +269,8 @@ mod tests {
     }
 
     #[test]
-    fn pso_minimizes_sphere() {
-        let r = pso(
+    fn fst_pso_minimizes_sphere_without_tuning() {
+        let r = fst_pso(
             &[(-10.0, 10.0); 4],
             &PsoConfig { iterations: 100, ..Default::default() },
             &mut sphere,
@@ -333,18 +281,8 @@ mod tests {
     }
 
     #[test]
-    fn fst_pso_minimizes_sphere_without_tuning() {
-        let r = fst_pso(
-            &[(-10.0, 10.0); 4],
-            &PsoConfig { iterations: 100, ..Default::default() },
-            &mut sphere,
-        );
-        assert!(r.best_fitness < 1e-2, "fitness {}", r.best_fitness);
-    }
-
-    #[test]
     fn history_is_monotone_nonincreasing() {
-        let r = pso(
+        let r = fst_pso(
             &[(-5.0, 5.0); 3],
             &PsoConfig { iterations: 60, ..Default::default() },
             &mut sphere,
@@ -357,8 +295,8 @@ mod tests {
     #[test]
     fn results_are_reproducible_under_seed() {
         let cfg = PsoConfig { iterations: 30, seed: 7, ..Default::default() };
-        let a = pso(&[(-1.0, 1.0); 2], &cfg, &mut sphere);
-        let b = pso(&[(-1.0, 1.0); 2], &cfg, &mut sphere);
+        let a = fst_pso(&[(-1.0, 1.0); 2], &cfg, &mut sphere);
+        let b = fst_pso(&[(-1.0, 1.0); 2], &cfg, &mut sphere);
         assert_eq!(a.best_position, b.best_position);
         assert_eq!(a.history, b.history);
     }
@@ -433,7 +371,7 @@ mod tests {
         let sizes = Rc::new(Cell::new(0));
         let mut obj = Counting { batches: Rc::clone(&batches), sizes: Rc::clone(&sizes) };
         let cfg = PsoConfig { iterations: 10, swarm_size: Some(8), ..Default::default() };
-        let _ = pso(&[(-1.0, 1.0); 2], &cfg, &mut obj);
+        let _ = fst_pso(&[(-1.0, 1.0); 2], &cfg, &mut obj);
         assert_eq!(batches.get(), 10, "one batch per generation");
         assert_eq!(sizes.get(), 8, "whole swarm per batch");
     }

@@ -409,12 +409,7 @@ fn estimation_resumes_mid_swarm_exactly() {
         options: SolverOptions::default(),
         failed_members: FailedMemberPolicy::default(),
     };
-    let cfg = Optimizer::Pso(PsoConfig {
-        iterations: 10,
-        swarm_size: Some(8),
-        seed: 9,
-        ..Default::default()
-    });
+    let cfg = Optimizer::Pso(PsoConfig { iterations: 10, swarm_size: Some(8), seed: 9 });
 
     // Reference: the same estimator without a checkpoint.
     let plain = estimate_with(&problem, &engine, &cfg, None).unwrap();
@@ -495,12 +490,7 @@ fn cancel_mid_retry_ladder_drains_without_journaling() {
 
     // A step budget far below what the default tolerances need, so every
     // member fails its first attempt and climbs the relaxation rungs.
-    let ladder = RecoveryPolicy {
-        reroute: false,
-        max_relaxations: 4,
-        step_budget: Some(1),
-        budget_escalation: 4,
-    };
+    let ladder = RecoveryPolicy { reroute: false, max_relaxations: 6, step_budget: Some(4) };
 
     // Positive control: with the rungs disabled the starved budget is
     // terminal, proving the ladder is genuinely engaged below.
@@ -509,7 +499,7 @@ fn cancel_mid_retry_ladder_drains_without_journaling() {
     let starved_result = run_sweep_durable(&starved, &Checkpoint::new(&control_dir)).unwrap();
     assert!(
         starved_result.values.iter().flatten().all(|v| v.is_nan()),
-        "a 1-step budget with no relaxation rungs must fail every member"
+        "a 4-step budget with no relaxation rungs must fail every member"
     );
 
     // Ladder-heavy uninterrupted baseline: every member needs the rungs

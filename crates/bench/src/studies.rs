@@ -418,11 +418,10 @@ pub fn pe_gradient(full: bool) -> GradientCalibration {
     let problem = metabolic_calibration(&model, n_unknown, offset);
     // The relative-SSQ misfit is ~1e-8 even far from the optimum, so the
     // default tolerance would stop at the start point.
-    let gradient =
-        GradientConfig { iterations, starts: 1, seed: 17, grad_tol: 1e-14, ..Default::default() };
+    let gradient = GradientConfig { iterations, starts: 1, seed: 17, grad_tol: 1e-14 };
     let swarm = PsoConfig { iterations: generations, seed: 17, ..Default::default() };
     // The hybrid's swarm only has to land the polish in the right basin.
-    let basin = PsoConfig { swarm_size: Some(8), iterations: 1, seed: 17, ..Default::default() };
+    let basin = PsoConfig { swarm_size: Some(8), iterations: 1, seed: 17 };
     let (gpu, cpu) = (fine_coarse(), lsoda());
     let methods: [(_, _, &(dyn Simulator + Sync), _); 4] = [
         ("lbfgs-sensitivities", "host-sens", &gpu, Optimizer::Lbfgs(gradient.clone())),

@@ -165,12 +165,7 @@ pub(crate) fn run_pe(
         options,
         failed_members: FailedMemberPolicy::default(),
     };
-    let pso_cfg = PsoConfig {
-        iterations: *iterations,
-        swarm_size: *swarm,
-        seed: *seed,
-        ..PsoConfig::default()
-    };
+    let pso_cfg = PsoConfig { iterations: *iterations, swarm_size: *swarm, seed: *seed };
     let grad_cfg = GradientConfig {
         iterations: *grad_iterations,
         starts: *starts,

@@ -36,6 +36,9 @@ const RELAX_FACTOR: f64 = 10.0;
 const REL_TOL_CAP: f64 = 1e-2;
 /// Absolute tolerance is never relaxed beyond this.
 const ABS_TOL_CAP: f64 = 1e-6;
+/// Factor the step budget grows by per relaxation retry, so a relaxed
+/// attempt is not starved by the budget that killed the original.
+const BUDGET_ESCALATION: usize = 2;
 
 /// How engines respond to failed batch members.
 ///
@@ -59,26 +62,19 @@ pub struct RecoveryPolicy {
     pub reroute: bool,
     /// Maximum tolerance-relaxation retries after the reroute (0 disables
     /// the relaxation rungs of the ladder). Each multiplies both
-    /// tolerances by 10, capped at `rel_tol` 1e-2 and `abs_tol` 1e-6.
+    /// tolerances by 10, capped at `rel_tol` 1e-2 and `abs_tol` 1e-6, and
+    /// doubles the step budget (when one is set).
     pub max_relaxations: usize,
     /// Per-member total-step budget applied when the job itself sets none
     /// (see [`SolverOptions::step_budget`]); `None` leaves members
     /// unbounded. A deterministic stand-in for a wall-clock deadline: no
     /// member can consume more than this many attempted steps per attempt.
     pub step_budget: Option<usize>,
-    /// Factor the step budget grows by per relaxation retry, so a relaxed
-    /// attempt is not starved by the budget that killed the original.
-    pub budget_escalation: usize,
 }
 
 impl Default for RecoveryPolicy {
     fn default() -> Self {
-        RecoveryPolicy {
-            reroute: true,
-            max_relaxations: 0,
-            step_budget: None,
-            budget_escalation: 2,
-        }
+        RecoveryPolicy { reroute: true, max_relaxations: 0, step_budget: None }
     }
 }
 
@@ -337,7 +333,7 @@ fn continue_ladder(
         }
         let rel = (opts.rel_tol * RELAX_FACTOR).min(REL_TOL_CAP).max(opts.rel_tol);
         let abs = (opts.abs_tol * RELAX_FACTOR).min(ABS_TOL_CAP).max(opts.abs_tol);
-        let budget = opts.step_budget.map(|b| b.saturating_mul(policy.budget_escalation.max(1)));
+        let budget = opts.step_budget.map(|b| b.saturating_mul(BUDGET_ESCALATION));
         if rel == opts.rel_tol && abs == opts.abs_tol && budget == opts.step_budget {
             break; // caps reached — a retry would repeat the same failure
         }

@@ -22,6 +22,11 @@ use rand::Rng;
 const CONCENTRATION_RANGE: (f64, f64) = (1e-4, 1.0);
 /// The published kinetic-constant sampling range.
 const RATE_RANGE: (f64, f64) = (1e-6, 10.0);
+/// Fraction of zero-order (source) reactions.
+const ZERO_ORDER_FRACTION: f64 = 0.05;
+/// Fraction of second-order (bimolecular) reactions; the rest are first
+/// order.
+const SECOND_ORDER_FRACTION: f64 = 0.35;
 
 /// Samples from the log-uniform distribution on `[lo, hi)`: uniform in
 /// `ln x`, capturing the multi-order-of-magnitude dispersion of biochemical
@@ -54,8 +59,6 @@ fn log_uniform<R: Rng + ?Sized>(lo: f64, hi: f64, rng: &mut R) -> f64 {
 pub struct SbGen {
     n_species: usize,
     n_reactions: usize,
-    zero_order_fraction: f64,
-    second_order_fraction: f64,
 }
 
 impl SbGen {
@@ -67,25 +70,13 @@ impl SbGen {
     /// Panics if either dimension is zero.
     pub fn new(n_species: usize, n_reactions: usize) -> Self {
         assert!(n_species > 0 && n_reactions > 0, "model dimensions must be positive");
-        SbGen { n_species, n_reactions, zero_order_fraction: 0.05, second_order_fraction: 0.35 }
-    }
-
-    /// Sets the fraction of zero-order (source) reactions.
-    pub fn zero_order_fraction(mut self, f: f64) -> Self {
-        self.zero_order_fraction = f.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the fraction of second-order (bimolecular) reactions.
-    pub fn second_order_fraction(mut self, f: f64) -> Self {
-        self.second_order_fraction = f.clamp(0.0, 1.0);
-        self
+        SbGen { n_species, n_reactions }
     }
 
     /// Generates a model.
     ///
     /// Reactions are built by sampling a reaction order (zero / first /
-    /// second per the configured fractions), drawing reactant species, and
+    /// second: 5 %, 60 % and 35 % of draws), drawing reactant species, and
     /// drawing one or two product species distinct from pure pass-through
     /// (a reaction never has identical reactant and product multisets, so no
     /// generated reaction is a dynamical no-op). A final coverage pass
@@ -193,9 +184,9 @@ impl SbGen {
         rng: &mut R,
     ) -> (ReactionSide, ReactionSide) {
         let u: f64 = rng.gen();
-        let order = if u < self.zero_order_fraction {
+        let order = if u < ZERO_ORDER_FRACTION {
             0
-        } else if u < self.zero_order_fraction + self.second_order_fraction {
+        } else if u < ZERO_ORDER_FRACTION + SECOND_ORDER_FRACTION {
             2
         } else {
             1
@@ -351,17 +342,5 @@ mod tests {
         odes.rhs(0.0, &x0, &mut d);
         assert!(d.iter().all(|v| v.is_finite()));
         assert!(d.iter().any(|&v| v != 0.0), "dynamics must not be trivially frozen");
-    }
-
-    #[test]
-    fn order_fractions_are_configurable() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let model = SbGen::new(20, 400)
-            .zero_order_fraction(0.0)
-            .second_order_fraction(1.0)
-            .generate(&mut rng);
-        for r in model.reactions() {
-            assert_eq!(r.order(), 2);
-        }
     }
 }

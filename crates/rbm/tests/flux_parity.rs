@@ -201,12 +201,26 @@ fn generated_models_match_the_oracle() {
     for seed in [1, 7, 23] {
         let mut rng = StdRng::seed_from_u64(seed);
         assert_parity(&SbGen::new(24, 32).generate(&mut rng), &format!("sbgen seed {seed}"));
-        for (zero, second) in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)] {
-            let gen = SbGen::new(12, 16).zero_order_fraction(zero).second_order_fraction(second);
-            let label = format!("sbgen seed {seed}, zero-order {zero}, second-order {second}");
-            assert_parity(&gen.generate(&mut rng), &label);
+        let wide = SbGen::new(12, 96).generate(&mut rng);
+        for order in 0..=2 {
+            let model = of_order(&wide, order);
+            assert!(model.n_reactions() > 0, "seed {seed}: no reaction of order {order}");
+            assert_parity(&model, &format!("sbgen seed {seed}, order-{order} reactions only"));
         }
     }
+}
+
+/// `model`'s species with only its reactions of `order`: a model whose
+/// every reaction has one shape.
+fn of_order(model: &ReactionBasedModel, order: u32) -> ReactionBasedModel {
+    let mut out = ReactionBasedModel::new();
+    for s in model.species() {
+        out.add_species(s.name.clone(), s.initial_concentration);
+    }
+    for r in model.reactions().iter().filter(|r| r.order() == order) {
+        out.add_reaction(r.clone()).unwrap();
+    }
+    out
 }
 
 #[test]

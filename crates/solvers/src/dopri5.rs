@@ -4,8 +4,7 @@
 //! tableau, embedded 4th-order error estimate, PI step-size controller
 //! (β = 0.04), 4th-order dense output, and the two-stage stiffness detector
 //! (`h·λ > 3.25` observed 15 times ⇒ stiff), run on every accepted step
-//! with a cost-aware hand-over (see
-//! [`SolverOptions::stiffness_check_interval`]). This is the engine's
+//! with a cost-aware hand-over (see `HANDOVER_STEPS`). This is the engine's
 //! non-stiff workhorse; stiff simulations are re-routed to
 //! [`crate::Radau5`].
 //!
@@ -75,6 +74,14 @@ const FAC_MIN_INV: f64 = 5.0; // 1/0.2: max shrink factor denominator
 const FAC_MAX_INV: f64 = 0.1; // 1/10: max growth factor denominator
 const STIFF_THRESHOLD: f64 = 3.25;
 const STIFF_STRIKES: usize = 15;
+/// Hand-over threshold of the stiffness detector. Once it has struck
+/// `STIFF_STRIKES` times (6 clear steps reset the count), the solve aborts
+/// with [`SolverError::StiffnessDetected`] only while the *projected
+/// remaining* explicit steps `(t_end − t)/h` exceed this — "I would still
+/// spend N steps", not "I have already spent N". A member diagnosed with
+/// less than that left finishes explicitly: restarting it on an implicit
+/// solver from `t₀` would cost more than it saves.
+const HANDOVER_STEPS: usize = 1000;
 
 /// One member's step-control state: what the controller carries from one
 /// step to the next, for a scalar solve and for a lane alike.
@@ -111,13 +118,11 @@ pub(crate) enum Settled {
 impl Run<DopriLane> {
     /// The controller on a step from `t` of size `h` towards `t_end`, from
     /// its error norm `err`, whether the new state is `finite`, and the
-    /// stiffness detector's sums `‖k7 − k6‖²` and `‖y_new − y_sti‖²` (read
-    /// only when `options` enable detection): the non-finite rejection, the
-    /// PI controller, and on every accepted step the detector's cost-aware
-    /// hand-over — a diagnosed member aborts only while finishing
-    /// explicitly would still cost more than `stiffness_check_interval`
-    /// steps at the stability-bound step size.
-    #[allow(clippy::too_many_arguments)]
+    /// stiffness detector's sums `‖k7 − k6‖²` and `‖y_new − y_sti‖²`: the
+    /// non-finite rejection, the PI controller, and on every accepted step
+    /// the detector's cost-aware hand-over — a diagnosed member aborts only
+    /// while finishing explicitly would still cost more than
+    /// `HANDOVER_STEPS` steps at the stability-bound step size.
     #[inline]
     pub(crate) fn settle(
         &mut self,
@@ -127,7 +132,6 @@ impl Run<DopriLane> {
         t: f64,
         h: f64,
         t_end: f64,
-        options: &SolverOptions,
     ) -> Settled {
         let Run { sol, state: c, .. } = self;
         let stats = &mut sol.stats;
@@ -151,13 +155,12 @@ impl Run<DopriLane> {
         c.fac_old = err.max(1e-4);
         stats.accepted += 1;
 
-        if options.stiffness_check_interval > 0 && st_den > 0.0 {
+        if st_den > 0.0 {
             let h_lambda = h * (st_num / st_den).sqrt();
             if h_lambda > STIFF_THRESHOLD {
                 c.nonstiff_strikes = 0;
                 c.stiff_strikes += 1;
-                if c.stiff_strikes >= STIFF_STRIKES
-                    && (t_end - (t + h)) / h > options.stiffness_check_interval as f64
+                if c.stiff_strikes >= STIFF_STRIKES && (t_end - (t + h)) / h > HANDOVER_STEPS as f64
                 {
                     stats.stiffness_detected = true;
                     return Settled::Fail(SolverError::StiffnessDetected { t });
@@ -415,16 +418,14 @@ impl Dopri5 {
             let err = wrms(err_vec, scale, whole);
             let finite = y_new.iter().all(|v| v.is_finite());
             let mut stiffness = [0.0; 2];
-            if options.stiffness_check_interval > 0 {
-                for i in 0..n {
-                    let dk = k7[i] - k6[i];
-                    let dy = y_new[i] - y_sti[i];
-                    stiffness[0] += dk * dk;
-                    stiffness[1] += dy * dy;
-                }
+            for i in 0..n {
+                let dk = k7[i] - k6[i];
+                let dy = y_new[i] - y_sti[i];
+                stiffness[0] += dk * dk;
+                stiffness[1] += dy * dy;
             }
 
-            match run.settle(err, finite, stiffness, t, h, t_end, options) {
+            match run.settle(err, finite, stiffness, t, h, t_end) {
                 Settled::Reject(h_new) => h = h_new,
                 Settled::Fail(error) => return run.end(Err(error)),
                 Settled::Accept(h_new) => {
@@ -524,7 +525,7 @@ mod tests {
     fn stiffness_detector_hands_over_early_at_default_options() {
         // Very stiff linear problem; DOPRI5 must report stiffness (the
         // engine then re-routes to Radau) as soon as the 15 strikes are in,
-        // not after burning `stiffness_check_interval` steps first.
+        // not after burning `HANDOVER_STEPS` steps first.
         let sys = FnSystem::new(1, |_t, y, d| d[0] = -1e6 * (y[0] - 1.0));
         let f = Dopri5::new().solve(&sys, 0.0, &[0.0], &[10.0], &opts()).unwrap_err();
         assert!(matches!(f.error, SolverError::StiffnessDetected { .. }), "{:?}", f.error);
@@ -570,20 +571,6 @@ mod tests {
         let sol = Dopri5::new().solve(&late_stiff(), 0.0, &[0.0], &[10.0], &opts()).unwrap();
         assert!((sol.state_at(0)[0] - 1.0).abs() < 1e-3);
         assert!(sol.stats.stiffness_detected);
-        // The threshold is the option: at 100 projected steps the same
-        // member is handed over instead.
-        let o = SolverOptions { stiffness_check_interval: 100, ..opts() };
-        let f = Dopri5::new().solve(&late_stiff(), 0.0, &[0.0], &[10.0], &o).unwrap_err();
-        assert!(matches!(f.error, SolverError::StiffnessDetected { t } if t > 9.0));
-    }
-
-    #[test]
-    fn zero_interval_disables_detection() {
-        let sys = FnSystem::new(1, |_t, y, d| d[0] = -1e4 * (y[0] - 1.0));
-        let o = SolverOptions { stiffness_check_interval: 0, ..opts() };
-        let f = Dopri5::new().solve(&sys, 0.0, &[0.0], &[10.0], &o).unwrap_err();
-        assert!(matches!(f.error, SolverError::MaxStepsExceeded { .. }), "{:?}", f.error);
-        assert!(!f.stats.stiffness_detected);
     }
 
     #[test]

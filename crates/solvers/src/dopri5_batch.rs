@@ -324,7 +324,7 @@ fn solve_queue_impl(
         // reductions, the per-lane controller, the accepted lanes' advance. ---
         with_lane_width!(lanes, |w| {
             lockstep_stages(w, system, ws, options);
-            settle_lanes(&mut group, ws, sample_times, options);
+            settle_lanes(&mut group, ws, sample_times);
             advance_accepted(w, ws);
         });
     }
@@ -343,7 +343,6 @@ fn settle_lanes(
     group: &mut LaneGroup<'_, DopriLane>,
     ws: &mut DopriBatchScratch,
     sample_times: &[f64],
-    options: &SolverOptions,
 ) {
     let DopriBatchScratch {
         k,
@@ -372,7 +371,7 @@ fn settle_lanes(
         let err = root_mean(err_sq[lane], n);
         let stiffness = [st_num[lane], st_den[lane]];
         let (t_l, h_l) = (t[lane], h[lane]);
-        let outcome = match c.settle(err, finite[lane], stiffness, t_l, h_l, t_end, options) {
+        let outcome = match c.settle(err, finite[lane], stiffness, t_l, h_l, t_end) {
             Settled::Reject(h_new) => {
                 h[lane] = h_new;
                 continue;
@@ -478,11 +477,9 @@ fn lockstep_stages<W: LaneWidth>(
 
     let k = [k1, k3, k4, k5, k6, k7];
     error_rows(w, n, h, y, y_new, k, options, w.row_mut(err_sq, 0), w.row_mut(finite, 0));
-    if options.stiffness_check_interval > 0 {
-        // `y_stage` still holds stage 6's argument, the detector's `y_sti`.
-        let (st_num, st_den) = (w.row_mut(st_num, 0), w.row_mut(st_den, 0));
-        stiffness_rows(w, n, k6, k7, y_new, y_stage.as_slice(), st_num, st_den);
-    }
+    // `y_stage` still holds stage 6's argument, the detector's `y_sti`.
+    let (st_num, st_den) = (w.row_mut(st_num, 0), w.row_mut(st_den, 0));
+    stiffness_rows(w, n, k6, k7, y_new, y_stage.as_slice(), st_num, st_den);
 }
 
 /// The end of a tick: `y ← y_new`, `k1 ← k7` in the lanes the controller

@@ -144,12 +144,9 @@ impl Error for SolverError {}
 /// use paraspace_solvers::{Dopri5, FnSystem, OdeSolver, SolverError, SolverOptions};
 ///
 /// let sys = FnSystem::new(1, |_t, y, d| d[0] = -1e6 * (y[0] - 1.0));
-/// let opts = SolverOptions { stiffness_check_interval: 1, ..SolverOptions::default() };
+/// let opts = SolverOptions::default();
 /// let failure = Dopri5::new().solve(&sys, 0.0, &[0.0], &[10.0], &opts).unwrap_err();
-/// assert!(matches!(
-///     failure.error,
-///     SolverError::StiffnessDetected { .. } | SolverError::MaxStepsExceeded { .. }
-/// ));
+/// assert!(matches!(failure.error, SolverError::StiffnessDetected { .. }));
 /// assert!(failure.stats.steps > 0, "partial work is reported");
 /// ```
 #[derive(Debug, Clone, PartialEq)]

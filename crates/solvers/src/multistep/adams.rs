@@ -95,31 +95,13 @@ where
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AdamsMoulton {
-    max_order: usize,
-}
-
-impl Default for AdamsMoulton {
-    fn default() -> Self {
-        AdamsMoulton::new()
-    }
-}
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct AdamsMoulton;
 
 impl AdamsMoulton {
-    /// Creates the solver with maximum order 12.
+    /// Creates the solver (maximum order 12).
     pub fn new() -> Self {
-        AdamsMoulton { max_order: ADAMS_MAX_ORDER }
-    }
-
-    /// Creates the solver with a custom maximum order (1–12).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `max_order` is outside `1..=12`.
-    pub fn with_max_order(max_order: usize) -> Self {
-        assert!((1..=ADAMS_MAX_ORDER).contains(&max_order), "adams order must be in 1..=12");
-        AdamsMoulton { max_order }
+        AdamsMoulton
     }
 }
 
@@ -136,7 +118,7 @@ impl OdeSolver for AdamsMoulton {
         sample_times: &[f64],
         options: &SolverOptions,
     ) -> Result<Solution, SolveFailure> {
-        let mut core = NordsieckCore::new(MethodFamily::Adams, system.dim(), self.max_order);
+        let mut core = NordsieckCore::new(MethodFamily::Adams, system.dim(), ADAMS_MAX_ORDER);
         drive(&mut core, system, t0, y0, sample_times, options, |_, _, _| {})
     }
 
@@ -149,7 +131,7 @@ impl OdeSolver for AdamsMoulton {
         options: &SolverOptions,
         scratch: &mut SolverScratch,
     ) -> Result<Solution, SolveFailure> {
-        let core = scratch.nordsieck(MethodFamily::Adams, system.dim(), self.max_order);
+        let core = scratch.nordsieck(MethodFamily::Adams, system.dim(), ADAMS_MAX_ORDER);
         drive(core, system, t0, y0, sample_times, options, |_, _, _| {})
     }
 }
@@ -219,16 +201,5 @@ mod tests {
                 assert!(sol.stats.steps > 1000, "suspiciously cheap: {} steps", sol.stats.steps);
             }
         }
-    }
-
-    #[test]
-    fn capped_order_is_respected() {
-        let sys = FnSystem::new(1, |_t, y, d| d[0] = -y[0]);
-        let solver = AdamsMoulton::with_max_order(2);
-        let tight = SolverOptions::with_tolerances(1e-10, 1e-13);
-        let sol = solver.solve(&sys, 0.0, &[1.0], &[1.0], &tight).unwrap();
-        // Order-2 cap at tight tolerance needs far more steps than order-12.
-        let free = AdamsMoulton::new().solve(&sys, 0.0, &[1.0], &[1.0], &tight).unwrap();
-        assert!(sol.stats.accepted > free.stats.accepted);
     }
 }

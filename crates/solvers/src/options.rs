@@ -29,17 +29,6 @@ pub struct SolverOptions {
     pub max_step: f64,
     /// Maximum number of integration steps per sampling interval.
     pub max_steps: usize,
-    /// Hand-over threshold of the explicit solvers' stiffness detector;
-    /// `0` disables detection. The `h·λ̃ > 3.25` test runs on every
-    /// accepted step; once it has struck 15 times (6 clear steps reset
-    /// the count), the solve aborts with
-    /// [`SolverError::StiffnessDetected`](crate::SolverError::StiffnessDetected)
-    /// only while the *projected remaining* explicit steps
-    /// `(t_end − t)/h` exceed this value — "I would still spend N steps",
-    /// not "I have already spent N". A member diagnosed with less than
-    /// that left finishes explicitly: restarting it on an implicit solver
-    /// from `t₀` would cost more than it saves.
-    pub stiffness_check_interval: usize,
     /// Total attempted-step budget for the whole integration; `None` means
     /// unlimited. Unlike [`max_steps`](SolverOptions::max_steps) (per
     /// sampling interval), this is a hard deterministic deadline across
@@ -58,7 +47,6 @@ impl Default for SolverOptions {
             initial_step: None,
             max_step: f64::INFINITY,
             max_steps: 10_000,
-            stiffness_check_interval: 1000,
             step_budget: None,
         }
     }
